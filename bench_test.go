@@ -305,6 +305,49 @@ func BenchmarkFragmentsWadler(b *testing.B) {
 	}
 }
 
+// BenchmarkOptMinContextShapes measures OptMinContext on the twelve
+// query shapes it answers in the serving benchmark's pool — the six
+// Extended-Wadler and the six full-XPath templates — over an xmlgen
+// auction document of more than 20 000 nodes. These are the shapes
+// whose inner absolute paths run as node sets, whose positional steps
+// loop over X ∩ χ⁻¹(Y) only, and whose comparisons start from the last
+// step's posting list; B/op is reported because the quadratic versions
+// of these paths showed there first.
+func BenchmarkOptMinContextShapes(b *testing.B) {
+	d := workload.Auction(1, 1200)
+	if d.Len() < 20000 {
+		b.Fatalf("auction document has %d nodes, want at least 20000", d.Len())
+	}
+	d.Index()
+	shapes := []struct{ name, query string }{
+		{"wadler/bidder-first", "//open_auction/bidder[1]/increase"},
+		{"wadler/bidder-last", "//open_auction/bidder[last()]/increase"},
+		{"wadler/current-gt", "//open_auction[current > 60]/itemref"},
+		{"wadler/item-even", "//item[position() mod 2 = 0]/name"},
+		{"wadler/boolean-quantity", "boolean(//item[quantity > 4])"},
+		{"wadler/person-last", "//person[position() = last()]/name"},
+		{"full/count-item", "count(//item)"},
+		{"full/sum-current", "sum(//open_auction/current)"},
+		{"full/count-count-bidder", "count(//open_auction[count(bidder) > 2])"},
+		{"full/count-bidder-eq", "//open_auction[count(bidder) = 3]/current"},
+		{"full/sum-plus-count", "sum(//item[shipping]/quantity) + count(//person[emailaddress])"},
+		{"full/count-gt-count", "count(//person[emailaddress]) > count(//item[shipping])"},
+	}
+	en := core.NewEngine(d, core.OptMinContext)
+	ctx := context.Background()
+	for _, sh := range shapes {
+		q := core.MustCompile(sh.query)
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := en.EvaluateStrategy(ctx, q, rootCtx(d), core.OptMinContext); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAxes measures the axis evaluator through the Core XPath
 // algebra (whole queries including parsing-independent evaluation).
 func BenchmarkAxes(b *testing.B) {

@@ -104,6 +104,9 @@ func evalIndexed(d *xmltree.Document, ix *xmltree.Index, a Axis, s xmltree.NodeS
 			if a == Descendant {
 				lo++
 			}
+			// The interval's content count is an O(1) prefix-sum
+			// lookup: size the output once instead of doubling into it.
+			dst = slices.Grow(dst, ix.ContentCount(lo, hi))
 			for id := lo; id < hi; id++ {
 				if !d.Node(id).IsAttrOrNS() || (sc != nil && sc.Mark.Has(id)) {
 					dst = append(dst, id)
@@ -127,6 +130,7 @@ func evalIndexed(d *xmltree.Document, ix *xmltree.Index, a Axis, s xmltree.NodeS
 				min = e
 			}
 		}
+		dst = slices.Grow(dst, ix.ContentCount(min, xmltree.NodeID(d.Len())))
 		for id, n := min, xmltree.NodeID(d.Len()); id < n; id++ {
 			if !d.Node(id).IsAttrOrNS() {
 				dst = append(dst, id)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/bottomup"
+	"repro/internal/corexpath"
 	"repro/internal/datapool"
 	"repro/internal/mincontext"
 	"repro/internal/naive"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/wadler"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
+	"repro/internal/xpatterns"
 )
 
 // engine is the common evaluation interface.
@@ -23,19 +25,40 @@ type engine interface {
 	Evaluate(e xpath.Expr, c semantics.Context) (semantics.Value, error)
 }
 
-// engines returns all general-purpose engines for a document, keyed by
-// name. The naive engine is the reference.
+// engines returns every engine for a document, keyed by name. The naive
+// engine is the reference. The two linear-time fragment algebras take
+// part through fragmentEngine, so every differential test in this
+// package also runs them on the queries they accept — they are what the
+// servers pick for those queries.
 func engines(d *xmltree.Document) map[string]engine {
 	dp, _ := datapool.NewEvaluator(d)
+	ref := naive.New(d)
 	return map[string]engine{
-		"naive":         naive.New(d),
+		"naive":         ref,
 		"datapool":      dp,
 		"bottomup":      bottomup.New(d),
 		"bottomup-pair": bottomup.NewPair(d),
 		"topdown":       topdown.New(d),
 		"mincontext":    mincontext.New(d),
 		"optmincontext": wadler.New(d),
+		"corexpath":     fragmentEngine{corexpath.InFragment, corexpath.New(d), ref},
+		"xpatterns":     fragmentEngine{xpatterns.InFragment, xpatterns.New(d), ref},
 	}
+}
+
+// fragmentEngine runs an evaluator that accepts one fragment only on the
+// queries of that fragment and answers the rest with the reference.
+type fragmentEngine struct {
+	accepts func(xpath.Expr) bool
+	eval    engine
+	ref     engine
+}
+
+func (f fragmentEngine) Evaluate(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
+	if !f.accepts(e) {
+		return f.ref.Evaluate(e, c)
+	}
+	return f.eval.Evaluate(e, c)
 }
 
 // docs are the test documents: the paper's figures plus structural

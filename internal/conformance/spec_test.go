@@ -73,6 +73,11 @@ var specCases = []specCase{
 	{query: "round(2.5)", num: num(3)},
 	{query: "round(-2.5)", num: num(-2)},
 	{query: "7 mod 3", num: num(1)},
+	// Number ::= Digits ('.' Digits?)? | '.' Digits — no exponent, no
+	// sign but '-', nothing strconv would add. Every engine converts
+	// through semantics.StringToNumber, so only a golden answer sees it.
+	{query: "string(number('1e3'))", str: str("NaN")},
+	{query: "concat(number('+5'), '|', number('0x10'), '|', number('inf'), '|', number(' -.5 '), '|', number('5.'))", str: str("NaN|NaN|NaN|-0.5|5")},
 	// Strings.
 	{query: "string(//title)", str: str("One")},
 	{query: "concat(//title, '-', //appendix/title)", str: str("One-App")},

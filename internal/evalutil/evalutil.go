@@ -14,7 +14,7 @@ import (
 // StepCandidates computes S = {y | x χ y, y ∈ T(t)} for a single context
 // node: the axis image filtered by the node test, in document order.
 func StepCandidates(d *xmltree.Document, a axes.Axis, t xpath.NodeTest, x xmltree.NodeID) xmltree.NodeSet {
-	return StepCandidatesSet(d, a, t, xmltree.NodeSet{x})
+	return StepCandidatesInto(d, a, t, x, nil)
 }
 
 // StepCandidatesSet computes {y | ∃x∈X: x χ y, y ∈ T(t)}.
@@ -27,8 +27,16 @@ func StepCandidatesSet(d *xmltree.Document, a axes.Axis, t xpath.NodeTest, xs xm
 	if ExactElementName(a, t) {
 		return axes.EvalNamed(d, a, xs, t.Name)
 	}
-	img := axes.Eval(d, a, xs)
-	return FilterTest(d, a, t, img)
+	return filterOwned(d, a, t, axes.Eval(d, a, xs))
+}
+
+// filterOwned restricts an axis image nobody else holds to the node
+// test, in place; node() keeps every node, so the image is the answer.
+func filterOwned(d *xmltree.Document, a axes.Axis, t xpath.NodeTest, img xmltree.NodeSet) xmltree.NodeSet {
+	if t.Kind == xpath.TestNode {
+		return img
+	}
+	return filterTestInto(d, a, t, img, img[:0])
 }
 
 // ExactElementName reports whether the step is an exact-name test whose
@@ -43,14 +51,19 @@ func ExactElementName(a axes.Axis, t xpath.NodeTest) bool {
 // FilterTest restricts a node set to the nodes satisfying the node test
 // under the axis's principal node type.
 func FilterTest(d *xmltree.Document, a axes.Axis, t xpath.NodeTest, s xmltree.NodeSet) xmltree.NodeSet {
+	return filterTestInto(d, a, t, s, make(xmltree.NodeSet, 0, len(s)))
+}
+
+// filterTestInto is FilterTest appending to dst; dst = s[:0] filters in
+// place when the caller owns s.
+func filterTestInto(d *xmltree.Document, a axes.Axis, t xpath.NodeTest, s, dst xmltree.NodeSet) xmltree.NodeSet {
 	principal := a.PrincipalType()
-	out := make(xmltree.NodeSet, 0, len(s))
 	for _, y := range s {
 		if t.Matches(d, principal, y) {
-			out = append(out, y)
+			dst = append(dst, y)
 		}
 	}
-	return out
+	return dst
 }
 
 // AxisOrdered returns the candidate set ordered by <doc,χ: document

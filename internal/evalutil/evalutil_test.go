@@ -1,9 +1,11 @@
 package evalutil
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/axes"
+	"repro/internal/semantics"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -93,5 +95,102 @@ func TestFilterTestPrincipalType(t *testing.T) {
 	}
 	if len(got) != 3 {
 		t.Errorf("child::* = %d nodes, want 3", len(got))
+	}
+}
+
+// TestContextsReaching: the restriction is xs ∩ χ⁻¹(ys) on content
+// nodes, never drops a context node that has a candidate in ys, and
+// keeps attribute context nodes whatever the axis.
+func TestContextsReaching(t *testing.T) {
+	d, err := xmltree.ParseString(`<r><a x="1"><b/><c/></a><a><c/></a><d y="2"/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all xmltree.NodeSet
+	for i := 0; i < d.Len(); i++ {
+		all = append(all, xmltree.NodeID(i))
+	}
+	for _, q := range []string{
+		"child::b", "child::*", "descendant::c", "parent::a", "ancestor::*",
+		"following-sibling::c", "preceding-sibling::*", "following::d",
+		"preceding::b", "self::a", "descendant-or-self::node()",
+		"ancestor-or-self::a", "attribute::x",
+	} {
+		s := step(t, q)
+		ys := StepCandidatesSet(d, s.Axis, s.Test, all)
+		got := ContextsReaching(d, s.Axis, all, ys)
+		for _, x := range all {
+			has := len(StepCandidates(d, s.Axis, s.Test, x)) > 0
+			switch {
+			case has && !got.Contains(x):
+				t.Errorf("%s: context node %d has candidates but was dropped", q, x)
+			case !has && got.Contains(x) && !d.Node(x).IsAttrOrNS():
+				t.Errorf("%s: content node %d kept without candidates", q, x)
+			}
+		}
+	}
+	if one := (xmltree.NodeSet{3}); !ContextsReaching(d, axes.Child, one, nil).Equal(one) {
+		t.Error("a single context node must be returned as is")
+	}
+}
+
+// TestFilterPositionsOrder: positions count from the end for reverse
+// axes, survivors stay in document order, and z[:0] filters in place.
+func TestFilterPositionsOrder(t *testing.T) {
+	z := xmltree.NodeSet{10, 20, 30, 40}
+	var seen []int
+	got, err := FilterPositions(axes.Ancestor, nil, z, z[:0], func(_ xpath.Expr, c semantics.Context) (semantics.Value, error) {
+		seen = append(seen, c.Pos)
+		if c.Size != 4 {
+			t.Errorf("size = %d, want 4", c.Size)
+		}
+		return semantics.Boolean(c.Pos <= 2), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(xmltree.NodeSet{30, 40}) {
+		t.Errorf("ancestor[position() <= 2] kept %v, want [30 40]", got)
+	}
+	if len(seen) != 4 || seen[0] != 4 || seen[3] != 1 {
+		t.Errorf("reverse positions = %v, want 4..1", seen)
+	}
+	got, _ = FilterPositions(axes.Child, nil, xmltree.NodeSet{10, 20, 30}, nil, func(_ xpath.Expr, c semantics.Context) (semantics.Value, error) {
+		return semantics.Boolean(c.Pos == c.Size), nil
+	})
+	if !got.Equal(xmltree.NodeSet{30}) {
+		t.Errorf("child[last()] kept %v, want [30]", got)
+	}
+}
+
+// TestPairLoopZeroAlloc pins the property the index-served positional
+// path was introduced for: with a reused buffer, one previous context
+// node's child::name candidates and their rank-and-filter pass allocate
+// nothing.
+func TestPairLoopZeroAlloc(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(`<root>`)
+	for i := 0; i < 64; i++ {
+		b.WriteString(`<c>x</c><e/>`)
+	}
+	b.WriteString(`</root>`)
+	d, err := xmltree.ParseString(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Index() // build the index outside the measured region
+	x := d.DocumentElement()
+	s := step(t, "child::c[position() = last() - 1]")
+	buf := make(xmltree.NodeSet, 0, 64)
+	allocs := testing.AllocsPerRun(200, func() {
+		z, _ := RankedCandidates(d, s, x, buf, nil, func(_ xpath.Expr, c semantics.Context) (semantics.Value, error) {
+			return semantics.Boolean(c.Pos == c.Size-1), nil
+		})
+		if len(z) != 1 {
+			t.Fatalf("child::c[position() = last() - 1] kept %d nodes, want 1", len(z))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("pair loop body allocates %v per run, want 0", allocs)
 	}
 }

@@ -103,8 +103,8 @@ func StepCandidatesSetPar(ctx context.Context, d *xmltree.Document, a axes.Axis,
 		return axes.EvalNamedPar(ctx, d, a, xs, t.Name, nil, p)
 	}
 	img, err := axes.EvalPar(ctx, d, a, xs, nil, p)
-	if err != nil {
-		return nil, err
+	if err != nil || t.Kind == xpath.TestNode {
+		return img, err // node() keeps every node of the image
 	}
 	return FilterTestPar(ctx, d, a, t, img, p)
 }

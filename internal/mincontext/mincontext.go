@@ -5,8 +5,9 @@
 //  1. Restriction to the relevant context (Section 8.2): the
 //     context-value table at each parse-tree node N only materializes
 //     the columns in Relev(N) ⊆ {cn, cp, cs}.
-//  2. Special treatment of outermost location paths: their intermediate
-//     results are node *sets* (⊆ dom) instead of relations (⊆ dom×2^dom).
+//  2. Special treatment of location paths whose value is one row: their
+//     intermediate results are node *sets* (⊆ dom) instead of relations
+//     (⊆ dom×2^dom).
 //  3. Position and size are handled in a loop: a predicate that depends
 //     on cp/cs is evaluated per candidate context on demand
 //     (eval_single_context) after its cp/cs-independent subtrees have
@@ -18,12 +19,41 @@
 // eval_single_context and eval_inner_locpath follow the pseudocode of
 // Appendix A; the parse tree and per-node tables are carried in an
 // evaluation state.
+//
+// # Which paths are node sets
+//
+// The paper applies idea 2 to the outermost path because that path is
+// wanted at exactly one context. Idea 1 says the same of more paths, and
+// this package follows it wherever it applies — the rule is the paper's
+// projection of a context-value table onto Relev(N), not a heuristic:
+//
+//   - the outermost path (Algorithm 8.5);
+//   - every inner path π with cn ∉ Relev(π) — absolute, or headed by a
+//     context-free expression such as id('c'): projected onto Relev(π) =
+//     ∅ its table has a single row, whatever the number of context nodes
+//     it is asked at, so count(//a), sum(//a/b) and //a[b = //c] evaluate
+//     //… once, as a set;
+//   - every inner path requested at a single context node.
+//
+// Only paths that do depend on the context node and are wanted at
+// several of them — the bidder of //open_auction[count(bidder) > 2] —
+// are relations, built by eval_inner_locpath.
+//
+// Both the set and the relation code visit, at a step χ::t, only the
+// previous context nodes that can reach a candidate, X ∩ χ⁻¹(Y): the
+// others contribute the empty set. The loops over ⟨previous, current⟩
+// pairs that cp/cs-dependent predicates need take each node's candidate
+// list from the index (for child::name the label's posting-list slice
+// under the node, already in axis order) and merge the survivors through
+// a bitset accumulator, so a positional step costs O(|X ∩ χ⁻¹(Y)| + Σ
+// candidates), not O(|X|·|result|).
 package mincontext
 
 import (
 	"context"
 	"fmt"
 
+	"repro/internal/axes"
 	"repro/internal/evalutil"
 	"repro/internal/semantics"
 	"repro/internal/xmltree"
@@ -131,14 +161,23 @@ type state struct {
 	ev  *Evaluator
 	doc *xmltree.Document
 
-	relev   map[xpath.Expr]xpath.Relev
-	tables  map[xpath.Expr]*table
-	rels    map[xpath.Expr]map[xmltree.NodeID]xmltree.NodeSet
-	covered map[xpath.Expr]map[xmltree.NodeID]bool
+	relev  map[xpath.Expr]xpath.Relev
+	tables map[xpath.Expr]*table
+	// rels holds the value of every cp/cs-independent location path that
+	// is not the outermost one, one row per context node. A path whose
+	// Relev lacks cn has the single row NilNode (see fillPath).
+	rels map[xpath.Expr]map[xmltree.NodeID]xmltree.NodeSet
+	// covered marks, per expression, the context nodes already tabulated.
+	// For an expression whose Relev lacks cn the key's presence alone
+	// says "done" and the bitset stays nil.
+	covered map[xpath.Expr]*xmltree.Bitset
 
 	// cancel is the throttled cancellation checkpoint for this query;
 	// nil (the Evaluate path) never fires.
 	cancel *evalutil.Canceller
+
+	// free holds the scratch of finished pair loops for reuse.
+	free []*loopScratch
 }
 
 func newState(ev *Evaluator) *state {
@@ -148,8 +187,48 @@ func newState(ev *Evaluator) *state {
 		relev:   map[xpath.Expr]xpath.Relev{},
 		tables:  map[xpath.Expr]*table{},
 		rels:    map[xpath.Expr]map[xmltree.NodeID]xmltree.NodeSet{},
-		covered: map[xpath.Expr]map[xmltree.NodeID]bool{},
+		covered: map[xpath.Expr]*xmltree.Bitset{},
 	}
+}
+
+// loopScratch is what one loop over context nodes reuses from node to
+// node: the candidate-list buffer and the accumulator that merges the
+// per-node results in O(Σ|zᵢ|) instead of by repeated Union. Predicates
+// evaluated inside a loop may start loops of their own (a nested path
+// evaluated on demand), so every loop acquires its own scratch and
+// returns it when done.
+type loopScratch struct {
+	acc *xmltree.Accumulator
+	buf xmltree.NodeSet
+}
+
+func (st *state) acquire() *loopScratch {
+	if n := len(st.free); n > 0 {
+		sc := st.free[n-1]
+		st.free = st.free[:n-1]
+		return sc
+	}
+	return &loopScratch{acc: xmltree.NewAccumulator(st.doc.Len())}
+}
+
+func (st *state) release(sc *loopScratch) {
+	sc.acc.Reset() // a loop abandoned on error leaves members behind
+	st.free = append(st.free, sc)
+}
+
+// tableOf returns table(e), creating it sized for the rows about to be
+// filled: one per context node, or one in all when Relev(e) lacks cn.
+func (st *state) tableOf(e xpath.Expr, contexts int) *table {
+	t := st.tables[e]
+	if t == nil {
+		t = &table{relev: st.relevOf(e)}
+		if !t.relev.Has(xpath.RelevNode) {
+			contexts = 1
+		}
+		t.vals = make(map[ctxKey]semantics.Value, contexts)
+		st.tables[e] = t
+	}
+	return t
 }
 
 func (st *state) relevOf(e xpath.Expr) xpath.Relev {
@@ -162,29 +241,35 @@ func (st *state) relevOf(e xpath.Expr) xpath.Relev {
 }
 
 // uncovered returns the subset of X not yet covered for e and marks it
-// covered. For context-insensitive expressions (Relev(N) ∩ {cn} = ∅) a
-// single sentinel represents all contexts. The coverage scan can touch
-// up to |D| nodes, so it bills the cancellation checkpoint.
+// covered. For context-insensitive expressions (Relev(N) ∩ {cn} = ∅) all
+// contexts are one. An empty X covers nothing: there is no context to
+// tabulate the expression at. The coverage scan can touch up to |D|
+// nodes, so it bills the cancellation checkpoint.
 func (st *state) uncovered(e xpath.Expr, x xmltree.NodeSet) (xmltree.NodeSet, error) {
+	if len(x) == 0 {
+		return nil, nil
+	}
 	if err := st.cancel.CheckN(len(x)); err != nil {
 		return nil, err
 	}
-	cov := st.covered[e]
-	if cov == nil {
-		cov = map[xmltree.NodeID]bool{}
-		st.covered[e] = cov
-	}
+	cov, seen := st.covered[e]
 	if !st.relevOf(e).Has(xpath.RelevNode) {
-		if cov[xmltree.NilNode] {
+		if seen {
 			return nil, nil
 		}
-		cov[xmltree.NilNode] = true
+		st.covered[e] = nil
+		return x, nil
+	}
+	if cov == nil {
+		cov = xmltree.NewBitset(st.doc.Len())
+		st.covered[e] = cov
+		cov.AddSet(x)
 		return x, nil
 	}
 	var todo xmltree.NodeSet
 	for _, n := range x {
-		if !cov[n] {
-			cov[n] = true
+		if !cov.Has(n) {
+			cov.Add(n)
 			todo = append(todo, n)
 		}
 	}
@@ -197,7 +282,9 @@ func (st *state) uncovered(e xpath.Expr, x xmltree.NodeSet) (xmltree.NodeSet, er
 
 // evalOutermostLocpath evaluates a location path treating intermediate
 // results as node sets ⊆ dom (Section 8.2, "special treatment of
-// location paths on the outermost level").
+// location paths on the outermost level"). Besides the query's own
+// outermost path it serves every inner path whose value is a single row
+// (fillPath).
 func (st *state) evalOutermostLocpath(e xpath.Expr, x xmltree.NodeSet) (xmltree.NodeSet, error) {
 	switch p := e.(type) {
 	case *xpath.Binary: // π1 | π2
@@ -216,21 +303,20 @@ func (st *state) evalOutermostLocpath(e xpath.Expr, x xmltree.NodeSet) (xmltree.
 		case p.Filter != nil:
 			// Head expressions (id('c'), (π)[1], …) are evaluated via
 			// the table machinery per context node, then flattened.
-			if err := st.evalByCnodeOnly(p.Filter, x); err != nil {
+			heads, err := st.evalHeads(p.Filter, x)
+			if err != nil {
 				return nil, err
 			}
-			var u xmltree.NodeSet
-			for _, n := range x {
-				v, err := st.evalSingleContext(p.Filter, semantics.Context{Node: n, Pos: -1, Size: -1})
-				if err != nil {
-					return nil, err
-				}
-				if v.Kind != xpath.TypeNodeSet {
-					return nil, fmt.Errorf("mincontext: path head is not a node set")
-				}
-				u = u.Union(v.Set)
+			if len(heads) == 1 {
+				cur = heads[0]
+				break
 			}
-			cur = u
+			sc := st.acquire()
+			for _, h := range heads {
+				sc.acc.Add(h)
+			}
+			cur = sc.acc.Result()
+			st.release(sc)
 		case p.Absolute:
 			cur = xmltree.NodeSet{st.doc.RootID()}
 		}
@@ -247,76 +333,96 @@ func (st *state) evalOutermostLocpath(e xpath.Expr, x xmltree.NodeSet) (xmltree.
 	}
 }
 
+// evalHeads returns the value of a path's head expression at every
+// context node of X, in X's order.
+func (st *state) evalHeads(head xpath.Expr, x xmltree.NodeSet) ([]xmltree.NodeSet, error) {
+	if err := st.evalByCnodeOnly(head, x); err != nil {
+		return nil, err
+	}
+	if err := st.cancel.CheckN(len(x)); err != nil {
+		return nil, err
+	}
+	heads := make([]xmltree.NodeSet, len(x))
+	for i, n := range x {
+		v, err := st.evalSingleContext(head, semantics.Context{Node: n, Pos: -1, Size: -1})
+		if err != nil {
+			return nil, err
+		}
+		if v.Kind != xpath.TypeNodeSet {
+			return nil, fmt.Errorf("mincontext: path head is not a node set")
+		}
+		heads[i] = v.Set
+	}
+	return heads, nil
+}
+
 // evalOutermostStep applies one location step to a node set, following
 // the eval_outermost_locpath pseudocode: when no predicate depends on
 // cp/cs the candidates are filtered set-at-a-time; otherwise the
-// predicates run in a loop over previous/current context-node pairs.
+// predicates run in a loop over previous/current context-node pairs —
+// over the previous context nodes that have a candidate at all, X ∩
+// χ⁻¹(Y).
 func (st *state) evalOutermostStep(step *xpath.Step, x xmltree.NodeSet) (xmltree.NodeSet, error) {
 	y := evalutil.StepCandidatesSet(st.doc, step.Axis, step.Test, x)
 	if len(step.Preds) == 0 || len(y) == 0 {
 		return y, nil
 	}
-	for _, pred := range step.Preds {
-		if err := st.evalByCnodeOnly(pred, y); err != nil {
-			return nil, err
-		}
+	if err := st.tabulatePreds(step, y); err != nil {
+		return nil, err
 	}
 	if !st.stepNeedsPositions(step) {
-		var r xmltree.NodeSet
-		for _, n := range y {
-			if err := st.cancel.Check(); err != nil {
-				return nil, err
-			}
-			ok := true
-			for _, pred := range step.Preds {
-				v, err := st.evalSingleContext(pred, semantics.Context{Node: n, Pos: -1, Size: -1})
-				if err != nil {
-					return nil, err
-				}
-				if !semantics.ToBoolean(v) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				r = append(r, n)
-			}
-		}
-		return r, nil
+		return st.filterCandidates(step, y)
 	}
-	// Some predicate depends on cp or cs: loop over pairs ⟨x, z⟩.
-	var r xmltree.NodeSet
-	for _, xn := range x {
+	if err := st.cancel.CheckN(len(x) + len(y)); err != nil {
+		return nil, err
+	}
+	sc := st.acquire()
+	defer st.release(sc)
+	for _, xn := range evalutil.ContextsReaching(st.doc, step.Axis, x, y) {
+		z, err := evalutil.RankedCandidates(st.doc, step, xn, sc.buf, st.cancel, st.evalSingleContext)
+		if err != nil {
+			return nil, err
+		}
+		sc.acc.Add(z)
+		sc.buf = z
+	}
+	return sc.acc.Result(), nil
+}
+
+// tabulatePreds runs eval_by_cnode_only for a step's predicates over the
+// step's candidates.
+func (st *state) tabulatePreds(step *xpath.Step, y xmltree.NodeSet) error {
+	for _, pred := range step.Preds {
+		if err := st.evalByCnodeOnly(pred, y); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// filterCandidates keeps the candidates of a step that satisfy its
+// predicates, none of which depends on cp/cs, so each candidate is
+// judged once whatever previous context node reached it. y is filtered
+// in place.
+func (st *state) filterCandidates(step *xpath.Step, y xmltree.NodeSet) (xmltree.NodeSet, error) {
+	keep := y[:0]
+candidates:
+	for _, n := range y {
 		if err := st.cancel.Check(); err != nil {
 			return nil, err
 		}
-		z := axesFilter(st.doc, step, xn, y)
 		for _, pred := range step.Preds {
-			ordered := evalutil.AxisOrdered(step.Axis, z)
-			var keep []xmltree.NodeID
-			for j, zn := range ordered {
-				if err := st.cancel.Check(); err != nil {
-					return nil, err
-				}
-				v, err := st.evalSingleContext(pred, semantics.Context{Node: zn, Pos: j + 1, Size: len(ordered)})
-				if err != nil {
-					return nil, err
-				}
-				if semantics.ToBoolean(v) {
-					keep = append(keep, zn)
-				}
+			v, err := st.evalSingleContext(pred, semantics.Context{Node: n, Pos: -1, Size: -1})
+			if err != nil {
+				return nil, err
 			}
-			z = xmltree.NewNodeSet(keep...)
+			if !semantics.ToBoolean(v) {
+				continue candidates
+			}
 		}
-		r = r.Union(z)
+		keep = append(keep, n)
 	}
-	return r, nil
-}
-
-// axesFilter computes Z = {z ∈ Y | x χ z} for one previous context node.
-func axesFilter(d *xmltree.Document, step *xpath.Step, x xmltree.NodeID, y xmltree.NodeSet) xmltree.NodeSet {
-	img := evalutil.StepCandidates(d, step.Axis, step.Test, x)
-	return img.Intersect(y)
+	return keep, nil
 }
 
 func (st *state) stepNeedsPositions(step *xpath.Step) bool {
@@ -336,10 +442,9 @@ func (st *state) stepNeedsPositions(step *xpath.Step) bool {
 // at e whose expression does not depend on the current context position
 // or size, for all context nodes in X.
 func (st *state) evalByCnodeOnly(e xpath.Expr, x xmltree.NodeSet) error {
-	if bt, ok := st.ev.pre[e]; ok {
+	if _, ok := st.ev.pre[e]; ok {
 		// OptMinContext already computed this subexpression bottom-up;
-		// materialize its rows lazily through the lookup path.
-		_ = bt
+		// eval_single_context reads its rows off the installed table.
 		return nil
 	}
 	r := st.relevOf(e)
@@ -356,25 +461,10 @@ func (st *state) evalByCnodeOnly(e xpath.Expr, x xmltree.NodeSet) error {
 	}
 	if p, ok := e.(*xpath.Path); ok {
 		todo, err := st.uncovered(e, x)
-		if err != nil {
+		if err != nil || len(todo) == 0 {
 			return err
 		}
-		if len(todo) == 0 {
-			return nil
-		}
-		rel, err := st.evalInnerLocpath(p, todo)
-		if err != nil {
-			return err
-		}
-		m := st.rels[e]
-		if m == nil {
-			m = map[xmltree.NodeID]xmltree.NodeSet{}
-			st.rels[e] = m
-		}
-		for k, v := range rel {
-			m[k] = v
-		}
-		return nil
+		return st.fillPath(p, todo)
 	}
 	if fe, ok := e.(*xpath.FilterExpr); ok {
 		return st.evalFilterByCnode(fe, x)
@@ -393,11 +483,7 @@ func (st *state) evalByCnodeOnly(e xpath.Expr, x xmltree.NodeSet) error {
 			return err
 		}
 	}
-	t := st.tables[e]
-	if t == nil {
-		t = &table{relev: r, vals: map[ctxKey]semantics.Value{}}
-		st.tables[e] = t
-	}
+	t := st.tableOf(e, len(todo))
 	if !r.Has(xpath.RelevNode) {
 		c := semantics.Context{Node: xmltree.NilNode, Pos: -1, Size: -1}
 		v, err := st.apply(e, c)
@@ -421,6 +507,54 @@ func (st *state) evalByCnodeOnly(e xpath.Expr, x xmltree.NodeSet) error {
 	return nil
 }
 
+// fillPath computes the rows of a cp/cs-independent inner location path
+// for the context nodes todo. The paper's Relev analysis says how many
+// rows there are, and a path with one row is a node set ⊆ dom like the
+// outermost path, not a relation ⊆ dom×2^dom:
+//
+//   - Relev(π) ∌ cn (absolute, or headed by a context-free expression):
+//     the value is the same at every context node, so it is evaluated
+//     once by eval_outermost_locpath and stored under NilNode — the
+//     projection of the context-value table onto Relev(π) = ∅;
+//   - a single context node: the relation's one row is the set
+//     eval_outermost_locpath computes from {x};
+//   - otherwise the path is a genuine relation and eval_inner_locpath
+//     builds it.
+func (st *state) fillPath(p *xpath.Path, todo xmltree.NodeSet) error {
+	if key := st.rowKey(p, todo[0]); key == xmltree.NilNode || len(todo) == 1 {
+		s, err := st.evalOutermostLocpath(p, todo[:1])
+		if err != nil {
+			return err
+		}
+		if st.rels[p] == nil {
+			st.rels[p] = map[xmltree.NodeID]xmltree.NodeSet{}
+		}
+		st.rels[p][key] = s
+		return nil
+	}
+	rel, err := st.evalInnerLocpath(p, todo)
+	if err != nil {
+		return err
+	}
+	if m := st.rels[p]; m != nil {
+		for k, v := range rel {
+			m[k] = v
+		}
+	} else {
+		st.rels[p] = rel
+	}
+	return nil
+}
+
+// rowKey is the key of the row of rels[p] that holds p's value at
+// context node n.
+func (st *state) rowKey(p *xpath.Path, n xmltree.NodeID) xmltree.NodeID {
+	if !st.relevOf(p).Has(xpath.RelevNode) {
+		return xmltree.NilNode
+	}
+	return n
+}
+
 // evalFilterByCnode tabulates a filter expression (primary plus
 // document-order predicates) per context node.
 func (st *state) evalFilterByCnode(fe *xpath.FilterExpr, x xmltree.NodeSet) error {
@@ -434,11 +568,7 @@ func (st *state) evalFilterByCnode(fe *xpath.FilterExpr, x xmltree.NodeSet) erro
 	if err := st.evalByCnodeOnly(fe.Primary, todo); err != nil {
 		return err
 	}
-	t := st.tables[fe]
-	if t == nil {
-		t = &table{relev: st.relevOf(fe), vals: map[ctxKey]semantics.Value{}}
-		st.tables[fe] = t
-	}
+	t := st.tableOf(fe, len(todo))
 	ctxNodes := todo
 	if !t.relev.Has(xpath.RelevNode) {
 		ctxNodes = xmltree.NodeSet{xmltree.NilNode}
@@ -455,22 +585,20 @@ func (st *state) evalFilterByCnode(fe *xpath.FilterExpr, x xmltree.NodeSet) erro
 		if pv.Kind != xpath.TypeNodeSet {
 			return fmt.Errorf("mincontext: predicates on %v", pv.Kind)
 		}
+		// Filter predicates rank in document order whatever axis
+		// produced the primary; each pass builds a fresh set, the
+		// primary's row is shared.
 		s := pv.Set
 		for _, pred := range fe.Preds {
 			if err := st.evalByCnodeOnly(pred, s); err != nil {
 				return err
 			}
-			var keep []xmltree.NodeID
-			for i, yn := range s {
-				v, err := st.evalSingleContext(pred, semantics.Context{Node: yn, Pos: i + 1, Size: len(s)})
-				if err != nil {
-					return err
-				}
-				if semantics.ToBoolean(v) {
-					keep = append(keep, yn)
-				}
+			if err := st.cancel.CheckN(len(s) + 1); err != nil {
+				return err
 			}
-			s = xmltree.NewNodeSet(keep...)
+			if s, err = evalutil.FilterPositions(axes.Self, pred, s, nil, st.evalSingleContext); err != nil {
+				return err
+			}
 		}
 		t.vals[t.key(c)] = semantics.NodeSet(s)
 	}
@@ -560,36 +688,22 @@ func (st *state) evalSingleContext(e xpath.Expr, c semantics.Context) (semantics
 	r := st.relevOf(e)
 	if r&(xpath.RelevPos|xpath.RelevSize) == 0 {
 		if p, ok := e.(*xpath.Path); ok {
-			m := st.rels[e]
-			lookupNode := c.Node
-			if !r.Has(xpath.RelevNode) {
-				// Absolute path: any covered row serves; rows are
-				// stored under the context nodes they were requested
-				// for.
-				if s, ok2 := m[c.Node]; ok2 {
-					return semantics.NodeSet(s), nil
-				}
-				for _, s := range m {
-					return semantics.NodeSet(s), nil
-				}
-			}
-			if s, ok2 := m[lookupNode]; ok2 {
+			key := st.rowKey(p, c.Node)
+			if s, ok := st.rels[e][key]; ok {
 				return semantics.NodeSet(s), nil
 			}
 			// Not covered yet (can happen when a caller asks for a
-			// fresh context); evaluate on demand.
-			rel, err := st.evalInnerLocpath(p, xmltree.NodeSet{c.Node})
-			if err != nil {
+			// fresh context); evaluate on demand. A context-free path
+			// asked for under the context-free sentinel starts from
+			// the root, any node serves.
+			n := c.Node
+			if n == xmltree.NilNode {
+				n = st.doc.RootID()
+			}
+			if err := st.evalByCnodeOnly(e, xmltree.NodeSet{n}); err != nil {
 				return semantics.Value{}, err
 			}
-			if m == nil {
-				m = map[xmltree.NodeID]xmltree.NodeSet{}
-				st.rels[e] = m
-			}
-			for k, v := range rel {
-				m[k] = v
-			}
-			return semantics.NodeSet(m[c.Node]), nil
+			return semantics.NodeSet(st.rels[e][key]), nil
 		}
 		if t, ok := st.tables[e]; ok {
 			if v, ok2 := t.vals[t.key(c)]; ok2 {
@@ -617,24 +731,20 @@ func (st *state) evalSingleContext(e xpath.Expr, c semantics.Context) (semantics
 // ------------------------------------------------------------------
 
 // evalInnerLocpath computes the relation {⟨x, y⟩ | x ∈ X, y reachable
-// from x via the path} as a map x → set.
+// from x via the path} as a map x → set with a row for every x ∈ X. It
+// runs only for paths that depend on the context node and are wanted at
+// several of them (fillPath).
 func (st *state) evalInnerLocpath(p *xpath.Path, x xmltree.NodeSet) (map[xmltree.NodeID]xmltree.NodeSet, error) {
 	// Starting relation R0.
 	cur := make(map[xmltree.NodeID]xmltree.NodeSet, len(x))
 	switch {
 	case p.Filter != nil:
-		if err := st.evalByCnodeOnly(p.Filter, x); err != nil {
+		heads, err := st.evalHeads(p.Filter, x)
+		if err != nil {
 			return nil, err
 		}
-		for _, n := range x {
-			v, err := st.evalSingleContext(p.Filter, semantics.Context{Node: n, Pos: -1, Size: -1})
-			if err != nil {
-				return nil, err
-			}
-			if v.Kind != xpath.TypeNodeSet {
-				return nil, fmt.Errorf("mincontext: path head is not a node set")
-			}
-			cur[n] = v.Set
+		for i, n := range x {
+			cur[n] = heads[i]
 		}
 	case p.Absolute:
 		for _, n := range x {
@@ -645,14 +755,14 @@ func (st *state) evalInnerLocpath(p *xpath.Path, x xmltree.NodeSet) (map[xmltree
 			cur[n] = xmltree.NodeSet{n}
 		}
 	}
-	acc := xmltree.NewAccumulator(st.doc.Len())
+	sc := st.acquire()
+	defer st.release(sc)
 	for _, step := range p.Steps {
 		// Image of the current relation.
 		for _, s := range cur {
-			acc.Add(s)
+			sc.acc.Add(s)
 		}
-		img := acc.Result()
-		rel, err := st.evalInnerStep(step, img)
+		rel, err := st.evalInnerStep(step, sc.acc.Result())
 		if err != nil {
 			return nil, err
 		}
@@ -667,9 +777,9 @@ func (st *state) evalInnerLocpath(p *xpath.Path, x xmltree.NodeSet) (map[xmltree
 				u = rel[ys[0]]
 			} else if len(ys) > 1 {
 				for _, y := range ys {
-					acc.Add(rel[y])
+					sc.acc.Add(rel[y])
 				}
-				u = acc.Result()
+				u = sc.acc.Result()
 			}
 			next[x0] = u
 		}
@@ -680,63 +790,53 @@ func (st *state) evalInnerLocpath(p *xpath.Path, x xmltree.NodeSet) (map[xmltree
 
 // evalInnerStep computes the one-step relation {⟨x, z⟩ | x ∈ X, x χ z, z
 // ∈ T(t), predicates hold} grouped by x, with the same
-// cp/cs-independent fast path as the outermost variant.
+// cp/cs-independent fast path as the outermost variant. Only the x ∈ X ∩
+// χ⁻¹(Y) get a row — Y being the candidates that can still be selected —
+// an absent row is the empty set.
 func (st *state) evalInnerStep(step *xpath.Step, x xmltree.NodeSet) (map[xmltree.NodeID]xmltree.NodeSet, error) {
-	rel := make(map[xmltree.NodeID]xmltree.NodeSet, len(x))
 	y := evalutil.StepCandidatesSet(st.doc, step.Axis, step.Test, x)
-	for _, pred := range step.Preds {
-		if err := st.evalByCnodeOnly(pred, y); err != nil {
+	if len(y) == 0 {
+		return nil, nil
+	}
+	if err := st.tabulatePreds(step, y); err != nil {
+		return nil, err
+	}
+	positional := st.stepNeedsPositions(step)
+	if !positional && len(step.Preds) > 0 {
+		// Filter candidates once, then intersect per x.
+		var err error
+		if y, err = st.filterCandidates(step, y); err != nil {
 			return nil, err
 		}
 	}
-	if !st.stepNeedsPositions(step) {
-		// Filter candidates once, then intersect per x.
-		yKeep := y
-		for _, pred := range step.Preds {
-			var keep []xmltree.NodeID
-			for _, n := range yKeep {
-				if err := st.cancel.Check(); err != nil {
-					return nil, err
-				}
-				v, err := st.evalSingleContext(pred, semantics.Context{Node: n, Pos: -1, Size: -1})
-				if err != nil {
-					return nil, err
-				}
-				if semantics.ToBoolean(v) {
-					keep = append(keep, n)
-				}
-			}
-			yKeep = xmltree.NewNodeSet(keep...)
+	if err := st.cancel.CheckN(len(x) + len(y)); err != nil {
+		return nil, err
+	}
+	xs := evalutil.ContextsReaching(st.doc, step.Axis, x, y)
+	rel := make(map[xmltree.NodeID]xmltree.NodeSet, len(xs))
+	sc := st.acquire()
+	defer st.release(sc)
+	for _, xn := range xs {
+		if err := st.cancel.Check(); err != nil {
+			return nil, err
 		}
-		for _, xn := range x {
-			if err := st.cancel.Check(); err != nil {
+		var z xmltree.NodeSet
+		switch {
+		case positional:
+			ranked, err := evalutil.RankedCandidates(st.doc, step, xn, sc.buf, st.cancel, st.evalSingleContext)
+			if err != nil {
 				return nil, err
 			}
-			img := evalutil.StepCandidates(st.doc, step.Axis, step.Test, xn)
-			rel[xn] = img.Intersect(yKeep)
+			sc.buf, z = ranked, ranked.Clone()
+		case len(step.Preds) > 0:
+			sc.buf = evalutil.StepCandidatesInto(st.doc, step.Axis, step.Test, xn, sc.buf)
+			z = sc.buf.Intersect(y)
+		default:
+			z = evalutil.StepCandidates(st.doc, step.Axis, step.Test, xn)
 		}
-		return rel, nil
-	}
-	for _, xn := range x {
-		z := evalutil.StepCandidates(st.doc, step.Axis, step.Test, xn)
-		for _, pred := range step.Preds {
-			ordered := evalutil.AxisOrdered(step.Axis, z)
-			var keep []xmltree.NodeID
-			for j, zn := range ordered {
-				if err := st.cancel.Check(); err != nil {
-					return nil, err
-				}
-				v, err := st.evalSingleContext(pred, semantics.Context{Node: zn, Pos: j + 1, Size: len(ordered)})
-				if err != nil {
-					return nil, err
-				}
-				if semantics.ToBoolean(v) {
-					keep = append(keep, zn)
-				}
-			}
-			z = xmltree.NewNodeSet(keep...)
+		if len(z) > 0 {
+			rel[xn] = z
 		}
-		rel[xn] = z
 	}
 	return rel, nil
 }

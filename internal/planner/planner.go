@@ -387,7 +387,7 @@ func (p *Planner) decide(sh Shape, entry EntryStats, commit, explain bool) Decis
 	}
 
 	if commit {
-		if p.mode == Adaptive && p.exploreEvery > 0 && haveRule {
+		if p.mode == Adaptive && p.exploreEvery > 0 && haveRule && explores(sh.Fragment) {
 			if n := cs.n.Add(1); n%p.exploreEvery == 0 {
 				if alt, ok := p.exploreCandidate(cs, order, pick); ok {
 					pick = alt
@@ -409,14 +409,28 @@ func (p *Planner) decide(sh Shape, entry EntryStats, commit, explain bool) Decis
 	return d
 }
 
+// explores reports whether the exploration schedule runs for a
+// fragment. The paper's ladder of algorithms is a dominance order, so
+// the table is short: a class the classifier placed in Core XPath or
+// XPatterns already runs on a linear-time algebra and has nothing to
+// learn from sampling a polynomial engine.
+func explores(f core.Fragment) bool {
+	return f != core.FragmentCoreXPath && f != core.FragmentXPatterns
+}
+
 // exploreCandidate picks the least-tried unbanned candidate other than
 // the current pick, so every applicable engine keeps accumulating
-// fresh evidence and a shifted workload is eventually noticed.
+// fresh evidence and a shifted workload is eventually noticed. BottomUp
+// is never sampled: Algorithm 6.3 materializes full context-value
+// tables, which every other candidate in every rule order dominates (a
+// [last()] query over a 644-node document took it 98–127 ms against
+// 15–200 µs for the rule pick). It stays a candidate that observed
+// evidence may still pick.
 func (p *Planner) exploreCandidate(cs *classState, order []core.Strategy, pick core.Strategy) (core.Strategy, bool) {
 	alt := core.Auto
 	altTrials := uint64(math.MaxUint64)
 	for _, s := range order {
-		if s == pick || cs.banned[s].Load() {
+		if s == pick || s == core.BottomUp || cs.banned[s].Load() {
 			continue
 		}
 		if t := cs.trials[s].Load(); t < altTrials {

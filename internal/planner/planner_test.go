@@ -216,7 +216,7 @@ func TestBanExcludesStrategy(t *testing.T) {
 
 func TestExploreSchedule(t *testing.T) {
 	p := New(Config{Mode: Adaptive, ExploreEvery: 4})
-	q := core.MustCompile("//a")
+	q := core.MustCompile("count(//a) < count(//b)") // full XPath: a class that explores
 	const doc = 300
 	explored := 0
 	for i := 0; i < 16; i++ {
@@ -240,6 +240,47 @@ func TestExploreSchedule(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Fatalf("exploration visited %v, want at least two distinct alternatives", seen)
+	}
+}
+
+// TestExplorationRespectsDominance: the paper's ladder is the dominance
+// order, so exploration is a table, not a gamble. Over 10 000 adaptive
+// decisions spread over the four fragments, with nothing ever observed,
+// no class is routed to BottomUp, and the classes of the two linear-time
+// fragments are never explored at all.
+func TestExplorationRespectsDominance(t *testing.T) {
+	p := New(Config{Mode: Adaptive, ExploreEvery: 4})
+	queries := []*core.Query{
+		core.MustCompile("//a[b]/c"),                         // Core XPath
+		core.MustCompile("//a[b = 'x']/c"),                   // XPatterns
+		core.MustCompile("//a/b[last()]/c"),                  // Extended Wadler
+		core.MustCompile("count(//a[count(b) > 2])"),         // full XPath
+		core.MustCompile("//a[b[c[count(d) = position()]]]"), // full XPath, deep predicates
+	}
+	wantFrag := []core.Fragment{core.FragmentCoreXPath, core.FragmentXPatterns,
+		core.FragmentWadler, core.FragmentFullXPath, core.FragmentFullXPath}
+	for i, q := range queries {
+		if q.Fragment() != wantFrag[i] {
+			t.Fatalf("%s classified %v, want %v", q, q.Fragment(), wantFrag[i])
+		}
+	}
+	explored := map[core.Fragment]int{}
+	for i := 0; i < 10000; i++ {
+		q := queries[i%len(queries)]
+		doc := []int{300, 644, 21000}[(i/len(queries))%3]
+		d := p.Decide(q, doc, nil)
+		if d.Strategy == core.BottomUp {
+			t.Fatalf("decision %d routed %s (%v, %d nodes) to BottomUp: %s", i, q, q.Fragment(), doc, d.Rationale)
+		}
+		if d.Explored {
+			explored[q.Fragment()]++
+		}
+	}
+	if n := explored[core.FragmentCoreXPath] + explored[core.FragmentXPatterns]; n != 0 {
+		t.Fatalf("explored %d decisions of the linear-time fragments, want 0", n)
+	}
+	if explored[core.FragmentWadler] == 0 || explored[core.FragmentFullXPath] == 0 {
+		t.Fatalf("Wadler and full-XPath classes must keep exploring, got %v", explored)
 	}
 }
 
@@ -369,8 +410,8 @@ func TestFragmentLabel(t *testing.T) {
 
 func TestDecisionRationaleMentionsClass(t *testing.T) {
 	p := New(Config{Mode: Adaptive, ExploreEvery: 1})
-	q := core.MustCompile("//a")
-	p.Observe(q, 300, core.CoreXPath, time.Microsecond, false)
+	q := core.MustCompile("//a[position() = 2]")
+	p.Observe(q, 300, core.OptMinContext, time.Microsecond, false)
 	// Second decision explores (ExploreEvery=1 fires every time).
 	d := p.Decide(q, 300, nil)
 	if !d.Explored {

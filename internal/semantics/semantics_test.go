@@ -2,6 +2,7 @@ package semantics
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -47,19 +48,49 @@ func TestNumberToString(t *testing.T) {
 	}
 }
 
+// TestStringToNumber pins the XPath 1.0 Number grammar (§3.7, §4.4):
+// optional whitespace, optional '-', Digits ('.' Digits?)? | '.' Digits.
+// Everything strconv.ParseFloat accepts beyond that is NaN.
 func TestStringToNumber(t *testing.T) {
-	cases := map[string]float64{
-		"1": 1, " 2.5 ": 2.5, "-3": -3, "0": 0,
+	nan := math.NaN()
+	cases := []struct {
+		in   string
+		want float64
+	}{
+		{"1", 1}, {" 2.5 ", 2.5}, {"-3", -3}, {"0", 0}, {"007", 7},
+		{"5.", 5}, {".5", 0.5}, {"-.5", -0.5}, {"-0.25", -0.25},
+		{"\t\r\n 42 \n", 42},
+		{"123456789012345", 123456789012345},         // 15 digits: exact fast path
+		{"1234567890123456789", 1234567890123456789}, // beyond it: ParseFloat
+		{"0.1", 0.1}, {"3.14159", 3.14159},
+		{"", nan}, {" ", nan}, {"abc", nan}, {"1.2.3", nan}, {"--1", nan},
+		{"-", nan}, {".", nan}, {"-.", nan}, {"- 5", nan}, {"1 2", nan},
+		// Accepted by ParseFloat, not by XPath:
+		{"1e3", nan}, {"1E3", nan}, {"inf", nan}, {"Inf", nan},
+		{"-Infinity", nan}, {"NaN", nan}, {"+5", nan}, {"0x1p4", nan},
+		{"0x10", nan}, {"1_000", nan}, {"5.e1", nan},
+		// Whitespace is the XML S production only.
+		{"\u00a01", nan}, {"\v1", nan},
 	}
-	for s, want := range cases {
-		if got := StringToNumber(s); got != want {
-			t.Errorf("StringToNumber(%q) = %v, want %v", s, got, want)
+	for _, c := range cases {
+		got := StringToNumber(c.in)
+		if math.IsNaN(c.want) {
+			if !math.IsNaN(got) {
+				t.Errorf("StringToNumber(%q) = %v, want NaN", c.in, got)
+			}
+		} else if got != c.want {
+			t.Errorf("StringToNumber(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
-	for _, s := range []string{"", "abc", "1.2.3", "--1"} {
-		if got := StringToNumber(s); !math.IsNaN(got) {
-			t.Errorf("StringToNumber(%q) = %v, want NaN", s, got)
-		}
+	if got := StringToNumber("-0"); got != 0 || !math.Signbit(got) {
+		t.Errorf(`StringToNumber("-0") = %v, want negative zero`, got)
+	}
+	if got := StringToNumber("1" + strings.Repeat("0", 400)); !math.IsInf(got, 1) {
+		t.Errorf("400-digit number = %v, want +Inf", got)
+	}
+	// A miss must not allocate (strconv's *NumError did).
+	if n := testing.AllocsPerRun(100, func() { StringToNumber("Item 17 lot 300") }); n != 0 {
+		t.Errorf("non-numeric StringToNumber allocates %v per call, want 0", n)
 	}
 }
 

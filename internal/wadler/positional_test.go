@@ -92,33 +92,3 @@ func TestPositionalAgainstNaive(t *testing.T) {
 		}
 	}
 }
-
-// TestChildNamedSurvivesZeroAlloc pins the acceptance property: the
-// index-served positional check materializes no candidate set — zero
-// allocations per previous-context node.
-func TestChildNamedSurvivesZeroAlloc(t *testing.T) {
-	var b strings.Builder
-	b.WriteString(`<root>`)
-	for i := 0; i < 64; i++ {
-		b.WriteString(`<c>x</c>`)
-	}
-	b.WriteString(`</root>`)
-	d := xmltree.MustParseString(b.String())
-	ix := d.Index() // build the index outside the measured region
-	x := d.DocumentElement()
-	yt := append(xmltree.NodeSet(nil), ix.Named("c")...)
-	pred := xpath.MustParse("child::c[position() = last() - 1]").(*xpath.Path).Steps[0].Preds[0]
-	st := &state{doc: d, pre: map[xpath.Expr][]bool{}}
-	allocs := testing.AllocsPerRun(200, func() {
-		ok, err := st.childNamedSurvives(x, "c", pred, yt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatal("childNamedSurvives = false, want true")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("childNamedSurvives allocates %v per run, want 0", allocs)
-	}
-}

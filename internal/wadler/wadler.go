@@ -26,6 +26,22 @@
 // so OptMinContext supports all of XPath at MinContext's bounds while
 // meeting the better fragment bounds where they apply (Corollaries 11.4
 // and 11.5).
+//
+// # Where the node sets come from
+//
+// A bottom-up path is evaluated on node sets throughout, and the sets
+// start as small as the query allows. eval_bottomup_path's initial Y is
+// not "every y ∈ dom whose string-value compares with c" but the same
+// restricted to T(t) of the path's last step — the first thing
+// propagate_step_backwards would intersect Y with anyway — which for
+// child::name is the label's posting list; so [current > 60] reads 500
+// string-values, not those of all |D| nodes with the root's (the whole
+// document's text) among them. A step whose predicates depend on cp/cs
+// loops over the previous context nodes in χ⁻¹(Y) only, with candidate
+// lists and ranking shared with MinContext (evalutil). Everything the
+// bottom-up phase leaves over runs on MinContext, whose package comment
+// states which of its paths are node sets and why that is the paper's
+// Relev rule.
 package wadler
 
 import (
@@ -509,50 +525,70 @@ func (st *state) evalBottomUpPath(key xpath.Expr, pathSide xpath.Expr, c *semant
 	if _, done := st.pre[key]; done {
 		return nil
 	}
-	n := st.doc.Len()
-	var y xmltree.NodeSet
-	var err error
-	boolRelOp := false
-	if c == nil {
-		// boolean(π): Y := dom.
-		if y, err = st.dom(); err != nil {
+	// Step 1. The path can only end in T(t) of its last step, so Y is
+	// seeded from there — the label's posting list for child::name and
+	// its like — and a comparison reads the string-values of those nodes
+	// alone, never the root's or an interior element's.
+	y, err := st.pathTargets(pathSide)
+	if err != nil {
+		return err
+	}
+	boolRelOp := c != nil && c.Kind == xpath.TypeBoolean
+	if c != nil && !boolRelOp {
+		// Y := {y ∈ T(t) | strval-based comparison with c holds}. π
+		// RelOp bool is boolean(π) RelOp bool instead: it propagates all
+		// of T(t) and compares afterwards.
+		if err := st.cancel.CheckN(len(y)); err != nil {
 			return err
 		}
-	} else {
-		switch c.Kind {
-		case xpath.TypeBoolean:
-			// π RelOp bool is boolean(π) RelOp bool: propagate with
-			// Y = dom, compare afterwards.
-			if y, err = st.dom(); err != nil {
-				return err
-			}
-			boolRelOp = true
-		default:
-			// Y := {y | strval-based comparison with c holds}.
-			for i := 0; i < n; i++ {
-				id := xmltree.NodeID(i)
-				if semantics.Compare(st.doc, op, semantics.NodeSet(xmltree.NodeSet{id}), *c) {
-					y = append(y, id)
-				}
+		one := xmltree.NodeSet{0}
+		keep := make(xmltree.NodeSet, 0, len(y))
+		for _, id := range y {
+			one[0] = id
+			if semantics.Compare(st.doc, op, semantics.NodeSet(one), *c) {
+				keep = append(keep, id)
 			}
 		}
+		y = keep
 	}
 	reach, err := st.propagateBackwards(pathSide, y)
 	if err != nil {
 		return err
 	}
-	vals := make([]bool, n)
+	vals := make([]bool, st.doc.Len())
 	for _, x := range reach {
 		vals[x] = true
 	}
 	if boolRelOp {
-		for i := range vals {
-			vals[i] = semantics.Compare(st.doc, op, semantics.Boolean(vals[i]), *c)
+		onTrue := semantics.Compare(st.doc, op, semantics.Boolean(true), *c)
+		onFalse := semantics.Compare(st.doc, op, semantics.Boolean(false), *c)
+		for i, v := range vals {
+			vals[i] = v && onTrue || !v && onFalse
 		}
 	}
 	st.pre[key] = vals
 	st.order = append(st.order, key)
 	return nil
+}
+
+// pathTargets returns the nodes a bottom-up location path can end in:
+// T(t) of its last step, or dom for a bare id(…) chain. For an exact
+// element name that is the label index's posting list, which is shared
+// and only ever read here.
+func (st *state) pathTargets(e xpath.Expr) (xmltree.NodeSet, error) {
+	p, ok := e.(*xpath.Path)
+	if !ok || len(p.Steps) == 0 {
+		return st.dom()
+	}
+	last := p.Steps[len(p.Steps)-1]
+	if evalutil.ExactElementName(last.Axis, last.Test) {
+		return st.doc.Index().Named(last.Test.Name), nil
+	}
+	all, err := st.dom()
+	if err != nil {
+		return nil, err
+	}
+	return evalutil.FilterTestPar(st.context(), st.doc, last.Axis, last.Test, all, st.par)
 }
 
 // dom materializes the full node set — an O(|D|) fill billed against
@@ -682,94 +718,23 @@ func (st *state) propagateStepBackwards(step *xpath.Step, y xmltree.NodeSet) (xm
 	if err != nil {
 		return nil, err
 	}
-	if step.Axis == axes.Child && evalutil.ExactElementName(step.Axis, step.Test) && len(step.Preds) == 1 {
-		// Index-served positions: child::name candidates are the name's
-		// posting-list slice over x's subtree interval restricted to
-		// direct children, already in document order — position() is the
-		// rank in that scan and last() its length, with no candidate set
-		// materialized or sorted. Compact the survivors of xs in place.
-		k := 0
-		for _, x := range xs {
-			if err := st.cancel.Check(); err != nil {
-				return nil, err
-			}
-			ok, err := st.childNamedSurvives(x, step.Test.Name, step.Preds[0], yt)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				xs[k] = x
-				k++
-			}
-		}
-		return xs[:k], nil
-	}
-	var out xmltree.NodeSet
+	// xs is dom ∩ χ⁻¹(yt): only these previous context nodes have a
+	// candidate in yt at all. A survivor is an x one of whose ranked
+	// candidates lies in yt; xs is compacted in place.
+	var buf xmltree.NodeSet
+	k := 0
 	for _, x := range xs {
-		if err := st.cancel.Check(); err != nil {
+		z, err := evalutil.RankedCandidates(st.doc, step, x, buf, st.cancel, st.evalPred)
+		if err != nil {
 			return nil, err
 		}
-		z := evalutil.StepCandidates(st.doc, step.Axis, step.Test, x)
-		for _, p := range step.Preds {
-			ordered := evalutil.AxisOrdered(step.Axis, z)
-			var keep []xmltree.NodeID
-			for j, zn := range ordered {
-				v, err := st.evalPred(p, semantics.Context{Node: zn, Pos: j + 1, Size: len(ordered)})
-				if err != nil {
-					return nil, err
-				}
-				if semantics.ToBoolean(v) {
-					keep = append(keep, zn)
-				}
-			}
-			z = xmltree.NewNodeSet(keep...)
+		if z.Intersects(yt) {
+			xs[k] = x
+			k++
 		}
-		if !z.Intersect(yt).IsEmpty() {
-			out = append(out, x)
-		}
+		buf = z
 	}
-	return xmltree.NewNodeSet(out...), nil
-}
-
-// childNamedSurvives reports whether a previous-context node x survives
-// a positional child::name[pred] step: whether some direct child of x
-// named name satisfies pred at its index-served (position, last) and
-// lies in yt. The first pass over the posting-list slice counts the
-// context size, the second evaluates the predicate at each rank; both
-// are plain slice scans, so the check allocates nothing.
-func (st *state) childNamedSurvives(x xmltree.NodeID, name string, pred xpath.Expr, yt xmltree.NodeSet) (bool, error) {
-	ix := st.doc.Index()
-	sub := ix.NamedRange(name, x+1, ix.SubtreeEnd(x))
-	if err := st.cancel.CheckN(2 * len(sub)); err != nil { // both scans of the posting-list slice
-		return false, err
-	}
-	size := 0
-	for _, y := range sub {
-		if st.doc.Parent(y) == x {
-			size++
-		}
-	}
-	if size == 0 {
-		return false, nil
-	}
-	pos := 0
-	for _, y := range sub {
-		if st.doc.Parent(y) != x {
-			continue
-		}
-		pos++
-		if !yt.Contains(y) {
-			continue
-		}
-		v, err := st.evalPred(pred, semantics.Context{Node: y, Pos: pos, Size: size})
-		if err != nil {
-			return false, err
-		}
-		if semantics.ToBoolean(v) {
-			return true, nil
-		}
-	}
-	return false, nil
+	return xs[:k], nil
 }
 
 // evalPred evaluates a predicate for a single context, consulting the

@@ -99,6 +99,42 @@ func TestNodeSetAlgebraProperties(t *testing.T) {
 	}
 }
 
+// TestIntersectLopsided drives both Intersect strategies (merge and
+// search-the-smaller-in-the-larger) and Intersects against a map-based
+// reference, with sizes on both sides of the lopsided threshold and the
+// smaller set on either side.
+func TestIntersectLopsided(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	draw := func(n, universe int) NodeSet {
+		ids := make([]NodeID, n)
+		for i := range ids {
+			ids[i] = NodeID(r.Intn(universe))
+		}
+		return NewNodeSet(ids...)
+	}
+	for round := 0; round < 300; round++ {
+		small, large := draw(r.Intn(6), 2000), draw(r.Intn(600), 2000)
+		in := map[NodeID]bool{}
+		for _, id := range large {
+			in[id] = true
+		}
+		var want NodeSet
+		for _, id := range small {
+			if in[id] {
+				want = append(want, id)
+			}
+		}
+		for _, pair := range [][2]NodeSet{{small, large}, {large, small}} {
+			if got := pair[0].Intersect(pair[1]); !got.Equal(want) {
+				t.Fatalf("round %d: %v ∩ %v = %v, want %v", round, pair[0], pair[1], got, want)
+			}
+			if got := pair[0].Intersects(pair[1]); got != (len(want) > 0) {
+				t.Fatalf("round %d: Intersects = %v, want %v", round, got, len(want) > 0)
+			}
+		}
+	}
+}
+
 func TestBitsetRoundTrip(t *testing.T) {
 	if err := quick.Check(func(raw []uint8) bool {
 		var ids []NodeID

@@ -33,9 +33,6 @@ import (
 type Evaluator struct {
 	doc *xmltree.Document
 
-	// strvalSets caches {y | strval(y) = s} per constant.
-	strvalSets map[string]xmltree.NodeSet
-
 	// cancel is the throttled cancellation checkpoint billed once per
 	// O(|D|) set operation or document scan; nil (the Evaluate path)
 	// never fires.
@@ -44,7 +41,7 @@ type Evaluator struct {
 
 // New returns an XPatterns evaluator for the document.
 func New(d *xmltree.Document) *Evaluator {
-	return &Evaluator{doc: d, strvalSets: map[string]xmltree.NodeSet{}}
+	return &Evaluator{doc: d}
 }
 
 // InFragment reports whether a normalized query is an XPatterns query.
@@ -312,82 +309,81 @@ func (ev *Evaluator) e1(e xpath.Expr) (xmltree.NodeSet, error) {
 			return nil, fmt.Errorf("xpatterns: function %s not in fragment", x.Name)
 		}
 	case *xpath.Path:
-		return ev.sBack(x, nil)
+		// Existence: from every node the path can end in.
+		targets, err := ev.pathTargets(x)
+		if err != nil {
+			return nil, err
+		}
+		return ev.sBack(x, targets)
 	default:
 		return nil, fmt.Errorf("xpatterns: predicate %s not in fragment", e)
 	}
 }
 
 // eqS computes the extension of [π = c]: the nodes from which π reaches
-// a node whose string value equals the constant.
+// a node whose string value equals the constant. The "=s" unary
+// predicate of Table VI, "computed using string search in the document",
+// is searched for among the nodes π can end in — T(t) of its last step —
+// rather than all of dom, so no interior element's string-value is ever
+// built for it. No node carrying the constant makes the target set
+// empty and the extension with it; it does not make the comparison
+// vanish.
 func (ev *Evaluator) eqS(pathSide, constSide xpath.Expr) (xmltree.NodeSet, error) {
-	var target xmltree.NodeSet
-	var err error
-	switch c := constSide.(type) {
-	case *xpath.Literal:
-		target, err = ev.strvalEquals(c.Val)
-	case *xpath.Number:
-		target, err = ev.strvalEqualsNumber(c.Val)
-	default:
-		return nil, fmt.Errorf("xpatterns: non-constant comparison %s", constSide)
-	}
-	if err != nil {
-		return nil, err
-	}
 	p, ok := pathSide.(*xpath.Path)
 	if !ok {
 		return nil, fmt.Errorf("xpatterns: comparison lhs %s not a path", pathSide)
 	}
-	return ev.sBack(p, target)
-}
-
-// strvalEquals computes (and caches) {y | strval(y) = s}: the "=s" unary
-// predicate of Table VI, "computed using string search in the document".
-// The scan is O(|D|) and billed against the cancellation checkpoint.
-func (ev *Evaluator) strvalEquals(s string) (xmltree.NodeSet, error) {
-	if set, ok := ev.strvalSets[s]; ok {
-		return set, nil
+	var equals func(strval string) bool
+	switch c := constSide.(type) {
+	case *xpath.Literal:
+		equals = func(strval string) bool { return strval == c.Val }
+	case *xpath.Number:
+		equals = func(strval string) bool { return semantics.StringToNumber(strval) == c.Val }
+	default:
+		return nil, fmt.Errorf("xpatterns: non-constant comparison %s", constSide)
 	}
-	if err := ev.checkpoint(); err != nil {
+	targets, err := ev.pathTargets(p)
+	if err != nil {
 		return nil, err
 	}
-	var out xmltree.NodeSet
-	for i := 0; i < ev.doc.Len(); i++ {
-		if ev.doc.StringValue(xmltree.NodeID(i)) == s {
-			out = append(out, xmltree.NodeID(i))
-		}
-	}
-	ev.strvalSets[s] = out
-	return out, nil
-}
-
-func (ev *Evaluator) strvalEqualsNumber(v float64) (xmltree.NodeSet, error) {
-	if err := ev.checkpoint(); err != nil {
+	if err := ev.cancel.CheckN(len(targets)); err != nil {
 		return nil, err
 	}
-	var out xmltree.NodeSet
-	for i := 0; i < ev.doc.Len(); i++ {
-		if semantics.StringToNumber(ev.doc.StringValue(xmltree.NodeID(i))) == v {
-			out = append(out, xmltree.NodeID(i))
+	var hits xmltree.NodeSet
+	for _, y := range targets {
+		if equals(ev.doc.StringValue(y)) {
+			hits = append(hits, y)
 		}
 	}
-	return out, nil
+	return ev.sBack(p, hits)
 }
 
-// sBack propagates backwards through a path. With a nil target it
-// computes S←[[π]] (existence); with a target set it computes the nodes
-// from which π reaches a target node — the generalization needed by the
-// "=s" predicates.
-func (ev *Evaluator) sBack(p *xpath.Path, target xmltree.NodeSet) (xmltree.NodeSet, error) {
-	cur := target
-	if cur == nil {
-		d, err := ev.dom()
-		if err != nil {
-			return nil, err
-		}
-		cur = d
+// pathTargets returns the nodes a path can end in: T(t) of its last
+// step — the label index's posting list for an exact element name,
+// which is shared and only read — or dom for a path without steps.
+func (ev *Evaluator) pathTargets(p *xpath.Path) (xmltree.NodeSet, error) {
+	if len(p.Steps) == 0 {
+		return ev.dom()
 	}
-	for i := len(p.Steps) - 1; i >= 0; i-- {
+	last := p.Steps[len(p.Steps)-1]
+	if evalutil.ExactElementName(last.Axis, last.Test) {
+		return ev.doc.Index().Named(last.Test.Name), nil
+	}
+	d, err := ev.dom()
+	if err != nil {
+		return nil, err
+	}
+	return evalutil.FilterTest(ev.doc, last.Axis, last.Test, d), nil
+}
+
+// sBack propagates the node set from backwards through a path: it
+// computes the nodes from which π reaches a member of from. S←[[π]]
+// (existence) is sBack(π, pathTargets(π)); the "=s" predicates start
+// from the targets that carry the constant. An empty set is empty — a
+// start set is never implied.
+func (ev *Evaluator) sBack(p *xpath.Path, from xmltree.NodeSet) (xmltree.NodeSet, error) {
+	cur := from
+	for i := len(p.Steps) - 1; i >= 0 && len(cur) > 0; i-- {
 		if err := ev.checkpoint(); err != nil {
 			return nil, err
 		}
@@ -401,6 +397,9 @@ func (ev *Evaluator) sBack(p *xpath.Path, target xmltree.NodeSet) (xmltree.NodeS
 			s = s.Intersect(e1)
 		}
 		cur = axes.EvalInverse(ev.doc, step.Axis, s)
+	}
+	if len(cur) == 0 {
+		return nil, nil
 	}
 	if p.Filter != nil {
 		return ev.sBackIDHead(p.Filter, cur)
