@@ -348,6 +348,54 @@ func BenchmarkOptMinContextShapes(b *testing.B) {
 	}
 }
 
+// BenchmarkDescendantFusion measures what xpath.Optimize's step fusion
+// is for: the ten templates of the serving benchmark's pool that the
+// Core XPath and XPatterns algebras answer and that contain a //, plus
+// the two whose //name[…] cannot be fused because the predicate reads
+// position() or last() (MinContext and OptMinContext find their
+// previous context nodes from the posting list instead). Each shape
+// runs under every strategy that accepts it, over the same 25k-node
+// auction document as BenchmarkOptMinContextShapes; B/op is reported
+// because a materialized descendant-or-self::node() shows there first.
+func BenchmarkDescendantFusion(b *testing.B) {
+	d := workload.Auction(1, 1200)
+	d.Index()
+	shapes := []struct{ name, query string }{
+		{"core/item-shipping", "//item[shipping]/name"},
+		{"core/auction-bidder", "//open_auction[bidder]/current"},
+		{"core/person-not-email", "//person[not(emailaddress)]/name"},
+		{"core/personref-ancestor", "//personref/ancestor::open_auction/itemref"},
+		{"core/current-or-itemref", "//open_auction/current | //open_auction/itemref"},
+		{"xpatterns/payment-cash", "//item[payment='cash']/name"},
+		{"xpatterns/id-personref", "id(//bidder/personref)/name"},
+		{"xpatterns/location-or", "//item[location='Kenya' or location='Japan']/quantity"},
+		{"xpatterns/itemref-eq", "//open_auction[itemref='item1']/current"},
+		{"xpatterns/quantity-or-name", "//item[quantity=2]/name | //person[name='Person 3']/emailaddress"},
+		{"positional/item-even", "//item[position() mod 2 = 0]/name"},
+		{"positional/person-last", "//person[position() = last()]/name"},
+	}
+	strategies := []core.Strategy{core.CoreXPath, core.XPatterns, core.OptMinContext, core.MinContext, core.TopDown}
+	ctx := context.Background()
+	for _, sh := range shapes {
+		q := core.MustCompile(sh.query)
+		for _, s := range strategies {
+			if s == core.CoreXPath && q.Fragment() > core.FragmentCoreXPath ||
+				s == core.XPatterns && q.Fragment() > core.FragmentXPatterns {
+				continue
+			}
+			en := core.NewEngine(d, s)
+			b.Run(sh.name+"/"+s.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := en.EvaluateStrategy(ctx, q, rootCtx(d), s); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkAxes measures the axis evaluator through the Core XPath
 // algebra (whole queries including parsing-independent evaluation).
 func BenchmarkAxes(b *testing.B) {

@@ -1,7 +1,10 @@
 // Command xpathexplain shows how this library sees a query: the
-// normalized (unabbreviated) form of Section 5, the parse tree with
-// static types and relevant contexts (Section 8.2, as in the paper's
-// Example 8.2), the fragment classification of Figure 1, and — through
+// normalized (unabbreviated) form of Section 5, the optimized form the
+// strategies evaluate (xpath.Optimize: //t as one descendant::t step
+// where no predicate of t reads position() or last()), its parse tree
+// with static types and relevant contexts (Section 8.2, as in the
+// paper's Example 8.2), the fragment classification of Figure 1, and —
+// through
 // the strategy planner — the shape features, candidate engines and
 // chosen algorithm, with the rule or observed-latency rationale. It is
 // the EXPLAIN of this stack: what a server running with the same
@@ -59,7 +62,8 @@ func main() {
 	}
 
 	fmt.Printf("query:       %s\n", q)
-	fmt.Printf("normalized:  %s\n", q.Expr())
+	fmt.Printf("normalized:  %s\n", q.Literal())
+	fmt.Printf("optimized:   %s\n", q.Expr())
 	fmt.Printf("fragment:    %s\n", q.Fragment())
 
 	if pmode == planner.Off {
@@ -94,6 +98,6 @@ func main() {
 		fmt.Printf("rationale:   %s\n", dec.Rationale)
 	}
 
-	fmt.Println("\nparse tree (type : relevant context):")
+	fmt.Println("\nparse tree of the optimized query (type : relevant context):")
 	fmt.Print(xpath.TreeString(q.Expr()))
 }

@@ -65,10 +65,11 @@ func main() {
 	en := core.NewEngine(doc, strat)
 	en.MaxTableRows = *maxRows
 	if *explain {
-		fmt.Printf("query:    %s\n", q)
-		fmt.Printf("fragment: %s\n", q.Fragment())
-		fmt.Printf("strategy: %s\n", en.StrategyFor(q))
-		fmt.Printf("normal:   %s\n", q.Expr())
+		fmt.Printf("query:     %s\n", q)
+		fmt.Printf("fragment:  %s\n", q.Fragment())
+		fmt.Printf("strategy:  %s\n", en.StrategyFor(q))
+		fmt.Printf("normal:    %s\n", q.Literal())
+		fmt.Printf("optimized: %s\n", q.Expr())
 	}
 	v, err := en.Evaluate(q, core.Context{Node: doc.RootID(), Pos: 1, Size: 1})
 	if errors.Is(err, bottomup.ErrTableLimit) {

@@ -32,29 +32,6 @@ func EvalIDInverse(d *xmltree.Document, s xmltree.NodeSet) xmltree.NodeSet {
 	return Eval(d, AncestorOrSelf, xmltree.NewNodeSet(srcs...))
 }
 
-// EvalInverse computes χ⁻¹(S) for any axis including the id pseudo-axis.
-func EvalInverse(d *xmltree.Document, a Axis, s xmltree.NodeSet) xmltree.NodeSet {
-	if a == IDAxis {
-		return EvalIDInverse(d, s)
-	}
-	if a == AttributeAxis || a == NamespaceAxis {
-		// Only attribute/namespace nodes can be reached over these axes,
-		// so the preimage is the set of parents of such members.
-		var out []xmltree.NodeID
-		want := xmltree.Attribute
-		if a == NamespaceAxis {
-			want = xmltree.Namespace
-		}
-		for _, x := range s {
-			if d.Type(x) == want {
-				out = append(out, d.Parent(x))
-			}
-		}
-		return xmltree.NewNodeSet(out...)
-	}
-	return Eval(d, a.Inverse(), s)
-}
-
 // Index returns idx_χ(x, S): the 1-based index of x within S with respect
 // to <doc,χ — document order for forward axes, reverse document order for
 // reverse axes (Section 4). S must be sorted in document order and

@@ -113,18 +113,16 @@ func EvalPar(ctx context.Context, d *xmltree.Document, a Axis, s xmltree.NodeSet
 	return EvalInto(d, a, s, dst), nil
 }
 
-// EvalInversePar is EvalInverse with a worker budget: χ⁻¹ of the
-// interval-fill axes (descendant⁻¹ = ancestor is small, but
-// following⁻¹ = preceding and friends are fills) parallelizes through
-// EvalPar on the inverted axis.
-func EvalInversePar(ctx context.Context, d *xmltree.Document, a Axis, s xmltree.NodeSet, dst xmltree.NodeSet, p int) (xmltree.NodeSet, error) {
-	if a == IDAxis || a == AttributeAxis || a == NamespaceAxis {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		return EvalInverse(d, a, s), nil
+// EvalInversePar is EvalInverse behind the cancellation check of the
+// Par entry points. The exact preimages of the interval-fill axes keep
+// attribute and namespace nodes (see EvalInverse), so they are fills of
+// consecutive node ids with no type test per node — memory-bound work
+// that stays on the calling goroutine at every worker budget.
+func EvalInversePar(ctx context.Context, d *xmltree.Document, a Axis, s xmltree.NodeSet) (xmltree.NodeSet, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
 	}
-	return EvalPar(ctx, d, a.Inverse(), s, dst, p)
+	return EvalInverse(d, a, s), nil
 }
 
 // mergedSpan returns the total preorder span of the merged subtree

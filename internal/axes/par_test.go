@@ -48,14 +48,14 @@ func TestEvalParMatchesSequential(t *testing.T) {
 						t.Fatalf("round %d: EvalPar(%s, p=%d) = %v, sequential = %v\ndoc: %s",
 							round, a, p, got, want, d.XMLString())
 					}
-					gotInv, err := EvalInversePar(ctx, d, a, s, nil, p)
-					if err != nil {
-						t.Fatalf("EvalInversePar(%s, p=%d): %v", a, p, err)
-					}
-					if wantInv := EvalInverse(d, a, s); !gotInv.Equal(wantInv) {
-						t.Fatalf("round %d: EvalInversePar(%s, p=%d) = %v, sequential = %v",
-							round, a, p, gotInv, wantInv)
-					}
+				}
+				gotInv, err := EvalInversePar(ctx, d, a, s)
+				if err != nil {
+					t.Fatalf("EvalInversePar(%s): %v", a, err)
+				}
+				if wantInv := EvalInverse(d, a, s); !gotInv.Equal(wantInv) {
+					t.Fatalf("round %d: EvalInversePar(%s) = %v, EvalInverse = %v",
+						round, a, gotInv, wantInv)
 				}
 			}
 		}

@@ -88,6 +88,27 @@ func TestEvalMatchesReference(t *testing.T) {
 	}
 }
 
+// TestEvalInverseMatchesReference: EvalInverse is the exact preimage
+// under the typed axis function, attribute and namespace nodes included
+// on both sides, for every axis and the id pseudo-axis.
+func TestEvalInverseMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for round := 0; round < 40; round++ {
+		d := randDoc(r, 5+r.Intn(60))
+		for trial := 0; trial < 4; trial++ {
+			s := randSet(r, d)
+			for _, a := range append(allAxes[:len(allAxes):len(allAxes)], IDAxis) {
+				got := EvalInverse(d, a, s)
+				want := refEvalInverse(d, a, s)
+				if !got.Equal(want) {
+					t.Fatalf("round %d: %s⁻¹(%v) = %v, by definition %v\ndoc: %s",
+						round, a, s, got, want, d.XMLString())
+				}
+			}
+		}
+	}
+}
+
 // TestEvalIntoReuse exercises the scratch/pool path under buffer reuse:
 // consecutive evaluations into the same buffer must not corrupt one
 // another (scratch left dirty would).

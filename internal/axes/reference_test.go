@@ -170,3 +170,17 @@ func refEval(d *xmltree.Document, a Axis, s xmltree.NodeSet) xmltree.NodeSet {
 	}
 	return xmltree.NewNodeSet(out...)
 }
+
+// refEvalInverse is the preimage by its definition, χ⁻¹(S) = {x ∈ dom |
+// χ({x}) ∩ S ≠ ∅}: one reference evaluation per node of the document,
+// for the small documents of the property tests only.
+func refEvalInverse(d *xmltree.Document, a Axis, s xmltree.NodeSet) xmltree.NodeSet {
+	var out xmltree.NodeSet
+	for i := 0; i < d.Len(); i++ {
+		x := xmltree.NodeID(i)
+		if refEval(d, a, xmltree.NodeSet{x}).Intersects(s) {
+			out = append(out, x)
+		}
+	}
+	return out
+}

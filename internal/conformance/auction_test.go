@@ -41,7 +41,7 @@ func TestAuctionIntegration(t *testing.T) {
 	ctx := semantics.Context{Node: d.RootID(), Pos: 1, Size: 1}
 	for _, src := range auctionQueries {
 		q := core.MustCompile(src)
-		ref, err := es["naive"].Evaluate(q.Expr(), ctx)
+		ref, err := es["naive"].Evaluate(q.Literal(), ctx)
 		if err != nil {
 			t.Fatalf("naive(%q): %v", src, err)
 		}
@@ -49,7 +49,7 @@ func TestAuctionIntegration(t *testing.T) {
 			if name == "naive" {
 				continue
 			}
-			got, err := eng.Evaluate(q.Expr(), ctx)
+			got, err := eng.Evaluate(q.Literal(), ctx)
 			if err != nil {
 				t.Errorf("%s(%q): %v", name, src, err)
 				continue

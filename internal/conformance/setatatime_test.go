@@ -132,15 +132,23 @@ var shapeQueries = []string{
 // TestInnerPathShapes cross-checks every engine against the reference
 // on shapeQueries, from the root and from every content node.
 func TestInnerPathShapes(t *testing.T) {
-	d := xmltree.MustParseString(shapesDoc)
+	agreeFromEveryNode(t, xmltree.MustParseString(shapesDoc), shapeQueries, false)
+}
+
+// agreeFromEveryNode evaluates the queries in every engine with each
+// node of the document as context node — attribute and namespace nodes
+// too if asked — and reports every value that differs from the
+// reference's.
+func agreeFromEveryNode(t *testing.T, d *xmltree.Document, queries []string, attrsToo bool) {
+	t.Helper()
 	es := engines(d)
-	for _, q := range shapeQueries {
+	for _, q := range queries {
 		e, err := xpath.Parse(q)
 		if err != nil {
 			t.Fatalf("parse %q: %v", q, err)
 		}
 		for n := xmltree.NodeID(0); int(n) < d.Len(); n++ {
-			if d.Node(n).IsAttrOrNS() {
+			if !attrsToo && d.Node(n).IsAttrOrNS() {
 				continue
 			}
 			ctx := semantics.Context{Node: n, Pos: 1, Size: 1}
@@ -155,7 +163,7 @@ func TestInnerPathShapes(t *testing.T) {
 					continue
 				}
 				if !got.Equal(ref) {
-					t.Errorf("%s(%q) at %d = %+v, naive = %+v", name, q, n, got, ref)
+					t.Errorf("%s(%q) at %d (%v) = %+v, naive = %+v", name, q, n, d.Type(n), got, ref)
 				}
 			}
 		}
@@ -204,6 +212,84 @@ func TestSetAtATimeScaling(t *testing.T) {
 			if at1 == 0 || at4 >= 6*at1 {
 				t.Errorf("%s under %v: %d B/op at |D|, %d B/op at 4|D| (×%.1f), want < ×6",
 					src, s, at1, at4, float64(at4)/float64(at1))
+			}
+		}
+	}
+}
+
+// TestDescendantStepScaling guards, without a clock, that // costs its
+// output and not the document: a fixed number of <needle><x/></needle>
+// elements in a document of |D| and of 4|D| nodes, and the bytes one
+// evaluation allocates (testing.Benchmark) under every strategy that
+// accepts the query. With //needle a single descendant::needle step
+// served from the posting list the needles decide the cost and the
+// ratio stays near 1; with descendant-or-self::node() materialized
+// first, four bytes a node, it was 1.9 to 3.4 on these documents.
+// //needle[last()] cannot be fused (xpath.Optimize); the two
+// context-table engines find its previous context nodes from the
+// posting list all the same.
+func TestDescendantStepScaling(t *testing.T) {
+	benchtime := flag.Lookup("test.benchtime")
+	defer benchtime.Value.Set(benchtime.Value.String())
+	benchtime.Value.Set("20x")
+
+	// Three filler pairs per needle at |D|, fifteen at 4|D|: dense enough
+	// that the needles' own cost outweighs the handful of |D|-bit sets an
+	// evaluation allocates even when the scratch pool misses every time
+	// (as it does at random under the race detector).
+	const needles = 1000
+	doc := func(fillerPerNeedle int) *xmltree.Document {
+		var b strings.Builder
+		b.WriteString("<r>")
+		for i := 0; i < needles; i++ {
+			b.WriteString("<needle><x/></needle>")
+			for j := 0; j < fillerPerNeedle; j++ {
+				b.WriteString("<f><g/></f>")
+			}
+		}
+		b.WriteString("</r>")
+		d := xmltree.MustParseString(b.String())
+		d.Index()
+		return d
+	}
+	small, large := doc(3), doc(15)
+	if small.Len() != 8*needles+2 || large.Len() != 32*needles+2 {
+		t.Fatalf("documents have %d and %d nodes", small.Len(), large.Len())
+	}
+	all := []core.Strategy{core.CoreXPath, core.XPatterns, core.OptMinContext, core.MinContext, core.TopDown}
+	tables := []core.Strategy{core.OptMinContext, core.MinContext}
+	for _, tc := range []struct {
+		query      string
+		strategies []core.Strategy
+	}{
+		{"count(//needle)", all},
+		{"//needle/x", all},
+		{"//needle[.//x]/x", all},
+		{"//needle[last()]", tables},
+	} {
+		q := core.MustCompile(tc.query)
+		for _, s := range tc.strategies {
+			if s == core.CoreXPath && q.Fragment() > core.FragmentCoreXPath ||
+				s == core.XPatterns && q.Fragment() > core.FragmentXPatterns {
+				continue
+			}
+			bytesPerOp := func(d *xmltree.Document) int64 {
+				en := core.NewEngine(d, s)
+				c := core.Context{Node: d.RootID(), Pos: 1, Size: 1}
+				return testing.Benchmark(func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := en.EvaluateStrategy(context.Background(), q, c, s); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}).AllocedBytesPerOp()
+			}
+			at1, at4 := bytesPerOp(small), bytesPerOp(large)
+			t.Logf("%s under %v: %d B/op at |D|, %d B/op at 4|D| (×%.2f)", tc.query, s, at1, at4, float64(at4)/float64(at1))
+			if at1 == 0 || 2*at4 >= 3*at1 {
+				t.Errorf("%s under %v: %d B/op at |D|, %d B/op at 4|D| (×%.2f), want < ×1.5",
+					tc.query, s, at1, at4, float64(at4)/float64(at1))
 			}
 		}
 	}

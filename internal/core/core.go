@@ -10,6 +10,22 @@
 // on full XPath. The remaining strategies expose every algorithm the
 // paper discusses, including the deliberately exponential naive engine
 // used as the experimental baseline.
+//
+// # Which tree runs
+//
+// A compiled Query holds two equivalent trees. The literal one is the
+// paper's normal form exactly as xpath.Parse returns it (Section 5),
+// with // spelled /descendant-or-self::node()/. The other is
+// xpath.Optimize of it: steps fused so that //t is one descendant::t
+// step served from t's posting list instead of a pass over every node
+// of the document. Every strategy runs the optimized tree — it is what
+// Expr, Fragment and the planner's shape extraction see — except Naive
+// and DataPool, which run the literal one. Those two are the paper's
+// experimental baselines, whose curves (Experiments 1–5) are about the
+// normal form's cost and must not change shape with this repository's
+// optimizer; and because internal/conformance checks every other engine
+// against them, the rewrite is under the differential oracle on every
+// query the suite knows.
 package core
 
 import (
@@ -136,16 +152,17 @@ func (f Fragment) String() string {
 }
 
 // Query is a compiled XPath query. A Query is immutable after
-// compilation — it holds the normalized expression tree and fragment
-// classification, never evaluation state — so one compiled Query may
-// be evaluated concurrently by any number of goroutines, over the same
-// document or different ones (internal/engine's compiled-query cache
-// relies on this; see TestConcurrentEvaluation and the engine race
-// tests).
+// compilation — it holds the normalized expression tree, its optimized
+// form and the fragment classification, never evaluation state — so
+// one compiled Query may be evaluated concurrently by any number of
+// goroutines, over the same document or different ones
+// (internal/engine's compiled-query cache relies on this; see
+// TestConcurrentEvaluation and the engine race tests).
 type Query struct {
-	src  string
-	expr xpath.Expr
-	frag Fragment
+	src     string
+	literal xpath.Expr // the normal form of Section 5: what Naive and DataPool run
+	expr    xpath.Expr // xpath.Optimize(literal): what every other strategy runs
+	frag    Fragment
 }
 
 // Compile parses and normalizes a query.
@@ -153,9 +170,9 @@ func Compile(src string) (*Query, error) {
 	return CompileWithBindings(src, nil)
 }
 
-// CompileWithBindings parses a query and substitutes variable bindings
+// CompileWithBindings parses a query, substitutes variable bindings
 // (per Section 5, variables are replaced by constants before
-// evaluation).
+// evaluation) and optimizes the result (see the package comment).
 func CompileWithBindings(src string, bindings xpath.Bindings) (*Query, error) {
 	e, err := xpath.Parse(src)
 	if err != nil {
@@ -170,7 +187,8 @@ func CompileWithBindings(src string, bindings xpath.Bindings) (*Query, error) {
 	if xpath.HasVariables(e) {
 		return nil, fmt.Errorf("core: query has unbound variables; supply bindings")
 	}
-	return &Query{src: src, expr: e, frag: classify(e)}, nil
+	opt := xpath.Optimize(e)
+	return &Query{src: src, literal: e, expr: opt, frag: classify(opt)}, nil
 }
 
 // MustCompile compiles a query known to be valid; it panics on error.
@@ -185,8 +203,13 @@ func MustCompile(src string) *Query {
 // String returns the original query text.
 func (q *Query) String() string { return q.src }
 
-// Expr exposes the normalized expression tree.
+// Expr exposes the expression tree the strategies evaluate: the
+// normalized tree after xpath.Optimize.
 func (q *Query) Expr() xpath.Expr { return q.expr }
+
+// Literal exposes the normalized tree before optimization — the paper's
+// normal form, which the Naive and DataPool baselines evaluate.
+func (q *Query) Literal() xpath.Expr { return q.literal }
 
 // Fragment reports the smallest fragment of Figure 1 containing the
 // query.
@@ -328,11 +351,11 @@ func (en *Engine) EvaluateStrategy(ctx context.Context, q *Query, c Context, s S
 	case Naive:
 		ev := naive.New(en.doc)
 		ev.Budget = en.NaiveBudget
-		return ev.EvaluateContext(ctx, q.expr, c)
+		return ev.EvaluateContext(ctx, q.literal, c)
 	case DataPool:
 		ev, _ := datapool.NewEvaluator(en.doc)
 		ev.Budget = en.NaiveBudget
-		return ev.EvaluateContext(ctx, q.expr, c)
+		return ev.EvaluateContext(ctx, q.literal, c)
 	case BottomUp:
 		ev := bottomup.New(en.doc)
 		ev.MaxTableRows = en.MaxTableRows

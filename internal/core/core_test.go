@@ -94,6 +94,51 @@ func TestAllStrategiesAgree(t *testing.T) {
 	}
 }
 
+// TestQueryKeepsBothTrees: Literal is the normal form xpath.Parse
+// returns, Expr the optimized tree every strategy but the two baselines
+// evaluates, and the rewrite happens after variable substitution — [$w]
+// with a numeric binding is positional and blocks the fusion of its
+// step.
+func TestQueryKeepsBothTrees(t *testing.T) {
+	q := MustCompile("//a[1]//b[c]")
+	if got, want := q.Literal().String(), xpath.MustParse("//a[1]//b[c]").String(); got != want {
+		t.Errorf("Literal() = %s, want the parser's normal form %s", got, want)
+	}
+	if got, want := q.Expr().String(), "/descendant-or-self::node()/child::a[(position() = 1)]/descendant::b[boolean(child::c)]"; got != want {
+		t.Errorf("Expr() = %s, want %s", got, want)
+	}
+	if q := MustCompile("/a/b[c]"); q.Expr() != q.Literal() {
+		t.Error("a query no rule applies to must keep one tree")
+	}
+	bound, err := CompileWithBindings("//b[$w]/c", xpath.Bindings{"w": &xpath.Number{Val: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := bound.Expr().String(), "/descendant-or-self::node()/child::b[(position() = 2)]/child::c"; got != want {
+		t.Errorf("bound Expr() = %s, want %s", got, want)
+	}
+	bound, err = CompileWithBindings("//b[$w]/c", xpath.Bindings{"w": &xpath.Literal{Val: "x"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := bound.Expr().String(), "/descendant::b[boolean('x')]/child::c"; got != want {
+		t.Errorf("bound Expr() = %s, want %s", got, want)
+	}
+	// //b[1] and /descendant::b[1] differ on this document; every
+	// strategy, on whichever tree it runs, must give the former.
+	d, _ := ParseString(`<r><a><b/><b/></a><a><b/></a></r>`)
+	first := MustCompile("//b[1]")
+	for _, s := range []Strategy{Naive, DataPool, BottomUp, TopDown, MinContext, OptMinContext, Auto} {
+		got, err := NewEngine(d, s).Select(first)
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		if len(got) != 2 {
+			t.Errorf("//b[1] via %v selects %d nodes, want 2", s, len(got))
+		}
+	}
+}
+
 func TestFragmentEnginesRejectOutside(t *testing.T) {
 	d, _ := ParseString(`<a><b/></a>`)
 	q := MustCompile("count(//b)")

@@ -322,7 +322,7 @@ func (ev *Evaluator) sBack(p *xpath.Path) (*xmltree.Bitset, error) {
 			s = e1.IntersectSet(s, s[:0])
 		}
 		var err error
-		cur, err = axes.EvalInversePar(ev.ctx, ev.doc, step.Axis, s, nil, ev.Parallelism)
+		cur, err = axes.EvalInversePar(ev.ctx, ev.doc, step.Axis, s)
 		if err != nil {
 			return nil, err
 		}

@@ -98,9 +98,9 @@ func TestFilterTestPrincipalType(t *testing.T) {
 	}
 }
 
-// TestContextsReaching: the restriction is xs ∩ χ⁻¹(ys) on content
-// nodes, never drops a context node that has a candidate in ys, and
-// keeps attribute context nodes whatever the axis.
+// TestContextsReaching: the restriction is exactly xs ∩ χ⁻¹(ys) — the
+// context nodes that have a candidate in ys — attribute context nodes
+// included.
 func TestContextsReaching(t *testing.T) {
 	d, err := xmltree.ParseString(`<r><a x="1"><b/><c/></a><a><c/></a><d y="2"/></r>`)
 	if err != nil {
@@ -124,8 +124,8 @@ func TestContextsReaching(t *testing.T) {
 			switch {
 			case has && !got.Contains(x):
 				t.Errorf("%s: context node %d has candidates but was dropped", q, x)
-			case !has && got.Contains(x) && !d.Node(x).IsAttrOrNS():
-				t.Errorf("%s: content node %d kept without candidates", q, x)
+			case !has && got.Contains(x):
+				t.Errorf("%s: context node %d kept without candidates", q, x)
 			}
 		}
 	}
@@ -145,7 +145,7 @@ func TestFilterPositionsOrder(t *testing.T) {
 			t.Errorf("size = %d, want 4", c.Size)
 		}
 		return semantics.Boolean(c.Pos <= 2), nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestFilterPositionsOrder(t *testing.T) {
 	}
 	got, _ = FilterPositions(axes.Child, nil, xmltree.NodeSet{10, 20, 30}, nil, func(_ xpath.Expr, c semantics.Context) (semantics.Value, error) {
 		return semantics.Boolean(c.Pos == c.Size), nil
-	})
+	}, nil)
 	if !got.Equal(xmltree.NodeSet{30}) {
 		t.Errorf("child[last()] kept %v, want [30]", got)
 	}
@@ -182,15 +182,68 @@ func TestPairLoopZeroAlloc(t *testing.T) {
 	x := d.DocumentElement()
 	s := step(t, "child::c[position() = last() - 1]")
 	buf := make(xmltree.NodeSet, 0, 64)
+	loop := NewPairLoop(d, s, nil, func(_ xpath.Expr, c semantics.Context) (semantics.Value, error) {
+		return semantics.Boolean(c.Pos == c.Size-1), nil
+	})
 	allocs := testing.AllocsPerRun(200, func() {
-		z, _ := RankedCandidates(d, s, x, buf, nil, func(_ xpath.Expr, c semantics.Context) (semantics.Value, error) {
-			return semantics.Boolean(c.Pos == c.Size-1), nil
-		})
+		z, _ := loop.RankedCandidates(x, buf)
 		if len(z) != 1 {
 			t.Fatalf("child::c[position() = last() - 1] kept %d nodes, want 1", len(z))
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("pair loop body allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestVerdictsPerPositionAndSize: a predicate whose relevant context
+// lacks cn is evaluated once per ⟨cp, cs⟩ over all the previous context
+// nodes of a loop, one that reads cn at every candidate; the survivors
+// are the same either way.
+func TestVerdictsPerPositionAndSize(t *testing.T) {
+	d, err := xmltree.ParseString(`<r><a><c/><c/><c/></a><a><c/><c/><c/></a><a><c/><c/></a><a/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	as := d.Index().Named("a")
+	for _, tc := range []struct {
+		step      string
+		wantEvals int // distinct ⟨cp, cs⟩: sizes 3 and 2; or all 8 candidates
+		wantKept  int
+	}{
+		{"child::c[position() = last()]", 5, 3},
+		{"child::c[position() mod 2 = 1]", 5, 5},
+		{"child::c[position() = 2][position() = last()]", 5 + 1, 3},
+		{"child::c[position() = 1 and self::c]", 8, 3},
+	} {
+		s := step(t, tc.step)
+		evals, kept := 0, 0
+		loop := NewPairLoop(d, s, nil, func(p xpath.Expr, c semantics.Context) (semantics.Value, error) {
+			evals++
+			// The test's stand-in for an engine: position() = k, last and
+			// mod 2 are all it needs to tell apart.
+			switch p.String() {
+			case "(position() = last())":
+				return semantics.Boolean(c.Pos == c.Size), nil
+			case "((position() mod 2) = 1)":
+				return semantics.Boolean(c.Pos%2 == 1), nil
+			case "(position() = 2)":
+				return semantics.Boolean(c.Pos == 2), nil
+			default:
+				return semantics.Boolean(c.Pos == 1), nil
+			}
+		})
+		var buf xmltree.NodeSet
+		for _, a := range as {
+			z, err := loop.RankedCandidates(a, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept += len(z)
+			buf = z
+		}
+		if evals != tc.wantEvals || kept != tc.wantKept {
+			t.Errorf("%s: %d evaluations keeping %d, want %d keeping %d", tc.step, evals, kept, tc.wantEvals, tc.wantKept)
+		}
 	}
 }

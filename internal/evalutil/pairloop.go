@@ -11,8 +11,8 @@ import (
 // the context-value-table engines (MinContext, OptMinContext) run for
 // predicates depending on position() or last(): which previous context
 // nodes are worth visiting, one node's candidate list without a fresh
-// allocation, and the rank-and-filter pass over it. Both packages share
-// this one copy.
+// allocation, and the rank-and-filter pass over it with its verdicts
+// per ⟨position, size⟩. Both packages share this one copy.
 
 // StepCandidatesInto is StepCandidates appending into dst[:0], so a loop
 // over previous context nodes reuses one buffer. For child::name the
@@ -29,49 +29,108 @@ func StepCandidatesInto(d *xmltree.Document, a axes.Axis, t xpath.NodeTest, x xm
 }
 
 // ContextsReaching restricts the previous context nodes xs of a step
-// χ::t to those that can have a candidate in ys: xs ∩ χ⁻¹(ys). A pair
-// loop need not visit the others, their candidate lists are empty — for
-// //item[position() mod 2 = 0] that is three region elements instead of
-// every node of the document. The typed inverse axes never return
-// attribute or namespace nodes, so such members of xs are kept
-// unconditionally: the result may only err towards visiting a node in
-// vain. A single context node is returned as is, its one candidate
-// computation being cheaper than the inverse.
+// χ::t to those that can have a candidate in ys: xs ∩ χ⁻¹(ys), the exact
+// preimage (axes.EvalInverse), attribute and namespace context nodes
+// included where the axis can start from them. A pair loop need not
+// visit the others, their candidate lists are empty — for
+// //open_auction/bidder[1] that is the auctions that have a bidder. A
+// single context node is returned as is, its one candidate computation
+// being cheaper than the inverse.
 func ContextsReaching(d *xmltree.Document, a axes.Axis, xs, ys xmltree.NodeSet) xmltree.NodeSet {
 	if len(xs) <= 1 {
 		return xs
 	}
-	inv := axes.EvalInverse(d, a, ys)
-	out := make(xmltree.NodeSet, 0, min(len(xs), len(inv)))
-	j := 0
-	for _, x := range xs {
-		for j < len(inv) && inv[j] < x {
-			j++
-		}
-		if (j < len(inv) && inv[j] == x) || d.Node(x).IsAttrOrNS() {
-			out = append(out, x)
-		}
-	}
-	return out
+	return xs.Intersect(axes.EvalInverse(d, a, ys))
+}
+
+// NamedChildParents returns descendant-or-self(X) ∩ child⁻¹(T(name)):
+// the nodes at or below X that have a child element called name, in
+// document order. They are the only previous context nodes the child
+// step of //name[p] has candidates at, and they are found from name's
+// posting list — Y = descendant::name(X), then parent(Y) — without
+// materializing descendant-or-self::node(). That serves the pair
+// xpath.Optimize must leave unfused because p reads position() or
+// last().
+func NamedChildParents(d *xmltree.Document, xs xmltree.NodeSet, name string) xmltree.NodeSet {
+	return axes.Eval(d, axes.Parent, axes.EvalNamed(d, axes.Descendant, xs, name))
 }
 
 // PredEval evaluates a predicate at one context ⟨node, position, size⟩;
 // MinContext reads its tables, OptMinContext its bottom-up results.
 type PredEval func(pred xpath.Expr, c semantics.Context) (semantics.Value, error)
 
-// RankedCandidates is the body of a loop over pairs ⟨x, z⟩: the
-// candidates of one previous context node x (StepCandidatesInto, into
-// buf), filtered by the step's predicates in turn, each predicate
-// seeing the survivors of the one before it at their positions. The
-// result reuses buf's array; hand it back as buf for the next x.
-func RankedCandidates(d *xmltree.Document, step *xpath.Step, x xmltree.NodeID, buf xmltree.NodeSet, cancel *Canceller, eval PredEval) (xmltree.NodeSet, error) {
-	z := StepCandidatesInto(d, step.Axis, step.Test, x, buf)
-	for _, pred := range step.Preds {
-		if err := cancel.CheckN(len(z) + 1); err != nil {
+// Verdicts remembers the truth value of one predicate per ⟨cp, cs⟩. It
+// exists for predicates whose relevant context lacks cn (Section 8.2):
+// their context-value table has one row per ⟨cp, cs⟩, not per ⟨cn, cp,
+// cs⟩, so [1], [last()] or [position() mod 2 = 0] is decided once per
+// position and size and the verdict reused for every previous context
+// node of the loop. A nil *Verdicts remembers nothing.
+type Verdicts struct {
+	bySize map[int][]verdict // row[cp-1] for context size cs
+}
+
+type verdict uint8
+
+const (
+	undecided verdict = iota
+	holds
+	fails
+)
+
+// PredVerdicts returns one Verdicts per predicate, nil for those that
+// read the context node and must be evaluated at every candidate.
+func PredVerdicts(preds []xpath.Expr) []*Verdicts {
+	out := make([]*Verdicts, len(preds))
+	for i, p := range preds {
+		if !xpath.RelevantContext(p).Has(xpath.RelevNode) {
+			out[i] = &Verdicts{bySize: map[int][]verdict{}}
+		}
+	}
+	return out
+}
+
+// row returns the verdicts for context size cs, nil for a nil receiver.
+func (v *Verdicts) row(cs int) []verdict {
+	if v == nil {
+		return nil
+	}
+	r, ok := v.bySize[cs]
+	if !ok {
+		r = make([]verdict, cs)
+		v.bySize[cs] = r
+	}
+	return r
+}
+
+// PairLoop is what the loop over pairs ⟨x, z⟩ of one location step
+// shares between previous context nodes x: the step, the predicate
+// evaluator and the per-⟨cp, cs⟩ verdicts of its predicates.
+type PairLoop struct {
+	d      *xmltree.Document
+	step   *xpath.Step
+	cancel *Canceller
+	eval   PredEval
+	seen   []*Verdicts
+}
+
+// NewPairLoop prepares the pair loop of a step.
+func NewPairLoop(d *xmltree.Document, step *xpath.Step, cancel *Canceller, eval PredEval) *PairLoop {
+	return &PairLoop{d: d, step: step, cancel: cancel, eval: eval, seen: PredVerdicts(step.Preds)}
+}
+
+// RankedCandidates is the body of the loop: the candidates of one
+// previous context node x (StepCandidatesInto, into buf), filtered by
+// the step's predicates in turn, each predicate seeing the survivors of
+// the one before it at their positions. The result reuses buf's array;
+// hand it back as buf for the next x.
+func (l *PairLoop) RankedCandidates(x xmltree.NodeID, buf xmltree.NodeSet) (xmltree.NodeSet, error) {
+	z := StepCandidatesInto(l.d, l.step.Axis, l.step.Test, x, buf)
+	for i, pred := range l.step.Preds {
+		if err := l.cancel.CheckN(len(z) + 1); err != nil {
 			return nil, err
 		}
 		var err error
-		if z, err = FilterPositions(step.Axis, pred, z, z[:0], eval); err != nil {
+		if z, err = FilterPositions(l.step.Axis, pred, z, z[:0], l.eval, l.seen[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -83,20 +142,38 @@ func RankedCandidates(d *xmltree.Document, step *xpath.Step, x xmltree.NodeID, b
 // position with respect to <doc,χ — counted from the end for reverse
 // axes — with the list's length as context size. Survivors are appended
 // to dst in document order; dst = z[:0] filters in place when the caller
-// owns z.
-func FilterPositions(a axes.Axis, pred xpath.Expr, z, dst xmltree.NodeSet, eval PredEval) (xmltree.NodeSet, error) {
+// owns z. With seen non-nil the predicate does not read the context
+// node: a ⟨cp, cs⟩ it has been decided at is not evaluated again.
+func FilterPositions(a axes.Axis, pred xpath.Expr, z, dst xmltree.NodeSet, eval PredEval, seen *Verdicts) (xmltree.NodeSet, error) {
 	size, reverse := len(z), a.IsReverse()
+	if size == 0 {
+		return dst, nil
+	}
+	row := seen.row(size)
 	for j, zn := range z {
 		pos := j + 1
 		if reverse {
 			pos = size - j
 		}
+		if row != nil && row[pos-1] != undecided {
+			if row[pos-1] == holds {
+				dst = append(dst, zn)
+			}
+			continue
+		}
 		v, err := eval(pred, semantics.Context{Node: zn, Pos: pos, Size: size})
 		if err != nil {
 			return nil, err
 		}
-		if semantics.ToBoolean(v) {
+		keep := semantics.ToBoolean(v)
+		if keep {
 			dst = append(dst, zn)
+		}
+		if row != nil {
+			row[pos-1] = fails
+			if keep {
+				row[pos-1] = holds
+			}
 		}
 	}
 	return dst, nil

@@ -46,7 +46,22 @@
 // list from the index (for child::name the label's posting-list slice
 // under the node, already in axis order) and merge the survivors through
 // a bitset accumulator, so a positional step costs O(|X ∩ χ⁻¹(Y)| + Σ
-// candidates), not O(|X|·|result|).
+// candidates), not O(|X|·|result|). Inside such a loop a predicate whose
+// Relev lacks cn — [1], [last()], [position() mod 2 = 0] — has one table
+// row per ⟨cp, cs⟩, not per ⟨cn, cp, cs⟩ (Section 8.2 again), and is
+// evaluated once per position and size however many previous context
+// nodes share them (evalutil.Verdicts).
+//
+// # //name[position() …]
+//
+// Queries arrive through xpath.Optimize, which fuses
+// descendant-or-self::node()/child::name[p] into descendant::name[p]
+// unless p reads cp or cs. The pair that stays is not evaluated step by
+// step either: the previous context nodes of the child step are
+// descendant-or-self(X) ∩ child⁻¹(T(name)) = parent(descendant::name(X)),
+// read off name's posting list, so descendant-or-self::node() is never
+// materialized (namedChildAfterDescendants, in the set and in the
+// relation code).
 package mincontext
 
 import (
@@ -64,30 +79,26 @@ import (
 type Evaluator struct {
 	doc *xmltree.Document
 
-	// Hooks allows a fragment optimizer (OptMinContext, Section 11.2)
-	// to pre-evaluate subexpressions; see SetPrecomputed.
-	pre map[xpath.Expr]*boolTable
-}
-
-// boolTable is a precomputed dom → bool table for a subexpression,
-// installed by OptMinContext's bottom-up path evaluation.
-type boolTable struct {
-	vals []bool
+	// pre holds the subexpressions a fragment optimizer (OptMinContext,
+	// Section 11.2) evaluated beforehand: the set of context nodes at
+	// which each is true. See SetPrecomputed.
+	pre map[xpath.Expr]*xmltree.Bitset
 }
 
 // New returns a MinContext evaluator for the document.
 func New(d *xmltree.Document) *Evaluator { return &Evaluator{doc: d} }
 
-// SetPrecomputed installs a context-node → boolean table for a
-// subexpression; eval_by_cnode_only and eval_single_context consult it
-// instead of evaluating the subexpression ("subexpressions that have
-// already been evaluated bottom-up are not evaluated again", Algorithm
-// 11.1). The slice must be indexed by NodeID over the whole document.
-func (ev *Evaluator) SetPrecomputed(e xpath.Expr, vals []bool) {
+// SetPrecomputed installs the context nodes at which a boolean
+// subexpression holds; eval_by_cnode_only and eval_single_context
+// consult the set instead of evaluating the subexpression
+// ("subexpressions that have already been evaluated bottom-up are not
+// evaluated again", Algorithm 11.1). The bitset must span the whole
+// document.
+func (ev *Evaluator) SetPrecomputed(e xpath.Expr, holds *xmltree.Bitset) {
 	if ev.pre == nil {
-		ev.pre = map[xpath.Expr]*boolTable{}
+		ev.pre = map[xpath.Expr]*xmltree.Bitset{}
 	}
-	ev.pre[e] = &boolTable{vals: vals}
+	ev.pre[e] = holds
 }
 
 // Evaluate implements Algorithm 8.5 (MinContext): location paths go
@@ -320,7 +331,16 @@ func (st *state) evalOutermostLocpath(e xpath.Expr, x xmltree.NodeSet) (xmltree.
 		case p.Absolute:
 			cur = xmltree.NodeSet{st.doc.RootID()}
 		}
-		for _, step := range p.Steps {
+		for i, step := range p.Steps {
+			if name, ok := namedChildAfterDescendants(p.Steps, i); ok {
+				// //name: the next step starts from the nodes that have a
+				// name child, not from every node below cur.
+				if err := st.cancel.CheckN(len(cur)); err != nil {
+					return nil, err
+				}
+				cur = evalutil.NamedChildParents(st.doc, cur, name)
+				continue
+			}
 			next, err := st.evalOutermostStep(step, cur)
 			if err != nil {
 				return nil, err
@@ -378,8 +398,9 @@ func (st *state) evalOutermostStep(step *xpath.Step, x xmltree.NodeSet) (xmltree
 	}
 	sc := st.acquire()
 	defer st.release(sc)
+	loop := evalutil.NewPairLoop(st.doc, step, st.cancel, st.evalSingleContext)
 	for _, xn := range evalutil.ContextsReaching(st.doc, step.Axis, x, y) {
-		z, err := evalutil.RankedCandidates(st.doc, step, xn, sc.buf, st.cancel, st.evalSingleContext)
+		z, err := loop.RankedCandidates(xn, sc.buf)
 		if err != nil {
 			return nil, err
 		}
@@ -573,6 +594,7 @@ func (st *state) evalFilterByCnode(fe *xpath.FilterExpr, x xmltree.NodeSet) erro
 	if !t.relev.Has(xpath.RelevNode) {
 		ctxNodes = xmltree.NodeSet{xmltree.NilNode}
 	}
+	seen := evalutil.PredVerdicts(fe.Preds)
 	for _, n := range ctxNodes {
 		if err := st.cancel.Check(); err != nil {
 			return err
@@ -589,14 +611,14 @@ func (st *state) evalFilterByCnode(fe *xpath.FilterExpr, x xmltree.NodeSet) erro
 		// produced the primary; each pass builds a fresh set, the
 		// primary's row is shared.
 		s := pv.Set
-		for _, pred := range fe.Preds {
+		for i, pred := range fe.Preds {
 			if err := st.evalByCnodeOnly(pred, s); err != nil {
 				return err
 			}
 			if err := st.cancel.CheckN(len(s) + 1); err != nil {
 				return err
 			}
-			if s, err = evalutil.FilterPositions(axes.Self, pred, s, nil, st.evalSingleContext); err != nil {
+			if s, err = evalutil.FilterPositions(axes.Self, pred, s, nil, st.evalSingleContext, seen[i]); err != nil {
 				return err
 			}
 		}
@@ -632,13 +654,22 @@ func (st *state) apply(e xpath.Expr, c semantics.Context) (semantics.Value, erro
 		}
 		return applyBinary(st.doc, x.Op, l, r)
 	case *xpath.Call:
-		args := make([]semantics.Value, len(x.Args))
-		for i, a := range x.Args {
+		// position() and last() are read off the context on every triple
+		// of a pair loop: no argument slice, no dispatch by name.
+		switch x.Name {
+		case "position":
+			return semantics.Number(float64(c.Pos)), nil
+		case "last":
+			return semantics.Number(float64(c.Size)), nil
+		}
+		var few [3]semantics.Value // the core library's usual arities, on the stack
+		args := few[:0]
+		for _, a := range x.Args {
 			v, err := st.evalSingleContext(a, c)
 			if err != nil {
 				return semantics.Value{}, err
 			}
-			args[i] = v
+			args = append(args, v)
 		}
 		return semantics.CallFunction(st.doc, x.Name, c, args)
 	default:
@@ -674,7 +705,7 @@ func applyBinary(d *xmltree.Document, op xpath.BinOp, l, r semantics.Value) (sem
 // cp/cs-independent nodes are looked up in their tables (which
 // eval_by_cnode_only must have filled); dependent nodes recurse.
 func (st *state) evalSingleContext(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
-	if bt, ok := st.ev.pre[e]; ok {
+	if holds, ok := st.ev.pre[e]; ok {
 		n := c.Node
 		if n < 0 {
 			// The caller tabulates under the context-free sentinel,
@@ -683,7 +714,7 @@ func (st *state) evalSingleContext(e xpath.Expr, c semantics.Context) (semantics
 			// serves.
 			n = 0
 		}
-		return semantics.Boolean(bt.vals[n]), nil
+		return semantics.Boolean(holds.Has(n)), nil
 	}
 	r := st.relevOf(e)
 	if r&(xpath.RelevPos|xpath.RelevSize) == 0 {
@@ -751,18 +782,26 @@ func (st *state) evalInnerLocpath(p *xpath.Path, x xmltree.NodeSet) (map[xmltree
 			cur[n] = xmltree.NodeSet{st.doc.RootID()}
 		}
 	default:
-		for _, n := range x {
-			cur[n] = xmltree.NodeSet{n}
+		// R0 is the identity; its rows are stretches of x, never written.
+		for i, n := range x {
+			cur[n] = x[i : i+1 : i+1]
 		}
 	}
 	sc := st.acquire()
 	defer st.release(sc)
-	for _, step := range p.Steps {
+	for i, step := range p.Steps {
 		// Image of the current relation.
 		for _, s := range cur {
 			sc.acc.Add(s)
 		}
-		rel, err := st.evalInnerStep(step, sc.acc.Result())
+		image := sc.acc.Result()
+		var rel map[xmltree.NodeID]xmltree.NodeSet
+		var err error
+		if name, ok := namedChildAfterDescendants(p.Steps, i); ok {
+			rel, err = st.namedChildParentRows(image, name)
+		} else {
+			rel, err = st.evalInnerStep(step, image)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -812,10 +851,17 @@ func (st *state) evalInnerStep(step *xpath.Step, x xmltree.NodeSet) (map[xmltree
 	if err := st.cancel.CheckN(len(x) + len(y)); err != nil {
 		return nil, err
 	}
+	if !positional && step.Axis == axes.Child {
+		return rowsByParent(st.doc, y, len(x)), nil
+	}
 	xs := evalutil.ContextsReaching(st.doc, step.Axis, x, y)
 	rel := make(map[xmltree.NodeID]xmltree.NodeSet, len(xs))
 	sc := st.acquire()
 	defer st.release(sc)
+	var loop *evalutil.PairLoop
+	if positional {
+		loop = evalutil.NewPairLoop(st.doc, step, st.cancel, st.evalSingleContext)
+	}
 	for _, xn := range xs {
 		if err := st.cancel.Check(); err != nil {
 			return nil, err
@@ -823,7 +869,7 @@ func (st *state) evalInnerStep(step *xpath.Step, x xmltree.NodeSet) (map[xmltree
 		var z xmltree.NodeSet
 		switch {
 		case positional:
-			ranked, err := evalutil.RankedCandidates(st.doc, step, xn, sc.buf, st.cancel, st.evalSingleContext)
+			ranked, err := loop.RankedCandidates(xn, sc.buf)
 			if err != nil {
 				return nil, err
 			}
@@ -836,6 +882,71 @@ func (st *state) evalInnerStep(step *xpath.Step, x xmltree.NodeSet) (map[xmltree
 		}
 		if len(z) > 0 {
 			rel[xn] = z
+		}
+	}
+	return rel, nil
+}
+
+// rowsByParent is the relation of a child step whose selected nodes y
+// are known: each one's previous context node is its parent, so one pass
+// over y groups the rows, with no candidate computation per context
+// node. y is in document order; the children of one parent are
+// consecutive in it except where a selected node lies below a sibling,
+// so a row is a stretch of y itself — rows are never written — and only
+// a parent whose children resume after such a nested stretch has its row
+// copied out. parents bounds the number of rows.
+func rowsByParent(d *xmltree.Document, y xmltree.NodeSet, parents int) map[xmltree.NodeID]xmltree.NodeSet {
+	rel := make(map[xmltree.NodeID]xmltree.NodeSet, min(parents, len(y)))
+	for i := 0; i < len(y); {
+		p := d.Parent(y[i])
+		j := i + 1
+		for j < len(y) && d.Parent(y[j]) == p {
+			j++
+		}
+		row := y[i:j:j]
+		if head, resumed := rel[p]; resumed {
+			row = append(head[:len(head):len(head)], row...)
+		}
+		rel[p] = row
+		i = j
+	}
+	return rel
+}
+
+// namedChildAfterDescendants reports whether steps[i] is a
+// descendant-or-self::node() step without predicates followed by a
+// child::name step — //name where xpath.Optimize could not fuse the
+// pair because a predicate of name reads position() or last() — and
+// returns the name. The loops over steps then replace the first step by
+// evalutil.NamedChildParents.
+func namedChildAfterDescendants(steps []*xpath.Step, i int) (string, bool) {
+	if i+1 >= len(steps) {
+		return "", false
+	}
+	next := steps[i+1]
+	if !steps[i].IsBare(axes.DescendantOrSelf) || next.Axis != axes.Child ||
+		!evalutil.ExactElementName(next.Axis, next.Test) {
+		return "", false
+	}
+	return next.Test.Name, true
+}
+
+// namedChildParentRows is the relation that stands in for a
+// descendant-or-self::node() step in front of child::name
+// (namedChildAfterDescendants): for every x ∈ X the nodes at or below x
+// that have a name child. The parents of all name elements below X are
+// computed once; the row of x is their stretch inside x's subtree
+// interval, shared and never written.
+func (st *state) namedChildParentRows(x xmltree.NodeSet, name string) (map[xmltree.NodeID]xmltree.NodeSet, error) {
+	if err := st.cancel.CheckN(len(x)); err != nil {
+		return nil, err
+	}
+	parents := evalutil.NamedChildParents(st.doc, x, name)
+	ix := st.doc.Index()
+	rel := make(map[xmltree.NodeID]xmltree.NodeSet, len(x))
+	for _, xn := range x {
+		if row := parents.Range(xn, ix.SubtreeEnd(xn)); len(row) > 0 {
+			rel[xn] = row[:len(row):len(row)]
 		}
 	}
 	return rel, nil

@@ -115,10 +115,8 @@ func TestPrecomputedHook(t *testing.T) {
 	// everywhere, which changes the result to all elements.
 	e := xpath.MustParse("//*[child::b]").(*xpath.Path)
 	pred := e.Steps[1].Preds[0] // boolean(child::b)
-	all := make([]bool, d.Len())
-	for i := range all {
-		all[i] = true
-	}
+	all := xmltree.NewBitset(d.Len())
+	all.Fill()
 	ev.SetPrecomputed(pred, all)
 	v, err := ev.Evaluate(e, ctxAt(d.RootID()))
 	if err != nil {

@@ -12,9 +12,12 @@ import (
 )
 
 func TestShapeExtract(t *testing.T) {
-	// Normalization expands // into descendant-or-self::node()/child::
-	// and rewrites [2] into [position() = 2], so the extracted shape
-	// reflects unabbreviated structure.
+	// The shape is extracted from the tree that runs: normalization
+	// rewrites [2] into [position() = 2] and expands // into
+	// descendant-or-self::node()/child::, which xpath.Optimize fuses
+	// into one descendant:: step for //c but must leave alone in front
+	// of the positional a[2]. Either way each // is at least one spine
+	// step.
 	q := core.MustCompile("//a[2]/parent::b | //c")
 	sh := Extract(q, 500)
 	if sh.Fragment != q.Fragment() {

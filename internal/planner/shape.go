@@ -88,8 +88,10 @@ func (sh Shape) WithDoc(docNodes int) Shape {
 	return sh
 }
 
-// shapeWalk accumulates features over the normalized AST. predDepth is
-// the number of enclosing predicates at e.
+// shapeWalk accumulates features over the tree the strategies evaluate
+// (core.Query.Expr: normalized, then optimized — a fused //t counts as
+// the one descendant::t step it runs as). predDepth is the number of
+// enclosing predicates at e.
 func shapeWalk(e xpath.Expr, predDepth int, sh *Shape) {
 	switch x := e.(type) {
 	case *xpath.Number, *xpath.Literal, *xpath.VarRef, nil:

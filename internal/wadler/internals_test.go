@@ -15,7 +15,7 @@ func TestPropagateBackwardsDirect(t *testing.T) {
 	d := xmltree.MustParseString(
 		`<a><b><c>1</c><c>2</c></b><b><c>3</c></b><d>2</d></a>`)
 	td := topdown.New(d)
-	st := &state{doc: d, pre: map[xpath.Expr][]bool{}, scalar: td}
+	st := &state{doc: d, pre: map[xpath.Expr]*xmltree.Bitset{}, scalar: td}
 	paths := []string{
 		"child::c",
 		"child::b/child::c",

@@ -86,7 +86,7 @@ func (ev *Evaluator) Evaluate(e xpath.Expr, c semantics.Context) (semantics.Valu
 // ctx's error once it is done.
 func (ev *Evaluator) EvaluateContext(ctx context.Context, e xpath.Expr, c semantics.Context) (semantics.Value, error) {
 	mc := mincontext.New(ev.doc)
-	st := &state{doc: ev.doc, pre: map[xpath.Expr][]bool{}, scalar: topdown.New(ev.doc),
+	st := &state{doc: ev.doc, pre: map[xpath.Expr]*xmltree.Bitset{}, scalar: topdown.New(ev.doc),
 		ctx: ctx, cancel: evalutil.NewCanceller(ctx), par: ev.Parallelism}
 	if err := st.collect(e); err != nil {
 		return semantics.Value{}, err
@@ -98,11 +98,12 @@ func (ev *Evaluator) EvaluateContext(ctx context.Context, e xpath.Expr, c semant
 	return mc.EvaluateContext(ctx, e, c)
 }
 
-// state carries the precomputed dom → bool tables and the collection
-// order (innermost first).
+// state carries the precomputed dom → bool tables — the set of context
+// nodes at which each bottom-up subexpression is true — and the
+// collection order (innermost first).
 type state struct {
 	doc    *xmltree.Document
-	pre    map[xpath.Expr][]bool
+	pre    map[xpath.Expr]*xmltree.Bitset
 	order  []xpath.Expr
 	scalar *topdown.Evaluator // for context-independent operands c
 	ctx    context.Context    // cancellation for the scalar evaluations
@@ -555,18 +556,27 @@ func (st *state) evalBottomUpPath(key xpath.Expr, pathSide xpath.Expr, c *semant
 	if err != nil {
 		return err
 	}
-	vals := make([]bool, st.doc.Len())
-	for _, x := range reach {
-		vals[x] = true
+	holds := xmltree.NewBitset(st.doc.Len())
+	if len(reach) == st.doc.Len() {
+		holds.Fill() // an absolute or constant-headed path holds everywhere
+	} else {
+		holds.AddSet(reach)
 	}
 	if boolRelOp {
+		// boolean(π) RelOp bool: the nodes reaching Y where true RelOp c
+		// holds, the others where false RelOp c does.
 		onTrue := semantics.Compare(st.doc, op, semantics.Boolean(true), *c)
 		onFalse := semantics.Compare(st.doc, op, semantics.Boolean(false), *c)
-		for i, v := range vals {
-			vals[i] = v && onTrue || !v && onFalse
+		switch {
+		case onTrue && onFalse:
+			holds.Fill()
+		case onFalse:
+			holds.Complement()
+		case !onTrue:
+			holds.Clear()
 		}
 	}
-	st.pre[key] = vals
+	st.pre[key] = holds
 	st.order = append(st.order, key)
 	return nil
 }
@@ -708,23 +718,24 @@ func (st *state) propagateStepBackwards(step *xpath.Step, y xmltree.NodeSet) (xm
 				return nil, nil
 			}
 		}
-		return axes.EvalInversePar(st.context(), st.doc, step.Axis, yt, nil, st.par)
+		return axes.EvalInversePar(st.context(), st.doc, step.Axis, yt)
 	}
 	// Position-dependent: loop over previous context nodes x and their
 	// candidate sets. Note the candidate set Z (and thus the context
 	// size) must be computed over ALL candidates of x, not only those in
 	// yt; positions refer to the unrestricted step result.
-	xs, err := axes.EvalInversePar(st.context(), st.doc, step.Axis, yt, nil, st.par)
+	xs, err := axes.EvalInversePar(st.context(), st.doc, step.Axis, yt)
 	if err != nil {
 		return nil, err
 	}
-	// xs is dom ∩ χ⁻¹(yt): only these previous context nodes have a
-	// candidate in yt at all. A survivor is an x one of whose ranked
+	// xs is χ⁻¹(yt): only these previous context nodes have a candidate
+	// in yt at all. A survivor is an x one of whose ranked
 	// candidates lies in yt; xs is compacted in place.
 	var buf xmltree.NodeSet
+	loop := evalutil.NewPairLoop(st.doc, step, st.cancel, st.evalPred)
 	k := 0
 	for _, x := range xs {
-		z, err := evalutil.RankedCandidates(st.doc, step, x, buf, st.cancel, st.evalPred)
+		z, err := loop.RankedCandidates(x, buf)
 		if err != nil {
 			return nil, err
 		}
@@ -740,8 +751,8 @@ func (st *state) propagateStepBackwards(step *xpath.Step, y xmltree.NodeSet) (xm
 // evalPred evaluates a predicate for a single context, consulting the
 // precomputed bottom-up tables for any node-set parts.
 func (st *state) evalPred(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
-	if vals, ok := st.pre[e]; ok {
-		return semantics.Boolean(vals[c.Node]), nil
+	if holds, ok := st.pre[e]; ok {
+		return semantics.Boolean(holds.Has(c.Node)), nil
 	}
 	switch x := e.(type) {
 	case *xpath.Number:

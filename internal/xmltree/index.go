@@ -1,9 +1,6 @@
 package xmltree
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Index is the lazily built structural index of a Document: precomputed
 // subtree intervals and a label→NodeSet name index, plus a pool of
@@ -104,10 +101,7 @@ func (ix *Index) ContentCount(lo, hi NodeID) int {
 // NamedRange returns the subrange of Named(name) falling inside the
 // half-open document-order interval [lo, hi), by binary search.
 func (ix *Index) NamedRange(name string, lo, hi NodeID) NodeSet {
-	s := ix.byName[name]
-	i := sort.Search(len(s), func(k int) bool { return s[k] >= lo })
-	j := sort.Search(len(s), func(k int) bool { return s[k] >= hi })
-	return s[i:j]
+	return ix.byName[name].Range(lo, hi)
 }
 
 // Scratch is reusable per-document evaluator scratch: two bitsets plus

@@ -53,6 +53,14 @@ func (s NodeSet) Contains(id NodeID) bool {
 	return i < len(s) && s[i] == id
 }
 
+// Range returns the members of s inside the half-open document-order
+// interval [lo, hi), by binary search: a sub-slice of s, not a copy.
+func (s NodeSet) Range(lo, hi NodeID) NodeSet {
+	i := sort.Search(len(s), func(k int) bool { return s[k] >= lo })
+	j := i + sort.Search(len(s)-i, func(k int) bool { return s[i+k] >= hi })
+	return s[i:j]
+}
+
 // IsEmpty reports whether the set is empty.
 func (s NodeSet) IsEmpty() bool { return len(s) == 0 }
 

@@ -99,6 +99,35 @@ func TestNodeSetAlgebraProperties(t *testing.T) {
 	}
 }
 
+// TestNodeSetRange: Range is the sub-slice of members in [lo, hi),
+// empty — never a panic — when the interval is empty or inverted.
+func TestNodeSetRange(t *testing.T) {
+	s := NodeSet{2, 3, 5, 8, 13}
+	for _, tc := range []struct {
+		lo, hi NodeID
+		want   NodeSet
+	}{
+		{0, 100, s},
+		{3, 8, NodeSet{3, 5}},
+		{4, 5, nil},
+		{5, 6, NodeSet{5}},
+		{13, 14, NodeSet{13}},
+		{14, 20, nil},
+		{8, 3, nil},
+		{0, 2, nil},
+	} {
+		if got := s.Range(tc.lo, tc.hi); !got.Equal(tc.want) {
+			t.Errorf("Range(%d, %d) = %v, want %v", tc.lo, tc.hi, got, tc.want)
+		}
+	}
+	if got := NodeSet(nil).Range(0, 5); len(got) != 0 {
+		t.Errorf("nil.Range = %v", got)
+	}
+	if r := s.Range(3, 8); &r[0] != &s[1] {
+		t.Error("Range must return a sub-slice, not a copy")
+	}
+}
+
 // TestIntersectLopsided drives both Intersect strategies (merge and
 // search-the-smaller-in-the-larger) and Intersects against a map-based
 // reference, with sizes on both sides of the lopsided threshold and the
