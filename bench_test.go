@@ -19,6 +19,10 @@ package repro
 import (
 	"context"
 	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -31,8 +35,11 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mincontext"
 	"repro/internal/naive"
+	"repro/internal/obs"
 	"repro/internal/planner"
 	"repro/internal/semantics"
+	"repro/internal/serve"
+	"repro/internal/store"
 	"repro/internal/topdown"
 	"repro/internal/wadler"
 	"repro/internal/workload"
@@ -543,6 +550,64 @@ func BenchmarkServingCachedVsCold(b *testing.B) {
 			}
 		}
 	})
+}
+
+// nullResponseWriter is the cheapest http.ResponseWriter there is: it
+// counts the body and drops it, so BenchmarkHandlerQuery charges the
+// handler for what it does and not for a recorder's buffer.
+type nullResponseWriter struct {
+	h http.Header
+	n int
+}
+
+func (w *nullResponseWriter) Header() http.Header         { return w.h }
+func (w *nullResponseWriter) WriteHeader(int)             {}
+func (w *nullResponseWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// BenchmarkHandlerQuery measures one POST /query through the server's
+// own handler, in process: middleware, request decode, store lookup,
+// session, evaluation on a warm compile cache, and the answer encoded
+// and written — everything of a hot request but the socket. Rules
+// planner, as the benchmark's serve_hot workload runs it. Per document
+// size a node-set answer, a node-set answer cut at 100 nodes, and a
+// scalar; SetBytes is the body length, so MB/s reads as response bytes
+// produced per second. httptest.NewRequest is inside the loop.
+func BenchmarkHandlerQuery(b *testing.B) {
+	for _, items := range []int{30, 1200} {
+		srv := serve.New(engine.New(engine.Options{Planner: planner.Rules}), store.Config{})
+		srv.SetLogger(obs.NewLogger(io.Discard, slog.LevelError))
+		if _, _, err := srv.AddDocument("auction", workload.Auction(1, items).XMLString()); err != nil {
+			b.Fatal(err)
+		}
+		h := srv.Handler()
+		for _, q := range []struct{ name, query string }{
+			{"nodeset", "//item/name"},
+			{"truncated", "//*"},
+			{"scalar", "count(//item)"},
+		} {
+			body := fmt.Sprintf(`{"doc":"auction","query":%q}`, q.query)
+			b.Run(fmt.Sprintf("items=%d/%s", items, q.name), func(b *testing.B) {
+				w := &nullResponseWriter{h: http.Header{}}
+				serveOnce := func() {
+					w.n = 0
+					for k := range w.h {
+						delete(w.h, k)
+					}
+					h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+				}
+				serveOnce() // warm the compile cache and the index
+				if w.n == 0 {
+					b.Fatal("empty response body")
+				}
+				b.SetBytes(int64(w.n))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					serveOnce()
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkServingBatchWorkers measures batch throughput scaling with

@@ -16,9 +16,36 @@
 // engine (compile cache + evaluation) → serve (wire format) → cluster
 // (this package: multi-process routing). A single-node deployment is
 // the degenerate 1-peer case of the router.
+//
+// # What the router reads of an answer
+//
+// An answer — a /query body, a /batch line — crosses the router as the
+// backend's bytes. (document → version) is the key an answer is right
+// under: it is right iff it is the answer for the version it reports,
+// so version label and value must reach the client, and the answer
+// cache, exactly as the backend paired them. The router therefore
+//
+//   - parses the envelope: serve.ScanEnvelope reads the members the
+//     wire layout (internal/serve/encode.go) puts in front of the value
+//     — index, doc, missing, version — which is all that routing,
+//     re-dispatch and cache keying need;
+//   - never parses the value: it is checked to be JSON (json.Valid; a
+//     peer body that is not a JSON object is ErrUnavailable, never
+//     relayed) and copied;
+//   - rewrites only what it owns: a line's job index (backend-local →
+//     global), a doc the backend left out, and "node" (and "drained")
+//     spliced in front of the closing brace. The bytes it sends are the
+//     bytes the cache keeps, so a hit is a lookup and a Write. Lines it
+//     makes up itself (a job it could not place, a stream that died)
+//     are serve.BatchLine values through serve's encoder;
+//   - still decodes where it must look inside: ?trace=1 answers (typed,
+//     value and trace kept raw), to graft the backend's span tree under
+//     its own forward span, and the admin endpoints (/documents,
+//     /stats, /health), which merge or aggregate what peers report.
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -87,10 +114,20 @@ const responseLimit = 256 << 20
 
 var errOversizeResponse = errors.New("cluster: peer response exceeds read limit")
 
-// readAllLimit reads r fully, failing with errOversizeResponse instead
-// of truncating when the body exceeds limit bytes.
-func readAllLimit(r io.Reader, limit int64) ([]byte, error) {
-	buf, err := io.ReadAll(io.LimitReader(r, limit+1))
+// readBody reads a peer response fully, failing with
+// errOversizeResponse instead of truncating when the body exceeds limit
+// bytes. A declared Content-Length sizes the buffer exactly (and
+// refuses an oversized body before reading any of it).
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
+	switch n := resp.ContentLength; {
+	case n > limit:
+		return nil, fmt.Errorf("%w (%d bytes)", errOversizeResponse, limit)
+	case n >= 0:
+		buf := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, buf)
+		return buf, err
+	}
+	buf, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
 		return nil, err
 	}
@@ -98,6 +135,13 @@ func readAllLimit(r io.Reader, limit int64) ([]byte, error) {
 		return nil, fmt.Errorf("%w (%d bytes)", errOversizeResponse, limit)
 	}
 	return buf, nil
+}
+
+// jsonObject reports whether b is one valid JSON object — the check
+// every answer relayed unparsed must pass first. xpathserve writes no
+// whitespace in front of the brace, so neither is accepted here.
+func jsonObject(b []byte) bool {
+	return len(b) > 0 && b[0] == '{' && json.Valid(b)
 }
 
 // Node is one backend xpathserve process: a base URL plus a dedicated
@@ -342,7 +386,7 @@ func (n *Node) do(ctx context.Context, method, path string, body, out any) error
 		return err
 	}
 	defer resp.Body.Close()
-	raw, err := readAllLimit(resp.Body, responseLimit)
+	raw, err := readBody(resp, responseLimit)
 	if err != nil {
 		if errors.Is(err, errOversizeResponse) {
 			return fmt.Errorf("%w (%s): %v", ErrPeer, n.name, err)
@@ -460,14 +504,15 @@ func (n *Node) Stats(ctx context.Context) (NodeStats, error) {
 }
 
 // Query evaluates one query on the peer, returning the peer's HTTP
-// status and decoded response object (the router re-tags and relays
-// both). A non-nil error means the peer was not reached; application-
-// level failures (unknown document, bad query) come back as a status
-// plus the peer's response body, exactly as a direct client would see
-// them. With trace set the peer evaluates under ?trace=1 and its
-// response carries the backend's span tree for the router to splice
-// into its own.
-func (n *Node) Query(ctx context.Context, doc, query string, trace bool) (int, map[string]any, error) {
+// status and its response body, unparsed: the router relays both,
+// reading no more of the body than its envelope. A non-nil error means
+// the peer was not reached, or answered something that is not a JSON
+// object; application-level failures (unknown document, bad query)
+// come back as a status plus the peer's response body, exactly as a
+// direct client would see them. With trace set the peer evaluates
+// under ?trace=1 and its response carries the backend's span tree for
+// the router to splice into its own.
+func (n *Node) Query(ctx context.Context, doc, query string, trace bool) (int, []byte, error) {
 	release, err := n.admit()
 	if err != nil {
 		return 0, nil, err
@@ -499,7 +544,7 @@ func (n *Node) Query(ctx context.Context, doc, query string, trace bool) (int, m
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	raw, rerr := readAllLimit(resp.Body, responseLimit)
+	raw, rerr := readBody(resp, responseLimit)
 	if rerr != nil {
 		if errors.Is(rerr, errOversizeResponse) {
 			return 0, nil, fmt.Errorf("%w (%s): %v", ErrPeer, n.name, rerr)
@@ -511,35 +556,54 @@ func (n *Node) Query(ctx context.Context, doc, query string, trace bool) (int, m
 		n.noteErr(rerr)
 		return 0, nil, rerr
 	}
-	var out map[string]any
-	if err := json.Unmarshal(raw, &out); err != nil {
-		err = fmt.Errorf("%w: %s: decoding response: %v", ErrUnavailable, n.name, err)
+	if !jsonObject(raw) {
+		// Not an xpathserve peer (or a broken one): its bytes are never
+		// relayed.
+		err := fmt.Errorf("%w: %s: response is not a JSON object", ErrUnavailable, n.name)
 		n.noteErr(err)
 		return 0, nil, err
-	}
-	if out == nil {
-		// A 200 carrying JSON null (not an xpathserve peer): hand the
-		// router a tag-able map rather than a nil it would panic on.
-		out = map[string]any{}
 	}
 	if breakerFailStatus(resp.StatusCode) {
 		n.br.OnFailure()
 	} else {
 		n.noteOK()
 	}
-	return resp.StatusCode, out, nil
+	return resp.StatusCode, raw, nil
+}
+
+// readLine returns br's next line, '\n' included. A line longer than
+// br's buffer is assembled in *spill; either way the bytes are valid
+// until the next call. At the end of the stream it returns what
+// unterminated bytes were left, with the error.
+func readLine(br *bufio.Reader, spill *[]byte) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	*spill = append((*spill)[:0], line...)
+	for err == bufio.ErrBufferFull {
+		if len(*spill) > responseLimit {
+			return nil, errOversizeResponse
+		}
+		line, err = br.ReadSlice('\n')
+		*spill = append(*spill, line...)
+	}
+	return *spill, err
 }
 
 // StreamJobs runs a grouped batch on the peer — one NDJSON stream
 // spanning every (doc, query) job, however many documents it covers —
-// and hands each line to emit as a decoded object, in the order the
-// peer streams them (completion order). This is the cluster's
+// and hands each line to emit as the peer wrote it, newline included,
+// in the order the peer streams them (completion order); the bytes are
+// emit's only until it returns. Every line is checked to be one JSON
+// object and otherwise left unparsed. This is the cluster's
 // one-stream-per-node batch transport: the router sends each backend
 // exactly the jobs it owns. The request is tied to ctx: cancelling it
 // tears the connection down and the peer stops its in-flight
 // evaluations at their next checkpoint. A non-200 response comes back
-// as a typed error before emit is ever called.
-func (n *Node) StreamJobs(ctx context.Context, jobs []serve.BatchJob, emit func(map[string]any) error) error {
+// as a typed error before emit is ever called; a stream that breaks
+// off, mid-line or with a line that is not JSON, as ErrUnavailable.
+func (n *Node) StreamJobs(ctx context.Context, jobs []serve.BatchJob, emit func(line []byte) error) error {
 	release, err := n.admit()
 	if err != nil {
 		return err
@@ -582,22 +646,31 @@ func (n *Node) StreamJobs(ctx context.Context, jobs []serve.BatchJob, emit func(
 		return n.statusErr(resp.StatusCode, e.Error)
 	}
 	n.noteOK()
-	dec := json.NewDecoder(resp.Body)
+	br := bufio.NewReaderSize(resp.Body, 16<<10) // most lines fit; the rest spill
+	var spill []byte
 	for {
-		var line map[string]any
-		if err := dec.Decode(&line); err != nil {
-			if err == io.EOF {
-				return nil
+		line, err := readLine(br, &spill)
+		blank := len(bytes.TrimSpace(line)) == 0
+		switch {
+		case err == nil && blank:
+			continue
+		case err == nil && jsonObject(line):
+			if err := emit(line); err != nil {
+				return err
 			}
-			if ctx.Err() != nil {
-				return fmt.Errorf("cluster: node %s: %w", n.name, ctx.Err())
-			}
-			err = fmt.Errorf("%w: %s: mid-stream: %v", ErrUnavailable, n.name, err)
-			n.noteErr(err)
-			return err
+			continue
+		case err == io.EOF && blank:
+			return nil
+		case err == nil:
+			err = errors.New("line is not a JSON object")
+		case err == io.EOF:
+			err = io.ErrUnexpectedEOF // the stream ended inside a line
 		}
-		if err := emit(line); err != nil {
-			return err
+		if ctx.Err() != nil {
+			return fmt.Errorf("cluster: node %s: %w", n.name, ctx.Err())
 		}
+		err = fmt.Errorf("%w: %s: mid-stream: %v", ErrUnavailable, n.name, err)
+		n.noteErr(err)
+		return err
 	}
 }

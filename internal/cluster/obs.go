@@ -189,8 +189,10 @@ func (r *Router) instrument(next http.Handler) http.Handler {
 		next.ServeHTTP(sw, req.WithContext(ctx))
 		elapsed := time.Since(start)
 		root.End()
-		rep := tr.Report()
-		r.traces.Add(rep)
+		// As in serve: the ring keeps the finished trace, and a report
+		// is built only when one is read or the slow-query log fires.
+		tr.Finish()
+		r.traces.Add(tr)
 		r.metrics.stage.With("route").Observe(elapsed.Seconds())
 		log := r.log()
 		if r.opts.SlowQuery > 0 && elapsed >= r.opts.SlowQuery {
@@ -198,11 +200,15 @@ func (r *Router) instrument(next http.Handler) http.Handler {
 			log.Warn("slow query",
 				"request_id", id, "method", req.Method, "path", path,
 				"status", sw.status, "dur_ms", elapsed.Milliseconds(),
-				"trace", routerTraceAttr(rep))
+				"trace", routerTraceAttr(tr.Report()))
 		}
-		log.Info("request",
-			"request_id", id, "method", req.Method, "path", path,
-			"status", sw.status, "dur_ms", elapsed.Milliseconds())
+		// Asked first: at -log-level warn and above the line's
+		// arguments would be boxed for nobody.
+		if log.Enabled(ctx, slog.LevelInfo) {
+			log.Info("request",
+				"request_id", id, "method", req.Method, "path", path,
+				"status", sw.status, "dur_ms", elapsed.Milliseconds())
+		}
 	})
 }
 

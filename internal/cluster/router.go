@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -772,12 +774,43 @@ func (r *Router) handleDocumentList(w http.ResponseWriter, req *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, out)
 }
 
-// respVersion reads the document version a backend response carries.
-func respVersion(resp map[string]any) uint64 {
-	if f, ok := resp["version"].(float64); ok && f > 0 {
-		return uint64(f)
+// appendTags closes a relayed answer whose closing brace was left off:
+// the members the router owns — the node that answered, and drained
+// when the old ring did — then the brace and the newline.
+func appendTags(dst []byte, node string, drained bool) []byte {
+	dst = append(dst, `"node":`...)
+	dst = serve.AppendJSONString(dst, node)
+	if drained {
+		dst = append(dst, `,"drained":true`...)
 	}
-	return 0
+	return append(dst, '}', '\n')
+}
+
+// tagAnswer returns a copy of a backend's answer (a JSON object, Node
+// has checked) with the router's members spliced in front of its
+// closing brace; everything else is the backend's bytes.
+func tagAnswer(body []byte, node string, drained bool) []byte {
+	end := bytes.LastIndexByte(body, '}')
+	out := make([]byte, 0, end+len(node)+32)
+	out = append(out, body[:end]...)
+	if len(bytes.TrimSpace(out)) > 1 { // not the empty object
+		out = append(out, ',')
+	}
+	return appendTags(out, node, drained)
+}
+
+// tracedAnswer is a backend answer decoded for ?trace=1 — the one kind
+// of answer the router parses, because it must lift the backend's span
+// tree out and hang it under the forward span of its own. The value
+// stays the backend's bytes all the same: the two raw members shadow
+// QueryResponse's typed ones (encoding/json lets the shallower field
+// of a name win).
+type tracedAnswer struct {
+	serve.QueryResponse
+	Value   json.RawMessage `json:"value,omitempty"`
+	Trace   json.RawMessage `json:"trace,omitempty"`
+	Node    string          `json:"node"`
+	Drained bool            `json:"drained,omitempty"`
 }
 
 // handleQuery forwards one query to the owning node (with replica
@@ -813,10 +846,8 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		if ok {
 			cs.SetAttr("outcome", "hit")
 			cs.End()
-			w.Header().Set("Content-Type", "application/json")
 			w.Header().Set("X-Router-Cache", "hit")
-			w.WriteHeader(http.StatusOK)
-			w.Write(cached)
+			serve.WriteJSONBytes(w, http.StatusOK, cached)
 			return
 		}
 		cs.SetAttr("outcome", "miss")
@@ -834,20 +865,20 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	if notFound != nil {
-		serve.WriteJSON(w, http.StatusNotFound, notFound)
+		serve.WriteJSONBytes(w, http.StatusNotFound, notFound)
 	}
 }
 
 // forwardQuery tries a query against one ring's candidates. It
 // reports whether a response was written; when every live candidate
 // answered "unknown document" it instead returns the first such
-// response for the caller to relay (or to try another ring first). On
-// a transport dead end it writes the typed error itself — except on
-// the drain ring, whose unreachability must not mask the current
-// ring's answer: there it reports false and writes nothing.
-func (r *Router) forwardQuery(w http.ResponseWriter, req *http.Request, body serve.QueryRequest, ring *Ring, drainRing bool) (map[string]any, bool) {
+// response, tagged, for the caller to relay (or to try another ring
+// first). On a transport dead end it writes the typed error itself —
+// except on the drain ring, whose unreachability must not mask the
+// current ring's answer: there it reports false and writes nothing.
+func (r *Router) forwardQuery(w http.ResponseWriter, req *http.Request, body serve.QueryRequest, ring *Ring, drainRing bool) ([]byte, bool) {
 	var lastErr error
-	var notFound map[string]any
+	var notFound []byte
 	traceOn := obs.TraceRequested(req)
 	cands := r.slotCandidates(ring, ring.OwnerIndex(body.Doc))
 	for i, n := range cands {
@@ -866,51 +897,45 @@ func (r *Router) forwardQuery(w http.ResponseWriter, req *http.Request, body ser
 		// one report shows both tiers under one request ID.
 		fctx, fspan := obs.StartSpan(resilience.WithAttemptsLeft(req.Context(), len(cands)-i), "forward")
 		fspan.SetAttr("node", n.Name())
-		status, resp, err := n.Query(fctx, body.Doc, body.Query, traceOn)
+		status, raw, err := n.Query(fctx, body.Doc, body.Query, traceOn)
 		fspan.End()
-		if err == nil {
-			if bt, ok := resp["trace"]; ok && traceOn {
-				delete(resp, "trace")
-				fspan.AttachRemote(bt)
+		if err != nil {
+			lastErr = err
+			if !errors.Is(err, ErrUnavailable) || req.Context().Err() != nil {
+				break
 			}
-			resp["node"] = n.Name()
-			if status == http.StatusNotFound {
-				// Read fallback: the doc may live on a replica it
-				// failed over to while this node was down.
-				if notFound == nil {
-					notFound = resp
-				}
-				continue
+			continue
+		}
+		if status == http.StatusNotFound {
+			// Read fallback: the doc may live on a replica it failed
+			// over to while this node was down.
+			if notFound == nil {
+				notFound = tagAnswer(raw, n.Name(), false)
 			}
-			if traceOn {
-				// Reported before the response is written, so the span
-				// durations in it sum to within the reported total.
-				resp["trace"] = obs.TraceFrom(req.Context()).Report()
+			continue
+		}
+		var ans tracedAnswer
+		if traceOn && json.Unmarshal(raw, &ans) == nil {
+			if len(ans.Trace) > 0 {
+				fspan.AttachRemote(ans.Trace)
 			}
-			if drainRing {
-				resp["drained"] = true
-			} else if status == http.StatusOK && r.cache != nil && !traceOn {
-				if ver := respVersion(resp); ver > 0 {
-					// Marshal once: the same rendered bytes fill the
-					// cache and the wire (this matches WriteJSON's
-					// indented-encoder output byte for byte).
-					if bodyBytes, merr := json.MarshalIndent(resp, "", "  "); merr == nil {
-						bodyBytes = append(bodyBytes, '\n')
-						r.cache.put(body.Doc, body.Query, ver, bodyBytes)
-						w.Header().Set("Content-Type", "application/json")
-						w.WriteHeader(status)
-						w.Write(bodyBytes)
-						return nil, true
-					}
-				}
-			}
-			serve.WriteJSON(w, status, resp)
+			ans.Node, ans.Drained = n.Name(), drainRing
+			// Reported before the response is written, so the span
+			// durations in it sum to within the reported total.
+			ans.Trace, _ = json.Marshal(obs.TraceFrom(req.Context()).Report())
+			serve.WriteJSON(w, status, &ans)
 			return nil, true
 		}
-		lastErr = err
-		if !errors.Is(err, ErrUnavailable) || req.Context().Err() != nil {
-			break
+		out := tagAnswer(raw, n.Name(), drainRing)
+		if status == http.StatusOK && r.cache != nil && !drainRing && !traceOn {
+			// What the cache keeps is what goes on the wire, the
+			// backend's version label and value as it paired them.
+			if env, ok := serve.ScanEnvelope(raw); ok {
+				r.cache.put(body.Doc, body.Query, env.Version, out)
+			}
 		}
+		serve.WriteJSONBytes(w, status, out)
+		return nil, true
 	}
 	if notFound != nil {
 		return notFound, false
@@ -978,24 +1003,16 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	ctx := req.Context()
 
-	reqID := obs.RequestID(ctx)
-	var mu sync.Mutex // serializes enc writes across backend streams
-	writeLine := func(line map[string]any) {
-		// Backend lines already carry the propagated ID; the router adds
-		// it to the lines it synthesizes itself (stream-failure errors),
-		// so every merged line is correlatable.
-		if _, ok := line["request_id"]; !ok && reqID != "" {
-			line["request_id"] = reqID
-		}
+	var mu sync.Mutex // serializes writes across backend streams
+	writeLine := func(line []byte) {
 		mu.Lock()
 		defer mu.Unlock()
 		if ctx.Err() != nil {
 			return // client is gone; backends are being cancelled
 		}
-		enc.Encode(line)
+		w.Write(line)
 		if fl != nil {
 			fl.Flush()
 		}
@@ -1007,10 +1024,6 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	// like /query does.
 	var drainFallback func([]int)
 	if r.old != nil {
-		drainWrite := func(line map[string]any) {
-			line["drained"] = true
-			writeLine(line)
-		}
 		drainFallback = func(indices []int) {
 			oldGroups := map[int][]int{}
 			for _, gi := range indices {
@@ -1018,7 +1031,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 				oldGroups[slot] = append(oldGroups[slot], gi)
 			}
 			for slot, oidx := range oldGroups {
-				r.streamGroup(ctx, r.slotCandidates(r.old, slot), 0, oidx, jobs, drainWrite, nil)
+				r.streamGroup(ctx, r.slotCandidates(r.old, slot), 0, oidx, jobs, writeLine, true, nil)
 			}
 		}
 	}
@@ -1033,24 +1046,40 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		go func(slot int, indices []int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			r.streamGroup(ctx, r.slotCandidates(r.ring, slot), 0, indices, jobs, writeLine, drainFallback)
+			r.streamGroup(ctx, r.slotCandidates(r.ring, slot), 0, indices, jobs, writeLine, false, drainFallback)
 		}(slot, indices)
 	}
 	wg.Wait()
 }
 
+// errorLine is a /batch line the router makes up itself, for a job no
+// backend answered: a serve.BatchLine through serve's encoder, so it
+// looks like a backend's, tagged like a relayed one with the node the
+// job was (or was about to be) tried on. It carries the request's ID,
+// as backend lines do (they get it propagated), so every merged line
+// is correlatable.
+func errorLine(ctx context.Context, index int, job serve.BatchJob, node string, drained bool, err error) []byte {
+	line := serve.BatchLine{
+		Index: index, Doc: job.Doc, RequestID: obs.RequestID(ctx),
+		//lint:ignore wiretag no backend answered, so there is no version to carry; an error line is never cached
+		QueryResponse: serve.QueryResponse{Query: job.Query, Error: err.Error()},
+	}
+	return tagAnswer(serve.AppendBatchLine(nil, &line), node, drained)
+}
+
 // streamGroup relays one per-node job group through the candidate at
 // the given attempt, re-tagging each line with its global index, its
-// document, and the node. Failover applies only before the first line
-// is on the wire; after a mid-stream failure the jobs that already
-// streamed are not replayed (the client has their lines) and the rest
-// become error lines, so the merged stream still carries exactly one
-// line per job. Jobs flagged "missing" by a live node are collected
-// and re-dispatched to the next candidate — the grouped-stream form
-// of per-document read fallback — and jobs still missing after the
-// last candidate go to exhausted (the drain-ring fallback) when one
-// is set.
-func (r *Router) streamGroup(ctx context.Context, cands []*Node, attempt int, indices []int, jobs []serve.BatchJob, writeLine func(map[string]any), exhausted func([]int)) {
+// document, and the node (and "drained" on the old ring); the rest of
+// a line is the backend's bytes. Failover applies only before the
+// first line is on the wire; after a mid-stream failure the jobs that
+// already streamed are not replayed (the client has their lines) and
+// the rest become error lines, as do jobs a stream that ended cleanly
+// never answered, so the merged stream still carries exactly one line
+// per job. Jobs flagged "missing" by a live node are collected and
+// re-dispatched to the next candidate — the grouped-stream form of
+// per-document read fallback — and jobs still missing after the last
+// candidate go to exhausted (the drain-ring fallback) when one is set.
+func (r *Router) streamGroup(ctx context.Context, cands []*Node, attempt int, indices []int, jobs []serve.BatchJob, writeLine func([]byte), drained bool, exhausted func([]int)) {
 	n := cands[attempt]
 	if serr := r.beforeAttempt(ctx, attempt); serr != nil {
 		if ctx.Err() != nil {
@@ -1059,12 +1088,7 @@ func (r *Router) streamGroup(ctx context.Context, cands []*Node, attempt int, in
 		// Budget denied: the jobs this group still owes get their typed
 		// error lines so the one-line-per-job invariant holds.
 		for _, gi := range indices {
-			writeLine(map[string]any{
-				"index": gi,
-				"doc":   jobs[gi].Doc,
-				"query": jobs[gi].Query,
-				"error": serr.Error(),
-			})
+			writeLine(errorLine(ctx, gi, jobs[gi], n.Name(), drained, serr))
 		}
 		return
 	}
@@ -1077,54 +1101,51 @@ func (r *Router) streamGroup(ctx context.Context, cands []*Node, attempt int, in
 	}
 	emitted := make([]bool, len(indices))
 	var missing []int // local positions to re-dispatch past this candidate
-	err := n.StreamJobs(ctx, sub, func(line map[string]any) error {
-		li, ok := line["index"].(float64)
-		if !ok {
-			return nil
+	var out []byte    // one re-tagged line at a time
+	err := n.StreamJobs(ctx, sub, func(line []byte) error {
+		env, ok := serve.ScanEnvelope(line)
+		if !ok || env.IndexEnd == 0 || env.Index < 0 || env.Index >= len(indices) {
+			return nil // not a line of this protocol; its job counts as unanswered
 		}
-		local := int(li)
-		if local < 0 || local >= len(indices) {
-			return nil
-		}
+		local := env.Index
 		emitted[local] = true
-		if m, _ := line["missing"].(bool); m && (attempt+1 < len(cands) || exhausted != nil) {
+		if env.Missing && (attempt+1 < len(cands) || exhausted != nil) {
 			missing = append(missing, local)
 			return nil
 		}
-		line["index"] = indices[local]
-		if d, _ := line["doc"].(string); d == "" {
-			line["doc"] = sub[local].Doc
+		out = append(out[:0], `{"index":`...)
+		out = strconv.AppendInt(out, int64(indices[local]), 10)
+		if env.Doc == nil {
+			out = append(out, `,"doc":`...)
+			out = serve.AppendJSONString(out, sub[local].Doc)
 		}
-		line["node"] = n.Name()
-		writeLine(line)
+		out = append(out, line[env.IndexEnd:env.End]...)
+		out = appendTags(append(out, ','), n.Name(), drained)
+		writeLine(out)
 		return nil
 	})
-	if err != nil {
-		if ctx.Err() != nil {
-			return // client gone; no error lines into a dead stream
+	if ctx.Err() != nil {
+		return // client gone; no error lines into a dead stream
+	}
+	if err != nil && attempt+1 < len(cands) {
+		streamed := false
+		for _, e := range emitted {
+			streamed = streamed || e
 		}
-		if attempt+1 < len(cands) {
-			streamed := false
-			for _, e := range emitted {
-				streamed = streamed || e
-			}
-			if !streamed && (errors.Is(err, ErrUnavailable) || errors.Is(err, ErrNotFound)) {
-				// Nothing on the wire yet: the whole group fails over.
-				r.streamGroup(ctx, cands, attempt+1, indices, jobs, writeLine, exhausted)
-				return
-			}
+		if !streamed && (errors.Is(err, ErrUnavailable) || errors.Is(err, ErrNotFound)) {
+			// Nothing on the wire yet: the whole group fails over.
+			r.streamGroup(ctx, cands, attempt+1, indices, jobs, writeLine, drained, exhausted)
+			return
 		}
-		for local, done := range emitted {
-			if done {
-				continue
-			}
-			writeLine(map[string]any{
-				"index": indices[local],
-				"doc":   sub[local].Doc,
-				"query": sub[local].Query,
-				"node":  n.Name(),
-				"error": err.Error(),
-			})
+	}
+	if err == nil {
+		// The peer closed the stream in good order; whatever it left
+		// unanswered is its protocol error, not a transport failure.
+		err = fmt.Errorf("%w (%s): stream ended without a line for this job", ErrPeer, n.Name())
+	}
+	for local, done := range emitted {
+		if !done {
+			writeLine(errorLine(ctx, indices[local], sub[local], n.Name(), drained, err))
 		}
 	}
 	if len(missing) > 0 {
@@ -1133,7 +1154,7 @@ func (r *Router) streamGroup(ctx context.Context, cands []*Node, attempt int, in
 			next[k] = indices[local]
 		}
 		if attempt+1 < len(cands) {
-			r.streamGroup(ctx, cands, attempt+1, next, jobs, writeLine, exhausted)
+			r.streamGroup(ctx, cands, attempt+1, next, jobs, writeLine, drained, exhausted)
 		} else {
 			exhausted(next) // non-nil: missing is only collected at the
 			// last candidate when a fallback exists

@@ -27,7 +27,7 @@ func inventory(ctx context.Context, peers []*cluster.Node) map[string]uint64 {
 }
 
 // Seeded violation: two naked attempts in one loop body.
-func firstAnswer(ctx context.Context, peers []*cluster.Node, doc, q string) (map[string]any, error) {
+func firstAnswer(ctx context.Context, peers []*cluster.Node, doc, q string) ([]byte, error) {
 	for _, n := range peers {
 		if _, err := n.GetDocument(ctx, doc); err != nil { // want `peer loop re-issues Node\.GetDocument with no resilience discipline`
 			continue

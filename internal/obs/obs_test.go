@@ -287,8 +287,9 @@ func TestTraceConcurrentSpans(t *testing.T) {
 func TestTraceRing(t *testing.T) {
 	r := NewTraceRing(3)
 	for i := 0; i < 5; i++ {
-		r.Add(&TraceJSON{RequestID: string(rune('a' + i))})
+		r.Add(NewTrace(string(rune('a' + i))))
 	}
+	r.Add(nil) // ignored
 	snap := r.Snapshot()
 	if len(snap) != 3 {
 		t.Fatalf("len = %d", len(snap))
@@ -298,10 +299,35 @@ func TestTraceRing(t *testing.T) {
 		t.Errorf("order = %q, want edc (newest first)", got)
 	}
 	var nilRing *TraceRing
-	nilRing.Add(&TraceJSON{})
+	nilRing.Add(NewTrace("x"))
 	if nilRing.Snapshot() != nil {
 		t.Error("nil ring snapshot should be nil")
 	}
+}
+
+// TestTraceFinishFreezesReport: the ring renders reports when read, so
+// a finished trace must report the same total and the same duration of
+// a span left open however much later the report is built.
+func TestTraceFinishFreezesReport(t *testing.T) {
+	tr := NewTrace("fin")
+	ctx := WithTrace(context.Background(), tr)
+	_, open := StartSpan(ctx, "left-open")
+	_ = open
+	tr.Finish()
+	first := tr.Report()
+	time.Sleep(2 * time.Millisecond)
+	tr.Finish() // the first Finish wins
+	r := NewTraceRing(1)
+	r.Add(tr)
+	late := r.Snapshot()[0]
+	if late.TotalNs != first.TotalNs {
+		t.Errorf("total_ns moved after Finish: %d then %d", first.TotalNs, late.TotalNs)
+	}
+	if late.Spans[0].DurNs != first.Spans[0].DurNs {
+		t.Errorf("open span's dur_ns moved after Finish: %d then %d", first.Spans[0].DurNs, late.Spans[0].DurNs)
+	}
+	var nilTrace *Trace
+	nilTrace.Finish() // must not panic
 }
 
 func TestNewRequestID(t *testing.T) {

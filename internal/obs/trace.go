@@ -61,6 +61,7 @@ type Trace struct {
 	start     time.Time
 
 	mu      sync.Mutex
+	end     time.Time // set by Finish; zero while the request runs
 	roots   []*Span
 	spans   int // recorded spans, capped at maxSpansPerTrace
 	dropped int // spans discarded past the cap
@@ -196,9 +197,26 @@ type SpanJSON struct {
 	Children []SpanJSON        `json:"children,omitempty"`
 }
 
+// Finish stops the trace's clock: every later Report reads the total,
+// and any span still open, as of this moment rather than as of the
+// report. The middleware calls it when the request completes, so a
+// report rendered long afterwards (the /debug/traces page, the
+// slow-query log) says what one rendered on the spot would have.
+// Idempotent; the first Finish wins.
+func (t *Trace) Finish() {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	if t.end.IsZero() {
+		t.end = time.Now()
+	}
+	t.mu.Unlock()
+}
+
 // Report snapshots the trace as JSON. Open spans are reported as
-// ending now; the trace itself stays usable afterwards. Safe to call
-// concurrently with span recording.
+// ending now (or at Finish, once called); the trace itself stays
+// usable afterwards. Safe to call concurrently with span recording.
 func (t *Trace) Report() *TraceJSON {
 	if t == nil {
 		return nil
@@ -206,6 +224,9 @@ func (t *Trace) Report() *TraceJSON {
 	now := time.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if !t.end.IsZero() {
+		now = t.end
+	}
 	out := &TraceJSON{
 		RequestID: t.requestID,
 		Start:     t.start,
@@ -246,17 +267,19 @@ func (s *Span) reportLocked(origin, now time.Time) SpanJSON {
 // TraceRequested reports whether the client asked for an inline span
 // report (?trace=1).
 func TraceRequested(r *http.Request) bool {
-	return r.URL.Query().Get("trace") == "1"
+	// Nearly every request has no query string at all; don't parse one.
+	return r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1"
 }
 
-// TraceRing is a bounded buffer of recent trace reports, served at
-// /debug/traces. Reports are immutable once added, so Snapshot hands
-// out shared pointers.
+// TraceRing is a bounded buffer of recent finished traces, served at
+// /debug/traces. It keeps the traces themselves and renders their
+// reports only when Snapshot is asked for them: every traced request
+// adds one, and almost none is ever read.
 type TraceRing struct {
 	cap int
 
 	mu   sync.Mutex
-	buf  []*TraceJSON
+	buf  []*Trace
 	next int
 }
 
@@ -264,7 +287,7 @@ type TraceRing struct {
 // retains.
 const DefaultTraceRingSize = 64
 
-// NewTraceRing creates a ring retaining the last n reports (n <= 0
+// NewTraceRing creates a ring retaining the last n traces (n <= 0
 // takes DefaultTraceRingSize).
 func NewTraceRing(n int) *TraceRing {
 	if n <= 0 {
@@ -273,8 +296,9 @@ func NewTraceRing(n int) *TraceRing {
 	return &TraceRing{cap: n}
 }
 
-// Add records a finished report. Nil reports are ignored.
-func (r *TraceRing) Add(t *TraceJSON) {
+// Add records a finished trace (see Trace.Finish). Nil traces are
+// ignored.
+func (r *TraceRing) Add(t *Trace) {
 	if r == nil || t == nil {
 		return
 	}
@@ -288,22 +312,27 @@ func (r *TraceRing) Add(t *TraceJSON) {
 	r.next = (r.next + 1) % r.cap
 }
 
-// Snapshot returns the retained reports, newest first.
+// Snapshot returns the reports of the retained traces, newest first.
 func (r *TraceRing) Snapshot() []*TraceJSON {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*TraceJSON, 0, len(r.buf))
+	traces := make([]*Trace, 0, len(r.buf))
 	if len(r.buf) < r.cap {
 		for i := len(r.buf) - 1; i >= 0; i-- {
-			out = append(out, r.buf[i])
+			traces = append(traces, r.buf[i])
 		}
-		return out
+	} else {
+		for i := 0; i < r.cap; i++ {
+			traces = append(traces, r.buf[(r.next-1-i+2*r.cap)%r.cap])
+		}
 	}
-	for i := 0; i < r.cap; i++ {
-		out = append(out, r.buf[(r.next-1-i+2*r.cap)%r.cap])
+	r.mu.Unlock()
+	// Rendered outside the ring's lock: a report takes its trace's own.
+	out := make([]*TraceJSON, len(traces))
+	for i, t := range traces {
+		out[i] = t.Report()
 	}
 	return out
 }

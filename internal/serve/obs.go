@@ -130,8 +130,11 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		elapsed := time.Since(start)
 		root.End()
-		rep := tr.Report()
-		s.traces.Add(rep)
+		// The ring keeps the finished trace; its report is built when
+		// somebody reads /debug/traces, and here only if the slow-query
+		// log fires.
+		tr.Finish()
+		s.traces.Add(tr)
 		s.metrics.stage.With("route").Observe(elapsed.Seconds())
 		log := s.log()
 		if s.slow > 0 && elapsed >= s.slow {
@@ -139,11 +142,15 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			log.Warn("slow query",
 				"request_id", id, "method", r.Method, "path", path,
 				"status", sw.status, "dur_ms", elapsed.Milliseconds(),
-				"trace", traceAttr(rep))
+				"trace", traceAttr(tr.Report()))
 		}
-		log.Info("request",
-			"request_id", id, "method", r.Method, "path", path,
-			"status", sw.status, "dur_ms", elapsed.Milliseconds())
+		// Asked first: at -log-level warn and above the line's
+		// arguments would be boxed for nobody.
+		if log.Enabled(ctx, slog.LevelInfo) {
+			log.Info("request",
+				"request_id", id, "method", r.Method, "path", path,
+				"status", sw.status, "dur_ms", elapsed.Milliseconds())
+		}
 	})
 }
 

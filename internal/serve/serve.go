@@ -13,6 +13,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -20,16 +21,15 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/resilience"
-	"repro/internal/semantics"
 	"repro/internal/store"
 	"repro/internal/xpath"
 )
@@ -301,18 +301,6 @@ type NodeJSON struct {
 	Truncated bool   `json:"truncated,omitempty"`
 }
 
-// clip bounds s to maxStringBytes without splitting a UTF-8 sequence.
-func clip(s string) (string, bool) {
-	if len(s) <= maxStringBytes {
-		return s, false
-	}
-	cut := maxStringBytes
-	for cut > 0 && !utf8.RuneStart(s[cut]) {
-		cut--
-	}
-	return s[:cut], true
-}
-
 // QueryResponse is the /query response shape (and the per-line payload
 // of /batch). Version is the served document's monotonic version — the
 // key the cluster router's answer cache is invalidated by.
@@ -382,48 +370,23 @@ func kindName(k xpath.Type) string {
 	}
 }
 
-func renderValue(d *core.Document, v core.Value) *ValueJSON {
-	out := &ValueJSON{Kind: kindName(v.Kind)}
-	out.String, out.Truncated = clip(semantics.ToString(d, v))
-	switch v.Kind {
-	case xpath.TypeNumber:
-		out.Number = &v.Num
-	case xpath.TypeBoolean:
-		out.Boolean = &v.Bool
-	case xpath.TypeNodeSet:
-		n := len(v.Set)
-		out.Count = &n
-		for i, id := range v.Set {
-			if i == maxNodesInResponse {
-				break
-			}
-			node := d.Node(id)
-			nj := NodeJSON{Type: node.Type.String()}
-			nj.Value, nj.Truncated = clip(d.StringValue(id))
-			if node.Type.HasName() {
-				nj.Name = node.Name
-			}
-			out.Nodes = append(out.Nodes, nj)
-		}
-	}
-	return out
-}
-
-// render turns an evaluation outcome into a response, annotating it
-// with the fragment classification off the compiled query and the
-// strategy off the Result — the one the session actually ran, post-
-// planning and post-fallback. It must never re-derive the strategy
+// render turns an evaluation outcome into the answer's envelope,
+// annotating it with the fragment classification off the compiled query
+// and the strategy off the Result — the one the session actually ran,
+// post-planning and post-fallback. It must never re-derive the strategy
 // (the old StrategyFor re-derivation was wrong twice over: a result
 // rescued by the table-limit fallback would report the strategy that
 // failed, and under an adaptive planner a second derivation can
-// legitimately differ from the decision that executed).
+// legitimately differ from the decision that executed). The value is
+// not rendered here: the encoder appends it from the document (see
+// resultValue and encode.go).
 //
 // The document version is a required argument, not an afterthought:
 // every response constructor must carry it so the (doc, query,
 // version)-keyed caches in front of this node are never poisoned by an
 // unversioned answer. Callers read it BEFORE acquiring the session
 // (see handleQuery for the race argument).
-func (s *Server) render(sess *engine.Session, ver uint64, res engine.Result) QueryResponse {
+func render(ver uint64, res *engine.Result) QueryResponse {
 	resp := QueryResponse{Query: res.Query, Version: ver}
 	if res.Compiled != nil {
 		resp.Fragment = res.Compiled.Fragment().String()
@@ -435,10 +398,17 @@ func (s *Server) render(sess *engine.Session, ver uint64, res engine.Result) Que
 	}
 	if res.Err != nil {
 		resp.Error = res.Err.Error()
-		return resp
 	}
-	resp.Value = renderValue(sess.Document(), res.Value)
 	return resp
+}
+
+// resultValue is the value an answer to res carries: none when the
+// query failed.
+func resultValue(res *engine.Result) *core.Value {
+	if res.Err != nil {
+		return nil
+	}
+	return &res.Value
 }
 
 // handleDocuments manages the corpus: POST registers, GET lists with
@@ -564,20 +534,33 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := sess.DoContext(r.Context(), req.Query)
+	s.writeAnswer(w, r, sess, ver, &res)
+}
+
+// writeAnswer is /query from the evaluation's outcome to the last
+// byte: the answer is encoded into a pooled buffer, the value straight
+// from the document, and sent in one Write. What it allocates does not
+// depend on how much the answer renders (TestAnswerAllocsDoNotGrow).
+func (s *Server) writeAnswer(w http.ResponseWriter, r *http.Request, sess *engine.Session, ver uint64, res *engine.Result) {
 	_, ser := obs.StartSpan(r.Context(), "serialize")
-	resp := s.render(sess, ver, res)
+	resp := render(ver, res)
+	buf := getBuffer()
+	defer putBuffer(buf)
+	buf.b = appendAnswer(buf.b, nil, &resp, sess.Document(), resultValue(res))
 	ser.End()
+	var trace *obs.TraceJSON
 	if obs.TraceRequested(r) {
 		// Reported before the response is written: open spans (the root
 		// route span) close "as of now", so the stage durations in the
 		// report sum to within the reported total.
-		resp.Trace = obs.TraceFrom(r.Context()).Report()
+		trace = obs.TraceFrom(r.Context()).Report()
 	}
+	buf.b = closeAnswer(buf.b, trace)
 	status := http.StatusOK
-	if resp.Error != "" {
+	if res.Err != nil {
 		status = http.StatusUnprocessableEntity
 	}
-	WriteJSON(w, status, resp)
+	WriteJSONBytes(w, status, buf.b)
 }
 
 // handleBatch streams per-job results as chunked JSON lines
@@ -618,7 +601,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		ctx, writeLine := s.startBatchStream(w, r)
 		sess.StreamBatch(ctx, req.Queries, func(i int, res engine.Result) {
-			writeLine(BatchLine{Index: i, QueryResponse: s.render(sess, ver, res)})
+			writeLine(&BatchLine{Index: i, QueryResponse: render(ver, &res)}, sess.Document(), resultValue(&res))
 		})
 		return
 	}
@@ -627,26 +610,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // startBatchStream commits the response to NDJSON streaming and
 // returns the request context plus a line writer that is safe for
-// concurrent use and drops lines once the client is gone.
-func (s *Server) startBatchStream(w http.ResponseWriter, r *http.Request) (context.Context, func(BatchLine)) {
+// concurrent use and drops lines once the client is gone. A line's
+// value is rendered from (d, v) as in /query; both are nil on a line
+// that carries an error. Workers encode their lines side by side and
+// take the lock only to put the finished bytes on the wire.
+func (s *Server) startBatchStream(w http.ResponseWriter, r *http.Request) (context.Context, func(*BatchLine, *core.Document, *core.Value)) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	ctx := r.Context()
 	id := obs.RequestID(ctx)
 	var mu sync.Mutex
-	return ctx, func(line BatchLine) {
+	return ctx, func(line *BatchLine, d *core.Document, v *core.Value) {
 		if line.RequestID == "" {
 			line.RequestID = id
 		}
+		buf := getBuffer()
+		defer putBuffer(buf)
+		buf.b = closeAnswer(appendAnswer(buf.b, line, &line.QueryResponse, d, v), nil)
 		mu.Lock()
 		defer mu.Unlock()
 		if ctx.Err() != nil {
 			return // client is gone; drop the line, workers are winding down
 		}
-		enc.Encode(line)
+		w.Write(buf.b)
 		if fl != nil {
 			fl.Flush()
 		}
@@ -671,14 +659,14 @@ func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request, jobs []
 		sess, ok := s.Session(doc)
 		if !ok {
 			for _, gi := range indices {
-				writeLine(BatchLine{
+				writeLine(&BatchLine{
 					Index: gi, Doc: doc, Missing: true,
 					//lint:ignore wiretag the document is unknown, so there is no version to carry; Missing marks the line as uncacheable
 					QueryResponse: QueryResponse{
 						Query: jobs[gi].Query,
 						Error: fmt.Sprintf("unknown document %q", doc),
 					},
-				})
+				}, nil, nil)
 			}
 			continue
 		}
@@ -690,7 +678,7 @@ func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request, jobs []
 		go func(doc string, sess *engine.Session, ver uint64, indices []int, queries []string) {
 			defer wg.Done()
 			sess.StreamBatch(ctx, queries, func(k int, res engine.Result) {
-				writeLine(BatchLine{Index: indices[k], Doc: doc, QueryResponse: s.render(sess, ver, res)})
+				writeLine(&BatchLine{Index: indices[k], Doc: doc, QueryResponse: render(ver, &res)}, sess.Document(), resultValue(&res))
 			})
 		}(doc, sess, ver, indices, queries)
 	}
@@ -772,10 +760,21 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // DecodeJSON parses a request body into dst, writing the error
 // response itself on failure: 413 when the body tripped the size
-// limit, 400 for malformed JSON. Exported because the cluster router
-// speaks this package's wire format and must fail identically.
+// limit, 400 for malformed JSON — which includes anything but
+// whitespace after the object. The body is read into a pooled buffer
+// and unmarshalled from there (encoding/json copies every string it
+// decodes, so nothing in dst points into the buffer). Exported because
+// the cluster router speaks this package's wire format and must fail
+// identically.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	err := json.NewDecoder(r.Body).Decode(dst)
+	buf := getBuffer()
+	defer putBuffer(buf)
+	body := bytes.NewBuffer(buf.b)
+	_, err := body.ReadFrom(r.Body)
+	buf.b = body.Bytes() // grown, perhaps: that is what goes back to the pool
+	if err == nil {
+		err = json.Unmarshal(buf.b, dst)
+	}
 	if err == nil {
 		return true
 	}
@@ -788,20 +787,37 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return false
 }
 
-// WriteJSON writes v as an indented JSON response with the given
-// status — the one response writer shared by every endpoint (and the
-// cluster router), so the wire format cannot drift between them.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// WriteJSONBytes sends an already encoded JSON body with the given
+// status: Content-Length and one Write, so a response is never chunked.
+// Every JSON response of this package and of the cluster router leaves
+// through it.
+func WriteJSONBytes(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(body)
+}
+
+// WriteJSON writes v as a compact JSON response with the given status —
+// the writer of every endpoint that is not an answer (/documents,
+// /stats, /healthz; the cluster router's too), so the wire format
+// cannot drift between them. Answers are encoded by hand, see
+// encode.go. A value encoding/json refuses becomes a 500 that says so
+// instead of a 200 without a body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		HTTPError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
+	WriteJSONBytes(w, status, append(body, '\n'))
 }
 
 // HTTPError writes the protocol's {"error": ...} failure shape.
 func HTTPError(w http.ResponseWriter, status int, format string, args ...any) {
-	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	body := AppendJSONString([]byte(`{"error":`), fmt.Sprintf(format, args...))
+	WriteJSONBytes(w, status, append(body, '}', '\n'))
 }
 
 // DocNames returns the registered document names, sorted (for logs).

@@ -3,6 +3,7 @@ package xmltree
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // Builder assembles a Document node by node in document order. It is used
@@ -117,10 +118,7 @@ func (b *Builder) Done() (*Document, error) {
 		return nil, fmt.Errorf("xmltree: %d unclosed element(s)", len(b.stack)-1)
 	}
 	d := b.doc
-	//lint:ignore lockshard the document is not yet published: Done runs before any other goroutine can hold a reference, so these pre-publication writes need no lock
-	d.strvalCache = make([]string, len(d.nodes))
-	//lint:ignore lockshard same pre-publication write as the line above
-	d.strvalDone = make([]bool, len(d.nodes))
+	d.strval = make([]atomic.Pointer[string], len(d.nodes))
 	d.buildRef()
 	b.doc = nil
 	return d, nil

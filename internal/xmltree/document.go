@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Document is an immutable XML document tree in the paper's data model.
@@ -26,13 +27,14 @@ type Document struct {
 	ref    map[NodeID][]NodeID
 	refInv map[NodeID][]NodeID
 
-	// strvalCache memoizes strval for element and root nodes, which is
-	// the concatenation of descendant text (Section 4). strvalMu makes
-	// the lazy fill safe for concurrent readers; everything else in a
+	// strval memoizes strval for element and root nodes, which is the
+	// concatenation of descendant text (Section 4). Every engine and
+	// every rendered node of every concurrent request on the document
+	// reads it, so the lazy fill is lock-free: a slot is published with
+	// one atomic store, and two readers racing on an empty slot both
+	// compute the same string and one store wins. Everything else in a
 	// Document is immutable after construction.
-	strvalMu    sync.Mutex
-	strvalCache []string
-	strvalDone  []bool
+	strval []atomic.Pointer[string]
 
 	// idx is the lazily built structural index (subtree intervals, name
 	// posting lists, evaluator scratch pool); see Index().
@@ -98,32 +100,52 @@ func (d *Document) StringValue(id NodeID) string {
 		return n.Data
 	}
 	// Element or root: memoized concatenation of descendant text.
-	d.strvalMu.Lock()
-	if d.strvalDone[id] {
-		s := d.strvalCache[id]
-		d.strvalMu.Unlock()
-		return s
+	if p := d.strval[id].Load(); p != nil {
+		return *p
 	}
-	d.strvalMu.Unlock()
 	var b strings.Builder
-	d.appendText(id, &b)
+	d.yieldText(id, func(piece string) bool { b.WriteString(piece); return true })
 	s := b.String()
-	d.strvalMu.Lock()
-	d.strvalCache[id] = s
-	d.strvalDone[id] = true
-	d.strvalMu.Unlock()
+	d.strval[id].Store(&s)
 	return s
 }
 
-func (d *Document) appendText(id NodeID, b *strings.Builder) {
+// StringValueChunks is the append form of StringValue: it hands yield
+// the pieces whose concatenation is StringValue(id), in document order,
+// until yield returns false. A renderer that escapes or clips as it
+// copies therefore never needs an element's text concatenated into a
+// string of its own first. It neither fills nor needs the memo, but an
+// element value some evaluator already memoized arrives as one piece.
+func (d *Document) StringValueChunks(id NodeID, yield func(string) bool) {
+	n := &d.nodes[id]
+	if n.Type != Element && n.Type != Root {
+		yield(n.Data)
+		return
+	}
+	if p := d.strval[id].Load(); p != nil {
+		yield(*p)
+		return
+	}
+	d.yieldText(id, yield)
+}
+
+// yieldText hands yield the descendant text nodes of id in document
+// order — the one walk behind StringValue and StringValueChunks — and
+// reports false once yield has asked to stop.
+func (d *Document) yieldText(id NodeID, yield func(string) bool) bool {
 	for c := d.nodes[id].FirstChild; c != NilNode; c = d.nodes[c].NextSibling {
 		switch d.nodes[c].Type {
 		case Text:
-			b.WriteString(d.nodes[c].Data)
+			if !yield(d.nodes[c].Data) {
+				return false
+			}
 		case Element:
-			d.appendText(c, b)
+			if !d.yieldText(c, yield) {
+				return false
+			}
 		}
 	}
+	return true
 }
 
 // DirectText returns the concatenation of text directly inside id (not in

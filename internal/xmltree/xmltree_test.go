@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -113,6 +114,76 @@ func TestStringValue(t *testing.T) {
 	if got := d.StringValue(a); got != "onetwothreefour" {
 		t.Errorf("memoized strval(a) = %q", got)
 	}
+}
+
+// TestStringValueChunks pins the append form to StringValue on every
+// node of a document with mixed content, attributes, a comment and a
+// processing instruction: the pieces concatenate to the same string
+// before the memo is filled, after it is filled, and a yield that
+// returns false stops the walk at once.
+func TestStringValueChunks(t *testing.T) {
+	const src = `<a k="v">one<b>two</b><!--c--><?pi body?><c><d>three</d><e/></c>four</a>`
+	chunks := func(d *Document, id NodeID) string {
+		var b strings.Builder
+		d.StringValueChunks(id, func(s string) bool { b.WriteString(s); return true })
+		return b.String()
+	}
+	cold, warm := mustParse(t, src), mustParse(t, src)
+	for i := 0; i < warm.Len(); i++ {
+		id := NodeID(i)
+		want := warm.StringValue(id) // fills warm's memo
+		if got := chunks(cold, id); got != want {
+			t.Errorf("node %d (%v): unmemoized chunks = %q, want %q", i, cold.Type(id), got, want)
+		}
+		if got := chunks(warm, id); got != want {
+			t.Errorf("node %d (%v): memoized chunks = %q, want %q", i, warm.Type(id), got, want)
+		}
+	}
+	calls := 0
+	cold.StringValueChunks(cold.RootID(), func(string) bool { calls++; return false })
+	if calls != 1 {
+		t.Errorf("yield ran %d times after returning false, want 1", calls)
+	}
+}
+
+// TestStringValueConcurrentReaders has many goroutines fill and read
+// the lock-free memo of one document at once (run under -race): every
+// reader must see the value a sequential reader computes, whichever
+// racing store wins.
+func TestStringValueConcurrentReaders(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("<r>")
+	for i := 0; i < 200; i++ {
+		src.WriteString("<x>a<y>b</y>c</x>")
+	}
+	src.WriteString("</r>")
+	d, ref := mustParse(t, src.String()), mustParse(t, src.String())
+	want := make([]string, ref.Len())
+	for i := range want {
+		want[i] = ref.StringValue(NodeID(i))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < d.Len(); k++ {
+				// Each goroutine starts elsewhere so first fills collide.
+				id := NodeID((k + g*97) % d.Len())
+				if got := d.StringValue(id); got != want[id] {
+					t.Errorf("goroutine %d: strval(%d) = %q, want %q", g, id, got, want[id])
+					return
+				}
+				var n int
+				d.StringValueChunks(id, func(s string) bool { n += len(s); return true })
+				if n != len(want[id]) {
+					t.Errorf("goroutine %d: chunks of %d total %d bytes, want %d", g, id, n, len(want[id]))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestAttributesAndIDs(t *testing.T) {

@@ -75,7 +75,7 @@ echo "$out" | grep -q '"node": *"127.0.0.1:710' || { echo "missing node tag: $ou
 # Answer cache: the identical query again must be a hit, visible in
 # /stats.
 curl -fsS 'http://127.0.0.1:7100/query?doc=doc-0&q=count(//b)' >/dev/null
-hits=$(curl -fsS http://127.0.0.1:7100/stats | grep -A6 '"answer_cache"' | grep -o '"hits": *[0-9]*' | grep -o '[0-9]*$')
+hits=$(curl -fsS http://127.0.0.1:7100/stats | grep -o '"answer_cache": *{[^}]*}' | grep -o '"hits": *[0-9]*' | grep -o '[0-9]*$')
 [ "${hits:-0}" -ge 1 ] || { echo "repeated identical query produced no cache hit (hits=$hits)" >&2; exit 1; }
 echo "answer cache hits: $hits"
 
@@ -85,7 +85,7 @@ curl -fsS http://127.0.0.1:7100/documents \
   -d '{"name":"doc-0","xml":"<a><b/><b/><b/></a>"}' >/dev/null
 out=$(curl -fsS 'http://127.0.0.1:7100/query?doc=doc-0&q=count(//b)')
 echo "$out" | grep -q '"number": *3' || { echo "stale answer after re-registration: $out" >&2; exit 1; }
-inval=$(curl -fsS http://127.0.0.1:7100/stats | grep -A6 '"answer_cache"' | grep -o '"invalidations": *[0-9]*' | grep -o '[0-9]*$')
+inval=$(curl -fsS http://127.0.0.1:7100/stats | grep -o '"answer_cache": *{[^}]*}' | grep -o '"invalidations": *[0-9]*' | grep -o '[0-9]*$')
 [ "${inval:-0}" -ge 1 ] || { echo "re-registration produced no invalidation (invalidations=$inval)" >&2; exit 1; }
 
 # Scatter-gather batch across all 8 documents, 2 queries each: 16
