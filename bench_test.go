@@ -36,7 +36,6 @@ import (
 	"repro/internal/mincontext"
 	"repro/internal/naive"
 	"repro/internal/obs"
-	"repro/internal/planner"
 	"repro/internal/semantics"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -567,14 +566,13 @@ func (w *nullResponseWriter) Write(p []byte) (int, error) { w.n += len(p); retur
 // BenchmarkHandlerQuery measures one POST /query through the server's
 // own handler, in process: middleware, request decode, store lookup,
 // session, evaluation on a warm compile cache, and the answer encoded
-// and written — everything of a hot request but the socket. Rules
-// planner, as the benchmark's serve_hot workload runs it. Per document
-// size a node-set answer, a node-set answer cut at 100 nodes, and a
-// scalar; SetBytes is the body length, so MB/s reads as response bytes
-// produced per second. httptest.NewRequest is inside the loop.
+// and written — everything of a hot request but the socket. Per
+// document size a node-set answer, a node-set answer cut at 100 nodes,
+// and a scalar; SetBytes is the body length, so MB/s reads as response
+// bytes produced per second. httptest.NewRequest is inside the loop.
 func BenchmarkHandlerQuery(b *testing.B) {
 	for _, items := range []int{30, 1200} {
-		srv := serve.New(engine.New(engine.Options{Planner: planner.Rules}), store.Config{})
+		srv := serve.New(engine.New(engine.Options{}), store.Config{})
 		srv.SetLogger(obs.NewLogger(io.Discard, slog.LevelError))
 		if _, _, err := srv.AddDocument("auction", workload.Auction(1, items).XMLString()); err != nil {
 			b.Fatal(err)
@@ -641,90 +639,6 @@ func BenchmarkServingBatchWorkers(b *testing.B) {
 			}
 		})
 	}
-}
-
-// --- Adaptive strategy planner: planned Auto vs fixed strategies ---
-
-// plannerBenchWarmup is enough planned iterations for the adaptive
-// planner to pass several explore cycles (default cadence: every 16th
-// decision per class) and settle on the fastest strategy before the
-// timer starts: 128 decisions give every alternative at least two
-// explore samples, so one noisy timing cannot misdirect the EWMAs.
-const plannerBenchWarmup = 128
-
-// benchPlannedSession measures a planner-routed session in its
-// converged state: warmup runs with exploration on, so the route the
-// timer sees was actually discovered by the explore/observe loop; then
-// exploration is frozen, because the measured window reports routing
-// quality, not the exploration tax (a serving-time cadence knob that a
-// single-query microbenchmark would charge entirely to one class).
-func benchPlannedSession(b *testing.B, d *xmltree.Document, src string) {
-	b.Helper()
-	e := engine.New(engine.Options{Strategy: core.Auto, Planner: planner.Adaptive})
-	s := e.NewSession(d)
-	for i := 0; i < plannerBenchWarmup; i++ {
-		if res := s.Do(src); res.Err != nil {
-			b.Fatal(res.Err)
-		}
-	}
-	e.Planner().SetExploreEvery(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res := s.Do(src); res.Err != nil {
-			b.Fatal(res.Err)
-		}
-	}
-}
-
-// benchFixedSession measures the same session path pinned to one
-// strategy, so planned-vs-fixed differences are routing, not plumbing.
-func benchFixedSession(b *testing.B, st core.Strategy, d *xmltree.Document, src string) {
-	b.Helper()
-	s := engine.New(engine.Options{Strategy: st}).NewSession(d)
-	if res := s.Do(src); res.Err != nil {
-		b.Fatal(res.Err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res := s.Do(src); res.Err != nil {
-			b.Fatal(res.Err)
-		}
-	}
-}
-
-// plannerFamilyBench runs one planned-vs-fixed family. The sub-bench
-// names feed `benchjson compare`, which groups siblings by parent name
-// and fails CI if planned is slower than the best fixed sibling beyond
-// the noise threshold.
-func plannerFamilyBench(b *testing.B, d *xmltree.Document, src string, fixed []core.Strategy) {
-	b.Run("planned", func(b *testing.B) { benchPlannedSession(b, d, src) })
-	for _, st := range fixed {
-		b.Run(st.String(), func(b *testing.B) { benchFixedSession(b, st, d, src) })
-	}
-}
-
-// BenchmarkPlannerExp1 runs the Experiment-1 family on a document big
-// enough that the engines genuinely separate (the query is Core XPath,
-// so the linear algebra clearly wins); on tiny documents every engine
-// finishes within scheduler noise of every other and the comparison
-// would measure the machine, not the routing.
-func BenchmarkPlannerExp1(b *testing.B) {
-	plannerFamilyBench(b, workload.Doc(500), workload.Exp1Query(12),
-		[]core.Strategy{core.CoreXPath, core.TopDown, core.MinContext, core.OptMinContext})
-}
-
-func BenchmarkPlannerExp3(b *testing.B) {
-	plannerFamilyBench(b, workload.Doc(50), workload.Exp3Query(2),
-		[]core.Strategy{core.TopDown, core.MinContext, core.OptMinContext})
-}
-
-// BenchmarkPlannerExp4 skips topdown and plain mincontext: both are
-// super-linear on this document sweep (mincontext is ~1000× corexpath
-// at |D|=500) and would only burn CI minutes without tightening the
-// "planned tracks the best fixed strategy" check.
-func BenchmarkPlannerExp4(b *testing.B) {
-	plannerFamilyBench(b, workload.Doc(500), workload.Exp4Query(20),
-		[]core.Strategy{core.OptMinContext, core.CoreXPath})
 }
 
 // BenchmarkParser measures query compilation.

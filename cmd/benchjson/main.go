@@ -21,17 +21,6 @@
 // benchmark got slower by more than -threshold percent — the CI gate
 // over the artifacts CI already uploads. Benchmarks present in only
 // one file are reported but never gate (renames must not fail builds).
-//
-// The compare subcommand gates within a single artifact: it groups
-// sub-benchmarks by their parent (everything before the last '/', at
-// the same -cpu), and for every group containing a -target entry
-// (default "planned") checks that the target's ns/op is within
-// -threshold percent of the best sibling's. This machine-checks the
-// adaptive-planner contract — planned Auto must track the best fixed
-// strategy within noise on every BenchmarkPlanner* family:
-//
-//	go test -bench Planner -run '^$' . | benchjson -out planner.json
-//	benchjson compare -threshold 25 planner.json
 package main
 
 import (
@@ -99,9 +88,6 @@ type benchFile struct {
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "diff" {
 		os.Exit(runDiff(os.Args[2:], os.Stdout))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "compare" {
-		os.Exit(runCompare(os.Args[2:], os.Stdout))
 	}
 	runConvert(os.Args[1:])
 }
@@ -183,101 +169,6 @@ func runDiff(args []string, w io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// runCompare implements `benchjson compare [-threshold pct] [-target
-// name] file.json`, returning the process exit code: 0 when the target
-// sub-benchmark tracked the best sibling in every group, 1 when it
-// lagged beyond the threshold somewhere, 2 on usage/read errors or
-// when no group carries the target at all (an artifact that measured
-// nothing must not pass the gate silently).
-func runCompare(args []string, w io.Writer) int {
-	fs := flag.NewFlagSet("benchjson compare", flag.ContinueOnError)
-	threshold := fs.Float64("threshold", 25, "max tolerated ns/op gap between the target and the best sibling, in percent")
-	target := fs.String("target", "planned", "sub-benchmark that must track the best sibling in its group")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	rest := fs.Args()
-	if len(rest) != 1 {
-		fmt.Fprintln(os.Stderr, "benchjson compare: want exactly one file: bench.json")
-		return 2
-	}
-	f, err := loadBenchFile(rest[0])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson compare: %v\n", err)
-		return 2
-	}
-	report, failures, groups := compareBenchFile(f, *target, *threshold)
-	fmt.Fprint(w, report)
-	if groups == 0 {
-		fmt.Fprintf(os.Stderr, "benchjson compare: no benchmark group has a %q sub-benchmark\n", *target)
-		return 2
-	}
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "benchjson compare: %q slower than the best sibling beyond %.1f%% in %d group(s)\n", *target, *threshold, failures)
-		return 1
-	}
-	return 0
-}
-
-// compareBenchFile groups sub-benchmarks by (parent name, cpu) and, in
-// every group with a target entry, checks the target's ns/op against
-// the group minimum. Duplicate entries for the same child — a run with
-// -count=N — collapse to their minimum first, so the gate compares the
-// best observed timing on both sides rather than whichever repetition
-// was parsed last. It returns the rendered report, the number of
-// groups where the target lagged beyond threshold percent, and the
-// number of gated groups.
-func compareBenchFile(f *benchFile, target string, threshold float64) (string, int, int) {
-	groups := map[benchKey]map[string]float64{}
-	var order []benchKey
-	for _, b := range f.Benchmarks {
-		i := strings.LastIndexByte(b.Name, '/')
-		if i <= 0 {
-			continue // not a sub-benchmark; nothing to group
-		}
-		key := benchKey{b.Name[:i], b.CPU}
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-			groups[key] = map[string]float64{}
-		}
-		child := b.Name[i+1:]
-		if prev, ok := groups[key][child]; !ok || (b.NsPerOp > 0 && b.NsPerOp < prev) {
-			groups[key][child] = b.NsPerOp
-		}
-	}
-	var sb strings.Builder
-	failures, gated := 0, 0
-	for _, key := range order {
-		targetNs := -1.0
-		bestNs, bestChild := -1.0, ""
-		for child, ns := range groups[key] {
-			if child == target {
-				targetNs = ns
-			}
-			if ns > 0 && (bestNs < 0 || ns < bestNs || (ns == bestNs && child < bestChild)) {
-				bestNs, bestChild = ns, child
-			}
-		}
-		if targetNs < 0 || bestNs <= 0 {
-			continue // no target entry (or no usable timings): nothing to gate
-		}
-		gated++
-		name := key.Name
-		if key.CPU > 1 {
-			name = fmt.Sprintf("%s-%d", key.Name, key.CPU)
-		}
-		gap := (targetNs - bestNs) / bestNs * 100
-		verdict := "ok"
-		if gap > threshold {
-			verdict = "LAGGING"
-			failures++
-		}
-		fmt.Fprintf(&sb, "%-40s %s %12.0f  best %-15s %12.0f  %+7.1f%%  %s\n",
-			name, target, targetNs, bestChild, bestNs, gap, verdict)
-	}
-	return sb.String(), failures, gated
 }
 
 func loadBenchFile(path string) (*benchFile, error) {

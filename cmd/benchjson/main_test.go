@@ -237,79 +237,3 @@ func TestRunDiffExitCodes(t *testing.T) {
 		t.Fatalf("missing file exit = %d, want 2", code)
 	}
 }
-
-func TestCompareBenchFile(t *testing.T) {
-	f := &benchFile{Benchmarks: []benchResult{
-		// planned tracks the best sibling: within any sane threshold.
-		{Name: "BenchmarkPlannerExp1/planned", CPU: 1, NsPerOp: 105},
-		{Name: "BenchmarkPlannerExp1/topdown", CPU: 1, NsPerOp: 100},
-		{Name: "BenchmarkPlannerExp1/mincontext", CPU: 1, NsPerOp: 400},
-		// planned IS the best sibling: gap is negative, never gates.
-		{Name: "BenchmarkPlannerExp4/planned", CPU: 1, NsPerOp: 90},
-		{Name: "BenchmarkPlannerExp4/corexpath", CPU: 1, NsPerOp: 100},
-		// a group without a planned entry is ignored, not failed.
-		{Name: "BenchmarkEnginesGeneral/naive", CPU: 1, NsPerOp: 1e6},
-		// a top-level benchmark (no '/') is never grouped.
-		{Name: "BenchmarkParser", CPU: 1, NsPerOp: 50},
-	}}
-	report, failures, gated := compareBenchFile(f, "planned", 25)
-	if failures != 0 || gated != 2 {
-		t.Fatalf("failures = %d gated = %d, want 0 and 2\n%s", failures, gated, report)
-	}
-	if !strings.Contains(report, "best topdown") || !strings.Contains(report, "best planned") {
-		t.Fatalf("report does not name the best siblings:\n%s", report)
-	}
-
-	_, failures, _ = compareBenchFile(f, "planned", 2)
-	if failures != 1 {
-		t.Fatalf("failures at 2%% threshold = %d, want 1 (planned is 5%% off topdown)", failures)
-	}
-}
-
-func TestCompareKeysByCPU(t *testing.T) {
-	// The same family at different GOMAXPROCS forms separate groups: a
-	// 4-CPU planned entry must not gate against 1-CPU siblings.
-	f := &benchFile{Benchmarks: []benchResult{
-		{Name: "BenchmarkPlannerExp3/planned", CPU: 1, NsPerOp: 100},
-		{Name: "BenchmarkPlannerExp3/topdown", CPU: 1, NsPerOp: 100},
-		{Name: "BenchmarkPlannerExp3/planned", CPU: 4, NsPerOp: 30},
-		{Name: "BenchmarkPlannerExp3/topdown", CPU: 4, NsPerOp: 500},
-	}}
-	report, failures, gated := compareBenchFile(f, "planned", 5)
-	if failures != 0 || gated != 2 {
-		t.Fatalf("failures = %d gated = %d, want 0 and 2\n%s", failures, gated, report)
-	}
-}
-
-func TestRunCompareExitCodes(t *testing.T) {
-	dir := t.TempDir()
-	lagging := filepath.Join(dir, "lagging.json")
-	writeBenchFile(t, lagging, &benchFile{Benchmarks: []benchResult{
-		{Name: "BenchmarkPlannerExp1/planned", CPU: 1, NsPerOp: 300, Iterations: 1},
-		{Name: "BenchmarkPlannerExp1/topdown", CPU: 1, NsPerOp: 100, Iterations: 1},
-	}})
-	var out strings.Builder
-	if code := runCompare([]string{"-threshold", "25", lagging}, &out); code != 1 {
-		t.Fatalf("lagging compare exit = %d, want 1\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "LAGGING") {
-		t.Fatalf("report missing LAGGING verdict:\n%s", out.String())
-	}
-	out.Reset()
-	if code := runCompare([]string{"-threshold", "250", lagging}, &out); code != 0 {
-		t.Fatalf("tolerant compare exit = %d, want 0\n%s", code, out.String())
-	}
-
-	// An artifact with no planned entries anywhere must not pass: that
-	// is a mis-scoped bench run, not a healthy planner.
-	empty := filepath.Join(dir, "noplanned.json")
-	writeBenchFile(t, empty, &benchFile{Benchmarks: []benchResult{
-		{Name: "BenchmarkParser", CPU: 1, NsPerOp: 50, Iterations: 1},
-	}})
-	if code := runCompare([]string{empty}, &out); code != 2 {
-		t.Fatalf("no-target compare exit = %d, want 2", code)
-	}
-	if code := runCompare([]string{}, &out); code != 2 {
-		t.Fatalf("no-file usage exit = %d, want 2", code)
-	}
-}

@@ -9,8 +9,7 @@
 //	xpathbench -exp exp4 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Experiments: exp1, exp2, exp3, exp4, exp5a, exp5b, table5 (also covers
-// Figure 12), table7, ablate, planner (-planner picks the mode the
-// planned-Auto contestant runs under).
+// Figure 12), table7, ablate.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the
 // measured experiments, so performance PRs can attach `go tool pprof`
@@ -29,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/planner"
 )
 
 func main() {
@@ -41,37 +39,30 @@ func main() {
 // (os.Exit in main would skip defers and truncate the profile). The
 // named return lets the deferred heap-profile writer report failure.
 func run() (exitCode int) {
-	exp := flag.String("exp", "all", "experiment to run: exp1|exp2|exp3|exp4|exp5a|exp5b|table5|table7|ablate|planner|all")
+	exp := flag.String("exp", "all", "experiment to run: exp1|exp2|exp3|exp4|exp5a|exp5b|table5|table7|ablate|all")
 	cap := flag.Duration("cap", 2*time.Second, "wall-clock cap per measured point")
 	scale := flag.Float64("scale", 1, "document-size scale factor for exp4 (1 = paper-sized)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "per-query worker budget for the multicore kernels (0 = sequential)")
-	plannerMode := flag.String("planner", "adaptive", "planner mode for the planner experiment's planned-Auto contestant: adaptive|rules|off")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 	memprofile := flag.String("memprofile", "", "write an allocation profile taken after the run to `file`")
 	blockprofile := flag.String("blockprofile", "", "write a goroutine blocking profile taken after the run to `file`")
 	mutexprofile := flag.String("mutexprofile", "", "write a mutex contention profile taken after the run to `file`")
 	flag.Parse()
 
-	pmode, ok := planner.ModeByName(*plannerMode)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown planner mode %q; choose adaptive, rules or off\n", *plannerMode)
-		return 2
-	}
-	cfg := bench.Config{Cap: *cap, Scale: *scale, Parallelism: *parallel, Planner: pmode, Out: os.Stdout}
+	cfg := bench.Config{Cap: *cap, Scale: *scale, Parallelism: *parallel, Out: os.Stdout}
 	cfg.FprintConfig(os.Stdout)
 	runners := map[string]func(){
-		"exp1":    func() { bench.Exp1(cfg) },
-		"exp2":    func() { bench.Exp2(cfg) },
-		"exp3":    func() { bench.Exp3(cfg) },
-		"exp4":    func() { bench.Exp4(cfg) },
-		"exp5a":   func() { bench.Exp5(cfg, false) },
-		"exp5b":   func() { bench.Exp5(cfg, true) },
-		"table5":  func() { bench.Table5(cfg) },
-		"table7":  func() { bench.Table7(cfg) },
-		"ablate":  func() { bench.Ablation(cfg) },
-		"planner": func() { bench.PlannerAblation(cfg) },
+		"exp1":   func() { bench.Exp1(cfg) },
+		"exp2":   func() { bench.Exp2(cfg) },
+		"exp3":   func() { bench.Exp3(cfg) },
+		"exp4":   func() { bench.Exp4(cfg) },
+		"exp5a":  func() { bench.Exp5(cfg, false) },
+		"exp5b":  func() { bench.Exp5(cfg, true) },
+		"table5": func() { bench.Table5(cfg) },
+		"table7": func() { bench.Table7(cfg) },
+		"ablate": func() { bench.Ablation(cfg) },
 	}
-	order := []string{"exp1", "exp2", "exp3", "exp4", "exp5a", "exp5b", "table5", "table7", "ablate", "planner"}
+	order := []string{"exp1", "exp2", "exp3", "exp4", "exp5a", "exp5b", "table5", "table7", "ablate"}
 	var todo []func()
 	if *exp == "all" {
 		for _, name := range order {

@@ -1,17 +1,15 @@
 // Command xpathexplain shows how this library sees a query: the
 // normalized (unabbreviated) form of Section 5, the optimized form the
 // strategies evaluate (xpath.Optimize: //t as one descendant::t step
-// where no predicate of t reads position() or last()), its parse tree
-// with static types and relevant contexts (Section 8.2, as in the
-// paper's Example 8.2), the fragment classification of Figure 1, and —
-// through
-// the strategy planner — the shape features, candidate engines and
-// chosen algorithm, with the rule or observed-latency rationale. It is
-// the EXPLAIN of this stack: what a server running with the same
-// -planner mode would decide for this query, debuggable offline.
+// where no predicate of t reads position() or last()), the fragment
+// classification of Figure 1, the predicate nesting depth and document
+// size the auto table reads, the algorithm auto runs and the paper's
+// reason for it (core.ExplainText — what a server answers in /query's
+// "strategy"), and the parse tree with static types and relevant
+// contexts (Section 8.2, as in the paper's Example 8.2).
 //
 //	xpathexplain '//a[5]/b[parent::a/child::* = "c"]'
-//	xpathexplain -planner rules -doc catalog.xml 'count(//product)'
+//	xpathexplain -doc catalog.xml 'count(//product)'
 package main
 
 import (
@@ -20,15 +18,13 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/planner"
 	"repro/internal/xpath"
 )
 
 func main() {
-	mode := flag.String("planner", "adaptive", "planner mode to explain under: adaptive|rules|off")
-	docPath := flag.String("doc", "", "XML document to plan against (planning is document-size aware; default: a tiny placeholder)")
+	docPath := flag.String("doc", "", "XML document to explain against (one row of the table reads its size; default: size unknown, |D| = 0)")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: xpathexplain [-planner adaptive|rules|off] [-doc file.xml] <query>")
+		fmt.Fprintln(os.Stderr, "usage: xpathexplain [-doc file.xml] <query>")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -38,66 +34,27 @@ func main() {
 	}
 	q, err := core.Compile(flag.Arg(0))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "xpathexplain: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
-	pmode, ok := planner.ModeByName(*mode)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "xpathexplain: unknown planner mode %q\n", *mode)
-		os.Exit(2)
-	}
-	doc, err := core.ParseString("<x/>")
+	docNodes := 0
 	if *docPath != "" {
-		f, ferr := os.Open(*docPath)
-		if ferr != nil {
-			fmt.Fprintf(os.Stderr, "xpathexplain: %v\n", ferr)
-			os.Exit(1)
+		f, err := os.Open(*docPath)
+		if err != nil {
+			fail(err)
 		}
-		doc, err = core.Parse(f)
+		doc, err := core.Parse(f)
 		f.Close()
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xpathexplain: %v\n", err)
-		os.Exit(1)
-	}
-
-	fmt.Printf("query:       %s\n", q)
-	fmt.Printf("normalized:  %s\n", q.Literal())
-	fmt.Printf("optimized:   %s\n", q.Expr())
-	fmt.Printf("fragment:    %s\n", q.Fragment())
-
-	if pmode == planner.Off {
-		// No planner: Auto resolves by the static fragment switch.
-		fmt.Printf("auto picks:  %s (planner off: static fragment switch)\n", core.NewEngine(doc, core.Auto).StrategyFor(q))
-	} else {
-		// A fresh planner has no latency observations, so this prints
-		// the decision a cold server in the same mode would make; the
-		// candidate table shows where a warm server would plug in its
-		// evidence (sources: entry, class, matrix, rule).
-		p := planner.New(planner.Config{Mode: pmode})
-		dec := p.Peek(q, doc.Len())
-		fmt.Printf("shape:       %s\n", dec.Shape)
-		fmt.Printf("class:       %s\n", dec.Class)
-		fmt.Println("candidates (rule-preference order):")
-		for _, c := range dec.Candidates {
-			mark := " "
-			if c.Strategy == dec.Strategy {
-				mark = "*"
-			}
-			est := "no observations"
-			if c.Seconds >= 0 {
-				est = fmt.Sprintf("~%.3gms observed (%s)", c.Seconds*1e3, c.Source)
-			}
-			banned := ""
-			if c.Banned {
-				banned = "  [banned]"
-			}
-			fmt.Printf("  %s %-14s %s%s\n", mark, c.Strategy, est, banned)
+		if err != nil {
+			fail(err)
 		}
-		fmt.Printf("chosen:      %s\n", dec.Strategy)
-		fmt.Printf("rationale:   %s\n", dec.Rationale)
+		docNodes = doc.Len()
 	}
-
+	fmt.Print(core.ExplainText(q, docNodes, core.Auto))
 	fmt.Println("\nparse tree of the optimized query (type : relevant context):")
 	fmt.Print(xpath.TreeString(q.Expr()))
+}
+
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "xpathexplain: %v\n", err)
+	os.Exit(1)
 }

@@ -8,11 +8,12 @@
 //	xpathquery -query '//a[position() = last()]' -strategy bottomup -maxrows 100000 doc.xml
 //
 // The -strategy flag selects one of the paper's algorithms (default
-// auto = the combined OptMinContext processor); -explain prints the
-// fragment classification and the algorithm chosen. With -strategy
-// bottomup, -maxrows guards against the algorithm's worst-case O(|D|³)
-// context-value tables on large documents: when the limit trips, the
-// command explains the blow-up and exits with status 3.
+// auto = the combined OptMinContext processor); -explain prints
+// core.ExplainText: both trees, the fragment classification, the
+// algorithm that runs and why. With -strategy bottomup, -maxrows guards
+// against the algorithm's worst-case O(|D|³) context-value tables on
+// large documents: when the limit trips, the command explains the
+// blow-up and exits with status 3.
 package main
 
 import (
@@ -31,7 +32,7 @@ import (
 func main() {
 	query := flag.String("query", "", "XPath query (required)")
 	strategy := flag.String("strategy", "auto", "evaluation strategy: auto|naive|datapool|bottomup|topdown|mincontext|optmincontext|corexpath|xpatterns")
-	explain := flag.Bool("explain", false, "print fragment classification and chosen algorithm")
+	explain := flag.Bool("explain", false, "print the query's trees, fragment classification, chosen algorithm and the reason")
 	maxRows := flag.Int("maxrows", 0, "bottomup only: abort if a context-value table would exceed this many rows (0 = unlimited)")
 	flag.Parse()
 
@@ -65,11 +66,7 @@ func main() {
 	en := core.NewEngine(doc, strat)
 	en.MaxTableRows = *maxRows
 	if *explain {
-		fmt.Printf("query:     %s\n", q)
-		fmt.Printf("fragment:  %s\n", q.Fragment())
-		fmt.Printf("strategy:  %s\n", en.StrategyFor(q))
-		fmt.Printf("normal:    %s\n", q.Literal())
-		fmt.Printf("optimized: %s\n", q.Expr())
+		fmt.Print(core.ExplainText(q, doc.Len(), strat))
 	}
 	v, err := en.Evaluate(q, core.Context{Node: doc.RootID(), Pos: 1, Size: 1})
 	if errors.Is(err, bottomup.ErrTableLimit) {

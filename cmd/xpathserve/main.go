@@ -81,7 +81,7 @@ func main() {
 	var docs docFlags
 	addr := flag.String("addr", ":8080", "listen address")
 	strategy := flag.String("strategy", "auto", "evaluation strategy: auto|naive|datapool|bottomup|topdown|mincontext|optmincontext|corexpath|xpatterns")
-	plannerMode := flag.String("planner", "adaptive", "how the auto strategy is resolved per query: adaptive (shape rules refined by latency observations) | rules (shape rules only) | off (static fragment switch)")
+	plannerMode := flag.String("planner", "rules", "accepted (rules|adaptive|off) and ignored: auto is one static table; the flag stays until the benchmark driver stops passing it")
 	cacheSize := flag.Int("cache", engine.DefaultCacheSize, "compiled-query cache capacity")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "per-query worker budget for the multicore kernels (0 = sequential)")
@@ -121,14 +121,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xpathserve: unknown eviction policy %q\n", *evict)
 		os.Exit(2)
 	}
-	pmode, ok := planner.ModeByName(*plannerMode)
-	if !ok {
+	if _, ok := planner.ModeByName(*plannerMode); !ok {
 		fmt.Fprintf(os.Stderr, "xpathserve: unknown planner mode %q\n", *plannerMode)
 		os.Exit(2)
 	}
 	eng := engine.New(engine.Options{
 		Strategy:     strat,
-		Planner:      pmode,
 		CacheSize:    *cacheSize,
 		Workers:      *workers,
 		Parallelism:  parallelOption(*parallel),
@@ -199,7 +197,7 @@ func main() {
 	}
 
 	logger.Info("xpathserve listening",
-		"addr", *addr, "strategy", strat.String(), "planner", pmode.String(),
+		"addr", *addr, "strategy", strat.String(),
 		"cache", *cacheSize, "shards", *shards, "docs", fmt.Sprint(srv.DocNames()))
 	// Header/idle timeouts bound connection abuse; per-request bodies
 	// are capped by the handler's MaxBytesReader. No WriteTimeout:

@@ -29,7 +29,8 @@
 //     optmincontext/wadler, corexpath, xpatterns).
 //   - internal/core — the public engine API: compile a query once,
 //     evaluate it with a selectable strategy; Auto picks the best
-//     algorithm per query via fragment classification. EvaluateContext
+//     algorithm per query from one static table over the fragment
+//     classification (core.Explain). EvaluateContext
 //     carries a uniform cancellation contract: every engine, from the
 //     linear fragment evaluators to the exponential baseline, stops at
 //     a throttled checkpoint once the context is done (parallel

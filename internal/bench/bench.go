@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/datapool"
 	"repro/internal/naive"
-	"repro/internal/planner"
 	"repro/internal/semantics"
 	"repro/internal/topdown"
 	"repro/internal/wadler"
@@ -58,10 +57,6 @@ type Config struct {
 	// multicore kernels (corexpath, optmincontext); 0 or 1 keeps every
 	// measurement sequential.
 	Parallelism int
-	// Planner selects the planner mode for the PlannerAblation
-	// experiment's planned-Auto contestant. The zero value Off means
-	// Auto resolves by the static fragment switch.
-	Planner planner.Mode
 	// Out receives the printed tables; nil discards them.
 	Out io.Writer
 }

@@ -5,9 +5,11 @@
 package conformance
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/bottomup"
+	"repro/internal/core"
 	"repro/internal/corexpath"
 	"repro/internal/datapool"
 	"repro/internal/mincontext"
@@ -228,6 +230,33 @@ func TestEnginesAgree(t *testing.T) {
 				}
 				if !got.Equal(ref) {
 					t.Errorf("doc %s query %q: %s = %+v, naive = %+v", dname, q, name, got, ref)
+				}
+			}
+		}
+	}
+}
+
+// TestFragmentStrategiesRefuseOutside: over the whole battery and every
+// fixture document, a fragment algebra named explicitly answers the
+// queries core.Compile classified into its fragment and refuses every
+// other one with core.ErrNotInFragment — on every document, never with
+// a value, whatever the data would have led the algebra to notice.
+func TestFragmentStrategiesRefuseOutside(t *testing.T) {
+	for dname, src := range docs {
+		d := xmltree.MustParseString(src)
+		root := semantics.Context{Node: d.RootID(), Pos: 1, Size: 1}
+		for _, query := range queries {
+			q := core.MustCompile(query)
+			for s, inside := range map[core.Strategy]bool{
+				core.CoreXPath: q.Fragment() == core.FragmentCoreXPath,
+				core.XPatterns: q.Fragment() <= core.FragmentXPatterns,
+			} {
+				v, err := core.NewEngine(d, s).Evaluate(q, root)
+				if inside && err != nil {
+					t.Errorf("doc %s query %q (%v): %v refused it: %v", dname, query, q.Fragment(), s, err)
+				}
+				if !inside && !errors.Is(err, core.ErrNotInFragment) {
+					t.Errorf("doc %s query %q (%v): %v returned %+v, %v; want ErrNotInFragment", dname, query, q.Fragment(), s, v, err)
 				}
 			}
 		}

@@ -10,8 +10,8 @@ import (
 // TestConcurrentEvaluation verifies that one Engine may serve many
 // goroutines: Evaluate constructs per-call evaluator state, the
 // Document is immutable after parsing, and its lazily filled strval
-// memo is mutex-guarded. The goroutines start against a cold cache so
-// -race exercises the concurrent first fill.
+// memo is a slice of atomic pointers. The goroutines start against a
+// cold cache so -race exercises the concurrent first fill.
 func TestConcurrentEvaluation(t *testing.T) {
 	d := workload.Catalog(60)
 	en := NewEngine(d, Auto)

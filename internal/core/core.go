@@ -5,11 +5,13 @@
 // the paper's introduction: queries in the Core XPath fragment run on
 // the linear-time set algebra (Section 10.1), queries in the XPatterns
 // fragment on its linear-time extension (Section 10.2), queries in the
-// Extended Wadler Fragment — and everything else — on OptMinContext
-// (Section 11.2), which itself degrades gracefully to MinContext bounds
-// on full XPath. The remaining strategies expose every algorithm the
-// paper discusses, including the deliberately exponential naive engine
-// used as the experimental baseline.
+// Extended Wadler Fragment — and everything else but deeply nested
+// predicates over a small document — on OptMinContext (Section 11.2),
+// which itself degrades gracefully to MinContext bounds on full XPath.
+// Explain is that table, and the only place that knows it. The
+// remaining strategies expose every algorithm the paper discusses,
+// including the deliberately exponential naive engine used as the
+// experimental baseline.
 //
 // # Which tree runs
 //
@@ -19,17 +21,18 @@
 // xpath.Optimize of it: steps fused so that //t is one descendant::t
 // step served from t's posting list instead of a pass over every node
 // of the document. Every strategy runs the optimized tree — it is what
-// Expr, Fragment and the planner's shape extraction see — except Naive
-// and DataPool, which run the literal one. Those two are the paper's
-// experimental baselines, whose curves (Experiments 1–5) are about the
-// normal form's cost and must not change shape with this repository's
-// optimizer; and because internal/conformance checks every other engine
-// against them, the rewrite is under the differential oracle on every
-// query the suite knows.
+// Expr, Fragment and PredDepth see — except Naive and DataPool, which
+// run the literal one. Those two are the paper's experimental
+// baselines, whose curves (Experiments 1–5) are about the normal form's
+// cost and must not change shape with this repository's optimizer; and
+// because internal/conformance checks every other engine against them,
+// the rewrite is under the differential oracle on every query the suite
+// knows.
 package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
@@ -71,8 +74,8 @@ type Strategy int
 // The evaluation strategies, in roughly the order the paper develops
 // them.
 const (
-	// Auto picks the best applicable algorithm per query (Core XPath →
-	// XPatterns → OptMinContext).
+	// Auto picks the best applicable algorithm per query; Explain is
+	// the table.
 	Auto Strategy = iota
 	// Naive is the exponential-time recursive evaluator modeling
 	// XALAN/XT/Saxon/IE6 (Section 2).
@@ -99,8 +102,7 @@ const (
 // strategyNames are the flag names and, through Strategy.String, the
 // Prometheus label values of the engine's per-strategy latency
 // histograms (xpath_query_seconds{strategy=...}). Keep them lowercase
-// snake_case: dashboards and the future adaptive planner key on these
-// exact strings.
+// snake_case: dashboards key on these exact strings.
 var strategyNames = map[Strategy]string{
 	Auto: "auto", Naive: "naive", DataPool: "datapool",
 	BottomUp: "bottomup", TopDown: "topdown", MinContext: "mincontext",
@@ -151,18 +153,36 @@ func (f Fragment) String() string {
 	}
 }
 
+// Label is the fragment's snake_case name: the label value of
+// xpath_query_seconds{fragment=...} and of trace span attributes, where
+// the display strings ("Core XPath", "Extended Wadler Fragment") are
+// not valid material.
+func (f Fragment) Label() string {
+	switch f {
+	case FragmentCoreXPath:
+		return "core_xpath"
+	case FragmentXPatterns:
+		return "xpatterns"
+	case FragmentWadler:
+		return "wadler"
+	default:
+		return "full_xpath"
+	}
+}
+
 // Query is a compiled XPath query. A Query is immutable after
 // compilation — it holds the normalized expression tree, its optimized
-// form and the fragment classification, never evaluation state — so
-// one compiled Query may be evaluated concurrently by any number of
-// goroutines, over the same document or different ones
-// (internal/engine's compiled-query cache relies on this; see
-// TestConcurrentEvaluation and the engine race tests).
+// form, the fragment classification and the predicate nesting depth,
+// never evaluation state — so one compiled Query may be evaluated
+// concurrently by any number of goroutines, over the same document or
+// different ones (internal/engine's compiled-query cache relies on
+// this; see TestConcurrentEvaluation and the engine race tests).
 type Query struct {
 	src     string
 	literal xpath.Expr // the normal form of Section 5: what Naive and DataPool run
 	expr    xpath.Expr // xpath.Optimize(literal): what every other strategy runs
 	frag    Fragment
+	depth   int // deepest predicate nesting in expr
 }
 
 // Compile parses and normalizes a query.
@@ -188,7 +208,7 @@ func CompileWithBindings(src string, bindings xpath.Bindings) (*Query, error) {
 		return nil, fmt.Errorf("core: query has unbound variables; supply bindings")
 	}
 	opt := xpath.Optimize(e)
-	return &Query{src: src, literal: e, expr: opt, frag: classify(opt)}, nil
+	return &Query{src: src, literal: e, expr: opt, frag: classify(opt), depth: predDepth(opt)}, nil
 }
 
 // MustCompile compiles a query known to be valid; it panics on error.
@@ -228,28 +248,100 @@ func classify(e xpath.Expr) Fragment {
 	}
 }
 
-// StrategyPlanner resolves the Auto strategy per query. It is the hook
-// internal/planner plugs into: core cannot import the planner (the
-// planner imports core), so the Engine only knows the shape of the
-// decision — given a compiled query and the document size, name a
-// concrete strategy. Implementations must be safe for concurrent use
-// and side-effect-free (StrategyFor is called on paths that must not
-// perturb adaptive state; stateful planning goes through the serving
-// layer's explicit Decide).
-type StrategyPlanner interface {
-	PickStrategy(q *Query, docNodes int) Strategy
+// PredDepth reports the deepest predicate nesting of the optimized tree
+// ([..[..]..] is 2; a fused //t adds none) — with the fragment, all the
+// Auto table reads of a query.
+func (q *Query) PredDepth() int { return q.depth }
+
+// predDepth is the number of predicates enclosing the most deeply
+// nested subexpression of e.
+func predDepth(e xpath.Expr) int {
+	switch x := e.(type) {
+	case *xpath.Negate:
+		return predDepth(x.X)
+	case *xpath.Binary:
+		return max(predDepth(x.Left), predDepth(x.Right))
+	case *xpath.Call:
+		return deepest(x.Args, 0)
+	case *xpath.FilterExpr:
+		return max(predDepth(x.Primary), deepest(x.Preds, 1))
+	case *xpath.Path:
+		depth := predDepth(x.Filter)
+		for _, st := range x.Steps {
+			depth = max(depth, deepest(st.Preds, 1))
+		}
+		return depth
+	}
+	return 0
 }
+
+// deepest is the largest predDepth among es, each under `under` more
+// predicates.
+func deepest(es []xpath.Expr, under int) int {
+	depth := 0
+	for _, e := range es {
+		depth = max(depth, under+predDepth(e))
+	}
+	return depth
+}
+
+// smallDocNodes is the document size up to which per-node overheads,
+// not asymptotics, decide between TopDown and OptMinContext on full
+// XPath.
+const smallDocNodes = 1024
+
+// Explain is the whole of Auto: the algorithm that runs q over a
+// document of docNodes nodes (0: size unknown) and the reason, one row
+// per fragment of Figure 1. The paper's ladder of algorithms is a
+// dominance order, so the choice is static — no statistics, nothing
+// learned; Naive, DataPool and BottomUp are dominated on every row and
+// never picked.
+func Explain(q *Query, docNodes int) (Strategy, string) {
+	switch q.frag {
+	case FragmentCoreXPath:
+		return CoreXPath, "Core XPath fragment: the linear-time set algebra (Section 10.1) dominates the polynomial engines"
+	case FragmentXPatterns:
+		return XPatterns, "XPatterns fragment: the linear-time XPatterns algebra (Section 10.2) dominates the polynomial engines"
+	case FragmentWadler:
+		return OptMinContext, "Extended Wadler Fragment: OptMinContext evaluates it bottom-up in linear time per step (Section 11.2)"
+	}
+	if q.depth >= 3 && docNodes > 0 && docNodes <= smallDocNodes {
+		return TopDown, "full XPath with deeply nested predicates over a small document: the vectorized top-down evaluator (Section 7) avoids the context-value-table blowup in nesting depth"
+	}
+	return OptMinContext, "full XPath: OptMinContext degrades gracefully to MinContext bounds (Section 11.2)"
+}
+
+// ExplainText renders how the library sees q over a document of
+// docNodes nodes under strategy s: both trees, the two inputs of the
+// Auto table, and the algorithm that runs with the reason. It is the
+// one explain path — cmd/xpathexplain and xpathquery -explain print it
+// verbatim, and its strategy line is what /query reports.
+func ExplainText(q *Query, docNodes int, s Strategy) string {
+	why := "fixed by the configured strategy"
+	if s == Auto {
+		s, why = Explain(q, docNodes)
+	}
+	return fmt.Sprintf("query:       %s\nnormalized:  %s\noptimized:   %s\nfragment:    %s\npred depth:  %d\n|D|:         %d\nstrategy:    %s\nrationale:   %s\n",
+		q.src, q.literal, q.expr, q.frag, q.depth, docNodes, s, why)
+}
+
+// ErrNotInFragment is returned, wrapped with the strategy and the
+// query's fragment, when a fragment algebra (CoreXPath, XPatterns) is
+// named explicitly for a query outside its fragment. The algebras
+// themselves notice only lazily and data-dependently — on some
+// documents they would answer such a query with an empty set.
+var ErrNotInFragment = errors.New("core: query is not in the strategy's fragment")
 
 // Engine evaluates compiled queries over one document with a fixed
 // strategy.
 //
 // An Engine is safe for concurrent use once configured: Evaluate
 // constructs fresh per-call evaluator state, the Document is immutable
-// after parsing (its lazily filled string-value memo is mutex-guarded
-// in xmltree), and Query is immutable after compilation. The exported
-// knobs (NaiveBudget, MaxTableRows) are read on every call and must
-// not be written concurrently with evaluation — set them before
-// sharing the Engine.
+// after parsing (its lazily filled string-value memo is a slice of
+// atomic pointers in xmltree), and Query is immutable after
+// compilation. The exported knobs (NaiveBudget, MaxTableRows) are read
+// on every call and must not be written concurrently with evaluation —
+// set them before sharing the Engine.
 type Engine struct {
 	doc      *Document
 	strategy Strategy
@@ -270,11 +362,6 @@ type Engine struct {
 	// fully sequential; results are identical at every setting. Engines
 	// without parallel kernels ignore it.
 	Parallelism int
-
-	// Planner, when non-nil and the engine's strategy is Auto,
-	// resolves StrategyFor through shape-based planning instead of the
-	// static fragment switch. Set it before sharing the Engine.
-	Planner StrategyPlanner
 }
 
 // NewEngine creates an engine over a document.
@@ -292,26 +379,14 @@ func (en *Engine) Warm() { en.doc.Index() }
 // Strategy returns the engine's configured strategy.
 func (en *Engine) Strategy() Strategy { return en.strategy }
 
-// StrategyFor reports the concrete algorithm Auto would pick for a
-// query: the Planner's choice when one is configured, otherwise the
-// static fragment switch of the combined processor.
+// StrategyFor reports the concrete algorithm the engine runs q with:
+// its configured strategy, or Explain's pick under Auto.
 func (en *Engine) StrategyFor(q *Query) Strategy {
 	if en.strategy != Auto {
 		return en.strategy
 	}
-	if en.Planner != nil {
-		if s := en.Planner.PickStrategy(q, en.doc.Len()); s != Auto {
-			return s
-		}
-	}
-	switch q.frag {
-	case FragmentCoreXPath:
-		return CoreXPath
-	case FragmentXPatterns:
-		return XPatterns
-	default:
-		return OptMinContext
-	}
+	s, _ := Explain(q, en.doc.Len())
+	return s
 }
 
 // Evaluate computes the query's value for an explicit context.
@@ -335,17 +410,19 @@ func (en *Engine) EvaluateContext(ctx context.Context, q *Query, c Context) (Val
 
 // EvaluateStrategy evaluates with an explicitly named strategy,
 // ignoring the engine's configured one (Auto still resolves through
-// StrategyFor). It exists so a planning layer can pin a decision to
-// its execution: the serving layer decides once, runs exactly that
-// algorithm, and reports exactly what ran — re-deriving the strategy
-// at evaluation time could disagree with the decision under
-// exploration or concurrent adaptation.
+// StrategyFor), so a serving layer can decide once, run exactly that
+// algorithm and report exactly what ran. CoreXPath and XPatterns are
+// refused with ErrNotInFragment for a query the classification places
+// outside their fragment.
 func (en *Engine) EvaluateStrategy(ctx context.Context, q *Query, c Context, s Strategy) (Value, error) {
 	if err := ctx.Err(); err != nil {
 		return Value{}, err
 	}
 	if s == Auto {
 		s = en.StrategyFor(q)
+	}
+	if (s == CoreXPath && q.frag != FragmentCoreXPath) || (s == XPatterns && q.frag > FragmentXPatterns) {
+		return Value{}, fmt.Errorf("%w: strategy %s, query in %s", ErrNotInFragment, s, q.frag)
 	}
 	switch s {
 	case Naive:

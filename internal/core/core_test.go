@@ -1,6 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -58,10 +62,122 @@ func TestAutoStrategySelection(t *testing.T) {
 			t.Errorf("StrategyFor(%q) = %v, want %v", src, got, want)
 		}
 	}
-	// A fixed strategy overrides Auto selection.
-	en2 := NewEngine(d, TopDown)
-	if en2.StrategyFor(MustCompile("//b")) != TopDown {
-		t.Error("fixed strategy not honoured")
+	// The one document-dependent row: full XPath with predicates nested
+	// three deep runs TopDown up to 1024 nodes.
+	deep, flat := MustCompile("//a[b[c[count(d) > 1]]]"), MustCompile("//a[b[count(c) > 1]]")
+	small, large := workload.Doc(500), workload.Doc(1100)
+	if small.Len() > smallDocNodes || large.Len() <= smallDocNodes {
+		t.Fatalf("|D| = %d and %d do not straddle %d", small.Len(), large.Len(), smallDocNodes)
+	}
+	for _, c := range []struct {
+		d    *Document
+		q    *Query
+		want Strategy
+	}{
+		{small, deep, TopDown}, {large, deep, OptMinContext}, {small, flat, OptMinContext},
+	} {
+		if got := NewEngine(c.d, Auto).StrategyFor(c.q); got != c.want {
+			t.Errorf("StrategyFor(%s) at |D| = %d: %v, want %v", c.q, c.d.Len(), got, c.want)
+		}
+	}
+	// A fixed strategy ignores the table.
+	for _, q := range []*Query{MustCompile("//b"), deep} {
+		if got := NewEngine(small, MinContext).StrategyFor(q); got != MinContext {
+			t.Errorf("fixed MinContext engine runs %s with %v", q, got)
+		}
+	}
+}
+
+// tableSizes are the |D| columns of testdata/auto_table.txt.
+var tableSizes = []int{0, 1, 52, 614, 1024, 1025, 20706}
+
+// forEachTableRow calls f with every query of testdata/auto_table.txt
+// and the strategy names planner.Rules picked for it at tableSizes.
+func forEachTableRow(t *testing.T, f func(q *Query, want []string)) {
+	t.Helper()
+	data, err := os.ReadFile("testdata/auto_table.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, line := range strings.Split(string(data), "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		picks, src, _ := strings.Cut(line, "\t")
+		want := strings.Fields(picks)
+		if len(want) != len(tableSizes) {
+			t.Fatalf("malformed row %q", line)
+		}
+		f(MustCompile(src), want)
+		rows++
+	}
+	if rows < 300 {
+		t.Fatalf("only %d rows read", rows)
+	}
+}
+
+// TestAutoTableMatchesRules: collapsing the planner into Explain changed
+// no decision. The expected table was dumped from the parent commit's
+// planner.Rules over the conformance batteries, the benchmark's 24 pool
+// templates, the paper's experiment queries and boundary rows
+// (predicate depth 2 vs 3, |D| 1024 vs 1025, |D| unknown).
+func TestAutoTableMatchesRules(t *testing.T) {
+	forEachTableRow(t, func(q *Query, want []string) {
+		for i, n := range tableSizes {
+			got, why := Explain(q, n)
+			if got.String() != want[i] {
+				t.Errorf("Explain(%s, %d) = %v, planner.Rules picked %s", q, n, got, want[i])
+			}
+			if why == "" {
+				t.Errorf("Explain(%s, %d): no rationale", q, n)
+			}
+		}
+	})
+}
+
+// TestAutoNeverPicksDominated: the exponential baselines and the full
+// context-value tables of BottomUp exist for experiments and explicit
+// -strategy requests; the table never routes to them.
+func TestAutoNeverPicksDominated(t *testing.T) {
+	forEachTableRow(t, func(q *Query, _ []string) {
+		for _, n := range tableSizes {
+			switch s, _ := Explain(q, n); s {
+			case Auto, Naive, DataPool, BottomUp:
+				t.Errorf("Explain(%s, %d) = %v", q, n, s)
+			}
+		}
+	})
+}
+
+func TestFragmentLabel(t *testing.T) {
+	want := map[Fragment]string{
+		FragmentCoreXPath: "core_xpath",
+		FragmentXPatterns: "xpatterns",
+		FragmentWadler:    "wadler",
+		FragmentFullXPath: "full_xpath",
+	}
+	for f, label := range want {
+		if got := f.Label(); got != label {
+			t.Fatalf("%v.Label() = %q, want %q", f, got, label)
+		}
+	}
+}
+
+// TestShapePredDepth: depth is counted on the optimized tree, over
+// steps, filter heads and function arguments alike.
+func TestShapePredDepth(t *testing.T) {
+	for src, want := range map[string]int{
+		"//a[b[c[d]]]":                3,
+		"//t":                         0,
+		"//a/b[c]//d":                 1,
+		"count(//a[b[c]]) + 1":        2,
+		"(//a[b])[c[d[e]]]/f":         3,
+		"//a[count(b[c[d[e]]]) > -1]": 4,
+	} {
+		if got := MustCompile(src).PredDepth(); got != want {
+			t.Errorf("PredDepth(%s) = %d, want %d", src, got, want)
+		}
 	}
 }
 
@@ -139,14 +255,41 @@ func TestQueryKeepsBothTrees(t *testing.T) {
 	}
 }
 
+// TestFragmentEnginesRejectOutside: a fragment algebra named explicitly
+// refuses a query the classification places outside its fragment, on
+// every document — the algebras themselves notice only when the data
+// leads them to the offending node (corexpath ignored an id() head and
+// answered the first two queries with an empty set; xpatterns did the
+// same for the last one on a document without an a).
 func TestFragmentEnginesRejectOutside(t *testing.T) {
-	d, _ := ParseString(`<a><b/></a>`)
-	q := MustCompile("count(//b)")
-	if _, err := NewEngine(d, CoreXPath).Evaluate(q, Context{Node: d.RootID(), Pos: 1, Size: 1}); err == nil {
-		t.Error("CoreXPath strategy must reject count()")
+	root := func(d *Document) Context { return Context{Node: d.RootID(), Pos: 1, Size: 1} }
+	auction := workload.Auction(1, 30)
+	noA, _ := ParseString(`<r/>`)
+	withA, _ := ParseString(`<a><b><c><d/></c></b></a>`)
+	for _, c := range []struct {
+		d     *Document
+		s     Strategy
+		query string
+	}{
+		{noA, CoreXPath, "count(//b)"},
+		{noA, XPatterns, "count(//b)"},
+		{auction, CoreXPath, "id('person1')/name"},
+		{auction, CoreXPath, "id(//bidder/personref)/name"},
+		{noA, XPatterns, "//a[b[c[count(d) = position()]]]"},
+		{withA, XPatterns, "//a[b[c[count(d) = position()]]]"},
+	} {
+		v, err := NewEngine(c.d, c.s).Evaluate(MustCompile(c.query), root(c.d))
+		if !errors.Is(err, ErrNotInFragment) {
+			t.Errorf("%v on %s: value %+v, err %v; want ErrNotInFragment", c.s, c.query, v, err)
+		}
 	}
-	if _, err := NewEngine(d, XPatterns).Evaluate(q, Context{Node: d.RootID(), Pos: 1, Size: 1}); err == nil {
-		t.Error("XPatterns strategy must reject count()")
+	// Inside the fragment — and Core XPath is inside XPatterns — nothing
+	// changed.
+	for query, want := range map[string]int{"id('person1')/name": 1, "id(//bidder/personref)/name": 14, "//person/name": 15} {
+		v, err := NewEngine(auction, Auto).EvaluateStrategy(context.Background(), MustCompile(query), root(auction), XPatterns)
+		if err != nil || len(v.Set) != want {
+			t.Errorf("XPatterns on %s: %d nodes, err %v; want %d", query, len(v.Set), err, want)
+		}
 	}
 }
 

@@ -2,34 +2,19 @@ package engine
 
 import (
 	"container/list"
-	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/planner"
 )
-
-// numStrategies sizes the per-entry strategy-latency arrays;
-// core.XPatterns is the last strategy constant.
-const numStrategies = int(core.XPatterns) + 1
 
 // queryCache is a thread-safe LRU cache of compiled queries, keyed on
 // the query source alone. Compilation (parse + normalize + fragment
 // classification) is strategy-independent, so one entry serves every
-// strategy the planner might route the query to — one parse per
-// distinct source, no matter how often the routing changes. Under
-// sustained traffic with a bounded working set of distinct query
-// strings, core.Compile runs once per distinct query; everything else
-// is a mutex-guarded map lookup.
-//
-// Admission is cost-aware: at capacity, a new entry only displaces the
-// LRU victim if recompiling the newcomer costs at least as much as
-// recompiling the victim, so a stream of cheap one-off queries cannot
-// flush the expensive compilations whose reuse the savedNanos
-// accounting shows is where the cache earns its keep. Each rejection
-// halves the victim's effective cost (a strike), so a dead expensive
-// entry cannot pin its slot forever; a hit clears the strikes.
+// strategy a document's size or a session's configuration runs the
+// query with — one parse per distinct source. Under sustained traffic
+// with a bounded working set of distinct query strings, core.Compile
+// runs once per distinct query; everything else is a mutex-guarded map
+// lookup. Admission and eviction are plain LRU.
 //
 // Concurrent misses on the same key may compile the same query more
 // than once; the first add wins and the duplicates are discarded.
@@ -45,7 +30,6 @@ type queryCache struct {
 	hits      uint64
 	misses    uint64
 	evictions uint64
-	rejects   uint64
 	// savedNanos accumulates, over every cache hit, the compile time
 	// the hit avoided re-spending — each entry remembers what its own
 	// compilation cost, so the sum is per-query-accurate rather than a
@@ -53,75 +37,13 @@ type queryCache struct {
 	savedNanos uint64
 }
 
-// cacheEntry is the shared per-source compilation record: the compiled
-// query plus the per-strategy latency EWMAs the adaptive planner reads
-// as its most specific evidence. The EWMAs are written lock-free from
-// evaluation paths (float64 bits in atomics, 0 = no observation) while
-// the entry sits in the LRU; the cache mutex only guards the list and
-// the admission bookkeeping.
+// cacheEntry is the per-source compilation record.
 type cacheEntry struct {
 	src string
 	q   *core.Query
 	// compileNanos is what compiling this entry cost at admission; each
-	// hit credits this amount to the cache's savedNanos, and admission
-	// weighs it against eviction victims.
+	// hit credits this amount to the cache's savedNanos.
 	compileNanos uint64
-	// strikes counts consecutive admission contests this entry
-	// survived as the LRU victim; each halves its effective cost.
-	// Guarded by the cache mutex.
-	strikes uint8
-
-	// seconds[s] is the EWMA of observed evaluation latency with
-	// strategy s for this exact query (float64 bits; 0 = none).
-	seconds [numStrategies]atomic.Uint64
-
-	// shape memoizes the planner's document-independent shape features
-	// for q: the AST walk is deterministic per query, so planned
-	// serving pays it once per compilation, not once per request.
-	shapeOnce sync.Once
-	shape     planner.Shape
-}
-
-// queryShape returns the entry's memoized document-independent shape,
-// extracting it on first use.
-func (e *cacheEntry) queryShape() planner.Shape {
-	e.shapeOnce.Do(func() { e.shape = planner.ExtractQuery(e.q) })
-	return e.shape
-}
-
-// entryEwmaAlpha matches the planner's class-level smoothing.
-const entryEwmaAlpha = 0.3
-
-// observeStrategy folds one successful evaluation latency into the
-// entry's per-strategy EWMA.
-func (e *cacheEntry) observeStrategy(s core.Strategy, secs float64) {
-	if int(s) < 0 || int(s) >= numStrategies {
-		return
-	}
-	a := &e.seconds[s]
-	for {
-		old := a.Load()
-		nv := secs
-		if old != 0 {
-			nv = (1-entryEwmaAlpha)*math.Float64frombits(old) + entryEwmaAlpha*secs
-		}
-		if a.CompareAndSwap(old, math.Float64bits(nv)) {
-			return
-		}
-	}
-}
-
-// StrategySeconds returns the entry's mean observed latency for a
-// strategy; it implements planner.EntryStats.
-func (e *cacheEntry) StrategySeconds(s core.Strategy) (float64, bool) {
-	if int(s) < 0 || int(s) >= numStrategies {
-		return 0, false
-	}
-	bits := e.seconds[s].Load()
-	if bits == 0 {
-		return 0, false
-	}
-	return math.Float64frombits(bits), true
 }
 
 func newQueryCache(capacity int) *queryCache {
@@ -135,9 +57,9 @@ func newQueryCache(capacity int) *queryCache {
 	}
 }
 
-// get returns the cached entry for src, promoting it to most recently
+// get returns the cached query for src, promoting it to most recently
 // used.
-func (c *queryCache) get(src string) (*cacheEntry, bool) {
+func (c *queryCache) get(src string) (*core.Query, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[src]
@@ -148,51 +70,34 @@ func (c *queryCache) get(src string) (*cacheEntry, bool) {
 	c.hits++
 	e := el.Value.(*cacheEntry)
 	c.savedNanos += e.compileNanos
-	e.strikes = 0
 	c.ll.MoveToFront(el)
-	return e, true
+	return e.q, true
 }
 
-// add inserts a compiled query (recording what it cost to compile). If
-// another goroutine added the key first, its entry is kept and
-// returned. At capacity the newcomer must out-cost the LRU victim's
-// strike-discounted compile cost to be admitted; a rejected newcomer
-// is still returned as a detached entry, usable for this request but
-// not cached.
-func (c *queryCache) add(src string, q *core.Query, compileNanos uint64) *cacheEntry {
+// add inserts a compiled query (recording what it cost to compile),
+// evicting the least recently used entry at capacity. If another
+// goroutine added the key first, its query is kept and returned.
+func (c *queryCache) add(src string, q *core.Query, compileNanos uint64) *core.Query {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[src]; ok {
 		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry)
+		return el.Value.(*cacheEntry).q
 	}
-	e := &cacheEntry{src: src, q: q, compileNanos: compileNanos}
 	for c.ll.Len() >= c.capacity {
 		oldest := c.ll.Back()
-		victim := oldest.Value.(*cacheEntry)
-		if compileNanos < victim.compileNanos>>victim.strikes {
-			// The victim is worth more than the newcomer. Keep it, but
-			// remember the contest: enough rejections and its
-			// effective cost decays to the point where fresh traffic
-			// displaces it.
-			if victim.strikes < 63 {
-				victim.strikes++
-			}
-			c.rejects++
-			return e
-		}
 		c.ll.Remove(oldest)
-		delete(c.items, victim.src)
+		delete(c.items, oldest.Value.(*cacheEntry).src)
 		c.evictions++
 	}
-	c.items[src] = c.ll.PushFront(e)
-	return e
+	c.items[src] = c.ll.PushFront(&cacheEntry{src: src, q: q, compileNanos: compileNanos})
+	return q
 }
 
 // snapshot returns the counters and current size under one lock
 // acquisition, so Stats readings are internally consistent.
-func (c *queryCache) snapshot() (hits, misses, evictions, rejects, savedNanos uint64, size, capacity int) {
+func (c *queryCache) snapshot() (hits, misses, evictions, savedNanos uint64, size, capacity int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions, c.rejects, c.savedNanos, c.ll.Len(), c.capacity
+	return c.hits, c.misses, c.evictions, c.savedNanos, c.ll.Len(), c.capacity
 }

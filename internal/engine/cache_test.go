@@ -21,8 +21,7 @@ func TestCacheHitMissEviction(t *testing.T) {
 	if _, ok := c.get(k(0)); !ok {
 		t.Fatal("miss after add")
 	}
-	// 0 is now most recent; adding 2 (same compile cost, so admission
-	// admits it) must evict 1.
+	// 0 is now most recent; adding 2 must evict 1.
 	c.add(k(2), q(2), 10)
 	if _, ok := c.get(k(1)); ok {
 		t.Fatal("LRU entry survived eviction")
@@ -30,10 +29,10 @@ func TestCacheHitMissEviction(t *testing.T) {
 	if _, ok := c.get(k(0)); !ok {
 		t.Fatal("recently used entry was evicted")
 	}
-	hits, misses, evictions, rejects, saved, size, capacity := c.snapshot()
-	if hits != 2 || misses != 2 || evictions != 1 || rejects != 0 || size != 2 || capacity != 2 {
-		t.Fatalf("snapshot = hits %d misses %d evictions %d rejects %d size %d cap %d, want 2 2 1 0 2 2",
-			hits, misses, evictions, rejects, size, capacity)
+	hits, misses, evictions, saved, size, capacity := c.snapshot()
+	if hits != 2 || misses != 2 || evictions != 1 || size != 2 || capacity != 2 {
+		t.Fatalf("snapshot = hits %d misses %d evictions %d size %d cap %d, want 2 2 1 2 2",
+			hits, misses, evictions, size, capacity)
 	}
 	if saved != 2*10 {
 		t.Fatalf("savedNanos = %d, want 20 (two hits at 10ns recorded compile cost)", saved)
@@ -42,67 +41,32 @@ func TestCacheHitMissEviction(t *testing.T) {
 
 // TestCacheSharedAcrossStrategies pins the shared-compilation
 // contract: the cache is keyed on query source alone, so one entry —
-// one parse/normalize — serves every strategy the planner might route
-// the query to.
+// one parse/normalize — serves every strategy the query runs under.
 func TestCacheSharedAcrossStrategies(t *testing.T) {
 	c := newQueryCache(8)
-	q := core.MustCompile("//a")
-	added := c.add("//a", q, 10)
-	got, ok := c.get("//a")
-	if !ok || got != added {
+	added := c.add("//a", core.MustCompile("//a"), 10)
+	if got, ok := c.get("//a"); !ok || got != added {
 		t.Fatal("source-keyed lookup missed the shared entry")
-	}
-	// Per-strategy state hangs off the one shared entry.
-	added.observeStrategy(core.TopDown, 0.010)
-	added.observeStrategy(core.MinContext, 0.002)
-	if v, ok := got.StrategySeconds(core.TopDown); !ok || v != 0.010 {
-		t.Fatalf("TopDown EWMA = %v, %v; want 0.010, true", v, ok)
-	}
-	if v, ok := got.StrategySeconds(core.MinContext); !ok || v != 0.002 {
-		t.Fatalf("MinContext EWMA = %v, %v; want 0.002, true", v, ok)
-	}
-	if _, ok := got.StrategySeconds(core.BottomUp); ok {
-		t.Fatal("unobserved strategy reported an EWMA")
 	}
 }
 
-// TestCacheCostAwareAdmission checks that a cheap newcomer cannot
-// evict an expensive LRU victim, that the rejection is counted, that
-// the rejected entry is still returned usable, and that repeated
-// contests (strikes) eventually decay the victim's protection.
-func TestCacheCostAwareAdmission(t *testing.T) {
-	c := newQueryCache(1)
-	expensive := c.add("/expensive", core.MustCompile("/expensive"), 1000)
-	cheap := c.add("/cheap", core.MustCompile("/cheap"), 10)
-	if cheap == nil || cheap.q.String() != "/cheap" {
-		t.Fatal("rejected add did not return a usable detached entry")
-	}
-	if _, ok := c.get("/cheap"); ok {
-		t.Fatal("cheap entry was admitted over an expensive victim")
-	}
-	if got, ok := c.get("/expensive"); !ok || got != expensive {
-		t.Fatal("expensive entry should have survived the admission contest")
-	}
-	_, _, _, rejects, _, _, _ := c.snapshot()
-	if rejects != 1 {
-		t.Fatalf("rejects = %d, want 1", rejects)
-	}
-	// A hit reset the strikes above; contest again without intervening
-	// hits. Each rejection halves the effective cost: 1000 → 500 →
-	// 250 → 125 → 62 → 31 → 15 → 7, so the 8th attempt at cost 10
-	// displaces the victim.
-	for i := 0; i < 7; i++ {
-		c.add("/cheap", core.MustCompile("/cheap"), 10)
-		if _, ok := c.get("/cheap"); ok {
-			t.Fatalf("cheap entry admitted after only %d contests", i+1)
+// TestCacheLRUOrder: eviction goes by recency alone. What an entry cost
+// to compile is recorded for the compile_ns_saved report and plays no
+// part in admission — the cheap newcomer displaces the expensive entry
+// that was used least recently.
+func TestCacheLRUOrder(t *testing.T) {
+	c := newQueryCache(2)
+	c.add("/a", core.MustCompile("/a"), 1000)
+	c.add("/b", core.MustCompile("/b"), 1000)
+	c.get("/a")
+	c.add("/c", core.MustCompile("/c"), 1)
+	for src, cached := range map[string]bool{"/a": true, "/b": false, "/c": true} {
+		if _, ok := c.get(src); ok != cached {
+			t.Errorf("%s cached = %v, want %v", src, ok, cached)
 		}
 	}
-	c.add("/cheap", core.MustCompile("/cheap"), 10)
-	if _, ok := c.get("/cheap"); !ok {
-		t.Fatal("strike decay never let fresh traffic displace the dead expensive entry")
-	}
-	if _, ok := c.get("/expensive"); ok {
-		t.Fatal("expensive entry survived past its strike budget")
+	if _, _, evictions, _, _, _ := c.snapshot(); evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", evictions)
 	}
 }
 
@@ -130,26 +94,22 @@ func TestCacheConcurrent(t *testing.T) {
 					}
 					e = c.add(src, compiled, 10)
 				}
-				if e.q.String() != src {
-					t.Errorf("cache returned query %q for key %q", e.q.String(), src)
+				if e.String() != src {
+					t.Errorf("cache returned query %q for key %q", e.String(), src)
 					return
 				}
-				// Exercise the lock-free per-strategy EWMAs under race.
-				e.observeStrategy(core.TopDown, 0.001)
-				e.StrategySeconds(core.TopDown)
 			}
 		}(g)
 	}
 	wg.Wait()
-	hits, misses, evictions, _, _, size, _ := c.snapshot()
+	hits, misses, evictions, _, size, _ := c.snapshot()
 	if size > capacity {
 		t.Fatalf("cache size %d exceeds capacity %d", size, capacity)
 	}
 	if hits+misses != goroutines*reps {
 		t.Fatalf("hits %d + misses %d != %d lookups", hits, misses, goroutines*reps)
 	}
-	// Equal compile costs admit like pure LRU, so the oversubscribed
-	// key space must keep cycling entries.
+	// The oversubscribed key space must keep cycling entries.
 	if evictions == 0 {
 		t.Fatal("expected evictions with key space > capacity")
 	}
@@ -161,7 +121,7 @@ func TestCacheConcurrent(t *testing.T) {
 func TestCacheConcurrentAddSameKey(t *testing.T) {
 	c := newQueryCache(4)
 	const goroutines = 16
-	got := make([]*cacheEntry, goroutines)
+	got := make([]*core.Query, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)

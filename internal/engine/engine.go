@@ -11,11 +11,12 @@
 // concurrency, and observable cache/in-flight statistics.
 //
 // Concurrency model: a Document is immutable after parsing (its lazy
-// strval memo is mutex-guarded), a compiled *core.Query is immutable
-// after Compile, and core.Engine.Evaluate builds per-call evaluator
-// state. One Engine and its Sessions may therefore be shared freely by
-// any number of goroutines; internal/core's TestConcurrentEvaluation
-// and this package's race tests pin that contract down.
+// strval memo is a slice of atomic pointers), a compiled *core.Query is
+// immutable after Compile, and core.Engine.Evaluate builds per-call
+// evaluator state. One Engine and its Sessions may therefore be shared
+// freely by any number of goroutines; internal/core's
+// TestConcurrentEvaluation and this package's race tests pin that
+// contract down.
 package engine
 
 import (
@@ -60,15 +61,10 @@ type Options struct {
 	// (0 = unlimited); see core.Engine.MaxTableRows.
 	MaxTableRows int
 
-	// Planner selects how the Auto strategy is resolved per query:
-	// planner.Off (the default) keeps the static fragment switch,
-	// planner.Rules routes on structural shape rules, and
-	// planner.Adaptive additionally refines the rules online from
-	// latency observations. Ignored unless Strategy is Auto. Queries
-	// the planner routes to bottomup always fall back to MinContext on
-	// a table-limit trip, whether or not Fallback is set — a planning
-	// mistake must never surface a resource-limit error the caller's
-	// own strategy choice could not have hit.
+	// Planner is ignored: Auto is one static table (core.Explain) and
+	// there is no mode to select. The field stays because the
+	// benchmark's layer probe sets it; the follow-up [benchmark] issue
+	// named in internal/planner's package comment removes it.
 	Planner planner.Mode
 
 	// Fallback, when set, transparently retries a query whose
@@ -92,7 +88,6 @@ type Engine struct {
 	cache     *queryCache
 	reg       *obs.Registry
 	metrics   *engineMetrics
-	planner   *planner.Planner // nil unless Options.Planner is on and Strategy is Auto
 	inFlight  atomic.Int64
 	fallbacks atomic.Uint64
 }
@@ -116,23 +111,8 @@ func New(opts Options) *Engine {
 	}
 	e := &Engine{opts: opts, cache: newQueryCache(opts.CacheSize), reg: opts.Metrics}
 	e.metrics = newEngineMetrics(e.reg, e)
-	if opts.Planner != planner.Off && opts.Strategy == core.Auto {
-		// The planner reads the engine's own (fragment, strategy)
-		// latency matrix as fleet-level evidence and registers its
-		// decision counters next to the engine's instruments.
-		e.planner = planner.New(planner.Config{
-			Mode:     opts.Planner,
-			Matrix:   e.metrics.query,
-			Registry: e.reg,
-		})
-	}
 	return e
 }
-
-// Planner returns the engine's strategy planner (nil when planning is
-// off or the engine's strategy is not Auto). Serving layers read its
-// Stats for /stats; tests seed it with observations.
-func (e *Engine) Planner() *planner.Planner { return e.planner }
 
 // Metrics returns the registry the engine records into, so upper
 // layers (serve, cmd wiring) can add their own instruments to the same
@@ -157,23 +137,11 @@ func (e *Engine) Compile(src string) (*core.Query, error) {
 // obs trace, the cache probe and (on a miss) the compilation each get
 // a span, with the cache outcome recorded as an attribute.
 func (e *Engine) CompileContext(ctx context.Context, src string) (*core.Query, error) {
-	entry, err := e.compileEntry(ctx, src)
-	if err != nil {
-		return nil, err
-	}
-	return entry.q, nil
-}
-
-// compileEntry is the shared compile path: cache probe, compile on a
-// miss, cost-aware admission. The returned entry carries the compiled
-// query and its per-strategy latency EWMAs (it may be detached when
-// admission rejected it; it is still fully usable for this request).
-func (e *Engine) compileEntry(ctx context.Context, src string) (*cacheEntry, error) {
 	_, lookup := obs.StartSpan(ctx, "cache_lookup")
-	if entry, ok := e.cache.get(src); ok {
+	if q, ok := e.cache.get(src); ok {
 		lookup.SetAttr("outcome", "hit")
 		lookup.End()
-		return entry, nil
+		return q, nil
 	}
 	lookup.SetAttr("outcome", "miss")
 	lookup.End()
@@ -184,28 +152,27 @@ func (e *Engine) compileEntry(ctx context.Context, src string) (*cacheEntry, err
 		span.End()
 		return nil, err
 	}
-	entry := e.cache.add(src, q, uint64(time.Since(start)))
-	span.SetAttr("fragment", fragLabel(q.Fragment()))
+	q = e.cache.add(src, q, uint64(time.Since(start)))
+	span.SetAttr("fragment", q.Fragment().Label())
 	span.End()
 	e.metrics.stage.With("compile").ObserveSince(start)
-	return entry, nil
+	return q, nil
 }
 
 // Stats is a point-in-time reading of the engine's observable state.
 type Stats struct {
 	// Hits, Misses and Evictions count compiled-query cache events
-	// since the engine was created. Rejects counts compilations the
-	// cost-aware admission policy declined to cache because the LRU
-	// victim was more expensive to recompile.
-	Hits, Misses, Evictions, Rejects uint64
+	// since the engine was created.
+	Hits, Misses, Evictions uint64
 	// CompileNanosSaved is the cumulative compile time cache hits
 	// avoided re-spending, summed from each entry's own recorded
 	// compilation cost.
 	CompileNanosSaved uint64
 	// Size and Capacity describe the cache's current fill.
 	Size, Capacity int
-	// InFlight counts evaluations currently executing across all
-	// sessions.
+	// Queries counts evaluations dispatched across all sessions
+	// (xpath_queries_total); InFlight those currently executing.
+	Queries  uint64
 	InFlight int64
 	// Fallbacks counts queries transparently retried on MinContext
 	// after tripping bottomup.ErrTableLimit (see Options.Fallback).
@@ -224,11 +191,12 @@ func (s Stats) HitRate() float64 {
 
 // Stats returns current cache and in-flight statistics.
 func (e *Engine) Stats() Stats {
-	hits, misses, evictions, rejects, saved, size, capacity := e.cache.snapshot()
+	hits, misses, evictions, saved, size, capacity := e.cache.snapshot()
 	return Stats{
-		Hits: hits, Misses: misses, Evictions: evictions, Rejects: rejects,
+		Hits: hits, Misses: misses, Evictions: evictions,
 		CompileNanosSaved: saved,
 		Size:              size, Capacity: capacity,
+		Queries:   e.metrics.queries.Value(),
 		InFlight:  e.inFlight.Load(),
 		Fallbacks: e.fallbacks.Load(),
 	}

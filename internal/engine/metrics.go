@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/planner"
-)
+import "repro/internal/obs"
 
 // engineMetrics are the engine's instruments in the shared obs
 // registry. Cache and fallback counts are CounterFuncs over the same
@@ -20,9 +16,8 @@ type engineMetrics struct {
 	// the shared registry's get-or-create semantics.
 	stage *obs.HistogramVec
 
-	// query is the (fragment class, strategy)-keyed evaluation latency
-	// family — the observation shape the ROADMAP's adaptive strategy
-	// planner will consume to pick algorithms per query class.
+	// query is the evaluation latency family keyed by fragment class
+	// (core.Fragment.Label) and the strategy that ran.
 	query *obs.HistogramVec
 }
 
@@ -35,20 +30,16 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 		query:   reg.HistogramVec("xpath_query_seconds", "evaluation latency in seconds by fragment class and strategy", nil, "fragment", "strategy"),
 	}
 	reg.CounterFunc("xpath_compile_cache_hits_total", "compiled-query cache hits", func() float64 {
-		hits, _, _, _, _, _, _ := e.cache.snapshot()
+		hits, _, _, _, _, _ := e.cache.snapshot()
 		return float64(hits)
 	})
 	reg.CounterFunc("xpath_compile_cache_misses_total", "compiled-query cache misses", func() float64 {
-		_, misses, _, _, _, _, _ := e.cache.snapshot()
+		_, misses, _, _, _, _ := e.cache.snapshot()
 		return float64(misses)
 	})
 	reg.CounterFunc("xpath_compile_cache_evictions_total", "compiled-query cache evictions", func() float64 {
-		_, _, evictions, _, _, _, _ := e.cache.snapshot()
+		_, _, evictions, _, _, _ := e.cache.snapshot()
 		return float64(evictions)
-	})
-	reg.CounterFunc("xpath_compile_cache_rejects_total", "compilations the cost-aware admission policy declined to cache", func() float64 {
-		_, _, _, rejects, _, _, _ := e.cache.snapshot()
-		return float64(rejects)
 	})
 	reg.CounterFunc("xpath_fallbacks_total", "queries retried on MinContext after a table-limit trip", func() float64 {
 		return float64(e.fallbacks.Load())
@@ -67,9 +58,3 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 // serialize, route) into the same xpath_stage_seconds histogram the
 // compile and evaluate stages use.
 func (e *Engine) StageSeconds() *obs.HistogramVec { return e.metrics.stage }
-
-// fragLabel maps a fragment class to its snake_case metric label. The
-// vocabulary lives in internal/planner (the planner keys its shape
-// classes and matrix probes on the same strings); delegating keeps the
-// two layers incapable of disagreeing.
-func fragLabel(f core.Fragment) string { return planner.FragmentLabel(f) }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/bottomup"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/planner"
 )
 
 // Session binds a parsed document to an Engine. All evaluations run
@@ -39,17 +38,8 @@ func (e *Engine) NewSession(d *core.Document) *Session {
 	en.NaiveBudget = e.opts.NaiveBudget
 	en.MaxTableRows = e.opts.MaxTableRows
 	en.Parallelism = e.opts.Parallelism
-	if e.planner != nil {
-		// StrategyFor on the session's core engine answers through the
-		// planner too (side-effect-free Peek), so explain paths agree
-		// with serving decisions.
-		en.Planner = e.planner
-	}
 	s := &Session{eng: e, doc: d, en: en, workers: e.opts.Workers}
-	if e.opts.Fallback || e.planner != nil {
-		// With a planner the fallback engine always exists: a planned
-		// bottomup pick that trips the table limit must be retried, not
-		// surfaced — the caller never asked for bottomup.
+	if e.opts.Fallback {
 		s.fb = core.NewEngine(d, core.MinContext)
 		s.fb.Parallelism = e.opts.Parallelism
 	}
@@ -85,15 +75,9 @@ type Result struct {
 	Err      error
 	FellBack bool
 	// Strategy is the concrete algorithm that actually produced the
-	// value — post-planning and post-fallback. Reporting layers must
-	// use it verbatim rather than re-deriving the strategy from the
-	// query: under an adaptive planner a second derivation can
-	// legitimately differ from what ran.
+	// value — Auto resolved, and MinContext after a fallback. Reporting
+	// layers use it verbatim rather than re-deriving it from the query.
 	Strategy core.Strategy
-	// Planned reports that Strategy was chosen by the engine's
-	// planner rather than the static Auto fragment switch or a fixed
-	// configured strategy.
-	Planned bool
 }
 
 // Do compiles src through the engine's cache and evaluates it from the
@@ -108,13 +92,13 @@ func (s *Session) Do(src string) Result {
 // error (in Result.Err) once ctx is done.
 func (s *Session) DoContext(ctx context.Context, src string) Result {
 	res := Result{Query: src}
-	entry, err := s.eng.compileEntry(ctx, src)
+	q, err := s.eng.CompileContext(ctx, src)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	res.Compiled = entry.q
-	res.Value, res.Strategy, res.Planned, res.FellBack, res.Err = s.evaluate(ctx, entry.q, entry)
+	res.Compiled = q
+	res.Value, res.Strategy, res.FellBack, res.Err = s.evaluate(ctx, q)
 	return res
 }
 
@@ -126,7 +110,7 @@ func (s *Session) Query(src string) (core.Value, error) {
 }
 
 // StrategyFor reports the concrete algorithm the session would run q
-// with (resolving Auto by fragment).
+// with (core.Engine.StrategyFor).
 func (s *Session) StrategyFor(q *core.Query) core.Strategy { return s.en.StrategyFor(q) }
 
 // Evaluate runs an already-compiled query from the document root.
@@ -137,74 +121,32 @@ func (s *Session) Evaluate(q *core.Query) (core.Value, error) {
 // EvaluateContext runs an already-compiled query from the document
 // root, abandoning the evaluation once ctx is done.
 func (s *Session) EvaluateContext(ctx context.Context, q *core.Query) (core.Value, error) {
-	v, _, _, _, err := s.evaluate(ctx, q, nil)
+	v, _, _, err := s.evaluate(ctx, q)
 	return v, err
 }
 
-// evaluate is the one evaluation path: in-flight accounting, strategy
-// planning, and — when a fallback engine exists and the strategy
-// tripped bottomup.ErrTableLimit — a transparent retry on MinContext,
-// whose tables are polynomial in the document and so cannot trip a row
-// limit.
-//
-// The strategy is decided exactly once, before evaluation, and
-// returned as part of the outcome: with an adaptive planner in the
-// loop, deciding is stateful (trial accounting, exploration
-// schedules), so "what ran" must be pinned here rather than re-derived
-// by a reporting layer. entry, when non-nil, is the query's shared
-// cache entry; its per-strategy latency EWMAs feed the decision and
-// are updated with this evaluation's outcome.
-func (s *Session) evaluate(ctx context.Context, q *core.Query, entry *cacheEntry) (core.Value, core.Strategy, bool, bool, error) {
+// evaluate is the one evaluation path: in-flight accounting, the
+// strategy decision (core.Engine.StrategyFor, made once and returned so
+// that what is reported is what ran), and — when a fallback engine
+// exists and the strategy tripped bottomup.ErrTableLimit — a
+// transparent retry on MinContext, whose tables are polynomial in the
+// document and so cannot trip a row limit.
+func (s *Session) evaluate(ctx context.Context, q *core.Query) (core.Value, core.Strategy, bool, error) {
 	s.lastUsed.Store(time.Now().UnixNano())
 	s.eng.inFlight.Add(1)
 	defer s.eng.inFlight.Add(-1)
 	m := s.eng.metrics
 	m.queries.Inc()
-	frag := fragLabel(q.Fragment())
-	var strat core.Strategy
-	var sh planner.Shape
-	planned := false
-	explored := false
-	p := s.eng.planner
-	if p != nil {
-		// Planned path: the shape comes from the cache entry's memo when
-		// there is one, and the decision goes through Route — the
-		// allocation-free committed decide — rather than StrategyFor,
-		// which would run a second, uncommitted planning pass.
-		if entry != nil {
-			sh = entry.queryShape().WithDoc(s.doc.Len())
-		} else {
-			sh = planner.Extract(q, s.doc.Len())
-		}
-		var es planner.EntryStats
-		if entry != nil {
-			es = entry
-		}
-		strat, explored = p.Route(sh, es)
-		planned = true
-	} else {
-		strat = s.en.StrategyFor(q)
-	}
+	frag := q.Fragment().Label()
+	strat := s.en.StrategyFor(q)
 	ectx, span := obs.StartSpan(ctx, "evaluate")
 	span.SetAttr("fragment", frag)
 	span.SetAttr("strategy", strat.String())
-	if planned {
-		span.SetAttr("planned", "true")
-	}
-	if explored {
-		span.SetAttr("explored", "true")
-	}
 	start := time.Now()
 	root := core.Context{Node: s.doc.RootID(), Pos: 1, Size: 1}
 	v, err := s.en.EvaluateStrategy(ectx, q, root, strat)
 	fell := false
 	if err != nil && s.fb != nil && errors.Is(err, bottomup.ErrTableLimit) {
-		// Record the structural failure before retrying: the planner
-		// bans the strategy for this shape class so the next request
-		// does not walk into the same wall.
-		if planned {
-			p.ObserveShape(sh, strat, time.Since(start), true)
-		}
 		s.eng.fallbacks.Add(1)
 		span.SetAttr("fallback", "true")
 		strat = core.MinContext
@@ -217,18 +159,8 @@ func (s *Session) evaluate(ctx context.Context, q *core.Query, entry *cacheEntry
 	m.query.With(frag, strat.String()).Observe(elapsed.Seconds())
 	if err != nil {
 		m.errors.Inc()
-	} else {
-		// Successful latency feeds both evidence stores: the query's
-		// own cache entry (most specific) and the planner's shape
-		// class. Fixed-strategy traffic trains the planner too.
-		if entry != nil {
-			entry.observeStrategy(strat, elapsed.Seconds())
-		}
-		if p != nil {
-			p.ObserveShape(sh, strat, elapsed, false)
-		}
 	}
-	return v, strat, planned, fell, err
+	return v, strat, fell, err
 }
 
 // Batch evaluates queries concurrently over a worker pool bounded by

@@ -64,8 +64,8 @@ func TestFallbackOnTableLimit(t *testing.T) {
 	if res.Err != nil {
 		t.Fatalf("fallback did not rescue the query: %v", res.Err)
 	}
-	if !res.FellBack {
-		t.Fatal("Result.FellBack = false, want true")
+	if !res.FellBack || res.Strategy != core.MinContext {
+		t.Fatalf("Result.FellBack = %v, Strategy = %v; want the MinContext retry reported", res.FellBack, res.Strategy)
 	}
 	if res.Value.Num != 1 {
 		t.Fatalf("fallback value = %v, want 1", res.Value.Num)

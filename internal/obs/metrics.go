@@ -7,10 +7,7 @@
 // The package sits below every other serving layer — engine, serve and
 // cluster all record into it — and deliberately depends on nothing in
 // the repository, so instrumenting a layer can never introduce an
-// import cycle. It is also the measurement substrate the ROADMAP's
-// adaptive strategy planner will read: the engine keys its latency
-// histograms by (fragment class, strategy), exactly the shape a
-// cost-aware planner needs to compare algorithms per query class.
+// import cycle.
 package obs
 
 import (
@@ -578,22 +575,6 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	v.children[key] = h
 	v.order = append(v.order, key)
 	return h
-}
-
-// Peek returns the child histogram for the given label values, or nil
-// if that cell has never been observed. Readers that probe many cells
-// speculatively — the adaptive planner scans (fragment, strategy)
-// pairs for latency evidence — use Peek so the probe does not
-// materialize empty series in the /metrics exposition the way With
-// would.
-func (v *HistogramVec) Peek(values ...string) *Histogram {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.name, len(v.labels), len(values)))
-	}
-	key := strings.Join(values, "\x00")
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.children[key]
 }
 
 func (v *HistogramVec) write(w io.Writer) {

@@ -346,34 +346,3 @@ func TestBuildAndUptime(t *testing.T) {
 		t.Error("uptime negative")
 	}
 }
-
-// TestHistogramVecPeek: Peek reads a cell without creating it — the
-// planner probes many (fragment, strategy) cells for evidence and must
-// not materialize empty series in the exposition.
-func TestHistogramVecPeek(t *testing.T) {
-	r := NewRegistry()
-	hv := r.HistogramVec("test_query_seconds", "latency", nil, "fragment", "strategy")
-	if h := hv.Peek("core_xpath", "topdown"); h != nil {
-		t.Fatal("Peek created a child")
-	}
-	hv.With("core_xpath", "topdown").Observe(0.25)
-	h := hv.Peek("core_xpath", "topdown")
-	if h == nil || h.Count() != 1 || h.Sum() != 0.25 {
-		t.Fatalf("Peek after With = %v, want the observed child", h)
-	}
-	var b strings.Builder
-	if _, err := r.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b.String(), `strategy="mincontext"`) {
-		t.Fatal("a peeked-but-never-observed cell leaked into the exposition")
-	}
-	hv.Peek("core_xpath", "mincontext")
-	b.Reset()
-	if _, err := r.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b.String(), `strategy="mincontext"`) {
-		t.Fatal("Peek materialized an empty series")
-	}
-}

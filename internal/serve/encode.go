@@ -19,9 +19,9 @@ package serve
 //     indented.
 //   - Members come in the order the structs declare them. A batch line
 //     leads with index, doc, missing, request_id; every answer goes on
-//     with query, fragment, strategy, version, fallback, planned — the
-//     envelope — and only then value or error, then trace. Optional
-//     members are left out when empty, never written as false, 0 or "".
+//     with query, fragment, strategy, version, fallback — the envelope —
+//     and only then value or error, then trace. Optional members are
+//     left out when empty, never written as false, 0 or "".
 //   - So everything a router needs to route, cache and re-tag an answer
 //     (index, doc, missing, version) sits in front of the value, whose
 //     size is the document's business, and the router reads the
@@ -337,9 +337,6 @@ func appendAnswer(dst []byte, line *BatchLine, r *QueryResponse, d *core.Documen
 	if r.Fallback {
 		dst = append(dst, `,"fallback":true`...)
 	}
-	if r.Planned {
-		dst = append(dst, `,"planned":true`...)
-	}
 	switch {
 	case r.Value != nil:
 		dst = append(dst, `,"value":`...)
@@ -408,7 +405,7 @@ var envelopeKeys = [...]struct {
 }{
 	{"index", 'i'}, {"doc", 's'}, {"missing", 'b'}, {"request_id", 's'},
 	{"query", 's'}, {"fragment", 's'}, {"strategy", 's'}, {"version", 'u'},
-	{"fallback", 'b'}, {"planned", 'b'},
+	{"fallback", 'b'},
 }
 
 // ScanEnvelope reads the leading members of an answer in the wire
