@@ -17,7 +17,9 @@ package repro
 // per-point caps, reproducing the '-' entries of the paper's tables.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -608,6 +610,36 @@ func BenchmarkHandlerQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkHandlerRegister measures one POST /documents through the
+// server's own handler, in process: the body read, the envelope
+// scanned, the document unescaped out of its JSON string, parsed,
+// indexed and stored, the reply written. The body is what the
+// benchmark driver and the router send (encoding/json's escaping: every
+// < and > a \u escape); SetBytes is its length.
+func BenchmarkHandlerRegister(b *testing.B) {
+	for _, items := range []int{30, 1000} {
+		srv := serve.New(engine.New(engine.Options{}), store.Config{})
+		srv.SetLogger(obs.NewLogger(io.Discard, slog.LevelError))
+		h := srv.Handler()
+		body, err := json.Marshal(serve.DocumentRequest{Name: "auction", XML: workload.Auction(1, items).XMLString()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("items=%d", items), func(b *testing.B) {
+			w := &nullResponseWriter{h: http.Header{}}
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w.n = 0
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/documents", bytes.NewReader(body)))
+				if w.n == 0 {
+					b.Fatal("empty reply")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkServingBatchWorkers measures batch throughput scaling with
 // the worker pool on a realistic catalog workload. Evaluation is pure
 // CPU, so wall-clock scaling tracks available cores: with GOMAXPROCS=1
@@ -660,5 +692,24 @@ func BenchmarkXMLParse(b *testing.B) {
 		if _, err := xmltree.ParseString(src); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkParse measures xmltree.ParseString on the documents the
+// serving benchmarks register (workload.Auction at 30 and 1000 items,
+// about 8 KB and 0.3 MB): MB/s of source text and allocations per
+// parse, which must not grow with the document.
+func BenchmarkParse(b *testing.B) {
+	for _, items := range []int{30, 1000} {
+		src := workload.Auction(1, items).XMLString()
+		b.Run(fmt.Sprintf("items=%d", items), func(b *testing.B) {
+			b.SetBytes(int64(len(src)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := xmltree.ParseString(src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

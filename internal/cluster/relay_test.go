@@ -10,7 +10,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -358,5 +360,161 @@ func TestStreamJobsLongLines(t *testing.T) {
 			}
 			return
 		}())
+	}
+}
+
+// recordedWrite is one POST /documents a backend was sent.
+type recordedWrite struct {
+	node string
+	body string
+}
+
+// recordWrites wraps every backend's transport so the test sees the
+// registration bodies the router puts on the wire, byte for byte.
+func recordWrites(backends []*backend) func() []recordedWrite {
+	var mu sync.Mutex
+	var writes []recordedWrite
+	for _, b := range backends {
+		node := b.node.Name()
+		b.node.WrapTransport(func(next http.RoundTripper) http.RoundTripper {
+			return roundTripFunc(func(req *http.Request) (*http.Response, error) {
+				if req.Method == http.MethodPost && req.URL.Path == "/documents" {
+					body, _ := io.ReadAll(req.Body)
+					req.Body = io.NopCloser(bytes.NewReader(body))
+					mu.Lock()
+					writes = append(writes, recordedWrite{node, string(body)})
+					mu.Unlock()
+				}
+				return next.RoundTrip(req)
+			})
+		})
+	}
+	return func() []recordedWrite {
+		mu.Lock()
+		defer mu.Unlock()
+		out := writes
+		writes = nil
+		return out
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// TestRelayKeepsClientBytes is the request direction of
+// TestRelayKeepsBackendBytes. (document → version) is the key a copy is
+// right under, so the replica must be sent the owner's version paired
+// with the very bytes the owner parsed: the owner receives the client's
+// body untouched, each mirror the same bytes with only ,"version":N
+// spliced in front of the closing brace, and the router never decodes
+// the document to get there.
+func TestRelayKeepsClientBytes(t *testing.T) {
+	_, ts, backends := newCluster(t, 2, Options{Replicas: 1}, store.Config{})
+	taken := recordWrites(backends)
+	doc := namesOwnedBy(2, 1)[0][0]
+	owner, mirror := backends[0].node.Name(), backends[1].node.Name()
+	// Escaped three ways at once (<, \", raw multi-byte), members in
+	// the other order, whitespace inside and after: nothing a re-encoder
+	// would keep.
+	body := ` { "xml" : "<a k=\"v\">é é ✓ 😀<b/>\n</a>" , "name":"` + doc + `" }` + "\n"
+	resp, raw := rawPost(t, ts.URL+"/documents", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("register: %d %s", resp.StatusCode, raw)
+	}
+	var reply serve.DocumentResponse
+	if err := json.Unmarshal(raw, &reply); err != nil || reply.Node != owner || len(reply.Replicas) != 1 || reply.Replicas[0] != mirror || reply.Nodes != 5 {
+		t.Fatalf("reply %s decodes to %+v, %v", raw, reply, err)
+	}
+	writes := taken()
+	if len(writes) != 2 || writes[0] != (recordedWrite{owner, body}) {
+		t.Fatalf("writes %q; want the owner %s sent the client's bytes first", writes, owner)
+	}
+	end := strings.LastIndexByte(body, '}')
+	if want := (recordedWrite{mirror, fmt.Sprintf(`%s,"version":%d}`, body[:end], reply.Version)}); writes[1] != want {
+		t.Fatalf("mirror write\n%q\nwant the client's bytes with the owner's version spliced in\n%q", writes[1], want)
+	}
+	for i, b := range backends {
+		info, err := b.node.GetDocument(context.Background(), doc)
+		if err != nil || info.Version != reply.Version || !strings.Contains(info.XML, "é é ✓ \U0001F600<b/>") {
+			t.Errorf("backend %d holds %+v, %v; want version %d of the document", i, info, err, reply.Version)
+		}
+	}
+
+	// A client-echoed version never reaches a backend: the owner would
+	// take it for a stale mirror write and skip it under a 200.
+	echoed := `{"name":"` + doc + `","version":1,"xml":"<a>echoed</a>"}`
+	resp, raw = rawPost(t, ts.URL+"/documents", echoed)
+	if err := json.Unmarshal(raw, &reply); err != nil || resp.StatusCode != http.StatusOK || reply.Version <= 1 {
+		t.Fatalf("echoed version: %d %s", resp.StatusCode, raw)
+	}
+	writes = taken()
+	ownerBody := `{"name":"` + doc + `","xml":"<a>echoed</a>"}`
+	if len(writes) != 2 || writes[0] != (recordedWrite{owner, ownerBody}) {
+		t.Fatalf("writes %q; want the owner sent %s — the xml token as the client wrote it, no version", writes, ownerBody)
+	}
+	if want := fmt.Sprintf(`%s,"version":%d}`, ownerBody[:len(ownerBody)-1], reply.Version); writes[1].body != want {
+		t.Fatalf("mirror write %q, want %q", writes[1].body, want)
+	}
+
+	// A body the scanner declines (a key encoding/json matches by case
+	// folding) still registers, through decode and re-encode.
+	resp, raw = rawPost(t, ts.URL+"/documents", `{"NAME":"`+doc+`","xml":"<a>folded</a>","version":null}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("case-folded key: %d %s", resp.StatusCode, raw)
+	}
+	if writes = taken(); len(writes) != 2 || writes[0].body != `{"name":"`+doc+`","xml":"\u003ca\u003efolded\u003c/a\u003e"}` {
+		t.Fatalf("writes %q; want the re-encoded registration", writes)
+	}
+
+	// What is not a registration is a 400 and nothing is forwarded.
+	for body, want := range map[string]string{
+		`{"name":"` + doc + `","xml":"<a/>"`:        "invalid JSON",
+		`{"name":"` + doc + `","xml":"<a/>"} x`:     "invalid JSON",
+		`{"name":"` + doc + `","xml":"<a/>"}{}`:     "invalid JSON",
+		`{"name":"` + doc + `","xml":7}`:            "invalid JSON",
+		`{"name":"` + doc + `","xml":"\ud800<a/>"}`: "parse " + doc, // U+FFFD once encoding/json has read it: text outside the document element
+		`not json`:                          "invalid JSON",
+		``:                                  "invalid JSON",
+		`{"name":"` + doc + `","xml":""}`:   "both name and xml are required",
+		`{"name":"` + doc + `"}`:            "both name and xml are required",
+		`{"name":"","xml":"<a/>"}`:          "both name and xml are required",
+		`{"xml":"<a/>","version":3}`:        "both name and xml are required",
+		`{"name":"` + doc + `","xml":null}`: "both name and xml are required",
+		`null`:                              "both name and xml are required",
+		`{"name":"` + doc + `","xml":"<a>","x":"y"}`: "parse " + doc,
+	} {
+		resp, raw := rawPost(t, ts.URL+"/documents", body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), want) {
+			t.Errorf("%s: %d %s; want 400 %q", body, resp.StatusCode, raw, want)
+		}
+		if writes := taken(); len(writes) != 0 && !strings.HasPrefix(want, "parse") {
+			t.Errorf("%s: forwarded %q", body, writes)
+		}
+	}
+}
+
+// TestReconcileResplicesVersion: when a replica holds the document
+// above the version the owner assigned, the reconciliation round sends
+// the owner, then the replica, the same client bytes with the raised
+// version spliced in — not the first round's body again.
+func TestReconcileResplicesVersion(t *testing.T) {
+	_, ts, backends := newCluster(t, 2, Options{Replicas: 1, AnswerCacheSize: -1}, store.Config{})
+	doc := namesOwnedBy(2, 1)[0][0]
+	if _, _, err := backends[1].node.PutDocumentAt(context.Background(), doc, "<a>diverged</a>", 500); err != nil {
+		t.Fatal(err)
+	}
+	taken := recordWrites(backends)
+	body := `{"name":"` + doc + `","xml":"<a>new</a>"}`
+	resp, raw := rawPost(t, ts.URL+"/documents", body)
+	var reply serve.DocumentResponse
+	if err := json.Unmarshal(raw, &reply); err != nil || resp.StatusCode != http.StatusOK || reply.Version != 501 {
+		t.Fatalf("register: %d %s; want version 501", resp.StatusCode, raw)
+	}
+	spliced := func(ver uint64) string { return fmt.Sprintf(`%s,"version":%d}`, body[:len(body)-1], ver) }
+	owner, mirror := backends[0].node.Name(), backends[1].node.Name()
+	want := []recordedWrite{{owner, body}, {mirror, spliced(1)}, {owner, spliced(501)}, {mirror, spliced(501)}}
+	if writes := taken(); !reflect.DeepEqual(writes, want) {
+		t.Fatalf("writes\n%q\nwant\n%q", writes, want)
 	}
 }

@@ -430,21 +430,14 @@ func (r *Router) Handler() http.Handler {
 func (r *Router) handleDocuments(w http.ResponseWriter, req *http.Request) {
 	switch req.Method {
 	case http.MethodPost:
-		var body serve.DocumentRequest
-		if !serve.DecodeJSON(w, req, &body) {
+		body, release, ok := serve.ReadBody(w, req)
+		if !ok {
 			return
 		}
-		if body.Name == "" || body.XML == "" {
-			serve.HTTPError(w, http.StatusBadRequest, "both name and xml are required")
-			return
+		defer release()
+		if reg, ok := readRegistration(w, body); ok {
+			r.handleDocumentPut(w, req, reg)
 		}
-		// The explicit-version mirror form is backend-internal (the
-		// replication and reshard write paths); through the router
-		// every registration is a fresh client write. Forwarding a
-		// client-echoed version would let the backends silently skip
-		// it as a "stale mirror" while the client sees a 200.
-		body.Version = 0
-		r.handleDocumentPut(w, req, body)
 	case http.MethodGet:
 		if name := req.URL.Query().Get("name"); name != "" {
 			r.routeDoc(w, req, name, func(ctx context.Context, n *Node) (any, error) {
@@ -473,6 +466,67 @@ func (r *Router) handleDocuments(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
+// registration is a client's POST /documents as the router holds it:
+// the name, read for placement, and the body the owner is sent — a
+// {name, xml} object with no version member, which in all but two rare
+// cases is the client's own bytes.
+type registration struct {
+	name string
+	body []byte
+}
+
+// readRegistration reads the envelope of a POST /documents body and
+// writes the 400 itself when it is not a registration. See "What the
+// router reads of a request" in node.go.
+func readRegistration(w http.ResponseWriter, body []byte) (registration, bool) {
+	var name string
+	var xml, version []byte
+	scanned := serve.ScanRequest(body,
+		serve.Member{Key: "name", String: &name}, serve.Member{Key: "xml", Raw: &xml}, serve.Member{Key: "version", Raw: &version})
+	if scanned && len(xml) > 0 && xml[0] != '"' {
+		scanned = false // "xml": 7 — encoding/json words the refusal
+	}
+	// The explicit-version mirror form is backend-internal (the
+	// replication and reshard write paths); through the router every
+	// registration is a fresh client write. Forwarding a client-echoed
+	// version would let the backends silently skip it as a "stale
+	// mirror" while the client sees a 200, so a body that has one is
+	// put together again without it.
+	rebuild := version != nil
+	if !scanned {
+		// So is a body the scanner will not vouch for, from what
+		// encoding/json makes of it — as every registration used to be.
+		var req serve.DocumentRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			serve.HTTPError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+			return registration{}, false
+		}
+		name, xml, rebuild = req.Name, serve.AppendJSONString(nil, req.XML), true
+	}
+	if name == "" || len(xml) <= len(`""`) {
+		serve.HTTPError(w, http.StatusBadRequest, "both name and xml are required")
+		return registration{}, false
+	}
+	if rebuild {
+		out := make([]byte, 0, len(name)+len(xml)+32)
+		out = serve.AppendJSONString(append(out, `{"name":`...), name)
+		out = append(append(out, `,"xml":`...), xml...)
+		body = append(out, '}')
+	}
+	return registration{name: name, body: body}, true
+}
+
+// mirrorBody is the mirror write of a registration: the owner's body
+// with the version the owner assigned spliced in front of its closing
+// brace — tagAnswer in the other direction. The replica is thereby sent
+// the owner's version paired with the very bytes the owner parsed.
+func (reg registration) mirrorBody(ver uint64) []byte {
+	end := bytes.LastIndexByte(reg.body, '}')
+	out := make([]byte, 0, end+32)
+	out = append(append(out, reg.body[:end]...), `,"version":`...)
+	return append(strconv.AppendUint(out, ver, 10), '}')
+}
+
 // handleDocumentPut is the write path: the document lands on its
 // owner (failing over along the ring when the owner is unreachable),
 // then the owner-assigned version is mirrored to the next Replicas
@@ -480,14 +534,14 @@ func (r *Router) handleDocuments(w http.ResponseWriter, req *http.Request) {
 // failures degrade the write, never fail it: the primary copy is
 // durable, the response lists which mirrors took, and the health
 // prober plus a later reshard reconcile the rest.
-func (r *Router) handleDocumentPut(w http.ResponseWriter, req *http.Request, body serve.DocumentRequest) {
+func (r *Router) handleDocumentPut(w http.ResponseWriter, req *http.Request, reg registration) {
 	var lastErr error
 	// Writes walk the ring in placement order — owner first, NOT
 	// health-sorted like reads: a stale "unhealthy" mark on a live
 	// owner must not divert the write to a successor, where (without
 	// replication) it would be invisible to owner-first reads. The
 	// owner is only passed over on an actual unreachable error below.
-	cands := r.ring.Replicas(body.Name, r.spread())
+	cands := r.ring.Replicas(reg.name, r.spread())
 	for i, n := range cands {
 		if serr := r.beforeAttempt(req.Context(), i); serr != nil {
 			if errors.Is(serr, ErrRetryBudget) {
@@ -499,23 +553,17 @@ func (r *Router) handleDocumentPut(w http.ResponseWriter, req *http.Request, bod
 			r.retried.Add(1)
 		}
 		actx := resilience.WithAttemptsLeft(req.Context(), len(cands)-i)
-		nodes, ver, err := n.PutDocumentAt(actx, body.Name, body.XML, body.Version)
+		nodes, ver, err := n.PutDocumentBody(actx, reg.body)
 		if err == nil {
-			out := map[string]any{"name": body.Name, "nodes": nodes, "node": n.Name()}
+			out := serve.DocumentResponse{Name: reg.name, Node: n.Name(), Nodes: nodes}
 			if r.opts.Replicas > 0 {
-				var mirrored []string
-				var errs map[string]string
-				ver, mirrored, errs = r.replicate(req.Context(), body.Name, body.XML, ver, n)
-				out["replicas"] = mirrored
-				if len(errs) > 0 {
-					out["replica_errors"] = errs
-				}
+				ver, out.Replicas, out.ReplicaErrors = r.replicate(req.Context(), reg, ver, n)
 			}
-			out["version"] = ver
+			out.Version = ver
 			if r.cache != nil {
-				r.cache.bump(body.Name, ver)
+				r.cache.bump(reg.name, ver)
 			}
-			serve.WriteJSON(w, http.StatusOK, out)
+			serve.WriteJSONBytes(w, http.StatusOK, serve.AppendDocumentResponse(nil, &out))
 			return
 		}
 		if lastErr == nil || !errors.Is(err, ErrUnavailable) {
@@ -549,21 +597,22 @@ func (r *Router) handleDocumentPut(w http.ResponseWriter, req *http.Request, bod
 // to the primary above the highest resident version and re-mirrored,
 // so every copy converges on the new content at a version that
 // supersedes the divergent one.
-func (r *Router) replicate(ctx context.Context, name, xml string, ver uint64, primary *Node) (uint64, []string, map[string]string) {
+func (r *Router) replicate(ctx context.Context, reg registration, ver uint64, primary *Node) (uint64, []string, map[string]string) {
 	round := func(ver uint64) ([]string, map[string]string, uint64) {
+		body := reg.mirrorBody(ver) // one copy, read by every mirror write
 		var mu sync.Mutex
 		mirrored := []string{}
 		errs := map[string]string{}
 		var maxResident uint64
 		var wg sync.WaitGroup
-		for _, n := range r.ring.Replicas(name, r.opts.Replicas) {
+		for _, n := range r.ring.Replicas(reg.name, r.opts.Replicas) {
 			if n == primary {
 				continue
 			}
 			wg.Add(1)
 			go func(n *Node) {
 				defer wg.Done()
-				_, rv, err := n.PutDocumentAt(ctx, name, xml, ver)
+				_, rv, err := n.PutDocumentBody(ctx, body)
 				mu.Lock()
 				defer mu.Unlock()
 				if err != nil {
@@ -590,7 +639,7 @@ func (r *Router) replicate(ctx context.Context, name, xml string, ver uint64, pr
 	mirrored, errs, maxResident := round(ver)
 	if maxResident > ver {
 		ver = maxResident + 1
-		if _, rv, err := primary.PutDocumentAt(ctx, name, xml, ver); err == nil && rv >= ver {
+		if _, rv, err := primary.PutDocumentBody(ctx, reg.mirrorBody(ver)); err == nil && rv >= ver {
 			ver = rv
 			mirrored, errs, _ = round(ver)
 		} else if err != nil {
@@ -956,6 +1005,18 @@ type routerBatchRequest struct {
 	Doc     string   `json:"doc,omitempty"`
 	Docs    []string `json:"docs,omitempty"`
 	Queries []string `json:"queries"`
+}
+
+// ScanJSON reads the body by hand where serve.ScanRequest can (see
+// serve.DecodeJSON); like serve's request types it leaves the receiver
+// alone unless it returns true.
+func (q *routerBatchRequest) ScanJSON(b []byte) bool {
+	var t routerBatchRequest
+	if !serve.ScanRequest(b, serve.Member{Key: "doc", String: &t.Doc}, serve.Member{Key: "docs", Strings: &t.Docs}, serve.Member{Key: "queries", Strings: &t.Queries}) {
+		return false
+	}
+	*q = t
+	return true
 }
 
 // handleBatch is the scatter-gather path: jobs are grouped by owning

@@ -39,16 +39,17 @@ var Analyzer = &analysis.Analyzer{
 // nodeRequestMethods are the cluster.Node methods that put a request
 // on the wire; iterating peers around one of these is a retry chain.
 var nodeRequestMethods = map[string]bool{
-	"do":             true,
-	"Healthz":        true,
-	"PutDocument":    true,
-	"PutDocumentAt":  true,
-	"GetDocument":    true,
-	"DeleteDocument": true,
-	"Documents":      true,
-	"Stats":          true,
-	"Query":          true,
-	"StreamJobs":     true,
+	"do":              true,
+	"Healthz":         true,
+	"PutDocument":     true,
+	"PutDocumentAt":   true,
+	"PutDocumentBody": true,
+	"GetDocument":     true,
+	"DeleteDocument":  true,
+	"Documents":       true,
+	"Stats":           true,
+	"Query":           true,
+	"StreamJobs":      true,
 }
 
 func run(pass *analysis.Pass) error {

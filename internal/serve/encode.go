@@ -1,6 +1,8 @@
 package serve
 
-// This file is the one definition of how an answer looks on the wire.
+// This file is the one definition of how an answer looks on the wire,
+// and (its second half, from Member on) of how a request is read off
+// it.
 // QueryResponse, BatchLine, ValueJSON and NodeJSON remain the schema —
 // what clients and tests decode into, and what the wiretag lint checks
 // — but nothing on the /query and /batch paths reflects over them: the
@@ -44,8 +46,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"sort"
 	"strconv"
 	"sync"
+	"unicode/utf16"
 	"unicode/utf8"
 
 	"repro/internal/core"
@@ -523,4 +527,454 @@ func ScanEnvelope(b []byte) (Envelope, bool) {
 			return env, false
 		}
 	}
+}
+
+// The request direction. A request envelope — the body of POST /query,
+// /documents or /batch — is a small object whose members are strings,
+// string lists and one integer, and the largest thing in it by orders
+// of magnitude is the "xml" string of a registration. It is read the
+// way an answer is written: by hand, once. ScanRequest walks the bytes
+// and fills the members the caller names; a string is copied out of the
+// body exactly once (unescaped through a pooled buffer when it has
+// escapes), so a registration's document becomes the one string the XML
+// parser's nodes then alias. encoding/json is still the definition of
+// the format: ScanRequest declines — returns false, having promised
+// nothing — every body it cannot prove json.Unmarshal would decode to
+// the very same values, and DecodeJSON then hands the body to
+// json.Unmarshal as it always did. Declined, not wrong, are: a member
+// it was not told of (case variants of a known key included — encoding/
+// json matches keys case-insensitively), a key written twice, null, a
+// value of the wrong type, a number that is not a plain unsigned
+// integer, an escape or UTF-8 sequence encoding/json would replace with
+// U+FFFD (a lone surrogate, invalid bytes), and anything that is not
+// JSON. FuzzScanRequest holds both halves of that to encoding/json.
+
+// Member names one member of a request object and where its value
+// goes; exactly one of the pointers is set.
+type Member struct {
+	Key     string
+	String  *string     // a string, decoded
+	Strings *[]string   // an array of strings
+	Uint    *uint64     // an unsigned integer
+	Jobs    *[]BatchJob // an array of {doc, query} objects
+	// Raw takes a string or an unsigned integer as its token, quotes
+	// and escapes included, aliasing the scanned bytes — what a relay
+	// needs of a value it forwards and never reads (cluster: a
+	// registration's xml). Nil after a scan means the member was absent.
+	Raw *[]byte
+}
+
+// ScanRequest reads b, one JSON object, into the members given and
+// reports whether it could; on false the destinations hold garbage and
+// the body is json.Unmarshal's to judge.
+func ScanRequest(b []byte, members ...Member) bool {
+	var sc requestScanner
+	i, ok := sc.object(b, skipSpace(b, 0), members)
+	if sc.scratch != nil {
+		putBuffer(sc.scratch)
+	}
+	return ok && skipSpace(b, i) == len(b)
+}
+
+// requestScanner carries the one piece of state a scan has: the pooled
+// buffer strings with escapes are unescaped through, taken on first use.
+type requestScanner struct{ scratch *buffer }
+
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// object scans the object at b[i] and returns the offset past it.
+func (sc *requestScanner) object(b []byte, i int, members []Member) (int, bool) {
+	if i >= len(b) || b[i] != '{' {
+		return 0, false
+	}
+	if i = skipSpace(b, i+1); i < len(b) && b[i] == '}' {
+		return i + 1, true
+	}
+	var seen uint
+	for {
+		if i >= len(b) || b[i] != '"' {
+			return 0, false
+		}
+		// A key of ours has no escapes; one that does is cut short at
+		// its first quote here and matches nothing.
+		n := bytes.IndexByte(b[i+1:], '"')
+		if n < 0 {
+			return 0, false
+		}
+		key := b[i+1 : i+1+n]
+		slot := -1
+		for m := range members {
+			if string(key) == members[m].Key {
+				slot = m
+				break
+			}
+		}
+		if slot < 0 || seen&(1<<slot) != 0 {
+			return 0, false
+		}
+		seen |= 1 << slot
+		if i = skipSpace(b, i+n+2); i >= len(b) || b[i] != ':' {
+			return 0, false
+		}
+		i = skipSpace(b, i+1)
+		var ok bool
+		switch m := &members[slot]; {
+		case m.String != nil:
+			i, ok = sc.str(b, i, m.String)
+		case m.Uint != nil:
+			i, *m.Uint, ok = scanUint(b, i)
+		case m.Raw != nil:
+			start := i
+			if i < len(b) && b[i] == '"' {
+				i, _, ok = scanString(b, i, nil)
+			} else {
+				i, _, ok = scanUint(b, i)
+			}
+			if ok {
+				*m.Raw = b[start:i]
+			}
+		case m.Strings != nil:
+			list := []string{} // what encoding/json makes of [], not nil
+			i, ok = scanArray(b, i, func(i int) (int, bool) {
+				var s string
+				i, ok := sc.str(b, i, &s)
+				list = append(list, s)
+				return i, ok
+			})
+			*m.Strings = list
+		case m.Jobs != nil:
+			jobs := []BatchJob{}
+			var job BatchJob // one, reused: object calls itself here, so these escape
+			members := []Member{{Key: "doc", String: &job.Doc}, {Key: "query", String: &job.Query}}
+			i, ok = scanArray(b, i, func(i int) (int, bool) {
+				job = BatchJob{}
+				i, ok := sc.object(b, i, members)
+				jobs = append(jobs, job)
+				return i, ok
+			})
+			*m.Jobs = jobs
+		}
+		var closed bool
+		if i, closed, ok = afterValue(b, i, '}', ok); closed || !ok {
+			return i, ok
+		}
+	}
+}
+
+// afterValue takes the scan past what follows a member or an element
+// that ended at b[i] (valid says whether it scanned): a comma, and then
+// i is where the next one starts, or close, and then i is past it.
+func afterValue(b []byte, i int, close byte, valid bool) (next int, closed, ok bool) {
+	if i = skipSpace(b, i); !valid || i >= len(b) {
+		return 0, false, false
+	}
+	switch b[i] {
+	case ',':
+		return skipSpace(b, i+1), false, true
+	case close:
+		return i + 1, true, true
+	}
+	return 0, false, false
+}
+
+// scanArray scans the array at b[i], handing element the offset of
+// each element for it to scan, and returns the offset past the array.
+func scanArray(b []byte, i int, element func(int) (int, bool)) (int, bool) {
+	if i >= len(b) || b[i] != '[' {
+		return 0, false
+	}
+	if i = skipSpace(b, i+1); i < len(b) && b[i] == ']' {
+		return i + 1, true
+	}
+	for {
+		var closed, ok bool
+		i, ok = element(i)
+		if i, closed, ok = afterValue(b, i, ']', ok); closed || !ok {
+			return i, ok
+		}
+	}
+}
+
+// scanUint reads the unsigned integer at b[i] — digits with no sign,
+// fraction, exponent or leading zero, that fit a uint64 — and returns
+// the offset past it.
+func scanUint(b []byte, i int) (end int, v uint64, ok bool) {
+	for end = i; end < len(b) && b[end]-'0' < 10; end++ {
+	}
+	if end == i || b[i] == '0' && end > i+1 {
+		return 0, 0, false
+	}
+	v, err := strconv.ParseUint(string(b[i:end]), 10, 64)
+	return end, v, err == nil
+}
+
+// str scans the string at b[i] into *dst: one copy out of the body.
+func (sc *requestScanner) str(b []byte, i int, dst *string) (int, bool) {
+	if sc.scratch == nil {
+		sc.scratch = getBuffer()
+	}
+	sc.scratch.b = sc.scratch.b[:0]
+	end, escaped, ok := scanString(b, i, &sc.scratch.b)
+	switch {
+	case !ok:
+		return 0, false
+	case escaped:
+		*dst = string(sc.scratch.b)
+	default:
+		*dst = string(b[i+1 : end-1])
+	}
+	return end, true
+}
+
+// plainByte marks the bytes of a JSON string that stand for themselves
+// and need no look: ASCII but for the quote, the backslash and the
+// control characters (which JSON does not allow raw). hexValue is a hex
+// digit's value, negative for any other byte.
+var (
+	plainByte [256]bool
+	hexValue  [256]int8
+)
+
+func init() {
+	for c := range hexValue {
+		plainByte[c] = c >= ' ' && c < utf8.RuneSelf && c != '"' && c != '\\'
+		hexValue[c] = -1
+	}
+	for v, c := range "0123456789abcdef" {
+		hexValue[c] = int8(v)
+	}
+	for v, c := range "ABCDEF" {
+		hexValue[c] = int8(10 + v)
+	}
+}
+
+// scanString checks the string token at b[i] and returns the offset
+// past its closing quote and whether it has escapes. If it has, and
+// unescaped is not nil, the string they stand for is appended to
+// *unescaped; a token without escapes is its own value and nothing is
+// appended. It declines (ok false) what is not a JSON string and what
+// encoding/json would decode to something other than what is written:
+// invalid UTF-8 and \u escapes that are not a character (a surrogate
+// without its pair), both of which become U+FFFD there.
+func scanString(b []byte, i int, unescaped *[]byte) (end int, escaped, ok bool) {
+	if i >= len(b) || b[i] != '"' {
+		return 0, false, false
+	}
+	i++
+	flushed := i // b[flushed:i] is checked and, if escaped, not yet appended
+	for i < len(b) {
+		c := b[i]
+		if plainByte[c] {
+			i++
+			continue
+		}
+		switch {
+		case c == '"':
+			if escaped && unescaped != nil {
+				*unescaped = append(*unescaped, b[flushed:i]...)
+			}
+			return i + 1, escaped, true
+		case c == '\\':
+			if i+1 >= len(b) {
+				return 0, false, false
+			}
+			r, size := rune(b[i+1]), 2
+			switch r {
+			case '"', '\\', '/':
+			case 'b':
+				r = '\b'
+			case 'f':
+				r = '\f'
+			case 'n':
+				r = '\n'
+			case 'r':
+				r = '\r'
+			case 't':
+				r = '\t'
+			case 'u':
+				if r, size = hex4(b, i+2), 6; utf16.IsSurrogate(r) {
+					// A character only as a high surrogate with its
+					// low one right behind it.
+					low := rune(-1)
+					if i+7 < len(b) && b[i+6] == '\\' && b[i+7] == 'u' {
+						low = hex4(b, i+8)
+					}
+					if r, size = utf16.DecodeRune(r, low), 12; r == utf8.RuneError {
+						return 0, false, false
+					}
+				}
+				if r < 0 {
+					return 0, false, false
+				}
+			default:
+				return 0, false, false
+			}
+			if escaped = true; unescaped != nil {
+				*unescaped = utf8.AppendRune(append(*unescaped, b[flushed:i]...), r)
+			}
+			i += size
+			flushed = i
+		case c >= utf8.RuneSelf:
+			r, size := utf8.DecodeRune(b[i:])
+			if r == utf8.RuneError && size == 1 {
+				return 0, false, false
+			}
+			i += size
+		default: // a raw control character
+			return 0, false, false
+		}
+	}
+	return 0, false, false
+}
+
+// hex4 is the value of the four hex digits at b[i:], -1 when they are
+// not four hex digits.
+func hex4(b []byte, i int) rune {
+	if i+4 > len(b) {
+		return -1
+	}
+	h0, h1, h2, h3 := hexValue[b[i]], hexValue[b[i+1]], hexValue[b[i+2]], hexValue[b[i+3]]
+	if h0|h1|h2|h3 < 0 {
+		return -1
+	}
+	return rune(h0)<<12 | rune(h1)<<8 | rune(h2)<<4 | rune(h3)
+}
+
+// ScanJSON is ScanRequest for a POST /query body. Like its siblings it
+// leaves the receiver alone unless it returns true — the contract
+// DecodeJSON needs of a type that reads itself.
+func (q *QueryRequest) ScanJSON(b []byte) bool {
+	var t QueryRequest
+	if !ScanRequest(b, Member{Key: "doc", String: &t.Doc}, Member{Key: "query", String: &t.Query}) {
+		return false
+	}
+	*q = t
+	return true
+}
+
+// ScanJSON is ScanRequest for a POST /documents body. XML is the one
+// copy of the document made between the socket and the tree: the
+// parser's nodes alias it.
+func (d *DocumentRequest) ScanJSON(b []byte) bool {
+	var t DocumentRequest
+	if !ScanRequest(b, Member{Key: "name", String: &t.Name}, Member{Key: "xml", String: &t.XML}, Member{Key: "version", Uint: &t.Version}) {
+		return false
+	}
+	*d = t
+	return true
+}
+
+// ScanJSON is ScanRequest for a POST /batch body, either form.
+func (q *BatchRequest) ScanJSON(b []byte) bool {
+	var t BatchRequest
+	if !ScanRequest(b, Member{Key: "doc", String: &t.Doc}, Member{Key: "queries", Strings: &t.Queries}, Member{Key: "jobs", Jobs: &t.Jobs}) {
+		return false
+	}
+	*q = t
+	return true
+}
+
+// The requests a router sends a backend and the replies to a
+// registration are appended like answers: byte for byte what
+// json.Marshal writes for the struct (encode_test.go holds them to it).
+
+// AppendQueryRequest appends the POST /query body for (doc, query).
+func AppendQueryRequest(dst []byte, doc, query string) []byte {
+	dst = append(dst, `{"doc":`...)
+	dst = AppendJSONString(dst, doc)
+	dst = append(dst, `,"query":`...)
+	dst = AppendJSONString(dst, query)
+	return append(dst, '}')
+}
+
+// AppendJobsRequest appends the grouped POST /batch body for jobs.
+func AppendJobsRequest(dst []byte, jobs []BatchJob) []byte {
+	dst = append(dst, `{"jobs":[`...)
+	for i := range jobs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendQueryRequest(dst, jobs[i].Doc, jobs[i].Query)
+	}
+	return append(dst, ']', '}')
+}
+
+// AppendDocumentRequest appends the POST /documents body registering
+// xml under name, at an explicit version when ver is not zero.
+func AppendDocumentRequest(dst []byte, name, xml string, ver uint64) []byte {
+	dst = append(dst, `{"name":`...)
+	dst = AppendJSONString(dst, name)
+	dst = append(dst, `,"xml":`...)
+	dst = AppendJSONString(dst, xml)
+	if ver != 0 {
+		dst = append(dst, `,"version":`...)
+		dst = strconv.AppendUint(dst, ver, 10)
+	}
+	return append(dst, '}')
+}
+
+// DocumentResponse is the reply to a registration: what POST /documents
+// answers on a node, and — with the members from Node on — on the
+// cluster router, which adds where the document landed and which ring
+// successors took a mirror copy. Members are in the order the map these
+// replies used to be marshalled from sorted them, so the bytes did not
+// move when the map went.
+type DocumentResponse struct {
+	Name  string `json:"name"`
+	Node  string `json:"node,omitempty"`
+	Nodes int    `json:"nodes"`
+	// ReplicaErrors maps a mirror that failed to why; Replicas lists
+	// the ones that took the copy and is written, as [] if need be,
+	// whenever the router replicates at all (non-nil), which
+	// encoding/json's omitempty cannot say.
+	ReplicaErrors map[string]string `json:"replica_errors,omitempty"`
+	Replicas      []string          `json:"replicas,omitempty"`
+	Version       uint64            `json:"version"`
+}
+
+// AppendDocumentResponse appends r as compact JSON and a newline.
+func AppendDocumentResponse(dst []byte, r *DocumentResponse) []byte {
+	dst = append(dst, `{"name":`...)
+	dst = AppendJSONString(dst, r.Name)
+	if r.Node != "" {
+		dst = append(dst, `,"node":`...)
+		dst = AppendJSONString(dst, r.Node)
+	}
+	dst = append(dst, `,"nodes":`...)
+	dst = strconv.AppendInt(dst, int64(r.Nodes), 10)
+	if len(r.ReplicaErrors) > 0 {
+		nodes := make([]string, 0, len(r.ReplicaErrors))
+		for node := range r.ReplicaErrors {
+			nodes = append(nodes, node)
+		}
+		sort.Strings(nodes)
+		dst = append(dst, `,"replica_errors":{`...)
+		for i, node := range nodes {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = AppendJSONString(dst, node)
+			dst = append(dst, ':')
+			dst = AppendJSONString(dst, r.ReplicaErrors[node])
+		}
+		dst = append(dst, '}')
+	}
+	if r.Replicas != nil {
+		dst = append(dst, `,"replicas":[`...)
+		for i, node := range r.Replicas {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = AppendJSONString(dst, node)
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"version":`...)
+	dst = strconv.AppendUint(dst, r.Version, 10)
+	return append(dst, '}', '\n')
 }

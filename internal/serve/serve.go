@@ -489,7 +489,10 @@ func (s *Server) handleDocumentPost(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusBadRequest, "parse %s: %v", req.Name, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, map[string]any{"name": req.Name, "nodes": n, "version": ver})
+	buf := getBuffer()
+	defer putBuffer(buf)
+	buf.b = AppendDocumentResponse(buf.b, &DocumentResponse{Name: req.Name, Nodes: n, Version: ver})
+	WriteJSONBytes(w, http.StatusOK, buf.b)
 }
 
 // handleQuery accepts POST {doc, query} or GET ?doc=...&q=... (the
@@ -746,33 +749,68 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// readBody reads a request body into a pooled buffer, which is the
+// caller's to put back, writing the error response itself on failure
+// (413 when the body tripped the size limit).
+func readBody(w http.ResponseWriter, r *http.Request) (*buffer, bool) {
+	buf := getBuffer()
+	rd := bytes.NewBuffer(buf.b)
+	_, err := rd.ReadFrom(r.Body)
+	buf.b = rd.Bytes() // grown, perhaps: that is what goes back to the pool
+	if err != nil {
+		putBuffer(buf)
+		writeDecodeError(w, err)
+		return nil, false
+	}
+	return buf, true
+}
+
+// ReadBody is the read half of DecodeJSON for a caller that relays the
+// body instead of decoding it (the cluster router's registrations): the
+// bytes are the caller's until it calls release.
+func ReadBody(w http.ResponseWriter, r *http.Request) (body []byte, release func(), ok bool) {
+	buf, ok := readBody(w, r)
+	if !ok {
+		return nil, nil, false
+	}
+	return buf.b, func() { putBuffer(buf) }, true
+}
+
 // DecodeJSON parses a request body into dst, writing the error
 // response itself on failure: 413 when the body tripped the size
 // limit, 400 for malformed JSON — which includes anything but
-// whitespace after the object. The body is read into a pooled buffer
-// and unmarshalled from there (encoding/json copies every string it
-// decodes, so nothing in dst points into the buffer). Exported because
-// the cluster router speaks this package's wire format and must fail
-// identically.
+// whitespace after the object. A dst that can read itself (ScanJSON:
+// the three request envelopes, see encode.go) is asked first; whatever
+// it declines, and every other dst, goes through json.Unmarshal, so
+// what a body means is encoding/json's to say either way. Nothing in
+// dst points into the pooled buffer the body was read into. Exported
+// because the cluster router speaks this package's wire format and
+// must fail identically.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	buf := getBuffer()
-	defer putBuffer(buf)
-	body := bytes.NewBuffer(buf.b)
-	_, err := body.ReadFrom(r.Body)
-	buf.b = body.Bytes() // grown, perhaps: that is what goes back to the pool
-	if err == nil {
-		err = json.Unmarshal(buf.b, dst)
+	buf, ok := readBody(w, r)
+	if !ok {
+		return false
 	}
-	if err == nil {
+	defer putBuffer(buf)
+	if s, ok := dst.(interface{ ScanJSON([]byte) bool }); ok && s.ScanJSON(buf.b) {
 		return true
 	}
+	if err := json.Unmarshal(buf.b, dst); err != nil {
+		writeDecodeError(w, err)
+		return false
+	}
+	return true
+}
+
+// writeDecodeError answers a request whose body could not be read or
+// was not the JSON expected.
+func writeDecodeError(w http.ResponseWriter, err error) {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		HTTPError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-		return false
+		return
 	}
 	HTTPError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-	return false
 }
 
 // WriteJSONBytes sends an already encoded JSON body with the given

@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -119,7 +120,6 @@ func (b *Builder) Done() (*Document, error) {
 	}
 	d := b.doc
 	d.strval = make([]atomic.Pointer[string], len(d.nodes))
-	d.buildRef()
 	b.doc = nil
 	return d, nil
 }
@@ -133,7 +133,7 @@ func (b *Builder) MustDone() *Document {
 	return d
 }
 
-// buildRef precomputes the ref relation of Theorem 10.7: ⟨x,y⟩ ∈ ref iff
+// buildRef computes the ref relation of Theorem 10.7: ⟨x,y⟩ ∈ ref iff
 // the text directly inside x contains a whitespace-separated token equal
 // to the ID of y. The relation is linear in the size of the document text.
 func (d *Document) buildRef() {
@@ -147,23 +147,17 @@ func (d *Document) buildRef() {
 			continue
 		}
 		x := NodeID(i)
-		txt := d.DirectText(x)
-		if txt == "" {
-			continue
-		}
 		var targets []NodeID
-		seen := map[NodeID]bool{}
-		for _, tok := range strings.Fields(txt) {
-			if y, ok := d.ids[tok]; ok && !seen[y] {
-				seen[y] = true
+		for _, tok := range strings.Fields(d.DirectText(x)) {
+			if y, ok := d.ids[tok]; ok && !slices.Contains(targets, y) {
 				targets = append(targets, y)
 			}
 		}
 		if len(targets) > 0 {
 			d.ref[x] = targets
-			for _, y := range targets {
-				d.refInv[y] = append(d.refInv[y], x)
-			}
+		}
+		for _, y := range targets {
+			d.refInv[y] = append(d.refInv[y], x)
 		}
 	}
 }

@@ -23,9 +23,14 @@ type Document struct {
 	// ref is the auxiliary relation of Theorem 10.7: ref contains ⟨x,y⟩
 	// iff the text *directly* inside x (not in descendants) contains a
 	// whitespace-separated token equal to the ID of y. Stored as a
-	// forward adjacency list plus its inverse.
-	ref    map[NodeID][]NodeID
-	refInv map[NodeID][]NodeID
+	// forward adjacency list plus its inverse, built on first use under
+	// the same contract as the index below: at most once, never seen
+	// half built. Only id() evaluation reads it (axes.EvalID and
+	// EvalIDInverse), so a document nobody asks id() of never pays the
+	// pass over its text.
+	refOnce sync.Once
+	ref     map[NodeID][]NodeID
+	refInv  map[NodeID][]NodeID
 
 	// strval memoizes strval for element and root nodes, which is the
 	// concatenation of descendant text (Section 4). Every engine and
@@ -187,10 +192,16 @@ func (d *Document) IDOf(key string) NodeID {
 // Ref returns the nodes referenced from x via the ref relation
 // (Theorem 10.7): nodes whose ID appears as a whitespace-separated token
 // in the text directly inside x.
-func (d *Document) Ref(x NodeID) []NodeID { return d.ref[x] }
+func (d *Document) Ref(x NodeID) []NodeID {
+	d.refOnce.Do(d.buildRef)
+	return d.ref[x]
+}
 
 // RefInv returns the nodes that reference y via the ref relation.
-func (d *Document) RefInv(y NodeID) []NodeID { return d.refInv[y] }
+func (d *Document) RefInv(y NodeID) []NodeID {
+	d.refOnce.Do(d.buildRef)
+	return d.refInv[y]
+}
 
 // Attributes returns the attribute nodes of an element in document order.
 func (d *Document) Attributes(id NodeID) []NodeID {

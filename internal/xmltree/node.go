@@ -14,6 +14,19 @@
 // namespace nodes are modeled as abstract children of their element: the
 // attribute axis is child₀(S) ∩ T(attribute()), and all ordinary axes filter
 // attribute and namespace nodes out of their results.
+//
+// # Strings alias the source
+//
+// Parse reads its input into one string, ParseString is handed one, and
+// every Node.Name and Node.Data the source spells as it is — no entity
+// or character reference, no carriage return — is a substring of that
+// string, not a copy: a parse allocates the arena, not a string per
+// node. The consequence is the retention rule: a Document is kept or
+// dropped whole, never node by node. A Name or Data held on to after its
+// Document is gone (a cache key, a log field kept for long) keeps the
+// entire source text reachable; copy it (strings.Clone) if it must
+// outlive the document. Documents built through a Builder alias
+// whatever strings the caller passed in, as they always have.
 package xmltree
 
 import "fmt"
