@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/semantics"
+	"repro/internal/workload"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -212,6 +213,55 @@ func TestSetAtATimeScaling(t *testing.T) {
 			if at1 == 0 || at4 >= 6*at1 {
 				t.Errorf("%s under %v: %d B/op at |D|, %d B/op at 4|D| (×%.1f), want < ×6",
 					src, s, at1, at4, float64(at4)/float64(at1))
+			}
+		}
+	}
+}
+
+// TestContextTableScaling guards the storage of the context-value
+// tables the same way: B/op and allocs/op of one evaluation over an
+// auction document of |D| and of 4|D| nodes, for the two count(bidder)
+// shapes — three tables and a relation over every open_auction — and
+// the positional //item. A table is a handful of arrays sized to its
+// context nodes, so bytes grow with the document (a little over 4×, the
+// arrays are sized in powers of two here and there) and the number of
+// allocations hardly at all. The two count(bidder) shapes also stay
+// under 100 KB at the larger document: a 64-byte row per context node
+// in a map, and a map entry per relation row, made that 347 KB.
+func TestContextTableScaling(t *testing.T) {
+	benchtime := flag.Lookup("test.benchtime")
+	defer benchtime.Value.Set(benchtime.Value.String())
+	benchtime.Value.Set("5x")
+
+	small, large := workload.Auction(7, 300), workload.Auction(7, 1200)
+	small.Index()
+	large.Index()
+	for src, maxBytes := range map[string]int64{
+		"count(//open_auction[count(bidder) > 2])":  100 << 10,
+		"//open_auction[count(bidder) = 3]/current": 100 << 10,
+		"//item[position() mod 2 = 0]/name":         64 << 10,
+	} {
+		q := core.MustCompile(src)
+		for _, s := range []core.Strategy{core.MinContext, core.OptMinContext} {
+			measure := func(d *xmltree.Document) testing.BenchmarkResult {
+				en := core.NewEngine(d, s)
+				c := core.Context{Node: d.RootID(), Pos: 1, Size: 1}
+				return testing.Benchmark(func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := en.EvaluateStrategy(context.Background(), q, c, s); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+			at1, at4 := measure(small), measure(large)
+			if b1, b4 := at1.AllocedBytesPerOp(), at4.AllocedBytesPerOp(); b1 == 0 || float64(b4) > 4.6*float64(b1) || b4 > maxBytes {
+				t.Errorf("%s under %v: %d B/op at |D|, %d B/op at 4|D| (×%.1f), want ≤ ×4.6 and ≤ %d",
+					src, s, b1, b4, float64(b4)/float64(b1), maxBytes)
+			}
+			if a1, a4 := at1.AllocsPerOp(), at4.AllocsPerOp(); float64(a4) > 1.5*float64(a1) {
+				t.Errorf("%s under %v: %d allocs/op at |D|, %d at 4|D|, want within ×1.5", src, s, a1, a4)
 			}
 		}
 	}

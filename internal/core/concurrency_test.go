@@ -21,6 +21,11 @@ func TestConcurrentEvaluation(t *testing.T) {
 		MustCompile("//product[@category = 'audio'][position() < 4]"),
 		MustCompile("sum(//price)"),
 		MustCompile("id(//accessory)/name"),
+		// One cached, numbered tree under the engines that keep their
+		// tables by slot: a positional step //… cannot fuse, and a
+		// count() per context node.
+		MustCompile("//product[position() mod 2 = 0]/name"),
+		MustCompile("count(//product[count(accessory) > 0])"),
 	}
 	// Compute expectations on a second, structurally identical document
 	// (the generator is deterministic, so NodeIDs coincide) to keep

@@ -213,7 +213,8 @@ func (ev *Evaluator) e1(e xpath.Expr) (*xmltree.Bitset, error) {
 		case xpath.OpAnd:
 			l.ParIntersect(r, ev.Parallelism)
 			return l, nil
-		case xpath.OpOr:
+		case xpath.OpOr, xpath.OpUnion:
+			// boolean(π1 | π2) holds where either path selects a node.
 			l.ParUnion(r, ev.Parallelism)
 			return l, nil
 		default:

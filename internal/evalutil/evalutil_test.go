@@ -196,6 +196,38 @@ func TestPairLoopZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPairLoopCandidatesWalkThePostingList: for child::name the loop
+// reads each previous context node's candidates off one walk of name's
+// posting list. They equal StepCandidates for nested same-named
+// elements, for nodes without a candidate, in document order (the order
+// the loops use) and out of it.
+func TestPairLoopCandidatesWalkThePostingList(t *testing.T) {
+	d, err := xmltree.ParseString(`<r><a><a><a/><b/></a><b/><a/></a><b><a/></b><a/><c/><a><b><a/></b></a></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all xmltree.NodeSet
+	for i := 0; i < d.Len(); i++ {
+		all = append(all, xmltree.NodeID(i))
+	}
+	backwards := append(xmltree.NodeSet(nil), all...).Reversed()
+	for _, q := range []string{"child::a", "child::b", "child::nosuch", "child::*", "descendant::a"} {
+		s := step(t, q)
+		for _, order := range []xmltree.NodeSet{all, backwards, {4, 1, 4, 9, 2}} {
+			loop := NewPairLoop(d, s, nil, nil)
+			var buf xmltree.NodeSet
+			for _, x := range order {
+				if buf, err = loop.Candidates(x, buf); err != nil {
+					t.Fatal(err)
+				}
+				if want := StepCandidates(d, s.Axis, s.Test, x); !buf.Equal(want) {
+					t.Errorf("%s at %d: %v, want %v", q, x, buf, want)
+				}
+			}
+		}
+	}
+}
+
 // TestVerdictsPerPositionAndSize: a predicate whose relevant context
 // lacks cn is evaluated once per ⟨cp, cs⟩ over all the previous context
 // nodes of a loop, one that reads cn at every candidate; the survivors

@@ -104,32 +104,84 @@ func (v *Verdicts) row(cs int) []verdict {
 
 // PairLoop is what the loop over pairs ⟨x, z⟩ of one location step
 // shares between previous context nodes x: the step, the predicate
-// evaluator and the per-⟨cp, cs⟩ verdicts of its predicates.
+// evaluator, the per-⟨cp, cs⟩ verdicts of its predicates and, for
+// child::name, the name's posting list with the place the last x left
+// off in it — callers visit the previous context nodes in document
+// order, so the list is resolved once and walked once instead of being
+// looked up and binary-searched per node.
 type PairLoop struct {
 	d      *xmltree.Document
 	step   *xpath.Step
 	cancel *Canceller
 	eval   PredEval
 	seen   []*Verdicts
+
+	ix      *xmltree.Index  // set for child::name: candidates come from named
+	named   xmltree.NodeSet // shared with the index, only read
+	nextPos int             // first member of named behind the last x
 }
 
 // NewPairLoop prepares the pair loop of a step.
 func NewPairLoop(d *xmltree.Document, step *xpath.Step, cancel *Canceller, eval PredEval) *PairLoop {
-	return &PairLoop{d: d, step: step, cancel: cancel, eval: eval, seen: PredVerdicts(step.Preds)}
+	l := &PairLoop{d: d, step: step, cancel: cancel, eval: eval, seen: PredVerdicts(step.Preds)}
+	if step.Axis == axes.Child && ExactElementName(step.Axis, step.Test) {
+		l.ix = d.Index()
+		l.named = l.ix.Named(step.Test.Name)
+	}
+	return l
+}
+
+// Reaching is ContextsReaching for the loop's step: the members of xs
+// worth a visit, given the candidates ys that can still be selected.
+// For child::name that is every one of them — asking the posting list
+// costs less than the inverse axis would.
+func (l *PairLoop) Reaching(xs, ys xmltree.NodeSet) xmltree.NodeSet {
+	if l.ix != nil {
+		return xs
+	}
+	return ContextsReaching(l.d, l.step.Axis, xs, ys)
+}
+
+// Candidates is StepCandidatesInto for the loop's step at the previous
+// context node x, into buf.
+func (l *PairLoop) Candidates(x xmltree.NodeID, buf xmltree.NodeSet) (xmltree.NodeSet, error) {
+	if err := l.cancel.Check(); err != nil {
+		return nil, err
+	}
+	if l.ix == nil {
+		return StepCandidatesInto(l.d, l.step.Axis, l.step.Test, x, buf), nil
+	}
+	if l.nextPos > 0 && l.named[l.nextPos-1] > x {
+		l.nextPos = 0 // x is not behind its predecessor: start over
+	}
+	l.nextPos = l.named.Seek(l.nextPos, x+1)
+	buf = buf[:0]
+	end := l.ix.SubtreeEnd(x)
+	for _, y := range l.named[l.nextPos:] {
+		if y >= end {
+			break
+		}
+		if l.d.Parent(y) == x {
+			buf = append(buf, y)
+		}
+	}
+	return buf, nil
 }
 
 // RankedCandidates is the body of the loop: the candidates of one
-// previous context node x (StepCandidatesInto, into buf), filtered by
-// the step's predicates in turn, each predicate seeing the survivors of
-// the one before it at their positions. The result reuses buf's array;
-// hand it back as buf for the next x.
+// previous context node x (Candidates, into buf), filtered by the
+// step's predicates in turn, each predicate seeing the survivors of the
+// one before it at their positions. The result reuses buf's array; hand
+// it back as buf for the next x.
 func (l *PairLoop) RankedCandidates(x xmltree.NodeID, buf xmltree.NodeSet) (xmltree.NodeSet, error) {
-	z := StepCandidatesInto(l.d, l.step.Axis, l.step.Test, x, buf)
+	z, err := l.Candidates(x, buf)
+	if err != nil {
+		return nil, err
+	}
 	for i, pred := range l.step.Preds {
 		if err := l.cancel.CheckN(len(z) + 1); err != nil {
 			return nil, err
 		}
-		var err error
 		if z, err = FilterPositions(l.step.Axis, pred, z, z[:0], l.eval, l.seen[i]); err != nil {
 			return nil, err
 		}

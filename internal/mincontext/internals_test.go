@@ -1,6 +1,8 @@
 package mincontext
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/naive"
@@ -20,7 +22,6 @@ func TestInnerLocpathRelation(t *testing.T) {
 		"child::c",
 		"child::b/child::c",
 		"descendant::c",
-		"/descendant::b/child::c",
 		"child::c[position() = 2]",
 		"following-sibling::*/child::c",
 	}
@@ -30,7 +31,10 @@ func TestInnerLocpathRelation(t *testing.T) {
 	}
 	for _, q := range paths {
 		p := xpath.MustParse(q).(*xpath.Path)
-		st := newState(ev)
+		st, err := ev.Begin(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rel, err := st.evalInnerLocpath(p, all)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
@@ -40,8 +44,8 @@ func TestInnerLocpathRelation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !rel[x].Equal(want.Set) {
-				t.Errorf("%s from %d: relation %v, naive %v", q, x, rel[x], want.Set)
+			if row := rel.row(rel.index(x)); !row.Equal(want.Set) {
+				t.Errorf("%s from %d: relation %v, naive %v", q, x, row, want.Set)
 			}
 		}
 	}
@@ -55,8 +59,11 @@ func TestInnerLocpathRelation(t *testing.T) {
 func TestCoverageBookkeeping(t *testing.T) {
 	d := xmltree.MustParseString(`<a><b/><b/><b/></a>`)
 	ev := New(d)
-	st := newState(ev)
 	e := xpath.MustParse("count(child::b)")
+	st, err := ev.Begin(context.Background(), e)
+	if err != nil {
+		t.Fatal(err)
+	}
 	all := xmltree.NodeSet{0, 1, 2}
 	if err := st.evalByCnodeOnly(e, all); err != nil {
 		t.Fatal(err)
@@ -68,7 +75,7 @@ func TestCoverageBookkeeping(t *testing.T) {
 	}
 	// Values are correct per node.
 	for n := xmltree.NodeID(0); n < 4; n++ {
-		v, err := st.evalSingleContext(e, semantics.Context{Node: n, Pos: -1, Size: -1})
+		v, err := st.EvalSingleContext(e, semantics.Context{Node: n, Pos: -1, Size: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,11 +96,14 @@ func TestCoverageBookkeeping(t *testing.T) {
 func TestOnDemandSingleContext(t *testing.T) {
 	d := xmltree.MustParseString(`<a><b><c/></b></a>`)
 	ev := New(d)
-	st := newState(ev)
 	e := xpath.MustParse("count(child::*)")
+	st, err := ev.Begin(context.Background(), e)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// No prior evalByCnodeOnly for node b.
 	b := d.Children(d.DocumentElement())[0]
-	v, err := st.evalSingleContext(e, semantics.Context{Node: b, Pos: -1, Size: -1})
+	v, err := st.EvalSingleContext(e, semantics.Context{Node: b, Pos: -1, Size: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +112,52 @@ func TestOnDemandSingleContext(t *testing.T) {
 	}
 }
 
-// TestErrorPaths covers the error returns.
+// TestErrorPaths covers the error returns: an unbound variable, and a
+// tree put together by hand — it has no slots, and is refused instead of
+// being evaluated on slot 0.
 func TestErrorPaths(t *testing.T) {
 	d := xmltree.MustParseString(`<a/>`)
 	ev := New(d)
-	if _, err := ev.Evaluate(&xpath.VarRef{Name: "v"}, semantics.Context{Node: d.RootID(), Pos: 1, Size: 1}); err == nil {
-		t.Error("unbound variable must error")
+	root := semantics.Context{Node: d.RootID(), Pos: 1, Size: 1}
+	if _, err := ev.Evaluate(xpath.MustParse("count(//a) + $v"), root); err == nil || !strings.Contains(err.Error(), "unbound variable") {
+		t.Errorf("unbound variable: %v", err)
+	}
+	byHand := &xpath.Call{Name: "count", Args: []xpath.Expr{xpath.MustParse("//a")}}
+	if _, err := ev.Evaluate(byHand, root); err == nil || !strings.Contains(err.Error(), "not numbered") {
+		t.Errorf("hand-built tree: %v", err)
+	}
+}
+
+// TestTableColumns: context nodes asked for behind the ones a table has
+// extend its column, nodes in front of them start a second one, and
+// every row is found again whatever the order of the lookups.
+func TestTableColumns(t *testing.T) {
+	d := xmltree.MustParseString(`<r><a><b/></a><a><b/><b/></a><a/><a><b/><b/><b/></a></r>`)
+	as := d.Index().Named("a")
+	for _, src := range []string{"count(child::b)", "child::b", "count(child::b) > 1", "string(count(child::b))"} {
+		e := xpath.MustParse(src)
+		st, err := New(d).Begin(context.Background(), e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range []xmltree.NodeSet{as[1:2], as[1:3], as[3:], as[:2]} {
+			if err := st.evalByCnodeOnly(e, x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cols := st.tabs[xpath.Slot(e)].cols; len(cols) != 2 || len(cols[0].nodes) != 3 || len(cols[1].nodes) != 1 {
+			t.Errorf("%s: columns %+v, want one of three rows and one of one", src, cols)
+		}
+		nv := naive.New(d)
+		for _, k := range []int{3, 0, 2, 1, 0, 3} {
+			c := semantics.Context{Node: as[k], Pos: 1, Size: 1}
+			want, err := nv.Evaluate(e, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := st.EvalSingleContext(e, c); err != nil || !got.Equal(want) {
+				t.Errorf("%s at a[%d]: %+v, %v; naive %+v", src, k+1, got, err, want)
+			}
+		}
 	}
 }

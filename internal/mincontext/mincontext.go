@@ -17,8 +17,36 @@
 //
 // The four procedures eval_outermost_locpath, eval_by_cnode_only,
 // eval_single_context and eval_inner_locpath follow the pseudocode of
-// Appendix A; the parse tree and per-node tables are carried in an
-// evaluation state.
+// Appendix A; the per-node tables are carried in a Run.
+//
+// # How tables are stored
+//
+// Relev(N) depends on the query alone, so the tree arrives numbered
+// (xpath.Slot) with Relev recorded in each node, and the table of node N
+// is element Slot(N) of one slice — no map from expressions to anything.
+// Only nodes whose Relev lacks cp and cs are ever tabulated (idea 3), so
+// position and size never key a table; what is left of the context is
+// the node, or nothing:
+//
+//   - cn ∉ Relev(N): a single value;
+//   - otherwise a column: the ascending list of the context nodes
+//     tabulated so far — the set eval_by_cnode_only was handed, shared
+//     and not copied — and, aligned with it, one array chosen by N's
+//     static type: []float64, a bitset, []string, or for node sets CSR
+//     (one offsets slice into one flat NodeSet), which is also what
+//     eval_inner_locpath builds a relation as, row by row from the
+//     posting lists. Rows are read where the last read left off, by
+//     binary search otherwise. Context nodes asked for later are appended
+//     when they lie behind the last one and start a further column when
+//     they do not;
+//   - a table another evaluator computed whole (SetTruth) stays the set
+//     of nodes it arrived as.
+//
+// An operator whose operands are such arrays over the very nodes being
+// tabulated — count() of a relation, arithmetic and comparison of
+// numbers, a filter by a boolean column or node set — loops over the
+// arrays (vector, filterCandidates); everything else is computed row by
+// row through eval_single_context.
 //
 // # Which paths are node sets
 //
@@ -66,6 +94,7 @@ package mincontext
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/axes"
@@ -76,30 +105,10 @@ import (
 )
 
 // Evaluator evaluates XPath queries with the MinContext algorithm.
-type Evaluator struct {
-	doc *xmltree.Document
-
-	// pre holds the subexpressions a fragment optimizer (OptMinContext,
-	// Section 11.2) evaluated beforehand: the set of context nodes at
-	// which each is true. See SetPrecomputed.
-	pre map[xpath.Expr]*xmltree.Bitset
-}
+type Evaluator struct{ doc *xmltree.Document }
 
 // New returns a MinContext evaluator for the document.
 func New(d *xmltree.Document) *Evaluator { return &Evaluator{doc: d} }
-
-// SetPrecomputed installs the context nodes at which a boolean
-// subexpression holds; eval_by_cnode_only and eval_single_context
-// consult the set instead of evaluating the subexpression
-// ("subexpressions that have already been evaluated bottom-up are not
-// evaluated again", Algorithm 11.1). The bitset must span the whole
-// document.
-func (ev *Evaluator) SetPrecomputed(e xpath.Expr, holds *xmltree.Bitset) {
-	if ev.pre == nil {
-		ev.pre = map[xpath.Expr]*xmltree.Bitset{}
-	}
-	ev.pre[e] = holds
-}
 
 // Evaluate implements Algorithm 8.5 (MinContext): location paths go
 // through eval_outermost_locpath; any other query is tabulated by
@@ -112,8 +121,56 @@ func (ev *Evaluator) Evaluate(e xpath.Expr, c semantics.Context) (semantics.Valu
 // per-pair position loops check ctx at throttled checkpoints and
 // abandon the evaluation with ctx's error once it is done.
 func (ev *Evaluator) EvaluateContext(ctx context.Context, e xpath.Expr, c semantics.Context) (semantics.Value, error) {
-	st := newState(ev)
-	st.cancel = evalutil.NewCanceller(ctx)
+	st, err := ev.Begin(ctx, e)
+	if err != nil {
+		return semantics.Value{}, err
+	}
+	return st.Evaluate(c)
+}
+
+// Run is one evaluation in progress: the context-value table of every
+// parse-tree node, by slot. A fragment optimizer (OptMinContext, Section
+// 11.2) begins a run, installs the tables it computes bottom-up
+// (SetTruth, reading through EvalSingleContext) and leaves the rest to
+// Evaluate.
+type Run struct {
+	expr xpath.Expr
+	doc  *xmltree.Document
+	tabs []table
+
+	// cancel is the throttled cancellation checkpoint for this query.
+	cancel *evalutil.Canceller
+}
+
+// Begin starts an evaluation of e, which must be numbered: a tree put
+// together by hand has no slots to keep tables under.
+func (ev *Evaluator) Begin(ctx context.Context, e xpath.Expr) (*Run, error) {
+	n := xpath.Slots(e)
+	if n == 0 {
+		return nil, fmt.Errorf("mincontext: %s is not numbered (trees come from xpath.Parse, Substitute or Optimize)", e)
+	}
+	return &Run{expr: e, doc: ev.doc, tabs: make([]table, n), cancel: evalutil.NewCanceller(ctx)}, nil
+}
+
+// SetTruth installs the complete table of a boolean subexpression that
+// does not depend on cp or cs: true at the context nodes of at, which
+// spans the document, or — at nil, Relev lacking cn as well — all at
+// every context node ("subexpressions that have already been evaluated
+// bottom-up are not evaluated again", Algorithm 11.1).
+func (st *Run) SetTruth(e xpath.Expr, at *xmltree.Bitset, all bool) {
+	st.tabs[xpath.Slot(e)] = table{truth: at, one: semantics.Boolean(all), has: at == nil}
+}
+
+// Known reports whether e's table is complete: installed by SetTruth, or
+// the single row of an expression whose Relev lacks cn.
+func (st *Run) Known(e xpath.Expr) bool {
+	t := &st.tabs[xpath.Slot(e)]
+	return t.has || t.truth != nil
+}
+
+// Evaluate returns the value of the run's expression at context c.
+func (st *Run) Evaluate(c semantics.Context) (semantics.Value, error) {
+	e := st.expr
 	if isLocationPath(e) {
 		s, err := st.evalOutermostLocpath(e, xmltree.NodeSet{c.Node})
 		if err != nil {
@@ -124,7 +181,7 @@ func (ev *Evaluator) EvaluateContext(ctx context.Context, e xpath.Expr, c semant
 	if err := st.evalByCnodeOnly(e, xmltree.NodeSet{c.Node}); err != nil {
 		return semantics.Value{}, err
 	}
-	return st.evalSingleContext(e, c)
+	return st.EvalSingleContext(e, c)
 }
 
 // isLocationPath reports whether the query is a location path in the
@@ -140,151 +197,53 @@ func isLocationPath(e xpath.Expr) bool {
 	}
 }
 
-// ctxKey and table mirror the relevant-context projection of Section 8.2.
-type ctxKey struct {
-	node      xmltree.NodeID
-	pos, size int32
-}
-
-type table struct {
-	relev xpath.Relev
-	vals  map[ctxKey]semantics.Value
-}
-
-func (t *table) key(c semantics.Context) ctxKey {
-	k := ctxKey{node: xmltree.NilNode, pos: -1, size: -1}
-	if t.relev.Has(xpath.RelevNode) {
-		k.node = c.Node
-	}
-	if t.relev.Has(xpath.RelevPos) {
-		k.pos = int32(c.Pos)
-	}
-	if t.relev.Has(xpath.RelevSize) {
-		k.size = int32(c.Size)
-	}
-	return k
-}
-
-// state is the per-query evaluation state: Relev per node, the
-// context-value tables, the inner-location-path relations, and the set
-// of context nodes each table already covers.
-type state struct {
-	ev  *Evaluator
-	doc *xmltree.Document
-
-	relev  map[xpath.Expr]xpath.Relev
-	tables map[xpath.Expr]*table
-	// rels holds the value of every cp/cs-independent location path that
-	// is not the outermost one, one row per context node. A path whose
-	// Relev lacks cn has the single row NilNode (see fillPath).
-	rels map[xpath.Expr]map[xmltree.NodeID]xmltree.NodeSet
-	// covered marks, per expression, the context nodes already tabulated.
-	// For an expression whose Relev lacks cn the key's presence alone
-	// says "done" and the bitset stays nil.
-	covered map[xpath.Expr]*xmltree.Bitset
-
-	// cancel is the throttled cancellation checkpoint for this query;
-	// nil (the Evaluate path) never fires.
-	cancel *evalutil.Canceller
-
-	// free holds the scratch of finished pair loops for reuse.
-	free []*loopScratch
-}
-
-func newState(ev *Evaluator) *state {
-	return &state{
-		ev:      ev,
-		doc:     ev.doc,
-		relev:   map[xpath.Expr]xpath.Relev{},
-		tables:  map[xpath.Expr]*table{},
-		rels:    map[xpath.Expr]map[xmltree.NodeID]xmltree.NodeSet{},
-		covered: map[xpath.Expr]*xmltree.Bitset{},
-	}
-}
-
-// loopScratch is what one loop over context nodes reuses from node to
-// node: the candidate-list buffer and the accumulator that merges the
-// per-node results in O(Σ|zᵢ|) instead of by repeated Union. Predicates
-// evaluated inside a loop may start loops of their own (a nested path
-// evaluated on demand), so every loop acquires its own scratch and
-// returns it when done.
-type loopScratch struct {
-	acc *xmltree.Accumulator
-	buf xmltree.NodeSet
-}
-
-func (st *state) acquire() *loopScratch {
-	if n := len(st.free); n > 0 {
-		sc := st.free[n-1]
-		st.free = st.free[:n-1]
-		return sc
-	}
-	return &loopScratch{acc: xmltree.NewAccumulator(st.doc.Len())}
-}
-
-func (st *state) release(sc *loopScratch) {
-	sc.acc.Reset() // a loop abandoned on error leaves members behind
-	st.free = append(st.free, sc)
-}
-
-// tableOf returns table(e), creating it sized for the rows about to be
-// filled: one per context node, or one in all when Relev(e) lacks cn.
-func (st *state) tableOf(e xpath.Expr, contexts int) *table {
-	t := st.tables[e]
-	if t == nil {
-		t = &table{relev: st.relevOf(e)}
-		if !t.relev.Has(xpath.RelevNode) {
-			contexts = 1
-		}
-		t.vals = make(map[ctxKey]semantics.Value, contexts)
-		st.tables[e] = t
-	}
-	return t
-}
-
-func (st *state) relevOf(e xpath.Expr) xpath.Relev {
-	r, ok := st.relev[e]
-	if !ok {
-		r = xpath.RelevantContext(e)
-		st.relev[e] = r
-	}
-	return r
-}
-
-// uncovered returns the subset of X not yet covered for e and marks it
-// covered. For context-insensitive expressions (Relev(N) ∩ {cn} = ∅) all
+// uncovered returns the context nodes of X that t has no row for yet.
+// For context-insensitive expressions (Relev(N) ∩ {cn} = ∅) all
 // contexts are one. An empty X covers nothing: there is no context to
-// tabulate the expression at. The coverage scan can touch up to |D|
-// nodes, so it bills the cancellation checkpoint.
-func (st *state) uncovered(e xpath.Expr, x xmltree.NodeSet) (xmltree.NodeSet, error) {
-	if len(x) == 0 {
+// tabulate the expression at. A table without rows has all of X to
+// fill; otherwise the scan can touch up to |D| nodes, so it bills the
+// cancellation checkpoint.
+func (st *Run) uncovered(t *table, r xpath.Relev, x xmltree.NodeSet) (xmltree.NodeSet, error) {
+	switch {
+	case len(x) == 0 || t.has || t.truth != nil:
 		return nil, nil
+	case !r.Has(xpath.RelevNode) || len(t.cols) == 0:
+		return x, nil
 	}
 	if err := st.cancel.CheckN(len(x)); err != nil {
 		return nil, err
 	}
-	cov, seen := st.covered[e]
-	if !st.relevOf(e).Has(xpath.RelevNode) {
-		if seen {
-			return nil, nil
-		}
-		st.covered[e] = nil
-		return x, nil
-	}
-	if cov == nil {
-		cov = xmltree.NewBitset(st.doc.Len())
-		st.covered[e] = cov
-		cov.AddSet(x)
-		return x, nil
-	}
 	var todo xmltree.NodeSet
 	for _, n := range x {
-		if !cov.Has(n) {
-			cov.Add(n)
+		if c, _ := t.find(n); c == nil {
 			todo = append(todo, n)
 		}
 	}
 	return todo, nil
+}
+
+// fill stores at(n) as the row of every context node n of todo — or
+// at(NilNode) as the table's one row when Relev(N) lacks cn.
+func (st *Run) fill(t *table, r xpath.Relev, kind xpath.Type, todo xmltree.NodeSet, at func(xmltree.NodeID) (semantics.Value, error)) error {
+	if !r.Has(xpath.RelevNode) {
+		v, err := at(xmltree.NilNode)
+		t.one, t.has = v, err == nil
+		return err
+	}
+	col := newColumn(kind, todo)
+	for _, n := range todo {
+		if err := st.cancel.Check(); err != nil {
+			return err
+		}
+		v, err := at(n)
+		if err != nil {
+			return err
+		}
+		if err := col.push(v); err != nil {
+			return err
+		}
+	}
+	return t.add(col)
 }
 
 // ------------------------------------------------------------------
@@ -296,7 +255,7 @@ func (st *state) uncovered(e xpath.Expr, x xmltree.NodeSet) (xmltree.NodeSet, er
 // location paths on the outermost level"). Besides the query's own
 // outermost path it serves every inner path whose value is a single row
 // (fillPath).
-func (st *state) evalOutermostLocpath(e xpath.Expr, x xmltree.NodeSet) (xmltree.NodeSet, error) {
+func (st *Run) evalOutermostLocpath(e xpath.Expr, x xmltree.NodeSet) (xmltree.NodeSet, error) {
 	switch p := e.(type) {
 	case *xpath.Binary: // π1 | π2
 		y1, err := st.evalOutermostLocpath(p.Left, x)
@@ -318,16 +277,12 @@ func (st *state) evalOutermostLocpath(e xpath.Expr, x xmltree.NodeSet) (xmltree.
 			if err != nil {
 				return nil, err
 			}
-			if len(heads) == 1 {
-				cur = heads[0]
-				break
-			}
-			sc := st.acquire()
+			sc := st.doc.Index().AcquireScratch()
 			for _, h := range heads {
-				sc.acc.Add(h)
+				sc.Acc.Add(h)
 			}
-			cur = sc.acc.Result()
-			st.release(sc)
+			cur = sc.Acc.Result()
+			st.doc.Index().ReleaseScratch(sc)
 		case p.Absolute:
 			cur = xmltree.NodeSet{st.doc.RootID()}
 		}
@@ -355,7 +310,7 @@ func (st *state) evalOutermostLocpath(e xpath.Expr, x xmltree.NodeSet) (xmltree.
 
 // evalHeads returns the value of a path's head expression at every
 // context node of X, in X's order.
-func (st *state) evalHeads(head xpath.Expr, x xmltree.NodeSet) ([]xmltree.NodeSet, error) {
+func (st *Run) evalHeads(head xpath.Expr, x xmltree.NodeSet) ([]xmltree.NodeSet, error) {
 	if err := st.evalByCnodeOnly(head, x); err != nil {
 		return nil, err
 	}
@@ -364,7 +319,7 @@ func (st *state) evalHeads(head xpath.Expr, x xmltree.NodeSet) ([]xmltree.NodeSe
 	}
 	heads := make([]xmltree.NodeSet, len(x))
 	for i, n := range x {
-		v, err := st.evalSingleContext(head, semantics.Context{Node: n, Pos: -1, Size: -1})
+		v, err := st.EvalSingleContext(head, semantics.Context{Node: n, Pos: -1, Size: -1})
 		if err != nil {
 			return nil, err
 		}
@@ -382,7 +337,7 @@ func (st *state) evalHeads(head xpath.Expr, x xmltree.NodeSet) ([]xmltree.NodeSe
 // predicates run in a loop over previous/current context-node pairs —
 // over the previous context nodes that have a candidate at all, X ∩
 // χ⁻¹(Y).
-func (st *state) evalOutermostStep(step *xpath.Step, x xmltree.NodeSet) (xmltree.NodeSet, error) {
+func (st *Run) evalOutermostStep(step *xpath.Step, x xmltree.NodeSet) (xmltree.NodeSet, error) {
 	y := evalutil.StepCandidatesSet(st.doc, step.Axis, step.Test, x)
 	if len(step.Preds) == 0 || len(y) == 0 {
 		return y, nil
@@ -390,29 +345,34 @@ func (st *state) evalOutermostStep(step *xpath.Step, x xmltree.NodeSet) (xmltree
 	if err := st.tabulatePreds(step, y); err != nil {
 		return nil, err
 	}
-	if !st.stepNeedsPositions(step) {
+	if !step.Positional() {
 		return st.filterCandidates(step, y)
 	}
 	if err := st.cancel.CheckN(len(x) + len(y)); err != nil {
 		return nil, err
 	}
-	sc := st.acquire()
-	defer st.release(sc)
-	loop := evalutil.NewPairLoop(st.doc, step, st.cancel, st.evalSingleContext)
-	for _, xn := range evalutil.ContextsReaching(st.doc, step.Axis, x, y) {
-		z, err := loop.RankedCandidates(xn, sc.buf)
+	// Scratch from the document's pool: the accumulator merges the
+	// per-node results in O(Σ|zᵢ|) instead of by repeated Union, the
+	// work slice is the candidate list every node reuses. A predicate
+	// that starts a loop of its own acquires its own.
+	ix := st.doc.Index()
+	sc := ix.AcquireScratch()
+	defer ix.ReleaseScratch(sc)
+	loop := evalutil.NewPairLoop(st.doc, step, st.cancel, st.EvalSingleContext)
+	for _, xn := range loop.Reaching(x, y) {
+		z, err := loop.RankedCandidates(xn, sc.Work)
 		if err != nil {
 			return nil, err
 		}
-		sc.acc.Add(z)
-		sc.buf = z
+		sc.Acc.Add(z)
+		sc.Work = z
 	}
-	return sc.acc.Result(), nil
+	return sc.Acc.Result(), nil
 }
 
 // tabulatePreds runs eval_by_cnode_only for a step's predicates over the
 // step's candidates.
-func (st *state) tabulatePreds(step *xpath.Step, y xmltree.NodeSet) error {
+func (st *Run) tabulatePreds(step *xpath.Step, y xmltree.NodeSet) error {
 	for _, pred := range step.Preds {
 		if err := st.evalByCnodeOnly(pred, y); err != nil {
 			return err
@@ -421,38 +381,41 @@ func (st *state) tabulatePreds(step *xpath.Step, y xmltree.NodeSet) error {
 	return nil
 }
 
-// filterCandidates keeps the candidates of a step that satisfy its
+// filterCandidates returns the candidates of a step that satisfy its
 // predicates, none of which depends on cp/cs, so each candidate is
-// judged once whatever previous context node reached it. y is filtered
-// in place.
-func (st *state) filterCandidates(step *xpath.Step, y xmltree.NodeSet) (xmltree.NodeSet, error) {
-	keep := y[:0]
-candidates:
-	for _, n := range y {
-		if err := st.cancel.Check(); err != nil {
-			return nil, err
-		}
-		for _, pred := range step.Preds {
-			v, err := st.evalSingleContext(pred, semantics.Context{Node: n, Pos: -1, Size: -1})
-			if err != nil {
-				return nil, err
+// judged once whatever previous context node reached it — by
+// intersecting with a table that is a set of nodes already (SetTruth)
+// or reading off the bits of a column over y, else row by row. y itself
+// is left alone: the predicates' tables have it as their context nodes.
+func (st *Run) filterCandidates(step *xpath.Step, y xmltree.NodeSet) (xmltree.NodeSet, error) {
+	if err := st.cancel.CheckN(len(y)); err != nil {
+		return nil, err
+	}
+	src, keep := y, make(xmltree.NodeSet, 0, len(y))
+	for _, pred := range step.Preds {
+		keep = keep[:0] // from the second predicate on, src filtered in place
+		if truth := st.tabs[xpath.Slot(pred)].truth; truth != nil {
+			keep = truth.IntersectSet(src, keep)
+		} else if col := st.over(pred, src); col != nil && col.kind == xpath.TypeBoolean {
+			for i, n := range src {
+				if col.bits[i/64]>>(i%64)&1 != 0 {
+					keep = append(keep, n)
+				}
 			}
-			if !semantics.ToBoolean(v) {
-				continue candidates
+		} else {
+			for _, n := range src {
+				v, err := st.EvalSingleContext(pred, semantics.Context{Node: n, Pos: -1, Size: -1})
+				if err != nil {
+					return nil, err
+				}
+				if semantics.ToBoolean(v) {
+					keep = append(keep, n)
+				}
 			}
 		}
-		keep = append(keep, n)
+		src = keep
 	}
 	return keep, nil
-}
-
-func (st *state) stepNeedsPositions(step *xpath.Step) bool {
-	for _, pred := range step.Preds {
-		if st.relevOf(pred)&(xpath.RelevPos|xpath.RelevSize) != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // ------------------------------------------------------------------
@@ -462,68 +425,142 @@ func (st *state) stepNeedsPositions(step *xpath.Step) bool {
 // evalByCnodeOnly fills table(M) for every node M in the subtree rooted
 // at e whose expression does not depend on the current context position
 // or size, for all context nodes in X.
-func (st *state) evalByCnodeOnly(e xpath.Expr, x xmltree.NodeSet) error {
-	if _, ok := st.ev.pre[e]; ok {
-		// OptMinContext already computed this subexpression bottom-up;
-		// eval_single_context reads its rows off the installed table.
-		return nil
-	}
-	r := st.relevOf(e)
+func (st *Run) evalByCnodeOnly(e xpath.Expr, x xmltree.NodeSet) error {
+	r := xpath.RelevantContext(e)
 	if r&(xpath.RelevPos|xpath.RelevSize) != 0 {
 		// Position/size-dependent: recurse so the cp/cs-independent
 		// parts below are tabulated; this node itself is evaluated
 		// later, per single context.
-		for _, child := range children(e) {
-			if err := st.evalByCnodeOnly(child, x); err != nil {
-				return err
-			}
-		}
-		return nil
+		return st.tabulateChildren(e, x)
 	}
-	if p, ok := e.(*xpath.Path); ok {
-		todo, err := st.uncovered(e, x)
-		if err != nil || len(todo) == 0 {
-			return err
-		}
-		return st.fillPath(p, todo)
-	}
-	if fe, ok := e.(*xpath.FilterExpr); ok {
-		return st.evalFilterByCnode(fe, x)
-	}
-	// Other compound (or leaf) expression: tabulate children first,
-	// then this node for every context in X.
-	todo, err := st.uncovered(e, x)
-	if err != nil {
+	t := &st.tabs[xpath.Slot(e)]
+	todo, err := st.uncovered(t, r, x)
+	if err != nil || len(todo) == 0 {
 		return err
 	}
-	if len(todo) == 0 {
-		return nil
+	switch n := e.(type) {
+	case *xpath.Path:
+		return st.fillPath(n, t, r, todo)
+	case *xpath.FilterExpr:
+		return st.fillFilter(n, t, r, todo)
 	}
-	for _, child := range children(e) {
-		if err := st.evalByCnodeOnly(child, todo); err != nil {
-			return err
+	// Other compound (or leaf) expression: tabulate children first,
+	// then this node for every context in todo.
+	if err := st.tabulateChildren(e, todo); err != nil {
+		return err
+	}
+	if r.Has(xpath.RelevNode) {
+		if col, ok, err := st.vector(e, todo); ok || err != nil {
+			return errors.Join(err, t.add(col))
 		}
 	}
-	t := st.tableOf(e, len(todo))
-	if !r.Has(xpath.RelevNode) {
-		c := semantics.Context{Node: xmltree.NilNode, Pos: -1, Size: -1}
-		v, err := st.apply(e, c)
-		if err != nil {
-			return err
-		}
-		t.vals[t.key(c)] = v
-		return nil
+	return st.fill(t, r, e.Type(), todo, func(n xmltree.NodeID) (semantics.Value, error) {
+		return st.apply(e, semantics.Context{Node: n, Pos: -1, Size: -1})
+	})
+}
+
+// vector computes e's column over todo from the columns of its operands
+// for the operators whose operands are arrays as they stand — count() of
+// a relation reads row lengths off the offsets, a binary operator on
+// numbers loops over []float64 — with no lookup per row. ok is false for
+// any other e, and when an operand is not one column over todo (part of
+// it was tabulated before): fill computes those row by row.
+func (st *Run) vector(e xpath.Expr, todo xmltree.NodeSet) (col column, ok bool, err error) {
+	if err := st.cancel.CheckN(len(todo)); err != nil {
+		return col, false, err
 	}
-	for _, n := range todo {
-		if err := st.cancel.Check(); err != nil {
+	switch x := e.(type) {
+	case *xpath.Call:
+		if x.Name != "count" {
+			break
+		}
+		rel := st.over(x.Args[0], todo)
+		if rel == nil || rel.kind != xpath.TypeNodeSet {
+			break
+		}
+		col = newColumn(xpath.TypeNumber, todo)
+		for i := range rel.nodes {
+			col.nums = append(col.nums, float64(rel.off[i+1]-rel.off[i]))
+		}
+		return col, true, nil
+	case *xpath.Binary:
+		l, lc, lok := st.numbers(x.Left, todo)
+		r, rc, rok := st.numbers(x.Right, todo)
+		if !lok || !rok {
+			break
+		}
+		col = newColumn(e.Type(), todo)
+		for i := range todo {
+			if l != nil {
+				lc = l[i]
+			}
+			if r != nil {
+				rc = r[i]
+			}
+			v, err := binary(st.doc, x.Op, semantics.Number(lc), semantics.Number(rc))
+			if err == nil {
+				err = col.push(v)
+			}
+			if err != nil {
+				return col, false, err
+			}
+		}
+		return col, true, nil
+	}
+	return col, false, nil
+}
+
+// over returns e's column if it holds the rows of exactly the context
+// nodes todo — as it does when e has just been tabulated over todo for
+// the first time — and nil otherwise.
+func (st *Run) over(e xpath.Expr, todo xmltree.NodeSet) *column {
+	cols := st.tabs[xpath.Slot(e)].cols
+	if k := len(cols) - 1; k >= 0 && len(cols[k].nodes) == len(todo) && &cols[k].nodes[0] == &todo[0] {
+		return &cols[k]
+	}
+	return nil
+}
+
+// numbers returns a number-valued operand over todo: the values of its
+// column, or, vals being nil, the literal c.
+func (st *Run) numbers(e xpath.Expr, todo xmltree.NodeSet) (vals []float64, c float64, ok bool) {
+	if lit, isLit := e.(*xpath.Number); isLit {
+		return nil, lit.Val, true
+	}
+	if col := st.over(e, todo); col != nil && col.kind == xpath.TypeNumber {
+		return col.nums, 0, true
+	}
+	return nil, 0, false
+}
+
+// tabulateChildren runs eval_by_cnode_only for the direct subexpressions
+// of e (predicates included for filter expressions; a path's pieces are
+// handled by the location-path procedures).
+func (st *Run) tabulateChildren(e xpath.Expr, x xmltree.NodeSet) error {
+	switch n := e.(type) {
+	case *xpath.Negate:
+		return st.evalByCnodeOnly(n.X, x)
+	case *xpath.Binary:
+		if err := st.evalByCnodeOnly(n.Left, x); err != nil {
 			return err
 		}
-		c := semantics.Context{Node: n, Pos: -1, Size: -1}
-		v, err := st.apply(e, c)
-		if err != nil {
+		return st.evalByCnodeOnly(n.Right, x)
+	case *xpath.Call:
+		return st.tabulateAll(n.Args, x)
+	case *xpath.FilterExpr:
+		if err := st.evalByCnodeOnly(n.Primary, x); err != nil {
 			return err
 		}
-		t.vals[t.key(c)] = v
+		return st.tabulateAll(n.Preds, x)
+	}
+	return nil
+}
+
+func (st *Run) tabulateAll(es []xpath.Expr, x xmltree.NodeSet) error {
+	for _, e := range es {
+		if err := st.evalByCnodeOnly(e, x); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -535,77 +572,45 @@ func (st *state) evalByCnodeOnly(e xpath.Expr, x xmltree.NodeSet) error {
 //
 //   - Relev(π) ∌ cn (absolute, or headed by a context-free expression):
 //     the value is the same at every context node, so it is evaluated
-//     once by eval_outermost_locpath and stored under NilNode — the
+//     once by eval_outermost_locpath and is the table's one row — the
 //     projection of the context-value table onto Relev(π) = ∅;
 //   - a single context node: the relation's one row is the set
 //     eval_outermost_locpath computes from {x};
 //   - otherwise the path is a genuine relation and eval_inner_locpath
 //     builds it.
-func (st *state) fillPath(p *xpath.Path, todo xmltree.NodeSet) error {
-	if key := st.rowKey(p, todo[0]); key == xmltree.NilNode || len(todo) == 1 {
-		s, err := st.evalOutermostLocpath(p, todo[:1])
+func (st *Run) fillPath(p *xpath.Path, t *table, r xpath.Relev, todo xmltree.NodeSet) error {
+	if r.Has(xpath.RelevNode) && len(todo) > 1 {
+		rel, err := st.evalInnerLocpath(p, todo)
 		if err != nil {
 			return err
 		}
-		if st.rels[p] == nil {
-			st.rels[p] = map[xmltree.NodeID]xmltree.NodeSet{}
-		}
-		st.rels[p][key] = s
-		return nil
+		return t.add(rel)
 	}
-	rel, err := st.evalInnerLocpath(p, todo)
+	s, err := st.evalOutermostLocpath(p, todo[:1])
 	if err != nil {
 		return err
 	}
-	if m := st.rels[p]; m != nil {
-		for k, v := range rel {
-			m[k] = v
-		}
-	} else {
-		st.rels[p] = rel
-	}
-	return nil
-}
-
-// rowKey is the key of the row of rels[p] that holds p's value at
-// context node n.
-func (st *state) rowKey(p *xpath.Path, n xmltree.NodeID) xmltree.NodeID {
-	if !st.relevOf(p).Has(xpath.RelevNode) {
-		return xmltree.NilNode
-	}
-	return n
-}
-
-// evalFilterByCnode tabulates a filter expression (primary plus
-// document-order predicates) per context node.
-func (st *state) evalFilterByCnode(fe *xpath.FilterExpr, x xmltree.NodeSet) error {
-	todo, err := st.uncovered(fe, x)
-	if err != nil {
-		return err
-	}
-	if len(todo) == 0 {
+	if !r.Has(xpath.RelevNode) {
+		t.one, t.has = semantics.NodeSet(s), true
 		return nil
 	}
+	return t.add(column{kind: xpath.TypeNodeSet, nodes: todo[:1:1], off: []int32{0, int32(len(s))}, flat: s})
+}
+
+// fillFilter tabulates a filter expression (primary plus document-order
+// predicates) per context node.
+func (st *Run) fillFilter(fe *xpath.FilterExpr, t *table, r xpath.Relev, todo xmltree.NodeSet) error {
 	if err := st.evalByCnodeOnly(fe.Primary, todo); err != nil {
 		return err
 	}
-	t := st.tableOf(fe, len(todo))
-	ctxNodes := todo
-	if !t.relev.Has(xpath.RelevNode) {
-		ctxNodes = xmltree.NodeSet{xmltree.NilNode}
-	}
 	seen := evalutil.PredVerdicts(fe.Preds)
-	for _, n := range ctxNodes {
-		if err := st.cancel.Check(); err != nil {
-			return err
-		}
-		c := semantics.Context{Node: n, Pos: -1, Size: -1}
-		pv, err := st.evalSingleContext(fe.Primary, c)
+	return st.fill(t, r, xpath.TypeNodeSet, todo, func(n xmltree.NodeID) (semantics.Value, error) {
+		pv, err := st.EvalSingleContext(fe.Primary, semantics.Context{Node: n, Pos: -1, Size: -1})
 		if err != nil {
-			return err
+			return semantics.Value{}, err
 		}
 		if pv.Kind != xpath.TypeNodeSet {
-			return fmt.Errorf("mincontext: predicates on %v", pv.Kind)
+			return semantics.Value{}, fmt.Errorf("mincontext: predicates on %v", pv.Kind)
 		}
 		// Filter predicates rank in document order whatever axis
 		// produced the primary; each pass builds a fresh set, the
@@ -613,23 +618,24 @@ func (st *state) evalFilterByCnode(fe *xpath.FilterExpr, x xmltree.NodeSet) erro
 		s := pv.Set
 		for i, pred := range fe.Preds {
 			if err := st.evalByCnodeOnly(pred, s); err != nil {
-				return err
+				return semantics.Value{}, err
 			}
 			if err := st.cancel.CheckN(len(s) + 1); err != nil {
-				return err
+				return semantics.Value{}, err
 			}
-			if s, err = evalutil.FilterPositions(axes.Self, pred, s, nil, st.evalSingleContext, seen[i]); err != nil {
-				return err
+			if s, err = evalutil.FilterPositions(axes.Self, pred, s, nil, st.EvalSingleContext, seen[i]); err != nil {
+				return semantics.Value{}, err
 			}
 		}
-		t.vals[t.key(c)] = semantics.NodeSet(s)
-	}
-	return nil
+		return semantics.NodeSet(s), nil
+	})
 }
 
-// apply computes the value of a cp/cs-independent expression at one
-// context from its children's tables.
-func (st *state) apply(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
+// apply computes the value of an expression at one context from its
+// children's tables. It runs once per context — per ⟨cn, cp, cs⟩ triple
+// inside a pair loop — so the cases that need room for several values
+// are functions of their own and the others pay for no such frame.
+func (st *Run) apply(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
 	switch x := e.(type) {
 	case *xpath.Number:
 		return semantics.Number(x.Val), nil
@@ -638,46 +644,55 @@ func (st *state) apply(e xpath.Expr, c semantics.Context) (semantics.Value, erro
 	case *xpath.VarRef:
 		return semantics.Value{}, fmt.Errorf("mincontext: unbound variable $%s", x.Name)
 	case *xpath.Negate:
-		v, err := st.evalSingleContext(x.X, c)
+		v, err := st.EvalSingleContext(x.X, c)
 		if err != nil {
 			return semantics.Value{}, err
 		}
 		return semantics.Number(-semantics.ToNumber(st.doc, v)), nil
 	case *xpath.Binary:
-		l, err := st.evalSingleContext(x.Left, c)
-		if err != nil {
-			return semantics.Value{}, err
-		}
-		r, err := st.evalSingleContext(x.Right, c)
-		if err != nil {
-			return semantics.Value{}, err
-		}
-		return applyBinary(st.doc, x.Op, l, r)
+		return st.applyBinary(x, c)
 	case *xpath.Call:
-		// position() and last() are read off the context on every triple
-		// of a pair loop: no argument slice, no dispatch by name.
+		// position() and last() are read off the context: no argument
+		// slice, no dispatch by name.
 		switch x.Name {
 		case "position":
 			return semantics.Number(float64(c.Pos)), nil
 		case "last":
 			return semantics.Number(float64(c.Size)), nil
 		}
-		var few [3]semantics.Value // the core library's usual arities, on the stack
-		args := few[:0]
-		for _, a := range x.Args {
-			v, err := st.evalSingleContext(a, c)
-			if err != nil {
-				return semantics.Value{}, err
-			}
-			args = append(args, v)
-		}
-		return semantics.CallFunction(st.doc, x.Name, c, args)
+		return st.applyCall(x, c)
 	default:
 		return semantics.Value{}, fmt.Errorf("mincontext: apply on %T", e)
 	}
 }
 
-func applyBinary(d *xmltree.Document, op xpath.BinOp, l, r semantics.Value) (semantics.Value, error) {
+func (st *Run) applyCall(x *xpath.Call, c semantics.Context) (semantics.Value, error) {
+	var few [3]semantics.Value // the core library's usual arities, on the stack
+	args := few[:0]
+	for _, a := range x.Args {
+		v, err := st.EvalSingleContext(a, c)
+		if err != nil {
+			return semantics.Value{}, err
+		}
+		args = append(args, v)
+	}
+	return semantics.CallFunction(st.doc, x.Name, c, args)
+}
+
+func (st *Run) applyBinary(x *xpath.Binary, c semantics.Context) (semantics.Value, error) {
+	l, err := st.EvalSingleContext(x.Left, c)
+	if err != nil {
+		return semantics.Value{}, err
+	}
+	r, err := st.EvalSingleContext(x.Right, c)
+	if err != nil {
+		return semantics.Value{}, err
+	}
+	return binary(st.doc, x.Op, l, r)
+}
+
+// binary applies a binary operator to the values of its operands.
+func binary(d *xmltree.Document, op xpath.BinOp, l, r semantics.Value) (semantics.Value, error) {
 	switch {
 	case op == xpath.OpAnd:
 		return semantics.Boolean(semantics.ToBoolean(l) && semantics.ToBoolean(r)), nil
@@ -701,60 +716,47 @@ func applyBinary(d *xmltree.Document, op xpath.BinOp, l, r semantics.Value) (sem
 // eval_single_context
 // ------------------------------------------------------------------
 
-// evalSingleContext returns the value of e for one context ⟨x, p, s⟩.
+// EvalSingleContext returns the value of e for one context ⟨x, p, s⟩.
 // cp/cs-independent nodes are looked up in their tables (which
-// eval_by_cnode_only must have filled); dependent nodes recurse.
-func (st *state) evalSingleContext(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
-	if holds, ok := st.ev.pre[e]; ok {
-		n := c.Node
-		if n < 0 {
-			// The caller tabulates under the context-free sentinel,
-			// which only happens when this subexpression is itself
-			// context independent — its table is uniform, so any row
-			// serves.
-			n = 0
-		}
-		return semantics.Boolean(holds.Has(n)), nil
+// eval_by_cnode_only has normally filled); dependent nodes recurse.
+func (st *Run) EvalSingleContext(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
+	switch e.(type) {
+	case *xpath.Number, *xpath.Literal:
+		return st.apply(e, c) // the table of a literal is written in the query
 	}
-	r := st.relevOf(e)
-	if r&(xpath.RelevPos|xpath.RelevSize) == 0 {
-		if p, ok := e.(*xpath.Path); ok {
-			key := st.rowKey(p, c.Node)
-			if s, ok := st.rels[e][key]; ok {
-				return semantics.NodeSet(s), nil
-			}
-			// Not covered yet (can happen when a caller asks for a
-			// fresh context); evaluate on demand. A context-free path
-			// asked for under the context-free sentinel starts from
-			// the root, any node serves.
-			n := c.Node
-			if n == xmltree.NilNode {
-				n = st.doc.RootID()
-			}
-			if err := st.evalByCnodeOnly(e, xmltree.NodeSet{n}); err != nil {
-				return semantics.Value{}, err
-			}
-			return semantics.NodeSet(st.rels[e][key]), nil
-		}
-		if t, ok := st.tables[e]; ok {
-			if v, ok2 := t.vals[t.key(c)]; ok2 {
-				return v, nil
-			}
-		}
-		// Fill on demand for this node.
-		if err := st.evalByCnodeOnly(e, xmltree.NodeSet{c.Node}); err != nil {
-			return semantics.Value{}, err
-		}
-		if t, ok := st.tables[e]; ok {
-			if v, ok2 := t.vals[t.key(c)]; ok2 {
-				return v, nil
-			}
-		}
-		return semantics.Value{}, fmt.Errorf("mincontext: table for %s missing context node %d", e, c.Node)
+	if xpath.RelevantContext(e)&(xpath.RelevPos|xpath.RelevSize) != 0 {
+		// position() and last() resolve from the supplied context.
+		return st.apply(e, c)
 	}
-	// Position/size-dependent: recurse (position() and last() resolve
-	// through CallFunction with the supplied context).
+	if v, ok := st.tabs[xpath.Slot(e)].lookup(c.Node); ok {
+		return v, nil
+	}
+	switch e.(type) {
+	case *xpath.Path, *xpath.FilterExpr:
+		return st.evalOnDemand(e, c)
+	}
+	// Not tabulated at this context (a caller asks for a fresh one):
+	// computed from the children, whose tables have the parts that are
+	// worth keeping.
 	return st.apply(e, c)
+}
+
+// evalOnDemand tabulates a node-set expression at a context node
+// eval_by_cnode_only has not been given and returns the value there. A
+// context-free one asked for under the context-free sentinel is
+// evaluated from the root, any node serves.
+func (st *Run) evalOnDemand(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
+	n := c.Node
+	if n == xmltree.NilNode {
+		n = st.doc.RootID()
+	}
+	if err := st.evalByCnodeOnly(e, xmltree.NodeSet{n}); err != nil {
+		return semantics.Value{}, err
+	}
+	if v, ok := st.tabs[xpath.Slot(e)].lookup(c.Node); ok {
+		return v, nil
+	}
+	return semantics.Value{}, fmt.Errorf("mincontext: table for %s missing context node %d", e, c.Node)
 }
 
 // ------------------------------------------------------------------
@@ -762,155 +764,136 @@ func (st *state) evalSingleContext(e xpath.Expr, c semantics.Context) (semantics
 // ------------------------------------------------------------------
 
 // evalInnerLocpath computes the relation {⟨x, y⟩ | x ∈ X, y reachable
-// from x via the path} as a map x → set with a row for every x ∈ X. It
-// runs only for paths that depend on the context node and are wanted at
-// several of them (fillPath).
-func (st *state) evalInnerLocpath(p *xpath.Path, x xmltree.NodeSet) (map[xmltree.NodeID]xmltree.NodeSet, error) {
-	// Starting relation R0.
-	cur := make(map[xmltree.NodeID]xmltree.NodeSet, len(x))
+// from x via the path} as a node-set column with a row for every x ∈ X.
+// It runs only for paths that depend on the context node and are wanted
+// at several of them (fillPath).
+func (st *Run) evalInnerLocpath(p *xpath.Path, x xmltree.NodeSet) (column, error) {
+	if err := st.cancel.CheckN(len(x)); err != nil {
+		return column{}, err
+	}
+	// Starting relation R0. For a relative path it is the identity, and
+	// the first step's relation over X is R1 as it stands.
+	cur, first := newColumn(xpath.TypeNodeSet, x), 0
 	switch {
 	case p.Filter != nil:
 		heads, err := st.evalHeads(p.Filter, x)
 		if err != nil {
-			return nil, err
+			return column{}, err
 		}
-		for i, n := range x {
-			cur[n] = heads[i]
+		for _, h := range heads {
+			cur.appendRow(h)
 		}
-	case p.Absolute:
-		for _, n := range x {
-			cur[n] = xmltree.NodeSet{st.doc.RootID()}
-		}
-	default:
-		// R0 is the identity; its rows are stretches of x, never written.
-		for i, n := range x {
-			cur[n] = x[i : i+1 : i+1]
-		}
-	}
-	sc := st.acquire()
-	defer st.release(sc)
-	for i, step := range p.Steps {
-		// Image of the current relation.
-		for _, s := range cur {
-			sc.acc.Add(s)
-		}
-		image := sc.acc.Result()
-		var rel map[xmltree.NodeID]xmltree.NodeSet
+	default: // never absolute: that path has one row (fillPath)
 		var err error
-		if name, ok := namedChildAfterDescendants(p.Steps, i); ok {
-			rel, err = st.namedChildParentRows(image, name)
-		} else {
-			rel, err = st.evalInnerStep(step, image)
+		if cur, err = st.stepRelation(p.Steps, 0, x); err != nil {
+			return column{}, err
 		}
+		first = 1
+	}
+	ix := st.doc.Index()
+	sc := ix.AcquireScratch()
+	defer ix.ReleaseScratch(sc)
+	for i := first; i < len(p.Steps); i++ {
+		// Image of the current relation.
+		for k := range cur.nodes {
+			sc.Acc.Add(cur.row(k))
+		}
+		rel, err := st.stepRelation(p.Steps, i, sc.Acc.Result())
 		if err != nil {
-			return nil, err
+			return column{}, err
 		}
-		next := make(map[xmltree.NodeID]xmltree.NodeSet, len(cur))
-		for x0, ys := range cur {
+		// rel has a row for every member of the image; a row of the
+		// composition is the union of the rows of one row's members.
+		next := newColumn(xpath.TypeNodeSet, x)
+		for k := range cur.nodes {
 			if err := st.cancel.Check(); err != nil {
-				return nil, err
+				return column{}, err
 			}
-			var u xmltree.NodeSet
-			if len(ys) == 1 {
-				// Rows are treated as immutable; aliasing skips a copy.
-				u = rel[ys[0]]
-			} else if len(ys) > 1 {
+			switch ys := cur.row(k); len(ys) {
+			case 0:
+			case 1:
+				next.flat = append(next.flat, rel.row(rel.index(ys[0]))...)
+			default:
 				for _, y := range ys {
-					sc.acc.Add(rel[y])
+					sc.Acc.Add(rel.row(rel.index(y)))
 				}
-				u = sc.acc.Result()
+				next.flat = sc.Acc.AppendTo(next.flat)
 			}
-			next[x0] = u
+			next.off = append(next.off, int32(len(next.flat)))
 		}
 		cur = next
 	}
 	return cur, nil
 }
 
+// stepRelation is the relation of step i of a path over the previous
+// context nodes X, with a row for every x ∈ X.
+func (st *Run) stepRelation(steps []*xpath.Step, i int, x xmltree.NodeSet) (column, error) {
+	if name, ok := namedChildAfterDescendants(steps, i); ok {
+		return st.namedChildParentRows(x, name)
+	}
+	return st.evalInnerStep(steps[i], x)
+}
+
 // evalInnerStep computes the one-step relation {⟨x, z⟩ | x ∈ X, x χ z, z
 // ∈ T(t), predicates hold} grouped by x, with the same
 // cp/cs-independent fast path as the outermost variant. Only the x ∈ X ∩
-// χ⁻¹(Y) get a row — Y being the candidates that can still be selected —
-// an absent row is the empty set.
-func (st *state) evalInnerStep(step *xpath.Step, x xmltree.NodeSet) (map[xmltree.NodeID]xmltree.NodeSet, error) {
+// χ⁻¹(Y) are visited — Y being the candidates that can still be
+// selected — the rows of the others are empty.
+func (st *Run) evalInnerStep(step *xpath.Step, x xmltree.NodeSet) (column, error) {
+	rel := newColumn(xpath.TypeNodeSet, x)
 	y := evalutil.StepCandidatesSet(st.doc, step.Axis, step.Test, x)
 	if len(y) == 0 {
-		return nil, nil
+		rel.off = rel.off[:len(x)+1]
+		return rel, nil
 	}
 	if err := st.tabulatePreds(step, y); err != nil {
-		return nil, err
+		return column{}, err
 	}
-	positional := st.stepNeedsPositions(step)
-	if !positional && len(step.Preds) > 0 {
-		// Filter candidates once, then intersect per x.
+	loop := evalutil.NewPairLoop(st.doc, step, st.cancel, st.EvalSingleContext)
+	candidates := loop.Candidates
+	// keep marks the candidates that satisfy the predicates when those
+	// are decided once per candidate; a row is then its context node's
+	// candidates among them.
+	var keep *xmltree.Bitset
+	ix := st.doc.Index()
+	sc := ix.AcquireScratch()
+	defer ix.ReleaseScratch(sc)
+	if step.Positional() {
+		candidates = loop.RankedCandidates
+	} else if len(step.Preds) > 0 {
 		var err error
 		if y, err = st.filterCandidates(step, y); err != nil {
-			return nil, err
+			return column{}, err
 		}
+		keep = &sc.Mark
+		keep.AddSet(y)
+		defer func() {
+			for _, n := range y {
+				keep.Remove(n)
+			}
+		}()
 	}
 	if err := st.cancel.CheckN(len(x) + len(y)); err != nil {
-		return nil, err
+		return column{}, err
 	}
-	if !positional && step.Axis == axes.Child {
-		return rowsByParent(st.doc, y, len(x)), nil
-	}
-	xs := evalutil.ContextsReaching(st.doc, step.Axis, x, y)
-	rel := make(map[xmltree.NodeID]xmltree.NodeSet, len(xs))
-	sc := st.acquire()
-	defer st.release(sc)
-	var loop *evalutil.PairLoop
-	if positional {
-		loop = evalutil.NewPairLoop(st.doc, step, st.cancel, st.evalSingleContext)
-	}
-	for _, xn := range xs {
-		if err := st.cancel.Check(); err != nil {
-			return nil, err
-		}
-		var z xmltree.NodeSet
-		switch {
-		case positional:
-			ranked, err := loop.RankedCandidates(xn, sc.buf)
+	xs := loop.Reaching(x, y)
+	for _, xn := range x {
+		if len(xs) > 0 && xs[0] == xn {
+			xs = xs[1:]
+			z, err := candidates(xn, sc.Work)
 			if err != nil {
-				return nil, err
+				return column{}, err
 			}
-			sc.buf, z = ranked, ranked.Clone()
-		case len(step.Preds) > 0:
-			sc.buf = evalutil.StepCandidatesInto(st.doc, step.Axis, step.Test, xn, sc.buf)
-			z = sc.buf.Intersect(y)
-		default:
-			z = evalutil.StepCandidates(st.doc, step.Axis, step.Test, xn)
+			sc.Work = z
+			if keep != nil {
+				z = keep.IntersectSet(z, z[:0])
+			}
+			rel.flat = append(rel.flat, z...)
 		}
-		if len(z) > 0 {
-			rel[xn] = z
-		}
+		rel.off = append(rel.off, int32(len(rel.flat)))
 	}
 	return rel, nil
-}
-
-// rowsByParent is the relation of a child step whose selected nodes y
-// are known: each one's previous context node is its parent, so one pass
-// over y groups the rows, with no candidate computation per context
-// node. y is in document order; the children of one parent are
-// consecutive in it except where a selected node lies below a sibling,
-// so a row is a stretch of y itself — rows are never written — and only
-// a parent whose children resume after such a nested stretch has its row
-// copied out. parents bounds the number of rows.
-func rowsByParent(d *xmltree.Document, y xmltree.NodeSet, parents int) map[xmltree.NodeID]xmltree.NodeSet {
-	rel := make(map[xmltree.NodeID]xmltree.NodeSet, min(parents, len(y)))
-	for i := 0; i < len(y); {
-		p := d.Parent(y[i])
-		j := i + 1
-		for j < len(y) && d.Parent(y[j]) == p {
-			j++
-		}
-		row := y[i:j:j]
-		if head, resumed := rel[p]; resumed {
-			row = append(head[:len(head):len(head)], row...)
-		}
-		rel[p] = row
-		i = j
-	}
-	return rel
 }
 
 // namedChildAfterDescendants reports whether steps[i] is a
@@ -936,36 +919,16 @@ func namedChildAfterDescendants(steps []*xpath.Step, i int) (string, bool) {
 // (namedChildAfterDescendants): for every x ∈ X the nodes at or below x
 // that have a name child. The parents of all name elements below X are
 // computed once; the row of x is their stretch inside x's subtree
-// interval, shared and never written.
-func (st *state) namedChildParentRows(x xmltree.NodeSet, name string) (map[xmltree.NodeID]xmltree.NodeSet, error) {
+// interval.
+func (st *Run) namedChildParentRows(x xmltree.NodeSet, name string) (column, error) {
 	if err := st.cancel.CheckN(len(x)); err != nil {
-		return nil, err
+		return column{}, err
 	}
 	parents := evalutil.NamedChildParents(st.doc, x, name)
 	ix := st.doc.Index()
-	rel := make(map[xmltree.NodeID]xmltree.NodeSet, len(x))
+	rel := newColumn(xpath.TypeNodeSet, x)
 	for _, xn := range x {
-		if row := parents.Range(xn, ix.SubtreeEnd(xn)); len(row) > 0 {
-			rel[xn] = row[:len(row):len(row)]
-		}
+		rel.appendRow(parents.Range(xn, ix.SubtreeEnd(xn)))
 	}
 	return rel, nil
-}
-
-// children returns the direct subexpressions of e (predicates included
-// for filter expressions; a path's pieces are handled by the inner-path
-// machinery, so paths report no children here).
-func children(e xpath.Expr) []xpath.Expr {
-	switch x := e.(type) {
-	case *xpath.Negate:
-		return []xpath.Expr{x.X}
-	case *xpath.Binary:
-		return []xpath.Expr{x.Left, x.Right}
-	case *xpath.Call:
-		return x.Args
-	case *xpath.FilterExpr:
-		return append([]xpath.Expr{x.Primary}, x.Preds...)
-	default:
-		return nil
-	}
 }

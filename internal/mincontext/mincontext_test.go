@@ -1,6 +1,7 @@
 package mincontext
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/semantics"
@@ -106,7 +107,7 @@ func TestNonPathQueries(t *testing.T) {
 	}
 }
 
-// TestPrecomputedHook verifies SetPrecomputed short-circuits evaluation
+// TestPrecomputedHook verifies SetTruth short-circuits evaluation
 // (the OptMinContext integration point).
 func TestPrecomputedHook(t *testing.T) {
 	d := xmltree.MustParseString(`<a><b/><c/></a>`)
@@ -117,8 +118,12 @@ func TestPrecomputedHook(t *testing.T) {
 	pred := e.Steps[1].Preds[0] // boolean(child::b)
 	all := xmltree.NewBitset(d.Len())
 	all.Fill()
-	ev.SetPrecomputed(pred, all)
-	v, err := ev.Evaluate(e, ctxAt(d.RootID()))
+	run, err := ev.Begin(context.Background(), e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.SetTruth(pred, all, false)
+	v, err := run.Evaluate(ctxAt(d.RootID()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -242,9 +242,9 @@ func cmpStr(op xpath.BinOp, a, b string) bool {
 	}
 }
 
-// flip mirrors a comparison operator so that Compare can normalize
+// Flip mirrors a comparison operator so that Compare can normalize
 // "scalar RelOp nset" to "nset flipped(RelOp) scalar".
-func flip(op xpath.BinOp) xpath.BinOp {
+func Flip(op xpath.BinOp) xpath.BinOp {
 	switch op {
 	case xpath.OpLt:
 		return xpath.OpGt
@@ -309,7 +309,7 @@ func Compare(d *xmltree.Document, op xpath.BinOp, v1, v2 Value) bool {
 			return cmpBool(op, ToBoolean(v1), v2.Bool)
 		}
 	case n2:
-		return Compare(d, flip(op), v2, v1)
+		return Compare(d, Flip(op), v2, v1)
 	}
 	// Scalar × scalar.
 	if op == xpath.OpEq || op == xpath.OpNeq {

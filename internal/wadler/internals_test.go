@@ -1,6 +1,7 @@
 package wadler
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/semantics"
@@ -15,7 +16,6 @@ func TestPropagateBackwardsDirect(t *testing.T) {
 	d := xmltree.MustParseString(
 		`<a><b><c>1</c><c>2</c></b><b><c>3</c></b><d>2</d></a>`)
 	td := topdown.New(d)
-	st := &state{doc: d, pre: map[xpath.Expr]*xmltree.Bitset{}, scalar: td}
 	paths := []string{
 		"child::c",
 		"child::b/child::c",
@@ -35,9 +35,16 @@ func TestPropagateBackwardsDirect(t *testing.T) {
 	}
 	for _, q := range paths {
 		p := xpath.MustParse(q).(*xpath.Path)
-		got, err := st.propagateBackwards(p, y)
+		st, err := newState(context.Background(), d, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, everywhere, err := st.propagateBackwards(p, y)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
+		}
+		if everywhere {
+			t.Errorf("%s: a relative path holds everywhere", q)
 		}
 		var want xmltree.NodeSet
 		for i := 0; i < d.Len(); i++ {
@@ -53,6 +60,32 @@ func TestPropagateBackwardsDirect(t *testing.T) {
 		if !got.Equal(want) {
 			t.Errorf("%s: backward %v, brute force %v", q, got, want)
 		}
+	}
+}
+
+// TestHoldsEverywhereIsAFlag: a path that does not start at the context
+// node reaches Y from every node or from none, and says so with the
+// boolean instead of enumerating dom; a tree without slots is refused.
+func TestHoldsEverywhereIsAFlag(t *testing.T) {
+	d := xmltree.MustParseString(`<a><b><c>1</c></b><b id="x"/><d>2</d></a>`)
+	cs := d.Index().Named("c")
+	for q, want := range map[string]bool{
+		"/a/b/c": true, "//c": true, "/a/c": false, "/a/d/c": false,
+		"id('x')/preceding-sibling::b/c": true, "id('nobody')/c": false, "id('x')/c": false,
+	} {
+		p := xpath.MustParse(q)
+		st, err := newState(context.Background(), d, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reach, everywhere, err := st.propagateBackwards(p, cs)
+		if err != nil || reach != nil || everywhere != want {
+			t.Errorf("%s: reach %v, everywhere %v, err %v; want no set and %v", q, reach, everywhere, err, want)
+		}
+	}
+	byHand := &xpath.Call{Name: "boolean", Args: []xpath.Expr{xpath.MustParse("//c")}}
+	if _, err := New(d).Evaluate(byHand, semantics.Context{Node: d.RootID(), Pos: 1, Size: 1}); err == nil {
+		t.Error("a hand-built tree must be refused")
 	}
 }
 

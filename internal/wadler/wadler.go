@@ -52,7 +52,6 @@ import (
 	"repro/internal/evalutil"
 	"repro/internal/mincontext"
 	"repro/internal/semantics"
-	"repro/internal/topdown"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -85,50 +84,41 @@ func (ev *Evaluator) Evaluate(e xpath.Expr, c semantics.Context) (semantics.Valu
 // check ctx at throttled checkpoints and abandon the evaluation with
 // ctx's error once it is done.
 func (ev *Evaluator) EvaluateContext(ctx context.Context, e xpath.Expr, c semantics.Context) (semantics.Value, error) {
-	mc := mincontext.New(ev.doc)
-	st := &state{doc: ev.doc, pre: map[xpath.Expr]*xmltree.Bitset{}, scalar: topdown.New(ev.doc),
-		ctx: ctx, cancel: evalutil.NewCanceller(ctx), par: ev.Parallelism}
+	st, err := newState(ctx, ev.doc, e)
+	if err != nil {
+		return semantics.Value{}, err
+	}
+	st.par = ev.Parallelism
 	if err := st.collect(e); err != nil {
 		return semantics.Value{}, err
 	}
-	for _, cand := range st.order {
-		mc.SetPrecomputed(cand, st.pre[cand])
-	}
-	ev.LastBottomUpPaths = len(st.order)
-	return mc.EvaluateContext(ctx, e, c)
+	ev.LastBottomUpPaths = st.paths
+	return st.run.Evaluate(c)
 }
 
-// state carries the precomputed dom → bool tables — the set of context
-// nodes at which each bottom-up subexpression is true — and the
-// collection order (innermost first).
+// state carries the MinContext run whose tables the bottom-up phase
+// fills — the dom → bool table of each subexpression it evaluates,
+// innermost first — and their number.
 type state struct {
 	doc    *xmltree.Document
-	pre    map[xpath.Expr]*xmltree.Bitset
-	order  []xpath.Expr
-	scalar *topdown.Evaluator // for context-independent operands c
-	ctx    context.Context    // cancellation for the scalar evaluations
+	run    *mincontext.Run
+	paths  int
+	ctx    context.Context
 	cancel *evalutil.Canceller
 	par    int // worker budget for whole-document scans
 }
 
-// context returns the evaluation context, defaulting to Background for
-// the bare fragment-checking states built without one.
-func (st *state) context() context.Context {
-	if st.ctx != nil {
-		return st.ctx
-	}
-	return context.Background()
+// newState begins the evaluation of e.
+func newState(ctx context.Context, d *xmltree.Document, e xpath.Expr) (*state, error) {
+	run, err := mincontext.New(d).Begin(ctx, e)
+	return &state{doc: d, run: run, ctx: ctx, cancel: evalutil.NewCanceller(ctx)}, err
 }
 
-// evalScalar evaluates a context-independent operand from the root with
-// the top-down engine, honoring the query's cancellation context (the
-// operand itself may contain whole-document paths).
+// evalScalar evaluates a context-independent operand on the MinContext
+// run, from the root (the operand itself may contain whole-document
+// paths; they are node sets there, and stay tabulated).
 func (st *state) evalScalar(e xpath.Expr) (semantics.Value, error) {
-	ctx := st.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return st.scalar.EvaluateContext(ctx, e, semantics.Context{Node: st.doc.RootID(), Pos: 1, Size: 1})
+	return st.run.EvalSingleContext(e, semantics.Context{Node: st.doc.RootID(), Pos: 1, Size: 1})
 }
 
 // ------------------------------------------------------------------
@@ -148,29 +138,13 @@ var prohibited = map[string]bool{
 // location paths.
 func InFragment(e xpath.Expr) bool {
 	st := &state{}
-	switch {
-	case isOutermostPath(e):
-		return st.pathInFragment(e)
-	default:
-		return st.scalarInFragment(e)
-	}
-}
-
-func isOutermostPath(e xpath.Expr) bool {
-	switch x := e.(type) {
-	case *xpath.Path:
-		return true
-	case *xpath.Binary:
-		return x.Op == xpath.OpUnion && isOutermostPath(x.Left) && isOutermostPath(x.Right)
-	default:
-		return false
-	}
+	return st.pathInFragment(e) || st.scalarInFragment(e)
 }
 
 func (st *state) pathInFragment(e xpath.Expr) bool {
 	switch x := e.(type) {
 	case *xpath.Binary:
-		return st.pathInFragment(x.Left) && st.pathInFragment(x.Right)
+		return x.Op == xpath.OpUnion && st.pathInFragment(x.Left) && st.pathInFragment(x.Right)
 	case *xpath.Path:
 		if x.Filter != nil && !st.idHeadOK(x.Filter) {
 			return false
@@ -228,13 +202,8 @@ func (st *state) scalarInFragment(e xpath.Expr) bool {
 				// nset RelOp nset: only with one side context free
 				// (the appendix handles that case; Restriction 2
 				// forbids both sides context dependent).
-				if xpath.RelevantContext(x.Right) == 0 {
-					return st.bottomUpPathOK(x.Left) && st.scalarNsetOK(x.Right)
-				}
-				if xpath.RelevantContext(x.Left) == 0 {
-					return st.bottomUpPathOK(x.Right) && st.scalarNsetOK(x.Left)
-				}
-				return false
+				return (xpath.RelevantContext(x.Left) == 0 || xpath.RelevantContext(x.Right) == 0) &&
+					st.bottomUpPathOK(x.Left) && st.bottomUpPathOK(x.Right)
 			case ln:
 				return st.bottomUpPathOK(x.Left) && xpath.RelevantContext(x.Right) == 0 && st.scalarInFragment(x.Right)
 			case rn:
@@ -277,36 +246,15 @@ func (st *state) scalarInFragment(e xpath.Expr) bool {
 	}
 }
 
-// scalarNsetOK accepts a context-independent node-set operand c (an
-// absolute fragment path or an id chain over a constant).
-func (st *state) scalarNsetOK(e xpath.Expr) bool {
-	switch x := e.(type) {
-	case *xpath.Path:
-		return st.pathInFragment(x)
-	case *xpath.Call:
-		return st.idHeadOK(x)
-	default:
-		return false
-	}
-}
-
 // bottomUpPathOK checks that a path can be evaluated by backward
 // propagation: any axes, any node tests, fragment predicates, and an
-// id-chain head at most.
+// id-chain head at most. The context-independent node-set operand of a
+// comparison (an absolute fragment path or an id chain over a constant)
+// is held to the same.
 func (st *state) bottomUpPathOK(e xpath.Expr) bool {
 	switch x := e.(type) {
 	case *xpath.Path:
-		if x.Filter != nil && !st.idHeadOK(x.Filter) {
-			return false
-		}
-		for _, s := range x.Steps {
-			for _, p := range s.Preds {
-				if !st.scalarInFragment(p) {
-					return false
-				}
-			}
-		}
-		return true
+		return st.pathInFragment(x)
 	case *xpath.Call:
 		return st.idHeadOK(x)
 	default:
@@ -390,18 +338,18 @@ func (st *state) maybeEvalRelOp(b *xpath.Binary) error {
 		pathSide, constSide = b.Left, b.Right
 	case rn && !ln && xpath.RelevantContext(b.Left) == 0:
 		pathSide, constSide = b.Right, b.Left
-		op = flipOp(op)
+		op = semantics.Flip(op)
 	default:
 		return nil
 	}
 	if !st.bottomUpPathOK(pathSide) || !st.predsHandled(pathSide) {
 		return nil
 	}
-	// The constant side must itself be evaluable (any XPath; use the
-	// polynomial top-down engine once — it is context independent).
+	// The constant side must itself be evaluable (any XPath, evaluated
+	// once — it is context independent).
 	cv, err := st.evalScalar(constSide)
 	if err != nil {
-		if st.ctx != nil && st.ctx.Err() != nil {
+		if st.ctx.Err() != nil {
 			return st.ctx.Err() // cancelled, not merely out of fragment
 		}
 		return nil // leave it to MinContext
@@ -409,24 +357,9 @@ func (st *state) maybeEvalRelOp(b *xpath.Binary) error {
 	return st.evalBottomUpPath(b, pathSide, &cv, op)
 }
 
-func flipOp(op xpath.BinOp) xpath.BinOp {
-	switch op {
-	case xpath.OpLt:
-		return xpath.OpGt
-	case xpath.OpLe:
-		return xpath.OpGe
-	case xpath.OpGt:
-		return xpath.OpLt
-	case xpath.OpGe:
-		return xpath.OpLe
-	default:
-		return op
-	}
-}
-
 // predsHandled reports whether every predicate inside the path can be
-// evaluated by this package's predicate evaluator — i.e. all its
-// node-set parts are themselves already-collected bottom-up paths.
+// evaluated without a table of its own — i.e. all its node-set parts
+// are themselves already-collected bottom-up paths.
 func (st *state) predsHandled(e xpath.Expr) bool {
 	p, ok := e.(*xpath.Path)
 	if !ok {
@@ -464,9 +397,9 @@ func (st *state) idFilterHandled(e xpath.Expr) bool {
 	}
 }
 
-// predHandled mirrors evalPred's coverage.
+// predHandled is predsHandled for one predicate.
 func (st *state) predHandled(e xpath.Expr) bool {
-	if _, ok := st.pre[e]; ok {
+	if st.run.Known(e) {
 		return true
 	}
 	switch x := e.(type) {
@@ -480,8 +413,7 @@ func (st *state) predHandled(e xpath.Expr) bool {
 		}
 		if x.Op.IsRelOp() &&
 			(x.Left.Type() == xpath.TypeNodeSet || x.Right.Type() == xpath.TypeNodeSet) {
-			_, ok := st.pre[e]
-			return ok
+			return false // the bottom-up phase did not take it
 		}
 		return st.predHandled(x.Left) && st.predHandled(x.Right)
 	case *xpath.Call:
@@ -489,7 +421,7 @@ func (st *state) predHandled(e xpath.Expr) bool {
 		case "position", "last", "true", "false":
 			return true
 		case "not", "boolean":
-			if _, ok := st.pre[x.Args[0]]; ok {
+			if st.run.Known(x.Args[0]) {
 				return true
 			}
 			if x.Args[0].Type() == xpath.TypeNodeSet {
@@ -523,7 +455,7 @@ func (st *state) predHandled(e xpath.Expr) bool {
 // Step 1 determines the initial node set Y; step 2 propagates Y
 // backwards through the inverted location steps.
 func (st *state) evalBottomUpPath(key xpath.Expr, pathSide xpath.Expr, c *semantics.Value, op xpath.BinOp) error {
-	if _, done := st.pre[key]; done {
+	if st.run.Known(key) {
 		return nil
 	}
 	// Step 1. The path can only end in T(t) of its last step, so Y is
@@ -552,15 +484,16 @@ func (st *state) evalBottomUpPath(key xpath.Expr, pathSide xpath.Expr, c *semant
 		}
 		y = keep
 	}
-	reach, err := st.propagateBackwards(pathSide, y)
+	reach, everywhere, err := st.propagateBackwards(pathSide, y)
 	if err != nil {
 		return err
 	}
-	holds := xmltree.NewBitset(st.doc.Len())
-	if len(reach) == st.doc.Len() {
-		holds.Fill() // an absolute or constant-headed path holds everywhere
-	} else {
-		holds.AddSet(reach)
+	// An absolute or constant-headed path reaches Y from every context
+	// node or from none: one value. Any other has a dom → bool table.
+	var at *xmltree.Bitset
+	if xpath.RelevantContext(pathSide).Has(xpath.RelevNode) {
+		at = xmltree.NewBitset(st.doc.Len())
+		at.AddSet(reach)
 	}
 	if boolRelOp {
 		// boolean(π) RelOp bool: the nodes reaching Y where true RelOp c
@@ -568,23 +501,26 @@ func (st *state) evalBottomUpPath(key xpath.Expr, pathSide xpath.Expr, c *semant
 		onTrue := semantics.Compare(st.doc, op, semantics.Boolean(true), *c)
 		onFalse := semantics.Compare(st.doc, op, semantics.Boolean(false), *c)
 		switch {
+		case at == nil:
+			everywhere = everywhere && onTrue || !everywhere && onFalse
 		case onTrue && onFalse:
-			holds.Fill()
+			at.Fill()
 		case onFalse:
-			holds.Complement()
+			at.Complement()
 		case !onTrue:
-			holds.Clear()
+			at.Clear()
 		}
 	}
-	st.pre[key] = holds
-	st.order = append(st.order, key)
+	st.run.SetTruth(key, at, everywhere)
+	st.paths++
 	return nil
 }
 
 // pathTargets returns the nodes a bottom-up location path can end in:
 // T(t) of its last step, or dom for a bare id(…) chain. For an exact
 // element name that is the label index's posting list, which is shared
-// and only ever read here.
+// and only ever read here; any other test is the one place left that
+// enumerates dom.
 func (st *state) pathTargets(e xpath.Expr) (xmltree.NodeSet, error) {
 	p, ok := e.(*xpath.Path)
 	if !ok || len(p.Steps) == 0 {
@@ -598,7 +534,7 @@ func (st *state) pathTargets(e xpath.Expr) (xmltree.NodeSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return evalutil.FilterTestPar(st.context(), st.doc, last.Axis, last.Test, all, st.par)
+	return evalutil.FilterTestPar(st.ctx, st.doc, last.Axis, last.Test, all, st.par)
 }
 
 // dom materializes the full node set — an O(|D|) fill billed against
@@ -616,10 +552,13 @@ func (st *state) dom() (xmltree.NodeSet, error) {
 
 // propagateBackwards is propagate_path_backwards: it walks the path's
 // steps from last to first, inverting each one, and returns
-// {x | ∃y ∈ Y reachable from x via the path}.
-func (st *state) propagateBackwards(e xpath.Expr, y xmltree.NodeSet) (xmltree.NodeSet, error) {
+// {x | ∃y ∈ Y reachable from x via the path}. A path that does not
+// start at the context node — absolute, or headed by a constant id(…)
+// — is reached from every node or from none: that verdict is the
+// boolean, and the set stays nil instead of enumerating dom.
+func (st *state) propagateBackwards(e xpath.Expr, y xmltree.NodeSet) (reach xmltree.NodeSet, everywhere bool, err error) {
 	if len(y) == 0 {
-		return nil, nil
+		return nil, false, nil
 	}
 	switch p := e.(type) {
 	case *xpath.Call: // bare id(…) chain
@@ -627,34 +566,27 @@ func (st *state) propagateBackwards(e xpath.Expr, y xmltree.NodeSet) (xmltree.No
 	case *xpath.Path:
 		cur := y
 		for i := len(p.Steps) - 1; i >= 0; i-- {
-			var err error
 			cur, err = st.propagateStepBackwards(p.Steps[i], cur)
-			if err != nil {
-				return nil, err
-			}
-			if len(cur) == 0 {
-				return nil, nil
+			if err != nil || len(cur) == 0 {
+				return nil, false, err
 			}
 		}
 		if p.Filter != nil {
 			return st.propagateIDHead(p.Filter, cur)
 		}
 		if p.Absolute {
-			if cur.Contains(st.doc.RootID()) {
-				return st.dom()
-			}
-			return nil, nil
+			return nil, cur.Contains(st.doc.RootID()), nil
 		}
-		return cur, nil
+		return cur, false, nil
 	default:
-		return nil, fmt.Errorf("wadler: cannot propagate through %T", e)
+		return nil, false, fmt.Errorf("wadler: cannot propagate through %T", e)
 	}
 }
 
-func (st *state) propagateIDHead(e xpath.Expr, cur xmltree.NodeSet) (xmltree.NodeSet, error) {
+func (st *state) propagateIDHead(e xpath.Expr, cur xmltree.NodeSet) (xmltree.NodeSet, bool, error) {
 	c, ok := e.(*xpath.Call)
 	if !ok || c.Name != "id" {
-		return nil, fmt.Errorf("wadler: unsupported path head %s", e)
+		return nil, false, fmt.Errorf("wadler: unsupported path head %s", e)
 	}
 	if a, ok := c.Args[0].(*xpath.Path); ok {
 		back := axes.EvalIDInverse(st.doc, cur)
@@ -669,15 +601,12 @@ func (st *state) propagateIDHead(e xpath.Expr, cur xmltree.NodeSet) (xmltree.Nod
 	// constant's extension intersects cur.
 	v, err := st.evalScalar(c)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if v.Kind != xpath.TypeNodeSet {
-		return nil, fmt.Errorf("wadler: id head is not a node set")
+		return nil, false, fmt.Errorf("wadler: id head is not a node set")
 	}
-	if !v.Set.Intersect(cur).IsEmpty() {
-		return st.dom()
-	}
-	return nil, nil
+	return nil, v.Set.Intersects(cur), nil
 }
 
 // propagateStepBackwards inverts one location step: restrict the target
@@ -685,27 +614,21 @@ func (st *state) propagateIDHead(e xpath.Expr, cur xmltree.NodeSet) (xmltree.Nod
 // that depend on position/size run in a loop over the pairs of
 // previous/current context node, as in the appendix pseudocode.
 func (st *state) propagateStepBackwards(step *xpath.Step, y xmltree.NodeSet) (xmltree.NodeSet, error) {
-	yt, err := evalutil.FilterTestPar(st.context(), st.doc, step.Axis, step.Test, y, st.par)
+	yt, err := evalutil.FilterTestPar(st.ctx, st.doc, step.Axis, step.Test, y, st.par)
 	if err != nil {
 		return nil, err
 	}
 	if len(yt) == 0 {
 		return nil, nil
 	}
-	needPos := false
-	for _, p := range step.Preds {
-		if xpath.RelevantContext(p)&(xpath.RelevPos|xpath.RelevSize) != 0 {
-			needPos = true
-		}
-	}
-	if !needPos {
+	if !step.Positional() {
 		for _, p := range step.Preds {
 			var keep xmltree.NodeSet
 			for _, n := range yt {
 				if err := st.cancel.Check(); err != nil {
 					return nil, err
 				}
-				v, err := st.evalPred(p, semantics.Context{Node: n, Pos: -1, Size: -1})
+				v, err := st.run.EvalSingleContext(p, semantics.Context{Node: n, Pos: -1, Size: -1})
 				if err != nil {
 					return nil, err
 				}
@@ -718,13 +641,13 @@ func (st *state) propagateStepBackwards(step *xpath.Step, y xmltree.NodeSet) (xm
 				return nil, nil
 			}
 		}
-		return axes.EvalInversePar(st.context(), st.doc, step.Axis, yt)
+		return axes.EvalInversePar(st.ctx, st.doc, step.Axis, yt)
 	}
 	// Position-dependent: loop over previous context nodes x and their
 	// candidate sets. Note the candidate set Z (and thus the context
 	// size) must be computed over ALL candidates of x, not only those in
 	// yt; positions refer to the unrestricted step result.
-	xs, err := axes.EvalInversePar(st.context(), st.doc, step.Axis, yt)
+	xs, err := axes.EvalInversePar(st.ctx, st.doc, step.Axis, yt)
 	if err != nil {
 		return nil, err
 	}
@@ -732,7 +655,7 @@ func (st *state) propagateStepBackwards(step *xpath.Step, y xmltree.NodeSet) (xm
 	// in yt at all. A survivor is an x one of whose ranked
 	// candidates lies in yt; xs is compacted in place.
 	var buf xmltree.NodeSet
-	loop := evalutil.NewPairLoop(st.doc, step, st.cancel, st.evalPred)
+	loop := evalutil.NewPairLoop(st.doc, step, st.cancel, st.run.EvalSingleContext)
 	k := 0
 	for _, x := range xs {
 		z, err := loop.RankedCandidates(x, buf)
@@ -746,64 +669,4 @@ func (st *state) propagateStepBackwards(step *xpath.Step, y xmltree.NodeSet) (xm
 		buf = z
 	}
 	return xs[:k], nil
-}
-
-// evalPred evaluates a predicate for a single context, consulting the
-// precomputed bottom-up tables for any node-set parts.
-func (st *state) evalPred(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
-	if holds, ok := st.pre[e]; ok {
-		return semantics.Boolean(holds.Has(c.Node)), nil
-	}
-	switch x := e.(type) {
-	case *xpath.Number:
-		return semantics.Number(x.Val), nil
-	case *xpath.Literal:
-		return semantics.String(x.Val), nil
-	case *xpath.Negate:
-		v, err := st.evalPred(x.X, c)
-		if err != nil {
-			return semantics.Value{}, err
-		}
-		return semantics.Number(-semantics.ToNumber(st.doc, v)), nil
-	case *xpath.Binary:
-		l, err := st.evalPred(x.Left, c)
-		if err != nil {
-			return semantics.Value{}, err
-		}
-		r, err := st.evalPred(x.Right, c)
-		if err != nil {
-			return semantics.Value{}, err
-		}
-		switch {
-		case x.Op == xpath.OpAnd:
-			return semantics.Boolean(semantics.ToBoolean(l) && semantics.ToBoolean(r)), nil
-		case x.Op == xpath.OpOr:
-			return semantics.Boolean(semantics.ToBoolean(l) || semantics.ToBoolean(r)), nil
-		case x.Op.IsRelOp():
-			return semantics.Boolean(semantics.Compare(st.doc, x.Op, l, r)), nil
-		case x.Op.IsArith():
-			return semantics.Number(semantics.Arith(x.Op,
-				semantics.ToNumber(st.doc, l), semantics.ToNumber(st.doc, r))), nil
-		default:
-			return semantics.Value{}, fmt.Errorf("wadler: operator %v in predicate", x.Op)
-		}
-	case *xpath.Call:
-		switch x.Name {
-		case "position":
-			return semantics.Number(float64(c.Pos)), nil
-		case "last":
-			return semantics.Number(float64(c.Size)), nil
-		}
-		args := make([]semantics.Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := st.evalPred(a, c)
-			if err != nil {
-				return semantics.Value{}, err
-			}
-			args[i] = v
-		}
-		return semantics.CallFunction(st.doc, x.Name, c, args)
-	default:
-		return semantics.Value{}, fmt.Errorf("wadler: unsupported predicate part %T", e)
-	}
 }

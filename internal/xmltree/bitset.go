@@ -260,7 +260,13 @@ func (a *Accumulator) Result() NodeSet {
 		a.Reset()
 		return nil
 	}
-	dst := make(NodeSet, 0, a.total)
+	return a.AppendTo(make(NodeSet, 0, a.total))
+}
+
+// AppendTo appends the union to dst in document order and resets the
+// accumulator: Result into a buffer the caller keeps, such as the flat
+// member list of a relation.
+func (a *Accumulator) AppendTo(dst NodeSet) NodeSet {
 	for i := a.loW; i < a.hiW; i++ {
 		w := a.b.words[i]
 		base := NodeID(i * wordBits)

@@ -22,16 +22,14 @@ type Builder struct {
 	// IDAttributes is the set of attribute names treated as ID-typed
 	// for deref_ids. It defaults to {"id"}; XML without a DTD has no
 	// other way to declare IDs, and the paper's documents (Fig. 8) use
-	// exactly the attribute "id".
+	// exactly the attribute "id". The document keeps the set Done finds
+	// here, so it must not be written afterwards.
 	IDAttributes map[string]bool
 }
 
 // NewBuilder returns a Builder with the root node open.
 func NewBuilder() *Builder {
-	d := &Document{
-		nodes: make([]Node, 0, 64),
-		ids:   map[string]NodeID{},
-	}
+	d := &Document{nodes: make([]Node, 0, 64)}
 	d.nodes = append(d.nodes, Node{
 		Type:   Root,
 		Parent: NilNode, FirstChild: NilNode, NextSibling: NilNode, PrevSibling: NilNode,
@@ -81,13 +79,7 @@ func (b *Builder) EndElement() {
 // Attribute adds an attribute node to the currently open element. It must
 // be called before any content is added to the element.
 func (b *Builder) Attribute(name, value string) NodeID {
-	id := b.appendNode(Node{Type: Attribute, Name: name, Data: value})
-	if b.IDAttributes[name] {
-		if _, dup := b.doc.ids[value]; !dup {
-			b.doc.ids[value] = b.doc.nodes[id].Parent
-		}
-	}
-	return id
+	return b.appendNode(Node{Type: Attribute, Name: name, Data: value})
 }
 
 // NamespaceNode adds a namespace node (prefix → uri) to the currently
@@ -119,6 +111,7 @@ func (b *Builder) Done() (*Document, error) {
 		return nil, fmt.Errorf("xmltree: %d unclosed element(s)", len(b.stack)-1)
 	}
 	d := b.doc
+	d.idAttrs = b.IDAttributes
 	d.strval = make([]atomic.Pointer[string], len(d.nodes))
 	b.doc = nil
 	return d, nil
@@ -139,7 +132,8 @@ func (b *Builder) MustDone() *Document {
 func (d *Document) buildRef() {
 	d.ref = map[NodeID][]NodeID{}
 	d.refInv = map[NodeID][]NodeID{}
-	if len(d.ids) == 0 {
+	ids := d.idTable()
+	if len(ids) == 0 {
 		return
 	}
 	for i := range d.nodes {
@@ -149,7 +143,7 @@ func (d *Document) buildRef() {
 		x := NodeID(i)
 		var targets []NodeID
 		for _, tok := range strings.Fields(d.DirectText(x)) {
-			if y, ok := d.ids[tok]; ok && !slices.Contains(targets, y) {
+			if y, ok := ids[tok]; ok && !slices.Contains(targets, y) {
 				targets = append(targets, y)
 			}
 		}

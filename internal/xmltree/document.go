@@ -16,9 +16,15 @@ type Document struct {
 	nodes []Node
 
 	// ids maps an ID value to the element node carrying it, supporting
-	// the deref_ids function of Section 4. Built from attributes whose
-	// name is in the builder's IDAttributes set (default {"id"}).
-	ids map[string]NodeID
+	// the deref_ids function of Section 4: the first element in
+	// document order that has the value in an attribute named in
+	// idAttrs (the builder's IDAttributes set, default {"id"}). Only
+	// id() evaluation reads it, so it is built on first use (idTable),
+	// under the contract of ref and the index below — a document nobody
+	// asks id() of pays neither the pass nor the map.
+	idAttrs map[string]bool
+	idsOnce sync.Once
+	ids     map[string]NodeID
 
 	// ref is the auxiliary relation of Theorem 10.7: ref contains ⟨x,y⟩
 	// iff the text *directly* inside x (not in descendants) contains a
@@ -171,8 +177,9 @@ func (d *Document) DirectText(id NodeID) string {
 func (d *Document) DerefIDs(s string) []NodeID {
 	var out []NodeID
 	seen := map[NodeID]bool{}
+	ids := d.idTable()
 	for _, key := range strings.Fields(s) {
-		if n, ok := d.ids[key]; ok && !seen[n] {
+		if n, ok := ids[key]; ok && !seen[n] {
 			seen[n] = true
 			out = append(out, n)
 		}
@@ -183,10 +190,28 @@ func (d *Document) DerefIDs(s string) []NodeID {
 
 // IDOf returns the element registered under the given ID, or NilNode.
 func (d *Document) IDOf(key string) NodeID {
-	if n, ok := d.ids[key]; ok {
+	if n, ok := d.idTable()[key]; ok {
 		return n
 	}
 	return NilNode
+}
+
+// idTable returns the ID table, building it on first use. Safe for
+// concurrent use.
+func (d *Document) idTable() map[string]NodeID {
+	d.idsOnce.Do(func() {
+		d.ids = map[string]NodeID{}
+		for i := range d.nodes {
+			n := &d.nodes[i]
+			if n.Type != Attribute || !d.idAttrs[n.Name] {
+				continue
+			}
+			if _, dup := d.ids[n.Data]; !dup {
+				d.ids[n.Data] = n.Parent
+			}
+		}
+	})
+	return d.ids
 }
 
 // Ref returns the nodes referenced from x via the ref relation

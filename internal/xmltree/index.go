@@ -104,15 +104,17 @@ func (ix *Index) NamedRange(name string, lo, hi NodeID) NodeSet {
 	return ix.byName[name].Range(lo, hi)
 }
 
-// Scratch is reusable per-document evaluator scratch: two bitsets plus
-// a work slice, all sized to the document. Acquire hands it out with
-// the bitsets sized (and cleared) for the document and the slice empty;
-// users must leave the bitsets fully cleared before Release — clearing
-// only the bits they set, which keeps the round trip O(work done), not
-// O(|dom|).
+// Scratch is reusable per-document evaluator scratch: two bitsets, a
+// union accumulator and a work slice, all sized to the document. Acquire
+// hands it out with the bitsets sized (and cleared) for the document
+// and the slice empty; users must leave the bitsets fully cleared
+// before Release — clearing only the bits they set, which keeps the
+// round trip O(work done), not O(|dom|). The accumulator clears itself
+// on Release, at the cost of the words it touched.
 type Scratch struct {
 	Visited Bitset
 	Mark    Bitset
+	Acc     Accumulator
 	Work    []NodeID
 }
 
@@ -124,6 +126,7 @@ func (ix *Index) AcquireScratch() *Scratch {
 	if sc.Visited.n != n {
 		sc.Visited.Reset(n)
 		sc.Mark.Reset(n)
+		sc.Acc = *NewAccumulator(n)
 	}
 	sc.Work = sc.Work[:0]
 	return sc
@@ -131,4 +134,7 @@ func (ix *Index) AcquireScratch() *Scratch {
 
 // ReleaseScratch returns scratch to the pool. The bitsets must already
 // be clear (the evaluator clears exactly the bits it set).
-func (ix *Index) ReleaseScratch(sc *Scratch) { ix.scratch.Put(sc) }
+func (ix *Index) ReleaseScratch(sc *Scratch) {
+	sc.Acc.Reset() // a union abandoned on error leaves members behind
+	ix.scratch.Put(sc)
+}

@@ -61,6 +61,19 @@ func (s NodeSet) Range(lo, hi NodeID) NodeSet {
 	return s[i:j]
 }
 
+// Seek returns the smallest index i ≥ from with s[i] ≥ id, len(s) if
+// there is none, galloping forward from from: O(log of the distance
+// moved), which is what a cursor pays that walks s once while the ids it
+// is asked for grow.
+func (s NodeSet) Seek(from int, id NodeID) int {
+	lo, hi := from, from
+	for step := 1; hi < len(s) && s[hi] < id; step *= 2 {
+		lo, hi = hi+1, hi+step
+	}
+	hi = min(hi, len(s))
+	return lo + sort.Search(hi-lo, func(k int) bool { return s[lo+k] >= id })
+}
+
 // IsEmpty reports whether the set is empty.
 func (s NodeSet) IsEmpty() bool { return len(s) == 0 }
 

@@ -177,3 +177,23 @@ func TestBitsetRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSeek: Seek(from, id) is the first index at or after from whose
+// member is at least id, from every starting point.
+func TestSeek(t *testing.T) {
+	s := NodeSet{2, 3, 5, 8, 13, 21, 34, 55, 89}
+	for from := 0; from <= len(s); from++ {
+		for id := NodeID(0); id < 100; id++ {
+			want := from
+			for want < len(s) && s[want] < id {
+				want++
+			}
+			if got := s.Seek(from, id); got != want {
+				t.Fatalf("Seek(%d, %d) = %d, want %d", from, id, got, want)
+			}
+		}
+	}
+	if got := (NodeSet{}).Seek(0, 7); got != 0 {
+		t.Errorf("Seek on the empty set = %d", got)
+	}
+}

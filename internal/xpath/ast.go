@@ -6,7 +6,10 @@
 // are wrapped in boolean(·), and variables are substituted by constants
 // from the supplied binding.
 //
-// All evaluation engines in this repository share this AST.
+// All evaluation engines in this repository share this AST. The trees
+// Parse and Substitute return are numbered — every expression node has a
+// slot and records its relevant context (number.go has the contract) —
+// and Optimize (optimize.go) keeps that numbering.
 package xpath
 
 import (
@@ -53,18 +56,30 @@ type Expr interface {
 	Type() Type
 	// String renders the expression in (unabbreviated) XPath syntax.
 	String() string
+	// info is the node's numbering record (number.go). It also closes
+	// the interface: the node types of this package are all there are.
+	info() *slotInfo
 }
 
 // Number is a numeric literal.
-type Number struct{ Val float64 }
+type Number struct {
+	slotInfo
+	Val float64
+}
 
 // Literal is a string literal.
-type Literal struct{ Val string }
+type Literal struct {
+	slotInfo
+	Val string
+}
 
 // VarRef is a variable reference $Name. The paper assumes variables are
 // replaced by constants before evaluation (Section 5); Substitute does
 // this, and engines reject any VarRef that survives.
-type VarRef struct{ Name string }
+type VarRef struct {
+	slotInfo
+	Name string
+}
 
 // BinOp enumerates binary operators.
 type BinOp uint8
@@ -105,16 +120,21 @@ func (op BinOp) IsArith() bool { return op >= OpAdd && op <= OpMod }
 
 // Binary is a binary operator application.
 type Binary struct {
+	slotInfo
 	Op          BinOp
 	Left, Right Expr
 }
 
 // Negate is unary minus; per XPath 1.0, -e equals the number negation of
 // number(e).
-type Negate struct{ X Expr }
+type Negate struct {
+	slotInfo
+	X Expr
+}
 
 // Call is a core-library function call.
 type Call struct {
+	slotInfo
 	Name string
 	Args []Expr
 }
@@ -215,6 +235,7 @@ func (s *Step) String() string {
 // id('x')/child::a or (π)[1]/child::b, whose leading expression must be
 // of type nset.
 type Path struct {
+	slotInfo
 	Absolute bool
 	Filter   Expr // optional filter-expression head
 	Steps    []*Step
@@ -224,6 +245,7 @@ type Path struct {
 // id('x')[2]. It only arises with a non-empty predicate list; a bare
 // primary parses to itself.
 type FilterExpr struct {
+	slotInfo
 	Primary Expr
 	Preds   []Expr
 }

@@ -103,19 +103,23 @@ func Substitute(e Expr, b Bindings) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return normalize(sub), nil
+	return number(normalize(sub)), nil
 }
 
+// substitute shares no node with e or the bindings — the result is
+// numbered in place, and they may be numbered already or bound again.
 func substitute(e Expr, b Bindings) (Expr, error) {
 	switch x := e.(type) {
-	case *Number, *Literal:
-		return e, nil
+	case *Number:
+		return &Number{Val: x.Val}, nil
+	case *Literal:
+		return &Literal{Val: x.Val}, nil
 	case *VarRef:
 		v, ok := b[x.Name]
 		if !ok {
 			return nil, fmt.Errorf("xpath: unbound variable $%s", x.Name)
 		}
-		return v, nil
+		return substitute(v, nil)
 	case *Negate:
 		sub, err := substitute(x.X, b)
 		if err != nil {
@@ -200,34 +204,36 @@ func HasVariables(e Expr) bool {
 
 // Walk applies f to e and every subexpression of e in pre-order,
 // including step predicates.
-func Walk(e Expr, f func(Expr)) {
+func Walk(e Expr, f func(Expr)) { walk(e, f, func(Expr) {}) }
+
+// walk applies pre to e, walks its subexpressions, then applies post.
+func walk(e Expr, pre, post func(Expr)) {
 	if e == nil {
 		return
 	}
-	f(e)
+	pre(e)
 	switch x := e.(type) {
 	case *Negate:
-		Walk(x.X, f)
+		walk(x.X, pre, post)
 	case *Binary:
-		Walk(x.Left, f)
-		Walk(x.Right, f)
+		walk(x.Left, pre, post)
+		walk(x.Right, pre, post)
 	case *Call:
 		for _, a := range x.Args {
-			Walk(a, f)
+			walk(a, pre, post)
 		}
 	case *FilterExpr:
-		Walk(x.Primary, f)
+		walk(x.Primary, pre, post)
 		for _, p := range x.Preds {
-			Walk(p, f)
+			walk(p, pre, post)
 		}
 	case *Path:
-		if x.Filter != nil {
-			Walk(x.Filter, f)
-		}
+		walk(x.Filter, pre, post)
 		for _, s := range x.Steps {
 			for _, p := range s.Preds {
-				Walk(p, f)
+				walk(p, pre, post)
 			}
 		}
 	}
+	post(e)
 }

@@ -49,27 +49,29 @@ import "repro/internal/axes"
 // a filter-expression head left without steps is the head itself.
 //
 // Optimize is idempotent, shares every subtree it does not change with
-// its argument and allocates nothing when no rule applies.
+// its argument and allocates nothing when no rule applies. The result
+// keeps the argument's numbering (number.go): a node built here takes
+// over the slot and Relev of the one it rewrites.
 func Optimize(e Expr) Expr {
 	switch x := e.(type) {
 	case *Negate:
 		if inner := Optimize(x.X); inner != x.X {
-			return &Negate{X: inner}
+			return &Negate{slotInfo: x.slotInfo, X: inner}
 		}
 	case *Binary:
 		l, r := Optimize(x.Left), Optimize(x.Right)
 		if l != x.Left || r != x.Right {
-			return &Binary{Op: x.Op, Left: l, Right: r}
+			return &Binary{slotInfo: x.slotInfo, Op: x.Op, Left: l, Right: r}
 		}
 	case *Call:
 		if args, changed := optimizeAll(x.Args); changed {
-			return &Call{Name: x.Name, Args: args}
+			return &Call{slotInfo: x.slotInfo, Name: x.Name, Args: args}
 		}
 	case *FilterExpr:
 		prim := Optimize(x.Primary)
 		preds, changed := optimizeAll(x.Preds)
 		if changed || prim != x.Primary {
-			return &FilterExpr{Primary: prim, Preds: preds}
+			return &FilterExpr{slotInfo: x.slotInfo, Primary: prim, Preds: preds}
 		}
 	case *Path:
 		return optimizePath(x)
@@ -150,7 +152,19 @@ func optimizePath(p *Path) Expr {
 			steps = append(steps, &Step{Axis: axes.Self, Test: NodeTest{Kind: TestNode}})
 		}
 	}
-	return &Path{Absolute: p.Absolute, Filter: filter, Steps: steps}
+	return &Path{slotInfo: p.slotInfo, Absolute: p.Absolute, Filter: filter, Steps: steps}
+}
+
+// Positional reports whether a predicate of the step reads the context
+// position or size, so that the step's candidates have to be ranked per
+// previous context node instead of filtered as one set.
+func (s *Step) Positional() bool {
+	for _, p := range s.Preds {
+		if RelevantContext(p)&(RelevPos|RelevSize) != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // IsBare reports whether the step is a::node() without predicates: a
@@ -172,10 +186,8 @@ func fuseAfterDescendantOrSelf(s *Step) *Step {
 	default:
 		return nil
 	}
-	for _, p := range s.Preds {
-		if RelevantContext(p)&(RelevPos|RelevSize) != 0 {
-			return nil
-		}
+	if s.Positional() {
+		return nil
 	}
 	if axis == s.Axis {
 		return s

@@ -9,7 +9,7 @@ import (
 // Parse parses an XPath 1.0 query into a normalized expression tree:
 // abbreviations are expanded, numeric predicates become positional
 // comparisons, and non-boolean predicates are wrapped in boolean(·)
-// (Section 5's unabbreviated form).
+// (Section 5's unabbreviated form). The tree is numbered (number.go).
 func Parse(src string) (Expr, error) {
 	toks, err := lex(src)
 	if err != nil {
@@ -23,7 +23,7 @@ func Parse(src string) (Expr, error) {
 	if p.peek().kind != tokEOF {
 		return nil, p.errorf("unexpected %s after complete expression", p.peek())
 	}
-	return normalize(e), nil
+	return number(normalize(e)), nil
 }
 
 // MustParse parses a query known to be valid; it panics on error.

@@ -52,8 +52,14 @@ func (r Relev) String() string {
 // the step evaluates them in fresh contexts, so a step's relevant
 // context is always {cn} (or ∅ under an absolute path).
 //
-// The computation is O(|Q|) and depends only on the query (Section 8.2).
+// The computation is O(|Q|) and depends only on the query (Section
+// 8.2), so the numbering pass (number.go) runs it once and records the
+// result in the node: for a node of a numbered tree this is a field
+// read.
 func RelevantContext(e Expr) Relev {
+	if in := e.info(); in.nb != nil {
+		return in.relev
+	}
 	switch x := e.(type) {
 	case *Number, *Literal:
 		return 0

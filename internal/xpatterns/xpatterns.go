@@ -126,7 +126,10 @@ func isEqS(pathSide, constSide xpath.Expr) bool {
 	default:
 		return false
 	}
-	return isPattern(pathSide)
+	// eqS searches the nodes one path can end in: a union or a bare
+	// id(…) on this side is left to the general engines.
+	_, isPath := pathSide.(*xpath.Path)
+	return isPath && isPattern(pathSide)
 }
 
 // Evaluate computes the query for a single context node.
@@ -249,7 +252,7 @@ func (ev *Evaluator) e1(e xpath.Expr) (xmltree.NodeSet, error) {
 	switch x := e.(type) {
 	case *xpath.Binary:
 		switch x.Op {
-		case xpath.OpAnd, xpath.OpOr:
+		case xpath.OpAnd, xpath.OpOr, xpath.OpUnion: // boolean(π1 | π2) is boolean(π1) or boolean(π2)
 			l, err := ev.e1(x.Left)
 			if err != nil {
 				return nil, err
