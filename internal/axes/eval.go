@@ -306,6 +306,25 @@ func EvalNamed(d *xmltree.Document, a Axis, s xmltree.NodeSet, name string) xmlt
 	return EvalNamedInto(d, a, s, name, nil)
 }
 
+// NamedChildren appends to dst the children of x among named, the
+// posting list of an element name: the scan is restricted to x's
+// subtree, children of x lie in (x, end(x)). It starts at named[from:]
+// and returns the index of the first member behind x, so a caller whose
+// x only grow hands each result back as from and walks the list once.
+func NamedChildren(d *xmltree.Document, named xmltree.NodeSet, from int, x xmltree.NodeID, dst xmltree.NodeSet) (xmltree.NodeSet, int) {
+	from = named.Seek(from, x+1)
+	end := d.Index().SubtreeEnd(x)
+	for _, y := range named[from:] {
+		if y >= end {
+			break
+		}
+		if d.Parent(y) == x {
+			dst = append(dst, y)
+		}
+	}
+	return dst, from
+}
+
 // EvalNamedInto is EvalNamed appending into dst[:0].
 func EvalNamedInto(d *xmltree.Document, a Axis, s xmltree.NodeSet, name string, dst xmltree.NodeSet) xmltree.NodeSet {
 	dst = dst[:0]
@@ -363,14 +382,7 @@ func EvalNamedInto(d *xmltree.Document, a Axis, s xmltree.NodeSet, name string, 
 		// testing parents against S.
 		named := ix.Named(name)
 		if len(s) == 1 {
-			x := s[0]
-			// Restrict the scan to x's subtree: children of x lie in
-			// (x, end(x)).
-			for _, y := range ix.NamedRange(name, x+1, ix.SubtreeEnd(x)) {
-				if d.Parent(y) == x {
-					dst = append(dst, y)
-				}
-			}
+			dst, _ = NamedChildren(d, named, 0, s[0], dst)
 			return dst
 		}
 		sc := ix.AcquireScratch()

@@ -228,6 +228,36 @@ func TestPairLoopCandidatesWalkThePostingList(t *testing.T) {
 	}
 }
 
+// TestPairLoopReaching: Reaching is xs ∩ χ⁻¹(ys), except that for
+// child::name with candidates no predicate has narrowed the posting list
+// stands in for the inverse axis and xs comes back as it is.
+func TestPairLoopReaching(t *testing.T) {
+	d, err := xmltree.ParseString(`<r><a><a><a/><b/></a><b/><a/></a><b><a/></b><a/><c/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all xmltree.NodeSet
+	for i := 0; i < d.Len(); i++ {
+		all = append(all, xmltree.NodeID(i))
+	}
+	for _, q := range []string{"child::a", "child::*", "descendant::a"} {
+		s := step(t, q)
+		loop := NewPairLoop(d, s, nil, nil)
+		ys := StepCandidatesSet(d, s.Axis, s.Test, all)
+		some := ys[len(ys)-1:]
+		if got, want := loop.Reaching(all, some, true), ContextsReaching(d, s.Axis, all, some); !got.Equal(want) {
+			t.Errorf("%s, narrowed: %v, want %v", q, got, want)
+		}
+		want := ContextsReaching(d, s.Axis, all, ys)
+		if q == "child::a" {
+			want = all
+		}
+		if got := loop.Reaching(all, ys, false); !got.Equal(want) {
+			t.Errorf("%s: %v, want %v", q, got, want)
+		}
+	}
+}
+
 // TestVerdictsPerPositionAndSize: a predicate whose relevant context
 // lacks cn is evaluated once per ⟨cp, cs⟩ over all the previous context
 // nodes of a loop, one that reads cn at every candidate; the survivors

@@ -116,8 +116,7 @@ type PairLoop struct {
 	eval   PredEval
 	seen   []*Verdicts
 
-	ix      *xmltree.Index  // set for child::name: candidates come from named
-	named   xmltree.NodeSet // shared with the index, only read
+	named   xmltree.NodeSet // child::name's posting list: shared with the index, only read
 	nextPos int             // first member of named behind the last x
 }
 
@@ -125,18 +124,22 @@ type PairLoop struct {
 func NewPairLoop(d *xmltree.Document, step *xpath.Step, cancel *Canceller, eval PredEval) *PairLoop {
 	l := &PairLoop{d: d, step: step, cancel: cancel, eval: eval, seen: PredVerdicts(step.Preds)}
 	if step.Axis == axes.Child && ExactElementName(step.Axis, step.Test) {
-		l.ix = d.Index()
-		l.named = l.ix.Named(step.Test.Name)
+		l.named = d.Index().Named(step.Test.Name)
 	}
 	return l
 }
 
 // Reaching is ContextsReaching for the loop's step: the members of xs
-// worth a visit, given the candidates ys that can still be selected.
-// For child::name that is every one of them — asking the posting list
-// costs less than the inverse axis would.
-func (l *PairLoop) Reaching(xs, ys xmltree.NodeSet) xmltree.NodeSet {
-	if l.ix != nil {
+// worth a visit, given the candidates ys that can still be selected. For
+// child::name with ys all of the step's candidates that is xs as it
+// stands: a node without a name child costs Candidates one Seek, less
+// than its share of the inverse axis image
+// (count(//open_auction[count(bidder) > 2]), 500 auctions: 94 µs and 60
+// KB against 146 µs and 75 KB). Once a predicate has narrowed ys the
+// inverse pays again — [count(bidder[increase > 100000]) > 0], no
+// candidate left: 96 µs against 142.
+func (l *PairLoop) Reaching(xs, ys xmltree.NodeSet, narrowed bool) xmltree.NodeSet {
+	if l.named != nil && !narrowed {
 		return xs
 	}
 	return ContextsReaching(l.d, l.step.Axis, xs, ys)
@@ -148,23 +151,13 @@ func (l *PairLoop) Candidates(x xmltree.NodeID, buf xmltree.NodeSet) (xmltree.No
 	if err := l.cancel.Check(); err != nil {
 		return nil, err
 	}
-	if l.ix == nil {
+	if l.named == nil { // not child::name, or no such element: nothing to walk
 		return StepCandidatesInto(l.d, l.step.Axis, l.step.Test, x, buf), nil
 	}
 	if l.nextPos > 0 && l.named[l.nextPos-1] > x {
 		l.nextPos = 0 // x is not behind its predecessor: start over
 	}
-	l.nextPos = l.named.Seek(l.nextPos, x+1)
-	buf = buf[:0]
-	end := l.ix.SubtreeEnd(x)
-	for _, y := range l.named[l.nextPos:] {
-		if y >= end {
-			break
-		}
-		if l.d.Parent(y) == x {
-			buf = append(buf, y)
-		}
-	}
+	buf, l.nextPos = axes.NamedChildren(l.d, l.named, l.nextPos, x, buf[:0])
 	return buf, nil
 }
 

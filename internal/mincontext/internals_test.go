@@ -2,6 +2,7 @@ package mincontext
 
 import (
 	"context"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -157,6 +158,62 @@ func TestTableColumns(t *testing.T) {
 			}
 			if got, err := st.EvalSingleContext(e, c); err != nil || !got.Equal(want) {
 				t.Errorf("%s at a[%d]: %+v, %v; naive %+v", src, k+1, got, err, want)
+			}
+		}
+	}
+}
+
+// TestTableColumnsStayFew: rows asked for on demand against document
+// order — one context node at a time from the back, then the odd ones
+// from the front — are merged as they arrive, so the table of n rows
+// has at most log₂ n + 1 columns and every row is still found.
+func TestTableColumnsStayFew(t *testing.T) {
+	const n = 300
+	var sb strings.Builder
+	sb.WriteString("<r>")
+	for i := 0; i < n; i++ {
+		sb.WriteString("<a>" + strings.Repeat("<b/>", i%7) + "</a>")
+	}
+	sb.WriteString("</r>")
+	d := xmltree.MustParseString(sb.String())
+	as := d.Index().Named("a")
+	for _, src := range []string{"count(child::b)", "child::b", "count(child::b) > 3", "string(count(child::b))"} {
+		e := xpath.MustParse(src)
+		st, err := New(d).Begin(context.Background(), e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var order []int
+		for k := n - 2; k >= 0; k -= 2 {
+			order = append(order, k)
+		}
+		for k := 1; k < n; k += 2 {
+			order = append(order, k)
+		}
+		for _, k := range order {
+			if err := st.evalByCnodeOnly(e, as[k:k+1]); err != nil {
+				t.Fatal(err)
+			}
+			if cols := len(st.tabs[xpath.Slot(e)].cols); cols > bits.Len(uint(n)) {
+				t.Fatalf("%s: %d columns after a[%d]", src, cols, k+1)
+			}
+		}
+		rows := 0
+		for _, c := range st.tabs[xpath.Slot(e)].cols {
+			rows += len(c.nodes)
+		}
+		if rows != n {
+			t.Errorf("%s: %d rows, want %d", src, rows, n)
+		}
+		nv := naive.New(d)
+		for k := range as {
+			c := semantics.Context{Node: as[k], Pos: 1, Size: 1}
+			want, err := nv.Evaluate(e, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := st.EvalSingleContext(e, c); err != nil || !got.Equal(want) {
+				t.Fatalf("%s at a[%d]: %+v, %v; naive %+v", src, k+1, got, err, want)
 			}
 		}
 	}

@@ -37,15 +37,17 @@
 //     eval_inner_locpath builds a relation as, row by row from the
 //     posting lists. Rows are read where the last read left off, by
 //     binary search otherwise. Context nodes asked for later are appended
-//     when they lie behind the last one and start a further column when
-//     they do not;
+//     when they lie behind the last one; asked for out of document order
+//     they start a further column, merged into its predecessor once that
+//     is no more than twice as long, so there are O(log) columns at worst
+//     and one in the common case (table.add);
 //   - a table another evaluator computed whole (SetTruth) stays the set
 //     of nodes it arrived as.
 //
 // An operator whose operands are such arrays over the very nodes being
 // tabulated — count() of a relation, arithmetic and comparison of
 // numbers, a filter by a boolean column or node set — loops over the
-// arrays (vector, filterCandidates); everything else is computed row by
+// arrays (vector, FilterCandidates); everything else is computed row by
 // row through eval_single_context.
 //
 // # Which paths are node sets
@@ -69,16 +71,19 @@
 //
 // Both the set and the relation code visit, at a step χ::t, only the
 // previous context nodes that can reach a candidate, X ∩ χ⁻¹(Y): the
-// others contribute the empty set. The loops over ⟨previous, current⟩
-// pairs that cp/cs-dependent predicates need take each node's candidate
-// list from the index (for child::name the label's posting-list slice
-// under the node, already in axis order) and merge the survivors through
-// a bitset accumulator, so a positional step costs O(|X ∩ χ⁻¹(Y)| + Σ
-// candidates), not O(|X|·|result|). Inside such a loop a predicate whose
-// Relev lacks cn — [1], [last()], [position() mod 2 = 0] — has one table
-// row per ⟨cp, cs⟩, not per ⟨cn, cp, cs⟩ (Section 8.2 again), and is
-// evaluated once per position and size however many previous context
-// nodes share them (evalutil.Verdicts).
+// others contribute the empty set. (For child::name with Y every
+// candidate of the step, a node's stretch of the posting list says as
+// much, cheaper than the inverse axis: evalutil.PairLoop.Reaching.) The
+// loops over ⟨previous, current⟩ pairs that cp/cs-dependent predicates
+// need take each node's candidate list from the index (for child::name
+// the label's posting-list slice under the node, already in axis order)
+// and merge the survivors through a bitset accumulator, so a positional
+// step costs O(|X ∩ χ⁻¹(Y)| + Σ candidates), not O(|X|·|result|).
+// Inside such a loop a predicate whose Relev lacks cn — [1], [last()],
+// [position() mod 2 = 0] — has one table row per ⟨cp, cs⟩, not per ⟨cn,
+// cp, cs⟩ (Section 8.2 again), and is evaluated once per position and
+// size however many previous context nodes share them
+// (evalutil.Verdicts).
 //
 // # //name[position() …]
 //
@@ -342,11 +347,11 @@ func (st *Run) evalOutermostStep(step *xpath.Step, x xmltree.NodeSet) (xmltree.N
 	if len(step.Preds) == 0 || len(y) == 0 {
 		return y, nil
 	}
-	if err := st.tabulatePreds(step, y); err != nil {
-		return nil, err
-	}
 	if !step.Positional() {
-		return st.filterCandidates(step, y)
+		return st.FilterCandidates(step, y)
+	}
+	if err := st.TabulatePreds(step, y); err != nil {
+		return nil, err
 	}
 	if err := st.cancel.CheckN(len(x) + len(y)); err != nil {
 		return nil, err
@@ -359,7 +364,7 @@ func (st *Run) evalOutermostStep(step *xpath.Step, x xmltree.NodeSet) (xmltree.N
 	sc := ix.AcquireScratch()
 	defer ix.ReleaseScratch(sc)
 	loop := evalutil.NewPairLoop(st.doc, step, st.cancel, st.EvalSingleContext)
-	for _, xn := range loop.Reaching(x, y) {
+	for _, xn := range loop.Reaching(x, y, false) {
 		z, err := loop.RankedCandidates(xn, sc.Work)
 		if err != nil {
 			return nil, err
@@ -370,24 +375,27 @@ func (st *Run) evalOutermostStep(step *xpath.Step, x xmltree.NodeSet) (xmltree.N
 	return sc.Acc.Result(), nil
 }
 
-// tabulatePreds runs eval_by_cnode_only for a step's predicates over the
-// step's candidates.
-func (st *Run) tabulatePreds(step *xpath.Step, y xmltree.NodeSet) error {
-	for _, pred := range step.Preds {
-		if err := st.evalByCnodeOnly(pred, y); err != nil {
-			return err
-		}
-	}
-	return nil
+// TabulatePreds runs eval_by_cnode_only for a step's predicates over the
+// step's candidates y: what a loop over ⟨previous, current⟩ pairs reads
+// through EvalSingleContext afterwards.
+func (st *Run) TabulatePreds(step *xpath.Step, y xmltree.NodeSet) error {
+	return st.tabulateAll(step.Preds, y)
 }
 
-// filterCandidates returns the candidates of a step that satisfy its
+// FilterCandidates returns the candidates y of a step that satisfy its
 // predicates, none of which depends on cp/cs, so each candidate is
-// judged once whatever previous context node reached it — by
-// intersecting with a table that is a set of nodes already (SetTruth)
-// or reading off the bits of a column over y, else row by row. y itself
-// is left alone: the predicates' tables have it as their context nodes.
-func (st *Run) filterCandidates(step *xpath.Step, y xmltree.NodeSet) (xmltree.NodeSet, error) {
+// judged once whatever previous context node reached it: the predicates
+// are tabulated over y, and y is filtered by intersecting with a table
+// that is a set of nodes already (SetTruth) or reading off the bits of a
+// column over y, else row by row. y itself is left alone: the
+// predicates' tables have it as their context nodes.
+func (st *Run) FilterCandidates(step *xpath.Step, y xmltree.NodeSet) (xmltree.NodeSet, error) {
+	if len(step.Preds) == 0 {
+		return y, nil
+	}
+	if err := st.TabulatePreds(step, y); err != nil {
+		return nil, err
+	}
 	if err := st.cancel.CheckN(len(y)); err != nil {
 		return nil, err
 	}
@@ -838,17 +846,14 @@ func (st *Run) stepRelation(steps []*xpath.Step, i int, x xmltree.NodeSet) (colu
 // evalInnerStep computes the one-step relation {⟨x, z⟩ | x ∈ X, x χ z, z
 // ∈ T(t), predicates hold} grouped by x, with the same
 // cp/cs-independent fast path as the outermost variant. Only the x ∈ X ∩
-// χ⁻¹(Y) are visited — Y being the candidates that can still be
-// selected — the rows of the others are empty.
+// χ⁻¹(Y) are visited (loop.Reaching) — Y being the candidates that can
+// still be selected — the rows of the others are empty.
 func (st *Run) evalInnerStep(step *xpath.Step, x xmltree.NodeSet) (column, error) {
 	rel := newColumn(xpath.TypeNodeSet, x)
 	y := evalutil.StepCandidatesSet(st.doc, step.Axis, step.Test, x)
 	if len(y) == 0 {
 		rel.off = rel.off[:len(x)+1]
 		return rel, nil
-	}
-	if err := st.tabulatePreds(step, y); err != nil {
-		return column{}, err
 	}
 	loop := evalutil.NewPairLoop(st.doc, step, st.cancel, st.EvalSingleContext)
 	candidates := loop.Candidates
@@ -860,10 +865,13 @@ func (st *Run) evalInnerStep(step *xpath.Step, x xmltree.NodeSet) (column, error
 	sc := ix.AcquireScratch()
 	defer ix.ReleaseScratch(sc)
 	if step.Positional() {
+		if err := st.TabulatePreds(step, y); err != nil {
+			return column{}, err
+		}
 		candidates = loop.RankedCandidates
 	} else if len(step.Preds) > 0 {
 		var err error
-		if y, err = st.filterCandidates(step, y); err != nil {
+		if y, err = st.FilterCandidates(step, y); err != nil {
 			return column{}, err
 		}
 		keep = &sc.Mark
@@ -877,7 +885,7 @@ func (st *Run) evalInnerStep(step *xpath.Step, x xmltree.NodeSet) (column, error
 	if err := st.cancel.CheckN(len(x) + len(y)); err != nil {
 		return column{}, err
 	}
-	xs := loop.Reaching(x, y)
+	xs := loop.Reaching(x, y, keep != nil)
 	for _, xn := range x {
 		if len(xs) > 0 && xs[0] == xn {
 			xs = xs[1:]

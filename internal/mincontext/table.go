@@ -18,8 +18,8 @@ type table struct {
 	// truth is a table complete on arrival (SetTruth): the context nodes
 	// at which a boolean node is true.
 	truth *xmltree.Bitset
-	// cols are the rows by context node: one column, and a further one
-	// only when nodes are asked for in front of those already there.
+	// cols are the rows by context node: one column, and further ones
+	// only while nodes asked for out of document order await merging (add).
 	cols []column
 }
 
@@ -125,23 +125,47 @@ func (c *column) index(n xmltree.NodeID) int {
 	return i
 }
 
-// add stores a filled column: appended to the last one when its context
-// nodes lie behind that one's, as a column of its own otherwise.
+// take appends row i of src, context node and value.
+func (c *column) take(src *column, i int) error {
+	c.nodes = append(c.nodes, src.nodes[i])
+	return c.push(src.value(i))
+}
+
+// add stores a filled column, whose context nodes the table has no row
+// for yet: appended to the last column when they lie behind that one's.
+// Nodes asked for out of document order start a column of their own,
+// merged into its predecessor while that one is at most twice as long:
+// lengths more than double towards the front, so n rows are at most
+// log₂ n + 1 columns however the requests arrive, and a row is moved
+// O(log n) times.
 func (t *table) add(c column) error {
 	if len(c.nodes) == 0 {
 		return nil
 	}
 	k := len(t.cols) - 1
-	if k < 0 || c.nodes[0] < t.cols[k].nodes[len(t.cols[k].nodes)-1] {
-		t.cols = append(t.cols, c)
+	if k >= 0 && t.cols[k].nodes[len(t.cols[k].nodes)-1] < c.nodes[0] {
+		for i := range c.nodes {
+			if err := t.cols[k].take(&c, i); err != nil {
+				return err
+			}
+		}
 		return nil
 	}
-	last := &t.cols[k]
-	last.nodes = append(last.nodes, c.nodes...)
-	for i := range c.nodes {
-		if err := last.push(c.value(i)); err != nil {
-			return err
+	t.cols = append(t.cols, c)
+	for k++; k > 0 && len(t.cols[k-1].nodes) <= 2*len(t.cols[k].nodes); k-- {
+		a, b := &t.cols[k-1], &t.cols[k]
+		m := newColumn(a.kind, nil)
+		for i, j := 0, 0; i < len(a.nodes) || j < len(b.nodes); {
+			src, at := a, &i // whichever is behind; the two share no node
+			if i == len(a.nodes) || j < len(b.nodes) && b.nodes[j] < a.nodes[i] {
+				src, at = b, &j
+			}
+			if err := m.take(src, *at); err != nil {
+				return err
+			}
+			*at++
 		}
+		t.cols[k-1], t.cols = m, t.cols[:k]
 	}
 	return nil
 }

@@ -161,6 +161,41 @@ func TestPositionalPredicateInsideBottomUpPath(t *testing.T) {
 	}
 }
 
+// TestPredicatesLeftToTheRun: a bottom-up path whose predicate holds a
+// part the bottom-up phase does not take itself — a comparison of two
+// context-free operands — is still propagated backwards; the predicate
+// is tabulated by the MinContext run over the step's candidates, all of
+// them where the step ranks.
+func TestPredicatesLeftToTheRun(t *testing.T) {
+	d := xmltree.MustParseString(
+		`<a><b>5</b><b>10</b><b>15</b><c>x</c><d><b>10</b></d></a>`)
+	ref := topdown.New(d)
+	ev := New(d)
+	ctx := semantics.Context{Node: d.RootID(), Pos: 1, Size: 1}
+	for _, q := range []string{
+		"//*[boolean(child::b[//c = 'x'])]",
+		"//*[boolean(child::b[//c = 'y'])]",
+		"//*[child::b[/a/c = /a/c] = 10]",
+		"//*[boolean(child::b[position() = 2][//c = 'x'])]",
+		"//*[child::b[position() = last() and //c = 'x'] = 10]",
+	} {
+		e := xpath.MustParse(q)
+		if !InFragment(e) {
+			t.Errorf("%q: not in the fragment", q)
+		}
+		want, err := ref.Evaluate(e, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ev.Evaluate(e, ctx); err != nil || !got.Equal(want) {
+			t.Errorf("%q: optmincontext %+v, %v; topdown %+v", q, got, err, want)
+		}
+		if ev.LastBottomUpPaths == 0 {
+			t.Errorf("%q: no bottom-up path", q)
+		}
+	}
+}
+
 // TestIDChainRestriction3 exercises nested id() heads in bottom-up
 // paths.
 func TestIDChainRestriction3(t *testing.T) {

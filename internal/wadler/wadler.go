@@ -38,10 +38,13 @@
 // string-values, not those of all |D| nodes with the root's (the whole
 // document's text) among them. A step whose predicates depend on cp/cs
 // loops over the previous context nodes in χ⁻¹(Y) only, with candidate
-// lists and ranking shared with MinContext (evalutil). Everything the
-// bottom-up phase leaves over runs on MinContext, whose package comment
-// states which of its paths are node sets and why that is the paper's
-// Relev rule.
+// lists and ranking shared with MinContext (evalutil). The predicates of
+// a step are judged by the MinContext run itself (FilterCandidates,
+// TabulatePreds): it reads the tables this phase has installed and
+// tabulates set-at-a-time whatever part of a predicate the phase did not
+// take. Everything the bottom-up phase leaves over runs on MinContext,
+// whose package comment states which of its paths are node sets and why
+// that is the paper's Relev rule.
 package wadler
 
 import (
@@ -292,9 +295,7 @@ func (st *state) collect(e xpath.Expr) error {
 			}
 		}
 		if x.Name == "boolean" && x.Args[0].Type() == xpath.TypeNodeSet && st.bottomUpPathOK(x.Args[0]) {
-			if st.predsHandled(x.Args[0]) {
-				return st.evalBottomUpPath(x, x.Args[0], nil, 0)
-			}
+			return st.evalBottomUpPath(x, x.Args[0], nil, 0)
 		}
 		return nil
 	case *xpath.FilterExpr:
@@ -342,7 +343,7 @@ func (st *state) maybeEvalRelOp(b *xpath.Binary) error {
 	default:
 		return nil
 	}
-	if !st.bottomUpPathOK(pathSide) || !st.predsHandled(pathSide) {
+	if !st.bottomUpPathOK(pathSide) {
 		return nil
 	}
 	// The constant side must itself be evaluable (any XPath, evaluated
@@ -355,94 +356,6 @@ func (st *state) maybeEvalRelOp(b *xpath.Binary) error {
 		return nil // leave it to MinContext
 	}
 	return st.evalBottomUpPath(b, pathSide, &cv, op)
-}
-
-// predsHandled reports whether every predicate inside the path can be
-// evaluated without a table of its own — i.e. all its node-set parts
-// are themselves already-collected bottom-up paths.
-func (st *state) predsHandled(e xpath.Expr) bool {
-	p, ok := e.(*xpath.Path)
-	if !ok {
-		_, isCall := e.(*xpath.Call)
-		return isCall // id(…) heads carry no predicates of their own
-	}
-	for _, s := range p.Steps {
-		for _, pr := range s.Preds {
-			if !st.predHandled(pr) {
-				return false
-			}
-		}
-	}
-	if p.Filter != nil {
-		return st.idFilterHandled(p.Filter)
-	}
-	return true
-}
-
-func (st *state) idFilterHandled(e xpath.Expr) bool {
-	c, ok := e.(*xpath.Call)
-	if !ok || c.Name != "id" {
-		return false
-	}
-	switch a := c.Args[0].(type) {
-	case *xpath.Path:
-		return st.predsHandled(a)
-	case *xpath.Call:
-		if a.Name == "id" {
-			return st.idFilterHandled(a)
-		}
-		return xpath.RelevantContext(a) == 0
-	default:
-		return xpath.RelevantContext(a) == 0
-	}
-}
-
-// predHandled is predsHandled for one predicate.
-func (st *state) predHandled(e xpath.Expr) bool {
-	if st.run.Known(e) {
-		return true
-	}
-	switch x := e.(type) {
-	case *xpath.Number, *xpath.Literal:
-		return true
-	case *xpath.Negate:
-		return st.predHandled(x.X)
-	case *xpath.Binary:
-		if x.Op == xpath.OpUnion {
-			return false
-		}
-		if x.Op.IsRelOp() &&
-			(x.Left.Type() == xpath.TypeNodeSet || x.Right.Type() == xpath.TypeNodeSet) {
-			return false // the bottom-up phase did not take it
-		}
-		return st.predHandled(x.Left) && st.predHandled(x.Right)
-	case *xpath.Call:
-		switch x.Name {
-		case "position", "last", "true", "false":
-			return true
-		case "not", "boolean":
-			if st.run.Known(x.Args[0]) {
-				return true
-			}
-			if x.Args[0].Type() == xpath.TypeNodeSet {
-				return false
-			}
-			return st.predHandled(x.Args[0])
-		case "floor", "ceiling", "round", "concat", "starts-with",
-			"contains", "substring", "substring-before", "substring-after",
-			"translate":
-			for _, a := range x.Args {
-				if a.Type() == xpath.TypeNodeSet || !st.predHandled(a) {
-					return false
-				}
-			}
-			return true
-		default:
-			return false
-		}
-	default:
-		return false
-	}
 }
 
 // ------------------------------------------------------------------
@@ -622,33 +535,24 @@ func (st *state) propagateStepBackwards(step *xpath.Step, y xmltree.NodeSet) (xm
 		return nil, nil
 	}
 	if !step.Positional() {
-		for _, p := range step.Preds {
-			var keep xmltree.NodeSet
-			for _, n := range yt {
-				if err := st.cancel.Check(); err != nil {
-					return nil, err
-				}
-				v, err := st.run.EvalSingleContext(p, semantics.Context{Node: n, Pos: -1, Size: -1})
-				if err != nil {
-					return nil, err
-				}
-				if semantics.ToBoolean(v) {
-					keep = append(keep, n)
-				}
-			}
-			yt = keep
-			if len(yt) == 0 {
-				return nil, nil
-			}
+		if yt, err = st.run.FilterCandidates(step, yt); err != nil || len(yt) == 0 {
+			return nil, err
 		}
 		return axes.EvalInversePar(st.ctx, st.doc, step.Axis, yt)
 	}
 	// Position-dependent: loop over previous context nodes x and their
 	// candidate sets. Note the candidate set Z (and thus the context
 	// size) must be computed over ALL candidates of x, not only those in
-	// yt; positions refer to the unrestricted step result.
+	// yt; positions refer to the unrestricted step result — and so the
+	// predicates' cp/cs-independent parts are tabulated over all of them.
 	xs, err := axes.EvalInversePar(st.ctx, st.doc, step.Axis, yt)
+	if err == nil {
+		err = st.cancel.CheckN(len(xs))
+	}
 	if err != nil {
+		return nil, err
+	}
+	if err := st.run.TabulatePreds(step, evalutil.StepCandidatesSet(st.doc, step.Axis, step.Test, xs)); err != nil {
 		return nil, err
 	}
 	// xs is χ⁻¹(yt): only these previous context nodes have a candidate
