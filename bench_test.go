@@ -25,7 +25,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -153,9 +152,7 @@ func BenchmarkExp4CoreXPath(b *testing.B) {
 	for _, n := range []int{5000, 20000, 50000} {
 		d := workload.Doc(n)
 		b.Run(fmt.Sprintf("doc=%d", n), func(b *testing.B) {
-			ev := corexpath.New(d)
-			ev.Parallelism = runtime.GOMAXPROCS(0) // 1 under -cpu=1: same sequential path as before
-			benchQuery(b, ev, d, q)
+			benchQuery(b, corexpath.New(d), d, q)
 		})
 	}
 }
@@ -417,10 +414,7 @@ func BenchmarkAxes(b *testing.B) {
 
 // BenchmarkAxesEval measures axis evaluation in isolation in its
 // steady state: a caller-reused output buffer plus the per-document
-// scratch pool mean zero heap allocations per evaluation. The loop
-// goes through axes.EvalPar with a GOMAXPROCS worker budget — under
-// -cpu=1 that is the exact sequential EvalInto path (and still zero
-// allocations); under -cpu=4 it exercises the chunked parallel fills.
+// scratch pool mean zero heap allocations per evaluation.
 func BenchmarkAxesEval(b *testing.B) {
 	d := workload.Catalog(2000)
 	ctxSet := d.Index().Named("product")
@@ -436,22 +430,13 @@ func BenchmarkAxesEval(b *testing.B) {
 		{"child", axes.Child},
 		{"following-sibling", axes.FollowingSibling},
 	}
-	ctx := context.Background()
-	p := runtime.GOMAXPROCS(0)
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			var buf xmltree.NodeSet
-			var err error
-			buf, err = axes.EvalPar(ctx, d, c.axis, ctxSet, buf, p) // warm the buffer and scratch pool
-			if err != nil {
-				b.Fatal(err)
-			}
+			buf := axes.EvalInto(d, c.axis, ctxSet, nil) // warm the buffer and scratch pool
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if buf, err = axes.EvalPar(ctx, d, c.axis, ctxSet, buf, p); err != nil {
-					b.Fatal(err)
-				}
+				buf = axes.EvalInto(d, c.axis, ctxSet, buf)
 			}
 		})
 	}
@@ -462,21 +447,12 @@ func BenchmarkAxesEval(b *testing.B) {
 func BenchmarkAxesEvalNamed(b *testing.B) {
 	d := workload.Catalog(2000)
 	root := xmltree.NodeSet{d.RootID()}
-	ctx := context.Background()
-	p := runtime.GOMAXPROCS(0)
 	b.Run("descendant::product", func(b *testing.B) {
-		var buf xmltree.NodeSet
-		var err error
-		buf, err = axes.EvalNamedPar(ctx, d, axes.Descendant, root, "product", buf, p)
-		if err != nil {
-			b.Fatal(err)
-		}
+		buf := axes.EvalNamedInto(d, axes.Descendant, root, "product", nil)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if buf, err = axes.EvalNamedPar(ctx, d, axes.Descendant, root, "product", buf, p); err != nil {
-				b.Fatal(err)
-			}
+			buf = axes.EvalNamedInto(d, axes.Descendant, root, "product", buf)
 		}
 	})
 }
@@ -496,13 +472,6 @@ func BenchmarkBitset(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			x.UnionWith(y)
-		}
-	})
-	b.Run("par-union", func(b *testing.B) {
-		p := runtime.GOMAXPROCS(0)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			x.ParUnion(y, p)
 		}
 	})
 	b.Run("count", func(b *testing.B) {

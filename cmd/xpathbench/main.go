@@ -14,9 +14,8 @@
 // -cpuprofile and -memprofile write pprof profiles covering the
 // measured experiments, so performance PRs can attach `go tool pprof`
 // evidence for where the time and allocations go. -blockprofile and
-// -mutexprofile add the contention profiles that matter for the worker
-// pools and multicore kernels: where goroutines block and which locks
-// they fight over.
+// -mutexprofile add the contention profiles: where goroutines block and
+// which locks they fight over.
 package main
 
 import (
@@ -42,14 +41,13 @@ func run() (exitCode int) {
 	exp := flag.String("exp", "all", "experiment to run: exp1|exp2|exp3|exp4|exp5a|exp5b|table5|table7|ablate|all")
 	cap := flag.Duration("cap", 2*time.Second, "wall-clock cap per measured point")
 	scale := flag.Float64("scale", 1, "document-size scale factor for exp4 (1 = paper-sized)")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "per-query worker budget for the multicore kernels (0 = sequential)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 	memprofile := flag.String("memprofile", "", "write an allocation profile taken after the run to `file`")
 	blockprofile := flag.String("blockprofile", "", "write a goroutine blocking profile taken after the run to `file`")
 	mutexprofile := flag.String("mutexprofile", "", "write a mutex contention profile taken after the run to `file`")
 	flag.Parse()
 
-	cfg := bench.Config{Cap: *cap, Scale: *scale, Parallelism: *parallel, Out: os.Stdout}
+	cfg := bench.Config{Cap: *cap, Scale: *scale, Out: os.Stdout}
 	cfg.FprintConfig(os.Stdout)
 	runners := map[string]func(){
 		"exp1":   func() { bench.Exp1(cfg) },

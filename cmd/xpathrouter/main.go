@@ -63,7 +63,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the -debug-addr mux
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -82,7 +81,6 @@ func main() {
 	generation := flag.Uint64("ring-generation", 1, "placement generation stamped on the ring (bump when the peer set changes)")
 	answerCache := flag.Int("answer-cache", cluster.DefaultAnswerCacheSize, "router answer cache capacity in entries (0 disables)")
 	drainPeers := flag.String("drain-peers", "", "previous ring's backend URLs: forward read misses there while cmd/xpathreshard migrates the corpus")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent backend streams per /batch request (0 = one at a time)")
 	timeout := flag.Duration("timeout", cluster.DefaultTimeout, "per-backend-call timeout (batch streams are exempt beyond dial/header latency)")
 	healthEvery := flag.Duration("health-interval", 5*time.Second, "background health probe period")
 	maxBody := flag.Int64("max-body", serve.DefaultMaxBodyBytes, "request body size limit in bytes (match the backends' -max-body)")
@@ -117,16 +115,11 @@ func main() {
 	if cacheSize == 0 {
 		cacheSize = -1 // Options uses negative for "disabled", 0 for the default
 	}
-	par := *parallel
-	if par <= 0 {
-		par = -1 // Options uses negative for "one at a time", 0 for GOMAXPROCS
-	}
 	opts := cluster.Options{
 		Retries:          *retries,
 		Replicas:         *replicas,
 		Generation:       *generation,
 		AnswerCacheSize:  cacheSize,
-		Parallel:         par,
 		Timeout:          *timeout,
 		HealthInterval:   *healthEvery,
 		MaxBody:          *maxBody,

@@ -48,7 +48,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the -debug-addr mux
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -61,15 +60,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/store"
 )
-
-// parallelOption maps the -parallel flag (0 = sequential) onto
-// engine.Options.Parallelism (-1 = sequential, 0 = GOMAXPROCS).
-func parallelOption(flag int) int {
-	if flag <= 0 {
-		return -1
-	}
-	return flag
-}
 
 // docFlags collects repeated -doc name=path flags.
 type docFlags []string
@@ -84,7 +74,6 @@ func main() {
 	plannerMode := flag.String("planner", "rules", "accepted (rules|adaptive|off) and ignored: auto is one static table; the flag stays until the benchmark driver stops passing it")
 	cacheSize := flag.Int("cache", engine.DefaultCacheSize, "compiled-query cache capacity")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "per-query worker budget for the multicore kernels (0 = sequential)")
 	naiveBudget := flag.Int64("naive-budget", 0, "step budget for naive/datapool strategies (0 = unlimited)")
 	maxRows := flag.Int("maxrows", 0, "context-value table row limit for the bottomup strategy (0 = unlimited)")
 	fallback := flag.Bool("fallback", true, "retry queries that trip the bottomup table limit on mincontext instead of erroring")
@@ -129,7 +118,6 @@ func main() {
 		Strategy:     strat,
 		CacheSize:    *cacheSize,
 		Workers:      *workers,
-		Parallelism:  parallelOption(*parallel),
 		NaiveBudget:  *naiveBudget,
 		MaxTableRows: *maxRows,
 		Fallback:     *fallback,

@@ -10,20 +10,17 @@
 //   - internal/xmltree, internal/xpath, internal/semantics — the data
 //     model, parser and effective semantics shared by every engine.
 //     xmltree doubles as the performance layer under the evaluation
-//     core: packed []uint64 bitsets (word-parallel set algebra), a
-//     lazily built, cached per-document structural index (subtree
-//     intervals from the preorder arena, a label→NodeSet name index
-//     with O(1) prefix content counts, and a pooled evaluator-scratch
-//     allocator), and a shared GOMAXPROCS-sized worker pool behind the
-//     multicore kernels (ParUnion/ParIntersect/ParMinus, the parallel
-//     Accumulator flush). internal/axes evaluates the recursive axes
-//     as O(output) interval arithmetic over that index —
-//     allocation-free in steady state — instead of the worklist
+//     core: packed []uint64 bitsets (64 nodes a machine word in the
+//     set algebra) and a lazily built, cached per-document structural
+//     index (subtree intervals from the preorder arena, a
+//     label→NodeSet name index with O(1) prefix content counts, and a
+//     pooled evaluator-scratch allocator). internal/axes evaluates the
+//     recursive axes as O(output) interval arithmetic over that index
+//     — allocation-free in steady state — instead of the worklist
 //     closures of Algorithm 3.2, which survive as the executable
-//     specification in the axes property tests; EvalPar and friends
-//     fill large axis images in subtree-aligned chunks across the
-//     pool, bit-identical to the sequential path they fall back to
-//     below a span threshold.
+//     specification in the axes property tests. One query runs on one
+//     goroutine; what scales across cores is queries (README,
+//     "Intra-query parallelism: measured, removed").
 //   - internal/naive … internal/xpatterns — one package per algorithm
 //     of the paper (naive, datapool, bottomup, topdown, mincontext,
 //     optmincontext/wadler, corexpath, xpatterns).
@@ -33,10 +30,7 @@
 //     classification (core.Explain). EvaluateContext
 //     carries a uniform cancellation contract: every engine, from the
 //     linear fragment evaluators to the exponential baseline, stops at
-//     a throttled checkpoint once the context is done (parallel
-//     workers bill their own chunks). Engine.Parallelism threads the
-//     per-query worker budget into the fragment engines' multicore
-//     kernels — the serving flag is -parallel, default GOMAXPROCS.
+//     a throttled checkpoint once the context is done.
 //   - internal/engine — the concurrent serving layer: a thread-safe
 //     LRU cache of compiled queries (compile once per distinct query
 //     under sustained traffic), Sessions binding documents (each

@@ -33,7 +33,8 @@ type Point struct {
 	QuerySize int
 	DocSize   int
 	Millis    float64
-	Steps     int64 // naive-engine step count, 0 for other engines
+	Steps     int64  // naive-engine step count, 0 for other engines
+	Bytes     uint64 // heap bytes the evaluation allocated
 	TimedOut  bool
 }
 
@@ -53,10 +54,6 @@ type Config struct {
 	// Scale shrinks the sweep ranges for quick runs (1 = paper-sized
 	// ranges where feasible; 0 defaults to 1).
 	Scale float64
-	// Parallelism is the worker budget handed to the engines with
-	// multicore kernels (corexpath, optmincontext); 0 or 1 keeps every
-	// measurement sequential.
-	Parallelism int
 	// Out receives the printed tables; nil discards them.
 	Out io.Writer
 }
@@ -67,7 +64,6 @@ type Config struct {
 func (c Config) FprintConfig(w io.Writer) {
 	fmt.Fprintf(w, "== config ==\n")
 	fmt.Fprintf(w, "gomaxprocs: %d\n", runtime.GOMAXPROCS(0))
-	fmt.Fprintf(w, "parallel:   %d\n", c.Parallelism)
 	fmt.Fprintf(w, "cap:        %s\n", c.cap())
 	scale := c.Scale
 	if scale <= 0 {
@@ -140,17 +136,25 @@ func (r topdownRunner) run(e xpath.Expr, _ int64) (time.Duration, int64, bool, e
 	return time.Since(start), 0, false, err
 }
 
-type optmincontextRunner struct {
-	d   *xmltree.Document
-	par int
-}
+type optmincontextRunner struct{ d *xmltree.Document }
 
 func (r optmincontextRunner) run(e xpath.Expr, _ int64) (time.Duration, int64, bool, error) {
 	ev := wadler.New(r.d)
-	ev.Parallelism = r.par
 	start := time.Now()
 	_, err := ev.Evaluate(e, rootCtx(r.d))
 	return time.Since(start), 0, false, err
+}
+
+// allocating runs r once and also reports the heap bytes the run
+// allocated: a cost that grows with the work done and that neither the
+// clock nor a busy neighbour moves, so the shape tests compare it where
+// the printed curves show milliseconds.
+func allocating(r engineRunner, e xpath.Expr, budget int64) (dur time.Duration, steps int64, capped bool, bytes uint64, err error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	dur, steps, capped, err = r.run(e, budget)
+	runtime.ReadMemStats(&after)
+	return dur, steps, capped, after.TotalAlloc - before.TotalAlloc, err
 }
 
 // sweep measures one engine over a query-size sweep on one document.
@@ -165,11 +169,11 @@ func sweep(r engineRunner, d *xmltree.Document, queryGen func(k int) string, ks 
 			panic(fmt.Sprintf("bench: bad generated query: %v", err))
 		}
 		budget := int64(rate * cap.Seconds() * 1.5)
-		dur, steps, capped, err := r.run(e, budget)
+		dur, steps, capped, bytes, err := allocating(r, e, budget)
 		if err != nil {
 			panic(fmt.Sprintf("bench: %s k=%d: %v", label, k, err))
 		}
-		p := Point{QuerySize: k, DocSize: d.Len(), Millis: float64(dur.Microseconds()) / 1000, Steps: steps, TimedOut: capped}
+		p := Point{QuerySize: k, DocSize: d.Len(), Millis: float64(dur.Microseconds()) / 1000, Steps: steps, Bytes: bytes, TimedOut: capped}
 		s.Points = append(s.Points, p)
 		if capped || dur > cap {
 			// The next point would be strictly worse; stop the series
@@ -192,11 +196,11 @@ func docSweep(mk func(*xmltree.Document) engineRunner, docs []*xmltree.Document,
 		panic(fmt.Sprintf("bench: bad query: %v", err))
 	}
 	for _, d := range docs {
-		dur, _, capped, err := mk(d).run(e, 0)
+		dur, _, capped, bytes, err := allocating(mk(d), e, 0)
 		if err != nil {
 			panic(fmt.Sprintf("bench: %s |D|=%d: %v", label, d.Len(), err))
 		}
-		s.Points = append(s.Points, Point{DocSize: d.Len(), Millis: float64(dur.Microseconds()) / 1000, TimedOut: capped})
+		s.Points = append(s.Points, Point{DocSize: d.Len(), Millis: float64(dur.Microseconds()) / 1000, Bytes: bytes, TimedOut: capped})
 		if capped || dur > cap {
 			break
 		}
@@ -293,9 +297,10 @@ func sortInts(xs []int) {
 }
 
 // GrowthRatio summarizes a series' tail growth: the mean ratio of
-// consecutive point costs. Exponential query complexity shows as a
-// ratio near the document's branching factor; polynomial behaviour
-// shows as a ratio near 1.
+// consecutive point costs (steps where the engine counts them, bytes
+// allocated otherwise — never the clock). Exponential query complexity
+// shows as a ratio near the document's branching factor; polynomial
+// behaviour shows as a ratio near 1.
 func GrowthRatio(s Series) float64 {
 	var ratios []float64
 	for i := 1; i < len(s.Points); i++ {
@@ -325,7 +330,7 @@ func cost(p Point) float64 {
 	if p.Steps > 0 {
 		return float64(p.Steps)
 	}
-	return p.Millis
+	return float64(p.Bytes)
 }
 
 func intsUpTo(n int) []int {

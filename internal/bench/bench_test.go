@@ -100,7 +100,7 @@ func TestExp4Shape(t *testing.T) {
 		t.Fatalf("linear engine truncated at %d points", len(lin))
 	}
 	// Linear data complexity: doubling the document should roughly
-	// double the time (allow generous noise, stay well under
+	// double the bytes one evaluation allocates (stay well under
 	// quadratic's 4×).
 	last := lin[len(lin)-1]
 	var half *Point
@@ -112,9 +112,9 @@ func TestExp4Shape(t *testing.T) {
 	if half == nil {
 		t.Fatal("no half-size point")
 	}
-	ratio := last.Millis / half.Millis
-	if ratio > 3.4 {
-		t.Errorf("corexpath doubling ratio = %.2f; expected near-linear (<3.4)", ratio)
+	ratio := float64(last.Bytes) / float64(half.Bytes)
+	if half.Bytes == 0 || ratio > 3 {
+		t.Errorf("corexpath doubling ratio = %.2f (%d → %d B); expected near-linear (<3)", ratio, half.Bytes, last.Bytes)
 	}
 }
 

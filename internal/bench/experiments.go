@@ -85,7 +85,7 @@ func Exp4(cfg Config) []Series {
 		bigDocs = append(bigDocs, workload.Doc(n))
 	}
 	series := []Series{
-		docSweep(func(d *xmltree.Document) engineRunner { return cxRunner{d, cfg.Parallelism} },
+		docSweep(func(d *xmltree.Document) engineRunner { return cxRunner{d} },
 			bigDocs, query, cfg.cap()*10, "corexpath (linear, ours)"),
 	}
 	// Top-down engine on a smaller sweep (it is super-quadratic here).
@@ -225,13 +225,13 @@ func Ablation(cfg Config) []Series {
 			{"datapool", datapoolRunner{d}},
 			{"topdown", topdownRunner{d}},
 			{"mincontext", mcRunner{d}},
-			{"optmincontext", optmincontextRunner{d, cfg.Parallelism}},
+			{"optmincontext", optmincontextRunner{d}},
 		}
 		if corexpath.InFragment(e) {
 			runners = append(runners, struct {
 				name string
 				r    engineRunner
-			}{"corexpath", cxRunner{d, cfg.Parallelism}})
+			}{"corexpath", cxRunner{d}})
 		}
 		s := Series{Label: qname}
 		for _, rn := range runners {
@@ -258,14 +258,10 @@ func (r mcRunner) run(e xpath.Expr, _ int64) (time.Duration, int64, bool, error)
 	return time.Since(start), 0, false, err
 }
 
-type cxRunner struct {
-	d   *xmltree.Document
-	par int
-}
+type cxRunner struct{ d *xmltree.Document }
 
 func (r cxRunner) run(e xpath.Expr, _ int64) (time.Duration, int64, bool, error) {
 	ev := corexpath.New(r.d)
-	ev.Parallelism = r.par
 	start := time.Now()
 	_, err := ev.Evaluate(e, rootCtx(r.d))
 	return time.Since(start), 0, false, err

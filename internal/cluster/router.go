@@ -61,12 +61,6 @@ type Options struct {
 	// to the old ring, so clients keep their answers while
 	// cmd/xpathreshard is still moving documents over.
 	DrainPeers []*Node
-	// Parallel caps how many backend /batch streams one client request
-	// holds open concurrently — the -parallel flag. 0 means uncapped
-	// (streams are I/O-bound, so the library default is one stream per
-	// owning node); negative (or 1) streams the per-node groups one at
-	// a time.
-	Parallel int
 	// Timeout bounds unary backend calls (default DefaultTimeout).
 	// Batch streams are exempt: only their dial and response-header
 	// latency are bounded.
@@ -193,12 +187,6 @@ func New(peers []*Node, opts Options) (*Router, error) {
 	}
 	if opts.MaxBody <= 0 {
 		opts.MaxBody = serve.DefaultMaxBodyBytes
-	}
-	switch {
-	case opts.Parallel == 0:
-		opts.Parallel = ring.Len() // one stream per owning node: no cap
-	case opts.Parallel < 1:
-		opts.Parallel = 1
 	}
 	if opts.DownAfter == 0 {
 		opts.DownAfter = 3
@@ -1096,17 +1084,13 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 			}
 		}
 	}
-	// Fan out one goroutine per owning-node group, capped at
-	// Options.Parallel concurrent backend streams by a semaphore
-	// (Parallel = 1 degenerates to streaming the groups one at a time).
+	// Fan out one goroutine, and so one backend stream, per owning-node
+	// group: at most ring.Len() of them, and I/O-bound.
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, r.opts.Parallel)
 	for slot, indices := range groups {
 		wg.Add(1)
-		sem <- struct{}{}
 		go func(slot int, indices []int) {
 			defer wg.Done()
-			defer func() { <-sem }()
 			r.streamGroup(ctx, r.slotCandidates(r.ring, slot), 0, indices, jobs, writeLine, false, drainFallback)
 		}(slot, indices)
 	}

@@ -355,13 +355,6 @@ type Engine struct {
 	// bottomup.Evaluator.MaxTableRows. When the limit trips, Evaluate
 	// returns an error wrapping bottomup.ErrTableLimit.
 	MaxTableRows int
-
-	// Parallelism is the worker budget for the multicore kernels of the
-	// fragment engines (parallel bitset connectives, axis interval
-	// fills, posting-list scans and node-test filters). 0 or 1 runs
-	// fully sequential; results are identical at every setting. Engines
-	// without parallel kernels ignore it.
-	Parallelism int
 }
 
 // NewEngine creates an engine over a document.
@@ -442,13 +435,9 @@ func (en *Engine) EvaluateStrategy(ctx context.Context, q *Query, c Context, s S
 	case MinContext:
 		return mincontext.New(en.doc).EvaluateContext(ctx, q.expr, c)
 	case OptMinContext:
-		ev := wadler.New(en.doc)
-		ev.Parallelism = en.Parallelism
-		return ev.EvaluateContext(ctx, q.expr, c)
+		return wadler.New(en.doc).EvaluateContext(ctx, q.expr, c)
 	case CoreXPath:
-		ev := corexpath.New(en.doc)
-		ev.Parallelism = en.Parallelism
-		return ev.EvaluateContext(ctx, q.expr, c)
+		return corexpath.New(en.doc).EvaluateContext(ctx, q.expr, c)
 	case XPatterns:
 		return xpatterns.New(en.doc).EvaluateContext(ctx, q.expr, c)
 	default:

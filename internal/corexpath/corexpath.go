@@ -37,19 +37,10 @@ import (
 type Evaluator struct {
 	doc *xmltree.Document
 
-	// Parallelism is the worker budget for whole-document set
-	// operations: axis interval fills, posting-list scans, node-test
-	// filters and the bitset connectives split across the shared
-	// xmltree pool. 0 or 1 evaluates sequentially (the default);
-	// results are identical either way.
-	Parallelism int
-
 	// cancel is the throttled cancellation checkpoint billed once per
 	// set-algebra operation (each costs O(|D|)); nil (the Evaluate
-	// path) never fires. ctx is the same context for the parallel
-	// kernels, whose workers bill their own chunks.
+	// path) never fires.
 	cancel *evalutil.Canceller
-	ctx    context.Context
 }
 
 // New returns a Core XPath evaluator for the document.
@@ -126,7 +117,6 @@ func (ev *Evaluator) Evaluate(e xpath.Expr, c semantics.Context) (semantics.Valu
 // over large documents stop promptly.
 func (ev *Evaluator) EvaluateContext(ctx context.Context, e xpath.Expr, c semantics.Context) (semantics.Value, error) {
 	ev.cancel = evalutil.NewCanceller(ctx)
-	ev.ctx = ctx
 	s, err := ev.EvaluateSet(e, xmltree.NodeSet{c.Node})
 	if err != nil {
 		return semantics.Value{}, err
@@ -142,11 +132,6 @@ func (ev *Evaluator) checkpoint() error {
 
 // EvaluateSet computes S→[[π]](N0) for a set of context nodes.
 func (ev *Evaluator) EvaluateSet(e xpath.Expr, n0 xmltree.NodeSet) (xmltree.NodeSet, error) {
-	if ev.ctx == nil {
-		// Direct EvaluateSet callers skip EvaluateContext; the parallel
-		// kernels still need a context to poll.
-		ev.ctx = context.Background()
-	}
 	switch x := e.(type) {
 	case *xpath.Binary:
 		if x.Op != xpath.OpUnion {
@@ -171,11 +156,7 @@ func (ev *Evaluator) EvaluateSet(e xpath.Expr, n0 xmltree.NodeSet) (xmltree.Node
 				return nil, err
 			}
 			// S→[[π/χ::t[e]]](N0) = χ(S→[[π]](N0)) ∩ T(t) ∩ E1[[e]].
-			var err error
-			cur, err = evalutil.StepCandidatesSetPar(ev.ctx, ev.doc, step.Axis, step.Test, cur, ev.Parallelism)
-			if err != nil {
-				return nil, err
-			}
+			cur = evalutil.StepCandidatesSet(ev.doc, step.Axis, step.Test, cur)
 			for _, p := range step.Preds {
 				e1, err := ev.e1(p)
 				if err != nil {
@@ -211,11 +192,11 @@ func (ev *Evaluator) e1(e xpath.Expr) (*xmltree.Bitset, error) {
 		}
 		switch x.Op {
 		case xpath.OpAnd:
-			l.ParIntersect(r, ev.Parallelism)
+			l.IntersectWith(r)
 			return l, nil
 		case xpath.OpOr, xpath.OpUnion:
 			// boolean(π1 | π2) holds where either path selects a node.
-			l.ParUnion(r, ev.Parallelism)
+			l.UnionWith(r)
 			return l, nil
 		default:
 			return nil, fmt.Errorf("corexpath: operator %v not in fragment", x.Op)
@@ -261,16 +242,6 @@ func (ev *Evaluator) testSet(a axes.Axis, t xpath.NodeTest) (xmltree.NodeSet, er
 		return append(xmltree.NodeSet(nil), ev.doc.Index().Named(t.Name)...), nil
 	}
 	principal := a.PrincipalType()
-	if ev.Parallelism > 1 {
-		// Parallel dom scan: reuse the chunked node-test filter over
-		// the identity set (one extra O(|D|) fill, dwarfed by the
-		// Matches calls it parallelizes).
-		dom := make(xmltree.NodeSet, ev.doc.Len())
-		for i := range dom {
-			dom[i] = xmltree.NodeID(i)
-		}
-		return evalutil.FilterTestPar(ev.ctx, ev.doc, a, t, dom, ev.Parallelism)
-	}
 	var out xmltree.NodeSet
 	for i := 0; i < ev.doc.Len(); i++ {
 		if t.Matches(ev.doc, principal, xmltree.NodeID(i)) {
@@ -309,11 +280,10 @@ func (ev *Evaluator) sBack(p *xpath.Path) (*xmltree.Bitset, error) {
 				return nil, err
 			}
 		} else {
-			var err error
-			s, err = evalutil.FilterTestPar(ev.ctx, ev.doc, step.Axis, step.Test, cur, ev.Parallelism)
-			if err != nil {
+			if err := ev.cancel.CheckN(len(cur)); err != nil {
 				return nil, err
 			}
+			s = evalutil.FilterTest(ev.doc, step.Axis, step.Test, cur)
 		}
 		for _, pr := range step.Preds {
 			e1, err := ev.e1(pr)
@@ -322,11 +292,10 @@ func (ev *Evaluator) sBack(p *xpath.Path) (*xmltree.Bitset, error) {
 			}
 			s = e1.IntersectSet(s, s[:0])
 		}
-		var err error
-		cur, err = axes.EvalInversePar(ev.ctx, ev.doc, step.Axis, s)
-		if err != nil {
+		if err := ev.cancel.CheckN(len(s)); err != nil {
 			return nil, err
 		}
+		cur = axes.EvalInverse(ev.doc, step.Axis, s)
 	}
 	out := xmltree.NewBitset(ev.doc.Len())
 	if p.Absolute {

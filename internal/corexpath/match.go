@@ -28,7 +28,6 @@ func (ev *Evaluator) MatchSetContext(ctx context.Context, e xpath.Expr) (xmltree
 		return nil, fmt.Errorf("corexpath: pattern %s not in the Core XPath fragment", e)
 	}
 	ev.cancel = evalutil.NewCanceller(ctx)
-	ev.ctx = ctx
 	if err := ev.checkpoint(); err != nil {
 		return nil, err
 	}

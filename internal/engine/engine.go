@@ -48,11 +48,6 @@ type Options struct {
 	// Workers bounds the per-batch worker pool (default GOMAXPROCS).
 	Workers int
 
-	// Parallelism is the per-query worker budget for the multicore
-	// evaluation kernels (default GOMAXPROCS; set -1 to force fully
-	// sequential evaluation); see core.Engine.Parallelism.
-	Parallelism int
-
 	// NaiveBudget bounds naive/datapool-strategy evaluations
 	// (0 = unlimited); see core.Engine.NaiveBudget.
 	NaiveBudget int64
@@ -100,12 +95,6 @@ func New(opts Options) *Engine {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	switch {
-	case opts.Parallelism == 0:
-		opts.Parallelism = runtime.GOMAXPROCS(0)
-	case opts.Parallelism < 0:
-		opts.Parallelism = 1
-	}
 	if opts.Metrics == nil {
 		opts.Metrics = obs.NewRegistry()
 	}
@@ -118,10 +107,6 @@ func New(opts Options) *Engine {
 // layers (serve, cmd wiring) can add their own instruments to the same
 // /metrics exposition.
 func (e *Engine) Metrics() *obs.Registry { return e.reg }
-
-// Parallelism returns the per-query worker budget the engine hands to
-// its sessions (1 = sequential).
-func (e *Engine) Parallelism() int { return e.opts.Parallelism }
 
 // Strategy returns the engine's configured evaluation strategy.
 func (e *Engine) Strategy() core.Strategy { return e.opts.Strategy }

@@ -47,9 +47,6 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 	reg.GaugeFunc("xpath_inflight", "evaluations currently executing", func() float64 {
 		return float64(e.inFlight.Load())
 	})
-	reg.GaugeFunc("xpath_parallelism", "per-query worker budget", func() float64 {
-		return float64(e.opts.Parallelism)
-	})
 	return m
 }
 

@@ -3,6 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"log/slog"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,6 +14,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 )
+
+// ErrInternal is what a panicking evaluator becomes: the error of its
+// own query, not the end of the connection (/query) or of the process
+// (a /batch worker goroutine).
+var ErrInternal = errors.New("engine: internal error")
 
 // Session binds a parsed document to an Engine. All evaluations run
 // from the document root with the engine's strategy and share the
@@ -37,11 +45,9 @@ func (e *Engine) NewSession(d *core.Document) *Session {
 	en := core.NewEngine(d, e.opts.Strategy)
 	en.NaiveBudget = e.opts.NaiveBudget
 	en.MaxTableRows = e.opts.MaxTableRows
-	en.Parallelism = e.opts.Parallelism
 	s := &Session{eng: e, doc: d, en: en, workers: e.opts.Workers}
 	if e.opts.Fallback {
 		s.fb = core.NewEngine(d, core.MinContext)
-		s.fb.Parallelism = e.opts.Parallelism
 	}
 	// Build the document's structural index now, at registration time,
 	// so the first query served does not pay the O(|dom|) index build.
@@ -130,22 +136,32 @@ func (s *Session) EvaluateContext(ctx context.Context, q *core.Query) (core.Valu
 // that what is reported is what ran), and — when a fallback engine
 // exists and the strategy tripped bottomup.ErrTableLimit — a
 // transparent retry on MinContext, whose tables are polynomial in the
-// document and so cannot trip a row limit.
-func (s *Session) evaluate(ctx context.Context, q *core.Query) (core.Value, core.Strategy, bool, error) {
+// document and so cannot trip a row limit. Every goroutine a query runs
+// on passes through here, so this is also where a panic is recovered
+// into ErrInternal, its stack logged once under the request ID.
+func (s *Session) evaluate(ctx context.Context, q *core.Query) (v core.Value, strat core.Strategy, fell bool, err error) {
 	s.lastUsed.Store(time.Now().UnixNano())
 	s.eng.inFlight.Add(1)
 	defer s.eng.inFlight.Add(-1)
 	m := s.eng.metrics
 	m.queries.Inc()
+	defer func() {
+		if r := recover(); r != nil {
+			slog.Error("evaluator panic", "request_id", obs.RequestID(ctx), "panic", r, "stack", string(debug.Stack()))
+			v, fell, err = core.Value{}, false, fmt.Errorf("%w: %v", ErrInternal, r)
+		}
+		if err != nil {
+			m.errors.Inc()
+		}
+	}()
 	frag := q.Fragment().Label()
-	strat := s.en.StrategyFor(q)
+	strat = s.en.StrategyFor(q)
 	ectx, span := obs.StartSpan(ctx, "evaluate")
 	span.SetAttr("fragment", frag)
 	span.SetAttr("strategy", strat.String())
 	start := time.Now()
 	root := core.Context{Node: s.doc.RootID(), Pos: 1, Size: 1}
-	v, err := s.en.EvaluateStrategy(ectx, q, root, strat)
-	fell := false
+	v, err = s.en.EvaluateStrategy(ectx, q, root, strat)
 	if err != nil && s.fb != nil && errors.Is(err, bottomup.ErrTableLimit) {
 		s.eng.fallbacks.Add(1)
 		span.SetAttr("fallback", "true")
@@ -157,9 +173,6 @@ func (s *Session) evaluate(ctx context.Context, q *core.Query) (core.Value, core
 	elapsed := time.Since(start)
 	m.stage.With("evaluate").Observe(elapsed.Seconds())
 	m.query.With(frag, strat.String()).Observe(elapsed.Seconds())
-	if err != nil {
-		m.errors.Inc()
-	}
 	return v, strat, fell, err
 }
 

@@ -1,11 +1,15 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log/slog"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -91,5 +95,56 @@ func TestCompileTimeSavedAccumulates(t *testing.T) {
 	st := e.Stats()
 	if st.Hits != 3 || st.CompileNanosSaved == 0 {
 		t.Fatalf("stats = %+v, want 3 hits and saved > 0", st)
+	}
+}
+
+// TestPanickingQueryFailsAlone: a panic inside an evaluation — here on a
+// nil compiled query, planted in the cache for the batch — is that
+// query's ErrInternal, on the caller's goroutine and on a batch worker
+// alike: the other jobs of the batch are answered, the error is counted
+// and nothing stays in flight. The stack is logged once per panic, under
+// the request's ID.
+func TestPanickingQueryFailsAlone(t *testing.T) {
+	var logged bytes.Buffer
+	defer slog.SetDefault(slog.Default())
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
+
+	for _, workers := range []int{1, 4} {
+		e := New(Options{Workers: workers})
+		s := e.NewSession(workload.Catalog(20))
+		ctx := obs.WithRequestID(context.Background(), "req-42")
+		if _, err := s.EvaluateContext(ctx, nil); !errors.Is(err, ErrInternal) {
+			t.Fatalf("workers=%d: EvaluateContext(nil query) err = %v, want ErrInternal", workers, err)
+		}
+		e.cache.add("boom", nil, 0)
+		queries := []string{"count(//product)", "boom", "count(//name)", "boom"}
+		got := make([]Result, len(queries))
+		if err := s.StreamBatch(ctx, queries, func(i int, res Result) { got[i] = res }); err != nil {
+			t.Fatalf("workers=%d: StreamBatch err = %v", workers, err)
+		}
+		for i, res := range got {
+			if queries[i] == "boom" {
+				if !errors.Is(res.Err, ErrInternal) {
+					t.Errorf("workers=%d job %d: err = %v, want ErrInternal", workers, i, res.Err)
+				}
+			} else if res.Err != nil || res.Value.Num != 20 {
+				t.Errorf("workers=%d job %d (%s): %v, %v; want 20, nil", workers, i, res.Query, res.Value.Num, res.Err)
+			}
+		}
+		if n := e.metrics.errors.Value(); n != 3 {
+			t.Errorf("workers=%d: xpath_query_errors_total = %d, want 3", workers, n)
+		}
+		if st := e.Stats(); st.InFlight != 0 {
+			t.Errorf("workers=%d: in-flight leaked after the panics: %+v", workers, st)
+		}
+	}
+	if n := strings.Count(logged.String(), "evaluator panic"); n != 6 {
+		t.Errorf("%d panics logged, want 6 (one line each):\n%s", n, logged.String())
+	}
+	if n := strings.Count(logged.String(), "request_id=req-42"); n != 6 {
+		t.Errorf("%d log lines carry the request ID, want 6", n)
+	}
+	if !strings.Contains(logged.String(), "session.go") {
+		t.Errorf("the log carries no stack:\n%s", logged.String())
 	}
 }

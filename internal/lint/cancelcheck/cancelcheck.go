@@ -9,14 +9,13 @@
 //
 // Spawned workers are billed separately: a function literal that runs
 // concurrently with its spawner — the callee or an argument of a go
-// statement, or a worker handed to xmltree.ParDo — cannot lean on a
-// checkpoint in the spawning function, because "billed before the
-// loop" is a happens-before argument and the worker's loop does not
-// happen after the spawner's checkpoint in any useful sense: the
-// spawner bills once, then every worker would run unbilled. Loops
-// inside a spawned literal therefore need a checkpoint within that
-// same literal; conversely a checkpoint inside a spawned literal never
-// covers a loop outside it.
+// statement — cannot lean on a checkpoint in the spawning function,
+// because "billed before the loop" is a happens-before argument and the
+// worker's loop does not happen after the spawner's checkpoint in any
+// useful sense: the spawner bills once, then every worker would run
+// unbilled. Loops inside a spawned literal therefore need a checkpoint
+// within that same literal; conversely a checkpoint inside a spawned
+// literal never covers a loop outside it.
 //
 // The analyzer self-gates on canceller access: a function is only
 // examined when it can reach a canceller at all — it mentions a
@@ -217,10 +216,10 @@ func isNodeSlice(info *types.Info, e ast.Expr) bool {
 
 // spawnedWorkers collects the function literals in body that run
 // concurrently with the enclosing function: the callee or an argument
-// of a go statement, and funclit arguments to xmltree.ParDo. A
-// checkpoint in the spawning function happens before the worker is
-// even scheduled, so it cannot stand in for billing inside the worker.
-func spawnedWorkers(info *types.Info, body *ast.BlockStmt) []*ast.FuncLit {
+// of a go statement. A checkpoint in the spawning function happens
+// before the worker is even scheduled, so it cannot stand in for
+// billing inside the worker.
+func spawnedWorkers(body *ast.BlockStmt) []*ast.FuncLit {
 	var out []*ast.FuncLit
 	add := func(e ast.Expr) {
 		if fl, ok := ast.Unparen(e).(*ast.FuncLit); ok {
@@ -228,18 +227,10 @@ func spawnedWorkers(info *types.Info, body *ast.BlockStmt) []*ast.FuncLit {
 		}
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.GoStmt:
+		if s, ok := n.(*ast.GoStmt); ok {
 			add(s.Call.Fun)
 			for _, a := range s.Call.Args {
 				add(a)
-			}
-		case *ast.CallExpr:
-			if fn := lintutil.CalleeOf(info, s); fn != nil && fn.Name() == "ParDo" &&
-				fn.Pkg() != nil && fn.Pkg().Name() == "xmltree" {
-				for _, a := range s.Args {
-					add(a)
-				}
 			}
 		}
 		return true
@@ -274,7 +265,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, checking map[*types.Func]b
 		}
 		return true
 	})
-	spawned := spawnedWorkers(pass.TypesInfo, fd.Body)
+	spawned := spawnedWorkers(fd.Body)
 	// scopeOf returns the billing scope of node n: the body range of
 	// the innermost spawned worker containing it, or the function body.
 	scopeOf := func(n ast.Node) (token.Pos, token.Pos, bool) {

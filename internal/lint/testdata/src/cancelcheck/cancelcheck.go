@@ -94,30 +94,18 @@ func (ev *eval) spawnUnbilled(set xmltree.NodeSet, done chan<- int) error {
 	return nil
 }
 
-// A ParDo worker with no checkpoint of its own is flagged even though
-// the spawner billed the whole operation first.
-func (ev *eval) parDoUnbilled(set xmltree.NodeSet) error {
-	if err := ev.cancel.CheckN(len(set)); err != nil {
-		return err
-	}
-	xmltree.ParDo(4, 4, func(k int) {
-		for _, n := range set { // want `document-sized loop in a spawned worker without a cancellation checkpoint`
-			_ = n
-		}
-	})
-	return nil
-}
-
-// A worker that bills its own chunk inside the literal is covered.
-func (ev *eval) parDoBilled(set xmltree.NodeSet) {
-	xmltree.ParDo(4, 4, func(k int) {
-		if ev.cancel.CheckN(len(set)/4) != nil {
+// A worker that bills its own share inside the literal is covered.
+func (ev *eval) spawnBilled(set xmltree.NodeSet, done chan<- int) {
+	go func() {
+		if ev.cancel.CheckN(len(set)) != nil {
 			return
 		}
+		total := 0
 		for _, n := range set {
-			_ = n
+			total += int(n)
 		}
-	})
+		done <- total
+	}()
 }
 
 // The converse direction: a checkpoint inside a spawned worker never

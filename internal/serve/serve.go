@@ -551,7 +551,10 @@ func (s *Server) writeAnswer(w http.ResponseWriter, r *http.Request, sess *engin
 	}
 	buf.b = closeAnswer(buf.b, trace)
 	status := http.StatusOK
-	if res.Err != nil {
+	switch {
+	case errors.Is(res.Err, engine.ErrInternal):
+		status = http.StatusInternalServerError
+	case res.Err != nil:
 		status = http.StatusUnprocessableEntity
 	}
 	WriteJSONBytes(w, status, buf.b)
@@ -739,13 +742,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"compile_ns_saved":   st.CompileNanosSaved,
 			"compile_time_saved": (time.Duration(st.CompileNanosSaved)).String(),
 		},
-		"in_flight":   st.InFlight,
-		"fallbacks":   st.Fallbacks,
-		"strategy":    s.eng.Strategy().String(),
-		"parallelism": s.eng.Parallelism(),
-		"planner":     map[string]any{"mode": "rules", "decisions": decisions, "explored": 0, "bans": 0},
-		"documents":   docs,
-		"store":       s.docs.Stats(),
+		"in_flight": st.InFlight,
+		"fallbacks": st.Fallbacks,
+		"strategy":  s.eng.Strategy().String(),
+		"planner":   map[string]any{"mode": "rules", "decisions": decisions, "explored": 0, "bans": 0},
+		"documents": docs,
+		"store":     s.docs.Stats(),
 	})
 }
 

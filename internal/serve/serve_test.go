@@ -109,6 +109,26 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
+// TestInternalErrorIs500: an evaluation that ended in a recovered panic
+// is answered like any failed query — a JSON body with the error — but
+// under 500, the status a router counts against the peer's breaker and
+// relays without trying the same query on the replicas.
+func TestInternalErrorIs500(t *testing.T) {
+	srv, _ := testServer(t)
+	sess, _ := srv.Session("catalog")
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/query", nil)
+	res := engine.Result{Query: "//x", Err: fmt.Errorf("%w: boom", engine.ErrInternal)}
+	srv.writeAnswer(rec, req, sess, 1, &res)
+	var out map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("body %q: %v", rec.Body.String(), err)
+	}
+	if msg, _ := out["error"].(string); rec.Code != http.StatusInternalServerError || !strings.Contains(msg, "boom") {
+		t.Fatalf("status = %d, body %v; want 500 carrying the error", rec.Code, out)
+	}
+}
+
 func TestDocumentsEndpoint(t *testing.T) {
 	_, ts := testServer(t)
 	resp, out := postJSON(t, ts.URL+"/documents", DocumentRequest{Name: "mini", XML: "<a><b/><b/></a>"})

@@ -63,11 +63,6 @@ import (
 type Evaluator struct {
 	doc *xmltree.Document
 
-	// Parallelism is the worker budget for the whole-document scans of
-	// the bottom-up phase (node-test filters and inverse axis images).
-	// 0 or 1 evaluates sequentially; results are identical either way.
-	Parallelism int
-
 	// Stats filled by the last Evaluate call.
 	LastBottomUpPaths int // number of subexpressions evaluated bottom-up
 }
@@ -91,7 +86,6 @@ func (ev *Evaluator) EvaluateContext(ctx context.Context, e xpath.Expr, c semant
 	if err != nil {
 		return semantics.Value{}, err
 	}
-	st.par = ev.Parallelism
 	if err := st.collect(e); err != nil {
 		return semantics.Value{}, err
 	}
@@ -108,7 +102,6 @@ type state struct {
 	paths  int
 	ctx    context.Context
 	cancel *evalutil.Canceller
-	par    int // worker budget for whole-document scans
 }
 
 // newState begins the evaluation of e.
@@ -447,7 +440,10 @@ func (st *state) pathTargets(e xpath.Expr) (xmltree.NodeSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return evalutil.FilterTestPar(st.ctx, st.doc, last.Axis, last.Test, all, st.par)
+	if err := st.cancel.CheckN(len(all)); err != nil {
+		return nil, err
+	}
+	return evalutil.FilterTest(st.doc, last.Axis, last.Test, all), nil
 }
 
 // dom materializes the full node set — an O(|D|) fill billed against
@@ -522,30 +518,39 @@ func (st *state) propagateIDHead(e xpath.Expr, cur xmltree.NodeSet) (xmltree.Nod
 	return nil, v.Set.Intersects(cur), nil
 }
 
+// inverse takes χ⁻¹(yt), billed as one bulk operation before it runs.
+func (st *state) inverse(a axes.Axis, yt xmltree.NodeSet) (xmltree.NodeSet, error) {
+	if err := st.cancel.CheckN(len(yt)); err != nil {
+		return nil, err
+	}
+	return axes.EvalInverse(st.doc, a, yt), nil
+}
+
 // propagateStepBackwards inverts one location step: restrict the target
 // set to the node test, apply the predicates, then take χ⁻¹. Predicates
 // that depend on position/size run in a loop over the pairs of
 // previous/current context node, as in the appendix pseudocode.
 func (st *state) propagateStepBackwards(step *xpath.Step, y xmltree.NodeSet) (xmltree.NodeSet, error) {
-	yt, err := evalutil.FilterTestPar(st.ctx, st.doc, step.Axis, step.Test, y, st.par)
-	if err != nil {
+	if err := st.cancel.CheckN(len(y)); err != nil {
 		return nil, err
 	}
+	yt := evalutil.FilterTest(st.doc, step.Axis, step.Test, y)
 	if len(yt) == 0 {
 		return nil, nil
 	}
 	if !step.Positional() {
+		var err error
 		if yt, err = st.run.FilterCandidates(step, yt); err != nil || len(yt) == 0 {
 			return nil, err
 		}
-		return axes.EvalInversePar(st.ctx, st.doc, step.Axis, yt)
+		return st.inverse(step.Axis, yt)
 	}
 	// Position-dependent: loop over previous context nodes x and their
 	// candidate sets. Note the candidate set Z (and thus the context
 	// size) must be computed over ALL candidates of x, not only those in
 	// yt; positions refer to the unrestricted step result — and so the
 	// predicates' cp/cs-independent parts are tabulated over all of them.
-	xs, err := axes.EvalInversePar(st.ctx, st.doc, step.Axis, yt)
+	xs, err := st.inverse(step.Axis, yt)
 	if err == nil {
 		err = st.cancel.CheckN(len(xs))
 	}

@@ -57,6 +57,42 @@ func TestBitsetOpsMatchNodeSet(t *testing.T) {
 	})
 }
 
+// TestAccumulatorMatchesUnion runs one accumulator through rounds of
+// n-way unions against chained NodeSet.Union: every flush (Result, and
+// AppendTo behind a prefix the caller keeps) must leave it clean for the
+// next round.
+func TestAccumulatorMatchesUnion(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for _, n := range []int{1, 100, 5000} {
+		acc := NewAccumulator(n)
+		if got := acc.Result(); got != nil {
+			t.Fatalf("n=%d: empty accumulator yields %v", n, got)
+		}
+		for round := 0; round < 6; round++ {
+			var want NodeSet
+			for add := 0; add < 4; add++ {
+				var s NodeSet
+				for i := 0; i < n; i++ {
+					if r.Intn(16) == 0 {
+						s = append(s, NodeID(i))
+					}
+				}
+				acc.Add(s)
+				want = want.Union(s)
+			}
+			var got NodeSet
+			if round%2 == 0 {
+				got = acc.Result()
+			} else {
+				got = acc.AppendTo(NodeSet{0})[1:]
+			}
+			if !got.Equal(want) {
+				t.Fatalf("n=%d round %d: %d nodes, want %d", n, round, len(got), len(want))
+			}
+		}
+	}
+}
+
 // TestBitsetComplementFill pins the tail-masking invariant on universes
 // that do not fall on word boundaries.
 func TestBitsetComplementFill(t *testing.T) {

@@ -35,8 +35,7 @@ type Index struct {
 	// contentBefore[i] counts the content (non-attribute,
 	// non-namespace) nodes among [0, i): prefix sums that give the
 	// exact size of any preorder subrange's axis contribution in O(1),
-	// which is what lets parallel interval fills compute each worker's
-	// output offset up front and write disjoint regions of one buffer.
+	// which is what lets an interval fill presize its output buffer.
 	contentBefore []int32
 
 	// scratch pools evaluator scratch sized to this document, making
