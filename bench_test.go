@@ -31,7 +31,6 @@ import (
 	"repro/internal/axes"
 	"repro/internal/bottomup"
 	"repro/internal/core"
-	"repro/internal/corexpath"
 	"repro/internal/datapool"
 	"repro/internal/engine"
 	"repro/internal/mincontext"
@@ -152,7 +151,7 @@ func BenchmarkExp4CoreXPath(b *testing.B) {
 	for _, n := range []int{5000, 20000, 50000} {
 		d := workload.Doc(n)
 		b.Run(fmt.Sprintf("doc=%d", n), func(b *testing.B) {
-			benchQuery(b, corexpath.New(d), d, q)
+			benchQuery(b, xpatterns.New(d), d, q)
 		})
 	}
 }
@@ -275,13 +274,14 @@ func BenchmarkEnginesGeneral(b *testing.B) {
 }
 
 // BenchmarkFragmentsCoreXPath pits the linear-time algebra against the
-// general engines on a Core XPath query (Corollary 11.5's point).
+// general engines on a Core XPath query (Corollary 11.5's point). The
+// corexpath row is internal/xpatterns: the Core XPath and XPatterns
+// gates admit to that one evaluator.
 func BenchmarkFragmentsCoreXPath(b *testing.B) {
 	d := workload.Catalog(1000)
 	const q = "//product[child::discontinued]/child::name"
 	engines := map[string]evaluator{
-		"corexpath":     corexpath.New(d),
-		"xpatterns":     xpatterns.New(d),
+		"corexpath":     xpatterns.New(d),
 		"topdown":       topdown.New(d),
 		"mincontext":    mincontext.New(d),
 		"optmincontext": wadler.New(d),
@@ -353,6 +353,60 @@ func BenchmarkOptMinContextShapes(b *testing.B) {
 	}
 }
 
+// BenchmarkFragmentAlgebraShapes is the mirror of
+// BenchmarkOptMinContextShapes for the §10 set algebra: the six Core
+// XPath and six XPatterns templates of the serving benchmark's pool, each
+// under the strategy auto picks, and four more under the XPatterns gate,
+// over the same 25k-node auction document. B/op is reported: a
+// materialized dom is |D| node ids and shows there first.
+func BenchmarkFragmentAlgebraShapes(b *testing.B) {
+	d := workload.Auction(1, 1200)
+	d.Index()
+	shapes := []struct{ name, query string }{
+		{"core/regions-item-name", "/site/regions/*/item/name"},
+		{"core/item-shipping", "//item[shipping]/name"},
+		{"core/auction-bidder", "//open_auction[bidder]/current"},
+		{"core/person-not-email", "//person[not(emailaddress)]/name"},
+		{"core/personref-ancestor", "//personref/ancestor::open_auction/itemref"},
+		{"core/current-or-itemref", "//open_auction/current | //open_auction/itemref"},
+		{"xpatterns/payment-cash", "//item[payment='cash']/name"},
+		{"xpatterns/id-person1", "id('person1')/name"},
+		{"xpatterns/id-personref", "id(//bidder/personref)/name"},
+		{"xpatterns/location-or", "//item[location='Kenya' or location='Japan']/quantity"},
+		{"xpatterns/itemref-eq", "//open_auction[itemref='item1']/current"},
+		{"xpatterns/quantity-or-name", "//item[quantity=2]/name | //person[name='Person 3']/emailaddress"},
+	}
+	// The four predicate shapes that enumerated dom under the XPatterns
+	// gate: a not(π = s), a true(), an absolute path, and the one pool
+	// template with a not(), which the gate must answer at Core XPath's
+	// price.
+	domShapes := []struct{ name, query string }{
+		{"dom/not-payment-cash", "//item[not(payment='cash')]/name"},
+		{"dom/true-and-payment", "//item[true() and payment='cash']/name"},
+		{"dom/absolute-pred", "//item[/site/people]/name"},
+		{"dom/person-not-email", "//person[not(emailaddress)]/name"},
+	}
+	en := core.NewEngine(d, core.Auto)
+	ctx := context.Background()
+	run := func(name string, q *core.Query, s core.Strategy) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := en.EvaluateStrategy(ctx, q, rootCtx(d), s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, sh := range shapes {
+		q := core.MustCompile(sh.query)
+		run(sh.name, q, en.StrategyFor(q))
+	}
+	for _, sh := range domShapes {
+		run(sh.name, core.MustCompile(sh.query), core.XPatterns)
+	}
+}
+
 // BenchmarkDescendantFusion measures what xpath.Optimize's step fusion
 // is for: the ten templates of the serving benchmark's pool that the
 // Core XPath and XPatterns algebras answer and that contain a //, plus
@@ -407,7 +461,7 @@ func BenchmarkAxes(b *testing.B) {
 	d := workload.Catalog(2000)
 	for _, q := range []string{"//*", "//*/following::*", "//*/ancestor::*"} {
 		b.Run(q, func(b *testing.B) {
-			benchQuery(b, corexpath.New(d), d, q)
+			benchQuery(b, xpatterns.New(d), d, q)
 		})
 	}
 }

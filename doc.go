@@ -22,8 +22,10 @@
 //     goroutine; what scales across cores is queries (README,
 //     "Intra-query parallelism: measured, removed").
 //   - internal/naive … internal/xpatterns — one package per algorithm
-//     of the paper (naive, datapool, bottomup, topdown, mincontext,
-//     optmincontext/wadler, corexpath, xpatterns).
+//     (naive, datapool, bottomup, topdown, mincontext, wadler =
+//     optmincontext, xpatterns = the Section 10 set algebra behind the
+//     corexpath and xpatterns strategies; internal/corexpath is tests
+//     only), over internal/evalutil's pair loops and backward walk.
 //   - internal/core — the public engine API: compile a query once,
 //     evaluate it with a selectable strategy; Auto picks the best
 //     algorithm per query from one static table over the fragment

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/corexpath"
 	"repro/internal/mincontext"
 	"repro/internal/workload"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
+	"repro/internal/xpatterns"
 )
 
 // Exp1 reproduces Experiment 1 (Figure 2, left): exponential query
@@ -227,7 +227,7 @@ func Ablation(cfg Config) []Series {
 			{"mincontext", mcRunner{d}},
 			{"optmincontext", optmincontextRunner{d}},
 		}
-		if corexpath.InFragment(e) {
+		if xpatterns.InCoreXPath(e) {
 			runners = append(runners, struct {
 				name string
 				r    engineRunner
@@ -261,7 +261,7 @@ func (r mcRunner) run(e xpath.Expr, _ int64) (time.Duration, int64, bool, error)
 type cxRunner struct{ d *xmltree.Document }
 
 func (r cxRunner) run(e xpath.Expr, _ int64) (time.Duration, int64, bool, error) {
-	ev := corexpath.New(r.d)
+	ev := xpatterns.New(r.d)
 	start := time.Now()
 	_, err := ev.Evaluate(e, rootCtx(r.d))
 	return time.Since(start), 0, false, err

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/bottomup"
 	"repro/internal/core"
-	"repro/internal/corexpath"
 	"repro/internal/datapool"
 	"repro/internal/mincontext"
 	"repro/internal/naive"
@@ -47,7 +46,7 @@ func engines(d *xmltree.Document) map[string]engine {
 		"topdown":       optimized{topdown.New(d)},
 		"mincontext":    optimized{mincontext.New(d)},
 		"optmincontext": optimized{wadler.New(d)},
-		"corexpath":     optimized{fragmentEngine{corexpath.InFragment, corexpath.New(d), ref}},
+		"corexpath":     optimized{fragmentEngine{xpatterns.InCoreXPath, xpatterns.New(d), ref}},
 		"xpatterns":     optimized{fragmentEngine{xpatterns.InFragment, xpatterns.New(d), ref}},
 	}
 }

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -201,9 +202,12 @@ var fuzzDocs = func() []string {
 
 // FuzzOptimizeAgrees: for any query text that parses, the naive engine
 // on the literal tree, the top-down, MinContext and OptMinContext
-// engines on xpath.Optimize of it, and core.Engine at Auto — whichever
-// of the fragment algebras, OptMinContext and top-down its table picks
-// — return the same value from the root of a document of fuzzDocs. The naive engine runs under a step budget;
+// engines on xpath.Optimize of it, core.Engine at Auto — whichever of
+// the Section 10 algebra, OptMinContext and top-down its table picks —
+// and core.Engine behind each fixed fragment gate that admits the query
+// (XPatterns for every query of that fragment, Core XPath queries
+// included; CoreXPath for those) return the same value from the root of
+// a document of fuzzDocs. The naive engine runs under a step budget;
 // queries it cannot finish, or rejects, are skipped. The seeds — every
 // battery of this package, and the files under testdata/fuzz — run as
 // part of go test.
@@ -244,7 +248,16 @@ func FuzzOptimizeAgrees(f *testing.F) {
 		opt := xpath.Optimize(e)
 		engines := map[string]engine{
 			"topdown": topdown.New(d), "mincontext": mincontext.New(d), "optmincontext": wadler.New(d),
-			"auto": autoEngine{core.NewEngine(d, core.Auto), query},
+			"auto": coreEngine{core.NewEngine(d, core.Auto), query, core.Auto},
+		}
+		if q, err := core.Compile(query); err == nil {
+			switch q.Fragment() {
+			case core.FragmentCoreXPath:
+				engines["corexpath"] = coreEngine{core.NewEngine(d, core.CoreXPath), query, core.CoreXPath}
+				fallthrough
+			case core.FragmentXPatterns:
+				engines["xpatterns"] = coreEngine{core.NewEngine(d, core.XPatterns), query, core.XPatterns}
+			}
 		}
 		if idOfNodeSet(e) {
 			// Known gap, not this target's to trip over: the bottom-up
@@ -254,8 +267,7 @@ func FuzzOptimizeAgrees(f *testing.F) {
 			// string-value of an element joins the texts below it without
 			// a separator — on fig8, id(/a) has the tokens "2223" and
 			// "2410011" for naive and 22, 23, 24, 100, 11 for ref.
-			delete(engines, "optmincontext")
-			delete(engines, "auto")
+			engines = map[string]engine{"topdown": engines["topdown"], "mincontext": engines["mincontext"]}
 		}
 		for name, eng := range engines {
 			got, err := eng.Evaluate(opt, ctx)
@@ -269,19 +281,21 @@ func FuzzOptimizeAgrees(f *testing.F) {
 	})
 }
 
-// autoEngine answers with core.Engine what the servers would: the query
-// text compiled by core, run by the strategy Auto picks for it.
-type autoEngine struct {
-	en  *core.Engine
-	src string
+// coreEngine answers with core.Engine what the servers would: the query
+// text compiled by core, run by the strategy Auto picks for it or by a
+// fixed one.
+type coreEngine struct {
+	en       *core.Engine
+	src      string
+	strategy core.Strategy
 }
 
-func (a autoEngine) Evaluate(_ xpath.Expr, c semantics.Context) (semantics.Value, error) {
+func (a coreEngine) Evaluate(_ xpath.Expr, c semantics.Context) (semantics.Value, error) {
 	q, err := core.Compile(a.src)
 	if err != nil {
 		return semantics.Value{}, err
 	}
-	return a.en.Evaluate(q, c)
+	return a.en.EvaluateStrategy(context.Background(), q, c, a.strategy)
 }
 
 // idOfNodeSet reports whether e calls id() on a node set.

@@ -218,6 +218,51 @@ func TestSetAtATimeScaling(t *testing.T) {
 	}
 }
 
+// TestPredicatesNeverEnumerateDom pins the dom() cliff shut, in bytes:
+// one copy of the Section 10 algebra once materialized all |D| node ids
+// for every not(), true() and absolute-path predicate, so the same
+// query cost 40× the bytes behind the XPatterns gate that it cost
+// behind the Core XPath gate, and 4–14× what OptMinContext needs for
+// it. Both gates now admit to one evaluator whose E1 complements a
+// bitset and takes "holds everywhere" as a flag.
+func TestPredicatesNeverEnumerateDom(t *testing.T) {
+	benchtime := flag.Lookup("test.benchtime")
+	defer benchtime.Value.Set(benchtime.Value.String())
+	benchtime.Value.Set("5x")
+
+	d := workload.Auction(1, 1200)
+	d.Index()
+	c := core.Context{Node: d.RootID(), Pos: 1, Size: 1}
+	bytesPerOp := func(q *core.Query, s core.Strategy) int64 {
+		en := core.NewEngine(d, s)
+		return testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := en.EvaluateStrategy(context.Background(), q, c, s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}).AllocedBytesPerOp()
+	}
+	for _, tc := range []struct {
+		query   string
+		against core.Strategy
+		within  float64
+	}{
+		{"//person[not(emailaddress)]/name", core.CoreXPath, 1.5},
+		{"//item[not(payment='cash')]/name", core.OptMinContext, 2},
+		{"//item[true() and payment='cash']/name", core.OptMinContext, 2},
+		{"//item[/site/people]/name", core.OptMinContext, 2},
+	} {
+		q := core.MustCompile(tc.query)
+		got, ref := bytesPerOp(q, core.XPatterns), bytesPerOp(q, tc.against)
+		if ref == 0 || float64(got) > tc.within*float64(ref) {
+			t.Errorf("%s: %d B/op under xpatterns, %d under %v (×%.1f), want ≤ ×%.1f",
+				tc.query, got, ref, tc.against, float64(got)/float64(ref), tc.within)
+		}
+	}
+}
+
 // TestContextTableScaling guards the storage of the context-value
 // tables the same way: B/op and allocs/op of one evaluation over an
 // auction document of |D| and of 4|D| nodes, for the two count(bidder)

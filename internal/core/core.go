@@ -2,11 +2,12 @@
 // query once, evaluate it over documents with a selectable strategy.
 //
 // The Auto strategy implements the combined OptMinContext processor of
-// the paper's introduction: queries in the Core XPath fragment run on
-// the linear-time set algebra (Section 10.1), queries in the XPatterns
-// fragment on its linear-time extension (Section 10.2), queries in the
-// Extended Wadler Fragment — and everything else but deeply nested
-// predicates over a small document — on OptMinContext (Section 11.2),
+// the paper's introduction: Core XPath (Section 10.1) and its extension
+// XPatterns (Section 10.2) run on the linear-time set algebra — one
+// evaluator, internal/xpatterns, behind two admission gates (strategies
+// CoreXPath and XPatterns, refusing with ErrNotInFragment) — queries in
+// the Extended Wadler Fragment, and everything else but deeply nested
+// predicates over a small document, on OptMinContext (Section 11.2),
 // which itself degrades gracefully to MinContext bounds on full XPath.
 // Explain is that table, and the only place that knows it. The
 // remaining strategies expose every algorithm the paper discusses,
@@ -37,7 +38,6 @@ import (
 	"io"
 
 	"repro/internal/bottomup"
-	"repro/internal/corexpath"
 	"repro/internal/datapool"
 	"repro/internal/mincontext"
 	"repro/internal/naive"
@@ -236,16 +236,16 @@ func (q *Query) Literal() xpath.Expr { return q.literal }
 func (q *Query) Fragment() Fragment { return q.frag }
 
 func classify(e xpath.Expr) Fragment {
-	switch {
-	case corexpath.InFragment(e):
+	switch xpatterns.Classify(e) {
+	case xpatterns.CoreXPath:
 		return FragmentCoreXPath
-	case xpatterns.InFragment(e):
+	case xpatterns.XPatterns:
 		return FragmentXPatterns
-	case wadler.InFragment(e):
-		return FragmentWadler
-	default:
-		return FragmentFullXPath
 	}
+	if wadler.InFragment(e) {
+		return FragmentWadler
+	}
+	return FragmentFullXPath
 }
 
 // PredDepth reports the deepest predicate nesting of the optimized tree
@@ -436,9 +436,7 @@ func (en *Engine) EvaluateStrategy(ctx context.Context, q *Query, c Context, s S
 		return mincontext.New(en.doc).EvaluateContext(ctx, q.expr, c)
 	case OptMinContext:
 		return wadler.New(en.doc).EvaluateContext(ctx, q.expr, c)
-	case CoreXPath:
-		return corexpath.New(en.doc).EvaluateContext(ctx, q.expr, c)
-	case XPatterns:
+	case CoreXPath, XPatterns: // two gates, one set algebra
 		return xpatterns.New(en.doc).EvaluateContext(ctx, q.expr, c)
 	default:
 		return Value{}, fmt.Errorf("core: unknown strategy %v", s)

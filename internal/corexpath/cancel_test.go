@@ -1,4 +1,8 @@
-package corexpath
+// Package corexpath_test holds the Core XPath gate's own tests: the
+// language of Section 10.1 is evaluated by internal/xpatterns (one set
+// algebra, two admission checks), and these files exercise it through
+// InCoreXPath.
+package corexpath_test
 
 import (
 	"context"
@@ -10,6 +14,7 @@ import (
 	"repro/internal/semantics"
 	"repro/internal/workload"
 	"repro/internal/xpath"
+	"repro/internal/xpatterns"
 )
 
 // slowQuery is a legitimate Core XPath query whose evaluation chains
@@ -18,7 +23,7 @@ import (
 func slowQuery() xpath.Expr {
 	q := "//*" + strings.Repeat("/following::*/preceding::*", 200)
 	e := xpath.MustParse(q)
-	if !InFragment(e) {
+	if !xpatterns.InCoreXPath(e) {
 		panic("slowQuery left the Core XPath fragment")
 	}
 	return e
@@ -35,7 +40,7 @@ func TestEvaluateContextCancelsPromptly(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := New(d).EvaluateContext(ctx, e, semantics.Context{Node: d.RootID(), Pos: 1, Size: 1})
+		_, err := xpatterns.New(d).EvaluateContext(ctx, e, semantics.Context{Node: d.RootID(), Pos: 1, Size: 1})
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the step chain get going
@@ -60,7 +65,7 @@ func TestMatchSetContextCancelled(t *testing.T) {
 	e := xpath.MustParse("child::b")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the first O(|D|) operation
-	if _, err := New(d).MatchSetContext(ctx, e); !errors.Is(err, context.Canceled) {
+	if _, err := xpatterns.New(d).MatchSetContext(ctx, e); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -70,13 +75,13 @@ func TestMatchSetContextCancelled(t *testing.T) {
 func TestMatchSetContextUncancelled(t *testing.T) {
 	d := workload.Doc(8)
 	e := xpath.MustParse("child::b")
-	want, err := New(d).MatchSet(e)
+	want, err := xpatterns.New(d).MatchSet(e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	got, err := New(d).MatchSetContext(ctx, e)
+	got, err := xpatterns.New(d).MatchSetContext(ctx, e)
 	if err != nil || !got.Equal(want) {
 		t.Fatalf("MatchSetContext = %v, %v; want %v, nil", got, err, want)
 	}
@@ -89,7 +94,7 @@ func TestEvaluateContextUncancelled(t *testing.T) {
 	e := xpath.MustParse("//b")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	v, err := New(d).EvaluateContext(ctx, e, semantics.Context{Node: d.RootID(), Pos: 1, Size: 1})
+	v, err := xpatterns.New(d).EvaluateContext(ctx, e, semantics.Context{Node: d.RootID(), Pos: 1, Size: 1})
 	if err != nil || len(v.Set) != 8 {
 		t.Fatalf("got %d nodes, %v; want 8, nil", len(v.Set), err)
 	}

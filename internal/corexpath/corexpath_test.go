@@ -1,4 +1,4 @@
-package corexpath
+package corexpath_test
 
 import (
 	"testing"
@@ -7,6 +7,7 @@ import (
 	"repro/internal/semantics"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
+	"repro/internal/xpatterns"
 )
 
 var docs = map[string]string{
@@ -45,7 +46,7 @@ var coreQueries = []string{
 
 func TestFragmentClassifier(t *testing.T) {
 	for _, q := range coreQueries {
-		if !InFragment(xpath.MustParse(q)) {
+		if !xpatterns.InCoreXPath(xpath.MustParse(q)) {
 			t.Errorf("InFragment(%q) = false, want true", q)
 		}
 	}
@@ -61,7 +62,7 @@ func TestFragmentClassifier(t *testing.T) {
 		"1 + 1",
 	}
 	for _, q := range notCore {
-		if InFragment(xpath.MustParse(q)) {
+		if xpatterns.InCoreXPath(xpath.MustParse(q)) {
 			t.Errorf("InFragment(%q) = true, want false", q)
 		}
 	}
@@ -72,7 +73,7 @@ func TestFragmentClassifier(t *testing.T) {
 func TestAgainstNaive(t *testing.T) {
 	for dname, src := range docs {
 		d := xmltree.MustParseString(src)
-		core := New(d)
+		core := xpatterns.New(d)
 		ref := naive.New(d)
 		ctx := semantics.Context{Node: d.RootID(), Pos: 1, Size: 1}
 		for _, q := range coreQueries {
@@ -96,7 +97,7 @@ func TestAgainstNaive(t *testing.T) {
 // TestExample103 walks the worked example of Section 10.1.
 func TestExample103(t *testing.T) {
 	d := xmltree.MustParseString(`<r><a><b><c><d/></c></b><b/><x/></a><a><b/></a></r>`)
-	core := New(d)
+	core := xpatterns.New(d)
 	e := xpath.MustParse("/descendant::a/child::b[child::c/child::d or not(following::*)]")
 	got, err := core.Evaluate(e, semantics.Context{Node: d.RootID(), Pos: 1, Size: 1})
 	if err != nil {
@@ -120,7 +121,7 @@ func TestExample103(t *testing.T) {
 // by brute force over all context nodes.
 func TestSBackEquivalence(t *testing.T) {
 	d := xmltree.MustParseString(docs["tree"])
-	core := New(d)
+	core := xpatterns.New(d)
 	ref := naive.New(d)
 	paths := []string{
 		"child::c",
@@ -133,9 +134,10 @@ func TestSBackEquivalence(t *testing.T) {
 	}
 	for _, q := range paths {
 		p := xpath.MustParse(q).(*xpath.Path)
-		got, err := core.sBack(p)
+		// E1[[π]] = S←[[π]] is what self::node()[π] keeps of dom.
+		got, err := core.MatchSet(xpath.MustParse("self::node()[" + q + "]"))
 		if err != nil {
-			t.Fatalf("sBack(%q): %v", q, err)
+			t.Fatalf("S←[[%s]]: %v", q, err)
 		}
 		var want xmltree.NodeSet
 		for i := 0; i < d.Len(); i++ {
@@ -148,15 +150,15 @@ func TestSBackEquivalence(t *testing.T) {
 				want = append(want, x)
 			}
 		}
-		if !got.ToNodeSet().Equal(want) {
-			t.Errorf("S←[[%s]] = %v, want %v", q, got.ToNodeSet(), want)
+		if !got.Equal(want) {
+			t.Errorf("S←[[%s]] = %v, want %v", q, got, want)
 		}
 	}
 }
 
 func TestRejectsNonFragment(t *testing.T) {
 	d := xmltree.MustParseString(docs["doc4"])
-	core := New(d)
+	core := xpatterns.New(d)
 	_, err := core.Evaluate(xpath.MustParse("count(//b)"), semantics.Context{Node: d.RootID(), Pos: 1, Size: 1})
 	if err == nil {
 		t.Error("expected error on non-fragment query")

@@ -1,6 +1,7 @@
-// Package evalutil holds small helpers shared by the evaluation engines:
-// location-step candidate computation ({y | x χ y, y ∈ T(t)}) and the
-// per-axis ordering of candidate sets used for context positions.
+// Package evalutil holds what the evaluation engines share: step
+// candidates ({y | x χ y, y ∈ T(t)}) and their per-axis order, the
+// throttled cancellation checkpoint (cancel.go), the ⟨previous, current⟩
+// pair loops (pairloop.go) and backward propagation (backward.go).
 package evalutil
 
 import (

@@ -109,13 +109,13 @@ func TestBackwardPassBillsTheEvaluation(t *testing.T) {
 	scan := preds[0].(*xpath.Binary).Left.(*xpath.Path)       // child::*
 	positional := preds[1].(*xpath.Binary).Left.(*xpath.Path) // child::b[position() = 2]
 	bs := d.Index().Named("b")
-	if _, err := st.pathTargets(scan); !errors.Is(err, context.Canceled) {
-		t.Errorf("pathTargets(%s): err = %v, want context.Canceled", scan, err)
+	if _, err := st.back().Targets(scan); !errors.Is(err, context.Canceled) {
+		t.Errorf("Targets(%s): err = %v, want context.Canceled", scan, err)
 	}
 	for _, p := range []*xpath.Path{scan, positional} {
 		st.cancel = evalutil.NewCanceller(ctx) // each operation on its own: nothing billed before it
-		if _, err := st.propagateStepBackwards(p.Steps[0], bs); !errors.Is(err, context.Canceled) {
-			t.Errorf("propagateStepBackwards(%s): err = %v, want context.Canceled", p, err)
+		if _, _, err := st.back().Reach(p, bs); !errors.Is(err, context.Canceled) {
+			t.Errorf("Reach(%s): err = %v, want context.Canceled", p, err)
 		}
 	}
 }

@@ -39,7 +39,7 @@ func TestPropagateBackwardsDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, everywhere, err := st.propagateBackwards(p, y)
+		got, everywhere, err := st.back().Reach(p, y)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -78,7 +78,7 @@ func TestHoldsEverywhereIsAFlag(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reach, everywhere, err := st.propagateBackwards(p, cs)
+		reach, everywhere, err := st.back().Reach(p, cs)
 		if err != nil || reach != nil || everywhere != want {
 			t.Errorf("%s: reach %v, everywhere %v, err %v; want no set and %v", q, reach, everywhere, err, want)
 		}

@@ -20,7 +20,9 @@
 // OptMinContext evaluates every "bottom-up location path" of the query
 // — subexpressions boolean(π) and π RelOp c with context-independent c
 // — innermost first, by eval_bottomup_path/propagate_path_backwards
-// (Appendix A), installs the resulting dom → bool tables into a
+// (Appendix A; the walk itself is evalutil.Backward, shared with the
+// Section 10 algebra — this package judges a step's predicates for it,
+// JudgeStep), installs the resulting dom → bool tables into a
 // MinContext evaluator, and runs MinContext for the rest. Subexpressions
 // outside the fragment simply fall back to MinContext's own machinery,
 // so OptMinContext supports all of XPath at MinContext's bounds while
@@ -108,6 +110,12 @@ type state struct {
 func newState(ctx context.Context, d *xmltree.Document, e xpath.Expr) (*state, error) {
 	run, err := mincontext.New(d).Begin(ctx, e)
 	return &state{doc: d, run: run, ctx: ctx, cancel: evalutil.NewCanceller(ctx)}, err
+}
+
+// back is propagate_path_backwards (Appendix A) with this state judging
+// the steps' predicates.
+func (st *state) back() evalutil.Backward {
+	return evalutil.Backward{Doc: st.doc, Cancel: st.cancel, Judge: st}
 }
 
 // evalScalar evaluates a context-independent operand on the MinContext
@@ -367,17 +375,25 @@ func (st *state) evalBottomUpPath(key xpath.Expr, pathSide xpath.Expr, c *semant
 	// Step 1. The path can only end in T(t) of its last step, so Y is
 	// seeded from there — the label's posting list for child::name and
 	// its like — and a comparison reads the string-values of those nodes
-	// alone, never the root's or an interior element's.
-	y, err := st.pathTargets(pathSide)
-	if err != nil {
-		return err
-	}
+	// alone, never the root's or an interior element's. π RelOp bool is
+	// boolean(π) RelOp bool: like boolean(π) it propagates all of T(t),
+	// and compares afterwards.
+	var (
+		reach      xmltree.NodeSet
+		everywhere bool
+		err        error
+		back       = st.back()
+	)
 	boolRelOp := c != nil && c.Kind == xpath.TypeBoolean
-	if c != nil && !boolRelOp {
-		// Y := {y ∈ T(t) | strval-based comparison with c holds}. π
-		// RelOp bool is boolean(π) RelOp bool instead: it propagates all
-		// of T(t) and compares afterwards.
-		if err := st.cancel.CheckN(len(y)); err != nil {
+	if c == nil || boolRelOp {
+		reach, everywhere, err = back.Exists(pathSide)
+	} else {
+		// Y := {y ∈ T(t) | strval-based comparison with c holds}.
+		var y xmltree.NodeSet
+		if y, err = back.Targets(pathSide); err == nil {
+			err = st.cancel.CheckN(len(y))
+		}
+		if err != nil {
 			return err
 		}
 		one := xmltree.NodeSet{0}
@@ -388,9 +404,8 @@ func (st *state) evalBottomUpPath(key xpath.Expr, pathSide xpath.Expr, c *semant
 				keep = append(keep, id)
 			}
 		}
-		y = keep
+		reach, everywhere, err = back.Reach(pathSide, keep)
 	}
-	reach, everywhere, err := st.propagateBackwards(pathSide, y)
 	if err != nil {
 		return err
 	}
@@ -422,143 +437,41 @@ func (st *state) evalBottomUpPath(key xpath.Expr, pathSide xpath.Expr, c *semant
 	return nil
 }
 
-// pathTargets returns the nodes a bottom-up location path can end in:
-// T(t) of its last step, or dom for a bare id(…) chain. For an exact
-// element name that is the label index's posting list, which is shared
-// and only ever read here; any other test is the one place left that
-// enumerates dom.
-func (st *state) pathTargets(e xpath.Expr) (xmltree.NodeSet, error) {
-	p, ok := e.(*xpath.Path)
-	if !ok || len(p.Steps) == 0 {
-		return st.dom()
+// ConstantIDs evaluates a context-independent id(…) head, once, on the
+// MinContext run.
+func (st *state) ConstantIDs(head *xpath.Call) (xmltree.NodeSet, error) {
+	v, err := st.evalScalar(head)
+	if err == nil && v.Kind != xpath.TypeNodeSet {
+		err = fmt.Errorf("wadler: id head is not a node set")
 	}
-	last := p.Steps[len(p.Steps)-1]
-	if evalutil.ExactElementName(last.Axis, last.Test) {
-		return st.doc.Index().Named(last.Test.Name), nil
-	}
-	all, err := st.dom()
-	if err != nil {
-		return nil, err
-	}
-	if err := st.cancel.CheckN(len(all)); err != nil {
-		return nil, err
-	}
-	return evalutil.FilterTest(st.doc, last.Axis, last.Test, all), nil
+	return v.Set, err
 }
 
-// dom materializes the full node set — an O(|D|) fill billed against
-// the cancellation checkpoint.
-func (st *state) dom() (xmltree.NodeSet, error) {
-	if err := st.cancel.CheckN(st.doc.Len()); err != nil {
-		return nil, err
-	}
-	s := make(xmltree.NodeSet, st.doc.Len())
-	for i := range s {
-		s[i] = xmltree.NodeID(i)
-	}
-	return s, nil
-}
-
-// propagateBackwards is propagate_path_backwards: it walks the path's
-// steps from last to first, inverting each one, and returns
-// {x | ∃y ∈ Y reachable from x via the path}. A path that does not
-// start at the context node — absolute, or headed by a constant id(…)
-// — is reached from every node or from none: that verdict is the
-// boolean, and the set stays nil instead of enumerating dom.
-func (st *state) propagateBackwards(e xpath.Expr, y xmltree.NodeSet) (reach xmltree.NodeSet, everywhere bool, err error) {
-	if len(y) == 0 {
-		return nil, false, nil
-	}
-	switch p := e.(type) {
-	case *xpath.Call: // bare id(…) chain
-		return st.propagateIDHead(p, y)
-	case *xpath.Path:
-		cur := y
-		for i := len(p.Steps) - 1; i >= 0; i-- {
-			cur, err = st.propagateStepBackwards(p.Steps[i], cur)
-			if err != nil || len(cur) == 0 {
-				return nil, false, err
-			}
-		}
-		if p.Filter != nil {
-			return st.propagateIDHead(p.Filter, cur)
-		}
-		if p.Absolute {
-			return nil, cur.Contains(st.doc.RootID()), nil
-		}
-		return cur, false, nil
-	default:
-		return nil, false, fmt.Errorf("wadler: cannot propagate through %T", e)
-	}
-}
-
-func (st *state) propagateIDHead(e xpath.Expr, cur xmltree.NodeSet) (xmltree.NodeSet, bool, error) {
-	c, ok := e.(*xpath.Call)
-	if !ok || c.Name != "id" {
-		return nil, false, fmt.Errorf("wadler: unsupported path head %s", e)
-	}
-	if a, ok := c.Args[0].(*xpath.Path); ok {
-		back := axes.EvalIDInverse(st.doc, cur)
-		return st.propagateBackwards(a, back)
-	}
-	if a, ok := c.Args[0].(*xpath.Call); ok && a.Name == "id" {
-		back := axes.EvalIDInverse(st.doc, cur)
-		return st.propagateIDHead(a, back)
-	}
-	// Innermost context-independent argument: the head's value is
-	// constant; the whole chain matches from every context node iff the
-	// constant's extension intersects cur.
-	v, err := st.evalScalar(c)
-	if err != nil {
-		return nil, false, err
-	}
-	if v.Kind != xpath.TypeNodeSet {
-		return nil, false, fmt.Errorf("wadler: id head is not a node set")
-	}
-	return nil, v.Set.Intersects(cur), nil
-}
-
-// inverse takes χ⁻¹(yt), billed as one bulk operation before it runs.
-func (st *state) inverse(a axes.Axis, yt xmltree.NodeSet) (xmltree.NodeSet, error) {
-	if err := st.cancel.CheckN(len(yt)); err != nil {
-		return nil, err
-	}
-	return axes.EvalInverse(st.doc, a, yt), nil
-}
-
-// propagateStepBackwards inverts one location step: restrict the target
-// set to the node test, apply the predicates, then take χ⁻¹. Predicates
-// that depend on position/size run in a loop over the pairs of
-// previous/current context node, as in the appendix pseudocode.
-func (st *state) propagateStepBackwards(step *xpath.Step, y xmltree.NodeSet) (xmltree.NodeSet, error) {
-	if err := st.cancel.CheckN(len(y)); err != nil {
-		return nil, err
-	}
-	yt := evalutil.FilterTest(st.doc, step.Axis, step.Test, y)
-	if len(yt) == 0 {
-		return nil, nil
-	}
+// JudgeStep is the predicate half of propagate_step_backwards: the
+// kernel has restricted the target set to the node test and takes χ⁻¹
+// of what the MinContext run keeps of it. Predicates that depend on
+// position/size run in a loop over the pairs of previous/current context
+// node, as in the appendix pseudocode, and answer with the previous
+// context nodes themselves.
+func (st *state) JudgeStep(step *xpath.Step, yt xmltree.NodeSet) (xmltree.NodeSet, bool, error) {
 	if !step.Positional() {
-		var err error
-		if yt, err = st.run.FilterCandidates(step, yt); err != nil || len(yt) == 0 {
-			return nil, err
-		}
-		return st.inverse(step.Axis, yt)
+		yt, err := st.run.FilterCandidates(step, yt)
+		return yt, false, err
 	}
 	// Position-dependent: loop over previous context nodes x and their
 	// candidate sets. Note the candidate set Z (and thus the context
 	// size) must be computed over ALL candidates of x, not only those in
 	// yt; positions refer to the unrestricted step result — and so the
 	// predicates' cp/cs-independent parts are tabulated over all of them.
-	xs, err := st.inverse(step.Axis, yt)
-	if err == nil {
-		err = st.cancel.CheckN(len(xs))
+	if err := st.cancel.CheckN(len(yt)); err != nil {
+		return nil, true, err
 	}
-	if err != nil {
-		return nil, err
+	xs := axes.EvalInverse(st.doc, step.Axis, yt)
+	if err := st.cancel.CheckN(len(xs)); err != nil {
+		return nil, true, err
 	}
 	if err := st.run.TabulatePreds(step, evalutil.StepCandidatesSet(st.doc, step.Axis, step.Test, xs)); err != nil {
-		return nil, err
+		return nil, true, err
 	}
 	// xs is χ⁻¹(yt): only these previous context nodes have a candidate
 	// in yt at all. A survivor is an x one of whose ranked
@@ -569,7 +482,7 @@ func (st *state) propagateStepBackwards(step *xpath.Step, y xmltree.NodeSet) (xm
 	for _, x := range xs {
 		z, err := loop.RankedCandidates(x, buf)
 		if err != nil {
-			return nil, err
+			return nil, true, err
 		}
 		if z.Intersects(yt) {
 			xs[k] = x
@@ -577,5 +490,5 @@ func (st *state) propagateStepBackwards(step *xpath.Step, y xmltree.NodeSet) (xm
 		}
 		buf = z
 	}
-	return xs[:k], nil
+	return xs[:k], true, nil
 }

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/semantics"
 	"repro/internal/workload"
+	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
@@ -93,4 +95,66 @@ func TestEvaluateContextUncancelled(t *testing.T) {
 	if err != nil || len(v.Set) != 8 {
 		t.Fatalf("got %d nodes, %v; want 8, nil", len(v.Set), err)
 	}
+}
+
+// TestCancelledEvaluationLeavesNoState: the canceller belongs to one
+// evaluation, not to the evaluator. After an EvaluateContext whose
+// context was already cancelled — over a document large enough for the
+// throttled checkpoint to consult it — every later call on the same
+// evaluator that takes no context runs to completion. (The evaluator
+// once kept the canceller in a field only the …Context entry points
+// reset.)
+func TestCancelledEvaluationLeavesNoState(t *testing.T) {
+	d := xmltree.MustParseString("<a>" + strings.Repeat("<b/>", 5000) + "</a>")
+	ev := New(d)
+	e := xpath.MustParse("//b[not(c)]")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := ev.EvaluateContext(ctx, e, semantics.Context{Node: d.RootID(), Pos: 1, Size: 1}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled evaluation: err = %v, want context.Canceled", err)
+	}
+	if s, err := ev.EvaluateSet(e, xmltree.NodeSet{d.RootID()}); err != nil || len(s) != 5000 {
+		t.Errorf("EvaluateSet after a cancelled evaluation: %d nodes, %v; want 5000, nil", len(s), err)
+	}
+	if s, err := ev.MatchSet(e); err != nil || len(s) != 5000 {
+		t.Errorf("MatchSet after a cancelled evaluation: %d nodes, %v; want 5000, nil", len(s), err)
+	}
+	for name, f := range map[string]func() (xmltree.NodeSet, error){
+		"FirstOfAny": ev.FirstOfAny, "LastOfAny": ev.LastOfAny, "FirstOfType": ev.FirstOfType, "LastOfType": ev.LastOfType,
+	} {
+		if s, err := f(); err != nil || len(s) != 2 {
+			t.Errorf("%s after a cancelled evaluation: %v, %v; want a and one b", name, s, err)
+		}
+	}
+}
+
+// TestSharedEvaluator runs one evaluator from eight goroutines at once,
+// half of them under contexts that are already cancelled: an evaluator
+// holds only the document, so the live ones get their answer and the
+// race detector stays silent. Run under -race in CI.
+func TestSharedEvaluator(t *testing.T) {
+	d := xmltree.MustParseString("<a>" + strings.Repeat("<b><c>x</c></b><b/>", 2500) + "</a>")
+	ev := New(d)
+	e := xpath.MustParse("//b[not(c = 'x') or c]")
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, want := context.Background(), error(nil)
+			if g%2 == 1 {
+				ctx, want = dead, context.Canceled
+			}
+			for i := 0; i < 20; i++ {
+				v, err := ev.EvaluateContext(ctx, e, semantics.Context{Node: d.RootID(), Pos: 1, Size: 1})
+				if !errors.Is(err, want) || err == nil && len(v.Set) != 5000 {
+					t.Errorf("goroutine %d: %d nodes, err %v; want err %v", g, len(v.Set), err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

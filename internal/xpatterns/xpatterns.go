@@ -1,26 +1,52 @@
-// Package xpatterns implements the XPatterns language of Section 10.2:
-// the smallest language subsuming Core XPath and the XSLT Patterns of
-// the December 1998 draft (minus first-of-type/last-of-type, which XPath
-// cannot express) that is syntactically contained in XPath. XPatterns
-// extends Core XPath with:
+// Package xpatterns implements the set algebra of Section 10: Core XPath
+// (Section 10.1, the "clean logical core" of XPath — location paths,
+// existential path predicates, and/or/not) and XPatterns (Section 10.2,
+// Core XPath plus the id axis, the "=s" predicates and the unary
+// predicates of Table VI), both in O(|D|·|Q|) time (Theorems 10.5 and
+// 10.8). XPatterns is Core XPath plus constructs, so there is one
+// evaluator; the two languages are two admission checks over one
+// classification pass (Classify, InCoreXPath, InFragment).
 //
-//   - the "id" axis (Theorem 10.7), realized through the document's
-//     precomputed ref relation, in both directions;
-//   - the "=s" unary predicates of Table VI: comparisons of a path's
-//     target with a constant string or number, propagated backwards from
-//     the precomputed extension {y | strval(y) = s};
-//   - the remaining Table VI unary predicates (@n, @*, text(),
-//     comment(), pi(n), first-of-any, last-of-any) — the attribute and
-//     kind tests arrive naturally through the step grammar, and
-//     first-of-any/last-of-any (plus the XSLT'98-only first-of-type and
-//     last-of-type) are exposed as precomputed node sets.
+// The algebra, over ∩, ∪, −, axis application χ and its inverse:
 //
-// Everything remains O(|D|·|Q|) (Theorem 10.8).
+//	S→[[χ::t[e]]](N0)  = χ(N0) ∩ T(t) ∩ E1[[e]]      (forward, along the path)
+//	S→[[id(π)/π']](N0) = S→[[π']](id(S→[[π]](N0)))   (Lemma 10.6; id('c') is deref_ids(c))
+//	E1[[e1 and e2]]    = E1[[e1]] ∩ E1[[e2]]
+//	E1[[e1 or e2]]     = E1[[e1]] ∪ E1[[e2]]
+//	E1[[not(e)]]       = dom − E1[[e]]
+//	E1[[π]]            = S←[[π]] = {x | S→[[π]]({x}) ≠ ∅}            (Theorem 10.4)
+//	E1[[π = s]]        = {x | S→[[π]]({x}) ∩ {y | strval(y) = s} ≠ ∅}
+//	E1[[first-of-any()]] … one scan of the sibling lists (Theorem 10.8)
+//
+// S← is not written here: evalutil.Backward walks a path backwards from
+// a node set for this package and for OptMinContext alike, id heads
+// included (by Lemma 10.6 an id head is one more step to invert), and
+// states the contract at the top of its file: the kernel never writes to
+// the set it is given, the posting lists it starts from are the index's
+// own — shared, read-only — and a path that does not start at the
+// context node answers with one flag. This package brings the judge of a
+// step's predicates — intersect with their E1 — and the "=s" string
+// search, which reads the string-values of T(t) of the path's last step
+// only, never an interior element's.
+//
+// E1 is a sorted slice — what the backward walk returns, and what and/or
+// of two such slices merge into — until a not() or a true() makes it
+// dense by nature; from there on it is a packed xmltree.Bitset: not is
+// Complement, true() is Fill, and a connective with a packed operand
+// runs word-parallel. Which form an extension has follows from the
+// predicate alone; nothing selects it. dom is never enumerated for a
+// predicate: a path that holds at every node or at none (absolute, or
+// headed by a constant id) arrives from the kernel as a flag.
+//
+// As a slight extension over Definition 10.2 (tag and * node tests) the
+// kind tests node(), text(), comment() and processing-instruction() are
+// accepted; they are unary predicates in the sense of Table VI.
 package xpatterns
 
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/axes"
 	"repro/internal/evalutil"
@@ -29,416 +55,396 @@ import (
 	"repro/internal/xpath"
 )
 
-// Evaluator evaluates XPatterns queries over one document.
-type Evaluator struct {
-	doc *xmltree.Document
+// Class is the smallest language of Section 10 a query lies in.
+type Class uint8
 
-	// cancel is the throttled cancellation checkpoint billed once per
-	// O(|D|) set operation or document scan; nil (the Evaluate path)
-	// never fires.
-	cancel *evalutil.Canceller
-}
+const (
+	CoreXPath Class = iota // Definition 10.2
+	XPatterns              // Section 10.2
+	Neither
+)
 
-// New returns an XPatterns evaluator for the document.
-func New(d *xmltree.Document) *Evaluator {
-	return &Evaluator{doc: d}
-}
+// InCoreXPath reports whether a normalized query is a Core XPath query.
+func InCoreXPath(e xpath.Expr) bool { return Classify(e) == CoreXPath }
 
-// InFragment reports whether a normalized query is an XPatterns query.
-func InFragment(e xpath.Expr) bool { return isPattern(e) }
+// InFragment reports whether a normalized query is an XPatterns query;
+// every Core XPath query is.
+func InFragment(e xpath.Expr) bool { return Classify(e) <= XPatterns }
 
-func isPattern(e xpath.Expr) bool {
+// Classify places a normalized query: a location path whose predicates
+// are boolean combinations of existential paths (Core XPath), with id
+// heads, path = constant comparisons and the XSLT'98 unary predicates
+// besides (XPatterns), or a union of such paths.
+func Classify(e xpath.Expr) Class {
 	switch x := e.(type) {
 	case *xpath.Path:
-		if x.Filter != nil && !isIDHead(x.Filter) {
-			return false
+		c := CoreXPath
+		if x.Filter != nil {
+			c = idHead(x.Filter)
 		}
 		for _, s := range x.Steps {
+			if s.Axis == axes.IDAxis {
+				c = max(c, XPatterns)
+			}
 			for _, p := range s.Preds {
-				if !isPatternPred(p) {
-					return false
-				}
+				c = max(c, classifyPred(p))
 			}
 		}
-		return true
+		return c
 	case *xpath.Binary:
-		return x.Op == xpath.OpUnion && isPattern(x.Left) && isPattern(x.Right)
+		if x.Op == xpath.OpUnion {
+			return max(Classify(x.Left), Classify(x.Right))
+		}
 	case *xpath.Call:
-		// A bare id('c') or id(π) query.
-		return isIDHead(e)
-	default:
-		return false
+		return idHead(x) // a bare id('c') or id(π) query
 	}
+	return Neither
 }
 
-// isIDHead recognizes id(c) and id(π) heads, possibly nested
-// (id(id(…))), where the innermost argument is a constant string or an
-// XPatterns path.
-func isIDHead(e xpath.Expr) bool {
+// idHead recognizes id(c), id(π) and id(id(…)) heads.
+func idHead(e xpath.Expr) Class {
 	c, ok := e.(*xpath.Call)
 	if !ok || c.Name != "id" || len(c.Args) != 1 {
-		return false
+		return Neither
 	}
-	switch a := c.Args[0].(type) {
-	case *xpath.Literal:
-		return true
-	case *xpath.Call:
-		return isIDHead(a)
-	default:
-		return isPattern(a)
+	if _, ok := c.Args[0].(*xpath.Literal); ok {
+		return XPatterns
 	}
+	return max(XPatterns, Classify(c.Args[0]))
 }
 
-func isPatternPred(e xpath.Expr) bool {
+// classifyPred is the pred grammar of Definition 10.2 on the normalized
+// AST, where a bare path predicate appears as boolean(π).
+func classifyPred(e xpath.Expr) Class {
 	switch x := e.(type) {
 	case *xpath.Binary:
 		switch x.Op {
 		case xpath.OpAnd, xpath.OpOr:
-			return isPatternPred(x.Left) && isPatternPred(x.Right)
+			return max(classifyPred(x.Left), classifyPred(x.Right))
 		case xpath.OpEq:
-			// The "=s" unary predicate: path = constant (either side).
-			return isEqS(x.Left, x.Right) || isEqS(x.Right, x.Left)
-		default:
-			return false
+			if p, _ := eqS(x); p != nil {
+				return max(XPatterns, Classify(p))
+			}
+			return Neither
 		}
 	case *xpath.Call:
 		switch x.Name {
 		case "not", "boolean":
-			if isPatternPred(x.Args[0]) {
-				return true
-			}
-			return isPattern(x.Args[0])
-		case "true", "false",
-			"first-of-any", "last-of-any", "first-of-type", "last-of-type":
-			return true
+			return classifyPred(x.Args[0])
+		case "true", "false":
+			return CoreXPath
+		case "first-of-any", "last-of-any", "first-of-type", "last-of-type":
+			return XPatterns
 		}
-		return false
-	case *xpath.Path:
-		return isPattern(e)
-	default:
-		return false
 	}
+	return Classify(e)
 }
 
-func isEqS(pathSide, constSide xpath.Expr) bool {
-	switch constSide.(type) {
-	case *xpath.Literal, *xpath.Number:
-	default:
-		return false
+// eqS splits the "=s" predicate π = constant (either side). The string
+// search runs over the nodes one path can end in: a union or a bare
+// id(…) on the path side is left to the general engines.
+func eqS(b *xpath.Binary) (p *xpath.Path, c xpath.Expr) {
+	for _, side := range [2][2]xpath.Expr{{b.Left, b.Right}, {b.Right, b.Left}} {
+		switch side[1].(type) {
+		case *xpath.Literal, *xpath.Number:
+			if p, ok := side[0].(*xpath.Path); ok {
+				return p, side[1]
+			}
+		}
 	}
-	// eqS searches the nodes one path can end in: a union or a bare
-	// id(…) on this side is left to the general engines.
-	_, isPath := pathSide.(*xpath.Path)
-	return isPath && isPattern(pathSide)
+	return nil, nil
 }
 
-// Evaluate computes the query for a single context node.
+// Evaluator evaluates Core XPath and XPatterns queries over one
+// document. It holds nothing else: any number of goroutines may share
+// one.
+type Evaluator struct{ doc *xmltree.Document }
+
+// New returns an evaluator for the document.
+func New(d *xmltree.Document) *Evaluator { return &Evaluator{doc: d} }
+
+// eval is one evaluation: the document and the throttled cancellation
+// checkpoint every O(|D|) operation bills (nil never fires). Two words,
+// passed by value: a query without predicates allocates nothing for it.
+type eval struct {
+	doc    *xmltree.Document
+	cancel *evalutil.Canceller
+}
+
+func (ev *Evaluator) begin(ctx context.Context) eval {
+	return eval{doc: ev.doc, cancel: evalutil.NewCanceller(ctx)}
+}
+
+// back is the backward kernel judging steps by this evaluation's E1.
+func (ev eval) back() evalutil.Backward {
+	return evalutil.Backward{Doc: ev.doc, Cancel: ev.cancel, Judge: ev}
+}
+
+// Evaluate computes the query for a single context node. The query must
+// be in the fragment.
 func (ev *Evaluator) Evaluate(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
 	return ev.EvaluateContext(context.Background(), e, c)
 }
 
 // EvaluateContext is Evaluate with cancellation: every O(|D|) set
-// operation and document scan bills a throttled checkpoint, so the
-// evaluation is abandoned with ctx's error promptly once ctx is done.
+// operation and document scan bills a throttled checkpoint, so even a
+// maliciously long query over a large document is abandoned with ctx's
+// error promptly once ctx is done.
 func (ev *Evaluator) EvaluateContext(ctx context.Context, e xpath.Expr, c semantics.Context) (semantics.Value, error) {
-	ev.cancel = evalutil.NewCanceller(ctx)
-	s, err := ev.EvaluateSet(e, xmltree.NodeSet{c.Node})
-	if err != nil {
-		return semantics.Value{}, err
-	}
-	return semantics.NodeSet(s), nil
+	s, err := ev.begin(ctx).forward(e, xmltree.NodeSet{c.Node})
+	return semantics.NodeSet(s), err
 }
 
-// checkpoint bills one whole-document operation against the
-// cancellation checkpoint.
-func (ev *Evaluator) checkpoint() error {
-	return ev.cancel.CheckN(ev.doc.Len())
-}
-
-// EvaluateSet computes the forward semantics S→ extended with the id
-// axis for a set of context nodes.
+// EvaluateSet computes S→[[π]](N0) for a set of context nodes.
 func (ev *Evaluator) EvaluateSet(e xpath.Expr, n0 xmltree.NodeSet) (xmltree.NodeSet, error) {
+	return ev.begin(context.Background()).forward(e, n0)
+}
+
+// MatchSet computes the nodes matching a pattern in the XSLT-template
+// sense — the original home of the XSLT Patterns language: n matches π
+// iff some context node selects n via π (for an absolute pattern, the
+// root does). One forward pass over all of dom, O(|D|·|Q|).
+func (ev *Evaluator) MatchSet(e xpath.Expr) (xmltree.NodeSet, error) {
+	return ev.MatchSetContext(context.Background(), e)
+}
+
+// MatchSetContext is MatchSet with cancellation.
+func (ev *Evaluator) MatchSetContext(ctx context.Context, e xpath.Expr) (xmltree.NodeSet, error) {
+	if !InFragment(e) {
+		return nil, fmt.Errorf("xpatterns: pattern %s not in the XPatterns fragment", e)
+	}
+	x := ev.begin(ctx)
+	dom, err := x.back().Targets(&xpath.Path{}) // a path without steps ends anywhere
+	if err != nil {
+		return nil, err
+	}
+	return x.forward(e, dom)
+}
+
+// Matches reports whether one node matches the pattern. For repeated
+// tests against the same pattern, compute MatchSet once and use
+// Contains.
+func (ev *Evaluator) Matches(e xpath.Expr, n xmltree.NodeID) (bool, error) {
+	s, err := ev.MatchSet(e)
+	return s.Contains(n), err
+}
+
+// forward computes S→[[e]](n0).
+func (ev eval) forward(e xpath.Expr, n0 xmltree.NodeSet) (xmltree.NodeSet, error) {
 	switch x := e.(type) {
 	case *xpath.Binary:
 		if x.Op != xpath.OpUnion {
-			return nil, fmt.Errorf("xpatterns: not an XPatterns query: %s", e)
+			break
 		}
-		l, err := ev.EvaluateSet(x.Left, n0)
+		l, err := ev.forward(x.Left, n0)
 		if err != nil {
 			return nil, err
 		}
-		r, err := ev.EvaluateSet(x.Right, n0)
-		if err != nil {
-			return nil, err
-		}
-		return l.Union(r), nil
+		r, err := ev.forward(x.Right, n0)
+		return l.Union(r), err
 	case *xpath.Call:
-		return ev.evalIDHead(x, n0)
+		return ev.idHead(x, n0)
 	case *xpath.Path:
 		cur := n0
 		if x.Filter != nil {
-			head, err := ev.evalIDHead(x.Filter, n0)
-			if err != nil {
+			head, ok := x.Filter.(*xpath.Call)
+			if !ok {
+				break
+			}
+			var err error
+			if cur, err = ev.idHead(head, n0); err != nil {
 				return nil, err
 			}
-			cur = head
 		} else if x.Absolute {
 			cur = xmltree.NodeSet{ev.doc.RootID()}
 		}
 		for _, step := range x.Steps {
-			if err := ev.checkpoint(); err != nil {
+			if len(cur) == 0 {
+				break
+			}
+			if err := ev.cancel.CheckN(ev.doc.Len()); err != nil {
 				return nil, err
 			}
-			cur = evalutil.StepCandidatesSet(ev.doc, step.Axis, step.Test, cur)
-			for _, p := range step.Preds {
-				e1, err := ev.e1(p)
-				if err != nil {
-					return nil, err
-				}
-				cur = cur.Intersect(e1)
+			// The candidates are a fresh set: the judge filters it in place.
+			var err error
+			if cur, _, err = ev.JudgeStep(step, evalutil.StepCandidatesSet(ev.doc, step.Axis, step.Test, cur)); err != nil {
+				return nil, err
 			}
 		}
 		return cur, nil
-	default:
-		return nil, fmt.Errorf("xpatterns: not an XPatterns query: %s", e)
 	}
+	return nil, fmt.Errorf("xpatterns: not an XPatterns query: %s", e)
 }
 
-// evalIDHead evaluates an id(…) head: π1/id(π2)/π3 is treated as
-// π1/π2/id/π3 (Lemma 10.6), and id('c') starts from the constant's
-// extension.
-func (ev *Evaluator) evalIDHead(e xpath.Expr, n0 xmltree.NodeSet) (xmltree.NodeSet, error) {
-	c, ok := e.(*xpath.Call)
-	if !ok || c.Name != "id" {
-		return nil, fmt.Errorf("xpatterns: unsupported path head %s", e)
+// idHead evaluates an id(…) head forwards: id('c') is the constant's
+// referents, id(π) and id(id(…)) apply the id axis to the argument's
+// result.
+func (ev eval) idHead(c *xpath.Call, n0 xmltree.NodeSet) (xmltree.NodeSet, error) {
+	if c.Name != "id" || len(c.Args) != 1 {
+		return nil, fmt.Errorf("xpatterns: unsupported path head %s", c)
 	}
-	switch a := c.Args[0].(type) {
-	case *xpath.Literal:
-		return ev.doc.DerefIDs(a.Val), nil
-	case *xpath.Call:
-		inner, err := ev.evalIDHead(a, n0)
-		if err != nil {
-			return nil, err
-		}
-		return axes.EvalID(ev.doc, inner), nil
-	default:
-		inner, err := ev.EvaluateSet(a, n0)
-		if err != nil {
-			return nil, err
-		}
-		return axes.EvalID(ev.doc, inner), nil
+	if lit, ok := c.Args[0].(*xpath.Literal); ok {
+		return ev.doc.DerefIDs(lit.Val), nil
 	}
-}
-
-// dom materializes the full node set — an O(|D|) fill billed against
-// the cancellation checkpoint like every other whole-document
-// operation.
-func (ev *Evaluator) dom() (xmltree.NodeSet, error) {
-	if err := ev.checkpoint(); err != nil {
+	inner, err := ev.forward(c.Args[0], n0)
+	if err != nil {
 		return nil, err
 	}
-	s := make(xmltree.NodeSet, ev.doc.Len())
-	for i := range s {
-		s[i] = xmltree.NodeID(i)
+	if err := ev.cancel.CheckN(len(inner)); err != nil {
+		return nil, err
 	}
-	return s, nil
+	return axes.EvalID(ev.doc, inner), nil
 }
 
-// e1 computes the extension of an XPatterns predicate.
-func (ev *Evaluator) e1(e xpath.Expr) (xmltree.NodeSet, error) {
-	if err := ev.checkpoint(); err != nil {
-		return nil, err
+// ConstantIDs evaluates a context-independent id(…) head for the
+// backward kernel: forwards, from no context node at all.
+func (ev eval) ConstantIDs(head *xpath.Call) (xmltree.NodeSet, error) {
+	return ev.idHead(head, nil)
+}
+
+// JudgeStep keeps the members of yt at which every predicate of the step
+// holds: yt ∩ E1[[e1]] ∩ … ∩ E1[[em]], in place. The forward pass and
+// the backward kernel both judge a step this way.
+func (ev eval) JudgeStep(step *xpath.Step, yt xmltree.NodeSet) (xmltree.NodeSet, bool, error) {
+	for _, p := range step.Preds {
+		x, err := ev.e1(p)
+		if err != nil {
+			return nil, false, err
+		}
+		if x.bits != nil {
+			yt = x.bits.IntersectSet(yt, yt[:0])
+			continue
+		}
+		keep, j := yt[:0], 0
+		for _, y := range yt {
+			for j < len(x.set) && x.set[j] < y {
+				j++
+			}
+			if j == len(x.set) {
+				break
+			}
+			if x.set[j] == y {
+				keep = append(keep, y)
+			}
+		}
+		yt = keep
+	}
+	return yt, false, nil
+}
+
+// ext is E1[[e]], the nodes at which a predicate holds: sparse (set, a
+// sorted slice) while bits is nil, packed otherwise.
+type ext struct {
+	set  xmltree.NodeSet
+	bits *xmltree.Bitset
+}
+
+// packed returns the extension as a bitset it may overwrite.
+func (ev eval) packed(x ext) *xmltree.Bitset {
+	if x.bits == nil {
+		x.bits = xmltree.NewBitset(ev.doc.Len())
+		x.bits.AddSet(x.set)
+	}
+	return x.bits
+}
+
+// reached wraps what the backward kernel returned.
+func (ev eval) reached(reach xmltree.NodeSet, everywhere bool, err error) (ext, error) {
+	if everywhere {
+		b := xmltree.NewBitset(ev.doc.Len())
+		b.Fill()
+		return ext{bits: b}, err
+	}
+	return ext{set: reach}, err
+}
+
+// e1 computes E1[[e]].
+func (ev eval) e1(e xpath.Expr) (ext, error) {
+	if err := ev.cancel.CheckN(ev.doc.Len()); err != nil {
+		return ext{}, err
 	}
 	switch x := e.(type) {
 	case *xpath.Binary:
 		switch x.Op {
-		case xpath.OpAnd, xpath.OpOr, xpath.OpUnion: // boolean(π1 | π2) is boolean(π1) or boolean(π2)
+		case xpath.OpAnd, xpath.OpOr:
 			l, err := ev.e1(x.Left)
 			if err != nil {
-				return nil, err
+				return ext{}, err
 			}
 			r, err := ev.e1(x.Right)
 			if err != nil {
-				return nil, err
+				return ext{}, err
 			}
-			if x.Op == xpath.OpAnd {
-				return l.Intersect(r), nil
+			and := x.Op == xpath.OpAnd
+			switch {
+			case l.bits != nil || r.bits != nil:
+				lb, rb := ev.packed(l), ev.packed(r)
+				if and {
+					lb.IntersectWith(rb)
+				} else {
+					lb.UnionWith(rb)
+				}
+				return ext{bits: lb}, nil
+			case and:
+				return ext{set: l.set.Intersect(r.set)}, nil
 			}
-			return l.Union(r), nil
+			return ext{set: l.set.Union(r.set)}, nil
 		case xpath.OpEq:
-			if isEqS(x.Left, x.Right) {
-				return ev.eqS(x.Left, x.Right)
+			if p, c := eqS(x); p != nil {
+				return ev.eqS(p, c)
 			}
-			if isEqS(x.Right, x.Left) {
-				return ev.eqS(x.Right, x.Left)
-			}
-			return nil, fmt.Errorf("xpatterns: comparison %s not in fragment", e)
-		default:
-			return nil, fmt.Errorf("xpatterns: operator %v not in fragment", x.Op)
+			return ext{}, fmt.Errorf("xpatterns: comparison %s not in fragment", e)
 		}
 	case *xpath.Call:
 		switch x.Name {
 		case "not":
 			inner, err := ev.e1(x.Args[0])
 			if err != nil {
-				return nil, err
+				return ext{}, err
 			}
-			d, err := ev.dom()
-			if err != nil {
-				return nil, err
-			}
-			return d.Minus(inner), nil
+			b := ev.packed(inner)
+			b.Complement()
+			return ext{bits: b}, nil
 		case "boolean":
 			return ev.e1(x.Args[0])
 		case "true":
-			return ev.dom()
+			return ev.reached(nil, true, nil)
 		case "false":
-			return nil, nil
-		case "id":
-			// Existential id(…) head inside a predicate.
-			d, err := ev.dom()
-			if err != nil {
-				return nil, err
-			}
-			return ev.sBackIDHead(x, d)
-		default:
-			s, ok, err := ev.unaryPredicateSet(x.Name)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return s, nil
-			}
-			return nil, fmt.Errorf("xpatterns: function %s not in fragment", x.Name)
+			return ext{}, nil
+		case "first-of-any", "last-of-any", "first-of-type", "last-of-type":
+			s, err := ev.siblingBoundary(strings.HasPrefix(x.Name, "first"), strings.HasSuffix(x.Name, "type"))
+			return ext{set: s}, err
 		}
-	case *xpath.Path:
-		// Existence: from every node the path can end in.
-		targets, err := ev.pathTargets(x)
-		if err != nil {
-			return nil, err
-		}
-		return ev.sBack(x, targets)
-	default:
-		return nil, fmt.Errorf("xpatterns: predicate %s not in fragment", e)
 	}
+	// Anything else is a path, a union of paths (boolean(π1 | π2)) or an
+	// id(…) chain, or the kernel refuses it: E1[[π]] = S←[[π]].
+	return ev.reached(ev.back().Exists(e))
 }
 
-// eqS computes the extension of [π = c]: the nodes from which π reaches
-// a node whose string value equals the constant. The "=s" unary
-// predicate of Table VI, "computed using string search in the document",
-// is searched for among the nodes π can end in — T(t) of its last step —
-// rather than all of dom, so no interior element's string-value is ever
-// built for it. No node carrying the constant makes the target set
-// empty and the extension with it; it does not make the comparison
-// vanish.
-func (ev *Evaluator) eqS(pathSide, constSide xpath.Expr) (xmltree.NodeSet, error) {
-	p, ok := pathSide.(*xpath.Path)
-	if !ok {
-		return nil, fmt.Errorf("xpatterns: comparison lhs %s not a path", pathSide)
+// eqS computes E1[[π = c]]: the nodes from which π reaches a node whose
+// string value equals the constant — the "=s" unary predicate of Table
+// VI, "computed using string search in the document", searched for
+// among the nodes π can end in rather than all of dom. No node carrying
+// the constant makes the start set empty and the extension with it; it
+// does not make the comparison vanish.
+func (ev eval) eqS(p *xpath.Path, c xpath.Expr) (ext, error) {
+	back := ev.back()
+	targets, err := back.Targets(p)
+	if err == nil {
+		err = ev.cancel.CheckN(len(targets))
 	}
-	var equals func(strval string) bool
-	switch c := constSide.(type) {
-	case *xpath.Literal:
-		equals = func(strval string) bool { return strval == c.Val }
-	case *xpath.Number:
-		equals = func(strval string) bool { return semantics.StringToNumber(strval) == c.Val }
-	default:
-		return nil, fmt.Errorf("xpatterns: non-constant comparison %s", constSide)
-	}
-	targets, err := ev.pathTargets(p)
 	if err != nil {
-		return nil, err
+		return ext{}, err
 	}
-	if err := ev.cancel.CheckN(len(targets)); err != nil {
-		return nil, err
-	}
+	lit, isString := c.(*xpath.Literal)
 	var hits xmltree.NodeSet
 	for _, y := range targets {
-		if equals(ev.doc.StringValue(y)) {
+		if s := ev.doc.StringValue(y); isString && s == lit.Val ||
+			!isString && semantics.StringToNumber(s) == c.(*xpath.Number).Val {
 			hits = append(hits, y)
 		}
 	}
-	return ev.sBack(p, hits)
-}
-
-// pathTargets returns the nodes a path can end in: T(t) of its last
-// step — the label index's posting list for an exact element name,
-// which is shared and only read — or dom for a path without steps.
-func (ev *Evaluator) pathTargets(p *xpath.Path) (xmltree.NodeSet, error) {
-	if len(p.Steps) == 0 {
-		return ev.dom()
-	}
-	last := p.Steps[len(p.Steps)-1]
-	if evalutil.ExactElementName(last.Axis, last.Test) {
-		return ev.doc.Index().Named(last.Test.Name), nil
-	}
-	d, err := ev.dom()
-	if err != nil {
-		return nil, err
-	}
-	return evalutil.FilterTest(ev.doc, last.Axis, last.Test, d), nil
-}
-
-// sBack propagates the node set from backwards through a path: it
-// computes the nodes from which π reaches a member of from. S←[[π]]
-// (existence) is sBack(π, pathTargets(π)); the "=s" predicates start
-// from the targets that carry the constant. An empty set is empty — a
-// start set is never implied.
-func (ev *Evaluator) sBack(p *xpath.Path, from xmltree.NodeSet) (xmltree.NodeSet, error) {
-	cur := from
-	for i := len(p.Steps) - 1; i >= 0 && len(cur) > 0; i-- {
-		if err := ev.checkpoint(); err != nil {
-			return nil, err
-		}
-		step := p.Steps[i]
-		s := evalutil.FilterTest(ev.doc, step.Axis, step.Test, cur)
-		for _, pr := range step.Preds {
-			e1, err := ev.e1(pr)
-			if err != nil {
-				return nil, err
-			}
-			s = s.Intersect(e1)
-		}
-		cur = axes.EvalInverse(ev.doc, step.Axis, s)
-	}
-	if len(cur) == 0 {
-		return nil, nil
-	}
-	if p.Filter != nil {
-		return ev.sBackIDHead(p.Filter, cur)
-	}
-	if p.Absolute {
-		if cur.Contains(ev.doc.RootID()) {
-			return ev.dom()
-		}
-		return nil, nil
-	}
-	return cur, nil
-}
-
-// sBackIDHead propagates a backward set through an id(…) head: for
-// id('c') the result is context-independent (dom or ∅); for id(π) the
-// propagation continues through id⁻¹ and then π.
-func (ev *Evaluator) sBackIDHead(e xpath.Expr, cur xmltree.NodeSet) (xmltree.NodeSet, error) {
-	c, ok := e.(*xpath.Call)
-	if !ok || c.Name != "id" {
-		return nil, fmt.Errorf("xpatterns: unsupported path head %s", e)
-	}
-	switch a := c.Args[0].(type) {
-	case *xpath.Literal:
-		if !xmltree.NodeSet(ev.doc.DerefIDs(a.Val)).Intersect(cur).IsEmpty() {
-			return ev.dom()
-		}
-		return nil, nil
-	case *xpath.Call:
-		back := axes.EvalIDInverse(ev.doc, cur)
-		return ev.sBackIDHead(a, back)
-	case *xpath.Path:
-		back := axes.EvalIDInverse(ev.doc, cur)
-		return ev.sBack(a, back)
-	default:
-		return nil, fmt.Errorf("xpatterns: unsupported id argument %s", a)
-	}
+	return ev.reached(back.Reach(p, hits))
 }
 
 // ------------------------------------------------------------------
@@ -449,105 +455,55 @@ func (ev *Evaluator) sBackIDHead(e xpath.Expr, cur xmltree.NodeSet) (xmltree.Nod
 // first-of-any unary predicate. Attribute and namespace nodes are not
 // part of the sibling order here.
 func (ev *Evaluator) FirstOfAny() (xmltree.NodeSet, error) {
-	return ev.siblingBoundary(true, nil)
+	return ev.begin(context.Background()).siblingBoundary(true, false)
 }
 
 // LastOfAny returns {x ∈ dom | x has no following sibling}.
 func (ev *Evaluator) LastOfAny() (xmltree.NodeSet, error) {
-	return ev.siblingBoundary(false, nil)
+	return ev.begin(context.Background()).siblingBoundary(false, false)
 }
 
 // FirstOfType returns the first-of-type() predicate of Theorem 10.8:
 // elements with no preceding sibling of the same name. Computable in
 // O(|D|·|Σ|); this implementation is O(|D|) by scanning sibling lists.
 func (ev *Evaluator) FirstOfType() (xmltree.NodeSet, error) {
-	seen := map[string]bool{}
-	return ev.siblingBoundary(true, seen)
+	return ev.begin(context.Background()).siblingBoundary(true, true)
 }
 
 // LastOfType returns elements with no following sibling of the same
 // name.
 func (ev *Evaluator) LastOfType() (xmltree.NodeSet, error) {
-	seen := map[string]bool{}
-	return ev.siblingBoundary(false, seen)
+	return ev.begin(context.Background()).siblingBoundary(false, true)
 }
 
-// siblingBoundary scans every sibling list once, considering element
-// children only (the '98 draft's patterns address elements). With
-// byType nil it marks the first (or last) element child of each parent;
-// with a map it marks the first (or last) element child per tag name.
-// Total work is O(|D|), realizing the Theorem 10.8 precomputation, and
-// is billed as one whole-document operation.
-func (ev *Evaluator) siblingBoundary(first bool, byType map[string]bool) (xmltree.NodeSet, error) {
-	if err := ev.checkpoint(); err != nil {
+// siblingBoundary scans every sibling list once from its first (or
+// last) member, considering element children only (the '98 draft's
+// patterns address elements), and marks the first element met — per tag
+// name with byType. O(|D|) in total, the Theorem 10.8 precomputation,
+// billed as one whole-document operation.
+func (ev eval) siblingBoundary(first, byType bool) (xmltree.NodeSet, error) {
+	if err := ev.cancel.CheckN(ev.doc.Len()); err != nil {
 		return nil, err
 	}
 	var out []xmltree.NodeID
+	seen := map[string]bool{}
 	for i := 0; i < ev.doc.Len(); i++ {
-		p := xmltree.NodeID(i)
-		ty := ev.doc.Type(p)
-		if ty != xmltree.Element && ty != xmltree.Root {
-			continue
-		}
-		var kids []xmltree.NodeID
-		for _, k := range ev.doc.Children(p) {
-			if ev.doc.Type(k) == xmltree.Element {
-				kids = append(kids, k)
-			}
-		}
-		if len(kids) == 0 {
-			continue
-		}
-		if byType == nil {
-			if first {
-				out = append(out, kids[0])
-			} else {
-				out = append(out, kids[len(kids)-1])
-			}
-			continue
-		}
-		// Per-type boundaries: scan forward (or backward) remembering
-		// which names were already seen among these siblings.
-		for k := range byType {
-			delete(byType, k)
-		}
-		idxs := make([]int, len(kids))
+		kids := ev.doc.Children(xmltree.NodeID(i))
+		clear(seen)
 		for j := range kids {
-			idxs[j] = j
-		}
-		if !first {
-			for l, r := 0, len(idxs)-1; l < r; l, r = l+1, r-1 {
-				idxs[l], idxs[r] = idxs[r], idxs[l]
-			}
-		}
-		for _, j := range idxs {
 			k := kids[j]
-			name := ev.doc.Name(k)
-			if !byType[name] {
-				byType[name] = true
-				out = append(out, k)
+			if !first {
+				k = kids[len(kids)-1-j]
 			}
+			if ev.doc.Type(k) != xmltree.Element || seen[ev.doc.Name(k)] {
+				continue
+			}
+			out = append(out, k)
+			if !byType {
+				break
+			}
+			seen[ev.doc.Name(k)] = true
 		}
 	}
 	return xmltree.NewNodeSet(out...), nil
-}
-
-// unaryPredicateSet resolves an XSLT'98 predicate function name to its
-// precomputed extension.
-func (ev *Evaluator) unaryPredicateSet(name string) (xmltree.NodeSet, bool, error) {
-	var s xmltree.NodeSet
-	var err error
-	switch name {
-	case "first-of-any":
-		s, err = ev.FirstOfAny()
-	case "last-of-any":
-		s, err = ev.LastOfAny()
-	case "first-of-type":
-		s, err = ev.FirstOfType()
-	case "last-of-type":
-		s, err = ev.LastOfType()
-	default:
-		return nil, false, nil
-	}
-	return s, true, err
 }
