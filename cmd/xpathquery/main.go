@@ -81,12 +81,11 @@ func main() {
 	case xpath.TypeNodeSet:
 		fmt.Printf("%d node(s):\n", len(v.Set))
 		for _, n := range v.Set {
-			node := doc.Node(n)
-			switch {
-			case node.Type.HasName():
-				fmt.Printf("  %s %s  value=%q\n", node.Type, node.Name, truncate(doc.StringValue(n), 60))
+			switch t := doc.Type(n); {
+			case t.HasName():
+				fmt.Printf("  %s %s  value=%q\n", t, doc.Name(n), truncate(doc.StringValue(n), 60))
 			default:
-				fmt.Printf("  %s  value=%q\n", node.Type, truncate(doc.StringValue(n), 60))
+				fmt.Printf("  %s  value=%q\n", t, truncate(doc.StringValue(n), 60))
 			}
 		}
 	default:

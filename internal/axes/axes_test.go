@@ -192,7 +192,7 @@ func TestInverseProperty(t *testing.T) {
 				if !back.Contains(xmltree.NodeID(x)) {
 					// The attr/ns filter makes pairs involving such
 					// nodes legitimately asymmetric; skip them.
-					if d.Node(xmltree.NodeID(x)).IsAttrOrNS() || d.Node(y).IsAttrOrNS() {
+					if d.IsAttrOrNS(xmltree.NodeID(x)) || d.IsAttrOrNS(y) {
 						continue
 					}
 					t.Errorf("axis %v: %d→%d but inverse misses", ax, x, y)
@@ -207,7 +207,7 @@ func TestSelfUnionDecomposition(t *testing.T) {
 	d := nested(t)
 	for x := 0; x < d.Len(); x++ {
 		id := xmltree.NodeID(x)
-		if d.Node(id).IsAttrOrNS() {
+		if d.IsAttrOrNS(id) {
 			continue
 		}
 		dos := EvalNode(d, DescendantOrSelf, id)
@@ -232,7 +232,7 @@ func TestDocPartition(t *testing.T) {
 	}
 	for x := 0; x < d.Len(); x++ {
 		id := xmltree.NodeID(x)
-		if d.Node(id).IsAttrOrNS() {
+		if d.IsAttrOrNS(id) {
 			continue
 		}
 		parts := []xmltree.NodeSet{
@@ -305,10 +305,42 @@ func TestIDAxis(t *testing.T) {
 	if !got.Equal(xmltree.NewNodeSet(n1, n2, n3)) {
 		t.Errorf("id(n1) = %v", got)
 	}
-	// Inverse: id⁻¹({n1}) = ancestor-or-self({n2, n3}) = {root, n1, n2, n3}.
+	// Inverse: id⁻¹({n1}) = ancestor-or-self({n2, n3}) = {root, n1, n2,
+	// n3}, plus the nodes whose own data names 1: n1's id attribute and
+	// the text nodes " 1 " and " 1 2 ". Neither has an ancestor closure.
 	inv := EvalIDInverse(d, xmltree.NodeSet{n1})
-	if !inv.Equal(xmltree.NewNodeSet(d.RootID(), n1, n2, n3)) {
+	if !inv.Equal(xmltree.NewNodeSet(d.RootID(), n1, n1+1, n2, n2+2, n3, n3+2)) {
 		t.Errorf("id⁻¹(n1) = %v", inv)
+	}
+	// Forward from those: a text node or an attribute is its own
+	// string-value; a text node below a member counts through it.
+	for _, x := range []xmltree.NodeID{n1 + 1, n2 + 2, n3 + 2} {
+		if got := EvalID(d, xmltree.NodeSet{x}); !got.Contains(n1) {
+			t.Errorf("id(%d) = %v, want it to hold n1", x, got)
+		}
+	}
+	if got := EvalID(d, xmltree.NodeSet{n2, n2 + 2}); !got.Equal(xmltree.NodeSet{n1}) {
+		t.Errorf("id(n2, its text) = %v, want [n1]", got)
+	}
+}
+
+// TestIDJoinsTextBelowAnElement: id() of an element reads the text
+// directly inside each element of its subtree (Theorem 10.7), so two
+// text children separated by an element are one token, while the same
+// text nodes given themselves are two.
+func TestIDJoinsTextBelowAnElement(t *testing.T) {
+	d := xmltree.MustParseString(`<r><a>22<b/>23</a><x id="22"/><x id="23"/><x id="2223"/></r>`)
+	a := d.Children(d.DocumentElement())[0]
+	if got := EvalID(d, xmltree.NodeSet{a}); !got.Equal(xmltree.NodeSet{d.IDOf("2223")}) {
+		t.Errorf("id(a) = %v, want the element with id 2223", got)
+	}
+	texts := xmltree.NodeSet{a + 1, a + 3}
+	if got := EvalID(d, texts); !got.Equal(xmltree.NewNodeSet(d.IDOf("22"), d.IDOf("23"))) {
+		t.Errorf("id(a/text()) = %v, want the elements with ids 22 and 23", got)
+	}
+	x22 := d.IDOf("22")
+	if got := EvalIDInverse(d, xmltree.NodeSet{x22}); !got.Equal(xmltree.NodeSet{a + 1, x22 + 1}) {
+		t.Errorf("id⁻¹(22) = %v, want the text node 22 and the id attribute, no element", got)
 	}
 }
 

@@ -87,7 +87,7 @@ func evalIndexed(d *xmltree.Document, ix *xmltree.Index, a Axis, s xmltree.NodeS
 		var sc *xmltree.Scratch
 		if a == DescendantOrSelf {
 			for _, x := range s {
-				if d.Node(x).IsAttrOrNS() {
+				if d.IsAttrOrNS(x) {
 					if sc == nil {
 						sc = ix.AcquireScratch()
 					}
@@ -108,7 +108,7 @@ func evalIndexed(d *xmltree.Document, ix *xmltree.Index, a Axis, s xmltree.NodeS
 			// lookup: size the output once instead of doubling into it.
 			dst = slices.Grow(dst, ix.ContentCount(lo, hi))
 			for id := lo; id < hi; id++ {
-				if !d.Node(id).IsAttrOrNS() || (sc != nil && sc.Mark.Has(id)) {
+				if !d.IsAttrOrNS(id) || (sc != nil && sc.Mark.Has(id)) {
 					dst = append(dst, id)
 				}
 			}
@@ -132,7 +132,7 @@ func evalIndexed(d *xmltree.Document, ix *xmltree.Index, a Axis, s xmltree.NodeS
 		}
 		dst = slices.Grow(dst, ix.ContentCount(min, xmltree.NodeID(d.Len())))
 		for id, n := min, xmltree.NodeID(d.Len()); id < n; id++ {
-			if !d.Node(id).IsAttrOrNS() {
+			if !d.IsAttrOrNS(id) {
 				dst = append(dst, id)
 			}
 		}
@@ -149,7 +149,7 @@ func evalIndexed(d *xmltree.Document, ix *xmltree.Index, a Axis, s xmltree.NodeS
 		for id := xmltree.NodeID(0); id < max; {
 			if end := ix.SubtreeEnd(id); end <= max {
 				for ; id < end; id++ {
-					if !d.Node(id).IsAttrOrNS() {
+					if !d.IsAttrOrNS(id) {
 						dst = append(dst, id)
 					}
 				}
@@ -199,7 +199,7 @@ func evalIndexed(d *xmltree.Document, ix *xmltree.Index, a Axis, s xmltree.NodeS
 		// only a sort when context nodes are nested.
 		for _, x := range s {
 			for c := d.FirstChild(x); c != xmltree.NilNode; c = d.NextSibling(c) {
-				if !d.Node(c).IsAttrOrNS() {
+				if !d.IsAttrOrNS(c) {
 					dst = append(dst, c)
 				}
 			}
@@ -215,7 +215,7 @@ func evalIndexed(d *xmltree.Document, ix *xmltree.Index, a Axis, s xmltree.NodeS
 			want = xmltree.Namespace
 		}
 		for _, x := range s {
-			for c := d.FirstChild(x); c != xmltree.NilNode && d.Node(c).IsAttrOrNS(); c = d.NextSibling(c) {
+			for c := d.FirstChild(x); c != xmltree.NilNode && d.IsAttrOrNS(c); c = d.NextSibling(c) {
 				if d.Type(c) == want {
 					dst = append(dst, c)
 				}
@@ -250,7 +250,7 @@ func evalIndexed(d *xmltree.Document, ix *xmltree.Index, a Axis, s xmltree.NodeS
 		}
 		if len(s) == 1 {
 			for y := step(s[0]); y != xmltree.NilNode; y = step(y) {
-				if !d.Node(y).IsAttrOrNS() {
+				if !d.IsAttrOrNS(y) {
 					dst = append(dst, y)
 				}
 			}
@@ -268,7 +268,7 @@ func evalIndexed(d *xmltree.Document, ix *xmltree.Index, a Axis, s xmltree.NodeS
 			for y := step(x); y != xmltree.NilNode && !sc.Visited.Has(y); y = step(y) {
 				sc.Visited.Add(y)
 				marked = append(marked, y)
-				if !d.Node(y).IsAttrOrNS() {
+				if !d.IsAttrOrNS(y) {
 					dst = append(dst, y)
 				}
 			}
@@ -332,6 +332,29 @@ func EvalNamedInto(d *xmltree.Document, a Axis, s xmltree.NodeSet, name string, 
 		return dst
 	}
 	ix := d.Index()
+	if (a == Ancestor || a == AncestorOrSelf) && len(s) > 1 {
+		// Mark the parent chains, then read the posting list up to max(S)
+		// against the marks: document order, with nothing sorted.
+		sc := ix.AcquireScratch()
+		marked := sc.Work[:0]
+		for _, x := range s {
+			p := x
+			if a == Ancestor {
+				p = d.Parent(x)
+			}
+			for ; p != xmltree.NilNode && !sc.Visited.Has(p); p = d.Parent(p) {
+				sc.Visited.Add(p)
+				marked = append(marked, p)
+			}
+		}
+		dst = sc.Visited.IntersectSet(ix.NamedRange(name, 0, s[len(s)-1]+1), dst)
+		for _, y := range marked {
+			sc.Visited.Remove(y)
+		}
+		sc.Work = marked[:0]
+		ix.ReleaseScratch(sc)
+		return dst
+	}
 	switch a {
 	case Self:
 		named := ix.Named(name)
@@ -399,8 +422,8 @@ func EvalNamedInto(d *xmltree.Document, a Axis, s xmltree.NodeSet, name string, 
 		return dst
 
 	default:
-		// Small-output axes (parent, ancestor, siblings, id): evaluate
-		// the axis, then intersect with the posting list by merge.
+		// Small-output axes (parent, ancestor of one node, siblings, id):
+		// evaluate the axis, then intersect with the posting list by merge.
 		dst = EvalInto(d, a, s, dst)
 		named := ix.Named(name)
 		out, j := dst[:0], 0

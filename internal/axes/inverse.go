@@ -73,7 +73,7 @@ func EvalInverse(d *xmltree.Document, a Axis, s xmltree.NodeSet) xmltree.NodeSet
 // namespace members; a set without the latter is returned as is.
 func splitByType(d *xmltree.Document, s xmltree.NodeSet) (content, special xmltree.NodeSet) {
 	for i, x := range s {
-		if !d.Node(x).IsAttrOrNS() {
+		if !d.IsAttrOrNS(x) {
 			if special != nil {
 				content = append(content, x)
 			}

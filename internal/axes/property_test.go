@@ -133,14 +133,22 @@ func TestEvalIntoReuse(t *testing.T) {
 
 func TestEvalNamedMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
+	multiAncestor := 0 // ancestor(-or-self) over two nodes or more: the mark-and-scan path
 	for round := 0; round < 60; round++ {
 		d := randDoc(r, 5+r.Intn(120))
-		for trial := 0; trial < 4; trial++ {
+		for trial := 0; trial < 6; trial++ {
 			s := randSet(r, d)
+			if trial >= 4 {
+				// A few nodes, often in one another's chains.
+				s = xmltree.NewNodeSet(xmltree.NodeID(r.Intn(d.Len())), xmltree.NodeID(r.Intn(d.Len())), xmltree.NodeID(r.Intn(d.Len())))
+			}
 			if len(s) == 0 {
 				s = xmltree.NodeSet{d.RootID()}
 			}
 			for _, a := range allAxes {
+				if (a == Ancestor || a == AncestorOrSelf) && len(s) > 1 {
+					multiAncestor++
+				}
 				for _, name := range []string{"a", "b", "absent"} {
 					got := EvalNamed(d, a, s, name)
 					// Reference: full axis image, then the name/type
@@ -158,6 +166,9 @@ func TestEvalNamedMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+	if multiAncestor < 100 {
+		t.Errorf("only %d multi-node ancestor sets checked", multiAncestor)
 	}
 }
 

@@ -163,7 +163,7 @@ func refEval(d *xmltree.Document, a Axis, s xmltree.NodeSet) xmltree.NodeSet {
 			}
 		}
 		for _, x := range raw {
-			if !d.Node(x).IsAttrOrNS() || (keepSelf && inS[x]) {
+			if !d.IsAttrOrNS(x) || (keepSelf && inS[x]) {
 				out = append(out, x)
 			}
 		}

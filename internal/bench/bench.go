@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/datapool"
@@ -339,12 +338,4 @@ func intsUpTo(n int) []int {
 		out[i] = i + 1
 	}
 	return out
-}
-
-func joinLabels(ss []Series) string {
-	var ls []string
-	for _, s := range ss {
-		ls = append(ls, s.Label)
-	}
-	return strings.Join(ls, ", ")
 }

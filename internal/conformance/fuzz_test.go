@@ -131,7 +131,7 @@ func TestDifferentialRandomQueries(t *testing.T) {
 		es := engines(d)
 		// Evaluate from a random context node, not just the root.
 		node := xmltree.NodeID(r.Intn(d.Len()))
-		if d.Node(node).IsAttrOrNS() {
+		if d.IsAttrOrNS(node) {
 			node = d.RootID()
 		}
 		ctx := semantics.Context{Node: node, Pos: 1, Size: 1}

@@ -149,7 +149,7 @@ func agreeFromEveryNode(t *testing.T, d *xmltree.Document, queries []string, att
 			t.Fatalf("parse %q: %v", q, err)
 		}
 		for n := xmltree.NodeID(0); int(n) < d.Len(); n++ {
-			if !attrsToo && d.Node(n).IsAttrOrNS() {
+			if !attrsToo && d.IsAttrOrNS(n) {
 				continue
 			}
 			ctx := semantics.Context{Node: n, Pos: 1, Size: 1}

@@ -37,7 +37,7 @@ func (j *keepAll) ConstantIDs(head *xpath.Call) (xmltree.NodeSet, error) {
 }
 
 // forward is S→[[e]](x) by the book: axis image, node test, step by
-// step; id(…) through the ref relation.
+// step; id(…) through refDef, not through axes.EvalID.
 func forward(d *xmltree.Document, e xpath.Expr, x xmltree.NodeSet) xmltree.NodeSet {
 	switch e := e.(type) {
 	case *xpath.Binary:
@@ -46,7 +46,19 @@ func forward(d *xmltree.Document, e xpath.Expr, x xmltree.NodeSet) xmltree.NodeS
 		if lit, ok := e.Args[0].(*xpath.Literal); ok {
 			return d.DerefIDs(lit.Val)
 		}
-		return axes.EvalID(d, forward(d, e.Args[0], x))
+		var out xmltree.NodeSet
+		for _, n := range forward(d, e.Args[0], x) {
+			if t := d.Type(n); t != xmltree.Element && t != xmltree.Root {
+				out = out.Union(refDef(d, n)) // its own data
+				continue
+			}
+			for _, m := range axes.EvalNode(d, axes.DescendantOrSelf, n) {
+				if d.Type(m) == xmltree.Element {
+					out = out.Union(refDef(d, m))
+				}
+			}
+		}
+		return out
 	case *xpath.Path:
 		cur := x
 		if e.Filter != nil {
@@ -62,9 +74,19 @@ func forward(d *xmltree.Document, e xpath.Expr, x xmltree.NodeSet) xmltree.NodeS
 	panic(fmt.Sprintf("forward: %T", e))
 }
 
+// refDef is row x of the ref relation of Theorem 10.7 by its
+// definition: the elements whose IDs are tokens of the text directly
+// inside x, or of x's own data when x is not an element or the root.
+func refDef(d *xmltree.Document, x xmltree.NodeID) xmltree.NodeSet {
+	if t := d.Type(x); t != xmltree.Element && t != xmltree.Root {
+		return d.DerefIDs(d.Data(x))
+	}
+	return d.DerefIDs(d.DirectText(x))
+}
+
 // randIDDoc builds a random document of elements over a small alphabet
-// with ID attributes, plain attributes, namespace nodes, comments, and
-// text that now and then names some of the IDs (the ref relation).
+// with ID attributes, IDREFS attributes, plain attributes, namespace
+// nodes, comments, and text that now and then names some of the IDs.
 func randIDDoc(r *rand.Rand, n int) *xmltree.Document {
 	b := xmltree.NewBuilder()
 	names := []string{"a", "b", "c"}
@@ -81,6 +103,9 @@ func randIDDoc(r *rand.Rand, n int) *xmltree.Document {
 			}
 			if r.Intn(3) == 0 {
 				b.Attribute("x", "v")
+			}
+			if r.Intn(3) == 0 {
+				b.Attribute("ref", fmt.Sprintf("n%d n%d", r.Intn(ids+2), r.Intn(ids+2)))
 			}
 			if r.Intn(6) == 0 {
 				b.NamespaceNode("p", "uri")
@@ -104,12 +129,12 @@ var (
 	kernelAxes = []string{"ancestor", "ancestor-or-self", "attribute", "child", "descendant",
 		"descendant-or-self", "following", "following-sibling", "namespace", "parent",
 		"preceding", "preceding-sibling", "self"}
-	kernelTests = []string{"a", "b", "c", "*", "node()", "text()", "x", "id"}
+	kernelTests = []string{"a", "b", "c", "*", "node()", "text()", "x", "id", "ref"}
 )
 
 // randPath draws a location path of up to four steps over every axis,
-// relative, absolute, or headed by id('c'), id(π) or id(id(π)); now and
-// then a bare id chain or a union of two paths.
+// relative, absolute, or headed by id('c'), id(π), id(id(π)), id(@ref)
+// or id(text()); now and then a bare id chain or a union of two paths.
 func randPath(r *rand.Rand, depth int) string {
 	var steps []string
 	for i := r.Intn(4 - depth); i >= 0; i-- {
@@ -119,7 +144,11 @@ func randPath(r *rand.Rand, depth int) string {
 	if depth >= 2 {
 		return tail
 	}
-	switch r.Intn(8) {
+	switch r.Intn(10) {
+	case 6:
+		return []string{"id(@ref)/", "id(@*)/", "id(descendant::*/@ref)/"}[r.Intn(3)] + tail
+	case 7:
+		return []string{"id(text())/" + tail, "id(descendant::text())/" + tail, "id(text())"}[r.Intn(3)]
 	case 0:
 		return "/" + tail
 	case 1:
@@ -139,12 +168,32 @@ func randPath(r *rand.Rand, depth int) string {
 func TestBackwardEqualsDefinition(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
 	emptiedAt := map[int]int{} // steps judged before a walk ran dry → count
-	everywheres := 0
+	everywheres, charData := 0, 0
 	for round := 0; round < 60; round++ {
 		d := randIDDoc(r, 20+r.Intn(60))
 		dom := make(xmltree.NodeSet, d.Len())
 		for i := range dom {
 			dom[i] = xmltree.NodeID(i)
+		}
+		// The CSR rows of the ref relation and its inverse are the
+		// definition's.
+		inv := make([]xmltree.NodeSet, d.Len())
+		for _, x := range dom {
+			row := refDef(d, x)
+			if got := d.Ref(x); !got.Equal(row) {
+				t.Fatalf("ref(%d) = %v, definition %v\n%s", x, got, row, d.XMLString())
+			}
+			for _, y := range row {
+				inv[y] = append(inv[y], x)
+			}
+			if t := d.Type(x); len(row) > 0 && t != xmltree.Element && t != xmltree.Root {
+				charData++
+			}
+		}
+		for _, y := range dom {
+			if got := d.RefInv(y); !got.Equal(inv[y]) {
+				t.Fatalf("ref⁻¹(%d) = %v, definition %v", y, got, inv[y])
+			}
 		}
 		for q := 0; q < 40; q++ {
 			src := randPath(r, 0)
@@ -201,5 +250,8 @@ func TestBackwardEqualsDefinition(t *testing.T) {
 	}
 	if everywheres == 0 {
 		t.Error("no absolute or constant-headed path reached its Y")
+	}
+	if charData == 0 {
+		t.Error("no attribute or text node names an ID")
 	}
 }

@@ -1,6 +1,8 @@
 package evalutil
 
 import (
+	"math"
+
 	"repro/internal/axes"
 	"repro/internal/semantics"
 	"repro/internal/xmltree"
@@ -59,13 +61,14 @@ func NamedChildParents(d *xmltree.Document, xs xmltree.NodeSet, name string) xml
 // MinContext reads its tables, OptMinContext its bottom-up results.
 type PredEval func(pred xpath.Expr, c semantics.Context) (semantics.Value, error)
 
-// Verdicts remembers the truth value of one predicate per ⟨cp, cs⟩. It
-// exists for predicates whose relevant context lacks cn (Section 8.2):
-// their context-value table has one row per ⟨cp, cs⟩, not per ⟨cn, cp,
-// cs⟩, so [1], [last()] or [position() mod 2 = 0] is decided once per
-// position and size and the verdict reused for every previous context
-// node of the loop. A nil *Verdicts remembers nothing.
+// Verdicts decides a predicate whose relevant context lacks cn (Section
+// 8.2) — [1], [last()], [position() mod 2 = 0] — per ⟨cp, cs⟩, not per
+// ⟨cn, cp, cs⟩: by its rank test, compiled once per step, when it has
+// one, else evaluated once per position and size and the verdict reused
+// for every previous context node of the loop. A nil *Verdicts remembers
+// nothing.
 type Verdicts struct {
+	rank   func(pos, size float64) bool
 	bySize map[int][]verdict // row[cp-1] for context size cs
 }
 
@@ -82,24 +85,97 @@ const (
 func PredVerdicts(preds []xpath.Expr) []*Verdicts {
 	out := make([]*Verdicts, len(preds))
 	for i, p := range preds {
-		if !xpath.RelevantContext(p).Has(xpath.RelevNode) {
+		if xpath.RelevantContext(p).Has(xpath.RelevNode) {
+			continue
+		}
+		if rank, ok := rankTest(p); ok {
+			out[i] = &Verdicts{rank: rank}
+		} else {
 			out[i] = &Verdicts{bySize: map[int][]verdict{}}
 		}
 	}
 	return out
 }
 
-// row returns the verdicts for context size cs, nil for a nil receiver.
-func (v *Verdicts) row(cs int) []verdict {
-	if v == nil {
-		return nil
+// rankTest compiles a predicate built only of position(), last(), number
+// literals, unary minus, + - * div mod, comparisons, and, or, not(),
+// boolean(), true() and false() to a test over ⟨cp, cs⟩ that converts as
+// Table II does and computes with semantics.Arith and CompareNumbers, bit
+// for bit the interpreter's values; ok is false for any other predicate.
+func rankTest(e xpath.Expr) (test func(p, s float64) bool, ok bool) {
+	switch x := e.(type) {
+	case *xpath.Call:
+		switch x.Name {
+		case "true", "false":
+			v := x.Name == "true"
+			return func(_, _ float64) bool { return v }, true
+		case "not":
+			f, ok := rankTest(x.Args[0])
+			return func(p, s float64) bool { return !f(p, s) }, ok
+		case "boolean":
+			return rankTest(x.Args[0])
+		}
+	case *xpath.Binary:
+		op := x.Op
+		switch {
+		case op == xpath.OpAnd || op == xpath.OpOr:
+			l, lok := rankTest(x.Left)
+			r, rok := rankTest(x.Right)
+			if op == xpath.OpOr {
+				return func(p, s float64) bool { return l(p, s) || r(p, s) }, lok && rok
+			}
+			return func(p, s float64) bool { return l(p, s) && r(p, s) }, lok && rok
+		case op.IsRelOp():
+			// = and != with a boolean operand compare booleans; all else
+			// compares numbers (semantics.Compare, scalar × scalar).
+			asBool := (op == xpath.OpEq || op == xpath.OpNeq) &&
+				(x.Left.Type() == xpath.TypeBoolean || x.Right.Type() == xpath.TypeBoolean)
+			l, lok := rankNumber(x.Left, asBool)
+			r, rok := rankNumber(x.Right, asBool)
+			return func(p, s float64) bool { return semantics.CompareNumbers(op, l(p, s), r(p, s)) }, lok && rok
+		}
 	}
-	r, ok := v.bySize[cs]
-	if !ok {
-		r = make([]verdict, cs)
-		v.bySize[cs] = r
+	if e.Type() != xpath.TypeNumber {
+		return nil, false
 	}
-	return r
+	f, ok := rankNumber(e, false)
+	return func(p, s float64) bool { v := f(p, s); return v != 0 && !math.IsNaN(v) }, ok
+}
+
+// rankNumber is rankTest's number half; a boolean (or with asBool any e)
+// is taken as a boolean, 1 or 0.
+func rankNumber(e xpath.Expr, asBool bool) (f func(p, s float64) float64, ok bool) {
+	if asBool || e.Type() == xpath.TypeBoolean {
+		b, ok := rankTest(e)
+		return func(p, s float64) float64 {
+			if b(p, s) {
+				return 1
+			}
+			return 0
+		}, ok
+	}
+	switch x := e.(type) {
+	case *xpath.Number:
+		v := x.Val
+		return func(_, _ float64) float64 { return v }, true
+	case *xpath.Negate:
+		f, ok := rankNumber(x.X, false)
+		return func(p, s float64) float64 { return -f(p, s) }, ok
+	case *xpath.Call:
+		switch x.Name {
+		case "position":
+			return func(p, _ float64) float64 { return p }, true
+		case "last":
+			return func(_, s float64) float64 { return s }, true
+		}
+	case *xpath.Binary:
+		if op := x.Op; op.IsArith() {
+			l, lok := rankNumber(x.Left, false)
+			r, rok := rankNumber(x.Right, false)
+			return func(p, s float64) float64 { return semantics.Arith(op, l(p, s), r(p, s)) }, lok && rok
+		}
+	}
+	return nil, false
 }
 
 // PairLoop is what the loop over pairs ⟨x, z⟩ of one location step
@@ -188,19 +264,35 @@ func (l *PairLoop) RankedCandidates(x xmltree.NodeID, buf xmltree.NodeSet) (xmlt
 // axes — with the list's length as context size. Survivors are appended
 // to dst in document order; dst = z[:0] filters in place when the caller
 // owns z. With seen non-nil the predicate does not read the context
-// node: a ⟨cp, cs⟩ it has been decided at is not evaluated again.
+// node: its rank test decides it, or a ⟨cp, cs⟩ it has been decided at
+// is not evaluated again.
 func FilterPositions(a axes.Axis, pred xpath.Expr, z, dst xmltree.NodeSet, eval PredEval, seen *Verdicts) (xmltree.NodeSet, error) {
 	size, reverse := len(z), a.IsReverse()
 	if size == 0 {
 		return dst, nil
 	}
-	row := seen.row(size)
+	var rank func(p, s float64) bool
+	var row []verdict
+	if seen != nil {
+		if rank = seen.rank; rank == nil {
+			if row = seen.bySize[size]; row == nil {
+				row = make([]verdict, size)
+				seen.bySize[size] = row
+			}
+		}
+	}
 	for j, zn := range z {
 		pos := j + 1
 		if reverse {
 			pos = size - j
 		}
-		if row != nil && row[pos-1] != undecided {
+		switch {
+		case rank != nil:
+			if rank(float64(pos), float64(size)) {
+				dst = append(dst, zn)
+			}
+			continue
+		case row != nil && row[pos-1] != undecided:
 			if row[pos-1] == holds {
 				dst = append(dst, zn)
 			}

@@ -81,9 +81,9 @@
 // step costs O(|X ∩ χ⁻¹(Y)| + Σ candidates), not O(|X|·|result|).
 // Inside such a loop a predicate whose Relev lacks cn — [1], [last()],
 // [position() mod 2 = 0] — has one table row per ⟨cp, cs⟩, not per ⟨cn,
-// cp, cs⟩ (Section 8.2 again), and is evaluated once per position and
-// size however many previous context nodes share them
-// (evalutil.Verdicts).
+// cp, cs⟩ (Section 8.2 again): compiled once per step to a test over ⟨cp,
+// cs⟩ when built of position(), last() and numbers, else evaluated here
+// once per position and size for all previous context nodes (Verdicts).
 //
 // # //name[position() …]
 //
@@ -660,14 +660,6 @@ func (st *Run) apply(e xpath.Expr, c semantics.Context) (semantics.Value, error)
 	case *xpath.Binary:
 		return st.applyBinary(x, c)
 	case *xpath.Call:
-		// position() and last() are read off the context: no argument
-		// slice, no dispatch by name.
-		switch x.Name {
-		case "position":
-			return semantics.Number(float64(c.Pos)), nil
-		case "last":
-			return semantics.Number(float64(c.Size)), nil
-		}
 		return st.applyCall(x, c)
 	default:
 		return semantics.Value{}, fmt.Errorf("mincontext: apply on %T", e)

@@ -91,7 +91,7 @@ func CallFunction(d *xmltree.Document, name string, ctx Context, args []Value) (
 			for n := target; n != xmltree.NilNode; n = d.Parent(n) {
 				for c := d.FirstChild(n); c != xmltree.NilNode; c = d.NextSibling(c) {
 					if d.Type(c) == xmltree.Namespace && d.Name(c) == prefix {
-						return String(d.Node(c).Data), nil
+						return String(d.Data(c)), nil
 					}
 				}
 			}

@@ -141,6 +141,41 @@ func TestArith(t *testing.T) {
 	}
 }
 
+// TestModMatchesMathMod: mod's integer path gives math.Mod's result bit
+// for bit — sign of the dividend, −0 included — and everything else is
+// math.Mod's own: ±0, NaN, ±Inf, fractions, and both sides of 2⁵³.
+func TestModMatchesMathMod(t *testing.T) {
+	const p53 = 1 << 53
+	vals := []float64{0, math.Copysign(0, -1), 1, 2, 3, 7, 10, 40, 1e15, p53 - 2, p53 - 1, p53, p53 + 2, 1e300,
+		0.5, 1.5, 2.25, 1e-300, math.SmallestNonzeroFloat64, math.MaxFloat64, math.NaN(), math.Inf(1)}
+	for _, v := range append([]float64(nil), vals...) {
+		vals = append(vals, -v)
+	}
+	check := func(a, b float64) bool {
+		got, want := Arith(xpath.OpMod, a, b), math.Mod(a, b)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Errorf("%v mod %v = %v (bits %x), math.Mod gives %v (bits %x)", a, b, got, math.Float64bits(got), want, math.Float64bits(want))
+			return false
+		}
+		return true
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			check(a, b)
+		}
+	}
+	for a := -50.0; a <= 50; a++ {
+		for b := -12.0; b <= 12; b++ {
+			check(a, b)
+		}
+	}
+	if err := quick.Check(func(a, b int64, fa, fb float64) bool {
+		return check(float64(a>>(a&63)), float64(b>>(b&31))) && check(fa, fb) && check(float64(a>>10), fb)
+	}, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestCompareScalars(t *testing.T) {
 	type tc struct {
 		op     xpath.BinOp

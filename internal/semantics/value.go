@@ -204,13 +204,31 @@ func Arith(op xpath.BinOp, a, b float64) float64 {
 	case xpath.OpDiv:
 		return a / b
 	case xpath.OpMod:
-		return math.Mod(a, b)
+		return mod(a, b)
 	default:
 		panic("semantics: not an arithmetic operator: " + op.String())
 	}
 }
 
-func cmpNum(op xpath.BinOp, a, b float64) bool {
+// mod is math.Mod(a, b) bit for bit; integers below 2⁵³, as in [position()
+// mod 2 = 0], skip its frexp loop for the machine remainder, which has the
+// dividend's sign too, a zero remainder of a negative dividend made −0.
+func mod(a, b float64) float64 {
+	const exact = 1 << 53
+	if math.Abs(a) < exact && math.Abs(b) < exact {
+		ia, ib := int64(a), int64(b)
+		if float64(ia) == a && float64(ib) == b && ib != 0 {
+			if r := ia % ib; r != 0 || !math.Signbit(a) {
+				return float64(r)
+			}
+			return math.Copysign(0, -1)
+		}
+	}
+	return math.Mod(a, b)
+}
+
+// CompareNumbers is F[[RelOp: num×num]], where Compare ends up.
+func CompareNumbers(op xpath.BinOp, a, b float64) bool {
 	switch op {
 	case xpath.OpEq:
 		return a == b
@@ -238,7 +256,7 @@ func cmpStr(op xpath.BinOp, a, b string) bool {
 	default:
 		// GtOp on strings compares their numeric values (XPath 1.0
 		// §3.4; Table II routes GtOp through F[[number]]).
-		return cmpNum(op, StringToNumber(a), StringToNumber(b))
+		return CompareNumbers(op, StringToNumber(a), StringToNumber(b))
 	}
 }
 
@@ -293,7 +311,7 @@ func Compare(d *xmltree.Document, op xpath.BinOp, v1, v2 Value) bool {
 		switch v2.Kind {
 		case xpath.TypeNumber:
 			for _, a := range v1.Set {
-				if cmpNum(op, StringToNumber(d.StringValue(a)), v2.Num) {
+				if CompareNumbers(op, StringToNumber(d.StringValue(a)), v2.Num) {
 					return true
 				}
 			}
@@ -317,12 +335,12 @@ func Compare(d *xmltree.Document, op xpath.BinOp, v1, v2 Value) bool {
 		case v1.Kind == xpath.TypeBoolean || v2.Kind == xpath.TypeBoolean:
 			return cmpBool(op, ToBoolean(v1), ToBoolean(v2))
 		case v1.Kind == xpath.TypeNumber || v2.Kind == xpath.TypeNumber:
-			return cmpNum(op, ToNumber(d, v1), ToNumber(d, v2))
+			return CompareNumbers(op, ToNumber(d, v1), ToNumber(d, v2))
 		default:
 			return cmpStr(op, v1.Str, v2.Str)
 		}
 	}
-	return cmpNum(op, ToNumber(d, v1), ToNumber(d, v2))
+	return CompareNumbers(op, ToNumber(d, v1), ToNumber(d, v2))
 }
 
 func cmpBool(op xpath.BinOp, a, b bool) bool {
@@ -332,5 +350,5 @@ func cmpBool(op xpath.BinOp, a, b bool) bool {
 		}
 		return 0
 	}
-	return cmpNum(op, n(a), n(b))
+	return CompareNumbers(op, n(a), n(b))
 }

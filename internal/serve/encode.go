@@ -236,13 +236,13 @@ func appendValue(dst []byte, d *core.Document, v *core.Value) []byte {
 			} else {
 				dst = append(dst, ',')
 			}
-			node := d.Node(id)
+			t, name := d.Type(id), d.Name(id)
 			dst = append(dst, `{"type":"`...)
-			dst = append(dst, node.Type.String()...)
+			dst = append(dst, t.String()...)
 			dst = append(dst, '"')
-			if node.Type.HasName() && node.Name != "" {
+			if t.HasName() && name != "" {
 				dst = append(dst, `,"name":`...)
-				dst = AppendJSONString(dst, node.Name)
+				dst = AppendJSONString(dst, name)
 			}
 			dst = append(dst, `,"value":`...)
 			dst, truncated = appendStringValue(dst, d, id)

@@ -198,11 +198,10 @@ func renderValue(d *core.Document, v core.Value) *ValueJSON {
 			if i == maxNodesInResponse {
 				break
 			}
-			node := d.Node(id)
-			nj := NodeJSON{Type: node.Type.String()}
+			nj := NodeJSON{Type: d.Type(id).String()}
 			nj.Value, nj.Truncated = clip(d.StringValue(id))
-			if node.Type.HasName() {
-				nj.Name = node.Name
+			if d.Type(id).HasName() {
+				nj.Name = d.Name(id)
 			}
 			out.Nodes = append(out.Nodes, nj)
 		}

@@ -13,7 +13,11 @@ import (
 // placed directly after their element, namespaces first — matching the
 // XPath 1.0 document-order rules).
 type Document struct {
-	nodes []Node
+	// The node arena, one column per field (package comment, "How the
+	// arena is stored"); an absent link is NilNode.
+	types                                        []NodeType
+	parent, firstChild, nextSibling, prevSibling []NodeID
+	names, data                                  []string
 
 	// ids maps an ID value to the element node carrying it, supporting
 	// the deref_ids function of Section 4: the first element in
@@ -26,17 +30,11 @@ type Document struct {
 	idsOnce sync.Once
 	ids     map[string]NodeID
 
-	// ref is the auxiliary relation of Theorem 10.7: ref contains ⟨x,y⟩
-	// iff the text *directly* inside x (not in descendants) contains a
-	// whitespace-separated token equal to the ID of y. Stored as a
-	// forward adjacency list plus its inverse, built on first use under
-	// the same contract as the index below: at most once, never seen
-	// half built. Only id() evaluation reads it (axes.EvalID and
-	// EvalIDInverse), so a document nobody asks id() of never pays the
-	// pass over its text.
-	refOnce sync.Once
-	ref     map[NodeID][]NodeID
-	refInv  map[NodeID][]NodeID
+	// ref is the relation of Theorem 10.7 and refInv its inverse, built
+	// (buildRef) on first use under the contract of the index below: a
+	// document nobody asks id() of never pays the pass over its text.
+	refOnce     sync.Once
+	ref, refInv csr
 
 	// strval memoizes strval for element and root nodes, which is the
 	// concatenation of descendant text (Section 4). Every engine and
@@ -54,61 +52,57 @@ type Document struct {
 }
 
 // Len returns |dom|, the number of nodes in the document.
-func (d *Document) Len() int { return len(d.nodes) }
+func (d *Document) Len() int { return len(d.types) }
 
 // RootID returns the NodeID of the root node (always 0).
 func (d *Document) RootID() NodeID { return 0 }
 
-// Node returns the node with the given ID. The returned pointer aliases
-// the document's arena and must not be mutated.
-func (d *Document) Node(id NodeID) *Node { return &d.nodes[id] }
-
 // Type returns the node type of id.
-func (d *Document) Type(id NodeID) NodeType { return d.nodes[id].Type }
+func (d *Document) Type(id NodeID) NodeType { return d.types[id] }
+
+// IsAttrOrNS reports whether id is an attribute or a namespace node, the
+// two types that ordinary axes filter out (Section 4).
+func (d *Document) IsAttrOrNS(id NodeID) bool {
+	return d.types[id] == Attribute || d.types[id] == Namespace
+}
 
 // Name returns the node name of id.
-func (d *Document) Name(id NodeID) string { return d.nodes[id].Name }
+func (d *Document) Name(id NodeID) string { return d.names[id] }
+
+// Data returns the character data of id, "" for an element or the root.
+func (d *Document) Data(id NodeID) string { return d.data[id] }
 
 // FirstChild implements the primitive function firstchild: dom → dom.
-func (d *Document) FirstChild(id NodeID) NodeID { return d.nodes[id].FirstChild }
+func (d *Document) FirstChild(id NodeID) NodeID { return d.firstChild[id] }
 
 // NextSibling implements the primitive function nextsibling: dom → dom.
-func (d *Document) NextSibling(id NodeID) NodeID { return d.nodes[id].NextSibling }
+func (d *Document) NextSibling(id NodeID) NodeID { return d.nextSibling[id] }
 
 // PrevSibling implements nextsibling⁻¹.
-func (d *Document) PrevSibling(id NodeID) NodeID { return d.nodes[id].PrevSibling }
+func (d *Document) PrevSibling(id NodeID) NodeID { return d.prevSibling[id] }
 
 // Parent returns the parent node, or NilNode for the root. Note that in
 // the abstract model parent = (nextsibling⁻¹)*.firstchild⁻¹; the arena
 // stores it directly.
-func (d *Document) Parent(id NodeID) NodeID { return d.nodes[id].Parent }
+func (d *Document) Parent(id NodeID) NodeID { return d.parent[id] }
 
 // FirstChildInv implements firstchild⁻¹: it returns the parent of id iff
 // id is its parent's first child, and NilNode otherwise.
 func (d *Document) FirstChildInv(id NodeID) NodeID {
-	p := d.nodes[id].Parent
-	if p != NilNode && d.nodes[p].FirstChild == id {
+	p := d.parent[id]
+	if p != NilNode && d.firstChild[p] == id {
 		return p
 	}
 	return NilNode
 }
-
-// Before reports whether a precedes b in document order (a <doc b).
-func (d *Document) Before(a, b NodeID) bool { return a < b }
 
 // StringValue computes strval (Section 4): for element and root nodes the
 // concatenation of all descendant text nodes in document order; for text,
 // comment and processing-instruction nodes their character data; for
 // attribute and namespace nodes their value.
 func (d *Document) StringValue(id NodeID) string {
-	n := &d.nodes[id]
-	switch n.Type {
-	case Text, Comment:
-		return n.Data
-	case ProcInst:
-		return n.Data
-	case Attribute, Namespace:
-		return n.Data
+	if t := d.types[id]; t != Element && t != Root {
+		return d.data[id]
 	}
 	// Element or root: memoized concatenation of descendant text.
 	if p := d.strval[id].Load(); p != nil {
@@ -128,9 +122,8 @@ func (d *Document) StringValue(id NodeID) string {
 // string of its own first. It neither fills nor needs the memo, but an
 // element value some evaluator already memoized arrives as one piece.
 func (d *Document) StringValueChunks(id NodeID, yield func(string) bool) {
-	n := &d.nodes[id]
-	if n.Type != Element && n.Type != Root {
-		yield(n.Data)
+	if t := d.types[id]; t != Element && t != Root {
+		yield(d.data[id])
 		return
 	}
 	if p := d.strval[id].Load(); p != nil {
@@ -144,10 +137,10 @@ func (d *Document) StringValueChunks(id NodeID, yield func(string) bool) {
 // order — the one walk behind StringValue and StringValueChunks — and
 // reports false once yield has asked to stop.
 func (d *Document) yieldText(id NodeID, yield func(string) bool) bool {
-	for c := d.nodes[id].FirstChild; c != NilNode; c = d.nodes[c].NextSibling {
-		switch d.nodes[c].Type {
+	for c := d.firstChild[id]; c != NilNode; c = d.nextSibling[c] {
+		switch d.types[c] {
 		case Text:
-			if !yield(d.nodes[c].Data) {
+			if !yield(d.data[c]) {
 				return false
 			}
 		case Element:
@@ -163,9 +156,9 @@ func (d *Document) yieldText(id NodeID, yield func(string) bool) bool {
 // descendants). Used to build the ref relation of Theorem 10.7.
 func (d *Document) DirectText(id NodeID) string {
 	var b strings.Builder
-	for c := d.nodes[id].FirstChild; c != NilNode; c = d.nodes[c].NextSibling {
-		if d.nodes[c].Type == Text {
-			b.WriteString(d.nodes[c].Data)
+	for c := d.firstChild[id]; c != NilNode; c = d.nextSibling[c] {
+		if d.types[c] == Text {
+			b.WriteString(d.data[c])
 		}
 	}
 	return b.String()
@@ -201,50 +194,41 @@ func (d *Document) IDOf(key string) NodeID {
 func (d *Document) idTable() map[string]NodeID {
 	d.idsOnce.Do(func() {
 		d.ids = map[string]NodeID{}
-		for i := range d.nodes {
-			n := &d.nodes[i]
-			if n.Type != Attribute || !d.idAttrs[n.Name] {
+		for i := 0; i < d.Len(); i++ {
+			if d.types[i] != Attribute || !d.idAttrs[d.names[i]] {
 				continue
 			}
-			if _, dup := d.ids[n.Data]; !dup {
-				d.ids[n.Data] = n.Parent
+			if _, dup := d.ids[d.data[i]]; !dup {
+				d.ids[d.data[i]] = d.parent[i]
 			}
 		}
 	})
 	return d.ids
 }
 
-// Ref returns the nodes referenced from x via the ref relation
-// (Theorem 10.7): nodes whose ID appears as a whitespace-separated token
-// in the text directly inside x.
-func (d *Document) Ref(x NodeID) []NodeID {
+// Ref returns row x of the ref relation (Theorem 10.7, buildRef): the
+// elements whose ID appears as a whitespace-separated token in the text
+// directly inside x — or, x not being an element or the root, in x's
+// own character data — in document order. The row is shared and must
+// not be written.
+func (d *Document) Ref(x NodeID) NodeSet {
 	d.refOnce.Do(d.buildRef)
-	return d.ref[x]
+	return d.ref.row(x)
 }
 
-// RefInv returns the nodes that reference y via the ref relation.
-func (d *Document) RefInv(y NodeID) []NodeID {
+// RefInv returns the nodes that reference y via the ref relation, in
+// document order. The row is shared and must not be written.
+func (d *Document) RefInv(y NodeID) NodeSet {
 	d.refOnce.Do(d.buildRef)
-	return d.refInv[y]
-}
-
-// Attributes returns the attribute nodes of an element in document order.
-func (d *Document) Attributes(id NodeID) []NodeID {
-	var out []NodeID
-	for c := d.nodes[id].FirstChild; c != NilNode; c = d.nodes[c].NextSibling {
-		if d.nodes[c].Type == Attribute {
-			out = append(out, c)
-		}
-	}
-	return out
+	return d.refInv.row(y)
 }
 
 // Attr returns the value of the named attribute of element id and whether
 // it is present.
 func (d *Document) Attr(id NodeID, name string) (string, bool) {
-	for c := d.nodes[id].FirstChild; c != NilNode; c = d.nodes[c].NextSibling {
-		if d.nodes[c].Type == Attribute && d.nodes[c].Name == name {
-			return d.nodes[c].Data, true
+	for c := d.firstChild[id]; c != NilNode; c = d.nextSibling[c] {
+		if d.types[c] == Attribute && d.names[c] == name {
+			return d.data[c], true
 		}
 	}
 	return "", false
@@ -254,8 +238,8 @@ func (d *Document) Attr(id NodeID, name string) (string, bool) {
 // id in document order.
 func (d *Document) Children(id NodeID) []NodeID {
 	var out []NodeID
-	for c := d.nodes[id].FirstChild; c != NilNode; c = d.nodes[c].NextSibling {
-		if !d.nodes[c].IsAttrOrNS() {
+	for c := d.firstChild[id]; c != NilNode; c = d.nextSibling[c] {
+		if !d.IsAttrOrNS(c) {
 			out = append(out, c)
 		}
 	}
@@ -265,8 +249,8 @@ func (d *Document) Children(id NodeID) []NodeID {
 // DocumentElement returns the document element (the single element child
 // of the root), or NilNode for a pathological empty document.
 func (d *Document) DocumentElement() NodeID {
-	for c := d.nodes[0].FirstChild; c != NilNode; c = d.nodes[c].NextSibling {
-		if d.nodes[c].Type == Element {
+	for c := d.firstChild[0]; c != NilNode; c = d.nextSibling[c] {
+		if d.types[c] == Element {
 			return c
 		}
 	}
@@ -276,8 +260,8 @@ func (d *Document) DocumentElement() NodeID {
 // Lang returns the value of the nearest xml:lang attribute on id or an
 // ancestor, supporting the lang() core function.
 func (d *Document) Lang(id NodeID) string {
-	for n := id; n != NilNode; n = d.nodes[n].Parent {
-		if d.nodes[n].Type != Element {
+	for n := id; n != NilNode; n = d.parent[n] {
+		if d.types[n] != Element {
 			continue
 		}
 		if v, ok := d.Attr(n, "xml:lang"); ok {
@@ -293,10 +277,10 @@ func (d *Document) Lang(id NodeID) string {
 func (d *Document) Names() []string {
 	seen := map[string]bool{}
 	var out []string
-	for i := range d.nodes {
-		if d.nodes[i].Type == Element && !seen[d.nodes[i].Name] {
-			seen[d.nodes[i].Name] = true
-			out = append(out, d.nodes[i].Name)
+	for i := 0; i < d.Len(); i++ {
+		if d.types[i] == Element && !seen[d.names[i]] {
+			seen[d.names[i]] = true
+			out = append(out, d.names[i])
 		}
 	}
 	sort.Strings(out)

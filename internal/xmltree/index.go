@@ -53,16 +53,16 @@ func (d *Document) Index() *Index {
 }
 
 func buildIndex(d *Document) *Index {
-	n := len(d.nodes)
+	n := d.Len()
 	idx := &Index{d: d, subtreeEnd: make([]NodeID, n), byName: map[string]NodeSet{},
 		contentBefore: make([]int32, n+1)}
 	for i := 0; i < n; i++ {
 		idx.subtreeEnd[i] = NodeID(i + 1)
-		if d.nodes[i].Type == Element {
-			idx.byName[d.nodes[i].Name] = append(idx.byName[d.nodes[i].Name], NodeID(i))
+		if d.types[i] == Element {
+			idx.byName[d.names[i]] = append(idx.byName[d.names[i]], NodeID(i))
 		}
 		idx.contentBefore[i+1] = idx.contentBefore[i]
-		if !d.nodes[i].IsAttrOrNS() {
+		if !d.IsAttrOrNS(NodeID(i)) {
 			idx.contentBefore[i+1]++
 		}
 	}
@@ -70,7 +70,7 @@ func buildIndex(d *Document) *Index {
 	// descendants have been folded into subtreeEnd[i], which then folds
 	// into its parent.
 	for i := n - 1; i >= 1; i-- {
-		p := d.nodes[i].Parent
+		p := d.parent[i]
 		if idx.subtreeEnd[i] > idx.subtreeEnd[p] {
 			idx.subtreeEnd[p] = idx.subtreeEnd[i]
 		}

@@ -12,7 +12,7 @@ func TestContentCount(t *testing.T) {
 		for hi := lo; hi <= d.Len(); hi++ {
 			want := 0
 			for i := lo; i < hi; i++ {
-				if !d.Node(NodeID(i)).IsAttrOrNS() {
+				if !d.IsAttrOrNS(NodeID(i)) {
 					want++
 				}
 			}

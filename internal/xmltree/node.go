@@ -8,17 +8,34 @@
 //
 //	firstchild, nextsibling : dom → dom
 //
-// and their inverses (firstchild⁻¹ is recovered from Parent+PrevSibling).
+// and their inverses (firstchild⁻¹ is recovered from parent+prevsibling).
 // Every node is one of seven types: root, element, text, comment, attribute,
 // namespace, and processing instruction. Following Section 4, attribute and
 // namespace nodes are modeled as abstract children of their element: the
 // attribute axis is child₀(S) ∩ T(attribute()), and all ordinary axes filter
 // attribute and namespace nodes out of their results.
 //
+// # How the arena is stored
+//
+// The arena is one column per node field, indexed by NodeID: the type,
+// the links parent, firstchild, nextsibling and prevsibling, the name and
+// the character data — 49 bytes a node, each field stored once, so an
+// axis kernel asking parent(y) reads 4 bytes, not a 56-byte struct.
+// Names are not interned; they alias the source (below). The Builder
+// appends to every column once per node, presized by the parser.
+//
+// A Document is immutable once built, but for what is filled lazily and
+// safely for concurrent readers: the string-value memo of element and
+// root nodes (lock-free: racing readers compute the same string, one
+// atomic store wins) and, under a sync.Once each, the Index, the ID
+// table and the ref relation of Theorem 10.7 — two CSR arrays with
+// sorted rows (row x is to[off[x]:off[x+1]]), forward and inverse, which
+// id() and its inverse read as slices with no map probe and no sort.
+//
 // # Strings alias the source
 //
 // Parse reads its input into one string, ParseString is handed one, and
-// every Node.Name and Node.Data the source spells as it is — no entity
+// every Name and Data the source spells as it is — no entity
 // or character reference, no carriage return — is a substring of that
 // string, not a copy: a parse allocates the arena, not a string per
 // node. The consequence is the retention rule: a Document is kept or
@@ -86,32 +103,4 @@ func (t NodeType) HasName() bool {
 	default:
 		return false
 	}
-}
-
-// Node is one tree node. The four link fields realize the primitive
-// relations firstchild and nextsibling and their inverses. A zero link is
-// meaningless; absent links are NilNode.
-type Node struct {
-	// Type is the node's XPath node type.
-	Type NodeType
-	// Name is the node name: tag for elements, attribute name for
-	// attributes, prefix for namespace nodes, target for processing
-	// instructions. Empty for root, text and comment nodes.
-	Name string
-	// Data holds character content: text for text/comment nodes, the
-	// value for attribute nodes, the URI for namespace nodes, and the
-	// instruction body for processing instructions.
-	Data string
-
-	// Parent, FirstChild, NextSibling and PrevSibling encode the tree.
-	// In the abstract model attribute and namespace nodes are children:
-	// they appear on the sibling chain of their element's children,
-	// namespace nodes first, then attributes, then regular content.
-	Parent, FirstChild, NextSibling, PrevSibling NodeID
-}
-
-// IsAttrOrNS reports whether the node is of type attribute or namespace,
-// the two types that ordinary axes must filter out (Section 4).
-func (n *Node) IsAttrOrNS() bool {
-	return n.Type == Attribute || n.Type == Namespace
 }

@@ -103,17 +103,16 @@ const (
 )
 
 func parse(src string, opts ParseOptions) (*Document, error) {
-	b := NewBuilder()
+	// Every node but an attribute or a namespace costs the source a '<'
+	// (an element two, which pays for its text child), so this seldom
+	// falls short and never overshoots by much.
+	b := newBuilder(strings.Count(src, "<") + 1)
 	if opts.IDAttributes != nil {
 		b.IDAttributes = map[string]bool{}
 		for _, a := range opts.IDAttributes {
 			b.IDAttributes[a] = true
 		}
 	}
-	// Every node but an attribute or a namespace costs the source a '<'
-	// (an element two, which pays for its text child), so this seldom
-	// falls short and never overshoots by much.
-	b.doc.nodes = append(make([]Node, 0, strings.Count(src, "<")+1), b.doc.nodes...)
 	s := &scanner{src: src, b: b, opts: opts}
 	if err := s.run(); err != nil {
 		return nil, err
@@ -547,7 +546,7 @@ func (s *scanner) endTag() error {
 		return s.errorf(s.pos, "unexpected </%s>", src[i:end])
 	}
 	// The tag nearly always names the open element: compare in place.
-	open := s.b.doc.nodes[s.b.stack[len(s.b.stack)-1]].Name
+	open := s.b.doc.names[s.b.stack[len(s.b.stack)-1]]
 	end := i + len(open)
 	if !strings.HasPrefix(src[i:], open) || end == len(src) || nameBytes[src[end]] || src[end] >= utf8.RuneSelf {
 		var err error

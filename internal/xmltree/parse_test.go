@@ -12,20 +12,31 @@ import (
 )
 
 // arenaDiff describes the first difference between two documents' node
-// arenas, "" when they are node for node identical.
+// arenas, "" when they are column for column identical.
 func arenaDiff(a, b *Document) string {
 	if a.Len() != b.Len() {
 		return fmt.Sprintf("%d nodes vs %d", a.Len(), b.Len())
 	}
 	for i := 0; i < a.Len(); i++ {
-		if n, m := a.Node(NodeID(i)), b.Node(NodeID(i)); *n != *m {
-			return fmt.Sprintf("node %d: %+v vs %+v", i, *n, *m)
+		if n, m := nodeFields(a, NodeID(i)), nodeFields(b, NodeID(i)); n != m {
+			return fmt.Sprintf("node %d: %+v vs %+v", i, n, m)
 		}
 	}
 	if !reflect.DeepEqual(a.idTable(), b.idTable()) {
 		return fmt.Sprintf("ID tables %v vs %v", a.idTable(), b.idTable())
 	}
 	return ""
+}
+
+// fields is one node's entry in every column of the arena.
+type fields struct {
+	Type                                         NodeType
+	Name, Data                                   string
+	Parent, FirstChild, NextSibling, PrevSibling NodeID
+}
+
+func nodeFields(d *Document, id NodeID) fields {
+	return fields{d.Type(id), d.Name(id), d.Data(id), d.Parent(id), d.FirstChild(id), d.NextSibling(id), d.PrevSibling(id)}
 }
 
 // parseSeeds are documents and non-documents covering every branch of
@@ -279,7 +290,7 @@ func knownDisagreement(src string, err, refErr error) string {
 // second parse, "" when it must.
 func unserializable(d *Document) string {
 	for i := 0; i < d.Len(); i++ {
-		if n := d.Node(NodeID(i)); n.Type != Comment && n.Type != ProcInst && strings.Contains(n.Data, "\r") {
+		if t := d.Type(NodeID(i)); t != Comment && t != ProcInst && strings.Contains(d.Data(NodeID(i)), "\r") {
 			return "a carriage return (from &#13;) is written raw and read back as a line feed"
 		}
 	}
@@ -366,7 +377,7 @@ func TestTextNodesMerge(t *testing.T) {
 		var texts []string
 		for _, id := range d.Children(d.DocumentElement()) {
 			if d.Type(id) == Text {
-				texts = append(texts, d.Node(id).Data)
+				texts = append(texts, d.Data(id))
 			}
 		}
 		if fmt.Sprint(texts) != fmt.Sprint(c.texts) {
@@ -425,12 +436,12 @@ func TestParseAliasesSource(t *testing.T) {
 	}
 	var copied []string
 	for i := 0; i < d.Len(); i++ {
-		n := d.Node(NodeID(i))
-		if !inside(n.Name) {
-			t.Errorf("node %d: name %q is not a piece of the source", i, n.Name)
+		name, data := d.Name(NodeID(i)), d.Data(NodeID(i))
+		if !inside(name) {
+			t.Errorf("node %d: name %q is not a piece of the source", i, name)
 		}
-		if !inside(n.Data) {
-			copied = append(copied, n.Data)
+		if !inside(data) {
+			copied = append(copied, data)
 		}
 	}
 	if fmt.Sprint(copied) != fmt.Sprint([]string{"a&b", "x<y"}) {
@@ -504,10 +515,11 @@ func TestIDTableBuiltOnceOnFirstUse(t *testing.T) {
 
 // TestRefBuiltOnceOnFirstUse: the ref relation is built lazily, once,
 // however many evaluations ask for it first at the same time (run under
-// -race), and holds what the eager build held.
+// -race), and holds what the eager build held for elements; an
+// attribute or a text node references what its own data names.
 func TestRefBuiltOnceOnFirstUse(t *testing.T) {
 	d := MustParseString(`<r><a id="1">2 3 2</a><b id="2">1</b><c id="3">nobody 1</c>4</r>`)
-	if d.ref != nil {
+	if d.ref.off != nil {
 		t.Fatal("ref relation built at parse time")
 	}
 	a, b, c := d.IDOf("1"), d.IDOf("2"), d.IDOf("3")
@@ -520,8 +532,8 @@ func TestRefBuiltOnceOnFirstUse(t *testing.T) {
 				if got := fmt.Sprint(d.Ref(a)); got != fmt.Sprint([]NodeID{b, c}) {
 					t.Errorf("Ref(a) = %s, want [%d %d] (each target once)", got, b, c)
 				}
-			} else if got := fmt.Sprint(d.RefInv(a)); got != fmt.Sprint([]NodeID{b, c}) {
-				t.Errorf("RefInv(a) = %s, want [%d %d]", got, b, c)
+			} else if got, want := fmt.Sprint(d.RefInv(a)), fmt.Sprint([]NodeID{a + 1, b, b + 2, c, c + 2}); got != want {
+				t.Errorf("RefInv(a) = %s, want %s: a's id attribute, b and its text, c and its text", got, want)
 			}
 		}(g)
 	}

@@ -83,7 +83,7 @@ func TestSerializeParseRoundTrip(t *testing.T) {
 			return false
 		}
 		for i := 0; i < d.Len(); i++ {
-			n1, n2 := d.Node(NodeID(i)), d2.Node(NodeID(i))
+			n1, n2 := nodeFields(d, NodeID(i)), nodeFields(d2, NodeID(i))
 			if n1.Type != n2.Type || n1.Name != n2.Name || n1.Data != n2.Data ||
 				n1.Parent != n2.Parent || n1.FirstChild != n2.FirstChild ||
 				n1.NextSibling != n2.NextSibling {

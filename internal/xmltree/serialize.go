@@ -10,7 +10,7 @@ import (
 // for debugging and for materializing synthetic workloads on disk.
 func (d *Document) WriteXML(w io.Writer) error {
 	sw := &stickyWriter{w: w}
-	for c := d.nodes[0].FirstChild; c != NilNode; c = d.nodes[c].NextSibling {
+	for c := d.firstChild[0]; c != NilNode; c = d.nextSibling[c] {
 		d.writeNode(sw, c)
 	}
 	return sw.err
@@ -35,28 +35,27 @@ func (s *stickyWriter) str(v string) {
 }
 
 func (d *Document) writeNode(w *stickyWriter, id NodeID) {
-	n := &d.nodes[id]
-	switch n.Type {
+	switch d.types[id] {
 	case Element:
 		w.str("<")
-		w.str(n.Name)
+		w.str(d.names[id])
 		hasContent := false
-		for c := n.FirstChild; c != NilNode; c = d.nodes[c].NextSibling {
-			switch d.nodes[c].Type {
+		for c := d.firstChild[id]; c != NilNode; c = d.nextSibling[c] {
+			switch d.types[c] {
 			case Attribute:
 				w.str(" ")
-				w.str(d.nodes[c].Name)
+				w.str(d.names[c])
 				w.str(`="`)
-				w.str(escapeAttr(d.nodes[c].Data))
+				w.str(escapeAttr(d.data[c]))
 				w.str(`"`)
 			case Namespace:
 				w.str(" xmlns")
-				if d.nodes[c].Name != "" {
+				if d.names[c] != "" {
 					w.str(":")
-					w.str(d.nodes[c].Name)
+					w.str(d.names[c])
 				}
 				w.str(`="`)
-				w.str(escapeAttr(d.nodes[c].Data))
+				w.str(escapeAttr(d.data[c]))
 				w.str(`"`)
 			default:
 				hasContent = true
@@ -67,26 +66,26 @@ func (d *Document) writeNode(w *stickyWriter, id NodeID) {
 			return
 		}
 		w.str(">")
-		for c := n.FirstChild; c != NilNode; c = d.nodes[c].NextSibling {
-			if !d.nodes[c].IsAttrOrNS() {
+		for c := d.firstChild[id]; c != NilNode; c = d.nextSibling[c] {
+			if !d.IsAttrOrNS(c) {
 				d.writeNode(w, c)
 			}
 		}
 		w.str("</")
-		w.str(n.Name)
+		w.str(d.names[id])
 		w.str(">")
 	case Text:
-		w.str(escapeText(n.Data))
+		w.str(escapeText(d.data[id]))
 	case Comment:
 		w.str("<!--")
-		w.str(n.Data)
+		w.str(d.data[id])
 		w.str("-->")
 	case ProcInst:
 		w.str("<?")
-		w.str(n.Name)
-		if n.Data != "" {
+		w.str(d.names[id])
+		if d.data[id] != "" {
 			w.str(" ")
-			w.str(n.Data)
+			w.str(d.data[id])
 		}
 		w.str("?>")
 	}

@@ -238,8 +238,27 @@ func TestRefRelation(t *testing.T) {
 	check(n1, []NodeID{n3})
 	check(n2, []NodeID{n1})
 	check(n3, []NodeID{n1, n2})
-	if got := d.RefInv(n1); len(got) != 2 {
-		t.Errorf("refInv(n1) = %v, want 2 entries", got)
+	// Besides n2 and n3, n1 is referenced by its own id attribute and by
+	// the text nodes " 1 " and " 1 2 ", each of which is its own
+	// string-value (id(@id) is the element carrying it).
+	var elems, others []NodeID
+	for _, x := range d.RefInv(n1) {
+		if d.Type(x) == Element {
+			elems = append(elems, x)
+		} else {
+			others = append(others, x)
+		}
+	}
+	if len(elems) != 2 || elems[0] != n2 || elems[1] != n3 {
+		t.Errorf("refInv(n1) elements = %v, want [%d %d]", elems, n2, n3)
+	}
+	if len(others) != 3 || d.Type(others[0]) != Attribute || d.Type(others[1]) != Text || d.Type(others[2]) != Text {
+		t.Errorf("refInv(n1) others = %v, want n1's id attribute and two text nodes", others)
+	}
+	for _, x := range others {
+		if got := d.Ref(x); len(got) == 0 || got[0] != n1 {
+			t.Errorf("ref(%d) = %v, want %d first", x, got, n1)
+		}
 	}
 }
 
@@ -269,8 +288,8 @@ func TestNamespaceNodes(t *testing.T) {
 		switch d.Type(c) {
 		case Namespace:
 			nsCount++
-			if d.Name(c) != "p" || d.Node(c).Data != "urn:x" {
-				t.Errorf("namespace node = %q %q", d.Name(c), d.Node(c).Data)
+			if d.Name(c) != "p" || d.Data(c) != "urn:x" {
+				t.Errorf("namespace node = %q %q", d.Name(c), d.Data(c))
 			}
 		case Attribute:
 			attrCount++
@@ -323,7 +342,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 		t.Fatalf("round trip node count %d != %d\nout=%s", d.Len(), d2.Len(), out)
 	}
 	for i := 0; i < d.Len(); i++ {
-		n1, n2 := d.Node(NodeID(i)), d2.Node(NodeID(i))
+		n1, n2 := nodeFields(d, NodeID(i)), nodeFields(d2, NodeID(i))
 		if n1.Type != n2.Type || n1.Name != n2.Name || n1.Data != n2.Data {
 			t.Errorf("node %d differs: %+v vs %+v", i, n1, n2)
 		}

@@ -56,17 +56,19 @@ var coreFunctions = map[string]Signature{
 	"last-of-any":   {TypeBoolean, 0, 0},
 }
 
-// LookupFunction returns the signature of a core function.
-func LookupFunction(name string) (Signature, bool) {
-	sig, ok := coreFunctions[name]
-	return sig, ok
-}
-
-// checkCall validates a call's arity against the library.
-func checkCall(name string, nargs int) error {
+// checkCall validates a call's arity against the library and that a
+// node-set parameter gets one (nothing converts to a node set).
+func checkCall(name string, args []Expr) error {
 	sig, ok := coreFunctions[name]
 	if !ok {
 		return fmt.Errorf("unknown function %s()", name)
+	}
+	nargs := len(args)
+	switch name {
+	case "count", "sum", "local-name", "namespace-uri", "name":
+		if nargs == 1 && args[0].Type() != TypeNodeSet {
+			return fmt.Errorf("%s() requires a node-set argument, got %v", name, args[0].Type())
+		}
 	}
 	if nargs < sig.MinArgs {
 		return fmt.Errorf("%s() needs at least %d argument(s), got %d", name, sig.MinArgs, nargs)

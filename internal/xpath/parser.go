@@ -351,7 +351,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err := p.expect(tokRParen, ")"); err != nil {
 			return nil, err
 		}
-		if err := checkCall(name, len(args)); err != nil {
+		if err := checkCall(name, args); err != nil {
 			return nil, p.errorf("%s", err)
 		}
 		return &Call{Name: name, Args: args}, nil

@@ -295,6 +295,11 @@ func TestParseErrors(t *testing.T) {
 		"$",
 		"../..[",
 		"2 | a", // union requires node sets
+		// Nothing converts to a node set: a type error whatever the data.
+		"count(0)",
+		"sum('1')",
+		"name(1 = 1)",
+		"a[count(b)][count(0) * 0]",
 	}
 	for _, q := range bad {
 		if _, err := Parse(q); err == nil {
