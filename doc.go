@@ -25,7 +25,9 @@
 //     (naive, datapool, bottomup, topdown, mincontext, wadler =
 //     optmincontext, xpatterns = the Section 10 set algebra behind the
 //     corexpath and xpatterns strategies; internal/corexpath is tests
-//     only), over internal/evalutil's pair loops and backward walk.
+//     only), over internal/evalutil's pair loops and its two walks over
+//     a location path, forward and backward, each written once with one
+//     judge of a step's predicates per language.
 //   - internal/core — the public engine API: compile a query once,
 //     evaluate it with a selectable strategy; Auto picks the best
 //     algorithm per query from one static table over the fragment
@@ -56,8 +58,7 @@
 //     cmd/xpathrouter is its binary.
 //   - cmd/ — xpathserve and xpathrouter as above; the other tools
 //     (xpathquery, xpathbench, xpathgrep, xpathexplain, xmlgen,
-//     benchjson with its regression-gating diff subcommand) are
-//     one-shot CLIs.
+//     xpathlint, xpathreshard) are one-shot CLIs.
 //
 // The serving stack is layered store → engine → serve → cluster, so
 // each level scales independently: shards within a process, processes

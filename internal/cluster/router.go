@@ -1048,10 +1048,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		groups[slot] = append(groups[slot], gi)
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
+	rc := serve.OpenStream(w)
 	ctx := req.Context()
 
 	var mu sync.Mutex // serializes writes across backend streams
@@ -1062,9 +1059,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 			return // client is gone; backends are being cancelled
 		}
 		w.Write(line)
-		if fl != nil {
-			fl.Flush()
-		}
+		rc.Flush()
 	}
 
 	// In drain mode, jobs the whole new-ring candidate chain reports

@@ -321,11 +321,18 @@ func TestBatchCancelMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
+	start := time.Now()
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	// The stream's headers arrive as it opens, well before the 5 s node
+	// timeout: the evaluations below are still running when they are
+	// cancelled, not ended by the router's peer client giving up.
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("batch headers took %v", waited)
+	}
 
 	// Both backends must be evaluating before we pull the plug.
 	deadline := time.Now().Add(10 * time.Second)
@@ -345,6 +352,36 @@ func TestBatchCancelMidStream(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+}
+
+// TestBatchSlowFirstAnswer: a batch whose first answer takes longer than
+// the node timeout still gets its value through the router. The timeout
+// bounds the wait for a response's headers, and a /batch stream sends
+// them when it opens, not with its first line.
+func TestBatchSlowFirstAnswer(t *testing.T) {
+	b := newBackend(t, store.Config{})
+	node, err := NewNode(b.ts.URL, 100*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := New([]*Node{node}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(router.Handler())
+	t.Cleanup(ts.Close)
+	if _, _, err := b.srv.AddDocument("slow", workload.Doc(8000).XMLString()); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/batch", "application/json", strings.NewReader(`{"doc":"slow","queries":["`+slowQuery+`"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	lines := readNDJSON(t, resp)
+	if len(lines) != 1 || lines[0]["value"] == nil || lines[0]["error"] != nil {
+		t.Fatalf("lines = %v, want the one answer", lines)
 	}
 }
 

@@ -340,9 +340,10 @@ var ErrNotInFragment = errors.New("core: query is not in the strategy's fragment
 // at the same time, the Document is immutable after parsing (its lazily
 // filled string-value memo is a slice of atomic pointers in xmltree),
 // and Query is immutable after compilation but for the rank tests of its
-// predicates, stored once, atomically (xpath.Memo). The exported knobs (NaiveBudget, MaxTableRows) are read
-// on every call and must not be written concurrently with evaluation —
-// set them before sharing the Engine.
+// predicates, stored once, atomically (xpath.Memo). The exported knobs
+// (NaiveBudget, MaxTableRows) are read on every call and must not be
+// written concurrently with evaluation — set them before sharing the
+// Engine.
 type Engine struct {
 	doc      *Document
 	strategy Strategy

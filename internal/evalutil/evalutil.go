@@ -2,7 +2,9 @@
 // candidates ({y | x χ y, y ∈ T(t)}) and their per-axis order, the
 // throttled cancellation checkpoint (cancel.go), the run of one
 // evaluation in its arena (arena.go), the ⟨previous, current⟩ pair loops
-// (pairloop.go) and backward propagation (backward.go).
+// (pairloop.go) and the two walks over a location path, forward and
+// backward propagation, each written once for every language that judges
+// a step's predicates its own way (propagate.go).
 package evalutil
 
 import (

@@ -10,11 +10,11 @@ import (
 )
 
 // Helpers for the loops over ⟨previous, current⟩ context-node pairs that
-// the context-value-table engines (MinContext, OptMinContext) run for
-// predicates depending on position() or last(): which previous context
-// nodes are worth visiting, one node's candidate list without a fresh
-// allocation, and the rank-and-filter pass over it with its verdicts
-// per ⟨position, size⟩. Both packages share this one copy.
+// predicates depending on position() or last() need: which previous
+// context nodes are worth visiting, one node's candidate list without a
+// fresh allocation, and the rank-and-filter pass over it with its
+// verdicts per ⟨position, size⟩. The two propagation kernels
+// (propagate.go) and MinContext's relations are their callers.
 
 // StepCandidatesInto is StepCandidates appending into dst[:0], so a loop
 // over previous context nodes reuses one buffer. For child::name the
@@ -55,6 +55,24 @@ func ContextsReaching(ar *xmltree.Arena, d *xmltree.Document, a axes.Axis, xs, y
 // last().
 func NamedChildParents(ar *xmltree.Arena, d *xmltree.Document, xs xmltree.NodeSet, name string) xmltree.NodeSet {
 	return axes.EvalIn(ar, d, axes.Parent, axes.EvalNamedIn(ar, d, axes.Descendant, xs, name))
+}
+
+// NamedChildAfterDescendants reports whether steps[i] is a
+// descendant-or-self::node() step without predicates followed by a
+// child::name step — //name where xpath.Optimize could not fuse the pair
+// because a predicate of name reads position() or last() — and returns
+// the name. The loops over steps then replace the first step by
+// NamedChildParents.
+func NamedChildAfterDescendants(steps []*xpath.Step, i int) (string, bool) {
+	if i+1 >= len(steps) {
+		return "", false
+	}
+	next := steps[i+1]
+	if !steps[i].IsBare(axes.DescendantOrSelf) || next.Axis != axes.Child ||
+		!ExactElementName(next.Axis, next.Test) {
+		return "", false
+	}
+	return next.Test.Name, true
 }
 
 // PredEval evaluates a predicate at one context ⟨node, position, size⟩;

@@ -1,0 +1,313 @@
+package evalutil
+
+import (
+	"fmt"
+
+	"repro/internal/axes"
+	"repro/internal/xmltree"
+	"repro/internal/xpath"
+)
+
+// Propagation, written once. Section 10.1 evaluates a location path π by
+// two walks: S→ forwards from context nodes, S← backwards from nodes π
+// may end in. MinContext's eval_outermost_locpath (Section 8) is the
+// first, OptMinContext's propagate_path_backwards (Section 11) the
+// second, and XPatterns (Section 10.2, Lemma 10.6) adds id heads to both:
+//
+//	S→[[χ::t[e]/π]](X)  = S→[[π]](judge(χ::t[e], χ(X) ∩ T(t)))
+//	S→[[h/π]](X)        = S→[[π]](head(h, X))
+//	Reach(π, Y)         = {x | S→[[π]]({x}) ∩ Y ≠ ∅}
+//	Reach(χ::t[e]/π, Y) = χ⁻¹(judge(χ::t[e], Reach(π, Y) ∩ T(t)))
+//	Reach(id(π1)/π, Y)  = Reach(π1, id⁻¹(Reach(π, Y)))
+//	Reach(π1 | π2, Y)   = Reach(π1, Y) ∪ Reach(π2, Y)
+//	Exists(π)           = Reach(π, Targets(π))        — S←[[π]], E1[[π]]
+//
+// Only judge and head differ between the languages (StepJudge); the
+// ⟨previous, current⟩ pair loop of a position() or last() predicate is
+// the kernels' own.
+//
+// Contract. A kernel never writes to the set it is given: a step first
+// builds a set of its own — χ(X) ∩ T(t) forwards, a copy of Y ∩ T(t)
+// backwards — which the judge owns and may filter in place. Targets may
+// return a label posting list of the document's index — shared,
+// read-only. An empty Y is empty; no start set is ever implied. A path
+// that does not start at its context node — absolute, or headed by a
+// constant id(…) — reaches Y from every node or from none: that verdict
+// is the everywhere flag, returned with a nil set instead of an
+// enumerated dom. Every document-sized operation bills Cancel.
+
+// StepJudge is what a language brings to the two walks.
+type StepJudge interface {
+	// JudgeStep keeps the members of yt ⊆ T(t), which it owns, at which
+	// the predicates of step hold; none of them reads position() or
+	// last().
+	JudgeStep(step *xpath.Step, yt xmltree.NodeSet) (xmltree.NodeSet, error)
+	// RankStep readies the predicates of a step that reads position() or
+	// last() for the kernel's pair loop, whose candidates are y — all of
+	// them, not only those a walk is after, for positions count among all
+	// — and returns the predicates' evaluator at one ⟨node, position,
+	// size⟩.
+	RankStep(step *xpath.Step, y xmltree.NodeSet) (PredEval, error)
+	// Head evaluates a path's head expression (an id(…) call, or any
+	// filter expression the language admits) at every node of X and
+	// returns the union of its values.
+	Head(head xpath.Expr, x xmltree.NodeSet) (xmltree.NodeSet, error)
+}
+
+// Forward is S→ for one evaluation over one document: four words an
+// evaluation builds where it needs them. What the walk materializes
+// comes from the evaluation's Arena.
+type Forward struct {
+	Doc    *xmltree.Document
+	Arena  *xmltree.Arena
+	Cancel *Canceller
+	Judge  StepJudge
+}
+
+// Image computes S→[[e]](X) for a location path, a union of them, or a
+// bare id(…) chain.
+func (k Forward) Image(e xpath.Expr, x xmltree.NodeSet) (xmltree.NodeSet, error) {
+	switch p := e.(type) {
+	case *xpath.Binary:
+		if p.Op != xpath.OpUnion {
+			break
+		}
+		l, err := k.Image(p.Left, x)
+		if err != nil {
+			return nil, err
+		}
+		r, err := k.Image(p.Right, x)
+		if err != nil {
+			return nil, err
+		}
+		return k.Arena.Union(l, r), nil
+	case *xpath.Call:
+		return k.Judge.Head(p, x)
+	case *xpath.Path:
+		cur := x
+		switch {
+		case p.Filter != nil:
+			var err error
+			if cur, err = k.Judge.Head(p.Filter, x); err != nil {
+				return nil, err
+			}
+		case p.Absolute:
+			cur = append(k.Arena.Nodes(1), k.Doc.RootID())
+		}
+		for i := 0; i < len(p.Steps) && len(cur) > 0; i++ {
+			var err error
+			if name, ok := NamedChildAfterDescendants(p.Steps, i); ok {
+				// //name: the next step starts from the nodes that have a
+				// name child, not from every node below cur.
+				if err = k.Cancel.CheckN(len(cur)); err != nil {
+					return nil, err
+				}
+				cur = NamedChildParents(k.Arena, k.Doc, cur, name)
+				continue
+			}
+			if cur, err = k.step(p.Steps[i], cur); err != nil {
+				return nil, err
+			}
+		}
+		return cur, nil
+	}
+	return nil, fmt.Errorf("evalutil: cannot propagate forwards through %s", e)
+}
+
+// step applies one location step to X: of the candidates χ(X) ∩ T(t),
+// all when the step has no predicates, those the judge keeps when no
+// predicate reads position() or last(), and otherwise those that survive
+// the ranking at one of the previous context nodes that can reach a
+// candidate at all, X ∩ χ⁻¹(Y), merged through the scratch accumulator in
+// O(Σ|zᵢ|).
+func (k Forward) step(step *xpath.Step, x xmltree.NodeSet) (xmltree.NodeSet, error) {
+	y := StepCandidatesSet(k.Arena, k.Doc, step.Axis, step.Test, x)
+	if err := k.Cancel.CheckN(len(x) + len(y)); err != nil {
+		return nil, err
+	}
+	switch {
+	case len(step.Preds) == 0 || len(y) == 0:
+		return y, nil
+	case !step.Positional():
+		return k.Judge.JudgeStep(step, y)
+	}
+	eval, err := k.Judge.RankStep(step, y)
+	if err != nil {
+		return nil, err
+	}
+	ix := k.Doc.Index()
+	sc := ix.AcquireScratch()
+	defer ix.ReleaseScratch(sc)
+	loop := NewPairLoop(k.Arena, k.Doc, step, k.Cancel)
+	buf := k.Arena.Nodes(len(y)) // room for any x's candidates, all among y
+	for _, xn := range loop.Reaching(x, y, false) {
+		z, err := loop.RankedCandidates(xn, buf, eval)
+		if err != nil {
+			return nil, err
+		}
+		sc.Acc.Add(z)
+	}
+	return sc.Acc.Result(k.Arena), nil
+}
+
+// Backward is S← for one evaluation over one document, as Forward is S→.
+type Backward Forward
+
+// Targets returns the nodes π can end in: T(t) of its last step — the
+// label index's posting list for an exact element name, one scan of dom
+// for any other test — or dom for a bare id(…) chain or a path without
+// steps.
+func (k Backward) Targets(e xpath.Expr) (xmltree.NodeSet, error) {
+	var last *xpath.Step
+	if p, ok := e.(*xpath.Path); ok && len(p.Steps) > 0 {
+		last = p.Steps[len(p.Steps)-1]
+		if ExactElementName(last.Axis, last.Test) {
+			return k.Doc.Index().Named(last.Test.Name), nil
+		}
+	}
+	if err := k.Cancel.CheckN(k.Doc.Len()); err != nil {
+		return nil, err
+	}
+	out := k.Arena.Nodes(k.Doc.Len())
+	for i := 0; i < k.Doc.Len(); i++ {
+		if y := xmltree.NodeID(i); last == nil || last.Test.Matches(k.Doc, last.Axis.PrincipalType(), y) {
+			out = append(out, y)
+		}
+	}
+	return k.Arena.Trim(out), nil
+}
+
+// Exists computes S←[[π]]: the nodes from which π selects anything.
+func (k Backward) Exists(e xpath.Expr) (reach xmltree.NodeSet, everywhere bool, err error) {
+	return k.walk(e, nil, true)
+}
+
+// Reach computes {x | S→[[π]]({x}) ∩ Y ≠ ∅}.
+func (k Backward) Reach(e xpath.Expr, y xmltree.NodeSet) (reach xmltree.NodeSet, everywhere bool, err error) {
+	return k.walk(e, y, false)
+}
+
+// walk is Reach, or Exists when seed is set: every union branch then
+// starts from its own targets.
+func (k Backward) walk(e xpath.Expr, y xmltree.NodeSet, seed bool) (xmltree.NodeSet, bool, error) {
+	if u, ok := e.(*xpath.Binary); ok && u.Op == xpath.OpUnion {
+		l, all, err := k.walk(u.Left, y, seed)
+		if err != nil || all {
+			return nil, all, err
+		}
+		r, all, err := k.walk(u.Right, y, seed)
+		if err != nil || all {
+			return nil, all, err
+		}
+		return k.Arena.Union(l, r), false, nil
+	}
+	if seed {
+		var err error
+		if y, err = k.Targets(e); err != nil {
+			return nil, false, err
+		}
+	}
+	if len(y) == 0 {
+		return nil, false, nil
+	}
+	switch p := e.(type) {
+	case *xpath.Call: // a bare id(…) chain
+		return k.idHead(p, y)
+	case *xpath.Path:
+		for i := len(p.Steps) - 1; i >= 0; i-- {
+			var err error
+			if y, err = k.step(p.Steps[i], y, seed && i == len(p.Steps)-1); err != nil || len(y) == 0 {
+				return nil, false, err
+			}
+		}
+		switch {
+		case p.Filter != nil:
+			return k.idHead(p.Filter, y)
+		case p.Absolute:
+			return nil, y.Contains(k.Doc.RootID()), nil
+		}
+		return y, false, nil
+	}
+	return nil, false, fmt.Errorf("evalutil: cannot propagate backwards through %s", e)
+}
+
+// step inverts one location step: χ⁻¹ of the members of Y ∩ T(t) the
+// judge keeps. A seeded Y is T(t) already: the index's posting list,
+// copied for the judge, or this walk's own scan of dom.
+func (k Backward) step(step *xpath.Step, y xmltree.NodeSet, seeded bool) (xmltree.NodeSet, error) {
+	if err := k.Cancel.CheckN(len(y)); err != nil {
+		return nil, err
+	}
+	switch {
+	case !seeded:
+		y = FilterTest(k.Arena, k.Doc, step.Axis, step.Test, y)
+	case ExactElementName(step.Axis, step.Test):
+		y = k.Arena.Clone(y)
+	}
+	if len(y) == 0 {
+		return nil, nil
+	}
+	if step.Positional() {
+		return k.sources(step, y)
+	}
+	out, err := k.Judge.JudgeStep(step, y)
+	if err != nil || len(out) == 0 {
+		return nil, err
+	}
+	if err := k.Cancel.CheckN(len(out)); err != nil {
+		return nil, err
+	}
+	return axes.EvalInverse(k.Arena, k.Doc, step.Axis, out), nil
+}
+
+// sources inverts a step whose predicates read position() or last(), as
+// the appendix's pseudocode does: a loop over the pairs of previous and
+// current context node, over the previous context nodes χ⁻¹(yt) only.
+// Positions refer to the unrestricted step result, so the predicates are
+// readied over all the candidates of those nodes, not only over yt. A
+// survivor is a node one of whose ranked candidates lies in yt; the
+// inverse image is compacted in place.
+func (k Backward) sources(step *xpath.Step, yt xmltree.NodeSet) (xmltree.NodeSet, error) {
+	xs := axes.EvalInverse(k.Arena, k.Doc, step.Axis, yt)
+	if err := k.Cancel.CheckN(len(xs)); err != nil {
+		return nil, err
+	}
+	y := StepCandidatesSet(k.Arena, k.Doc, step.Axis, step.Test, xs)
+	eval, err := k.Judge.RankStep(step, y)
+	if err != nil {
+		return nil, err
+	}
+	loop := NewPairLoop(k.Arena, k.Doc, step, k.Cancel)
+	buf := k.Arena.Nodes(len(y)) // room for any x's candidates, all among y
+	n := 0
+	for _, x := range xs {
+		z, err := loop.RankedCandidates(x, buf, eval)
+		if err != nil {
+			return nil, err
+		}
+		if z.Intersects(yt) {
+			xs[n] = x
+			n++
+		}
+	}
+	return xs[:n], nil
+}
+
+// idHead propagates Y through an id(…) head: through id⁻¹ and on into
+// the argument (Theorem 10.7). A context-independent argument makes the
+// whole path so: it reaches Y from everywhere iff the head's referents,
+// the head evaluated from the root, meet Y.
+func (k Backward) idHead(e xpath.Expr, y xmltree.NodeSet) (xmltree.NodeSet, bool, error) {
+	c, ok := e.(*xpath.Call)
+	if !ok || c.Name != "id" || len(c.Args) != 1 {
+		return nil, false, fmt.Errorf("evalutil: unsupported path head %s", e)
+	}
+	if xpath.RelevantContext(c.Args[0]) == 0 {
+		ids, err := k.Judge.Head(c, append(k.Arena.Nodes(1), k.Doc.RootID()))
+		return nil, err == nil && ids.Intersects(y), err
+	}
+	if err := k.Cancel.CheckN(len(y)); err != nil {
+		return nil, false, err
+	}
+	return k.walk(c.Args[0], axes.EvalIDInverse(k.Arena, k.Doc, y), false)
+}

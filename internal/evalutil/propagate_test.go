@@ -3,41 +3,60 @@ package evalutil
 import (
 	"fmt"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/axes"
+	"repro/internal/semantics"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
-// Property test of the backward kernel against its definition,
+// Property tests of the two kernels against their definitions,
 //
+//	Image(π, X) = S→[[π]](X)
 //	Reach(π, Y) = {x | S→[[π]]({x}) ∩ Y ≠ ∅},
 //
-// with S→ computed here by plain forward evaluation from every node of
-// the document, one at a time. The paths have no predicates — judging
-// them is the caller's half — so the judge keeps everything and counts
-// how far each walk got.
+// with S→ computed here by the book: axis image, node test and ranking
+// per context node, step by step. The only predicates are the positional
+// ones randPath draws, which the kernels decide themselves; the judge
+// keeps everything else, evaluates id heads by the book, and counts how
+// far each walk got.
 
-// keepAll judges every step true and evaluates constant id heads with
-// the test's own forward pass.
+// keepAll judges every step true and readies no predicate: each one
+// randPath draws compiles to a rank test.
 type keepAll struct {
 	d      *xmltree.Document
 	judged int
 }
 
-func (j *keepAll) JudgeStep(_ *xpath.Step, yt xmltree.NodeSet) (xmltree.NodeSet, bool, error) {
+func (j *keepAll) JudgeStep(_ *xpath.Step, yt xmltree.NodeSet) (xmltree.NodeSet, error) {
 	j.judged++
-	return yt, false, nil
+	return yt, nil
 }
 
-func (j *keepAll) ConstantIDs(head *xpath.Call) (xmltree.NodeSet, error) {
-	return forward(j.d, head, nil), nil
+func (j *keepAll) RankStep(step *xpath.Step, _ xmltree.NodeSet) (PredEval, error) {
+	j.judged++
+	return func(p xpath.Expr, _ semantics.Context) (semantics.Value, error) {
+		return semantics.Value{}, fmt.Errorf("%s: %s has no rank test", step, p)
+	}, nil
 }
 
-// forward is S→[[e]](x) by the book: axis image, node test, step by
-// step; id(…) through refDef, not through axes.EvalID.
+// Head is id(…) by the book (idDef) of the kernel's image of its
+// argument.
+func (j *keepAll) Head(head xpath.Expr, x xmltree.NodeSet) (xmltree.NodeSet, error) {
+	c := head.(*xpath.Call)
+	if lit, ok := c.Args[0].(*xpath.Literal); ok {
+		return j.d.DerefIDs(lit.Val), nil
+	}
+	arg, err := Forward{Doc: j.d, Judge: j}.Image(c.Args[0], x)
+	return idDef(j.d, arg), err
+}
+
+// forward is S→[[e]](x) by the book: per context node the axis image,
+// the node test and the positional predicates, step by step; id(…)
+// through refDef, not through axes.EvalID.
 func forward(d *xmltree.Document, e xpath.Expr, x xmltree.NodeSet) xmltree.NodeSet {
 	switch e := e.(type) {
 	case *xpath.Binary:
@@ -46,19 +65,7 @@ func forward(d *xmltree.Document, e xpath.Expr, x xmltree.NodeSet) xmltree.NodeS
 		if lit, ok := e.Args[0].(*xpath.Literal); ok {
 			return d.DerefIDs(lit.Val)
 		}
-		var out xmltree.NodeSet
-		for _, n := range forward(d, e.Args[0], x) {
-			if t := d.Type(n); t != xmltree.Element && t != xmltree.Root {
-				out = out.Union(refDef(d, n)) // its own data
-				continue
-			}
-			for _, m := range axes.EvalNode(d, axes.DescendantOrSelf, n) {
-				if d.Type(m) == xmltree.Element {
-					out = out.Union(refDef(d, m))
-				}
-			}
-		}
-		return out
+		return idDef(d, forward(d, e.Args[0], x))
 	case *xpath.Path:
 		cur := x
 		if e.Filter != nil {
@@ -67,11 +74,67 @@ func forward(d *xmltree.Document, e xpath.Expr, x xmltree.NodeSet) xmltree.NodeS
 			cur = xmltree.NodeSet{d.RootID()}
 		}
 		for _, s := range e.Steps {
-			cur = StepCandidatesSet(nil, d, s.Axis, s.Test, cur)
+			var next xmltree.NodeSet
+			for _, n := range cur {
+				var z xmltree.NodeSet
+				for _, m := range axes.EvalNode(d, s.Axis, n) {
+					if s.Test.Matches(d, s.Axis.PrincipalType(), m) {
+						z = append(z, m)
+					}
+				}
+				next = next.Union(ranked(s, z))
+			}
+			cur = next
 		}
 		return cur
 	}
 	panic(fmt.Sprintf("forward: %T", e))
+}
+
+// positional are the predicates randPath draws, as functions of the
+// position and the size.
+var positional = map[string]func(pos, size int) bool{
+	"(position() = 1)":         func(pos, _ int) bool { return pos == 1 },
+	"(position() = last())":    func(pos, size int) bool { return pos == size },
+	"((position() mod 2) = 0)": func(pos, _ int) bool { return pos%2 == 0 },
+}
+
+// ranked keeps the members of z, one context node's candidates in
+// document order, that the step's predicates select: each predicate
+// ranks the survivors of the one before it in axis order.
+func ranked(s *xpath.Step, z xmltree.NodeSet) xmltree.NodeSet {
+	for _, p := range s.Preds {
+		var keep xmltree.NodeSet
+		for i, n := range z {
+			pos := i + 1
+			if s.Axis.IsReverse() {
+				pos = len(z) - i
+			}
+			if positional[p.String()](pos, len(z)) {
+				keep = append(keep, n)
+			}
+		}
+		z = keep
+	}
+	return z
+}
+
+// idDef is id(S) by the book: the rows of refDef of S's attribute and
+// text nodes, and of every element at or below its other members.
+func idDef(d *xmltree.Document, s xmltree.NodeSet) xmltree.NodeSet {
+	var out xmltree.NodeSet
+	for _, n := range s {
+		if t := d.Type(n); t != xmltree.Element && t != xmltree.Root {
+			out = out.Union(refDef(d, n)) // its own data
+			continue
+		}
+		for _, m := range axes.EvalNode(d, axes.DescendantOrSelf, n) {
+			if d.Type(m) == xmltree.Element {
+				out = out.Union(refDef(d, m))
+			}
+		}
+	}
+	return out
 }
 
 // refDef is row x of the ref relation of Theorem 10.7 by its
@@ -133,12 +196,26 @@ var (
 )
 
 // randPath draws a location path of up to four steps over every axis,
-// relative, absolute, or headed by id('c'), id(π), id(id(π)), id(@ref)
-// or id(text()); now and then a bare id chain or a union of two paths.
+// now and then with a positional predicate or as the unfused pair
+// descendant-or-self::node()/child::name; relative, absolute, or headed
+// by id('c'), id(π), id(id(π)), id(@ref) or id(text()); now and then a
+// bare id chain or a union of two paths.
 func randPath(r *rand.Rand, depth int) string {
 	var steps []string
 	for i := r.Intn(4 - depth); i >= 0; i-- {
-		steps = append(steps, kernelAxes[r.Intn(len(kernelAxes))]+"::"+kernelTests[r.Intn(len(kernelTests))])
+		step := kernelAxes[r.Intn(len(kernelAxes))] + "::" + kernelTests[r.Intn(len(kernelTests))]
+		if r.Intn(6) == 0 {
+			step = "descendant-or-self::node()/child::" + kernelTests[r.Intn(3)]
+		}
+		switch r.Intn(8) {
+		case 0:
+			step += "[1]"
+		case 1:
+			step += "[last()]"
+		case 2:
+			step += "[position() mod 2 = 0]"
+		}
+		steps = append(steps, step)
 	}
 	tail := strings.Join(steps, "/")
 	if depth >= 2 {
@@ -255,3 +332,65 @@ func TestBackwardEqualsDefinition(t *testing.T) {
 		t.Error("no attribute or text node names an ID")
 	}
 }
+
+func TestForwardEqualsDefinition(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	ranks := 0 // positional steps whose ranking dropped a candidate
+	for round := 0; round < 60; round++ {
+		d := randIDDoc(r, 20+r.Intn(60))
+		for q := 0; q < 40; q++ {
+			src := randPath(r, 0)
+			e := xpath.MustParse(src)
+			// X is one node every fourth time, else a random set of
+			// density 1/2, 1/3 or 1/4, attribute and namespace nodes
+			// among them.
+			x := xmltree.NodeSet{xmltree.NodeID(r.Intn(d.Len()))}
+			if q%4 != 0 {
+				x = nil
+				for i := 0; i < d.Len(); i++ {
+					if r.Intn(q%4+1) == 0 {
+						x = append(x, xmltree.NodeID(i))
+					}
+				}
+			}
+			given := x.Clone()
+			got, err := Forward{Doc: d, Judge: &keepAll{d: d}}.Image(e, x)
+			if err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			if !x.Equal(given) {
+				t.Fatalf("%s: the kernel wrote to its X", src)
+			}
+			if want := forward(d, e, x); !got.Equal(want) {
+				t.Errorf("%s, X = %v: Image = %v, definition gives %v\n%s", src, x, got, want, d.XMLString())
+			}
+			if strings.Contains(src, "]") && !got.Equal(forward(d, xpath.MustParse(unranked.ReplaceAllString(src, "")), x)) {
+				ranks++
+			}
+		}
+	}
+	if ranks < 100 {
+		t.Errorf("only %d paths lost nodes to a positional predicate", ranks)
+	}
+
+	// The unfused pair //b[1] starts its child step from the parents of
+	// the b elements (NamedChildParents), never from every node below the
+	// context: the run keeps a few words per b, not one per node.
+	d := xmltree.MustParseString("<a>" + strings.Repeat("<c>x</c>", 300) + "<b/><c><b/><b/></c></a>")
+	e := xpath.MustParse("descendant-or-self::node()/child::b[1]")
+	root := xmltree.NodeSet{d.RootID()}
+	ix := d.Index()
+	before := ix.Materialized()
+	ar := ix.AcquireArena()
+	got, err := Forward{Doc: d, Arena: ar, Judge: &keepAll{d: d}}.Image(e, root)
+	if want := forward(d, e, root); err != nil || len(want) != 2 || !got.Equal(want) {
+		t.Errorf("%s: %v, %v; definition gives %v", e, got, err, want)
+	}
+	ix.ReleaseArena(ar)
+	if words := ix.Materialized() - before; words > int64(d.Len()/10) {
+		t.Errorf("%s kept %d words of a %d-node document", e, words, d.Len())
+	}
+}
+
+// unranked matches the predicates randPath draws.
+var unranked = regexp.MustCompile(`\[[^]]*\]`)

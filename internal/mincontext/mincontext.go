@@ -17,7 +17,12 @@
 //
 // The four procedures eval_outermost_locpath, eval_by_cnode_only,
 // eval_single_context and eval_inner_locpath follow the pseudocode of
-// Appendix A; the per-node tables are carried in a Run.
+// Appendix A; the per-node tables are carried in a Run. But
+// eval_outermost_locpath is S→ of Section 10.1 with a predicate judge of
+// its own, so it is not written here: a Run is the judge (JudgeStep,
+// RankStep, Head) of evalutil.Forward, the forward kernel the Section 10
+// algebra runs too, and of evalutil.Backward when OptMinContext
+// propagates paths backwards.
 //
 // # How tables are stored
 //
@@ -47,7 +52,7 @@
 // An operator whose operands are such arrays over the very nodes being
 // tabulated — count() of a relation, arithmetic and comparison of
 // numbers, a filter by a boolean column or node set — loops over the
-// arrays (vector, FilterCandidates); everything else is computed row by
+// arrays (vector, JudgeStep); everything else is computed row by
 // row through eval_single_context.
 //
 // # Which paths are node sets
@@ -93,8 +98,8 @@
 // step either: the previous context nodes of the child step are
 // descendant-or-self(X) ∩ child⁻¹(T(name)) = parent(descendant::name(X)),
 // read off name's posting list, so descendant-or-self::node() is never
-// materialized (namedChildAfterDescendants, in the set and in the
-// relation code).
+// materialized (evalutil.NamedChildAfterDescendants, in the forward
+// kernel and in the relation code).
 package mincontext
 
 import (
@@ -149,13 +154,15 @@ type Run struct {
 	tabs []table
 
 	// ar is the evaluation's arena: node sets, CSR relations and typed
-	// columns come from it; heads are the path-head values of
-	// evalHeads.
-	ar    *xmltree.Arena
-	heads xmltree.Slab[xmltree.NodeSet]
+	// columns come from it.
+	ar *xmltree.Arena
 
 	// cancel is the throttled cancellation checkpoint for this query.
 	cancel *evalutil.Canceller
+
+	// single is EvalSingleContext as the evaluator RankStep hands out,
+	// bound once for as long as the arena keeps the run.
+	single evalutil.PredEval
 }
 
 // Begin starts an evaluation of e in the arena ar, with the checkpoint
@@ -172,7 +179,9 @@ func (ev *Evaluator) Begin(ar *xmltree.Arena, cancel *evalutil.Canceller, e xpat
 	for i := range st.tabs {
 		st.tabs[i] = table{cols: st.tabs[i].cols[:0]}
 	}
-	st.heads.Reset()
+	if st.single == nil {
+		st.single = st.EvalSingleContext
+	}
 	return st, nil
 }
 
@@ -196,7 +205,7 @@ func (st *Run) Known(e xpath.Expr) bool {
 func (st *Run) Evaluate(c semantics.Context) (semantics.Value, error) {
 	e := st.expr
 	if isLocationPath(e) {
-		s, err := st.evalOutermostLocpath(e, st.one(c.Node))
+		s, err := st.forward().Image(e, st.one(c.Node))
 		if err != nil {
 			return semantics.Value{}, err
 		}
@@ -277,145 +286,70 @@ func (st *Run) fill(t *table, r xpath.Relev, kind xpath.Type, todo xmltree.NodeS
 // eval_outermost_locpath
 // ------------------------------------------------------------------
 
-// evalOutermostLocpath evaluates a location path treating intermediate
-// results as node sets ⊆ dom (Section 8.2, "special treatment of
-// location paths on the outermost level"). Besides the query's own
-// outermost path it serves every inner path whose value is a single row
-// (fillPath).
-func (st *Run) evalOutermostLocpath(e xpath.Expr, x xmltree.NodeSet) (xmltree.NodeSet, error) {
-	switch p := e.(type) {
-	case *xpath.Binary: // π1 | π2
-		y1, err := st.evalOutermostLocpath(p.Left, x)
-		if err != nil {
-			return nil, err
-		}
-		y2, err := st.evalOutermostLocpath(p.Right, x)
-		if err != nil {
-			return nil, err
-		}
-		return st.ar.Union(y1, y2), nil
-	case *xpath.Path:
-		cur := x
-		switch {
-		case p.Filter != nil:
-			// Head expressions (id('c'), (π)[1], …) are evaluated via
-			// the table machinery per context node, then flattened.
-			heads, err := st.evalHeads(p.Filter, x)
-			if err != nil {
-				return nil, err
-			}
-			sc := st.doc.Index().AcquireScratch()
-			for _, h := range heads {
-				sc.Acc.Add(h)
-			}
-			cur = sc.Acc.Result(st.ar)
-			st.doc.Index().ReleaseScratch(sc)
-		case p.Absolute:
-			cur = st.one(st.doc.RootID())
-		}
-		for i, step := range p.Steps {
-			if name, ok := namedChildAfterDescendants(p.Steps, i); ok {
-				// //name: the next step starts from the nodes that have a
-				// name child, not from every node below cur.
-				if err := st.cancel.CheckN(len(cur)); err != nil {
-					return nil, err
-				}
-				cur = evalutil.NamedChildParents(st.ar, st.doc, cur, name)
-				continue
-			}
-			next, err := st.evalOutermostStep(step, cur)
-			if err != nil {
-				return nil, err
-			}
-			cur = next
-		}
-		return cur, nil
-	default:
-		return nil, fmt.Errorf("mincontext: not a location path: %T", e)
-	}
+// forward is eval_outermost_locpath: the forward kernel, which treats
+// intermediate results as node sets ⊆ dom (Section 8.2, "special
+// treatment of location paths on the outermost level"), with this run
+// judging the steps' predicates and evaluating path heads. Besides the
+// query's own outermost path it serves every inner path whose value is a
+// single row (fillPath).
+func (st *Run) forward() evalutil.Forward {
+	return evalutil.Forward{Doc: st.doc, Arena: st.ar, Cancel: st.cancel, Judge: st}
 }
 
-// evalHeads returns the value of a path's head expression at every
-// context node of X, in X's order.
-func (st *Run) evalHeads(head xpath.Expr, x xmltree.NodeSet) ([]xmltree.NodeSet, error) {
-	if err := st.evalByCnodeOnly(head, x); err != nil {
+// Head evaluates a path's head expression (id('c'), (π)[1], …) through
+// the table machinery at every context node of X and returns the union
+// of its values: what the path's first step starts from.
+func (st *Run) Head(head xpath.Expr, x xmltree.NodeSet) (xmltree.NodeSet, error) {
+	sc := st.doc.Index().AcquireScratch()
+	defer st.doc.Index().ReleaseScratch(sc)
+	if err := st.evalHeads(head, x, sc.Acc.Add); err != nil {
 		return nil, err
-	}
-	if err := st.cancel.CheckN(len(x)); err != nil {
-		return nil, err
-	}
-	heads := st.heads.Zeros(len(x))
-	for i, n := range x {
-		v, err := st.EvalSingleContext(head, semantics.Context{Node: n, Pos: -1, Size: -1})
-		if err != nil {
-			return nil, err
-		}
-		if v.Kind != xpath.TypeNodeSet {
-			return nil, fmt.Errorf("mincontext: path head is not a node set")
-		}
-		heads[i] = v.Set
-	}
-	return heads, nil
-}
-
-// evalOutermostStep applies one location step to a node set, following
-// the eval_outermost_locpath pseudocode: when no predicate depends on
-// cp/cs the candidates are filtered set-at-a-time; otherwise the
-// predicates run in a loop over previous/current context-node pairs —
-// over the previous context nodes that have a candidate at all, X ∩
-// χ⁻¹(Y).
-func (st *Run) evalOutermostStep(step *xpath.Step, x xmltree.NodeSet) (xmltree.NodeSet, error) {
-	y := evalutil.StepCandidatesSet(st.ar, st.doc, step.Axis, step.Test, x)
-	if len(step.Preds) == 0 || len(y) == 0 {
-		return y, nil
-	}
-	if !step.Positional() {
-		return st.FilterCandidates(step, y)
-	}
-	if err := st.TabulatePreds(step, y); err != nil {
-		return nil, err
-	}
-	if err := st.cancel.CheckN(len(x) + len(y)); err != nil {
-		return nil, err
-	}
-	// Marking scratch from the document's pool: the accumulator merges
-	// the per-node results in O(Σ|zᵢ|) instead of by repeated Union, the
-	// work slice is the candidate list every node reuses. A predicate
-	// that starts a loop of its own acquires its own.
-	ix := st.doc.Index()
-	sc := ix.AcquireScratch()
-	defer ix.ReleaseScratch(sc)
-	loop := evalutil.NewPairLoop(st.ar, st.doc, step, st.cancel)
-	for _, xn := range loop.Reaching(x, y, false) {
-		z, err := loop.RankedCandidates(xn, sc.Work, st.EvalSingleContext)
-		if err != nil {
-			return nil, err
-		}
-		sc.Acc.Add(z)
-		sc.Work = z
 	}
 	return sc.Acc.Result(st.ar), nil
 }
 
-// TabulatePreds runs eval_by_cnode_only for a step's predicates over the
-// step's candidates y: what a loop over ⟨previous, current⟩ pairs reads
-// through EvalSingleContext afterwards.
-func (st *Run) TabulatePreds(step *xpath.Step, y xmltree.NodeSet) error {
-	return st.tabulateAll(step.Preds, y)
+// evalHeads hands the value of a path's head expression at every
+// context node of X to f, in X's order.
+func (st *Run) evalHeads(head xpath.Expr, x xmltree.NodeSet, f func(xmltree.NodeSet)) error {
+	if err := st.evalByCnodeOnly(head, x); err != nil {
+		return err
+	}
+	if err := st.cancel.CheckN(len(x)); err != nil {
+		return err
+	}
+	for _, n := range x {
+		v, err := st.EvalSingleContext(head, semantics.Context{Node: n, Pos: -1, Size: -1})
+		if err != nil {
+			return err
+		}
+		if v.Kind != xpath.TypeNodeSet {
+			return fmt.Errorf("mincontext: path head is not a node set")
+		}
+		f(v.Set)
+	}
+	return nil
 }
 
-// FilterCandidates returns the candidates y of a step that satisfy its
+// RankStep runs eval_by_cnode_only for the predicates of a step that
+// reads cp or cs over the step's candidates y, ahead of a loop over
+// ⟨previous, current⟩ pairs, and returns what that loop reads them
+// through: eval_single_context.
+func (st *Run) RankStep(step *xpath.Step, y xmltree.NodeSet) (evalutil.PredEval, error) {
+	return st.single, st.tabulateAll(step.Preds, y)
+}
+
+// JudgeStep returns the candidates y of a step that satisfy its
 // predicates, none of which depends on cp/cs, so each candidate is
 // judged once whatever previous context node reached it: the predicates
 // are tabulated over y, and y is filtered by intersecting with a table
 // that is a set of nodes already (SetTruth) or reading off the bits of a
 // column over y, else row by row. y itself is left alone: the
 // predicates' tables have it as their context nodes.
-func (st *Run) FilterCandidates(step *xpath.Step, y xmltree.NodeSet) (xmltree.NodeSet, error) {
+func (st *Run) JudgeStep(step *xpath.Step, y xmltree.NodeSet) (xmltree.NodeSet, error) {
 	if len(step.Preds) == 0 {
 		return y, nil
 	}
-	if err := st.TabulatePreds(step, y); err != nil {
+	if err := st.tabulateAll(step.Preds, y); err != nil {
 		return nil, err
 	}
 	if err := st.cancel.CheckN(len(y)); err != nil {
@@ -616,7 +550,7 @@ func (st *Run) fillPath(p *xpath.Path, t *table, r xpath.Relev, todo xmltree.Nod
 		}
 		return st.add(t, rel)
 	}
-	s, err := st.evalOutermostLocpath(p, todo[:1])
+	s, err := st.forward().Image(p, todo[:1])
 	if err != nil {
 		return err
 	}
@@ -800,12 +734,8 @@ func (st *Run) evalInnerLocpath(p *xpath.Path, x xmltree.NodeSet) (column, error
 	cur, first := st.newColumn(xpath.TypeNodeSet, x), 0
 	switch {
 	case p.Filter != nil:
-		heads, err := st.evalHeads(p.Filter, x)
-		if err != nil {
+		if err := st.evalHeads(p.Filter, x, func(h xmltree.NodeSet) { st.appendRow(&cur, h) }); err != nil {
 			return column{}, err
-		}
-		for _, h := range heads {
-			st.appendRow(&cur, h)
 		}
 	default: // never absolute: that path has one row (fillPath)
 		var err error
@@ -853,7 +783,7 @@ func (st *Run) evalInnerLocpath(p *xpath.Path, x xmltree.NodeSet) (column, error
 // stepRelation is the relation of step i of a path over the previous
 // context nodes X, with a row for every x ∈ X.
 func (st *Run) stepRelation(steps []*xpath.Step, i int, x xmltree.NodeSet) (column, error) {
-	if name, ok := namedChildAfterDescendants(steps, i); ok {
+	if name, ok := evalutil.NamedChildAfterDescendants(steps, i); ok {
 		return st.namedChildParentRows(x, name)
 	}
 	return st.evalInnerStep(steps[i], x)
@@ -872,21 +802,22 @@ func (st *Run) evalInnerStep(step *xpath.Step, x xmltree.NodeSet) (column, error
 		return rel, nil
 	}
 	loop := evalutil.NewPairLoop(st.ar, st.doc, step, st.cancel)
-	positional := step.Positional()
-	// keep marks the candidates that satisfy the predicates when those
-	// are decided once per candidate; a row is then its context node's
-	// candidates among them.
+	// eval ranks the candidates of a positional step; otherwise keep marks
+	// the candidates that satisfy the predicates when those are decided
+	// once per candidate, and a row is its context node's candidates among
+	// them.
+	var eval evalutil.PredEval
 	var keep *xmltree.Bitset
 	ix := st.doc.Index()
 	sc := ix.AcquireScratch()
 	defer ix.ReleaseScratch(sc)
-	if positional {
-		if err := st.TabulatePreds(step, y); err != nil {
+	var err error
+	if step.Positional() {
+		if eval, err = st.RankStep(step, y); err != nil {
 			return column{}, err
 		}
 	} else if len(step.Preds) > 0 {
-		var err error
-		if y, err = st.FilterCandidates(step, y); err != nil {
+		if y, err = st.JudgeStep(step, y); err != nil {
 			return column{}, err
 		}
 		keep = &sc.Mark
@@ -907,9 +838,8 @@ func (st *Run) evalInnerStep(step *xpath.Step, x xmltree.NodeSet) (column, error
 		if len(xs) > 0 && xs[0] == xn {
 			xs = xs[1:]
 			var z xmltree.NodeSet
-			var err error
-			if positional {
-				z, err = loop.RankedCandidates(xn, sc.Work, st.EvalSingleContext)
+			if eval != nil {
+				z, err = loop.RankedCandidates(xn, sc.Work, eval)
 			} else {
 				z, err = loop.Candidates(xn, sc.Work)
 			}
@@ -928,29 +858,11 @@ func (st *Run) evalInnerStep(step *xpath.Step, x xmltree.NodeSet) (column, error
 	return rel, nil
 }
 
-// namedChildAfterDescendants reports whether steps[i] is a
-// descendant-or-self::node() step without predicates followed by a
-// child::name step — //name where xpath.Optimize could not fuse the
-// pair because a predicate of name reads position() or last() — and
-// returns the name. The loops over steps then replace the first step by
-// evalutil.NamedChildParents.
-func namedChildAfterDescendants(steps []*xpath.Step, i int) (string, bool) {
-	if i+1 >= len(steps) {
-		return "", false
-	}
-	next := steps[i+1]
-	if !steps[i].IsBare(axes.DescendantOrSelf) || next.Axis != axes.Child ||
-		!evalutil.ExactElementName(next.Axis, next.Test) {
-		return "", false
-	}
-	return next.Test.Name, true
-}
-
 // namedChildParentRows is the relation that stands in for a
 // descendant-or-self::node() step in front of child::name
-// (namedChildAfterDescendants): for every x ∈ X the nodes at or below x
-// that have a name child. The parents of all name elements below X are
-// computed once; the row of x is their stretch inside x's subtree
+// (evalutil.NamedChildAfterDescendants): for every x ∈ X the nodes at or
+// below x that have a name child. The parents of all name elements below
+// X are computed once; the row of x is their stretch inside x's subtree
 // interval.
 func (st *Run) namedChildParentRows(x xmltree.NodeSet, name string) (column, error) {
 	if err := st.cancel.CheckN(len(x)); err != nil {

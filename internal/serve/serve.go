@@ -607,17 +607,29 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.handleJobsBatch(w, r, req.Jobs)
 }
 
-// startBatchStream commits the response to NDJSON streaming and
-// returns the request context plus a line writer that is safe for
-// concurrent use and drops lines once the client is gone. A line's
-// value is rendered from (d, v) as in /query; both are nil on a line
-// that carries an error. Workers encode their lines side by side and
-// take the lock only to put the finished bytes on the wire.
-func (s *Server) startBatchStream(w http.ResponseWriter, r *http.Request) (context.Context, func(*BatchLine, *core.Document, *core.Value)) {
+// OpenStream commits w to an NDJSON stream and sends the headers at
+// once, not with the first line: a client that bounds its wait for them
+// (a router's peer client waits its timeout) sees a slow first answer as
+// a stream in progress. Every line is then followed by the returned
+// controller's Flush; one that fails finds the client gone, which the
+// request's context reports.
+func OpenStream(w http.ResponseWriter) *http.ResponseController {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
 	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
+	rc.Flush()
+	return rc
+}
+
+// startBatchStream commits the response to NDJSON streaming
+// (OpenStream) and returns the request context plus a line writer that
+// is safe for concurrent use and drops lines once the client is gone. A
+// line's value is rendered from (d, v) as in /query; both are nil on a
+// line that carries an error. Workers encode their lines side by side
+// and take the lock only to put the finished bytes on the wire.
+func (s *Server) startBatchStream(w http.ResponseWriter, r *http.Request) (context.Context, func(*BatchLine, *core.Document, *core.Value)) {
+	rc := OpenStream(w)
 	ctx := r.Context()
 	id := obs.RequestID(ctx)
 	var mu sync.Mutex
@@ -634,9 +646,7 @@ func (s *Server) startBatchStream(w http.ResponseWriter, r *http.Request) (conte
 			return // client is gone; drop the line, workers are winding down
 		}
 		w.Write(buf.b)
-		if fl != nil {
-			fl.Flush()
-		}
+		rc.Flush()
 	}
 }
 

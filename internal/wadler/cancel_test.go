@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/evalutil"
@@ -118,4 +119,38 @@ func TestBackwardPassBillsTheEvaluation(t *testing.T) {
 			t.Errorf("Reach(%s): err = %v, want context.Canceled", p, err)
 		}
 	}
+}
+
+// TestSharedEvaluator runs one evaluator from eight goroutines at once,
+// half of them under contexts that are already cancelled: an evaluator
+// holds only the document, so the live ones get their answer and the
+// race detector stays silent. Run under -race in CI.
+func TestSharedEvaluator(t *testing.T) {
+	d := xmltree.MustParseString("<a>" + strings.Repeat("<b><c>x</c></b><b/>", 2500) + "</a>")
+	ev := New(d)
+	e := xpath.MustParse("//b[c = 'x' or position() = last()]")
+	if !InFragment(e) {
+		t.Fatal("query left the fragment")
+	}
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, want := context.Background(), error(nil)
+			if g%2 == 1 {
+				ctx, want = dead, context.Canceled
+			}
+			for i := 0; i < 20; i++ {
+				v, err := ev.EvaluateContext(ctx, e, semantics.Context{Node: d.RootID(), Pos: 1, Size: 1})
+				if !errors.Is(err, want) || err == nil && len(v.Set) != 2501 {
+					t.Errorf("goroutine %d: %d nodes, err %v; want err %v", g, len(v.Set), err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

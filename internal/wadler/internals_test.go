@@ -10,6 +10,20 @@ import (
 	"repro/internal/xpath"
 )
 
+// bottomUpPaths is the number of subexpressions OptMinContext evaluates
+// bottom-up in e (Algorithm 11.1, step 1).
+func bottomUpPaths(t *testing.T, d *xmltree.Document, e xpath.Expr) int {
+	t.Helper()
+	st, err := newState(nil, nil, context.Background(), d, e)
+	if err == nil {
+		err = st.collect(e)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.paths
+}
+
 // TestPropagateBackwardsDirect exercises propagate_path_backwards in
 // isolation against brute force: X = {x | π(x) ∩ Y ≠ ∅}.
 func TestPropagateBackwardsDirect(t *testing.T) {
@@ -125,7 +139,7 @@ func TestEvalBottomUpPathRelOps(t *testing.T) {
 		if !got.Equal(want) {
 			t.Errorf("%q: optmincontext %+v, topdown %+v", q, got, want)
 		}
-		if ev.LastBottomUpPaths == 0 {
+		if bottomUpPaths(t, d, e) == 0 {
 			t.Errorf("%q: expected at least one bottom-up path", q)
 		}
 	}
@@ -190,7 +204,7 @@ func TestPredicatesLeftToTheRun(t *testing.T) {
 		if got, err := ev.Evaluate(e, ctx); err != nil || !got.Equal(want) {
 			t.Errorf("%q: optmincontext %+v, %v; topdown %+v", q, got, err, want)
 		}
-		if ev.LastBottomUpPaths == 0 {
+		if bottomUpPaths(t, d, e) == 0 {
 			t.Errorf("%q: no bottom-up path", q)
 		}
 	}

@@ -21,8 +21,8 @@
 // — subexpressions boolean(π) and π RelOp c with context-independent c
 // — innermost first, by eval_bottomup_path/propagate_path_backwards
 // (Appendix A; the walk itself is evalutil.Backward, shared with the
-// Section 10 algebra — this package judges a step's predicates for it,
-// JudgeStep), installs the resulting dom → bool tables into a
+// Section 10 algebra, and the MinContext run judges a step's predicates
+// for it), installs the resulting dom → bool tables into a
 // MinContext evaluator, and runs MinContext for the rest. Subexpressions
 // outside the fragment simply fall back to MinContext's own machinery,
 // so OptMinContext supports all of XPath at MinContext's bounds while
@@ -39,21 +39,18 @@
 // child::name is the label's posting list; so [current > 60] reads 500
 // string-values, not those of all |D| nodes with the root's (the whole
 // document's text) among them. A step whose predicates depend on cp/cs
-// loops over the previous context nodes in χ⁻¹(Y) only, with candidate
-// lists and ranking shared with MinContext (evalutil). The predicates of
-// a step are judged by the MinContext run itself (FilterCandidates,
-// TabulatePreds): it reads the tables this phase has installed and
-// tabulates set-at-a-time whatever part of a predicate the phase did not
-// take. Everything the bottom-up phase leaves over runs on MinContext,
-// whose package comment states which of its paths are node sets and why
-// that is the paper's Relev rule.
+// loops over the previous context nodes in χ⁻¹(Y) only, the kernel's
+// own pair loop. This package judges nothing: the MinContext run is the
+// kernel's judge (its JudgeStep, RankStep and Head), so a step's
+// predicates are read from the tables this phase has installed, and
+// whatever part of a predicate the phase did not take is tabulated
+// set-at-a-time. Everything the bottom-up phase leaves over runs on
+// MinContext, whose package comment states which of its paths are node
+// sets and why that is the paper's Relev rule.
 package wadler
 
 import (
 	"context"
-	"fmt"
-
-	"repro/internal/axes"
 	"repro/internal/evalutil"
 	"repro/internal/mincontext"
 	"repro/internal/semantics"
@@ -61,13 +58,9 @@ import (
 	"repro/internal/xpath"
 )
 
-// Evaluator is the OptMinContext query processor.
-type Evaluator struct {
-	doc *xmltree.Document
-
-	// Stats filled by the last Evaluate call.
-	LastBottomUpPaths int // number of subexpressions evaluated bottom-up
-}
+// Evaluator is the OptMinContext query processor. It holds nothing but
+// its document: any number of goroutines may share one.
+type Evaluator struct{ doc *xmltree.Document }
 
 // New returns an OptMinContext evaluator for the document.
 func New(d *xmltree.Document) *Evaluator { return &Evaluator{doc: d} }
@@ -92,7 +85,6 @@ func (ev *Evaluator) EvaluateContext(ctx context.Context, e xpath.Expr, c semant
 		if err := st.collect(e); err != nil {
 			return semantics.Value{}, err
 		}
-		ev.LastBottomUpPaths = st.paths
 		return st.run.Evaluate(c)
 	})
 }
@@ -119,17 +111,10 @@ func newState(ar *xmltree.Arena, cancel *evalutil.Canceller, ctx context.Context
 	return st, err
 }
 
-// back is propagate_path_backwards (Appendix A) with this state judging
-// the steps' predicates.
+// back is propagate_path_backwards (Appendix A) with the MinContext run
+// judging the steps' predicates.
 func (st *state) back() evalutil.Backward {
-	return evalutil.Backward{Doc: st.doc, Arena: st.ar, Cancel: st.cancel, Judge: st}
-}
-
-// evalScalar evaluates a context-independent operand on the MinContext
-// run, from the root (the operand itself may contain whole-document
-// paths; they are node sets there, and stay tabulated).
-func (st *state) evalScalar(e xpath.Expr) (semantics.Value, error) {
-	return st.run.EvalSingleContext(e, semantics.Context{Node: st.doc.RootID(), Pos: 1, Size: 1})
+	return evalutil.Backward{Doc: st.doc, Arena: st.ar, Cancel: st.cancel, Judge: st.run}
 }
 
 // ------------------------------------------------------------------
@@ -148,21 +133,20 @@ var prohibited = map[string]bool{
 // scalar expression whose node-set parts all occur as bottom-up
 // location paths.
 func InFragment(e xpath.Expr) bool {
-	st := &state{}
-	return st.pathInFragment(e) || st.scalarInFragment(e)
+	return pathInFragment(e) || scalarInFragment(e)
 }
 
-func (st *state) pathInFragment(e xpath.Expr) bool {
+func pathInFragment(e xpath.Expr) bool {
 	switch x := e.(type) {
 	case *xpath.Binary:
-		return x.Op == xpath.OpUnion && st.pathInFragment(x.Left) && st.pathInFragment(x.Right)
+		return x.Op == xpath.OpUnion && pathInFragment(x.Left) && pathInFragment(x.Right)
 	case *xpath.Path:
-		if x.Filter != nil && !st.idHeadOK(x.Filter) {
+		if x.Filter != nil && !idHeadOK(x.Filter) {
 			return false
 		}
 		for _, s := range x.Steps {
 			for _, p := range s.Preds {
-				if !st.scalarInFragment(p) {
+				if !scalarInFragment(p) {
 					return false
 				}
 			}
@@ -175,7 +159,7 @@ func (st *state) pathInFragment(e xpath.Expr) bool {
 
 // idHeadOK checks Restriction 3 for id(id(…(x)…)) heads: the innermost
 // argument is either context independent or a fragment path.
-func (st *state) idHeadOK(e xpath.Expr) bool {
+func idHeadOK(e xpath.Expr) bool {
 	c, ok := e.(*xpath.Call)
 	if !ok || c.Name != "id" {
 		return false
@@ -183,11 +167,11 @@ func (st *state) idHeadOK(e xpath.Expr) bool {
 	switch a := c.Args[0].(type) {
 	case *xpath.Call:
 		if a.Name == "id" {
-			return st.idHeadOK(a)
+			return idHeadOK(a)
 		}
-		return xpath.RelevantContext(a) == 0 && st.scalarInFragment(a)
+		return xpath.RelevantContext(a) == 0 && scalarInFragment(a)
 	case *xpath.Path:
-		return st.pathInFragment(a)
+		return pathInFragment(a)
 	default:
 		return xpath.RelevantContext(a) == 0
 	}
@@ -196,12 +180,12 @@ func (st *state) idHeadOK(e xpath.Expr) bool {
 // scalarInFragment checks a scalar (non-node-set) expression: node sets
 // may occur only under boolean(π) or as π RelOp c / c RelOp π with a
 // context-independent c.
-func (st *state) scalarInFragment(e xpath.Expr) bool {
+func scalarInFragment(e xpath.Expr) bool {
 	switch x := e.(type) {
 	case *xpath.Number, *xpath.Literal:
 		return true
 	case *xpath.Negate:
-		return st.scalarInFragment(x.X)
+		return scalarInFragment(x.X)
 	case *xpath.Binary:
 		if x.Op == xpath.OpUnion {
 			return false // node set in scalar position
@@ -214,14 +198,14 @@ func (st *state) scalarInFragment(e xpath.Expr) bool {
 				// (the appendix handles that case; Restriction 2
 				// forbids both sides context dependent).
 				return (xpath.RelevantContext(x.Left) == 0 || xpath.RelevantContext(x.Right) == 0) &&
-					st.bottomUpPathOK(x.Left) && st.bottomUpPathOK(x.Right)
+					bottomUpPathOK(x.Left) && bottomUpPathOK(x.Right)
 			case ln:
-				return st.bottomUpPathOK(x.Left) && xpath.RelevantContext(x.Right) == 0 && st.scalarInFragment(x.Right)
+				return bottomUpPathOK(x.Left) && xpath.RelevantContext(x.Right) == 0 && scalarInFragment(x.Right)
 			case rn:
-				return st.bottomUpPathOK(x.Right) && xpath.RelevantContext(x.Left) == 0 && st.scalarInFragment(x.Left)
+				return bottomUpPathOK(x.Right) && xpath.RelevantContext(x.Left) == 0 && scalarInFragment(x.Left)
 			}
 		}
-		return st.scalarInFragment(x.Left) && st.scalarInFragment(x.Right)
+		return scalarInFragment(x.Left) && scalarInFragment(x.Right)
 	case *xpath.Call:
 		if prohibited[x.Name] {
 			return false
@@ -231,9 +215,9 @@ func (st *state) scalarInFragment(e xpath.Expr) bool {
 			return false // Restriction 2
 		case "boolean":
 			if x.Args[0].Type() == xpath.TypeNodeSet {
-				return st.bottomUpPathOK(x.Args[0])
+				return bottomUpPathOK(x.Args[0])
 			}
-			return st.scalarInFragment(x.Args[0])
+			return scalarInFragment(x.Args[0])
 		case "id":
 			return false // node set in scalar position
 		case "lang":
@@ -243,7 +227,7 @@ func (st *state) scalarInFragment(e xpath.Expr) bool {
 			if a.Type() == xpath.TypeNodeSet {
 				return false
 			}
-			if !st.scalarInFragment(a) {
+			if !scalarInFragment(a) {
 				return false
 			}
 		}
@@ -262,12 +246,12 @@ func (st *state) scalarInFragment(e xpath.Expr) bool {
 // id-chain head at most. The context-independent node-set operand of a
 // comparison (an absolute fragment path or an id chain over a constant)
 // is held to the same.
-func (st *state) bottomUpPathOK(e xpath.Expr) bool {
+func bottomUpPathOK(e xpath.Expr) bool {
 	switch x := e.(type) {
 	case *xpath.Path:
-		return st.pathInFragment(x)
+		return pathInFragment(x)
 	case *xpath.Call:
-		return st.idHeadOK(x)
+		return idHeadOK(x)
 	default:
 		return false
 	}
@@ -302,7 +286,7 @@ func (st *state) collect(e xpath.Expr) error {
 				return err
 			}
 		}
-		if x.Name == "boolean" && x.Args[0].Type() == xpath.TypeNodeSet && st.bottomUpPathOK(x.Args[0]) {
+		if x.Name == "boolean" && x.Args[0].Type() == xpath.TypeNodeSet && bottomUpPathOK(x.Args[0]) {
 			return st.evalBottomUpPath(x, x.Args[0], nil, 0)
 		}
 		return nil
@@ -351,12 +335,13 @@ func (st *state) maybeEvalRelOp(b *xpath.Binary) error {
 	default:
 		return nil
 	}
-	if !st.bottomUpPathOK(pathSide) {
+	if !bottomUpPathOK(pathSide) {
 		return nil
 	}
 	// The constant side must itself be evaluable (any XPath, evaluated
-	// once — it is context independent).
-	cv, err := st.evalScalar(constSide)
+	// once on the MinContext run, from the root — it is context
+	// independent; whole-document paths in it stay tabulated).
+	cv, err := st.run.EvalSingleContext(constSide, semantics.Context{Node: st.doc.RootID(), Pos: 1, Size: 1})
 	if err != nil {
 		if st.ctx.Err() != nil {
 			return st.ctx.Err() // cancelled, not merely out of fragment
@@ -442,63 +427,4 @@ func (st *state) evalBottomUpPath(key xpath.Expr, pathSide xpath.Expr, c *semant
 	st.run.SetTruth(key, at, everywhere)
 	st.paths++
 	return nil
-}
-
-// ConstantIDs evaluates a context-independent id(…) head, once, on the
-// MinContext run.
-func (st *state) ConstantIDs(head *xpath.Call) (xmltree.NodeSet, error) {
-	v, err := st.evalScalar(head)
-	if err == nil && v.Kind != xpath.TypeNodeSet {
-		err = fmt.Errorf("wadler: id head is not a node set")
-	}
-	return v.Set, err
-}
-
-// JudgeStep is the predicate half of propagate_step_backwards: the
-// kernel has restricted the target set to the node test and takes χ⁻¹
-// of what the MinContext run keeps of it. Predicates that depend on
-// position/size run in a loop over the pairs of previous/current context
-// node, as in the appendix pseudocode, and answer with the previous
-// context nodes themselves.
-func (st *state) JudgeStep(step *xpath.Step, yt xmltree.NodeSet) (xmltree.NodeSet, bool, error) {
-	if !step.Positional() {
-		yt, err := st.run.FilterCandidates(step, yt)
-		return yt, false, err
-	}
-	// Position-dependent: loop over previous context nodes x and their
-	// candidate sets. Note the candidate set Z (and thus the context
-	// size) must be computed over ALL candidates of x, not only those in
-	// yt; positions refer to the unrestricted step result — and so the
-	// predicates' cp/cs-independent parts are tabulated over all of them.
-	if err := st.cancel.CheckN(len(yt)); err != nil {
-		return nil, true, err
-	}
-	xs := axes.EvalInverse(st.ar, st.doc, step.Axis, yt)
-	if err := st.cancel.CheckN(len(xs)); err != nil {
-		return nil, true, err
-	}
-	if err := st.run.TabulatePreds(step, evalutil.StepCandidatesSet(st.ar, st.doc, step.Axis, step.Test, xs)); err != nil {
-		return nil, true, err
-	}
-	// xs is χ⁻¹(yt): only these previous context nodes have a candidate
-	// in yt at all. A survivor is an x one of whose ranked
-	// candidates lies in yt; xs is compacted in place. The candidate
-	// lists share the work slice of marking scratch.
-	ix := st.doc.Index()
-	sc := ix.AcquireScratch()
-	defer ix.ReleaseScratch(sc)
-	loop := evalutil.NewPairLoop(st.ar, st.doc, step, st.cancel)
-	k := 0
-	for _, x := range xs {
-		z, err := loop.RankedCandidates(x, sc.Work, st.run.EvalSingleContext)
-		if err != nil {
-			return nil, true, err
-		}
-		if z.Intersects(yt) {
-			xs[k] = x
-			k++
-		}
-		sc.Work = z
-	}
-	return xs[:k], true, nil
 }

@@ -72,8 +72,8 @@ func TestExample112BottomUp(t *testing.T) {
 	if !v.Set.Equal(want) {
 		t.Errorf("result = %v, want %v", v.Set, want)
 	}
-	if ev.LastBottomUpPaths != 2 {
-		t.Errorf("bottom-up paths = %d, want 2 (E5 and E14 of the example)", ev.LastBottomUpPaths)
+	if n := bottomUpPaths(t, d, xpath.MustParse(q)); n != 2 {
+		t.Errorf("bottom-up paths = %d, want 2 (E5 and E14 of the example)", n)
 	}
 }
 

@@ -18,16 +18,18 @@
 //	E1[[π = s]]        = {x | S→[[π]]({x}) ∩ {y | strval(y) = s} ≠ ∅}
 //	E1[[first-of-any()]] … one scan of the sibling lists (Theorem 10.8)
 //
-// S← is not written here: evalutil.Backward walks a path backwards from
-// a node set for this package and for OptMinContext alike, id heads
-// included (by Lemma 10.6 an id head is one more step to invert), and
-// states the contract at the top of its file: the kernel never writes to
-// the set it is given, the posting lists it starts from are the index's
-// own — shared, read-only — and a path that does not start at the
-// context node answers with one flag. This package brings the judge of a
-// step's predicates — intersect with their E1 — and the "=s" string
-// search, which reads the string-values of T(t) of the path's last step
-// only, never an interior element's.
+// Neither S→ nor S← is written here: evalutil.Forward and
+// evalutil.Backward walk a path from a node set for this package and for
+// the MinContext run alike, id heads included (by Lemma 10.6 an id head
+// is one more step to invert), and state the contract at the top of
+// their file: a kernel never writes to the set it is given, the posting
+// lists it starts from are the index's own — shared, read-only — and a
+// path that does not start at the context node answers with one flag.
+// This package is the judge the kernels call: a step's predicates are
+// intersected with their E1, an id head is evaluated forwards, no step
+// is positional. Besides, it brings the "=s" string search, which reads
+// the string-values of T(t) of the path's last step only, never an
+// interior element's.
 //
 // E1 is a sorted slice — what the backward walk returns, and what and/or
 // of two such slices merge into — until a not() or a true() makes it
@@ -184,10 +186,12 @@ func (ev *Evaluator) run(ctx context.Context, f func(x *eval) (xmltree.NodeSet, 
 	return v.Set, err
 }
 
-// back is the backward kernel judging steps by this evaluation's E1.
-func (ev *eval) back() evalutil.Backward {
-	return evalutil.Backward{Doc: ev.doc, Arena: ev.ar, Cancel: ev.cancel, Judge: ev}
+// fwd and back are the two kernels judging steps by this evaluation's E1.
+func (ev *eval) fwd() evalutil.Forward {
+	return evalutil.Forward{Doc: ev.doc, Arena: ev.ar, Cancel: ev.cancel, Judge: ev}
 }
+
+func (ev *eval) back() evalutil.Backward { return evalutil.Backward(ev.fwd()) }
 
 // Evaluate computes the query for a single context node. The query must
 // be in the fragment.
@@ -201,14 +205,14 @@ func (ev *Evaluator) Evaluate(e xpath.Expr, c semantics.Context) (semantics.Valu
 // error promptly once ctx is done.
 func (ev *Evaluator) EvaluateContext(ctx context.Context, e xpath.Expr, c semantics.Context) (semantics.Value, error) {
 	s, err := ev.run(ctx, func(x *eval) (xmltree.NodeSet, error) {
-		return x.forward(e, append(x.ar.Nodes(1), c.Node))
+		return x.fwd().Image(e, append(x.ar.Nodes(1), c.Node))
 	})
 	return semantics.NodeSet(s), err
 }
 
 // EvaluateSet computes S→[[π]](N0) for a set of context nodes.
 func (ev *Evaluator) EvaluateSet(e xpath.Expr, n0 xmltree.NodeSet) (xmltree.NodeSet, error) {
-	return ev.run(context.Background(), func(x *eval) (xmltree.NodeSet, error) { return x.forward(e, n0) })
+	return ev.run(context.Background(), func(x *eval) (xmltree.NodeSet, error) { return x.fwd().Image(e, n0) })
 }
 
 // MatchSet computes the nodes matching a pattern in the XSLT-template
@@ -229,7 +233,7 @@ func (ev *Evaluator) MatchSetContext(ctx context.Context, e xpath.Expr) (xmltree
 		if err != nil {
 			return nil, err
 		}
-		return x.forward(e, dom)
+		return x.fwd().Image(e, dom)
 	})
 }
 
@@ -241,64 +245,18 @@ func (ev *Evaluator) Matches(e xpath.Expr, n xmltree.NodeID) (bool, error) {
 	return s.Contains(n), err
 }
 
-// forward computes S→[[e]](n0).
-func (ev *eval) forward(e xpath.Expr, n0 xmltree.NodeSet) (xmltree.NodeSet, error) {
-	switch x := e.(type) {
-	case *xpath.Binary:
-		if x.Op != xpath.OpUnion {
-			break
-		}
-		l, err := ev.forward(x.Left, n0)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ev.forward(x.Right, n0)
-		return ev.ar.Union(l, r), err
-	case *xpath.Call:
-		return ev.idHead(x, n0)
-	case *xpath.Path:
-		cur := n0
-		if x.Filter != nil {
-			head, ok := x.Filter.(*xpath.Call)
-			if !ok {
-				break
-			}
-			var err error
-			if cur, err = ev.idHead(head, n0); err != nil {
-				return nil, err
-			}
-		} else if x.Absolute {
-			cur = append(ev.ar.Nodes(1), ev.doc.RootID())
-		}
-		for _, step := range x.Steps {
-			if len(cur) == 0 {
-				break
-			}
-			if err := ev.cancel.CheckN(ev.doc.Len()); err != nil {
-				return nil, err
-			}
-			// The candidates are a fresh set: the judge filters it in place.
-			var err error
-			if cur, _, err = ev.JudgeStep(step, evalutil.StepCandidatesSet(ev.ar, ev.doc, step.Axis, step.Test, cur)); err != nil {
-				return nil, err
-			}
-		}
-		return cur, nil
-	}
-	return nil, fmt.Errorf("xpatterns: not an XPatterns query: %s", e)
-}
-
-// idHead evaluates an id(…) head forwards: id('c') is the constant's
+// Head evaluates an id(…) head forwards: id('c') is the constant's
 // referents, id(π) and id(id(…)) apply the id axis to the argument's
-// result.
-func (ev *eval) idHead(c *xpath.Call, n0 xmltree.NodeSet) (xmltree.NodeSet, error) {
-	if c.Name != "id" || len(c.Args) != 1 {
-		return nil, fmt.Errorf("xpatterns: unsupported path head %s", c)
+// image.
+func (ev *eval) Head(head xpath.Expr, n0 xmltree.NodeSet) (xmltree.NodeSet, error) {
+	c, ok := head.(*xpath.Call)
+	if !ok || c.Name != "id" || len(c.Args) != 1 {
+		return nil, fmt.Errorf("xpatterns: unsupported path head %s", head)
 	}
 	if lit, ok := c.Args[0].(*xpath.Literal); ok {
 		return ev.ar.Trim(ev.doc.AppendIDs(ev.ar.Nodes(len(lit.Val)/2+1), lit.Val)), nil
 	}
-	inner, err := ev.forward(c.Args[0], n0)
+	inner, err := ev.fwd().Image(c.Args[0], n0)
 	if err != nil {
 		return nil, err
 	}
@@ -308,20 +266,14 @@ func (ev *eval) idHead(c *xpath.Call, n0 xmltree.NodeSet) (xmltree.NodeSet, erro
 	return axes.EvalID(ev.ar, ev.doc, inner), nil
 }
 
-// ConstantIDs evaluates a context-independent id(…) head for the
-// backward kernel: forwards, from no context node at all.
-func (ev *eval) ConstantIDs(head *xpath.Call) (xmltree.NodeSet, error) {
-	return ev.idHead(head, nil)
-}
-
 // JudgeStep keeps the members of yt at which every predicate of the step
-// holds: yt ∩ E1[[e1]] ∩ … ∩ E1[[em]], in place. The forward pass and
-// the backward kernel both judge a step this way.
-func (ev *eval) JudgeStep(step *xpath.Step, yt xmltree.NodeSet) (xmltree.NodeSet, bool, error) {
+// holds: yt ∩ E1[[e1]] ∩ … ∩ E1[[em]], in place. Both kernels judge a
+// step this way.
+func (ev *eval) JudgeStep(step *xpath.Step, yt xmltree.NodeSet) (xmltree.NodeSet, error) {
 	for _, p := range step.Preds {
 		x, err := ev.e1(p)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if x.bits != nil {
 			yt = x.bits.IntersectSet(yt, yt[:0])
@@ -341,7 +293,13 @@ func (ev *eval) JudgeStep(step *xpath.Step, yt xmltree.NodeSet) (xmltree.NodeSet
 		}
 		yt = keep
 	}
-	return yt, false, nil
+	return yt, nil
+}
+
+// RankStep refuses: no predicate of Core XPath or XPatterns reads
+// position() or last().
+func (ev *eval) RankStep(step *xpath.Step, _ xmltree.NodeSet) (evalutil.PredEval, error) {
+	return nil, fmt.Errorf("xpatterns: positional step %s not in the fragment", step)
 }
 
 // ext is E1[[e]], the nodes at which a predicate holds: sparse (set, a
