@@ -39,12 +39,15 @@
 // -replicas N mirrors every registration to the owner's next N ring
 // successors at the owner-assigned document version, so -replica-retry
 // reads hit a warm copy when the owner is down. Repeated identical
-// queries are served from an LRU answer cache (-answer-cache entries)
-// keyed by (doc, query, version) and invalidated when a registration
-// bumps the version.
+// queries are served from an LRU answer cache (-answer-cache entries;
+// 0 disables it) keyed by (doc, query, version) and invalidated when a
+// registration bumps the version. /query and /batch share it: a batch
+// job the cache holds is answered from it, and a batch line fills the
+// entry a later /query (or job) hits.
 //
-// /batch groups jobs by owning node — M documents over N nodes opens
-// at most N backend streams — and merges them into one NDJSON
+// /batch groups the jobs the cache misses by owning node — M documents
+// over N nodes opens at most N backend streams, none when every job
+// hits — and merges them into one NDJSON
 // response in completion order; every line carries the global job
 // index ("index", doc-major), the document ("doc") and the node that
 // produced it ("node"). Disconnecting cancels every in-flight backend

@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"strconv"
 	"sync"
+
+	"repro/internal/store"
 )
 
 // DefaultAnswerCacheSize is the router answer cache's entry capacity
@@ -17,7 +19,9 @@ const DefaultAnswerCacheSize = 1024
 // through the router, or a backend response carrying a higher
 // version), and are dropped eagerly so a hot document's churn cannot
 // pin dead bytes in the LRU. Repeated identical queries are answered
-// from here without touching a backend.
+// from here without touching a backend, whether they come as a /query
+// or as a /batch job: a batch line is the same body behind its line
+// members, so both paths read and fill the one entry.
 type answerCache struct {
 	mu     sync.Mutex
 	cap    int
@@ -32,10 +36,29 @@ type answerCache struct {
 	// exists. Versions are monotonic per document even across
 	// delete + re-register (the store counter never goes backwards),
 	// so any version at or below the tombstone is the dead document's.
-	dead    map[string]uint64
+	dead map[string]uint64
+	// floor is what the bounds on latest and dead leave behind: per
+	// bucket of document names, the highest version of any watermark or
+	// tombstone they dropped. A put for a name that has neither, at a
+	// version at or below its bucket's floor, may be a late in-flight
+	// answer older than a version the router already acknowledged, and
+	// is dropped — a miss, never a stale answer. Names that share a
+	// bucket only cost each other misses.
+	floor   [floorBuckets]uint64
 	hits    uint64
 	misses  uint64
 	invalid uint64 // entries dropped by version bumps and deletes
+}
+
+// floorBuckets is the size of answerCache.floor.
+const floorBuckets = 256
+
+// raiseFloorLocked records that doc's watermark or tombstone at ver is
+// being dropped.
+func (c *answerCache) raiseFloorLocked(doc string, ver uint64) {
+	if b := store.KeyShard(doc, floorBuckets); ver > c.floor[b] {
+		c.floor[b] = ver
+	}
 }
 
 type answerEntry struct {
@@ -99,6 +122,9 @@ func (c *answerCache) put(doc, query string, ver uint64, body []byte) {
 		delete(c.dead, doc) // the name was legitimately re-registered
 	}
 	if cur, ok := c.latest[doc]; !ok || ver > cur {
+		if !ok && ver <= c.floor[store.KeyShard(doc, floorBuckets)] {
+			return // perhaps older than a watermark the bounds dropped
+		}
 		c.dropDocLocked(doc)
 		c.setLatestLocked(doc, ver)
 	} else if ver < cur {
@@ -146,20 +172,22 @@ func (c *answerCache) bump(doc string, ver uint64) {
 // setLatestLocked records a document's newest version, bounding the
 // watermark map so a churn of distinct document names cannot grow it
 // without limit: past 4× the LRU capacity, watermarks without any
-// cached answers are dropped. Losing a watermark only costs a cache
-// miss — the next query re-learns the version from the backend's
-// response — never a stale answer, because lookups require it.
+// cached answers are dropped into the floor. Losing a watermark only
+// costs cache misses — the next answer newer than the floor re-learns
+// the version — never a stale answer: lookups require a watermark, and
+// the floor keeps a late answer older than the dropped one out.
 func (c *answerCache) setLatestLocked(doc string, ver uint64) {
 	c.latest[doc] = ver
 	max := 4 * c.cap
 	if len(c.latest) <= max {
 		return
 	}
-	for d := range c.latest {
+	for d, v := range c.latest {
 		if len(c.latest) <= max {
 			return
 		}
 		if d != doc && len(c.perDoc[d]) == 0 {
+			c.raiseFloorLocked(d, v)
 			delete(c.latest, d)
 		}
 	}
@@ -185,16 +213,16 @@ func (c *answerCache) forget(doc string) {
 }
 
 // trimDeadLocked bounds the tombstone map like setLatestLocked bounds
-// the watermarks: losing a tombstone only reopens a narrow in-flight
-// race for a long-deleted name, which is preferable to unbounded
-// growth under name churn.
+// the watermarks, and into the same floor, which keeps a dropped
+// tombstone's in-flight answers out as the tombstone did.
 func (c *answerCache) trimDeadLocked(keep string) {
 	max := 4 * c.cap
-	for d := range c.dead {
+	for d, v := range c.dead {
 		if len(c.dead) <= max {
 			return
 		}
 		if d != keep {
+			c.raiseFloorLocked(d, v)
 			delete(c.dead, d)
 		}
 	}

@@ -38,6 +38,47 @@ func TestAnswerCacheTombstone(t *testing.T) {
 	}
 }
 
+// TestAnswerCacheTrimmedWatermark: a watermark or tombstone the bounds
+// drop must not let a late in-flight answer, older than the version the
+// router acknowledged, into the cache — it used to find no watermark,
+// set one at its own version and be served from then on. Answers newer
+// than what was dropped still fill the cache.
+func TestAnswerCacheTrimmedWatermark(t *testing.T) {
+	// churn registers (and, with del, deletes) other names until gone.
+	churn := func(c *answerCache, del bool, gone func() bool) {
+		t.Helper()
+		for i := 0; !gone(); i++ {
+			if i == 10000 {
+				t.Fatal("churn never dropped the entry")
+			}
+			c.bump(fmt.Sprintf("other-%d", i), 1)
+			if del {
+				c.forget(fmt.Sprintf("other-%d", i))
+			}
+		}
+	}
+	c := newAnswerCache(1)
+	c.bump("x", 5) // a registration through the router, acknowledged at 5
+	churn(c, false, func() bool { _, ok := c.latest["x"]; return !ok })
+	c.put("x", "q", 4, []byte("v4 answer")) // in flight since before the registration
+	if body, ok := c.get("x", "q"); ok {
+		t.Fatalf("served %q after version 5 was acknowledged", body)
+	}
+	c.put("x", "q", 6, []byte("v6 answer"))
+	if body, ok := c.get("x", "q"); !ok || string(body) != "v6 answer" {
+		t.Fatalf("newer answer not served after the trim: %q, %v", body, ok)
+	}
+
+	c = newAnswerCache(1)
+	c.put("y", "q", 7, []byte("v7 answer"))
+	c.forget("y") // tombstone at 7
+	churn(c, true, func() bool { _, ok := c.dead["y"]; return !ok })
+	c.put("y", "q", 7, []byte("v7 answer"))
+	if body, ok := c.get("y", "q"); ok {
+		t.Fatalf("deleted document served %q after its tombstone was trimmed", body)
+	}
+}
+
 // TestAnswerCacheBounds pins the memory bounds: the LRU respects its
 // capacity, and the version-watermark and tombstone maps stay bounded
 // under unbounded name churn.

@@ -28,16 +28,25 @@
 //   - parses the envelope: serve.ScanEnvelope reads the members the
 //     wire layout (internal/serve/encode.go) puts in front of the value
 //     — index, doc, missing, version — which is all that routing,
-//     re-dispatch and cache keying need;
+//     re-dispatch and cache keying need, and where the answer proper
+//     starts (Body) and whether it is a value;
 //   - never parses the value: it is checked to be JSON (json.Valid; a
 //     peer body that is not a JSON object is ErrUnavailable, never
 //     relayed) and copied;
 //   - rewrites only what it owns: a line's job index (backend-local →
 //     global), a doc the backend left out, and "node" (and "drained")
-//     spliced in front of the closing brace. The bytes it sends are the
-//     bytes the cache keeps, so a hit is a lookup and a Write. Lines it
-//     makes up itself (a job it could not place, a stream that died)
-//     are serve.BatchLine values through serve's encoder;
+//     spliced in front of the closing brace — one splicer,
+//     Router.relayAnswer, for /query bodies and /batch lines. The
+//     bytes it sends are the bytes the cache keeps: a /query body as
+//     sent, a batch line's answer proper — '{' + line[Body:End] and
+//     the node tag, which the layout makes the /query body of the same
+//     answer. So a hit is a lookup and a Write on both paths: /query
+//     writes the entry, /batch writes its own index, doc and request_id
+//     and then the entry past its brace, the bytes a relay of the line
+//     would have sent. A value line at a version fills the entry as a
+//     200 /query answer does; error, missing and drained lines never
+//     do. Lines it makes up itself (a job it could not place, a stream
+//     that died) are serve.BatchLine values through serve's encoder;
 //   - still decodes where it must look inside: ?trace=1 answers (typed,
 //     value and trace kept raw), to graft the backend's span tree under
 //     its own forward span, and the admin endpoints (/documents,

@@ -120,12 +120,12 @@ type Options struct {
 // stream per owning node (not per document), merged line by line in
 // completion order, every line tagged with the global job index, the
 // document, and the node that produced it — per-source provenance in
-// the spirit of annotated query answering. Repeated identical queries
-// are answered from an LRU answer cache keyed by (doc, query,
-// version) and invalidated when a registration bumps the document's
-// version. A Router over one peer is a plain reverse proxy:
-// single-node deployments are the degenerate case, not a separate
-// code path.
+// the spirit of annotated query answering. Repeated identical queries,
+// as /query or as /batch jobs, are answered from one LRU answer cache
+// keyed by (doc, query, version) and invalidated when a registration
+// bumps the document's version. A Router over one peer is a plain
+// reverse proxy: single-node deployments are the degenerate case, not
+// a separate code path.
 type Router struct {
 	ring *Ring
 	old  *Ring // drain-mode fallback ring (nil outside migrations)
@@ -823,17 +823,57 @@ func appendTags(dst []byte, node string, drained bool) []byte {
 	return append(dst, '}', '\n')
 }
 
-// tagAnswer returns a copy of a backend's answer (a JSON object, Node
-// has checked) with the router's members spliced in front of its
-// closing brace; everything else is the backend's bytes.
-func tagAnswer(body []byte, node string, drained bool) []byte {
-	end := bytes.LastIndexByte(body, '}')
-	out := make([]byte, 0, end+len(node)+32)
-	out = append(out, body[:end]...)
-	if len(bytes.TrimSpace(out)) > 1 { // not the empty object
+// relayAnswer is the one way a backend answer (a JSON object, Node has
+// checked) becomes what the router sends, for /query and /batch alike.
+// dst holds what goes in front of the answer proper: "{" for a /query
+// body, a batch line's re-tagged index, doc and request_id. The answer
+// proper, line[env.Body:env.End], is appended unread and the router's
+// members are spliced in front of its closing brace. out is the
+// client's bytes; entry, nil unless the router caches and the answer
+// may be cached, is '{' + line[env.Body:env.End] plus the node tag —
+// the /query body of the answer, which a /batch hit replays behind
+// line members of its own. entry aliases out when dst was just "{".
+func (r *Router) relayAnswer(dst, line []byte, env serve.Envelope, node string, drained bool) (out, entry []byte) {
+	head := len(dst)
+	out = append(dst, line[env.Body:env.End]...)
+	if t := bytes.TrimRight(out, " \t\r\n"); t[len(t)-1] != '{' { // not the empty object
 		out = append(out, ',')
 	}
-	return appendTags(out, node, drained)
+	out = appendTags(out, node, drained)
+	if r.cache == nil || !cacheable(line, env, drained) {
+		return out, nil
+	}
+	if head == 1 {
+		return out, out
+	}
+	entry = make([]byte, 0, 1+len(out)-head)
+	return out, append(append(entry, '{'), out[head:]...)
+}
+
+// cacheable reports whether a relayed answer may fill the cache: it
+// carries a value, at a version, from the current ring, for a document
+// the backend has, and no top-level error. The raw bytes `"error":`
+// cannot occur inside a JSON string (serve's encode.go), and serve's
+// encoder writes them only as the top-level member, so looking for them
+// is exact for a serve backend and errs towards not caching for any
+// other.
+func cacheable(line []byte, env serve.Envelope, drained bool) bool {
+	return env.Value && env.Version > 0 && !env.Missing && !drained &&
+		!bytes.Contains(line[env.Body:env.End], []byte(`"error":`))
+}
+
+// relayQuery is relayAnswer for a whole /query body. A JSON object laid
+// out other than the way serve lays answers out (a foreign peer's) is
+// still relayed, tagged, but never cached: the router cannot tell the
+// version it answers for.
+func (r *Router) relayQuery(raw []byte, node string, drained bool) (out, entry []byte, ver uint64) {
+	env, ok := serve.ScanEnvelope(raw)
+	if !ok {
+		env = serve.Envelope{Body: 1, End: bytes.LastIndexByte(raw, '}')}
+	}
+	dst := make([]byte, 0, len(raw)+len(node)+32)
+	out, entry = r.relayAnswer(append(dst, raw[:env.Body]...), raw, env, node, drained)
+	return out, entry, env.Version
 }
 
 // tracedAnswer is a backend answer decoded for ?trace=1 — the one kind
@@ -947,7 +987,7 @@ func (r *Router) forwardQuery(w http.ResponseWriter, req *http.Request, body ser
 			// Read fallback: the doc may live on a replica it failed
 			// over to while this node was down.
 			if notFound == nil {
-				notFound = tagAnswer(raw, n.Name(), false)
+				notFound, _, _ = r.relayQuery(raw, n.Name(), false)
 			}
 			continue
 		}
@@ -963,13 +1003,11 @@ func (r *Router) forwardQuery(w http.ResponseWriter, req *http.Request, body ser
 			serve.WriteJSON(w, status, &ans)
 			return nil, true
 		}
-		out := tagAnswer(raw, n.Name(), drainRing)
-		if status == http.StatusOK && r.cache != nil && !drainRing && !traceOn {
+		out, entry, ver := r.relayQuery(raw, n.Name(), drainRing)
+		if entry != nil && status == http.StatusOK && !traceOn {
 			// What the cache keeps is what goes on the wire, the
 			// backend's version label and value as it paired them.
-			if env, ok := serve.ScanEnvelope(raw); ok {
-				r.cache.put(body.Doc, body.Query, env.Version, out)
-			}
+			r.cache.put(body.Doc, body.Query, ver, entry)
 		}
 		serve.WriteJSONBytes(w, status, out)
 		return nil, true
@@ -1018,7 +1056,10 @@ func (q *routerBatchRequest) ScanJSON(b []byte) bool {
 // exactly one line per job index always arrives. Jobs a live node
 // reports "missing" (a document that failed over or hasn't migrated)
 // are re-dispatched to the next candidate instead of erroring
-// immediately.
+// immediately. Jobs the answer cache holds are answered from it first,
+// all in one write, and only the rest are grouped; a batch whose jobs
+// all hit opens no backend stream. (?trace=1 does not bypass the cache
+// here as it does on /query: no batch line carries a span tree.)
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		serve.HTTPError(w, http.StatusMethodNotAllowed, "POST a {doc|docs, queries} object")
@@ -1042,24 +1083,31 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 			jobs = append(jobs, serve.BatchJob{Doc: doc, Query: q})
 		}
 	}
-	groups := map[int][]int{} // owner ring slot -> global job indices
+	ctx := req.Context()
+	writeLine := serve.OpenStream(ctx, w)
+
+	groups := map[int][]int{} // owner ring slot -> global job indices of the misses
+	var hits []byte           // every hit's line, written at once
+	id := obs.RequestID(ctx)
 	for gi, j := range jobs {
+		if r.cache != nil {
+			if entry, ok := r.cache.get(j.Doc, j.Query); ok {
+				// The line members a relay of this answer carries, then
+				// the entry past its brace: the bytes that relay wrote.
+				hits = strconv.AppendInt(append(hits, `{"index":`...), int64(gi), 10)
+				hits = serve.AppendJSONString(append(hits, `,"doc":`...), j.Doc)
+				if id != "" {
+					hits = serve.AppendJSONString(append(hits, `,"request_id":`...), id)
+				}
+				hits = append(append(hits, ','), entry[1:]...)
+				continue
+			}
+		}
 		slot := r.ring.OwnerIndex(j.Doc)
 		groups[slot] = append(groups[slot], gi)
 	}
-
-	rc := serve.OpenStream(w)
-	ctx := req.Context()
-
-	var mu sync.Mutex // serializes writes across backend streams
-	writeLine := func(line []byte) {
-		mu.Lock()
-		defer mu.Unlock()
-		if ctx.Err() != nil {
-			return // client is gone; backends are being cancelled
-		}
-		w.Write(line)
-		rc.Flush()
+	if len(hits) > 0 {
+		writeLine(hits)
 	}
 
 	// In drain mode, jobs the whole new-ring candidate chain reports
@@ -1104,21 +1152,24 @@ func errorLine(ctx context.Context, index int, job serve.BatchJob, node string, 
 		//lint:ignore wiretag no backend answered, so there is no version to carry; an error line is never cached
 		QueryResponse: serve.QueryResponse{Query: job.Query, Error: err.Error()},
 	}
-	return tagAnswer(serve.AppendBatchLine(nil, &line), node, drained)
+	enc := serve.AppendBatchLine(nil, &line) // ends in "}\n"
+	return appendTags(append(enc[:len(enc)-2], ','), node, drained)
 }
 
 // streamGroup relays one per-node job group through the candidate at
 // the given attempt, re-tagging each line with its global index, its
 // document, and the node (and "drained" on the old ring); the rest of
-// a line is the backend's bytes. Failover applies only before the
-// first line is on the wire; after a mid-stream failure the jobs that
-// already streamed are not replayed (the client has their lines) and
-// the rest become error lines, as do jobs a stream that ended cleanly
-// never answered, so the merged stream still carries exactly one line
-// per job. Jobs flagged "missing" by a live node are collected and
-// re-dispatched to the next candidate — the grouped-stream form of
-// per-document read fallback — and jobs still missing after the last
-// candidate go to exhausted (the drain-ring fallback) when one is set.
+// a line is the backend's bytes, and a line relayAnswer finds
+// cacheable fills the answer cache as a /query answer would. Failover
+// applies only before the first line is on the wire; after a
+// mid-stream failure the jobs that already streamed are not replayed
+// (the client has their lines) and the rest become error lines, as do
+// jobs a stream that ended cleanly never answered, so the merged
+// stream still carries exactly one line per job. Jobs flagged
+// "missing" by a live node are collected and re-dispatched to the next
+// candidate — the grouped-stream form of per-document read fallback —
+// and jobs still missing after the last candidate go to exhausted (the
+// drain-ring fallback) when one is set.
 func (r *Router) streamGroup(ctx context.Context, cands []*Node, attempt int, indices []int, jobs []serve.BatchJob, writeLine func([]byte), drained bool, exhausted func([]int)) {
 	n := cands[attempt]
 	if serr := r.beforeAttempt(ctx, attempt); serr != nil {
@@ -1159,8 +1210,11 @@ func (r *Router) streamGroup(ctx context.Context, cands []*Node, attempt int, in
 			out = append(out, `,"doc":`...)
 			out = serve.AppendJSONString(out, sub[local].Doc)
 		}
-		out = append(out, line[env.IndexEnd:env.End]...)
-		out = appendTags(append(out, ','), n.Name(), drained)
+		var entry []byte
+		out, entry = r.relayAnswer(append(out, line[env.IndexEnd:env.Body]...), line, env, n.Name(), drained)
+		if entry != nil {
+			r.cache.put(sub[local].Doc, sub[local].Query, env.Version, entry)
+		}
 		writeLine(out)
 		return nil
 	})

@@ -30,6 +30,10 @@ package serve
 //     envelope and never the value. What it adds ("node", "drained") it
 //     splices in front of the closing brace, which is the last byte
 //     before the newline.
+//   - A batch line is its /query answer behind the four line members:
+//     with Body and End as ScanEnvelope reports them,
+//     '{' + line[Body:End] + "}\n" is byte for byte the /query body of
+//     the same answer. That is what lets one cache entry serve both.
 //
 // Strings are escaped as encoding/json escapes them (HTML-safe: <, >
 // and & become \u003c, \u003e, \u0026; U+2028/2029 and invalid UTF-8 are
@@ -392,11 +396,18 @@ type Envelope struct {
 	Missing   bool
 	RequestID []byte
 	Version   uint64
+	// Value reports that the member which ended the envelope is value:
+	// the answer carries a value (and, from this encoder, no error).
+	Value bool
 	// IndexEnd is the offset just past the index member's value, 0 when
-	// the answer has no index (a /query body); End is the offset of the
-	// closing brace. A relay that re-tags an answer copies everything
-	// between the two unread.
+	// the answer has no index (a /query body); Body is the offset of the
+	// first member after index, doc, missing and request_id — the answer
+	// proper, End when there is none; End is the offset of the closing
+	// brace. A relay that re-tags an answer copies everything between
+	// IndexEnd and End unread; line[Body:End] is the answer as /query
+	// would have sent it, less its braces.
 	IndexEnd int
+	Body     int
 	End      int
 }
 
@@ -411,6 +422,10 @@ var envelopeKeys = [...]struct {
 	{"query", 's'}, {"fragment", 's'}, {"strategy", 's'}, {"version", 'u'},
 	{"fallback", 'b'},
 }
+
+// lineKeys is how many of envelopeKeys only a batch line has; the
+// members from query on are the answer proper.
+const lineKeys = 4
 
 // ScanEnvelope reads the leading members of an answer in the wire
 // layout — everything in front of value and error, never the value —
@@ -433,12 +448,14 @@ func ScanEnvelope(b []byte) (Envelope, bool) {
 	env.End = end
 	i, next := 1, 0
 	if i == end {
+		env.Body = end
 		return env, true // {}
 	}
 	for {
 		if b[i] != '"' {
 			return env, false
 		}
+		keyStart := i
 		n := bytes.IndexByte(b[i+1:end], '"')
 		if n < 0 {
 			return env, false
@@ -456,10 +473,14 @@ func ScanEnvelope(b []byte) (Envelope, bool) {
 				break
 			}
 		}
+		if env.Body == 0 && (slot < 0 || slot >= lineKeys) {
+			env.Body = keyStart
+		}
 		if slot < 0 {
 			// Not an envelope member still to come: the envelope ends
 			// here if this is the answer's body.
 			k := string(key)
+			env.Value = k == "value"
 			return env, k == "value" || k == "error" || k == "trace"
 		}
 		next = slot + 1
@@ -518,6 +539,9 @@ func ScanEnvelope(b []byte) (Envelope, bool) {
 			env.Version = n
 		}
 		if i == end {
+			if env.Body == 0 {
+				env.Body = end
+			}
 			return env, true
 		}
 		if b[i] != ',' {

@@ -332,9 +332,27 @@ func FuzzAppendJSONString(f *testing.F) {
 	})
 }
 
+// envelopeLines is generatedLines plus the lines a router meets that the
+// generator may not draw: an error line, a missing line, and a value
+// with each non-finite number.
+func envelopeLines() []*BatchLine {
+	lines := generatedLines()
+	lines = append(lines,
+		&BatchLine{Index: 2, Doc: "d", RequestID: "r", QueryResponse: QueryResponse{Query: "//[", Error: "xpath: parse error"}},
+		&BatchLine{Index: 3, Doc: "gone", Missing: true, RequestID: "r", QueryResponse: QueryResponse{Query: "q", Error: `unknown document "gone"`}})
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f := f
+		lines = append(lines, &BatchLine{Index: 4, Doc: "d", QueryResponse: QueryResponse{Query: "1 div 0", Fragment: "f", Strategy: "s", Version: 9,
+			Value: &ValueJSON{Kind: "number", String: semantics.NumberToString(f), Number: &f}}})
+	}
+	return lines
+}
+
 // TestScanEnvelopeRoundTrip: the scanner reads back, from the encoder's
 // bytes, the envelope the encoder was given — whatever the strings in
-// front of the version spell — and its offsets are where a relay cuts.
+// front of the version spell — and its offsets are where a relay cuts:
+// in particular '{' + line[Body:End] + "}\n" is the /query body of the
+// line's answer, the layout contract one cache entry serves both with.
 func TestScanEnvelopeRoundTrip(t *testing.T) {
 	unquote := func(tok []byte) string {
 		if tok == nil {
@@ -351,25 +369,28 @@ func TestScanEnvelopeRoundTrip(t *testing.T) {
 		b, _ := json.Marshal(s)
 		return unquote(b)
 	}
-	for i, l := range generatedLines() {
+	for i, l := range envelopeLines() {
 		enc := AppendBatchLine(nil, l)
 		env, ok := ScanEnvelope(enc)
 		if !ok {
 			t.Fatalf("line %d: scanner refuses the encoder's own output %s", i, enc)
 		}
 		if env.Index != l.Index || unquote(env.Doc) != decoded(l.Doc) || env.Missing != l.Missing ||
-			unquote(env.RequestID) != decoded(l.RequestID) || env.Version != l.Version {
+			unquote(env.RequestID) != decoded(l.RequestID) || env.Version != l.Version || env.Value != (l.Value != nil) {
 			t.Fatalf("line %d: envelope %+v (doc %s, request_id %s) of %+v", i, env, env.Doc, env.RequestID, l)
 		}
-		if string(enc[:env.IndexEnd]) != `{"index":`+strconv.Itoa(l.Index) || string(enc[env.End:]) != "}\n" {
-			t.Fatalf("line %d: offsets %d, %d in %s", i, env.IndexEnd, env.End, enc)
+		if string(enc[:env.IndexEnd]) != `{"index":`+strconv.Itoa(l.Index) || string(enc[env.End:]) != "}\n" || env.Body < env.IndexEnd {
+			t.Fatalf("line %d: offsets %d, %d, %d in %s", i, env.IndexEnd, env.Body, env.End, enc)
 		}
-		if envNoNL, ok := ScanEnvelope(enc[:len(enc)-1]); !ok || envNoNL.End != env.End {
+		if envNoNL, ok := ScanEnvelope(enc[:len(enc)-1]); !ok || envNoNL.End != env.End || envNoNL.Body != env.Body {
 			t.Fatalf("line %d: without the newline: %+v, %v", i, envNoNL, ok)
 		}
 		body := AppendQueryResponse(nil, &l.QueryResponse)
+		if proper := "{" + string(enc[env.Body:env.End]) + "}\n"; proper != string(body) {
+			t.Fatalf("line %d: the answer proper of\n%s\nis\n%s\nnot the /query body\n%s", i, enc, proper, body)
+		}
 		env, ok = ScanEnvelope(body)
-		if !ok || env.IndexEnd != 0 || env.Doc != nil || env.Version != l.Version || body[env.End] != '}' {
+		if !ok || env.IndexEnd != 0 || env.Body != 1 || env.Doc != nil || env.Version != l.Version || env.Value != (l.Value != nil) || body[env.End] != '}' {
 			t.Fatalf("line %d: /query body envelope %+v, %v of %s", i, env, ok, body)
 		}
 	}
@@ -401,6 +422,44 @@ func TestScanEnvelopeRefusesNonCanonical(t *testing.T) {
 			t.Errorf("scanner accepts %q as %+v", bad, env)
 		}
 	}
+}
+
+// FuzzScanEnvelope: on arbitrary bytes the scanner does not panic and
+// every offset it returns is inside the input; what it accepts has its
+// offsets where the layout puts them, and its answer proper,
+// '{' + b[Body:End] + '}', is accepted as a /query body with the same
+// version and value flag — what a router relays and caches is an answer
+// the scanner reads the same way. The seeds run under plain `go test`.
+func FuzzScanEnvelope(f *testing.F) {
+	for i, l := range envelopeLines() {
+		if i%10 == 0 || i >= len(envelopeLines())-5 {
+			f.Add(AppendBatchLine(nil, l))
+			f.Add(AppendQueryResponse(nil, &l.QueryResponse))
+		}
+	}
+	for _, s := range []string{"{}", `{"index":-2,"doc":"d"}`, `{"error":"unknown document \"d\""}` + "\n", `{"index":1,"doc":"d\"}`, `{"index":1,"`, `{"query":"q","planned":1}`} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		env, ok := ScanEnvelope(b)
+		for _, off := range []int{env.IndexEnd, env.Body, env.End} {
+			if off < 0 || off > len(b) {
+				t.Fatalf("%q: offset %d out of range in %+v", b, off, env)
+			}
+		}
+		if !ok {
+			return
+		}
+		if b[env.End] != '}' || env.Body < 1 || env.Body > env.End || env.IndexEnd > env.Body ||
+			(env.IndexEnd > 0) != bytes.HasPrefix(b, []byte(`{"index":`)) || (env.Body < env.End && b[env.Body] != '"') {
+			t.Fatalf("%q: offsets %d, %d, %d", b, env.IndexEnd, env.Body, env.End)
+		}
+		proper := append(append([]byte{'{'}, b[env.Body:env.End]...), '}')
+		penv, pok := ScanEnvelope(proper)
+		if !pok || penv.Body != 1 || penv.IndexEnd != 0 || penv.Version != env.Version || penv.Value != env.Value {
+			t.Fatalf("%q: answer proper %q reads as %+v, %v; the line as %+v", b, proper, penv, pok, env)
+		}
+	})
 }
 
 // discardWriter is a ResponseWriter that keeps nothing but the size of

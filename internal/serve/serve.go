@@ -610,29 +610,43 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // OpenStream commits w to an NDJSON stream and sends the headers at
 // once, not with the first line: a client that bounds its wait for them
 // (a router's peer client waits its timeout) sees a slow first answer as
-// a stream in progress. Every line is then followed by the returned
-// controller's Flush; one that fails finds the client gone, which the
-// request's context reports.
-func OpenStream(w http.ResponseWriter) *http.ResponseController {
+// a stream in progress. It returns the stream's line writer, safe for
+// concurrent use, which drops lines once ctx is done (the client is
+// gone). Writers are counted from the moment they have a line until it
+// is written, and only the one that brings the count to zero flushes: a
+// burst of lines shares one flush, and no line waits while the stream
+// is idle.
+func OpenStream(ctx context.Context, w http.ResponseWriter) func(line []byte) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
 	rc.Flush()
-	return rc
+	var mu sync.Mutex
+	var waiting atomic.Int32
+	return func(line []byte) {
+		waiting.Add(1)
+		mu.Lock()
+		defer mu.Unlock()
+		if ctx.Err() == nil {
+			w.Write(line)
+		}
+		if waiting.Add(-1) == 0 {
+			rc.Flush()
+		}
+	}
 }
 
 // startBatchStream commits the response to NDJSON streaming
-// (OpenStream) and returns the request context plus a line writer that
-// is safe for concurrent use and drops lines once the client is gone. A
-// line's value is rendered from (d, v) as in /query; both are nil on a
-// line that carries an error. Workers encode their lines side by side
-// and take the lock only to put the finished bytes on the wire.
+// (OpenStream) and returns the request context plus a line writer with
+// OpenStream's guarantees. A line's value is rendered from (d, v) as in
+// /query; both are nil on a line that carries an error. Workers encode
+// their lines side by side and share the stream only to put the
+// finished bytes on the wire.
 func (s *Server) startBatchStream(w http.ResponseWriter, r *http.Request) (context.Context, func(*BatchLine, *core.Document, *core.Value)) {
-	rc := OpenStream(w)
 	ctx := r.Context()
+	write := OpenStream(ctx, w)
 	id := obs.RequestID(ctx)
-	var mu sync.Mutex
 	return ctx, func(line *BatchLine, d *core.Document, v *core.Value) {
 		if line.RequestID == "" {
 			line.RequestID = id
@@ -640,13 +654,7 @@ func (s *Server) startBatchStream(w http.ResponseWriter, r *http.Request) (conte
 		buf := getBuffer()
 		defer putBuffer(buf)
 		buf.b = closeAnswer(appendAnswer(buf.b, line, &line.QueryResponse, d, v), nil)
-		mu.Lock()
-		defer mu.Unlock()
-		if ctx.Err() != nil {
-			return // client is gone; drop the line, workers are winding down
-		}
-		w.Write(buf.b)
-		rc.Flush()
+		write(buf.b)
 	}
 }
 

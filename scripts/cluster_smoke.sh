@@ -5,8 +5,8 @@
 # through the router, then drives a routed /query and a scatter-gather
 # streamed /batch and checks the index/doc/node tags. It then kills
 # one backend mid-run and asserts the routed query is served from the
-# replica, and that repeated identical queries hit the router answer
-# cache (with a re-registration invalidating it). The observability
+# replica, and that repeated identical queries and batches hit the
+# router answer cache (with a re-registration invalidating it). The observability
 # section scrapes /metrics on the router and the owning backend around
 # a traced query and asserts the per-path counters move and the same
 # X-Request-Id shows up in the backend's log. CI runs this after
@@ -74,8 +74,11 @@ echo "$out" | grep -q '"node": *"127.0.0.1:710' || { echo "missing node tag: $ou
 
 # Answer cache: the identical query again must be a hit, visible in
 # /stats.
+cache_hits() {
+  curl -fsS http://127.0.0.1:7100/stats | grep -o '"answer_cache": *{[^}]*}' | grep -o '"hits": *[0-9]*' | grep -o '[0-9]*$'
+}
 curl -fsS 'http://127.0.0.1:7100/query?doc=doc-0&q=count(//b)' >/dev/null
-hits=$(curl -fsS http://127.0.0.1:7100/stats | grep -o '"answer_cache": *{[^}]*}' | grep -o '"hits": *[0-9]*' | grep -o '[0-9]*$')
+hits=$(cache_hits)
 [ "${hits:-0}" -ge 1 ] || { echo "repeated identical query produced no cache hit (hits=$hits)" >&2; exit 1; }
 echo "answer cache hits: $hits"
 
@@ -100,6 +103,26 @@ lines=$(echo "$batch" | grep -c '"index":' || true)
 [ "$lines" -eq 14 ] || { echo "batch returned $lines lines, want 14:" >&2; echo "$batch" >&2; exit 1; }
 nodes=$(echo "$batch" | grep -o '"node":"127.0.0.1:[0-9]*"' | sort -u | wc -l)
 [ "$nodes" -eq 2 ] || { echo "batch lines from $nodes node(s), want 2:" >&2; echo "$batch" >&2; exit 1; }
+
+# Batch lines fill the answer cache and batch jobs are served from it:
+# the same batch again answers all 14 jobs from the cache.
+hits=$(cache_hits)
+again=$(curl -fsSN http://127.0.0.1:7100/batch \
+  -d '{"docs":["doc-1","doc-2","doc-3","doc-4","doc-5","doc-6","doc-7"],"queries":["count(//b)","sum(//b) = 0"]}')
+relines=$(echo "$again" | grep -c '"index":' || true)
+[ "$relines" -eq 14 ] || { echo "repeated batch returned $relines lines, want 14:" >&2; echo "$again" >&2; exit 1; }
+grown=$(($(cache_hits) - hits))
+[ "$grown" -eq 14 ] || { echo "repeated batch grew answer-cache hits by $grown, want 14" >&2; exit 1; }
+echo "repeated batch: 14 jobs answered from the answer cache"
+
+# A re-registration between two batches: the second answers the new
+# content, not the cached old one.
+out=$(curl -fsSN http://127.0.0.1:7100/batch -d '{"doc":"doc-0","queries":["count(//b)"]}')
+echo "$out" | grep -q '"number": *3' || { echo "batch before re-registration: $out" >&2; exit 1; }
+curl -fsS http://127.0.0.1:7100/documents \
+  -d '{"name":"doc-0","xml":"<a><b/><b/><b/><b/></a>"}' >/dev/null
+out=$(curl -fsSN http://127.0.0.1:7100/batch -d '{"doc":"doc-0","queries":["count(//b)"]}')
+echo "$out" | grep -q '"number": *4' || { echo "stale batch answer after re-registration: $out" >&2; exit 1; }
 
 # --- Observability: metrics deltas and request-ID correlation -------
 # A Prometheus sample's value, by exact name{labels} prefix (0 when
@@ -163,10 +186,12 @@ for i in $(seq 1 7); do
   echo "$out" | grep -q '"node": *"127.0.0.1:7101"' || { echo "doc-$i not served by the survivor: $out" >&2; exit 1; }
 done
 batch=$(curl -fsSN http://127.0.0.1:7100/batch \
-  -d '{"docs":["doc-1","doc-2","doc-3"],"queries":["count(//b)"]}')
+  -d '{"docs":["doc-1","doc-2","doc-3"],"queries":["2 * count(//b)"]}')
 blines=$(echo "$batch" | grep -c '"index":' || true)
 [ "$blines" -eq 3 ] || { echo "post-kill batch returned $blines lines, want 3:" >&2; echo "$batch" >&2; exit 1; }
 echo "$batch" | grep -q '"error"' && { echo "post-kill batch carried errors:" >&2; echo "$batch" >&2; exit 1; }
+survivor=$(echo "$batch" | grep -c '"number":4[,}].*"node":"127.0.0.1:7101"' || true)
+[ "$survivor" -eq 3 ] || { echo "post-kill batch not answered by the survivor:" >&2; echo "$batch" >&2; exit 1; }
 
 # /stats with a down peer degrades instead of failing.
 stats=$(curl -fsS http://127.0.0.1:7100/stats)
