@@ -130,6 +130,19 @@ func TestTextNodeGoldenAnswers(t *testing.T) {
 	})
 }
 
+// TestNonASCIINames: every engine finds the elements and attributes of
+// a document whose names are not ASCII. The query lexer used to read
+// each byte of a UTF-8 name as a character of its own and refused all
+// three queries.
+func TestNonASCIINames(t *testing.T) {
+	checkGolden(t, `<日本><café>1</café><日本 ü="x">2</日本><日本 ü="y">3</日本></日本>`, []specCase{
+		{query: "//café", nodeStrings: []string{"1"}},
+		{query: "//日本[@ü='x']", nodeStrings: []string{"2"}},
+		{query: "name(//*[1])", str: str("日本")},
+		{query: "count(/日本/日本[@ü])", num: num(2)},
+	})
+}
+
 func checkGolden(t *testing.T, doc string, cases []specCase) {
 	t.Helper()
 	d := xmltree.MustParseString(doc)

@@ -8,7 +8,7 @@ import (
 )
 
 // queryCache is a thread-safe LRU cache of compiled queries, keyed on
-// the query source alone. Compilation (parse + normalize + fragment
+// the query source alone. Compilation (parsing into normal form, fragment
 // classification) is strategy-independent, so one entry serves every
 // strategy a document's size or a session's configuration runs the
 // query with — one parse per distinct source. Under sustained traffic

@@ -415,7 +415,7 @@ func (s *scanner) name(i int, what string) (int, error) {
 			continue
 		}
 		r, size := utf8.DecodeRuneInString(src[i:])
-		if !nameRune(r, i == start) {
+		if !NameRune(r, i == start) {
 			return 0, s.errorf(i, "invalid XML name")
 		}
 		i += size
@@ -441,9 +441,10 @@ func (s *scanner) qname(i int, what string) (int, error) {
 	return end, err
 }
 
-// nameRune reports whether the non-ASCII r may appear in a name (first:
-// start one): NameStartChar and NameChar of XML 1.0, fifth edition.
-func nameRune(r rune, first bool) bool {
+// NameRune reports whether the non-ASCII r may appear in a name (first:
+// start one): NameStartChar and NameChar of XML 1.0, fifth edition. The
+// XPath lexer classes the names of a query by it too.
+func NameRune(r rune, first bool) bool {
 	switch {
 	case r >= 0xC0 && r <= 0x2FF:
 		return r != 0xD7 && r != 0xF7

@@ -1,10 +1,12 @@
-// Package xpath provides the XPath 1.0 abstract syntax: a lexer, a
-// recursive-descent parser, static expression typing, and the
-// normalization into the paper's "unabbreviated form" (Section 5):
-// abbreviations (//, @, ., .., bare name tests) are expanded, numeric
-// predicates [e] become [position() = e], predicates of non-boolean type
-// are wrapped in boolean(·), and variables are substituted by constants
-// from the supplied binding.
+// Package xpath provides the XPath 1.0 abstract syntax and static
+// expression typing, and compiles a query into the paper's
+// "unabbreviated form" (Section 5) in one pass: the recursive-descent
+// parser pulls tokens from a scanner over the query text and builds every
+// node in that form — abbreviations (//, @, ., .., bare name tests)
+// expanded, numeric predicates [e] as [position() = e], predicates of
+// non-boolean type and the operands of and, or and not() wrapped in
+// boolean(·). Substitute replaces variables by constants from the
+// supplied binding, building the same form as it copies.
 //
 // All evaluation engines in this repository share this AST. The trees
 // Parse and Substitute return are numbered — every expression node has a
@@ -201,7 +203,7 @@ func (nt NodeTest) String() string {
 		return "comment()"
 	case TestPI:
 		if nt.Name != "" {
-			return fmt.Sprintf("processing-instruction(%q)", nt.Name)
+			return "processing-instruction(" + quoted(nt.Name, '"') + ")"
 		}
 		return "processing-instruction()"
 	default:
@@ -290,11 +292,15 @@ func (n *Number) String() string {
 	return strconv.FormatFloat(n.Val, 'f', -1, 64)
 }
 
-func (l *Literal) String() string {
-	if strings.Contains(l.Val, "'") {
-		return `"` + l.Val + `"`
+func (l *Literal) String() string { return quoted(l.Val, '\'') }
+
+// quoted renders s as an XPath literal between q quotes, or between the
+// other kind if s holds a q: a literal holds at most one kind.
+func quoted(s string, q byte) string {
+	if strings.IndexByte(s, q) >= 0 {
+		q = '"' + '\'' - q
 	}
-	return "'" + l.Val + "'"
+	return string(q) + s + string(q)
 }
 
 func (v *VarRef) String() string { return "$" + v.Name }
@@ -302,7 +308,17 @@ func (v *VarRef) String() string { return "$" + v.Name }
 func (n *Negate) String() string { return "-" + n.X.String() }
 
 func (b *Binary) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.Left, b.Op, b.Right)
+	return "(" + leading(b.Left) + " " + b.Op.String() + " " + b.Right.String() + ")"
+}
+
+// leading renders e where a token follows it. That is where a bare /
+// needs parentheses: a / or * after it, or an operator name, would be
+// read as the start of its first step.
+func leading(e Expr) string {
+	if p, ok := e.(*Path); ok && p.Absolute && len(p.Steps) == 0 && p.Filter == nil {
+		return "(/)"
+	}
+	return e.String()
 }
 
 func (c *Call) String() string {
@@ -321,7 +337,7 @@ func (p *Path) String() string {
 	body := strings.Join(parts, "/")
 	switch {
 	case p.Filter != nil && body != "":
-		return p.Filter.String() + "/" + body
+		return leading(p.Filter) + "/" + body
 	case p.Filter != nil:
 		return p.Filter.String()
 	case p.Absolute:

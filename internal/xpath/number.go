@@ -8,9 +8,10 @@ import "sync/atomic"
 // again per evaluation (Section 8.2: Relev(N) "depends only on the
 // query"). Parse and Substitute number the tree they return: its n
 // expression nodes carry the slots 0 … n−1 in post-order and each
-// records its Relev, so an evaluator keeps its per-node state in slices
-// of Slots(e) entries indexed by Slot, and RelevantContext of a
-// numbered node is a field read. The contract:
+// records its Relev and whether a VarRef lies in its subtree, so an
+// evaluator keeps its per-node state in slices of Slots(e) entries
+// indexed by Slot, and RelevantContext and HasVariables of a numbered
+// node are field reads. The contract:
 //
 //   - a numbered tree is never written again — but for the one form per
 //     node an evaluator derives from its syntax alone (Memo), stored
@@ -32,6 +33,7 @@ type slotInfo struct {
 	nb    *numbering // nil: not numbered
 	slot  int32
 	relev Relev
+	vars  bool // a VarRef lies in the node's subtree
 }
 
 func (s *slotInfo) info() *slotInfo { return s }
@@ -47,9 +49,16 @@ type numbering struct {
 // place, and returns it.
 func number(e Expr) Expr {
 	nb := &numbering{}
-	walk(e, func(Expr) {}, func(x Expr) {
+	var refs int32 // VarRefs numbered so far
+	walk(e, func(x Expr) {
+		x.info().slot = refs // until x is numbered: the VarRefs before its subtree
+	}, func(x Expr) {
 		// x's subexpressions have their records: the rules read them.
-		*x.info() = slotInfo{nb: nb, slot: nb.n, relev: RelevantContext(x)}
+		in := x.info()
+		if _, ok := x.(*VarRef); ok {
+			refs++
+		}
+		*in = slotInfo{nb: nb, slot: nb.n, relev: RelevantContext(x), vars: refs > in.slot}
 		nb.n++
 	})
 	return e

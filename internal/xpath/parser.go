@@ -10,8 +10,8 @@ import (
 // MaxDepth bounds how deeply a query may nest: the parentheses, function
 // calls, predicates and unary minus signs open around any point of it,
 // and the depth of the expression tree built from them and from chains
-// of binary operators. Every pass over a tree — normalization,
-// numbering, optimization, each evaluator — recurses along it, so this
+// of binary operators. Every pass over a tree — numbering,
+// optimization, each evaluator — recurses along it, so this
 // is the bound on their stacks. Hand-written queries nest a few levels;
 // Experiment 2's deepest query in Table VII (|Q| = 50) is about 150.
 const MaxDepth = 512
@@ -20,25 +20,28 @@ const MaxDepth = 512
 // query nested deeper than MaxDepth.
 var ErrTooDeep = errors.New("xpath: query nested too deeply")
 
-// Parse parses an XPath 1.0 query into a normalized expression tree:
-// abbreviations are expanded, numeric predicates become positional
-// comparisons, and non-boolean predicates are wrapped in boolean(·)
-// (Section 5's unabbreviated form). The tree is numbered (number.go). A
-// query nested deeper than MaxDepth is refused with ErrTooDeep.
+// Parse parses an XPath 1.0 query into Section 5's unabbreviated normal
+// form in one pass: the parser pulls tokens from the scanner as it needs
+// them and builds each node in normal form — abbreviations expanded,
+// numeric predicates [e] as [position() = e], other non-boolean
+// predicates and the operands of and, or and not() wrapped in
+// boolean(·). A predicate that holds a variable keeps its form until
+// Substitute knows the variable's type. The tree is then numbered
+// (number.go). A query nested deeper than MaxDepth is refused with
+// ErrTooDeep; any other error, lexical ones included, is met where the
+// parser reaches it.
 func Parse(src string) (Expr, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{src: src, toks: toks}
+	p := parser{src: src}
+	p.nxt = p.scan(tokEOF)
+	p.advance()
 	e, _, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	if p.peek().kind != tokEOF {
-		return nil, p.errorf("unexpected %s after complete expression", p.peek())
+	if p.tok.kind != tokEOF {
+		return nil, p.errorf("unexpected %s after complete expression", p.tok)
 	}
-	return number(normalize(e)), nil
+	return number(e), nil
 }
 
 // MustParse parses a query known to be valid; it panics on error.
@@ -50,29 +53,40 @@ func MustParse(src string) Expr {
 	return e
 }
 
-// parser is a recursive-descent parser. Every parse method returns, with
-// the tree it built, that tree's depth; open counts the constructs
-// entered on the way down. Both are held to MaxDepth.
+// parser is a recursive-descent parser over a scanner (lexer.go). It
+// holds the current token and the one after it, which is all the
+// lookahead the grammar needs. Every parse method returns, with the tree
+// it built, that tree's depth; open counts the constructs entered on the
+// way down. Both are held to MaxDepth.
 type parser struct {
-	src  string
-	toks []token
-	pos  int
-	open int // parentheses, calls, predicates and minus signs open here
+	src      string
+	off      int    // where the scanner reads the token after nxt
+	tok, nxt token  // the current token and the next one
+	open     int    // parentheses, calls, predicates and minus signs open here
+	vars     int    // variable references built so far
+	steps    []Step // the steps of the paths being parsed (parseRelativeInto)
 }
 
-func (p *parser) peek() token  { return p.toks[p.pos] }
-func (p *parser) peek2() token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
+// advance makes the next token current and scans the one after it. The
+// scanner stops for good at the end of the query and at a lexical error.
+func (p *parser) advance() {
+	p.tok = p.nxt
+	if p.nxt.kind != tokEOF && p.nxt.kind != tokError {
+		p.nxt = p.scan(p.nxt.kind)
+	}
+}
 
+// next consumes the current token and returns it.
 func (p *parser) next() token {
-	t := p.toks[p.pos]
-	if t.kind != tokEOF {
-		p.pos++
+	t := p.tok
+	if t.kind != tokEOF && t.kind != tokError {
+		p.advance()
 	}
 	return t
 }
 
 func (p *parser) accept(k tokenKind) bool {
-	if p.peek().kind == k {
+	if p.tok.kind == k {
 		p.next()
 		return true
 	}
@@ -81,20 +95,25 @@ func (p *parser) accept(k tokenKind) bool {
 
 func (p *parser) expect(k tokenKind, what string) error {
 	if !p.accept(k) {
-		return p.errorf("expected %s, found %s", what, p.peek())
+		return p.errorf("expected %s, found %s", what, p.tok)
 	}
 	return nil
 }
 
+// errorf reports a parse error at the current token — the scanner's
+// message when that token is a lexical error.
 func (p *parser) errorf(format string, args ...any) error {
-	return fmt.Errorf("xpath: parse %q: offset %d: %s", p.src, p.peek().pos,
+	if p.tok.kind == tokError {
+		return errors.New(p.tok.text)
+	}
+	return fmt.Errorf("xpath: parse %q: offset %d: %s", p.src, p.tok.pos,
 		fmt.Sprintf(format, args...))
 }
 
 // tooDeep is ErrTooDeep at the current token. It does not quote the
 // query, which may be megabytes of parentheses.
 func (p *parser) tooDeep() error {
-	return fmt.Errorf("%w: more than %d levels at offset %d", ErrTooDeep, MaxDepth, p.peek().pos)
+	return fmt.Errorf("%w: more than %d levels at offset %d", ErrTooDeep, MaxDepth, p.tok.pos)
 }
 
 // over returns the depth of a node whose deepest child has depth d.
@@ -111,48 +130,43 @@ func (p *parser) parseExpr() (Expr, int, error) {
 		return nil, 0, p.tooDeep()
 	}
 	p.open++
-	e, d, err := p.parseBinary(0)
+	e, d, err := p.parseBinary(1)
 	p.open--
 	return e, d, err
 }
 
-// binaryOps are the left-associative binary operators of OrExpr down to
-// MultiplicativeExpr, one level of precedence per row, loosest first.
-var binaryOps = [...][]struct {
-	tok tokenKind
-	op  BinOp
+// binaryOps gives each token of an operator of OrExpr down to
+// MultiplicativeExpr the operator and its precedence, from 1 (or, the
+// loosest) to 6 (*, div and mod); every other token has precedence 0.
+var binaryOps = [1 << 8]struct {
+	op   BinOp
+	prec int
 }{
-	{{tokOr, OpOr}},
-	{{tokAnd, OpAnd}},
-	{{tokEq, OpEq}, {tokNeq, OpNeq}},
-	{{tokLt, OpLt}, {tokLe, OpLe}, {tokGt, OpGt}, {tokGe, OpGe}},
-	{{tokPlus, OpAdd}, {tokMinus, OpSub}},
-	{{tokMul, OpMul}, {tokDiv, OpDiv}, {tokMod, OpMod}},
+	tokOr: {OpOr, 1}, tokAnd: {OpAnd, 2}, tokEq: {OpEq, 3}, tokNeq: {OpNeq, 3},
+	tokLt: {OpLt, 4}, tokLe: {OpLe, 4}, tokGt: {OpGt, 4}, tokGe: {OpGe, 4},
+	tokPlus: {OpAdd, 5}, tokMinus: {OpSub, 5},
+	tokMul: {OpMul, 6}, tokDiv: {OpDiv, 6}, tokMod: {OpMod, 6},
 }
 
-// parseBinary parses a chain of the operators of binaryOps[level] over
-// operands of the next level, left-associated; below the last level come
-// unary expressions.
-func (p *parser) parseBinary(level int) (Expr, int, error) {
-	if level == len(binaryOps) {
-		return p.parseUnary()
-	}
-	left, depth, err := p.parseBinary(level + 1)
+// parseBinary parses a unary expression followed by binary operators of
+// precedence at least prec, each with its right operand, left-associated
+// (precedence climbing). The operands of and and or are converted to
+// boolean explicitly, as Section 5 has every type conversion.
+func (p *parser) parseBinary(prec int) (Expr, int, error) {
+	left, depth, err := p.parseUnary()
 	for err == nil {
-		op, ok := BinOp(0), false
-		for _, o := range binaryOps[level] {
-			if p.peek().kind == o.tok {
-				op, ok = o.op, true
-			}
-		}
-		if !ok {
+		o := binaryOps[p.tok.kind]
+		if o.prec < prec { // or no operator at all: precedence 0
 			return left, depth, nil
 		}
 		p.next()
 		var right Expr
 		var rd int
-		if right, rd, err = p.parseBinary(level + 1); err == nil {
-			left = &Binary{Op: op, Left: left, Right: right}
+		if right, rd, err = p.parseBinary(o.prec + 1); err == nil {
+			if o.op == OpAnd || o.op == OpOr {
+				left, right = ensureBoolean(left), ensureBoolean(right)
+			}
+			left = &Binary{Op: o.op, Left: left, Right: right}
 			depth, err = p.over(max(depth, rd))
 		}
 	}
@@ -211,14 +225,18 @@ func (p *parser) parsePathExpr() (Expr, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if p.peek().kind != tokSlash && p.peek().kind != tokSlash2 {
+	if p.tok.kind != tokSlash && p.tok.kind != tokSlash2 {
 		return fe, fd, nil
 	}
 	if fe.Type() != TypeNodeSet {
 		return nil, 0, p.errorf("expression before / must be a node set")
 	}
 	path := &Path{Filter: fe}
-	sd, err := p.parseStepsInto(path)
+	base := len(p.steps)
+	if p.next().kind == tokSlash2 {
+		p.steps = append(p.steps, descendantOrSelf)
+	}
+	sd, err := p.parseRelativeInto(path, base)
 	if err == nil {
 		fd, err = p.over(max(fd, sd))
 	}
@@ -232,14 +250,14 @@ func (p *parser) parsePathExpr() (Expr, int, error) {
 // FilterExpr starts with: VariableReference, '(', Literal, Number, or a
 // FunctionCall that is not a node-type test.
 func (p *parser) startsFilterExpr() bool {
-	switch p.peek().kind {
+	switch p.tok.kind {
 	case tokDollar, tokLParen, tokLiteral, tokNumber:
 		return true
 	case tokName:
-		if p.peek2().kind != tokLParen {
+		if p.nxt.kind != tokLParen {
 			return false
 		}
-		switch p.peek().text {
+		switch p.tok.text {
 		case "node", "text", "comment", "processing-instruction":
 			return false // node-type test, part of a step
 		}
@@ -272,12 +290,13 @@ func (p *parser) parseFilterExpr() (Expr, int, error) {
 }
 
 func (p *parser) parsePrimary() (Expr, int, error) {
-	switch t := p.peek(); t.kind {
+	switch t := p.tok; t.kind {
 	case tokDollar:
 		p.next()
-		if p.peek().kind != tokName {
+		if p.tok.kind != tokName {
 			return nil, 0, p.errorf("expected variable name after $")
 		}
+		p.vars++
 		return &VarRef{Name: p.next().text}, 1, nil
 	case tokLParen:
 		p.next()
@@ -302,7 +321,7 @@ func (p *parser) parsePrimary() (Expr, int, error) {
 		}
 		var args []Expr
 		depth := 0
-		if p.peek().kind != tokRParen {
+		if p.tok.kind != tokRParen {
 			for {
 				a, d, err := p.parseExpr()
 				if err != nil {
@@ -320,6 +339,9 @@ func (p *parser) parsePrimary() (Expr, int, error) {
 		if err := checkCall(name, args); err != nil {
 			return nil, 0, p.errorf("%s", err)
 		}
+		if name == "not" {
+			args[0] = ensureBoolean(args[0])
+		}
 		depth, err := p.over(depth)
 		if err != nil {
 			return nil, 0, err
@@ -330,11 +352,13 @@ func (p *parser) parsePrimary() (Expr, int, error) {
 	}
 }
 
-// parsePredicates parses Predicate* and returns the deepest one's depth.
+// parsePredicates parses Predicate*, each in normal form (predicate),
+// and returns the deepest one's depth.
 func (p *parser) parsePredicates() ([]Expr, int, error) {
 	var preds []Expr
 	depth := 0
 	for p.accept(tokLBracket) {
+		vars := p.vars
 		e, d, err := p.parseExpr()
 		if err != nil {
 			return nil, 0, err
@@ -342,9 +366,33 @@ func (p *parser) parsePredicates() ([]Expr, int, error) {
 		if err := p.expect(tokRBracket, "]"); err != nil {
 			return nil, 0, err
 		}
+		if p.vars == vars {
+			e = predicate(e)
+		}
 		preds, depth = append(preds, e), max(depth, d)
 	}
 	return preds, depth, nil
+}
+
+// predicate returns the predicate [e] in normal form: [position() = e]
+// if e is a number, [boolean(e)] if a node set or a string. Its type is
+// not known while e holds a variable: Substitute rewrites it then.
+func predicate(e Expr) Expr {
+	switch e.Type() {
+	case TypeNumber:
+		return &Binary{Op: OpEq, Left: &Call{Name: "position"}, Right: e}
+	case TypeNodeSet, TypeString:
+		return &Call{Name: "boolean", Args: []Expr{e}}
+	}
+	return e
+}
+
+// ensureBoolean wraps a non-boolean expression in boolean(·).
+func ensureBoolean(e Expr) Expr {
+	if e.Type() == TypeBoolean {
+		return e
+	}
+	return &Call{Name: "boolean", Args: []Expr{e}}
 }
 
 // parseLocationPath ::= '/' RelativeLocationPath?
@@ -353,7 +401,8 @@ func (p *parser) parsePredicates() ([]Expr, int, error) {
 //	| RelativeLocationPath
 func (p *parser) parseLocationPath() (Expr, int, error) {
 	path := &Path{}
-	switch p.peek().kind {
+	base := len(p.steps)
+	switch p.tok.kind {
 	case tokSlash:
 		p.next()
 		path.Absolute = true
@@ -363,9 +412,9 @@ func (p *parser) parseLocationPath() (Expr, int, error) {
 	case tokSlash2:
 		p.next()
 		path.Absolute = true
-		path.Steps = append(path.Steps, descendantOrSelfStep())
+		p.steps = append(p.steps, descendantOrSelf)
 	}
-	d, err := p.parseRelativeInto(path)
+	d, err := p.parseRelativeInto(path, base)
 	if err == nil {
 		d, err = p.over(d)
 	}
@@ -375,40 +424,42 @@ func (p *parser) parseLocationPath() (Expr, int, error) {
 	return path, d, nil
 }
 
-// parseStepsInto consumes ('/' | '//') RelativeLocationPath after a
-// filter-expression head.
-func (p *parser) parseStepsInto(path *Path) (int, error) {
-	if p.accept(tokSlash2) {
-		path.Steps = append(path.Steps, descendantOrSelfStep())
-	} else if err := p.expect(tokSlash, "/"); err != nil {
-		return 0, err
-	}
-	return p.parseRelativeInto(path)
-}
-
-// parseRelativeInto appends the steps of a RelativeLocationPath to path
-// and returns the depth of its deepest predicate.
-func (p *parser) parseRelativeInto(path *Path) (int, error) {
+// parseRelativeInto parses a RelativeLocationPath, gives path the steps
+// pushed on p.steps since base — a leading // expanded, then the path's
+// own — and returns the depth of its deepest predicate.
+//
+// The steps of the paths being parsed stand on one stack, a nested
+// path's above its enclosing step's, and a finished path takes its own
+// off in two allocations, however many steps it has: the steps and the
+// pointers to them.
+func (p *parser) parseRelativeInto(path *Path, base int) (int, error) {
 	depth := 0
 	for {
-		step, d, err := p.parseStep()
+		d, err := p.parseStep()
 		if err != nil {
 			return 0, err
 		}
-		path.Steps, depth = append(path.Steps, step), max(depth, d)
+		depth = max(depth, d)
 		if p.accept(tokSlash) {
 			continue
 		}
 		if p.accept(tokSlash2) {
-			path.Steps = append(path.Steps, descendantOrSelfStep())
+			p.steps = append(p.steps, descendantOrSelf)
 			continue
+		}
+		steps := make([]Step, len(p.steps)-base)
+		copy(steps, p.steps[base:])
+		p.steps = p.steps[:base]
+		path.Steps = make([]*Step, len(steps))
+		for i := range steps {
+			path.Steps[i] = &steps[i]
 		}
 		return depth, nil
 	}
 }
 
 func (p *parser) startsStep() bool {
-	switch p.peek().kind {
+	switch p.tok.kind {
 	case tokName, tokStar, tokAt, tokDot, tokDotDot:
 		return true
 	default:
@@ -417,94 +468,70 @@ func (p *parser) startsStep() bool {
 }
 
 // parseStep ::= '.' | '..' | AxisSpecifier NodeTest Predicate*
-func (p *parser) parseStep() (*Step, int, error) {
-	switch p.peek().kind {
-	case tokDot:
-		p.next()
-		return &Step{Axis: axes.Self, Test: NodeTest{Kind: TestNode}}, 0, nil
-	case tokDotDot:
-		p.next()
-		return &Step{Axis: axes.Parent, Test: NodeTest{Kind: TestNode}}, 0, nil
-	}
-	step := &Step{Axis: axes.Child}
-	if p.accept(tokAt) {
-		step.Axis = axes.AttributeAxis
-	} else if p.peek().kind == tokName && p.peek2().kind == tokAxisSep {
-		axisName := p.next().text
-		p.next() // ::
-		a, ok := axes.ByName(axisName)
-		if !ok {
-			return nil, 0, p.errorf("unknown axis %q", axisName)
+//
+// It pushes the step on p.steps and returns its predicates' depth.
+func (p *parser) parseStep() (depth int, err error) {
+	step := Step{Axis: axes.Child}
+	switch {
+	case p.accept(tokDot):
+		step.Axis, step.Test.Kind = axes.Self, TestNode
+	case p.accept(tokDotDot):
+		step.Axis, step.Test.Kind = axes.Parent, TestNode
+	default:
+		if p.accept(tokAt) {
+			step.Axis = axes.AttributeAxis
+		} else if p.tok.kind == tokName && p.nxt.kind == tokAxisSep {
+			axisName := p.next().text
+			p.next() // ::
+			a, ok := axes.ByName(axisName)
+			if !ok {
+				return 0, p.errorf("unknown axis %q", axisName)
+			}
+			step.Axis = a
 		}
-		step.Axis = a
+		if step.Test, err = p.parseNodeTest(); err != nil {
+			return 0, err
+		}
+		if step.Preds, depth, err = p.parsePredicates(); err != nil {
+			return 0, err
+		}
 	}
-	test, err := p.parseNodeTest()
-	if err != nil {
-		return nil, 0, err
-	}
-	step.Test = test
-	preds, d, err := p.parsePredicates()
-	if err != nil {
-		return nil, 0, err
-	}
-	step.Preds = preds
-	return step, d, nil
+	p.steps = append(p.steps, step)
+	return depth, nil
 }
 
 func (p *parser) parseNodeTest() (NodeTest, error) {
-	switch t := p.peek(); t.kind {
+	switch t := p.tok; t.kind {
 	case tokStar:
 		p.next()
 		return NodeTest{Kind: TestName, Name: "*"}, nil
 	case tokName:
 		name := p.next().text
-		if p.peek().kind == tokLParen {
-			// Node-type test.
-			p.next()
-			switch name {
-			case "node":
-				if err := p.expect(tokRParen, ")"); err != nil {
-					return NodeTest{}, err
-				}
-				return NodeTest{Kind: TestNode}, nil
-			case "text":
-				if err := p.expect(tokRParen, ")"); err != nil {
-					return NodeTest{}, err
-				}
-				return NodeTest{Kind: TestText}, nil
-			case "comment":
-				if err := p.expect(tokRParen, ")"); err != nil {
-					return NodeTest{}, err
-				}
-				return NodeTest{Kind: TestComment}, nil
-			case "processing-instruction":
-				target := ""
-				if p.peek().kind == tokLiteral {
-					target = p.next().text
-				}
-				if err := p.expect(tokRParen, ")"); err != nil {
-					return NodeTest{}, err
-				}
-				return NodeTest{Kind: TestPI, Name: target}, nil
-			default:
-				return NodeTest{}, p.errorf("unknown node type %q", name)
-			}
+		if !p.accept(tokLParen) {
+			return NodeTest{Kind: TestName, Name: name}, nil
 		}
-		return NodeTest{Kind: TestName, Name: name}, nil
+		// A node-type test.
+		test := NodeTest{Kind: TestPI}
+		switch name {
+		case "node":
+			test.Kind = TestNode
+		case "text":
+			test.Kind = TestText
+		case "comment":
+			test.Kind = TestComment
+		case "processing-instruction":
+			if p.tok.kind == tokLiteral {
+				test.Name = p.next().text
+			}
+		default:
+			return NodeTest{}, p.errorf("unknown node type %q", name)
+		}
+		return test, p.expect(tokRParen, ")")
 	default:
 		return NodeTest{}, p.errorf("expected node test, found %s", t)
 	}
 }
 
-// descendantOrSelfStep is the expansion of '//':
+// descendantOrSelf is the expansion of '//':
 // /descendant-or-self::node()/.
-func descendantOrSelfStep() *Step {
-	return &Step{Axis: axes.DescendantOrSelf, Test: NodeTest{Kind: TestNode}}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
+var descendantOrSelf = Step{Axis: axes.DescendantOrSelf, Test: NodeTest{Kind: TestNode}}

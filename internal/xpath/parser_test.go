@@ -275,6 +275,42 @@ func TestNodeTests(t *testing.T) {
 	}
 }
 
+// nonASCIIQueries name elements and attributes the document parser
+// accepts (XML 1.0's NameStartChar and NameChar beyond ASCII), with the
+// name tests they must parse to.
+var nonASCIIQueries = map[string][]string{
+	"//café":         {"node()", "café"},
+	"/a/日本":          {"a", "日本"},
+	"//日本[@ü='x']":   {"node()", "日本"},
+	"ns:名前/@ü":       {"ns:名前", "ü"},
+	"名前:*":           {"名前:*"},
+	"child::a·b":     {"a·b"},
+	"//Ωμέγα/ñ-1.x_": {"node()", "Ωμέγα", "ñ-1.x_"},
+}
+
+// TestNonASCIINames: a name is read character by character, not byte by
+// byte — the lexer used to take each byte of a UTF-8 sequence for a
+// Latin-1 character and refuse //café at the second byte of é.
+func TestNonASCIINames(t *testing.T) {
+	for q, want := range nonASCIIQueries {
+		p := asPath(t, parse(t, q))
+		var got []string
+		for _, s := range p.Steps {
+			got = append(got, s.Test.String())
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%s: name tests %q, want %q", q, got, want)
+		}
+	}
+	// Not name characters: × (U+00D7), a leading · (U+00B7, NameChar
+	// only), an invalid UTF-8 byte.
+	for _, q := range []string{"//a×b", "//·a", "//a\xffb", "//\xc3"} {
+		if e, err := Parse(q); err == nil {
+			t.Errorf("Parse(%q) = %s, want an error", q, e)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"",
@@ -338,6 +374,17 @@ func TestStringRoundTrip(t *testing.T) {
 		"-1 + 2",
 		"concat('a', 'b', 'c')",
 		"/descendant::*[position() > last()*0.5 or self::* = 100]",
+		// A bare / as a path's head, and processing-instruction targets
+		// holding a quote or a backslash, printed as queries that parse
+		// to something else (fuzzing found them).
+		"(/)/a",
+		"(/)//a",
+		"(/)*0",
+		"(/) div 2 - (/) mod 2",
+		"(/) or (/) and /",
+		`processing-instruction('a"b')`,
+		`processing-instruction("it's")`,
+		`processing-instruction('a\b')`,
 	}
 	for _, q := range queries {
 		e1 := parse(t, q)

@@ -2,91 +2,6 @@ package xpath
 
 import "fmt"
 
-// normalize rewrites a freshly parsed tree into the unabbreviated normal
-// form the paper's semantics assumes (Section 5):
-//
-//   - a predicate [e] whose static type is number becomes
-//     [position() = e];
-//   - a predicate of type node set or string is wrapped in boolean(·), so
-//     every predicate has boolean type;
-//   - the rewriting recurses into all subexpressions.
-//
-// Abbreviation expansion (//, @, ., ..) already happened in the parser.
-func normalize(e Expr) Expr {
-	switch x := e.(type) {
-	case *Number, *Literal, *VarRef:
-		return e
-	case *Negate:
-		return &Negate{X: normalize(x.X)}
-	case *Binary:
-		l, r := normalize(x.Left), normalize(x.Right)
-		if x.Op == OpAnd || x.Op == OpOr {
-			// Make the boolean conversion of and/or operands explicit,
-			// per Section 5 ("all type conversions have to be made
-			// explicit").
-			l, r = ensureBoolean(l), ensureBoolean(r)
-		}
-		return &Binary{Op: x.Op, Left: l, Right: r}
-	case *Call:
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = normalize(a)
-		}
-		if x.Name == "not" {
-			args[0] = ensureBoolean(args[0])
-		}
-		return &Call{Name: x.Name, Args: args}
-	case *FilterExpr:
-		return &FilterExpr{
-			Primary: normalize(x.Primary),
-			Preds:   normalizePreds(x.Preds),
-		}
-	case *Path:
-		out := &Path{Absolute: x.Absolute}
-		if x.Filter != nil {
-			out.Filter = normalize(x.Filter)
-		}
-		out.Steps = make([]*Step, len(x.Steps))
-		for i, s := range x.Steps {
-			out.Steps[i] = &Step{Axis: s.Axis, Test: s.Test, Preds: normalizePreds(s.Preds)}
-		}
-		return out
-	default:
-		panic(fmt.Sprintf("xpath: normalize: unknown node %T", e))
-	}
-}
-
-// ensureBoolean wraps a non-boolean expression in boolean(·).
-func ensureBoolean(e Expr) Expr {
-	if e.Type() == TypeBoolean {
-		return e
-	}
-	return &Call{Name: "boolean", Args: []Expr{e}}
-}
-
-func normalizePreds(preds []Expr) []Expr {
-	out := make([]Expr, len(preds))
-	for i, p := range preds {
-		p = normalize(p)
-		if HasVariables(p) {
-			// The predicate's type is unknown until the variables are
-			// substituted; Substitute re-normalizes afterwards.
-			out[i] = p
-			continue
-		}
-		switch p.Type() {
-		case TypeNumber:
-			// [e] ⇒ [position() = e]
-			p = &Binary{Op: OpEq, Left: &Call{Name: "position"}, Right: p}
-		case TypeNodeSet, TypeString:
-			// [e] ⇒ [boolean(e)]
-			p = &Call{Name: "boolean", Args: []Expr{p}}
-		}
-		out[i] = p
-	}
-	return out
-}
-
 // Bindings supplies constant values for variables. Values must be
 // *Number, *Literal, or a caller-constructed constant Expr of the right
 // type.
@@ -94,16 +9,17 @@ type Bindings map[string]Expr
 
 // Substitute replaces every VarRef in e by its binding, per the paper's
 // assumption that "each variable is replaced by the (constant) value of
-// the input variable binding" (Section 5), and then re-normalizes: a
-// predicate whose type was unknown while it contained variables (e.g.
-// [$w] with a numeric binding) gets its positional/boolean rewriting
-// now. It errors on unbound variables.
+// the input variable binding" (Section 5). The copy it makes is in
+// normal form, built as the parser builds it: a predicate whose type was
+// unknown while it held a variable (e.g. [$w] with a numeric binding)
+// gets its positional or boolean form now. It errors on unbound
+// variables.
 func Substitute(e Expr, b Bindings) (Expr, error) {
 	sub, err := substitute(e, b)
 	if err != nil {
 		return nil, err
 	}
-	return number(normalize(sub)), nil
+	return number(sub), nil
 }
 
 // substitute shares no node with e or the bindings — the result is
@@ -135,6 +51,9 @@ func substitute(e Expr, b Bindings) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		if x.Op == OpAnd || x.Op == OpOr {
+			l, r = ensureBoolean(l), ensureBoolean(r)
+		}
 		return &Binary{Op: x.Op, Left: l, Right: r}, nil
 	case *Call:
 		args := make([]Expr, len(x.Args))
@@ -144,6 +63,9 @@ func substitute(e Expr, b Bindings) (Expr, error) {
 				return nil, err
 			}
 			args[i] = sub
+		}
+		if x.Name == "not" && len(args) == 1 {
+			args[0] = ensureBoolean(args[0])
 		}
 		return &Call{Name: x.Name, Args: args}, nil
 	case *FilterExpr:
@@ -186,13 +108,18 @@ func substitutePreds(preds []Expr, b Bindings) ([]Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[i] = sub
+		out[i] = predicate(sub)
 	}
 	return out, nil
 }
 
-// HasVariables reports whether the expression still contains a VarRef.
+// HasVariables reports whether the expression still contains a VarRef:
+// on a numbered tree a field read (number records it), on any other a
+// walk.
 func HasVariables(e Expr) bool {
+	if in := e.info(); in.nb != nil {
+		return in.vars
+	}
 	found := false
 	Walk(e, func(x Expr) {
 		if _, ok := x.(*VarRef); ok {
