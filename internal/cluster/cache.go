@@ -267,7 +267,11 @@ type answerCacheStats struct {
 	Invalidations uint64 `json:"invalidations"`
 }
 
+// stats reads the counters; a nil (disabled) cache reads all zero.
 func (c *answerCache) stats() answerCacheStats {
+	if c == nil {
+		return answerCacheStats{}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return answerCacheStats{

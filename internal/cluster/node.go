@@ -10,7 +10,10 @@
 // ring successors at the owner-assigned version, and fans /batch out
 // scatter-gather style with one stream per owning node; and Reshard
 // (cmd/xpathreshard), which moves a corpus between rings
-// idempotently, preserving versions.
+// idempotently, preserving versions. Every failover — replica retry,
+// drain fallback, a write passing a dead owner — is one loop,
+// Router.walk, and every request to a peer one round trip,
+// Node.roundTrip.
 //
 // The layering is store (placement + memory accounting + versions) →
 // engine (compile cache + evaluation) → serve (wire format) → cluster
@@ -108,15 +111,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/store"
 )
-
-// propagateRequestID forwards the context's request ID to the peer via
-// the X-Request-Id header, so backend logs, batch lines and traces
-// carry the same ID the router minted.
-func propagateRequestID(ctx context.Context, req *http.Request) {
-	if id := obs.RequestID(ctx); id != "" {
-		req.Header.Set(obs.HeaderRequestID, id)
-	}
-}
 
 // ErrUnavailable is returned when a peer cannot be reached at all:
 // connection refused, DNS failure, timeout before a response. It is
@@ -314,15 +308,6 @@ func (n *Node) admit() (func(), error) {
 	return release, nil
 }
 
-// noteOK records a completed call whose response shows the peer alive:
-// it clears the failure streak, marks the node healthy, and feeds the
-// breaker a success.
-func (n *Node) noteOK() {
-	n.failStreak.Store(0)
-	n.healthy.Store(true)
-	n.br.OnSuccess()
-}
-
 // breakerFailStatus reports whether a peer's response status counts as
 // a breaker failure: 5xx server faults do; application conditions with
 // dedicated meanings (404 not found, 507 store full, 413 too large) do
@@ -353,21 +338,6 @@ func (n *Node) LastErr() string {
 	return s
 }
 
-// noteErr records a transport failure: it feeds the breaker, and marks
-// the node unhealthy once downAfter consecutive failures accumulate
-// (hysteresis: one lost probe no longer diverts writes) when the
-// failure means the peer is unreachable (not when the peer answered
-// with an application error).
-func (n *Node) noteErr(err error) {
-	if errors.Is(err, ErrUnavailable) {
-		n.lastErr.Store(err.Error())
-		n.br.OnFailure()
-		if n.failStreak.Add(1) >= n.downAfter {
-			n.healthy.Store(false)
-		}
-	}
-}
-
 // statusErr maps a peer's error status to this package's typed errors,
 // reusing the store's own sentinel errors where the peer's condition
 // is a store condition — a remote full store is store.ErrFull to the
@@ -385,65 +355,89 @@ func (n *Node) statusErr(status int, msg string) error {
 	}
 }
 
-// call performs one unary call, body (nil for none) sent as it is, and
-// returns the peer's 200 response unparsed. Peer error statuses come
-// back as typed errors; transport failures as ErrUnavailable.
-func (n *Node) call(ctx context.Context, method, path string, body []byte) ([]byte, error) {
+// transportErr maps a failure to reach or read the peer. Only the
+// caller's own context keeps its identity: the carved attempt deadline
+// tripping (like a slow peer on Go 1.23+, where a tripped
+// Client.Timeout also matches context.DeadlineExceeded) is the peer's
+// fault — it reads as ErrUnavailable so replica retry fires, feeds the
+// breaker, and marks the node unhealthy once downAfter consecutive
+// failures accumulate (hysteresis: one lost probe no longer diverts
+// writes).
+func (n *Node) transportErr(ctx context.Context, what string, err error) error {
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return fmt.Errorf("cluster: node %s: %w", n.name, ctxErr)
+	}
+	err = fmt.Errorf("%w: %s: %s%v", ErrUnavailable, n.name, what, err)
+	n.lastErr.Store(err.Error())
+	n.br.OnFailure()
+	if n.failStreak.Add(1) >= n.downAfter {
+		n.healthy.Store(false)
+	}
+	return err
+}
+
+// roundTrip is the one way a request reaches the peer: admit, send body
+// (nil for none) with the request ID, map transport failures
+// (transportErr), account the status to health and breaker. A unary
+// call (stream nil) runs under resilience.CarveAttempt's share of the
+// caller's deadline and reads the body whole. With relay, any status is
+// an answer whose body must be one JSON object; otherwise a non-200 is
+// the typed error its body names, and a 200 body is returned unparsed
+// or, for a stream, handed to stream as it arrives.
+func (n *Node) roundTrip(ctx context.Context, method, path string, body []byte, relay bool, stream func(io.Reader) error) (int, []byte, error) {
 	release, err := n.admit()
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	defer release()
+	client, actx := n.stream, ctx
+	if stream == nil {
+		var cancel context.CancelFunc
+		client = n.unary
+		actx, cancel = resilience.CarveAttempt(ctx, n.timeout)
+		defer cancel()
+	}
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	// Carve this attempt's deadline from the caller's remaining budget
-	// (split across the retry chain's remaining attempts), bounded by
-	// the flat per-attempt timeout.
-	actx, cancel := resilience.CarveAttempt(ctx, n.timeout)
-	defer cancel()
 	req, err := http.NewRequestWithContext(actx, method, n.base+path, rd)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	propagateRequestID(ctx, req)
-	resp, err := n.unary.Do(req)
+	if id := obs.RequestID(ctx); id != "" {
+		req.Header.Set(obs.HeaderRequestID, id) // backend logs, lines and traces carry the router's ID
+	}
+	resp, err := client.Do(req)
 	if err != nil {
-		// Only the caller's own context keeps its identity here: the
-		// carved attempt deadline tripping (like a slow peer on Go
-		// 1.23+, where a tripped Client.Timeout also matches
-		// context.DeadlineExceeded) is the peer's fault — it must read
-		// as ErrUnavailable so replica retry and health marking fire.
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, fmt.Errorf("cluster: node %s: %w", n.name, ctxErr)
-		}
-		err = fmt.Errorf("%w: %s: %v", ErrUnavailable, n.name, err)
-		n.noteErr(err)
-		return nil, err
+		return 0, nil, n.transportErr(ctx, "", err)
 	}
 	defer resp.Body.Close()
-	raw, err := readBody(resp, responseLimit)
-	if err != nil {
-		if errors.Is(err, errOversizeResponse) {
-			return nil, fmt.Errorf("%w (%s): %v", ErrPeer, n.name, err)
+	var raw []byte
+	if stream == nil || resp.StatusCode != http.StatusOK {
+		if raw, err = readBody(resp, responseLimit); errors.Is(err, errOversizeResponse) {
+			return 0, nil, fmt.Errorf("%w (%s): %v", ErrPeer, n.name, err)
+		} else if err != nil {
+			return 0, nil, n.transportErr(ctx, "reading response: ", err)
 		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, fmt.Errorf("cluster: node %s: %w", n.name, ctxErr)
+		if relay && !jsonObject(raw) {
+			// Not an xpathserve peer (or a broken one): its bytes are
+			// never relayed.
+			return 0, nil, n.transportErr(ctx, "", errors.New("response is not a JSON object"))
 		}
-		err = fmt.Errorf("%w: %s: reading response: %v", ErrUnavailable, n.name, err)
-		n.noteErr(err)
-		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		if breakerFailStatus(resp.StatusCode) {
-			n.br.OnFailure()
-		} else {
-			n.noteOK()
-		}
+	if breakerFailStatus(resp.StatusCode) {
+		n.br.OnFailure()
+	} else { // the peer answered: it is alive
+		n.failStreak.Store(0)
+		n.healthy.Store(true)
+		n.br.OnSuccess()
+	}
+	switch {
+	case !relay && resp.StatusCode != http.StatusOK:
 		var e struct {
 			Error string `json:"error"`
 		}
@@ -451,16 +445,17 @@ func (n *Node) call(ctx context.Context, method, path string, body []byte) ([]by
 		if e.Error == "" {
 			e.Error = strings.TrimSpace(string(raw))
 		}
-		return nil, n.statusErr(resp.StatusCode, e.Error)
+		return 0, nil, n.statusErr(resp.StatusCode, e.Error)
+	case stream != nil:
+		return 0, nil, stream(resp.Body)
 	}
-	n.noteOK()
-	return raw, nil
+	return resp.StatusCode, raw, nil
 }
 
-// do is call for the admin endpoints, which have no request body and
-// whose JSON response is decoded into out (skipped when out is nil).
+// do is roundTrip for the admin endpoints, which have no request body
+// and whose JSON response is decoded into out (skipped when out is nil).
 func (n *Node) do(ctx context.Context, method, path string, out any) error {
-	raw, err := n.call(ctx, method, path, nil)
+	_, raw, err := n.roundTrip(ctx, method, path, nil, false, nil)
 	if err != nil || out == nil {
 		return err
 	}
@@ -509,7 +504,7 @@ func (n *Node) PutDocumentAt(ctx context.Context, name, xml string, ver uint64) 
 // client's bytes and never holds the document as a string. It returns
 // what PutDocumentAt returns.
 func (n *Node) PutDocumentBody(ctx context.Context, body []byte) (int, uint64, error) {
-	raw, err := n.call(ctx, http.MethodPost, "/documents", body)
+	_, raw, err := n.roundTrip(ctx, http.MethodPost, "/documents", body, false, nil)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -576,59 +571,12 @@ func (n *Node) Stats(ctx context.Context) (NodeStats, error) {
 // under ?trace=1 and its response carries the backend's span tree for
 // the router to splice into its own.
 func (n *Node) Query(ctx context.Context, doc, query string, trace bool) (int, []byte, error) {
-	release, err := n.admit()
-	if err != nil {
-		return 0, nil, err
-	}
-	defer release()
-	buf := serve.AppendQueryRequest(make([]byte, 0, len(doc)+len(query)+32), doc, query)
-	path := n.base + "/query"
+	path := "/query"
 	if trace {
 		path += "?trace=1"
 	}
-	actx, cancel := resilience.CarveAttempt(ctx, n.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, path, bytes.NewReader(buf))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	propagateRequestID(ctx, req)
-	resp, err := n.unary.Do(req)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return 0, nil, fmt.Errorf("cluster: node %s: %w", n.name, ctxErr)
-		}
-		err = fmt.Errorf("%w: %s: %v", ErrUnavailable, n.name, err)
-		n.noteErr(err)
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	raw, rerr := readBody(resp, responseLimit)
-	if rerr != nil {
-		if errors.Is(rerr, errOversizeResponse) {
-			return 0, nil, fmt.Errorf("%w (%s): %v", ErrPeer, n.name, rerr)
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return 0, nil, fmt.Errorf("cluster: node %s: %w", n.name, ctxErr)
-		}
-		rerr = fmt.Errorf("%w: %s: reading response: %v", ErrUnavailable, n.name, rerr)
-		n.noteErr(rerr)
-		return 0, nil, rerr
-	}
-	if !jsonObject(raw) {
-		// Not an xpathserve peer (or a broken one): its bytes are never
-		// relayed.
-		err := fmt.Errorf("%w: %s: response is not a JSON object", ErrUnavailable, n.name)
-		n.noteErr(err)
-		return 0, nil, err
-	}
-	if breakerFailStatus(resp.StatusCode) {
-		n.br.OnFailure()
-	} else {
-		n.noteOK()
-	}
-	return resp.StatusCode, raw, nil
+	buf := serve.AppendQueryRequest(make([]byte, 0, len(doc)+len(query)+32), doc, query)
+	return n.roundTrip(ctx, http.MethodPost, path, buf, true, nil)
 }
 
 // readLine returns br's next line, '\n' included. A line longer than
@@ -664,70 +612,29 @@ func readLine(br *bufio.Reader, spill *[]byte) ([]byte, error) {
 // as a typed error before emit is ever called; a stream that breaks
 // off, mid-line or with a line that is not JSON, as ErrUnavailable.
 func (n *Node) StreamJobs(ctx context.Context, jobs []serve.BatchJob, emit func(line []byte) error) error {
-	release, err := n.admit()
-	if err != nil {
-		return err
-	}
-	defer release()
-	buf := serve.AppendJobsRequest(nil, jobs)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.base+"/batch", bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	propagateRequestID(ctx, req)
-	resp, err := n.stream.Do(req)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return fmt.Errorf("cluster: node %s: %w", n.name, ctxErr)
-		}
-		err = fmt.Errorf("%w: %s: %v", ErrUnavailable, n.name, err)
-		n.noteErr(err)
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		var e struct {
-			Error string `json:"error"`
-		}
-		json.Unmarshal(raw, &e)
-		if e.Error == "" {
-			e.Error = strings.TrimSpace(string(raw))
-		}
-		if breakerFailStatus(resp.StatusCode) {
-			n.br.OnFailure()
-		} else {
-			n.noteOK()
-		}
-		return n.statusErr(resp.StatusCode, e.Error)
-	}
-	n.noteOK()
-	br := bufio.NewReaderSize(resp.Body, 16<<10) // most lines fit; the rest spill
-	var spill []byte
-	for {
-		line, err := readLine(br, &spill)
-		blank := len(bytes.TrimSpace(line)) == 0
-		switch {
-		case err == nil && blank:
-			continue
-		case err == nil && jsonObject(line):
-			if err := emit(line); err != nil {
-				return err
+	_, _, err := n.roundTrip(ctx, http.MethodPost, "/batch", serve.AppendJobsRequest(nil, jobs), false, func(body io.Reader) error {
+		br := bufio.NewReaderSize(body, 16<<10) // most lines fit; the rest spill
+		var spill []byte
+		for {
+			line, err := readLine(br, &spill)
+			blank := len(bytes.TrimSpace(line)) == 0
+			switch {
+			case err == nil && blank:
+				continue
+			case err == nil && jsonObject(line):
+				if err := emit(line); err != nil {
+					return err
+				}
+				continue
+			case err == io.EOF && blank:
+				return nil
+			case err == nil:
+				err = errors.New("line is not a JSON object")
+			case err == io.EOF:
+				err = io.ErrUnexpectedEOF // the stream ended inside a line
 			}
-			continue
-		case err == io.EOF && blank:
-			return nil
-		case err == nil:
-			err = errors.New("line is not a JSON object")
-		case err == io.EOF:
-			err = io.ErrUnexpectedEOF // the stream ended inside a line
+			return n.transportErr(ctx, "mid-stream: ", err)
 		}
-		if ctx.Err() != nil {
-			return fmt.Errorf("cluster: node %s: %w", n.name, ctx.Err())
-		}
-		err = fmt.Errorf("%w: %s: mid-stream: %v", ErrUnavailable, n.name, err)
-		n.noteErr(err)
-		return err
-	}
+	})
+	return err
 }

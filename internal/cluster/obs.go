@@ -46,34 +46,19 @@ func (r *Router) initObs() {
 		return float64(r.drained.Load())
 	})
 	reg.CounterFunc("router_answer_cache_hits_total", "answer cache hits", func() float64 {
-		if r.cache == nil {
-			return 0
-		}
 		return float64(r.cache.stats().Hits)
 	})
 	reg.CounterFunc("router_answer_cache_misses_total", "answer cache misses", func() float64 {
-		if r.cache == nil {
-			return 0
-		}
 		return float64(r.cache.stats().Misses)
 	})
 	reg.CounterFunc("router_answer_cache_invalidations_total", "answer cache entries invalidated by version bumps", func() float64 {
-		if r.cache == nil {
-			return 0
-		}
 		return float64(r.cache.stats().Invalidations)
 	})
 	reg.GaugeFunc("router_peers", "peers in the placement ring", func() float64 {
 		return float64(r.ring.Len())
 	})
 	reg.GaugeFunc("router_peers_healthy", "peers healthy at the last probe", func() float64 {
-		healthy := 0
-		for _, n := range r.ring.Peers() {
-			if n.Healthy() {
-				healthy++
-			}
-		}
-		return float64(healthy)
+		return float64(r.healthyPeers())
 	})
 	reg.GaugeFunc("router_ring_generation", "placement ring generation", func() float64 {
 		return float64(r.ring.Generation())
@@ -106,14 +91,6 @@ func (r *Router) initObs() {
 		}
 	}
 }
-
-// Metrics returns the router's observability registry (served at
-// /metrics).
-func (r *Router) Metrics() *obs.Registry { return r.reg }
-
-// Traces exposes the router's recent-trace ring (served at
-// /debug/traces).
-func (r *Router) Traces() *obs.TraceRing { return r.traces }
 
 func (r *Router) log() *slog.Logger {
 	if r.opts.Logger != nil {

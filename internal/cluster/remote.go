@@ -45,9 +45,6 @@ func NewRemote(node *Node, timeout time.Duration) *Remote {
 	return &Remote{node: node, timeout: timeout}
 }
 
-// Node returns the peer this store speaks to.
-func (r *Remote) Node() *Node { return r.node }
-
 // Err returns the most recent transport failure swallowed by an
 // interface method (nil when the last such call succeeded).
 func (r *Remote) Err() error {

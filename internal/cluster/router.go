@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -141,7 +142,7 @@ type Router struct {
 	backoff *resilience.Backoff // jittered retry pacing
 
 	requests    atomic.Uint64 // client requests routed
-	retried     atomic.Uint64 // replica retries after an unreachable peer
+	retried     atomic.Uint64 // attempts after a request's first (walk)
 	replicated  atomic.Uint64 // successful replica mirror writes
 	replicaErrs atomic.Uint64 // failed replica mirror writes
 	drained     atomic.Uint64 // read misses answered by the old ring
@@ -173,18 +174,8 @@ func New(peers []*Node, opts Options) (*Router, error) {
 	if opts.HealthInterval <= 0 {
 		opts.HealthInterval = 5 * time.Second
 	}
-	if opts.Retries > ring.Len()-1 {
-		opts.Retries = ring.Len() - 1
-	}
-	if opts.Retries < 0 {
-		opts.Retries = 0
-	}
-	if opts.Replicas > ring.Len()-1 {
-		opts.Replicas = ring.Len() - 1
-	}
-	if opts.Replicas < 0 {
-		opts.Replicas = 0
-	}
+	opts.Retries = max(0, min(opts.Retries, ring.Len()-1))
+	opts.Replicas = max(0, min(opts.Replicas, ring.Len()-1))
 	if opts.MaxBody <= 0 {
 		opts.MaxBody = serve.DefaultMaxBodyBytes
 	}
@@ -209,13 +200,8 @@ func New(peers []*Node, opts Options) (*Router, error) {
 	r.budget = resilience.NewBudget(opts.RetryBudget, 0)
 	r.backoff = resilience.NewBackoff(0, 0, opts.Seed)
 	// Attach resilience state to every node this router talks to —
-	// current ring and drain ring alike, each node once.
-	seen := map[*Node]bool{}
+	// current ring and drain ring alike.
 	for _, n := range append(r.ring.Peers(), opts.DrainPeers...) {
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
 		n.SetDownAfter(opts.DownAfter)
 		n.SetMaxInflight(opts.PeerInflight)
 		if opts.BreakerThreshold >= 0 {
@@ -246,6 +232,74 @@ func (r *Router) beforeAttempt(ctx context.Context, attempt int) error {
 	return resilience.Sleep(ctx, r.backoff.Delay(attempt-1))
 }
 
+// cand is one peer a request may be served by; drained marks the old
+// ring's (drain mode), whose answers are flagged "drained".
+type cand struct {
+	n       *Node
+	drained bool
+}
+
+// walk is the router's one failover loop. It tries the candidates in
+// order, each peer (URL) once, until try succeeds or says its failure
+// may not pass on, and stops when ctx ends. beforeAttempt paces each
+// attempt; one on the drain ring is always a retry, as it follows a
+// miss on the current ring. Each attempt's context carries the attempts
+// left, so resilience.CarveAttempt splits the caller's deadline across
+// them. The error reported prefers a live peer's answer (a 404, a full
+// store) over transport noise, and a budget denial names that answer as
+// a 503: the unasked candidates may hold what the asked ones lacked.
+// cands is filtered in place.
+func (r *Router) walk(ctx context.Context, cands []cand, try func(context.Context, cand) (next bool, err error)) error {
+	uniq := cands[:0]
+	for _, c := range cands {
+		if !slices.ContainsFunc(uniq, func(u cand) bool { return u.n.URL() == c.n.URL() }) {
+			uniq = append(uniq, c)
+		}
+	}
+	var lastErr error
+	for i, c := range uniq {
+		attempt := i
+		if uniq[0].drained {
+			attempt++
+		}
+		err := ctx.Err()
+		if err == nil {
+			err = r.beforeAttempt(ctx, attempt)
+		}
+		if err != nil {
+			if lastErr != nil {
+				err = fmt.Errorf("%w; last attempt: %v", err, lastErr)
+			}
+			return err
+		}
+		if attempt > 0 {
+			r.retried.Add(1)
+		}
+		next, err := try(resilience.WithAttemptsLeft(ctx, len(uniq)-i), c)
+		if err == nil {
+			if c.drained {
+				r.drained.Add(1)
+			}
+			return nil
+		}
+		if lastErr == nil || !errors.Is(err, ErrUnavailable) {
+			lastErr = err
+		}
+		if !next {
+			break
+		}
+	}
+	return lastErr
+}
+
+// readNext says whether a read's failure passes on to the next
+// candidate: an unreachable peer's does, and so does a live peer's
+// "not found" — the document may have failed over to a replica while
+// its owner was down, or not have migrated off the old ring yet.
+func readNext(err error) bool {
+	return errors.Is(err, ErrUnavailable) || errors.Is(err, ErrNotFound)
+}
+
 // writeError answers a routed request's terminal error, adding
 // Retry-After on the shedding statuses so well-behaved clients pace
 // themselves instead of hammering an overloaded fleet.
@@ -270,39 +324,34 @@ func (r *Router) Owner(doc string) *Node { return r.ring.Owner(doc) }
 // spread is how far past the owner a request may be served: the
 // larger of the retry and replication budgets, so reads always reach
 // the nodes writes were mirrored to.
-func (r *Router) spread() int {
-	if r.opts.Replicas > r.opts.Retries {
-		return r.opts.Replicas
+func (r *Router) spread() int { return max(r.opts.Replicas, r.opts.Retries) }
+
+// readCandidates returns the peers a read of doc may be served by: the
+// current ring's candidates, then (in drain mode) the old ring's.
+func (r *Router) readCandidates(doc string) []cand {
+	cands := r.slotCandidates(nil, r.ring, r.ring.OwnerIndex(doc))
+	if r.old != nil {
+		cands = r.slotCandidates(cands, r.old, r.old.OwnerIndex(doc))
 	}
-	return r.opts.Retries
+	return cands
 }
 
-// candidates returns the nodes a request for doc may be served by:
-// the owner followed by the next spread() peers in ring order, with
-// known-unhealthy nodes moved to the back so a live replica is tried
-// before a dead owner (the dead one stays a last resort — health
-// information can be stale).
-func (r *Router) candidates(doc string) []*Node {
-	return r.slotCandidates(r.ring, r.ring.OwnerIndex(doc))
-}
-
-// slotCandidates is candidates keyed by ring slot — the form the
-// batch path uses, where a whole per-node job group shares one owner
-// slot.
-func (r *Router) slotCandidates(ring *Ring, slot int) []*Node {
-	peers := ring.Peers()
-	spread := r.spread()
-	if spread > len(peers)-1 {
-		spread = len(peers) - 1
+// slotCandidates appends to dst the peers of ring that may serve the
+// owner slot (a job group shares one): the owner and the next spread()
+// peers in ring order, known-unhealthy ones moved to the back so a live
+// replica is tried before a dead owner (the dead one stays a last
+// resort — health information can be stale).
+func (r *Router) slotCandidates(dst []cand, ring *Ring, slot int) []cand {
+	peers, start := ring.Peers(), len(dst)
+	dst = slices.Grow(dst, min(r.spread()+1, len(peers)))
+	for i := 0; i <= min(r.spread(), len(peers)-1); i++ {
+		dst = append(dst, cand{n: peers[(slot+i)%len(peers)], drained: ring == r.old})
 	}
-	out := make([]*Node, 0, 1+spread)
-	for i := 0; i <= spread; i++ {
-		out = append(out, peers[(slot+i)%len(peers)])
-	}
+	out := dst[start:]
 	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].Healthy() && !out[j].Healthy()
+		return out[i].n.Healthy() && !out[j].n.Healthy()
 	})
-	return out
+	return dst
 }
 
 // Start launches the background health prober and, when
@@ -338,21 +387,8 @@ func (r *Router) shedTotal() uint64 {
 	return total
 }
 
-// CheckHealth probes every peer's /healthz once, concurrently, and
-// returns how many are healthy.
-func (r *Router) CheckHealth() int {
-	var wg sync.WaitGroup
-	for _, n := range r.ring.Peers() {
-		wg.Add(1)
-		go func(n *Node) {
-			defer wg.Done()
-			//lint:ignore ctxhttp the background health prober owns its probes; each is bounded by the configured timeout, and Stop ends the loop between rounds
-			ctx, cancel := context.WithTimeout(context.Background(), r.opts.Timeout)
-			defer cancel()
-			n.Healthz(ctx)
-		}(n)
-	}
-	wg.Wait()
+// healthyPeers counts the peers whose last observed health is good.
+func (r *Router) healthyPeers() int {
 	healthy := 0
 	for _, n := range r.ring.Peers() {
 		if n.Healthy() {
@@ -360,6 +396,32 @@ func (r *Router) CheckHealth() int {
 		}
 	}
 	return healthy
+}
+
+// each runs fn once per node, concurrently, and returns when all have:
+// the shape of every fan-out that asks each peer once.
+func each(nodes []*Node, fn func(*Node)) {
+	var wg sync.WaitGroup
+	for _, n := range nodes {
+		wg.Add(1)
+		go func(n *Node) {
+			defer wg.Done()
+			fn(n)
+		}(n)
+	}
+	wg.Wait()
+}
+
+// CheckHealth probes every peer's /healthz once, concurrently, and
+// returns how many are healthy.
+func (r *Router) CheckHealth() int {
+	each(r.ring.Peers(), func(n *Node) {
+		//lint:ignore ctxhttp the background health prober owns its probes; each is bounded by the configured timeout, and Stop ends the loop between rounds
+		ctx, cancel := context.WithTimeout(context.Background(), r.opts.Timeout)
+		defer cancel()
+		n.Healthz(ctx)
+	})
+	return r.healthyPeers()
 }
 
 // statusFor maps a typed backend error to the HTTP status the router
@@ -428,17 +490,7 @@ func (r *Router) handleDocuments(w http.ResponseWriter, req *http.Request) {
 		}
 	case http.MethodGet:
 		if name := req.URL.Query().Get("name"); name != "" {
-			r.routeDoc(w, req, name, func(ctx context.Context, n *Node) (any, error) {
-				info, err := n.GetDocument(ctx, name)
-				if err != nil {
-					return nil, err
-				}
-				return map[string]any{
-					"name": info.Name, "nodes": info.Nodes, "bytes": info.Bytes,
-					"idle_ms": info.IdleMs, "version": info.Version,
-					"xml": info.XML, "node": n.Name(),
-				}, nil
-			})
+			r.handleDocumentGet(w, req, name)
 			return
 		}
 		r.handleDocumentList(w, req)
@@ -523,51 +575,66 @@ func (reg registration) mirrorBody(ver uint64) []byte {
 // durable, the response lists which mirrors took, and the health
 // prober plus a later reshard reconcile the rest.
 func (r *Router) handleDocumentPut(w http.ResponseWriter, req *http.Request, reg registration) {
-	var lastErr error
 	// Writes walk the ring in placement order — owner first, NOT
 	// health-sorted like reads: a stale "unhealthy" mark on a live
 	// owner must not divert the write to a successor, where (without
-	// replication) it would be invisible to owner-first reads. The
-	// owner is only passed over on an actual unreachable error below.
-	cands := r.ring.Replicas(reg.name, r.spread())
-	for i, n := range cands {
-		if serr := r.beforeAttempt(req.Context(), i); serr != nil {
-			if errors.Is(serr, ErrRetryBudget) {
-				lastErr = fmt.Errorf("%w; last attempt: %v", ErrRetryBudget, lastErr)
-			}
-			break
-		}
-		if i > 0 {
-			r.retried.Add(1)
-		}
-		actx := resilience.WithAttemptsLeft(req.Context(), len(cands)-i)
-		nodes, ver, err := n.PutDocumentBody(actx, reg.body)
-		if err == nil {
-			out := serve.DocumentResponse{Name: reg.name, Node: n.Name(), Nodes: nodes}
-			if r.opts.Replicas > 0 {
-				ver, out.Replicas, out.ReplicaErrors = r.replicate(req.Context(), reg, ver, n)
-			}
-			out.Version = ver
-			if r.cache != nil {
-				r.cache.bump(reg.name, ver)
-			}
-			serve.WriteJSONBytes(w, http.StatusOK, serve.AppendDocumentResponse(nil, &out))
-			return
-		}
-		if lastErr == nil || !errors.Is(err, ErrUnavailable) {
-			lastErr = err
-		}
-		if req.Context().Err() != nil {
-			break
-		}
-		if !errors.Is(err, ErrUnavailable) {
-			// A live owner's application answer (parse error, full
-			// store) must not be retried past it: registration retried
-			// past a live owner would fork the document.
-			break
-		}
+	// replication) it would be invisible to owner-first reads.
+	var cands []cand
+	for _, n := range r.ring.Replicas(reg.name, r.spread()) {
+		cands = append(cands, cand{n: n})
 	}
-	r.writeError(w, lastErr)
+	err := r.walk(req.Context(), cands, func(ctx context.Context, c cand) (bool, error) {
+		nodes, ver, err := c.n.PutDocumentBody(ctx, reg.body)
+		if err != nil {
+			// Only an unreachable owner is passed over: a live owner's
+			// application answer (parse error, full store) retried past
+			// it would fork the document.
+			return errors.Is(err, ErrUnavailable), err
+		}
+		out := serve.DocumentResponse{Name: reg.name, Node: c.n.Name(), Nodes: nodes}
+		if r.opts.Replicas > 0 {
+			ver, out.Replicas, out.ReplicaErrors = r.replicate(req.Context(), reg, ver, c.n)
+		}
+		out.Version = ver
+		if r.cache != nil {
+			r.cache.bump(reg.name, ver)
+		}
+		serve.WriteJSONBytes(w, http.StatusOK, serve.AppendDocumentResponse(nil, &out))
+		return false, nil
+	})
+	if err != nil {
+		r.writeError(w, err)
+	}
+}
+
+// documentReply is a single-document GET through the router: the
+// holder's serve.DocInfo with XML, tagged like a relayed answer.
+type documentReply struct {
+	Name    string `json:"name"`
+	Nodes   int    `json:"nodes"`
+	Bytes   int64  `json:"bytes"`
+	IdleMs  int64  `json:"idle_ms"`
+	Version uint64 `json:"version"`
+	XML     string `json:"xml"`
+	Node    string `json:"node"`
+	Drained bool   `json:"drained,omitempty"`
+}
+
+// handleDocumentGet fetches one document from the first candidate that
+// holds it (readNext).
+func (r *Router) handleDocumentGet(w http.ResponseWriter, req *http.Request, name string) {
+	err := r.walk(req.Context(), r.readCandidates(name), func(ctx context.Context, c cand) (bool, error) {
+		info, err := c.n.GetDocument(ctx, name)
+		if err != nil {
+			return readNext(err), err
+		}
+		serve.WriteJSON(w, http.StatusOK, &documentReply{Name: info.Name, Nodes: info.Nodes, Bytes: info.Bytes,
+			IdleMs: info.IdleMs, Version: info.Version, XML: info.XML, Node: c.n.Name(), Drained: c.drained})
+		return false, nil
+	})
+	if err != nil {
+		r.writeError(w, err)
+	}
 }
 
 // replicate mirrors a registration at its owner-assigned version to
@@ -592,35 +659,26 @@ func (r *Router) replicate(ctx context.Context, reg registration, ver uint64, pr
 		mirrored := []string{}
 		errs := map[string]string{}
 		var maxResident uint64
-		var wg sync.WaitGroup
-		for _, n := range r.ring.Replicas(reg.name, r.opts.Replicas) {
+		each(r.ring.Replicas(reg.name, r.opts.Replicas), func(n *Node) {
 			if n == primary {
-				continue
+				return
 			}
-			wg.Add(1)
-			go func(n *Node) {
-				defer wg.Done()
-				_, rv, err := n.PutDocumentBody(ctx, body)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					r.replicaErrs.Add(1)
-					errs[n.Name()] = err.Error()
-					return
-				}
-				if rv > ver {
-					// Stale-write skip: the replica kept its resident
-					// copy at a higher version.
-					if rv > maxResident {
-						maxResident = rv
-					}
-					return
-				}
+			_, rv, err := n.PutDocumentBody(ctx, body)
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case err != nil:
+				r.replicaErrs.Add(1)
+				errs[n.Name()] = err.Error()
+			case rv > ver:
+				// Stale-write skip: the replica kept its resident copy at
+				// a higher version.
+				maxResident = max(maxResident, rv)
+			default:
 				r.replicated.Add(1)
 				mirrored = append(mirrored, n.Name())
-			}(n)
-		}
-		wg.Wait()
+			}
+		})
 		sort.Strings(mirrored)
 		return mirrored, errs, maxResident
 	}
@@ -637,134 +695,74 @@ func (r *Router) replicate(ctx context.Context, reg registration, ver uint64, pr
 	return ver, mirrored, errs
 }
 
+// deleteReply answers a DELETE that removed at least one copy;
+// node_errors and partial say which holders could not be reached.
+type deleteReply struct {
+	Deleted    string            `json:"deleted"`
+	Nodes      []string          `json:"nodes"`
+	NodeErrors map[string]string `json:"node_errors,omitempty"`
+	Partial    bool              `json:"partial,omitempty"`
+}
+
 // handleDocumentDelete evicts a document from every node that may
 // hold it — the owner, the replica successors within spread(), and
-// (in drain mode) the same span of the old ring. Any successful
-// removal answers 200; a document nobody held is a 404.
+// (in drain mode) the same span of the old ring — concurrently. It is
+// not a failover: every holder is asked, and a node in both rings is
+// asked twice, the second time finding nothing. Any successful removal
+// answers 200; a document nobody held is a 404.
 func (r *Router) handleDocumentDelete(w http.ResponseWriter, req *http.Request, name string) {
 	targets := r.ring.Replicas(name, r.spread())
 	if r.old != nil {
-		for _, n := range r.old.Replicas(name, r.spread()) {
-			targets = append(targets, n)
-		}
+		targets = append(targets, r.old.Replicas(name, r.spread())...)
 	}
-	seen := map[string]bool{}
-	deleted := []string{}
-	nodeErrs := map[string]string{}
+	out := deleteReply{Deleted: name, Nodes: []string{}, NodeErrors: map[string]string{}}
 	var lastErr error
-	for i, n := range targets {
-		if seen[n.URL()] {
-			continue
-		}
-		seen[n.URL()] = true
-		// Not a retry chain — every distinct holder is visited — but a
-		// tight caller deadline is still split across the remaining
-		// targets so one slow holder cannot consume all of it.
-		actx := resilience.WithAttemptsLeft(req.Context(), len(targets)-i)
-		err := n.DeleteDocument(actx, name)
+	var mu sync.Mutex
+	each(targets, func(n *Node) {
+		err := n.DeleteDocument(req.Context(), name)
+		mu.Lock()
+		defer mu.Unlock()
 		switch {
 		case err == nil:
-			deleted = append(deleted, n.Name())
+			out.Nodes = append(out.Nodes, n.Name())
 		case errors.Is(err, ErrNotFound):
 			// Absence on a replica is fine.
 		default:
-			// An unreachable holder may still have its copy: surface
-			// it, so the client knows the delete is partial and the
-			// document can resurface when that node recovers (a
-			// reshard or a repeated DELETE reconciles it).
-			nodeErrs[n.Name()] = err.Error()
+			// An unreachable holder may still have its copy: surface it,
+			// so the client knows the delete is partial and the document
+			// can resurface when that node recovers (a reshard or a
+			// repeated DELETE reconciles it).
+			out.NodeErrors[n.Name()] = err.Error()
 			lastErr = err
 		}
-		if req.Context().Err() != nil {
-			break
-		}
-	}
-	if len(deleted) > 0 {
+	})
+	switch {
+	case len(out.Nodes) > 0:
 		if r.cache != nil {
 			r.cache.forget(name)
 		}
-		sort.Strings(deleted)
-		out := map[string]any{"deleted": name, "nodes": deleted}
-		if len(nodeErrs) > 0 {
-			out["node_errors"] = nodeErrs
-			out["partial"] = true
-		}
-		serve.WriteJSON(w, http.StatusOK, out)
-		return
-	}
-	if lastErr == nil {
+		sort.Strings(out.Nodes)
+		out.Partial = len(out.NodeErrors) > 0
+		serve.WriteJSON(w, http.StatusOK, &out)
+	case lastErr != nil:
+		r.writeError(w, lastErr)
+	default:
 		serve.HTTPError(w, http.StatusNotFound, "unknown document %q", name)
-		return
 	}
-	r.writeError(w, lastErr)
 }
 
-// routeDoc runs one owner-routed read with replica retry: the
-// candidates are tried in order, an unreachable peer always falls
-// through to the next, and a live candidate's "not found" also falls
-// through — the read half of replica failover: a document registered
-// on a replica while its owner was down stays readable after the
-// owner recovers, because reads probe the rest of the retry ring
-// before reporting the 404. In drain mode a miss additionally probes
-// the old ring before giving up.
-func (r *Router) routeDoc(w http.ResponseWriter, req *http.Request, doc string, call func(context.Context, *Node) (any, error)) {
-	type cand struct {
-		n       *Node
-		drained bool
-	}
-	var cands []cand
-	for _, n := range r.candidates(doc) {
-		cands = append(cands, cand{n: n})
-	}
-	if r.old != nil {
-		for _, n := range r.slotCandidates(r.old, r.old.OwnerIndex(doc)) {
-			cands = append(cands, cand{n: n, drained: true})
-		}
-	}
-	var lastErr error
-	seen := map[string]bool{}
-	attempt := 0
-	for i, c := range cands {
-		n := c.n
-		if seen[n.URL()] {
-			continue
-		}
-		seen[n.URL()] = true
-		if serr := r.beforeAttempt(req.Context(), attempt); serr != nil {
-			if errors.Is(serr, ErrRetryBudget) {
-				lastErr = fmt.Errorf("%w; last attempt: %v", ErrRetryBudget, lastErr)
-			}
-			break
-		}
-		if attempt > 0 {
-			r.retried.Add(1)
-		}
-		attempt++
-		out, err := call(resilience.WithAttemptsLeft(req.Context(), len(cands)-i), n)
-		if err == nil {
-			if c.drained {
-				r.drained.Add(1)
-				if m, ok := out.(map[string]any); ok {
-					m["drained"] = true
-				}
-			}
-			serve.WriteJSON(w, http.StatusOK, out)
-			return
-		}
-		if lastErr == nil || !errors.Is(err, ErrUnavailable) {
-			// Prefer reporting an application answer (the 404) over
-			// the transport noise of whichever replica was dead.
-			lastErr = err
-		}
-		if req.Context().Err() != nil {
-			break
-		}
-		if errors.Is(err, ErrUnavailable) || errors.Is(err, ErrNotFound) {
-			continue
-		}
-		break
-	}
-	r.writeError(w, lastErr)
+// taggedDoc is a merged listing's entry: a peer's DocInfo and its node.
+type taggedDoc struct {
+	serve.DocInfo
+	Node string `json:"node"`
+}
+
+// listReply is the merged listing; node_errors and degraded report the
+// peers that could not be listed.
+type listReply struct {
+	Documents  []taggedDoc       `json:"documents"`
+	NodeErrors map[string]string `json:"node_errors,omitempty"`
+	Degraded   bool              `json:"degraded,omitempty"`
 }
 
 // handleDocumentList merges every peer's listing; entries are tagged
@@ -772,43 +770,28 @@ func (r *Router) routeDoc(w http.ResponseWriter, req *http.Request, doc string, 
 // appears once per holder), and unreachable peers are reported
 // alongside the merged list instead of failing it.
 func (r *Router) handleDocumentList(w http.ResponseWriter, req *http.Request) {
-	type taggedDoc struct {
-		serve.DocInfo
-		Node string `json:"node"`
-	}
 	var mu sync.Mutex
 	docs := []taggedDoc{}
 	nodeErrs := map[string]string{}
-	var wg sync.WaitGroup
-	for _, n := range r.ring.Peers() {
-		wg.Add(1)
-		go func(n *Node) {
-			defer wg.Done()
-			list, err := n.Documents(req.Context())
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				nodeErrs[n.Name()] = err.Error()
-				return
-			}
-			for _, d := range list {
-				docs = append(docs, taggedDoc{DocInfo: d, Node: n.Name()})
-			}
-		}(n)
-	}
-	wg.Wait()
+	each(r.ring.Peers(), func(n *Node) {
+		list, err := n.Documents(req.Context())
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			nodeErrs[n.Name()] = err.Error()
+			return
+		}
+		for _, d := range list {
+			docs = append(docs, taggedDoc{DocInfo: d, Node: n.Name()})
+		}
+	})
 	sort.Slice(docs, func(i, j int) bool {
 		if docs[i].Name != docs[j].Name {
 			return docs[i].Name < docs[j].Name
 		}
 		return docs[i].Node < docs[j].Node
 	})
-	out := map[string]any{"documents": docs}
-	if len(nodeErrs) > 0 {
-		out["node_errors"] = nodeErrs
-		out["degraded"] = true
-	}
-	serve.WriteJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, &listReply{Documents: docs, NodeErrors: nodeErrs, Degraded: len(nodeErrs) > 0})
 }
 
 // appendTags closes a relayed answer whose closing brace was left off:
@@ -890,9 +873,11 @@ type tracedAnswer struct {
 	Drained bool            `json:"drained,omitempty"`
 }
 
-// handleQuery forwards one query to the owning node (with replica
-// retry and, in drain mode, old-ring fallback on a miss) and relays
-// the backend's status and body, tagged with the node that answered.
+// handleQuery forwards one query along the read candidates (readNext:
+// replica retry and, in drain mode, old-ring fallback on a miss) and
+// relays the backend's status and body, tagged with the node that
+// answered; when every live candidate answered "unknown document", the
+// first such answer is relayed as the 404.
 // Successful answers are cached by (doc, query, version); repeated
 // identical queries are served from the cache until a registration
 // bumps the document's version.
@@ -930,96 +915,54 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		cs.SetAttr("outcome", "miss")
 		cs.End()
 	}
-	notFound, ok := r.forwardQuery(w, req, body, r.ring, false)
-	if ok {
-		return
-	}
-	if notFound != nil && r.old != nil {
-		// Drain mode: the document may not have migrated yet.
-		if _, ok := r.forwardQuery(w, req, body, r.old, true); ok {
-			r.drained.Add(1)
-			return
-		}
-	}
-	if notFound != nil {
-		serve.WriteJSONBytes(w, http.StatusNotFound, notFound)
-	}
-}
-
-// forwardQuery tries a query against one ring's candidates. It
-// reports whether a response was written; when every live candidate
-// answered "unknown document" it instead returns the first such
-// response, tagged, for the caller to relay (or to try another ring
-// first). On a transport dead end it writes the typed error itself —
-// except on the drain ring, whose unreachability must not mask the
-// current ring's answer: there it reports false and writes nothing.
-func (r *Router) forwardQuery(w http.ResponseWriter, req *http.Request, body serve.QueryRequest, ring *Ring, drainRing bool) ([]byte, bool) {
-	var lastErr error
-	var notFound []byte
 	traceOn := obs.TraceRequested(req)
-	cands := r.slotCandidates(ring, ring.OwnerIndex(body.Doc))
-	for i, n := range cands {
-		if serr := r.beforeAttempt(req.Context(), i); serr != nil {
-			if errors.Is(serr, ErrRetryBudget) {
-				lastErr = fmt.Errorf("%w; last attempt: %v", ErrRetryBudget, lastErr)
-			}
-			break
-		}
-		if i > 0 {
-			r.retried.Add(1)
-		}
+	var notFound []byte
+	err := r.walk(req.Context(), r.readCandidates(body.Doc), func(ctx context.Context, c cand) (bool, error) {
 		// The forward span wraps the whole backend round trip; when the
 		// client asked for a trace, the backend evaluates with ?trace=1
 		// too and its span tree is spliced in as the forward's remote —
 		// one report shows both tiers under one request ID.
-		fctx, fspan := obs.StartSpan(resilience.WithAttemptsLeft(req.Context(), len(cands)-i), "forward")
-		fspan.SetAttr("node", n.Name())
-		status, raw, err := n.Query(fctx, body.Doc, body.Query, traceOn)
+		fctx, fspan := obs.StartSpan(ctx, "forward")
+		fspan.SetAttr("node", c.n.Name())
+		status, raw, err := c.n.Query(fctx, body.Doc, body.Query, traceOn)
 		fspan.End()
 		if err != nil {
-			lastErr = err
-			if !errors.Is(err, ErrUnavailable) || req.Context().Err() != nil {
-				break
-			}
-			continue
+			return readNext(err), err
 		}
 		if status == http.StatusNotFound {
-			// Read fallback: the doc may live on a replica it failed
-			// over to while this node was down.
 			if notFound == nil {
-				notFound, _, _ = r.relayQuery(raw, n.Name(), false)
+				notFound, _, _ = r.relayQuery(raw, c.n.Name(), c.drained)
 			}
-			continue
+			err := fmt.Errorf("%w (%s)", ErrNotFound, c.n.Name())
+			return readNext(err), err
 		}
 		var ans tracedAnswer
 		if traceOn && json.Unmarshal(raw, &ans) == nil {
 			if len(ans.Trace) > 0 {
 				fspan.AttachRemote(ans.Trace)
 			}
-			ans.Node, ans.Drained = n.Name(), drainRing
+			ans.Node, ans.Drained = c.n.Name(), c.drained
 			// Reported before the response is written, so the span
 			// durations in it sum to within the reported total.
 			ans.Trace, _ = json.Marshal(obs.TraceFrom(req.Context()).Report())
 			serve.WriteJSON(w, status, &ans)
-			return nil, true
+			return false, nil
 		}
-		out, entry, ver := r.relayQuery(raw, n.Name(), drainRing)
+		out, entry, ver := r.relayQuery(raw, c.n.Name(), c.drained)
 		if entry != nil && status == http.StatusOK && !traceOn {
 			// What the cache keeps is what goes on the wire, the
 			// backend's version label and value as it paired them.
 			r.cache.put(body.Doc, body.Query, ver, entry)
 		}
 		serve.WriteJSONBytes(w, status, out)
-		return nil, true
+		return false, nil
+	})
+	switch {
+	case errors.Is(err, ErrNotFound):
+		serve.WriteJSONBytes(w, http.StatusNotFound, notFound)
+	case err != nil:
+		r.writeError(w, err)
 	}
-	if notFound != nil {
-		return notFound, false
-	}
-	if drainRing {
-		return nil, false // an unreachable old ring is not this query's error
-	}
-	r.writeError(w, lastErr)
-	return nil, true
 }
 
 // routerBatchRequest is the router's /batch body: either one doc (the
@@ -1110,23 +1053,6 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		writeLine(hits)
 	}
 
-	// In drain mode, jobs the whole new-ring candidate chain reports
-	// missing are re-grouped under the old ring's placement and tried
-	// there — /batch keeps answering for un-migrated documents exactly
-	// like /query does.
-	var drainFallback func([]int)
-	if r.old != nil {
-		drainFallback = func(indices []int) {
-			oldGroups := map[int][]int{}
-			for _, gi := range indices {
-				slot := r.old.OwnerIndex(jobs[gi].Doc)
-				oldGroups[slot] = append(oldGroups[slot], gi)
-			}
-			for slot, oidx := range oldGroups {
-				r.streamGroup(ctx, r.slotCandidates(r.old, slot), 0, oidx, jobs, writeLine, true, nil)
-			}
-		}
-	}
 	// Fan out one goroutine, and so one backend stream, per owning-node
 	// group: at most ring.Len() of them, and I/O-bound.
 	var wg sync.WaitGroup
@@ -1134,126 +1060,139 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		wg.Add(1)
 		go func(slot int, indices []int) {
 			defer wg.Done()
-			r.streamGroup(ctx, r.slotCandidates(r.ring, slot), 0, indices, jobs, writeLine, false, drainFallback)
+			g := &jobGroup{r: r, jobs: jobs, owed: indices, held: map[int][]byte{}, writeLine: writeLine}
+			err := r.walk(ctx, r.slotCandidates(nil, r.ring, slot), g.try)
+			if r.old != nil && errors.Is(err, ErrNotFound) {
+				// Drain mode: jobs the current ring reports missing are
+				// regrouped under the old ring's placement and walked
+				// there — /batch keeps answering for un-migrated
+				// documents exactly like /query does.
+				oldGroups := map[int][]int{}
+				for _, gi := range g.owed {
+					slot := r.old.OwnerIndex(jobs[gi].Doc)
+					oldGroups[slot] = append(oldGroups[slot], gi)
+				}
+				for slot, owed := range oldGroups {
+					g.owed = owed
+					g.finish(ctx, r.walk(ctx, r.slotCandidates(nil, r.old, slot), g.try))
+				}
+				return
+			}
+			g.finish(ctx, err)
 		}(slot, indices)
 	}
 	wg.Wait()
 }
 
+// jobGroup is one owner's share of a /batch as it walks its
+// candidates.
+type jobGroup struct {
+	r         *Router
+	jobs      []serve.BatchJob
+	owed      []int          // global indices of the jobs no line has been written for
+	held      map[int][]byte // the latest "missing" line per owed job
+	last      cand           // the candidate tried last
+	writeLine func([]byte)
+}
+
+// try relays one candidate's stream of the owed jobs, re-tagging each
+// line with its global index, its document, and the node (and
+// "drained" on the old ring); the rest of a line is the backend's
+// bytes, and a line relayAnswer finds cacheable fills the answer cache
+// as a /query answer would. The group passes on whole only while
+// nothing has streamed; after a mid-stream failure the jobs that
+// already streamed are not replayed (the client has their lines) and
+// the rest become error lines, as do jobs a stream that ended cleanly
+// never answered. Jobs reported "missing" narrow the group for the next
+// candidate — the grouped-stream form of per-document read fallback.
+func (g *jobGroup) try(ctx context.Context, c cand) (bool, error) {
+	g.last = c
+	sub := make([]serve.BatchJob, len(g.owed))
+	for k, gi := range g.owed {
+		sub[k] = g.jobs[gi]
+	}
+	emitted := make([]bool, len(g.owed))
+	var missing []int // global indices
+	var out []byte    // one re-tagged line at a time
+	err := c.n.StreamJobs(ctx, sub, func(line []byte) error {
+		env, ok := serve.ScanEnvelope(line)
+		if !ok || env.IndexEnd == 0 || env.Index < 0 || env.Index >= len(sub) {
+			return nil // not a line of this protocol; its job counts as unanswered
+		}
+		local := env.Index
+		emitted[local] = true
+		out = append(out[:0], `{"index":`...)
+		out = strconv.AppendInt(out, int64(g.owed[local]), 10)
+		if env.Doc == nil {
+			out = append(out, `,"doc":`...)
+			out = serve.AppendJSONString(out, sub[local].Doc)
+		}
+		var entry []byte
+		out, entry = g.r.relayAnswer(append(out, line[env.IndexEnd:env.Body]...), line, env, c.n.Name(), c.drained)
+		if env.Missing {
+			g.held[g.owed[local]] = bytes.Clone(out)
+			missing = append(missing, g.owed[local])
+			return nil
+		}
+		if entry != nil {
+			g.r.cache.put(sub[local].Doc, sub[local].Query, env.Version, entry)
+		}
+		g.writeLine(out)
+		return nil
+	})
+	if ctx.Err() != nil {
+		return false, ctx.Err() // client gone; no error lines into a dead stream
+	}
+	if err != nil && !slices.Contains(emitted, true) && readNext(err) {
+		return true, err // nothing on the wire yet: the whole group fails over
+	}
+	failed := err
+	if failed == nil {
+		// The peer closed the stream in good order; whatever it left
+		// unanswered is its protocol error, not a transport failure.
+		failed = fmt.Errorf("%w (%s): stream ended without a line for this job", ErrPeer, c.n.Name())
+	}
+	for local, done := range emitted {
+		if !done {
+			g.writeLine(errorLine(ctx, g.owed[local], sub[local], c, failed))
+		}
+	}
+	g.owed = missing
+	if len(missing) > 0 {
+		return true, fmt.Errorf("%w (%s)", ErrNotFound, c.n.Name())
+	}
+	return false, err
+}
+
+// finish writes the lines the group still owes when its walk ends with
+// err: the last "missing" line where the walk ended on one, else an
+// error line — so the merged stream carries one line per job.
+func (g *jobGroup) finish(ctx context.Context, err error) {
+	if ctx.Err() != nil {
+		return // client gone; no error lines into a dead stream
+	}
+	for _, gi := range g.owed {
+		if line := g.held[gi]; line != nil && errors.Is(err, ErrNotFound) {
+			g.writeLine(line)
+		} else {
+			g.writeLine(errorLine(ctx, gi, g.jobs[gi], g.last, err))
+		}
+	}
+}
+
 // errorLine is a /batch line the router makes up itself, for a job no
 // backend answered: a serve.BatchLine through serve's encoder, so it
 // looks like a backend's, tagged like a relayed one with the node the
-// job was (or was about to be) tried on. It carries the request's ID,
-// as backend lines do (they get it propagated), so every merged line
-// is correlatable.
-func errorLine(ctx context.Context, index int, job serve.BatchJob, node string, drained bool, err error) []byte {
+// job was last tried on. It carries the request's ID, as backend lines
+// do (they get it propagated), so every merged line is correlatable.
+func errorLine(ctx context.Context, index int, job serve.BatchJob, c cand, err error) []byte {
 	line := serve.BatchLine{
 		Index: index, Doc: job.Doc, RequestID: obs.RequestID(ctx),
 		//lint:ignore wiretag no backend answered, so there is no version to carry; an error line is never cached
 		QueryResponse: serve.QueryResponse{Query: job.Query, Error: err.Error()},
 	}
 	enc := serve.AppendBatchLine(nil, &line) // ends in "}\n"
-	return appendTags(append(enc[:len(enc)-2], ','), node, drained)
-}
-
-// streamGroup relays one per-node job group through the candidate at
-// the given attempt, re-tagging each line with its global index, its
-// document, and the node (and "drained" on the old ring); the rest of
-// a line is the backend's bytes, and a line relayAnswer finds
-// cacheable fills the answer cache as a /query answer would. Failover
-// applies only before the first line is on the wire; after a
-// mid-stream failure the jobs that already streamed are not replayed
-// (the client has their lines) and the rest become error lines, as do
-// jobs a stream that ended cleanly never answered, so the merged
-// stream still carries exactly one line per job. Jobs flagged
-// "missing" by a live node are collected and re-dispatched to the next
-// candidate — the grouped-stream form of per-document read fallback —
-// and jobs still missing after the last candidate go to exhausted (the
-// drain-ring fallback) when one is set.
-func (r *Router) streamGroup(ctx context.Context, cands []*Node, attempt int, indices []int, jobs []serve.BatchJob, writeLine func([]byte), drained bool, exhausted func([]int)) {
-	n := cands[attempt]
-	if serr := r.beforeAttempt(ctx, attempt); serr != nil {
-		if ctx.Err() != nil {
-			return // client gone; no error lines into a dead stream
-		}
-		// Budget denied: the jobs this group still owes get their typed
-		// error lines so the one-line-per-job invariant holds.
-		for _, gi := range indices {
-			writeLine(errorLine(ctx, gi, jobs[gi], n.Name(), drained, serr))
-		}
-		return
-	}
-	if attempt > 0 {
-		r.retried.Add(1)
-	}
-	sub := make([]serve.BatchJob, len(indices))
-	for k, gi := range indices {
-		sub[k] = jobs[gi]
-	}
-	emitted := make([]bool, len(indices))
-	var missing []int // local positions to re-dispatch past this candidate
-	var out []byte    // one re-tagged line at a time
-	err := n.StreamJobs(ctx, sub, func(line []byte) error {
-		env, ok := serve.ScanEnvelope(line)
-		if !ok || env.IndexEnd == 0 || env.Index < 0 || env.Index >= len(indices) {
-			return nil // not a line of this protocol; its job counts as unanswered
-		}
-		local := env.Index
-		emitted[local] = true
-		if env.Missing && (attempt+1 < len(cands) || exhausted != nil) {
-			missing = append(missing, local)
-			return nil
-		}
-		out = append(out[:0], `{"index":`...)
-		out = strconv.AppendInt(out, int64(indices[local]), 10)
-		if env.Doc == nil {
-			out = append(out, `,"doc":`...)
-			out = serve.AppendJSONString(out, sub[local].Doc)
-		}
-		var entry []byte
-		out, entry = r.relayAnswer(append(out, line[env.IndexEnd:env.Body]...), line, env, n.Name(), drained)
-		if entry != nil {
-			r.cache.put(sub[local].Doc, sub[local].Query, env.Version, entry)
-		}
-		writeLine(out)
-		return nil
-	})
-	if ctx.Err() != nil {
-		return // client gone; no error lines into a dead stream
-	}
-	if err != nil && attempt+1 < len(cands) {
-		streamed := false
-		for _, e := range emitted {
-			streamed = streamed || e
-		}
-		if !streamed && (errors.Is(err, ErrUnavailable) || errors.Is(err, ErrNotFound)) {
-			// Nothing on the wire yet: the whole group fails over.
-			r.streamGroup(ctx, cands, attempt+1, indices, jobs, writeLine, drained, exhausted)
-			return
-		}
-	}
-	if err == nil {
-		// The peer closed the stream in good order; whatever it left
-		// unanswered is its protocol error, not a transport failure.
-		err = fmt.Errorf("%w (%s): stream ended without a line for this job", ErrPeer, n.Name())
-	}
-	for local, done := range emitted {
-		if !done {
-			writeLine(errorLine(ctx, indices[local], sub[local], n.Name(), drained, err))
-		}
-	}
-	if len(missing) > 0 {
-		next := make([]int, len(missing))
-		for k, local := range missing {
-			next[k] = indices[local]
-		}
-		if attempt+1 < len(cands) {
-			r.streamGroup(ctx, cands, attempt+1, next, jobs, writeLine, drained, exhausted)
-		} else {
-			exhausted(next) // non-nil: missing is only collected at the
-			// last candidate when a fallback exists
-		}
-	}
+	return appendTags(append(enc[:len(enc)-2], ','), c.n.Name(), c.drained)
 }
 
 // handleStats aggregates the fleet: each peer's raw /stats under its
@@ -1268,58 +1207,81 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var mu sync.Mutex
-	nodes := map[string]any{}
+	nodes := map[string]json.RawMessage{}
 	var total store.Stats
 	healthy := 0
-	var wg sync.WaitGroup
-	for _, n := range r.ring.Peers() {
-		wg.Add(1)
-		go func(n *Node) {
-			defer wg.Done()
-			st, err := n.Stats(req.Context())
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				nodes[n.Name()] = map[string]string{"error": err.Error()}
-				return
-			}
-			healthy++
-			nodes[n.Name()] = st.Raw
-			total.Entries += st.Store.Entries
-			total.Bytes += st.Store.Bytes
-			total.Hits += st.Store.Hits
-			total.Misses += st.Store.Misses
-			total.Evictions += st.Store.Evictions
-		}(n)
-	}
-	wg.Wait()
-	router := map[string]any{
-		"peers":          r.ring.Len(),
-		"healthy":        healthy,
-		"generation":     r.ring.Generation(),
-		"replicas":       r.opts.Replicas,
-		"requests":       r.requests.Load(),
-		"retries":        r.retried.Load(),
-		"replicated":     r.replicated.Load(),
-		"replica_errors": r.replicaErrs.Load(),
-		"retry_denied":   r.budget.Denied(),
-		"shed":           r.shedTotal(),
-		"repair_rounds":  r.repairRounds.Load(),
-		"repair_copies":  r.repairCopies.Load(),
-		"repair_errors":  r.repairErrs.Load(),
+	each(r.ring.Peers(), func(n *Node) {
+		st, err := n.Stats(req.Context())
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			nodes[n.Name()], _ = json.Marshal(nodeError{Error: err.Error()})
+			return
+		}
+		healthy++
+		nodes[n.Name()] = st.Raw
+		total.Entries += st.Store.Entries
+		total.Bytes += st.Store.Bytes
+		total.Hits += st.Store.Hits
+		total.Misses += st.Store.Misses
+		total.Evictions += st.Store.Evictions
+	})
+	out := statsReply{
+		Router: routerStats{
+			Peers: r.ring.Len(), Healthy: healthy, Generation: r.ring.Generation(), Replicas: r.opts.Replicas,
+			Requests: r.requests.Load(), Retries: r.retried.Load(),
+			Replicated: r.replicated.Load(), ReplicaErrors: r.replicaErrs.Load(),
+			RetryDenied: r.budget.Denied(), Shed: r.shedTotal(),
+			RepairRounds: r.repairRounds.Load(), RepairCopies: r.repairCopies.Load(), RepairErrors: r.repairErrs.Load(),
+		},
+		Degraded:   healthy < r.ring.Len(),
+		StoreTotal: total,
+		Nodes:      nodes,
 	}
 	if r.old != nil {
-		router["drained"] = r.drained.Load()
+		drained := r.drained.Load()
+		out.Router.Drained = &drained
 	}
 	if r.cache != nil {
-		router["answer_cache"] = r.cache.stats()
+		cs := r.cache.stats()
+		out.Router.AnswerCache = &cs
 	}
-	serve.WriteJSON(w, http.StatusOK, map[string]any{
-		"router":      router,
-		"degraded":    healthy < r.ring.Len(),
-		"store_total": total,
-		"nodes":       nodes,
-	})
+	serve.WriteJSON(w, http.StatusOK, &out)
+}
+
+// statsReply is the router's /stats; nodes holds each peer's raw
+// /stats, or a nodeError, under its node name.
+type statsReply struct {
+	Router     routerStats                `json:"router"`
+	Degraded   bool                       `json:"degraded"`
+	StoreTotal store.Stats                `json:"store_total"`
+	Nodes      map[string]json.RawMessage `json:"nodes"`
+}
+
+// routerStats is the router section of /stats; drained is there in
+// drain mode only, answer_cache while the cache is enabled.
+type routerStats struct {
+	Peers         int               `json:"peers"`
+	Healthy       int               `json:"healthy"`
+	Generation    uint64            `json:"generation"`
+	Replicas      int               `json:"replicas"`
+	Requests      uint64            `json:"requests"`
+	Retries       uint64            `json:"retries"`
+	Replicated    uint64            `json:"replicated"`
+	ReplicaErrors uint64            `json:"replica_errors"`
+	RetryDenied   uint64            `json:"retry_denied"`
+	Shed          uint64            `json:"shed"`
+	RepairRounds  uint64            `json:"repair_rounds"`
+	RepairCopies  uint64            `json:"repair_copies"`
+	RepairErrors  uint64            `json:"repair_errors"`
+	Drained       *uint64           `json:"drained,omitempty"`
+	AnswerCache   *answerCacheStats `json:"answer_cache,omitempty"`
+}
+
+// nodeError stands in /stats for a peer whose statistics could not be
+// fetched.
+type nodeError struct {
+	Error string `json:"error"`
 }
 
 // handleHealth reports the router's view of the fleet from the last
@@ -1332,18 +1294,8 @@ func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
 		serve.HTTPError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	type peerHealth struct {
-		Node      string `json:"node"`
-		URL       string `json:"url"`
-		Healthy   bool   `json:"healthy"`
-		Breaker   string `json:"breaker,omitempty"`
-		Shed      uint64 `json:"shed,omitempty"`
-		LastError string `json:"last_error,omitempty"`
-		LastCheck string `json:"last_check,omitempty"`
-	}
 	ringPeers := r.ring.Peers()
 	peers := make([]peerHealth, len(ringPeers))
-	healthy := 0
 	for i, n := range ringPeers {
 		ph := peerHealth{Node: n.Name(), URL: n.URL(), Healthy: n.Healthy(), LastError: n.LastErr(), Shed: n.Shed()}
 		if br := n.Breaker(); br != nil {
@@ -1352,29 +1304,44 @@ func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
 		if lc := n.LastCheck(); !lc.IsZero() {
 			ph.LastCheck = lc.UTC().Format(time.RFC3339Nano)
 		}
-		if ph.Healthy {
-			healthy++
-		}
 		peers[i] = ph
 	}
-	draining := r.draining.Load()
+	out := healthReply{
+		Healthy: r.healthyPeers(), Peers: peers, Ring: r.ring.Describe(), UptimeMs: obs.UptimeMillis(), Build: obs.Build(),
+		Draining: r.draining.Load(),
+	}
+	out.OK = out.Healthy > 0 && !out.Draining
+	if r.old != nil {
+		d := r.old.Describe()
+		out.DrainRing = &d
+	}
 	status := http.StatusOK
-	if healthy == 0 || draining {
+	if !out.OK {
 		status = http.StatusServiceUnavailable
 	}
-	out := map[string]any{
-		"ok":        healthy > 0 && !draining,
-		"healthy":   healthy,
-		"peers":     peers,
-		"ring":      r.ring.Describe(),
-		"uptime_ms": obs.UptimeMillis(),
-		"build":     obs.Build(),
-	}
-	if draining {
-		out["draining"] = true
-	}
-	if r.old != nil {
-		out["drain_ring"] = r.old.Describe()
-	}
-	serve.WriteJSON(w, status, out)
+	serve.WriteJSON(w, status, &out)
+}
+
+// peerHealth is one peer's entry in /health.
+type peerHealth struct {
+	Node      string `json:"node"`
+	URL       string `json:"url"`
+	Healthy   bool   `json:"healthy"`
+	Breaker   string `json:"breaker,omitempty"`
+	Shed      uint64 `json:"shed,omitempty"`
+	LastError string `json:"last_error,omitempty"`
+	LastCheck string `json:"last_check,omitempty"`
+}
+
+// healthReply is the router's /health; draining and drain_ring appear
+// only while they apply.
+type healthReply struct {
+	OK        bool          `json:"ok"`
+	Healthy   int           `json:"healthy"`
+	Peers     []peerHealth  `json:"peers"`
+	Ring      RingDesc      `json:"ring"`
+	UptimeMs  int64         `json:"uptime_ms"`
+	Build     obs.BuildInfo `json:"build"`
+	Draining  bool          `json:"draining,omitempty"`
+	DrainRing *RingDesc     `json:"drain_ring,omitempty"`
 }

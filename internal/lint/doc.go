@@ -46,14 +46,6 @@
 //     strings — a duplicate name would silently share one instrument
 //     under the registry's get-or-create semantics.
 //
-//   - retryloop: a loop whose range variable is the receiver of a
-//     cluster.Node request (Query, Documents, PutDocumentAt, ...) is a
-//     failover chain, and its enclosing function must consult
-//     internal/resilience — directly or through a same-package helper
-//     — so attempts are backed off, budgeted and deadline-carved
-//     instead of hammering a dead peer set. Requests inside function
-//     literals (the concurrent one-probe-per-peer fan-out) are exempt.
-//
 // A finding is suppressed by a directive comment of the form
 //
 //	//lint:ignore <analyzer> <reason>

@@ -6,7 +6,6 @@ import (
 	"repro/internal/lint/ctxhttp"
 	"repro/internal/lint/lockshard"
 	"repro/internal/lint/metricname"
-	"repro/internal/lint/retryloop"
 	"repro/internal/lint/sharedset"
 	"repro/internal/lint/wiretag"
 )
@@ -20,6 +19,5 @@ func All() []*analysis.Analyzer {
 		wiretag.Analyzer,
 		ctxhttp.Analyzer,
 		metricname.Analyzer,
-		retryloop.Analyzer,
 	}
 }

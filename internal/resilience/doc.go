@@ -38,7 +38,8 @@
 // never sleeps) so call sites stay unconditional, and free of
 // repository imports so any layer can depend on it without cycles.
 //
-// The lint suite's retryloop analyzer enforces the contract from the
-// other side: any loop that re-issues cluster.Node calls must consult
-// this package — no bare retry loops.
+// In the cluster the contract holds by construction: Router.walk is the
+// router's one attempt loop, so every failover is budgeted, backed off
+// and deadline-carved there; the one-peer retries of repair and
+// resharding go through Retry.
 package resilience
