@@ -24,12 +24,14 @@
 //	GET    /metrics                                  Prometheus text-format metrics
 //	GET    /debug/traces                             recent request span trees (JSON)
 //
-// Observability: the router mints an X-Request-Id per request and
+// Observability: the router mints an X-Request-Id per request (or
+// adopts the client's when it is 1–64 bytes of [0-9A-Za-z._:-]) and
 // forwards it to the backends, so one ID correlates router logs,
 // backend logs and every NDJSON batch line; ?trace=1 on /query splices
 // the owning backend's span tree into the router's own and returns the
-// combined report inline; -slow-query logs the span tree of slow
-// requests; -debug-addr serves net/http/pprof on a side address.
+// combined report inline; /debug/traces keeps every 64th request's
+// tree; -slow-query traces every request and logs the trees of slow
+// ones; -debug-addr serves net/http/pprof on a side address.
 //
 // The -peers list becomes a canonically ordered placement ring
 // (stamped -ring-generation): reordering the flag never moves

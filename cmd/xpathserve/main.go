@@ -20,11 +20,13 @@
 //	GET    /metrics                                           Prometheus text-format metrics
 //	GET    /debug/traces                                      recent request span trees (JSON)
 //
-// Observability: every request carries an X-Request-Id (minted here or
-// adopted from the router), ?trace=1 on /query returns the request's
-// span tree inline, -slow-query logs the span tree of slow requests,
-// -log-level tunes the structured (slog) log, and -debug-addr serves
-// net/http/pprof on a side address.
+// Observability: every request carries an X-Request-Id (minted here, or
+// adopted from the client or router when it is 1–64 bytes of
+// [0-9A-Za-z._:-]), ?trace=1 on /query returns the request's span tree
+// inline, /debug/traces keeps every 64th request's tree, -slow-query
+// traces every request and logs the trees of slow ones, -log-level tunes
+// the structured (slog) log, and -debug-addr serves net/http/pprof on a
+// side address.
 //
 // Documents are spread over -shards independently locked store shards
 // (FNV routing) with per-shard byte accounting against -maxbytes and

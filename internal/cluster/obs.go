@@ -1,34 +1,25 @@
 package cluster
 
 import (
-	"encoding/json"
-	"log/slog"
-	"net/http"
-	"strings"
-	"time"
-
 	"repro/internal/obs"
 	"repro/internal/resilience"
 )
 
-// routerMetrics are the router's instruments. The routed-work counters
+// initObs registers the router's instruments. The routed-work counters
 // are CounterFuncs over the same atomics /stats reports, so the two
-// surfaces cannot disagree; per-path HTTP counts and stage latencies
-// are recorded by the middleware.
-type routerMetrics struct {
-	httpRequests *obs.CounterVec
-	slowQueries  *obs.Counter
-	stage        *obs.HistogramVec
-}
-
+// surfaces cannot disagree; per-path HTTP counts and stage latencies are
+// recorded by the middleware.
 func (r *Router) initObs() {
 	reg := obs.NewRegistry()
 	r.reg = reg
-	r.traces = obs.NewTraceRing(0)
-	r.metrics = &routerMetrics{
-		httpRequests: reg.CounterVec("router_http_requests_total", "HTTP requests by normalized path", "path"),
-		slowQueries:  reg.Counter("router_slow_queries_total", "traced requests slower than the -slow-query threshold"),
-		stage:        reg.HistogramVec("router_stage_seconds", "per-stage routing latency in seconds", nil, "stage"),
+	r.mw = &obs.Middleware{
+		Requests:    reg.CounterVec("router_http_requests_total", "HTTP requests by normalized path", "path"),
+		SlowQueries: reg.Counter("router_slow_queries_total", "traced requests slower than the -slow-query threshold"),
+		Stage:       reg.HistogramVec("router_stage_seconds", "per-stage routing latency in seconds", nil, "stage"),
+		Endpoints:   []string{"/documents", "/query", "/batch", "/stats", "/health", "/healthz", "/metrics"},
+		Traces:      obs.NewTraceRing(0),
+		SlowQuery:   r.opts.SlowQuery,
+		Logger:      r.opts.Logger,
 	}
 	reg.CounterFunc("router_requests_total", "client requests routed", func() float64 {
 		return float64(r.requests.Load())
@@ -90,111 +81,4 @@ func (r *Router) initObs() {
 			})
 		}
 	}
-}
-
-func (r *Router) log() *slog.Logger {
-	if r.opts.Logger != nil {
-		return r.opts.Logger
-	}
-	return slog.Default()
-}
-
-// routerPath maps a request path onto the router's fixed endpoint set
-// so label cardinality stays bounded by the API.
-func routerPath(p string) string {
-	switch p {
-	case "/documents", "/query", "/batch", "/stats", "/health", "/healthz", "/metrics":
-		return p
-	}
-	if strings.HasPrefix(p, "/debug/") {
-		return "debug"
-	}
-	return "other"
-}
-
-// routerTraced reports whether requests to the path get a span tree
-// and a structured log line; probes and scrapes stay out.
-func routerTraced(p string) bool {
-	return p == "/query" || p == "/batch" || p == "/documents"
-}
-
-// routerStatusWriter captures the response status while preserving the
-// http.Flusher the merged NDJSON batch stream requires.
-type routerStatusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *routerStatusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *routerStatusWriter) Flush() {
-	if fl, ok := w.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
-}
-
-// instrument is the router's observability middleware: it mints the
-// request ID the whole fan-out shares (backends receive it via
-// X-Request-Id and tag their logs and batch lines with it), opens the
-// root "route" span for traced paths, and on completion records the
-// trace, emits the structured log line, and fires the slow-query log
-// past the threshold.
-func (r *Router) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		path := routerPath(req.URL.Path)
-		r.metrics.httpRequests.Inc(path)
-		id := req.Header.Get(obs.HeaderRequestID)
-		if id == "" {
-			id = obs.NewRequestID()
-		}
-		w.Header().Set(obs.HeaderRequestID, id)
-		ctx := obs.WithRequestID(req.Context(), id)
-		if !routerTraced(path) {
-			next.ServeHTTP(w, req.WithContext(ctx))
-			return
-		}
-		tr := obs.NewTrace(id)
-		ctx = obs.WithTrace(ctx, tr)
-		ctx, root := obs.StartSpan(ctx, "route")
-		root.SetAttr("path", path)
-		root.SetAttr("method", req.Method)
-		sw := &routerStatusWriter{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		next.ServeHTTP(sw, req.WithContext(ctx))
-		elapsed := time.Since(start)
-		root.End()
-		// As in serve: the ring keeps the finished trace, and a report
-		// is built only when one is read or the slow-query log fires.
-		tr.Finish()
-		r.traces.Add(tr)
-		r.metrics.stage.With("route").Observe(elapsed.Seconds())
-		log := r.log()
-		if r.opts.SlowQuery > 0 && elapsed >= r.opts.SlowQuery {
-			r.metrics.slowQueries.Inc()
-			log.Warn("slow query",
-				"request_id", id, "method", req.Method, "path", path,
-				"status", sw.status, "dur_ms", elapsed.Milliseconds(),
-				"trace", routerTraceAttr(tr.Report()))
-		}
-		// Asked first: at -log-level warn and above the line's
-		// arguments would be boxed for nobody.
-		if log.Enabled(ctx, slog.LevelInfo) {
-			log.Info("request",
-				"request_id", id, "method", req.Method, "path", path,
-				"status", sw.status, "dur_ms", elapsed.Milliseconds())
-		}
-	})
-}
-
-// routerTraceAttr renders a span report as one compact JSON log
-// attribute for the slow-query log.
-func routerTraceAttr(rep *obs.TraceJSON) string {
-	b, err := json.Marshal(rep)
-	if err != nil {
-		return "unserializable trace"
-	}
-	return string(b)
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -199,6 +200,46 @@ func TestRouterBatchRequestIDLines(t *testing.T) {
 	for _, line := range lines {
 		if line["request_id"] != "batch-ab12" {
 			t.Fatalf("line %v: request_id = %v, want batch-ab12", line["index"], line["request_id"])
+		}
+	}
+}
+
+// TestRouterRequestIDBounded: the router adopts a client's
+// X-Request-Id only when it is 1–64 bytes of [0-9A-Za-z._:-]; a 512 KiB
+// one is replaced by a minted ID, and that ID — not the client's — is
+// what the backends receive and every merged batch line carries.
+func TestRouterRequestIDBounded(t *testing.T) {
+	_, ts, _ := newCluster(t, 2, Options{}, store.Config{})
+	docs := []string{"doc-0", "doc-1", "doc-2"}
+	for _, doc := range docs {
+		if resp, out := postJSON(t, ts.URL+"/documents", map[string]any{"name": doc, "xml": "<a><b/></a>"}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("register %s = %d, body %v", doc, resp.StatusCode, out)
+		}
+	}
+	queries := make([]string, 20)
+	for i := range queries {
+		queries[i] = fmt.Sprintf("count(//b) + %d", i)
+	}
+	body, _ := json.Marshal(map[string]any{"docs": docs, "queries": queries})
+	sent := strings.Repeat("x", 512<<10)
+	req, _ := http.NewRequest("POST", ts.URL+"/batch", bytes.NewReader(body))
+	req.Header.Set(obs.HeaderRequestID, sent)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	id := resp.Header.Get(obs.HeaderRequestID)
+	if len(id) != 16 {
+		t.Fatalf("router answered a %d-byte id, want a minted 16-byte one", len(id))
+	}
+	lines := readNDJSON(t, resp)
+	if len(lines) != len(docs)*len(queries) {
+		t.Fatalf("batch lines = %d, want %d", len(lines), len(docs)*len(queries))
+	}
+	for _, line := range lines {
+		if line["request_id"] != id {
+			t.Fatalf("line %v: request_id is not the minted id %q", line["index"], id)
 		}
 	}
 }

@@ -78,8 +78,9 @@ type Options struct {
 	// slog.Default()). Every line carries the request_id the backends
 	// also log, so one grep follows a request across tiers.
 	Logger *slog.Logger
-	// SlowQuery, when positive, logs the full span tree of any traced
+	// SlowQuery, when positive, logs the full span tree of any routed
 	// request that takes at least this long — the -slow-query flag.
+	// While it is set every such request builds a span tree.
 	SlowQuery time.Duration
 	// DownAfter is how many consecutive transport failures mark a peer
 	// down (default 3 — hysteresis so one lost probe no longer diverts
@@ -134,9 +135,8 @@ type Router struct {
 
 	cache *answerCache // nil when disabled
 
-	reg     *obs.Registry
-	metrics *routerMetrics
-	traces  *obs.TraceRing
+	reg *obs.Registry
+	mw  *obs.Middleware
 
 	budget  *resilience.Budget  // retry token bucket (nil: unbounded)
 	backoff *resilience.Backoff // jittered retry pacing
@@ -464,8 +464,8 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("/health", r.handleHealth)
 	mux.HandleFunc("/healthz", r.handleHealth)
 	mux.Handle("/metrics", r.reg.Handler())
-	mux.Handle("/debug/traces", r.traces.Handler())
-	return r.instrument(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	mux.Handle("/debug/traces", r.mw.Traces.Handler())
+	return r.mw.Wrap(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Body != nil {
 			req.Body = http.MaxBytesReader(w, req.Body, r.opts.MaxBody)
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"container/list"
+	"hash/maphash"
 	"sync"
 
 	"repro/internal/core"
@@ -13,8 +14,18 @@ import (
 // strategy a document's size or a session's configuration runs the
 // query with — one parse per distinct source. Under sustained traffic
 // with a bounded working set of distinct query strings, core.Compile
-// runs once per distinct query; everything else is a mutex-guarded map
-// lookup. Admission and eviction are plain LRU.
+// runs twice per distinct query; everything else is a mutex-guarded map
+// lookup. Eviction is plain LRU.
+//
+// Admission is the doorkeeper of TinyLFU (Einziger, Friedman, Manes,
+// ACM TOS 2017): a compiled query enters the LRU only on its second
+// miss. The cache remembers recently missed texts as 64-bit hashes in a
+// direct-mapped array of doorkeeperWays × capacity slots; a first miss
+// writes its slot and is counted as a reject, a miss that finds its own
+// hash there is admitted. One-off texts — a stream of never-repeated
+// queries — therefore never displace the hot set nor keep their
+// compiled trees alive on the heap. The rule reads nothing but the
+// texts the cache has seen, and no entry carries admission state.
 //
 // Concurrent misses on the same key may compile the same query more
 // than once; the first add wins and the duplicates are discarded.
@@ -22,19 +33,37 @@ import (
 // many goroutines is safe (see TestConcurrentEvaluation in
 // internal/core).
 type queryCache struct {
+	// seed keys the doorkeeper's hashes; set once, read without the lock.
+	seed maphash.Seed
+
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
 
-	hits      uint64
-	misses    uint64
-	evictions uint64
+	// seen is the doorkeeper: slot h%len(seen) holds the hash (with its
+	// low bit set, so 0 means empty) of the last text missed there.
+	seen []uint64
+
+	counts cacheCounts
+}
+
+// doorkeeperWays is the doorkeeper's length in units of the capacity: a
+// text must come back within roughly that many capacities of other
+// misses to be admitted. At the default capacity it is 32 KB.
+const doorkeeperWays = 4
+
+// cacheCounts is one consistent reading of the cache's counters.
+type cacheCounts struct {
+	hits, misses, evictions uint64
+	// rejects counts first misses: compiled and answered, not cached.
+	rejects uint64
 	// savedNanos accumulates, over every cache hit, the compile time
 	// the hit avoided re-spending — each entry remembers what its own
 	// compilation cost, so the sum is per-query-accurate rather than a
 	// fleet average.
-	savedNanos uint64
+	savedNanos     uint64
+	size, capacity int
 }
 
 // cacheEntry is the per-source compilation record.
@@ -54,6 +83,8 @@ func newQueryCache(capacity int) *queryCache {
 		capacity: capacity,
 		ll:       list.New(),
 		items:    make(map[string]*list.Element, capacity),
+		seed:     maphash.MakeSeed(),
+		seen:     make([]uint64, doorkeeperWays*capacity),
 	}
 }
 
@@ -64,31 +95,42 @@ func (c *queryCache) get(src string) (*core.Query, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.items[src]
 	if !ok {
-		c.misses++
+		c.counts.misses++
 		return nil, false
 	}
-	c.hits++
+	c.counts.hits++
 	e := el.Value.(*cacheEntry)
-	c.savedNanos += e.compileNanos
+	c.counts.savedNanos += e.compileNanos
 	c.ll.MoveToFront(el)
 	return e.q, true
 }
 
-// add inserts a compiled query (recording what it cost to compile),
-// evicting the least recently used entry at capacity. If another
-// goroutine added the key first, its query is kept and returned.
+// add offers a compiled query (recording what it cost to compile) after
+// a miss. On the text's first miss within the doorkeeper's window the
+// query is only remembered and handed back; on its second it is
+// admitted, evicting the least recently used entry at capacity. If
+// another goroutine added the key first, its query is kept and
+// returned.
 func (c *queryCache) add(src string, q *core.Query, compileNanos uint64) *core.Query {
+	h := maphash.String(c.seed, src) | 1
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[src]; ok {
 		c.ll.MoveToFront(el)
 		return el.Value.(*cacheEntry).q
 	}
+	slot := &c.seen[h%uint64(len(c.seen))]
+	if *slot != h {
+		*slot = h
+		c.counts.rejects++
+		return q
+	}
+	*slot = 0
 	for c.ll.Len() >= c.capacity {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*cacheEntry).src)
-		c.evictions++
+		c.counts.evictions++
 	}
 	c.items[src] = c.ll.PushFront(&cacheEntry{src: src, q: q, compileNanos: compileNanos})
 	return q
@@ -96,8 +138,10 @@ func (c *queryCache) add(src string, q *core.Query, compileNanos uint64) *core.Q
 
 // snapshot returns the counters and current size under one lock
 // acquisition, so Stats readings are internally consistent.
-func (c *queryCache) snapshot() (hits, misses, evictions, savedNanos uint64, size, capacity int) {
+func (c *queryCache) snapshot() cacheCounts {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions, c.savedNanos, c.ll.Len(), c.capacity
+	out := c.counts
+	out.size, out.capacity = c.ll.Len(), c.capacity
+	return out
 }

@@ -42,7 +42,7 @@ type Options struct {
 	Strategy core.Strategy
 
 	// CacheSize bounds the compiled-query LRU cache (default
-	// DefaultCacheSize).
+	// DefaultCacheSize) and sizes its second-miss doorkeeper.
 	CacheSize int
 
 	// Workers bounds the per-batch worker pool (default GOMAXPROCS).
@@ -147,8 +147,10 @@ func (e *Engine) CompileContext(ctx context.Context, src string) (*core.Query, e
 // Stats is a point-in-time reading of the engine's observable state.
 type Stats struct {
 	// Hits, Misses and Evictions count compiled-query cache events
-	// since the engine was created.
-	Hits, Misses, Evictions uint64
+	// since the engine was created. Rejects counts the misses that were
+	// a text's first sighting: compiled and answered, not cached (see
+	// queryCache).
+	Hits, Misses, Evictions, Rejects uint64
 	// CompileNanosSaved is the cumulative compile time cache hits
 	// avoided re-spending, summed from each entry's own recorded
 	// compilation cost.
@@ -176,11 +178,11 @@ func (s Stats) HitRate() float64 {
 
 // Stats returns current cache and in-flight statistics.
 func (e *Engine) Stats() Stats {
-	hits, misses, evictions, saved, size, capacity := e.cache.snapshot()
+	c := e.cache.snapshot()
 	return Stats{
-		Hits: hits, Misses: misses, Evictions: evictions,
-		CompileNanosSaved: saved,
-		Size:              size, Capacity: capacity,
+		Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Rejects: c.rejects,
+		CompileNanosSaved: c.savedNanos,
+		Size:              c.size, Capacity: c.capacity,
 		Queries:   e.metrics.queries.Value(),
 		InFlight:  e.inFlight.Load(),
 		Fallbacks: e.fallbacks.Load(),

@@ -30,16 +30,16 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 		query:   reg.HistogramVec("xpath_query_seconds", "evaluation latency in seconds by fragment class and strategy", nil, "fragment", "strategy"),
 	}
 	reg.CounterFunc("xpath_compile_cache_hits_total", "compiled-query cache hits", func() float64 {
-		hits, _, _, _, _, _ := e.cache.snapshot()
-		return float64(hits)
+		return float64(e.cache.snapshot().hits)
 	})
 	reg.CounterFunc("xpath_compile_cache_misses_total", "compiled-query cache misses", func() float64 {
-		_, misses, _, _, _, _ := e.cache.snapshot()
-		return float64(misses)
+		return float64(e.cache.snapshot().misses)
 	})
 	reg.CounterFunc("xpath_compile_cache_evictions_total", "compiled-query cache evictions", func() float64 {
-		_, _, evictions, _, _, _ := e.cache.snapshot()
-		return float64(evictions)
+		return float64(e.cache.snapshot().evictions)
+	})
+	reg.CounterFunc("xpath_compile_cache_rejects_total", "compiled-query cache misses not admitted (a text's first miss)", func() float64 {
+		return float64(e.cache.snapshot().rejects)
 	})
 	reg.CounterFunc("xpath_fallbacks_total", "queries retried on MinContext after a table-limit trip", func() float64 {
 		return float64(e.fallbacks.Load())

@@ -1,7 +1,8 @@
 // Package obs is the observability substrate of the serving stack:
 // a dependency-free Prometheus-text-format metrics registry (counters,
 // gauges, fixed-bucket histograms, and their labeled variants),
-// request-scoped span tracing carried in context.Context, and the
+// request-scoped span tracing carried in context.Context, the HTTP
+// middleware the server and the router share (Middleware), and the
 // process-level build/uptime surfaces the health endpoints report.
 //
 // The package sits below every other serving layer — engine, serve and

@@ -337,6 +337,32 @@ func TestNewRequestID(t *testing.T) {
 	}
 }
 
+func TestAdoptRequestID(t *testing.T) {
+	long := strings.Repeat("a", maxRequestIDLen)
+	for id, adopted := range map[string]bool{
+		"req-42":             true,
+		"A.b_c:d-9":          true,
+		long:                 true,
+		long + "a":           false,
+		"":                   false,
+		"two words":          false,
+		"line\nbreak":        false,
+		`quote"`:             false,
+		"café":               false,
+		"semi;colon":         false,
+		"trace-1/2":          false,
+		"0123456789abcdefAB": true,
+	} {
+		got := AdoptRequestID(id)
+		if adopted && got != id {
+			t.Errorf("AdoptRequestID(%q) = %q, want it adopted", id, got)
+		}
+		if !adopted && (got == id || len(got) != 16) {
+			t.Errorf("AdoptRequestID(%q) = %q, want a minted 16-byte id", id, got)
+		}
+	}
+}
+
 func TestBuildAndUptime(t *testing.T) {
 	bi := Build()
 	if bi.GoVersion == "" {

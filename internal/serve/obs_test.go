@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -254,7 +255,8 @@ func waitForLog(t *testing.T, b *syncBuffer, substr string) string {
 
 // TestSlowQueryLog: above the threshold the request logs a "slow
 // query" line carrying the span tree; below it only the ordinary
-// request line appears, and the slow-query counter stays at zero.
+// request line appears, and the slow-query counter stays at zero, but
+// the request's span tree is still built and kept.
 func TestSlowQueryLog(t *testing.T) {
 	newLogged := func(slow time.Duration) (*syncBuffer, *httptest.Server) {
 		srv := New(engine.New(engine.Options{CacheSize: 8, Workers: 2}), store.Config{})
@@ -291,6 +293,10 @@ func TestSlowQueryLog(t *testing.T) {
 	if strings.Contains(logged, "slow query") {
 		t.Errorf("slow-query log fired below threshold:\n%s", logged)
 	}
+	// With the threshold set every request builds its span tree.
+	if traces := debugTraces(t, ts.URL); len(traces) != 1 {
+		t.Errorf("trace ring holds %d traces with -slow-query set, want 1", len(traces))
+	}
 	if m := scrape(t, ts.URL); m["xpath_slow_queries_total"] != 0 {
 		t.Errorf("xpath_slow_queries_total = %v, want 0", m["xpath_slow_queries_total"])
 	}
@@ -316,19 +322,10 @@ func TestHealthzBuildInfo(t *testing.T) {
 	}
 }
 
-// TestDebugTracesRing: traced requests land in /debug/traces, newest
-// first, and probe endpoints stay out of the ring.
-func TestDebugTracesRing(t *testing.T) {
-	_, ts := testServer(t)
-	for i := 0; i < 3; i++ {
-		resp, _ := getJSON(t, fmt.Sprintf("%s/query?doc=catalog&q=count(//product[%d])", ts.URL, i+1))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("query %d failed", i)
-		}
-	}
-	getJSON(t, ts.URL+"/healthz") // probe: must not enter the ring
-
-	resp, err := http.Get(ts.URL + "/debug/traces")
+// debugTraces reads /debug/traces.
+func debugTraces(t *testing.T, base string) []obs.TraceJSON {
+	t.Helper()
+	resp, err := http.Get(base + "/debug/traces")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,12 +334,122 @@ func TestDebugTracesRing(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&traces); err != nil {
 		t.Fatal(err)
 	}
-	if len(traces) != 3 {
-		t.Fatalf("trace ring holds %d traces, want 3 (probes excluded)", len(traces))
-	}
-	for _, tr := range traces {
-		if tr.RequestID == "" {
-			t.Fatal("ringed trace has no request id")
+	return traces
+}
+
+// TestDebugTracesRing: an ordinary request builds a span tree only one
+// time in 64 — 63 leave /debug/traces empty, the 64th adds one — while
+// every ?trace=1 request adds its own, newest first, and probe
+// endpoints never enter the ring.
+func TestDebugTracesRing(t *testing.T) {
+	_, ts := testServer(t)
+	query := func(i int, trace bool) {
+		t.Helper()
+		url := fmt.Sprintf("%s/query?doc=catalog&q=count(//product[%d])", ts.URL, i+1)
+		if trace {
+			url += "&trace=1"
 		}
+		if resp, _ := getJSON(t, url); resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d failed", i)
+		}
+	}
+	for i := 0; i < 63; i++ {
+		query(i, false)
+		getJSON(t, ts.URL+"/healthz") // probe: must not enter the ring
+	}
+	if traces := debugTraces(t, ts.URL); len(traces) != 0 {
+		t.Fatalf("trace ring holds %d traces after 63 untraced requests, want 0", len(traces))
+	}
+	query(63, false)
+	if traces := debugTraces(t, ts.URL); len(traces) != 1 {
+		t.Fatalf("trace ring holds %d traces after the 64th request, want 1", len(traces))
+	}
+	for i := 0; i < 3; i++ {
+		req, _ := http.NewRequest("GET", fmt.Sprintf("%s/query?doc=catalog&q=count(//product)&trace=1", ts.URL), nil)
+		req.Header.Set(obs.HeaderRequestID, fmt.Sprintf("traced-%d", i))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	traces := debugTraces(t, ts.URL)
+	if len(traces) != 4 {
+		t.Fatalf("trace ring holds %d traces, want 4 (one sampled, three asked for)", len(traces))
+	}
+	for i, tr := range traces[:3] {
+		if want := fmt.Sprintf("traced-%d", 2-i); tr.RequestID != want {
+			t.Fatalf("trace %d has request id %q, want %q (newest first)", i, tr.RequestID, want)
+		}
+	}
+	if traces[3].RequestID == "" {
+		t.Fatal("sampled trace has no request id")
+	}
+}
+
+// TestRequestIDBounded: a client's X-Request-Id is adopted only when it
+// is 1–64 bytes of [0-9A-Za-z._:-]. Anything else — here 512 KiB, or a
+// short ID with a space — is replaced by a minted ID everywhere the ID
+// goes: the response header and every /batch line, so a /batch
+// response's size no longer scales with header size × job count.
+func TestRequestIDBounded(t *testing.T) {
+	_, ts := testServer(t)
+	queries := make([]string, 50)
+	for i := range queries {
+		queries[i] = fmt.Sprintf("count(//product) + %d", i)
+	}
+	body, _ := json.Marshal(BatchRequest{Doc: "catalog", Queries: queries})
+	for _, sent := range []string{strings.Repeat("x", 512<<10), "two words", strings.Repeat("a", 65)} {
+		req, _ := http.NewRequest("POST", ts.URL+"/batch", bytes.NewReader(body))
+		req.Header.Set(obs.HeaderRequestID, sent)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := resp.Header.Get(obs.HeaderRequestID)
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id == sent || len(id) != 16 {
+			t.Fatalf("sent a %d-byte id, response carries a %d-byte one; want a minted 16-byte id", len(sent), len(id))
+		}
+		if n := bytes.Count(raw, []byte(`"request_id":"`+id+`"`)); n != len(queries) {
+			t.Fatalf("%d of %d batch lines carry the minted id", n, len(queries))
+		}
+		if len(raw) > 64<<10 {
+			t.Fatalf("a %d-query batch answered %d bytes", len(queries), len(raw))
+		}
+	}
+	ok := strings.Repeat("a", 60) + ".:_-"
+	req, _ := http.NewRequest("GET", ts.URL+"/query?doc=catalog&q=count(//product)", nil)
+	req.Header.Set(obs.HeaderRequestID, ok)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := resp.Header.Get(obs.HeaderRequestID); got != ok {
+		t.Fatalf("64-byte id %q came back as %q", ok, got)
+	}
+}
+
+// TestCacheRejectsAgree: /stats cache.rejects and the
+// xpath_compile_cache_rejects_total counter read the same number.
+func TestCacheRejectsAgree(t *testing.T) {
+	_, ts := testServer(t)
+	for _, q := range []string{"count(//product)", "count(//product)", "count(//product)", "sum(//price)", "count(//name)"} {
+		if resp, out := getJSON(t, ts.URL+"/query?doc=catalog&q="+q); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, body %v", q, resp.StatusCode, out)
+		}
+	}
+	_, out := getJSON(t, ts.URL+"/stats")
+	rejects := out["cache"].(map[string]any)["rejects"].(float64)
+	if rejects != 3 {
+		t.Fatalf("/stats cache.rejects = %v, want 3 (one per distinct text)", rejects)
+	}
+	if m := scrape(t, ts.URL); m["xpath_compile_cache_rejects_total"] != rejects {
+		t.Fatalf("xpath_compile_cache_rejects_total = %v, /stats cache.rejects = %v", m["xpath_compile_cache_rejects_total"], rejects)
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -64,15 +63,12 @@ type Server struct {
 	docs    store.Store[*engine.Session]
 
 	// Observability: the registry is the engine's (one exposition for
-	// all tiers), the ring holds recent traces for /debug/traces, and
-	// slow marks the slow-query log threshold (0 = off). logger nil
-	// means slog.Default(), resolved per call so tests can swap the
-	// default.
-	reg     *obs.Registry
-	metrics *serveMetrics
-	traces  *obs.TraceRing
-	logger  *slog.Logger
-	slow    time.Duration
+	// all tiers), stage its xpath_stage_seconds family (serve records
+	// parse and index_warm into it), and mw the request middleware with
+	// its trace ring, slow-query threshold and logger.
+	reg   *obs.Registry
+	stage *obs.HistogramVec
+	mw    *obs.Middleware
 
 	// draining flips /healthz to 503 during graceful shutdown so load
 	// balancers and the cluster router stop routing here while
@@ -153,12 +149,12 @@ func (s *Server) addDocument(ctx context.Context, name, xml string, ver uint64) 
 	if err != nil {
 		return 0, 0, err
 	}
-	s.metrics.stage.With("parse").ObserveSince(pstart)
+	s.stage.With("parse").ObserveSince(pstart)
 	_, ws := obs.StartSpan(ctx, "index_warm")
 	wstart := time.Now()
 	sess := s.eng.NewSession(d)
 	ws.End()
-	s.metrics.stage.With("index_warm").ObserveSince(wstart)
+	s.stage.With("index_warm").ObserveSince(wstart)
 	var v uint64
 	if vm, ok := s.docs.(versionMirror); ok && ver > 0 {
 		v, err = vm.PutAt(name, sess, int64(len(xml)), ver)
@@ -235,8 +231,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.Handle("/metrics", s.reg.Handler())
-	mux.Handle("/debug/traces", s.traces.Handler())
-	h := s.instrument(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/debug/traces", s.mw.Traces.Handler())
+	h := s.mw.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Body != nil {
 			r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 		}
@@ -741,11 +737,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		docs[name] = docStat{Nodes: sess.Document().Len(), Version: s.docVersion(name)}
 		return true
 	})
-	// The benchmark driver still reads planner.{decisions,explored,bans}
-	// and cache.rejects (benchmark/counts.go). There is no planner and
-	// no admission policy: decisions is the queries Auto resolved by the
-	// table, the rest are constant 0 until the follow-up [benchmark]
-	// issue named in internal/planner stops reading them.
+	// cache.rejects counts the compile misses the cache's doorkeeper did
+	// not admit: a text's first miss is compiled and answered, and only
+	// its second is cached (see engine.Stats.Rejects). The benchmark
+	// driver also reads planner.{decisions,explored,bans}
+	// (benchmark/counts.go). There is no planner: decisions is the
+	// queries Auto resolved by the table, explored and bans are constant
+	// 0 until the follow-up [benchmark] issue named in internal/planner
+	// stops reading them.
 	var decisions uint64
 	if s.eng.Strategy() == core.Auto {
 		decisions = st.Queries
@@ -755,7 +754,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"hits":               st.Hits,
 			"misses":             st.Misses,
 			"evictions":          st.Evictions,
-			"rejects":            0,
+			"rejects":            st.Rejects,
 			"size":               st.Size,
 			"capacity":           st.Capacity,
 			"hit_rate":           st.HitRate(),

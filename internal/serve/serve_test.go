@@ -331,18 +331,19 @@ func TestBatchStreamsBeforeCompletion(t *testing.T) {
 
 func TestStatsEndpoint(t *testing.T) {
 	_, ts := testServer(t)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		getJSON(t, ts.URL+"/query?doc=catalog&q=count(//product)")
 	}
 	_, out := getJSON(t, ts.URL+"/stats")
 	cache := out["cache"].(map[string]any)
-	// Each served query counts exactly one cache event: 1 miss then 2
-	// hits. Annotating fragment/strategy must not re-consult the cache.
-	if cache["misses"].(float64) != 1 || cache["hits"].(float64) != 2 {
-		t.Fatalf("cache stats = %v, want exactly 1 miss and 2 hits", cache)
+	// Each served query counts exactly one cache event: 2 misses (the
+	// first not admitted, a reject) then 2 hits. Annotating
+	// fragment/strategy must not re-consult the cache.
+	if cache["misses"].(float64) != 2 || cache["hits"].(float64) != 2 || cache["rejects"].(float64) != 1 {
+		t.Fatalf("cache stats = %v, want exactly 2 misses, 1 reject and 2 hits", cache)
 	}
-	if rate := cache["hit_rate"].(float64); rate != 2.0/3.0 {
-		t.Fatalf("hit_rate = %v, want 2/3", rate)
+	if rate := cache["hit_rate"].(float64); rate != 0.5 {
+		t.Fatalf("hit_rate = %v, want 1/2", rate)
 	}
 	if saved := cache["compile_ns_saved"].(float64); saved <= 0 {
 		t.Fatalf("compile_ns_saved = %v, want > 0 after two hits", saved)

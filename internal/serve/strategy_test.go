@@ -45,11 +45,11 @@ func TestAutoResponseOverHTTP(t *testing.T) {
 
 // TestStatsKeepsBenchmarkKeys: /stats decodes into a struct shaped like
 // backendStats in benchmark/counts.go, every member the driver reads is
-// present, and the ones that counted the deleted learner and admission
-// policy read zero.
+// present, the ones that counted the deleted learner read zero, and
+// cache.rejects counts the first misses the compile cache did not admit.
 func TestStatsKeepsBenchmarkKeys(t *testing.T) {
 	ts := catalogServer(t, engine.Options{})
-	for _, q := range []string{"//product", "count(//product)", "//product"} {
+	for _, q := range []string{"//product", "//product", "count(//product)", "//product"} {
 		if resp, out := postJSON(t, ts.URL+"/query", QueryRequest{Doc: "catalog", Query: q}); resp.StatusCode != http.StatusOK {
 			t.Fatalf("status = %d, body %v", resp.StatusCode, out)
 		}
@@ -87,14 +87,14 @@ func TestStatsKeepsBenchmarkKeys(t *testing.T) {
 			t.Fatalf("/stats lacks %s: %s", name, body)
 		}
 	}
-	if st.Planner.Mode != "rules" || *st.Planner.Decisions != 3 || *st.Planner.Explored != 0 || *st.Planner.Bans != 0 {
-		t.Errorf("want planner mode rules, decisions 3 (the auto queries), explored 0, bans 0: %s", body)
+	if st.Planner.Mode != "rules" || *st.Planner.Decisions != 4 || *st.Planner.Explored != 0 || *st.Planner.Bans != 0 {
+		t.Errorf("want planner mode rules, decisions 4 (the auto queries), explored 0, bans 0: %s", body)
 	}
 	if st.Planner.Wins != nil || st.Planner.Classes != nil {
 		t.Errorf("want no planner.wins or planner.classes: %s", body)
 	}
-	if *st.Cache.Rejects != 0 || *st.Cache.Hits != 1 || *st.Cache.Misses != 2 {
-		t.Errorf("want cache rejects 0, hits 1, misses 2: %s", body)
+	if *st.Cache.Rejects != 2 || *st.Cache.Hits != 1 || *st.Cache.Misses != 3 {
+		t.Errorf("want cache rejects 2, hits 1, misses 3: %s", body)
 	}
 }
 

@@ -273,13 +273,15 @@ func (s *Sharded[V]) DeleteIf(key string, cond func(v V, size int64) bool) bool 
 
 // Range visits entries shard by shard. Each shard is snapshotted under
 // its lock, then f runs lock-free, so f may call back into the store.
+// The snapshot copies the entries: a Put that replaces a key rewrites
+// its entry in place.
 func (s *Sharded[V]) Range(f func(key string, v V, size int64) bool) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		snap := make([]*shardEntry[V], 0, len(sh.items))
+		snap := make([]shardEntry[V], 0, len(sh.items))
 		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			snap = append(snap, el.Value.(*shardEntry[V]))
+			snap = append(snap, *el.Value.(*shardEntry[V]))
 		}
 		sh.mu.Unlock()
 		for _, e := range snap {
