@@ -202,7 +202,8 @@ func main() {
 
 	// SIGTERM/SIGINT drain: flip /healthz to 503 so the router's prober
 	// stops routing here, then let in-flight requests finish before the
-	// listener closes.
+	// listener closes — those on routers' peer connections too, which
+	// http.Server.Shutdown does not track (serve.Server.Shutdown).
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	errCh := make(chan error, 1)
@@ -218,7 +219,7 @@ func main() {
 		srv.BeginDrain()
 		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
-		if err := hs.Shutdown(ctx); err != nil {
+		if err := srv.Shutdown(ctx, hs); err != nil {
 			logger.Warn("drain incomplete", "err", err)
 			os.Exit(1)
 		}

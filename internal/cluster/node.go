@@ -89,6 +89,51 @@
 // {doc, query}, {jobs: [...]} — are appended by serve's encoder, not
 // marshalled. Repair and reshard, which hold a document as a string
 // they fetched, go through Node.PutDocumentAt on that same encoder.
+//
+// # How a request reaches a peer
+//
+// Every call is Node.roundTrip through one http.Client whose transport
+// is serve.PeerTransport: frames on pooled, upgraded connections, not
+// one HTTP/1.1 exchange per call (that hop cost the router more CPU
+// than the backend spent answering). The wire is serve's, both halves
+// (internal/serve/peer.go):
+//
+//   - Upgrade. A connection opens with one GET /peer carrying
+//     "Upgrade: xpath-peer/1" on the backend's ordinary port; the
+//     backend (serve.Server.Handler, or serve.PeerHandler around a
+//     test's fake) answers 101 and hijacks it. No new listener, flag
+//     or option. A peer that answers anything else is ErrUnavailable:
+//     there is no HTTP fallback.
+//   - Frames. Each frame is kind (1 byte), length (4 bytes) and
+//     payload. A call is a request frame {method, target with query,
+//     X-Request-Id, body}, answered by a head frame {status, declared
+//     length}, body frames — one per flush, so a /batch still streams
+//     in bursts — and an end frame. The backend dispatches the request
+//     frame to the surface a plain HTTP request reaches (fault
+//     injector, obs.Middleware, MaxBytesReader, mux), so statuses,
+//     bytes, metrics, logs and traces are the same.
+//   - Pooling. One connection carries one call at a time; up to 16 idle
+//     ones are kept per node. A connection goes back to the pool only
+//     after a clean end frame: a stream the caller abandoned, a body
+//     refused unread, a call cut short are closed. A call that fails on
+//     a pooled connection before any response byte (the backend closed
+//     it while idle: a restart, a drain) is retried once on a fresh one.
+//   - Deadlines. The caller's goroutine writes and reads; there is no
+//     per-connection goroutine. Dial, upgrade and head frame are bounded
+//     by the node timeout and the call's deadline, whichever is sooner;
+//     after the head only the call's deadline holds: a unary call's is
+//     its carved share (resilience.CarveAttempt), set on the connection
+//     (SetDeadline), and a stream has none but its caller's.
+//   - Cancellation. Cancelling a call's context interrupts its
+//     connection at once (context.AfterFunc), which is then closed. The
+//     backend cancels the request when a write to the router fails or,
+//     once it has run 10 ms, when it sees the connection close — so a
+//     cancelled router stops a backend /batch within a line.
+//   - Bounds. A request frame is bounded by the backend's body bound
+//     (plus 64 KB of method, target and ID), a body frame by 1 MB, a
+//     response by responseLimit. A frame that breaks a bound or the
+//     order head, body…, end is serve.ErrFrame; the call fails as
+//     ErrUnavailable and the connection is closed.
 package cluster
 
 import (
@@ -99,7 +144,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"strings"
@@ -183,19 +227,17 @@ func jsonObject(b []byte) bool {
 }
 
 // Node is one backend xpathserve process: a base URL plus a dedicated
-// HTTP client whose transport keeps connections to that peer alive
-// across requests. All methods are safe for concurrent use.
+// client whose transport (serve.PeerTransport) keeps upgraded
+// connections to that peer pooled across requests. All methods are safe
+// for concurrent use.
 type Node struct {
 	name string // host:port, used as the "node" tag on routed results
 	base string // normalized base URL without trailing slash
 
-	// unary does request/response calls under the configured timeout;
-	// stream does /batch, where the response legitimately stays open
-	// for as long as the slowest query, so only dial and response-
-	// header latency are bounded. Both share one transport, so the
-	// node's connection pool is reused across call styles.
-	unary  *http.Client
-	stream *http.Client
+	// client carries every call, unary and streamed alike, as frames;
+	// the transport bounds dial and head frame by the timeout and the
+	// rest by the call's context (see "How a request reaches a peer").
+	client *http.Client
 
 	// timeout is the flat per-attempt bound; do carves each attempt's
 	// deadline as min(timeout, remaining caller deadline / attempts
@@ -234,19 +276,11 @@ func NewNode(raw string, timeout time.Duration) (*Node, error) {
 	if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
 		return nil, fmt.Errorf("cluster: peer %q: want http(s)://host[:port]", raw)
 	}
-	tr := &http.Transport{
-		DialContext:           (&net.Dialer{Timeout: timeout}).DialContext,
-		MaxIdleConnsPerHost:   16,
-		IdleConnTimeout:       90 * time.Second,
-		ResponseHeaderTimeout: timeout,
-	}
 	n := &Node{
 		name: u.Host,
 		base: u.String(),
-		//lint:ignore ctxhttp unary deadlines are carved per attempt from the caller's context (resilience.CarveAttempt) instead of one flat Client.Timeout, so a tight client deadline is split across retries rather than silently exceeded
-		unary: &http.Client{Transport: tr},
-		//lint:ignore ctxhttp a batch NDJSON stream legitimately outlives any fixed client timeout; each request is bounded by its context and the transport's dial and header timeouts
-		stream:    &http.Client{Transport: tr},
+		//lint:ignore ctxhttp unary deadlines are carved per attempt from the caller's context (resilience.CarveAttempt) instead of one flat Client.Timeout, so a tight client deadline is split across retries rather than silently exceeded; a batch stream legitimately outlives any fixed timeout and is bounded by its context and the transport's dial and head-frame timeout
+		client:    &http.Client{Transport: serve.NewPeerTransport(timeout)},
 		timeout:   timeout,
 		downAfter: 1,
 	}
@@ -279,12 +313,10 @@ func (n *Node) SetMaxInflight(m int) { n.maxInflight = int64(m) }
 // Shed returns how many calls the in-flight bound has rejected.
 func (n *Node) Shed() uint64 { return n.shed.Load() }
 
-// WrapTransport wraps the node's HTTP transport — the fault-injection
-// hook (resilience.Faults.Transport). Set it before the node is
-// shared.
+// WrapTransport wraps the node's transport — the fault-injection hook
+// (resilience.Faults.Transport). Set it before the node is shared.
 func (n *Node) WrapTransport(wrap func(http.RoundTripper) http.RoundTripper) {
-	n.unary.Transport = wrap(n.unary.Transport)
-	n.stream.Transport = wrap(n.stream.Transport)
+	n.client.Transport = wrap(n.client.Transport)
 }
 
 // admit gates a call on the in-flight bound and the circuit breaker,
@@ -390,10 +422,9 @@ func (n *Node) roundTrip(ctx context.Context, method, path string, body []byte, 
 		return 0, nil, err
 	}
 	defer release()
-	client, actx := n.stream, ctx
+	actx := ctx
 	if stream == nil {
 		var cancel context.CancelFunc
-		client = n.unary
 		actx, cancel = resilience.CarveAttempt(ctx, n.timeout)
 		defer cancel()
 	}
@@ -405,13 +436,10 @@ func (n *Node) roundTrip(ctx context.Context, method, path string, body []byte, 
 	if err != nil {
 		return 0, nil, err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
 	if id := obs.RequestID(ctx); id != "" {
 		req.Header.Set(obs.HeaderRequestID, id) // backend logs, lines and traces carry the router's ID
 	}
-	resp, err := client.Do(req)
+	resp, err := n.client.Do(req)
 	if err != nil {
 		return 0, nil, n.transportErr(ctx, "", err)
 	}

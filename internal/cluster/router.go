@@ -1030,19 +1030,24 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	writeLine := serve.OpenStream(ctx, w)
 
 	groups := map[int][]int{} // owner ring slot -> global job indices of the misses
-	var hits []byte           // every hit's line, written at once
+	type hit struct {
+		gi    int
+		entry []byte
+	}
+	var hits []hit
 	id := obs.RequestID(ctx)
+	// A hit line's bytes besides its doc and entry (a doc that needs
+	// escaping grows the buffer once).
+	perHit := len(`{"index":,"doc":""`) + 20
+	if id != "" {
+		perHit += len(`,"request_id":""`) + len(id)
+	}
+	size := 0
 	for gi, j := range jobs {
 		if r.cache != nil {
 			if entry, ok := r.cache.get(j.Doc, j.Query); ok {
-				// The line members a relay of this answer carries, then
-				// the entry past its brace: the bytes that relay wrote.
-				hits = strconv.AppendInt(append(hits, `{"index":`...), int64(gi), 10)
-				hits = serve.AppendJSONString(append(hits, `,"doc":`...), j.Doc)
-				if id != "" {
-					hits = serve.AppendJSONString(append(hits, `,"request_id":`...), id)
-				}
-				hits = append(append(hits, ','), entry[1:]...)
+				hits = append(hits, hit{gi, entry})
+				size += perHit + len(j.Doc) + len(entry)
 				continue
 			}
 		}
@@ -1050,7 +1055,19 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		groups[slot] = append(groups[slot], gi)
 	}
 	if len(hits) > 0 {
-		writeLine(hits)
+		// Every hit's line, written at once: the line members a relay of
+		// the answer carries, then the entry past its brace — the bytes
+		// that relay wrote.
+		buf := make([]byte, 0, size)
+		for _, h := range hits {
+			buf = strconv.AppendInt(append(buf, `{"index":`...), int64(h.gi), 10)
+			buf = serve.AppendJSONString(append(buf, `,"doc":`...), jobs[h.gi].Doc)
+			if id != "" {
+				buf = serve.AppendJSONString(append(buf, `,"request_id":`...), id)
+			}
+			buf = append(append(buf, ','), h.entry[1:]...)
+		}
+		writeLine(buf)
 	}
 
 	// Fan out one goroutine, and so one backend stream, per owning-node

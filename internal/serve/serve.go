@@ -76,6 +76,10 @@ type Server struct {
 	// injection middleware wrapped around the handler.
 	draining atomic.Bool
 	faults   *resilience.Faults
+
+	// peers are the router connections Handler's peer upgrade hijacked;
+	// Shutdown drains them, since http.Server.Shutdown cannot.
+	peers peerConns
 }
 
 // BeginDrain marks the server draining: /healthz answers 503 from now
@@ -103,6 +107,7 @@ func New(eng *engine.Engine, cfg store.Config) *Server {
 }
 
 // SetMaxBody overrides the request body size limit (DefaultMaxBodyBytes).
+// Call before Handler.
 func (s *Server) SetMaxBody(n int64) { s.maxBody = n }
 
 // Engine exposes the underlying engine (tests and operators read its
@@ -222,7 +227,11 @@ func (s *Server) EvictIdle(maxIdle time.Duration) []string {
 	return evicted
 }
 
-// Handler returns the server's HTTP handler.
+// Handler returns the server's HTTP handler. A cluster router's GET
+// /peer upgrade is answered ahead of the surface, and every request
+// frame on the upgraded connection is dispatched to that surface, so
+// routed calls see the same endpoints, bounds, faults, metrics, logs
+// and traces as plain HTTP ones (see peer.go).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/documents", s.handleDocuments)
@@ -240,8 +249,26 @@ func (s *Server) Handler() http.Handler {
 	}))
 	// Fault injection wraps the whole surface so injected refusals and
 	// cuts hit exactly what a real network fault would.
-	return s.faults.Handler(h)
+	return &peerHandler{next: s.faults.Handler(h), maxBody: s.maxBody, conns: &s.peers}
 }
+
+// Shutdown shuts hs, which serves Handler, down gracefully together
+// with the peer connections Handler hijacked, which hs does not track:
+// idle ones close at once, busy ones once their in-flight request has
+// been answered, and no new upgrade is served. It returns when both are
+// done or ctx is (then the rest are closed mid-request and ctx's error
+// is returned).
+func (s *Server) Shutdown(ctx context.Context, hs *http.Server) error {
+	peers := make(chan error, 1)
+	go func() { peers <- s.peers.close(ctx, false) }()
+	err := hs.Shutdown(ctx)
+	return errors.Join(err, <-peers)
+}
+
+// ClosePeers closes the peer connections Handler hijacked as Shutdown
+// does, but leaves the server taking new ones. Tests that take a node
+// down use it with a done ctx to drop them as a dead process would.
+func (s *Server) ClosePeers(ctx context.Context) error { return s.peers.close(ctx, true) }
 
 // DocumentRequest registers a document: the body of POST /documents.
 // A nonzero Version mirrors the document at that explicit version
