@@ -64,6 +64,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the -debug-addr mux
 	"os"
@@ -173,6 +174,14 @@ func main() {
 		}()
 	}
 
+	// The main listener is served by serve's connection loop, with the
+	// bounds xpathserve's has: 10 s to read a request's head, 2 min
+	// idle between requests.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		logger.Error("listen failed", "addr", *addr, "err", err)
+		os.Exit(1)
+	}
 	ring := router.Ring()
 	names := make([]string, 0, ring.Len())
 	for _, n := range ring.Peers() {
@@ -181,20 +190,15 @@ func main() {
 	logger.Info("xpathrouter listening",
 		"addr", *addr, "ring", fmt.Sprint(names), "generation", ring.Generation(),
 		"replicas", *replicas, "replica_retry", *retries, "timeout", *timeout)
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           router.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	loop := serve.NewLoop(router.Handler(), logger)
 
 	// SIGTERM/SIGINT drain: flip /health and /healthz to 503 so
 	// upstream load balancers stop sending work, keep answering
-	// in-flight requests, then close the listener.
+	// in-flight requests, then close every connection.
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
+	go func() { errCh <- loop.Serve(ln) }()
 	select {
 	case err := <-errCh:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -206,7 +210,7 @@ func main() {
 		router.BeginDrain()
 		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
-		if err := hs.Shutdown(ctx); err != nil {
+		if err := loop.Shutdown(ctx); err != nil {
 			logger.Warn("drain incomplete", "err", err)
 			os.Exit(1)
 		}

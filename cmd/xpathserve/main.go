@@ -46,6 +46,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the -debug-addr mux
 	"os"
@@ -186,28 +187,27 @@ func main() {
 		}()
 	}
 
+	// The main listener is served by serve's own connection loop
+	// (Server.Serve): 10 s to read a request's head, 2 min idle between
+	// requests, request bodies capped by the handler's MaxBytesReader.
+	// No write bound: large batches on big documents legitimately take a
+	// while, and /batch streams for as long as the client stays.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		logger.Error("listen failed", "addr", *addr, "err", err)
+		os.Exit(1)
+	}
 	logger.Info("xpathserve listening",
 		"addr", *addr, "strategy", strat.String(),
 		"cache", *cacheSize, "shards", *shards, "docs", fmt.Sprint(srv.DocNames()))
-	// Header/idle timeouts bound connection abuse; per-request bodies
-	// are capped by the handler's MaxBytesReader. No WriteTimeout:
-	// large batches on big documents legitimately take a while, and
-	// /batch streams for as long as the client stays.
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
 
 	// SIGTERM/SIGINT drain: flip /healthz to 503 so the router's prober
-	// stops routing here, then let in-flight requests finish before the
-	// listener closes — those on routers' peer connections too, which
-	// http.Server.Shutdown does not track (serve.Server.Shutdown).
+	// stops routing here, then let in-flight requests finish — clients'
+	// and routers' peer connections alike — before the process exits.
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
+	go func() { errCh <- srv.Serve(ln) }()
 	select {
 	case err := <-errCh:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -219,7 +219,7 @@ func main() {
 		srv.BeginDrain()
 		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
-		if err := srv.Shutdown(ctx, hs); err != nil {
+		if err := srv.Shutdown(ctx); err != nil {
 			logger.Warn("drain incomplete", "err", err)
 			os.Exit(1)
 		}

@@ -101,8 +101,9 @@
 //   - Upgrade. A connection opens with one GET /peer carrying
 //     "Upgrade: xpath-peer/1" on the backend's ordinary port; the
 //     backend (serve.Server.Handler, or serve.PeerHandler around a
-//     test's fake) answers 101 and hijacks it. No new listener, flag
-//     or option. A peer that answers anything else is ErrUnavailable:
+//     test's fake) answers 101 and its connection loop switches the
+//     connection to frames (behind httptest, the handler hijacks it).
+//     No new listener, flag or option. A peer that answers anything else is ErrUnavailable:
 //     there is no HTTP fallback.
 //   - Frames. Each frame is kind (1 byte), length (4 bytes) and
 //     payload. A call is a request frame {method, target with query,

@@ -44,7 +44,7 @@ func (b *backendServer) CloseClientConnections() {
 func (b *backendServer) dropPeers() {
 	gone, cancel := context.WithCancel(context.Background())
 	cancel()
-	b.srv.ClosePeers(gone)
+	b.srv.CloseConns(gone)
 }
 
 func newBackend(t *testing.T, cfg store.Config) *backend {

@@ -28,7 +28,7 @@ func (s *Server) initObs() {
 
 // SetLogger sets the structured logger request handling reports to
 // (default slog.Default()).
-func (s *Server) SetLogger(l *slog.Logger) { s.mw.Logger = l }
+func (s *Server) SetLogger(l *slog.Logger) { s.mw.Logger, s.conns.log = l, l }
 
 // SetSlowQuery sets the slow-query threshold: requests that take at
 // least d are logged with their full span tree, and while it is set

@@ -9,8 +9,8 @@ package serve
 //
 // A router opens a peer connection with one GET /peer carrying
 // "Upgrade: xpath-peer/1" on the backend's ordinary port; the backend
-// answers 101 and hijacks the connection. From then on the connection
-// carries one request at a time, as frames:
+// answers 101 and its connection loop switches codecs (conn.go). From
+// then on the connection carries one request at a time, as frames:
 //
 //	frame    = kind(1 byte) length(4 bytes, big-endian) payload(length bytes)
 //	request  'Q'  uvarint-prefixed method, target (path?query) and
@@ -41,10 +41,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"os"
 	"strconv"
-	"sync"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -229,278 +226,92 @@ func readHead(br *bufio.Reader) (status int, declared int64, err error) {
 	return status, declared, nil
 }
 
+// upgradeResponse switches a connection to frames.
+const upgradeResponse = "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + peerProtocol + "\r\n\r\n"
+
 // PeerHandler returns h behind the peer upgrade: a GET /peer asking for
 // it gets the connection switched to frames, each dispatched to h, and
 // every other request goes to h as it is. Server.Handler is this around
-// the server's own surface, with its body bound and its shutdown drain;
+// the server's own surface, with its body bound and its drain;
 // PeerHandler is for anything else that must answer a cluster router —
 // a fake peer in a test — and bounds request bodies at
 // DefaultMaxBodyBytes.
+//
+// A Loop that serves a PeerHandler answers the upgrade itself and
+// speaks frames on the connection it already serves. Behind another
+// http.Server (httptest in the cluster tests) the handler hijacks the
+// connection and serves the frames on the request's goroutine,
+// registered with its own Loop (Server.Handler's: the server's) so
+// that a drain reaches it.
 func PeerHandler(h http.Handler) http.Handler {
-	return &peerHandler{next: h, maxBody: DefaultMaxBodyBytes, conns: &peerConns{}}
+	return &peerHandler{next: h, maxBody: DefaultMaxBodyBytes, conns: &Loop{}}
 }
 
 type peerHandler struct {
 	next    http.Handler
 	maxBody int64
-	conns   *peerConns
+	conns   *Loop
 }
 
 func (h *peerHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != peerPath || r.Method != http.MethodGet || r.Header.Get("Upgrade") != peerProtocol {
+	if !isPeerUpgrade(r) {
 		h.next.ServeHTTP(w, r)
 		return
 	}
-	conn, brw, err := http.NewResponseController(w).Hijack()
+	nc, brw, err := http.NewResponseController(w).Hijack()
 	if err != nil {
 		HTTPError(w, http.StatusInternalServerError, "peer upgrade: %v", err)
 		return
 	}
-	if _, err := io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+peerProtocol+"\r\n\r\n"); err != nil {
-		conn.Close()
+	if _, err := io.WriteString(nc, upgradeResponse); err != nil {
+		nc.Close()
 		return
 	}
-	c := &peerConn{
-		h: h, conn: conn, br: brw.Reader,
-		// Hijacked, the connection outlives nothing of r but its values.
-		base: context.WithoutCancel(r.Context()),
-		host: r.Host, remote: r.RemoteAddr,
-		done: make(chan struct{}),
-	}
-	c.w.c = c
-	c.w.header = http.Header{}
+	c := h.conns.newConn(nc, brw.Reader)
+	c.up, c.peer, c.host, c.remote = h, true, r.Host, r.RemoteAddr
+	c.enter(phaseIdle)
+	// Hijacked, the connection outlives nothing of r but its values.
+	c.base = context.WithoutCancel(r.Context())
 	if !h.conns.add(c) {
-		conn.Close()
+		nc.Close()
 		return
 	}
 	c.serve()
 }
 
-// peerConns is the set of peer connections a handler hijacked, which
-// http.Server.Shutdown does not track: close drains them. While there
-// are any, a watchdog ticks every watchAfter (peerConn.tick).
-type peerConns struct {
-	mu       sync.Mutex
-	conns    map[*peerConn]struct{}
-	closed   bool // a drain has begun: no new connection is served
-	watchdog bool // the watchdog runs
-}
-
-// watchAfter is about how long a peer request runs before its
-// connection is watched for the router hanging up.
-const watchAfter = 10 * time.Millisecond
-
-func (p *peerConns) add(c *peerConn) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
+// serveFrame reads one request frame, runs it and answers it,
+// reporting whether the connection may serve another.
+func (c *conn) serveFrame() bool {
+	req, err := readRequest(c.br, c.up.maxBody)
+	if err != nil { // the router hung up, a drain closed it, or a bad frame
 		return false
 	}
-	if p.conns == nil {
-		p.conns = map[*peerConn]struct{}{}
-	}
-	p.conns[c] = struct{}{}
-	if !p.watchdog {
-		p.watchdog = true
-		go p.watch()
-	}
-	return true
-}
-
-// watch is the watchdog: it ticks every connection until none is left.
-func (p *peerConns) watch() {
-	t := time.NewTicker(watchAfter)
-	defer t.Stop()
-	for range t.C {
-		p.mu.Lock()
-		if len(p.conns) == 0 {
-			p.watchdog = false
-			p.mu.Unlock()
-			return
-		}
-		for c := range p.conns {
-			c.tick()
-		}
-		p.mu.Unlock()
-	}
-}
-
-func (p *peerConns) remove(c *peerConn) {
-	p.mu.Lock()
-	delete(p.conns, c)
-	p.mu.Unlock()
-}
-
-// close closes every idle connection at once and each busy one as its
-// request ends, and returns when all have closed. If ctx ends first the
-// rest are closed mid-request and ctx's error is returned. With keep
-// set, connections opened later are served; otherwise they are
-// refused.
-func (p *peerConns) close(ctx context.Context, keep bool) error {
-	p.mu.Lock()
-	p.closed = !keep
-	conns := make([]*peerConn, 0, len(p.conns))
-	for c := range p.conns {
-		conns = append(conns, c)
-	}
-	p.mu.Unlock()
-	for _, c := range conns {
-		c.drain()
-	}
-	for _, c := range conns {
-		select {
-		case <-c.done:
-		case <-ctx.Done():
-			for _, c := range conns {
-				c.conn.Close()
-			}
-			return ctx.Err()
-		}
-	}
-	return nil
-}
-
-// peerConn is the server side of one peer connection. serve, on the
-// goroutine that answered the upgrade, reads a request frame, runs it
-// and answers it, one request at a time: no goroutine is handed a
-// request (a handoff per call cost as much CPU as the rest of the hop).
-// A request learns that its router hung up — cancelled, or timed out —
-// through its context: cancelled when a write fails, and, once the
-// request has run for about watchAfter, as soon as a read of the
-// connection sees it close (watchHangUp, started by the handler's
-// watchdog). net/http reads in the background during every request; a
-// call that answers in microseconds does not need to, and arming a
-// timer per call costs the hop a wakeup of the runtime's poller.
-type peerConn struct {
-	h            *peerHandler
-	conn         net.Conn
-	br           *bufio.Reader
-	base         context.Context
-	host, remote string
-	w            frameWriter // reused: a connection serves one request at a time
-	done         chan struct{}
-
-	mu       sync.Mutex
-	active   bool               // a request is being served
-	draining bool               // close once the active request ends
-	cancel   context.CancelFunc // the active request's
-	seq      uint64             // requests begun
-	seen     uint64             // the seq the watchdog saw active at its last tick
-	watching chan struct{}      // closed when watchHangUp's read returns; nil when none runs
-}
-
-func (c *peerConn) serve() {
-	defer func() {
-		c.h.conns.remove(c)
-		c.conn.Close()
-		close(c.done)
-	}()
-	for {
-		req, err := readRequest(c.br, c.h.maxBody)
-		if err != nil { // the router hung up, a drain closed it, or a bad frame
-			return
-		}
-		ctx, cancel, ok := c.begin()
-		if !ok {
-			req.release()
-			return
-		}
-		clean := c.dispatch(ctx, cancel, req)
-		if !c.end() || !clean {
-			return
-		}
-	}
-}
-
-// begin marks a request active, unless a drain has begun.
-func (c *peerConn) begin() (context.Context, context.CancelFunc, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.draining {
-		return nil, nil, false
-	}
-	ctx, cancel := context.WithCancel(c.base)
-	c.active, c.cancel = true, cancel
-	c.seq++
-	return ctx, cancel, true
-}
-
-// end marks the active request done and stops watching the connection,
-// reporting whether it may serve another: not once a drain has begun.
-func (c *peerConn) end() bool {
-	c.mu.Lock()
-	c.cancel()
-	watching := c.watching
-	c.active, c.cancel, c.watching = false, nil, nil
-	draining := c.draining
-	c.mu.Unlock()
-	if watching != nil { // interrupt its read: the connection is ours again
-		c.conn.SetReadDeadline(aLongTimeAgo)
-		<-watching
-		c.conn.SetReadDeadline(time.Time{})
-	}
-	return !draining
-}
-
-// tick is the watchdog's look at the connection: a request it finds
-// active at two ticks in a row has run at least watchAfter, and gets
-// watchHangUp.
-func (c *peerConn) tick() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.active || c.watching != nil || c.seen != c.seq {
-		c.seen = c.seq
-		return
-	}
-	c.watching = make(chan struct{})
-	go c.watchHangUp(c.watching, c.cancel)
-}
-
-// watchHangUp reads the connection while a long request runs. The
-// router sends nothing until the end frame, so the read returns only
-// when the router closes the connection — which cancels the request —
-// or when end interrupts it. A byte that does arrive stays buffered for
-// serve.
-func (c *peerConn) watchHangUp(watching chan struct{}, cancel context.CancelFunc) {
-	defer close(watching)
-	if _, err := c.br.Peek(1); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
-		cancel()
-	}
-}
-
-// drain closes the connection now if it is idle, else once its request
-// ends.
-func (c *peerConn) drain() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.draining = true
-	if !c.active {
-		c.conn.Close()
-	}
+	ctx, cancel := c.begin(true) // the body came in the frame
+	clean := c.dispatch(ctx, cancel, req)
+	return c.end() && clean
 }
 
 // dispatch serves one request frame on the handler's surface and sends
 // the rest of the response and the end frame, reporting whether the
 // connection may serve another: not after a handler that hijacked it (a
 // cut fault) or whose response could not be written. A handler that
-// panics — http.ErrAbortHandler is a refuse fault — unwinds through
-// serve, which closes the connection, to net/http's recovery, as the
-// panic of a plain request does.
-func (c *peerConn) dispatch(ctx context.Context, cancel context.CancelFunc, pr peerRequest) bool {
+// panics — http.ErrAbortHandler is a refuse fault — unwinds to serve,
+// which closes the connection.
+func (c *conn) dispatch(ctx context.Context, cancel context.CancelFunc, pr peerRequest) bool {
 	defer pr.release()
-	w := &c.w
+	w := &c.fw
 	w.reset(cancel)
 	if r, err := c.request(ctx, &pr); err != nil {
 		HTTPError(w, http.StatusBadRequest, "peer request: %v", err)
 	} else {
-		c.h.next.ServeHTTP(w, r)
+		c.up.next.ServeHTTP(w, r)
 	}
 	w.finish()
 	return w.err == nil && !w.hijacked
 }
 
 // request builds the *http.Request a handler sees for a frame.
-func (c *peerConn) request(ctx context.Context, pr *peerRequest) (*http.Request, error) {
+func (c *conn) request(ctx context.Context, pr *peerRequest) (*http.Request, error) {
 	u, err := url.ParseRequestURI(pr.target)
 	if err != nil {
 		return nil, err
@@ -528,7 +339,7 @@ func (c *peerConn) request(ctx context.Context, pr *peerRequest) (*http.Request,
 // frame. A /query answer — head, one body frame, end — leaves in one
 // write. A failed write cancels the request: the router is gone.
 type frameWriter struct {
-	c        *peerConn
+	c        *conn
 	header   http.Header
 	status   int
 	out      []byte // frames not yet written
@@ -591,7 +402,7 @@ func (w *frameWriter) Write(p []byte) (int, error) {
 	for rest := p; len(rest) > 0 && w.err == nil; {
 		k := min(len(rest), maxBodyFrame)
 		bufs := net.Buffers{appendFrameHeader(w.out[:0], frameBody, k), rest[:k]}
-		if _, err := bufs.WriteTo(w.c.conn); err != nil {
+		if _, err := bufs.WriteTo(w.c.nc); err != nil {
 			w.fail(err)
 		}
 		rest = rest[k:]
@@ -618,7 +429,8 @@ func (w *frameWriter) Flush() {
 // The connection is not served again.
 func (w *frameWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
 	w.hijacked = true
-	return w.c.conn, bufio.NewReadWriter(w.c.br, bufio.NewWriter(w.c.conn)), nil
+	w.c.hijack()
+	return w.c.nc, bufio.NewReadWriter(w.c.br, bufio.NewWriter(w.c.nc)), nil
 }
 
 func (w *frameWriter) finish() {
@@ -649,7 +461,7 @@ func (w *frameWriter) closeFrame() {
 
 func (w *frameWriter) send() {
 	if w.err == nil && len(w.out) > 0 {
-		if _, err := w.c.conn.Write(w.out); err != nil {
+		if _, err := w.c.nc.Write(w.out); err != nil {
 			w.fail(err)
 		}
 	}

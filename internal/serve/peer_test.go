@@ -109,9 +109,9 @@ func FuzzPeerFrame(f *testing.F) {
 }
 
 // TestShutdownDrainsPeerConnections is xpathserve's drain on its peer
-// connections, which http.Server.Shutdown does not track: Shutdown
-// closes an idle one at once, lets a framed /batch in flight on another
-// run to its end frame, and refuses new calls.
+// connections: Shutdown closes an idle one at once, lets a framed
+// /batch in flight on another run to its end frame, and refuses new
+// calls.
 func TestShutdownDrainsPeerConnections(t *testing.T) {
 	srv := New(engine.New(engine.Options{CacheSize: 32, Workers: 1}), store.Config{})
 	if _, _, err := srv.AddDocument("d", workload.Doc(3000).XMLString()); err != nil {
@@ -121,9 +121,7 @@ func TestShutdownDrainsPeerConnections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	defer hs.Close()
+	go srv.Serve(ln)
 	base := "http://" + ln.Addr().String()
 	tr := NewPeerTransport(5 * time.Second)
 	client := &http.Client{Transport: tr}
@@ -162,7 +160,7 @@ func TestShutdownDrainsPeerConnections(t *testing.T) {
 	go func() {
 		sctx, cancel := context.WithTimeout(ctx, 20*time.Second)
 		defer cancel()
-		drained <- srv.Shutdown(sctx, hs)
+		drained <- srv.Shutdown(sctx)
 	}()
 	idle.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := idle.br.Peek(1); err != io.EOF {

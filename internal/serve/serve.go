@@ -10,6 +10,44 @@
 // The layering is store (placement + memory accounting) → engine
 // (compile cache + evaluation) → serve (wire format) → cluster
 // (multi-process routing).
+//
+// # How a request reaches the surface
+//
+// One loop, two codecs. xpathserve's and xpathrouter's listeners are
+// served by a Loop (conn.go), not by net/http's server: each accepted
+// connection gets one goroutine, which reads a request, runs it on the
+// handler and answers it, one request at a time. The handler is the
+// plain http.Handler surface — fault injector, obs.Middleware,
+// MaxBytesReader, mux — so no endpoint knows which server carries it.
+//
+//   - HTTP/1.1 (http1.go) is every client's codec. http.ReadRequest
+//     frames the request, so parsing stays the standard library's. What
+//     net/http's server checks besides, the loop checks: the head is
+//     bounded at 1 MB + 4 KB (431) and 10 s, the wait between requests
+//     at 2 min; HTTP/1.1 needs a Host (400); header names and values
+//     are validated (400); Expect: 100-continue is honoured and any
+//     other expectation answered 417; a body its handler left unread is
+//     drained up to 256 KB, else the connection closes. httpWriter frames
+//     the answer by net/http's rules — a Content-Length for a finished
+//     short answer, chunked once flushed, Connection: close after
+//     HTTP/1.0 or when asked, a Date, a sniffed Content-Type — and puts
+//     head and body on the wire in one write.
+//   - Frames (peer.go) are a cluster router's codec: one GET /peer with
+//     "Upgrade: xpath-peer/1" switches the connection, on the same
+//     goroutine, and each request frame is dispatched to the same surface.
+//
+// The Loop is the one registry of served connections, client and peer
+// (Server.Handler registers there too the peer connections it hijacks
+// behind another http.Server, as in httptest). One watchdog ticks
+// them every 10 ms: it closes a connection past its header or idle
+// bound, and starts watching one whose request has run about 10 ms —
+// its body read, so the watch never races the handler for the
+// connection — for the client hanging up, which cancels the request's
+// context; a failed write cancels it too. A handler's panic is
+// recovered and logged (http.ErrAbortHandler silently) and closes the
+// connection. Shutdown is the one drain. The pprof listener and the
+// tests built on httptest keep net/http's server; TestConnAnswersAsNetHTTP
+// holds the two to the same bytes.
 package serve
 
 import (
@@ -18,6 +56,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -77,9 +116,10 @@ type Server struct {
 	draining atomic.Bool
 	faults   *resilience.Faults
 
-	// peers are the router connections Handler's peer upgrade hijacked;
-	// Shutdown drains them, since http.Server.Shutdown cannot.
-	peers peerConns
+	// conns serves Handler (Serve) and registers every connection it
+	// serves, client and peer, together with the peer connections
+	// Handler hijacks behind another http.Server; Shutdown drains them.
+	conns Loop
 }
 
 // BeginDrain marks the server draining: /healthz answers 503 from now
@@ -249,26 +289,24 @@ func (s *Server) Handler() http.Handler {
 	}))
 	// Fault injection wraps the whole surface so injected refusals and
 	// cuts hit exactly what a real network fault would.
-	return &peerHandler{next: s.faults.Handler(h), maxBody: s.maxBody, conns: &s.peers}
+	return &peerHandler{next: s.faults.Handler(h), maxBody: s.maxBody, conns: &s.conns}
 }
 
-// Shutdown shuts hs, which serves Handler, down gracefully together
-// with the peer connections Handler hijacked, which hs does not track:
-// idle ones close at once, busy ones once their in-flight request has
-// been answered, and no new upgrade is served. It returns when both are
-// done or ctx is (then the rest are closed mid-request and ctx's error
-// is returned).
-func (s *Server) Shutdown(ctx context.Context, hs *http.Server) error {
-	peers := make(chan error, 1)
-	go func() { peers <- s.peers.close(ctx, false) }()
-	err := hs.Shutdown(ctx)
-	return errors.Join(err, <-peers)
-}
+// Serve serves Handler on ln through the server's connection loop (see
+// Loop) until Shutdown, when it returns http.ErrServerClosed.
+func (s *Server) Serve(ln net.Listener) error { return s.conns.serve(ln, s.Handler()) }
 
-// ClosePeers closes the peer connections Handler hijacked as Shutdown
-// does, but leaves the server taking new ones. Tests that take a node
-// down use it with a done ctx to drop them as a dead process would.
-func (s *Server) ClosePeers(ctx context.Context) error { return s.peers.close(ctx, true) }
+// Shutdown drains the server: listeners close, idle connections close
+// at once, busy ones — client or peer — once their in-flight request
+// has been answered. It returns when all are closed or ctx is done
+// (then the rest are closed mid-request and ctx's error is returned).
+func (s *Server) Shutdown(ctx context.Context) error { return s.conns.Shutdown(ctx) }
+
+// CloseConns closes the server's connections as Shutdown does — behind
+// another http.Server, the peer connections Handler hijacked — but
+// leaves it taking new ones. Tests that take a node down use it with a
+// done ctx to drop them as a dead process would.
+func (s *Server) CloseConns(ctx context.Context) error { return s.conns.close(ctx, true) }
 
 // DocumentRequest registers a document: the body of POST /documents.
 // A nonzero Version mirrors the document at that explicit version

@@ -183,6 +183,22 @@ done
   || { echo "breaker for revived :7203 never closed (state=$breaker)" >&2; exit 1; }
 
 # --- Drain: SIGTERM must exit 0 with requests still answered ---------
+# B's documents must survive its drain on a live replica. C came back
+# empty and the repair loop re-copies one document at a time, so wait
+# until every one of B's documents is held by A or C, not just until
+# the first repair copy landed.
+for d in $b_docs; do
+  held=""
+  for _ in $(seq 1 60); do
+    if curl -fsS "http://127.0.0.1:7201/documents?name=$d" >/dev/null 2>&1 \
+      || curl -fsS "http://127.0.0.1:7203/documents?name=$d" >/dev/null 2>&1; then
+      held=1
+      break
+    fi
+    sleep 0.5
+  done
+  [ -n "$held" ] || { echo "$d has no live replica besides :7202 before its drain" >&2; exit 1; }
+done
 kill -TERM "$backendB_pid"
 if ! wait "$backendB_pid"; then
   echo "backend :7202 did not drain cleanly on SIGTERM" >&2
