@@ -1,10 +1,10 @@
 // Command xpathreshard moves a document corpus between placement
 // rings: when the cluster's peer set changes (a node added for
-// capacity, a node retired), it streams every document from the old
-// ring and writes it through the new ring's placement — owner plus
-// -replicas successors — preserving each document's monotonic
-// version, so replicas and router answer caches keep detecting
-// staleness across the migration.
+// capacity, a node retired), it fetches every document that must move
+// from the old ring and writes it through the new ring's placement —
+// owner plus -replicas successors — preserving each document's
+// monotonic version, so replicas and router answer caches keep
+// detecting staleness across the migration.
 //
 // Usage:
 //
@@ -76,7 +76,7 @@ func main() {
 	}
 	// Interrupting the migration is safe (the run is resumable), so
 	// SIGINT/SIGTERM cancel the context and the copy pass stops at the
-	// next per-document call instead of being killed mid-stream.
+	// next per-document call instead of being killed mid-copy.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	sum, err := cluster.Reshard(ctx, cluster.ReshardOptions{

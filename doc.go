@@ -44,14 +44,15 @@
 //     trips.
 //   - internal/store — the storage layer: a sharded, byte-accounted
 //     document store (FNV-1a routing via store.KeyShard, per-shard
-//     locks, LRU or reject eviction) holding one Session per
-//     registered document.
+//     locks, LRU or reject eviction, a monotonic version per entry
+//     handed out with its value) holding one Session per registered
+//     document.
 //   - internal/serve — the wire format: the HTTP/JSON server binding
 //     store + engine behind /query, streaming /batch, /documents,
 //     /stats and /healthz; cmd/xpathserve is its flag-parsing shell.
-//   - internal/cluster — the multi-process layer: a Remote
-//     implementation of store.Store over a peer's document API, and a
-//     Router that partitions documents across N backend nodes with the
+//   - internal/cluster — the multi-process layer: a Node client for
+//     each peer's document and query API, and a Router that
+//     partitions documents across N backend nodes with the
 //     same KeyShard routing, forwards /query to the owning node (with
 //     replica retry), and fans /batch out scatter-gather style into
 //     one completion-order NDJSON stream tagged with index/doc/node;

@@ -5,6 +5,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -30,7 +31,7 @@ import (
 //	go test -bench PeerHop -benchmem -run '^$' ./internal/cluster
 func BenchmarkPeerHop(b *testing.B) {
 	srv := serve.New(engine.New(engine.Options{CacheSize: 32, Workers: 2}), store.Config{})
-	srv.SetLogger(slog.New(slog.DiscardHandler)) // the hop, not the request log line
+	srv.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil))) // the hop, not the request log line
 	if _, _, err := srv.AddDocument("auction", workload.Auction(1, 30).XMLString()); err != nil {
 		b.Fatal(err)
 	}

@@ -62,14 +62,17 @@ type docPlan struct {
 // Reshard moves a corpus from the From ring's placement to the To
 // ring's: it inventories every node (old and new — so a partially
 // migrated corpus resumes instead of restarting), plans the copies
-// each document still needs, streams the XML from a holder of the
-// newest version via Remote.Range, and writes it through the new ring
-// at the preserved version. The write path is Server.AddDocumentAt's
-// mirror form, which skips stale writes, so the run is idempotent:
-// re-running a completed reshard copies nothing. Documents registered
-// mid-run are picked up at whatever version the streaming pass
-// observes; a router in drain mode keeps answering for the stragglers
-// until a final run reports zero copies.
+// each document still needs, fetches each planned document's XML from
+// a holder of the newest version (Node.GetDocument), and writes it
+// through the new ring at the version the fetch paired with it. The
+// write path is Server.AddDocumentAt's mirror form, which skips stale
+// writes, so the run is idempotent: re-running a completed reshard
+// copies nothing. A document replaced mid-run is copied at whatever
+// version its fetch returns; a router in drain mode keeps answering
+// for the stragglers until a final run reports zero copies. A source that no longer holds
+// a planned document counts an error (the next run reconciles); a
+// source that cannot be reached, or ctx ending, stops the run with
+// that error before the next fetch.
 func Reshard(ctx context.Context, opts ReshardOptions) (ReshardSummary, error) {
 	var sum ReshardSummary
 	logf := func(format string, args ...any) {
@@ -98,9 +101,9 @@ func Reshard(ctx context.Context, opts ReshardOptions) (ReshardSummary, error) {
 		return sum, fmt.Errorf("new ring: %w", err)
 	}
 
-	// Every distinct node, old ring first: the streaming pass below
-	// prefers sourcing from the old ring, whose copies are the ones
-	// being retired.
+	// Every distinct node, old ring first: the copy pass below prefers
+	// sourcing from the old ring, whose copies are the ones being
+	// retired.
 	byURL := map[string]*Node{}
 	var nodes []*Node
 	for _, n := range append(append([]*Node{}, oldRing.Peers()...), newRing.Peers()...) {
@@ -145,7 +148,6 @@ func Reshard(ctx context.Context, opts ReshardOptions) (ReshardSummary, error) {
 	}
 	sort.Strings(names)
 	sum.Documents = len(names)
-	plans := map[string][]*docPlan{} // source URL -> plans streamed from it
 	var planned []*docPlan
 	for _, name := range names {
 		hs := holders[name]
@@ -181,7 +183,6 @@ func Reshard(ctx context.Context, opts ReshardOptions) (ReshardSummary, error) {
 		}
 		if len(p.targets) > 0 || (opts.Prune && len(p.prunes) > 0) {
 			planned = append(planned, p)
-			plans[p.source] = append(plans[p.source], p)
 		}
 		for _, target := range p.targets {
 			logf("%s v%d: copy %s -> %s", name, ver, byURL[p.source].Name(), byURL[target].Name())
@@ -205,60 +206,47 @@ func Reshard(ctx context.Context, opts ReshardOptions) (ReshardSummary, error) {
 		return sum, nil
 	}
 
-	// Copy pass: stream each source node's corpus via Remote.Range and
-	// write the planned documents through the new ring at their
-	// preserved versions. A document replaced since the inventory
-	// streams at its newer version — the mirror write path keeps that
-	// consistent on every target.
+	// Copy pass: fetch each planned document from its source and write
+	// it through the new ring. A document replaced since the inventory
+	// is fetched at its newer version — the mirror write path keeps
+	// that consistent on every target.
 	failed := map[string]bool{}
-	for srcURL, srcPlans := range plans {
-		pending := map[string]*docPlan{}
-		for _, p := range srcPlans {
-			if len(p.targets) > 0 {
-				pending[p.name] = p
-			}
-		}
-		if len(pending) == 0 {
+	for _, p := range planned {
+		if len(p.targets) == 0 {
 			continue
 		}
-		remote := NewRemote(byURL[srcURL], opts.Timeout)
-		remote.RangeDocumentsContext(ctx, func(info serve.DocInfo) bool {
-			if len(pending) == 0 {
-				return false // every planned copy from this source is done
-			}
-			p, ok := pending[info.Name]
-			if !ok {
-				return ctx.Err() == nil
-			}
-			delete(pending, info.Name)
-			// Write at the version the fetch paired with this XML —
-			// never the (possibly newer) planned version: labeling old
-			// content with a new version would let the stale-write
-			// guard pin it. If the fetch saw an older copy than the
-			// plan, the copy lands under-versioned and the next run
-			// reconciles.
-			ver := info.Version
-			for _, target := range p.targets {
-				cctx, cancel := context.WithTimeout(ctx, opts.Timeout)
-				_, _, err := byURL[target].PutDocumentAt(cctx, info.Name, info.XML, ver)
-				cancel()
-				if err != nil {
-					logf("copy %s -> %s failed: %v", info.Name, byURL[target].Name(), err)
-					sum.Errors++
-					failed[p.name] = true
-					continue
-				}
-				sum.Copies++
-			}
-			return ctx.Err() == nil
-		})
-		if err := remote.Err(); err != nil {
-			return sum, fmt.Errorf("streaming from %s: %w", byURL[srcURL].Name(), err)
+		if err := ctx.Err(); err != nil {
+			return sum, err
 		}
-		for name := range pending {
-			logf("source %s no longer holds %s; re-run to reconcile", byURL[srcURL].Name(), name)
+		src := byURL[p.source]
+		fctx, cancel := context.WithTimeout(ctx, opts.Timeout)
+		info, err := src.GetDocument(fctx, p.name)
+		cancel()
+		if IsNotFound(err) {
+			logf("source %s no longer holds %s; re-run to reconcile", src.Name(), p.name)
 			sum.Errors++
-			failed[name] = true
+			failed[p.name] = true
+			continue
+		}
+		if err != nil {
+			return sum, fmt.Errorf("fetching %s from %s: %w", p.name, src.Name(), err)
+		}
+		// Write at the version the fetch paired with this XML — never
+		// the (possibly newer) planned version: labeling old content
+		// with a new version would let the stale-write guard pin it.
+		// If the fetch saw an older copy than the plan, the copy lands
+		// under-versioned and the next run reconciles.
+		for _, target := range p.targets {
+			cctx, cancel := context.WithTimeout(ctx, opts.Timeout)
+			_, _, err := byURL[target].PutDocumentAt(cctx, p.name, info.XML, info.Version)
+			cancel()
+			if err != nil {
+				logf("copy %s -> %s failed: %v", p.name, byURL[target].Name(), err)
+				sum.Errors++
+				failed[p.name] = true
+				continue
+			}
+			sum.Copies++
 		}
 	}
 

@@ -3,6 +3,10 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -189,5 +193,150 @@ func TestReshardWithReplicas(t *testing.T) {
 		From: oldNodes, To: newNodes, Timeout: time.Second,
 	}); err == nil {
 		t.Fatal("reshard with an unreachable node did not abort")
+	}
+}
+
+// reshardFixture is a one-node corpus of n documents on backends[0]
+// to be resharded onto all three backends. fetches counts the document
+// fetches sent to the source. before, when set, runs ahead of each
+// with the document's name; after, when set, runs once the fetch's
+// response has been read whole, so it may cancel the run without
+// failing the fetch it follows.
+type reshardFixture struct {
+	backends      []*backend
+	oldRing, ring []*Node
+	fetches       int
+	before        func(name string)
+	after         func()
+}
+
+func newReshardFixture(t *testing.T, n int) *reshardFixture {
+	t.Helper()
+	f := &reshardFixture{backends: make([]*backend, 3)}
+	for i := range f.backends {
+		f.backends[i] = newBackend(t, store.Config{})
+	}
+	src := f.backends[0]
+	f.oldRing = []*Node{src.node}
+	f.ring = []*Node{src.node, f.backends[1].node, f.backends[2].node}
+	for i := 0; i < n; i++ {
+		if _, _, err := src.node.PutDocument(context.Background(), fmt.Sprintf("doc-%02d", i), "<a><b/></a>"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.node.WrapTransport(func(next http.RoundTripper) http.RoundTripper {
+		return roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			name := req.URL.Query().Get("name")
+			if req.Method != http.MethodGet || name == "" {
+				return next.RoundTrip(req)
+			}
+			f.fetches++
+			if f.before != nil {
+				f.before(name)
+			}
+			resp, err := next.RoundTrip(req)
+			if err != nil || f.after == nil {
+				return resp, err
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				return nil, err
+			}
+			resp.Body = io.NopCloser(bytes.NewReader(body))
+			f.after()
+			return resp, nil
+		})
+	})
+	return f
+}
+
+func (f *reshardFixture) run(ctx context.Context, log io.Writer) (ReshardSummary, error) {
+	return Reshard(ctx, ReshardOptions{From: f.oldRing, To: f.ring, Timeout: 5 * time.Second, Log: log})
+}
+
+// TestReshardCopyPassStopsOnCancel ties the copy pass to its caller's
+// context: cancelled up front, the run fetches nothing; cancelled
+// mid-pass, it stops before the next fetch instead of grinding through
+// the corpus; either way Reshard returns ctx's error.
+func TestReshardCopyPassStopsOnCancel(t *testing.T) {
+	f := newReshardFixture(t, 8)
+	dry, err := Reshard(context.Background(), ReshardOptions{From: f.oldRing, To: f.ring, DryRun: true, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dry.Copies < 2 {
+		t.Fatalf("dry run = %+v; the test needs at least two planned copies", dry)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := f.run(ctx, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled reshard err = %v, want context.Canceled", err)
+	}
+	if f.fetches != 0 {
+		t.Fatalf("pre-cancelled reshard fetched %d documents, want 0", f.fetches)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	f.after = cancel
+	if _, err := f.run(ctx, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("reshard cancelled mid-pass err = %v, want context.Canceled", err)
+	}
+	if f.fetches != 1 {
+		t.Fatalf("reshard cancelled mid-pass fetched %d documents, want 1", f.fetches)
+	}
+
+	// An undisturbed context changes nothing: every planned copy lands.
+	f.after, f.fetches = nil, 0
+	sum, err := f.run(context.Background(), nil)
+	if err != nil || sum.Errors != 0 || sum.Copies == 0 {
+		t.Fatalf("uncancelled reshard = %+v, %v; want copies and no errors", sum, err)
+	}
+}
+
+// TestReshardDocumentDeletedBeforeFetch deletes a planned document from
+// its source between the inventory and its fetch: the run counts one
+// error, copies that document nowhere, and still copies the rest.
+func TestReshardDocumentDeletedBeforeFetch(t *testing.T) {
+	f := newReshardFixture(t, 8)
+	src := f.backends[0]
+	var deleted string
+	f.before = func(name string) {
+		if deleted == "" {
+			deleted = name
+			if err := src.node.DeleteDocument(context.Background(), name); err != nil {
+				t.Errorf("delete %s: %v", name, err)
+			}
+		}
+	}
+	var log bytes.Buffer
+	sum, err := f.run(context.Background(), &log)
+	if err == nil || sum.Errors != 1 {
+		t.Fatalf("reshard = %+v, %v; want exactly one error", sum, err)
+	}
+	if !strings.Contains(log.String(), "no longer holds "+deleted) {
+		t.Fatalf("log does not report the vanished document %s:\n%s", deleted, log.String())
+	}
+	for _, b := range f.backends {
+		if _, ok := b.srv.Session(deleted); ok {
+			t.Fatalf("%s was copied to %s after its source deleted it", deleted, b.node.Name())
+		}
+	}
+	ring, _ := NewRing(f.ring, 2)
+	for i := 0; i < 8; i++ {
+		name := fmt.Sprintf("doc-%02d", i)
+		if name == deleted {
+			continue
+		}
+		owner := ring.Owner(name)
+		for _, b := range f.backends {
+			if b.node == owner {
+				if _, ok := b.srv.Session(name); !ok {
+					t.Fatalf("%s missing from its new owner %s", name, owner.Name())
+				}
+			}
+		}
 	}
 }

@@ -4,8 +4,8 @@
 // sync.RWMutex, or sync.Once field — are protected by it, and may only
 // be read with the mutex (or its read half) held and written with the
 // write lock held. store.Sharded's shard maps and byte counters are
-// the motivating case; the engine query cache, the router answer
-// cache, and Remote's error slot follow the same layout.
+// the motivating case; the engine query cache and the router answer
+// cache follow the same layout.
 //
 // The analyzer tracks lock state statement by statement: Lock/RLock
 // and Unlock/RUnlock calls transition the state for their receiver

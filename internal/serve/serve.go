@@ -92,14 +92,16 @@ const DefaultMaxBodyBytes = 32 << 20
 const DefaultMaxDocuments = 64
 
 // Server routes HTTP requests onto an engine.Engine and the document
-// store: every named document is an engine.Session held in a sharded
-// store.Store, so lookups on different documents never contend on one
+// store: every named document is an engine.Session held in a
+// store.Sharded, so lookups on different documents never contend on one
 // lock and the corpus is bounded by the store's entry and byte
-// budgets.
+// budgets. A lookup hands out the session and its version together
+// (Sharded.Get), so every answer is labelled with the version of the
+// document that computed it.
 type Server struct {
 	eng     *engine.Engine
 	maxBody int64
-	docs    store.Store[*engine.Session]
+	docs    *store.Sharded[*engine.Session]
 
 	// Observability: the registry is the engine's (one exposition for
 	// all tiers), stage its xpath_stage_seconds family (serve records
@@ -165,14 +167,6 @@ func (s *Server) AddDocument(name, xml string) (int, uint64, error) {
 	return s.AddDocumentAt(name, xml, 0)
 }
 
-// versionMirror is the store capability AddDocumentAt and the version
-// surfaces need beyond the Store interface; the production Sharded
-// store satisfies it.
-type versionMirror interface {
-	PutAt(key string, v *engine.Session, size int64, ver uint64) (uint64, error)
-	Version(key string) (uint64, bool)
-}
-
 // AddDocumentAt registers xml under name at an explicitly assigned
 // version — the write half of replication and resharding, where a
 // mirror must store the owner's document at the owner's version so
@@ -200,32 +194,17 @@ func (s *Server) addDocument(ctx context.Context, name, xml string, ver uint64) 
 	sess := s.eng.NewSession(d)
 	ws.End()
 	s.stage.With("index_warm").ObserveSince(wstart)
-	var v uint64
-	if vm, ok := s.docs.(versionMirror); ok && ver > 0 {
-		v, err = vm.PutAt(name, sess, int64(len(xml)), ver)
-	} else {
-		v, err = s.docs.Put(name, sess, int64(len(xml)))
-	}
+	v, err := s.docs.PutAt(name, sess, int64(len(xml)), ver)
 	if err != nil {
 		return 0, 0, err
 	}
 	return d.Len(), v, nil
 }
 
-// docVersion returns the current version of a named document (0 when
-// unknown or the store does not track versions).
-func (s *Server) docVersion(name string) uint64 {
-	if vm, ok := s.docs.(versionMirror); ok {
-		if v, ok := vm.Version(name); ok {
-			return v
-		}
-	}
-	return 0
-}
-
 // Session returns the session serving a named document.
 func (s *Server) Session(name string) (*engine.Session, bool) {
-	return s.docs.Get(name)
+	sess, _, ok := s.docs.Get(name)
+	return sess, ok
 }
 
 // EvictIdle deletes every document whose session has not been queried
@@ -239,28 +218,18 @@ func (s *Server) Session(name string) (*engine.Session, bool) {
 // re-registers).
 func (s *Server) EvictIdle(maxIdle time.Duration) []string {
 	var cold []string
-	s.docs.Range(func(name string, sess *engine.Session, _ int64) bool {
+	s.docs.Range(func(name string, sess *engine.Session, _ int64, _ uint64) bool {
 		if sess.IdleFor() > maxIdle {
 			cold = append(cold, name)
 		}
 		return true
 	})
-	type conditionalDeleter interface {
-		DeleteIf(key string, cond func(*engine.Session, int64) bool) bool
+	stillIdle := func(sess *engine.Session, _ int64) bool {
+		return sess.IdleFor() > maxIdle
 	}
-	cd, _ := s.docs.(conditionalDeleter)
 	var evicted []string
 	for _, name := range cold {
-		stillIdle := func(sess *engine.Session, _ int64) bool {
-			return sess.IdleFor() > maxIdle
-		}
-		ok := false
-		if cd != nil {
-			ok = cd.DeleteIf(name, stillIdle)
-		} else if sess, present := s.docs.Get(name); present && stillIdle(sess, 0) {
-			ok = s.docs.Delete(name)
-		}
-		if ok {
+		if s.docs.DeleteIf(name, stillIdle) {
 			evicted = append(evicted, name)
 		}
 	}
@@ -437,8 +406,8 @@ func kindName(k xpath.Type) string {
 // The document version is a required argument, not an afterthought:
 // every response constructor must carry it so the (doc, query,
 // version)-keyed caches in front of this node are never poisoned by an
-// unversioned answer. Callers read it BEFORE acquiring the session
-// (see handleQuery for the race argument).
+// unversioned answer. It is the version Sharded.Get returned with the
+// session that evaluated the query.
 func render(ver uint64, res *engine.Result) QueryResponse {
 	resp := QueryResponse{Query: res.Query, Version: ver}
 	if res.Compiled != nil {
@@ -476,13 +445,13 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		docs := []DocInfo{}
-		s.docs.Range(func(name string, sess *engine.Session, size int64) bool {
+		s.docs.Range(func(name string, sess *engine.Session, size int64, ver uint64) bool {
 			docs = append(docs, DocInfo{
 				Name:    name,
 				Nodes:   sess.Document().Len(),
 				Bytes:   size,
 				IdleMs:  sess.IdleFor().Milliseconds(),
-				Version: s.docVersion(name),
+				Version: ver,
 			})
 			return true
 		})
@@ -505,15 +474,13 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDocumentGet serves one document including its serialized XML —
-// the read half of the remote store protocol (cluster.Remote.Get).
-// The version is read BEFORE the session so a replacement racing this
-// fetch can only under-label the XML (harmless: a mirror write at the
-// older version loses to the real newer one), never pair old content
-// with the new version — which a reshard would then copy and the
-// stale-write guard make permanent.
+// what the router, repair and reshard fetch (cluster.Node.GetDocument);
+// the last two copy it elsewhere at its version. The XML and the
+// version come from one Sharded.Get, so they always belong together:
+// old content paired with a newer version would be copied by a reshard
+// and made permanent by the stale-write guard.
 func (s *Server) handleDocumentGet(w http.ResponseWriter, name string) {
-	ver := s.docVersion(name)
-	sess, ok := s.docs.Get(name)
+	sess, ver, ok := s.docs.Get(name)
 	if !ok {
 		HTTPError(w, http.StatusNotFound, "unknown document %q", name)
 		return
@@ -577,13 +544,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusBadRequest, "both doc and query are required")
 		return
 	}
-	// The version is read BEFORE the session: if a replacement lands
-	// between the two, the answer is the new document's labeled with
-	// the old version — at worst a cache miss downstream. The other
-	// order would label an old answer with the new version, poisoning
-	// every (doc, query, version)-keyed cache in front of this node.
-	ver := s.docVersion(req.Doc)
-	sess, ok := s.Session(req.Doc)
+	sess, ver, ok := s.docs.Get(req.Doc)
 	if !ok {
 		HTTPError(w, http.StatusNotFound, "unknown document %q", req.Doc)
 		return
@@ -651,10 +612,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Doc != "" {
-		// Version before session, as in handleQuery: mislabeling an old
-		// answer with a new version would poison downstream caches.
-		ver := s.docVersion(req.Doc)
-		sess, ok := s.Session(req.Doc)
+		sess, ver, ok := s.docs.Get(req.Doc)
 		if !ok {
 			HTTPError(w, http.StatusNotFound, "unknown document %q", req.Doc)
 			return
@@ -732,9 +690,7 @@ func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request, jobs []
 	ctx, writeLine := s.startBatchStream(w, r)
 	var wg sync.WaitGroup
 	for doc, indices := range byDoc {
-		// Version before session, as in handleQuery, per document.
-		ver := s.docVersion(doc)
-		sess, ok := s.Session(doc)
+		sess, ver, ok := s.docs.Get(doc)
 		if !ok {
 			for _, gi := range indices {
 				writeLine(&BatchLine{
@@ -798,8 +754,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Version uint64 `json:"version"`
 	}
 	docs := map[string]docStat{}
-	s.docs.Range(func(name string, sess *engine.Session, _ int64) bool {
-		docs[name] = docStat{Nodes: sess.Document().Len(), Version: s.docVersion(name)}
+	s.docs.Range(func(name string, sess *engine.Session, _ int64, ver uint64) bool {
+		docs[name] = docStat{Nodes: sess.Document().Len(), Version: ver}
 		return true
 	})
 	// cache.rejects counts the compile misses the cache's doorkeeper did
@@ -935,7 +891,7 @@ func HTTPError(w http.ResponseWriter, status int, format string, args ...any) {
 // DocNames returns the registered document names, sorted (for logs).
 func (s *Server) DocNames() []string {
 	var names []string
-	s.docs.Range(func(name string, _ *engine.Session, _ int64) bool {
+	s.docs.Range(func(name string, _ *engine.Session, _ int64, _ uint64) bool {
 		names = append(names, name)
 		return true
 	})

@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unicode/utf8"
@@ -811,4 +813,96 @@ func TestBatchLinesCarryVersion(t *testing.T) {
 			t.Fatalf("unexpected doc %v", line["doc"])
 		}
 	}
+}
+
+// TestAnswerVersionMatchesContent pins the (name → version) pairing
+// every answer carries. Writers re-register one name at rising explicit
+// versions with content that states its version, <v n="K"/>, while
+// readers ask for it through /query, both /batch forms and GET
+// /documents?name=. Every answer's version must be the K its value
+// shows: a lookup that read the version apart from the session could
+// label one document's answer with another's version.
+func TestAnswerVersionMatchesContent(t *testing.T) {
+	srv := New(engine.New(engine.Options{CacheSize: 64, Workers: 2}), store.Config{})
+	if _, _, err := srv.AddDocumentAt("v", `<v n="1"/>`, 1); err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	const q = `number(/v/@n)`
+	requests := []struct{ method, target, body string }{
+		{http.MethodGet, "/query?doc=v&q=" + q, ""},
+		{http.MethodPost, "/query", `{"doc":"v","query":"` + q + `"}`},
+		{http.MethodPost, "/batch", `{"doc":"v","queries":["` + q + `","` + q + `"]}`},
+		{http.MethodPost, "/batch", `{"jobs":[{"doc":"v","query":"` + q + `"},{"doc":"v","query":"` + q + `"}]}`},
+		{http.MethodGet, "/documents?name=v", ""},
+	}
+	stated := regexp.MustCompile(`n="(\d+)"`)
+	// check reads one answer (a /query body, a batch line, a document)
+	// and reports it unless its version is the n its content states.
+	check := func(what string, raw []byte) {
+		var a struct {
+			Version uint64 `json:"version"`
+			Value   struct {
+				Number float64 `json:"number"`
+			} `json:"value"`
+			XML string `json:"xml"`
+		}
+		if err := json.Unmarshal(raw, &a); err != nil {
+			t.Errorf("%s: %q: %v", what, raw, err)
+			return
+		}
+		n := a.Value.Number
+		if m := stated.FindStringSubmatch(a.XML); m != nil {
+			fmt.Sscan(m[1], &n)
+		}
+		if a.Version == 0 || float64(a.Version) != n {
+			t.Errorf("%s: answer at version %d shows n=%v: %s", what, a.Version, n, raw)
+		}
+	}
+
+	var next atomic.Uint64
+	next.Store(1)
+	stop := make(chan struct{})
+	var writers, readers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := next.Add(1)
+				if _, _, err := srv.AddDocumentAt("v", fmt.Sprintf(`<v n="%d"/>`, k), k); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 40; i++ {
+				for _, req := range requests {
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(req.method, req.target, strings.NewReader(req.body)))
+					what := req.method + " " + req.target
+					if rec.Code != http.StatusOK {
+						t.Errorf("%s: status %d: %s", what, rec.Code, rec.Body.Bytes())
+						continue
+					}
+					for _, line := range bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n")) {
+						check(what, line)
+					}
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	writers.Wait()
 }

@@ -30,10 +30,22 @@ type Config struct {
 	Policy EvictionPolicy
 }
 
-// Sharded is the production Store: N shards, each a mutex-guarded map
+// Sharded is the document store: N shards, each a mutex-guarded map
 // plus an LRU list, with byte accounting per shard. Routing is FNV-1a
 // over the key, so contention on one hot document never blocks lookups
-// of documents on other shards.
+// of documents on other shards. All methods are safe for concurrent
+// use.
+//
+// Every entry carries a monotonic version: Put assigns the next value
+// of a store-wide counter, so for a fixed key versions strictly
+// increase across replacements (and even across a Delete followed by a
+// re-Put — the counter never goes backwards). The version is the
+// staleness signal of the replication layer: a replica or cache
+// holding version v of a document knows it is stale the moment it
+// sees a version > v for the same key. Get and Range hand out a value
+// together with the version it was stored under, read under one shard
+// lock, so a caller can never pair a value with another entry's
+// version.
 type Sharded[V any] struct {
 	cfg      Config
 	shardMax int64 // per-shard byte budget (0 = unlimited)
@@ -97,8 +109,9 @@ func (s *Sharded[V]) ShardFor(key string) int {
 	return KeyShard(key, len(s.shards))
 }
 
-// Get returns the value stored under key, refreshing its recency.
-func (s *Sharded[V]) Get(key string) (V, bool) {
+// Get returns the value stored under key and the version it was
+// stored at, refreshing its recency.
+func (s *Sharded[V]) Get(key string) (V, uint64, bool) {
 	sh := &s.shards[s.ShardFor(key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -106,18 +119,20 @@ func (s *Sharded[V]) Get(key string) (V, bool) {
 	if !ok {
 		sh.misses++
 		var zero V
-		return zero, false
+		return zero, 0, false
 	}
 	sh.hits++
 	sh.lru.MoveToFront(el)
-	return el.Value.(*shardEntry[V]).val, true
+	e := el.Value.(*shardEntry[V])
+	return e.val, e.ver, true
 }
 
-// Put stores v under key and returns the entry's newly assigned
-// version (the next value of the store-wide monotonic counter). Under
-// EvictLRU it evicts least-recently-used entries from the target shard
-// until the new entry fits its byte budget; under EvictReject it
-// returns ErrFull instead.
+// Put stores v under key with the given size in bytes, replacing any
+// previous entry, and returns the entry's newly assigned version (the
+// next value of the store-wide monotonic counter). Under EvictLRU it
+// evicts least-recently-used entries from the target shard until the
+// new entry fits its byte budget; under EvictReject it returns ErrFull
+// instead. An entry bigger than a whole shard's budget is ErrTooLarge.
 func (s *Sharded[V]) Put(key string, v V, size int64) (uint64, error) {
 	return s.put(key, v, size, 0)
 }
@@ -204,20 +219,6 @@ func (s *Sharded[V]) put(key string, v V, size int64, explicit uint64) (uint64, 
 	return ver, nil
 }
 
-// Version returns the version of the entry under key without
-// refreshing its recency or counting a hit — a metadata peek, not a
-// document lookup.
-func (s *Sharded[V]) Version(key string) (uint64, bool) {
-	sh := &s.shards[s.ShardFor(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.items[key]
-	if !ok {
-		return 0, false
-	}
-	return el.Value.(*shardEntry[V]).ver, true
-}
-
 // LastVersion returns the store-wide version counter: the version most
 // recently assigned (or mirrored) by any Put.
 func (s *Sharded[V]) LastVersion() uint64 { return s.lastVer.Load() }
@@ -271,11 +272,12 @@ func (s *Sharded[V]) DeleteIf(key string, cond func(v V, size int64) bool) bool 
 	return true
 }
 
-// Range visits entries shard by shard. Each shard is snapshotted under
-// its lock, then f runs lock-free, so f may call back into the store.
-// The snapshot copies the entries: a Put that replaces a key rewrites
-// its entry in place.
-func (s *Sharded[V]) Range(f func(key string, v V, size int64) bool) {
+// Range visits entries shard by shard, each with its size and version,
+// until f returns false. Each shard is snapshotted under its lock, then
+// f runs lock-free, so f may call back into the store; entries added or
+// removed while ranging may or may not be visited. The snapshot copies
+// the entries: a Put that replaces a key rewrites its entry in place.
+func (s *Sharded[V]) Range(f func(key string, v V, size int64, ver uint64) bool) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
@@ -285,14 +287,16 @@ func (s *Sharded[V]) Range(f func(key string, v V, size int64) bool) {
 		}
 		sh.mu.Unlock()
 		for _, e := range snap {
-			if !f(e.key, e.val, e.size) {
+			if !f(e.key, e.val, e.size, e.ver) {
 				return
 			}
 		}
 	}
 }
 
-// Stats aggregates current fill and lifetime counters across shards.
+// Stats aggregates current fill and lifetime counters across shards. It
+// reads per-shard counters, never walks the entries, so the serving
+// layer can call it at every /metrics scrape.
 func (s *Sharded[V]) Stats() Stats {
 	st := Stats{Shards: make([]ShardStats, len(s.shards))}
 	for i := range s.shards {

@@ -2,11 +2,9 @@
 // document store with explicit memory accounting, decoupled from both
 // the HTTP server above it and the evaluation engine below it.
 //
-// The Store interface is deliberately small — Get/Put/Delete/Range/
-// Stats — so the serving layer routes every document lookup through it
-// without caring how entries are laid out. The one production
-// implementation, Sharded, spreads entries over N independently locked
-// shards with FNV-1a routing; see sharded.go. Values are opaque to the
+// Sharded (sharded.go) spreads entries over N independently locked
+// shards with FNV-1a routing and gives every entry a monotonic version;
+// its comment states the version contract. Values are opaque to the
 // store: the caller supplies a size in bytes with every Put and the
 // store enforces its configured budgets against that accounting.
 package store
@@ -21,34 +19,6 @@ var ErrFull = errors.New("store: full")
 // ErrTooLarge is returned by Put when a single entry is bigger than a
 // whole shard's byte budget, so no amount of eviction could admit it.
 var ErrTooLarge = errors.New("store: entry exceeds shard byte budget")
-
-// Store is a keyed value store with byte-size accounting. All methods
-// are safe for concurrent use.
-//
-// Every entry carries a monotonic version: Put assigns the next value
-// of a store-wide counter, so for a fixed key versions strictly
-// increase across replacements (and even across a Delete followed by a
-// re-Put — the counter never goes backwards). The version is the
-// staleness signal of the replication layer: a replica or cache
-// holding version v of a document knows it is stale the moment it
-// sees a version > v for the same key.
-type Store[V any] interface {
-	// Get returns the value stored under key.
-	Get(key string) (V, bool)
-	// Put stores v under key with the given size in bytes, replacing
-	// any previous entry, and returns the entry's newly assigned
-	// monotonic version. It returns ErrFull or ErrTooLarge when the
-	// store's budgets refuse the entry.
-	Put(key string, v V, size int64) (uint64, error)
-	// Delete removes key, reporting whether it was present.
-	Delete(key string) bool
-	// Range calls f for every entry until f returns false. It takes a
-	// point-in-time snapshot per shard; entries added or removed while
-	// ranging may or may not be visited.
-	Range(f func(key string, v V, size int64) bool)
-	// Stats returns aggregate and per-shard statistics.
-	Stats() Stats
-}
 
 // EvictionPolicy selects what Put does when a shard's byte budget is
 // exhausted.
@@ -93,9 +63,7 @@ type ShardStats struct {
 // Stats aggregates the store: totals plus the per-shard breakdown (the
 // routing quality is visible as the spread of Entries across Shards).
 // Beyond /stats, the serving layer reads Entries and Bytes at every
-// /metrics scrape (the xpath_documents and xpath_store_bytes gauges),
-// so implementations must keep Stats cheap — per-shard counters, no
-// full walks.
+// /metrics scrape (the xpath_documents and xpath_store_bytes gauges).
 type Stats struct {
 	Entries   int          `json:"entries"`
 	Bytes     int64        `json:"bytes"`

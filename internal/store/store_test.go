@@ -12,14 +12,14 @@ func TestPutGetDelete(t *testing.T) {
 	if _, err := s.Put("a", "alpha", 5); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := s.Get("a")
-	if !ok || v != "alpha" {
-		t.Fatalf("Get(a) = %q, %v", v, ok)
+	v, ver, ok := s.Get("a")
+	if !ok || v != "alpha" || ver == 0 {
+		t.Fatalf("Get(a) = %q, %d, %v", v, ver, ok)
 	}
 	if _, err := s.Put("a", "beta", 4); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := s.Get("a"); v != "beta" {
+	if v, _, _ := s.Get("a"); v != "beta" {
 		t.Fatalf("after replace Get(a) = %q", v)
 	}
 	if s.Len() != 1 {
@@ -31,7 +31,7 @@ func TestPutGetDelete(t *testing.T) {
 	if !s.Delete("a") || s.Delete("a") {
 		t.Fatal("Delete should report presence exactly once")
 	}
-	if _, ok := s.Get("a"); ok {
+	if _, _, ok := s.Get("a"); ok {
 		t.Fatal("Get after Delete succeeded")
 	}
 	if st := s.Stats(); st.Entries != 0 || st.Bytes != 0 {
@@ -106,10 +106,10 @@ func TestLRUEviction(t *testing.T) {
 	if _, err := s.Put("big", 99, 30); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get("k1"); ok {
+	if _, _, ok := s.Get("k1"); ok {
 		t.Fatal("k1 should have been evicted as least recently used")
 	}
-	if _, ok := s.Get("k0"); !ok {
+	if _, _, ok := s.Get("k0"); !ok {
 		t.Fatal("recently used k0 was evicted")
 	}
 	st := s.Stats()
@@ -144,21 +144,25 @@ func TestRejectPolicyAndTooLarge(t *testing.T) {
 func TestRange(t *testing.T) {
 	s := NewSharded[int](Config{Shards: 4})
 	want := map[string]int{"a": 1, "b": 2, "c": 3}
+	vers := map[string]uint64{}
 	for k, v := range want {
-		s.Put(k, v, int64(v))
+		vers[k], _ = s.Put(k, v, int64(v))
 	}
 	got := map[string]int{}
 	var bytes int64
-	s.Range(func(k string, v int, size int64) bool {
+	s.Range(func(k string, v int, size int64, ver uint64) bool {
 		got[k] = v
 		bytes += size
+		if ver != vers[k] {
+			t.Errorf("Range(%s) version %d, want the Put's %d", k, ver, vers[k])
+		}
 		return true
 	})
 	if len(got) != len(want) || bytes != 6 {
 		t.Fatalf("Range visited %v (%d bytes)", got, bytes)
 	}
 	n := 0
-	s.Range(func(string, int, int64) bool { n++; return false })
+	s.Range(func(string, int, int64, uint64) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("Range ignored early stop: visited %d", n)
 	}
@@ -175,7 +179,7 @@ func TestDeleteIf(t *testing.T) {
 	if s.DeleteIf("k", func(v int, size int64) bool { return v == 2 }) {
 		t.Fatal("DeleteIf removed an entry its condition rejected")
 	}
-	if _, ok := s.Get("k"); !ok {
+	if _, _, ok := s.Get("k"); !ok {
 		t.Fatal("entry vanished after a refused DeleteIf")
 	}
 	if !s.DeleteIf("k", func(v int, size int64) bool { return v == 1 && size == 10 }) {
@@ -204,12 +208,12 @@ func TestVersions(t *testing.T) {
 	if v2 <= v1 {
 		t.Fatalf("replacement version %d not above %d", v2, v1)
 	}
-	if got, ok := s.Version("doc"); !ok || got != v2 {
-		t.Fatalf("Version(doc) = (%d, %v), want (%d, true)", got, ok, v2)
+	if val, got, ok := s.Get("doc"); !ok || val != "two" || got != v2 {
+		t.Fatalf("Get(doc) = (%q, %d, %v), want (two, %d, true)", val, got, ok, v2)
 	}
 	s.Delete("doc")
-	if _, ok := s.Version("doc"); ok {
-		t.Fatal("Version survived Delete")
+	if _, got, ok := s.Get("doc"); ok || got != 0 {
+		t.Fatalf("Get after Delete = (%d, %v), want (0, false)", got, ok)
 	}
 	v3, _ := s.Put("doc", "three", 5)
 	if v3 <= v2 {
@@ -225,8 +229,8 @@ func TestVersions(t *testing.T) {
 	if got, _ := s.PutAt("mirrored", "stale copy", 10, v3+50); got != v3+100 {
 		t.Fatalf("stale PutAt resulted in version %d, want resident %d", got, v3+100)
 	}
-	if val, _ := s.Get("mirrored"); val != "replica copy" {
-		t.Fatalf("stale PutAt replaced the value: %q", val)
+	if val, ver, _ := s.Get("mirrored"); val != "replica copy" || ver != v3+100 {
+		t.Fatalf("stale PutAt replaced the entry: (%q, %d)", val, ver)
 	}
 	// The counter cleared the mirrored version: later Puts stay above.
 	if v4, _ := s.Put("doc", "four", 5); v4 <= v3+100 {
@@ -271,7 +275,7 @@ func TestRangeOrderWithinShard(t *testing.T) {
 	}
 	s.Get("a") // now a is MRU; order front→back is a, c, b
 	var order []string
-	s.Range(func(k string, _ int, _ int64) bool {
+	s.Range(func(k string, _ int, _ int64, _ uint64) bool {
 		order = append(order, k)
 		return true
 	})
@@ -320,7 +324,7 @@ func TestRangeUnderConcurrentMutation(t *testing.T) {
 	}
 	for pass := 0; pass < 300; pass++ {
 		seen := map[string]bool{}
-		s.Range(func(k string, v int, size int64) bool {
+		s.Range(func(k string, v int, size int64, _ uint64) bool {
 			if seen[k] {
 				t.Errorf("pass %d: key %q visited twice in one Range", pass, k)
 			}
