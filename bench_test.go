@@ -31,7 +31,6 @@ import (
 	"repro/internal/axes"
 	"repro/internal/bottomup"
 	"repro/internal/core"
-	"repro/internal/datapool"
 	"repro/internal/engine"
 	"repro/internal/mincontext"
 	"repro/internal/naive"
@@ -134,7 +133,7 @@ func BenchmarkExp3DataPool(b *testing.B) {
 				q := xpath.MustParse(workload.Exp3Query(k))
 				b.ResetTimer()
 				for j := 0; j < b.N; j++ {
-					ev, _ := datapool.NewEvaluator(d)
+					ev, _ := naive.NewPooled(d)
 					if _, err := ev.Evaluate(q, rootCtx(d)); err != nil {
 						b.Fatal(err)
 					}
@@ -218,7 +217,7 @@ func BenchmarkTable5DataPool(b *testing.B) {
 				q := xpath.MustParse(workload.Exp3Query(k))
 				b.ResetTimer()
 				for j := 0; j < b.N; j++ {
-					ev, _ := datapool.NewEvaluator(d)
+					ev, _ := naive.NewPooled(d)
 					if _, err := ev.Evaluate(q, rootCtx(d)); err != nil {
 						b.Fatal(err)
 					}

@@ -22,12 +22,15 @@
 //     goroutine; what scales across cores is queries (README,
 //     "Intra-query parallelism: measured, removed").
 //   - internal/naive … internal/xpatterns — one package per algorithm
-//     (naive, datapool, bottomup, topdown, mincontext, wadler =
+//     (naive, whose memo is the data pool of Section 9 behind the
+//     datapool strategy, bottomup, topdown, mincontext, wadler =
 //     optmincontext, xpatterns = the Section 10 set algebra behind the
 //     corexpath and xpatterns strategies; internal/corexpath is tests
-//     only), over internal/evalutil's pair loops and its two walks over
-//     a location path, forward and backward, each written once with one
-//     judge of a step's predicates per language.
+//     only), over one operator core: F[[Op]] in internal/semantics
+//     (Apply), and internal/evalutil's pair loops, step relation,
+//     relation composition and its two walks over a location path,
+//     forward and backward, each written once with one judge of a
+//     step's predicates per language.
 //   - internal/core — the public engine API: compile a query once,
 //     evaluate it with a selectable strategy; Auto picks the best
 //     algorithm per query from one static table over the fragment

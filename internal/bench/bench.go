@@ -18,7 +18,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/datapool"
 	"repro/internal/naive"
 	"repro/internal/semantics"
 	"repro/internal/topdown"
@@ -116,7 +115,7 @@ func (r naiveRunner) run(e xpath.Expr, budget int64) (time.Duration, int64, bool
 type datapoolRunner struct{ d *xmltree.Document }
 
 func (r datapoolRunner) run(e xpath.Expr, budget int64) (time.Duration, int64, bool, error) {
-	ev, _ := datapool.NewEvaluator(r.d)
+	ev, _ := naive.NewPooled(r.d)
 	ev.Budget = budget
 	start := time.Now()
 	_, err := ev.Evaluate(e, rootCtx(r.d))

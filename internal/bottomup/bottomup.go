@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/axes"
 	"repro/internal/evalutil"
 	"repro/internal/semantics"
 	"repro/internal/xmltree"
@@ -206,7 +207,7 @@ func (ev *Evaluator) buildTable(e xpath.Expr) (*table, error) {
 			return nil, err
 		}
 		return ev.mapTables(relev, []*table{lt, rt}, func(c semantics.Context, vs []semantics.Value) (semantics.Value, error) {
-			return applyBinary(ev.doc, x.Op, vs[0], vs[1])
+			return semantics.Apply(ev.doc, nil, x.Op, vs[0], vs[1])
 		})
 	case *xpath.Call:
 		subs := make([]*table, len(x.Args))
@@ -270,140 +271,118 @@ func (ev *Evaluator) mapTables(r xpath.Relev, subs []*table, f func(semantics.Co
 	return t, nil
 }
 
-func applyBinary(d *xmltree.Document, op xpath.BinOp, l, r semantics.Value) (semantics.Value, error) {
-	switch {
-	case op == xpath.OpAnd:
-		return semantics.Boolean(semantics.ToBoolean(l) && semantics.ToBoolean(r)), nil
-	case op == xpath.OpOr:
-		return semantics.Boolean(semantics.ToBoolean(l) || semantics.ToBoolean(r)), nil
-	case op == xpath.OpUnion:
-		if l.Kind != xpath.TypeNodeSet || r.Kind != xpath.TypeNodeSet {
-			return semantics.Value{}, fmt.Errorf("bottomup: | on non-node-sets")
-		}
-		return semantics.NodeSet(l.Set.Union(r.Set)), nil
-	case op.IsRelOp():
-		return semantics.Boolean(semantics.Compare(d, op, l, r)), nil
-	case op.IsArith():
-		return semantics.Number(semantics.Arith(op, semantics.ToNumber(d, l), semantics.ToNumber(d, r))), nil
-	default:
-		return semantics.Value{}, fmt.Errorf("bottomup: unknown operator %v", op)
-	}
-}
-
-// stepRelation computes the per-node relation of one location step with
-// its predicates applied: rel[x] = filtered {y | x χ y, y ∈ T(t)}. The
-// location-step rows of Table IV:
-//
-//	E↑[[χ::t]]  = {⟨x,k,n, {y | xχy, y∈T(t)}⟩}
-//	E↑[[E[e]]] = {⟨x,k,n, {y ∈ S | ⟨y, idx_χ(y,S), |S|, true⟩ ∈ E↑[[e]]}⟩}
-func (ev *Evaluator) stepRelation(step *xpath.Step) (map[xmltree.NodeID]xmltree.NodeSet, error) {
-	rel := make(map[xmltree.NodeID]xmltree.NodeSet, ev.doc.Len())
-	// Predicate tables are built once per predicate (bottom-up!).
-	predTables := make([]*table, len(step.Preds))
-	for i, p := range step.Preds {
+// predTables builds the table of every predicate, once per predicate
+// (bottom-up!), and returns what reads a predicate's value out of its
+// table.
+func (ev *Evaluator) predTables(preds []xpath.Expr) (evalutil.PredEval, error) {
+	tabs := make(map[xpath.Expr]*table, len(preds))
+	for _, p := range preds {
 		t, err := ev.buildTable(p)
 		if err != nil {
 			return nil, err
 		}
-		predTables[i] = t
+		tabs[p] = t
 	}
-	for i := 0; i < ev.doc.Len(); i++ {
-		if err := ev.cancel.Check(); err != nil {
+	return func(p xpath.Expr, c semantics.Context) (semantics.Value, error) {
+		if v, ok := tabs[p].get(c); ok {
+			return v, nil
+		}
+		return semantics.Value{}, fmt.Errorf("bottomup: table of %s missing context ⟨%d,%d,%d⟩", p, c.Node, c.Pos, c.Size)
+	}, nil
+}
+
+// relation is the relation of one location step, its predicates read
+// from their tables.
+func (ev *Evaluator) relation(step *xpath.Step) ([]xmltree.NodeSet, error) {
+	pred, err := ev.predTables(step.Preds)
+	if err != nil {
+		return nil, err
+	}
+	return stepRelation(ev.doc, ev.cancel, step, pred)
+}
+
+// stepRelation computes the relation of one location step with its
+// predicates applied at every node x of the document, rel[x] = {y | x χ
+// y, y ∈ T(t)} filtered by each predicate in turn, pred reading it at
+// ⟨y, idx_χ(y, S), |S|⟩. The location-step rows of Table IV:
+//
+//	E↑[[χ::t]]  = {⟨x,k,n, {y | xχy, y∈T(t)}⟩}
+//	E↑[[E[e]]] = {⟨x,k,n, {y ∈ S | ⟨y, idx_χ(y,S), |S|, true⟩ ∈ E↑[[e]]}⟩}
+func stepRelation(d *xmltree.Document, cancel *evalutil.Canceller, step *xpath.Step, pred evalutil.PredEval) ([]xmltree.NodeSet, error) {
+	rel := make([]xmltree.NodeSet, d.Len())
+	for i := range rel {
+		if err := cancel.Check(); err != nil {
 			return nil, err
 		}
-		x := xmltree.NodeID(i)
-		s := evalutil.StepCandidates(ev.doc, step.Axis, step.Test, x)
-		for _, pt := range predTables {
-			ordered := evalutil.AxisOrdered(step.Axis, s)
-			var keep []xmltree.NodeID
-			for j, y := range ordered {
-				c := semantics.Context{Node: y, Pos: j + 1, Size: len(ordered)}
-				v, ok := pt.get(c)
-				if !ok {
-					return nil, fmt.Errorf("bottomup: predicate table missing context")
-				}
-				if semantics.ToBoolean(v) {
-					keep = append(keep, y)
-				}
+		s := evalutil.StepCandidates(d, step.Axis, step.Test, xmltree.NodeID(i))
+		for _, p := range step.Preds {
+			var err error
+			if s, err = evalutil.FilterPositions(step.Axis, p, s, s[:0], pred, nil); err != nil {
+				return nil, err
 			}
-			s = xmltree.NewNodeSet(keep...)
 		}
-		rel[x] = s
+		rel[i] = s
 	}
 	return rel, nil
 }
 
-// pathTable composes step relations per the location-path rows of Table
-// IV: composition unions the second relation over the image of the
-// first; an absolute path reads its value at the root for all contexts.
-func (ev *Evaluator) pathTable(p *xpath.Path) (*table, error) {
-	// cur[x] = nodes reachable from x via the steps handled so far.
-	cur := make(map[xmltree.NodeID]xmltree.NodeSet, ev.doc.Len())
-	switch {
-	case p.Filter != nil:
-		ft, err := ev.buildTable(p.Filter)
+// follow composes every row with the relation of each step in turn, the
+// location-path rows of Table IV: a row R(x) becomes ⋃{S(y) | y ∈ R(x)}.
+func follow(d *xmltree.Document, cancel *evalutil.Canceller, rows []xmltree.NodeSet, steps []*xpath.Step, relation func(*xpath.Step) ([]xmltree.NodeSet, error)) error {
+	acc := xmltree.NewAccumulator(d.Len())
+	for _, step := range steps {
+		rel, err := relation(step)
 		if err != nil {
+			return err
+		}
+		// Values are treated as immutable, so a row may alias rel's.
+		relRow := func(y xmltree.NodeID) xmltree.NodeSet { return rel[y] }
+		for i, r := range rows {
+			if err := cancel.Check(); err != nil {
+				return err
+			}
+			rows[i] = evalutil.ComposeRow(nil, acc, r, relRow)
+		}
+	}
+	return nil
+}
+
+// pathTable is E↑ of a location path: its start at every context of its
+// relevant domain — the context node, the root, or the head's value
+// there — composed with the relation of each step (follow).
+func (ev *Evaluator) pathTable(p *xpath.Path) (*table, error) {
+	relev := xpath.RelevantContext(p)
+	ctxs, err := ev.contexts(relev)
+	if err != nil {
+		return nil, err
+	}
+	var head *table
+	if p.Filter != nil {
+		if head, err = ev.buildTable(p.Filter); err != nil {
 			return nil, err
 		}
-		for i := 0; i < ev.doc.Len(); i++ {
-			x := xmltree.NodeID(i)
-			v, ok := ft.get(semantics.Context{Node: x, Pos: -1, Size: -1})
-			if !ok {
-				// Filter may be position-dependent in pathological
-				// queries; Algorithm 6.3 as given does not arise there
-				// because the paper's normal form keeps heads simple.
-				return nil, fmt.Errorf("bottomup: position-dependent path head unsupported")
-			}
-			if v.Kind != xpath.TypeNodeSet {
+	}
+	rows := make([]xmltree.NodeSet, len(ctxs))
+	for i, c := range ctxs {
+		switch {
+		case head != nil:
+			v, ok := head.get(c)
+			if !ok || v.Kind != xpath.TypeNodeSet {
 				return nil, fmt.Errorf("bottomup: path head is not a node set")
 			}
-			cur[x] = v.Set
-		}
-	case p.Absolute:
-		for i := 0; i < ev.doc.Len(); i++ {
-			cur[xmltree.NodeID(i)] = xmltree.NodeSet{ev.doc.RootID()}
-		}
-	default:
-		for i := 0; i < ev.doc.Len(); i++ {
-			x := xmltree.NodeID(i)
-			cur[x] = xmltree.NodeSet{x}
+			rows[i] = v.Set
+		case p.Absolute:
+			rows[i] = xmltree.NodeSet{ev.doc.RootID()}
+		default:
+			rows[i] = xmltree.NodeSet{c.Node}
 		}
 	}
-	acc := xmltree.NewAccumulator(ev.doc.Len())
-	for _, step := range p.Steps {
-		rel, err := ev.stepRelation(step)
-		if err != nil {
-			return nil, err
-		}
-		next := make(map[xmltree.NodeID]xmltree.NodeSet, len(cur))
-		for x, ys := range cur {
-			if err := ev.cancel.Check(); err != nil {
-				return nil, err
-			}
-			var u xmltree.NodeSet
-			if len(ys) == 1 {
-				// Values are treated as immutable, so aliasing the step
-				// relation's row is safe and skips the copy.
-				u = rel[ys[0]]
-			} else if len(ys) > 1 {
-				for _, y := range ys {
-					acc.Add(rel[y])
-				}
-				u = acc.Result(nil)
-			}
-			next[x] = u
-		}
-		cur = next
+	if err := follow(ev.doc, ev.cancel, rows, p.Steps, ev.relation); err != nil {
+		return nil, err
 	}
-	relev := xpath.RelevantContext(p)
-	t := &table{relev: relev, vals: make(map[ctxKey]semantics.Value, len(cur))}
-	if !relev.Has(xpath.RelevNode) {
-		// Absolute path: same value for every context.
-		t.vals[t.key(semantics.Context{})] = semantics.NodeSet(cur[ev.doc.RootID()])
-		return t, nil
-	}
-	for x, s := range cur {
-		t.vals[t.key(semantics.Context{Node: x})] = semantics.NodeSet(s)
+	t := &table{relev: relev, vals: make(map[ctxKey]semantics.Value, len(ctxs))}
+	for i, c := range ctxs {
+		t.vals[t.key(c)] = semantics.NodeSet(rows[i])
 	}
 	return t, nil
 }
@@ -415,46 +394,27 @@ func (ev *Evaluator) filterTable(f *xpath.FilterExpr) (*table, error) {
 	if err != nil {
 		return nil, err
 	}
-	predTables := make([]*table, len(f.Preds))
-	for i, p := range f.Preds {
-		t, err := ev.buildTable(p)
-		if err != nil {
-			return nil, err
-		}
-		predTables[i] = t
-	}
-	relev := xpath.RelevantContext(f)
-	ctxs, err := ev.contexts(relev)
+	pred, err := ev.predTables(f.Preds)
 	if err != nil {
 		return nil, err
 	}
-	t := &table{relev: relev, vals: make(map[ctxKey]semantics.Value, len(ctxs))}
-	for _, c := range ctxs {
-		if err := ev.cancel.Check(); err != nil {
-			return nil, err
-		}
-		v, ok := pt.get(c)
-		if !ok {
-			return nil, fmt.Errorf("bottomup: filter primary missing context")
-		}
-		if v.Kind != xpath.TypeNodeSet {
-			return nil, fmt.Errorf("bottomup: predicates on %v", v.Kind)
-		}
-		s := v.Set
-		for _, ptab := range predTables {
-			var keep []xmltree.NodeID
-			for i, y := range s {
-				pv, ok := ptab.get(semantics.Context{Node: y, Pos: i + 1, Size: len(s)})
-				if !ok {
-					return nil, fmt.Errorf("bottomup: filter predicate missing context")
-				}
-				if semantics.ToBoolean(pv) {
-					keep = append(keep, y)
-				}
-			}
-			s = xmltree.NewNodeSet(keep...)
-		}
-		t.vals[t.key(c)] = semantics.NodeSet(s)
+	return ev.mapTables(xpath.RelevantContext(f), []*table{pt}, func(_ semantics.Context, vs []semantics.Value) (semantics.Value, error) {
+		return filter(vs[0], f.Preds, pred)
+	})
+}
+
+// filter keeps the members of a node set at which every predicate holds
+// in turn, at its position in document order, pred reading it.
+func filter(v semantics.Value, preds []xpath.Expr, pred evalutil.PredEval) (semantics.Value, error) {
+	if v.Kind != xpath.TypeNodeSet {
+		return semantics.Value{}, fmt.Errorf("bottomup: predicates on %v", v.Kind)
 	}
-	return t, nil
+	s := v.Set
+	for _, p := range preds {
+		var err error
+		if s, err = evalutil.FilterPositions(axes.Self, p, s, nil, pred, nil); err != nil {
+			return semantics.Value{}, err
+		}
+	}
+	return semantics.NodeSet(s), nil
 }

@@ -3,7 +3,6 @@ package bottomup
 import (
 	"fmt"
 
-	"repro/internal/evalutil"
 	"repro/internal/semantics"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -45,9 +44,9 @@ func (ev *PairEvaluator) Evaluate(e xpath.Expr, c semantics.Context) (semantics.
 }
 
 // eval computes an expression for one concrete context. The bottom-up
-// structure lives in evalPath/stepRelation, which build whole relations
-// before the enclosing expression consumes them; scalar operators
-// evaluate pointwise.
+// structure lives in the step relations, which are built whole before
+// the enclosing expression consumes them; scalar operators evaluate
+// pointwise.
 func (ev *PairEvaluator) eval(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
 	switch x := e.(type) {
 	case *xpath.Number:
@@ -71,7 +70,7 @@ func (ev *PairEvaluator) eval(e xpath.Expr, c semantics.Context) (semantics.Valu
 		if err != nil {
 			return semantics.Value{}, err
 		}
-		return applyBinary(ev.doc, x.Op, l, r)
+		return semantics.Apply(ev.doc, nil, x.Op, l, r)
 	case *xpath.Call:
 		args := make([]semantics.Value, len(x.Args))
 		for i, a := range x.Args {
@@ -83,15 +82,11 @@ func (ev *PairEvaluator) eval(e xpath.Expr, c semantics.Context) (semantics.Valu
 		}
 		return semantics.CallFunction(ev.doc, x.Name, c, args)
 	case *xpath.Path:
-		rel, err := ev.pathRelation(x)
-		if err != nil {
-			return semantics.Value{}, err
-		}
-		start := c.Node
-		if x.Absolute {
-			start = ev.doc.RootID()
-		}
-		if x.Filter != nil {
+		// The start — the head's value, the root or the context node —
+		// composed with the relation of each step.
+		rows := []xmltree.NodeSet{{c.Node}}
+		switch {
+		case x.Filter != nil:
 			v, err := ev.eval(x.Filter, c)
 			if err != nil {
 				return semantics.Value{}, err
@@ -99,107 +94,33 @@ func (ev *PairEvaluator) eval(e xpath.Expr, c semantics.Context) (semantics.Valu
 			if v.Kind != xpath.TypeNodeSet {
 				return semantics.Value{}, fmt.Errorf("bottomup: path head is not a node set")
 			}
-			var out xmltree.NodeSet
-			for _, s := range v.Set {
-				out = out.Union(rel[s])
-			}
-			return semantics.NodeSet(out), nil
+			rows[0] = v.Set
+		case x.Absolute:
+			rows[0] = xmltree.NodeSet{ev.doc.RootID()}
 		}
-		return semantics.NodeSet(rel[start]), nil
+		err := follow(ev.doc, nil, rows, x.Steps, ev.relation)
+		return semantics.NodeSet(rows[0]), err
 	case *xpath.FilterExpr:
 		prim, err := ev.eval(x.Primary, c)
 		if err != nil {
 			return semantics.Value{}, err
 		}
-		if prim.Kind != xpath.TypeNodeSet {
-			return semantics.Value{}, fmt.Errorf("bottomup: predicates on %v", prim.Kind)
-		}
-		s := prim.Set
-		for _, pred := range x.Preds {
-			var keep []xmltree.NodeID
-			for i, y := range s {
-				pc := semantics.Context{Node: y, Pos: i + 1, Size: len(s)}
-				ev.PairsEvaluated++
-				v, err := ev.eval(pred, pc)
-				if err != nil {
-					return semantics.Value{}, err
-				}
-				if semantics.ToBoolean(v) {
-					keep = append(keep, y)
-				}
-			}
-			s = xmltree.NewNodeSet(keep...)
-		}
-		return semantics.NodeSet(s), nil
+		return filter(prim, x.Preds, ev.pair)
 	default:
 		return semantics.Value{}, fmt.Errorf("bottomup: unknown expression %T", e)
 	}
 }
 
-// pathRelation materializes the full relation of a path: for every
-// possible previous context node x₀, the set of nodes reachable. This
-// is the E↑ table restricted to pair contexts.
-func (ev *PairEvaluator) pathRelation(p *xpath.Path) (map[xmltree.NodeID]xmltree.NodeSet, error) {
-	cur := make(map[xmltree.NodeID]xmltree.NodeSet, ev.doc.Len())
-	for i := 0; i < ev.doc.Len(); i++ {
-		x := xmltree.NodeID(i)
-		cur[x] = xmltree.NodeSet{x}
-	}
-	if p.Absolute {
-		for i := 0; i < ev.doc.Len(); i++ {
-			cur[xmltree.NodeID(i)] = xmltree.NodeSet{ev.doc.RootID()}
-		}
-	}
-	acc := xmltree.NewAccumulator(ev.doc.Len())
-	for _, step := range p.Steps {
-		rel, err := ev.stepRelation(step)
-		if err != nil {
-			return nil, err
-		}
-		next := make(map[xmltree.NodeID]xmltree.NodeSet, len(cur))
-		for x0, ys := range cur {
-			var u xmltree.NodeSet
-			if len(ys) == 1 {
-				u = rel[ys[0]]
-			} else if len(ys) > 1 {
-				for _, y := range ys {
-					acc.Add(rel[y])
-				}
-				u = acc.Result(nil)
-			}
-			next[x0] = u
-		}
-		cur = next
-	}
-	return cur, nil
+// pair evaluates a predicate at the context ⟨y, idx, size⟩ a pair ⟨x, y⟩
+// of the step that generates it stands for, and counts the pair.
+func (ev *PairEvaluator) pair(pred xpath.Expr, c semantics.Context) (semantics.Value, error) {
+	ev.PairsEvaluated++
+	return ev.eval(pred, c)
 }
 
-// stepRelation builds {⟨x, y⟩ | x χ y, y ∈ T(t), predicates hold} with
+// relation builds {⟨x, y⟩ | x χ y, y ∈ T(t), predicates hold} with
 // predicate contexts being exactly the pairs the step generates: the
 // Remark 6.7 representation. Every pair is evaluated at most once.
-func (ev *PairEvaluator) stepRelation(step *xpath.Step) (map[xmltree.NodeID]xmltree.NodeSet, error) {
-	rel := make(map[xmltree.NodeID]xmltree.NodeSet, ev.doc.Len())
-	for i := 0; i < ev.doc.Len(); i++ {
-		x := xmltree.NodeID(i)
-		s := evalutil.StepCandidates(ev.doc, step.Axis, step.Test, x)
-		for _, pred := range step.Preds {
-			ordered := evalutil.AxisOrdered(step.Axis, s)
-			var keep []xmltree.NodeID
-			for j, y := range ordered {
-				// Recover ⟨x, idx, size⟩ from the pair ⟨x, y⟩.
-				pc := semantics.Context{Node: y, Pos: j + 1, Size: len(ordered)}
-				ev.PairsEvaluated++
-				v, err := ev.eval(pred, pc)
-				if err != nil {
-					return nil, err
-				}
-				if semantics.ToBoolean(v) {
-					keep = append(keep, y)
-				}
-			}
-			s = xmltree.NewNodeSet(keep...)
-		}
-		rel[x] = s
-	}
-	return rel, nil
+func (ev *PairEvaluator) relation(step *xpath.Step) ([]xmltree.NodeSet, error) {
+	return stepRelation(ev.doc, nil, step, ev.pair)
 }

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/bottomup"
 	"repro/internal/core"
-	"repro/internal/datapool"
 	"repro/internal/mincontext"
 	"repro/internal/naive"
 	"repro/internal/semantics"
@@ -36,7 +35,7 @@ type engine interface {
 // returns and every other engine xpath.Optimize of it, so each
 // differential test of this package also checks the rewrite.
 func engines(d *xmltree.Document) map[string]engine {
-	dp, _ := datapool.NewEvaluator(d)
+	dp, _ := naive.NewPooled(d)
 	ref := naive.New(d)
 	return map[string]engine{
 		"naive":         ref,
@@ -85,6 +84,7 @@ var docs = map[string]string{
 	"idsdoc": `<t id="1"> 3 <t id="2"> 1 </t><t id="3"> 1 2 </t></t>`,
 	"wide":   `<r><a>1</a><b>2</b><a>3</a><c>4</c><a>5</a><b>6</b></r>`,
 	"attrs":  `<r><e a="1"/><a b="2" c="3"><b d="4"/></a></r>`,
+	"idpos":  `<r><a id="1"><b>x</b></a><a id="2"><b>y</b></a></r>`,
 }
 
 // queries is the conformance battery. Every query must be accepted by
@@ -181,6 +181,12 @@ var queries = []string{
 	"id('11 21')",
 	"id('12')/parent::*",
 	"count(id('2 3'))",
+	// Heads that read position() or last(): evaluated at the whole
+	// context, not at its node alone.
+	"id(position())/b",
+	`count(/r/a[id(position())/b = "x"])`,
+	"//a[id(position())/b]/@id",
+	"(id(last()))[1]",
 	// Unions.
 	"//a | //b",
 	"//a | //a",
@@ -322,7 +328,7 @@ func TestExample112(t *testing.T) {
 // an Experiment-3 style query must hit the pool.
 func TestDataPoolSharing(t *testing.T) {
 	d := xmltree.MustParseString(`<a><b/><b/><b/><b/><b/><b/><b/><b/><b/><b/></a>`)
-	ev, pool := datapool.NewEvaluator(d)
+	ev, pool := naive.NewPooled(d)
 	q := "//a/b[count(parent::a/b[count(parent::a/b) > 1]) > 1]"
 	e := xpath.MustParse(q)
 	if _, err := ev.Evaluate(e, semantics.Context{Node: d.RootID(), Pos: 1, Size: 1}); err != nil {
@@ -372,7 +378,7 @@ func TestExponentialSharingGap(t *testing.T) {
 		return ev.Steps()
 	}
 	pooledSteps := func(k int) int64 {
-		ev, _ := datapool.NewEvaluator(d)
+		ev, _ := naive.NewPooled(d)
 		if _, err := ev.Evaluate(build(k), ctx); err != nil {
 			t.Fatal(err)
 		}

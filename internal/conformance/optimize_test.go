@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"testing"
 
@@ -187,19 +188,29 @@ var poolShapes = []string{
 
 // fuzzDocs is the docs table plus the documents of the targeted tests,
 // in a fixed order so a corpus entry keeps meaning the same document;
-// new documents go to the end.
+// new documents go to the end (laterDocs).
 var fuzzDocs = func() []string {
 	names := make([]string, 0, len(docs))
 	for name := range docs {
-		names = append(names, name)
+		if !slices.Contains(laterDocs, name) {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	out := []string{descendantsDoc, shapesDoc, edgeDoc}
 	for _, name := range names {
 		out = append(out, docs[name])
 	}
-	return append(out, auctionDoc)
+	out = append(out, auctionDoc)
+	for _, name := range laterDocs {
+		out = append(out, docs[name])
+	}
+	return out
 }()
+
+// laterDocs are the documents of the docs table added after the corpus
+// was recorded, in the order they came.
+var laterDocs = []string{"idpos"}
 
 // FuzzOptimizeAgrees: for any query text that parses, the naive engine
 // on the literal tree, the top-down, MinContext and OptMinContext
@@ -224,7 +235,7 @@ func FuzzOptimizeAgrees(f *testing.F) {
 		f.Add(q, uint8(3+j%len(docs)))
 	}
 	for _, q := range poolShapes {
-		f.Add(q, uint8(len(fuzzDocs)-1))
+		f.Add(q, uint8(slices.Index(fuzzDocs, auctionDoc)))
 	}
 	// id() of attribute and text node sets, compared on every engine.
 	for i, src := range fuzzDocs {
@@ -235,7 +246,11 @@ func FuzzOptimizeAgrees(f *testing.F) {
 		}
 	}
 	for _, q := range []string{"id(//itemref/text())/name", "//open_auction[id(itemref/text())/quantity > 4]/current"} {
-		f.Add(q, uint8(len(fuzzDocs)-1))
+		f.Add(q, uint8(slices.Index(fuzzDocs, auctionDoc)))
+	}
+	// Heads that read position() or last(), where they select something.
+	for _, q := range []string{"id(position())/b", `count(/r/a[id(position())/b = "x"])`, "//a[id(position())/b]/@id", "(id(last()))[1]"} {
+		f.Add(q, uint8(slices.Index(fuzzDocs, docs["idpos"])))
 	}
 	parsed := make([]*xmltree.Document, len(fuzzDocs))
 	for i, src := range fuzzDocs {

@@ -38,7 +38,6 @@ import (
 	"io"
 
 	"repro/internal/bottomup"
-	"repro/internal/datapool"
 	"repro/internal/mincontext"
 	"repro/internal/naive"
 	"repro/internal/semantics"
@@ -430,7 +429,7 @@ func (en *Engine) EvaluateStrategy(ctx context.Context, q *Query, c Context, s S
 		ev.Budget = en.NaiveBudget
 		return ev.EvaluateContext(ctx, q.literal, c)
 	case DataPool:
-		ev, _ := datapool.NewEvaluator(en.doc)
+		ev, _ := naive.NewPooled(en.doc)
 		ev.Budget = en.NaiveBudget
 		return ev.EvaluateContext(ctx, q.literal, c)
 	case BottomUp:

@@ -1,10 +1,10 @@
 // Package evalutil holds what the evaluation engines share: step
-// candidates ({y | x χ y, y ∈ T(t)}) and their per-axis order, the
-// throttled cancellation checkpoint (cancel.go), the run of one
-// evaluation in its arena (arena.go), the ⟨previous, current⟩ pair loops
-// (pairloop.go) and the two walks over a location path, forward and
-// backward propagation, each written once for every language that judges
-// a step's predicates its own way (propagate.go).
+// candidates ({y | x χ y, y ∈ T(t)}), the throttled cancellation
+// checkpoint (cancel.go), the run of one evaluation in its arena
+// (arena.go), the ⟨previous, current⟩ pair loops (pairloop.go) and the
+// two walks over a location path, forward and backward propagation, with
+// the step relation and its composition, each written once for every
+// language that judges a step's predicates its own way (propagate.go).
 package evalutil
 
 import (
@@ -69,18 +69,4 @@ func filterTestInto(d *xmltree.Document, a axes.Axis, t xpath.NodeTest, s, dst x
 		}
 	}
 	return dst
-}
-
-// AxisOrdered returns the candidate set ordered by <doc,χ: document
-// order for forward axes, reverse document order for reverse axes
-// (Section 4). The input must be in document order.
-func AxisOrdered(a axes.Axis, s xmltree.NodeSet) []xmltree.NodeID {
-	if !a.IsReverse() {
-		return s
-	}
-	out := make([]xmltree.NodeID, len(s))
-	for i, id := range s {
-		out[len(s)-1-i] = id
-	}
-	return out
 }

@@ -64,22 +64,6 @@ func TestStepCandidatesSetEqualsUnion(t *testing.T) {
 	}
 }
 
-func TestAxisOrdered(t *testing.T) {
-	s := xmltree.NodeSet{1, 2, 3}
-	fw := AxisOrdered(axes.Child, s)
-	if fw[0] != 1 || fw[2] != 3 {
-		t.Errorf("forward order = %v", fw)
-	}
-	rv := AxisOrdered(axes.Ancestor, s)
-	if rv[0] != 3 || rv[2] != 1 {
-		t.Errorf("reverse order = %v", rv)
-	}
-	// Input slice must not be mutated.
-	if s[0] != 1 {
-		t.Error("AxisOrdered mutated its input")
-	}
-}
-
 func TestFilterTestPrincipalType(t *testing.T) {
 	d := doc(t)
 	a := d.DocumentElement()

@@ -14,7 +14,8 @@ import (
 // context nodes are worth visiting, one node's candidate list without a
 // fresh allocation, and the rank-and-filter pass over it with its
 // verdicts per ⟨position, size⟩. The two propagation kernels
-// (propagate.go) and MinContext's relations are their callers.
+// (propagate.go), the step relation Forward.Rows among them, are their
+// callers.
 
 // StepCandidatesInto is StepCandidates appending into dst[:0], so a loop
 // over previous context nodes reuses one buffer. For child::name the

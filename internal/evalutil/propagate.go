@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/axes"
+	"repro/internal/semantics"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -16,11 +17,14 @@ import (
 //
 //	S→[[χ::t[e]/π]](X)  = S→[[π]](judge(χ::t[e], χ(X) ∩ T(t)))
 //	S→[[h/π]](X)        = S→[[π]](head(h, X))
+//	Rows(χ::t[e], X)    = ⟨S→[[χ::t[e]]]({x}) | x ∈ X⟩   — the step relation, a row per x
+//	(R∘S)(x)            = ⋃{S(y) | y ∈ R(x)}              — ComposeRow
 //	Reach(π, Y)         = {x | S→[[π]]({x}) ∩ Y ≠ ∅}
 //	Reach(χ::t[e]/π, Y) = χ⁻¹(judge(χ::t[e], Reach(π, Y) ∩ T(t)))
 //	Reach(id(π1)/π, Y)  = Reach(π1, id⁻¹(Reach(π, Y)))
 //	Reach(π1 | π2, Y)   = Reach(π1, Y) ∪ Reach(π2, Y)
 //	Exists(π)           = Reach(π, Targets(π))        — S←[[π]], E1[[π]]
+//	Compared(π, op, c)  = Reach(π, {y ∈ Targets(π) | strval(y) op c})  — E1[[π RelOp c]]
 //
 // Only judge and head differ between the languages (StepJudge); the
 // ⟨previous, current⟩ pair loop of a position() or last() predicate is
@@ -114,32 +118,39 @@ func (k Forward) Image(e xpath.Expr, x xmltree.NodeSet) (xmltree.NodeSet, error)
 	return nil, fmt.Errorf("evalutil: cannot propagate forwards through %s", e)
 }
 
-// step applies one location step to X: of the candidates χ(X) ∩ T(t),
-// all when the step has no predicates, those the judge keeps when no
-// predicate reads position() or last(), and otherwise those that survive
-// the ranking at one of the previous context nodes that can reach a
-// candidate at all, X ∩ χ⁻¹(Y), merged through the scratch accumulator in
-// O(Σ|zᵢ|).
+// ready begins one location step over X: the candidates χ(X) ∩ T(t) —
+// of which the judge keeps those it does when no predicate reads
+// position() or last() — and otherwise the predicates' evaluator for the
+// pair loop, eval, nil when no predicate needs one. room is the number
+// of candidates before judging: enough for any x's candidate list.
+func (k Forward) ready(step *xpath.Step, x xmltree.NodeSet) (y xmltree.NodeSet, eval PredEval, room int, err error) {
+	y = StepCandidatesSet(k.Arena, k.Doc, step.Axis, step.Test, x)
+	room = len(y)
+	if err = k.Cancel.CheckN(len(x) + len(y)); err != nil || len(step.Preds) == 0 || len(y) == 0 {
+		return y, nil, room, err
+	}
+	if step.Positional() {
+		eval, err = k.Judge.RankStep(step, y)
+		return y, eval, room, err
+	}
+	y, err = k.Judge.JudgeStep(step, y)
+	return y, nil, room, err
+}
+
+// step applies one location step to X: of the candidates, those ready
+// keeps, and for a positional step those that survive the ranking at one
+// of the previous context nodes that can reach a candidate at all, X ∩
+// χ⁻¹(Y), merged through the scratch accumulator in O(Σ|zᵢ|).
 func (k Forward) step(step *xpath.Step, x xmltree.NodeSet) (xmltree.NodeSet, error) {
-	y := StepCandidatesSet(k.Arena, k.Doc, step.Axis, step.Test, x)
-	if err := k.Cancel.CheckN(len(x) + len(y)); err != nil {
-		return nil, err
-	}
-	switch {
-	case len(step.Preds) == 0 || len(y) == 0:
-		return y, nil
-	case !step.Positional():
-		return k.Judge.JudgeStep(step, y)
-	}
-	eval, err := k.Judge.RankStep(step, y)
-	if err != nil {
-		return nil, err
+	y, eval, room, err := k.ready(step, x)
+	if err != nil || eval == nil {
+		return y, err
 	}
 	ix := k.Doc.Index()
 	sc := ix.AcquireScratch()
 	defer ix.ReleaseScratch(sc)
 	loop := NewPairLoop(k.Arena, k.Doc, step, k.Cancel)
-	buf := k.Arena.Nodes(len(y)) // room for any x's candidates, all among y
+	buf := k.Arena.Nodes(room)
 	for _, xn := range loop.Reaching(x, y, false) {
 		z, err := loop.RankedCandidates(xn, buf, eval)
 		if err != nil {
@@ -148,6 +159,91 @@ func (k Forward) step(step *xpath.Step, x xmltree.NodeSet) (xmltree.NodeSet, err
 		sc.Acc.Add(z)
 	}
 	return sc.Acc.Result(k.Arena), nil
+}
+
+// Rows is step i of a path over X with each previous context node's
+// survivors kept apart instead of merged: the relation {⟨x, z⟩ | z ∈
+// S→[[χ::t[e]]]({x})} as CSR, row j — flat[off[j]:off[j+1]] — that of
+// X's j-th member. Only the x ∈ X ∩ χ⁻¹(Y) are visited (PairLoop.Reaching),
+// Y being the candidates that can still be selected; the rows of the
+// others are empty. When steps[i] is the descendant-or-self::node() in
+// front of child::name (NamedChildAfterDescendants), row j holds the
+// nodes at or below xⱼ that have a name child: their stretch, inside xⱼ's
+// subtree interval, of NamedChildParents(X).
+func (k Forward) Rows(steps []*xpath.Step, i int, x xmltree.NodeSet) (flat xmltree.NodeSet, off []int32, err error) {
+	if err := k.Cancel.CheckN(len(x)); err != nil {
+		return nil, nil, err
+	}
+	off = append(k.Arena.Int32s().Make(len(x)+1), 0)
+	ix := k.Doc.Index()
+	if name, ok := NamedChildAfterDescendants(steps, i); ok {
+		parents := NamedChildParents(k.Arena, k.Doc, x, name)
+		for _, xn := range x {
+			flat = k.Arena.Append(flat, parents.Range(xn, ix.SubtreeEnd(xn))...)
+			off = append(off, int32(len(flat)))
+		}
+		return flat, off, nil
+	}
+	step := steps[i]
+	y, eval, room, err := k.ready(step, x)
+	if err != nil || len(y) == 0 {
+		return nil, k.Arena.Int32s().Extend(off, len(x)), err
+	}
+	// keep marks the survivors of a judged step: a row is then its
+	// context node's candidates among them.
+	var keep *xmltree.Bitset
+	if eval == nil && len(step.Preds) > 0 {
+		sc := ix.AcquireScratch()
+		defer ix.ReleaseScratch(sc)
+		keep = &sc.Mark
+		keep.AddSet(y)
+		defer func() {
+			for _, n := range y {
+				keep.Remove(n)
+			}
+		}()
+	}
+	loop := NewPairLoop(k.Arena, k.Doc, step, k.Cancel)
+	xs := loop.Reaching(x, y, keep != nil)
+	buf := k.Arena.Nodes(room)
+	flat = k.Arena.Nodes(len(y)) // rows of child::name are disjoint: room enough then
+	for _, xn := range x {
+		if len(xs) > 0 && xs[0] == xn {
+			xs = xs[1:]
+			var z xmltree.NodeSet
+			if eval != nil {
+				z, err = loop.RankedCandidates(xn, buf, eval)
+			} else {
+				z, err = loop.Candidates(xn, buf)
+			}
+			if err != nil {
+				return nil, nil, err
+			}
+			if buf = z; keep != nil {
+				z = keep.IntersectSet(z, z[:0])
+			}
+			flat = k.Arena.Append(flat, z...)
+		}
+		off = append(off, int32(len(flat)))
+	}
+	return k.Arena.Trim(flat), off, nil
+}
+
+// ComposeRow is row x of the composition R∘S of two relations (Table
+// IV): ⋃{S(y) | y ∈ R(x)} for r = R(x), row(y) being S(y). A one-member
+// r answers with S's row itself, aliased; a longer one is merged through
+// acc into the arena ar.
+func ComposeRow(ar *xmltree.Arena, acc *xmltree.Accumulator, r xmltree.NodeSet, row func(xmltree.NodeID) xmltree.NodeSet) xmltree.NodeSet {
+	switch len(r) {
+	case 0:
+		return nil
+	case 1:
+		return row(r[0])
+	}
+	for _, y := range r {
+		acc.Add(row(y))
+	}
+	return acc.Result(ar)
 }
 
 // Backward is S← for one evaluation over one document, as Forward is S→.
@@ -180,6 +276,26 @@ func (k Backward) Targets(e xpath.Expr) (xmltree.NodeSet, error) {
 // Exists computes S←[[π]]: the nodes from which π selects anything.
 func (k Backward) Exists(e xpath.Expr) (reach xmltree.NodeSet, everywhere bool, err error) {
 	return k.walk(e, nil, true)
+}
+
+// Compared computes E1[[π RelOp c]] for a constant c that is not a
+// boolean: Reach(π, Y) for the targets y of π whose string-value
+// satisfies RelOp c, each compared as the string it is.
+func (k Backward) Compared(e xpath.Expr, op xpath.BinOp, c semantics.Value) (reach xmltree.NodeSet, everywhere bool, err error) {
+	y, err := k.Targets(e)
+	if err == nil {
+		err = k.Cancel.CheckN(len(y))
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	hits := k.Arena.Nodes(len(y))
+	for _, n := range y {
+		if semantics.CompareStrval(k.Doc, op, k.Doc.StringValue(n), c) {
+			hits = append(hits, n)
+		}
+	}
+	return k.Reach(e, k.Arena.Trim(hits))
 }
 
 // Reach computes {x | S→[[π]]({x}) ∩ Y ≠ ∅}.

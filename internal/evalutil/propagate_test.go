@@ -15,8 +15,10 @@ import (
 
 // Property tests of the two kernels against their definitions,
 //
-//	Image(π, X) = S→[[π]](X)
-//	Reach(π, Y) = {x | S→[[π]]({x}) ∩ Y ≠ ∅},
+//	Image(π, X)        = S→[[π]](X)
+//	Rows(χ::t[e], X)   = ⟨Image(χ::t[e], {x}) | x ∈ X⟩
+//	Reach(π, Y)        = {x | S→[[π]]({x}) ∩ Y ≠ ∅}
+//	Compared(π, op, c) = {x | ∃y ∈ S→[[π]]({x}): strval(y) op c},
 //
 // with S→ computed here by the book: axis image, node test and ranking
 // per context node, step by step. The only predicates are the positional
@@ -52,6 +54,21 @@ func (j *keepAll) Head(head xpath.Expr, x xmltree.NodeSet) (xmltree.NodeSet, err
 	}
 	arg, err := Forward{Doc: j.d, Judge: j}.Image(c.Args[0], x)
 	return idDef(j.d, arg), err
+}
+
+// sieve judges the predicates of a step that reads neither position()
+// nor last() false at every node whose ID is a multiple of three, so a
+// judged step drops candidates.
+type sieve struct{ keepAll }
+
+func (j *sieve) JudgeStep(_ *xpath.Step, yt xmltree.NodeSet) (xmltree.NodeSet, error) {
+	keep := yt[:0]
+	for _, y := range yt {
+		if y%3 != 0 {
+			keep = append(keep, y)
+		}
+	}
+	return keep, nil
 }
 
 // forward is S→[[e]](x) by the book: per context node the axis image,
@@ -149,7 +166,8 @@ func refDef(d *xmltree.Document, x xmltree.NodeID) xmltree.NodeSet {
 
 // randIDDoc builds a random document of elements over a small alphabet
 // with ID attributes, IDREFS attributes, plain attributes, namespace
-// nodes, comments, and text that now and then names some of the IDs.
+// nodes, comments, numbers, and text that now and then names some of
+// the IDs.
 func randIDDoc(r *rand.Rand, n int) *xmltree.Document {
 	b := xmltree.NewBuilder()
 	names := []string{"a", "b", "c"}
@@ -176,6 +194,8 @@ func randIDDoc(r *rand.Rand, n int) *xmltree.Document {
 		case k < 6 && open > 1:
 			b.EndElement()
 			open--
+		case k < 7:
+			b.Text(fmt.Sprint(r.Intn(4))) // a number to compare with
 		case k < 9:
 			b.Text(fmt.Sprintf("n%d n%d", r.Intn(ids+2), r.Intn(ids+2)))
 		default:
@@ -245,7 +265,7 @@ func randPath(r *rand.Rand, depth int) string {
 func TestBackwardEqualsDefinition(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
 	emptiedAt := map[int]int{} // steps judged before a walk ran dry → count
-	everywheres, charData := 0, 0
+	everywheres, charData, compared := 0, 0, 0
 	for round := 0; round < 60; round++ {
 		d := randIDDoc(r, 20+r.Intn(60))
 		dom := make(xmltree.NodeSet, d.Len())
@@ -311,6 +331,47 @@ func TestBackwardEqualsDefinition(t *testing.T) {
 			if p, ok := e.(*xpath.Path); ok && p.Filter == nil && len(got) == 0 && !everywhere {
 				emptiedAt[j.judged]++
 			}
+			// Compared(π, op, c) against every node's string-value by
+			// the book, for a constant met in the document or not.
+			op := []xpath.BinOp{xpath.OpEq, xpath.OpNeq, xpath.OpLt, xpath.OpLe, xpath.OpGt, xpath.OpGe}[r.Intn(6)]
+			c := semantics.String(d.StringValue(xmltree.NodeID(r.Intn(d.Len()))))
+			switch r.Intn(3) {
+			case 0:
+				c = semantics.Number(float64(r.Intn(4)))
+			case 1:
+				c = semantics.String([]string{"n1", "v", "1", ""}[r.Intn(4)])
+			}
+			holds := func(s string) bool {
+				switch {
+				case c.Kind == xpath.TypeNumber:
+					return semantics.CompareNumbers(op, semantics.StringToNumber(s), c.Num)
+				case op == xpath.OpEq:
+					return s == c.Str
+				case op == xpath.OpNeq:
+					return s != c.Str
+				}
+				return semantics.CompareNumbers(op, semantics.StringToNumber(s), semantics.StringToNumber(c.Str))
+			}
+			var wantCmp xmltree.NodeSet
+			for _, x := range dom {
+				for _, n := range forward(d, e, xmltree.NodeSet{x}) {
+					if holds(d.StringValue(n)) {
+						wantCmp = append(wantCmp, x)
+						break
+					}
+				}
+			}
+			cmp, cmpAll, err := k.Compared(e, op, c)
+			switch {
+			case err != nil:
+				t.Fatalf("%s %v %+v: %v", src, op, c, err)
+			case cmpAll && (cmp != nil || !wantCmp.Equal(dom)),
+				!cmpAll && !cmp.Equal(wantCmp):
+				t.Errorf("%s %v %+v: Compared = %v, %v; definition gives %v\n%s", src, op, c, cmp, cmpAll, wantCmp, d.XMLString())
+			}
+			if len(wantCmp) > 0 {
+				compared++
+			}
 			// Exists(π) is Reach(π, dom) — seeded from T(t) instead.
 			some, all, err := k.Exists(e)
 			full, fullAll, _ := k.Reach(e, dom)
@@ -330,6 +391,9 @@ func TestBackwardEqualsDefinition(t *testing.T) {
 	}
 	if charData == 0 {
 		t.Error("no attribute or text node names an ID")
+	}
+	if compared < 50 {
+		t.Errorf("only %d comparisons held anywhere", compared)
 	}
 }
 
@@ -389,6 +453,87 @@ func TestForwardEqualsDefinition(t *testing.T) {
 	ix.ReleaseArena(ar)
 	if words := ix.Materialized() - before; words > int64(d.Len()/10) {
 		t.Errorf("%s kept %d words of a %d-node document", e, words, d.Len())
+	}
+}
+
+// TestRowsEqualsDefinition: row j of Rows(steps, i, X) is the image of
+// step i from X's j-th member alone — positional, judged and bare steps —
+// and for the unfused pair descendant-or-self::node()/child::name it is
+// the nodes at or below xⱼ that have a name child.
+func TestRowsEqualsDefinition(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	pairs, positional, judged, split := 0, 0, 0, 0
+	for round := 0; round < 60; round++ {
+		d := randIDDoc(r, 20+r.Intn(60))
+		for q := 0; q < 40; q++ {
+			src := randPath(r, 2) // one or two steps, no head
+			if r.Intn(3) == 0 {
+				src += "[true()]" // a predicate the judge decides
+			}
+			p := xpath.MustParse(src).(*xpath.Path)
+			var x xmltree.NodeSet
+			for i := 0; i < d.Len(); i++ {
+				if r.Intn(q%4+1) == 0 {
+					x = append(x, xmltree.NodeID(i))
+				}
+			}
+			given := x.Clone()
+			ix := d.Index()
+			ar := ix.AcquireArena()
+			k := Forward{Doc: d, Arena: ar, Judge: &sieve{keepAll{d: d}}}
+			for i, step := range p.Steps {
+				flat, off, err := k.Rows(p.Steps, i, x)
+				if err != nil {
+					t.Fatalf("%s, step %d: %v", src, i, err)
+				}
+				if len(off) != len(x)+1 || off[0] != 0 || int(off[len(x)]) != len(flat) {
+					t.Fatalf("%s, step %d: offsets %v for %d rows of %d members", src, i, off, len(x), len(flat))
+				}
+				name, pair := NamedChildAfterDescendants(p.Steps, i)
+				nonEmpty := 0
+				for j, xn := range x {
+					got := flat[off[j]:off[j+1]]
+					var want xmltree.NodeSet
+					if pair {
+						for _, n := range forward(d, &xpath.Path{Steps: p.Steps[i : i+1]}, xmltree.NodeSet{xn}) {
+							for _, c := range axes.EvalNode(d, axes.Child, n) {
+								if d.Type(c) == xmltree.Element && d.Name(c) == name {
+									want = append(want, n)
+									break
+								}
+							}
+						}
+					} else if want, err = k.Image(&xpath.Path{Steps: p.Steps[i : i+1]}, xmltree.NodeSet{xn}); err != nil {
+						t.Fatal(err)
+					}
+					if !got.Equal(want) {
+						t.Errorf("%s, step %d, x = %d: row %v, definition gives %v\n%s", src, i, xn, got, want, d.XMLString())
+					}
+					if len(got) > 0 {
+						nonEmpty++
+					}
+				}
+				switch {
+				case pair:
+					pairs++
+				case step.Positional():
+					positional++
+				case len(step.Preds) > 0:
+					judged++
+				}
+				if nonEmpty > 1 {
+					split++
+				}
+			}
+			if !x.Equal(given) {
+				t.Fatalf("%s: the kernel wrote to its X", src)
+			}
+			ix.ReleaseArena(ar)
+		}
+	}
+	if pairs < 300 || positional < 300 || judged < 200 || split < 1000 {
+		t.Errorf("%d unfused pairs, %d positional and %d judged steps, %d relations with two rows or more",
+			pairs, positional, judged, split)
 	}
 }
 

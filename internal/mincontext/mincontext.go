@@ -74,16 +74,20 @@
 // several of them — the bidder of //open_auction[count(bidder) > 2] —
 // are relations, built by eval_inner_locpath.
 //
-// Both the set and the relation code visit, at a step χ::t, only the
-// previous context nodes that can reach a candidate, X ∩ χ⁻¹(Y): the
-// others contribute the empty set. (For child::name with Y every
-// candidate of the step, a node's stretch of the posting list says as
-// much, cheaper than the inverse axis: evalutil.PairLoop.Reaching.) The
-// loops over ⟨previous, current⟩ pairs that cp/cs-dependent predicates
-// need take each node's candidate list from the index (for child::name
-// the label's posting-list slice under the node, already in axis order)
-// and merge the survivors through a bitset accumulator, so a positional
-// step costs O(|X ∩ χ⁻¹(Y)| + Σ candidates), not O(|X|·|result|).
+// Neither the set nor the relation code is written here: a step over a
+// set is evalutil.Forward's step, and the relation of a step is the same
+// step with each previous context node's survivors kept apart instead
+// of merged (Forward.Rows), a row of the relation of a path the union of
+// the next step's rows over a row's members (evalutil.ComposeRow). Both
+// visit, at a step χ::t, only the previous context nodes that can reach
+// a candidate, X ∩ χ⁻¹(Y): the others contribute the empty set. (For
+// child::name with Y every candidate of the step, a node's stretch of
+// the posting list says as much, cheaper than the inverse axis:
+// evalutil.PairLoop.Reaching.) The loops over ⟨previous, current⟩ pairs
+// that cp/cs-dependent predicates need take each node's candidate list
+// from the index (for child::name the label's posting-list slice under
+// the node, already in axis order), so a positional step costs O(|X ∩
+// χ⁻¹(Y)| + Σ candidates), not O(|X|·|result|).
 // Inside such a loop a predicate whose Relev lacks cn — [1], [last()],
 // [position() mod 2 = 0] — has one table row per ⟨cp, cs⟩, not per ⟨cn,
 // cp, cs⟩ (Section 8.2 again): compiled once per step to a test over ⟨cp,
@@ -99,7 +103,14 @@
 // descendant-or-self(X) ∩ child⁻¹(T(name)) = parent(descendant::name(X)),
 // read off name's posting list, so descendant-or-self::node() is never
 // materialized (evalutil.NamedChildAfterDescendants, in the forward
-// kernel and in the relation code).
+// kernel's Image and Rows).
+//
+// # Heads that read position() or last()
+//
+// A path or filter expression whose head reads cp or cs — id(position())/b,
+// (id(last()))[1] — has the head's Relev, so it is never tabulated by
+// context node: it is computed at each whole context ⟨x, k, n⟩ it is
+// wanted at, the head there and the steps forwards from its value.
 package mincontext
 
 import (
@@ -201,10 +212,12 @@ func (st *Run) Known(e xpath.Expr) bool {
 	return t.has || t.truth != nil
 }
 
-// Evaluate returns the value of the run's expression at context c.
+// Evaluate returns the value of the run's expression at context c. A
+// location path goes forwards from c's node, unless a head of it reads
+// position() or last(): that one is wanted at c itself.
 func (st *Run) Evaluate(c semantics.Context) (semantics.Value, error) {
 	e := st.expr
-	if isLocationPath(e) {
+	if isLocationPath(e) && !readsRank(e) {
 		s, err := st.forward().Image(e, st.one(c.Node))
 		if err != nil {
 			return semantics.Value{}, err
@@ -219,6 +232,12 @@ func (st *Run) Evaluate(c semantics.Context) (semantics.Value, error) {
 
 // one returns {n} in the arena.
 func (st *Run) one(n xmltree.NodeID) xmltree.NodeSet { return append(st.ar.Nodes(1), n) }
+
+// readsRank reports whether e's value depends on the context position or
+// size: Relev(e) meets {cp, cs}.
+func readsRank(e xpath.Expr) bool {
+	return xpath.RelevantContext(e)&(xpath.RelevPos|xpath.RelevSize) != 0
+}
 
 // isLocationPath reports whether the query is a location path in the
 // paper's sense: a Path or a union of location paths.
@@ -425,8 +444,8 @@ func (st *Run) evalByCnodeOnly(e xpath.Expr, x xmltree.NodeSet) error {
 
 // vector computes e's column over todo from the columns of its operands
 // for the operators whose operands are arrays as they stand — count() of
-// a relation reads row lengths off the offsets, a binary operator on
-// numbers loops over []float64 — with no lookup per row. ok is false for
+// a relation reads row lengths off the offsets, arithmetic and comparison
+// of numbers loop over []float64 — with no lookup per row. ok is false for
 // any other e, and when an operand is not one column over todo (part of
 // it was tabulated before): fill computes those row by row.
 func (st *Run) vector(e xpath.Expr, todo xmltree.NodeSet) (col column, ok bool, err error) {
@@ -450,7 +469,7 @@ func (st *Run) vector(e xpath.Expr, todo xmltree.NodeSet) (col column, ok bool, 
 	case *xpath.Binary:
 		l, lc, lok := st.numbers(x.Left, todo)
 		r, rc, rok := st.numbers(x.Right, todo)
-		if !lok || !rok {
+		if !lok || !rok || !x.Op.IsArith() && !x.Op.IsRelOp() {
 			break
 		}
 		col = st.newColumn(e.Type(), todo)
@@ -461,11 +480,15 @@ func (st *Run) vector(e xpath.Expr, todo xmltree.NodeSet) (col column, ok bool, 
 			if r != nil {
 				rc = r[i]
 			}
-			v, err := st.binary(x.Op, semantics.Number(lc), semantics.Number(rc))
-			if err == nil {
-				err = st.push(&col, v)
+			// F[[ArithOp]] and F[[RelOp]] of num × num, on the numbers
+			// as they stand (Apply would take them as two Values).
+			var v semantics.Value
+			if x.Op.IsArith() {
+				v = semantics.Number(semantics.Arith(x.Op, lc, rc))
+			} else {
+				v = semantics.Boolean(semantics.CompareNumbers(x.Op, lc, rc))
 			}
-			if err != nil {
+			if err := st.push(&col, v); err != nil {
 				return col, false, err
 			}
 		}
@@ -569,31 +592,50 @@ func (st *Run) fillFilter(fe *xpath.FilterExpr, t *table, r xpath.Relev, todo xm
 	}
 	seen := evalutil.PredVerdicts(st.ar, fe.Preds)
 	return st.fill(t, r, xpath.TypeNodeSet, todo, func(n xmltree.NodeID) (semantics.Value, error) {
-		pv, err := st.EvalSingleContext(fe.Primary, semantics.Context{Node: n, Pos: -1, Size: -1})
-		if err != nil {
+		return st.filterAt(fe, semantics.Context{Node: n, Pos: -1, Size: -1}, seen)
+	})
+}
+
+// filterAt is a filter expression at one context: its primary's value
+// there, filtered by the predicates, seen their verdicts. Filter
+// predicates rank in document order whatever axis produced the primary;
+// each pass builds a fresh set, the primary's row is shared.
+func (st *Run) filterAt(fe *xpath.FilterExpr, c semantics.Context, seen []evalutil.Verdicts) (semantics.Value, error) {
+	pv, err := st.EvalSingleContext(fe.Primary, c)
+	if err != nil {
+		return semantics.Value{}, err
+	}
+	if pv.Kind != xpath.TypeNodeSet {
+		return semantics.Value{}, fmt.Errorf("mincontext: predicates on %v", pv.Kind)
+	}
+	s := pv.Set
+	for i, pred := range fe.Preds {
+		if err := st.evalByCnodeOnly(pred, s); err != nil {
 			return semantics.Value{}, err
 		}
-		if pv.Kind != xpath.TypeNodeSet {
-			return semantics.Value{}, fmt.Errorf("mincontext: predicates on %v", pv.Kind)
+		if err := st.cancel.CheckN(len(s) + 1); err != nil {
+			return semantics.Value{}, err
 		}
-		// Filter predicates rank in document order whatever axis
-		// produced the primary; each pass builds a fresh set, the
-		// primary's row is shared.
-		s := pv.Set
-		for i, pred := range fe.Preds {
-			if err := st.evalByCnodeOnly(pred, s); err != nil {
-				return semantics.Value{}, err
-			}
-			if err := st.cancel.CheckN(len(s) + 1); err != nil {
-				return semantics.Value{}, err
-			}
-			if s, err = evalutil.FilterPositions(axes.Self, pred, s, st.ar.Nodes(len(s)), st.EvalSingleContext, &seen[i]); err != nil {
-				return semantics.Value{}, err
-			}
-			s = st.ar.Trim(s)
+		if s, err = evalutil.FilterPositions(axes.Self, pred, s, st.ar.Nodes(len(s)), st.EvalSingleContext, &seen[i]); err != nil {
+			return semantics.Value{}, err
 		}
-		return semantics.NodeSet(s), nil
-	})
+		s = st.ar.Trim(s)
+	}
+	return semantics.NodeSet(s), nil
+}
+
+// pathAt is a path whose head reads position() or last() at one whole
+// context ⟨x, k, n⟩: the steps, forwards, from the head's value there.
+func (st *Run) pathAt(p *xpath.Path, c semantics.Context) (semantics.Value, error) {
+	h, err := st.EvalSingleContext(p.Filter, c)
+	if err != nil {
+		return semantics.Value{}, err
+	}
+	if h.Kind != xpath.TypeNodeSet {
+		return semantics.Value{}, fmt.Errorf("mincontext: path head is not a node set")
+	}
+	s, err := st.forward().Image(&xpath.Path{Steps: p.Steps}, h.Set)
+	return semantics.NodeSet(s), err
 }
 
 // apply computes the value of an expression at one context from its
@@ -618,6 +660,10 @@ func (st *Run) apply(e xpath.Expr, c semantics.Context) (semantics.Value, error)
 		return st.applyBinary(x, c)
 	case *xpath.Call:
 		return st.applyCall(x, c)
+	case *xpath.Path: // its head reads cp or cs
+		return st.pathAt(x, c)
+	case *xpath.FilterExpr: // its primary reads cp or cs
+		return st.filterAt(x, c, evalutil.PredVerdicts(st.ar, x.Preds))
 	default:
 		return semantics.Value{}, fmt.Errorf("mincontext: apply on %T", e)
 	}
@@ -645,29 +691,7 @@ func (st *Run) applyBinary(x *xpath.Binary, c semantics.Context) (semantics.Valu
 	if err != nil {
 		return semantics.Value{}, err
 	}
-	return st.binary(x.Op, l, r)
-}
-
-// binary applies a binary operator to the values of its operands.
-func (st *Run) binary(op xpath.BinOp, l, r semantics.Value) (semantics.Value, error) {
-	d := st.doc
-	switch {
-	case op == xpath.OpAnd:
-		return semantics.Boolean(semantics.ToBoolean(l) && semantics.ToBoolean(r)), nil
-	case op == xpath.OpOr:
-		return semantics.Boolean(semantics.ToBoolean(l) || semantics.ToBoolean(r)), nil
-	case op == xpath.OpUnion:
-		if l.Kind != xpath.TypeNodeSet || r.Kind != xpath.TypeNodeSet {
-			return semantics.Value{}, fmt.Errorf("mincontext: | on non-node-sets")
-		}
-		return semantics.NodeSet(st.ar.Union(l.Set, r.Set)), nil
-	case op.IsRelOp():
-		return semantics.Boolean(semantics.Compare(d, op, l, r)), nil
-	case op.IsArith():
-		return semantics.Number(semantics.Arith(op, semantics.ToNumber(d, l), semantics.ToNumber(d, r))), nil
-	default:
-		return semantics.Value{}, fmt.Errorf("mincontext: unknown operator %v", op)
-	}
+	return semantics.Apply(st.doc, st.ar, x.Op, l, r)
 }
 
 // ------------------------------------------------------------------
@@ -682,7 +706,7 @@ func (st *Run) EvalSingleContext(e xpath.Expr, c semantics.Context) (semantics.V
 	case *xpath.Number, *xpath.Literal:
 		return st.apply(e, c) // the table of a literal is written in the query
 	}
-	if xpath.RelevantContext(e)&(xpath.RelevPos|xpath.RelevSize) != 0 {
+	if readsRank(e) {
 		// position() and last() resolve from the supplied context.
 		return st.apply(e, c)
 	}
@@ -739,7 +763,7 @@ func (st *Run) evalInnerLocpath(p *xpath.Path, x xmltree.NodeSet) (column, error
 		}
 	default: // never absolute: that path has one row (fillPath)
 		var err error
-		if cur, err = st.stepRelation(p.Steps, 0, x); err != nil {
+		if cur, err = st.rows(p.Steps, 0, x); err != nil {
 			return column{}, err
 		}
 		first = 1
@@ -752,127 +776,27 @@ func (st *Run) evalInnerLocpath(p *xpath.Path, x xmltree.NodeSet) (column, error
 		for k := range cur.nodes {
 			sc.Acc.Add(cur.row(k))
 		}
-		rel, err := st.stepRelation(p.Steps, i, sc.Acc.Result(st.ar))
+		rel, err := st.rows(p.Steps, i, sc.Acc.Result(st.ar))
 		if err != nil {
 			return column{}, err
 		}
-		// rel has a row for every member of the image; a row of the
-		// composition is the union of the rows of one row's members.
+		// rel has a row for every member of the image.
+		relRow := func(y xmltree.NodeID) xmltree.NodeSet { return rel.row(rel.index(y)) }
 		next := st.newColumn(xpath.TypeNodeSet, x)
 		for k := range cur.nodes {
 			if err := st.cancel.Check(); err != nil {
 				return column{}, err
 			}
-			switch ys := cur.row(k); len(ys) {
-			case 0:
-			case 1:
-				next.flat = st.ar.Append(next.flat, rel.row(rel.index(ys[0]))...)
-			default:
-				for _, y := range ys {
-					sc.Acc.Add(rel.row(rel.index(y)))
-				}
-				next.flat = sc.Acc.AppendTo(st.ar.Grow(next.flat, sc.Acc.Bound()))
-			}
-			next.off = append(next.off, int32(len(next.flat)))
+			st.appendRow(&next, evalutil.ComposeRow(st.ar, &sc.Acc, cur.row(k), relRow))
 		}
 		cur = next
 	}
 	return cur, nil
 }
 
-// stepRelation is the relation of step i of a path over the previous
-// context nodes X, with a row for every x ∈ X.
-func (st *Run) stepRelation(steps []*xpath.Step, i int, x xmltree.NodeSet) (column, error) {
-	if name, ok := evalutil.NamedChildAfterDescendants(steps, i); ok {
-		return st.namedChildParentRows(x, name)
-	}
-	return st.evalInnerStep(steps[i], x)
-}
-
-// evalInnerStep computes the one-step relation {⟨x, z⟩ | x ∈ X, x χ z, z
-// ∈ T(t), predicates hold} grouped by x, with the same
-// cp/cs-independent fast path as the outermost variant. Only the x ∈ X ∩
-// χ⁻¹(Y) are visited (loop.Reaching) — Y being the candidates that can
-// still be selected — the rows of the others are empty.
-func (st *Run) evalInnerStep(step *xpath.Step, x xmltree.NodeSet) (column, error) {
-	rel := st.newColumn(xpath.TypeNodeSet, x)
-	y := evalutil.StepCandidatesSet(st.ar, st.doc, step.Axis, step.Test, x)
-	if len(y) == 0 {
-		rel.off = st.ar.Int32s().Extend(rel.off, len(x))
-		return rel, nil
-	}
-	loop := evalutil.NewPairLoop(st.ar, st.doc, step, st.cancel)
-	// eval ranks the candidates of a positional step; otherwise keep marks
-	// the candidates that satisfy the predicates when those are decided
-	// once per candidate, and a row is its context node's candidates among
-	// them.
-	var eval evalutil.PredEval
-	var keep *xmltree.Bitset
-	ix := st.doc.Index()
-	sc := ix.AcquireScratch()
-	defer ix.ReleaseScratch(sc)
-	var err error
-	if step.Positional() {
-		if eval, err = st.RankStep(step, y); err != nil {
-			return column{}, err
-		}
-	} else if len(step.Preds) > 0 {
-		if y, err = st.JudgeStep(step, y); err != nil {
-			return column{}, err
-		}
-		keep = &sc.Mark
-		keep.AddSet(y)
-		defer func() {
-			for _, n := range y {
-				keep.Remove(n)
-			}
-		}()
-	}
-	if err := st.cancel.CheckN(len(x) + len(y)); err != nil {
-		return column{}, err
-	}
-	// Rows of child::name are disjoint: len(y) is then room enough.
-	xs := loop.Reaching(x, y, keep != nil)
-	rel.flat = st.ar.Nodes(len(y))
-	for _, xn := range x {
-		if len(xs) > 0 && xs[0] == xn {
-			xs = xs[1:]
-			var z xmltree.NodeSet
-			if eval != nil {
-				z, err = loop.RankedCandidates(xn, sc.Work, eval)
-			} else {
-				z, err = loop.Candidates(xn, sc.Work)
-			}
-			if err != nil {
-				return column{}, err
-			}
-			sc.Work = z
-			if keep != nil {
-				z = keep.IntersectSet(z, z[:0])
-			}
-			rel.flat = st.ar.Append(rel.flat, z...)
-		}
-		rel.off = append(rel.off, int32(len(rel.flat)))
-	}
-	rel.flat = st.ar.Trim(rel.flat)
-	return rel, nil
-}
-
-// namedChildParentRows is the relation that stands in for a
-// descendant-or-self::node() step in front of child::name
-// (evalutil.NamedChildAfterDescendants): for every x ∈ X the nodes at or
-// below x that have a name child. The parents of all name elements below
-// X are computed once; the row of x is their stretch inside x's subtree
-// interval.
-func (st *Run) namedChildParentRows(x xmltree.NodeSet, name string) (column, error) {
-	if err := st.cancel.CheckN(len(x)); err != nil {
-		return column{}, err
-	}
-	parents := evalutil.NamedChildParents(st.ar, st.doc, x, name)
-	ix := st.doc.Index()
-	rel := st.newColumn(xpath.TypeNodeSet, x)
-	for _, xn := range x {
-		st.appendRow(&rel, parents.Range(xn, ix.SubtreeEnd(xn)))
-	}
-	return rel, nil
+// rows is the relation of step i of a path over the previous context
+// nodes X, with a row for every x ∈ X: the forward kernel's Rows.
+func (st *Run) rows(steps []*xpath.Step, i int, x xmltree.NodeSet) (column, error) {
+	flat, off, err := st.forward().Rows(steps, i, x)
+	return column{kind: xpath.TypeNodeSet, nodes: x[:len(x):len(x)], off: off, flat: flat}, err
 }

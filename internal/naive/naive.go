@@ -7,9 +7,9 @@
 // Section 2). That explosion is the *point* of this engine: it is the
 // baseline every experiment in the paper measures against.
 //
-// The same evaluator becomes polynomial when a data pool (Algorithm 9.1)
-// is plugged in: before evaluating (e, c) it consults the pool, and
-// after evaluating it stores the result. See package datapool.
+// The same evaluator becomes polynomial with the data pool of Algorithm
+// 9.1 as its memo (NewPooled, pool.go): before evaluating (e, c) it
+// consults the pool, and after evaluating it stores the result.
 package naive
 
 import (
@@ -29,19 +29,10 @@ import (
 // benchmarks.
 var ErrBudget = errors.New("naive: step budget exhausted")
 
-// Pool is the data-pool interface of Algorithm 9.1: a retrieval and a
-// storage procedure for (expression, context) → value triples. The naive
-// evaluator calls Lookup before and Store after every expression
-// evaluation. A nil Pool reproduces the classic exponential behaviour.
-type Pool interface {
-	Lookup(e xpath.Expr, c semantics.Context) (semantics.Value, bool)
-	Store(e xpath.Expr, c semantics.Context, v semantics.Value)
-}
-
 // Evaluator evaluates XPath queries over one document.
 type Evaluator struct {
 	doc  *xmltree.Document
-	pool Pool
+	pool *DataPool // nil: the classic exponential behaviour
 
 	// suffixes caches synthetic Path expressions standing for the step
 	// suffixes of a path, so that a data pool can memoize P[[π]](x) per
@@ -84,12 +75,6 @@ func (ev *Evaluator) suffixExpr(p *xpath.Path, idx int) xpath.Expr {
 // New returns a classic (exponential-time) evaluator for the document.
 func New(d *xmltree.Document) *Evaluator { return &Evaluator{doc: d} }
 
-// NewWithPool returns an evaluator that memoizes through the given data
-// pool, which makes it polynomial-time (Theorem 9.2).
-func NewWithPool(d *xmltree.Document, p Pool) *Evaluator {
-	return &Evaluator{doc: d, pool: p}
-}
-
 // Steps reports the number of elementary evaluation steps performed
 // since construction. Experiments use it as a machine-independent cost
 // measure.
@@ -122,19 +107,14 @@ func (ev *Evaluator) bill() error {
 // is atomic-evaluation-CVT of Algorithm 9.1; without one it is
 // atomic-evaluation.
 func (ev *Evaluator) eval(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
-	if ev.pool != nil {
-		if v, ok := ev.pool.Lookup(e, c); ok {
-			return v, nil
-		}
+	if v, ok := ev.pool.lookup(e, c); ok {
+		return v, nil
 	}
 	v, err := ev.evalUncached(e, c)
-	if err != nil {
-		return semantics.Value{}, err
+	if err == nil {
+		ev.pool.store(e, c, v)
 	}
-	if ev.pool != nil {
-		ev.pool.Store(e, c, v)
-	}
-	return v, nil
+	return v, err
 }
 
 func (ev *Evaluator) evalUncached(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
@@ -175,58 +155,21 @@ func (ev *Evaluator) evalUncached(e xpath.Expr, c semantics.Context) (semantics.
 	}
 }
 
+// evalBinary applies F[[Op]] with the short-circuit the W3C prescribes
+// for and/or: the right operand is not evaluated once the left decides.
 func (ev *Evaluator) evalBinary(b *xpath.Binary, c semantics.Context) (semantics.Value, error) {
-	// and/or use the short-circuit the W3C prescribes.
-	switch b.Op {
-	case xpath.OpAnd:
-		l, err := ev.eval(b.Left, c)
-		if err != nil {
-			return semantics.Value{}, err
-		}
-		if !semantics.ToBoolean(l) {
-			return semantics.Boolean(false), nil
-		}
-		r, err := ev.eval(b.Right, c)
-		if err != nil {
-			return semantics.Value{}, err
-		}
-		return semantics.Boolean(semantics.ToBoolean(r)), nil
-	case xpath.OpOr:
-		l, err := ev.eval(b.Left, c)
-		if err != nil {
-			return semantics.Value{}, err
-		}
-		if semantics.ToBoolean(l) {
-			return semantics.Boolean(true), nil
-		}
-		r, err := ev.eval(b.Right, c)
-		if err != nil {
-			return semantics.Value{}, err
-		}
-		return semantics.Boolean(semantics.ToBoolean(r)), nil
-	}
 	l, err := ev.eval(b.Left, c)
 	if err != nil {
 		return semantics.Value{}, err
+	}
+	if b.Op == xpath.OpAnd && !semantics.ToBoolean(l) || b.Op == xpath.OpOr && semantics.ToBoolean(l) {
+		return semantics.Boolean(b.Op == xpath.OpOr), nil
 	}
 	r, err := ev.eval(b.Right, c)
 	if err != nil {
 		return semantics.Value{}, err
 	}
-	switch {
-	case b.Op == xpath.OpUnion:
-		if l.Kind != xpath.TypeNodeSet || r.Kind != xpath.TypeNodeSet {
-			return semantics.Value{}, fmt.Errorf("naive: | on non-node-sets")
-		}
-		return semantics.NodeSet(l.Set.Union(r.Set)), nil
-	case b.Op.IsRelOp():
-		return semantics.Boolean(semantics.Compare(ev.doc, b.Op, l, r)), nil
-	case b.Op.IsArith():
-		return semantics.Number(semantics.Arith(b.Op,
-			semantics.ToNumber(ev.doc, l), semantics.ToNumber(ev.doc, r))), nil
-	default:
-		return semantics.Value{}, fmt.Errorf("naive: unknown operator %v", b.Op)
-	}
+	return semantics.Apply(ev.doc, nil, b.Op, l, r)
 }
 
 func (ev *Evaluator) evalCall(call *xpath.Call, c semantics.Context) (semantics.Value, error) {
@@ -338,14 +281,14 @@ func (ev *Evaluator) stepsFrom(p *xpath.Path, idx int, x xmltree.NodeID) (xmltre
 	}
 	key := ev.suffixExpr(p, idx)
 	c := semantics.Context{Node: x, Pos: 1, Size: 1}
-	if v, ok := ev.pool.Lookup(key, c); ok {
+	if v, ok := ev.pool.lookup(key, c); ok {
 		return v.Set, nil
 	}
 	s, err := ev.processLocationStep(p, idx, x)
 	if err != nil {
 		return nil, err
 	}
-	ev.pool.Store(key, c, semantics.NodeSet(s))
+	ev.pool.store(key, c, semantics.NodeSet(s))
 	return s, nil
 }
 

@@ -1,19 +1,37 @@
-// Package datapool implements the data pool of Section 9 (Algorithm
-// 9.1): a memo table of ⟨expression, context, value⟩ triples with a
-// retrieval procedure consulted before every basic evaluation step and a
-// storage procedure run after it. Plugging the pool into the naive
-// recursive evaluator bounds the number of distinct (recursive) calls by
-// O(|D|³·|Q|) and therefore turns the exponential evaluator into a
-// polynomial one (Theorem 9.2) — the paper demonstrates exactly this by
-// patching Xalan (Table V, Figure 12).
-package datapool
+package naive
 
 import (
-	"repro/internal/naive"
 	"repro/internal/semantics"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
+
+// DataPool is the data pool of Section 9 (Algorithm 9.1), the evaluator's
+// memo: a table of ⟨expression, context, value⟩ triples with a retrieval
+// procedure consulted before every basic evaluation step and a storage
+// procedure run after it. It bounds the number of distinct (recursive)
+// calls by O(|D|³·|Q|) and so turns the exponential evaluator into a
+// polynomial one (Theorem 9.2) — the paper demonstrates exactly this by
+// patching Xalan (Table V, Figure 12). A nil pool remembers nothing.
+type DataPool struct {
+	tables map[xpath.Expr]*exprTable
+
+	// sizeHint pre-sizes dense node-keyed tables to the document; 0
+	// means tables grow on demand.
+	sizeHint int
+
+	// Hits and Misses count retrieval-procedure outcomes, exposing the
+	// sharing the pool achieves.
+	Hits, Misses int64
+}
+
+// NewPooled returns an evaluator that memoizes through a fresh data
+// pool, i.e. the paper's "Xalan + data pool" configuration, and the
+// pool.
+func NewPooled(d *xmltree.Document) (*Evaluator, *DataPool) {
+	p := &DataPool{sizeHint: d.Len()}
+	return &Evaluator{doc: d, pool: p}, p
+}
 
 // ctxKey identifies a context for position/size-dependent expressions.
 type ctxKey struct {
@@ -39,32 +57,6 @@ type exprTable struct {
 	cset    bool
 }
 
-// Pool is a data pool. It implements naive.Pool.
-type Pool struct {
-	tables map[xpath.Expr]*exprTable
-
-	// sizeHint pre-sizes dense node-keyed tables to the document; 0
-	// means tables grow on demand.
-	sizeHint int
-
-	// Hits and Misses count retrieval-procedure outcomes, exposing the
-	// sharing the pool achieves.
-	Hits, Misses int64
-}
-
-// New returns an empty pool.
-func New() *Pool {
-	return &Pool{tables: map[xpath.Expr]*exprTable{}}
-}
-
-// NewSized returns an empty pool whose dense per-expression tables are
-// pre-sized for a document of n nodes.
-func NewSized(n int) *Pool {
-	p := New()
-	p.sizeHint = n
-	return p
-}
-
 func (t *exprTable) key(c semantics.Context) ctxKey {
 	k := ctxKey{node: xmltree.NilNode, pos: -1, size: -1}
 	if t.relev.Has(xpath.RelevNode) {
@@ -79,46 +71,51 @@ func (t *exprTable) key(c semantics.Context) ctxKey {
 	return k
 }
 
-// Lookup is the retrieval procedure: it returns the stored value of e in
+// lookup is the retrieval procedure: it returns the stored value of e in
 // context c, if any.
-func (p *Pool) Lookup(e xpath.Expr, c semantics.Context) (semantics.Value, bool) {
+func (p *DataPool) lookup(e xpath.Expr, c semantics.Context) (semantics.Value, bool) {
+	if p == nil {
+		return semantics.Value{}, false
+	}
+	v, ok := p.find(e, c)
+	if ok {
+		p.Hits++
+	} else {
+		p.Misses++
+	}
+	return v, ok
+}
+
+func (p *DataPool) find(e xpath.Expr, c semantics.Context) (semantics.Value, bool) {
 	t, ok := p.tables[e]
-	if !ok {
-		p.Misses++
+	switch {
+	case !ok:
 		return semantics.Value{}, false
-	}
-	if t.m != nil {
+	case t.m != nil:
 		v, ok := t.m[t.key(c)]
-		if ok {
-			p.Hits++
-		} else {
-			p.Misses++
-		}
 		return v, ok
-	}
-	if !t.relev.Has(xpath.RelevNode) {
-		if t.cset {
-			p.Hits++
-			return t.cval, true
-		}
-		p.Misses++
-		return semantics.Value{}, false
+	case !t.relev.Has(xpath.RelevNode):
+		return t.cval, t.cset
 	}
 	if n := int(c.Node); n >= 0 && n < len(t.vals) && t.present[n] {
-		p.Hits++
 		return t.vals[n], true
 	}
-	p.Misses++
 	return semantics.Value{}, false
 }
 
-// Store is the storage procedure: it records ⟨e, c, v⟩ in the pool.
-func (p *Pool) Store(e xpath.Expr, c semantics.Context, v semantics.Value) {
+// store is the storage procedure: it records ⟨e, c, v⟩ in the pool.
+func (p *DataPool) store(e xpath.Expr, c semantics.Context, v semantics.Value) {
+	if p == nil {
+		return
+	}
 	t, ok := p.tables[e]
 	if !ok {
 		t = &exprTable{relev: xpath.RelevantContext(e)}
 		if t.relev&(xpath.RelevPos|xpath.RelevSize) != 0 {
 			t.m = map[ctxKey]semantics.Value{}
+		}
+		if p.tables == nil {
+			p.tables = map[xpath.Expr]*exprTable{}
 		}
 		p.tables[e] = t
 	}
@@ -133,13 +130,7 @@ func (p *Pool) Store(e xpath.Expr, c semantics.Context, v semantics.Value) {
 			return
 		}
 		if n >= len(t.vals) {
-			size := len(t.vals) * 2
-			if size < n+1 {
-				size = n + 1
-			}
-			if size < p.sizeHint {
-				size = p.sizeHint
-			}
+			size := max(len(t.vals)*2, n+1, p.sizeHint)
 			vals := make([]semantics.Value, size)
 			copy(vals, t.vals)
 			present := make([]bool, size)
@@ -151,7 +142,7 @@ func (p *Pool) Store(e xpath.Expr, c semantics.Context, v semantics.Value) {
 }
 
 // Size returns the total number of stored triples.
-func (p *Pool) Size() int {
+func (p *DataPool) Size() int {
 	n := 0
 	for _, t := range p.tables {
 		switch {
@@ -170,11 +161,4 @@ func (p *Pool) Size() int {
 		}
 	}
 	return n
-}
-
-// NewEvaluator returns a naive evaluator upgraded with a fresh data
-// pool, i.e. the paper's "Xalan + data pool" configuration.
-func NewEvaluator(d *xmltree.Document) (*naive.Evaluator, *Pool) {
-	p := NewSized(d.Len())
-	return naive.NewWithPool(d, p), p
 }

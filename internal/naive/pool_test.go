@@ -1,4 +1,4 @@
-package datapool
+package naive
 
 import (
 	"testing"
@@ -8,20 +8,16 @@ import (
 	"repro/internal/xpath"
 )
 
-func ctxAt(n xmltree.NodeID) semantics.Context {
-	return semantics.Context{Node: n, Pos: 1, Size: 1}
-}
-
 func TestPoolStoresAndRetrieves(t *testing.T) {
 	d := xmltree.MustParseString(`<a><b/></a>`)
-	p := New()
+	p := &DataPool{}
 	e := xpath.MustParse("count(//b)")
 	c := ctxAt(d.RootID())
-	if _, ok := p.Lookup(e, c); ok {
+	if _, ok := p.lookup(e, c); ok {
 		t.Fatal("empty pool must miss")
 	}
-	p.Store(e, c, semantics.Number(1))
-	v, ok := p.Lookup(e, c)
+	p.store(e, c, semantics.Number(1))
+	v, ok := p.lookup(e, c)
 	if !ok || v.Num != 1 {
 		t.Fatalf("lookup = %+v, %v", v, ok)
 	}
@@ -36,19 +32,19 @@ func TestPoolStoresAndRetrieves(t *testing.T) {
 // TestRelevProjectionSharing: a context-free expression stored under one
 // context must be found under any other context.
 func TestRelevProjectionSharing(t *testing.T) {
-	p := New()
+	p := &DataPool{}
 	e := xpath.MustParse("1 + 1") // Relev = ∅
-	p.Store(e, ctxAt(1), semantics.Number(2))
-	if _, ok := p.Lookup(e, ctxAt(2)); !ok {
+	p.store(e, ctxAt(1), semantics.Number(2))
+	if _, ok := p.lookup(e, ctxAt(2)); !ok {
 		t.Error("context-free value not shared across contexts")
 	}
 	// Node-dependent: shared across positions but not nodes.
 	e2 := xpath.MustParse("count(child::*)")
-	p.Store(e2, semantics.Context{Node: 1, Pos: 3, Size: 9}, semantics.Number(2))
-	if _, ok := p.Lookup(e2, semantics.Context{Node: 1, Pos: 5, Size: 7}); !ok {
+	p.store(e2, semantics.Context{Node: 1, Pos: 3, Size: 9}, semantics.Number(2))
+	if _, ok := p.lookup(e2, semantics.Context{Node: 1, Pos: 5, Size: 7}); !ok {
 		t.Error("position change must not invalidate node-keyed entry")
 	}
-	if _, ok := p.Lookup(e2, semantics.Context{Node: 2, Pos: 3, Size: 9}); ok {
+	if _, ok := p.lookup(e2, semantics.Context{Node: 2, Pos: 3, Size: 9}); ok {
 		t.Error("different node must miss")
 	}
 }
@@ -71,7 +67,7 @@ func TestPolynomialEvaluation(t *testing.T) {
 		pred = "count(parent::a/b[" + pred + "]) > 1"
 	}
 	q := "//a/b[" + pred + "]"
-	ev, pool := NewEvaluator(d)
+	ev, pool := NewPooled(d)
 	v, err := ev.Evaluate(xpath.MustParse(q), ctxAt(d.RootID()))
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@
 package semantics
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 
@@ -294,38 +295,17 @@ func Compare(d *xmltree.Document, op xpath.BinOp, v1, v2 Value) bool {
 	}
 	n1, n2 := v1.Kind == xpath.TypeNodeSet, v2.Kind == xpath.TypeNodeSet
 	switch {
-	case n1 && n2:
-		// The most costly operator of Theorem 6.6. Existential over
-		// both sets on string values; GtOp compares numerically via
-		// cmpStr's number route.
+	case n1 && v2.Kind == xpath.TypeBoolean:
+		return cmpBool(op, ToBoolean(v1), v2.Bool)
+	case n1:
+		// Existential over the set on string values; nset × nset is the
+		// most costly operator of Theorem 6.6.
 		for _, a := range v1.Set {
-			sa := d.StringValue(a)
-			for _, b := range v2.Set {
-				if cmpStr(op, sa, d.StringValue(b)) {
-					return true
-				}
+			if CompareStrval(d, op, d.StringValue(a), v2) {
+				return true
 			}
 		}
 		return false
-	case n1:
-		switch v2.Kind {
-		case xpath.TypeNumber:
-			for _, a := range v1.Set {
-				if CompareNumbers(op, StringToNumber(d.StringValue(a)), v2.Num) {
-					return true
-				}
-			}
-			return false
-		case xpath.TypeString:
-			for _, a := range v1.Set {
-				if cmpStr(op, d.StringValue(a), v2.Str) {
-					return true
-				}
-			}
-			return false
-		default: // boolean
-			return cmpBool(op, ToBoolean(v1), v2.Bool)
-		}
 	case n2:
 		return Compare(d, Flip(op), v2, v1)
 	}
@@ -341,6 +321,58 @@ func Compare(d *xmltree.Document, op xpath.BinOp, v1, v2 Value) bool {
 		}
 	}
 	return CompareNumbers(op, ToNumber(d, v1), ToNumber(d, v2))
+}
+
+// CompareStrval is F[[RelOp]]({n}, v) for a node n whose string-value is
+// s: Compare of a one-node set, with no set built. GtOp on two strings
+// compares their numbers (cmpStr). §10.2's "=s" is decided here, small
+// enough to be inlined into a loop over candidates; the rest costs a
+// call.
+func CompareStrval(d *xmltree.Document, op xpath.BinOp, s string, v Value) bool {
+	if v.Kind == xpath.TypeString && op == xpath.OpEq {
+		return s == v.Str
+	}
+	return compareStrval(d, op, s, v)
+}
+
+func compareStrval(d *xmltree.Document, op xpath.BinOp, s string, v Value) bool {
+	switch v.Kind {
+	case xpath.TypeNumber:
+		return CompareNumbers(op, StringToNumber(s), v.Num)
+	case xpath.TypeString:
+		return cmpStr(op, s, v.Str)
+	case xpath.TypeBoolean:
+		return cmpBool(op, true, v.Bool)
+	}
+	for _, b := range v.Set {
+		if cmpStr(op, s, d.StringValue(b)) {
+			return true
+		}
+	}
+	return false
+}
+
+// Apply is F[[Op]] of Table II for a binary operator — and, or, RelOp,
+// ArithOp and | — on its operands' values. A union is built in the
+// engine's arena ar (nil: the heap). and/or take both values; an engine
+// that short-circuits decides before it evaluates the right operand.
+func Apply(d *xmltree.Document, ar *xmltree.Arena, op xpath.BinOp, l, r Value) (Value, error) {
+	switch {
+	case op == xpath.OpAnd:
+		return Boolean(ToBoolean(l) && ToBoolean(r)), nil
+	case op == xpath.OpOr:
+		return Boolean(ToBoolean(l) || ToBoolean(r)), nil
+	case op == xpath.OpUnion:
+		if l.Kind != xpath.TypeNodeSet || r.Kind != xpath.TypeNodeSet {
+			return Value{}, fmt.Errorf("semantics: | on non-node-sets")
+		}
+		return NodeSet(ar.Union(l.Set, r.Set)), nil
+	case op.IsRelOp():
+		return Boolean(Compare(d, op, l, r)), nil
+	case op.IsArith():
+		return Number(Arith(op, ToNumber(d, l), ToNumber(d, r))), nil
+	}
+	return Value{}, fmt.Errorf("semantics: unknown operator %v", op)
 }
 
 func cmpBool(op xpath.BinOp, a, b bool) bool {

@@ -156,24 +156,8 @@ func (ev *run) evalBinaryVector(b *xpath.Binary, ctxs []semantics.Context, out [
 		return nil, err
 	}
 	for i := range ctxs {
-		l, rv := ls[i], rs[i]
-		switch {
-		case b.Op == xpath.OpAnd:
-			out[i] = semantics.Boolean(semantics.ToBoolean(l) && semantics.ToBoolean(rv))
-		case b.Op == xpath.OpOr:
-			out[i] = semantics.Boolean(semantics.ToBoolean(l) || semantics.ToBoolean(rv))
-		case b.Op == xpath.OpUnion:
-			if l.Kind != xpath.TypeNodeSet || rv.Kind != xpath.TypeNodeSet {
-				return nil, fmt.Errorf("topdown: | on non-node-sets")
-			}
-			out[i] = semantics.NodeSet(ev.ar.Union(l.Set, rv.Set))
-		case b.Op.IsRelOp():
-			out[i] = semantics.Boolean(semantics.Compare(ev.doc, b.Op, l, rv))
-		case b.Op.IsArith():
-			out[i] = semantics.Number(semantics.Arith(b.Op,
-				semantics.ToNumber(ev.doc, l), semantics.ToNumber(ev.doc, rv)))
-		default:
-			return nil, fmt.Errorf("topdown: unknown operator %v", b.Op)
+		if out[i], err = semantics.Apply(ev.doc, ev.ar, b.Op, ls[i], rs[i]); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
@@ -390,23 +374,19 @@ func (ev *run) evalStepVector(step *xpath.Step, inputs []xmltree.NodeSet) ([]xml
 	ix := ev.doc.Index()
 	sc := ix.AcquireScratch()
 	defer ix.ReleaseScratch(sc)
+	row := func(x xmltree.NodeID) xmltree.NodeSet {
+		k, _ := slices.BinarySearch(union, x)
+		return sx[k]
+	}
 	for i, xi := range inputs {
 		if err := ev.cancel.Check(); err != nil {
 			return nil, err
 		}
-		switch {
-		case eq && i > 0:
+		if eq && i > 0 {
 			out[i] = out[0]
-		case len(xi) == 1:
-			k, _ := slices.BinarySearch(union, xi[0])
-			out[i] = sx[k]
-		case len(xi) > 1:
-			for _, x := range xi {
-				k, _ := slices.BinarySearch(union, x)
-				sc.Acc.Add(sx[k])
-			}
-			out[i] = sc.Acc.Result(ev.ar)
+			continue
 		}
+		out[i] = evalutil.ComposeRow(ev.ar, &sc.Acc, xi, row)
 	}
 	return out, nil
 }

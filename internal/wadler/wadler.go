@@ -367,36 +367,19 @@ func (st *state) evalBottomUpPath(key xpath.Expr, pathSide xpath.Expr, c *semant
 	// Step 1. The path can only end in T(t) of its last step, so Y is
 	// seeded from there — the label's posting list for child::name and
 	// its like — and a comparison reads the string-values of those nodes
-	// alone, never the root's or an interior element's. π RelOp bool is
-	// boolean(π) RelOp bool: like boolean(π) it propagates all of T(t),
-	// and compares afterwards.
+	// alone, never the root's or an interior element's: Y := {y ∈ T(t) |
+	// strval(y) RelOp c}. π RelOp bool is boolean(π) RelOp bool: like
+	// boolean(π) it propagates all of T(t), and compares afterwards.
 	var (
 		reach      xmltree.NodeSet
 		everywhere bool
 		err        error
-		back       = st.back()
+		boolRelOp  = c != nil && c.Kind == xpath.TypeBoolean
 	)
-	boolRelOp := c != nil && c.Kind == xpath.TypeBoolean
 	if c == nil || boolRelOp {
-		reach, everywhere, err = back.Exists(pathSide)
+		reach, everywhere, err = st.back().Exists(pathSide)
 	} else {
-		// Y := {y ∈ T(t) | strval-based comparison with c holds}.
-		var y xmltree.NodeSet
-		if y, err = back.Targets(pathSide); err == nil {
-			err = st.cancel.CheckN(len(y))
-		}
-		if err != nil {
-			return err
-		}
-		keep := st.ar.Nodes(len(y))
-		one := append(st.ar.Nodes(1), 0)
-		for _, id := range y {
-			one[0] = id
-			if semantics.Compare(st.doc, op, semantics.NodeSet(one), *c) {
-				keep = append(keep, id)
-			}
-		}
-		reach, everywhere, err = back.Reach(pathSide, st.ar.Trim(keep))
+		reach, everywhere, err = st.back().Compared(pathSide, op, *c)
 	}
 	if err != nil {
 		return err

@@ -399,23 +399,14 @@ func (ev *eval) e1(e xpath.Expr) (ext, error) {
 // the constant makes the start set empty and the extension with it; it
 // does not make the comparison vanish.
 func (ev *eval) eqS(p *xpath.Path, c xpath.Expr) (ext, error) {
-	back := ev.back()
-	targets, err := back.Targets(p)
-	if err == nil {
-		err = ev.cancel.CheckN(len(targets))
+	v := semantics.String("")
+	switch c := c.(type) {
+	case *xpath.Literal:
+		v.Str = c.Val
+	case *xpath.Number:
+		v = semantics.Number(c.Val)
 	}
-	if err != nil {
-		return ext{}, err
-	}
-	lit, isString := c.(*xpath.Literal)
-	hits := ev.ar.Nodes(len(targets))
-	for _, y := range targets {
-		if s := ev.doc.StringValue(y); isString && s == lit.Val ||
-			!isString && semantics.StringToNumber(s) == c.(*xpath.Number).Val {
-			hits = append(hits, y)
-		}
-	}
-	return ev.reached(back.Reach(p, ev.ar.Trim(hits)))
+	return ev.reached(ev.back().Compared(p, xpath.OpEq, v))
 }
 
 // ------------------------------------------------------------------
