@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -16,40 +15,14 @@ import (
 // server carrying it, and a Node client pointed at it.
 type backend struct {
 	srv  *serve.Server
-	ts   *backendServer
+	ts   *httptest.Server
 	node *Node
-}
-
-// backendServer is the httptest server of a backend. Its Close and
-// CloseClientConnections also drop the peer connections the server
-// hijacked, which httptest.Server does not track: a node taken down
-// must look like a dead process to the routers pooling connections to
-// it.
-type backendServer struct {
-	*httptest.Server
-	srv *serve.Server
-}
-
-func (b *backendServer) Close() {
-	b.Server.Close()
-	b.dropPeers()
-}
-
-func (b *backendServer) CloseClientConnections() {
-	b.Server.CloseClientConnections()
-	b.dropPeers()
-}
-
-func (b *backendServer) dropPeers() {
-	gone, cancel := context.WithCancel(context.Background())
-	cancel()
-	b.srv.CloseConns(gone)
 }
 
 func newBackend(t *testing.T, cfg store.Config) *backend {
 	t.Helper()
 	srv := serve.New(engine.New(engine.Options{CacheSize: 32, Workers: 2}), cfg)
-	ts := &backendServer{Server: httptest.NewServer(srv.Handler()), srv: srv}
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	node, err := NewNode(ts.URL, 5*time.Second)
 	if err != nil {

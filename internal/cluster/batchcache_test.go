@@ -20,12 +20,12 @@ func countBatchStreams(backends ...*backend) func() int {
 	var n atomic.Int64
 	for _, b := range backends {
 		inner := b.srv.Handler()
-		b.ts.Config.Handler = serve.PeerHandler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b.ts.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/batch" {
 				n.Add(1)
 			}
 			inner.ServeHTTP(w, r)
-		}))
+		})
 	}
 	return func() int { return int(n.Load()) }
 }

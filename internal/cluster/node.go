@@ -93,35 +93,31 @@
 // # How a request reaches a peer
 //
 // Every call is Node.roundTrip through one http.Client whose transport
-// is serve.PeerTransport: frames on pooled, upgraded connections, not
-// one HTTP/1.1 exchange per call (that hop cost the router more CPU
-// than the backend spent answering). The wire is serve's, both halves
-// (internal/serve/peer.go):
+// is serve.PeerTransport: keep-alive HTTP/1.1 on pooled connections,
+// served on the backend by the same connection loop and surface as any
+// client (fault injector, obs.Middleware, MaxBytesReader, mux), so
+// statuses, bytes, metrics, logs and traces are the same. A test's fake
+// peer is a plain http.Handler.
 //
-//   - Upgrade. A connection opens with one GET /peer carrying
-//     "Upgrade: xpath-peer/1" on the backend's ordinary port; the
-//     backend (serve.Server.Handler, or serve.PeerHandler around a
-//     test's fake) answers 101 and its connection loop switches the
-//     connection to frames (behind httptest, the handler hijacks it).
-//     No new listener, flag or option. A peer that answers anything else is ErrUnavailable:
-//     there is no HTTP fallback.
-//   - Frames. Each frame is kind (1 byte), length (4 bytes) and
-//     payload. A call is a request frame {method, target with query,
-//     X-Request-Id, body}, answered by a head frame {status, declared
-//     length}, body frames — one per flush, so a /batch still streams
-//     in bursts — and an end frame. The backend dispatches the request
-//     frame to the surface a plain HTTP request reaches (fault
-//     injector, obs.Middleware, MaxBytesReader, mux), so statuses,
-//     bytes, metrics, logs and traces are the same.
+//   - Wire. A call is one write: request line, Host, X-Request-Id when
+//     set, Content-Length when there is a body, and a body of up to
+//     32 KB (a larger one follows). The response is read by
+//     http.ReadResponse; a /batch arrives chunked, one chunk per flush,
+//     so it still streams in bursts. A target or request ID holding a
+//     byte an HTTP/1.1 head cannot carry (CR, LF, other controls) fails
+//     the call before anything is written.
 //   - Pooling. One connection carries one call at a time; up to 16 idle
-//     ones are kept per node. A connection goes back to the pool only
-//     after a clean end frame: a stream the caller abandoned, a body
-//     refused unread, a call cut short are closed. A call that fails on
-//     a pooled connection before any response byte (the backend closed
-//     it while idle: a restart, a drain) is retried once on a fresh one.
+//     ones are kept per node, each for up to 90 s. A connection goes
+//     back to the pool only when its body was read to its end, the call
+//     was never interrupted, and the answer did not say Connection:
+//     close (a draining backend says it): a stream the caller
+//     abandoned, a body refused unread, a call cut short are closed. A
+//     call that fails on a pooled connection before any response byte
+//     (the backend closed it while idle: a restart, a drain) is retried
+//     once on a fresh one.
 //   - Deadlines. The caller's goroutine writes and reads; there is no
-//     per-connection goroutine. Dial, upgrade and head frame are bounded
-//     by the node timeout and the call's deadline, whichever is sooner;
+//     per-connection goroutine. Dial and response head are bounded by
+//     the node timeout and the call's deadline, whichever is sooner;
 //     after the head only the call's deadline holds: a unary call's is
 //     its carved share (resilience.CarveAttempt), set on the connection
 //     (SetDeadline), and a stream has none but its caller's.
@@ -130,11 +126,10 @@
 //     backend cancels the request when a write to the router fails or,
 //     once it has run 10 ms, when it sees the connection close — so a
 //     cancelled router stops a backend /batch within a line.
-//   - Bounds. A request frame is bounded by the backend's body bound
-//     (plus 64 KB of method, target and ID), a body frame by 1 MB, a
-//     response by responseLimit. A frame that breaks a bound or the
-//     order head, body…, end is serve.ErrFrame; the call fails as
-//     ErrUnavailable and the connection is closed.
+//   - Bounds. A request body is bounded by the backend's body bound
+//     (413), a response by responseLimit; an answer http.ReadResponse
+//     cannot read fails the call as ErrUnavailable and closes the
+//     connection.
 package cluster
 
 import (
@@ -228,15 +223,15 @@ func jsonObject(b []byte) bool {
 }
 
 // Node is one backend xpathserve process: a base URL plus a dedicated
-// client whose transport (serve.PeerTransport) keeps upgraded
-// connections to that peer pooled across requests. All methods are safe
+// client whose transport (serve.PeerTransport) keeps connections to
+// that peer pooled across requests. All methods are safe
 // for concurrent use.
 type Node struct {
 	name string // host:port, used as the "node" tag on routed results
 	base string // normalized base URL without trailing slash
 
-	// client carries every call, unary and streamed alike, as frames;
-	// the transport bounds dial and head frame by the timeout and the
+	// client carries every call, unary and streamed alike; the
+	// transport bounds dial and response head by the timeout and the
 	// rest by the call's context (see "How a request reaches a peer").
 	client *http.Client
 
@@ -280,7 +275,7 @@ func NewNode(raw string, timeout time.Duration) (*Node, error) {
 	n := &Node{
 		name: u.Host,
 		base: u.String(),
-		//lint:ignore ctxhttp unary deadlines are carved per attempt from the caller's context (resilience.CarveAttempt) instead of one flat Client.Timeout, so a tight client deadline is split across retries rather than silently exceeded; a batch stream legitimately outlives any fixed timeout and is bounded by its context and the transport's dial and head-frame timeout
+		//lint:ignore ctxhttp unary deadlines are carved per attempt from the caller's context (resilience.CarveAttempt) instead of one flat Client.Timeout, so a tight client deadline is split across retries rather than silently exceeded; a batch stream legitimately outlives any fixed timeout and is bounded by its context and the transport's dial and response-head timeout
 		client:    &http.Client{Transport: serve.NewPeerTransport(timeout)},
 		timeout:   timeout,
 		downAfter: 1,

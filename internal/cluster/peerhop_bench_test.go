@@ -8,7 +8,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -22,8 +21,9 @@ import (
 )
 
 // BenchmarkPeerHop is the cost of one routed call's hop: Node.Query of
-// count(//item) against a serve backend on loopback, client and backend
-// in this process, with 1 and 8 concurrent callers. Besides ns/op and
+// count(//item) against a serve backend on loopback, served by its
+// connection loop as xpathserve serves it, client and backend in this
+// process, with 1 and 8 concurrent callers. Besides ns/op and
 // allocs/op it reports cpu-ns/op, the process's user+system CPU per
 // call — both ends of the hop — which on a box with few cores is the
 // number that matters (ns/op is wall time).
@@ -35,9 +35,7 @@ func BenchmarkPeerHop(b *testing.B) {
 	if _, _, err := srv.AddDocument("auction", workload.Auction(1, 30).XMLString()); err != nil {
 		b.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	node, err := NewNode(ts.URL, 5*time.Second)
+	node, err := NewNode(serveLoop(b, srv), 5*time.Second)
 	if err != nil {
 		b.Fatal(err)
 	}

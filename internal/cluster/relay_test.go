@@ -195,7 +195,7 @@ func TestRoutedNonFiniteKeepsPeersHealthy(t *testing.T) {
 // test hands it — what a broken or foreign backend might send.
 func fakePeer(t *testing.T, handler http.HandlerFunc) *Node {
 	t.Helper()
-	ts := httptest.NewServer(serve.PeerHandler(handler))
+	ts := httptest.NewServer(handler)
 	t.Cleanup(ts.Close)
 	n, err := NewNode(ts.URL, 2*time.Second)
 	if err != nil {

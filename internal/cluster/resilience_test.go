@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/resilience"
-	"repro/internal/serve"
 	"repro/internal/store"
 )
 
@@ -24,14 +23,14 @@ import (
 // reads as ErrUnavailable (the peer's fault, retryable) while the
 // caller's own context stays live.
 func TestCarvedAttemptDeadline(t *testing.T) {
-	slow := httptest.NewServer(serve.PeerHandler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-time.After(2 * time.Second):
 		case <-r.Context().Done():
 			return
 		}
 		w.Write([]byte("{}"))
-	})))
+	}))
 	defer slow.Close()
 	n, err := NewNode(slow.URL, 5*time.Second) // generous flat timeout
 	if err != nil {
@@ -58,10 +57,10 @@ func TestCarvedAttemptDeadline(t *testing.T) {
 // full, further calls shed fast with ErrOverloaded instead of queuing.
 func TestNodeShedding(t *testing.T) {
 	release := make(chan struct{})
-	slow := httptest.NewServer(serve.PeerHandler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		<-release
 		w.Write([]byte("{}"))
-	})))
+	}))
 	defer slow.Close()
 	n, err := NewNode(slow.URL, 5*time.Second)
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/serve"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -746,14 +745,14 @@ func TestGroupedBatchOneStreamPerNode(t *testing.T) {
 	for i, b := range backends {
 		name := fmt.Sprintf("backend-%d", i)
 		inner := b.srv.Handler()
-		b.ts.Config.Handler = serve.PeerHandler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b.ts.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/batch" {
 				mu.Lock()
 				batchCalls[name]++
 				mu.Unlock()
 			}
 			inner.ServeHTTP(w, r)
-		}))
+		})
 	}
 	owned := namesOwnedBy(2, 3)
 	var docs []string

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -21,20 +22,21 @@ import (
 	"repro/internal/workload"
 )
 
-// The tests in this file hold the router↔backend hop — frames on pooled
-// upgraded connections (serve.PeerTransport, serve.PeerHandler) — to
-// what the HTTP/1.1 hop it replaced did.
+// The tests in this file hold the router↔backend hop — keep-alive
+// HTTP/1.1 on pooled connections (serve.PeerTransport), served by the
+// backend's connection loop — to what net/http's client gets.
 
-// TestFramesAnswerAsHTTP: a backend answers each request the same over
-// frames as over plain HTTP — status and bytes — for every endpoint a
-// router calls and every error status. Two backends run the same
-// script, one per transport, so versions and counters line up; only
-// what a clock or a per-process seed decides (ages, uptimes, time
-// saved, span trees, doorkeeper admissions) is masked, and batch lines,
-// which arrive in completion order, are compared as a set.
-func TestFramesAnswerAsHTTP(t *testing.T) {
-	// A document whose fetch is larger than a body frame: the answer
-	// leaves in several frames of its own.
+// TestPeerTransportAnswersAsNetHTTP: a backend answers each request the
+// same to serve.PeerTransport as to net/http's client — status and
+// bytes — for every endpoint a router calls and every error status.
+// Two backends, each served as xpathserve serves, run the same script,
+// one per client, so versions and counters line up; only what a clock
+// or a per-process seed decides (ages, uptimes, time saved, span trees,
+// doorkeeper admissions) is masked, and batch lines, which arrive in
+// completion order, are compared as a set.
+func TestPeerTransportAnswersAsNetHTTP(t *testing.T) {
+	// A document whose fetch is larger than the transport's buffer and
+	// a write the answer's writer holds.
 	big := "<a>" + strings.Repeat("<b>x</b>", 50_000) + "</a>"
 	newServer := func() string {
 		srv := serve.New(engine.New(engine.Options{CacheSize: 32, Workers: 2}), store.Config{})
@@ -42,12 +44,10 @@ func TestFramesAnswerAsHTTP(t *testing.T) {
 		if _, _, err := srv.AddDocument("big", big); err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(ts.Close)
-		return ts.URL
+		return serveLoop(t, srv)
 	}
-	viaHTTP, viaFrames := newServer(), newServer()
-	framed := &http.Client{Transport: serve.NewPeerTransport(5 * time.Second)}
+	viaHTTP, viaPeer := newServer(), newServer()
+	peer := &http.Client{Transport: serve.NewPeerTransport(5 * time.Second)}
 	deep := strings.Repeat("(", 2000) + "1" + strings.Repeat(")", 2000)
 	for _, c := range []struct {
 		method, path, body string
@@ -81,18 +81,34 @@ func TestFramesAnswerAsHTTP(t *testing.T) {
 		{"GET", "/nowhere", "", 404, false},
 	} {
 		hs, hb := exchange(t, http.DefaultClient, viaHTTP, c.method, c.path, c.body)
-		fs, fb := exchange(t, framed, viaFrames, c.method, c.path, c.body)
-		if hs != c.status || fs != hs {
-			t.Errorf("%s %.60s: status %d over HTTP, %d over frames; want %d", c.method, c.path, hs, fs, c.status)
+		ps, pb := exchange(t, peer, viaPeer, c.method, c.path, c.body)
+		if hs != c.status || ps != hs {
+			t.Errorf("%s %.60s: status %d to net/http, %d to PeerTransport; want %d", c.method, c.path, hs, ps, c.status)
 			continue
 		}
 		if c.volatile {
-			hb, fb = masked(t, hb), masked(t, fb)
+			hb, pb = masked(t, hb), masked(t, pb)
 		}
-		if !bytes.Equal(hb, fb) {
-			t.Errorf("%s %.60s: bytes differ\nHTTP:   %s\nframes: %s", c.method, c.path, hb, fb)
+		if !bytes.Equal(hb, pb) {
+			t.Errorf("%s %.60s: bytes differ\nnet/http:      %s\nPeerTransport: %s", c.method, c.path, hb, pb)
 		}
 	}
+}
+
+// serveLoop serves srv on a loopback port through its connection loop,
+// as xpathserve does, and returns the base URL.
+func serveLoop(t testing.TB, srv *serve.Server) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	return "http://" + ln.Addr().String()
 }
 
 // exchange sends one request under a fixed request ID and returns the
@@ -202,12 +218,11 @@ func TestCancelStopsBackendBatch(t *testing.T) {
 }
 
 // TestPeerDeadlines: a unary call is bounded by its context's deadline
-// end to end; a stream only until its head frame — the dial and the
-// head are bounded by the node timeout, the body by nothing but the
-// caller.
+// end to end; a stream only until its head — the dial and the head are
+// bounded by the node timeout, the body by nothing but the caller.
 func TestPeerDeadlines(t *testing.T) {
 	peer := func(h http.HandlerFunc, timeout time.Duration) *Node {
-		ts := httptest.NewServer(serve.PeerHandler(h))
+		ts := httptest.NewServer(h)
 		t.Cleanup(ts.Close)
 		n, err := NewNode(ts.URL, timeout)
 		if err != nil {
@@ -276,21 +291,11 @@ func TestPeerDeadlines(t *testing.T) {
 	}
 }
 
-// countUpgrades counts the peer connections h is asked to open.
-func countUpgrades(h http.Handler) (http.Handler, *atomic.Int32) {
-	var n atomic.Int32
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/peer" {
-			n.Add(1)
-		}
-		h.ServeHTTP(w, r)
-	}), &n
-}
-
 // TestUncleanConnectionsAreNotPooled: a connection goes back to the pool
-// only after a clean end frame. One whose stream the caller abandoned,
-// whose call was cut short by its deadline, or whose body was refused
-// unread is closed, and the next call opens a fresh one.
+// only after a body read to its end. One whose stream the caller
+// abandoned, whose call was cut short by its deadline, whose body was
+// refused unread, or whose answer said Connection: close is closed, and
+// the next call opens a fresh one.
 func TestUncleanConnectionsAreNotPooled(t *testing.T) {
 	stream := func(w http.ResponseWriter, r *http.Request) {
 		write := serve.OpenStream(r.Context(), w)
@@ -299,7 +304,7 @@ func TestUncleanConnectionsAreNotPooled(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 		}
 	}
-	h, upgrades := countUpgrades(serve.PeerHandler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/batch":
 			stream(w, r)
@@ -310,11 +315,20 @@ func TestUncleanConnectionsAreNotPooled(t *testing.T) {
 			}
 			w.Header().Set("Content-Length", "999999999999")
 			w.Write([]byte(`{"name":`))
+		case "/stats":
+			w.Header().Set("Connection", "close")
+			w.Write([]byte(`{}`))
 		default:
 			w.Write([]byte(`{"query":"q"}`))
 		}
-	})))
-	ts := httptest.NewServer(h)
+	}))
+	var opened atomic.Int32
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
 	t.Cleanup(ts.Close)
 	n, err := NewNode(ts.URL, 5*time.Second)
 	if err != nil {
@@ -329,7 +343,7 @@ func TestUncleanConnectionsAreNotPooled(t *testing.T) {
 	}
 	expect := func(what string, want int32) {
 		t.Helper()
-		if got := upgrades.Load(); got != want {
+		if got := opened.Load(); got != want {
 			t.Fatalf("%s: %d connections opened, want %d", what, got, want)
 		}
 	}
@@ -360,12 +374,18 @@ func TestUncleanConnectionsAreNotPooled(t *testing.T) {
 	query()
 	query()
 	expect("calls after a body refused unread", 4)
+
+	if _, err := n.Stats(ctx); err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	query()
+	expect("a call after an answer that said Connection: close", 5)
 }
 
-// TestFaultsFireOverFrames: each resilience.Faults kind still fires, on
-// the backend's surface (-fault-spec) and on the router's transport
-// (WrapTransport).
-func TestFaultsFireOverFrames(t *testing.T) {
+// TestFaultsFireOnPeerCalls: each resilience.Faults kind fires on a
+// router's calls, on the backend's surface (-fault-spec) and on the
+// router's transport (WrapTransport).
+func TestFaultsFireOnPeerCalls(t *testing.T) {
 	lines := func(n *Node) (int, error) {
 		count := 0
 		err := n.StreamJobs(context.Background(), []serve.BatchJob{{Doc: "d", Query: "1"}, {Doc: "d", Query: "2"}, {Doc: "d", Query: "3"}}, func([]byte) error {
@@ -447,24 +467,5 @@ func TestFaultsFireOverFrames(t *testing.T) {
 			b.node.WrapTransport(f.Transport)
 			check(t, b.node, f, kind)
 		})
-	}
-}
-
-// TestPeerRefusingTheUpgrade: a peer that answers /peer with anything but
-// the switch to frames is unavailable — there is no HTTP fallback.
-func TestPeerRefusingTheUpgrade(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"query":"q","version":1}`))
-	}))
-	t.Cleanup(ts.Close)
-	n, err := NewNode(ts.URL, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := n.Query(context.Background(), "d", "q", false); !errors.Is(err, ErrUnavailable) || !strings.Contains(err.Error(), "upgrade") {
-		t.Fatalf("a peer without frames: %v, want ErrUnavailable naming the upgrade", err)
-	}
-	if n.Healthy() {
-		t.Fatal("a peer refusing the upgrade still reads healthy")
 	}
 }

@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/serve"
 )
 
 // TestWalkDecisions drives each decision of Router.walk through the
@@ -81,7 +79,7 @@ func TestWalkDecisions(t *testing.T) {
 			newPeer := func() *peer {
 				p := &peer{}
 				p.status.Store(200)
-				p.ts = httptest.NewServer(serve.PeerHandler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				p.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 					select {
 					case <-time.After(c.delay):
 					case <-r.Context().Done():
@@ -89,7 +87,7 @@ func TestWalkDecisions(t *testing.T) {
 					}
 					w.WriteHeader(int(p.status.Load()))
 					w.Write([]byte(`{"name":"d","nodes":1,"version":1,"error":"planted"}`))
-				})))
+				}))
 				t.Cleanup(p.ts.Close)
 				p.node = node(p)
 				return p

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/semantics"
@@ -105,6 +106,33 @@ var specCases = []specCase{
 }
 
 func TestSpecGoldenAnswers(t *testing.T) { checkGolden(t, specDoc, specCases) }
+
+// TestRoundPerSpec: round() as XPath 1.0 §4.4 defines it — the nearest
+// integer, ties toward +∞; NaN, ±∞ and integers unchanged however
+// large; −0 for every argument in [−0.5, −0], seen through 1 div — and
+// substring(), which rounds both its arguments with it. Every engine
+// calls the one semantics.round, so only a golden answer sees it.
+func TestRoundPerSpec(t *testing.T) {
+	checkGolden(t, specDoc, []specCase{
+		{query: "1 div round(-0.5)", num: num(math.Inf(-1))},
+		{query: "1 div round(-0.2)", num: num(math.Inf(-1))},
+		{query: "1 div round(-0)", num: num(math.Inf(-1))},
+		{query: "1 div round(0.2)", num: num(math.Inf(1))},
+		{query: "round(0.49999999999999994)", num: num(0)},
+		{query: "round(4503599627370497)", num: num(4503599627370497)},
+		{query: "round(-0.51)", num: num(-1)},
+		{query: "round(-1.5)", num: num(-1)},
+		{query: "round(1.5)", num: num(2)},
+		{query: "string(round(1 div 0))", str: str("Infinity")},
+		{query: "string(round(0 div 0))", str: str("NaN")},
+		{query: `substring("12345", 1, 0.49999999999999994)`, str: str("")},
+		{query: `substring("12345", 1.5, 2.6)`, str: str("234")},
+	})
+	checkGolden(t, "<a><b/></a>", []specCase{
+		{query: "count(//b[round(0.49999999999999994)])", num: num(0)},
+		{query: "count(//b[round(0.5)])", num: num(1)},
+	})
+}
 
 // TestTextNodeGoldenAnswers: a text node never has a text sibling
 // (XPath 1.0 §5.7), however the document wrote the text — character

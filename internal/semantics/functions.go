@@ -211,13 +211,24 @@ func wantNodeSet(name string, args []Value, i int) error {
 	return nil
 }
 
-// round implements XPath 1.0 round(): round half towards +∞, preserving
-// NaN and infinities.
+// round implements XPath 1.0 round() (§4.4): the integer closest to v,
+// of two the one nearer +∞; NaN, ±∞ and integers (every double of
+// magnitude 2⁵² or more is one) come back unchanged, and every v in
+// [−0.5, −0] rounds to −0. Floor(v + 0.5) gets the last three wrong:
+// the sum rounds 0.49999999999999994 up to 1 and moves odd integers
+// above 2⁵², and −0.5 + 0.5 is +0. v − Floor(v) is exact.
 func round(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
+	switch {
+	case math.IsNaN(v) || math.IsInf(v, 0) || v == math.Trunc(v):
 		return v
+	case v < 0 && v >= -0.5:
+		return math.Copysign(0, -1)
 	}
-	return math.Floor(v + 0.5)
+	f := math.Floor(v)
+	if v-f >= 0.5 {
+		return f + 1
+	}
+	return f
 }
 
 // substring implements the two- and three-argument XPath substring()

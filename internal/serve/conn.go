@@ -37,19 +37,15 @@ const (
 	phaseNew    phase = iota // accepted, no byte yet: headerTimeout from the accept
 	phaseHeader              // reading a request's head: headerTimeout
 	phaseIdle                // waiting for the next request: idleTimeout
-	phaseFrame               // reading a request frame: unbounded, as a body is
 	phaseActive              // a handler runs: watched for a hang-up after watchAfter
 )
 
 // Loop serves HTTP/1.1 connections: each accepted connection is read,
 // dispatched and answered on a goroutine of its own, one request at a
 // time (see "How a request reaches the surface" in the package
-// comment). A connection that asks for the peer upgrade of
-// Server.Handler switches to frames on the same goroutine. The Loop is
-// also the registry of what it serves — one watchdog enforces the
-// header and idle bounds and watches long requests for a hang-up, one
-// drain (Shutdown) ends them — and of the peer connections
-// Server.Handler hijacks when another http.Server carries it.
+// comment). The Loop is also the registry of what it serves — one
+// watchdog enforces the header and idle bounds and watches long
+// requests for a hang-up, one drain (Shutdown) ends them.
 type Loop struct {
 	h   http.Handler
 	log *slog.Logger // where a handler panic is logged; nil: slog.Default()
@@ -69,9 +65,7 @@ func NewLoop(h http.Handler, log *slog.Logger) *Loop { return &Loop{h: h, log: l
 
 // Serve accepts connections on ln and serves each until Shutdown,
 // when it returns http.ErrServerClosed, or until Accept fails for good.
-func (l *Loop) Serve(ln net.Listener) error { return l.serve(ln, l.h) }
-
-func (l *Loop) serve(ln net.Listener, h http.Handler) error {
+func (l *Loop) Serve(ln net.Listener) error {
 	if !l.track(&ln) {
 		ln.Close()
 		return http.ErrServerClosed
@@ -93,13 +87,7 @@ func (l *Loop) serve(ln net.Listener, h http.Handler) error {
 			return err
 		}
 		delay = 0
-		c := l.newConn(nc, nil)
-		c.h = h
-		if up, ok := h.(*peerHandler); ok {
-			c.up, c.h = up, up.next
-		}
-		c.lr.nc, c.lr.remain = nc, math.MaxInt64
-		c.br = bufio.NewReader(&c.lr)
+		c := l.newConn(nc)
 		if !l.add(c) {
 			nc.Close()
 			continue
@@ -146,16 +134,42 @@ func (l *Loop) logger() *slog.Logger {
 // each busy one as soon as its request has been answered, and returns
 // when all are closed. If ctx ends first, the rest are closed
 // mid-request and ctx's error is returned.
-func (l *Loop) Shutdown(ctx context.Context) error { return l.close(ctx, false) }
+func (l *Loop) Shutdown(ctx context.Context) error {
+	l.mu.Lock()
+	l.closed = true
+	for ln := range l.listeners {
+		(*ln).Close()
+	}
+	conns := make([]*conn, 0, len(l.conns))
+	for c := range l.conns {
+		conns = append(conns, c)
+	}
+	l.mu.Unlock()
+	for _, c := range conns {
+		c.drain()
+	}
+	for _, c := range conns {
+		select {
+		case <-c.done:
+		case <-ctx.Done():
+			for _, c := range conns {
+				c.nc.Close()
+			}
+			return ctx.Err()
+		}
+	}
+	return nil
+}
 
-func (l *Loop) newConn(nc net.Conn, br *bufio.Reader) *conn {
-	c := &conn{l: l, nc: nc, br: br, done: make(chan struct{})}
+func (l *Loop) newConn(nc net.Conn) *conn {
+	c := &conn{l: l, nc: nc, done: make(chan struct{})}
+	c.lr.nc, c.lr.remain = nc, math.MaxInt64
+	c.br = bufio.NewReader(&c.lr)
 	if a := nc.RemoteAddr(); a != nil {
 		c.remote = a.String()
 	}
 	c.base = context.WithValue(context.Background(), http.LocalAddrContextKey, nc.LocalAddr())
-	c.hw.c, c.fw.c = c, c
-	c.hw.header, c.fw.header = http.Header{}, http.Header{}
+	c.hw.c, c.hw.header = c, http.Header{}
 	return c
 }
 
@@ -204,45 +218,11 @@ func (l *Loop) watch() {
 	}
 }
 
-// close drains every connection: idle ones close at once, busy ones
-// once their request has been answered. With keep set, the listeners
-// stay open and connections accepted later are served; otherwise
-// nothing new is.
-func (l *Loop) close(ctx context.Context, keep bool) error {
-	l.mu.Lock()
-	if !keep {
-		l.closed = true
-		for ln := range l.listeners {
-			(*ln).Close()
-		}
-	}
-	conns := make([]*conn, 0, len(l.conns))
-	for c := range l.conns {
-		conns = append(conns, c)
-	}
-	l.mu.Unlock()
-	for _, c := range conns {
-		c.drain()
-	}
-	for _, c := range conns {
-		select {
-		case <-c.done:
-		case <-ctx.Done():
-			for _, c := range conns {
-				c.nc.Close()
-			}
-			return ctx.Err()
-		}
-	}
-	return nil
-}
-
 // conn is one served connection. serve reads a request, runs it and
 // answers it, one request at a time, on the connection's own goroutine:
 // no goroutine is handed a request (a handoff per request costs as much
 // CPU as the rest of a small one), and nothing reads in the background
-// while a request runs. The codec is HTTP/1.1 until a request asks for
-// the peer upgrade, frames from then on.
+// while a request runs.
 //
 // A request learns that its client hung up through its context:
 // cancelled when a write fails, and, once the request has run for
@@ -254,16 +234,11 @@ func (l *Loop) close(ctx context.Context, keep bool) error {
 type conn struct {
 	l      *Loop
 	nc     net.Conn
-	lr     connReader // under br on a connection the loop accepted
+	lr     connReader // under br
 	br     *bufio.Reader
-	h      http.Handler // HTTP/1.1 requests go here
-	up     *peerHandler // the peer upgrade's surface; nil when h has none
-	peer   bool         // the codec is frames
 	base   context.Context
 	remote string
-	host   string // frames: the Host of the upgrade request
-	hw     httpWriter
-	fw     frameWriter // both reused: a connection serves one request at a time
+	hw     httpWriter // reused: a connection serves one request at a time
 	done   chan struct{}
 
 	lastMethod string
@@ -283,16 +258,7 @@ type conn struct {
 
 func (c *conn) serve() {
 	defer c.exit()
-	for c.await() {
-		var more bool
-		if c.peer {
-			more = c.serveFrame()
-		} else {
-			more = c.serveHTTP()
-		}
-		if !more {
-			return
-		}
+	for c.await() && c.serveHTTP() {
 	}
 }
 
@@ -321,31 +287,21 @@ func (c *conn) exit() {
 }
 
 // await waits for the next request's first byte and reports whether to
-// read the request: not once a drain has begun.
+// read the request: not once a drain has begun. The first head on a
+// connection stays bounded from the accept.
 func (c *conn) await() bool {
 	if _, err := c.br.Peek(1); err != nil {
 		return false
 	}
-	next := phaseHeader
-	if c.peer {
-		next = phaseFrame
-	}
-	return c.enter(next)
-}
-
-// enter moves the connection to a phase in which no request runs,
-// refusing (false) once a drain has begun unless p is phaseIdle. The
-// first head on a connection stays bounded from the accept.
-func (c *conn) enter(p phase) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.draining.Load() && p != phaseIdle {
+	if c.draining.Load() {
 		return false
 	}
-	if c.phase != phaseNew || p != phaseHeader {
+	if c.phase != phaseNew {
 		c.seq++
 	}
-	c.phase = p
+	c.phase = phaseHeader
 	return true
 }
 
@@ -453,8 +409,8 @@ func (c *conn) drain() {
 	}
 }
 
-// connReader is the connection under the bufio.Reader of a connection
-// the loop accepted. While a request's head is read it allows only
+// connReader is the connection under a served connection's
+// bufio.Reader. While a request's head is read it allows only
 // remain more bytes, as net/http's connReader does, so a head past the
 // bound reads as the end of input and is answered 431.
 type connReader struct {

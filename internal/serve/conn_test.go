@@ -401,13 +401,17 @@ func TestConnDropsStalledHeader(t *testing.T) {
 	}
 }
 
+// fuzzMaxBody is the body bound of FuzzServeConn's server: small, so
+// that mutations reach past it.
+const fuzzMaxBody = 1 << 10
+
 // fuzzConnBound is what FuzzServeConn lets one exchange allocate:
 // eight times the head bound (textproto grows a long header line by
 // doubling, as read and again as parsed: a head at the bound allocates
-// about six times its length), the body bound of its server with a
-// frame's metadata, and 1 MB for the answers. A head twice the bound
-// long is a seed: past the bound nothing more is read.
-const fuzzConnBound = 8*maxHeaderBytes + fuzzMaxBody + maxRequestMeta + 1<<20
+// about six times its length), the body bound of its server, and 1 MB
+// for the answers. A head twice the bound long is a seed: past the
+// bound nothing more is read.
+const fuzzConnBound = 8*maxHeaderBytes + fuzzMaxBody + 1<<20
 
 // pipeConn is a served connection over two net.Pipes, so that the
 // client can end its input (as a half-close would) and still read every
@@ -429,8 +433,8 @@ func (c pipeConn) Close() error {
 // FuzzServeConn writes arbitrary bytes — one request or several,
 // pipelined — to the loop over net.Pipe. Whatever they are, nothing
 // panics, the exchange allocates no more than fuzzConnBound, and what
-// comes back is a sequence of well-formed answers (frames after a peer
-// upgrade) and then a closed connection.
+// comes back is a sequence of well-formed answers and then a closed
+// connection.
 func FuzzServeConn(f *testing.F) {
 	for _, seed := range []string{
 		get("/query?doc=catalog&q=count(//product)"),
@@ -448,7 +452,7 @@ func FuzzServeConn(f *testing.F) {
 		"HEAD /healthz HTTP/1.1\r\nHost: x\r\n\r\n" + get("/healthz"),
 		post("/documents", `{"name":"d","xml":"<a/>"}`) + "\r\n" + get("/documents"),
 		post("/documents", strings.Repeat("x", 2*fuzzMaxBody)),
-		"GET /peer HTTP/1.1\r\nHost: x\r\nUpgrade: " + peerProtocol + "\r\n\r\n" + string(requestFrame("GET", "/healthz", "", nil)),
+		"GET /peer HTTP/1.1\r\nHost: x\r\nConnection: Upgrade\r\nUpgrade: xpath-peer/1\r\n\r\n" + get("/healthz"), // no codec but HTTP/1.1
 		"OPTIONS * HTTP/1.1\r\nHost: x\r\n\r\n",
 		"\x00\x01\x02 nonsense\r\n\r\n",
 		get("/healthz", "X-Big: "+strings.Repeat("a", 2*maxHeaderBytes)+"\r\n"),
@@ -461,7 +465,7 @@ func FuzzServeConn(f *testing.F) {
 	if _, _, err := srv.AddDocument("catalog", workload.Catalog(3).XMLString()); err != nil {
 		f.Fatal(err)
 	}
-	up := srv.Handler().(*peerHandler)
+	srv.conns.h = srv.Handler()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The methods of the requests in data, as the server will read
 		// them: a HEAD answer has no body to read.
@@ -480,10 +484,7 @@ func FuzzServeConn(f *testing.F) {
 		inC, inS := net.Pipe()
 		outS, outC := net.Pipe()
 		defer outC.Close()
-		c := srv.conns.newConn(pipeConn{Conn: outS, in: inS}, nil)
-		c.h, c.up = up.next, up
-		c.lr.nc, c.lr.remain = c.nc, 1<<62
-		c.br = bufio.NewReader(&c.lr)
+		c := srv.conns.newConn(pipeConn{Conn: outS, in: inS})
 		if !srv.conns.add(c) {
 			t.Fatal("the loop is closed")
 		}
@@ -499,11 +500,6 @@ func FuzzServeConn(f *testing.F) {
 				break
 			} else if err != nil {
 				t.Fatalf("reading answers: %v", err)
-			}
-			if peek, _ := br.Peek(len(upgradeResponse)); string(peek) == upgradeResponse {
-				br.Discard(len(upgradeResponse))
-				readFrameAnswers(t, br)
-				break
 			}
 			method := http.MethodGet
 			if i < len(methods) {
@@ -535,19 +531,4 @@ func FuzzServeConn(f *testing.F) {
 			t.Fatalf("one exchange of %d bytes allocated %d bytes, past %d", len(data), n, fuzzConnBound)
 		}
 	})
-}
-
-// readFrameAnswers reads framed answers until the connection closes.
-func readFrameAnswers(t *testing.T, br *bufio.Reader) {
-	for {
-		if _, _, err := readHead(br); err == io.EOF {
-			return
-		} else if err != nil {
-			t.Fatalf("malformed head frame: %v", err)
-		}
-		body := &peerBody{c: &peerClientConn{br: br}}
-		if _, err := io.Copy(io.Discard, body); err != nil || !body.done {
-			t.Fatalf("malformed answer frames: %v", err)
-		}
-	}
 }

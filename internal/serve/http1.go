@@ -36,6 +36,9 @@ const (
 	// headroom is the room held in front of an answer's body for its
 	// head, so head and body leave in one write.
 	headroom = 512
+	// flushAt is how many answer bytes a writer holds before a Write
+	// goes to the wire without waiting for Flush.
+	flushAt = 32 << 10
 	// rstAvoidanceDelay is how long a connection closed with request
 	// bytes unread lingers half-closed, so the client reads the answer
 	// before the reset its unread bytes provoke.
@@ -64,9 +67,6 @@ func (c *conn) serveHTTP() bool {
 		fmt.Fprintf(c.nc, "HTTP/1.1 %d %s: %s%s%d %s: %s", code, http.StatusText(code), text, errorHeaders, code, http.StatusText(code), text)
 		return false
 	}
-	if c.up != nil && isPeerUpgrade(req) {
-		return c.upgrade(req.Host)
-	}
 
 	ctx, cancel := c.begin(req.Body == http.NoBody)
 	w := &c.hw
@@ -92,7 +92,7 @@ func (c *conn) serveHTTP() bool {
 	if r.RequestURI == "*" && r.Method == http.MethodOptions {
 		optionsStar(w, r)
 	} else {
-		c.h.ServeHTTP(w, r)
+		c.l.h.ServeHTTP(w, r)
 	}
 	if w.hijacked {
 		c.end()
@@ -173,15 +173,6 @@ func optionsStar(w http.ResponseWriter, r *http.Request) {
 	if r.ContentLength != 0 {
 		io.Copy(io.Discard, http.MaxBytesReader(w, r.Body, 4<<10))
 	}
-}
-
-// upgrade switches the connection to frames.
-func (c *conn) upgrade(host string) bool {
-	if _, err := io.WriteString(c.nc, upgradeResponse); err != nil {
-		return false
-	}
-	c.peer, c.host = true, host
-	return c.enter(phaseIdle)
 }
 
 // closeWriteAndWait half-closes a connection whose client may still be
@@ -317,7 +308,7 @@ func (w *httpWriter) WriteHeader(code int) {
 		panic(fmt.Sprintf("invalid WriteHeader code %v", code))
 	}
 	if code < 200 && code != http.StatusSwitchingProtocols {
-		return // informational answers are not relayed, as over frames
+		return // informational answers are not relayed
 	}
 	w.body.cont = false // no 100 Continue once the answer is on its way
 	w.wroteHeader, w.status = true, code
@@ -730,8 +721,3 @@ var tokenByte, validHostByte = func() (t, h [256]bool) {
 	}
 	return t, h
 }()
-
-// isPeerUpgrade reports whether r asks for the peer upgrade.
-func isPeerUpgrade(r *http.Request) bool {
-	return r.URL.Path == peerPath && r.Method == http.MethodGet && r.Header.Get("Upgrade") == peerProtocol
-}

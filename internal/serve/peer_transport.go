@@ -2,17 +2,16 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"crypto/tls"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"net/url"
 	"os"
+	"strconv"
 	"sync"
 	"syscall"
 	"time"
@@ -28,8 +27,8 @@ const (
 	// peerIdleTimeout closes a pooled connection nobody used for this
 	// long.
 	peerIdleTimeout = 90 * time.Second
-	// inlineBody is the largest request body copied into the request
-	// frame's buffer (one write); a larger one follows it unbuffered.
+	// inlineBody is the largest request body copied behind the head
+	// (one write); a larger one follows it unbuffered.
 	inlineBody = 32 << 10
 )
 
@@ -38,25 +37,30 @@ const (
 var aLongTimeAgo = time.Unix(1, 0)
 
 // PeerTransport is the http.RoundTripper a cluster router reaches its
-// backends with: each request travels as frames (see peer.go) over a
-// connection upgraded once and pooled, instead of as an HTTP/1.1
-// exchange. The caller's goroutine writes the request and reads the
-// response; there is no per-connection reader or writer goroutine.
+// backends with: keep-alive HTTP/1.1 on pooled connections, written and
+// read on the caller's goroutine (net/http's Transport runs a reader and
+// a writer goroutine per connection). A call is one write — request
+// line, the URL's Host, X-Request-Id when set, Content-Length when
+// there is a body, and a body of up to inlineBody bytes (a larger one
+// follows) — and its response is read by http.ReadResponse on the
+// connection's own bufio.Reader. A method, target, Host or X-Request-Id
+// holding a byte the head cannot carry (a control byte such as CR or
+// LF; a space outside the ID) fails the call before anything is
+// written. A request body must declare its length.
 //
-// Deadlines: the dial, the upgrade and the wait for the head frame are
-// bounded by the transport's timeout and the request context's
-// deadline, whichever is sooner; past the head only the context's
-// deadline holds, so a streamed /batch response may take as long as its
-// caller lets it. Cancelling the context interrupts the connection
-// (context.AfterFunc). A connection goes back to the pool only when its
-// response ended with a clean end frame and was never interrupted.
+// The dial and the response head are bounded by the transport's timeout
+// and the context's deadline, whichever is sooner; past the head only
+// the context's deadline holds, so a streamed /batch may take as long
+// as its caller lets it. Cancelling the context interrupts the
+// connection (context.AfterFunc). A connection goes back to the pool
+// only when its body was read to its end, the call was never
+// interrupted, and the answer did not say Connection: close.
 //
 // A call that fails on a pooled connection before any byte of its
 // response arrived is retried once, on a fresh connection, and the
 // other pooled connections to that peer are closed: without a
 // background reader, a connection the peer closed while it sat idle (a
-// restart, a drain) is only found out by using it. A peer that refuses
-// the upgrade fails the call; there is no HTTP/1.1 fallback.
+// restart, a drain) is only found out by using it.
 type PeerTransport struct {
 	timeout time.Duration
 	dialer  net.Dialer
@@ -65,8 +69,8 @@ type PeerTransport struct {
 	idle map[string][]*peerClientConn // by host:port, most recently used last
 }
 
-// NewPeerTransport returns a transport whose dial, upgrade and head
-// frame are bounded by timeout.
+// NewPeerTransport returns a transport whose dial and response head are
+// bounded by timeout.
 func NewPeerTransport(timeout time.Duration) *PeerTransport {
 	return &PeerTransport{
 		timeout: timeout,
@@ -75,18 +79,18 @@ func NewPeerTransport(timeout time.Duration) *PeerTransport {
 	}
 }
 
-// peerClientConn is the client side of one upgraded connection.
+// peerClientConn is the client side of one pooled connection.
 type peerClientConn struct {
 	t      *PeerTransport
 	key    string
 	conn   net.Conn
 	br     *bufio.Reader
-	wbuf   []byte // request frame scratch
+	wbuf   []byte // request scratch
 	idleAt time.Time
 }
 
-// RoundTrip sends req as a request frame and returns the response as
-// soon as its head frame has arrived; the body reads the body frames.
+// RoundTrip writes req and returns the response as soon as its head
+// has been read; the body reads the rest.
 func (t *PeerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	ctx := req.Context()
 	body, n, getBody := req.Body, req.ContentLength, req.GetBody
@@ -98,15 +102,12 @@ func (t *PeerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			body.Close()
 		}
 	}()
-	if body == nil {
-		n = 0
-	} else if n < 0 { // unknown length: hold it, so the frame can declare it
-		b, err := io.ReadAll(body)
-		if err != nil {
-			return nil, err
-		}
-		body, n = io.NopCloser(bytes.NewReader(b)), int64(len(b))
-		getBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(b)), nil }
+	target, id := req.URL.RequestURI(), req.Header.Get(obs.HeaderRequestID)
+	if !headSafe(req.Method, false) || !headSafe(target, false) || !headSafe(req.URL.Host, false) || !headSafe(id, true) {
+		return nil, fmt.Errorf("serve: peer request %q %q: a byte its head cannot carry", req.Method, target)
+	}
+	if body != nil && n < 0 {
+		return nil, errors.New("serve: a peer request body must declare its length")
 	}
 	key := peerAddr(req.URL)
 	for {
@@ -118,7 +119,7 @@ func (t *PeerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 				return nil, err
 			}
 		}
-		resp, retry, err := c.roundTrip(req, body, n)
+		resp, retry, err := c.roundTrip(req, target, id, body, n)
 		if err == nil {
 			return resp, nil
 		}
@@ -135,6 +136,17 @@ func (t *PeerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			}
 		}
 	}
+}
+
+// headSafe reports whether s can go into a request head: no control
+// byte, and no space or tab unless s is a header value.
+func headSafe(s string, value bool) bool {
+	for i := 0; i < len(s); i++ {
+		if b := s[i]; b < ' ' && b != '\t' || b == 0x7f || !value && (b == ' ' || b == '\t') {
+			return false
+		}
+	}
+	return true
 }
 
 // peerAddr is the host:port a URL's peer listens on.
@@ -195,7 +207,7 @@ func (t *PeerTransport) put(c *peerClientConn) {
 	t.idle[c.key] = append(idle, c)
 }
 
-// dial opens a connection to the peer and upgrades it.
+// dial opens a connection to the peer.
 func (t *PeerTransport) dial(ctx context.Context, u *url.URL, key string) (*peerClientConn, error) {
 	var conn net.Conn
 	var err error
@@ -208,40 +220,17 @@ func (t *PeerTransport) dial(ctx context.Context, u *url.URL, key string) (*peer
 	if err != nil {
 		return nil, err
 	}
-	c := &peerClientConn{t: t, key: key, conn: conn, br: bufio.NewReaderSize(conn, 16<<10)}
-	if err := c.upgrade(ctx, u.Host); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return c, nil
+	return &peerClientConn{t: t, key: key, conn: conn, br: bufio.NewReaderSize(conn, 16<<10)}, nil
 }
 
-// deadline is the bound on the dial, upgrade and head frame of a call
-// under ctx.
+// deadline is the bound on the dial and response head of a call under
+// ctx.
 func (t *PeerTransport) deadline(ctx context.Context) time.Time {
 	d := time.Now().Add(t.timeout)
 	if dl, ok := ctx.Deadline(); ok && dl.Before(d) {
 		return dl
 	}
 	return d
-}
-
-// upgrade asks the peer to switch the connection to frames.
-func (c *peerClientConn) upgrade(ctx context.Context, host string) error {
-	c.conn.SetDeadline(c.t.deadline(ctx))
-	stop := context.AfterFunc(ctx, c.interrupt)
-	defer stop()
-	if _, err := io.WriteString(c.conn, "GET "+peerPath+" HTTP/1.1\r\nHost: "+host+"\r\nConnection: Upgrade\r\nUpgrade: "+peerProtocol+"\r\n\r\n"); err != nil {
-		return err
-	}
-	resp, err := http.ReadResponse(c.br, nil)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get("Upgrade") != peerProtocol {
-		return fmt.Errorf("peer refused the %s upgrade: %s", peerProtocol, resp.Status)
-	}
-	return nil
 }
 
 func (c *peerClientConn) interrupt() { c.conn.SetDeadline(aLongTimeAgo) }
@@ -264,11 +253,11 @@ func contextErr(ctx context.Context, err error) error {
 	return err
 }
 
-// roundTrip sends one request on c and reads its head frame. retry
+// roundTrip sends one request on c and reads its response head. retry
 // reports a failure that happened before any byte of a response
 // arrived, for a reason a connection the peer closed while idle would
 // give.
-func (c *peerClientConn) roundTrip(req *http.Request, body io.Reader, n int64) (resp *http.Response, retry bool, err error) {
+func (c *peerClientConn) roundTrip(req *http.Request, target, id string, body io.Reader, n int64) (resp *http.Response, retry bool, err error) {
 	ctx := req.Context()
 	head := c.t.deadline(ctx)
 	c.conn.SetDeadline(head)
@@ -281,11 +270,10 @@ func (c *peerClientConn) roundTrip(req *http.Request, body io.Reader, n int64) (
 			stop()
 		}
 	}()
-	if err := c.writeRequest(req, body, n); err != nil {
+	if err := c.writeRequest(req, target, id, body, n); err != nil {
 		return nil, !errors.Is(err, os.ErrDeadlineExceeded), contextErr(ctx, err)
 	}
-	status, declared, err := readHead(c.br)
-	if err != nil {
+	if resp, err = http.ReadResponse(c.br, req); err != nil {
 		return nil, err == io.EOF || errors.Is(err, syscall.ECONNRESET), contextErr(ctx, err)
 	}
 	// Past the head only the caller's deadline holds.
@@ -295,26 +283,23 @@ func (c *peerClientConn) roundTrip(req *http.Request, body io.Reader, n int64) (
 			c.interrupt() // cancelled in between: AfterFunc's deadline was just undone
 		}
 	}
-	return &http.Response{
-		StatusCode: status,
-		Proto:      "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		ContentLength: declared,
-		Body:          &peerBody{c: c, ctx: ctx, stop: stop},
-		Request:       req,
-	}, false, nil
+	resp.Body = &peerBody{c: c, rc: resp.Body, ctx: ctx, stop: stop, left: resp.ContentLength, keep: !resp.Close}
+	return resp, false, nil
 }
 
-// writeRequest writes the request frame: a small body in the same write
-// as the frame's front, a large one after it, uncopied.
-func (c *peerClientConn) writeRequest(req *http.Request, body io.Reader, n int64) error {
-	target := req.URL.RequestURI()
-	id := req.Header.Get(obs.HeaderRequestID)
-	meta := frameStringLen(req.Method) + frameStringLen(target) + frameStringLen(id)
-	if int64(meta)+n > math.MaxUint32 {
-		return fmt.Errorf("serve: peer request of %d bytes does not fit a frame", n)
+// writeRequest writes the request's head and a small body in one
+// write, a large body after it, uncopied.
+func (c *peerClientConn) writeRequest(req *http.Request, target, id string, body io.Reader, n int64) error {
+	b := append(c.wbuf[:0], req.Method...)
+	b = append(append(append(b, ' '), target...), " HTTP/1.1\r\nHost: "...)
+	b = append(append(b, req.URL.Host...), "\r\n"...)
+	if id != "" {
+		b = append(append(append(b, obs.HeaderRequestID+": "...), id...), "\r\n"...)
 	}
-	b := appendFrameHeader(c.wbuf[:0], frameRequest, meta+int(n))
-	b = appendFrameString(appendFrameString(appendFrameString(b, req.Method), target), id)
+	if body != nil {
+		b = append(strconv.AppendInt(append(b, "Content-Length: "...), n, 10), "\r\n"...)
+	}
+	b = append(b, "\r\n"...)
 	if body != nil && n <= inlineBody {
 		start := len(b)
 		b = append(b, make([]byte, n)...)
@@ -340,69 +325,49 @@ func (c *peerClientConn) writeRequest(req *http.Request, body io.Reader, n int64
 	return err
 }
 
-// peerBody is a framed response's body: the payloads of its body
-// frames, up to the end frame.
+// peerBody is a response's body: http.ReadResponse's, which knows the
+// answer's framing, watched for its end so that Close knows whether
+// the connection may serve another call.
 type peerBody struct {
 	c      *peerClientConn
+	rc     io.ReadCloser
 	ctx    context.Context
 	stop   func() bool // releases the cancellation hook; nil when there is none
-	left   int64       // unread bytes of the current body frame
-	done   bool        // the end frame has been read
-	err    error       // sticky: io.EOF after the end frame
+	left   int64       // declared bytes not yet read; negative when none were declared
+	keep   bool        // the answer did not say Connection: close
+	eof    bool
 	closed bool
 }
 
 func (b *peerBody) Read(p []byte) (int, error) {
-	for b.err == nil && b.left == 0 {
-		kind, n, err := readFrameHeader(b.c.br)
-		switch {
-		case err != nil:
-			b.err = contextErr(b.ctx, unexpectedEOF(err, "response body"))
-		case kind == frameBody && n <= maxBodyFrame:
-			b.left = n
-		case kind == frameEnd && n == 0:
-			b.done, b.err = true, io.EOF
-		default:
-			b.err = frameError("%q frame of %d bytes inside a response body", kind, n)
-		}
+	if b.closed {
+		return 0, http.ErrBodyReadAfterClose
 	}
-	if b.err != nil {
-		return 0, b.err
-	}
-	if int64(len(p)) > b.left {
-		p = p[:b.left]
-	}
-	k, err := b.c.br.Read(p)
+	k, err := b.rc.Read(p)
 	b.left -= int64(k)
-	if err != nil {
-		b.err = contextErr(b.ctx, unexpectedEOF(err, "body frame"))
-		if k == 0 {
-			return 0, b.err
-		}
+	if err == io.EOF {
+		b.eof = true
+	} else if err != nil {
+		err = contextErr(b.ctx, err)
 	}
-	return k, nil
+	return k, err
 }
 
-// Close pools the connection if the response ended cleanly: the end
-// frame was read, or is already buffered right behind what was read (a
-// caller that read exactly the declared length has not asked for it).
-// Anything else — a body left unread, a broken frame, an interrupted
-// call — closes the connection.
+// Close pools the connection if the response ended cleanly: its body
+// was read to its end (a caller that read exactly the declared length
+// has not asked for the EOF), the answer did not say Connection: close,
+// and the call was never interrupted. Anything else — a body left
+// unread, a broken answer, an interrupted call — closes the connection.
 func (b *peerBody) Close() error {
 	if b.closed {
 		return nil
 	}
 	b.closed = true
-	if !b.done && b.err == nil && b.left == 0 && b.c.br.Buffered() >= frameHeaderLen {
-		if h, _ := b.c.br.Peek(frameHeaderLen); h[0] == frameEnd && h[1]|h[2]|h[3]|h[4] == 0 {
-			b.c.br.Discard(frameHeaderLen)
-			b.done = true
-		}
-	}
+	clean := (b.eof || b.left == 0) && b.keep
 	if b.stop != nil && !b.stop() {
-		b.done = false // interrupted: the deadline is in the past
+		clean = false // interrupted: the deadline is in the past
 	}
-	if b.done {
+	if clean {
 		b.c.t.put(b.c)
 	} else {
 		b.c.close()

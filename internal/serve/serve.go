@@ -13,35 +13,30 @@
 //
 // # How a request reaches the surface
 //
-// One loop, two codecs. xpathserve's and xpathrouter's listeners are
+// One loop, one codec. xpathserve's and xpathrouter's listeners are
 // served by a Loop (conn.go), not by net/http's server: each accepted
 // connection gets one goroutine, which reads a request, runs it on the
 // handler and answers it, one request at a time. The handler is the
 // plain http.Handler surface — fault injector, obs.Middleware,
 // MaxBytesReader, mux — so no endpoint knows which server carries it.
+// Every caller speaks HTTP/1.1 (http1.go): clients, and cluster routers
+// through PeerTransport, which keeps its connections alive between
+// calls. http.ReadRequest frames the request; what net/http's server
+// checks besides, the loop checks: the head is bounded at 1 MB + 4 KB
+// (431) and 10 s, the wait between requests at 2 min; HTTP/1.1 needs a
+// Host (400); header names and values are validated (400); Expect:
+// 100-continue is honoured and any other expectation answered 417; a
+// body its handler left unread is drained up to 256 KB, else the
+// connection closes. httpWriter frames the answer by net/http's rules —
+// a Content-Length for a finished short answer, chunked once flushed,
+// Connection: close after HTTP/1.0, when asked or during a drain, a
+// Date, a sniffed Content-Type — and puts head and body on the wire in
+// one write.
 //
-//   - HTTP/1.1 (http1.go) is every client's codec. http.ReadRequest
-//     frames the request, so parsing stays the standard library's. What
-//     net/http's server checks besides, the loop checks: the head is
-//     bounded at 1 MB + 4 KB (431) and 10 s, the wait between requests
-//     at 2 min; HTTP/1.1 needs a Host (400); header names and values
-//     are validated (400); Expect: 100-continue is honoured and any
-//     other expectation answered 417; a body its handler left unread is
-//     drained up to 256 KB, else the connection closes. httpWriter frames
-//     the answer by net/http's rules — a Content-Length for a finished
-//     short answer, chunked once flushed, Connection: close after
-//     HTTP/1.0 or when asked, a Date, a sniffed Content-Type — and puts
-//     head and body on the wire in one write.
-//   - Frames (peer.go) are a cluster router's codec: one GET /peer with
-//     "Upgrade: xpath-peer/1" switches the connection, on the same
-//     goroutine, and each request frame is dispatched to the same surface.
-//
-// The Loop is the one registry of served connections, client and peer
-// (Server.Handler registers there too the peer connections it hijacks
-// behind another http.Server, as in httptest). One watchdog ticks
-// them every 10 ms: it closes a connection past its header or idle
-// bound, and starts watching one whose request has run about 10 ms —
-// its body read, so the watch never races the handler for the
+// The Loop is the one registry of served connections. One watchdog
+// ticks them every 10 ms: it closes a connection past its header or
+// idle bound, and starts watching one whose request has run about 10 ms
+// — its body read, so the watch never races the handler for the
 // connection — for the client hanging up, which cancels the request's
 // context; a failed write cancels it too. A handler's panic is
 // recovered and logged (http.ErrAbortHandler silently) and closes the
@@ -118,10 +113,11 @@ type Server struct {
 	draining atomic.Bool
 	faults   *resilience.Faults
 
-	// conns serves Handler (Serve) and registers every connection it
-	// serves, client and peer, together with the peer connections
-	// Handler hijacks behind another http.Server; Shutdown drains them.
-	conns Loop
+	// conns serves Handler (built once, the first time Serve is
+	// called) and registers every connection it serves; Shutdown
+	// drains them.
+	conns   Loop
+	serving sync.Once
 }
 
 // BeginDrain marks the server draining: /healthz answers 503 from now
@@ -236,11 +232,8 @@ func (s *Server) EvictIdle(maxIdle time.Duration) []string {
 	return evicted
 }
 
-// Handler returns the server's HTTP handler. A cluster router's GET
-// /peer upgrade is answered ahead of the surface, and every request
-// frame on the upgraded connection is dispatched to that surface, so
-// routed calls see the same endpoints, bounds, faults, metrics, logs
-// and traces as plain HTTP ones (see peer.go).
+// Handler returns the server's HTTP handler: the surface clients and
+// cluster routers alike reach.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/documents", s.handleDocuments)
@@ -258,24 +251,21 @@ func (s *Server) Handler() http.Handler {
 	}))
 	// Fault injection wraps the whole surface so injected refusals and
 	// cuts hit exactly what a real network fault would.
-	return &peerHandler{next: s.faults.Handler(h), maxBody: s.maxBody, conns: &s.conns}
+	return s.faults.Handler(h)
 }
 
 // Serve serves Handler on ln through the server's connection loop (see
 // Loop) until Shutdown, when it returns http.ErrServerClosed.
-func (s *Server) Serve(ln net.Listener) error { return s.conns.serve(ln, s.Handler()) }
+func (s *Server) Serve(ln net.Listener) error {
+	s.serving.Do(func() { s.conns.h = s.Handler() })
+	return s.conns.Serve(ln)
+}
 
 // Shutdown drains the server: listeners close, idle connections close
-// at once, busy ones — client or peer — once their in-flight request
-// has been answered. It returns when all are closed or ctx is done
-// (then the rest are closed mid-request and ctx's error is returned).
+// at once, busy ones — a client's or a router's — once their in-flight
+// request has been answered. It returns when all are closed, or with
+// ctx's error, the rest closed mid-request, once ctx is done.
 func (s *Server) Shutdown(ctx context.Context) error { return s.conns.Shutdown(ctx) }
-
-// CloseConns closes the server's connections as Shutdown does — behind
-// another http.Server, the peer connections Handler hijacked — but
-// leaves it taking new ones. Tests that take a node down use it with a
-// done ctx to drop them as a dead process would.
-func (s *Server) CloseConns(ctx context.Context) error { return s.conns.close(ctx, true) }
 
 // DocumentRequest registers a document: the body of POST /documents.
 // A nonzero Version mirrors the document at that explicit version
