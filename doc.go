@@ -26,8 +26,9 @@
 //     datapool strategy, bottomup, topdown, mincontext, wadler =
 //     optmincontext, xpatterns = the Section 10 set algebra behind the
 //     corexpath and xpatterns strategies; internal/corexpath is tests
-//     only), over one operator core: F[[Op]] in internal/semantics
-//     (Apply), and internal/evalutil's pair loops, step relation,
+//     only), over one operator core: F[[e]] of every non-path
+//     expression in internal/semantics (Eval, called by all five
+//     interpreters), and internal/evalutil's pair loops, step relation,
 //     relation composition and its two walks over a location path,
 //     forward and backward, each written once with one judge of a
 //     step's predicates per language.

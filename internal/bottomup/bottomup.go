@@ -181,59 +181,24 @@ func (ev *Evaluator) contexts(r xpath.Relev) ([]semantics.Context, error) {
 // subexpressions (the while-loop of Algorithm 6.3 realized as structural
 // recursion, which visits parse-tree nodes in a valid bottom-up order).
 func (ev *Evaluator) buildTable(e xpath.Expr) (*table, error) {
-	relev := xpath.RelevantContext(e)
 	switch x := e.(type) {
-	case *xpath.Number:
-		return ev.constTable(relev, semantics.Number(x.Val))
-	case *xpath.Literal:
-		return ev.constTable(relev, semantics.String(x.Val))
-	case *xpath.VarRef:
-		return nil, fmt.Errorf("bottomup: unbound variable $%s", x.Name)
-	case *xpath.Negate:
-		sub, err := ev.buildTable(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return ev.mapTables(relev, []*table{sub}, func(c semantics.Context, vs []semantics.Value) (semantics.Value, error) {
-			return semantics.Number(-semantics.ToNumber(ev.doc, vs[0])), nil
-		})
-	case *xpath.Binary:
-		lt, err := ev.buildTable(x.Left)
-		if err != nil {
-			return nil, err
-		}
-		rt, err := ev.buildTable(x.Right)
-		if err != nil {
-			return nil, err
-		}
-		return ev.mapTables(relev, []*table{lt, rt}, func(c semantics.Context, vs []semantics.Value) (semantics.Value, error) {
-			return semantics.Apply(ev.doc, nil, x.Op, vs[0], vs[1])
-		})
-	case *xpath.Call:
-		subs := make([]*table, len(x.Args))
-		for i, a := range x.Args {
-			t, err := ev.buildTable(a)
-			if err != nil {
-				return nil, err
-			}
-			subs[i] = t
-		}
-		return ev.mapTables(relev, subs, func(c semantics.Context, vs []semantics.Value) (semantics.Value, error) {
-			return semantics.CallFunction(ev.doc, x.Name, c, vs)
-		})
 	case *xpath.Path:
 		return ev.pathTable(x)
 	case *xpath.FilterExpr:
 		return ev.filterTable(x)
-	default:
-		return nil, fmt.Errorf("bottomup: unknown expression %T", e)
 	}
-}
-
-func (ev *Evaluator) constTable(r xpath.Relev, v semantics.Value) (*table, error) {
-	t := &table{relev: r, vals: map[ctxKey]semantics.Value{}}
-	t.vals[t.key(semantics.Context{Node: xmltree.NilNode, Pos: -1, Size: -1})] = v
-	return t, nil
+	ops := xpath.Operands(e, nil)
+	subs := make([]*table, len(ops))
+	for i, o := range ops {
+		t, err := ev.buildTable(o)
+		if err != nil {
+			return nil, err
+		}
+		subs[i] = t
+	}
+	return ev.mapTables(xpath.RelevantContext(e), subs, func(c semantics.Context, vs []semantics.Value) (semantics.Value, error) {
+		return semantics.Eval(ev.doc, nil, e, c, vs)
+	})
 }
 
 // mapTables builds a table for an m-ary operation from its children's

@@ -49,38 +49,6 @@ func (ev *PairEvaluator) Evaluate(e xpath.Expr, c semantics.Context) (semantics.
 // pointwise.
 func (ev *PairEvaluator) eval(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
 	switch x := e.(type) {
-	case *xpath.Number:
-		return semantics.Number(x.Val), nil
-	case *xpath.Literal:
-		return semantics.String(x.Val), nil
-	case *xpath.VarRef:
-		return semantics.Value{}, fmt.Errorf("bottomup: unbound variable $%s", x.Name)
-	case *xpath.Negate:
-		v, err := ev.eval(x.X, c)
-		if err != nil {
-			return semantics.Value{}, err
-		}
-		return semantics.Number(-semantics.ToNumber(ev.doc, v)), nil
-	case *xpath.Binary:
-		l, err := ev.eval(x.Left, c)
-		if err != nil {
-			return semantics.Value{}, err
-		}
-		r, err := ev.eval(x.Right, c)
-		if err != nil {
-			return semantics.Value{}, err
-		}
-		return semantics.Apply(ev.doc, nil, x.Op, l, r)
-	case *xpath.Call:
-		args := make([]semantics.Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := ev.eval(a, c)
-			if err != nil {
-				return semantics.Value{}, err
-			}
-			args[i] = v
-		}
-		return semantics.CallFunction(ev.doc, x.Name, c, args)
 	case *xpath.Path:
 		// The start — the head's value, the root or the context node —
 		// composed with the relation of each step.
@@ -106,9 +74,18 @@ func (ev *PairEvaluator) eval(e xpath.Expr, c semantics.Context) (semantics.Valu
 			return semantics.Value{}, err
 		}
 		return filter(prim, x.Preds, ev.pair)
-	default:
-		return semantics.Value{}, fmt.Errorf("bottomup: unknown expression %T", e)
 	}
+	var few [4]xpath.Expr
+	ops := xpath.Operands(e, few[:0])
+	args := make([]semantics.Value, len(ops))
+	for i, o := range ops {
+		v, err := ev.eval(o, c)
+		if err != nil {
+			return semantics.Value{}, err
+		}
+		args[i] = v
+	}
+	return semantics.Eval(ev.doc, nil, e, c, args)
 }
 
 // pair evaluates a predicate at the context ⟨y, idx, size⟩ a pair ⟨x, y⟩

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -220,5 +221,47 @@ func TestBatchHitsCountInStats(t *testing.T) {
 	batchLines(t, ts.URL, body)
 	if hits, misses := counts(); hits != 3 || misses != 3 {
 		t.Fatalf("after the same batch again: hits %v, misses %v", hits, misses)
+	}
+}
+
+// TestBatchJobBound: a routed /batch whose documents × queries exceed
+// serve.MaxBatchJobs — 1 000 × 100 (ten times the bound) and 1 000 ×
+// 1 000 — is refused with 413 before a job exists and opens no backend
+// stream; a batch of exactly the bound streams one line per job.
+func TestBatchJobBound(t *testing.T) {
+	_, ts, backends := newCluster(t, 2, Options{}, store.Config{})
+	streams := countBatchStreams(backends...)
+	owned := namesOwnedBy(2, 1)
+	docs := []string{owned[0][0], owned[1][0]}
+	for _, name := range docs {
+		if resp, out := postJSON(t, ts.URL+"/documents", map[string]string{"name": name, "xml": "<a/>"}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("register %s: %d %v", name, resp.StatusCode, out)
+		}
+	}
+	numbered := func(n int, format string) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf(format, i)
+		}
+		return out
+	}
+	batch := func(docs, queries []string) string {
+		body, err := json.Marshal(map[string]any{"docs": docs, "queries": queries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	for _, queries := range []int{100, 1000} {
+		resp, raw := rawPost(t, ts.URL+"/batch", batch(numbered(1000, "doc-%d"), numbered(queries, "%d")))
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(raw), serve.ErrBatchTooLarge.Error()) {
+			t.Errorf("1000 documents × %d queries: status %d: %s; want 413 %q", queries, resp.StatusCode, raw, serve.ErrBatchTooLarge)
+		}
+	}
+	if n := streams(); n != 0 {
+		t.Fatalf("refused batches opened %d backend streams, want 0", n)
+	}
+	if lines := batchLines(t, ts.URL, batch(docs, numbered(serve.MaxBatchJobs/2, "%d"))); len(lines) != serve.MaxBatchJobs {
+		t.Fatalf("batch at the bound: %d lines, want %d", len(lines), serve.MaxBatchJobs)
 	}
 }

@@ -1020,6 +1020,9 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		serve.HTTPError(w, http.StatusBadRequest, "doc (or docs) and queries are required")
 		return
 	}
+	if serve.RefuseBatch(w, len(docs), len(body.Queries)) {
+		return
+	}
 	jobs := make([]serve.BatchJob, 0, len(docs)*len(body.Queries))
 	for _, doc := range docs {
 		for _, q := range body.Queries {

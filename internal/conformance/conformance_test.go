@@ -241,6 +241,22 @@ func TestEnginesAgree(t *testing.T) {
 	}
 }
 
+// TestUnboundVariable: a variable that reaches evaluation is an error
+// of every engine, and the same one — semantics.ErrUnboundVariable, which
+// semantics.Eval returns for all of them — wherever the reference sits:
+// alone, as an operand, beside a path, in a predicate.
+func TestUnboundVariable(t *testing.T) {
+	d := xmltree.MustParseString(`<a/>`)
+	root := semantics.Context{Node: d.RootID(), Pos: 1, Size: 1}
+	for _, q := range []string{"$v + 1", "count(//a) + $v", "$x", "//a[$v]", "-$v", "concat('a', $v)"} {
+		for name, eng := range engines(d) {
+			if _, err := eng.Evaluate(xpath.MustParse(q), root); !errors.Is(err, semantics.ErrUnboundVariable) {
+				t.Errorf("%s under %s: err = %v, want semantics.ErrUnboundVariable", q, name, err)
+			}
+		}
+	}
+}
+
 // TestFragmentStrategiesRefuseOutside: over the whole battery and every
 // fixture document, a fragment algebra named explicitly answers the
 // queries core.Compile classified into its fragment and refuses every

@@ -256,12 +256,6 @@ func (q *Query) PredDepth() int { return q.depth }
 // nested subexpression of e.
 func predDepth(e xpath.Expr) int {
 	switch x := e.(type) {
-	case *xpath.Negate:
-		return predDepth(x.X)
-	case *xpath.Binary:
-		return max(predDepth(x.Left), predDepth(x.Right))
-	case *xpath.Call:
-		return deepest(x.Args, 0)
 	case *xpath.FilterExpr:
 		return max(predDepth(x.Primary), deepest(x.Preds, 1))
 	case *xpath.Path:
@@ -271,7 +265,8 @@ func predDepth(e xpath.Expr) int {
 		}
 		return depth
 	}
-	return 0
+	var few [4]xpath.Expr
+	return deepest(xpath.Operands(e, few[:0]), 0)
 }
 
 // deepest is the largest predDepth among es, each under `under` more

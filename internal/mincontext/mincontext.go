@@ -481,7 +481,7 @@ func (st *Run) vector(e xpath.Expr, todo xmltree.NodeSet) (col column, ok bool, 
 				rc = r[i]
 			}
 			// F[[ArithOp]] and F[[RelOp]] of num × num, on the numbers
-			// as they stand (Apply would take them as two Values).
+			// as they stand (Eval would take them as two Values).
 			var v semantics.Value
 			if x.Op.IsArith() {
 				v = semantics.Number(semantics.Arith(x.Op, lc, rc))
@@ -524,23 +524,14 @@ func (st *Run) numbers(e xpath.Expr, todo xmltree.NodeSet) (vals []float64, c fl
 // of e (predicates included for filter expressions; a path's pieces are
 // handled by the location-path procedures).
 func (st *Run) tabulateChildren(e xpath.Expr, x xmltree.NodeSet) error {
-	switch n := e.(type) {
-	case *xpath.Negate:
-		return st.evalByCnodeOnly(n.X, x)
-	case *xpath.Binary:
-		if err := st.evalByCnodeOnly(n.Left, x); err != nil {
+	if fe, ok := e.(*xpath.FilterExpr); ok {
+		if err := st.evalByCnodeOnly(fe.Primary, x); err != nil {
 			return err
 		}
-		return st.evalByCnodeOnly(n.Right, x)
-	case *xpath.Call:
-		return st.tabulateAll(n.Args, x)
-	case *xpath.FilterExpr:
-		if err := st.evalByCnodeOnly(n.Primary, x); err != nil {
-			return err
-		}
-		return st.tabulateAll(n.Preds, x)
+		return st.tabulateAll(fe.Preds, x)
 	}
-	return nil
+	var few [4]xpath.Expr
+	return st.tabulateAll(xpath.Operands(e, few[:0]), x)
 }
 
 func (st *Run) tabulateAll(es []xpath.Expr, x xmltree.NodeSet) error {
@@ -640,58 +631,32 @@ func (st *Run) pathAt(p *xpath.Path, c semantics.Context) (semantics.Value, erro
 
 // apply computes the value of an expression at one context from its
 // children's tables. It runs once per context — per ⟨cn, cp, cs⟩ triple
-// inside a pair loop — so the cases that need room for several values
-// are functions of their own and the others pay for no such frame.
+// inside a pair loop — so the operator case, which needs room for the
+// operands' values, is a function of its own and the others pay for no
+// such frame.
 func (st *Run) apply(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
 	switch x := e.(type) {
-	case *xpath.Number:
-		return semantics.Number(x.Val), nil
-	case *xpath.Literal:
-		return semantics.String(x.Val), nil
-	case *xpath.VarRef:
-		return semantics.Value{}, fmt.Errorf("mincontext: unbound variable $%s", x.Name)
-	case *xpath.Negate:
-		v, err := st.EvalSingleContext(x.X, c)
-		if err != nil {
-			return semantics.Value{}, err
-		}
-		return semantics.Number(-semantics.ToNumber(st.doc, v)), nil
-	case *xpath.Binary:
-		return st.applyBinary(x, c)
-	case *xpath.Call:
-		return st.applyCall(x, c)
 	case *xpath.Path: // its head reads cp or cs
 		return st.pathAt(x, c)
 	case *xpath.FilterExpr: // its primary reads cp or cs
 		return st.filterAt(x, c, evalutil.PredVerdicts(st.ar, x.Preds))
-	default:
-		return semantics.Value{}, fmt.Errorf("mincontext: apply on %T", e)
 	}
+	return st.applyOperator(e, c)
 }
 
-func (st *Run) applyCall(x *xpath.Call, c semantics.Context) (semantics.Value, error) {
+// applyOperator is F[[e]] (semantics.Eval) of the operands' values at c.
+func (st *Run) applyOperator(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
+	var ops [3]xpath.Expr
 	var few [3]semantics.Value // the core library's usual arities, on the stack
 	args := few[:0]
-	for _, a := range x.Args {
-		v, err := st.EvalSingleContext(a, c)
+	for _, o := range xpath.Operands(e, ops[:0]) {
+		v, err := st.EvalSingleContext(o, c)
 		if err != nil {
 			return semantics.Value{}, err
 		}
 		args = append(args, v)
 	}
-	return semantics.CallFunction(st.doc, x.Name, c, args)
-}
-
-func (st *Run) applyBinary(x *xpath.Binary, c semantics.Context) (semantics.Value, error) {
-	l, err := st.EvalSingleContext(x.Left, c)
-	if err != nil {
-		return semantics.Value{}, err
-	}
-	r, err := st.EvalSingleContext(x.Right, c)
-	if err != nil {
-		return semantics.Value{}, err
-	}
-	return semantics.Apply(st.doc, st.ar, x.Op, l, r)
+	return semantics.Eval(st.doc, st.ar, e, c, args)
 }
 
 // ------------------------------------------------------------------
@@ -703,8 +668,8 @@ func (st *Run) applyBinary(x *xpath.Binary, c semantics.Context) (semantics.Valu
 // eval_by_cnode_only has normally filled); dependent nodes recurse.
 func (st *Run) EvalSingleContext(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
 	switch e.(type) {
-	case *xpath.Number, *xpath.Literal:
-		return st.apply(e, c) // the table of a literal is written in the query
+	case *xpath.Number, *xpath.Literal: // the table of a literal is written in the query
+		return semantics.Eval(st.doc, st.ar, e, c, nil)
 	}
 	if readsRank(e) {
 		// position() and last() resolve from the supplied context.

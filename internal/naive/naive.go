@@ -5,7 +5,11 @@
 // context it is asked about, so its worst-case running time is
 // exponential in the size of the query (the |D|^|Q| recurrence of
 // Section 2). That explosion is the *point* of this engine: it is the
-// baseline every experiment in the paper measures against.
+// baseline every experiment in the paper measures against. F[[e]] of
+// every non-path expression is semantics.Eval, as in all five
+// interpreters; naive evaluates the operands first, short-circuiting
+// and/or, and keeps its own filter loop, which shares nothing with
+// evalutil's because every differential test trusts it.
 //
 // The same evaluator becomes polynomial with the data pool of Algorithm
 // 9.1 as its memo (NewPooled, pool.go): before evaluating (e, c) it
@@ -121,77 +125,50 @@ func (ev *Evaluator) evalUncached(e xpath.Expr, c semantics.Context) (semantics.
 	if err := ev.bill(); err != nil {
 		return semantics.Value{}, err
 	}
+	var s xmltree.NodeSet
+	var err error
 	switch x := e.(type) {
-	case *xpath.Number:
-		return semantics.Number(x.Val), nil
-	case *xpath.Literal:
-		return semantics.String(x.Val), nil
-	case *xpath.VarRef:
-		return semantics.Value{}, fmt.Errorf("naive: unbound variable $%s (substitute before evaluation)", x.Name)
-	case *xpath.Negate:
-		v, err := ev.eval(x.X, c)
-		if err != nil {
-			return semantics.Value{}, err
-		}
-		return semantics.Number(-semantics.ToNumber(ev.doc, v)), nil
-	case *xpath.Binary:
-		return ev.evalBinary(x, c)
-	case *xpath.Call:
-		return ev.evalCall(x, c)
 	case *xpath.FilterExpr:
-		s, err := ev.evalFilterExpr(x, c)
-		if err != nil {
-			return semantics.Value{}, err
-		}
-		return semantics.NodeSet(s), nil
+		s, err = ev.evalFilterExpr(x, c)
 	case *xpath.Path:
-		s, err := ev.evalPath(x, c)
-		if err != nil {
-			return semantics.Value{}, err
-		}
-		return semantics.NodeSet(s), nil
+		s, err = ev.evalPath(x, c)
 	default:
-		return semantics.Value{}, fmt.Errorf("naive: unknown expression %T", e)
+		return ev.evalOperator(e, c)
 	}
-}
-
-// evalBinary applies F[[Op]] with the short-circuit the W3C prescribes
-// for and/or: the right operand is not evaluated once the left decides.
-func (ev *Evaluator) evalBinary(b *xpath.Binary, c semantics.Context) (semantics.Value, error) {
-	l, err := ev.eval(b.Left, c)
 	if err != nil {
 		return semantics.Value{}, err
 	}
-	if b.Op == xpath.OpAnd && !semantics.ToBoolean(l) || b.Op == xpath.OpOr && semantics.ToBoolean(l) {
-		return semantics.Boolean(b.Op == xpath.OpOr), nil
-	}
-	r, err := ev.eval(b.Right, c)
-	if err != nil {
-		return semantics.Value{}, err
-	}
-	return semantics.Apply(ev.doc, nil, b.Op, l, r)
+	return semantics.NodeSet(s), nil
 }
 
-func (ev *Evaluator) evalCall(call *xpath.Call, c semantics.Context) (semantics.Value, error) {
-	// Stack buffer for the common arities: CallFunction does not retain
-	// its args slice, so this avoids a heap allocation per call on the
-	// engine's hottest recursion (count(...) in the Experiment-3
-	// family).
-	var buf [4]semantics.Value
-	var args []semantics.Value
-	if len(call.Args) <= len(buf) {
-		args = buf[:len(call.Args)]
-	} else {
-		args = make([]semantics.Value, len(call.Args))
-	}
-	for i, a := range call.Args {
-		v, err := ev.eval(a, c)
+// evalOperator is [[e]](c) of every expression but a path or filter
+// expression: F[[e]] of its operands' values at c (semantics.Eval).
+func (ev *Evaluator) evalOperator(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
+	// Stack buffers for the usual arities: neither Operands nor Eval
+	// retains them, so the engine's hottest recursion (count(...) in the
+	// Experiment-3 family) allocates nothing for them.
+	var ops [3]xpath.Expr
+	var buf [3]semantics.Value
+	args := buf[:0]
+	for i, o := range xpath.Operands(e, ops[:0]) {
+		v, err := ev.eval(o, c)
 		if err != nil {
 			return semantics.Value{}, err
 		}
-		args[i] = v
+		if i == 0 && decides(e, v) {
+			return semantics.Boolean(semantics.ToBoolean(v)), nil
+		}
+		args = append(args, v)
 	}
-	return semantics.CallFunction(ev.doc, call.Name, c, args)
+	return semantics.Eval(ev.doc, nil, e, c, args)
+}
+
+// decides reports whether e is an and (an or) whose left operand's value
+// l is false (true), which is then e's value: the short-circuit the W3C
+// prescribes, under which the right operand is not evaluated.
+func decides(e xpath.Expr, l semantics.Value) bool {
+	b, ok := e.(*xpath.Binary)
+	return ok && (b.Op == xpath.OpAnd || b.Op == xpath.OpOr) && semantics.ToBoolean(l) == (b.Op == xpath.OpOr)
 }
 
 // evalFilterExpr evaluates a primary expression and filters it with
@@ -206,26 +183,32 @@ func (ev *Evaluator) evalFilterExpr(f *xpath.FilterExpr, c semantics.Context) (x
 	}
 	s := prim.Set
 	for _, pred := range f.Preds {
-		s, err = ev.filterForward(s, pred)
-		if err != nil {
+		if s, err = ev.filter(s, nil, pred, false); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-func (ev *Evaluator) filterForward(s xmltree.NodeSet, pred xpath.Expr) (xmltree.NodeSet, error) {
-	var out xmltree.NodeSet
+// filter appends to keep the members y of s at which pred holds, each at
+// its position in s — counted from the end when reverse, the <doc,χ of
+// Figure 5 — with |s| as the context size. keep is s[:0] when s is the
+// caller's own, to filter in place.
+func (ev *Evaluator) filter(s, keep xmltree.NodeSet, pred xpath.Expr, reverse bool) (xmltree.NodeSet, error) {
 	for i, y := range s {
-		v, err := ev.eval(pred, semantics.Context{Node: y, Pos: i + 1, Size: len(s)})
+		pos := i + 1
+		if reverse {
+			pos = len(s) - i
+		}
+		v, err := ev.eval(pred, semantics.Context{Node: y, Pos: pos, Size: len(s)})
 		if err != nil {
 			return nil, err
 		}
 		if semantics.ToBoolean(v) {
-			out = append(out, y)
+			keep = append(keep, y)
 		}
 	}
-	return out, nil
+	return keep, nil
 }
 
 // evalPath implements P[[π]] of Figure 5 with the recursive
@@ -303,27 +286,13 @@ func (ev *Evaluator) processLocationStep(p *xpath.Path, idx int, x xmltree.NodeI
 	}
 	step := p.Steps[idx]
 	s := evalutil.StepCandidates(ev.doc, step.Axis, step.Test, x)
-	// Predicates with positions over <doc,χ (Figure 5): the set stays in
-	// document order and reverse axes get pos = n−i, so the filter runs
-	// in place with no reversed copy.
-	reverse := step.Axis.IsReverse()
+	// The set stays in document order and reverse axes count positions
+	// from its end, so the filter runs in place with no reversed copy.
 	for _, pred := range step.Preds {
-		keep := s[:0]
-		n := len(s)
-		for i, y := range s {
-			pos := i + 1
-			if reverse {
-				pos = n - i
-			}
-			v, err := ev.eval(pred, semantics.Context{Node: y, Pos: pos, Size: n})
-			if err != nil {
-				return nil, err
-			}
-			if semantics.ToBoolean(v) {
-				keep = append(keep, y)
-			}
+		var err error
+		if s, err = ev.filter(s, s[:0], pred, step.Axis.IsReverse()); err != nil {
+			return nil, err
 		}
-		s = keep
 	}
 	if idx == len(p.Steps)-1 {
 		return s, nil

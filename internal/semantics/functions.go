@@ -17,7 +17,7 @@ type Context struct {
 	Size int
 }
 
-// CallFunction evaluates a core-library function for a context, given
+// callFunction evaluates a core-library function for a context, given
 // already-evaluated argument values. It implements every function row of
 // Table II plus the number and string functions the paper elides
 // (floor, ceiling, round, concat, starts-with, contains, substring,
@@ -29,7 +29,7 @@ type Context struct {
 // semantics depend on the evaluation strategy and live in the engines.
 // position() and last() are included for engines that resolve them
 // uniformly via the context.
-func CallFunction(d *xmltree.Document, name string, ctx Context, args []Value) (Value, error) {
+func callFunction(d *xmltree.Document, name string, ctx Context, args []Value) (Value, error) {
 	switch name {
 	case "position":
 		return Number(float64(ctx.Pos)), nil

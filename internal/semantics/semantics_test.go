@@ -250,7 +250,7 @@ func ctx() Context { return Context{Node: doc.RootID(), Pos: 1, Size: 1} }
 
 func call(t *testing.T, name string, args ...Value) Value {
 	t.Helper()
-	v, err := CallFunction(doc, name, ctx(), args)
+	v, err := callFunction(doc, name, ctx(), args)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -258,11 +258,11 @@ func call(t *testing.T, name string, args ...Value) Value {
 }
 
 func TestPositionLastCountSum(t *testing.T) {
-	v, _ := CallFunction(doc, "position", Context{Node: 1, Pos: 3, Size: 7}, nil)
+	v, _ := callFunction(doc, "position", Context{Node: 1, Pos: 3, Size: 7}, nil)
 	if v.Num != 3 {
 		t.Errorf("position = %v", v.Num)
 	}
-	v, _ = CallFunction(doc, "last", Context{Node: 1, Pos: 3, Size: 7}, nil)
+	v, _ = callFunction(doc, "last", Context{Node: 1, Pos: 3, Size: 7}, nil)
 	if v.Num != 7 {
 		t.Errorf("last = %v", v.Num)
 	}
@@ -359,7 +359,7 @@ func TestBooleanFunctions(t *testing.T) {
 func TestIDFunction(t *testing.T) {
 	d := xmltree.MustParseString(`<r><x id="one">two</x><y id="two"/></r>`)
 	// id(string)
-	v, err := CallFunction(d, "id", Context{Node: d.RootID(), Pos: 1, Size: 1},
+	v, err := callFunction(d, "id", Context{Node: d.RootID(), Pos: 1, Size: 1},
 		[]Value{String("one two")})
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +369,7 @@ func TestIDFunction(t *testing.T) {
 	}
 	// id(nodeset): dereference each node's string value.
 	x := d.IDOf("one") // strval "two"
-	v, err = CallFunction(d, "id", Context{Node: d.RootID(), Pos: 1, Size: 1},
+	v, err = callFunction(d, "id", Context{Node: d.RootID(), Pos: 1, Size: 1},
 		[]Value{NodeSet(xmltree.NodeSet{x})})
 	if err != nil {
 		t.Fatal(err)
@@ -382,19 +382,19 @@ func TestIDFunction(t *testing.T) {
 func TestNameFunctions(t *testing.T) {
 	d := xmltree.MustParseString(`<p:a xmlns:p="urn:x"><b/></p:a>`)
 	a := d.DocumentElement()
-	v, _ := CallFunction(d, "name", Context{Node: a, Pos: 1, Size: 1}, nil)
+	v, _ := callFunction(d, "name", Context{Node: a, Pos: 1, Size: 1}, nil)
 	if v.Str != "p:a" {
 		t.Errorf("name() = %q", v.Str)
 	}
-	v, _ = CallFunction(d, "local-name", Context{Node: a, Pos: 1, Size: 1}, nil)
+	v, _ = callFunction(d, "local-name", Context{Node: a, Pos: 1, Size: 1}, nil)
 	if v.Str != "a" {
 		t.Errorf("local-name() = %q", v.Str)
 	}
-	v, _ = CallFunction(d, "namespace-uri", Context{Node: a, Pos: 1, Size: 1}, nil)
+	v, _ = callFunction(d, "namespace-uri", Context{Node: a, Pos: 1, Size: 1}, nil)
 	if v.Str != "urn:x" {
 		t.Errorf("namespace-uri() = %q", v.Str)
 	}
-	v, _ = CallFunction(d, "local-name", Context{Node: a, Pos: 1, Size: 1},
+	v, _ = callFunction(d, "local-name", Context{Node: a, Pos: 1, Size: 1},
 		[]Value{NodeSet(nil)})
 	if v.Str != "" {
 		t.Errorf("local-name(empty) = %q", v.Str)
@@ -404,21 +404,21 @@ func TestNameFunctions(t *testing.T) {
 func TestLangFunction(t *testing.T) {
 	d := xmltree.MustParseString(`<a xml:lang="en-US"><b/></a>`)
 	b := d.Children(d.DocumentElement())[0]
-	v, _ := CallFunction(d, "lang", Context{Node: b, Pos: 1, Size: 1}, []Value{String("en")})
+	v, _ := callFunction(d, "lang", Context{Node: b, Pos: 1, Size: 1}, []Value{String("en")})
 	if !v.Bool {
 		t.Error("lang('en') under en-US should be true")
 	}
-	v, _ = CallFunction(d, "lang", Context{Node: b, Pos: 1, Size: 1}, []Value{String("de")})
+	v, _ = callFunction(d, "lang", Context{Node: b, Pos: 1, Size: 1}, []Value{String("de")})
 	if v.Bool {
 		t.Error("lang('de') should be false")
 	}
 }
 
 func TestUnknownFunction(t *testing.T) {
-	if _, err := CallFunction(doc, "nonesuch", ctx(), nil); err == nil {
+	if _, err := callFunction(doc, "nonesuch", ctx(), nil); err == nil {
 		t.Error("unknown function should error")
 	}
-	if _, err := CallFunction(doc, "count", ctx(), []Value{String("x")}); err == nil {
+	if _, err := callFunction(doc, "count", ctx(), []Value{String("x")}); err == nil {
 		t.Error("count(string) should error")
 	}
 }

@@ -2,13 +2,16 @@
 // of Table II: the XPath 1.0 value domain (number, string, boolean, node
 // set), the type-conversion functions string/number/boolean, the
 // comparison operators with their type-directed dispatch, arithmetic, and
-// the complete core function library. Every evaluation engine in this
-// repository delegates its per-operator work to this package, so the
+// the complete core function library. Eval is F[[e]] of every non-path
+// expression, given its operands' values, and all five interpreters
+// (naive, bottomup and its pair evaluator, topdown, mincontext) call it
+// for everything but location paths and filter expressions, so the
 // engines differ only in *how often* and *in which order* they evaluate
 // subexpressions — which is exactly the paper's subject.
 package semantics
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -352,11 +355,11 @@ func compareStrval(d *xmltree.Document, op xpath.BinOp, s string, v Value) bool 
 	return false
 }
 
-// Apply is F[[Op]] of Table II for a binary operator — and, or, RelOp,
+// apply is F[[Op]] of Table II for a binary operator — and, or, RelOp,
 // ArithOp and | — on its operands' values. A union is built in the
 // engine's arena ar (nil: the heap). and/or take both values; an engine
 // that short-circuits decides before it evaluates the right operand.
-func Apply(d *xmltree.Document, ar *xmltree.Arena, op xpath.BinOp, l, r Value) (Value, error) {
+func apply(d *xmltree.Document, ar *xmltree.Arena, op xpath.BinOp, l, r Value) (Value, error) {
 	switch {
 	case op == xpath.OpAnd:
 		return Boolean(ToBoolean(l) && ToBoolean(r)), nil
@@ -373,6 +376,37 @@ func Apply(d *xmltree.Document, ar *xmltree.Arena, op xpath.BinOp, l, r Value) (
 		return Number(Arith(op, ToNumber(d, l), ToNumber(d, r))), nil
 	}
 	return Value{}, fmt.Errorf("semantics: unknown operator %v", op)
+}
+
+// ErrUnboundVariable is the error of a variable reference that reaches
+// evaluation: the paper replaces variables by constants first (Section
+// 5), and xpath.Substitute does. Every engine reports it through Eval.
+var ErrUnboundVariable = errors.New("unbound variable")
+
+// Eval is F[[e]] at context c for every expression that is not a
+// location path or filter expression — a constant, a variable, a
+// negation, a binary operator (apply) or a function call (callFunction)
+// — given args, the values of xpath.Operands(e) in order. This is
+// Definition 5.1's E[[Op(e1,…,em)]](c) = F[[Op]](E[[e1]](c), …,
+// E[[em]](c)) written once: the engines differ only in how they compute
+// the operand values, and in which contexts. A union is built in ar
+// (nil: the heap); args is not retained.
+func Eval(d *xmltree.Document, ar *xmltree.Arena, e xpath.Expr, c Context, args []Value) (Value, error) {
+	switch x := e.(type) {
+	case *xpath.Number:
+		return Number(x.Val), nil
+	case *xpath.Literal:
+		return String(x.Val), nil
+	case *xpath.VarRef:
+		return Value{}, fmt.Errorf("semantics: %w $%s (substitute before evaluation)", ErrUnboundVariable, x.Name)
+	case *xpath.Negate:
+		return Number(-ToNumber(d, args[0])), nil
+	case *xpath.Binary:
+		return apply(d, ar, x.Op, args[0], args[1])
+	case *xpath.Call:
+		return callFunction(d, x.Name, c, args)
+	}
+	return Value{}, fmt.Errorf("semantics: %T has no operator", e)
 }
 
 func cmpBool(op xpath.BinOp, a, b bool) bool {

@@ -294,6 +294,27 @@ type BatchRequest struct {
 	Jobs    []BatchJob `json:"jobs,omitempty"`
 }
 
+// MaxBatchJobs bounds the jobs of one /batch, a server's and the
+// cluster router's alike: its queries, its jobs, or the router's
+// documents × queries. A batch over it is refused with 413
+// (ErrBatchTooLarge) before a job exists or a backend is called.
+const MaxBatchJobs = 10000
+
+// ErrBatchTooLarge is the refusal of a batch of more than MaxBatchJobs
+// jobs; a 413's message starts with it.
+var ErrBatchTooLarge = fmt.Errorf("batch exceeds %d jobs", MaxBatchJobs)
+
+// RefuseBatch writes the 413 and reports true when docs × queries
+// exceeds MaxBatchJobs; the product is never formed, so it cannot
+// overflow.
+func RefuseBatch(w http.ResponseWriter, docs, queries int) bool {
+	if docs == 0 || queries <= MaxBatchJobs/docs {
+		return false
+	}
+	HTTPError(w, http.StatusRequestEntityTooLarge, "%v: %d documents × %d queries", ErrBatchTooLarge, docs, queries)
+	return true
+}
+
 // BatchJob is one (document, query) pair of a grouped batch.
 type BatchJob struct {
 	Doc   string `json:"doc"`
@@ -599,6 +620,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if (req.Doc == "") == (len(req.Jobs) == 0) {
 		HTTPError(w, http.StatusBadRequest, "exactly one of doc+queries or jobs is required")
+		return
+	}
+	jobs := len(req.Jobs)
+	if req.Doc != "" {
+		jobs = len(req.Queries)
+	}
+	if RefuseBatch(w, 1, jobs) {
 		return
 	}
 	if req.Doc != "" {

@@ -252,6 +252,39 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestBatchJobBound: a /batch of ten times MaxBatchJobs jobs, in either
+// form, is refused with 413 and ErrBatchTooLarge's message before any
+// job runs; a batch of exactly MaxBatchJobs streams one line per job.
+func TestBatchJobBound(t *testing.T) {
+	_, ts := testServer(t)
+	over := make([]string, 10*MaxBatchJobs)
+	for i := range over {
+		over[i] = "1"
+	}
+	jobs := make([]BatchJob, len(over))
+	for i := range jobs {
+		jobs[i] = BatchJob{Doc: "catalog", Query: "1"}
+	}
+	for name, req := range map[string]BatchRequest{
+		"queries": {Doc: "catalog", Queries: over},
+		"jobs":    {Jobs: jobs},
+	} {
+		resp, body := postJSON(t, ts.URL+"/batch", req)
+		if msg, _ := body["error"].(string); resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.HasPrefix(msg, ErrBatchTooLarge.Error()) {
+			t.Errorf("%s form, %d jobs: status %d, %v; want 413 %q", name, len(over), resp.StatusCode, body, ErrBatchTooLarge)
+		}
+	}
+	buf, _ := json.Marshal(BatchRequest{Doc: "catalog", Queries: over[:MaxBatchJobs]})
+	resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if lines := readBatchLines(t, resp); resp.StatusCode != http.StatusOK || len(lines) != MaxBatchJobs {
+		t.Fatalf("batch at the bound: status %d, %d lines; want 200 and %d", resp.StatusCode, len(lines), MaxBatchJobs)
+	}
+}
+
 // slowBatchQuery takes >10s on slowBatchDoc under every polynomial
 // engine (the predicate forces an O(|D|²) tabulation), while carrying
 // cancellation checkpoints throughout — the workload for the streaming

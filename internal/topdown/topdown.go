@@ -90,89 +90,46 @@ func (ev *run) evalVector(e xpath.Expr, ctxs []semantics.Context) ([]semantics.V
 		return nil, err
 	}
 	out := ev.vals.Zeros(len(ctxs))
+	var sets []xmltree.NodeSet
+	var err error
 	switch x := e.(type) {
-	case *xpath.Number:
-		for i := range out {
-			out[i] = semantics.Number(x.Val)
-		}
-		return out, nil
-	case *xpath.Literal:
-		for i := range out {
-			out[i] = semantics.String(x.Val)
-		}
-		return out, nil
-	case *xpath.VarRef:
-		return nil, fmt.Errorf("topdown: unbound variable $%s", x.Name)
-	case *xpath.Negate:
-		vs, err := ev.evalVector(x.X, ctxs)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range vs {
-			out[i] = semantics.Number(-semantics.ToNumber(ev.doc, v))
-		}
-		return out, nil
-	case *xpath.Binary:
-		return ev.evalBinaryVector(x, ctxs, out)
-	case *xpath.Call:
-		return ev.evalCallVector(x, ctxs, out)
 	case *xpath.Path:
 		// E↓[[π]](c1,…,cl) = S↓[[π]]({x1},…,{xl}).
 		inputs := ev.sets.Zeros(len(ctxs))
 		for i, c := range ctxs {
 			inputs[i] = append(ev.ar.Nodes(1), c.Node)
 		}
-		sets, err := ev.evalPathVector(x, ctxs, inputs)
-		if err != nil {
-			return nil, err
-		}
-		for i, s := range sets {
-			out[i] = semantics.NodeSet(s)
-		}
-		return out, nil
+		sets, err = ev.evalPathVector(x, ctxs, inputs)
 	case *xpath.FilterExpr:
-		sets, err := ev.evalFilterVector(x, ctxs)
-		if err != nil {
-			return nil, err
-		}
-		for i, s := range sets {
-			out[i] = semantics.NodeSet(s)
-		}
-		return out, nil
+		sets, err = ev.evalFilterVector(x, ctxs)
 	default:
-		return nil, fmt.Errorf("topdown: unknown expression %T", e)
+		return ev.evalOperatorVector(e, ctxs, out)
 	}
-}
-
-// evalBinaryVector applies a vectorized operator Op⟨⟩ (Section 7), into
-// out.
-func (ev *run) evalBinaryVector(b *xpath.Binary, ctxs []semantics.Context, out []semantics.Value) ([]semantics.Value, error) {
-	ls, err := ev.evalVector(b.Left, ctxs)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := ev.evalVector(b.Right, ctxs)
-	if err != nil {
-		return nil, err
-	}
-	for i := range ctxs {
-		if out[i], err = semantics.Apply(ev.doc, ev.ar, b.Op, ls[i], rs[i]); err != nil {
-			return nil, err
-		}
+	for i, s := range sets {
+		out[i] = semantics.NodeSet(s)
 	}
 	return out, nil
 }
 
-func (ev *run) evalCallVector(call *xpath.Call, ctxs []semantics.Context, out []semantics.Value) ([]semantics.Value, error) {
-	argv := ev.argv.Zeros(len(call.Args))
-	for i, a := range call.Args {
-		vs, err := ev.evalVector(a, ctxs)
+// evalOperatorVector is E↓ of every expression but a path or filter
+// expression, into out: the vectorized operator Op⟨⟩ of Section 7 — each
+// operand evaluated once over the whole vector, then F[[e]] of the
+// operands' values per context (semantics.Eval).
+func (ev *run) evalOperatorVector(e xpath.Expr, ctxs []semantics.Context, out []semantics.Value) ([]semantics.Value, error) {
+	var few [4]xpath.Expr
+	ops := xpath.Operands(e, few[:0])
+	argv := ev.argv.Zeros(len(ops))
+	for i, o := range ops {
+		vs, err := ev.evalVector(o, ctxs)
 		if err != nil {
 			return nil, err
 		}
 		argv[i] = vs
 	}
-	args := ev.vals.Zeros(len(call.Args))
+	args := ev.vals.Zeros(len(ops))
 	for i, c := range ctxs {
 		if err := ev.cancel.Check(); err != nil {
 			return nil, err
@@ -180,7 +137,7 @@ func (ev *run) evalCallVector(call *xpath.Call, ctxs []semantics.Context, out []
 		for j := range argv {
 			args[j] = argv[j][i]
 		}
-		v, err := semantics.CallFunction(ev.doc, call.Name, c, args)
+		v, err := semantics.Eval(ev.doc, ev.ar, e, c, args)
 		if err != nil {
 			return nil, err
 		}

@@ -124,11 +124,3 @@ func TestReverseAxisPositions(t *testing.T) {
 		t.Errorf("ancestor-or-self::*[1] = %v, want self", v.Set)
 	}
 }
-
-func TestErrorPropagation(t *testing.T) {
-	d := xmltree.MustParseString(`<a/>`)
-	ev := New(d)
-	if _, err := ev.Evaluate(&xpath.VarRef{Name: "x"}, ctxAt(d.RootID())); err == nil {
-		t.Error("unbound variable must error")
-	}
-}

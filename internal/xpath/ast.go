@@ -141,6 +141,25 @@ type Call struct {
 	Args []Expr
 }
 
+// Operands appends the operands of an operator expression to buf and
+// returns it: a negation's argument, a binary operator's left and right
+// sides, a call's arguments — the ei of Op(e1,…,em), in order. Constants,
+// variables, location paths and filter expressions have none: a path's
+// head and predicates are not operands of an F[[Op]] (Definition 5.1).
+// Appending into the caller's buffer lets an evaluator enumerate them
+// with no allocation.
+func Operands(e Expr, buf []Expr) []Expr {
+	switch x := e.(type) {
+	case *Negate:
+		return append(buf, x.X)
+	case *Binary:
+		return append(buf, x.Left, x.Right)
+	case *Call:
+		return append(buf, x.Args...)
+	}
+	return buf
+}
+
 // NodeTestKind discriminates node tests.
 type NodeTestKind uint8
 

@@ -139,16 +139,11 @@ func walk(e Expr, pre, post func(Expr)) {
 		return
 	}
 	pre(e)
+	var few [4]Expr
+	for _, o := range Operands(e, few[:0]) {
+		walk(o, pre, post)
+	}
 	switch x := e.(type) {
-	case *Negate:
-		walk(x.X, pre, post)
-	case *Binary:
-		walk(x.Left, pre, post)
-		walk(x.Right, pre, post)
-	case *Call:
-		for _, a := range x.Args {
-			walk(a, pre, post)
-		}
 	case *FilterExpr:
 		walk(x.Primary, pre, post)
 		for _, p := range x.Preds {

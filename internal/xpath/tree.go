@@ -48,16 +48,10 @@ func writeTree(b *strings.Builder, e Expr, depth int) {
 		fmt.Fprintf(b, "%T", e)
 	}
 	fmt.Fprintf(b, "   : %s  Relev=%s\n", e.Type(), RelevantContext(e))
+	for _, o := range Operands(e, nil) {
+		writeTree(b, o, depth+1)
+	}
 	switch x := e.(type) {
-	case *Negate:
-		writeTree(b, x.X, depth+1)
-	case *Binary:
-		writeTree(b, x.Left, depth+1)
-		writeTree(b, x.Right, depth+1)
-	case *Call:
-		for _, a := range x.Args {
-			writeTree(b, a, depth+1)
-		}
 	case *FilterExpr:
 		writeTree(b, x.Primary, depth+1)
 		for _, p := range x.Preds {

@@ -13,7 +13,7 @@ import (
 // TestXSLT98PredicatesInQueries evaluates the extension predicates of
 // the December 1998 XSLT draft through the query syntax, comparing the
 // linear-time XPatterns evaluator with the general engines (which
-// resolve the functions per node via CallFunction).
+// resolve the functions per node via semantics.Eval).
 func TestXSLT98PredicatesInQueries(t *testing.T) {
 	d := xmltree.MustParseString(
 		`<r><a/>text<b/><a/><c><a/>more<a/></c></r>`)
