@@ -5,25 +5,19 @@
 //	xpathquery -query '//book[price > 10]/title' catalog.xml
 //	cat doc.xml | xpathquery -query 'count(//item)'
 //	xpathquery -query '//a' -strategy topdown -explain doc.xml
-//	xpathquery -query '//a[position() = last()]' -strategy bottomup -maxrows 100000 doc.xml
 //
-// The -strategy flag selects one of the paper's algorithms (default
-// auto = the combined OptMinContext processor); -explain prints
+// The -strategy flag selects one of the paper's polynomial algorithms
+// (default auto = the combined OptMinContext processor); -explain prints
 // core.ExplainText: both trees, the fragment classification, the
-// algorithm that runs and why. With -strategy bottomup, -maxrows guards
-// against the algorithm's worst-case O(|D|³) context-value tables on
-// large documents: when the limit trips, the command explains the
-// blow-up and exits with status 3.
+// algorithm that runs and why.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"repro/internal/bottomup"
 	"repro/internal/core"
 	"repro/internal/semantics"
 	"repro/internal/xpath"
@@ -31,9 +25,8 @@ import (
 
 func main() {
 	query := flag.String("query", "", "XPath query (required)")
-	strategy := flag.String("strategy", "auto", "evaluation strategy: auto|naive|datapool|bottomup|topdown|mincontext|optmincontext|corexpath|xpatterns")
+	strategy := flag.String("strategy", "auto", "evaluation strategy: auto|topdown|mincontext|optmincontext|corexpath|xpatterns")
 	explain := flag.Bool("explain", false, "print the query's trees, fragment classification, chosen algorithm and the reason")
-	maxRows := flag.Int("maxrows", 0, "bottomup only: abort if a context-value table would exceed this many rows (0 = unlimited)")
 	flag.Parse()
 
 	if *query == "" {
@@ -63,17 +56,10 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	en := core.NewEngine(doc, strat)
-	en.MaxTableRows = *maxRows
 	if *explain {
 		fmt.Print(core.ExplainText(q, doc.Len(), strat))
 	}
-	v, err := en.Evaluate(q, core.Context{Node: doc.RootID(), Pos: 1, Size: 1})
-	if errors.Is(err, bottomup.ErrTableLimit) {
-		fmt.Fprintf(os.Stderr, "xpathquery: %v\n", err)
-		fmt.Fprintln(os.Stderr, "xpathquery: the bottomup strategy materializes full context-value tables; raise -maxrows or use -strategy topdown/mincontext")
-		os.Exit(3)
-	}
+	v, err := core.NewEngine(doc, strat).Evaluate(q, core.Context{Node: doc.RootID(), Pos: 1, Size: 1})
 	if err != nil {
 		fail(err)
 	}

@@ -73,13 +73,10 @@ func (d *docFlags) Set(v string) error { *d = append(*d, v); return nil }
 func main() {
 	var docs docFlags
 	addr := flag.String("addr", ":8080", "listen address")
-	strategy := flag.String("strategy", "auto", "evaluation strategy: auto|naive|datapool|bottomup|topdown|mincontext|optmincontext|corexpath|xpatterns")
+	strategy := flag.String("strategy", "auto", "evaluation strategy: auto|topdown|mincontext|optmincontext|corexpath|xpatterns")
 	plannerMode := flag.String("planner", "rules", "accepted (rules|adaptive|off) and ignored: auto is one static table; the flag stays until the benchmark driver stops passing it")
 	cacheSize := flag.Int("cache", engine.DefaultCacheSize, "compiled-query cache capacity")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-	naiveBudget := flag.Int64("naive-budget", 0, "step budget for naive/datapool strategies (0 = unlimited)")
-	maxRows := flag.Int("maxrows", 0, "context-value table row limit for the bottomup strategy (0 = unlimited)")
-	fallback := flag.Bool("fallback", true, "retry queries that trip the bottomup table limit on mincontext instead of erroring")
 	maxBody := flag.Int64("max-body", serve.DefaultMaxBodyBytes, "request body size limit in bytes")
 	maxDocs := flag.Int("max-docs", serve.DefaultMaxDocuments, "maximum number of retained documents")
 	shards := flag.Int("shards", store.DefaultShards, "document store shard count")
@@ -118,12 +115,9 @@ func main() {
 		os.Exit(2)
 	}
 	eng := engine.New(engine.Options{
-		Strategy:     strat,
-		CacheSize:    *cacheSize,
-		Workers:      *workers,
-		NaiveBudget:  *naiveBudget,
-		MaxTableRows: *maxRows,
-		Fallback:     *fallback,
+		Strategy:  strat,
+		CacheSize: *cacheSize,
+		Workers:   *workers,
 	})
 	srv := serve.New(eng, store.Config{
 		Shards:     *shards,

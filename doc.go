@@ -22,11 +22,11 @@
 //     goroutine; what scales across cores is queries (README,
 //     "Intra-query parallelism: measured, removed").
 //   - internal/naive … internal/xpatterns — one package per algorithm
-//     (naive, whose memo is the data pool of Section 9 behind the
-//     datapool strategy, bottomup, topdown, mincontext, wadler =
-//     optmincontext, xpatterns = the Section 10 set algebra behind the
-//     corexpath and xpatterns strategies; internal/corexpath is tests
-//     only), over one operator core: F[[e]] of every non-path
+//     (topdown, mincontext, wadler = optmincontext, xpatterns = the
+//     Section 10 set algebra behind the corexpath and xpatterns
+//     strategies; naive, whose memo is the data pool of Section 9, and
+//     bottomup are oracles and experiment baselines that no server
+//     links; internal/corexpath is tests only), over one operator core: F[[e]] of every non-path
 //     expression in internal/semantics (Eval, called by all five
 //     interpreters), and internal/evalutil's pair loops, step relation,
 //     relation composition and its two walks over a location path,
@@ -35,17 +35,15 @@
 //   - internal/core — the public engine API: compile a query once,
 //     evaluate it with a selectable strategy; Auto picks the best
 //     algorithm per query from one static table over the fragment
-//     classification (core.Explain). EvaluateContext
-//     carries a uniform cancellation contract: every engine, from the
-//     linear fragment evaluators to the exponential baseline, stops at
-//     a throttled checkpoint once the context is done.
+//     classification (core.Explain), and the strategies are exactly
+//     Auto, what its table can pick and MinContext. EvaluateContext
+//     carries a uniform cancellation contract: every engine stops at a
+//     throttled checkpoint once the context is done.
 //   - internal/engine — the concurrent serving layer: a thread-safe
 //     LRU cache of compiled queries (compile once per distinct query
 //     under sustained traffic), Sessions binding documents (each
 //     tracking when it was last queried, the idle-eviction signal), a
-//     bounded worker pool with streaming batch evaluation, and
-//     automatic fallback to MinContext when a bottom-up table limit
-//     trips.
+//     bounded worker pool with streaming batch evaluation.
 //   - internal/store — the storage layer: a sharded, byte-accounted
 //     document store (FNV-1a routing via store.KeyShard, per-shard
 //     locks, LRU or reject eviction, a monotonic version per entry

@@ -12,12 +12,13 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/naive"
 	"repro/internal/workload"
 )
 
 func main() {
 	d := workload.Doc(2) // ⟨a⟩⟨b/⟩⟨b/⟩⟨/a⟩, the paper's Experiment 1 document
-	naiveEn := core.NewEngine(d, core.Naive)
+	root := core.Context{Node: d.RootID(), Pos: 1, Size: 1}
 	topdownEn := core.NewEngine(d, core.TopDown)
 
 	fmt.Println("query family: //a/b(/parent::a/b)^k over DOC(2)")
@@ -26,7 +27,9 @@ func main() {
 		q := core.MustCompile(workload.Exp1Query(k))
 
 		start := time.Now()
-		if _, err := naiveEn.Select(q); err != nil {
+		// naive is an oracle, not a strategy: it runs the literal tree
+		// (the paper's normal form) directly.
+		if _, err := naive.New(d).Evaluate(q.Literal(), root); err != nil {
 			fmt.Println("naive error:", err)
 			return
 		}

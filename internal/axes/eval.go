@@ -365,16 +365,37 @@ func EvalNamed(d *xmltree.Document, a Axis, s xmltree.NodeSet, name string) xmlt
 // subtree, children of x lie in (x, end(x)). It starts at named[from:]
 // and returns the index of the first member behind x, so a caller whose
 // x only grow hands each result back as from and walks the list once.
+//
+// The list is read only up to its first member below a child of x:
+// from there on x's remaining named children are found by walking x's
+// child list on from the last one found, so a call costs O(matches +
+// fanout(x)) rather than O(|subtree(x)|), and a pass over distinct
+// contexts O(|D|) — on a deep chain <a><a>…, child::a from every a
+// would otherwise be quadratic.
 func NamedChildren(d *xmltree.Document, named xmltree.NodeSet, from int, x xmltree.NodeID, dst xmltree.NodeSet) (xmltree.NodeSet, int) {
 	from = named.Seek(from, x+1)
 	end := d.Index().SubtreeEnd(x)
+	last := xmltree.NilNode // the last child found
 	for _, y := range named[from:] {
 		if y >= end {
 			break
 		}
-		if d.Parent(y) == x {
-			dst = append(dst, y)
+		if d.Parent(y) != x {
+			// Every named child of x before y was found, so the children
+			// between last and y are not named.
+			c := d.FirstChild(x)
+			if last != xmltree.NilNode {
+				c = d.NextSibling(last)
+			}
+			for name := d.Name(y); c != xmltree.NilNode; c = d.NextSibling(c) {
+				if d.Type(c) == xmltree.Element && d.Name(c) == name {
+					dst = append(dst, c)
+				}
+			}
+			break
 		}
+		dst = append(dst, y)
+		last = y
 	}
 	return dst, from
 }

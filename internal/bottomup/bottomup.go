@@ -17,7 +17,6 @@ package bottomup
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/axes"
@@ -27,19 +26,10 @@ import (
 	"repro/internal/xpath"
 )
 
-// ErrTableLimit reports that materializing a context-value table would
-// exceed Evaluator.MaxTableRows. Errors returned by Evaluate wrap it,
-// so callers detect the condition with errors.Is(err, ErrTableLimit)
-// and can fall back to a polynomial-space engine.
-var ErrTableLimit = errors.New("context-value table row limit exceeded")
-
 // Evaluator evaluates XPath queries by materializing context-value
 // tables bottom-up.
 type Evaluator struct {
 	doc *xmltree.Document
-	// MaxTableRows guards against accidentally materializing huge
-	// tables (the |D|³ case on large documents); 0 means unlimited.
-	MaxTableRows int
 
 	// cancel is the throttled checkpoint consulted inside every
 	// table-materialization loop; nil (the Evaluate path) never fires.
@@ -161,11 +151,7 @@ func (ev *Evaluator) contexts(r xpath.Relev) ([]semantics.Context, error) {
 			pss = append(pss, ps{-1, s})
 		}
 	}
-	total := len(nodes) * len(pss)
-	if ev.MaxTableRows > 0 && total > ev.MaxTableRows {
-		return nil, fmt.Errorf("bottomup: table with %d rows exceeds limit %d: %w", total, ev.MaxTableRows, ErrTableLimit)
-	}
-	out := make([]semantics.Context, 0, total)
+	out := make([]semantics.Context, 0, len(nodes)*len(pss))
 	for _, x := range nodes {
 		if err := ev.cancel.Check(); err != nil {
 			return nil, err

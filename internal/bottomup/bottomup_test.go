@@ -1,7 +1,6 @@
 package bottomup
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/semantics"
@@ -109,30 +108,6 @@ func TestRelevProjection(t *testing.T) {
 	n := d.Len()
 	if got := rows("position() != last()"); got != n*(n+1)/2 {
 		t.Errorf("pos/size table rows = %d, want %d", got, n*(n+1)/2)
-	}
-}
-
-func TestMaxTableRowsGuard(t *testing.T) {
-	d := xmltree.MustParseString(`<a><b/><b/><b/></a>`)
-	ev := New(d)
-	ev.MaxTableRows = 3
-	_, err := ev.Evaluate(xpath.MustParse("//b[position() != last()]"),
-		semantics.Context{Node: d.RootID(), Pos: 1, Size: 1})
-	if err == nil {
-		t.Error("expected table-size guard to fire")
-	}
-	if !errors.Is(err, ErrTableLimit) {
-		t.Errorf("err = %v, want errors.Is(err, ErrTableLimit)", err)
-	}
-	// A limit large enough for the query must not change the result.
-	ev.MaxTableRows = d.Len() * d.Len() * d.Len()
-	v, err := ev.Evaluate(xpath.MustParse("count(//b[position() != last()])"),
-		semantics.Context{Node: d.RootID(), Pos: 1, Size: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Num != 2 {
-		t.Errorf("count = %v, want 2", v.Num)
 	}
 }
 

@@ -31,9 +31,10 @@ type engine interface {
 // package also runs them on the queries they accept — they are what the
 // servers pick for those queries.
 //
-// As in core, the two baselines evaluate the literal tree xpath.Parse
-// returns and every other engine xpath.Optimize of it, so each
-// differential test of this package also checks the rewrite.
+// The two baselines evaluate the literal tree xpath.Parse returns
+// (core.Query.Literal) and every other engine xpath.Optimize of it (what
+// core serves, core.Query.Expr), so each differential test of this
+// package also checks the rewrite.
 func engines(d *xmltree.Document) map[string]engine {
 	dp, _ := naive.NewPooled(d)
 	ref := naive.New(d)
@@ -85,6 +86,12 @@ var docs = map[string]string{
 	"wide":   `<r><a>1</a><b>2</b><a>3</a><c>4</c><a>5</a><b>6</b></r>`,
 	"attrs":  `<r><e a="1"/><a b="2" c="3"><b d="4"/></a></r>`,
 	"idpos":  `<r><a id="1"><b>x</b></a><a id="2"><b>y</b></a></r>`,
+	// Chains, alternating chains and named children on both sides of a
+	// subtree holding more of their name: the shapes where a child::name
+	// step leaves the posting list for the child list.
+	"chain":    `<a><a><a><a><a/></a></a></a></a>`,
+	"altchain": `<a><b><a><b><a><b/></a></b></a></b></a>`,
+	"nestmix":  `<a><a/><b><a><a/></a></b><a><b><a/></b></a><c/><a/></a>`,
 }
 
 // queries is the conformance battery. Every query must be accepted by
@@ -127,6 +134,14 @@ var queries = []string{
 	"//a/b[count(parent::a/b) > 1]",
 	"count(//b/following::b)",
 	"count(//b//b)",
+	// Named children of nested contexts.
+	"//a/a[1]",
+	"//a/a[last()]",
+	"//a[count(a) = 1]",
+	"//b/a[1]",
+	"//a[not(a)]",
+	"//a[a][b]/a[2]",
+	"count(//a/a)",
 	// Positions.
 	"//b[1]",
 	"//b[last()]",

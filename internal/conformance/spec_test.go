@@ -134,6 +134,29 @@ func TestRoundPerSpec(t *testing.T) {
 	})
 }
 
+// TestWhitespaceIsS: white space is XML's S production (#x20 #x9 #xD
+// #xA) everywhere — normalize-space (§4.2), id()'s token lists (§4.1),
+// through a string and through the ref relation the set algebras read,
+// and the whitespace-only text nodes the parser drops. U+00A0 and
+// U+2003 are text. Every engine shares the parser, xmltree's id lookup
+// and semantics, and all of them used Unicode's wider class there, so
+// only a golden answer sees it: the first four queries answered 1, 2, 0
+// and 2.
+func TestWhitespaceIsS(t *testing.T) {
+	checkGolden(t, "<r><e id=\"x\"/><e id=\"y\"/><b>\u00a0</b><p>x\u00a0y</p><c>\u2003</c><q> x\ty\r\n</q></r>", []specCase{
+		{query: "string-length(normalize-space('\u00a0a\u00a0'))", num: num(3)},
+		{query: "count(id('x\u00a0y'))", num: num(0)},
+		{query: "string-length(string(//b))", num: num(1)},
+		{query: "count(id(//p))", num: num(0)},
+		{query: "count(//c/text())", num: num(1)},
+		{query: "count(id(//q))", num: num(2)},
+		{query: "count(id('x\t\ny'))", num: num(2)},
+		{query: "normalize-space(//q)", str: str("x y")},
+		{query: "normalize-space(' \u2003 ')", str: str("\u2003")},
+		{query: "string(number('\u00a01'))", str: str("NaN")},
+	})
+}
+
 // TestTextNodeGoldenAnswers: a text node never has a text sibling
 // (XPath 1.0 §5.7), however the document wrote the text — character
 // data around and inside CDATA sections is one node, and whether it is

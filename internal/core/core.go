@@ -9,10 +9,14 @@
 // the Extended Wadler Fragment, and everything else but deeply nested
 // predicates over a small document, on OptMinContext (Section 11.2),
 // which itself degrades gracefully to MinContext bounds on full XPath.
-// Explain is that table, and the only place that knows it. The
-// remaining strategies expose every algorithm the paper discusses,
-// including the deliberately exponential naive engine used as the
-// experimental baseline.
+// Explain is that table, and the only place that knows it. Strategy
+// names exactly the algorithms the table can pick, plus MinContext, the
+// Section 8 algorithm OptMinContext runs beneath its Wadler-fragment
+// subexpressions. The paper's other rungs — the exponential naive
+// engine of Section 2 with its Section 9 data pool, and the
+// context-value tables of Section 6 — are dominated on every row; they
+// live on as test oracles and experiment baselines (internal/naive,
+// internal/bottomup), reached directly, never through an Engine.
 //
 // # Which tree runs
 //
@@ -22,12 +26,12 @@
 // xpath.Optimize of it: steps fused so that //t is one descendant::t
 // step served from t's posting list instead of a pass over every node
 // of the document. Every strategy runs the optimized tree — it is what
-// Expr, Fragment and PredDepth see — except Naive and DataPool, which
-// run the literal one. Those two are the paper's experimental
-// baselines, whose curves (Experiments 1–5) are about the normal form's
-// cost and must not change shape with this repository's optimizer; and
-// because internal/conformance checks every other engine against them,
-// the rewrite is under the differential oracle on every query the suite
+// Expr, Fragment and PredDepth see. The literal tree is what the naive
+// baseline runs, outside this package: the paper's experimental curves
+// (Experiments 1–5) are about the normal form's cost and must not
+// change shape with this repository's optimizer, and because
+// internal/conformance checks every engine against naive on it, the
+// rewrite is under the differential oracle on every query the suite
 // knows.
 package core
 
@@ -37,9 +41,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/bottomup"
 	"repro/internal/mincontext"
-	"repro/internal/naive"
 	"repro/internal/semantics"
 	"repro/internal/topdown"
 	"repro/internal/wadler"
@@ -76,13 +78,6 @@ const (
 	// Auto picks the best applicable algorithm per query; Explain is
 	// the table.
 	Auto Strategy = iota
-	// Naive is the exponential-time recursive evaluator modeling
-	// XALAN/XT/Saxon/IE6 (Section 2).
-	Naive
-	// DataPool is Naive plus the memoizing data pool of Section 9.
-	DataPool
-	// BottomUp is the context-value-table Algorithm 6.3.
-	BottomUp
 	// TopDown is the vectorized evaluator of Section 7.
 	TopDown
 	// MinContext is the Section 8 algorithm.
@@ -103,8 +98,7 @@ const (
 // histograms (xpath_query_seconds{strategy=...}). Keep them lowercase
 // snake_case: dashboards key on these exact strings.
 var strategyNames = map[Strategy]string{
-	Auto: "auto", Naive: "naive", DataPool: "datapool",
-	BottomUp: "bottomup", TopDown: "topdown", MinContext: "mincontext",
+	Auto: "auto", TopDown: "topdown", MinContext: "mincontext",
 	OptMinContext: "optmincontext", CoreXPath: "corexpath",
 	XPatterns: "xpatterns",
 }
@@ -178,8 +172,8 @@ func (f Fragment) Label() string {
 // this; see TestConcurrentEvaluation and the engine race tests).
 type Query struct {
 	src     string
-	literal xpath.Expr // the normal form of Section 5: what Naive and DataPool run
-	expr    xpath.Expr // xpath.Optimize(literal): what every other strategy runs
+	literal xpath.Expr // the normal form of Section 5: what the naive baseline runs
+	expr    xpath.Expr // xpath.Optimize(literal): what every strategy runs
 	frag    Fragment
 	depth   int // deepest predicate nesting in expr
 }
@@ -227,7 +221,7 @@ func (q *Query) String() string { return q.src }
 func (q *Query) Expr() xpath.Expr { return q.expr }
 
 // Literal exposes the normalized tree before optimization — the paper's
-// normal form, which the Naive and DataPool baselines evaluate.
+// normal form, which the naive baseline (internal/naive) evaluates.
 func (q *Query) Literal() xpath.Expr { return q.literal }
 
 // Fragment reports the smallest fragment of Figure 1 containing the
@@ -288,8 +282,7 @@ const smallDocNodes = 1024
 // document of docNodes nodes (0: size unknown) and the reason, one row
 // per fragment of Figure 1. The paper's ladder of algorithms is a
 // dominance order, so the choice is static — no statistics, nothing
-// learned; Naive, DataPool and BottomUp are dominated on every row and
-// never picked.
+// learned.
 func Explain(q *Query, docNodes int) (Strategy, string) {
 	switch q.frag {
 	case FragmentCoreXPath:
@@ -334,23 +327,10 @@ var ErrNotInFragment = errors.New("core: query is not in the strategy's fragment
 // at the same time, the Document is immutable after parsing (its lazily
 // filled string-value memo is a slice of atomic pointers in xmltree),
 // and Query is immutable after compilation but for the rank tests of its
-// predicates, stored once, atomically (xpath.Memo). The exported knobs
-// (NaiveBudget, MaxTableRows) are read on every call and must not be
-// written concurrently with evaluation — set them before sharing the
-// Engine.
+// predicates, stored once, atomically (xpath.Memo).
 type Engine struct {
 	doc      *Document
 	strategy Strategy
-
-	// NaiveBudget bounds naive-strategy evaluations (0 = unlimited);
-	// see naive.Evaluator.Budget.
-	NaiveBudget int64
-
-	// MaxTableRows bounds the context-value tables materialized by the
-	// BottomUp strategy (0 = unlimited); see
-	// bottomup.Evaluator.MaxTableRows. When the limit trips, Evaluate
-	// returns an error wrapping bottomup.ErrTableLimit.
-	MaxTableRows int
 }
 
 // NewEngine creates an engine over a document.
@@ -387,12 +367,10 @@ func (en *Engine) Evaluate(q *Query, c Context) (Value, error) {
 // abandoning the evaluation with ctx's error once ctx is done. The
 // cancellation contract is uniform across every strategy: all engines
 // carry throttled checkpoints inside their evaluation loops — the
-// polynomial engines (BottomUp, TopDown, MinContext, OptMinContext)
-// inside their document-sized table loops, the linear fragment engines
-// (CoreXPath, XPatterns) billed per O(|D|) set operation, and the
-// exponential baselines (Naive, DataPool) on every elementary step —
-// so an abandoned request stops burning CPU mid-query no matter which
-// algorithm is running.
+// polynomial engines (TopDown, MinContext, OptMinContext) inside their
+// document-sized table loops, the linear fragment engines (CoreXPath,
+// XPatterns) billed per O(|D|) set operation — so an abandoned request
+// stops burning CPU mid-query no matter which algorithm is running.
 func (en *Engine) EvaluateContext(ctx context.Context, q *Query, c Context) (Value, error) {
 	return en.EvaluateStrategy(ctx, q, c, en.StrategyFor(q))
 }
@@ -404,8 +382,8 @@ func (en *Engine) EvaluateContext(ctx context.Context, q *Query, c Context) (Val
 // refused with ErrNotInFragment for a query the classification places
 // outside their fragment.
 //
-// The strategies Auto picks build what they materialize in one arena of
-// the document's (xmltree.Arena), which is back in its pool when
+// Every strategy builds what it materializes in one arena of the
+// document's (xmltree.Arena), which is back in its pool when
 // EvaluateStrategy returns; a node-set answer is a copy of exactly its
 // members, owned by the caller.
 func (en *Engine) EvaluateStrategy(ctx context.Context, q *Query, c Context, s Strategy) (Value, error) {
@@ -419,18 +397,6 @@ func (en *Engine) EvaluateStrategy(ctx context.Context, q *Query, c Context, s S
 		return Value{}, fmt.Errorf("%w: strategy %s, query in %s", ErrNotInFragment, s, q.frag)
 	}
 	switch s {
-	case Naive:
-		ev := naive.New(en.doc)
-		ev.Budget = en.NaiveBudget
-		return ev.EvaluateContext(ctx, q.literal, c)
-	case DataPool:
-		ev, _ := naive.NewPooled(en.doc)
-		ev.Budget = en.NaiveBudget
-		return ev.EvaluateContext(ctx, q.literal, c)
-	case BottomUp:
-		ev := bottomup.New(en.doc)
-		ev.MaxTableRows = en.MaxTableRows
-		return ev.EvaluateContext(ctx, q.expr, c)
 	case TopDown:
 		return topdown.New(en.doc).EvaluateContext(ctx, q.expr, c)
 	case MinContext:

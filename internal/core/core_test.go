@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/naive"
 	"repro/internal/workload"
 	"repro/internal/xpath"
 )
@@ -136,14 +137,16 @@ func TestAutoTableMatchesRules(t *testing.T) {
 	})
 }
 
-// TestAutoNeverPicksDominated: the exponential baselines and the full
-// context-value tables of BottomUp exist for experiments and explicit
-// -strategy requests; the table never routes to them.
+// TestAutoNeverPicksDominated: the table resolves every query to one of
+// its four rows' algorithms — never to Auto itself, and never to
+// MinContext, which OptMinContext dominates (the exponential baselines
+// and Section 6's tables are not strategies at all).
 func TestAutoNeverPicksDominated(t *testing.T) {
 	forEachTableRow(t, func(q *Query, _ []string) {
 		for _, n := range tableSizes {
 			switch s, _ := Explain(q, n); s {
-			case Auto, Naive, DataPool, BottomUp:
+			case CoreXPath, XPatterns, OptMinContext, TopDown:
+			default:
 				t.Errorf("Explain(%s, %d) = %v", q, n, s)
 			}
 		}
@@ -190,14 +193,13 @@ func TestAllStrategiesAgree(t *testing.T) {
 		"//product[position() = last()]",
 		"//product[discontinued]/price",
 	}
-	strategies := []Strategy{Naive, DataPool, BottomUp, TopDown, MinContext, OptMinContext, Auto}
 	for _, src := range queries {
 		q := MustCompile(src)
-		ref, err := NewEngine(d, Naive).Evaluate(q, Context{Node: d.RootID(), Pos: 1, Size: 1})
+		ref, err := naive.New(d).Evaluate(q.Literal(), Context{Node: d.RootID(), Pos: 1, Size: 1})
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
-		for _, s := range strategies[1:] {
+		for _, s := range []Strategy{TopDown, MinContext, OptMinContext, Auto} {
 			got, err := NewEngine(d, s).Evaluate(q, Context{Node: d.RootID(), Pos: 1, Size: 1})
 			if err != nil {
 				t.Errorf("%q via %v: %v", src, s, err)
@@ -211,10 +213,10 @@ func TestAllStrategiesAgree(t *testing.T) {
 }
 
 // TestQueryKeepsBothTrees: Literal is the normal form xpath.Parse
-// returns, Expr the optimized tree every strategy but the two baselines
-// evaluates, and the rewrite happens after variable substitution — [$w]
-// with a numeric binding is positional and blocks the fusion of its
-// step.
+// returns and the naive baseline evaluates, Expr the optimized tree
+// every strategy evaluates, and the rewrite happens after variable
+// substitution — [$w] with a numeric binding is positional and blocks
+// the fusion of its step.
 func TestQueryKeepsBothTrees(t *testing.T) {
 	q := MustCompile("//a[1]//b[c]")
 	if got, want := q.Literal().String(), xpath.MustParse("//a[1]//b[c]").String(); got != want {
@@ -240,11 +242,15 @@ func TestQueryKeepsBothTrees(t *testing.T) {
 	if got, want := bound.Expr().String(), "/descendant::b[boolean('x')]/child::c"; got != want {
 		t.Errorf("bound Expr() = %s, want %s", got, want)
 	}
-	// //b[1] and /descendant::b[1] differ on this document; every
-	// strategy, on whichever tree it runs, must give the former.
+	// //b[1] and /descendant::b[1] differ on this document; naive on the
+	// literal tree and every strategy on the optimized one must give the
+	// former.
 	d, _ := ParseString(`<r><a><b/><b/></a><a><b/></a></r>`)
 	first := MustCompile("//b[1]")
-	for _, s := range []Strategy{Naive, DataPool, BottomUp, TopDown, MinContext, OptMinContext, Auto} {
+	if v, err := naive.New(d).Evaluate(first.Literal(), Context{Node: d.RootID(), Pos: 1, Size: 1}); err != nil || len(v.Set) != 2 {
+		t.Errorf("//b[1] via naive selects %d nodes (err %v), want 2", len(v.Set), err)
+	}
+	for _, s := range []Strategy{TopDown, MinContext, OptMinContext, Auto} {
 		got, err := NewEngine(d, s).Select(first)
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
@@ -364,14 +370,20 @@ func TestEvalString(t *testing.T) {
 }
 
 func TestStrategyNames(t *testing.T) {
-	for _, s := range []Strategy{Auto, Naive, DataPool, BottomUp, TopDown,
-		MinContext, OptMinContext, CoreXPath, XPatterns} {
+	for _, s := range []Strategy{Auto, TopDown, MinContext, OptMinContext, CoreXPath, XPatterns} {
 		got, ok := StrategyByName(s.String())
 		if !ok || got != s {
 			t.Errorf("round trip %v failed", s)
 		}
 	}
-	if _, ok := StrategyByName("quantum"); ok {
-		t.Error("bogus strategy resolved")
+	if len(strategyNames) != 6 {
+		t.Errorf("%d strategies named, want Auto and the five a server may run: %v", len(strategyNames), strategyNames)
+	}
+	// The oracles are not strategies: a server cannot be configured to
+	// run them.
+	for _, name := range []string{"quantum", "naive", "datapool", "bottomup"} {
+		if _, ok := StrategyByName(name); ok {
+			t.Errorf("%q resolved to a strategy", name)
+		}
 	}
 }

@@ -48,25 +48,16 @@ type Options struct {
 	// Workers bounds the per-batch worker pool (default GOMAXPROCS).
 	Workers int
 
-	// NaiveBudget bounds naive/datapool-strategy evaluations
-	// (0 = unlimited); see core.Engine.NaiveBudget.
-	NaiveBudget int64
-
-	// MaxTableRows bounds bottom-up context-value tables
-	// (0 = unlimited); see core.Engine.MaxTableRows.
-	MaxTableRows int
-
 	// Planner is ignored: Auto is one static table (core.Explain) and
 	// there is no mode to select. The field stays because the
 	// benchmark's layer probe sets it; the follow-up [benchmark] issue
 	// named in internal/planner's package comment removes it.
 	Planner planner.Mode
 
-	// Fallback, when set, transparently retries a query whose
-	// evaluation tripped bottomup.ErrTableLimit on the MinContext
-	// strategy (polynomial space) instead of surfacing the error; each
-	// retry is counted in Stats.Fallbacks. Off by default so callers
-	// that configured an explicit resource limit still see it fire.
+	// Fallback is ignored: no strategy has a resource limit to fall
+	// back from. The field stays because the benchmark's layer probe
+	// sets it; the follow-up [benchmark] issue named in
+	// internal/planner's package comment removes it with Planner.
 	Fallback bool
 
 	// Metrics is the observability registry the engine records into
@@ -79,12 +70,11 @@ type Options struct {
 // Engine caches compiled queries and spawns Sessions over documents.
 // It is safe for concurrent use.
 type Engine struct {
-	opts      Options
-	cache     *queryCache
-	reg       *obs.Registry
-	metrics   *engineMetrics
-	inFlight  atomic.Int64
-	fallbacks atomic.Uint64
+	opts     Options
+	cache    *queryCache
+	reg      *obs.Registry
+	metrics  *engineMetrics
+	inFlight atomic.Int64
 }
 
 // New creates an Engine. Zero-valued Options fields take defaults.
@@ -161,9 +151,6 @@ type Stats struct {
 	// (xpath_queries_total); InFlight those currently executing.
 	Queries  uint64
 	InFlight int64
-	// Fallbacks counts queries transparently retried on MinContext
-	// after tripping bottomup.ErrTableLimit (see Options.Fallback).
-	Fallbacks uint64
 }
 
 // HitRate returns the cache hit fraction in [0, 1] (0 before any
@@ -183,8 +170,7 @@ func (e *Engine) Stats() Stats {
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Rejects: c.rejects,
 		CompileNanosSaved: c.savedNanos,
 		Size:              c.size, Capacity: c.capacity,
-		Queries:   e.metrics.queries.Value(),
-		InFlight:  e.inFlight.Load(),
-		Fallbacks: e.fallbacks.Load(),
+		Queries:  e.metrics.queries.Value(),
+		InFlight: e.inFlight.Load(),
 	}
 }

@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
-	"repro/internal/bottomup"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -219,16 +217,5 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	}
 	if st.Size > 4 {
 		t.Fatalf("cache overflowed its capacity: %+v", st)
-	}
-}
-
-// TestSessionMaxTableRows checks that the engine's MaxTableRows option
-// reaches the bottom-up evaluator as a detectable typed error.
-func TestSessionMaxTableRows(t *testing.T) {
-	e := New(Options{Strategy: core.BottomUp, MaxTableRows: 8})
-	s := e.NewSession(workload.Catalog(30))
-	_, err := s.Query("//product[position() = last()]")
-	if !errors.Is(err, bottomup.ErrTableLimit) {
-		t.Fatalf("err = %v, want bottomup.ErrTableLimit", err)
 	}
 }

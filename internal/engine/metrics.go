@@ -3,7 +3,7 @@ package engine
 import "repro/internal/obs"
 
 // engineMetrics are the engine's instruments in the shared obs
-// registry. Cache and fallback counts are CounterFuncs over the same
+// registry. Cache counts are CounterFuncs over the same
 // atomics Stats reads, so /metrics and /stats can never disagree.
 type engineMetrics struct {
 	// queries counts evaluations dispatched; errors the subset that
@@ -40,9 +40,6 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 	})
 	reg.CounterFunc("xpath_compile_cache_rejects_total", "compiled-query cache misses not admitted (a text's first miss)", func() float64 {
 		return float64(e.cache.snapshot().rejects)
-	})
-	reg.CounterFunc("xpath_fallbacks_total", "queries retried on MinContext after a table-limit trip", func() float64 {
-		return float64(e.fallbacks.Load())
 	})
 	reg.GaugeFunc("xpath_inflight", "evaluations currently executing", func() float64 {
 		return float64(e.inFlight.Load())

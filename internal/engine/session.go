@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bottomup"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -30,7 +29,6 @@ type Session struct {
 	eng     *Engine
 	doc     *core.Document
 	en      *core.Engine
-	fb      *core.Engine // MinContext engine for ErrTableLimit fallback
 	workers int
 
 	// lastUsed is the unix-nano timestamp of the most recent query
@@ -43,12 +41,7 @@ type Session struct {
 // NewSession creates a session over a document.
 func (e *Engine) NewSession(d *core.Document) *Session {
 	en := core.NewEngine(d, e.opts.Strategy)
-	en.NaiveBudget = e.opts.NaiveBudget
-	en.MaxTableRows = e.opts.MaxTableRows
 	s := &Session{eng: e, doc: d, en: en, workers: e.opts.Workers}
-	if e.opts.Fallback {
-		s.fb = core.NewEngine(d, core.MinContext)
-	}
 	// Build the document's structural index now, at registration time,
 	// so the first query served does not pay the O(|dom|) index build.
 	en.Warm()
@@ -71,18 +64,15 @@ func (s *Session) IdleFor() time.Duration {
 }
 
 // Result is the full outcome of one query: the compiled form (nil when
-// compilation failed) and exactly one of Value and Err. FellBack
-// reports that the chosen strategy tripped its resource limit and the
-// value was produced by the MinContext retry instead.
+// compilation failed) and exactly one of Value and Err.
 type Result struct {
 	Query    string
 	Compiled *core.Query
 	Value    core.Value
 	Err      error
-	FellBack bool
-	// Strategy is the concrete algorithm that actually produced the
-	// value — Auto resolved, and MinContext after a fallback. Reporting
-	// layers use it verbatim rather than re-deriving it from the query.
+	// Strategy is the concrete algorithm that produced the value, Auto
+	// resolved. Reporting layers use it verbatim rather than re-deriving
+	// it from the query.
 	Strategy core.Strategy
 }
 
@@ -104,7 +94,7 @@ func (s *Session) DoContext(ctx context.Context, src string) Result {
 		return res
 	}
 	res.Compiled = q
-	res.Value, res.Strategy, res.FellBack, res.Err = s.evaluate(ctx, q)
+	res.Value, res.Strategy, res.Err = s.evaluate(ctx, q)
 	return res
 }
 
@@ -127,19 +117,16 @@ func (s *Session) Evaluate(q *core.Query) (core.Value, error) {
 // EvaluateContext runs an already-compiled query from the document
 // root, abandoning the evaluation once ctx is done.
 func (s *Session) EvaluateContext(ctx context.Context, q *core.Query) (core.Value, error) {
-	v, _, _, err := s.evaluate(ctx, q)
+	v, _, err := s.evaluate(ctx, q)
 	return v, err
 }
 
-// evaluate is the one evaluation path: in-flight accounting, the
+// evaluate is the one evaluation path: in-flight accounting and the
 // strategy decision (core.Engine.StrategyFor, made once and returned so
-// that what is reported is what ran), and — when a fallback engine
-// exists and the strategy tripped bottomup.ErrTableLimit — a
-// transparent retry on MinContext, whose tables are polynomial in the
-// document and so cannot trip a row limit. Every goroutine a query runs
-// on passes through here, so this is also where a panic is recovered
-// into ErrInternal, its stack logged once under the request ID.
-func (s *Session) evaluate(ctx context.Context, q *core.Query) (v core.Value, strat core.Strategy, fell bool, err error) {
+// that what is reported is what ran). Every goroutine a query runs on
+// passes through here, so this is also where a panic is recovered into
+// ErrInternal, its stack logged once under the request ID.
+func (s *Session) evaluate(ctx context.Context, q *core.Query) (v core.Value, strat core.Strategy, err error) {
 	s.lastUsed.Store(time.Now().UnixNano())
 	s.eng.inFlight.Add(1)
 	defer s.eng.inFlight.Add(-1)
@@ -148,7 +135,7 @@ func (s *Session) evaluate(ctx context.Context, q *core.Query) (v core.Value, st
 	defer func() {
 		if r := recover(); r != nil {
 			slog.Error("evaluator panic", "request_id", obs.RequestID(ctx), "panic", r, "stack", string(debug.Stack()))
-			v, fell, err = core.Value{}, false, fmt.Errorf("%w: %v", ErrInternal, r)
+			v, err = core.Value{}, fmt.Errorf("%w: %v", ErrInternal, r)
 		}
 		if err != nil {
 			m.errors.Inc()
@@ -162,18 +149,11 @@ func (s *Session) evaluate(ctx context.Context, q *core.Query) (v core.Value, st
 	start := time.Now()
 	root := core.Context{Node: s.doc.RootID(), Pos: 1, Size: 1}
 	v, err = s.en.EvaluateStrategy(ectx, q, root, strat)
-	if err != nil && s.fb != nil && errors.Is(err, bottomup.ErrTableLimit) {
-		s.eng.fallbacks.Add(1)
-		span.SetAttr("fallback", "true")
-		strat = core.MinContext
-		v, err = s.fb.EvaluateContext(ectx, q, root)
-		fell = true
-	}
 	span.End()
 	elapsed := time.Since(start)
 	m.stage.With("evaluate").Observe(elapsed.Seconds())
 	m.query.With(frag, strat.String()).Observe(elapsed.Seconds())
-	return v, strat, fell, err
+	return v, strat, err
 }
 
 // Batch evaluates queries concurrently over a worker pool bounded by

@@ -39,18 +39,19 @@ func TestSharedCompilationAcrossStrategies(t *testing.T) {
 	}
 }
 
-// TestPlannerOptionIgnored: Options.Planner survives only as a name the
-// benchmark's probe sets; whatever it holds, Auto resolves by the table.
+// TestPlannerOptionIgnored: Options.Planner and Options.Fallback survive
+// only as names the benchmark's probe sets; whatever they hold, Auto
+// resolves by the table.
 func TestPlannerOptionIgnored(t *testing.T) {
 	doc := workload.Doc(50)
 	for _, mode := range []planner.Mode{"", "off", "rules", "adaptive"} {
-		sess := New(Options{Strategy: core.Auto, Planner: mode}).NewSession(doc)
+		sess := New(Options{Strategy: core.Auto, Planner: mode, Fallback: mode == "adaptive"}).NewSession(doc)
 		for src, want := range map[string]core.Strategy{
 			"//a": core.CoreXPath, "//a[position() = 2]": core.OptMinContext, deepQuery: core.TopDown,
 		} {
 			res := sess.Do(src)
-			if res.Err != nil || res.Strategy != want || res.FellBack {
-				t.Fatalf("planner %q, %s: err %v strategy %v fellback %v, want %v", mode, src, res.Err, res.Strategy, res.FellBack, want)
+			if res.Err != nil || res.Strategy != want {
+				t.Fatalf("planner %q, %s: err %v strategy %v, want %v", mode, src, res.Err, res.Strategy, want)
 			}
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -54,28 +53,6 @@ func TestStreamBatchCancelledUpFront(t *testing.T) {
 	}
 	if st := e.Stats(); st.InFlight != 0 {
 		t.Fatalf("in-flight leaked after cancellation: %+v", st)
-	}
-}
-
-// TestFallbackOnTableLimit checks the serving-layer auto-fallback: with
-// Options.Fallback set, a query whose bottom-up tables trip the row
-// limit is transparently retried on MinContext and succeeds, and the
-// retry is counted.
-func TestFallbackOnTableLimit(t *testing.T) {
-	e := New(Options{Strategy: core.BottomUp, MaxTableRows: 8, Fallback: true})
-	s := e.NewSession(workload.Catalog(30))
-	res := s.Do("count(//product[position() = last()])")
-	if res.Err != nil {
-		t.Fatalf("fallback did not rescue the query: %v", res.Err)
-	}
-	if !res.FellBack || res.Strategy != core.MinContext {
-		t.Fatalf("Result.FellBack = %v, Strategy = %v; want the MinContext retry reported", res.FellBack, res.Strategy)
-	}
-	if res.Value.Num != 1 {
-		t.Fatalf("fallback value = %v, want 1", res.Value.Num)
-	}
-	if st := e.Stats(); st.Fallbacks != 1 {
-		t.Fatalf("Stats.Fallbacks = %d, want 1", st.Fallbacks)
 	}
 }
 

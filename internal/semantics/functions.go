@@ -141,7 +141,7 @@ func callFunction(d *xmltree.Document, name string, ctx Context, args []Value) (
 		} else {
 			s = ToString(d, args[0])
 		}
-		return String(strings.Join(strings.Fields(s), " ")), nil
+		return String(normalizeSpace(s)), nil
 	case "translate":
 		return String(translate(ToString(d, args[0]), ToString(d, args[1]), ToString(d, args[2]))), nil
 	case "boolean":
@@ -286,6 +286,21 @@ func translate(s, from, to string) string {
 		} else {
 			b.WriteRune(r)
 		}
+	}
+	return b.String()
+}
+
+// normalizeSpace is normalize-space (§4.2): s with leading and trailing
+// white space stripped and every inner run of it replaced by one space —
+// white space by XML's S production (xmltree.IsSpace), so U+00A0 is
+// kept as text.
+func normalizeSpace(s string) string {
+	var b strings.Builder
+	for f, rest := xmltree.Field(s); f != ""; f, rest = xmltree.Field(rest) {
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(f)
 	}
 	return b.String()
 }

@@ -88,10 +88,10 @@ func NumberToString(v float64) string {
 // comparison meets text) costs one pass and no allocation.
 func StringToNumber(s string) float64 {
 	i, j := 0, len(s)
-	for i < j && isXMLSpace(s[i]) {
+	for i < j && xmltree.IsSpace(s[i]) {
 		i++
 	}
-	for j > i && isXMLSpace(s[j-1]) {
+	for j > i && xmltree.IsSpace(s[j-1]) {
 		j--
 	}
 	s = s[i:j]
@@ -137,9 +137,6 @@ func StringToNumber(s string) float64 {
 	v, _ := strconv.ParseFloat(s, 64)
 	return v
 }
-
-// isXMLSpace reports the S production of XML: space, tab, CR, LF.
-func isXMLSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
 
 // ToString implements F[[string]] for all four argument types. The
 // document is needed for node sets (string value of the first node in

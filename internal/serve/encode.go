@@ -21,7 +21,7 @@ package serve
 //     indented.
 //   - Members come in the order the structs declare them. A batch line
 //     leads with index, doc, missing, request_id; every answer goes on
-//     with query, fragment, strategy, version, fallback — the envelope —
+//     with query, fragment, strategy, version — the envelope —
 //     and only then value or error, then trace. Optional members are
 //     left out when empty, never written as false, 0 or "".
 //   - So everything a router needs to route, cache and re-tag an answer
@@ -342,9 +342,6 @@ func appendAnswer(dst []byte, line *BatchLine, r *QueryResponse, d *core.Documen
 		dst = append(dst, `,"version":`...)
 		dst = strconv.AppendUint(dst, r.Version, 10)
 	}
-	if r.Fallback {
-		dst = append(dst, `,"fallback":true`...)
-	}
 	switch {
 	case r.Value != nil:
 		dst = append(dst, `,"value":`...)
@@ -420,7 +417,6 @@ var envelopeKeys = [...]struct {
 }{
 	{"index", 'i'}, {"doc", 's'}, {"missing", 'b'}, {"request_id", 's'},
 	{"query", 's'}, {"fragment", 's'}, {"strategy", 's'}, {"version", 'u'},
-	{"fallback", 'b'},
 }
 
 // lineKeys is how many of envelopeKeys only a batch line has; the

@@ -350,7 +350,6 @@ type QueryResponse struct {
 	Fragment string     `json:"fragment"`
 	Strategy string     `json:"strategy"`
 	Version  uint64     `json:"version,omitempty"`
-	Fallback bool       `json:"fallback,omitempty"`
 	Value    *ValueJSON `json:"value,omitempty"`
 	Error    string     `json:"error,omitempty"`
 	// Trace is the request's span tree, present only when the client
@@ -408,9 +407,7 @@ func kindName(k xpath.Type) string {
 
 // render turns an evaluation outcome into the answer's envelope,
 // annotating it with the fragment classification off the compiled query
-// and the strategy off the Result — the one the session actually ran,
-// post-fallback. It must never re-derive the strategy: a result rescued
-// by the table-limit fallback would report the strategy that failed.
+// and the strategy off the Result — the one the session actually ran.
 // The value is not rendered here: the encoder appends it from the
 // document (see resultValue and encode.go).
 //
@@ -424,9 +421,6 @@ func render(ver uint64, res *engine.Result) QueryResponse {
 	if res.Compiled != nil {
 		resp.Fragment = res.Compiled.Fragment().String()
 		resp.Strategy = res.Strategy.String()
-	}
-	if res.FellBack {
-		resp.Fallback = true
 	}
 	if res.Err != nil {
 		resp.Error = res.Err.Error()
@@ -779,11 +773,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// cache.rejects counts the compile misses the cache's doorkeeper did
 	// not admit: a text's first miss is compiled and answered, and only
 	// its second is cached (see engine.Stats.Rejects). The benchmark
-	// driver also reads planner.{decisions,explored,bans}
-	// (benchmark/counts.go). There is no planner: decisions is the
-	// queries Auto resolved by the table, explored and bans are constant
-	// 0 until the follow-up [benchmark] issue named in internal/planner
-	// stops reading them.
+	// driver also reads fallbacks and planner.{decisions,explored,bans}
+	// (benchmark/counts.go). There is no planner and no fallback:
+	// decisions is the queries Auto resolved by the table; fallbacks,
+	// explored and bans are constant 0 until the follow-up [benchmark]
+	// issue named in internal/planner stops reading them.
 	var decisions uint64
 	if s.eng.Strategy() == core.Auto {
 		decisions = st.Queries
@@ -801,7 +795,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"compile_time_saved": (time.Duration(st.CompileNanosSaved)).String(),
 		},
 		"in_flight": st.InFlight,
-		"fallbacks": st.Fallbacks,
+		"fallbacks": 0,
 		"strategy":  s.eng.Strategy().String(),
 		"planner":   map[string]any{"mode": "rules", "decisions": decisions, "explored": 0, "bans": 0},
 		"documents": docs,

@@ -16,7 +16,6 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -393,35 +392,6 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if _, ok := out["fallbacks"]; !ok {
 		t.Fatal("stats missing fallbacks counter")
-	}
-}
-
-// TestFallbackOverHTTP drives the auto-fallback end to end: a bottomup
-// engine with a tiny table budget serves a position-dependent query,
-// and the response must carry the MinContext-rescued value instead of
-// an error, flagged as a fallback, with /stats counting it.
-func TestFallbackOverHTTP(t *testing.T) {
-	srv := New(engine.New(engine.Options{
-		Strategy: core.BottomUp, MaxTableRows: 8, Fallback: true,
-	}), store.Config{})
-	if _, _, err := srv.AddDocument("catalog", workload.Catalog(30).XMLString()); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	resp, out := postJSON(t, ts.URL+"/query", QueryRequest{Doc: "catalog", Query: "count(//product[position() = last()])"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %v (fallback did not rescue)", resp.StatusCode, out)
-	}
-	if out["fallback"] != true || out["strategy"] != "mincontext" {
-		t.Fatalf("response = %v, want fallback=true strategy=mincontext", out)
-	}
-	if val := out["value"].(map[string]any); val["number"] != 1.0 {
-		t.Fatalf("value = %v, want 1", val)
-	}
-	_, stats := getJSON(t, ts.URL+"/stats")
-	if stats["fallbacks"].(float64) != 1 {
-		t.Fatalf("stats fallbacks = %v, want 1", stats["fallbacks"])
 	}
 }
 

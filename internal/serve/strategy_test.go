@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bottomup"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/store"
@@ -45,7 +44,8 @@ func TestAutoResponseOverHTTP(t *testing.T) {
 
 // TestStatsKeepsBenchmarkKeys: /stats decodes into a struct shaped like
 // backendStats in benchmark/counts.go, every member the driver reads is
-// present, the ones that counted the deleted learner read zero, and
+// present, the ones that counted the deleted learner and the deleted
+// table-limit fallback read zero, and
 // cache.rejects counts the first misses the compile cache did not admit.
 func TestStatsKeepsBenchmarkKeys(t *testing.T) {
 	ts := catalogServer(t, engine.Options{})
@@ -87,43 +87,14 @@ func TestStatsKeepsBenchmarkKeys(t *testing.T) {
 			t.Fatalf("/stats lacks %s: %s", name, body)
 		}
 	}
-	if st.Planner.Mode != "rules" || *st.Planner.Decisions != 4 || *st.Planner.Explored != 0 || *st.Planner.Bans != 0 {
-		t.Errorf("want planner mode rules, decisions 4 (the auto queries), explored 0, bans 0: %s", body)
+	if st.Planner.Mode != "rules" || *st.Planner.Decisions != 4 || *st.Planner.Explored != 0 || *st.Planner.Bans != 0 || *st.Fallbacks != 0 {
+		t.Errorf("want planner mode rules, decisions 4 (the auto queries), explored 0, bans 0, fallbacks 0: %s", body)
 	}
 	if st.Planner.Wins != nil || st.Planner.Classes != nil {
 		t.Errorf("want no planner.wins or planner.classes: %s", body)
 	}
 	if *st.Cache.Rejects != 2 || *st.Cache.Hits != 1 || *st.Cache.Misses != 3 {
 		t.Errorf("want cache rejects 2, hits 1, misses 3: %s", body)
-	}
-}
-
-// TestFallbackReportsActualStrategy: when bottomup trips the table limit
-// and the MinContext retry produces the value, the response names
-// mincontext — the strategy that actually ran — with the fallback
-// marker; without Options.Fallback the limit surfaces as a 422.
-func TestFallbackReportsActualStrategy(t *testing.T) {
-	const query = "count(//product[position() = last()])"
-	opts := engine.Options{Strategy: core.BottomUp, MaxTableRows: 1, Fallback: true}
-	ts := catalogServer(t, opts)
-	resp, out := postJSON(t, ts.URL+"/query", QueryRequest{Doc: "catalog", Query: query})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %v (fallback did not rescue)", resp.StatusCode, out)
-	}
-	if out["strategy"] != "mincontext" || out["fallback"] != true {
-		t.Fatalf("response = %v, want strategy mincontext (what actually ran) and fallback true", out)
-	}
-	if val := out["value"].(map[string]any); val["number"] != 1.0 {
-		t.Fatalf("value = %v, want 1", val)
-	}
-	if _, stats := getJSON(t, ts.URL+"/stats"); stats["fallbacks"].(float64) != 1 {
-		t.Fatalf("stats fallbacks = %v, want 1", stats["fallbacks"])
-	}
-
-	opts.Fallback = false
-	resp, out = postJSON(t, catalogServer(t, opts).URL+"/query", QueryRequest{Doc: "catalog", Query: query})
-	if msg, _ := out["error"].(string); resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(msg, bottomup.ErrTableLimit.Error()) {
-		t.Fatalf("without fallback: status %d, body %v; want 422 carrying ErrTableLimit", resp.StatusCode, out)
 	}
 }
 

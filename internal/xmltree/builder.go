@@ -2,7 +2,6 @@ package xmltree
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 )
 
@@ -160,7 +159,7 @@ func (d *Document) buildRef() {
 			text = d.DirectText(NodeID(i))
 		}
 		start := len(fwd.to)
-		for _, tok := range strings.Fields(text) {
+		for tok, rest := Field(text); tok != ""; tok, rest = Field(rest) {
 			if y, ok := ids[tok]; ok {
 				fwd.to = append(fwd.to, y)
 			}

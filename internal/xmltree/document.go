@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"unicode"
 )
 
 // Document is an immutable XML document tree in the paper's data model.
@@ -165,9 +164,31 @@ func (d *Document) DirectText(id NodeID) string {
 	return b.String()
 }
 
+// IsSpace reports whether c is white space in the sense of XML's S
+// production: #x20, #x9, #xD or #xA. It is the only white space of the
+// data model and of XPath 1.0 (§3.7's ExprWhitespace, §4.2's
+// normalize-space, §4.1's id() token lists, §4.4's number): U+00A0,
+// U+2003 and the other Unicode spaces are text.
+func IsSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
+
+// Field returns the first run of non-S bytes of s (see IsSpace), ""
+// when s is all white space, and the remainder of s behind it.
+func Field(s string) (field, rest string) {
+	i := 0
+	for i < len(s) && IsSpace(s[i]) {
+		i++
+	}
+	j := i
+	for j < len(s) && !IsSpace(s[j]) {
+		j++
+	}
+	return s[i:j], s[j:]
+}
+
 // DerefIDs implements deref_ids: string → 2^dom (Section 4). The input is
-// interpreted as a whitespace-separated list of keys; the result is the
-// set of nodes whose IDs are in the list, sorted in document order.
+// interpreted as a list of keys separated by white space (IsSpace); the
+// result is the set of nodes whose IDs are in the list, sorted in
+// document order.
 func (d *Document) DerefIDs(s string) []NodeID { return d.AppendIDs(nil, s) }
 
 // AppendIDs appends deref_ids(s) to dst, sorted and without duplicates:
@@ -175,15 +196,10 @@ func (d *Document) DerefIDs(s string) []NodeID { return d.AppendIDs(nil, s) }
 // so that much room in dst is always enough.
 func (d *Document) AppendIDs(dst NodeSet, s string) NodeSet {
 	ids, n := d.idTable(), len(dst)
-	for s != "" {
-		k := strings.IndexFunc(s, unicode.IsSpace)
-		if k < 0 {
-			k = len(s)
-		}
-		if id, ok := ids[s[:k]]; ok && k > 0 {
+	for key, rest := Field(s); key != ""; key, rest = Field(rest) {
+		if id, ok := ids[key]; ok {
 			dst = append(dst, id)
 		}
-		s = strings.TrimLeftFunc(s[k:], unicode.IsSpace)
 	}
 	return append(dst[:n], dst[n:].Normalized()...)
 }

@@ -341,17 +341,12 @@ func (s *scanner) addText(lo, hi int, cdata, decode bool) {
 	}
 }
 
-// blank reports whether s is empty or all white space, in the sense of
-// strings.TrimSpace(s) == "" — the test the parser has always applied,
-// which counts U+0085, U+00A0 and the Unicode space separators too.
+// blank reports whether s is empty or all white space in the sense of
+// XML's S production (IsSpace): a text node of U+00A0 alone is text.
 func blank[T string | []byte](s T) bool {
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-		case c < utf8.RuneSelf:
+		if !IsSpace(s[i]) {
 			return false
-		default:
-			return strings.TrimSpace(string(s[i:])) == ""
 		}
 	}
 	return true

@@ -10,7 +10,9 @@ import (
 // parseReference is the parser this package had before the hand-written
 // scanner: encoding/xml's RawToken loop feeding the Builder, kept here
 // as the differential reference (TestParseMatchesReference,
-// FuzzXMLParse). With merge false it is the old loop, line for line.
+// FuzzXMLParse). With merge false it is the old loop, line for line but
+// for its white-space test, blankS: XML's S production, where the old
+// loop used strings.TrimSpace's Unicode class.
 // With merge true it has the scanner's one intended divergence: adjacent
 // CharData tokens — encoding/xml hands out character data and each
 // CDATA section separately — used to become sibling text nodes, each
@@ -38,12 +40,12 @@ func parseReference(r io.Reader, opts ParseOptions, merge bool) (*Document, erro
 		if len(open) == 0 {
 			// Whitespace between the prolog and the document
 			// element is not part of the tree.
-			if strings.TrimSpace(s) == "" {
+			if blankS(s) {
 				return nil
 			}
 			return fmt.Errorf("xmltree: parse: text outside document element")
 		}
-		if !opts.KeepWhitespaceText && strings.TrimSpace(s) == "" || merge && s == "" {
+		if !opts.KeepWhitespaceText && blankS(s) || merge && s == "" {
 			return nil
 		}
 		b.Text(s)
@@ -131,3 +133,7 @@ func rawName(n xml.Name) string {
 	}
 	return n.Local
 }
+
+// blankS reports whether s is all white space by XML's S production
+// (#x20 #x9 #xD #xA): a text node of U+00A0 or U+2003 alone is kept.
+func blankS(s string) bool { return strings.Trim(s, "\x20\t\r\n") == "" }
