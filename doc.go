@@ -11,10 +11,10 @@
 //     model, parser and effective semantics shared by every engine.
 //     xmltree doubles as the performance layer under the evaluation
 //     core: packed []uint64 bitsets (64 nodes a machine word in the
-//     set algebra) and a lazily built, cached per-document structural
-//     index (subtree intervals from the preorder arena, a
-//     label→NodeSet name index with O(1) prefix content counts, and a
-//     pooled evaluator-scratch allocator). internal/axes evaluates the
+//     set algebra) and a per-document structural index that the parse
+//     lays out in the same pass (subtree intervals from the preorder
+//     arena, a label→NodeSet name index with O(1) prefix content
+//     counts, and a pooled evaluator-scratch allocator). internal/axes evaluates the
 //     recursive axes as O(output) interval arithmetic over that index
 //     — allocation-free in steady state — instead of the worklist
 //     closures of Algorithm 3.2, which survive as the executable

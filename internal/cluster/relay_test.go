@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -516,5 +517,37 @@ func TestReconcileResplicesVersion(t *testing.T) {
 	want := []recordedWrite{{owner, body}, {mirror, spliced(1)}, {owner, spliced(501)}, {mirror, spliced(501)}}
 	if writes := taken(); !reflect.DeepEqual(writes, want) {
 		t.Fatalf("writes\n%q\nwant\n%q", writes, want)
+	}
+}
+
+// TestLyingContentLengthBuysNoMemory: the router reads a registration
+// with serve.ReadBody, so a head that declares 32 MB in front of ten
+// bytes costs it no more than the read's up-front room (1 MB), and gets
+// the 400 a truncated body always got, with nothing forwarded.
+func TestLyingContentLengthBuysNoMemory(t *testing.T) {
+	const bound = 1<<20 + 256<<10
+	b := newBackend(t, store.Config{})
+	router, err := New([]*Node{b.node}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := "POST /documents HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: 33554432\r\n\r\n" + `{"name":"d`
+	req, err := http.ReadRequest(bufio.NewReader(strings.NewReader(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	router.Handler().ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("a lying registration allocated %d bytes in the router, want under %d", got, bound)
+	}
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "invalid JSON: unexpected EOF") {
+		t.Errorf("%d %s, want 400 invalid JSON: unexpected EOF", rec.Code, rec.Body)
+	}
+	if names := b.srv.DocNames(); len(names) != 0 {
+		t.Errorf("the backend holds %v after a refused registration", names)
 	}
 }

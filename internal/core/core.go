@@ -338,13 +338,6 @@ func NewEngine(d *Document, s Strategy) *Engine {
 	return &Engine{doc: d, strategy: s}
 }
 
-// Warm precomputes the document's lazily built structural index
-// (subtree intervals, the label→NodeSet name index and the evaluator
-// scratch pool) so the first query does not pay the O(|dom|) build.
-// Serving layers call it at document-registration time; it is safe,
-// idempotent and cheap to call concurrently.
-func (en *Engine) Warm() { en.doc.Index() }
-
 // Strategy returns the engine's configured strategy.
 func (en *Engine) Strategy() Strategy { return en.strategy }
 

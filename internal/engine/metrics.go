@@ -48,7 +48,7 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 }
 
 // StageSeconds returns the engine's per-stage latency family so the
-// serving layer can record its own stages (parse, index_warm,
-// serialize, route) into the same xpath_stage_seconds histogram the
+// serving layer can record its own stages (parse, serialize,
+// route) into the same xpath_stage_seconds histogram the
 // compile and evaluate stages use.
 func (e *Engine) StageSeconds() *obs.HistogramVec { return e.metrics.stage }

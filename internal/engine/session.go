@@ -42,9 +42,6 @@ type Session struct {
 func (e *Engine) NewSession(d *core.Document) *Session {
 	en := core.NewEngine(d, e.opts.Strategy)
 	s := &Session{eng: e, doc: d, en: en, workers: e.opts.Workers}
-	// Build the document's structural index now, at registration time,
-	// so the first query served does not pay the O(|dom|) index build.
-	en.Warm()
 	s.lastUsed.Store(time.Now().UnixNano())
 	return s
 }

@@ -374,22 +374,38 @@ func (v *CounterVec) child(values []string) *labeledCounter {
 	if len(values) != len(v.labels) {
 		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.name, len(v.labels), len(values)))
 	}
-	key := strings.Join(values, "\x00")
+	var room [64]byte
+	key := childKey(room[:0], values)
 	v.mu.RLock()
-	c, ok := v.children[key]
+	c, ok := v.children[string(key)]
 	v.mu.RUnlock()
 	if ok {
 		return c
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if c, ok := v.children[key]; ok {
+	if c, ok := v.children[string(key)]; ok {
 		return c
 	}
 	c = &labeledCounter{vals: append([]string{}, values...)}
-	v.children[key] = c
-	v.order = append(v.order, key)
+	k := string(key)
+	v.children[k] = c
+	v.order = append(v.order, k)
 	return c
+}
+
+// childKey appends the label values of a child, NUL-separated, to dst:
+// the key its family files it under. Built in a caller's stack array
+// and looked up as m[string(key)], which Go does without copying, it
+// finds an existing child with no allocation.
+func childKey(dst []byte, values []string) []byte {
+	for i, v := range values {
+		if i > 0 {
+			dst = append(dst, 0)
+		}
+		dst = append(dst, v...)
+	}
+	return dst
 }
 
 // Inc adds one to the child counter for the given label values.
@@ -404,10 +420,11 @@ func (v *CounterVec) Value(values ...string) uint64 {
 	if len(values) != len(v.labels) {
 		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.name, len(v.labels), len(values)))
 	}
-	key := strings.Join(values, "\x00")
+	var room [64]byte
+	key := childKey(room[:0], values)
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	if c, ok := v.children[key]; ok {
+	if c, ok := v.children[string(key)]; ok {
 		return c.v.Load()
 	}
 	return 0
@@ -460,21 +477,23 @@ func (v *GaugeVec) child(values []string) *labeledGauge {
 	if len(values) != len(v.labels) {
 		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.name, len(v.labels), len(values)))
 	}
-	key := strings.Join(values, "\x00")
+	var room [64]byte
+	key := childKey(room[:0], values)
 	v.mu.RLock()
-	g, ok := v.children[key]
+	g, ok := v.children[string(key)]
 	v.mu.RUnlock()
 	if ok {
 		return g
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if g, ok := v.children[key]; ok {
+	if g, ok := v.children[string(key)]; ok {
 		return g
 	}
 	g = &labeledGauge{vals: append([]string{}, values...)}
-	v.children[key] = g
-	v.order = append(v.order, key)
+	k := string(key)
+	v.children[k] = g
+	v.order = append(v.order, k)
 	return g
 }
 
@@ -501,10 +520,11 @@ func (v *GaugeVec) Value(values ...string) float64 {
 	if len(values) != len(v.labels) {
 		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.name, len(v.labels), len(values)))
 	}
-	key := strings.Join(values, "\x00")
+	var room [64]byte
+	key := childKey(room[:0], values)
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	if g, ok := v.children[key]; ok {
+	if g, ok := v.children[string(key)]; ok {
 		return math.Float64frombits(g.bits.Load())
 	}
 	return 0
@@ -560,21 +580,23 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	if len(values) != len(v.labels) {
 		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.name, len(v.labels), len(values)))
 	}
-	key := strings.Join(values, "\x00")
+	var room [64]byte
+	key := childKey(room[:0], values)
 	v.mu.RLock()
-	h, ok := v.children[key]
+	h, ok := v.children[string(key)]
 	v.mu.RUnlock()
 	if ok {
 		return h
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if h, ok := v.children[key]; ok {
+	if h, ok := v.children[string(key)]; ok {
 		return h
 	}
 	h = newHistogram(v.name, v.help, v.buckets, v.labels, append([]string{}, values...))
-	v.children[key] = h
-	v.order = append(v.order, key)
+	k := string(key)
+	v.children[k] = h
+	v.order = append(v.order, k)
 	return h
 }
 

@@ -120,6 +120,36 @@ func TestCounterVecConcurrency(t *testing.T) {
 	}
 }
 
+// TestVecLookupAllocatesNothing: finding an existing child of a
+// labeled family — what every evaluation does for its latency
+// histogram — builds no key string, whatever the number of labels; a
+// label set longer than the stack room still finds its child.
+func TestVecLookupAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	hv := r.HistogramVec("lookup_seconds", "x", nil, "fragment", "strategy")
+	cv := r.CounterVec("lookup_total", "x", "fragment", "strategy")
+	gv := r.GaugeVec("lookup_state", "x", "peer")
+	h := hv.With("core", "corexpath")
+	cv.Inc("core", "corexpath")
+	gv.Set(1, "a")
+	frag, strat := "core", "corexpath" // not constants: as the engine passes them
+	allocs := testing.AllocsPerRun(100, func() {
+		if hv.With(frag, strat) != h {
+			t.Fatal("With found another child")
+		}
+		cv.Inc(frag, strat)
+		gv.Add(1, "a")
+		_ = cv.Value(frag, strat) + uint64(gv.Value("a"))
+	})
+	if allocs != 0 {
+		t.Errorf("looking up existing children allocates %.0f times, want 0", allocs)
+	}
+	long := strings.Repeat("x", 100)
+	if hv.With(long, long) != hv.With(long, long) || hv.With(long, long) == h {
+		t.Error("a key past the stack room does not find its own child")
+	}
+}
+
 func TestGaugeVec(t *testing.T) {
 	r := NewRegistry()
 	v := r.GaugeVec("breaker_state", "per-peer breaker position", "peer")

@@ -48,6 +48,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"sort"
@@ -55,6 +56,7 @@ import (
 	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -555,8 +557,9 @@ func ScanEnvelope(b []byte) (Envelope, bool) {
 // of magnitude is the "xml" string of a registration. It is read the
 // way an answer is written: by hand, once. ScanRequest walks the bytes
 // and fills the members the caller names; a string is copied out of the
-// body exactly once (unescaped through a pooled buffer when it has
-// escapes), so a registration's document becomes the one string the XML
+// body exactly once, into one allocation of exactly its length (a
+// checking pass measures what its escapes unescape to, a second writes
+// it), so a registration's document becomes the one string the XML
 // parser's nodes then alias. encoding/json is still the definition of
 // the format: ScanRequest declines — returns false, having promised
 // nothing — every body it cannot prove json.Unmarshal would decode to
@@ -588,17 +591,9 @@ type Member struct {
 // reports whether it could; on false the destinations hold garbage and
 // the body is json.Unmarshal's to judge.
 func ScanRequest(b []byte, members ...Member) bool {
-	var sc requestScanner
-	i, ok := sc.object(b, skipSpace(b, 0), members)
-	if sc.scratch != nil {
-		putBuffer(sc.scratch)
-	}
+	i, ok := object(b, skipSpace(b, 0), members)
 	return ok && skipSpace(b, i) == len(b)
 }
-
-// requestScanner carries the one piece of state a scan has: the pooled
-// buffer strings with escapes are unescaped through, taken on first use.
-type requestScanner struct{ scratch *buffer }
 
 func skipSpace(b []byte, i int) int {
 	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
@@ -608,7 +603,7 @@ func skipSpace(b []byte, i int) int {
 }
 
 // object scans the object at b[i] and returns the offset past it.
-func (sc *requestScanner) object(b []byte, i int, members []Member) (int, bool) {
+func object(b []byte, i int, members []Member) (int, bool) {
 	if i >= len(b) || b[i] != '{' {
 		return 0, false
 	}
@@ -645,13 +640,13 @@ func (sc *requestScanner) object(b []byte, i int, members []Member) (int, bool) 
 		var ok bool
 		switch m := &members[slot]; {
 		case m.String != nil:
-			i, ok = sc.str(b, i, m.String)
+			i, ok = str(b, i, m.String)
 		case m.Uint != nil:
 			i, *m.Uint, ok = scanUint(b, i)
 		case m.Raw != nil:
 			start := i
 			if i < len(b) && b[i] == '"' {
-				i, _, ok = scanString(b, i, nil)
+				i, _, ok = scanString(b, i)
 			} else {
 				i, _, ok = scanUint(b, i)
 			}
@@ -662,7 +657,7 @@ func (sc *requestScanner) object(b []byte, i int, members []Member) (int, bool) 
 			list := []string{} // what encoding/json makes of [], not nil
 			i, ok = scanArray(b, i, func(i int) (int, bool) {
 				var s string
-				i, ok := sc.str(b, i, &s)
+				i, ok := str(b, i, &s)
 				list = append(list, s)
 				return i, ok
 			})
@@ -673,7 +668,7 @@ func (sc *requestScanner) object(b []byte, i int, members []Member) (int, bool) 
 			members := []Member{{Key: "doc", String: &job.Doc}, {Key: "query", String: &job.Query}}
 			i, ok = scanArray(b, i, func(i int) (int, bool) {
 				job = BatchJob{}
-				i, ok := sc.object(b, i, members)
+				i, ok := object(b, i, members)
 				jobs = append(jobs, job)
 				return i, ok
 			})
@@ -733,20 +728,17 @@ func scanUint(b []byte, i int) (end int, v uint64, ok bool) {
 	return end, v, err == nil
 }
 
-// str scans the string at b[i] into *dst: one copy out of the body.
-func (sc *requestScanner) str(b []byte, i int, dst *string) (int, bool) {
-	if sc.scratch == nil {
-		sc.scratch = getBuffer()
-	}
-	sc.scratch.b = sc.scratch.b[:0]
-	end, escaped, ok := scanString(b, i, &sc.scratch.b)
-	switch {
-	case !ok:
+// str scans the string at b[i] into *dst: one allocation of exactly
+// its length, copied or unescaped straight out of the body.
+func str(b []byte, i int, dst *string) (int, bool) {
+	end, n, ok := scanString(b, i)
+	if !ok {
 		return 0, false
-	case escaped:
-		*dst = string(sc.scratch.b)
-	default:
-		*dst = string(b[i+1 : end-1])
+	}
+	if raw := b[i+1 : end-1]; n == len(raw) {
+		*dst = string(raw)
+	} else {
+		*dst = unescape(raw, n)
 	}
 	return end, true
 }
@@ -774,20 +766,19 @@ func init() {
 }
 
 // scanString checks the string token at b[i] and returns the offset
-// past its closing quote and whether it has escapes. If it has, and
-// unescaped is not nil, the string they stand for is appended to
-// *unescaped; a token without escapes is its own value and nothing is
-// appended. It declines (ok false) what is not a JSON string and what
-// encoding/json would decode to something other than what is written:
-// invalid UTF-8 and \u escapes that are not a character (a surrogate
-// without its pair), both of which become U+FFFD there.
-func scanString(b []byte, i int, unescaped *[]byte) (end int, escaped, ok bool) {
+// past its closing quote and the length in bytes of the string it
+// stands for, which is shorter than the inside of the token exactly
+// when the token has escapes (every escape is longer than what it
+// unescapes to). It declines (ok false) what is not a JSON string and
+// what encoding/json would decode to something other than what is
+// written: invalid UTF-8 and \u escapes that are not a character (a
+// surrogate without its pair), both of which become U+FFFD there.
+func scanString(b []byte, i int) (end, n int, ok bool) {
 	if i >= len(b) || b[i] != '"' {
-		return 0, false, false
+		return 0, 0, false
 	}
-	i++
-	flushed := i // b[flushed:i] is checked and, if escaped, not yet appended
-	for i < len(b) {
+	start, saved := i+1, 0 // saved: how much shorter the escapes unescape
+	for i = start; i < len(b); {
 		c := b[i]
 		if plainByte[c] {
 			i++
@@ -795,61 +786,111 @@ func scanString(b []byte, i int, unescaped *[]byte) (end int, escaped, ok bool) 
 		}
 		switch {
 		case c == '"':
-			if escaped && unescaped != nil {
-				*unescaped = append(*unescaped, b[flushed:i]...)
-			}
-			return i + 1, escaped, true
+			return i + 1, i - start - saved, true
 		case c == '\\':
-			if i+1 >= len(b) {
-				return 0, false, false
+			if r, ok := latin1(b, i); ok {
+				saved += 5 - int(r>>7) // one byte in UTF-8 below 0x80, two above
+				i += 6
+				continue
 			}
-			r, size := rune(b[i+1]), 2
-			switch r {
-			case '"', '\\', '/':
-			case 'b':
-				r = '\b'
-			case 'f':
-				r = '\f'
-			case 'n':
-				r = '\n'
-			case 'r':
-				r = '\r'
-			case 't':
-				r = '\t'
-			case 'u':
-				if r, size = hex4(b, i+2), 6; utf16.IsSurrogate(r) {
-					// A character only as a high surrogate with its
-					// low one right behind it.
-					low := rune(-1)
-					if i+7 < len(b) && b[i+6] == '\\' && b[i+7] == 'u' {
-						low = hex4(b, i+8)
-					}
-					if r, size = utf16.DecodeRune(r, low), 12; r == utf8.RuneError {
-						return 0, false, false
-					}
-				}
-				if r < 0 {
-					return 0, false, false
-				}
-			default:
-				return 0, false, false
+			r, size := escape(b, i)
+			if r < 0 {
+				return 0, 0, false
 			}
-			if escaped = true; unescaped != nil {
-				*unescaped = utf8.AppendRune(append(*unescaped, b[flushed:i]...), r)
-			}
+			saved += size - utf8.RuneLen(r)
 			i += size
-			flushed = i
 		case c >= utf8.RuneSelf:
 			r, size := utf8.DecodeRune(b[i:])
 			if r == utf8.RuneError && size == 1 {
-				return 0, false, false
+				return 0, 0, false
 			}
 			i += size
 		default: // a raw control character
-			return 0, false, false
+			return 0, 0, false
 		}
 	}
-	return 0, false, false
+	return 0, 0, false
+}
+
+// unescape returns the string that s, the inside of a string token
+// scanString has checked, stands for; n is its length. The string is
+// one allocation, filled in one pass and then handed over as it is: no
+// one else holds buf, and nothing writes it after unsafe.String.
+func unescape(s []byte, n int) string {
+	buf := make([]byte, n)
+	k := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c != '\\' {
+			buf[k] = c
+			i, k = i+1, k+1
+			continue
+		}
+		if r, ok := latin1(s, i); ok && r < utf8.RuneSelf {
+			buf[k] = byte(r)
+			i, k = i+6, k+1
+			continue
+		}
+		r, size := escape(s, i)
+		k += utf8.EncodeRune(buf[k:], r)
+		i += size
+	}
+	return unsafe.String(&buf[0], n)
+}
+
+// latin1 reads a \u00XX escape at b[i] == '\\' and returns the
+// character it stands for, ok false when b[i:] does not start with one.
+// encoding/json writes every '<', '>' and '&' as \u003c, \u003e and
+// \u0026, so a registration's document is full of them: both passes
+// over a string take this path, small enough to inline, before escape.
+func latin1(b []byte, i int) (r rune, ok bool) {
+	if i+6 > len(b) {
+		return 0, false
+	}
+	t := b[i+1 : i+6 : i+6]
+	if binary.LittleEndian.Uint32(t)&0xFFFFFF != 'u'|'0'<<8|'0'<<16 {
+		return 0, false
+	}
+	h1, h0 := hexValue[t[3]], hexValue[t[4]]
+	return rune(h1)<<4 | rune(h0), h1|h0 >= 0
+}
+
+// escape reads the escape at b[i] == '\\' and returns the character it
+// stands for and its length in bytes, r negative when it is not a JSON
+// escape of a character.
+func escape(b []byte, i int) (r rune, size int) {
+	if i+1 >= len(b) {
+		return -1, 0
+	}
+	switch b[i+1] {
+	case '"', '\\', '/':
+		return rune(b[i+1]), 2
+	case 'b':
+		return '\b', 2
+	case 'f':
+		return '\f', 2
+	case 'n':
+		return '\n', 2
+	case 'r':
+		return '\r', 2
+	case 't':
+		return '\t', 2
+	case 'u':
+		if r = hex4(b, i+2); !utf16.IsSurrogate(r) {
+			return r, 6
+		}
+		// A character only as a high surrogate with its low one right
+		// behind it.
+		low := rune(-1)
+		if i+7 < len(b) && b[i+6] == '\\' && b[i+7] == 'u' {
+			low = hex4(b, i+8)
+		}
+		if r = utf16.DecodeRune(r, low); r == utf8.RuneError {
+			return -1, 0
+		}
+		return r, 12
+	}
+	return -1, 0
 }
 
 // hex4 is the value of the four hex digits at b[i:], -1 when they are

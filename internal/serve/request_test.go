@@ -115,6 +115,39 @@ var requestSeeds = []string{
 	"{\"doc\":\"d\",\"query\":\"q\"}\x00",
 	"\ufeff{\"doc\":\"d\",\"query\":\"q\"}",
 	"{\"doc\":\"d\",\u00a0\"query\":\"q\"}",
+	// Registrations as clients write them by hand around the \u00XX
+	// fast path: upper-case hex, both sides of 0x80, a control
+	// character, \u00 cut short or with a non-digit, and a lone
+	// surrogate or invalid UTF-8 in the middle of the markup.
+	`{"name":"d","xml":"\u003C\u003E\u0026\u00e9\u00FF\u0080\u007f\u0000\u00Ff"}`,
+	`{"name":"d","xml":"\u003ca\u003e\u00"}`,
+	`{"name":"d","xml":"\u003ca\u003e\u00g1\u003c/a\u003e"}`,
+	`{"name":"d","xml":"\u003ca\u003e\u003"}`,
+	`{"name":"d","xml":"\u003ca\u003e\ud83d\u003c/a\u003e"}`,
+	`{"name":"d","xml":"\u003ca\u003e\ude00\u003c/a\u003e"}`,
+	"{\"name\":\"d\",\"xml\":\"\\u003ca\\u003e\xff\\u003c/a\\u003e\"}",
+}
+
+// marshalledRegistrations are POST /documents bodies as json.Marshal
+// writes them — what the router and the benchmark send: every '<', '>'
+// and '&' a \u00XX escape, \" in attribute values, U+2028 and U+2029
+// escaped, a character beyond the BMP as its UTF-8 bytes, and invalid
+// UTF-8 as \ufffd. Long enough that escapes meet every offset.
+func marshalledRegistrations() []string {
+	var out []string
+	for _, xml := range []string{
+		`<a id="1" k='x&amp;y'>1 &lt; 2 &amp;&amp; 3 &gt; 2</a>`,
+		"<a t=\"\u2028\u2029\">\U0001F600 é &#x3c; <![CDATA[<&>]]></a>",
+		"<a b=\"\xff\">\xed\xa0\x80</a>",
+		"<r>" + strings.Repeat(`<item id="i&quot;1">x &gt; y</item>`, 40) + "</r>",
+	} {
+		b, err := json.Marshal(DocumentRequest{Name: "doc <1>", XML: xml, Version: 7})
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, string(b))
+	}
+	return out
 }
 
 // checkScanAgainstJSON holds one body and one request type to the
@@ -174,6 +207,13 @@ func TestScanRequest(t *testing.T) {
 	for _, body := range requestSeeds {
 		checkAllRequests(t, []byte(body))
 	}
+	var reg DocumentRequest
+	for _, body := range marshalledRegistrations() {
+		checkAllRequests(t, []byte(body))
+		if !reg.ScanJSON([]byte(body)) {
+			t.Errorf("%s: declined, but this is what the router sends", body)
+		}
+	}
 	var q QueryRequest
 	for _, body := range []string{
 		`{"doc":"catalog","query":"count(//product)"}`,
@@ -203,7 +243,7 @@ func TestScanRequest(t *testing.T) {
 // FuzzScanRequest: whatever the bytes, the scanner either declines and
 // touches nothing, or fills what json.Unmarshal fills.
 func FuzzScanRequest(f *testing.F) {
-	for _, s := range requestSeeds {
+	for _, s := range append(requestSeeds, marshalledRegistrations()...) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) { checkAllRequests(t, body) })

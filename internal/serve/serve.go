@@ -100,7 +100,7 @@ type Server struct {
 
 	// Observability: the registry is the engine's (one exposition for
 	// all tiers), stage its xpath_stage_seconds family (serve records
-	// parse and index_warm into it), and mw the request middleware with
+	// parse into it), and mw the request middleware with
 	// its trace ring, slow-query threshold and logger.
 	reg   *obs.Registry
 	stage *obs.HistogramVec
@@ -173,9 +173,9 @@ func (s *Server) AddDocumentAt(name, xml string, ver uint64) (int, uint64, error
 	return s.addDocument(context.Background(), name, xml, ver)
 }
 
-// addDocument is AddDocumentAt with trace plumbing: registration's two
-// expensive stages — parsing and the registration-time index build —
-// each get a span and a stage-latency observation.
+// addDocument is AddDocumentAt with trace plumbing: registration's one
+// expensive stage — the parse, which lays out the structural index as
+// it scans — gets a span and a stage-latency observation.
 func (s *Server) addDocument(ctx context.Context, name, xml string, ver uint64) (int, uint64, error) {
 	_, ps := obs.StartSpan(ctx, "parse")
 	pstart := time.Now()
@@ -185,12 +185,7 @@ func (s *Server) addDocument(ctx context.Context, name, xml string, ver uint64) 
 		return 0, 0, err
 	}
 	s.stage.With("parse").ObserveSince(pstart)
-	_, ws := obs.StartSpan(ctx, "index_warm")
-	wstart := time.Now()
-	sess := s.eng.NewSession(d)
-	ws.End()
-	s.stage.With("index_warm").ObserveSince(wstart)
-	v, err := s.docs.PutAt(name, sess, int64(len(xml)), ver)
+	v, err := s.docs.PutAt(name, s.eng.NewSession(d), int64(len(xml)), ver)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -803,11 +798,24 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxPresize bounds how much room readBody makes for a body before a
+// byte of it has arrived, on the word of its Content-Length: a client
+// that declares 32 MB and sends ten bytes buys no more than this.
+const maxPresize = 1 << 20
+
 // readBody reads a request body into a pooled buffer, which is the
 // caller's to put back, writing the error response itself on failure
-// (413 when the body tripped the size limit).
+// (413 when the body tripped the size limit). A body that declares its
+// length is read into room for all of it (up to maxPresize, growing
+// past that as bytes arrive), so a document upload is read once, not
+// copied through every doubling of the buffer.
 func readBody(w http.ResponseWriter, r *http.Request) (*buffer, bool) {
 	buf := getBuffer()
+	// bytes.MinRead: ReadFrom wants that much room for the read that
+	// sees EOF, and would double a buffer that had only the body's.
+	if want := min(r.ContentLength, maxPresize) + bytes.MinRead; want > int64(cap(buf.b)) {
+		buf.b = make([]byte, 0, want)
+	}
 	rd := bytes.NewBuffer(buf.b)
 	_, err := rd.ReadFrom(r.Body)
 	buf.b = rd.Bytes() // grown, perhaps: that is what goes back to the pool

@@ -17,6 +17,12 @@ type Builder struct {
 	stack []NodeID // open element chain; stack[0] is the root
 	last  []NodeID // last child emitted under each open node, NilNode if none
 
+	// How many elements carry each name (Index.label numbers them) and
+	// every element's name number: Done lays out the posting lists.
+	count, elemLabel []int32
+	labels           []string  // the names by number, from 1
+	recent           [64]int32 // numbers of names seen lately (StartElement)
+
 	// IDAttributes is the set of attribute names treated as ID-typed
 	// for deref_ids. It defaults to {"id"}; XML without a DTD has no
 	// other way to declare IDs, and the paper's documents (Fig. 8) use
@@ -33,7 +39,12 @@ func newBuilder(n int) *Builder {
 	links := func() []NodeID { return append(make([]NodeID, 0, n), NilNode) }
 	d := &Document{types: append(make([]NodeType, 0, n), Root), names: make([]string, 1, n), data: make([]string, 1, n),
 		parent: links(), firstChild: links(), nextSibling: links(), prevSibling: links()}
-	return &Builder{doc: d, stack: []NodeID{0}, last: []NodeID{NilNode}, IDAttributes: map[string]bool{"id": true}}
+	// The root's subtree end is set at Done; it counts as content.
+	d.idx = Index{subtreeEnd: make([]NodeID, 1, n), contentBefore: append(make([]int32, 0, n+1), 0, 1), label: map[string]int32{}}
+	// Room for 32 names and 32 levels of nesting, which few documents pass.
+	return &Builder{doc: d, stack: make([]NodeID, 1, 32), last: append(make([]NodeID, 0, 32), NilNode),
+		count: make([]int32, 1, 32), labels: make([]string, 1, 32), elemLabel: make([]int32, 0, n/2),
+		IDAttributes: map[string]bool{"id": true}}
 }
 
 // appendNode adds a node as the last child of the innermost open one.
@@ -55,12 +66,38 @@ func (b *Builder) appendNode(t NodeType, name, data string) NodeID {
 	d.prevSibling = append(d.prevSibling, prev)
 	d.firstChild = append(d.firstChild, NilNode)
 	d.nextSibling = append(d.nextSibling, NilNode)
+	// A leaf's subtree is itself; an element's end is set when it closes.
+	ix := &d.idx
+	content := ix.contentBefore[id]
+	if t != Attribute && t != Namespace {
+		content++
+	}
+	ix.subtreeEnd = append(ix.subtreeEnd, id+1)
+	ix.contentBefore = append(ix.contentBefore, content)
 	return id
 }
 
 // StartElement opens a new element with the given name.
 func (b *Builder) StartElement(name string) NodeID {
 	id := b.appendNode(Element, name, "")
+	// Most names were seen lately: a hash of the length and the ends
+	// finds their number without probing the label map.
+	h := len(name)
+	if h > 0 {
+		h = (h + int(name[0])*7 + int(name[h-1])*31) & (len(b.recent) - 1)
+	}
+	l := b.recent[h]
+	if l == 0 || b.labels[l] != name {
+		var ok bool
+		if l, ok = b.doc.idx.label[name]; !ok {
+			l = int32(len(b.labels))
+			b.doc.idx.label[name] = l
+			b.labels, b.count = append(b.labels, name), append(b.count, 0)
+		}
+		b.recent[h] = l
+	}
+	b.count[l]++
+	b.elemLabel = append(b.elemLabel, l)
 	b.stack = append(b.stack, id)
 	b.last = append(b.last, NilNode)
 	return id
@@ -71,6 +108,8 @@ func (b *Builder) EndElement() {
 	if len(b.stack) == 1 {
 		panic("xmltree: EndElement with no open element")
 	}
+	// Preorder: the element's subtree is everything added since it opened.
+	b.doc.idx.subtreeEnd[b.stack[len(b.stack)-1]] = NodeID(b.doc.Len())
 	b.stack = b.stack[:len(b.stack)-1]
 	b.last = b.last[:len(b.last)-1]
 }
@@ -112,6 +151,28 @@ func (b *Builder) Done() (*Document, error) {
 	d := b.doc
 	d.idAttrs = b.IDAttributes
 	d.strval = make([]atomic.Pointer[string], d.Len())
+	ix := &d.idx
+	ix.subtreeEnd[0] = NodeID(d.Len())
+	// A counting sort puts the posting lists, each capped at its end, in
+	// one array; count[l] becomes list l's fill cursor.
+	all := make(NodeSet, len(b.elemLabel))
+	ix.named = make([]NodeSet, len(b.count))
+	at := int32(0)
+	for l, c := range b.count {
+		ix.named[l] = all[at : at+c : at+c]
+		b.count[l], at = at, at+c
+	}
+	k := 0
+	for i, t := range d.types {
+		if t == Element {
+			l := b.elemLabel[k]
+			all[b.count[l]] = NodeID(i)
+			b.count[l]++
+			k++
+		}
+	}
+	ix.scratch.New = func() any { return &Scratch{} }
+	ix.arenas.New = func() any { return &Arena{} }
 	b.doc = nil
 	return d, nil
 }

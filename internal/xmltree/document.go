@@ -24,15 +24,15 @@ type Document struct {
 	// document order that has the value in an attribute named in
 	// idAttrs (the builder's IDAttributes set, default {"id"}). Only
 	// id() evaluation reads it, so it is built on first use (idTable),
-	// under the contract of ref and the index below — a document nobody
-	// asks id() of pays neither the pass nor the map.
+	// under a sync.Once like ref below — a document nobody asks id() of
+	// pays neither the pass nor the map.
 	idAttrs map[string]bool
 	idsOnce sync.Once
 	ids     map[string]NodeID
 
 	// ref is the relation of Theorem 10.7 and refInv its inverse, built
-	// (buildRef) on first use under the contract of the index below: a
-	// document nobody asks id() of never pays the pass over its text.
+	// (buildRef) on first use: a document nobody asks id() of never pays
+	// the pass over its text (node.go says why neither is built early).
 	refOnce     sync.Once
 	ref, refInv csr
 
@@ -45,10 +45,7 @@ type Document struct {
 	// Document is immutable after construction.
 	strval []atomic.Pointer[string]
 
-	// idx is the lazily built structural index (subtree intervals, name
-	// posting lists, evaluator scratch pool); see Index().
-	idxOnce sync.Once
-	idx     *Index
+	idx Index // the structural index the Builder laid out; see Index()
 }
 
 // Len returns |dom|, the number of nodes in the document.
@@ -298,13 +295,9 @@ func (d *Document) Lang(id NodeID) string {
 // by the XPatterns first-of-type/last-of-type predicates (Theorem 10.8),
 // whose precomputation is O(|D|·|Σ|).
 func (d *Document) Names() []string {
-	seen := map[string]bool{}
-	var out []string
-	for i := 0; i < d.Len(); i++ {
-		if d.types[i] == Element && !seen[d.names[i]] {
-			seen[d.names[i]] = true
-			out = append(out, d.names[i])
-		}
+	out := make([]string, 0, len(d.idx.label))
+	for name := range d.idx.label {
+		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out

@@ -5,24 +5,19 @@ import (
 	"sync/atomic"
 )
 
-// Index is the lazily built structural index of a Document: precomputed
-// subtree intervals and a label→NodeSet name index, plus pools of
-// reusable evaluator scratch and evaluation arenas. It exists so that the recursive axes
-// (descendant, ancestor, following, preceding and friends) evaluate as
-// O(output) interval arithmetic instead of worklist closures, and so
-// that name tests filter against a precomputed posting list instead of
-// scanning candidates.
+// Index is the structural index of a Document: precomputed subtree
+// intervals and a label→NodeSet name index, plus pools of reusable
+// evaluator scratch and evaluation arenas. It exists so that the
+// recursive axes (descendant, ancestor, following, preceding and
+// friends) evaluate as O(output) interval arithmetic instead of
+// worklist closures, and so that name tests filter against a
+// precomputed posting list instead of scanning candidates.
 //
-// Laziness and caching contract: the index is built at most once per
-// document, on first use, under a sync.Once; a Document never exposes a
-// partially built index. Because documents are immutable after
-// construction, the index never invalidates. Building is O(|dom|) time
-// and space (one NodeID per node plus the name posting lists), so
-// serving stacks that parse many short-lived documents only pay for it
-// on documents that are actually queried.
+// The Builder lays it out in the pass that adds the nodes — a subtree
+// end when an element closes, prefix counts and label counts as nodes
+// arrive, the posting lists in one array at Done — so every Document
+// has its index from the start: O(|dom|) time and space, never rebuilt.
 type Index struct {
-	d *Document
-
 	// subtreeEnd[x] is the exclusive end of x's subtree interval: the
 	// arena is in document order (preorder), so the nodes of the
 	// subtree rooted at x are exactly [x, subtreeEnd[x]). Attribute and
@@ -30,10 +25,12 @@ type Index struct {
 	// paper's model of them as abstract children.
 	subtreeEnd []NodeID
 
-	// byName maps an element name to the document-ordered set of
-	// elements carrying it (the label index; cf. the O(|D|·|Σ|)
-	// precomputations of Theorem 10.8).
-	byName map[string]NodeSet
+	// label numbers the element names from 1 in order of first sight,
+	// and named[label[name]] is the document-ordered set of elements
+	// carrying the name, named[0] that of a name no element has (the
+	// label index; cf. the O(|D|·|Σ|) precomputations of Theorem 10.8).
+	label map[string]int32
+	named []NodeSet
 
 	// contentBefore[i] counts the content (non-attribute,
 	// non-namespace) nodes among [0, i): prefix sums that give the
@@ -51,42 +48,8 @@ type Index struct {
 	materialized atomic.Int64
 }
 
-// Index returns the document's structural index, building it on first
-// use. Safe for concurrent use.
-func (d *Document) Index() *Index {
-	d.idxOnce.Do(func() {
-		d.idx = buildIndex(d)
-	})
-	return d.idx
-}
-
-func buildIndex(d *Document) *Index {
-	n := d.Len()
-	idx := &Index{d: d, subtreeEnd: make([]NodeID, n), byName: map[string]NodeSet{},
-		contentBefore: make([]int32, n+1)}
-	for i := 0; i < n; i++ {
-		idx.subtreeEnd[i] = NodeID(i + 1)
-		if d.types[i] == Element {
-			idx.byName[d.names[i]] = append(idx.byName[d.names[i]], NodeID(i))
-		}
-		idx.contentBefore[i+1] = idx.contentBefore[i]
-		if !d.IsAttrOrNS(NodeID(i)) {
-			idx.contentBefore[i+1]++
-		}
-	}
-	// One reverse pass: by the time node i is visited all its
-	// descendants have been folded into subtreeEnd[i], which then folds
-	// into its parent.
-	for i := n - 1; i >= 1; i-- {
-		p := d.parent[i]
-		if idx.subtreeEnd[i] > idx.subtreeEnd[p] {
-			idx.subtreeEnd[p] = idx.subtreeEnd[i]
-		}
-	}
-	idx.scratch.New = func() any { return &Scratch{} }
-	idx.arenas.New = func() any { return &Arena{} }
-	return idx
-}
+// Index returns the document's structural index. Safe for concurrent use.
+func (d *Document) Index() *Index { return &d.idx }
 
 // SubtreeEnd returns the exclusive end of x's subtree interval
 // [x, SubtreeEnd(x)) in document order.
@@ -94,7 +57,7 @@ func (ix *Index) SubtreeEnd(x NodeID) NodeID { return ix.subtreeEnd[x] }
 
 // Named returns the document-ordered set of elements with the given
 // name. The returned slice is shared and must not be mutated.
-func (ix *Index) Named(name string) NodeSet { return ix.byName[name] }
+func (ix *Index) Named(name string) NodeSet { return ix.named[ix.label[name]] }
 
 // ContentCount returns the number of content (non-attribute,
 // non-namespace) nodes in the preorder interval [lo, hi), in O(1) via
@@ -109,7 +72,7 @@ func (ix *Index) ContentCount(lo, hi NodeID) int {
 // NamedRange returns the subrange of Named(name) falling inside the
 // half-open document-order interval [lo, hi), by binary search.
 func (ix *Index) NamedRange(name string, lo, hi NodeID) NodeSet {
-	return ix.byName[name].Range(lo, hi)
+	return ix.Named(name).Range(lo, hi)
 }
 
 // Scratch is reusable per-document evaluator scratch: two bitsets, a
@@ -130,7 +93,7 @@ type Scratch struct {
 // backing arrays so steady-state acquisition does not allocate.
 func (ix *Index) AcquireScratch() *Scratch {
 	sc := ix.scratch.Get().(*Scratch)
-	n := ix.d.Len()
+	n := len(ix.subtreeEnd)
 	if sc.Visited.n != n {
 		sc.Visited.Reset(n)
 		sc.Mark.Reset(n)

@@ -22,15 +22,16 @@
 // the character data — 49 bytes a node, each field stored once, so an
 // axis kernel asking parent(y) reads 4 bytes, not a 56-byte struct.
 // Names are not interned; they alias the source (below). The Builder
-// appends to every column once per node, presized by the parser.
+// appends to every column once per node, presized by the parser, and
+// lays out the Index in the same pass: a parse is the one pass there is.
 //
 // A Document is immutable once built, but for what is filled lazily and
 // safely for concurrent readers: the string-value memo of element and
 // root nodes (lock-free: racing readers compute the same string, one
-// atomic store wins) and, under a sync.Once each, the Index, the ID
-// table and the ref relation of Theorem 10.7 — two CSR arrays with
-// sorted rows (row x is to[off[x]:off[x+1]]), forward and inverse, which
-// id() and its inverse read as slices with no map probe and no sort.
+// atomic store wins) and, under a sync.Once each (an IDREF may name an
+// element not yet parsed), the ID table and the ref relation of Theorem
+// 10.7 — two CSR arrays with sorted rows (row x is to[off[x]:off[x+1]]),
+// forward and inverse, which id() and its inverse read with no probe or sort.
 //
 // # Strings alias the source
 //

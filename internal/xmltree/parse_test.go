@@ -237,6 +237,9 @@ func checkAgainstReference(t *testing.T, src string, opts ParseOptions) {
 	if diff := arenaDiff(got, want); diff != "" {
 		t.Fatalf("%q (%+v): scanner vs reference: %s", src, opts, diff)
 	}
+	if diff := indexDiff(got); diff != "" {
+		t.Fatalf("%q (%+v): index laid out while scanning vs rebuilt from the columns: %s", src, opts, diff)
+	}
 	// The merge is the only thing that tells the scanner from the loop
 	// it replaced, and only these constructs can put two character-data
 	// tokens side by side.
@@ -463,25 +466,30 @@ func auctionLike(n int) string {
 }
 
 // TestParseAllocsDoNotGrow pins what the scanner is for: a parse
-// allocates the node arena, the string-value memo and the ID table, not
-// a string per node, so four times the document costs about the same
-// number of allocations (the ID table's growth is the "about").
+// allocates the node arena, the string-value memo and the structural
+// index — what a registration pays before the first query — not a
+// string per node nor a posting list grown per name, so four times the
+// document costs about the same number of allocations.
 func TestParseAllocsDoNotGrow(t *testing.T) {
 	measure := func(n int) float64 {
 		src := auctionLike(n)
 		return testing.AllocsPerRun(20, func() {
-			if _, err := ParseString(src); err != nil {
+			d, err := ParseString(src)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if len(d.Index().Named("item")) != n {
+				t.Fatal("the index lost an item")
 			}
 		})
 	}
 	small, large := measure(250), measure(1000)
-	t.Logf("allocs per parse: %.0f at 250 records, %.0f at 1000", small, large)
+	t.Logf("allocs per parse and index: %.0f at 250 records, %.0f at 1000", small, large)
 	if large > small+2 {
 		t.Errorf("allocations grew from %.0f to %.0f over 4× the document: something allocates per node again", small, large)
 	}
 	if small > 25 {
-		t.Errorf("%.0f allocations for a 250-record document; the arena and the memo are about 17, and the ID table is not built at parse time", small)
+		t.Errorf("%.0f allocations for a 250-record document; the arena, the memo and the index are about 24, and the ID table is not built at parse time", small)
 	}
 }
 
