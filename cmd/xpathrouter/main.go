@@ -1,8 +1,8 @@
 // Command xpathrouter is the cluster front of the serving stack: it
-// partitions documents across N xpathserve backends with the same
-// FNV-1a routing the in-process store uses for shards, so a corpus can
-// exceed one machine's memory while clients keep talking to a single
-// address with the single-node API.
+// partitions documents across N xpathserve backends by FNV-1a over the
+// document name (cluster.KeyShard), so a corpus can exceed one
+// machine's memory while clients keep talking to a single address with
+// the single-node API.
 //
 // Usage:
 //

@@ -61,7 +61,7 @@ func TestRouterWiring(t *testing.T) {
 	rts := httptest.NewServer(router.Handler())
 	t.Cleanup(rts.Close)
 
-	if _, _, err := backends[store.KeyShard("wired", 2)].AddDocument("wired", "<a><b/></a>"); err != nil {
+	if _, _, err := backends[cluster.KeyShard("wired", 2)].AddDocument("wired", "<a><b/></a>"); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(rts.URL + "/query?doc=wired&q=count(//b)")

@@ -1,5 +1,5 @@
 // Command xpathserve is an HTTP/JSON server for XPath 1.0 queries: the
-// sharded document store of internal/store and the concurrent serving
+// document store of internal/store and the concurrent serving
 // layer of internal/engine behind the wire format of internal/serve.
 //
 // Usage:
@@ -28,16 +28,16 @@
 // the structured (slog) log, and -debug-addr serves net/http/pprof on a
 // side address.
 //
-// Documents are spread over -shards independently locked store shards
-// (FNV routing) with per-shard byte accounting against -maxbytes and
-// the -evict policy; -maxidle additionally evicts documents that have
-// not been queried for that long. Compiled queries are cached (LRU,
-// -cache entries); batches fan out over -workers goroutines and stream
-// each result the moment it finishes. Evaluation is tied to the
-// request context: disconnected clients stop burning CPU at the next
-// cancellation checkpoint. A fleet of these nodes scales out behind
-// cmd/xpathrouter, which partitions documents across them with the
-// same FNV routing the store uses for shards.
+// Documents live in one store, bounded by -max-docs entries and by
+// -maxbytes of XML under the -evict policy (lru evicts the least
+// recently queried documents of the whole store); -maxidle
+// additionally evicts documents that have not been queried for that
+// long. Compiled queries are cached (LRU, -cache entries); batches fan
+// out over -workers goroutines and stream each result the moment it
+// finishes. Evaluation is tied to the request context: disconnected
+// clients stop burning CPU at the next cancellation checkpoint. A fleet of these nodes scales out behind
+// cmd/xpathrouter, which partitions documents across them by FNV-1a
+// over the document name.
 package main
 
 import (
@@ -79,8 +79,7 @@ func main() {
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	maxBody := flag.Int64("max-body", serve.DefaultMaxBodyBytes, "request body size limit in bytes")
 	maxDocs := flag.Int("max-docs", serve.DefaultMaxDocuments, "maximum number of retained documents")
-	shards := flag.Int("shards", store.DefaultShards, "document store shard count")
-	maxBytes := flag.Int64("maxbytes", 0, "document store byte budget, divided evenly among shards and enforced per shard (0 = unlimited)")
+	maxBytes := flag.Int64("maxbytes", 0, "document store byte budget over all documents' XML; a larger document is refused with 413 (0 = unlimited)")
 	evict := flag.String("evict", "lru", "store policy when the byte budget is exhausted: lru|reject")
 	maxIdle := flag.Duration("maxidle", 0, "evict documents not queried for this long (0 = never)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
@@ -120,7 +119,6 @@ func main() {
 		Workers:   *workers,
 	})
 	srv := serve.New(eng, store.Config{
-		Shards:     *shards,
 		MaxBytes:   *maxBytes,
 		MaxEntries: *maxDocs,
 		Policy:     policy,
@@ -193,7 +191,7 @@ func main() {
 	}
 	logger.Info("xpathserve listening",
 		"addr", *addr, "strategy", strat.String(),
-		"cache", *cacheSize, "shards", *shards, "docs", fmt.Sprint(srv.DocNames()))
+		"cache", *cacheSize, "docs", fmt.Sprint(srv.DocNames()))
 
 	// SIGTERM/SIGINT drain: flip /healthz to 503 so the router's prober
 	// stops routing here, then let in-flight requests finish — clients'

@@ -44,18 +44,17 @@
 //     under sustained traffic), Sessions binding documents (each
 //     tracking when it was last queried, the idle-eviction signal), a
 //     bounded worker pool with streaming batch evaluation.
-//   - internal/store — the storage layer: a sharded, byte-accounted
-//     document store (FNV-1a routing via store.KeyShard, per-shard
-//     locks, LRU or reject eviction, a monotonic version per entry
-//     handed out with its value) holding one Session per registered
-//     document.
+//   - internal/store — the storage layer: a byte-accounted document
+//     store (one map under one lock, one byte budget, store-wide LRU
+//     or reject eviction, a monotonic version per entry handed out
+//     with its value) holding one Session per registered document.
 //   - internal/serve — the wire format: the HTTP/JSON server binding
 //     store + engine behind /query, streaming /batch, /documents,
 //     /stats and /healthz; cmd/xpathserve is its flag-parsing shell.
 //   - internal/cluster — the multi-process layer: a Node client for
 //     each peer's document and query API, and a Router that
-//     partitions documents across N backend nodes with the
-//     same KeyShard routing, forwards /query to the owning node (with
+//     partitions documents across N backend nodes by FNV-1a over
+//     the document name (cluster.KeyShard), forwards /query to the owning node (with
 //     replica retry), and fans /batch out scatter-gather style into
 //     one completion-order NDJSON stream tagged with index/doc/node;
 //     cmd/xpathrouter is its binary.
@@ -63,9 +62,9 @@
 //     (xpathquery, xpathbench, xpathgrep, xpathexplain, xmlgen,
 //     xpathlint, xpathreshard) are one-shot CLIs.
 //
-// The serving stack is layered store → engine → serve → cluster, so
-// each level scales independently: shards within a process, processes
-// within a fleet.
+// The serving stack is layered store → engine → serve → cluster: one
+// process holds a bounded corpus, and a fleet of processes behind the
+// router holds more.
 //
 // See internal/core for the engine API, internal/engine for the
 // serving layer, README.md for the strategy table, server examples and

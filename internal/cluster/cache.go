@@ -4,8 +4,6 @@ import (
 	"container/list"
 	"strconv"
 	"sync"
-
-	"repro/internal/store"
 )
 
 // DefaultAnswerCacheSize is the router answer cache's entry capacity
@@ -56,7 +54,7 @@ const floorBuckets = 256
 // raiseFloorLocked records that doc's watermark or tombstone at ver is
 // being dropped.
 func (c *answerCache) raiseFloorLocked(doc string, ver uint64) {
-	if b := store.KeyShard(doc, floorBuckets); ver > c.floor[b] {
+	if b := KeyShard(doc, floorBuckets); ver > c.floor[b] {
 		c.floor[b] = ver
 	}
 }
@@ -122,7 +120,7 @@ func (c *answerCache) put(doc, query string, ver uint64, body []byte) {
 		delete(c.dead, doc) // the name was legitimately re-registered
 	}
 	if cur, ok := c.latest[doc]; !ok || ver > cur {
-		if !ok && ver <= c.floor[store.KeyShard(doc, floorBuckets)] {
+		if !ok && ver <= c.floor[KeyShard(doc, floorBuckets)] {
 			return // perhaps older than a watermark the bounds dropped
 		}
 		c.dropDocLocked(doc)

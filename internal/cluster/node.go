@@ -1,21 +1,19 @@
 // Package cluster takes the serving stack multi-process around an
 // explicit, versioned placement abstraction. Ring is the placement
 // layer: a canonically ordered peer list plus a generation number,
-// partitioned with the same FNV-1a routing the in-process store uses
-// for shards (store.KeyShard). On top of it sit Node, the client of
-// one peer's HTTP document and query API; a Router that forwards
-// /query to the owning node (with replica retry, an answer cache keyed
-// by document version, and drain-mode fallback to an old ring
-// mid-migration), mirrors registrations to ring successors at the
-// owner-assigned version, and fans /batch out scatter-gather style
-// with one stream per owning node; and Reshard (cmd/xpathreshard),
-// which moves a corpus between rings idempotently, preserving
-// versions. Every failover — replica retry,
-// drain fallback, a write passing a dead owner — is one loop,
-// Router.walk, and every request to a peer one round trip,
-// Node.roundTrip.
+// partitioned by FNV-1a over the document name (KeyShard). On top of it
+// sit Node, the client of one peer's HTTP document and query API; a
+// Router that forwards /query to the owning node (with replica retry,
+// an answer cache keyed by document version, and drain-mode fallback to
+// an old ring mid-migration), mirrors registrations to ring successors
+// at the owner-assigned version, and fans /batch out scatter-gather
+// style with one stream per owning node; and Reshard
+// (cmd/xpathreshard), which moves a corpus between rings idempotently,
+// preserving versions. Every failover — replica retry, drain fallback,
+// a write passing a dead owner — is one loop, Router.walk, and every
+// request to a peer one round trip, Node.roundTrip.
 //
-// The layering is store (placement + memory accounting + versions) →
+// The layering is store (memory accounting + versions) →
 // engine (compile cache + evaluation) → serve (wire format) → cluster
 // (this package: multi-process routing). A single-node deployment is
 // the degenerate 1-peer case of the router.

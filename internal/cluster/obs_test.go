@@ -97,7 +97,7 @@ func TestRoutedTraceEndToEnd(t *testing.T) {
 		b.srv.SetLogger(slog.New(slog.NewTextHandler(sink, nil)))
 	}
 	const doc = "doc-0"
-	owner := backends[store.KeyShard(doc, len(backends))]
+	owner := backends[KeyShard(doc, len(backends))]
 	if resp, out := postJSON(t, ts.URL+"/documents", map[string]any{"name": doc, "xml": "<a><b/><b/></a>"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("register = %d, body %v", resp.StatusCode, out)
 	}

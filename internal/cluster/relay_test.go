@@ -54,7 +54,7 @@ func rawPost(t *testing.T, url, body string) (*http.Response, []byte) {
 func TestRelayKeepsBackendBytes(t *testing.T) {
 	_, ts, backends := newCluster(t, 2, Options{}, store.Config{})
 	const doc = "doc-0"
-	owner := backends[store.KeyShard(doc, len(backends))]
+	owner := backends[KeyShard(doc, len(backends))]
 	xml := `<a><b k="v&lt;&quot;">text &lt;with&gt; "quotes" \ &amp; é ✓</b><b/><n>1</n><n>x</n></a>`
 	if resp, out := postJSON(t, ts.URL+"/documents", map[string]any{"name": doc, "xml": xml}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("register = %d, body %v", resp.StatusCode, out)

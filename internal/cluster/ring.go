@@ -3,12 +3,11 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/store"
 )
 
 // ParsePeers turns a comma-separated list of backend base URLs (the
@@ -43,9 +42,8 @@ func ParsePeers(spec string, timeout time.Duration) ([]*Node, error) {
 
 // Ring is the cluster's explicit placement abstraction: an ordered
 // peer list plus a generation number. Ownership is computed, never
-// looked up — the same FNV-1a function the in-process store uses for
-// shards (store.KeyShard) picks a document's owning slot, and the
-// peers after that slot in ring order are its replica successors.
+// looked up — KeyShard picks a document's owning slot, and the peers
+// after that slot in ring order are its replica successors.
 //
 // Peers are canonically ordered (sorted by URL) at construction, so a
 // ring is a value: two rings built from the same peer set in any
@@ -88,9 +86,19 @@ func (r *Ring) Generation() uint64 { return r.gen }
 // ring's own; callers must not mutate it.
 func (r *Ring) Peers() []*Node { return r.peers }
 
+// KeyShard returns the bucket in [0, n) that key routes to under
+// FNV-1a. It is the cluster's one placement function: Ring.Owner picks
+// a document's owning peer with it, and the answer cache its floor
+// bucket.
+func KeyShard(key string, n int) int {
+	h := fnv.New32a()
+	h.Write([]byte(key))
+	return int(h.Sum32() % uint32(n))
+}
+
 // OwnerIndex returns the ring slot that owns doc.
 func (r *Ring) OwnerIndex(doc string) int {
-	return store.KeyShard(doc, len(r.peers))
+	return KeyShard(doc, len(r.peers))
 }
 
 // Owner returns the peer that owns doc.

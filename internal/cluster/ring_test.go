@@ -130,3 +130,33 @@ func TestRingValidationAndDescribe(t *testing.T) {
 		t.Fatalf("peers not in canonical order: %+v", back.Peers)
 	}
 }
+
+// TestKeyShard pins the placement function: FNV-1a, so a document's
+// owner never moves between releases (the values below are fixed), a
+// key routes to one stable bucket in [0, n), and a realistic population
+// of names reaches every bucket.
+func TestKeyShard(t *testing.T) {
+	for key, want := range map[string]int{"d0": 1, "d1": 6, "d7": 4, "d8": 1} {
+		if got := KeyShard(key, 8); got != want {
+			t.Errorf("KeyShard(%q, 8) = %d, want %d", key, got, want)
+		}
+	}
+	for _, n := range []int{1, 2, 3, 8} {
+		if k := KeyShard("anything", n); k < 0 || k >= n {
+			t.Fatalf("KeyShard(_, %d) = %d out of range", n, k)
+		}
+	}
+	var per [8]int
+	for i := 0; i < 200; i++ {
+		key := fmt.Sprintf("doc-%d", i)
+		if KeyShard(key, 8) != KeyShard(key, 8) {
+			t.Fatalf("routing for %q is not stable", key)
+		}
+		per[KeyShard(key, 8)]++
+	}
+	for b, n := range per {
+		if n == 0 {
+			t.Fatalf("bucket %d is empty: distribution %v", b, per)
+		}
+	}
+}

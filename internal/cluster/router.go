@@ -112,22 +112,21 @@ type Options struct {
 }
 
 // Router fronts a placement Ring of backend nodes: documents are
-// partitioned with the same FNV-1a function the in-process store uses
-// for shards (store.KeyShard), so a document's owning node is
-// computed, never looked up. /documents and /query are forwarded to
-// the owner (with replica retry when it is down) and registrations
-// are mirrored to the owner's ring successors (-replicas), each copy
-// stored at the owner-assigned monotonic version so staleness stays
-// detectable. /batch fans out scatter-gather style with one NDJSON
-// stream per owning node (not per document), merged line by line in
-// completion order, every line tagged with the global job index, the
-// document, and the node that produced it — per-source provenance in
-// the spirit of annotated query answering. Repeated identical queries,
-// as /query or as /batch jobs, are answered from one LRU answer cache
-// keyed by (doc, query, version) and invalidated when a registration
-// bumps the document's version. A Router over one peer is a plain
-// reverse proxy: single-node deployments are the degenerate case, not
-// a separate code path.
+// partitioned by FNV-1a over their names (KeyShard), so a document's
+// owning node is computed, never looked up. /documents and /query are
+// forwarded to the owner (with replica retry when it is down) and
+// registrations are mirrored to the owner's ring successors
+// (-replicas), each copy stored at the owner-assigned monotonic version
+// so staleness stays detectable. /batch fans out scatter-gather style
+// with one NDJSON stream per owning node (not per document), merged
+// line by line in completion order, every line tagged with the global
+// job index, the document, and the node that produced it — per-source
+// provenance in the spirit of annotated query answering. Repeated
+// identical queries, as /query or as /batch jobs, are answered from one
+// LRU answer cache keyed by (doc, query, version) and invalidated when
+// a registration bumps the document's version. A Router over one peer
+// is a plain reverse proxy: single-node deployments are the degenerate
+// case, not a separate code path.
 type Router struct {
 	ring *Ring
 	old  *Ring // drain-mode fallback ring (nil outside migrations)

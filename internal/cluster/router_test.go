@@ -20,7 +20,7 @@ import (
 
 // newCluster boots n real xpathserve backends behind a router. The
 // returned backends are in ring order (the router sorts peers into a
-// canonical ring), so backends[i] is the peer store.KeyShard routes
+// canonical ring), so backends[i] is the peer KeyShard routes
 // slot i to.
 func newCluster(t *testing.T, n int, opts Options, cfg store.Config) (*Router, *httptest.Server, []*backend) {
 	t.Helper()
@@ -53,7 +53,7 @@ func namesOwnedBy(n, want int) [][]string {
 	need := n * want
 	for i := 0; need > 0; i++ {
 		name := fmt.Sprintf("doc-%d", i)
-		o := store.KeyShard(name, n)
+		o := KeyShard(name, n)
 		if len(out[o]) < want {
 			out[o] = append(out[o], name)
 			need--

@@ -3,9 +3,8 @@
 // the fields declared after the mutex — up to the next sync.Mutex,
 // sync.RWMutex, or sync.Once field — are protected by it, and may only
 // be read with the mutex (or its read half) held and written with the
-// write lock held. store.Sharded's shard maps and byte counters are
-// the motivating case; the engine query cache and the router answer
-// cache follow the same layout.
+// write lock held. The document store (internal/store), the engine
+// query cache and the router answer cache all follow this layout.
 //
 // The analyzer tracks lock state statement by statement: Lock/RLock
 // and Unlock/RUnlock calls transition the state for their receiver

@@ -69,9 +69,13 @@ import (
 // request bodies read into one, so the steady state allocates neither.
 type buffer struct{ b []byte }
 
-// maxPooledBuffer keeps the rare huge answer or document upload from
-// pinning its buffer in the pool.
-const maxPooledBuffer = 256 << 10
+// maxPooledBuffer is the one bound on a pooled buffer: readBody makes
+// no more room than this for a body before a byte of it has arrived,
+// on the word of its Content-Length (a client that declares 32 MB and
+// sends ten bytes buys no more), and putBuffer keeps no larger buffer,
+// so the rare huge answer or document upload does not pin its buffer
+// in the pool while every upload readBody presized is reused.
+const maxPooledBuffer = 1 << 20
 
 var bufferPool = sync.Pool{New: func() any { return &buffer{b: make([]byte, 0, 4<<10)} }}
 

@@ -43,6 +43,33 @@ func BenchmarkRegister(b *testing.B) {
 	}
 }
 
+// TestReadBodyReusesPresizedBuffer: a body readBody presized from its
+// Content-Length goes back to the pool, so the next upload of that size
+// (each of eval_heavy's 516 KB registrations, say) is read into the
+// same buffer instead of a fresh one.
+func TestReadBodyReusesPresizedBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a share of what is put back")
+	}
+	body := bytes.Repeat([]byte("x"), 516<<10)
+	read := func() *buffer {
+		req := httptest.NewRequest(http.MethodPost, "/documents", bytes.NewReader(body))
+		buf, ok := readBody(httptest.NewRecorder(), req)
+		if !ok || len(buf.b) != len(body) {
+			t.Fatalf("readBody = %v, %d bytes; want %d", ok, len(buf.b), len(body))
+		}
+		return buf
+	}
+	first := read()
+	room := &first.b[0]
+	putBuffer(first)
+	second := read()
+	defer putBuffer(second)
+	if &second.b[0] != room {
+		t.Fatalf("the second 516 KB body was read into a new %d-byte buffer", cap(second.b))
+	}
+}
+
 // lyingRegistration is a request as the connection loop reads it off
 // the wire: its head declares a 32 MB body, and the ten bytes behind it
 // are all the client sends before it closes, so the body reads as ten
@@ -68,8 +95,8 @@ func allocatedBy(f func()) uint64 {
 }
 
 // TestLyingContentLengthBuysNoMemory: a body is read into room for its
-// declared length only up to maxPresize, so a head that declares 32 MB
-// in front of ten bytes costs about maxPresize, not 32 MB, and gets the
+// declared length only up to maxPooledBuffer, so a head that declares 32 MB
+// in front of ten bytes costs about maxPooledBuffer, not 32 MB, and gets the
 // 400 a truncated body always got — through DecodeJSON (the handler)
 // and through ReadBody, the router's read half.
 func TestLyingContentLengthBuysNoMemory(t *testing.T) {
@@ -79,8 +106,8 @@ func TestLyingContentLengthBuysNoMemory(t *testing.T) {
 	h := srv.Handler()
 	rec := httptest.NewRecorder()
 	req := lyingRegistration(t)
-	if got := allocatedBy(func() { h.ServeHTTP(rec, req) }); got > maxPresize+slack {
-		t.Errorf("a lying registration allocated %d bytes, want under %d", got, maxPresize+slack)
+	if got := allocatedBy(func() { h.ServeHTTP(rec, req) }); got > maxPooledBuffer+slack {
+		t.Errorf("a lying registration allocated %d bytes, want under %d", got, maxPooledBuffer+slack)
 	}
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "invalid JSON: unexpected EOF") {
 		t.Errorf("handler: %d %s, want 400 invalid JSON: unexpected EOF", rec.Code, rec.Body)
@@ -88,8 +115,8 @@ func TestLyingContentLengthBuysNoMemory(t *testing.T) {
 
 	rec, req = httptest.NewRecorder(), lyingRegistration(t)
 	var ok bool
-	if got := allocatedBy(func() { _, _, ok = ReadBody(rec, req) }); got > maxPresize+slack {
-		t.Errorf("ReadBody of a lying request allocated %d bytes, want under %d", got, maxPresize+slack)
+	if got := allocatedBy(func() { _, _, ok = ReadBody(rec, req) }); got > maxPooledBuffer+slack {
+		t.Errorf("ReadBody of a lying request allocated %d bytes, want under %d", got, maxPooledBuffer+slack)
 	}
 	if ok || rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "invalid JSON: unexpected EOF") {
 		t.Errorf("ReadBody: ok %v, %d %s, want 400 invalid JSON: unexpected EOF", ok, rec.Code, rec.Body)

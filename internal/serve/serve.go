@@ -1,5 +1,5 @@
 // Package serve is the HTTP/JSON serving layer of the stack: it binds
-// the sharded document store (internal/store) and the concurrent
+// the document store (internal/store) and the concurrent
 // evaluation engine (internal/engine) to a wire format. cmd/xpathserve
 // is a thin flag-parsing shell around this package, and the cluster
 // router (internal/cluster, cmd/xpathrouter) speaks the same wire
@@ -7,7 +7,7 @@
 // request/response types are exported: they are the protocol shared by
 // a node and the router in front of it.
 //
-// The layering is store (placement + memory accounting) → engine
+// The layering is store (memory accounting + versions) → engine
 // (compile cache + evaluation) → serve (wire format) → cluster
 // (multi-process routing).
 //
@@ -88,15 +88,14 @@ const DefaultMaxDocuments = 64
 
 // Server routes HTTP requests onto an engine.Engine and the document
 // store: every named document is an engine.Session held in a
-// store.Sharded, so lookups on different documents never contend on one
-// lock and the corpus is bounded by the store's entry and byte
+// store.Store, and the corpus is bounded by the store's entry and byte
 // budgets. A lookup hands out the session and its version together
-// (Sharded.Get), so every answer is labelled with the version of the
+// (Store.Get), so every answer is labelled with the version of the
 // document that computed it.
 type Server struct {
 	eng     *engine.Engine
 	maxBody int64
-	docs    *store.Sharded[*engine.Session]
+	docs    *store.Store[*engine.Session]
 
 	// Observability: the registry is the engine's (one exposition for
 	// all tiers), stage its xpath_stage_seconds family (serve records
@@ -138,7 +137,7 @@ func New(eng *engine.Engine, cfg store.Config) *Server {
 	s := &Server{
 		eng:     eng,
 		maxBody: DefaultMaxBodyBytes,
-		docs:    store.NewSharded[*engine.Session](cfg),
+		docs:    store.New[*engine.Session](cfg),
 	}
 	s.initObs()
 	return s
@@ -200,8 +199,8 @@ func (s *Server) Session(name string) (*engine.Session, bool) {
 
 // EvictIdle deletes every document whose session has not been queried
 // for longer than maxIdle, returning the evicted names. The idle check
-// is re-evaluated against the currently stored session under the shard
-// lock (store.Sharded.DeleteIf), so neither a document queried after
+// is re-evaluated against the currently stored session under the store
+// lock (store.Store.DeleteIf), so neither a document queried after
 // the scan nor one re-registered after it (a different session under
 // the same name) can be evicted by a stale snapshot. A query that
 // begins in the same instant may still race the eviction, which is
@@ -409,7 +408,7 @@ func kindName(k xpath.Type) string {
 // The document version is a required argument, not an afterthought:
 // every response constructor must carry it so the (doc, query,
 // version)-keyed caches in front of this node are never poisoned by an
-// unversioned answer. It is the version Sharded.Get returned with the
+// unversioned answer. It is the version Store.Get returned with the
 // session that evaluated the query.
 func render(ver uint64, res *engine.Result) QueryResponse {
 	resp := QueryResponse{Query: res.Query, Version: ver}
@@ -476,7 +475,7 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 // handleDocumentGet serves one document including its serialized XML —
 // what the router, repair and reshard fetch (cluster.Node.GetDocument);
 // the last two copy it elsewhere at its version. The XML and the
-// version come from one Sharded.Get, so they always belong together:
+// version come from one Store.Get, so they always belong together:
 // old content paired with a newer version would be copied by a reshard
 // and made permanent by the stale-write guard.
 func (s *Server) handleDocumentGet(w http.ResponseWriter, name string) {
@@ -511,7 +510,7 @@ func (s *Server) handleDocumentPost(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusInsufficientStorage, "document store full: %v; delete or replace a document, or raise -max-docs/-maxbytes", err)
 		return
 	case errors.Is(err, store.ErrTooLarge):
-		HTTPError(w, http.StatusRequestEntityTooLarge, "document %s exceeds the per-shard byte budget: %v", req.Name, err)
+		HTTPError(w, http.StatusRequestEntityTooLarge, "document %s exceeds the store's whole byte budget (-maxbytes): %v", req.Name, err)
 		return
 	case err != nil:
 		HTTPError(w, http.StatusBadRequest, "parse %s: %v", req.Name, err)
@@ -798,22 +797,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// maxPresize bounds how much room readBody makes for a body before a
-// byte of it has arrived, on the word of its Content-Length: a client
-// that declares 32 MB and sends ten bytes buys no more than this.
-const maxPresize = 1 << 20
-
 // readBody reads a request body into a pooled buffer, which is the
 // caller's to put back, writing the error response itself on failure
 // (413 when the body tripped the size limit). A body that declares its
-// length is read into room for all of it (up to maxPresize, growing
-// past that as bytes arrive), so a document upload is read once, not
-// copied through every doubling of the buffer.
+// length is read into room for all of it (up to maxPooledBuffer,
+// growing past that as bytes arrive), so a document upload is read
+// once, not copied through every doubling of the buffer.
 func readBody(w http.ResponseWriter, r *http.Request) (*buffer, bool) {
 	buf := getBuffer()
 	// bytes.MinRead: ReadFrom wants that much room for the read that
 	// sees EOF, and would double a buffer that had only the body's.
-	if want := min(r.ContentLength, maxPresize) + bytes.MinRead; want > int64(cap(buf.b)) {
+	if want := min(r.ContentLength+bytes.MinRead, maxPooledBuffer); want > int64(cap(buf.b)) {
 		buf.b = make([]byte, 0, want)
 	}
 	rd := bytes.NewBuffer(buf.b)

@@ -8,7 +8,7 @@ import (
 )
 
 func TestPutGetDelete(t *testing.T) {
-	s := NewSharded[string](Config{Shards: 4})
+	s := New[string](Config{})
 	if _, err := s.Put("a", "alpha", 5); err != nil {
 		t.Fatal(err)
 	}
@@ -22,8 +22,8 @@ func TestPutGetDelete(t *testing.T) {
 	if v, _, _ := s.Get("a"); v != "beta" {
 		t.Fatalf("after replace Get(a) = %q", v)
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (replace must not duplicate)", s.Len())
+	if n := s.Stats().Entries; n != 1 {
+		t.Fatalf("Entries = %d, want 1 (replace must not duplicate)", n)
 	}
 	if st := s.Stats(); st.Bytes != 4 {
 		t.Fatalf("Bytes = %d, want 4 after replacement", st.Bytes)
@@ -39,39 +39,8 @@ func TestPutGetDelete(t *testing.T) {
 	}
 }
 
-// TestShardDistribution is the acceptance check for the routing layer:
-// a realistic population of document names must land on every shard,
-// and routing must be stable per key.
-func TestShardDistribution(t *testing.T) {
-	const shards = 8
-	s := NewSharded[int](Config{Shards: shards})
-	for i := 0; i < 200; i++ {
-		key := fmt.Sprintf("doc-%d", i)
-		if s.ShardFor(key) != s.ShardFor(key) {
-			t.Fatalf("routing for %q is not stable", key)
-		}
-		if _, err := s.Put(key, i, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if len(st.Shards) != shards {
-		t.Fatalf("got %d shard stats, want %d", len(st.Shards), shards)
-	}
-	total := 0
-	for i, ss := range st.Shards {
-		if ss.Entries == 0 {
-			t.Fatalf("shard %d is empty: distribution %+v", i, st.Shards)
-		}
-		total += ss.Entries
-	}
-	if total != 200 || st.Entries != 200 {
-		t.Fatalf("entries = %d (aggregate %d), want 200", total, st.Entries)
-	}
-}
-
 func TestMaxEntriesRejectsNewKeepsReplacements(t *testing.T) {
-	s := NewSharded[int](Config{Shards: 2, MaxEntries: 2})
+	s := New[int](Config{MaxEntries: 2})
 	if _, err := s.Put("one", 1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +53,8 @@ func TestMaxEntriesRejectsNewKeepsReplacements(t *testing.T) {
 	if _, err := s.Put("two", 22, 1); err != nil {
 		t.Fatalf("replacement at cap err = %v", err)
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
+	if n := s.Stats().Entries; n != 2 {
+		t.Fatalf("Entries = %d, want 2", n)
 	}
 	s.Delete("one")
 	if _, err := s.Put("three", 3, 1); err != nil {
@@ -94,8 +63,7 @@ func TestMaxEntriesRejectsNewKeepsReplacements(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	// One shard so all keys compete for the same 100-byte budget.
-	s := NewSharded[int](Config{Shards: 1, MaxBytes: 100, Policy: EvictLRU})
+	s := New[int](Config{MaxBytes: 100, Policy: EvictLRU})
 	for i := 0; i < 4; i++ {
 		if _, err := s.Put(fmt.Sprintf("k%d", i), i, 25); err != nil {
 			t.Fatal(err)
@@ -121,8 +89,54 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestLRUEvictionIsStoreWide pins eviction to the least recently used
+// entry of the whole store: d0 and d8 would share a shard under an
+// eight-way FNV-1a split, and d0 is refreshed just before d8 arrives,
+// so the victim is d1, the oldest entry anywhere.
+func TestLRUEvictionIsStoreWide(t *testing.T) {
+	s := New[int](Config{MaxBytes: 80})
+	for i := 0; i < 8; i++ {
+		if _, err := s.Put(fmt.Sprintf("d%d", i), i, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Get("d0")
+	if _, err := s.Put("d8", 8, 10); err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	s.Range(func(k string, _ int, _ int64, _ uint64) bool {
+		order = append(order, k)
+		return true
+	})
+	if got := fmt.Sprint(order); got != "[d8 d0 d7 d6 d5 d4 d3 d2]" {
+		t.Fatalf("resident after overflow, MRU first = %s, want d1 evicted", got)
+	}
+	if st := s.Stats(); st.Evictions != 1 || st.Bytes != 80 {
+		t.Fatalf("stats = %+v, want one eviction and 80 bytes", st)
+	}
+}
+
+// TestWholeBudgetAdmitsLargeEntry: an entry is refused as too large only
+// when it exceeds all of MaxBytes, not some fraction of it.
+func TestWholeBudgetAdmitsLargeEntry(t *testing.T) {
+	s := New[int](Config{MaxBytes: 1 << 20})
+	if _, err := s.Put("big", 1, 200<<10); err != nil {
+		t.Fatalf("Put of 200 KB under a 1 MiB budget: %v", err)
+	}
+	if _, err := s.Put("whole", 2, 1<<20); err != nil {
+		t.Fatalf("Put of exactly MaxBytes: %v", err)
+	}
+	if _, _, ok := s.Get("big"); ok {
+		t.Fatal("big should have been evicted to admit an entry of the whole budget")
+	}
+	if _, err := s.Put("over", 3, 1<<20+1); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Put over MaxBytes err = %v, want ErrTooLarge", err)
+	}
+}
+
 func TestRejectPolicyAndTooLarge(t *testing.T) {
-	s := NewSharded[int](Config{Shards: 1, MaxBytes: 100, Policy: EvictReject})
+	s := New[int](Config{MaxBytes: 100, Policy: EvictReject})
 	if _, err := s.Put("a", 1, 80); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +156,7 @@ func TestRejectPolicyAndTooLarge(t *testing.T) {
 }
 
 func TestRange(t *testing.T) {
-	s := NewSharded[int](Config{Shards: 4})
+	s := New[int](Config{})
 	want := map[string]int{"a": 1, "b": 2, "c": 3}
 	vers := map[string]uint64{}
 	for k, v := range want {
@@ -169,10 +183,10 @@ func TestRange(t *testing.T) {
 }
 
 // TestDeleteIf pins the conditional delete the idle janitor relies on:
-// the condition sees the currently stored value under the shard lock,
+// the condition sees the currently stored value under the store lock,
 // so a stale snapshot cannot delete a replacement entry.
 func TestDeleteIf(t *testing.T) {
-	s := NewSharded[int](Config{Shards: 2})
+	s := New[int](Config{})
 	if _, err := s.Put("k", 1, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +202,8 @@ func TestDeleteIf(t *testing.T) {
 	if s.DeleteIf("k", nil) {
 		t.Fatal("DeleteIf on a missing key reported a removal")
 	}
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d after delete, want 0", s.Len())
+	if n := s.Stats().Entries; n != 0 {
+		t.Fatalf("Entries = %d after delete, want 0", n)
 	}
 }
 
@@ -199,7 +213,7 @@ func TestDeleteIf(t *testing.T) {
 // skips stale writes, and the counter never goes backwards past a
 // mirrored version.
 func TestVersions(t *testing.T) {
-	s := NewSharded[string](Config{Shards: 2})
+	s := New[string](Config{})
 	v1, err := s.Put("doc", "one", 3)
 	if err != nil || v1 == 0 {
 		t.Fatalf("Put = (%d, %v), want a nonzero version", v1, err)
@@ -236,38 +250,17 @@ func TestVersions(t *testing.T) {
 	if v4, _ := s.Put("doc", "four", 5); v4 <= v3+100 {
 		t.Fatalf("post-mirror Put version %d, want above %d", v4, v3+100)
 	}
-	if s.LastVersion() <= v3+100 {
-		t.Fatalf("LastVersion = %d, want above %d", s.LastVersion(), v3+100)
-	}
 	// PutAt with a zero version falls back to self-assignment.
 	if v, err := s.PutAt("self", "x", 1, 0); err != nil || v <= v3+100 {
 		t.Fatalf("PutAt(0) = (%d, %v), want a fresh counter version", v, err)
 	}
 }
 
-// TestKeyShardMatchesShardFor pins down that the exported partitioning
-// function and the store's own routing agree — the cluster router
-// depends on computing the same placement without holding a store.
-func TestKeyShardMatchesShardFor(t *testing.T) {
-	s := NewSharded[int](Config{Shards: 5})
-	for i := 0; i < 100; i++ {
-		key := fmt.Sprintf("doc-%d", i)
-		if got, want := KeyShard(key, 5), s.ShardFor(key); got != want {
-			t.Fatalf("KeyShard(%q, 5) = %d, ShardFor = %d", key, got, want)
-		}
-	}
-	for _, n := range []int{1, 2, 3, 8} {
-		if k := KeyShard("anything", n); k < 0 || k >= n {
-			t.Fatalf("KeyShard(_, %d) = %d out of range", n, k)
-		}
-	}
-}
-
 // TestRangeOrderWithinShard pins down the snapshot order Range promises
-// per shard: most recently used first (the LRU list front), with Get
-// refreshing recency.
+// across the whole store: most recently used first (the LRU list
+// front), with Get refreshing recency.
 func TestRangeOrderWithinShard(t *testing.T) {
-	s := NewSharded[int](Config{Shards: 1})
+	s := New[int](Config{})
 	for i, k := range []string{"a", "b", "c"} {
 		if _, err := s.Put(k, i, 1); err != nil {
 			t.Fatal(err)
@@ -290,7 +283,7 @@ func TestRangeOrderWithinShard(t *testing.T) {
 // present exactly once with its original value and size, and no
 // torn entries (value/size must match what some Put stored).
 func TestRangeUnderConcurrentMutation(t *testing.T) {
-	s := NewSharded[int](Config{Shards: 4})
+	s := New[int](Config{})
 	stable := map[string]int{}
 	for i := 0; i < 16; i++ {
 		k := fmt.Sprintf("stable-%d", i)
@@ -354,7 +347,7 @@ func TestRangeUnderConcurrentMutation(t *testing.T) {
 // TestConcurrentAccess hammers one store from many goroutines under
 // -race: puts, gets, deletes and stats on overlapping keys.
 func TestConcurrentAccess(t *testing.T) {
-	s := NewSharded[int](Config{Shards: 4, MaxBytes: 4096, MaxEntries: 64})
+	s := New[int](Config{MaxBytes: 4096, MaxEntries: 64})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -377,8 +370,10 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 	st := s.Stats()
-	if st.Entries != s.Len() {
-		t.Fatalf("entry accounting drifted: stats %d vs counter %d", st.Entries, s.Len())
+	n := 0
+	s.Range(func(string, int, int64, uint64) bool { n++; return true })
+	if st.Entries != n {
+		t.Fatalf("entry accounting drifted: stats %d vs %d ranged", st.Entries, n)
 	}
 	if st.Entries > 64 || st.Bytes > 4096 {
 		t.Fatalf("budgets exceeded: %+v", st)

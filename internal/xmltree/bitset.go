@@ -140,28 +140,6 @@ func (b *Bitset) Clone() *Bitset {
 	return &Bitset{words: append([]uint64(nil), b.words...), n: b.n}
 }
 
-// AddRange inserts the half-open interval [lo, hi) word-parallel: full
-// interior words are set with one store each, so an interval fill costs
-// O(len/64) — the bitset form of a subtree-interval fill, for callers
-// that consume axis images as bitsets rather than ordered NodeSets.
-func (b *Bitset) AddRange(lo, hi NodeID) {
-	if lo >= hi {
-		return
-	}
-	lw, hw := int(lo)/wordBits, int(hi-1)/wordBits
-	lmask := ^uint64(0) << (uint(lo) % wordBits)
-	hmask := ^uint64(0) >> (wordBits - 1 - uint(hi-1)%wordBits)
-	if lw == hw {
-		b.words[lw] |= lmask & hmask
-		return
-	}
-	b.words[lw] |= lmask
-	for i := lw + 1; i < hw; i++ {
-		b.words[i] = ^uint64(0)
-	}
-	b.words[hw] |= hmask
-}
-
 // AddSet inserts every member of s.
 func (b *Bitset) AddSet(s NodeSet) {
 	for _, id := range s {

@@ -114,30 +114,6 @@ func TestBitsetComplementFill(t *testing.T) {
 	}
 }
 
-// TestBitsetAddRange checks the word-parallel interval fill against a
-// bit-at-a-time loop over random and boundary-straddling intervals.
-func TestBitsetAddRange(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	const n = 300
-	cases := [][2]NodeID{{0, 0}, {0, 1}, {0, 64}, {63, 65}, {64, 128}, {5, 300}, {299, 300}}
-	for i := 0; i < 200; i++ {
-		lo := NodeID(r.Intn(n))
-		cases = append(cases, [2]NodeID{lo, lo + NodeID(r.Intn(n-int(lo)+1))})
-	}
-	for _, c := range cases {
-		lo, hi := c[0], c[1]
-		got := NewBitset(n)
-		got.AddRange(lo, hi)
-		want := NewBitset(n)
-		for id := lo; id < hi; id++ {
-			want.Add(id)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("AddRange(%d,%d) = %v, want %v", lo, hi, got.ToNodeSet(), want.ToNodeSet())
-		}
-	}
-}
-
 // FuzzBitsetAlgebra cross-checks the packed ops against the NodeSet
 // sorted-merge reference on fuzzer-chosen inputs.
 func FuzzBitsetAlgebra(f *testing.F) {

@@ -1,7 +1,6 @@
 package xmltree
 
 import (
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -289,16 +288,4 @@ func (d *Document) Lang(id NodeID) string {
 		}
 	}
 	return ""
-}
-
-// Names returns the set of distinct element names in the document. Used
-// by the XPatterns first-of-type/last-of-type predicates (Theorem 10.8),
-// whose precomputation is O(|D|·|Σ|).
-func (d *Document) Names() []string {
-	out := make([]string, 0, len(d.idx.label))
-	for name := range d.idx.label {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

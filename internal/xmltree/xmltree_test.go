@@ -393,17 +393,3 @@ func TestLang(t *testing.T) {
 		t.Errorf("lang(d) = %q, want de", d.Lang(dd))
 	}
 }
-
-func TestNames(t *testing.T) {
-	d := mustParse(t, `<a><b/><c/><b/></a>`)
-	got := d.Names()
-	want := []string{"a", "b", "c"}
-	if len(got) != len(want) {
-		t.Fatalf("Names = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Names = %v, want %v", got, want)
-		}
-	}
-}
