@@ -309,6 +309,70 @@ func BenchmarkFragmentsWadler(b *testing.B) {
 	}
 }
 
+// optMinContextShapes are the twelve templates of the serving
+// benchmark's pool that auto sends to OptMinContext: six Extended-Wadler
+// and six full-XPath ones.
+var optMinContextShapes = []struct{ name, query string }{
+	{"wadler/bidder-first", "//open_auction/bidder[1]/increase"},
+	{"wadler/bidder-last", "//open_auction/bidder[last()]/increase"},
+	{"wadler/current-gt", "//open_auction[current > 60]/itemref"},
+	{"wadler/item-even", "//item[position() mod 2 = 0]/name"},
+	{"wadler/boolean-quantity", "boolean(//item[quantity > 4])"},
+	{"wadler/person-last", "//person[position() = last()]/name"},
+	{"full/count-item", "count(//item)"},
+	{"full/sum-current", "sum(//open_auction/current)"},
+	{"full/count-count-bidder", "count(//open_auction[count(bidder) > 2])"},
+	{"full/count-bidder-eq", "//open_auction[count(bidder) = 3]/current"},
+	{"full/sum-plus-count", "sum(//item[shipping]/quantity) + count(//person[emailaddress])"},
+	{"full/count-gt-count", "count(//person[emailaddress]) > count(//item[shipping])"},
+}
+
+// fragmentAlgebraShapes are the six Core XPath and six XPatterns
+// templates of the pool.
+var fragmentAlgebraShapes = []struct{ name, query string }{
+	{"core/regions-item-name", "/site/regions/*/item/name"},
+	{"core/item-shipping", "//item[shipping]/name"},
+	{"core/auction-bidder", "//open_auction[bidder]/current"},
+	{"core/person-not-email", "//person[not(emailaddress)]/name"},
+	{"core/personref-ancestor", "//personref/ancestor::open_auction/itemref"},
+	{"core/current-or-itemref", "//open_auction/current | //open_auction/itemref"},
+	{"xpatterns/payment-cash", "//item[payment='cash']/name"},
+	{"xpatterns/id-person1", "id('person1')/name"},
+	{"xpatterns/id-personref", "id(//bidder/personref)/name"},
+	{"xpatterns/location-or", "//item[location='Kenya' or location='Japan']/quantity"},
+	{"xpatterns/itemref-eq", "//open_auction[itemref='item1']/current"},
+	{"xpatterns/quantity-or-name", "//item[quantity=2]/name | //person[name='Person 3']/emailaddress"},
+}
+
+// BenchmarkServedMix runs the 24 templates of optMinContextShapes and
+// fragmentAlgebraShapes under auto, one after another, over two
+// 1 000-item auction documents taken in turn — the in-process twin of
+// the eval_heavy workload. One query's working set is evicted by the
+// next's, so a kernel bound by memory access pays here what it pays in
+// the server, where the per-shape benchmarks, each looping on one
+// query over one document, keep it in cache. ns/op and B/op are per
+// query.
+func BenchmarkServedMix(b *testing.B) {
+	docs := []*xmltree.Document{workload.Auction(1, 1000), workload.Auction(2, 1000)}
+	var engines []*core.Engine
+	for _, d := range docs {
+		engines = append(engines, core.NewEngine(d, core.Auto))
+	}
+	var queries []*core.Query
+	for _, sh := range append(optMinContextShapes[:len(optMinContextShapes):len(optMinContextShapes)], fragmentAlgebraShapes...) {
+		queries = append(queries, core.MustCompile(sh.query))
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j, q := i%len(docs), queries[i/len(docs)%len(queries)]
+		if _, err := engines[j].EvaluateContext(ctx, q, rootCtx(docs[j])); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkOptMinContextShapes measures OptMinContext on the twelve
 // query shapes it answers in the serving benchmark's pool — the six
 // Extended-Wadler and the six full-XPath templates — over an xmlgen
@@ -323,23 +387,9 @@ func BenchmarkOptMinContextShapes(b *testing.B) {
 		b.Fatalf("auction document has %d nodes, want at least 20000", d.Len())
 	}
 	d.Index()
-	shapes := []struct{ name, query string }{
-		{"wadler/bidder-first", "//open_auction/bidder[1]/increase"},
-		{"wadler/bidder-last", "//open_auction/bidder[last()]/increase"},
-		{"wadler/current-gt", "//open_auction[current > 60]/itemref"},
-		{"wadler/item-even", "//item[position() mod 2 = 0]/name"},
-		{"wadler/boolean-quantity", "boolean(//item[quantity > 4])"},
-		{"wadler/person-last", "//person[position() = last()]/name"},
-		{"full/count-item", "count(//item)"},
-		{"full/sum-current", "sum(//open_auction/current)"},
-		{"full/count-count-bidder", "count(//open_auction[count(bidder) > 2])"},
-		{"full/count-bidder-eq", "//open_auction[count(bidder) = 3]/current"},
-		{"full/sum-plus-count", "sum(//item[shipping]/quantity) + count(//person[emailaddress])"},
-		{"full/count-gt-count", "count(//person[emailaddress]) > count(//item[shipping])"},
-	}
 	en := core.NewEngine(d, core.OptMinContext)
 	ctx := context.Background()
-	for _, sh := range shapes {
+	for _, sh := range optMinContextShapes {
 		q := core.MustCompile(sh.query)
 		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -361,20 +411,6 @@ func BenchmarkOptMinContextShapes(b *testing.B) {
 func BenchmarkFragmentAlgebraShapes(b *testing.B) {
 	d := workload.Auction(1, 1200)
 	d.Index()
-	shapes := []struct{ name, query string }{
-		{"core/regions-item-name", "/site/regions/*/item/name"},
-		{"core/item-shipping", "//item[shipping]/name"},
-		{"core/auction-bidder", "//open_auction[bidder]/current"},
-		{"core/person-not-email", "//person[not(emailaddress)]/name"},
-		{"core/personref-ancestor", "//personref/ancestor::open_auction/itemref"},
-		{"core/current-or-itemref", "//open_auction/current | //open_auction/itemref"},
-		{"xpatterns/payment-cash", "//item[payment='cash']/name"},
-		{"xpatterns/id-person1", "id('person1')/name"},
-		{"xpatterns/id-personref", "id(//bidder/personref)/name"},
-		{"xpatterns/location-or", "//item[location='Kenya' or location='Japan']/quantity"},
-		{"xpatterns/itemref-eq", "//open_auction[itemref='item1']/current"},
-		{"xpatterns/quantity-or-name", "//item[quantity=2]/name | //person[name='Person 3']/emailaddress"},
-	}
 	// The four predicate shapes that enumerated dom under the XPatterns
 	// gate: a not(π = s), a true(), an absolute path, and the one pool
 	// template with a not(), which the gate must answer at Core XPath's
@@ -397,7 +433,7 @@ func BenchmarkFragmentAlgebraShapes(b *testing.B) {
 			}
 		})
 	}
-	for _, sh := range shapes {
+	for _, sh := range fragmentAlgebraShapes {
 		q := core.MustCompile(sh.query)
 		run(sh.name, q, en.StrategyFor(q))
 	}

@@ -28,9 +28,10 @@
 // the structured (slog) log, and -debug-addr serves net/http/pprof on a
 // side address.
 //
-// Documents live in one store, bounded by -max-docs entries and by
-// -maxbytes of XML under the -evict policy (lru evicts the least
-// recently queried documents of the whole store); -maxidle
+// Documents live in one store, bounded by -max-docs entries (0 = 64)
+// and by -maxbytes of XML (0 = unlimited) under the -evict policy (lru
+// evicts the least recently queried documents of the whole store); a
+// negative limit is a startup error (exit 2). -maxidle
 // additionally evicts documents that have not been queried for that
 // long. Compiled queries are cached (LRU, -cache entries); batches fan
 // out over -workers goroutines and stream each result the moment it
@@ -64,6 +65,24 @@ import (
 	"repro/internal/store"
 )
 
+// The store's two limits. What 0 means differs, and a negative value
+// is refused at startup (checkLimits) rather than read as no limit.
+var (
+	maxDocsUsage  = fmt.Sprintf("maximum number of retained documents (0 = %d documents)", serve.DefaultMaxDocuments)
+	maxBytesUsage = "document store byte budget over all documents' XML; a larger document is refused with 413 (0 = unlimited)"
+)
+
+// checkLimits refuses a negative -max-docs or -maxbytes, naming the flag.
+func checkLimits(maxDocs int, maxBytes int64) error {
+	switch {
+	case maxDocs < 0:
+		return fmt.Errorf("-max-docs %d: must be 0 (%d documents) or more", maxDocs, serve.DefaultMaxDocuments)
+	case maxBytes < 0:
+		return fmt.Errorf("-maxbytes %d: must be 0 (unlimited) or more", maxBytes)
+	}
+	return nil
+}
+
 // docFlags collects repeated -doc name=path flags.
 type docFlags []string
 
@@ -78,8 +97,8 @@ func main() {
 	cacheSize := flag.Int("cache", engine.DefaultCacheSize, "compiled-query cache capacity")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	maxBody := flag.Int64("max-body", serve.DefaultMaxBodyBytes, "request body size limit in bytes")
-	maxDocs := flag.Int("max-docs", serve.DefaultMaxDocuments, "maximum number of retained documents")
-	maxBytes := flag.Int64("maxbytes", 0, "document store byte budget over all documents' XML; a larger document is refused with 413 (0 = unlimited)")
+	maxDocs := flag.Int("max-docs", serve.DefaultMaxDocuments, maxDocsUsage)
+	maxBytes := flag.Int64("maxbytes", 0, maxBytesUsage)
 	evict := flag.String("evict", "lru", "store policy when the byte budget is exhausted: lru|reject")
 	maxIdle := flag.Duration("maxidle", 0, "evict documents not queried for this long (0 = never)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
@@ -99,6 +118,10 @@ func main() {
 	logger := obs.NewLogger(os.Stderr, level)
 	slog.SetDefault(logger)
 
+	if err := checkLimits(*maxDocs, *maxBytes); err != nil {
+		fmt.Fprintf(os.Stderr, "xpathserve: %v\n", err)
+		os.Exit(2)
+	}
 	strat, ok := core.StrategyByName(*strategy)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "xpathserve: unknown strategy %q\n", *strategy)

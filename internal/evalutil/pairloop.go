@@ -132,6 +132,53 @@ func (v *Verdicts) row(size int) []verdict {
 	return v.vals[first : first+size]
 }
 
+// holds decides pred, which has no rank test, at the context ⟨n, r.Pos,
+// r.Size⟩: by the verdict remembered at ⟨cp, cs⟩, or by eval, whose
+// verdict is then remembered where the predicate does not read n.
+func (v *Verdicts) holds(pred xpath.Expr, n xmltree.NodeID, r xmltree.Rank, eval PredEval) (bool, error) {
+	var seen *verdict
+	if v.memo != nil {
+		if seen = &v.row(int(r.Size))[r.Pos-1]; *seen != undecided {
+			return *seen == holds, nil
+		}
+	}
+	val, err := eval(pred, semantics.Context{Node: n, Pos: int(r.Pos), Size: int(r.Size)})
+	if err != nil {
+		return false, err
+	}
+	keep := semantics.ToBoolean(val)
+	if seen != nil {
+		*seen = fails
+		if keep {
+			*seen = holds
+		}
+	}
+	return keep, nil
+}
+
+// RankedByColumn reports whether a step's positional predicates are
+// decided off the label index's rank column (Forward.ranked): a
+// child::name step whose first predicate, and only that one, reads
+// position() or last(). Every other positional step takes the pair
+// loop.
+func RankedByColumn(step *xpath.Step) bool {
+	if step.Axis != axes.Child || !ExactElementName(step.Axis, step.Test) || len(step.Preds) == 0 ||
+		!readsRank(step.Preds[0]) {
+		return false
+	}
+	for _, p := range step.Preds[1:] {
+		if readsRank(p) {
+			return false
+		}
+	}
+	return true
+}
+
+// readsRank reports whether a predicate reads position() or last().
+func readsRank(p xpath.Expr) bool {
+	return xpath.RelevantContext(p)&(xpath.RelevPos|xpath.RelevSize) != 0
+}
+
 // rankOf is a predicate's rank test, nil if it has none: what xpath.Memo
 // keeps with the query, so that a test is compiled once.
 func rankOf(e xpath.Expr) func(p, s float64) bool {
@@ -312,46 +359,23 @@ func (l *PairLoop) RankedCandidates(x xmltree.NodeID, buf xmltree.NodeSet, eval 
 // or a ⟨cp, cs⟩ it has been decided at is not evaluated again.
 func FilterPositions(a axes.Axis, pred xpath.Expr, z, dst xmltree.NodeSet, eval PredEval, seen *Verdicts) (xmltree.NodeSet, error) {
 	size, reverse := len(z), a.IsReverse()
-	if size == 0 {
-		return dst, nil
-	}
-	var rank func(p, s float64) bool
-	var row []verdict
-	if seen != nil {
-		if rank = seen.rank; rank == nil && seen.memo != nil {
-			row = seen.row(size)
-		}
+	if seen == nil {
+		seen = &Verdicts{}
 	}
 	for j, zn := range z {
-		pos := j + 1
+		r := xmltree.Rank{Pos: int32(j + 1), Size: int32(size)}
 		if reverse {
-			pos = size - j
+			r.Pos = int32(size - j)
 		}
-		switch {
-		case rank != nil:
-			if rank(float64(pos), float64(size)) {
-				dst = append(dst, zn)
+		keep := seen.rank != nil && seen.rank(float64(r.Pos), float64(r.Size))
+		if seen.rank == nil {
+			var err error
+			if keep, err = seen.holds(pred, zn, r, eval); err != nil {
+				return nil, err
 			}
-			continue
-		case row != nil && row[pos-1] != undecided:
-			if row[pos-1] == holds {
-				dst = append(dst, zn)
-			}
-			continue
 		}
-		v, err := eval(pred, semantics.Context{Node: zn, Pos: pos, Size: size})
-		if err != nil {
-			return nil, err
-		}
-		keep := semantics.ToBoolean(v)
 		if keep {
 			dst = append(dst, zn)
-		}
-		if row != nil {
-			row[pos-1] = fails
-			if keep {
-				row[pos-1] = holds
-			}
 		}
 	}
 	return dst, nil

@@ -28,7 +28,11 @@ import (
 //
 // Only judge and head differ between the languages (StepJudge); the
 // ⟨previous, current⟩ pair loop of a position() or last() predicate is
-// the kernels' own.
+// the kernels' own, and so is the shortcut past it that the label
+// index's columns allow: child::name[p]… whose first predicate alone
+// reads position() or last() is one pass over the candidates at their
+// ⟨position, size⟩ from the rank column (Forward.ranked), and π RelOp c
+// picks its targets off the value column (compareColumn).
 //
 // Contract. A kernel never writes to the set it is given: a step first
 // builds a set of its own — χ(X) ∩ T(t) forwards, a copy of Y ∩ T(t)
@@ -43,14 +47,15 @@ import (
 // StepJudge is what a language brings to the two walks.
 type StepJudge interface {
 	// JudgeStep keeps the members of yt ⊆ T(t), which it owns, at which
-	// the predicates of step hold; none of them reads position() or
-	// last().
-	JudgeStep(step *xpath.Step, yt xmltree.NodeSet) (xmltree.NodeSet, error)
+	// preds, predicates of a step, hold; none of them reads position()
+	// or last().
+	JudgeStep(preds []xpath.Expr, yt xmltree.NodeSet) (xmltree.NodeSet, error)
 	// RankStep readies the predicates of a step that reads position() or
 	// last() for the kernel's pair loop, whose candidates are y — all of
 	// them, not only those a walk is after, for positions count among all
-	// — and returns the predicates' evaluator at one ⟨node, position,
-	// size⟩.
+	// (only where the rank column gives the positions, Forward.ranked,
+	// are they those alone) — and returns the predicates' evaluator at
+	// one ⟨node, position, size⟩.
 	RankStep(step *xpath.Step, y xmltree.NodeSet) (PredEval, error)
 	// Head evaluates a path's head expression (an id(…) call, or any
 	// filter expression the language admits) at every node of X and
@@ -120,21 +125,65 @@ func (k Forward) Image(e xpath.Expr, x xmltree.NodeSet) (xmltree.NodeSet, error)
 
 // ready begins one location step over X: the candidates χ(X) ∩ T(t) —
 // of which the judge keeps those it does when no predicate reads
-// position() or last() — and otherwise the predicates' evaluator for the
-// pair loop, eval, nil when no predicate needs one. room is the number
-// of candidates before judging: enough for any x's candidate list.
+// position() or last(), and the rank column those it does for a step it
+// decides (RankedByColumn) — and otherwise the predicates' evaluator for
+// the pair loop, eval, nil when no predicate needs one. room is the
+// number of candidates before judging: enough for any x's candidate
+// list.
 func (k Forward) ready(step *xpath.Step, x xmltree.NodeSet) (y xmltree.NodeSet, eval PredEval, room int, err error) {
 	y = StepCandidatesSet(k.Arena, k.Doc, step.Axis, step.Test, x)
 	room = len(y)
 	if err = k.Cancel.CheckN(len(x) + len(y)); err != nil || len(step.Preds) == 0 || len(y) == 0 {
 		return y, nil, room, err
 	}
-	if step.Positional() {
-		eval, err = k.Judge.RankStep(step, y)
+	if !step.Positional() {
+		y, err = k.Judge.JudgeStep(step.Preds, y)
+		return y, nil, room, err
+	}
+	if eval, err = k.Judge.RankStep(step, y); err != nil || !RankedByColumn(step) {
 		return y, eval, room, err
 	}
-	y, err = k.Judge.JudgeStep(step, y)
+	y, err = k.ranked(step, y, eval)
 	return y, nil, room, err
+}
+
+// ranked keeps the members of y ⊆ T(t), candidates of a step that
+// RankedByColumn decides, at which the step's predicates hold, into an
+// array of its own (the judge's tables may hold y): the first predicate
+// at each member's ⟨position, size⟩ read off the rank column — by its
+// rank test, a verdict remembered at that ⟨cp, cs⟩, or eval — in one
+// pass over y, the others, which read neither, by the judge on the
+// survivors. No candidate list of a previous context node is built: a
+// child has one parent, so its rank among the parent's candidates is its
+// rank in the column.
+func (k Forward) ranked(step *xpath.Step, y xmltree.NodeSet, eval PredEval) (xmltree.NodeSet, error) {
+	named, ranks := k.Doc.NamedRanks(step.Test.Name)
+	if err := k.Cancel.CheckN(len(named) + len(y)); err != nil {
+		return nil, err
+	}
+	pred, seen := step.Preds[0], &PredVerdicts(k.Arena, step.Preds[:1])[0]
+	keep, i := k.Arena.Nodes(len(y)), 0
+	for _, n := range y {
+		if named[i] != n { // y ⊆ named, in order: often its next member
+			i = named.Seek(i, n)
+		}
+		r := ranks[i]
+		i++
+		ok := seen.rank != nil && seen.rank(float64(r.Pos), float64(r.Size))
+		if seen.rank == nil {
+			var err error
+			if ok, err = seen.holds(pred, n, r, eval); err != nil {
+				return nil, err
+			}
+		}
+		if ok {
+			keep = append(keep, n)
+		}
+	}
+	if keep = k.Arena.Trim(keep); len(step.Preds) == 1 || len(keep) == 0 {
+		return keep, nil
+	}
+	return k.Judge.JudgeStep(step.Preds[1:], keep)
 }
 
 // step applies one location step to X: of the candidates, those ready
@@ -254,12 +303,12 @@ type Backward Forward
 // for any other test — or dom for a bare id(…) chain or a path without
 // steps.
 func (k Backward) Targets(e xpath.Expr) (xmltree.NodeSet, error) {
+	if name, ok := targetName(e); ok {
+		return k.Doc.Index().Named(name), nil
+	}
 	var last *xpath.Step
 	if p, ok := e.(*xpath.Path); ok && len(p.Steps) > 0 {
 		last = p.Steps[len(p.Steps)-1]
-		if ExactElementName(last.Axis, last.Test) {
-			return k.Doc.Index().Named(last.Test.Name), nil
-		}
 	}
 	if err := k.Cancel.CheckN(k.Doc.Len()); err != nil {
 		return nil, err
@@ -273,15 +322,60 @@ func (k Backward) Targets(e xpath.Expr) (xmltree.NodeSet, error) {
 	return k.Arena.Trim(out), nil
 }
 
+// targetName returns the element name of π's last step when T(t) of it
+// is a label posting list: an exact element name test.
+func targetName(e xpath.Expr) (string, bool) {
+	p, ok := e.(*xpath.Path)
+	if !ok || len(p.Steps) == 0 {
+		return "", false
+	}
+	last := p.Steps[len(p.Steps)-1]
+	return last.Test.Name, ExactElementName(last.Axis, last.Test)
+}
+
+// compareColumn returns the members y[i] of a posting list whose value
+// column entry satisfies RelOp c, for a number or string c, into the
+// arena ar: CompareStrval's verdicts — strings compared as strings by =
+// and !=, every other pairing as numbers — read off the column.
+func compareColumn(ar *xmltree.Arena, y xmltree.NodeSet, col *xmltree.Values, op xpath.BinOp, c semantics.Value) xmltree.NodeSet {
+	hits := ar.Nodes(len(y))
+	if c.Kind == xpath.TypeString && (op == xpath.OpEq || op == xpath.OpNeq) {
+		eq := op == xpath.OpEq
+		for i, s := range col.Str {
+			if (s == c.Str) == eq {
+				hits = append(hits, y[i])
+			}
+		}
+		return ar.Trim(hits)
+	}
+	num := c.Num
+	if c.Kind == xpath.TypeString {
+		num = semantics.StringToNumber(c.Str)
+	}
+	for i, v := range col.Num {
+		if semantics.CompareNumbers(op, v, num) {
+			hits = append(hits, y[i])
+		}
+	}
+	return ar.Trim(hits)
+}
+
 // Exists computes S←[[π]]: the nodes from which π selects anything.
 func (k Backward) Exists(e xpath.Expr) (reach xmltree.NodeSet, everywhere bool, err error) {
-	return k.walk(e, nil, true)
+	return k.walk(e, nil, targets)
 }
 
 // Compared computes E1[[π RelOp c]] for a constant c that is not a
 // boolean: Reach(π, Y) for the targets y of π whose string-value
 // satisfies RelOp c, each compared as the string it is.
 func (k Backward) Compared(e xpath.Expr, op xpath.BinOp, c semantics.Value) (reach xmltree.NodeSet, everywhere bool, err error) {
+	if name, ok := targetName(e); ok && (c.Kind == xpath.TypeNumber || c.Kind == xpath.TypeString) {
+		y, col := k.Doc.NamedValues(name)
+		if err := k.Cancel.CheckN(len(y)); err != nil || len(y) == 0 {
+			return nil, false, err
+		}
+		return k.walk(e, compareColumn(k.Arena, y, col, op, c), typed)
+	}
 	y, err := k.Targets(e)
 	if err == nil {
 		err = k.Cancel.CheckN(len(y))
@@ -295,29 +389,40 @@ func (k Backward) Compared(e xpath.Expr, op xpath.BinOp, c semantics.Value) (rea
 			hits = append(hits, n)
 		}
 	}
-	return k.Reach(e, k.Arena.Trim(hits))
+	return k.walk(e, k.Arena.Trim(hits), typed)
 }
 
 // Reach computes {x | S→[[π]]({x}) ∩ Y ≠ ∅}.
 func (k Backward) Reach(e xpath.Expr, y xmltree.NodeSet) (reach xmltree.NodeSet, everywhere bool, err error) {
-	return k.walk(e, y, false)
+	return k.walk(e, y, given)
 }
 
-// walk is Reach, or Exists when seed is set: every union branch then
-// starts from its own targets.
-func (k Backward) walk(e xpath.Expr, y xmltree.NodeSet, seed bool) (xmltree.NodeSet, bool, error) {
+// seed says what a walk's Y is to the last step of a path.
+type seed uint8
+
+const (
+	given   seed = iota // any nodes: the step keeps those in T(t) (Reach)
+	targets             // each union branch's own Targets (Exists)
+	typed               // a subset of Targets(π) the walk owns, π not a union (Compared)
+)
+
+// walk is Reach from a Y that is as its seed says.
+func (k Backward) walk(e xpath.Expr, y xmltree.NodeSet, from seed) (xmltree.NodeSet, bool, error) {
 	if u, ok := e.(*xpath.Binary); ok && u.Op == xpath.OpUnion {
-		l, all, err := k.walk(u.Left, y, seed)
+		if from == typed {
+			from = given // Targets(π1 | π2) is not a branch's T(t)
+		}
+		l, all, err := k.walk(u.Left, y, from)
 		if err != nil || all {
 			return nil, all, err
 		}
-		r, all, err := k.walk(u.Right, y, seed)
+		r, all, err := k.walk(u.Right, y, from)
 		if err != nil || all {
 			return nil, all, err
 		}
 		return k.Arena.Union(l, r), false, nil
 	}
-	if seed {
+	if from == targets {
 		var err error
 		if y, err = k.Targets(e); err != nil {
 			return nil, false, err
@@ -330,9 +435,9 @@ func (k Backward) walk(e xpath.Expr, y xmltree.NodeSet, seed bool) (xmltree.Node
 	case *xpath.Call: // a bare id(…) chain
 		return k.idHead(p, y)
 	case *xpath.Path:
-		for i := len(p.Steps) - 1; i >= 0; i-- {
+		for i, last := len(p.Steps)-1, from; i >= 0; i, last = i-1, given {
 			var err error
-			if y, err = k.step(p.Steps[i], y, seed && i == len(p.Steps)-1); err != nil || len(y) == 0 {
+			if y, err = k.step(p.Steps[i], y, last); err != nil || len(y) == 0 {
 				return nil, false, err
 			}
 		}
@@ -348,16 +453,17 @@ func (k Backward) walk(e xpath.Expr, y xmltree.NodeSet, seed bool) (xmltree.Node
 }
 
 // step inverts one location step: χ⁻¹ of the members of Y ∩ T(t) the
-// judge keeps. A seeded Y is T(t) already: the index's posting list,
-// copied for the judge, or this walk's own scan of dom.
-func (k Backward) step(step *xpath.Step, y xmltree.NodeSet, seeded bool) (xmltree.NodeSet, error) {
+// judge keeps. Only a given Y is filtered by the test; Targets may be
+// the index's posting list, copied when the judge has predicates to
+// filter it by in place.
+func (k Backward) step(step *xpath.Step, y xmltree.NodeSet, from seed) (xmltree.NodeSet, error) {
 	if err := k.Cancel.CheckN(len(y)); err != nil {
 		return nil, err
 	}
 	switch {
-	case !seeded:
+	case from == given:
 		y = FilterTest(k.Arena, k.Doc, step.Axis, step.Test, y)
-	case ExactElementName(step.Axis, step.Test):
+	case from == targets && len(step.Preds) > 0 && ExactElementName(step.Axis, step.Test):
 		y = k.Arena.Clone(y)
 	}
 	if len(y) == 0 {
@@ -366,7 +472,7 @@ func (k Backward) step(step *xpath.Step, y xmltree.NodeSet, seeded bool) (xmltre
 	if step.Positional() {
 		return k.sources(step, y)
 	}
-	out, err := k.Judge.JudgeStep(step, y)
+	out, err := k.Judge.JudgeStep(step.Preds, y)
 	if err != nil || len(out) == 0 {
 		return nil, err
 	}
@@ -384,6 +490,18 @@ func (k Backward) step(step *xpath.Step, y xmltree.NodeSet, seeded bool) (xmltre
 // survivor is a node one of whose ranked candidates lies in yt; the
 // inverse image is compacted in place.
 func (k Backward) sources(step *xpath.Step, yt xmltree.NodeSet) (xmltree.NodeSet, error) {
+	if RankedByColumn(step) {
+		// The rank column knows every member's ⟨position, size⟩, so only
+		// yt's members are judged, and only at them is anything readied.
+		eval, err := k.Judge.RankStep(step, yt)
+		if err == nil {
+			yt, err = Forward(k).ranked(step, yt, eval)
+		}
+		if err != nil || len(yt) == 0 {
+			return nil, err
+		}
+		return axes.EvalInverse(k.Arena, k.Doc, step.Axis, yt), nil
+	}
 	xs := axes.EvalInverse(k.Arena, k.Doc, step.Axis, yt)
 	if err := k.Cancel.CheckN(len(xs)); err != nil {
 		return nil, err
@@ -425,5 +543,5 @@ func (k Backward) idHead(e xpath.Expr, y xmltree.NodeSet) (xmltree.NodeSet, bool
 	if err := k.Cancel.CheckN(len(y)); err != nil {
 		return nil, false, err
 	}
-	return k.walk(c.Args[0], axes.EvalIDInverse(k.Arena, k.Doc, y), false)
+	return k.walk(c.Args[0], axes.EvalIDInverse(k.Arena, k.Doc, y), given)
 }

@@ -33,7 +33,7 @@ type keepAll struct {
 	judged int
 }
 
-func (j *keepAll) JudgeStep(_ *xpath.Step, yt xmltree.NodeSet) (xmltree.NodeSet, error) {
+func (j *keepAll) JudgeStep(_ []xpath.Expr, yt xmltree.NodeSet) (xmltree.NodeSet, error) {
 	j.judged++
 	return yt, nil
 }
@@ -61,7 +61,7 @@ func (j *keepAll) Head(head xpath.Expr, x xmltree.NodeSet) (xmltree.NodeSet, err
 // judged step drops candidates.
 type sieve struct{ keepAll }
 
-func (j *sieve) JudgeStep(_ *xpath.Step, yt xmltree.NodeSet) (xmltree.NodeSet, error) {
+func (j *sieve) JudgeStep(_ []xpath.Expr, yt xmltree.NodeSet) (xmltree.NodeSet, error) {
 	keep := yt[:0]
 	for _, y := range yt {
 		if y%3 != 0 {

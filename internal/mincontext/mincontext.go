@@ -364,18 +364,18 @@ func (st *Run) RankStep(step *xpath.Step, y xmltree.NodeSet) (evalutil.PredEval,
 // that is a set of nodes already (SetTruth) or reading off the bits of a
 // column over y, else row by row. y itself is left alone: the
 // predicates' tables have it as their context nodes.
-func (st *Run) JudgeStep(step *xpath.Step, y xmltree.NodeSet) (xmltree.NodeSet, error) {
-	if len(step.Preds) == 0 {
+func (st *Run) JudgeStep(preds []xpath.Expr, y xmltree.NodeSet) (xmltree.NodeSet, error) {
+	if len(preds) == 0 {
 		return y, nil
 	}
-	if err := st.tabulateAll(step.Preds, y); err != nil {
+	if err := st.tabulateAll(preds, y); err != nil {
 		return nil, err
 	}
 	if err := st.cancel.CheckN(len(y)); err != nil {
 		return nil, err
 	}
 	src, keep := y, st.ar.Nodes(len(y))
-	for _, pred := range step.Preds {
+	for _, pred := range preds {
 		keep = keep[:0] // from the second predicate on, src filtered in place
 		if truth := st.tabs[xpath.Slot(pred)].truth; truth != nil {
 			keep = truth.IntersectSet(src, keep)

@@ -79,64 +79,9 @@ func NumberToString(v float64) string {
 }
 
 // StringToNumber converts a string to a number (to_number of Section 4
-// and XPath 1.0 §4.4): optional XML whitespace, an optional minus sign,
-// then Number ::= Digits ('.' Digits?)? | '.' Digits, then optional
-// whitespace; anything else is NaN. The grammar is validated by a hand
-// scanner before any conversion, so exponents, "inf", a leading plus
-// and hexadecimal floats — all of which strconv.ParseFloat accepts —
-// are NaN, and a non-numeric string-value (the common case when a
-// comparison meets text) costs one pass and no allocation.
-func StringToNumber(s string) float64 {
-	i, j := 0, len(s)
-	for i < j && xmltree.IsSpace(s[i]) {
-		i++
-	}
-	for j > i && xmltree.IsSpace(s[j-1]) {
-		j--
-	}
-	s = s[i:j]
-	k := 0
-	if k < len(s) && s[k] == '-' {
-		k++
-	}
-	intStart := k
-	for k < len(s) && '0' <= s[k] && s[k] <= '9' {
-		k++
-	}
-	digits := k - intStart
-	if k == len(s) {
-		if digits == 0 {
-			return math.NaN()
-		}
-		if digits <= 15 {
-			// At most 15 decimal digits are exact in a float64.
-			var v float64
-			for _, c := range []byte(s[intStart:]) {
-				v = v*10 + float64(c-'0')
-			}
-			if intStart == 1 {
-				v = -v
-			}
-			return v
-		}
-	} else {
-		if s[k] != '.' {
-			return math.NaN()
-		}
-		k++
-		fracStart := k
-		for k < len(s) && '0' <= s[k] && s[k] <= '9' {
-			k++
-		}
-		if k != len(s) || digits+k-fracStart == 0 {
-			return math.NaN()
-		}
-	}
-	// The text is a valid Number, which ParseFloat converts with correct
-	// rounding; the only error left is ErrRange, whose ±Inf is the value.
-	v, _ := strconv.ParseFloat(s, 64)
-	return v
-}
+// and XPath 1.0 §4.4): xmltree.ParseNumber, the one number rule of the
+// codebase — the label index's value columns parse with it too.
+func StringToNumber(s string) float64 { return xmltree.ParseNumber(s) }
 
 // ToString implements F[[string]] for all four argument types. The
 // document is needed for node sets (string value of the first node in

@@ -156,10 +156,10 @@ func (b *Builder) Done() (*Document, error) {
 	// A counting sort puts the posting lists, each capped at its end, in
 	// one array; count[l] becomes list l's fill cursor.
 	all := make(NodeSet, len(b.elemLabel))
-	ix.named = make([]NodeSet, len(b.count))
+	ix.named = make([]posting, len(b.count))
 	at := int32(0)
 	for l, c := range b.count {
-		ix.named[l] = all[at : at+c : at+c]
+		ix.named[l].set = all[at : at+c : at+c]
 		b.count[l], at = at, at+c
 	}
 	k := 0

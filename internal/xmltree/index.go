@@ -28,9 +28,10 @@ type Index struct {
 	// label numbers the element names from 1 in order of first sight,
 	// and named[label[name]] is the document-ordered set of elements
 	// carrying the name, named[0] that of a name no element has (the
-	// label index; cf. the O(|D|·|Σ|) precomputations of Theorem 10.8).
+	// label index; cf. the O(|D|·|Σ|) precomputations of Theorem 10.8),
+	// with the list's value and rank columns (columns.go).
 	label map[string]int32
-	named []NodeSet
+	named []posting
 
 	// contentBefore[i] counts the content (non-attribute,
 	// non-namespace) nodes among [0, i): prefix sums that give the
@@ -57,7 +58,7 @@ func (ix *Index) SubtreeEnd(x NodeID) NodeID { return ix.subtreeEnd[x] }
 
 // Named returns the document-ordered set of elements with the given
 // name. The returned slice is shared and must not be mutated.
-func (ix *Index) Named(name string) NodeSet { return ix.named[ix.label[name]] }
+func (ix *Index) Named(name string) NodeSet { return ix.named[ix.label[name]].set }
 
 // ContentCount returns the number of content (non-attribute,
 // non-namespace) nodes in the preorder interval [lo, hi), in O(1) via

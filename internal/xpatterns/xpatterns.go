@@ -269,8 +269,8 @@ func (ev *eval) Head(head xpath.Expr, n0 xmltree.NodeSet) (xmltree.NodeSet, erro
 // JudgeStep keeps the members of yt at which every predicate of the step
 // holds: yt ∩ E1[[e1]] ∩ … ∩ E1[[em]], in place. Both kernels judge a
 // step this way.
-func (ev *eval) JudgeStep(step *xpath.Step, yt xmltree.NodeSet) (xmltree.NodeSet, error) {
-	for _, p := range step.Preds {
+func (ev *eval) JudgeStep(preds []xpath.Expr, yt xmltree.NodeSet) (xmltree.NodeSet, error) {
+	for _, p := range preds {
 		x, err := ev.e1(p)
 		if err != nil {
 			return nil, err
