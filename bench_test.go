@@ -402,6 +402,54 @@ func BenchmarkOptMinContextShapes(b *testing.B) {
 	}
 }
 
+// autoRowQueries are the seven queries of internal/core's auto table
+// that auto once sent to TopDown — full XPath with predicates nested at
+// least three deep, over a document of at most 1 024 nodes — followed
+// by two probe queries of the same shape that TopDown won or lost by
+// the widest margins seen on an 841-node auction document.
+var autoRowQueries = []struct{ name, query string }{
+	{"exp3-3", workload.Exp3Query(3)},
+	{"exp3-4", workload.Exp3Query(4)},
+	{"count-d", "//a[b[c[count(d) > 1]]]"},
+	{"count-e", "//a[b[c[d[count(e) > 1]]]]"},
+	{"count-d-position", "//a[b[c[count(d) = position()]]]"},
+	{"increase-last", "//open_auction[count(bidder[increase[. > 1][position() = last()]]) > 1]/itemref"},
+	{"count-abcd", "count(//a[b[c[d]]])"},
+	{"probe/interest-2", "count(//person[profile[interest[2]]])"},
+	{"probe/increase-strlen", "//open_auction[bidder[position() > 1][increase[. > string-length(name(..))]]]"},
+}
+
+// BenchmarkAutoRow runs autoRowQueries under TopDown and OptMinContext
+// over the small documents the removed row covered: DOC(10/100/300) of
+// Experiments 1–3 and two auction documents of 10 and 40 items (218
+// and 841 nodes). It is the record behind auto picking by fragment
+// alone: the row's queries now run on OptMinContext at every size.
+func BenchmarkAutoRow(b *testing.B) {
+	docs := []struct {
+		name string
+		d    *xmltree.Document
+	}{
+		{"doc10", workload.Doc(10)}, {"doc100", workload.Doc(100)}, {"doc300", workload.Doc(300)},
+		{"auction10", workload.Auction(1, 10)}, {"auction40", workload.Auction(1, 40)},
+	}
+	ctx := context.Background()
+	for _, doc := range docs {
+		en := core.NewEngine(doc.d, core.Auto)
+		for _, rq := range autoRowQueries {
+			q := core.MustCompile(rq.query)
+			for _, s := range []core.Strategy{core.TopDown, core.OptMinContext} {
+				b.Run(doc.name+"/"+rq.name+"/"+s.String(), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := en.EvaluateStrategy(ctx, q, rootCtx(doc.d), s); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkFragmentAlgebraShapes is the mirror of
 // BenchmarkOptMinContextShapes for the §10 set algebra: the six Core
 // XPath and six XPatterns templates of the serving benchmark's pool, each

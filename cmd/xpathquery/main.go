@@ -57,7 +57,7 @@ func main() {
 		fail(err)
 	}
 	if *explain {
-		fmt.Print(core.ExplainText(q, doc.Len(), strat))
+		fmt.Print(core.ExplainText(q, strat))
 	}
 	v, err := core.NewEngine(doc, strat).Evaluate(q, core.Context{Node: doc.RootID(), Pos: 1, Size: 1})
 	if err != nil {

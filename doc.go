@@ -35,10 +35,10 @@
 //   - internal/core — the public engine API: compile a query once,
 //     evaluate it with a selectable strategy; Auto picks the best
 //     algorithm per query from one static table over the fragment
-//     classification (core.Explain), and the strategies are exactly
-//     Auto, what its table can pick and MinContext. EvaluateContext
-//     carries a uniform cancellation contract: every engine stops at a
-//     throttled checkpoint once the context is done.
+//     classification alone (core.Explain), and the strategies are
+//     exactly Auto, what its table can pick, TopDown and MinContext.
+//     EvaluateContext carries a uniform cancellation contract: every
+//     engine stops at a throttled checkpoint once the context is done.
 //   - internal/engine — the concurrent serving layer: a thread-safe
 //     LRU cache of compiled queries (compile once per distinct query
 //     under sustained traffic), Sessions binding documents (each

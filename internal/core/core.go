@@ -5,18 +5,20 @@
 // the paper's introduction: Core XPath (Section 10.1) and its extension
 // XPatterns (Section 10.2) run on the linear-time set algebra — one
 // evaluator, internal/xpatterns, behind two admission gates (strategies
-// CoreXPath and XPatterns, refusing with ErrNotInFragment) — queries in
-// the Extended Wadler Fragment, and everything else but deeply nested
-// predicates over a small document, on OptMinContext (Section 11.2),
-// which itself degrades gracefully to MinContext bounds on full XPath.
-// Explain is that table, and the only place that knows it. Strategy
-// names exactly the algorithms the table can pick, plus MinContext, the
-// Section 8 algorithm OptMinContext runs beneath its Wadler-fragment
-// subexpressions. The paper's other rungs — the exponential naive
-// engine of Section 2 with its Section 9 data pool, and the
-// context-value tables of Section 6 — are dominated on every row; they
-// live on as test oracles and experiment baselines (internal/naive,
-// internal/bottomup), reached directly, never through an Engine.
+// CoreXPath and XPatterns, refusing with ErrNotInFragment) — and
+// queries in the Extended Wadler Fragment and full XPath on
+// OptMinContext (Section 11.2), which itself degrades gracefully to
+// MinContext bounds on full XPath. The choice reads the query's
+// fragment alone, never the document. Explain is that table, and the
+// only place that knows it. Strategy names exactly the algorithms the
+// table can pick, plus two that only a fixed strategy runs: TopDown
+// (Section 7) and MinContext, the Section 8 algorithm OptMinContext
+// runs beneath its Wadler-fragment subexpressions. The paper's other
+// rungs — the exponential naive engine of Section 2 with its Section 9
+// data pool, and the context-value tables of Section 6 — are dominated
+// on every row; they live on as test oracles and experiment baselines
+// (internal/naive, internal/bottomup), reached directly, never through
+// an Engine.
 //
 // # Which tree runs
 //
@@ -26,8 +28,8 @@
 // xpath.Optimize of it: steps fused so that //t is one descendant::t
 // step served from t's posting list instead of a pass over every node
 // of the document. Every strategy runs the optimized tree — it is what
-// Expr, Fragment and PredDepth see. The literal tree is what the naive
-// baseline runs, outside this package: the paper's experimental curves
+// Expr and Fragment see. The literal tree is what the naive baseline
+// runs, outside this package: the paper's experimental curves
 // (Experiments 1–5) are about the normal form's cost and must not
 // change shape with this repository's optimizer, and because
 // internal/conformance checks every engine against naive on it, the
@@ -165,17 +167,16 @@ func (f Fragment) Label() string {
 
 // Query is a compiled XPath query. A Query is immutable after
 // compilation — it holds the normalized expression tree, its optimized
-// form, the fragment classification and the predicate nesting depth,
-// never evaluation state — so one compiled Query may be evaluated
-// concurrently by any number of goroutines, over the same document or
-// different ones (internal/engine's compiled-query cache relies on
-// this; see TestConcurrentEvaluation and the engine race tests).
+// form and the fragment classification, never evaluation state — so
+// one compiled Query may be evaluated concurrently by any number of
+// goroutines, over the same document or different ones
+// (internal/engine's compiled-query cache relies on this; see
+// TestConcurrentEvaluation and the engine race tests).
 type Query struct {
 	src     string
 	literal xpath.Expr // the normal form of Section 5: what the naive baseline runs
 	expr    xpath.Expr // xpath.Optimize(literal): what every strategy runs
 	frag    Fragment
-	depth   int // deepest predicate nesting in expr
 }
 
 // Compile parses and normalizes a query.
@@ -201,7 +202,7 @@ func CompileWithBindings(src string, bindings xpath.Bindings) (*Query, error) {
 		return nil, fmt.Errorf("core: query has unbound variables; supply bindings")
 	}
 	opt := xpath.Optimize(e)
-	return &Query{src: src, literal: e, expr: opt, frag: classify(opt), depth: predDepth(opt)}, nil
+	return &Query{src: src, literal: e, expr: opt, frag: classify(opt)}, nil
 }
 
 // MustCompile compiles a query known to be valid; it panics on error.
@@ -241,49 +242,12 @@ func classify(e xpath.Expr) Fragment {
 	return FragmentFullXPath
 }
 
-// PredDepth reports the deepest predicate nesting of the optimized tree
-// ([..[..]..] is 2; a fused //t adds none) — with the fragment, all the
-// Auto table reads of a query.
-func (q *Query) PredDepth() int { return q.depth }
-
-// predDepth is the number of predicates enclosing the most deeply
-// nested subexpression of e.
-func predDepth(e xpath.Expr) int {
-	switch x := e.(type) {
-	case *xpath.FilterExpr:
-		return max(predDepth(x.Primary), deepest(x.Preds, 1))
-	case *xpath.Path:
-		depth := predDepth(x.Filter)
-		for _, st := range x.Steps {
-			depth = max(depth, deepest(st.Preds, 1))
-		}
-		return depth
-	}
-	var few [4]xpath.Expr
-	return deepest(xpath.Operands(e, few[:0]), 0)
-}
-
-// deepest is the largest predDepth among es, each under `under` more
-// predicates.
-func deepest(es []xpath.Expr, under int) int {
-	depth := 0
-	for _, e := range es {
-		depth = max(depth, under+predDepth(e))
-	}
-	return depth
-}
-
-// smallDocNodes is the document size up to which per-node overheads,
-// not asymptotics, decide between TopDown and OptMinContext on full
-// XPath.
-const smallDocNodes = 1024
-
-// Explain is the whole of Auto: the algorithm that runs q over a
-// document of docNodes nodes (0: size unknown) and the reason, one row
-// per fragment of Figure 1. The paper's ladder of algorithms is a
-// dominance order, so the choice is static — no statistics, nothing
-// learned.
-func Explain(q *Query, docNodes int) (Strategy, string) {
+// Explain is the whole of Auto: the algorithm that runs q and the
+// reason, one row per fragment of Figure 1. The paper's ladder of
+// algorithms is a dominance order over the fragments, so the choice is
+// static and reads the query alone — no document size, no statistics,
+// nothing learned.
+func Explain(q *Query) (Strategy, string) {
 	switch q.frag {
 	case FragmentCoreXPath:
 		return CoreXPath, "Core XPath fragment: the linear-time set algebra (Section 10.1) dominates the polynomial engines"
@@ -291,25 +255,23 @@ func Explain(q *Query, docNodes int) (Strategy, string) {
 		return XPatterns, "XPatterns fragment: the linear-time XPatterns algebra (Section 10.2) dominates the polynomial engines"
 	case FragmentWadler:
 		return OptMinContext, "Extended Wadler Fragment: OptMinContext evaluates it bottom-up in linear time per step (Section 11.2)"
+	default:
+		return OptMinContext, "full XPath: OptMinContext degrades gracefully to MinContext bounds (Section 11.2)"
 	}
-	if q.depth >= 3 && docNodes > 0 && docNodes <= smallDocNodes {
-		return TopDown, "full XPath with deeply nested predicates over a small document: the vectorized top-down evaluator (Section 7) avoids the context-value-table blowup in nesting depth"
-	}
-	return OptMinContext, "full XPath: OptMinContext degrades gracefully to MinContext bounds (Section 11.2)"
 }
 
-// ExplainText renders how the library sees q over a document of
-// docNodes nodes under strategy s: both trees, the two inputs of the
-// Auto table, and the algorithm that runs with the reason. It is the
-// one explain path — cmd/xpathexplain and xpathquery -explain print it
-// verbatim, and its strategy line is what /query reports.
-func ExplainText(q *Query, docNodes int, s Strategy) string {
+// ExplainText renders how the library sees q under strategy s: both
+// trees, the fragment the Auto table reads, and the algorithm that runs
+// with the reason. It is the one explain path — cmd/xpathexplain and
+// xpathquery -explain print it verbatim, and its strategy line is what
+// /query reports.
+func ExplainText(q *Query, s Strategy) string {
 	why := "fixed by the configured strategy"
 	if s == Auto {
-		s, why = Explain(q, docNodes)
+		s, why = Explain(q)
 	}
-	return fmt.Sprintf("query:       %s\nnormalized:  %s\noptimized:   %s\nfragment:    %s\npred depth:  %d\n|D|:         %d\nstrategy:    %s\nrationale:   %s\n",
-		q.src, q.literal, q.expr, q.frag, q.depth, docNodes, s, why)
+	return fmt.Sprintf("query:       %s\nnormalized:  %s\noptimized:   %s\nfragment:    %s\nstrategy:    %s\nrationale:   %s\n",
+		q.src, q.literal, q.expr, q.frag, s, why)
 }
 
 // ErrNotInFragment is returned, wrapped with the strategy and the
@@ -347,7 +309,7 @@ func (en *Engine) StrategyFor(q *Query) Strategy {
 	if en.strategy != Auto {
 		return en.strategy
 	}
-	s, _ := Explain(q, en.doc.Len())
+	s, _ := Explain(q)
 	return s
 }
 

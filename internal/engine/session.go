@@ -102,10 +102,6 @@ func (s *Session) Query(src string) (core.Value, error) {
 	return res.Value, res.Err
 }
 
-// StrategyFor reports the concrete algorithm the session would run q
-// with (core.Engine.StrategyFor).
-func (s *Session) StrategyFor(q *core.Query) core.Strategy { return s.en.StrategyFor(q) }
-
 // Evaluate runs an already-compiled query from the document root.
 func (s *Session) Evaluate(q *core.Query) (core.Value, error) {
 	return s.EvaluateContext(context.Background(), q)

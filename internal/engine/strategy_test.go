@@ -8,17 +8,18 @@ import (
 	"repro/internal/workload"
 )
 
-// deepQuery is full XPath with predicates nested three deep: the one
-// row of the Auto table (core.Explain) that reads the document size.
+// deepQuery is full XPath with predicates nested three deep, which
+// the Auto table (core.Explain) sends to OptMinContext whatever the
+// document.
 const deepQuery = "//a[b[c[count(d) > 1]]]"
 
-// TestSharedCompilationAcrossStrategies: the compile cache is keyed on
-// the query source alone, so when one source runs under different
-// strategies — here the same Auto engine over a small and a large
-// document — it is compiled once into the cache and the second request
-// hits the shared entry. (The text is sighted once first: the cache
-// admits a query on its second miss.)
-func TestSharedCompilationAcrossStrategies(t *testing.T) {
+// TestSharedCompilationAcrossSessions: the compile cache is keyed on the
+// query source alone, so when one source runs in sessions over a small
+// and a large document it is compiled once into the cache, the second
+// request hits the shared entry, and both run the strategy its
+// fragment picks. (The text is sighted once first: the cache admits a
+// query on its second miss.)
+func TestSharedCompilationAcrossSessions(t *testing.T) {
 	e := New(Options{Strategy: core.Auto, CacheSize: 8})
 	if _, err := e.Compile(deepQuery); err != nil {
 		t.Fatal(err)
@@ -28,11 +29,11 @@ func TestSharedCompilationAcrossStrategies(t *testing.T) {
 	if r1.Err != nil || r2.Err != nil {
 		t.Fatal(r1.Err, r2.Err)
 	}
-	if r1.Strategy != core.TopDown || r2.Strategy != core.OptMinContext {
-		t.Fatalf("ran %v then %v, want TopDown on the small document and OptMinContext on the large", r1.Strategy, r2.Strategy)
+	if r1.Strategy != core.OptMinContext || r2.Strategy != core.OptMinContext {
+		t.Fatalf("ran %v then %v, want OptMinContext on both documents", r1.Strategy, r2.Strategy)
 	}
 	if r1.Compiled != r2.Compiled {
-		t.Fatal("the two strategies ran different compiled queries")
+		t.Fatal("the two sessions ran different compiled queries")
 	}
 	if st := e.Stats(); st.Misses != 2 || st.Hits != 1 || st.Rejects != 1 {
 		t.Fatalf("cache misses %d hits %d rejects %d, want 2, 1 and 1: one cached parse per source across strategies", st.Misses, st.Hits, st.Rejects)
@@ -47,7 +48,7 @@ func TestPlannerOptionIgnored(t *testing.T) {
 	for _, mode := range []planner.Mode{"", "off", "rules", "adaptive"} {
 		sess := New(Options{Strategy: core.Auto, Planner: mode, Fallback: mode == "adaptive"}).NewSession(doc)
 		for src, want := range map[string]core.Strategy{
-			"//a": core.CoreXPath, "//a[position() = 2]": core.OptMinContext, deepQuery: core.TopDown,
+			"//a": core.CoreXPath, "//a[position() = 2]": core.OptMinContext, deepQuery: core.OptMinContext,
 		} {
 			res := sess.Do(src)
 			if res.Err != nil || res.Strategy != want {
