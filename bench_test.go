@@ -1,20 +1,22 @@
 package repro
 
-// Benchmarks regenerating the paper's tables and figures as testing.B
-// targets, one family per experiment:
+// Benchmarks of the evaluators and the serving stack. BenchmarkPaper
+// regenerates the paper's tables and figures as testing.B targets, one
+// sub-benchmark per point of the experiments in internal/bench
+// (bench.Experiments), named experiment/engine/doc=N/k=M:
 //
-//	Figure 2 left   → BenchmarkExp1*
-//	Figure 2 right  → BenchmarkExp2*
-//	Figure 3 left   → BenchmarkExp3*
-//	Figure 3 right  → BenchmarkExp4*
-//	Figure 4        → BenchmarkExp5*
-//	Table V/Fig 12  → BenchmarkTable5*
-//	Table VII       → BenchmarkTable7*
-//	(ablations)     → BenchmarkEngines*, BenchmarkFragments*
+//	Figure 2 left   → BenchmarkPaper/exp1
+//	Figure 2 right  → BenchmarkPaper/exp2
+//	Figure 3 left   → BenchmarkPaper/exp3
+//	Figure 3 right  → BenchmarkPaper/exp4
+//	Figure 4        → BenchmarkPaper/exp5a, BenchmarkPaper/exp5b
+//	Table V/Fig 12  → BenchmarkPaper/table5
+//	Table VII       → BenchmarkPaper/table7
+//	(ablations)     → BenchmarkPaper/ablate
 //
-// The naive benches are parameterized at query sizes that finish in
-// reasonable time; the cmd/xpathbench tool runs the full sweeps with
-// per-point caps, reproducing the '-' entries of the paper's tables.
+// Its points are query sizes that finish in reasonable time; the
+// cmd/xpathbench tool runs the full sweeps with per-point caps,
+// reproducing the '-' entries of the paper's tables.
 
 import (
 	"bytes"
@@ -29,17 +31,13 @@ import (
 	"testing"
 
 	"repro/internal/axes"
-	"repro/internal/bottomup"
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/mincontext"
-	"repro/internal/naive"
 	"repro/internal/obs"
 	"repro/internal/semantics"
 	"repro/internal/serve"
 	"repro/internal/store"
-	"repro/internal/topdown"
-	"repro/internal/wadler"
 	"repro/internal/workload"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -50,262 +48,33 @@ func rootCtx(d *xmltree.Document) semantics.Context {
 	return semantics.Context{Node: d.RootID(), Pos: 1, Size: 1}
 }
 
-type evaluator interface {
-	Evaluate(e xpath.Expr, c semantics.Context) (semantics.Value, error)
-}
-
-func benchQuery(b *testing.B, eng evaluator, d *xmltree.Document, query string) {
-	b.Helper()
-	e, err := xpath.Parse(query)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Evaluate(e, rootCtx(d)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Experiment 1 (Figure 2 left): //a/b(/parent::a/b)^k on DOC(2) ---
-
-func BenchmarkExp1Naive(b *testing.B) {
-	d := workload.Doc(2)
-	for _, k := range []int{4, 8, 12, 16} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			benchQuery(b, naive.New(d), d, workload.Exp1Query(k))
-		})
-	}
-}
-
-func BenchmarkExp1TopDown(b *testing.B) {
-	d := workload.Doc(2)
-	for _, k := range []int{4, 8, 16, 25} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			benchQuery(b, topdown.New(d), d, workload.Exp1Query(k))
-		})
-	}
-}
-
-// --- Experiment 2 (Figure 2 right): nested comparisons on DOC'(i) ---
-
-func BenchmarkExp2Naive(b *testing.B) {
-	for _, i := range []int{2, 10} {
-		d := workload.DocPrime(i)
-		for _, k := range []int{1, 2, 3} {
-			b.Run(fmt.Sprintf("doc=%d/k=%d", i, k), func(b *testing.B) {
-				benchQuery(b, naive.New(d), d, workload.Exp2Query(k))
-			})
-		}
-	}
-}
-
-func BenchmarkExp2TopDown(b *testing.B) {
-	for _, i := range []int{10, 200} {
-		d := workload.DocPrime(i)
-		for _, k := range []int{5, 20, 50} {
-			b.Run(fmt.Sprintf("doc=%d/k=%d", i, k), func(b *testing.B) {
-				benchQuery(b, topdown.New(d), d, workload.Exp2Query(k))
-			})
-		}
-	}
-}
-
-// --- Experiment 3 (Figure 3 left): nested count() on DOC(i) ---
-
-func BenchmarkExp3Naive(b *testing.B) {
-	for _, i := range []int{2, 10} {
-		d := workload.Doc(i)
-		for _, k := range []int{2, 4} {
-			b.Run(fmt.Sprintf("doc=%d/k=%d", i, k), func(b *testing.B) {
-				benchQuery(b, naive.New(d), d, workload.Exp3Query(k))
-			})
-		}
-	}
-}
-
-func BenchmarkExp3DataPool(b *testing.B) {
-	for _, i := range []int{10, 200} {
-		d := workload.Doc(i)
-		for _, k := range []int{4, 8} {
-			b.Run(fmt.Sprintf("doc=%d/k=%d", i, k), func(b *testing.B) {
-				q := xpath.MustParse(workload.Exp3Query(k))
-				b.ResetTimer()
-				for j := 0; j < b.N; j++ {
-					ev, _ := naive.NewPooled(d)
-					if _, err := ev.Evaluate(q, rootCtx(d)); err != nil {
-						b.Fatal(err)
+// BenchmarkPaper times each point of the Bench grids of
+// bench.Experiments as experiment/engine/doc=N/k=M, one evaluation per
+// iteration on a fresh evaluator (the data pool's memo must not carry
+// over) and on a document built once per grid and size.
+func BenchmarkPaper(b *testing.B) {
+	for _, x := range bench.Experiments {
+		for _, g := range x.Bench {
+			for _, n := range g.Docs {
+				var d *xmltree.Document // built by its first point that runs, so a filtered run builds only what it times
+				for _, eng := range g.Engines {
+					for _, k := range g.Ks {
+						b.Run(fmt.Sprintf("%s/%s/doc=%d/k=%d", x.Name, eng, n, k), func(b *testing.B) {
+							if d == nil {
+								d = x.Doc(n)
+							}
+							mk, e := bench.Engines[eng], xpath.MustParse(x.Query(k))
+							b.ResetTimer()
+							for i := 0; i < b.N; i++ {
+								if _, err := mk(d).Evaluate(e, rootCtx(d)); err != nil {
+									b.Fatal(err)
+								}
+							}
+						})
 					}
 				}
-			})
+			}
 		}
-	}
-}
-
-// --- Experiment 4 (Figure 3 right): fixed query, document sweep ---
-
-func BenchmarkExp4CoreXPath(b *testing.B) {
-	q := workload.Exp4Query(20)
-	for _, n := range []int{5000, 20000, 50000} {
-		d := workload.Doc(n)
-		b.Run(fmt.Sprintf("doc=%d", n), func(b *testing.B) {
-			benchQuery(b, xpatterns.New(d), d, q)
-		})
-	}
-}
-
-func BenchmarkExp4TopDown(b *testing.B) {
-	q := workload.Exp4Query(20)
-	for _, n := range []int{50, 100, 200} {
-		d := workload.Doc(n)
-		b.Run(fmt.Sprintf("doc=%d", n), func(b *testing.B) {
-			benchQuery(b, topdown.New(d), d, q)
-		})
-	}
-}
-
-// --- Experiment 5 (Figure 4): forward-axis chains ---
-
-func BenchmarkExp5FollowingNaive(b *testing.B) {
-	for _, i := range []int{20, 50} {
-		d := workload.Doc(i)
-		for _, k := range []int{3, 5} {
-			b.Run(fmt.Sprintf("doc=%d/k=%d", i, k), func(b *testing.B) {
-				benchQuery(b, naive.New(d), d, workload.Exp5FollowingQuery(k))
-			})
-		}
-	}
-}
-
-func BenchmarkExp5DescendantNaive(b *testing.B) {
-	for _, i := range []int{20, 50} {
-		d := workload.DeepDoc(i)
-		for _, k := range []int{3, 5} {
-			b.Run(fmt.Sprintf("depth=%d/k=%d", i, k), func(b *testing.B) {
-				benchQuery(b, naive.New(d), d, workload.Exp5DescendantQuery(k))
-			})
-		}
-	}
-}
-
-func BenchmarkExp5TopDown(b *testing.B) {
-	d := workload.Doc(50)
-	for _, k := range []int{5, 10, 20} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			benchQuery(b, topdown.New(d), d, workload.Exp5FollowingQuery(k))
-		})
-	}
-}
-
-// --- Table V / Figure 12: classic vs data pool ---
-
-func BenchmarkTable5Classic(b *testing.B) {
-	d := workload.Doc(10)
-	for _, k := range []int{2, 4, 6} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			benchQuery(b, naive.New(d), d, workload.Exp3Query(k))
-		})
-	}
-}
-
-func BenchmarkTable5DataPool(b *testing.B) {
-	for _, i := range []int{10, 200} {
-		d := workload.Doc(i)
-		for _, k := range []int{4, 8} {
-			b.Run(fmt.Sprintf("doc=%d/k=%d", i, k), func(b *testing.B) {
-				q := xpath.MustParse(workload.Exp3Query(k))
-				b.ResetTimer()
-				for j := 0; j < b.N; j++ {
-					ev, _ := naive.NewPooled(d)
-					if _, err := ev.Evaluate(q, rootCtx(d)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// --- Table VII: IE6 model vs XMLTaskforce (top-down) ---
-
-func BenchmarkTable7XMLTaskforce(b *testing.B) {
-	for _, i := range []int{10, 200, 1000, 2000} {
-		d := workload.DocPrime(i)
-		for _, k := range []int{1, 10, 50} {
-			b.Run(fmt.Sprintf("doc=%d/k=%d", i, k), func(b *testing.B) {
-				benchQuery(b, topdown.New(d), d, workload.Exp2Query(k))
-			})
-		}
-	}
-}
-
-func BenchmarkTable7IE6Model(b *testing.B) {
-	for _, i := range []int{10, 20} {
-		d := workload.DocPrime(i)
-		for _, k := range []int{2, 3} {
-			b.Run(fmt.Sprintf("doc=%d/k=%d", i, k), func(b *testing.B) {
-				benchQuery(b, naive.New(d), d, workload.Exp2Query(k))
-			})
-		}
-	}
-}
-
-// --- Ablations: every engine on the same workloads ---
-
-// BenchmarkEnginesGeneral compares all general-purpose engines on a
-// full-XPath query over a realistic catalog.
-func BenchmarkEnginesGeneral(b *testing.B) {
-	d := workload.Catalog(100)
-	const q = "//product[count(child::*) > 2]/child::name"
-	engines := map[string]evaluator{
-		"naive":         naive.New(d),
-		"topdown":       topdown.New(d),
-		"mincontext":    mincontext.New(d),
-		"optmincontext": wadler.New(d),
-		"bottomup":      bottomup.New(d),
-	}
-	for name, eng := range engines {
-		b.Run(name, func(b *testing.B) {
-			benchQuery(b, eng, d, q)
-		})
-	}
-}
-
-// BenchmarkFragmentsCoreXPath pits the linear-time algebra against the
-// general engines on a Core XPath query (Corollary 11.5's point). The
-// corexpath row is internal/xpatterns: the Core XPath and XPatterns
-// gates admit to that one evaluator.
-func BenchmarkFragmentsCoreXPath(b *testing.B) {
-	d := workload.Catalog(1000)
-	const q = "//product[child::discontinued]/child::name"
-	engines := map[string]evaluator{
-		"corexpath":     xpatterns.New(d),
-		"topdown":       topdown.New(d),
-		"mincontext":    mincontext.New(d),
-		"optmincontext": wadler.New(d),
-	}
-	for name, eng := range engines {
-		b.Run(name, func(b *testing.B) {
-			benchQuery(b, eng, d, q)
-		})
-	}
-}
-
-// BenchmarkFragmentsWadler measures the Wadler-fragment bottom-up
-// optimization against plain MinContext on a position-heavy query.
-func BenchmarkFragmentsWadler(b *testing.B) {
-	d := workload.Catalog(500)
-	const q = "//product[child::price = 10 and position() != last()]"
-	engines := map[string]evaluator{
-		"optmincontext": wadler.New(d),
-		"mincontext":    mincontext.New(d),
-		"topdown":       topdown.New(d),
-	}
-	for name, eng := range engines {
-		b.Run(name, func(b *testing.B) {
-			benchQuery(b, eng, d, q)
-		})
 	}
 }
 
@@ -544,7 +313,13 @@ func BenchmarkAxes(b *testing.B) {
 	d := workload.Catalog(2000)
 	for _, q := range []string{"//*", "//*/following::*", "//*/ancestor::*"} {
 		b.Run(q, func(b *testing.B) {
-			benchQuery(b, xpatterns.New(d), d, q)
+			e, ev := xpath.MustParse(q), xpatterns.New(d)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ev.Evaluate(e, rootCtx(d)); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

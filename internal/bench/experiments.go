@@ -2,267 +2,246 @@ package bench
 
 import (
 	"fmt"
+	"io"
+	"strconv"
+	"strings"
 	"time"
 
-	"repro/internal/mincontext"
 	"repro/internal/workload"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
-	"repro/internal/xpatterns"
 )
 
-// Exp1 reproduces Experiment 1 (Figure 2, left): exponential query
-// complexity of XALAN and XT on DOC(2) with antagonist-axis queries
-// //a/b(/parent::a/b)^k. The naive engine models XALAN/XT; the top-down
-// engine shows the paper's fix on the same workload.
-func Exp1(cfg Config) []Series {
-	d := workload.Doc(2)
-	ks := intsUpTo(25)
-	series := []Series{
-		sweep(naiveRunner{d}, d, workload.Exp1Query, ks, cfg.cap(), "naive (models XALAN/XT)"),
-		sweep(topdownRunner{d}, d, workload.Exp1Query, ks, cfg.cap(), "topdown (ours)"),
-	}
-	FprintSeries(cfg.out(), "Experiment 1: //a/b(/parent::a/b)^k on DOC(2)", series)
-	return series
+// An Experiment is one row of the paper's evaluation: a document and a
+// query family, the series Run sweeps and the points BenchmarkPaper times.
+type Experiment struct {
+	Name   string // the -exp name of cmd/xpathbench and BenchmarkPaper's first element
+	Figure string // the figure or table of the paper it regenerates
+	Title  string // the printed header
+	Doc    func(n int) *xmltree.Document
+	Query  func(k int) string
+	Lines  []Line // the series, in print order
+	Bench  []Grid // sizes that finish in reasonable time under testing.B
+	Scaled bool   // Config.Scale multiplies the Lines' document sizes
+	// print replaces Fprint for the rows whose table has another shape.
+	print func(w io.Writer, x Experiment, series []Series)
 }
 
-// Exp2 reproduces Experiment 2 (Figure 2, right): exponential query
-// complexity of Saxon on DOC′(i), i ∈ {2, 3, 10, 200}, with nested
-// path/comparison predicates.
-func Exp2(cfg Config) []Series {
-	var series []Series
-	for _, i := range []int{2, 3, 10, 200} {
-		d := workload.DocPrime(i)
-		series = append(series, sweep(naiveRunner{d}, d, workload.Exp2Query,
-			intsUpTo(30), cfg.cap(), fmt.Sprintf("naive doc %d (models Saxon)", i)))
-	}
-	d := workload.DocPrime(200)
-	series = append(series, sweep(topdownRunner{d}, d, workload.Exp2Query,
-		intsUpTo(30), cfg.cap(), "topdown doc 200 (ours)"))
-	FprintSeries(cfg.out(), "Experiment 2: nested //*[parent::a/child::* = 'c'] on DOC'(i)", series)
-	return series
+// A Line is one engine's series: one per size in Docs over the query
+// sizes Ks, or — when Ks holds a single size — one over Docs. A %d in
+// Label becomes the document size.
+type Line struct {
+	Engine, Label string
+	Docs, Ks      []int
+	CapX          int // multiplies Config.Cap for this line (0: 1)
 }
 
-// Exp3 reproduces Experiment 3 (Figure 3, left): exponential query
-// complexity of IE6 on DOC(i) with nested count() predicates.
-func Exp3(cfg Config) []Series {
-	var series []Series
-	for _, i := range []int{2, 3, 10, 200} {
-		d := workload.Doc(i)
-		series = append(series, sweep(naiveRunner{d}, d, workload.Exp3Query,
-			intsUpTo(30), cfg.cap(), fmt.Sprintf("naive doc %d (models IE6)", i)))
-	}
-	d := workload.Doc(200)
-	series = append(series, sweep(topdownRunner{d}, d, workload.Exp3Query,
-		intsUpTo(30), cfg.cap(), "topdown doc 200 (ours)"))
-	FprintSeries(cfg.out(), "Experiment 3: nested //a/b[count(parent::a/b) > 1] on DOC(i)", series)
-	return series
+// A Grid is every engine of Engines on every size in Docs and in Ks.
+type Grid struct {
+	Engines  []string
+	Docs, Ks []int
 }
 
-// Exp4 reproduces Experiment 4 (Figure 3, right): data complexity for
-// the fixed query //a + q(20) + //b, which IE6 evaluates in quadratic
-// time. We cannot run IE6; instead the harness brackets its curve from
-// both sides. The query family lies in Core XPath, so our Auto engine
-// dispatches to the linear-time algebra (Section 10.1) and scales to
-// the paper's 50 000-node granularity; the general-purpose top-down
-// engine is polynomial but super-quadratic on this family. The harness
-// reports the timings plus first and second differences f′ and f″ for
-// the linear engine (for IE6's quadratic curve, f″ was the constant).
-func Exp4(cfg Config) []Series {
-	query := workload.Exp4Query(20)
-	scale := cfg.Scale
-	if scale <= 0 {
-		scale = 1
+// multiples returns step, 2·step, …, n·step.
+func multiples(step, n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = (i + 1) * step
 	}
-	// Linear-time Core XPath engine at the paper's granularity
-	// (5000-node steps up to 50 000).
-	base := int(5000 * scale)
-	if base < 50 {
-		base = 50
-	}
-	var bigDocs []*xmltree.Document
-	for n := base; n <= 10*base; n += base {
-		bigDocs = append(bigDocs, workload.Doc(n))
-	}
-	series := []Series{
-		docSweep(func(d *xmltree.Document) engineRunner { return cxRunner{d} },
-			bigDocs, query, cfg.cap()*10, "corexpath (linear, ours)"),
-	}
-	// Top-down engine on a smaller sweep (it is super-quadratic here).
-	smallBase := base / 10
-	if smallBase < 25 {
-		smallBase = 25
-	}
-	var smallDocs []*xmltree.Document
-	for n := smallBase; n <= 8*smallBase; n += smallBase {
-		smallDocs = append(smallDocs, workload.Doc(n))
-	}
-	series = append(series,
-		docSweep(func(d *xmltree.Document) engineRunner { return topdownRunner{d} },
-			smallDocs, query, cfg.cap(), "topdown (general-purpose)"))
-	FprintDocSeries(cfg.out(), "Experiment 4: fixed //a+q(20)+//b, document sweep (f)", series)
-	// First and second differences for the linear engine.
-	w := cfg.out()
-	pts := series[0].Points
-	fmt.Fprintf(w, "%10s %12s %12s %12s\n", "|D|", "f (ms)", "f'", "f''")
-	var prev, prevD float64
-	for i, p := range pts {
-		d1, d2 := 0.0, 0.0
-		if i > 0 {
-			d1 = p.Millis - prev
-		}
-		if i > 1 {
-			d2 = d1 - prevD
-		}
-		fmt.Fprintf(w, "%10d %12.2f %12.2f %12.2f\n", p.DocSize, p.Millis, d1, d2)
-		if i > 0 {
-			prevD = d1
-		}
-		prev = p.Millis
-	}
-	fmt.Fprintln(w)
-	return series
+	return out
 }
 
-// Exp5 reproduces Experiment 5 (Figure 4): exponential behaviour with
-// forward axes only. Part (a) chains following::b on flat DOC(i); part
-// (b) chains //b on deep non-branching documents.
-func Exp5(cfg Config, descendant bool) []Series {
-	var series []Series
-	for _, i := range []int{20, 25, 30, 40, 50} {
-		var d *xmltree.Document
-		var gen func(int) string
-		var label string
-		if descendant {
-			d = workload.DeepDoc(i)
-			gen = workload.Exp5DescendantQuery
-			label = fmt.Sprintf("naive doc %d (descendant)", i)
-		} else {
-			d = workload.Doc(i)
-			gen = workload.Exp5FollowingQuery
-			label = fmt.Sprintf("naive doc %d (following)", i)
-		}
-		series = append(series, sweep(naiveRunner{d}, d, gen, intsUpTo(20), cfg.cap(), label))
-	}
-	// Our engine on the largest document for contrast.
-	if descendant {
-		d := workload.DeepDoc(50)
-		series = append(series, sweep(topdownRunner{d}, d, workload.Exp5DescendantQuery,
-			intsUpTo(20), cfg.cap(), "topdown doc 50 (ours)"))
-		FprintSeries(cfg.out(), "Experiment 5(b): count(//b//b…//b) on deep paths", series)
-	} else {
-		d := workload.Doc(50)
-		series = append(series, sweep(topdownRunner{d}, d, workload.Exp5FollowingQuery,
-			intsUpTo(20), cfg.cap(), "topdown doc 50 (ours)"))
-		FprintSeries(cfg.out(), "Experiment 5(a): count(//b/following::b…) on DOC(i)", series)
-	}
-	return series
+// ablationQueries are one query per fragment of Figure 1, in that
+// order: the ablation's query sizes 1–3.
+var ablationQueries = []struct{ name, query string }{
+	{"core-xpath", "//product[child::discontinued]/child::name"},
+	{"wadler", "//product[child::price = 10 and position() != last()]"},
+	{"full-xpath", "//product[count(child::*) > 2]/child::name"},
 }
 
-// Table5 reproduces Table V (and Figure 12): "Xalan classic" versus
-// "Xalan + data pool" on the Experiment 3 queries over DOC(10) and
-// DOC(200). The naive engine is the classic column; the same engine
-// with the Section 9 data pool is the fixed column.
-func Table5(cfg Config) []Series {
-	ks := intsUpTo(8)
-	var series []Series
-	for _, i := range []int{10, 200} {
-		d := workload.Doc(i)
-		series = append(series,
-			sweep(naiveRunner{d}, d, workload.Exp3Query, ks, cfg.cap(),
-				fmt.Sprintf("classic doc %d", i)),
-			sweep(datapoolRunner{d}, d, workload.Exp3Query, ks, cfg.cap(),
-				fmt.Sprintf("data pool doc %d", i)))
-	}
-	FprintSeries(cfg.out(), "Table V: naive (Xalan classic) vs data pool, Experiment-3 queries", series)
-	return series
-}
-
-// Table7 reproduces Table VII: "IE6" (naive model) versus "XMLTaskforce
-// XPath" (the top-down engine) on the Experiment 2 queries, across
-// document sizes 10–2000 and query sizes up to 50. The expected shape:
-// the naive column explodes past |Q| ≈ 3 on large documents; the
-// top-down column grows linearly in |Q| and quadratically in |D|.
-func Table7(cfg Config) []Series {
-	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 20, 30, 40, 50}
-	var series []Series
-	for _, i := range []int{10, 20, 200} {
-		d := workload.DocPrime(i)
-		series = append(series, sweep(naiveRunner{d}, d, workload.Exp2Query,
-			intsUpTo(8), cfg.cap(), fmt.Sprintf("IE6-model doc %d", i)))
-	}
-	for _, i := range []int{10, 20, 200, 500, 1000, 2000} {
-		d := workload.DocPrime(i)
-		series = append(series, sweep(topdownRunner{d}, d, workload.Exp2Query,
-			ks, cfg.cap()*5, fmt.Sprintf("XMLTaskforce doc %d", i)))
-	}
-	FprintSeries(cfg.out(), "Table VII: naive (IE6 model) vs top-down (XMLTaskforce), Experiment-2 queries", series)
-	return series
-}
-
-// Ablation compares all engines on three representative queries — one
-// per fragment of Figure 1 — over a realistic catalog document. It
-// regenerates the design-choice comparison DESIGN.md calls out:
-// specialized fragment evaluators versus the general algorithms.
-func Ablation(cfg Config) []Series {
-	d := workload.Catalog(300)
-	queries := map[string]string{
-		"core-xpath": "//product[child::discontinued]/child::name",
-		"wadler":     "//product[child::price = 10 and position() != last()]",
-		"full-xpath": "//product[count(child::*) > 2]/child::name",
-	}
-	var series []Series
-	w := cfg.out()
-	fmt.Fprintf(w, "== Ablation: engines × fragments on Catalog(300), |D|=%d ==\n", d.Len())
-	fmt.Fprintf(w, "%-12s %-15s %12s\n", "query", "engine", "time")
-	for qname, q := range queries {
-		e := xpath.MustParse(q)
-		runners := []struct {
-			name string
-			r    engineRunner
-		}{
-			{"naive", naiveRunner{d}},
-			{"datapool", datapoolRunner{d}},
-			{"topdown", topdownRunner{d}},
-			{"mincontext", mcRunner{d}},
-			{"optmincontext", optmincontextRunner{d}},
-		}
-		if xpatterns.InCoreXPath(e) {
-			runners = append(runners, struct {
-				name string
-				r    engineRunner
-			}{"corexpath", cxRunner{d}})
-		}
-		s := Series{Label: qname}
-		for _, rn := range runners {
-			dur, _, _, err := rn.r.run(e, int64(5e8))
-			if err != nil {
-				fmt.Fprintf(w, "%-12s %-15s %12s\n", qname, rn.name, "error: "+err.Error())
-				continue
+// Experiments are the rows cmd/xpathbench runs, in the order -exp all
+// runs them. The naive engine models the XSLT processors the paper
+// measured (XALAN, XT, Saxon, IE6); topdown is the paper's fix.
+var Experiments = []Experiment{{
+	Name: "exp1", Figure: "Figure 2, left", Doc: workload.Doc, Query: workload.Exp1Query,
+	Title: "Experiment 1: //a/b(/parent::a/b)^k on DOC(2)",
+	Lines: []Line{
+		{Engine: "naive", Label: "naive (models XALAN/XT)", Docs: []int{2}, Ks: multiples(1, 25)},
+		{Engine: "topdown", Label: "topdown (ours)", Docs: []int{2}, Ks: multiples(1, 25)},
+	},
+	Bench: []Grid{{[]string{"naive"}, []int{2}, []int{4, 8, 12, 16}}, {[]string{"topdown"}, []int{2}, []int{4, 8, 16, 25}}},
+}, {
+	Name: "exp2", Figure: "Figure 2, right", Doc: workload.DocPrime, Query: workload.Exp2Query,
+	Title: "Experiment 2: nested //*[parent::a/child::* = 'c'] on DOC'(i)",
+	Lines: []Line{
+		{Engine: "naive", Label: "naive doc %d (models Saxon)", Docs: []int{2, 3, 10, 200}, Ks: multiples(1, 30)},
+		{Engine: "topdown", Label: "topdown doc %d (ours)", Docs: []int{200}, Ks: multiples(1, 30)},
+	},
+	Bench: []Grid{{[]string{"naive"}, []int{2, 10}, []int{1, 2, 3}}, {[]string{"topdown"}, []int{10, 200}, []int{5, 20, 50}}},
+}, {
+	Name: "exp3", Figure: "Figure 3, left", Doc: workload.Doc, Query: workload.Exp3Query,
+	Title: "Experiment 3: nested //a/b[count(parent::a/b) > 1] on DOC(i)",
+	Lines: []Line{
+		{Engine: "naive", Label: "naive doc %d (models IE6)", Docs: []int{2, 3, 10, 200}, Ks: multiples(1, 30)},
+		{Engine: "topdown", Label: "topdown doc %d (ours)", Docs: []int{200}, Ks: multiples(1, 30)},
+	},
+	Bench: []Grid{{[]string{"naive"}, []int{2, 10}, []int{2, 4}}},
+}, {
+	// IE6 is quadratic on this query; the row brackets it: the query is
+	// Core XPath, so the linear algebra (Section 10.1) reaches the
+	// paper's 5 000-node steps, while topdown is super-quadratic here.
+	// f′ and f″ are the linear engine's first and second differences
+	// (for IE6's quadratic curve, f″ was the constant).
+	Name: "exp4", Figure: "Figure 3, right", Doc: workload.Doc, Query: workload.Exp4Query, Scaled: true,
+	Title: "Experiment 4: fixed //a+q(20)+//b, document sweep (f)",
+	Lines: []Line{
+		{Engine: "corexpath", Label: "corexpath (linear, ours)", Docs: multiples(5000, 10), Ks: []int{20}, CapX: 10},
+		{Engine: "topdown", Label: "topdown (general-purpose)", Docs: multiples(500, 8), Ks: []int{20}},
+	},
+	Bench: []Grid{{[]string{"corexpath"}, []int{5000, 20000, 50000}, []int{20}}, {[]string{"topdown"}, []int{50, 100, 200}, []int{20}}},
+	print: func(w io.Writer, x Experiment, series []Series) {
+		Fprint(w, x.Title, true, series)
+		fmt.Fprintf(w, "%10s %12s %12s %12s\n", "|D|", "f (ms)", "f'", "f''")
+		var f, d1 float64 // the previous point's f and f′
+		for i, p := range series[0].Points {
+			var d, d2 float64
+			if i > 0 {
+				d = p.Millis - f
 			}
-			fmt.Fprintf(w, "%-12s %-15s %12.3fms\n", qname, rn.name, float64(dur.Microseconds())/1000)
-			s.Points = append(s.Points, Point{Millis: float64(dur.Microseconds()) / 1000, DocSize: d.Len()})
+			if i > 1 {
+				d2 = d - d1
+			}
+			fmt.Fprintf(w, "%10d %12.2f %12.2f %12.2f\n", p.DocSize, p.Millis, d, d2)
+			f, d1 = p.Millis, d
 		}
-		series = append(series, s)
+		fmt.Fprintln(w)
+	},
+}, {
+	Name: "exp5a", Figure: "Figure 4a", Doc: workload.Doc, Query: workload.Exp5FollowingQuery,
+	Title: "Experiment 5(a): count(//b/following::b…) on DOC(i)",
+	Lines: []Line{
+		{Engine: "naive", Label: "naive doc %d (following)", Docs: []int{20, 25, 30, 40, 50}, Ks: multiples(1, 20)},
+		{Engine: "topdown", Label: "topdown doc %d (ours)", Docs: []int{50}, Ks: multiples(1, 20)},
+	},
+	Bench: []Grid{{[]string{"naive"}, []int{20, 50}, []int{3, 5}}, {[]string{"topdown"}, []int{50}, []int{5, 10, 20}}},
+}, {
+	Name: "exp5b", Figure: "Figure 4b", Doc: workload.DeepDoc, Query: workload.Exp5DescendantQuery,
+	Title: "Experiment 5(b): count(//b//b…//b) on deep paths",
+	Lines: []Line{
+		{Engine: "naive", Label: "naive doc %d (descendant)", Docs: []int{20, 25, 30, 40, 50}, Ks: multiples(1, 20)},
+		{Engine: "topdown", Label: "topdown doc %d (ours)", Docs: []int{50}, Ks: multiples(1, 20)},
+	},
+	Bench: []Grid{{[]string{"naive"}, []int{20, 50}, []int{3, 5}}},
+}, {
+	Name: "table5", Figure: "Table V, Figure 12", Doc: workload.Doc, Query: workload.Exp3Query,
+	Title: "Table V: naive (Xalan classic) vs data pool, Experiment-3 queries",
+	Lines: []Line{
+		{Engine: "naive", Label: "classic doc %d", Docs: []int{10}, Ks: multiples(1, 8)},
+		{Engine: "datapool", Label: "data pool doc %d", Docs: []int{10}, Ks: multiples(1, 8)},
+		{Engine: "naive", Label: "classic doc %d", Docs: []int{200}, Ks: multiples(1, 8)},
+		{Engine: "datapool", Label: "data pool doc %d", Docs: []int{200}, Ks: multiples(1, 8)},
+	},
+	Bench: []Grid{{[]string{"naive"}, []int{10}, []int{2, 4, 6}}, {[]string{"datapool"}, []int{10, 200}, []int{4, 8}}},
+}, {
+	// The naive column explodes past |Q| ≈ 3 on large documents; the
+	// top-down column grows linearly in |Q| and quadratically in |D|.
+	Name: "table7", Figure: "Table VII", Doc: workload.DocPrime, Query: workload.Exp2Query,
+	Title: "Table VII: naive (IE6 model) vs top-down (XMLTaskforce), Experiment-2 queries",
+	Lines: []Line{
+		{Engine: "naive", Label: "IE6-model doc %d", Docs: []int{10, 20, 200}, Ks: multiples(1, 8)},
+		{Engine: "topdown", Label: "XMLTaskforce doc %d", Docs: []int{10, 20, 200, 500, 1000, 2000},
+			Ks: append(multiples(1, 10), 20, 30, 40, 50), CapX: 5},
+	},
+	Bench: []Grid{{[]string{"naive"}, []int{10, 20}, []int{2, 3}}, {[]string{"topdown"}, []int{10, 200, 1000, 2000}, []int{1, 10, 50}}},
+}, {
+	// Fragment evaluators versus the general algorithms: query size k is
+	// the k-th of ablationQueries; corexpath admits only the first.
+	Name: "ablate", Figure: "Figure 1's fragments", Doc: workload.Catalog, Query: func(k int) string { return ablationQueries[k-1].query },
+	Title: "Ablation: engines × fragments on Catalog(300)",
+	Lines: []Line{
+		{Engine: "naive", Label: "naive", Docs: []int{300}, Ks: multiples(1, 3)},
+		{Engine: "datapool", Label: "datapool", Docs: []int{300}, Ks: multiples(1, 3)},
+		{Engine: "topdown", Label: "topdown", Docs: []int{300}, Ks: multiples(1, 3)},
+		{Engine: "mincontext", Label: "mincontext", Docs: []int{300}, Ks: multiples(1, 3)},
+		{Engine: "optmincontext", Label: "optmincontext", Docs: []int{300}, Ks: multiples(1, 3)},
+		{Engine: "corexpath", Label: "corexpath", Docs: []int{300}, Ks: []int{1}},
+	},
+	Bench: []Grid{
+		{[]string{"corexpath", "topdown", "mincontext", "optmincontext"}, []int{1000}, []int{1}},
+		{[]string{"optmincontext", "mincontext", "topdown"}, []int{500}, []int{2}},
+		{[]string{"naive", "topdown", "mincontext", "optmincontext", "bottomup"}, []int{100}, []int{3}},
+	},
+	print: func(w io.Writer, x Experiment, series []Series) {
+		fmt.Fprintf(w, "== %s, |D|=%d ==\n%-12s %-15s %12s\n", x.Title, series[0].Points[0].DocSize, "query", "engine", "time")
+		for k, q := range ablationQueries {
+			for _, s := range series {
+				for _, p := range s.Points {
+					cell := fmt.Sprintf("%12.3fms", p.Millis)
+					if p.TimedOut {
+						cell = fmt.Sprintf("%14s", "-")
+					}
+					if p.QuerySize == k+1 {
+						fmt.Fprintf(w, "%-12s %-15s %s\n", q.name, s.Label, cell)
+					}
+				}
+			}
+		}
+		fmt.Fprintln(w)
+	},
+}}
+
+// Run sweeps every line of x under cfg, prints the table to cfg.Out and
+// returns the series in print order.
+func Run(x Experiment, cfg Config) []Series {
+	var series []Series
+	for _, l := range x.Lines {
+		if len(l.Ks) == 1 && len(l.Docs) > 1 {
+			series = append(series, x.sweep(l, l.Label, l.Docs, cfg))
+			continue
+		}
+		for _, n := range l.Docs {
+			series = append(series, x.sweep(l, strings.ReplaceAll(l.Label, "%d", strconv.Itoa(n)), []int{n}, cfg))
+		}
 	}
-	fmt.Fprintln(w)
+	w := cfg.Out
+	if w == nil {
+		w = io.Discard
+	}
+	if x.print != nil {
+		x.print(w, x, series)
+	} else {
+		Fprint(w, x.Title, false, series)
+	}
 	return series
 }
 
-type mcRunner struct{ d *xmltree.Document }
-
-func (r mcRunner) run(e xpath.Expr, _ int64) (time.Duration, int64, bool, error) {
-	ev := mincontext.New(r.d)
-	start := time.Now()
-	_, err := ev.Evaluate(e, rootCtx(r.d))
-	return time.Since(start), 0, false, err
-}
-
-type cxRunner struct{ d *xmltree.Document }
-
-func (r cxRunner) run(e xpath.Expr, _ int64) (time.Duration, int64, bool, error) {
-	ev := xpatterns.New(r.d)
-	start := time.Now()
-	_, err := ev.Evaluate(e, rootCtx(r.d))
-	return time.Since(start), 0, false, err
+// sweep measures l's engine at every document size of docs and query
+// size of l.Ks. The naive engines' budget per point is extrapolated from
+// the step rate so far so that no point exceeds ~1.5× the cap; a capped
+// or over-cap point ends the series like the paper's '-' entries.
+func (x Experiment) sweep(l Line, label string, docs []int, cfg Config) Series {
+	s := Series{Label: label}
+	cap := cfg.cap() * time.Duration(max(l.CapX, 1))
+	rate := 5e6 // steps/sec initial guess; recalibrated per point
+	for _, n := range docs {
+		if x.Scaled {
+			n = max(int(float64(n)*cfg.scale()), n/100)
+		}
+		d := x.Doc(n)
+		for _, k := range l.Ks {
+			p, dur, err := measure(l.Engine, d, xpath.MustParse(x.Query(k)), int64(rate*cap.Seconds()*1.5))
+			if err != nil {
+				panic(fmt.Sprintf("bench: %s %s doc=%d k=%d: %v", x.Name, label, n, k, err))
+			}
+			p.QuerySize = k
+			s.Points = append(s.Points, p)
+			if p.TimedOut || dur > cap {
+				return s
+			}
+			if p.Steps > 0 && dur > time.Millisecond {
+				rate = float64(p.Steps) / dur.Seconds()
+			}
+		}
+	}
+	return s
 }

@@ -180,6 +180,8 @@ func labelPairs(names, values []string) string {
 // Counter is a monotonically increasing counter.
 type Counter struct {
 	name, help string
+	labelNames []string // a CounterVec child's label names and values
+	labelVals  []string
 	v          atomic.Uint64
 }
 
@@ -195,7 +197,7 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 func (c *Counter) describe() (string, string, string) { return c.name, c.help, "counter" }
 func (c *Counter) signature() string                  { return "counter|" + c.help }
 func (c *Counter) write(w io.Writer) {
-	fmt.Fprintf(w, "%s %d\n", c.name, c.v.Load())
+	fmt.Fprintf(w, "%s%s %d\n", c.name, labelPairs(c.labelNames, c.labelVals), c.v.Load())
 }
 
 // Counter registers (or returns) a counter.
@@ -233,6 +235,8 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 // Gauge is a value that can go up and down.
 type Gauge struct {
 	name, help string
+	labelNames []string // a GaugeVec child's label names and values
+	labelVals  []string
 	bits       atomic.Uint64
 }
 
@@ -256,7 +260,7 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 func (g *Gauge) describe() (string, string, string) { return g.name, g.help, "gauge" }
 func (g *Gauge) signature() string                  { return "gauge|" + g.help }
 func (g *Gauge) write(w io.Writer) {
-	fmt.Fprintf(w, "%s %s\n", g.name, formatValue(g.Value()))
+	fmt.Fprintf(w, "%s%s %s\n", g.name, labelPairs(g.labelNames, g.labelVals), formatValue(g.Value()))
 }
 
 // Gauge registers (or returns) a gauge.
@@ -341,56 +345,58 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	return r.register(name, newHistogram(name, help, buckets, nil, nil)).(*Histogram)
 }
 
-// CounterVec is a family of counters distinguished by label values.
-type CounterVec struct {
-	name, help string
-	labels     []string
+// family is what the three labeled families share: children filed
+// under their label values (childKey), created on first use and
+// rendered in creation order, each a Counter, Gauge or Histogram that
+// carries its own label values.
+type family[T metric] struct {
+	name, help, kind string
+	sig              string
+	labels           []string
+	newChild         func(vals []string) T
 
 	mu       sync.RWMutex
-	children map[string]*labeledCounter
-	order    []string
+	children map[string]T
+	order    []T
 }
 
-type labeledCounter struct {
-	vals []string
-	v    atomic.Uint64
-}
-
-// CounterVec registers (or returns) a labeled counter family.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
+func newFamily[T metric](name, help, kind, sig string, labels []string, newChild func([]string) T) family[T] {
 	checkLabels(name, labels)
-	return r.register(name, &CounterVec{
-		name: name, help: help, labels: labels,
-		children: map[string]*labeledCounter{},
-	}).(*CounterVec)
+	return family[T]{name: name, help: help, kind: kind, sig: sig, labels: labels, newChild: newChild, children: map[string]T{}}
 }
 
-func (v *CounterVec) describe() (string, string, string) { return v.name, v.help, "counter" }
-func (v *CounterVec) signature() string {
-	return "counter|" + v.help + "|" + strings.Join(v.labels, ",")
-}
+func (f *family[T]) describe() (string, string, string) { return f.name, f.help, f.kind }
+func (f *family[T]) signature() string                  { return f.sig }
 
-func (v *CounterVec) child(values []string) *labeledCounter {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.name, len(v.labels), len(values)))
+// lookup finds the child for values; ok is false when it was never
+// created.
+func (f *family[T]) lookup(values []string) (c T, ok bool) {
+	if len(values) != len(f.labels) {
+		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
 	var room [64]byte
 	key := childKey(room[:0], values)
-	v.mu.RLock()
-	c, ok := v.children[string(key)]
-	v.mu.RUnlock()
-	if ok {
+	f.mu.RLock()
+	c, ok = f.children[string(key)]
+	f.mu.RUnlock()
+	return c, ok
+}
+
+// child returns the child for values, creating it on first use.
+func (f *family[T]) child(values []string) T {
+	if c, ok := f.lookup(values); ok {
 		return c
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c, ok := v.children[string(key)]; ok {
+	var room [64]byte
+	key := childKey(room[:0], values)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if c, ok := f.children[string(key)]; ok {
 		return c
 	}
-	c = &labeledCounter{vals: append([]string{}, values...)}
-	k := string(key)
-	v.children[k] = c
-	v.order = append(v.order, k)
+	c := f.newChild(append([]string{}, values...))
+	f.children[string(key)] = c
+	f.order = append(f.order, c)
 	return c
 }
 
@@ -408,210 +414,88 @@ func childKey(dst []byte, values []string) []byte {
 	return dst
 }
 
+func (f *family[T]) write(w io.Writer) {
+	f.mu.RLock()
+	children := append([]T{}, f.order...)
+	f.mu.RUnlock()
+	for _, c := range children {
+		c.write(w)
+	}
+}
+
+// CounterVec is a family of counters distinguished by label values.
+type CounterVec struct{ family[*Counter] }
+
+// CounterVec registers (or returns) a labeled counter family.
+func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
+	sig := "counter|" + help + "|" + strings.Join(labels, ",")
+	return r.register(name, &CounterVec{newFamily(name, help, "counter", sig, labels, func(vals []string) *Counter {
+		return &Counter{name: name, help: help, labelNames: labels, labelVals: vals}
+	})}).(*CounterVec)
+}
+
 // Inc adds one to the child counter for the given label values.
-func (v *CounterVec) Inc(values ...string) { v.child(values).v.Add(1) }
+func (v *CounterVec) Inc(values ...string) { v.child(values).Inc() }
 
 // Add adds n to the child counter for the given label values.
-func (v *CounterVec) Add(n uint64, values ...string) { v.child(values).v.Add(n) }
+func (v *CounterVec) Add(n uint64, values ...string) { v.child(values).Add(n) }
 
 // Value returns the child counter's current count (0 when the child
 // has never been touched).
 func (v *CounterVec) Value(values ...string) uint64 {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.name, len(v.labels), len(values)))
-	}
-	var room [64]byte
-	key := childKey(room[:0], values)
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if c, ok := v.children[string(key)]; ok {
-		return c.v.Load()
+	if c, ok := v.lookup(values); ok {
+		return c.Value()
 	}
 	return 0
-}
-
-func (v *CounterVec) write(w io.Writer) {
-	v.mu.RLock()
-	keys := append([]string{}, v.order...)
-	children := make([]*labeledCounter, len(keys))
-	for i, k := range keys {
-		children[i] = v.children[k]
-	}
-	v.mu.RUnlock()
-	for _, c := range children {
-		fmt.Fprintf(w, "%s%s %d\n", v.name, labelPairs(v.labels, c.vals), c.v.Load())
-	}
 }
 
 // GaugeVec is a family of gauges distinguished by label values — the
 // shape the router's per-peer breaker-state export uses.
-type GaugeVec struct {
-	name, help string
-	labels     []string
-
-	mu       sync.RWMutex
-	children map[string]*labeledGauge
-	order    []string
-}
-
-type labeledGauge struct {
-	vals []string
-	bits atomic.Uint64
-}
+type GaugeVec struct{ family[*Gauge] }
 
 // GaugeVec registers (or returns) a labeled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	checkLabels(name, labels)
-	return r.register(name, &GaugeVec{
-		name: name, help: help, labels: labels,
-		children: map[string]*labeledGauge{},
-	}).(*GaugeVec)
-}
-
-func (v *GaugeVec) describe() (string, string, string) { return v.name, v.help, "gauge" }
-func (v *GaugeVec) signature() string {
-	return "gauge|" + v.help + "|" + strings.Join(v.labels, ",")
-}
-
-func (v *GaugeVec) child(values []string) *labeledGauge {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.name, len(v.labels), len(values)))
-	}
-	var room [64]byte
-	key := childKey(room[:0], values)
-	v.mu.RLock()
-	g, ok := v.children[string(key)]
-	v.mu.RUnlock()
-	if ok {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g, ok := v.children[string(key)]; ok {
-		return g
-	}
-	g = &labeledGauge{vals: append([]string{}, values...)}
-	k := string(key)
-	v.children[k] = g
-	v.order = append(v.order, k)
-	return g
+	sig := "gauge|" + help + "|" + strings.Join(labels, ",")
+	return r.register(name, &GaugeVec{newFamily(name, help, "gauge", sig, labels, func(vals []string) *Gauge {
+		return &Gauge{name: name, help: help, labelNames: labels, labelVals: vals}
+	})}).(*GaugeVec)
 }
 
 // Set replaces the child gauge's value for the given label values.
-func (v *GaugeVec) Set(val float64, values ...string) {
-	v.child(values).bits.Store(math.Float64bits(val))
-}
+func (v *GaugeVec) Set(val float64, values ...string) { v.child(values).Set(val) }
 
 // Add adjusts the child gauge for the given label values by d.
-func (v *GaugeVec) Add(d float64, values ...string) {
-	g := v.child(values)
-	for {
-		old := g.bits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
+func (v *GaugeVec) Add(d float64, values ...string) { v.child(values).Add(d) }
 
 // Value returns the child gauge's current value (0 when the child has
 // never been touched).
 func (v *GaugeVec) Value(values ...string) float64 {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.name, len(v.labels), len(values)))
-	}
-	var room [64]byte
-	key := childKey(room[:0], values)
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if g, ok := v.children[string(key)]; ok {
-		return math.Float64frombits(g.bits.Load())
+	if g, ok := v.lookup(values); ok {
+		return g.Value()
 	}
 	return 0
-}
-
-func (v *GaugeVec) write(w io.Writer) {
-	v.mu.RLock()
-	keys := append([]string{}, v.order...)
-	children := make([]*labeledGauge, len(keys))
-	for i, k := range keys {
-		children[i] = v.children[k]
-	}
-	v.mu.RUnlock()
-	for _, g := range children {
-		fmt.Fprintf(w, "%s%s %s\n", v.name, labelPairs(v.labels, g.vals), formatValue(math.Float64frombits(g.bits.Load())))
-	}
 }
 
 // HistogramVec is a family of histograms distinguished by label
 // values — the shape the engine's per-(fragment, strategy) latency
 // family uses.
-type HistogramVec struct {
-	name, help string
-	labels     []string
-	buckets    []float64
-
-	mu       sync.RWMutex
-	children map[string]*Histogram
-	order    []string
-}
+type HistogramVec struct{ family[*Histogram] }
 
 // HistogramVec registers (or returns) a labeled histogram family. A
 // nil buckets slice takes DefBuckets.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	checkLabels(name, labels)
 	if len(buckets) == 0 {
 		buckets = DefBuckets
 	}
-	return r.register(name, &HistogramVec{
-		name: name, help: help, labels: labels, buckets: buckets,
-		children: map[string]*Histogram{},
-	}).(*HistogramVec)
-}
-
-func (v *HistogramVec) describe() (string, string, string) { return v.name, v.help, "histogram" }
-func (v *HistogramVec) signature() string {
-	return "histogram|" + v.help + "|" + fmt.Sprint(v.buckets) + "|" + strings.Join(v.labels, ",")
+	sig := "histogram|" + help + "|" + fmt.Sprint(buckets) + "|" + strings.Join(labels, ",")
+	return r.register(name, &HistogramVec{newFamily(name, help, "histogram", sig, labels, func(vals []string) *Histogram {
+		return newHistogram(name, help, buckets, labels, vals)
+	})}).(*HistogramVec)
 }
 
 // With returns the child histogram for the given label values (created
 // on first use).
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.name, len(v.labels), len(values)))
-	}
-	var room [64]byte
-	key := childKey(room[:0], values)
-	v.mu.RLock()
-	h, ok := v.children[string(key)]
-	v.mu.RUnlock()
-	if ok {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h, ok := v.children[string(key)]; ok {
-		return h
-	}
-	h = newHistogram(v.name, v.help, v.buckets, v.labels, append([]string{}, values...))
-	k := string(key)
-	v.children[k] = h
-	v.order = append(v.order, k)
-	return h
-}
-
-func (v *HistogramVec) write(w io.Writer) {
-	v.mu.RLock()
-	keys := append([]string{}, v.order...)
-	children := make([]*Histogram, len(keys))
-	for i, k := range keys {
-		children[i] = v.children[k]
-	}
-	v.mu.RUnlock()
-	for _, h := range children {
-		h.write(w)
-	}
-}
+func (v *HistogramVec) With(values ...string) *Histogram { return v.child(values) }
 
 func checkLabels(name string, labels []string) {
 	for _, l := range labels {

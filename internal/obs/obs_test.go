@@ -9,6 +9,10 @@ import (
 	"time"
 )
 
+// TestRegistryTextFormat renders a registry holding every kind of
+// instrument, labeled and not, and wants the exposition text byte for
+// byte (help and label escaping, bucket order, creation order of
+// children), and text its own parser reads back.
 func TestRegistryTextFormat(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_requests_total", "requests handled")
@@ -16,6 +20,7 @@ func TestRegistryTextFormat(t *testing.T) {
 	g := r.Gauge("test_temperature", "current reading")
 	g.Set(2.5)
 	r.CounterFunc("test_func_total", "func-backed counter", func() float64 { return 7 })
+	r.GaugeFunc("test_func_gauge", "func-backed gauge", func() float64 { return 0.5 })
 	h := r.Histogram("test_latency_seconds", "latencies", []float64{0.01, 0.1, 1})
 	h.Observe(0.005)
 	h.Observe(0.05)
@@ -23,38 +28,60 @@ func TestRegistryTextFormat(t *testing.T) {
 	v := r.CounterVec("test_paths_total", "per-path requests", "path")
 	v.Inc("/query")
 	v.Inc("/query")
-	v.Inc("/batch")
+	v.Add(4, "/batch")
+	gv := r.GaugeVec("test_breaker_state", "per-peer \\ state\nline", "peer", "zone")
+	gv.Set(2, "node-a", `z"1"`)
+	gv.Add(-1.5, "node-b", "z2")
 	hv := r.HistogramVec("test_stage_seconds", "per-stage latency", []float64{0.1}, "stage")
 	hv.With("compile").Observe(0.2)
+	hv.With("evaluate").Observe(0.05)
 
 	var b strings.Builder
 	if _, err := r.WriteTo(&b); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
 	text := b.String()
-
-	for _, want := range []string{
-		"# HELP test_requests_total requests handled",
-		"# TYPE test_requests_total counter",
-		"test_requests_total 3",
-		"# TYPE test_temperature gauge",
-		"test_temperature 2.5",
-		"test_func_total 7",
-		"# TYPE test_latency_seconds histogram",
-		`test_latency_seconds_bucket{le="0.01"} 1`,
-		`test_latency_seconds_bucket{le="0.1"} 2`,
-		`test_latency_seconds_bucket{le="1"} 2`,
-		`test_latency_seconds_bucket{le="+Inf"} 3`,
-		"test_latency_seconds_count 3",
-		`test_paths_total{path="/query"} 2`,
-		`test_paths_total{path="/batch"} 1`,
-		`test_stage_seconds_bucket{stage="compile",le="0.1"} 0`,
-		`test_stage_seconds_bucket{stage="compile",le="+Inf"} 1`,
-		`test_stage_seconds_count{stage="compile"} 1`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("output missing %q\n---\n%s", want, text)
-		}
+	const want = `# HELP test_requests_total requests handled
+# TYPE test_requests_total counter
+test_requests_total 3
+# HELP test_temperature current reading
+# TYPE test_temperature gauge
+test_temperature 2.5
+# HELP test_func_total func-backed counter
+# TYPE test_func_total counter
+test_func_total 7
+# HELP test_func_gauge func-backed gauge
+# TYPE test_func_gauge gauge
+test_func_gauge 0.5
+# HELP test_latency_seconds latencies
+# TYPE test_latency_seconds histogram
+test_latency_seconds_bucket{le="0.01"} 1
+test_latency_seconds_bucket{le="0.1"} 2
+test_latency_seconds_bucket{le="1"} 2
+test_latency_seconds_bucket{le="+Inf"} 3
+test_latency_seconds_sum 5.055
+test_latency_seconds_count 3
+# HELP test_paths_total per-path requests
+# TYPE test_paths_total counter
+test_paths_total{path="/query"} 2
+test_paths_total{path="/batch"} 4
+# HELP test_breaker_state per-peer \\ state\nline
+# TYPE test_breaker_state gauge
+test_breaker_state{peer="node-a",zone="z\"1\""} 2
+test_breaker_state{peer="node-b",zone="z2"} -1.5
+# HELP test_stage_seconds per-stage latency
+# TYPE test_stage_seconds histogram
+test_stage_seconds_bucket{stage="compile",le="0.1"} 0
+test_stage_seconds_bucket{stage="compile",le="+Inf"} 1
+test_stage_seconds_sum{stage="compile"} 0.2
+test_stage_seconds_count{stage="compile"} 1
+test_stage_seconds_bucket{stage="evaluate",le="0.1"} 1
+test_stage_seconds_bucket{stage="evaluate",le="+Inf"} 1
+test_stage_seconds_sum{stage="evaluate"} 0.05
+test_stage_seconds_count{stage="evaluate"} 1
+`
+	if text != want {
+		t.Errorf("exposition text:\n%s\nwant:\n%s", text, want)
 	}
 
 	samples, err := ParseText(strings.NewReader(text))
@@ -121,9 +148,11 @@ func TestCounterVecConcurrency(t *testing.T) {
 }
 
 // TestVecLookupAllocatesNothing: finding an existing child of a
-// labeled family — what every evaluation does for its latency
-// histogram — builds no key string, whatever the number of labels; a
-// label set longer than the stack room still finds its child.
+// labeled family — what every request does for obs.Middleware's
+// counter and every evaluation for its latency histogram
+// (CounterVec.Inc, HistogramVec.With(…).Observe) — builds no key
+// string, whatever the number of labels; a label set longer than the
+// stack room still finds its child.
 func TestVecLookupAllocatesNothing(t *testing.T) {
 	r := NewRegistry()
 	hv := r.HistogramVec("lookup_seconds", "x", nil, "fragment", "strategy")
@@ -138,6 +167,7 @@ func TestVecLookupAllocatesNothing(t *testing.T) {
 			t.Fatal("With found another child")
 		}
 		cv.Inc(frag, strat)
+		hv.With(frag, strat).Observe(0.001)
 		gv.Add(1, "a")
 		_ = cv.Value(frag, strat) + uint64(gv.Value("a"))
 	})

@@ -1,4 +1,4 @@
-package corexpath_test
+package xpatterns
 
 import (
 	"testing"
@@ -7,10 +7,14 @@ import (
 	"repro/internal/semantics"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
-	"repro/internal/xpatterns"
 )
 
-var docs = map[string]string{
+// The Core XPath gate's inputs and tests: the language of Section 10.1
+// is evaluated by this package's set algebra and admitted by
+// InCoreXPath. TestClassifier and TestAgainstNaive run these inputs too.
+
+// coreDocs are the documents TestAgainstNaive runs coreQueries on.
+var coreDocs = map[string]string{
 	"doc4":  `<a><b/><b/><b/><b/></a>`,
 	"tree":  `<a><b><c/><d/></b><e><f/><c/></e><b><c/></b></a>`,
 	"text":  `<r><x>1</x><y><x>2</x></y><z/></r>`,
@@ -44,60 +48,23 @@ var coreQueries = []string{
 	"//*[/]", // zero-step absolute predicate path: dom_root(dom)
 }
 
-func TestFragmentClassifier(t *testing.T) {
-	for _, q := range coreQueries {
-		if !xpatterns.InCoreXPath(xpath.MustParse(q)) {
-			t.Errorf("InFragment(%q) = false, want true", q)
-		}
-	}
-	notCore := []string{
-		"//b[1]", // positions are not in Core XPath
-		"//b[position() = last()]",
-		"count(//b)", // numbers
-		"//b[count(child::*) > 1]",
-		"//*[. = 'c']", // string comparison
-		"string(//b)",
-		"id('x')/b",     // id needs XPatterns
-		"//b[@x = '1']", // value comparison
-		"1 + 1",
-	}
-	for _, q := range notCore {
-		if xpatterns.InCoreXPath(xpath.MustParse(q)) {
-			t.Errorf("InFragment(%q) = true, want false", q)
-		}
-	}
-}
-
-// TestAgainstNaive cross-checks the algebra against the reference
-// engine on every fragment query and document.
-func TestAgainstNaive(t *testing.T) {
-	for dname, src := range docs {
-		d := xmltree.MustParseString(src)
-		core := xpatterns.New(d)
-		ref := naive.New(d)
-		ctx := semantics.Context{Node: d.RootID(), Pos: 1, Size: 1}
-		for _, q := range coreQueries {
-			e := xpath.MustParse(q)
-			want, err := ref.Evaluate(e, ctx)
-			if err != nil {
-				t.Fatalf("naive %q: %v", q, err)
-			}
-			got, err := core.Evaluate(e, ctx)
-			if err != nil {
-				t.Errorf("doc %s query %q: %v", dname, q, err)
-				continue
-			}
-			if !got.Set.Equal(want.Set) {
-				t.Errorf("doc %s query %q: core = %v, naive = %v", dname, q, got.Set, want.Set)
-			}
-		}
-	}
+// notCoreQueries are outside the Core XPath fragment.
+var notCoreQueries = []string{
+	"//b[1]", // positions are not in Core XPath
+	"//b[position() = last()]",
+	"count(//b)", // numbers
+	"//b[count(child::*) > 1]",
+	"//*[. = 'c']", // string comparison
+	"string(//b)",
+	"id('x')/b",     // id needs XPatterns
+	"//b[@x = '1']", // value comparison
+	"1 + 1",
 }
 
 // TestExample103 walks the worked example of Section 10.1.
 func TestExample103(t *testing.T) {
 	d := xmltree.MustParseString(`<r><a><b><c><d/></c></b><b/><x/></a><a><b/></a></r>`)
-	core := xpatterns.New(d)
+	core := New(d)
 	e := xpath.MustParse("/descendant::a/child::b[child::c/child::d or not(following::*)]")
 	got, err := core.Evaluate(e, semantics.Context{Node: d.RootID(), Pos: 1, Size: 1})
 	if err != nil {
@@ -120,8 +87,8 @@ func TestExample103(t *testing.T) {
 // TestSBackEquivalence checks Theorem 10.4: S←[[π]] = {x | S↓[[π]]({x}) ≠ ∅}
 // by brute force over all context nodes.
 func TestSBackEquivalence(t *testing.T) {
-	d := xmltree.MustParseString(docs["tree"])
-	core := xpatterns.New(d)
+	d := xmltree.MustParseString(coreDocs["tree"])
+	core := New(d)
 	ref := naive.New(d)
 	paths := []string{
 		"child::c",
@@ -153,14 +120,5 @@ func TestSBackEquivalence(t *testing.T) {
 		if !got.Equal(want) {
 			t.Errorf("S←[[%s]] = %v, want %v", q, got, want)
 		}
-	}
-}
-
-func TestRejectsNonFragment(t *testing.T) {
-	d := xmltree.MustParseString(docs["doc4"])
-	core := xpatterns.New(d)
-	_, err := core.Evaluate(xpath.MustParse("count(//b)"), semantics.Context{Node: d.RootID(), Pos: 1, Size: 1})
-	if err == nil {
-		t.Error("expected error on non-fragment query")
 	}
 }

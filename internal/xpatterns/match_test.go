@@ -1,4 +1,4 @@
-package corexpath_test
+package xpatterns
 
 import (
 	"testing"
@@ -6,12 +6,11 @@ import (
 	"repro/internal/semantics"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
-	"repro/internal/xpatterns"
 )
 
 func TestMatchSet(t *testing.T) {
 	d := xmltree.MustParseString(`<a><s><t/><p/></s><s><t/></s><t/></a>`)
-	ev := xpatterns.New(d)
+	ev := New(d)
 
 	// Relative pattern s/t: any t with an s parent matches.
 	set, err := ev.MatchSet(xpath.MustParse("s/child::t"))
@@ -63,7 +62,7 @@ func TestMatchSet(t *testing.T) {
 // TestMatchSetAgainstBruteForce: n ∈ MatchSet(π) iff ∃x: n ∈ π(x).
 func TestMatchSetAgainstBruteForce(t *testing.T) {
 	d := xmltree.MustParseString(`<a><b><c/><b><c/></b></b><c/></a>`)
-	ev := xpatterns.New(d)
+	ev := New(d)
 	patterns := []string{
 		"child::c",
 		"b/child::c",
