@@ -26,7 +26,7 @@
 //     Section 10 set algebra behind the corexpath and xpatterns
 //     strategies; naive, whose memo is the data pool of Section 9, and
 //     bottomup are oracles and experiment baselines that no server
-//     links), over one operator core: F[[e]] of every non-path
+//     links; internal/corexpath is tests only), over one operator core: F[[e]] of every non-path
 //     expression in internal/semantics (Eval, called by all five
 //     interpreters), and internal/evalutil's pair loops, step relation,
 //     relation composition and its two walks over a location path,

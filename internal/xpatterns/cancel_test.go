@@ -15,16 +15,16 @@ import (
 )
 
 // TestEvaluateContextCancelsPromptly cancels mid-evaluation of a long
-// chain of O(|D|) axis applications (a legitimate Core XPath query, so
-// both gates admit it) and asserts the evaluator returns
-// context.Canceled within the checkpoint latency instead of finishing
-// the multi-second run. Run under -race in CI.
+// chain of O(|D|) axis applications (a legitimate XPatterns query —
+// the fragment subsumes Core XPath paths) and asserts the evaluator
+// returns context.Canceled within the checkpoint latency instead of
+// finishing the multi-second run. Run under -race in CI.
 func TestEvaluateContextCancelsPromptly(t *testing.T) {
 	d := workload.Doc(30000)
 	q := "//*" + strings.Repeat("/following::*/preceding::*", 200)
 	e := xpath.MustParse(q)
-	if !InFragment(e) || !InCoreXPath(e) {
-		t.Fatal("chain query left the Core XPath fragment")
+	if !InFragment(e) {
+		t.Fatal("chain query left the XPatterns fragment")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -46,71 +46,54 @@ func TestEvaluateContextCancelsPromptly(t *testing.T) {
 }
 
 // TestMatchSetContextCancelled pins the regression the cancelcheck
-// analyzer guards against: the dom fill, testSet and the "=s"
-// string-search scan bill the throttled checkpoint, so on a document
-// past the checkpoint granularity (1024 nodes) an already-cancelled
-// context observably stops the match instead of scanning to completion
-// — for an XPatterns pattern and for a Core XPath one.
+// analyzer guards against: the dom fill and the "=s" string-search
+// scan bill the throttled checkpoint, so on a document past the
+// checkpoint granularity (1024 nodes) an already-cancelled context
+// observably stops the match instead of scanning to completion.
 func TestMatchSetContextCancelled(t *testing.T) {
 	d := workload.Doc(5000) // > one checkpoint interval of billed units
-	for _, q := range []string{"//b[. = 'nope']", "child::b"} {
-		e := xpath.MustParse(q)
-		if !InFragment(e) {
-			t.Fatalf("%s left the XPatterns fragment", q)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel() // cancelled before the first O(|D|) operation
-		if _, err := New(d).MatchSetContext(ctx, e); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: err = %v, want context.Canceled", q, err)
-		}
+	e := xpath.MustParse("//b[. = 'nope']")
+	if !InFragment(e) {
+		t.Fatal("query left the XPatterns fragment")
 	}
-}
-
-// uncancelled are the inputs of the two tests below: an XPatterns query
-// through the "=s" string search unique to that fragment, and two Core
-// XPath ones; n is the number of nodes each selects from the root.
-var uncancelled = []struct {
-	d *xmltree.Document
-	q string
-	n int
-}{
-	{workload.DocPrime(8), "//b[. = 'c']", 8},
-	{workload.Doc(8), "//b", 8},
-	{workload.Doc(8), "child::b", 0},
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // cancelled before the first O(|D|) operation
+	if _, err := New(d).MatchSetContext(ctx, e); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
 }
 
 // TestMatchSetContextUncancelled pins down that a live context leaves
 // the match semantics untouched.
 func TestMatchSetContextUncancelled(t *testing.T) {
-	for _, tc := range uncancelled {
-		e := xpath.MustParse(tc.q)
-		want, err := New(tc.d).MatchSet(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		got, err := New(tc.d).MatchSetContext(ctx, e)
-		cancel()
-		if err != nil || !got.Equal(want) {
-			t.Fatalf("%s: MatchSetContext = %v, %v; want %v, nil", tc.q, got, err, want)
-		}
+	d := workload.DocPrime(8)
+	e := xpath.MustParse("//b[. = 'c']")
+	want, err := New(d).MatchSet(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := New(d).MatchSetContext(ctx, e)
+	if err != nil || !got.Equal(want) {
+		t.Fatalf("MatchSetContext = %v, %v; want %v, nil", got, err, want)
 	}
 }
 
 // TestEvaluateContextUncancelled pins down that a context that is never
-// cancelled changes nothing about the result.
+// cancelled changes nothing about the result, including through the
+// id-axis and "=s" machinery unique to this fragment.
 func TestEvaluateContextUncancelled(t *testing.T) {
-	for _, tc := range uncancelled {
-		e := xpath.MustParse(tc.q)
-		if !InFragment(e) {
-			t.Fatalf("%s left the XPatterns fragment", tc.q)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		v, err := New(tc.d).EvaluateContext(ctx, e, semantics.Context{Node: tc.d.RootID(), Pos: 1, Size: 1})
-		cancel()
-		if err != nil || len(v.Set) != tc.n {
-			t.Fatalf("%s: got %d nodes, %v; want %d, nil", tc.q, len(v.Set), err, tc.n)
-		}
+	d := workload.DocPrime(8)
+	e := xpath.MustParse("//b[. = 'c']")
+	if !InFragment(e) {
+		t.Fatal("query left the XPatterns fragment")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	v, err := New(d).EvaluateContext(ctx, e, semantics.Context{Node: d.RootID(), Pos: 1, Size: 1})
+	if err != nil || len(v.Set) != 8 {
+		t.Fatalf("got %d nodes, %v; want 8, nil", len(v.Set), err)
 	}
 }
 

@@ -9,58 +9,6 @@ import (
 	"repro/internal/xpath"
 )
 
-// The Core XPath gate's inputs and tests: the language of Section 10.1
-// is evaluated by this package's set algebra and admitted by
-// InCoreXPath. TestClassifier and TestAgainstNaive run these inputs too.
-
-// coreDocs are the documents TestAgainstNaive runs coreQueries on.
-var coreDocs = map[string]string{
-	"doc4":  `<a><b/><b/><b/><b/></a>`,
-	"tree":  `<a><b><c/><d/></b><e><f/><c/></e><b><c/></b></a>`,
-	"text":  `<r><x>1</x><y><x>2</x></y><z/></r>`,
-	"attrs": `<r><a x="1"/><a/><a x="2" y="3"/></r>`,
-}
-
-// coreQueries are all within the Core XPath fragment.
-var coreQueries = []string{
-	"/descendant::a",
-	"/descendant::b/child::c",
-	"//c",
-	"//b[child::c]",
-	"//*[child::c and child::d]",
-	"//*[child::c or child::d]",
-	"//*[not(child::*)]",
-	"//*[not(following::*)]",
-	"/descendant::a/child::b[child::c/child::d or not(following::*)]", // Example 10.3
-	"//c/ancestor::b",
-	"//*[ancestor::e]",
-	"//*[preceding-sibling::b]",
-	"//*[descendant::c][child::b]",
-	"//*[child::*[child::c]]",
-	"//a | //b",
-	"//*[/descendant::d]", // absolute path predicate: dom_root
-	"//*[not(/descendant::nosuch)]",
-	"//x[parent::y]",
-	"//*[@x]",
-	"//@x/parent::*",
-	"//*[child::text()]",
-	"self::node()/descendant::c",
-	"//*[/]", // zero-step absolute predicate path: dom_root(dom)
-}
-
-// notCoreQueries are outside the Core XPath fragment.
-var notCoreQueries = []string{
-	"//b[1]", // positions are not in Core XPath
-	"//b[position() = last()]",
-	"count(//b)", // numbers
-	"//b[count(child::*) > 1]",
-	"//*[. = 'c']", // string comparison
-	"string(//b)",
-	"id('x')/b",     // id needs XPatterns
-	"//b[@x = '1']", // value comparison
-	"1 + 1",
-}
-
 // TestExample103 walks the worked example of Section 10.1.
 func TestExample103(t *testing.T) {
 	d := xmltree.MustParseString(`<r><a><b><c><d/></c></b><b/><x/></a><a><b/></a></r>`)
@@ -87,7 +35,7 @@ func TestExample103(t *testing.T) {
 // TestSBackEquivalence checks Theorem 10.4: S←[[π]] = {x | S↓[[π]]({x}) ≠ ∅}
 // by brute force over all context nodes.
 func TestSBackEquivalence(t *testing.T) {
-	d := xmltree.MustParseString(coreDocs["tree"])
+	d := xmltree.MustParseString(`<a><b><c/><d/></b><e><f/><c/></e><b><c/></b></a>`)
 	core := New(d)
 	ref := naive.New(d)
 	paths := []string{
