@@ -10,13 +10,16 @@
 //
 //	xpathreshard -from http://n1:8080,http://n2:8080 \
 //	    -to http://n1:8080,http://n2:8080,http://n3:8080 \
-//	    -replicas 1 [-dry-run] [-prune] [-timeout 10s]
+//	    -replicas 1 [-dry-run] [-prune] [-timeout 10s] [-log-level info]
 //
-// The run is idempotent and resumable: nodes are inventoried first
-// (old and new), copies that are already in place at the right
-// version are skipped, and stale writes are refused by the backends
-// themselves — re-running a completed reshard copies nothing, and an
-// interrupted run picks up where it stopped. -dry-run prints the
+// A reshard is the router's anti-entropy repair pass run onto the new
+// ring (cluster.Reshard): every node, old and new, is inventoried, each
+// document's highest version is copied from a holder to the new
+// placement nodes below it, at the version fetched, and -timeout
+// bounds each call to a node. The run is idempotent and resumable:
+// copies already in place are skipped and the backends refuse stale
+// writes themselves — re-running a completed reshard copies nothing,
+// and an interrupted run picks up where it stopped. -dry-run prints the
 // movement plan (one "copy A -> B" line per pending copy) without
 // touching anything. -prune deletes each document's off-placement
 // copies once its new-ring copies have all landed; without it the old
@@ -46,8 +49,6 @@ func main() {
 	from := flag.String("from", "", "old ring: comma-separated backend base URLs (required)")
 	to := flag.String("to", "", "new ring: comma-separated backend base URLs (required)")
 	replicas := flag.Int("replicas", 0, "new ring's replication factor: copies per document beyond the owner")
-	fromGen := flag.Uint64("from-generation", 1, "old ring's placement generation")
-	toGen := flag.Uint64("to-generation", 0, "new ring's placement generation (default from-generation+1)")
 	dryRun := flag.Bool("dry-run", false, "print the movement plan without copying or pruning")
 	prune := flag.Bool("prune", false, "delete off-placement copies after a document's copies all land")
 	timeout := flag.Duration("timeout", cluster.DefaultTimeout, "per-node call timeout")
@@ -80,15 +81,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	sum, err := cluster.Reshard(ctx, cluster.ReshardOptions{
-		From:           fromNodes,
-		To:             toNodes,
-		FromGeneration: *fromGen,
-		ToGeneration:   *toGen,
-		Replicas:       *replicas,
-		DryRun:         *dryRun,
-		Prune:          *prune,
-		Timeout:        *timeout,
-		Log:            os.Stdout,
+		From:     fromNodes,
+		To:       toNodes,
+		Replicas: *replicas,
+		DryRun:   *dryRun,
+		Prune:    *prune,
+		Log:      os.Stdout,
 	})
 	if err != nil {
 		logger.Error("reshard failed", "err", err, "copy_errors", sum.Errors)

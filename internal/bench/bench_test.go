@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/workload"
 )
 
 // quick returns a configuration that keeps test runs fast.
@@ -98,6 +100,18 @@ func TestExp1Shape(t *testing.T) {
 	}
 	if len(td.Points) != 25 {
 		t.Errorf("topdown series stopped early at %d points", len(td.Points))
+	}
+}
+
+// TestTinyCapCapsNaive: a cap too small for one step at the assumed
+// step rate still caps the naive engine. exp1 at k=20 on DOC(2) takes
+// over 100 ms uncapped; at a 100 ns cap its point times out after a
+// handful of steps.
+func TestTinyCapCapsNaive(t *testing.T) {
+	x := Experiment{Name: "exp1", Doc: workload.Doc, Query: workload.Exp1Query}
+	s := x.sweep(Line{Engine: "naive", Docs: []int{2}, Ks: []int{20}}, "naive", []int{2}, Config{Cap: 100 * time.Nanosecond})
+	if len(s.Points) != 1 || !s.Points[0].TimedOut || s.Points[0].Steps > 8 {
+		t.Fatalf("points = %+v, want one TimedOut point after at most 8 steps", s.Points)
 	}
 }
 

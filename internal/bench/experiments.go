@@ -229,7 +229,9 @@ func (x Experiment) sweep(l Line, label string, docs []int, cfg Config) Series {
 		}
 		d := x.Doc(n)
 		for _, k := range l.Ks {
-			p, dur, err := measure(l.Engine, d, xpath.MustParse(x.Query(k)), int64(rate*cap.Seconds()*1.5))
+			// At least one step: a zero budget leaves naive uncapped.
+			budget := max(int64(rate*cap.Seconds()*1.5), 1)
+			p, dur, err := measure(l.Engine, d, xpath.MustParse(x.Query(k)), budget)
 			if err != nil {
 				panic(fmt.Sprintf("bench: %s %s doc=%d k=%d: %v", x.Name, label, n, k, err))
 			}

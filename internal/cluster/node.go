@@ -85,8 +85,10 @@
 // /query and /batch bodies are read with the scanner too (reflection
 // was 6.7 µs of a 60-byte body), and the requests the router sends —
 // {doc, query}, {jobs: [...]} — are appended by serve's encoder, not
-// marshalled. Repair and reshard, which hold a document as a string
-// they fetched, go through Node.PutDocumentAt on that same encoder.
+// marshalled. Repair and reshard are one convergence pass
+// (converge.go; a reshard is the repair pass run onto a new ring),
+// which writes the document string it fetched through
+// Node.PutDocumentAt on that same encoder, at the fetched version.
 //
 // # How a request reaches a peer
 //

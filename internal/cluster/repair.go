@@ -2,17 +2,18 @@ package cluster
 
 import (
 	"context"
-	"errors"
-	"sort"
 	"time"
 
 	"repro/internal/resilience"
 )
 
-// repairCopyDelay spaces consecutive repair copies so a repair round
-// trickles instead of bursting into live traffic (RepairBurst caps the
-// round's total volume).
-const repairCopyDelay = 10 * time.Millisecond
+// A repair round writes at most repairBurst copies, spaced
+// repairCopyDelay apart, so it trickles instead of bursting into live
+// traffic.
+const (
+	repairBurst     = 32
+	repairCopyDelay = 10 * time.Millisecond
+)
 
 // repairLoop is the anti-entropy background loop Start launches when
 // RepairInterval is positive: every interval it runs one RepairNow
@@ -37,98 +38,45 @@ func (r *Router) repairLoop() {
 	}
 }
 
-// RepairNow runs one anti-entropy round and reports how many replica
-// copies it issued: it polls every peer's /documents version listing,
-// diffs each document's replica set (ring placement) against the
-// authoritative version (the highest any peer holds), and re-copies
-// stale or missing replicas at that version. Unreachable peers are
-// skipped — their holdings are unknown, not empty, so nothing is
-// inferred from their absence — and a round issues at most RepairBurst
-// copies, spaced repairCopyDelay apart.
-//
-// Repair is idempotent against concurrent writes and reshards: copies
-// ride the same explicit-version mirror write replication uses, so a
-// backend whose resident version moved past the repair's snapshot
-// skips the write as stale (serve.Server.AddDocumentAt), and the next
-// round sees the new truth.
+// RepairNow runs one anti-entropy round — the convergence pass
+// (converge.go) over the router's own ring — and reports how many
+// replica copies it wrote. Unreachable peers are skipped: their
+// holdings are unknown, not empty, so nothing is inferred from their
+// absence. A peer that cannot be listed, a document no holder still
+// returns and a failed copy each count in repairErrs.
 func (r *Router) RepairNow(ctx context.Context) int {
 	defer r.repairRounds.Add(1)
-	peers := r.ring.Peers()
-	idx := make(map[*Node]int, len(peers))
-	for i, n := range peers {
-		idx[n] = i
+	ls := inventory(ctx, r.ring.Peers(), r.backoff)
+	for _, l := range ls {
+		if l.err != nil && ctx.Err() == nil {
+			r.repairErrs.Add(1)
+		}
 	}
-
-	// Inventory: every reachable peer's doc -> version map.
-	inventory := make([]map[string]uint64, len(peers))
-	reachable := make([]bool, len(peers))
-	for i, n := range peers {
-		docs, err := listDocuments(ctx, n, r.backoff)
+	copies, budget := 0, repairBurst
+	for _, p := range plan(ls, r.ring, r.opts.Replicas) {
+		if len(p.targets) == 0 {
+			continue
+		}
+		if ctx.Err() != nil || budget <= 0 {
+			break
+		}
+		info, err := fetch(ctx, p)
 		if err != nil {
 			if ctx.Err() == nil {
 				r.repairErrs.Add(1)
 			}
 			continue
 		}
-		reachable[i] = true
-		inventory[i] = docs
-	}
-
-	// Authoritative version per document: the highest any peer holds.
-	auth := map[string]uint64{}
-	for _, m := range inventory {
-		for doc, ver := range m {
-			if ver > auth[doc] {
-				auth[doc] = ver
-			}
-		}
-	}
-	docs := make([]string, 0, len(auth))
-	for doc := range auth {
-		docs = append(docs, doc)
-	}
-	sort.Strings(docs)
-
-	copies := 0
-	budget := r.opts.RepairBurst
-	for _, doc := range docs {
-		if ctx.Err() != nil || budget <= 0 {
-			break
-		}
-		ver := auth[doc]
-		placement := r.ring.Replicas(doc, r.opts.Replicas)
-
-		// Stale or missing replicas among the reachable placement nodes.
-		var targets []*Node
-		for _, n := range placement {
-			if i := idx[n]; reachable[i] && inventory[i][doc] < ver {
-				targets = append(targets, n)
-			}
-		}
-		if len(targets) == 0 {
-			continue
-		}
-
-		// Fetch the authoritative copy once, from a placement holder
-		// when one exists, any other holder otherwise.
-		xml, ok := r.fetchAuthoritative(ctx, doc, ver, placement, peers, idx, inventory)
-		if !ok {
-			if ctx.Err() == nil {
-				r.repairErrs.Add(1)
-			}
-			continue
-		}
-		for _, n := range targets {
+		for _, n := range p.targets {
 			if ctx.Err() != nil || budget <= 0 {
 				break
 			}
 			budget--
-			if _, rv, err := n.PutDocumentAt(ctx, doc, xml, ver); err != nil {
+			if _, rv, err := n.PutDocumentAt(ctx, p.name, info.XML, info.Version); err != nil {
 				r.repairErrs.Add(1)
-			} else if rv >= ver {
-				// rv > ver means a concurrent client write superseded
-				// the snapshot mid-copy; the replica is newer either
-				// way, so the copy still counts as convergence.
+			} else if rv >= info.Version {
+				// rv > info.Version: a client write superseded the copy
+				// mid-flight; the replica is newer either way.
 				r.repairCopies.Add(1)
 				copies++
 			}
@@ -138,51 +86,4 @@ func (r *Router) RepairNow(ctx context.Context) int {
 		}
 	}
 	return copies
-}
-
-// listDocuments fetches one peer's doc -> version inventory, retrying
-// a transient transport failure once with backoff.
-func listDocuments(ctx context.Context, n *Node, b *resilience.Backoff) (map[string]uint64, error) {
-	out := map[string]uint64{}
-	err := resilience.Retry(ctx, 2, b, func(actx context.Context) error {
-		docs, lerr := n.Documents(actx)
-		if lerr != nil {
-			return lerr
-		}
-		clear(out)
-		for _, d := range docs {
-			out[d.Name] = d.Version
-		}
-		return nil
-	}, func(err error) bool { return errors.Is(err, ErrUnavailable) })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// fetchAuthoritative retrieves doc's XML at exactly the authoritative
-// version, trying placement holders first (their copy is the one reads
-// route to) and any other holder after.
-func (r *Router) fetchAuthoritative(ctx context.Context, doc string, ver uint64, placement, peers []*Node, idx map[*Node]int, inventory []map[string]uint64) (string, bool) {
-	tried := map[*Node]bool{}
-	sources := append(append([]*Node{}, placement...), peers...)
-	for _, n := range sources {
-		if tried[n] {
-			continue
-		}
-		tried[n] = true
-		i := idx[n]
-		if inventory[i] == nil || inventory[i][doc] != ver {
-			continue
-		}
-		info, err := n.GetDocument(ctx, doc)
-		if err != nil || info.Version != ver {
-			// Unreachable since the listing, or a concurrent write moved
-			// the version: this holder no longer has the snapshot.
-			continue
-		}
-		return info.XML, true
-	}
-	return "", false
 }

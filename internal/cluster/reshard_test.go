@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/store"
 )
@@ -61,7 +60,7 @@ func TestReshardGrowRing(t *testing.T) {
 	// Dry run: plans copies onto the fresh node, moves nothing.
 	var planLog bytes.Buffer
 	dry, err := Reshard(ctx, ReshardOptions{
-		From: oldNodes, To: newNodes, DryRun: true, Timeout: 5 * time.Second, Log: &planLog,
+		From: oldNodes, To: newNodes, DryRun: true, Log: &planLog,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +76,7 @@ func TestReshardGrowRing(t *testing.T) {
 	}
 
 	// Real run: every planned copy lands.
-	sum, err := Reshard(ctx, ReshardOptions{From: oldNodes, To: newNodes, Timeout: 5 * time.Second})
+	sum, err := Reshard(ctx, ReshardOptions{From: oldNodes, To: newNodes})
 	if err != nil {
 		t.Fatalf("reshard: %v (%+v)", err, sum)
 	}
@@ -123,7 +122,7 @@ func TestReshardGrowRing(t *testing.T) {
 	}
 
 	// Idempotent: a second run copies nothing.
-	again, err := Reshard(ctx, ReshardOptions{From: oldNodes, To: newNodes, Timeout: 5 * time.Second})
+	again, err := Reshard(ctx, ReshardOptions{From: oldNodes, To: newNodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +132,7 @@ func TestReshardGrowRing(t *testing.T) {
 
 	// Prune: off-placement copies disappear; every document stays
 	// answerable on the new ring.
-	pruned, err := Reshard(ctx, ReshardOptions{From: oldNodes, To: newNodes, Prune: true, Timeout: 5 * time.Second})
+	pruned, err := Reshard(ctx, ReshardOptions{From: oldNodes, To: newNodes, Prune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +169,7 @@ func TestReshardWithReplicas(t *testing.T) {
 		}
 	}
 	sum, err := Reshard(ctx, ReshardOptions{
-		From: oldNodes, To: newNodes, Replicas: 1, Prune: true, Timeout: 5 * time.Second,
+		From: oldNodes, To: newNodes, Replicas: 1, Prune: true,
 	})
 	if err != nil {
 		t.Fatalf("reshard: %v (%+v)", err, sum)
@@ -190,7 +189,7 @@ func TestReshardWithReplicas(t *testing.T) {
 	// An unreachable node aborts instead of resharding around a hole.
 	backends[1].ts.Close()
 	if _, err := Reshard(ctx, ReshardOptions{
-		From: oldNodes, To: newNodes, Timeout: time.Second,
+		From: oldNodes, To: newNodes,
 	}); err == nil {
 		t.Fatal("reshard with an unreachable node did not abort")
 	}
@@ -252,7 +251,7 @@ func newReshardFixture(t *testing.T, n int) *reshardFixture {
 }
 
 func (f *reshardFixture) run(ctx context.Context, log io.Writer) (ReshardSummary, error) {
-	return Reshard(ctx, ReshardOptions{From: f.oldRing, To: f.ring, Timeout: 5 * time.Second, Log: log})
+	return Reshard(ctx, ReshardOptions{From: f.oldRing, To: f.ring, Log: log})
 }
 
 // TestReshardCopyPassStopsOnCancel ties the copy pass to its caller's
@@ -261,7 +260,7 @@ func (f *reshardFixture) run(ctx context.Context, log io.Writer) (ReshardSummary
 // the corpus; either way Reshard returns ctx's error.
 func TestReshardCopyPassStopsOnCancel(t *testing.T) {
 	f := newReshardFixture(t, 8)
-	dry, err := Reshard(context.Background(), ReshardOptions{From: f.oldRing, To: f.ring, DryRun: true, Timeout: 5 * time.Second})
+	dry, err := Reshard(context.Background(), ReshardOptions{From: f.oldRing, To: f.ring, DryRun: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,5 +337,60 @@ func TestReshardDocumentDeletedBeforeFetch(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestReshardAndRepairAgree: a reshard is the repair pass run onto the
+// new ring, so after one a router over that ring finds nothing to
+// repair — its round lists each peer once, as a converged round does,
+// and fetches and copies nothing.
+func TestReshardAndRepairAgree(t *testing.T) {
+	backends := make([]*backend, 3)
+	for i := range backends {
+		backends[i] = newBackend(t, store.Config{})
+	}
+	oldNodes := []*Node{backends[0].node, backends[1].node}
+	newNodes := []*Node{backends[0].node, backends[1].node, backends[2].node}
+	oldRing, _ := NewRing(oldNodes, 1)
+	ctx := context.Background()
+	for i := 0; i < 12; i++ {
+		name := fmt.Sprintf("doc-%02d", i)
+		for v := 0; v <= i%3; v++ { // versions 1 to 3
+			if _, _, err := oldRing.Owner(name).PutDocument(ctx, name, "<a><b/></a>"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sum, err := Reshard(ctx, ReshardOptions{From: oldNodes, To: newNodes, Replicas: 1})
+	if err != nil || sum.Copies == 0 {
+		t.Fatalf("reshard = %+v, %v; want copies and no error", sum, err)
+	}
+
+	router, err := New(newNodes, Options{Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listings, fetches, writes int
+	for _, n := range newNodes {
+		n.WrapTransport(func(next http.RoundTripper) http.RoundTripper {
+			return roundTripFunc(func(req *http.Request) (*http.Response, error) {
+				switch {
+				case req.Method != http.MethodGet:
+					writes++
+				case req.URL.Query().Get("name") != "":
+					fetches++
+				default:
+					listings++
+				}
+				return next.RoundTrip(req)
+			})
+		})
+	}
+	if copies := router.RepairNow(ctx); copies != 0 || listings != len(newNodes) || fetches != 0 || writes != 0 {
+		t.Fatalf("repair after reshard: %d copies, %d listings, %d fetches, %d writes; want 0, %d, 0, 0",
+			copies, listings, fetches, writes, len(newNodes))
+	}
+	if n := router.repairErrs.Load(); n != 0 {
+		t.Fatalf("repair errors = %d, want 0", n)
 	}
 }

@@ -294,6 +294,53 @@ func TestRepairAfterKilledMirror(t *testing.T) {
 	}
 }
 
+// TestRepairTakesHolderPastListing: a holder whose copy moves past the
+// round's listing before the round fetches from it is still a source.
+// The round writes the newer copy, at its own version, to the replica
+// that lacks the document, and counts no error.
+func TestRepairTakesHolderPastListing(t *testing.T) {
+	router, _, backends := newCluster(t, 2, Options{Replicas: 1, Timeout: time.Second}, store.Config{})
+	doc := namesOwnedBy(2, 1)[0][0] // owned by backends[0], mirrored to backends[1]
+	owner, replica := backends[0], backends[1]
+	ctx := context.Background()
+	if _, _, err := owner.node.PutDocument(ctx, doc, "<a><b/></a>"); err != nil {
+		t.Fatal(err)
+	}
+	// On the first fetch the owner's copy moves on, written straight to
+	// its server: no mirror write reaches the replica.
+	var moved uint64
+	owner.node.WrapTransport(func(next http.RoundTripper) http.RoundTripper {
+		return roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			if req.Method == http.MethodGet && req.URL.Query().Get("name") != "" && moved == 0 {
+				_, v, err := owner.srv.AddDocument(doc, "<a><b/><b/></a>")
+				if err != nil {
+					return nil, err
+				}
+				moved = v
+			}
+			return next.RoundTrip(req)
+		})
+	})
+
+	if copies := router.RepairNow(ctx); copies != 1 {
+		t.Fatalf("RepairNow copies = %d, want 1", copies)
+	}
+	want, err := owner.node.GetDocument(ctx, doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := replica.node.GetDocument(ctx, doc)
+	if err != nil {
+		t.Fatalf("replica still missing %q after repair: %v", doc, err)
+	}
+	if moved == 0 || got.Version != moved || got.XML != want.XML {
+		t.Fatalf("replica holds v%d %q, want the owner's newer v%d %q", got.Version, got.XML, moved, want.XML)
+	}
+	if n := router.repairErrs.Load(); n != 0 {
+		t.Fatalf("repair errors = %d, want 0", n)
+	}
+}
+
 // TestRetryBudgetExhaustion pins the token bucket: a dead owner makes
 // every query spend a retry token, and once the bucket is dry the
 // router answers 503 with Retry-After instead of retrying.

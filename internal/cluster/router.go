@@ -100,9 +100,6 @@ type Options struct {
 	// RepairInterval is the anti-entropy repair loop's period — the
 	// -repair-interval flag. 0 disables repair.
 	RepairInterval time.Duration
-	// RepairBurst caps how many replica copies one repair round issues
-	// (rate limiting; default 32).
-	RepairBurst int
 	// PeerInflight bounds concurrent calls per peer (load shedding;
 	// 0 = unbounded). Shed calls answer 503 with Retry-After.
 	PeerInflight int
@@ -180,9 +177,6 @@ func New(peers []*Node, opts Options) (*Router, error) {
 	}
 	if opts.DownAfter == 0 {
 		opts.DownAfter = 3
-	}
-	if opts.RepairBurst <= 0 {
-		opts.RepairBurst = 32
 	}
 	r := &Router{ring: ring, opts: opts, stop: make(chan struct{})}
 	if len(opts.DrainPeers) > 0 {
