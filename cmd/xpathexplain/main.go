@@ -6,7 +6,8 @@
 // and the paper's reason for it (core.ExplainText — what a server
 // answers in /query's "strategy"), and the parse tree with static types
 // and relevant contexts (Section 8.2, as in the paper's Example 8.2).
-// The choice reads the query alone, so no document is needed.
+// The choice reads the query alone, so no document is needed. A query
+// that does not compile exits 2.
 //
 //	xpathexplain '//a[5]/b[parent::a/child::* = "c"]'
 package main
@@ -30,7 +31,7 @@ func main() {
 	q, err := core.Compile(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xpathexplain: %v\n", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 	fmt.Print(core.ExplainText(q, core.Auto))
 	fmt.Println("\nparse tree of the optimized query (type : relevant context):")

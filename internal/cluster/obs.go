@@ -17,7 +17,7 @@ func (r *Router) initObs() {
 		SlowQueries: reg.Counter("router_slow_queries_total", "traced requests slower than the -slow-query threshold"),
 		Stage:       reg.HistogramVec("router_stage_seconds", "per-stage routing latency in seconds", nil, "stage"),
 		Endpoints:   []string{"/documents", "/query", "/batch", "/stats", "/health", "/healthz", "/metrics"},
-		Traces:      obs.NewTraceRing(0),
+		Traces:      obs.NewTraceRing(),
 		SlowQuery:   r.opts.SlowQuery,
 		Logger:      r.opts.Logger,
 	}

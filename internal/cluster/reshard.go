@@ -81,7 +81,7 @@ func Reshard(ctx context.Context, opts ReshardOptions) (ReshardSummary, error) {
 
 	// A node that stays unreachable aborts the run: resharding around a
 	// hole would silently lose whatever only that node held.
-	ls := inventory(ctx, nodes, resilience.NewBackoff(0, 0, 0))
+	ls := inventory(ctx, nodes, resilience.NewBackoff(0))
 	for _, l := range ls {
 		if l.err != nil {
 			return sum, fmt.Errorf("inventory %s: %w", l.node.Name(), l.err)

@@ -190,8 +190,8 @@ func New(peers []*Node, opts Options) (*Router, error) {
 	if opts.AnswerCacheSize >= 0 {
 		r.cache = newAnswerCache(opts.AnswerCacheSize)
 	}
-	r.budget = resilience.NewBudget(opts.RetryBudget, 0)
-	r.backoff = resilience.NewBackoff(0, 0, opts.Seed)
+	r.budget = resilience.NewBudget(opts.RetryBudget)
+	r.backoff = resilience.NewBackoff(opts.Seed)
 	// Attach resilience state to every node this router talks to —
 	// current ring and drain ring alike.
 	for _, n := range append(r.ring.Peers(), opts.DrainPeers...) {

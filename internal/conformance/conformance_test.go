@@ -5,14 +5,23 @@
 package conformance
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/bottomup"
 	"repro/internal/core"
+	queryengine "repro/internal/engine"
 	"repro/internal/mincontext"
 	"repro/internal/naive"
 	"repro/internal/semantics"
+	"repro/internal/serve"
+	"repro/internal/store"
 	"repro/internal/topdown"
 	"repro/internal/wadler"
 	"repro/internal/xmltree"
@@ -256,18 +265,30 @@ func TestEnginesAgree(t *testing.T) {
 	}
 }
 
-// TestUnboundVariable: a variable that reaches evaluation is an error
-// of every engine, and the same one — semantics.ErrUnboundVariable, which
-// semantics.Eval returns for all of them — wherever the reference sits:
-// alone, as an operand, beside a path, in a predicate.
-func TestUnboundVariable(t *testing.T) {
-	d := xmltree.MustParseString(`<a/>`)
-	root := semantics.Context{Node: d.RootID(), Pos: 1, Size: 1}
+// TestVariablesRefusedAtParse: no engine meets a variable. Wherever the
+// reference sits — alone, as an operand, beside a path, in a predicate —
+// xpath.Parse refuses it at its $, core.Compile returns that error, and
+// a served POST /query answers it under 422.
+func TestVariablesRefusedAtParse(t *testing.T) {
+	srv := serve.New(queryengine.New(queryengine.Options{}), store.Config{})
+	if _, _, err := srv.AddDocument("d", `<a/>`); err != nil {
+		t.Fatal(err)
+	}
 	for _, q := range []string{"$v + 1", "count(//a) + $v", "$x", "//a[$v]", "-$v", "concat('a', $v)"} {
-		for name, eng := range engines(d) {
-			if _, err := eng.Evaluate(xpath.MustParse(q), root); !errors.Is(err, semantics.ErrUnboundVariable) {
-				t.Errorf("%s under %s: err = %v, want semantics.ErrUnboundVariable", q, name, err)
-			}
+		_, err := xpath.Parse(q)
+		if want := fmt.Sprintf("offset %d: variable references are not supported", strings.IndexByte(q, '$')); err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("xpath.Parse(%q) = %v, want an error ending %q", q, err, want)
+			continue
+		}
+		if _, cerr := core.Compile(q); cerr == nil || cerr.Error() != err.Error() {
+			t.Errorf("core.Compile(%q) = %v, want %v", q, cerr, err)
+		}
+		body, _ := json.Marshal(map[string]string{"doc": "d", "query": q})
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+		var out struct{ Error string }
+		if jerr := json.Unmarshal(rec.Body.Bytes(), &out); jerr != nil || rec.Code != http.StatusUnprocessableEntity || out.Error != err.Error() {
+			t.Errorf("POST /query %s: %d %s, want 422 with error %q", q, rec.Code, rec.Body, err)
 		}
 	}
 }

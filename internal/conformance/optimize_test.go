@@ -261,8 +261,8 @@ func FuzzOptimizeAgrees(f *testing.F) {
 			t.Skip("long query")
 		}
 		e, err := xpath.Parse(query)
-		if err != nil || xpath.HasVariables(e) {
-			t.Skip("not a closed query")
+		if err != nil {
+			t.Skip("not a query")
 		}
 		d := parsed[int(doc)%len(parsed)]
 		ctx := semantics.Context{Node: d.RootID(), Pos: 1, Size: 1}

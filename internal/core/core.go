@@ -179,27 +179,12 @@ type Query struct {
 	frag    Fragment
 }
 
-// Compile parses and normalizes a query.
+// Compile parses a query into its variable-free normal form (Section 5;
+// a $ is xpath.Parse's error) and optimizes it (see the package comment).
 func Compile(src string) (*Query, error) {
-	return CompileWithBindings(src, nil)
-}
-
-// CompileWithBindings parses a query, substitutes variable bindings
-// (per Section 5, variables are replaced by constants before
-// evaluation) and optimizes the result (see the package comment).
-func CompileWithBindings(src string, bindings xpath.Bindings) (*Query, error) {
 	e, err := xpath.Parse(src)
 	if err != nil {
 		return nil, err
-	}
-	if bindings != nil {
-		e, err = xpath.Substitute(e, bindings)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if xpath.HasVariables(e) {
-		return nil, fmt.Errorf("core: query has unbound variables; supply bindings")
 	}
 	opt := xpath.Optimize(e)
 	return &Query{src: src, literal: e, expr: opt, frag: classify(opt)}, nil

@@ -217,9 +217,7 @@ func TestModelDeviations(t *testing.T) {
 
 // TestQueryKeepsBothTrees: Literal is the normal form xpath.Parse
 // returns and the naive baseline evaluates, Expr the optimized tree
-// every strategy evaluates, and the rewrite happens after variable
-// substitution — [$w] with a numeric binding is positional and blocks
-// the fusion of its step.
+// every strategy evaluates.
 func TestQueryKeepsBothTrees(t *testing.T) {
 	q := MustCompile("//a[1]//b[c]")
 	if got, want := q.Literal().String(), xpath.MustParse("//a[1]//b[c]").String(); got != want {
@@ -230,20 +228,6 @@ func TestQueryKeepsBothTrees(t *testing.T) {
 	}
 	if q := MustCompile("/a/b[c]"); q.Expr() != q.Literal() {
 		t.Error("a query no rule applies to must keep one tree")
-	}
-	bound, err := CompileWithBindings("//b[$w]/c", xpath.Bindings{"w": &xpath.Number{Val: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := bound.Expr().String(), "/descendant-or-self::node()/child::b[(position() = 2)]/child::c"; got != want {
-		t.Errorf("bound Expr() = %s, want %s", got, want)
-	}
-	bound, err = CompileWithBindings("//b[$w]/c", xpath.Bindings{"w": &xpath.Literal{Val: "x"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := bound.Expr().String(), "/descendant::b[boolean('x')]/child::c"; got != want {
-		t.Errorf("bound Expr() = %s, want %s", got, want)
 	}
 	// //b[1] and /descendant::b[1] differ on this document; naive on the
 	// literal tree and every strategy on the optimized one must give the
@@ -299,57 +283,6 @@ func TestFragmentEnginesRejectOutside(t *testing.T) {
 		if err != nil || len(v.Set) != want {
 			t.Errorf("XPatterns on %s: %d nodes, err %v; want %d", query, len(v.Set), err, want)
 		}
-	}
-}
-
-func TestBindings(t *testing.T) {
-	d, _ := ParseString(`<a><b x="1"/><b x="2"/></a>`)
-	q, err := CompileWithBindings("//b[@x = $v]", xpath.Bindings{"v": &xpath.Literal{Val: "2"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewEngine(d, Auto).Select(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s) != 1 {
-		t.Errorf("bound query = %v", s)
-	}
-	if _, err := Compile("//b[@x = $v]"); err == nil {
-		t.Error("unbound variable must fail compilation")
-	}
-}
-
-func TestNumericVariablePredicate(t *testing.T) {
-	// [$w] with a numeric binding means [position() = $w] (Section 5's
-	// normal form is computed after variable substitution).
-	d, _ := ParseString(`<a><b/><b/><b/></a>`)
-	q, err := CompileWithBindings("//b[$w]", xpath.Bindings{"w": &xpath.Number{Val: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewEngine(d, Auto).Select(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s) != 1 {
-		t.Fatalf("//b[$w=2] = %v, want exactly the second b", s)
-	}
-	kids := d.Children(d.DocumentElement())
-	if s[0] != kids[1] {
-		t.Errorf("selected %v, want %v", s[0], kids[1])
-	}
-	// A string binding is a boolean predicate instead.
-	q, err = CompileWithBindings("//b[$w]", xpath.Bindings{"w": &xpath.Literal{Val: "x"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err = NewEngine(d, Auto).Select(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s) != 3 {
-		t.Errorf("//b['x'] = %v, want all three (non-empty string is true)", s)
 	}
 }
 

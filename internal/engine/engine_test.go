@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestBatchOrderAndErrors(t *testing.T) {
 	queries := []string{
 		"count(//product)",
 		"//[",            // compile error
-		"$undefined + 1", // unbound variable
+		"$undefined + 1", // variable reference: refused by the parser
 		"count(//product[child::discontinued])",
 		"count(//no-such-tag)",
 	}
@@ -84,6 +85,9 @@ func TestBatchOrderAndErrors(t *testing.T) {
 	}
 	if results[1].Err == nil || results[2].Err == nil {
 		t.Fatal("invalid queries did not report errors")
+	}
+	if !strings.Contains(results[2].Err.Error(), "offset 0: variable references are not supported") {
+		t.Fatalf("result 2 error = %v, want the parser's refusal at the $", results[2].Err)
 	}
 	if results[4].Err != nil || results[4].Value.Num != 0 {
 		t.Fatalf("result 4 = %+v, want 0", results[4])

@@ -114,7 +114,7 @@ func TestOnDemandSingleContext(t *testing.T) {
 
 // TestErrorPaths covers the error return of a tree put together by
 // hand: it has no slots, and is refused instead of being evaluated on
-// slot 0. (An unbound variable is conformance.TestUnboundVariable's.)
+// slot 0.
 func TestErrorPaths(t *testing.T) {
 	d := xmltree.MustParseString(`<a/>`)
 	ev := New(d)

@@ -182,7 +182,7 @@ type Run struct {
 func (ev *Evaluator) Begin(ar *xmltree.Arena, cancel *evalutil.Canceller, e xpath.Expr) (*Run, error) {
 	n := xpath.Slots(e)
 	if n == 0 {
-		return nil, fmt.Errorf("mincontext: %s is not numbered (trees come from xpath.Parse, Substitute or Optimize)", e)
+		return nil, fmt.Errorf("mincontext: %s is not numbered (trees come from xpath.Parse or Optimize)", e)
 	}
 	st := xmltree.Keep[Run](ar)
 	st.expr, st.doc, st.ar, st.cancel = e, ev.doc, ar, cancel

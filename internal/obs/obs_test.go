@@ -345,7 +345,7 @@ func TestTraceConcurrentSpans(t *testing.T) {
 }
 
 func TestTraceRing(t *testing.T) {
-	r := NewTraceRing(3)
+	r := &TraceRing{cap: 3}
 	for i := 0; i < 5; i++ {
 		r.Add(NewTrace(string(rune('a' + i))))
 	}
@@ -377,7 +377,7 @@ func TestTraceFinishFreezesReport(t *testing.T) {
 	first := tr.Report()
 	time.Sleep(2 * time.Millisecond)
 	tr.Finish() // the first Finish wins
-	r := NewTraceRing(1)
+	r := &TraceRing{cap: 1}
 	r.Add(tr)
 	late := r.Snapshot()[0]
 	if late.TotalNs != first.TotalNs {

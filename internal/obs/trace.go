@@ -287,14 +287,9 @@ type TraceRing struct {
 // retains.
 const DefaultTraceRingSize = 64
 
-// NewTraceRing creates a ring retaining the last n traces (n <= 0
-// takes DefaultTraceRingSize).
-func NewTraceRing(n int) *TraceRing {
-	if n <= 0 {
-		n = DefaultTraceRingSize
-	}
-	return &TraceRing{cap: n}
-}
+// NewTraceRing creates a ring retaining the last DefaultTraceRingSize
+// traces.
+func NewTraceRing() *TraceRing { return &TraceRing{cap: DefaultTraceRingSize} }
 
 // Add records a finished trace (see Trace.Finish). Nil traces are
 // ignored.

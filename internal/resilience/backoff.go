@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Default backoff shape: first retry waits up to ~25ms, growth is
+// The backoff shape: first retry waits up to ~25ms, growth is
 // exponential, and no single wait exceeds a second — long enough to
 // let a blip pass, short enough that a request's deadline survives a
 // couple of attempts.
@@ -28,20 +28,14 @@ type Backoff struct {
 	rng *rand.Rand
 }
 
-// NewBackoff creates a Backoff. Zero base/cap take the defaults; seed
-// 0 derives one from the clock (pass a fixed seed for reproducible
-// tests and chaos runs).
-func NewBackoff(base, cap time.Duration, seed int64) *Backoff {
-	if base <= 0 {
-		base = DefaultBackoffBase
-	}
-	if cap <= 0 {
-		cap = DefaultBackoffCap
-	}
+// NewBackoff creates a Backoff of DefaultBackoffBase and
+// DefaultBackoffCap. Seed 0 derives one from the clock (pass a fixed
+// seed for reproducible tests and chaos runs).
+func NewBackoff(seed int64) *Backoff {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	return &Backoff{base: base, cap: cap, rng: rand.New(rand.NewSource(seed))}
+	return &Backoff{base: DefaultBackoffBase, cap: DefaultBackoffCap, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Delay returns the wait before retry attempt k (0-based: Delay(0)

@@ -22,19 +22,16 @@ type Budget struct {
 }
 
 // NewBudget creates a Budget granting ratio retries per first attempt
-// (0.2 = one retry per five requests), banking at most max tokens
-// (<= 0: DefaultBudgetCap). A ratio <= 0 returns nil — the unlimited
+// (0.2 = one retry per five requests), banking at most
+// DefaultBudgetCap tokens. A ratio <= 0 returns nil — the unlimited
 // budget.
-func NewBudget(ratio, max float64) *Budget {
+func NewBudget(ratio float64) *Budget {
 	if ratio <= 0 {
 		return nil
 	}
-	if max <= 0 {
-		max = DefaultBudgetCap
-	}
 	// Start full: a cold router facing an outage on its first requests
 	// may still retry.
-	return &Budget{tokens: max, ratio: ratio, max: max}
+	return &Budget{tokens: DefaultBudgetCap, ratio: ratio, max: DefaultBudgetCap}
 }
 
 // Deposit credits one first attempt's worth of retry allowance.

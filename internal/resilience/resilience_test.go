@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -12,7 +13,7 @@ import (
 )
 
 func TestBackoffDelayBounds(t *testing.T) {
-	b := NewBackoff(10*time.Millisecond, 80*time.Millisecond, 42)
+	b := &Backoff{base: 10 * time.Millisecond, cap: 80 * time.Millisecond, rng: rand.New(rand.NewSource(42))}
 	for attempt := 0; attempt < 8; attempt++ {
 		ceil := 10 * time.Millisecond << attempt
 		if ceil > 80*time.Millisecond {
@@ -32,8 +33,8 @@ func TestBackoffDelayBounds(t *testing.T) {
 }
 
 func TestBackoffDeterministicWithSeed(t *testing.T) {
-	a := NewBackoff(0, 0, 7)
-	b := NewBackoff(0, 0, 7)
+	a := NewBackoff(7)
+	b := NewBackoff(7)
 	for i := 0; i < 20; i++ {
 		if da, db := a.Delay(i%5), b.Delay(i%5); da != db {
 			t.Fatalf("seeded backoffs diverged at draw %d: %v vs %v", i, da, db)
@@ -103,7 +104,7 @@ func TestCarveAttempt(t *testing.T) {
 }
 
 func TestRetry(t *testing.T) {
-	b := NewBackoff(time.Millisecond, 2*time.Millisecond, 1)
+	b := &Backoff{base: time.Millisecond, cap: 2 * time.Millisecond, rng: rand.New(rand.NewSource(1))}
 	calls := 0
 	err := Retry(context.Background(), 3, b, func(ctx context.Context) error {
 		calls++
@@ -128,7 +129,7 @@ func TestRetry(t *testing.T) {
 }
 
 func TestBudget(t *testing.T) {
-	if b := NewBudget(0, 10); b != nil {
+	if b := NewBudget(0); b != nil {
 		t.Fatal("ratio<=0 should return the nil (unlimited) budget")
 	}
 	var nilB *Budget
@@ -136,7 +137,7 @@ func TestBudget(t *testing.T) {
 		t.Fatal("nil budget denied a retry")
 	}
 
-	b := NewBudget(0.5, 2)
+	b := &Budget{tokens: 2, ratio: 0.5, max: 2}
 	// Starts full (2 tokens).
 	if !b.Spend() || !b.Spend() {
 		t.Fatal("full budget denied")

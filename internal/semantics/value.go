@@ -11,7 +11,6 @@
 package semantics
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -320,14 +319,9 @@ func apply(d *xmltree.Document, ar *xmltree.Arena, op xpath.BinOp, l, r Value) (
 	return Value{}, fmt.Errorf("semantics: unknown operator %v", op)
 }
 
-// ErrUnboundVariable is the error of a variable reference that reaches
-// evaluation: the paper replaces variables by constants first (Section
-// 5), and xpath.Substitute does. Every engine reports it through Eval.
-var ErrUnboundVariable = errors.New("unbound variable")
-
 // Eval is F[[e]] at context c for every expression that is not a
-// location path or filter expression — a constant, a variable, a
-// negation, a binary operator (apply) or a function call (callFunction)
+// location path or filter expression — a constant, a negation, a
+// binary operator (apply) or a function call (callFunction)
 // — given args, the values of xpath.Operands(e) in order. This is
 // Definition 5.1's E[[Op(e1,…,em)]](c) = F[[Op]](E[[e1]](c), …,
 // E[[em]](c)) written once: the engines differ only in how they compute
@@ -339,8 +333,6 @@ func Eval(d *xmltree.Document, ar *xmltree.Arena, e xpath.Expr, c Context, args 
 		return Number(x.Val), nil
 	case *xpath.Literal:
 		return String(x.Val), nil
-	case *xpath.VarRef:
-		return Value{}, fmt.Errorf("semantics: %w $%s (substitute before evaluation)", ErrUnboundVariable, x.Name)
 	case *xpath.Negate:
 		return Number(-ToNumber(d, args[0])), nil
 	case *xpath.Binary:

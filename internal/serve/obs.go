@@ -16,7 +16,7 @@ func (s *Server) initObs() {
 		SlowQueries: reg.Counter("xpath_slow_queries_total", "traced requests slower than the -slow-query threshold"),
 		Stage:       s.stage,
 		Endpoints:   []string{"/documents", "/query", "/batch", "/stats", "/healthz", "/metrics"},
-		Traces:      obs.NewTraceRing(0),
+		Traces:      obs.NewTraceRing(),
 	}
 	reg.GaugeFunc("xpath_documents", "documents resident in the store", func() float64 {
 		return float64(s.docs.Stats().Entries)

@@ -3,11 +3,13 @@ package topdown
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/semantics"
 	"repro/internal/workload"
+	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
@@ -36,6 +38,20 @@ func TestEvaluateContextCancelsPromptly(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("evaluation did not return promptly after cancellation")
+	}
+}
+
+// TestPredicateFreeStepsConsultTheContext: a path of steps without
+// predicates is billed by the nodes it reaches, so a cancelled context
+// stops it — not only the next 1 024 evaluator calls.
+func TestPredicateFreeStepsConsultTheContext(t *testing.T) {
+	d := xmltree.MustParseString("<r>" + strings.Repeat("<a><b/></a>", 20000) + "</r>")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, q := range []string{"/descendant::b", "count(/descendant::a/child::b)"} {
+		if v, err := New(d).EvaluateContext(ctx, xpath.MustParse(q), semantics.Context{Node: d.RootID(), Pos: 1, Size: 1}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a cancelled context: %d nodes, number %v, %v; want context.Canceled", q, len(v.Set), v.Num, err)
+		}
 	}
 }
 

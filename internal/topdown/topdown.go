@@ -296,20 +296,25 @@ func (ev *run) evalStepVector(step *xpath.Step, inputs []xmltree.NodeSet) ([]xml
 	}
 
 	// Fast path: no predicates means Ri = χ(Xi) ∩ T(t); when all input
-	// slots are identical we can evaluate once.
+	// slots are identical we can evaluate once. A step bills the
+	// canceller its input and its image, as evalutil.Forward's do; a slot
+	// bills at least one unit.
 	if len(step.Preds) == 0 {
 		if eq {
 			res := evalutil.StepCandidatesSet(ev.ar, ev.doc, step.Axis, step.Test, union)
+			if err := ev.cancel.CheckN(len(union) + len(res)); err != nil {
+				return nil, err
+			}
 			for i := range out {
 				out[i] = res
 			}
 			return out, nil
 		}
 		for i, xi := range inputs {
-			if err := ev.cancel.Check(); err != nil {
+			out[i] = evalutil.StepCandidatesSet(ev.ar, ev.doc, step.Axis, step.Test, xi)
+			if err := ev.cancel.CheckN(1 + len(xi) + len(out[i])); err != nil {
 				return nil, err
 			}
-			out[i] = evalutil.StepCandidatesSet(ev.ar, ev.doc, step.Axis, step.Test, xi)
 		}
 		return out, nil
 	}

@@ -234,8 +234,6 @@ func scalarInFragment(e xpath.Expr) bool {
 		return true
 	case *xpath.Path, *xpath.FilterExpr:
 		return false // node set in scalar position
-	case *xpath.VarRef:
-		return false
 	default:
 		return false
 	}

@@ -5,13 +5,14 @@
 // node in that form — abbreviations (//, @, ., .., bare name tests)
 // expanded, numeric predicates [e] as [position() = e], predicates of
 // non-boolean type and the operands of and, or and not() wrapped in
-// boolean(·). Substitute replaces variables by constants from the
-// supplied binding, building the same form as it copies.
+// boolean(·). A query holds no variables: the paper's algorithms assume
+// each has been replaced by a constant before evaluation (Section 5),
+// and Parse refuses a variable reference where it meets the $.
 //
 // All evaluation engines in this repository share this AST. The trees
-// Parse and Substitute return are numbered — every expression node has a
-// slot and records its relevant context (number.go has the contract) —
-// and Optimize (optimize.go) keeps that numbering.
+// Parse returns are numbered — every expression node has a slot and
+// records its relevant context (number.go has the contract) — and
+// Optimize (optimize.go) keeps that numbering.
 package xpath
 
 import (
@@ -75,14 +76,6 @@ type Literal struct {
 	Val string
 }
 
-// VarRef is a variable reference $Name. The paper assumes variables are
-// replaced by constants before evaluation (Section 5); Substitute does
-// this, and engines reject any VarRef that survives.
-type VarRef struct {
-	slotInfo
-	Name string
-}
-
 // BinOp enumerates binary operators.
 type BinOp uint8
 
@@ -144,7 +137,7 @@ type Call struct {
 // Operands appends the operands of an operator expression to buf and
 // returns it: a negation's argument, a binary operator's left and right
 // sides, a call's arguments — the ei of Op(e1,…,em), in order. Constants,
-// variables, location paths and filter expressions have none: a path's
+// location paths and filter expressions have none: a path's
 // head and predicates are not operands of an F[[Op]] (Definition 5.1).
 // Appending into the caller's buffer lets an evaluator enumerate them
 // with no allocation.
@@ -279,11 +272,6 @@ func (*Path) Type() Type       { return TypeNodeSet }
 func (*FilterExpr) Type() Type { return TypeNodeSet }
 func (*Negate) Type() Type     { return TypeNumber }
 
-// Type of a variable is unknown until substitution; parsing rejects
-// evaluation of VarRef, but for typing purposes treat it as nset (the
-// most permissive choice for normalization).
-func (*VarRef) Type() Type { return TypeNodeSet }
-
 // Type returns the operator's result type: or/and and comparisons yield
 // booleans, arithmetic yields numbers, union yields node sets.
 func (b *Binary) Type() Type {
@@ -321,8 +309,6 @@ func quoted(s string, q byte) string {
 	}
 	return string(q) + s + string(q)
 }
-
-func (v *VarRef) String() string { return "$" + v.Name }
 
 func (n *Negate) String() string { return "-" + n.X.String() }
 

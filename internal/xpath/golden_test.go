@@ -16,14 +16,13 @@ var update = flag.Bool("update", false, "rewrite testdata/normal_form.txt from t
 // numbering of both. An entry is a block of lines ended by a blank one:
 //
 //	query "<Go-quoted text>"
-//	bind <name> <constant>     (any number; the block then runs Substitute)
 //	…                          (the recorded lines renderGolden writes)
 const goldenFile = "testdata/normal_form.txt"
 
-// goldenEntry is one block of goldenFile: its input lines and the rest.
+// goldenEntry is one block of goldenFile: its query line and the rest.
 type goldenEntry struct {
-	query    string
-	in, want []string
+	query, line string
+	want        []string
 }
 
 func readGolden(t testing.TB) []goldenEntry {
@@ -46,39 +45,19 @@ func readGolden(t testing.TB) []goldenEntry {
 		if !ok || err != nil {
 			t.Fatalf("malformed entry:\n%s", block)
 		}
-		e := goldenEntry{query: q, in: lines[:1]}
-		for _, l := range lines[1:] {
-			if strings.HasPrefix(l, "bind ") {
-				e.in = append(e.in, l)
-			} else {
-				e.want = append(e.want, l)
-			}
-		}
-		out = append(out, e)
+		out = append(out, goldenEntry{query: q, line: lines[0], want: lines[1:]})
 	}
 	return out
 }
 
-// renderGolden computes the recorded lines of an entry.
-func renderGolden(e goldenEntry) []string {
-	x, err := Parse(e.query)
+// renderGolden computes the recorded lines of a query.
+func renderGolden(query string) []string {
+	x, err := Parse(query)
 	if err != nil {
 		return []string{"error"}
 	}
-	out := []string{"parse " + x.String()}
-	if len(e.in) > 1 {
-		b := Bindings{}
-		for _, l := range e.in[1:] {
-			name, val, _ := strings.Cut(strings.TrimPrefix(l, "bind "), " ")
-			b[name] = MustParse(val)
-		}
-		if x, err = Substitute(x, b); err != nil {
-			return append(out, "substitute error")
-		}
-		out = append(out, "substitute "+x.String())
-	}
 	opt := Optimize(x)
-	return append(out, "optimize "+opt.String(), "slots "+slotList(x), "oslots "+slotList(opt))
+	return []string{"parse " + x.String(), "optimize " + opt.String(), "slots " + slotList(x), "oslots " + slotList(opt)}
 }
 
 // slotList is the slot count and, in Walk order, every node's slot and
@@ -111,13 +90,13 @@ func TestNormalFormGolden(t *testing.T) {
 		}
 	}
 	for _, e := range entries {
-		got := renderGolden(e)
+		got := renderGolden(e.query)
 		if *update {
-			file.WriteString("\n" + strings.Join(append(e.in, got...), "\n") + "\n")
+			file.WriteString("\n" + strings.Join(append([]string{e.line}, got...), "\n") + "\n")
 			continue
 		}
 		if g, w := strings.Join(got, "\n"), strings.Join(e.want, "\n"); g != w {
-			t.Errorf("%s:\n got: %s\nwant: %s", e.in[0], g, w)
+			t.Errorf("%s:\n got: %s\nwant: %s", e.line, g, w)
 		}
 	}
 	if *update {

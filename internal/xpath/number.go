@@ -6,12 +6,11 @@ import "sync/atomic"
 //
 // What a query's syntax fixes is decided when the tree is built, never
 // again per evaluation (Section 8.2: Relev(N) "depends only on the
-// query"). Parse and Substitute number the tree they return: its n
-// expression nodes carry the slots 0 … n−1 in post-order and each
-// records its Relev and whether a VarRef lies in its subtree, so an
-// evaluator keeps its per-node state in slices of Slots(e) entries
-// indexed by Slot, and RelevantContext and HasVariables of a numbered
-// node are field reads. The contract:
+// query"). Parse numbers the tree it returns: its n expression nodes
+// carry the slots 0 … n−1 in post-order and each records its Relev, so
+// an evaluator keeps its per-node state in slices of Slots(e) entries
+// indexed by Slot, and RelevantContext of a numbered node is a field
+// read. The contract:
 //
 //   - a numbered tree is never written again — but for the one form per
 //     node an evaluator derives from its syntax alone (Memo), stored
@@ -33,7 +32,6 @@ type slotInfo struct {
 	nb    *numbering // nil: not numbered
 	slot  int32
 	relev Relev
-	vars  bool // a VarRef lies in the node's subtree
 }
 
 func (s *slotInfo) info() *slotInfo { return s }
@@ -49,16 +47,9 @@ type numbering struct {
 // place, and returns it.
 func number(e Expr) Expr {
 	nb := &numbering{}
-	var refs int32 // VarRefs numbered so far
-	walk(e, func(x Expr) {
-		x.info().slot = refs // until x is numbered: the VarRefs before its subtree
-	}, func(x Expr) {
+	walk(e, func(Expr) {}, func(x Expr) {
 		// x's subexpressions have their records: the rules read them.
-		in := x.info()
-		if _, ok := x.(*VarRef); ok {
-			refs++
-		}
-		*in = slotInfo{nb: nb, slot: nb.n, relev: RelevantContext(x), vars: refs > in.slot}
+		*x.info() = slotInfo{nb: nb, slot: nb.n, relev: RelevantContext(x)}
 		nb.n++
 	})
 	return e

@@ -59,25 +59,46 @@ func TestNumberingDense(t *testing.T) {
 }
 
 // checkRecordedRelev compares the Relev recorded in every node of e with
-// the rules applied to an un-numbered copy (substitute builds one).
+// the rules applied to an un-numbered copy of the node, whose
+// subexpressions keep their records: from the leaves up, every record
+// is then what the rules give its whole subtree.
 func checkRecordedRelev(t *testing.T, src string, e Expr) {
 	t.Helper()
-	twin, err := substitute(e, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var plain []Expr
-	Walk(twin, func(x Expr) { plain = append(plain, x) })
-	i := 0
 	Walk(e, func(x Expr) {
-		if Slots(plain[i]) != 0 {
-			t.Fatalf("%s: the copy of %s is numbered", src, x)
-		}
-		if got, want := RelevantContext(x), RelevantContext(plain[i]); got != want {
+		if got, want := RelevantContext(x), RelevantContext(unnumbered(x)); got != want {
 			t.Errorf("%s: %s records Relev %v, the rules give %v", src, x, got, want)
 		}
-		i++
 	})
+}
+
+// unnumbered is a shallow copy of the node x without its record.
+func unnumbered(x Expr) Expr {
+	var c Expr
+	switch x := x.(type) {
+	case *Number:
+		n := *x
+		c = &n
+	case *Literal:
+		l := *x
+		c = &l
+	case *Negate:
+		n := *x
+		c = &n
+	case *Binary:
+		b := *x
+		c = &b
+	case *Call:
+		f := *x
+		c = &f
+	case *FilterExpr:
+		f := *x
+		c = &f
+	case *Path:
+		p := *x
+		c = &p
+	}
+	*c.info() = slotInfo{}
+	return c
 }
 
 // TestOptimizeKeepsNumbering: the optimized tree is a second view of the
@@ -109,27 +130,6 @@ func TestOptimizeKeepsNumbering(t *testing.T) {
 		if _, wasPath := e.(*Path); Slot(opt) != Slot(e) && !wasPath {
 			t.Errorf("%s: root slot %d became %d", src, Slot(e), Slot(opt))
 		}
-	}
-}
-
-// TestSubstituteNumbersAFreshTree: a binding used twice, and used again
-// by a second query, is copied — the constants the caller holds are
-// never numbered, the trees are.
-func TestSubstituteNumbersAFreshTree(t *testing.T) {
-	w := &Number{Val: 2}
-	b := Bindings{"w": w}
-	for _, src := range []string{"//a[$w]/b[. = $w]", "count(//c) > $w"} {
-		e, err := Substitute(MustParse(src), b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nodes := slotsOf(t, src, e); Slots(e) != len(nodes) {
-			t.Errorf("%s: %d nodes, %d slots", src, len(nodes), Slots(e))
-		}
-		checkRecordedRelev(t, src, e)
-	}
-	if Slots(w) != 0 || Slot(w) != -1 {
-		t.Errorf("the bound constant was numbered: slot %d of %d", Slot(w), Slots(w))
 	}
 }
 

@@ -25,9 +25,9 @@ var ErrTooDeep = errors.New("xpath: query nested too deeply")
 // them and builds each node in normal form — abbreviations expanded,
 // numeric predicates [e] as [position() = e], other non-boolean
 // predicates and the operands of and, or and not() wrapped in
-// boolean(·). A predicate that holds a variable keeps its form until
-// Substitute knows the variable's type. The tree is then numbered
-// (number.go). A query nested deeper than MaxDepth is refused with
+// boolean(·). The tree is then numbered (number.go). A variable
+// reference is refused at its $: the paper's queries are variable-free
+// (Section 5). A query nested deeper than MaxDepth is refused with
 // ErrTooDeep; any other error, lexical ones included, is met where the
 // parser reaches it.
 func Parse(src string) (Expr, error) {
@@ -63,7 +63,6 @@ type parser struct {
 	off      int    // where the scanner reads the token after nxt
 	tok, nxt token  // the current token and the next one
 	open     int    // parentheses, calls, predicates and minus signs open here
-	vars     int    // variable references built so far
 	steps    []Step // the steps of the paths being parsed (parseRelativeInto)
 }
 
@@ -248,7 +247,8 @@ func (p *parser) parsePathExpr() (Expr, int, error) {
 
 // startsFilterExpr distinguishes a FilterExpr head from a location path.
 // FilterExpr starts with: VariableReference, '(', Literal, Number, or a
-// FunctionCall that is not a node-type test.
+// FunctionCall that is not a node-type test. A VariableReference's $
+// counts, so that parsePrimary refuses it by name.
 func (p *parser) startsFilterExpr() bool {
 	switch p.tok.kind {
 	case tokDollar, tokLParen, tokLiteral, tokNumber:
@@ -292,12 +292,7 @@ func (p *parser) parseFilterExpr() (Expr, int, error) {
 func (p *parser) parsePrimary() (Expr, int, error) {
 	switch t := p.tok; t.kind {
 	case tokDollar:
-		p.next()
-		if p.tok.kind != tokName {
-			return nil, 0, p.errorf("expected variable name after $")
-		}
-		p.vars++
-		return &VarRef{Name: p.next().text}, 1, nil
+		return nil, 0, p.errorf("variable references are not supported")
 	case tokLParen:
 		p.next()
 		e, d, err := p.parseExpr()
@@ -358,7 +353,6 @@ func (p *parser) parsePredicates() ([]Expr, int, error) {
 	var preds []Expr
 	depth := 0
 	for p.accept(tokLBracket) {
-		vars := p.vars
 		e, d, err := p.parseExpr()
 		if err != nil {
 			return nil, 0, err
@@ -366,17 +360,13 @@ func (p *parser) parsePredicates() ([]Expr, int, error) {
 		if err := p.expect(tokRBracket, "]"); err != nil {
 			return nil, 0, err
 		}
-		if p.vars == vars {
-			e = predicate(e)
-		}
-		preds, depth = append(preds, e), max(depth, d)
+		preds, depth = append(preds, predicate(e)), max(depth, d)
 	}
 	return preds, depth, nil
 }
 
 // predicate returns the predicate [e] in normal form: [position() = e]
-// if e is a number, [boolean(e)] if a node set or a string. Its type is
-// not known while e holds a variable: Substitute rewrites it then.
+// if e is a number, [boolean(e)] if a node set or a string.
 func predicate(e Expr) Expr {
 	switch e.Type() {
 	case TypeNumber:

@@ -2,6 +2,7 @@ package xpath
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -345,20 +346,14 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestVariables: a variable reference is a parse error at its $, and
+// the message says what is refused.
 func TestVariables(t *testing.T) {
-	e := parse(t, "a[@x = $v]")
-	if !HasVariables(e) {
-		t.Fatal("variable not detected")
-	}
-	sub, err := Substitute(e, Bindings{"v": &Literal{Val: "hello"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if HasVariables(sub) {
-		t.Error("substitution left variables behind")
-	}
-	if _, err := Substitute(e, Bindings{}); err == nil {
-		t.Error("unbound variable should error")
+	for q, off := range map[string]int{"a[@x = $v]": 7, "count(//a) + $v": 13, "$undefined + 1": 0, "$": 0, "$1": 0} {
+		_, err := Parse(q)
+		if want := fmt.Sprintf("offset %d: variable references are not supported", off); err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("Parse(%q) = %v, want an error ending %q", q, err, want)
+		}
 	}
 }
 

@@ -151,8 +151,8 @@ func TestTreeString(t *testing.T) {
 		}
 	}
 	// All node kinds render.
-	out = TreeString(MustParse("(id('x'))[1]/a[-1 < 2] | //b[$v]"))
-	for _, want := range []string{"filter", "variable $v", "negate", "head"} {
+	out = TreeString(MustParse("(id('x'))[1]/a[-1 < 2]"))
+	for _, want := range []string{"filter", "literal 'x'", "negate", "head"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("TreeString missing %q:\n%s", want, out)
 		}

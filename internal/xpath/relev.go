@@ -63,9 +63,6 @@ func RelevantContext(e Expr) Relev {
 	switch x := e.(type) {
 	case *Number, *Literal:
 		return 0
-	case *VarRef:
-		// Unresolved variables are constants-to-be; no context needed.
-		return 0
 	case *Negate:
 		return RelevantContext(x.X)
 	case *Binary:

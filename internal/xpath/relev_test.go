@@ -164,26 +164,3 @@ func TestQNameLexing(t *testing.T) {
 		t.Errorf("axis + QName = %q", p.Steps[0].Test.Name)
 	}
 }
-
-func TestSubstituteNested(t *testing.T) {
-	e := MustParse("//a[@x = $v]/b[$w]/c | id($u)")
-	sub, err := Substitute(e, Bindings{
-		"v": &Literal{Val: "1"},
-		"w": &Number{Val: 2},
-		"u": &Literal{Val: "k"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if HasVariables(sub) {
-		t.Error("variables remain after substitution")
-	}
-	// Re-substitution is a no-op.
-	again, err := Substitute(sub, Bindings{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.String() != sub.String() {
-		t.Error("idempotence violated")
-	}
-}

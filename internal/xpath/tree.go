@@ -28,8 +28,6 @@ func writeTree(b *strings.Builder, e Expr, depth int) {
 		fmt.Fprintf(b, "number %s", x)
 	case *Literal:
 		fmt.Fprintf(b, "literal %s", x)
-	case *VarRef:
-		fmt.Fprintf(b, "variable $%s", x.Name)
 	case *Negate:
 		fmt.Fprintf(b, "negate")
 	case *Binary:
@@ -75,4 +73,35 @@ func writeTree(b *strings.Builder, e Expr, depth int) {
 			}
 		}
 	}
+}
+
+// Walk applies f to e and every subexpression of e in pre-order,
+// including step predicates.
+func Walk(e Expr, f func(Expr)) { walk(e, f, func(Expr) {}) }
+
+// walk applies pre to e, walks its subexpressions, then applies post.
+func walk(e Expr, pre, post func(Expr)) {
+	if e == nil {
+		return
+	}
+	pre(e)
+	var few [4]Expr
+	for _, o := range Operands(e, few[:0]) {
+		walk(o, pre, post)
+	}
+	switch x := e.(type) {
+	case *FilterExpr:
+		walk(x.Primary, pre, post)
+		for _, p := range x.Preds {
+			walk(p, pre, post)
+		}
+	case *Path:
+		walk(x.Filter, pre, post)
+		for _, s := range x.Steps {
+			for _, p := range s.Preds {
+				walk(p, pre, post)
+			}
+		}
+	}
+	post(e)
 }

@@ -113,16 +113,16 @@ func TestCancelledEvaluationLeavesNoState(t *testing.T) {
 	if _, err := ev.EvaluateContext(ctx, e, semantics.Context{Node: d.RootID(), Pos: 1, Size: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled evaluation: err = %v, want context.Canceled", err)
 	}
-	if s, err := ev.EvaluateSet(e, xmltree.NodeSet{d.RootID()}); err != nil || len(s) != 5000 {
-		t.Errorf("EvaluateSet after a cancelled evaluation: %d nodes, %v; want 5000, nil", len(s), err)
+	if v, err := ev.EvaluateContext(context.Background(), e, semantics.Context{Node: d.RootID(), Pos: 1, Size: 1}); err != nil || len(v.Set) != 5000 {
+		t.Errorf("EvaluateContext after a cancelled evaluation: %d nodes, %v; want 5000, nil", len(v.Set), err)
 	}
 	if s, err := ev.MatchSet(e); err != nil || len(s) != 5000 {
 		t.Errorf("MatchSet after a cancelled evaluation: %d nodes, %v; want 5000, nil", len(s), err)
 	}
-	for name, f := range map[string]func() (xmltree.NodeSet, error){
-		"FirstOfAny": ev.FirstOfAny, "LastOfAny": ev.LastOfAny, "FirstOfType": ev.FirstOfType, "LastOfType": ev.LastOfType,
+	for name, b := range map[string][2]bool{
+		"first-of-any": {true, false}, "last-of-any": {false, false}, "first-of-type": {true, true}, "last-of-type": {false, true},
 	} {
-		if s, err := f(); err != nil || len(s) != 2 {
+		if s, err := ev.boundary(b[0], b[1]); err != nil || len(s) != 2 {
 			t.Errorf("%s after a cancelled evaluation: %v, %v; want a and one b", name, s, err)
 		}
 	}

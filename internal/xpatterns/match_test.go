@@ -44,12 +44,12 @@ func TestMatchSet(t *testing.T) {
 		t.Errorf("s[p]/t match set = %v", set)
 	}
 
-	// Matches on an individual node.
-	ok, err := ev.Matches(xpath.MustParse("child::p"), set[0])
+	// Membership of an individual node.
+	ps, err := ev.MatchSet(xpath.MustParse("child::p"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
+	if ps.Contains(set[0]) {
 		t.Error("t must not match pattern p")
 	}
 

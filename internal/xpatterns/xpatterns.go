@@ -210,11 +210,6 @@ func (ev *Evaluator) EvaluateContext(ctx context.Context, e xpath.Expr, c semant
 	return semantics.NodeSet(s), err
 }
 
-// EvaluateSet computes S→[[π]](N0) for a set of context nodes.
-func (ev *Evaluator) EvaluateSet(e xpath.Expr, n0 xmltree.NodeSet) (xmltree.NodeSet, error) {
-	return ev.run(context.Background(), func(x *eval) (xmltree.NodeSet, error) { return x.fwd().Image(e, n0) })
-}
-
 // MatchSet computes the nodes matching a pattern in the XSLT-template
 // sense — the original home of the XSLT Patterns language: n matches π
 // iff some context node selects n via π (for an absolute pattern, the
@@ -235,14 +230,6 @@ func (ev *Evaluator) MatchSetContext(ctx context.Context, e xpath.Expr) (xmltree
 		}
 		return x.fwd().Image(e, dom)
 	})
-}
-
-// Matches reports whether one node matches the pattern. For repeated
-// tests against the same pattern, compute MatchSet once and use
-// Contains.
-func (ev *Evaluator) Matches(e xpath.Expr, n xmltree.NodeID) (bool, error) {
-	s, err := ev.MatchSet(e)
-	return s.Contains(n), err
 }
 
 // Head evaluates an id(…) head forwards: id('c') is the constant's
@@ -413,23 +400,15 @@ func (ev *eval) eqS(p *xpath.Path, c xpath.Expr) (ext, error) {
 // XSLT'98 unary predicates (Table VI / Theorem 10.8)
 // ------------------------------------------------------------------
 
-// FirstOfAny returns {y ∈ dom | y has no preceding sibling}: the
-// first-of-any unary predicate. Attribute and namespace nodes are not
-// part of the sibling order here.
-func (ev *Evaluator) FirstOfAny() (xmltree.NodeSet, error) { return ev.boundary(true, false) }
-
-// LastOfAny returns {x ∈ dom | x has no following sibling}.
-func (ev *Evaluator) LastOfAny() (xmltree.NodeSet, error) { return ev.boundary(false, false) }
-
 // FirstOfType returns the first-of-type() predicate of Theorem 10.8:
 // elements with no preceding sibling of the same name. Computable in
 // O(|D|·|Σ|); this implementation is O(|D|) by scanning sibling lists.
+// The four predicates are query functions too (first-of-any() and the
+// rest), which e1 evaluates.
 func (ev *Evaluator) FirstOfType() (xmltree.NodeSet, error) { return ev.boundary(true, true) }
 
-// LastOfType returns elements with no following sibling of the same
-// name.
-func (ev *Evaluator) LastOfType() (xmltree.NodeSet, error) { return ev.boundary(false, true) }
-
+// boundary is the set of one unary predicate: the first (or last)
+// element of every sibling list, per tag name with byType.
 func (ev *Evaluator) boundary(first, byType bool) (xmltree.NodeSet, error) {
 	return ev.run(context.Background(), func(x *eval) (xmltree.NodeSet, error) { return x.siblingBoundary(first, byType) })
 }

@@ -118,21 +118,21 @@ func TestUnaryPredicateSets(t *testing.T) {
 	ev := New(d)
 	name := func(id xmltree.NodeID) string { return d.Name(id) }
 
-	foa, err := ev.FirstOfAny()
+	foa, err := ev.boundary(true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// First children: r (of root), a (first child of r), first a in c.
 	if len(foa) != 3 {
-		t.Errorf("FirstOfAny = %d nodes, want 3", len(foa))
+		t.Errorf("first-of-any = %d nodes, want 3", len(foa))
 	}
-	loa, err := ev.LastOfAny()
+	loa, err := ev.boundary(false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Last children: r, c (last child of r), last a in c.
 	if len(loa) != 3 {
-		t.Errorf("LastOfAny = %d nodes, want 3", len(loa))
+		t.Errorf("last-of-any = %d nodes, want 3", len(loa))
 	}
 
 	fot, err := ev.FirstOfType()
@@ -148,13 +148,13 @@ func TestUnaryPredicateSets(t *testing.T) {
 		}
 		t.Errorf("FirstOfType = %v (%d), want 5", ns, len(fot))
 	}
-	lot, err := ev.LastOfType()
+	lot, err := ev.boundary(false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// r; b, second a, c under r; second a under c → 5.
 	if len(lot) != 5 {
-		t.Errorf("LastOfType = %d, want 5", len(lot))
+		t.Errorf("last-of-type = %d, want 5", len(lot))
 	}
 	// first-of-type ∩ last-of-type = types occurring once per list.
 	both := fot.Intersect(lot)
