@@ -1,6 +1,6 @@
 // Command xpathlint is the multichecker driver for the repository's
-// analyzer suite (internal/lint): cancelcheck, lockshard, sharedset,
-// wiretag and ctxhttp. It loads the packages matched by its arguments
+// analyzer suite (internal/lint): cancelcheck, sharedset, wiretag,
+// ctxhttp and metricname. It loads the packages matched by its arguments
 // (default ./...), runs every analyzer, prints the surviving findings
 // as file:line:col: message (analyzer), and exits 1 when there are
 // any — the CI gate contract.

@@ -3,7 +3,8 @@ package cluster
 import (
 	"container/list"
 	"strconv"
-	"sync"
+
+	"repro/internal/guard"
 )
 
 // DefaultAnswerCacheSize is the router answer cache's entry capacity
@@ -21,8 +22,12 @@ const DefaultAnswerCacheSize = 1024
 // or as a /batch job: a batch line is the same body behind its line
 // members, so both paths read and fill the one entry.
 type answerCache struct {
-	mu     sync.Mutex
-	cap    int
+	cap   int
+	state guard.Locked[answerState]
+}
+
+// answerState is what the answer cache's lock guards.
+type answerState struct {
 	lru    *list.List               // front = most recently used
 	items  map[string]*list.Element // composite key -> element
 	perDoc map[string][]string      // doc -> live composite keys
@@ -51,11 +56,11 @@ type answerCache struct {
 // floorBuckets is the size of answerCache.floor.
 const floorBuckets = 256
 
-// raiseFloorLocked records that doc's watermark or tombstone at ver is
-// being dropped.
-func (c *answerCache) raiseFloorLocked(doc string, ver uint64) {
-	if b := KeyShard(doc, floorBuckets); ver > c.floor[b] {
-		c.floor[b] = ver
+// raiseFloor records that doc's watermark or tombstone at ver is being
+// dropped.
+func (st *answerState) raiseFloor(doc string, ver uint64) {
+	if b := KeyShard(doc, floorBuckets); ver > st.floor[b] {
+		st.floor[b] = ver
 	}
 }
 
@@ -69,14 +74,13 @@ func newAnswerCache(capacity int) *answerCache {
 	if capacity <= 0 {
 		capacity = DefaultAnswerCacheSize
 	}
-	return &answerCache{
-		cap:    capacity,
+	return &answerCache{cap: capacity, state: guard.New(answerState{
 		lru:    list.New(),
 		items:  map[string]*list.Element{},
 		perDoc: map[string][]string{},
 		latest: map[string]uint64{},
 		dead:   map[string]uint64{},
-	}
+	})}
 }
 
 func answerKey(doc, query string, ver uint64) string {
@@ -89,17 +93,17 @@ func answerKey(doc, query string, ver uint64) string {
 // document's newest known version, counting a hit or a miss. Unknown
 // documents (no version ever observed) always miss.
 func (c *answerCache) get(doc, query string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ver, ok := c.latest[doc]
+	st := c.state.Lock()
+	defer c.state.Unlock()
+	ver, ok := st.latest[doc]
 	if ok {
-		if el, ok := c.items[answerKey(doc, query, ver)]; ok {
-			c.lru.MoveToFront(el)
-			c.hits++
+		if el, ok := st.items[answerKey(doc, query, ver)]; ok {
+			st.lru.MoveToFront(el)
+			st.hits++
 			return el.Value.(*answerEntry).body, true
 		}
 	}
-	c.misses++
+	st.misses++
 	return nil, false
 }
 
@@ -111,34 +115,34 @@ func (c *answerCache) put(doc, query string, ver uint64, body []byte) {
 	if ver == 0 {
 		return // versionless backends cannot be cached safely
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d, ok := c.dead[doc]; ok {
+	st := c.state.Lock()
+	defer c.state.Unlock()
+	if d, ok := st.dead[doc]; ok {
 		if ver <= d {
 			return // a dead document's late in-flight answer
 		}
-		delete(c.dead, doc) // the name was legitimately re-registered
+		delete(st.dead, doc) // the name was legitimately re-registered
 	}
-	if cur, ok := c.latest[doc]; !ok || ver > cur {
-		if !ok && ver <= c.floor[KeyShard(doc, floorBuckets)] {
+	if cur, ok := st.latest[doc]; !ok || ver > cur {
+		if !ok && ver <= st.floor[KeyShard(doc, floorBuckets)] {
 			return // perhaps older than a watermark the bounds dropped
 		}
-		c.dropDocLocked(doc)
-		c.setLatestLocked(doc, ver)
+		st.dropDoc(doc)
+		st.setLatest(doc, ver, 4*c.cap)
 	} else if ver < cur {
 		return // raced with a replacement; the answer is already stale
 	}
 	key := answerKey(doc, query, ver)
-	if el, ok := c.items[key]; ok {
+	if el, ok := st.items[key]; ok {
 		el.Value.(*answerEntry).body = body
-		c.lru.MoveToFront(el)
+		st.lru.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.lru.PushFront(&answerEntry{key: key, doc: doc, body: body})
-	c.perDoc[doc] = append(c.perDoc[doc], key)
-	for c.lru.Len() > c.cap {
-		oldest := c.lru.Back()
-		c.removeLocked(oldest.Value.(*answerEntry))
+	st.items[key] = st.lru.PushFront(&answerEntry{key: key, doc: doc, body: body})
+	st.perDoc[doc] = append(st.perDoc[doc], key)
+	for st.lru.Len() > c.cap {
+		oldest := st.lru.Back()
+		st.remove(oldest.Value.(*answerEntry))
 	}
 }
 
@@ -152,41 +156,40 @@ func (c *answerCache) put(doc, query string, ver uint64, body []byte) {
 // tombstone check keeps its guard (a dead name's versions stay dead
 // until a registration supersedes them).
 func (c *answerCache) bump(doc string, ver uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d, ok := c.dead[doc]; ok {
+	st := c.state.Lock()
+	defer c.state.Unlock()
+	if d, ok := st.dead[doc]; ok {
 		if ver <= d {
 			return
 		}
-		delete(c.dead, doc)
+		delete(st.dead, doc)
 	}
-	if cur, ok := c.latest[doc]; ok && ver == cur {
+	if cur, ok := st.latest[doc]; ok && ver == cur {
 		return // echo of the version already current; entries still valid
 	}
-	c.dropDocLocked(doc)
-	c.setLatestLocked(doc, ver)
+	st.dropDoc(doc)
+	st.setLatest(doc, ver, 4*c.cap)
 }
 
-// setLatestLocked records a document's newest version, bounding the
+// setLatest records a document's newest version, bounding the
 // watermark map so a churn of distinct document names cannot grow it
-// without limit: past 4× the LRU capacity, watermarks without any
-// cached answers are dropped into the floor. Losing a watermark only
+// without limit: past max entries (4× the LRU capacity), watermarks
+// without any cached answers are dropped into the floor. Losing a watermark only
 // costs cache misses — the next answer newer than the floor re-learns
 // the version — never a stale answer: lookups require a watermark, and
 // the floor keeps a late answer older than the dropped one out.
-func (c *answerCache) setLatestLocked(doc string, ver uint64) {
-	c.latest[doc] = ver
-	max := 4 * c.cap
-	if len(c.latest) <= max {
+func (st *answerState) setLatest(doc string, ver uint64, max int) {
+	st.latest[doc] = ver
+	if len(st.latest) <= max {
 		return
 	}
-	for d, v := range c.latest {
-		if len(c.latest) <= max {
+	for d, v := range st.latest {
+		if len(st.latest) <= max {
 			return
 		}
-		if d != doc && len(c.perDoc[d]) == 0 {
-			c.raiseFloorLocked(d, v)
-			delete(c.latest, d)
+		if d != doc && len(st.perDoc[d]) == 0 {
+			st.raiseFloor(d, v)
+			delete(st.latest, d)
 		}
 	}
 }
@@ -200,59 +203,58 @@ func (c *answerCache) setLatestLocked(doc string, ver uint64) {
 // that residual window only exists for documents this router never
 // wrote or answered for.
 func (c *answerCache) forget(doc string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.dropDocLocked(doc)
-	if v, ok := c.latest[doc]; ok && v > 0 {
-		c.dead[doc] = v
-		c.trimDeadLocked(doc)
+	st := c.state.Lock()
+	defer c.state.Unlock()
+	st.dropDoc(doc)
+	if v, ok := st.latest[doc]; ok && v > 0 {
+		st.dead[doc] = v
+		st.trimDead(doc, 4*c.cap)
 	}
-	delete(c.latest, doc)
+	delete(st.latest, doc)
 }
 
-// trimDeadLocked bounds the tombstone map like setLatestLocked bounds
-// the watermarks, and into the same floor, which keeps a dropped
+// trimDead bounds the tombstone map like setLatest bounds the
+// watermarks, and into the same floor, which keeps a dropped
 // tombstone's in-flight answers out as the tombstone did.
-func (c *answerCache) trimDeadLocked(keep string) {
-	max := 4 * c.cap
-	for d, v := range c.dead {
-		if len(c.dead) <= max {
+func (st *answerState) trimDead(keep string, max int) {
+	for d, v := range st.dead {
+		if len(st.dead) <= max {
 			return
 		}
 		if d != keep {
-			c.raiseFloorLocked(d, v)
-			delete(c.dead, d)
+			st.raiseFloor(d, v)
+			delete(st.dead, d)
 		}
 	}
 }
 
-func (c *answerCache) dropDocLocked(doc string) {
-	for _, key := range c.perDoc[doc] {
-		if el, ok := c.items[key]; ok {
-			c.lru.Remove(el)
-			delete(c.items, key)
-			c.invalid++
+func (st *answerState) dropDoc(doc string) {
+	for _, key := range st.perDoc[doc] {
+		if el, ok := st.items[key]; ok {
+			st.lru.Remove(el)
+			delete(st.items, key)
+			st.invalid++
 		}
 	}
-	delete(c.perDoc, doc)
+	delete(st.perDoc, doc)
 }
 
-// removeLocked is plain LRU eviction (capacity, not staleness): the
-// entry leaves the cache without counting as an invalidation.
-func (c *answerCache) removeLocked(e *answerEntry) {
-	if el, ok := c.items[e.key]; ok {
-		c.lru.Remove(el)
-		delete(c.items, e.key)
+// remove is plain LRU eviction (capacity, not staleness): the entry
+// leaves the cache without counting as an invalidation.
+func (st *answerState) remove(e *answerEntry) {
+	if el, ok := st.items[e.key]; ok {
+		st.lru.Remove(el)
+		delete(st.items, e.key)
 	}
-	keys := c.perDoc[e.doc]
+	keys := st.perDoc[e.doc]
 	for i, k := range keys {
 		if k == e.key {
-			c.perDoc[e.doc] = append(keys[:i], keys[i+1:]...)
+			st.perDoc[e.doc] = append(keys[:i], keys[i+1:]...)
 			break
 		}
 	}
-	if len(c.perDoc[e.doc]) == 0 {
-		delete(c.perDoc, e.doc)
+	if len(st.perDoc[e.doc]) == 0 {
+		delete(st.perDoc, e.doc)
 	}
 }
 
@@ -270,13 +272,13 @@ func (c *answerCache) stats() answerCacheStats {
 	if c == nil {
 		return answerCacheStats{}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	st := c.state.Lock()
+	defer c.state.Unlock()
 	return answerCacheStats{
-		Entries:       c.lru.Len(),
+		Entries:       st.lru.Len(),
 		Capacity:      c.cap,
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Invalidations: c.invalid,
+		Hits:          st.hits,
+		Misses:        st.misses,
+		Invalidations: st.invalid,
 	}
 }

@@ -59,7 +59,11 @@ func TestAnswerCacheTrimmedWatermark(t *testing.T) {
 	}
 	c := newAnswerCache(1)
 	c.bump("x", 5) // a registration through the router, acknowledged at 5
-	churn(c, false, func() bool { _, ok := c.latest["x"]; return !ok })
+	churn(c, false, func() bool {
+		_, ok := c.state.Lock().latest["x"]
+		c.state.Unlock()
+		return !ok
+	})
 	c.put("x", "q", 4, []byte("v4 answer")) // in flight since before the registration
 	if body, ok := c.get("x", "q"); ok {
 		t.Fatalf("served %q after version 5 was acknowledged", body)
@@ -72,7 +76,11 @@ func TestAnswerCacheTrimmedWatermark(t *testing.T) {
 	c = newAnswerCache(1)
 	c.put("y", "q", 7, []byte("v7 answer"))
 	c.forget("y") // tombstone at 7
-	churn(c, true, func() bool { _, ok := c.dead["y"]; return !ok })
+	churn(c, true, func() bool {
+		_, ok := c.state.Lock().dead["y"]
+		c.state.Unlock()
+		return !ok
+	})
 	c.put("y", "q", 7, []byte("v7 answer"))
 	if body, ok := c.get("y", "q"); ok {
 		t.Fatalf("deleted document served %q after its tombstone was trimmed", body)
@@ -93,10 +101,13 @@ func TestAnswerCacheBounds(t *testing.T) {
 	if st.Entries > 4 {
 		t.Fatalf("LRU holds %d entries past capacity 4", st.Entries)
 	}
-	if len(c.latest) > 4*c.cap+1 {
-		t.Fatalf("latest map grew to %d entries under name churn", len(c.latest))
+	s := c.state.Lock()
+	latest, dead := len(s.latest), len(s.dead)
+	c.state.Unlock()
+	if latest > 4*c.cap+1 {
+		t.Fatalf("latest map grew to %d entries under name churn", latest)
 	}
-	if len(c.dead) > 4*c.cap+1 {
-		t.Fatalf("dead map grew to %d entries under name churn", len(c.dead))
+	if dead > 4*c.cap+1 {
+		t.Fatalf("dead map grew to %d entries under name churn", dead)
 	}
 }

@@ -3,9 +3,9 @@ package engine
 import (
 	"container/list"
 	"hash/maphash"
-	"sync"
 
 	"repro/internal/core"
+	"repro/internal/guard"
 )
 
 // queryCache is a thread-safe LRU cache of compiled queries, keyed on
@@ -33,13 +33,16 @@ import (
 // many goroutines is safe (see TestConcurrentEvaluation in
 // internal/core).
 type queryCache struct {
-	// seed keys the doorkeeper's hashes; set once, read without the lock.
-	seed maphash.Seed
-
-	mu       sync.Mutex
+	// seed keys the doorkeeper's hashes.
+	seed     maphash.Seed
 	capacity int
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
+	state    guard.Locked[queryCacheState]
+}
+
+// queryCacheState is what the cache's lock guards.
+type queryCacheState struct {
+	ll    *list.List // front = most recently used
+	items map[string]*list.Element
 
 	// seen is the doorkeeper: slot h%len(seen) holds the hash (with its
 	// low bit set, so 0 means empty) of the last text missed there.
@@ -80,28 +83,30 @@ func newQueryCache(capacity int) *queryCache {
 		capacity = 1
 	}
 	return &queryCache{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element, capacity),
 		seed:     maphash.MakeSeed(),
-		seen:     make([]uint64, doorkeeperWays*capacity),
+		capacity: capacity,
+		state: guard.New(queryCacheState{
+			ll:    list.New(),
+			items: make(map[string]*list.Element, capacity),
+			seen:  make([]uint64, doorkeeperWays*capacity),
+		}),
 	}
 }
 
 // get returns the cached query for src, promoting it to most recently
 // used.
 func (c *queryCache) get(src string) (*core.Query, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[src]
+	st := c.state.Lock()
+	defer c.state.Unlock()
+	el, ok := st.items[src]
 	if !ok {
-		c.counts.misses++
+		st.counts.misses++
 		return nil, false
 	}
-	c.counts.hits++
+	st.counts.hits++
 	e := el.Value.(*cacheEntry)
-	c.counts.savedNanos += e.compileNanos
-	c.ll.MoveToFront(el)
+	st.counts.savedNanos += e.compileNanos
+	st.ll.MoveToFront(el)
 	return e.q, true
 }
 
@@ -113,35 +118,35 @@ func (c *queryCache) get(src string) (*core.Query, bool) {
 // returned.
 func (c *queryCache) add(src string, q *core.Query, compileNanos uint64) *core.Query {
 	h := maphash.String(c.seed, src) | 1
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[src]; ok {
-		c.ll.MoveToFront(el)
+	st := c.state.Lock()
+	defer c.state.Unlock()
+	if el, ok := st.items[src]; ok {
+		st.ll.MoveToFront(el)
 		return el.Value.(*cacheEntry).q
 	}
-	slot := &c.seen[h%uint64(len(c.seen))]
+	slot := &st.seen[h%uint64(len(st.seen))]
 	if *slot != h {
 		*slot = h
-		c.counts.rejects++
+		st.counts.rejects++
 		return q
 	}
 	*slot = 0
-	for c.ll.Len() >= c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).src)
-		c.counts.evictions++
+	for st.ll.Len() >= c.capacity {
+		oldest := st.ll.Back()
+		st.ll.Remove(oldest)
+		delete(st.items, oldest.Value.(*cacheEntry).src)
+		st.counts.evictions++
 	}
-	c.items[src] = c.ll.PushFront(&cacheEntry{src: src, q: q, compileNanos: compileNanos})
+	st.items[src] = st.ll.PushFront(&cacheEntry{src: src, q: q, compileNanos: compileNanos})
 	return q
 }
 
 // snapshot returns the counters and current size under one lock
 // acquisition, so Stats readings are internally consistent.
 func (c *queryCache) snapshot() cacheCounts {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := c.counts
-	out.size, out.capacity = c.ll.Len(), c.capacity
+	st := c.state.Lock()
+	defer c.state.Unlock()
+	out := st.counts
+	out.size, out.capacity = st.ll.Len(), c.capacity
 	return out
 }

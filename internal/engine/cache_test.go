@@ -106,7 +106,7 @@ func TestDoorkeeperKeepsHotSet(t *testing.T) {
 
 // doorkeeperSlot is the doorkeeper slot src's misses use in c.
 func doorkeeperSlot(c *queryCache, src string) uint64 {
-	return (maphash.String(c.seed, src) | 1) % uint64(len(c.seen))
+	return (maphash.String(c.seed, src) | 1) % uint64(doorkeeperWays*c.capacity)
 }
 
 // TestDoorkeeperAdmitsSecondMiss: a text missed twice within the window

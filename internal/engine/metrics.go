@@ -3,8 +3,8 @@ package engine
 import "repro/internal/obs"
 
 // engineMetrics are the engine's instruments in the shared obs
-// registry. Cache counts are CounterFuncs over the same
-// atomics Stats reads, so /metrics and /stats can never disagree.
+// registry. Cache counts are CounterFuncs over the same cache
+// snapshot Stats reads, so /metrics and /stats can never disagree.
 type engineMetrics struct {
 	// queries counts evaluations dispatched; errors the subset that
 	// returned one (including cancellations).
@@ -12,8 +12,8 @@ type engineMetrics struct {
 	errors  *obs.Counter
 
 	// stage is the per-stage latency family (xpath_stage_seconds); the
-	// serving layer registers its own stages into the same family via
-	// the shared registry's get-or-create semantics.
+	// serving layer records its own stages into the same family, which
+	// it takes from StageSeconds.
 	stage *obs.HistogramVec
 
 	// query is the evaluation latency family keyed by fragment class

@@ -11,13 +11,6 @@
 //     Otherwise a cancelled query keeps burning its worker until the
 //     loop drains.
 //
-//   - lockshard: fields declared after a sync.Mutex/RWMutex in a
-//     struct (until the next mutex or sync.Once) are guarded by it:
-//     reads need the lock or read-lock, writes need the write lock,
-//     and a deferred Unlock before the Lock is flagged. Methods named
-//     *Locked assert the caller already holds the lock; values fresh
-//     out of a constructor are exempt.
-//
 //   - sharedset: posting lists returned by xmltree.Index (Named,
 //     NamedRange) are shared sub-slices — mutating them in place
 //     (Normalized, Reversed, element stores, append, IntersectSet's
@@ -45,6 +38,9 @@
 //     the package, and Vec label names are constant snake_case
 //     strings — a duplicate name would silently share one instrument
 //     under the registry's get-or-create semantics.
+//
+// Lock discipline needs no analyzer: what a mutex guards lives in a
+// guard.Locked (internal/guard), reachable only through its Lock.
 //
 // A finding is suppressed by a directive comment of the form
 //

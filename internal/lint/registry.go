@@ -4,7 +4,6 @@ import (
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/cancelcheck"
 	"repro/internal/lint/ctxhttp"
-	"repro/internal/lint/lockshard"
 	"repro/internal/lint/metricname"
 	"repro/internal/lint/sharedset"
 	"repro/internal/lint/wiretag"
@@ -14,7 +13,6 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		cancelcheck.Analyzer,
-		lockshard.Analyzer,
 		sharedset.Analyzer,
 		wiretag.Analyzer,
 		ctxhttp.Analyzer,

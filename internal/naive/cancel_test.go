@@ -3,11 +3,13 @@ package naive
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/semantics"
 	"repro/internal/workload"
+	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
@@ -54,5 +56,18 @@ func TestEvaluateContextUncancelled(t *testing.T) {
 	ev.Budget = 3
 	if _, err := ev.EvaluateContext(ctx, e, semantics.Context{Node: d.RootID(), Pos: 1, Size: 1}); !errors.Is(err, ErrBudget) {
 		t.Fatalf("budget err = %v, want ErrBudget", err)
+	}
+}
+
+// TestCancelledContextStopsWideStep: a step bills the canceller by the
+// nodes it reaches, so a predicate-free path over a large document
+// still sees a context cancelled before the run starts.
+func TestCancelledContextStopsWideStep(t *testing.T) {
+	d := xmltree.MustParseString("<r>" + strings.Repeat("<a><b/></a>", 20000) + "</r>")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	v, err := New(d).EvaluateContext(ctx, xpath.MustParse("/descendant::b"), semantics.Context{Node: d.RootID(), Pos: 1, Size: 1})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %d nodes, err = %v; want context.Canceled", len(v.Set), err)
 	}
 }

@@ -286,6 +286,9 @@ func (ev *Evaluator) processLocationStep(p *xpath.Path, idx int, x xmltree.NodeI
 	}
 	step := p.Steps[idx]
 	s := evalutil.StepCandidates(ev.doc, step.Axis, step.Test, x)
+	if err := ev.cancel.CheckN(len(s)); err != nil {
+		return nil, err
+	}
 	// The set stays in document order and reverse axes count positions
 	// from its end, so the filter runs in place with no reversed copy.
 	for _, pred := range step.Preds {

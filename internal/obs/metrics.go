@@ -6,9 +6,10 @@
 // process-level build/uptime surfaces the health endpoints report.
 //
 // The package sits below every other serving layer — engine, serve and
-// cluster all record into it — and deliberately depends on nothing in
-// the repository, so instrumenting a layer can never introduce an
-// import cycle.
+// cluster all record into it — and depends on nothing in the
+// repository but internal/guard, a leaf that imports no repository
+// package, so instrumenting a layer can never introduce an import
+// cycle.
 package obs
 
 import (
@@ -20,9 +21,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/guard"
 )
 
 // DefBuckets are the default latency histogram bucket upper bounds, in
@@ -57,14 +59,18 @@ type metric interface {
 // family), while a signature mismatch panics — silent divergence of
 // two instruments under one name is a programming error.
 type Registry struct {
-	mu      sync.Mutex
+	state guard.Locked[registryState]
+}
+
+// registryState is what a registry's lock guards.
+type registryState struct {
 	byName  map[string]metric
 	ordered []string
 }
 
 // NewRegistry creates an empty Registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: map[string]metric{}}
+	return &Registry{state: guard.New(registryState{byName: map[string]metric{}})}
 }
 
 // register implements the get-or-create contract shared by every
@@ -73,30 +79,28 @@ func (r *Registry) register(name string, m metric) metric {
 	if !metricNameRe.MatchString(name) {
 		panic(fmt.Sprintf("obs: metric name %q is not snake_case", name))
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if old, ok := r.byName[name]; ok {
+	st := r.state.Lock()
+	defer r.state.Unlock()
+	if old, ok := st.byName[name]; ok {
 		if old.signature() != m.signature() {
 			panic(fmt.Sprintf("obs: metric %q re-registered with a different signature (%s vs %s)", name, m.signature(), old.signature()))
 		}
 		return old
 	}
-	r.byName[name] = m
-	r.ordered = append(r.ordered, name)
+	st.byName[name] = m
+	st.ordered = append(st.ordered, name)
 	return m
 }
 
 // WriteTo renders every registered metric in Prometheus text format,
 // in registration order.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	r.mu.Lock()
-	names := make([]string, len(r.ordered))
-	copy(names, r.ordered)
-	metrics := make([]metric, len(names))
-	for i, n := range names {
-		metrics[i] = r.byName[n]
+	st := r.state.Lock()
+	metrics := make([]metric, len(st.ordered))
+	for i, n := range st.ordered {
+		metrics[i] = st.byName[n]
 	}
-	r.mu.Unlock()
+	r.state.Unlock()
 	cw := &countingWriter{w: w}
 	for _, m := range metrics {
 		name, help, kind := m.describe()
@@ -354,15 +358,19 @@ type family[T metric] struct {
 	sig              string
 	labels           []string
 	newChild         func(vals []string) T
+	state            guard.Locked[familyState[T]]
+}
 
-	mu       sync.RWMutex
+// familyState is what a family's lock guards.
+type familyState[T metric] struct {
 	children map[string]T
 	order    []T
 }
 
 func newFamily[T metric](name, help, kind, sig string, labels []string, newChild func([]string) T) family[T] {
 	checkLabels(name, labels)
-	return family[T]{name: name, help: help, kind: kind, sig: sig, labels: labels, newChild: newChild, children: map[string]T{}}
+	return family[T]{name: name, help: help, kind: kind, sig: sig, labels: labels, newChild: newChild,
+		state: guard.New(familyState[T]{children: map[string]T{}})}
 }
 
 func (f *family[T]) describe() (string, string, string) { return f.name, f.help, f.kind }
@@ -371,32 +379,26 @@ func (f *family[T]) signature() string                  { return f.sig }
 // lookup finds the child for values; ok is false when it was never
 // created.
 func (f *family[T]) lookup(values []string) (c T, ok bool) {
-	if len(values) != len(f.labels) {
-		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
-	}
 	var room [64]byte
-	key := childKey(room[:0], values)
-	f.mu.RLock()
-	c, ok = f.children[string(key)]
-	f.mu.RUnlock()
+	key := f.childKey(room[:0], values)
+	st := f.state.Lock()
+	c, ok = st.children[string(key)]
+	f.state.Unlock()
 	return c, ok
 }
 
 // child returns the child for values, creating it on first use.
 func (f *family[T]) child(values []string) T {
-	if c, ok := f.lookup(values); ok {
-		return c
-	}
 	var room [64]byte
-	key := childKey(room[:0], values)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c, ok := f.children[string(key)]; ok {
-		return c
+	key := f.childKey(room[:0], values)
+	st := f.state.Lock()
+	defer f.state.Unlock()
+	c, ok := st.children[string(key)]
+	if !ok {
+		c = f.newChild(append([]string{}, values...))
+		st.children[string(key)] = c
+		st.order = append(st.order, c)
 	}
-	c := f.newChild(append([]string{}, values...))
-	f.children[string(key)] = c
-	f.order = append(f.order, c)
 	return c
 }
 
@@ -404,7 +406,10 @@ func (f *family[T]) child(values []string) T {
 // the key its family files it under. Built in a caller's stack array
 // and looked up as m[string(key)], which Go does without copying, it
 // finds an existing child with no allocation.
-func childKey(dst []byte, values []string) []byte {
+func (f *family[T]) childKey(dst []byte, values []string) []byte {
+	if len(values) != len(f.labels) {
+		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
+	}
 	for i, v := range values {
 		if i > 0 {
 			dst = append(dst, 0)
@@ -415,9 +420,9 @@ func childKey(dst []byte, values []string) []byte {
 }
 
 func (f *family[T]) write(w io.Writer) {
-	f.mu.RLock()
-	children := append([]T{}, f.order...)
-	f.mu.RUnlock()
+	st := f.state.Lock()
+	children := append([]T{}, st.order...)
+	f.state.Unlock()
 	for _, c := range children {
 		c.write(w)
 	}

@@ -5,8 +5,9 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"net/http"
-	"sync"
 	"time"
+
+	"repro/internal/guard"
 )
 
 // HeaderRequestID is the wire header the router uses to hand a request
@@ -59,8 +60,12 @@ func RequestID(ctx context.Context) string {
 type Trace struct {
 	requestID string
 	start     time.Time
+	state     guard.Locked[traceState]
+}
 
-	mu      sync.Mutex
+// traceState is what a trace's lock guards, together with the mutable
+// fields of its spans.
+type traceState struct {
 	end     time.Time // set by Finish; zero while the request runs
 	roots   []*Span
 	spans   int // recorded spans, capped at maxSpansPerTrace
@@ -68,7 +73,7 @@ type Trace struct {
 }
 
 // Span is one timed region inside a trace. All mutable state is
-// guarded by the owning Trace's mutex so concurrent batch workers can
+// guarded by the owning Trace's lock so concurrent batch workers can
 // add sibling spans safely.
 type Span struct {
 	t      *Trace
@@ -76,7 +81,7 @@ type Span struct {
 	name   string
 	start  time.Time
 
-	// Guarded by t.mu.
+	// Guarded by t.state.
 	end      time.Time
 	attrs    []spanAttr
 	remote   any
@@ -124,19 +129,19 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	}
 	parent, _ := ctx.Value(ctxKeySpan).(*Span)
 	s := &Span{t: t, parent: parent, name: name, start: time.Now()}
-	t.mu.Lock()
-	if t.spans >= maxSpansPerTrace {
-		t.dropped++
-		t.mu.Unlock()
+	st := t.state.Lock()
+	if st.spans >= maxSpansPerTrace {
+		st.dropped++
+		t.state.Unlock()
 		return ctx, nil
 	}
-	t.spans++
+	st.spans++
 	if parent != nil {
 		parent.children = append(parent.children, s)
 	} else {
-		t.roots = append(t.roots, s)
+		st.roots = append(st.roots, s)
 	}
-	t.mu.Unlock()
+	t.state.Unlock()
 	return context.WithValue(ctx, ctxKeySpan, s), s
 }
 
@@ -145,11 +150,11 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.t.mu.Lock()
+	s.t.state.Lock()
 	if s.end.IsZero() {
 		s.end = time.Now()
 	}
-	s.t.mu.Unlock()
+	s.t.state.Unlock()
 }
 
 // SetAttr records a key/value annotation on the span (strategy name,
@@ -158,9 +163,9 @@ func (s *Span) SetAttr(key, val string) {
 	if s == nil {
 		return
 	}
-	s.t.mu.Lock()
+	s.t.state.Lock()
 	s.attrs = append(s.attrs, spanAttr{key, val})
-	s.t.mu.Unlock()
+	s.t.state.Unlock()
 }
 
 // AttachRemote hangs a remote tier's trace report (or any JSON-able
@@ -170,9 +175,9 @@ func (s *Span) AttachRemote(v any) {
 	if s == nil {
 		return
 	}
-	s.t.mu.Lock()
+	s.t.state.Lock()
 	s.remote = v
-	s.t.mu.Unlock()
+	s.t.state.Unlock()
 }
 
 // TraceJSON is the wire form of a finished trace: the ?trace=1
@@ -207,11 +212,11 @@ func (t *Trace) Finish() {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	if t.end.IsZero() {
-		t.end = time.Now()
+	st := t.state.Lock()
+	if st.end.IsZero() {
+		st.end = time.Now()
 	}
-	t.mu.Unlock()
+	t.state.Unlock()
 }
 
 // Report snapshots the trace as JSON. Open spans are reported as
@@ -222,26 +227,26 @@ func (t *Trace) Report() *TraceJSON {
 		return nil
 	}
 	now := time.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.end.IsZero() {
-		now = t.end
+	st := t.state.Lock()
+	defer t.state.Unlock()
+	if !st.end.IsZero() {
+		now = st.end
 	}
 	out := &TraceJSON{
 		RequestID: t.requestID,
 		Start:     t.start,
 		TotalNs:   now.Sub(t.start).Nanoseconds(),
-		Dropped:   t.dropped,
-		Spans:     make([]SpanJSON, 0, len(t.roots)),
+		Dropped:   st.dropped,
+		Spans:     make([]SpanJSON, 0, len(st.roots)),
 	}
-	for _, s := range t.roots {
-		out.Spans = append(out.Spans, s.reportLocked(t.start, now))
+	for _, s := range st.roots {
+		out.Spans = append(out.Spans, st.report(s, t.start, now))
 	}
 	return out
 }
 
-// reportLocked converts one span subtree; t.mu must be held.
-func (s *Span) reportLocked(origin, now time.Time) SpanJSON {
+// report converts the subtree of one of the trace's spans.
+func (st *traceState) report(s *Span, origin, now time.Time) SpanJSON {
 	end := s.end
 	if end.IsZero() {
 		end = now
@@ -259,7 +264,7 @@ func (s *Span) reportLocked(origin, now time.Time) SpanJSON {
 		}
 	}
 	for _, c := range s.children {
-		j.Children = append(j.Children, c.reportLocked(origin, now))
+		j.Children = append(j.Children, st.report(c, origin, now))
 	}
 	return j
 }
@@ -276,9 +281,12 @@ func TraceRequested(r *http.Request) bool {
 // reports only when Snapshot is asked for them: every traced request
 // adds one, and almost none is ever read.
 type TraceRing struct {
-	cap int
+	cap   int
+	state guard.Locked[traceRingState]
+}
 
-	mu   sync.Mutex
+// traceRingState is what a ring's lock guards.
+type traceRingState struct {
 	buf  []*Trace
 	next int
 }
@@ -297,14 +305,14 @@ func (r *TraceRing) Add(t *Trace) {
 	if r == nil || t == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, t)
+	st := r.state.Lock()
+	defer r.state.Unlock()
+	if len(st.buf) < r.cap {
+		st.buf = append(st.buf, t)
 		return
 	}
-	r.buf[r.next] = t
-	r.next = (r.next + 1) % r.cap
+	st.buf[st.next] = t
+	st.next = (st.next + 1) % r.cap
 }
 
 // Snapshot returns the reports of the retained traces, newest first.
@@ -312,18 +320,18 @@ func (r *TraceRing) Snapshot() []*TraceJSON {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	traces := make([]*Trace, 0, len(r.buf))
-	if len(r.buf) < r.cap {
-		for i := len(r.buf) - 1; i >= 0; i-- {
-			traces = append(traces, r.buf[i])
+	st := r.state.Lock()
+	traces := make([]*Trace, 0, len(st.buf))
+	if len(st.buf) < r.cap {
+		for i := len(st.buf) - 1; i >= 0; i-- {
+			traces = append(traces, st.buf[i])
 		}
 	} else {
 		for i := 0; i < r.cap; i++ {
-			traces = append(traces, r.buf[(r.next-1-i+2*r.cap)%r.cap])
+			traces = append(traces, st.buf[(st.next-1-i+2*r.cap)%r.cap])
 		}
 	}
-	r.mu.Unlock()
+	r.state.Unlock()
 	// Rendered outside the ring's lock: a report takes its trace's own.
 	out := make([]*TraceJSON, len(traces))
 	for i, t := range traces {

@@ -3,8 +3,9 @@ package resilience
 import (
 	"context"
 	"math/rand"
-	"sync"
 	"time"
+
+	"repro/internal/guard"
 )
 
 // The backoff shape: first retry waits up to ~25ms, growth is
@@ -23,9 +24,7 @@ const (
 // returns zero delay.
 type Backoff struct {
 	base, cap time.Duration
-
-	mu  sync.Mutex
-	rng *rand.Rand
+	rng       guard.Locked[rand.Rand]
 }
 
 // NewBackoff creates a Backoff of DefaultBackoffBase and
@@ -35,7 +34,7 @@ func NewBackoff(seed int64) *Backoff {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	return &Backoff{base: DefaultBackoffBase, cap: DefaultBackoffCap, rng: rand.New(rand.NewSource(seed))}
+	return &Backoff{base: DefaultBackoffBase, cap: DefaultBackoffCap, rng: guard.New(*rand.New(rand.NewSource(seed)))}
 }
 
 // Delay returns the wait before retry attempt k (0-based: Delay(0)
@@ -52,9 +51,9 @@ func (b *Backoff) Delay(attempt int) time.Duration {
 	if d > b.cap {
 		d = b.cap
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return time.Duration(b.rng.Int63n(int64(d))) + 1
+	n := b.rng.Lock().Int63n(int64(d))
+	b.rng.Unlock()
+	return time.Duration(n) + 1
 }
 
 // Sleep waits for d or until ctx is done, returning ctx.Err() in the

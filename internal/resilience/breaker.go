@@ -1,8 +1,9 @@
 package resilience
 
 import (
-	"sync"
 	"time"
+
+	"repro/internal/guard"
 )
 
 // BreakerState is a circuit breaker's position.
@@ -47,20 +48,24 @@ const (
 // Safe for concurrent use. A nil Breaker allows everything and
 // records nothing, so call sites need no breaker-configured branch.
 type Breaker struct {
-	mu        sync.Mutex
-	state     BreakerState
+	threshold int
+	cooldown  time.Duration
+	toClose   int
+	now       func() time.Time // injectable clock for tests
+
+	state guard.Locked[breakerState]
+}
+
+// breakerState is what a breaker's lock guards.
+type breakerState struct {
+	pos       BreakerState
 	failures  int // consecutive failures while closed
 	successes int // consecutive successes while half-open
 	openedAt  time.Time
 	opens     uint64 // cumulative closed/half-open -> open transitions
 	changed   bool   // a state change awaits its onChange callback
 
-	threshold int
-	cooldown  time.Duration
-	toClose   int
-
-	now      func() time.Time   // injectable clock for tests
-	onChange func(BreakerState) // gauge hook, called outside mu
+	onChange func(BreakerState) // gauge hook, called outside the lock
 }
 
 // NewBreaker creates a Breaker opening after threshold consecutive
@@ -83,9 +88,8 @@ func (b *Breaker) OnStateChange(fn func(BreakerState)) {
 	if b == nil {
 		return
 	}
-	b.mu.Lock()
-	b.onChange = fn
-	b.mu.Unlock()
+	b.state.Lock().onChange = fn
+	b.state.Unlock()
 }
 
 // Allow reports whether a call may proceed. While open it returns
@@ -95,16 +99,16 @@ func (b *Breaker) Allow() bool {
 	if b == nil {
 		return true
 	}
-	b.mu.Lock()
-	if b.state == BreakerOpen {
-		if b.now().Sub(b.openedAt) < b.cooldown {
-			b.mu.Unlock()
+	st := b.state.Lock()
+	if st.pos == BreakerOpen {
+		if b.now().Sub(st.openedAt) < b.cooldown {
+			b.state.Unlock()
 			return false
 		}
-		b.setLocked(BreakerHalfOpen)
-		b.successes = 0
+		st.set(BreakerHalfOpen)
+		st.successes = 0
 	}
-	b.mu.Unlock()
+	b.state.Unlock()
 	b.fireChange()
 	return true
 }
@@ -117,18 +121,18 @@ func (b *Breaker) OnSuccess() {
 	if b == nil {
 		return
 	}
-	b.mu.Lock()
-	b.failures = 0
-	switch b.state {
+	st := b.state.Lock()
+	st.failures = 0
+	switch st.pos {
 	case BreakerHalfOpen, BreakerOpen:
-		if b.successes++; b.successes >= b.toClose {
-			b.setLocked(BreakerClosed)
-			b.successes = 0
-		} else if b.state == BreakerOpen {
-			b.setLocked(BreakerHalfOpen)
+		if st.successes++; st.successes >= b.toClose {
+			st.set(BreakerClosed)
+			st.successes = 0
+		} else if st.pos == BreakerOpen {
+			st.set(BreakerHalfOpen)
 		}
 	}
-	b.mu.Unlock()
+	b.state.Unlock()
 	b.fireChange()
 }
 
@@ -139,50 +143,48 @@ func (b *Breaker) OnFailure() {
 	if b == nil {
 		return
 	}
-	b.mu.Lock()
-	switch b.state {
+	st := b.state.Lock()
+	switch st.pos {
 	case BreakerClosed:
-		if b.failures++; b.failures >= b.threshold {
-			b.openLocked()
+		if st.failures++; st.failures >= b.threshold {
+			st.open(b.now())
 		}
 	case BreakerHalfOpen:
-		b.openLocked()
+		st.open(b.now())
 	case BreakerOpen:
 		// Stragglers from before the trip add no information.
 	}
-	b.mu.Unlock()
+	b.state.Unlock()
 	b.fireChange()
 }
 
-// openLocked trips the breaker; callers hold b.mu.
-func (b *Breaker) openLocked() {
-	b.setLocked(BreakerOpen)
-	b.openedAt = b.now()
-	b.failures = 0
-	b.successes = 0
-	b.opens++
+// open trips the breaker at now.
+func (st *breakerState) open(now time.Time) {
+	st.set(BreakerOpen)
+	st.openedAt = now
+	st.failures = 0
+	st.successes = 0
+	st.opens++
 }
 
-// setLocked updates the state and remembers whether a change callback
-// is due; callers hold b.mu and must call fireChange after unlocking.
-func (b *Breaker) setLocked(s BreakerState) {
-	if b.state != s {
-		b.state = s
-		b.changed = true
+// set updates the position and remembers whether a change callback is
+// due; the caller must call fireChange after unlocking.
+func (st *breakerState) set(s BreakerState) {
+	if st.pos != s {
+		st.pos = s
+		st.changed = true
 	}
 }
 
 // fireChange delivers a pending state-change callback outside the
 // lock (the callback may itself take locks, e.g. a metrics vec).
 func (b *Breaker) fireChange() {
-	b.mu.Lock()
-	due := b.changed
-	b.changed = false
-	st := b.state
-	fn := b.onChange
-	b.mu.Unlock()
+	st := b.state.Lock()
+	due, pos, fn := st.changed, st.pos, st.onChange
+	st.changed = false
+	b.state.Unlock()
 	if due && fn != nil {
-		fn(st)
+		fn(pos)
 	}
 }
 
@@ -192,9 +194,9 @@ func (b *Breaker) State() BreakerState {
 	if b == nil {
 		return BreakerClosed
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
+	pos := b.state.Lock().pos
+	b.state.Unlock()
+	return pos
 }
 
 // Opens returns how many times the breaker has tripped open.
@@ -202,7 +204,7 @@ func (b *Breaker) Opens() uint64 {
 	if b == nil {
 		return 0
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.opens
+	opens := b.state.Lock().opens
+	b.state.Unlock()
+	return opens
 }

@@ -1,6 +1,6 @@
 package resilience
 
-import "sync"
+import "repro/internal/guard"
 
 // DefaultBudgetCap bounds how many retry tokens a Budget can bank:
 // a long quiet stretch must not save up an unbounded burst of retries
@@ -14,10 +14,13 @@ const DefaultBudgetCap = 10
 // multiplying it during an outage. Safe for concurrent use; a nil
 // Budget never denies (retries unbounded).
 type Budget struct {
-	mu     sync.Mutex
+	ratio, max float64
+	state      guard.Locked[budgetState]
+}
+
+// budgetState is what a budget's lock guards.
+type budgetState struct {
 	tokens float64
-	ratio  float64
-	max    float64
 	denied uint64
 }
 
@@ -31,7 +34,7 @@ func NewBudget(ratio float64) *Budget {
 	}
 	// Start full: a cold router facing an outage on its first requests
 	// may still retry.
-	return &Budget{tokens: DefaultBudgetCap, ratio: ratio, max: DefaultBudgetCap}
+	return &Budget{ratio: ratio, max: DefaultBudgetCap, state: guard.New(budgetState{tokens: DefaultBudgetCap})}
 }
 
 // Deposit credits one first attempt's worth of retry allowance.
@@ -39,11 +42,9 @@ func (b *Budget) Deposit() {
 	if b == nil {
 		return
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.tokens += b.ratio; b.tokens > b.max {
-		b.tokens = b.max
-	}
+	st := b.state.Lock()
+	st.tokens = min(st.tokens+b.ratio, b.max)
+	b.state.Unlock()
 }
 
 // Spend takes one retry token, reporting whether the retry is within
@@ -52,13 +53,13 @@ func (b *Budget) Spend() bool {
 	if b == nil {
 		return true
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.tokens < 1 {
-		b.denied++
+	st := b.state.Lock()
+	defer b.state.Unlock()
+	if st.tokens < 1 {
+		st.denied++
 		return false
 	}
-	b.tokens--
+	st.tokens--
 	return true
 }
 
@@ -67,7 +68,7 @@ func (b *Budget) Denied() uint64 {
 	if b == nil {
 		return 0
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.denied
+	denied := b.state.Lock().denied
+	b.state.Unlock()
+	return denied
 }

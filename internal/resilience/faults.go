@@ -8,8 +8,9 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
+
+	"repro/internal/guard"
 )
 
 // FaultKind names one injectable failure mode.
@@ -66,7 +67,12 @@ type faultRule struct {
 // wrapper (Transport). Safe for concurrent use; a nil *Faults injects
 // nothing.
 type Faults struct {
-	mu    sync.Mutex
+	state guard.Locked[faultsState]
+}
+
+// faultsState is what an injector's lock guards: the random source and
+// the rules, whose trigger counts change as they fire.
+type faultsState struct {
 	rng   *rand.Rand
 	rules []*faultRule
 }
@@ -96,7 +102,7 @@ func ParseFaults(spec string, seed int64) (*Faults, error) {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	f := &Faults{rng: rand.New(rand.NewSource(seed))}
+	var rules []*faultRule
 	for _, rs := range strings.Split(spec, ",") {
 		rs = strings.TrimSpace(rs)
 		if rs == "" {
@@ -106,12 +112,12 @@ func ParseFaults(spec string, seed int64) (*Faults, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fault spec %q: %w", rs, err)
 		}
-		f.rules = append(f.rules, r)
+		rules = append(rules, r)
 	}
-	if len(f.rules) == 0 {
+	if len(rules) == 0 {
 		return nil, nil
 	}
-	return f, nil
+	return &Faults{state: guard.New(faultsState{rng: rand.New(rand.NewSource(seed)), rules: rules})}, nil
 }
 
 func parseRule(rs string) (*faultRule, error) {
@@ -188,9 +194,9 @@ func (f *Faults) match(method, path, host string) *faultRule {
 	if f == nil {
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, r := range f.rules {
+	st := f.state.Lock()
+	defer f.state.Unlock()
+	for _, r := range st.rules {
 		if r.times == 0 {
 			continue
 		}
@@ -203,7 +209,7 @@ func (f *Faults) match(method, path, host string) *faultRule {
 		if r.peer != "" && !strings.Contains(host, r.peer) {
 			continue
 		}
-		if r.prob < 1 && f.rng.Float64() >= r.prob {
+		if r.prob < 1 && st.rng.Float64() >= r.prob {
 			continue
 		}
 		if r.times > 0 {
@@ -221,10 +227,10 @@ func (f *Faults) Fired() []uint64 {
 	if f == nil {
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]uint64, len(f.rules))
-	for i, r := range f.rules {
+	st := f.state.Lock()
+	defer f.state.Unlock()
+	out := make([]uint64, len(st.rules))
+	for i, r := range st.rules {
 		out[i] = r.fired
 	}
 	return out
@@ -256,7 +262,7 @@ func (f *Faults) Handler(next http.Handler) http.Handler {
 		case FaultErr:
 			http.Error(w, "injected fault", r.code)
 		case FaultCut:
-			cw := &cutWriter{ResponseWriter: w, left: r.after}
+			cw := &cutWriter{ResponseWriter: w, state: guard.New(cutState{left: r.after})}
 			next.ServeHTTP(cw, req)
 		}
 	})
@@ -271,17 +277,21 @@ func (f *Faults) Handler(next http.Handler) http.Handler {
 // unsupported the writes just start failing.
 type cutWriter struct {
 	http.ResponseWriter
-	mu   sync.Mutex
+	state guard.Locked[cutState]
+}
+
+// cutState is what a cutWriter's lock guards.
+type cutState struct {
 	left int
 	cut  bool
 }
 
 func (c *cutWriter) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.left <= 0 {
-		if !c.cut {
-			c.cut = true
+	st := c.state.Lock()
+	defer c.state.Unlock()
+	if st.left <= 0 {
+		if !st.cut {
+			st.cut = true
 			if fl, ok := c.ResponseWriter.(http.Flusher); ok {
 				fl.Flush()
 			}
@@ -293,16 +303,16 @@ func (c *cutWriter) Write(p []byte) (int, error) {
 		}
 		return 0, &faultError{kind: FaultCut}
 	}
-	c.left--
+	st.left--
 	return c.ResponseWriter.Write(p)
 }
 
 // Flush forwards to the wrapped writer so streaming handlers keep
 // their per-line flushing behaviour under injection.
 func (c *cutWriter) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cut {
+	st := c.state.Lock()
+	defer c.state.Unlock()
+	if st.cut {
 		return
 	}
 	if fl, ok := c.ResponseWriter.(http.Flusher); ok {

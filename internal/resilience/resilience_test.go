@@ -8,12 +8,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/guard"
 )
 
 func TestBackoffDelayBounds(t *testing.T) {
-	b := &Backoff{base: 10 * time.Millisecond, cap: 80 * time.Millisecond, rng: rand.New(rand.NewSource(42))}
+	b := &Backoff{base: 10 * time.Millisecond, cap: 80 * time.Millisecond, rng: guard.New(*rand.New(rand.NewSource(42)))}
 	for attempt := 0; attempt < 8; attempt++ {
 		ceil := 10 * time.Millisecond << attempt
 		if ceil > 80*time.Millisecond {
@@ -104,7 +107,7 @@ func TestCarveAttempt(t *testing.T) {
 }
 
 func TestRetry(t *testing.T) {
-	b := &Backoff{base: time.Millisecond, cap: 2 * time.Millisecond, rng: rand.New(rand.NewSource(1))}
+	b := &Backoff{base: time.Millisecond, cap: 2 * time.Millisecond, rng: guard.New(*rand.New(rand.NewSource(1)))}
 	calls := 0
 	err := Retry(context.Background(), 3, b, func(ctx context.Context) error {
 		calls++
@@ -137,7 +140,7 @@ func TestBudget(t *testing.T) {
 		t.Fatal("nil budget denied a retry")
 	}
 
-	b := &Budget{tokens: 2, ratio: 0.5, max: 2}
+	b := &Budget{ratio: 0.5, max: 2, state: guard.New(budgetState{tokens: 2})}
 	// Starts full (2 tokens).
 	if !b.Spend() || !b.Spend() {
 		t.Fatal("full budget denied")
@@ -264,6 +267,59 @@ func TestBreakerConcurrent(t *testing.T) {
 	}
 }
 
+// TestBudgetConcurrent: deposits and spends from eight goroutines keep
+// the tokens within [0, max], and Denied counts exactly the spends that
+// were refused. Run under -race in CI.
+func TestBudgetConcurrent(t *testing.T) {
+	b := NewBudget(0.2)
+	var refused atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				b.Deposit()
+				if i%3 == 0 && !b.Spend() {
+					refused.Add(1)
+				}
+				tokens := b.state.Lock().tokens
+				b.state.Unlock()
+				if tokens < 0 || tokens > b.max {
+					t.Errorf("tokens = %v, want in [0, %v]", tokens, b.max)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := b.Denied(), refused.Load(); got != want || want == 0 {
+		t.Fatalf("Denied = %d, refused spends = %d; want equal and nonzero", got, want)
+	}
+}
+
+// TestBackoffConcurrent: delays drawn from eight goroutines at once all
+// lie in (0, min(cap, base·2^k)]. Run under -race in CI.
+func TestBackoffConcurrent(t *testing.T) {
+	b := NewBackoff(1)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				k := (g + i) % 8
+				ceil := min(DefaultBackoffCap, DefaultBackoffBase<<k)
+				if d := b.Delay(k); d <= 0 || d > ceil {
+					t.Errorf("Delay(%d) = %v, want in (0, %v]", k, d, ceil)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 func TestParseFaults(t *testing.T) {
 	if f, err := ParseFaults("", 1); f != nil || err != nil {
 		t.Fatalf("empty spec: %v %v", f, err)
@@ -272,22 +328,24 @@ func TestParseFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.rules) != 4 {
-		t.Fatalf("rules = %d, want 4", len(f.rules))
+	rules := f.state.Lock().rules
+	f.state.Unlock()
+	if len(rules) != 4 {
+		t.Fatalf("rules = %d, want 4", len(rules))
 	}
-	r := f.rules[0]
+	r := rules[0]
 	if r.kind != FaultLatency || r.path != "/query" || r.delay != 200*time.Millisecond {
 		t.Fatalf("latency rule parsed as %+v", r)
 	}
-	r = f.rules[1]
+	r = rules[1]
 	if r.kind != FaultCut || r.after != 2 || r.times != 1 {
 		t.Fatalf("cut rule parsed as %+v", r)
 	}
-	r = f.rules[2]
+	r = rules[2]
 	if r.kind != FaultErr || r.code != 502 || r.prob != 0.5 {
 		t.Fatalf("err rule parsed as %+v", r)
 	}
-	r = f.rules[3]
+	r = rules[3]
 	if r.kind != FaultRefuse || r.peer != "node-b" {
 		t.Fatalf("refuse rule parsed as %+v", r)
 	}

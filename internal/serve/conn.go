@@ -12,9 +12,10 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/guard"
 )
 
 // The bounds a served connection meets: net/http's ReadHeaderTimeout
@@ -50,9 +51,12 @@ type Loop struct {
 	h   http.Handler
 	log *slog.Logger // where a handler panic is logged; nil: slog.Default()
 
-	date atomic.Pointer[dateLine] // the Date header's value, formatted once a second
+	date  atomic.Pointer[dateLine] // the Date header's value, formatted once a second
+	state guard.Locked[loopState]
+}
 
-	mu        sync.Mutex
+// loopState is what a loop's lock guards.
+type loopState struct {
 	conns     map[*conn]struct{}
 	listeners map[*net.Listener]struct{}
 	closed    bool // Shutdown has begun: nothing new is served
@@ -99,28 +103,27 @@ func (l *Loop) Serve(ln net.Listener) error {
 // track registers a listener for Shutdown to close, unless Shutdown
 // has begun.
 func (l *Loop) track(ln *net.Listener) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	st := l.state.Lock()
+	defer l.state.Unlock()
+	if st.closed {
 		return false
 	}
-	if l.listeners == nil {
-		l.listeners = map[*net.Listener]struct{}{}
+	if st.listeners == nil {
+		st.listeners = map[*net.Listener]struct{}{}
 	}
-	l.listeners[ln] = struct{}{}
+	st.listeners[ln] = struct{}{}
 	return true
 }
 
 func (l *Loop) untrack(ln *net.Listener) {
-	l.mu.Lock()
-	delete(l.listeners, ln)
-	l.mu.Unlock()
+	delete(l.state.Lock().listeners, ln)
+	l.state.Unlock()
 }
 
 func (l *Loop) shut() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.closed
+	closed := l.state.Lock().closed
+	l.state.Unlock()
+	return closed
 }
 
 func (l *Loop) logger() *slog.Logger {
@@ -135,16 +138,16 @@ func (l *Loop) logger() *slog.Logger {
 // when all are closed. If ctx ends first, the rest are closed
 // mid-request and ctx's error is returned.
 func (l *Loop) Shutdown(ctx context.Context) error {
-	l.mu.Lock()
-	l.closed = true
-	for ln := range l.listeners {
+	st := l.state.Lock()
+	st.closed = true
+	for ln := range st.listeners {
 		(*ln).Close()
 	}
-	conns := make([]*conn, 0, len(l.conns))
-	for c := range l.conns {
+	conns := make([]*conn, 0, len(st.conns))
+	for c := range st.conns {
 		conns = append(conns, c)
 	}
-	l.mu.Unlock()
+	l.state.Unlock()
 	for _, c := range conns {
 		c.drain()
 	}
@@ -174,26 +177,25 @@ func (l *Loop) newConn(nc net.Conn) *conn {
 }
 
 func (l *Loop) add(c *conn) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	st := l.state.Lock()
+	defer l.state.Unlock()
+	if st.closed {
 		return false
 	}
-	if l.conns == nil {
-		l.conns = map[*conn]struct{}{}
+	if st.conns == nil {
+		st.conns = map[*conn]struct{}{}
 	}
-	l.conns[c] = struct{}{}
-	if !l.watchdog {
-		l.watchdog = true
+	st.conns[c] = struct{}{}
+	if !st.watchdog {
+		st.watchdog = true
 		go l.watch()
 	}
 	return true
 }
 
 func (l *Loop) remove(c *conn) {
-	l.mu.Lock()
-	delete(l.conns, c)
-	l.mu.Unlock()
+	delete(l.state.Lock().conns, c)
+	l.state.Unlock()
 }
 
 // watch is the watchdog: it ticks every connection until none is left.
@@ -205,16 +207,16 @@ func (l *Loop) watch() {
 		// followed by one at once, and two ticks must be watchAfter
 		// apart to say a request has run that long.
 		now := time.Now()
-		l.mu.Lock()
-		if len(l.conns) == 0 {
-			l.watchdog = false
-			l.mu.Unlock()
+		st := l.state.Lock()
+		if len(st.conns) == 0 {
+			st.watchdog = false
+			l.state.Unlock()
 			return
 		}
-		for c := range l.conns {
+		for c := range st.conns {
 			c.tick(now)
 		}
-		l.mu.Unlock()
+		l.state.Unlock()
 	}
 }
 
@@ -243,9 +245,13 @@ type conn struct {
 
 	lastMethod string
 
-	draining atomic.Bool // set under mu; read without it when an answer's head is built
+	draining atomic.Bool // set under the lock; read without it when an answer's head is built
 
-	mu       sync.Mutex
+	state guard.Locked[connState]
+}
+
+// connState is what a connection's lock guards.
+type connState struct {
 	phase    phase
 	cancel   context.CancelFunc // the active request's
 	bodyRead bool               // the active request's body has been read to its end
@@ -272,10 +278,10 @@ func (c *conn) exit() {
 		buf = buf[:runtime.Stack(buf, false)]
 		c.l.logger().Error("handler panic", "remote", c.remote, "panic", fmt.Sprint(p), "stack", string(buf))
 	}
-	c.mu.Lock()
-	cancel, hijacked := c.cancel, c.hijacked
-	c.cancel = nil
-	c.mu.Unlock()
+	st := c.state.Lock()
+	cancel, hijacked := st.cancel, st.hijacked
+	st.cancel = nil
+	c.state.Unlock()
 	if cancel != nil {
 		cancel()
 	}
@@ -293,15 +299,15 @@ func (c *conn) await() bool {
 	if _, err := c.br.Peek(1); err != nil {
 		return false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	st := c.state.Lock()
+	defer c.state.Unlock()
 	if c.draining.Load() {
 		return false
 	}
-	if c.phase != phaseNew {
-		c.seq++
+	if st.phase != phaseNew {
+		st.seq++
 	}
-	c.phase = phaseHeader
+	st.phase = phaseHeader
 	return true
 }
 
@@ -309,30 +315,29 @@ func (c *conn) await() bool {
 // the request has no body left on the connection.
 func (c *conn) begin(bodyRead bool) (context.Context, context.CancelFunc) {
 	ctx, cancel := context.WithCancel(c.base)
-	c.mu.Lock()
-	c.phase, c.cancel, c.bodyRead = phaseActive, cancel, bodyRead
-	c.seq++
-	c.mu.Unlock()
+	st := c.state.Lock()
+	st.phase, st.cancel, st.bodyRead = phaseActive, cancel, bodyRead
+	st.seq++
+	c.state.Unlock()
 	return ctx, cancel
 }
 
 // readBody notes that the active request's body has been read to its
 // end: from now on the hang-up watch may read the connection.
 func (c *conn) readBody() {
-	c.mu.Lock()
-	c.bodyRead = true
-	c.mu.Unlock()
+	c.state.Lock().bodyRead = true
+	c.state.Unlock()
 }
 
 // end marks the active request done and stops watching the connection,
 // reporting whether it may serve another: not once a drain has begun.
 func (c *conn) end() bool {
-	c.mu.Lock()
-	c.cancel()
-	watching := c.watching
-	c.phase, c.cancel, c.watching = phaseIdle, nil, nil
-	c.seq++
-	c.mu.Unlock()
+	st := c.state.Lock()
+	st.cancel()
+	watching := st.watching
+	st.phase, st.cancel, st.watching = phaseIdle, nil, nil
+	st.seq++
+	c.state.Unlock()
 	c.unwatch(watching)
 	return !c.draining.Load()
 }
@@ -340,10 +345,10 @@ func (c *conn) end() bool {
 // hijack hands the connection to a handler: it is not watched, served
 // or closed by the loop again.
 func (c *conn) hijack() {
-	c.mu.Lock()
-	watching := c.watching
-	c.hijacked, c.watching = true, nil
-	c.mu.Unlock()
+	st := c.state.Lock()
+	watching := st.watching
+	st.hijacked, st.watching = true, nil
+	c.state.Unlock()
 	c.unwatch(watching)
 }
 
@@ -363,25 +368,25 @@ func (c *conn) unwatch(watching chan struct{}) {
 // request it has seen active for at least watchAfter, once that
 // request's body has been read.
 func (c *conn) tick(now time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.seq != c.seen || c.since.IsZero() {
-		c.seen, c.since = c.seq, now
+	st := c.state.Lock()
+	defer c.state.Unlock()
+	if st.seq != st.seen || st.since.IsZero() {
+		st.seen, st.since = st.seq, now
 		return
 	}
-	switch c.phase {
+	switch st.phase {
 	case phaseIdle:
-		if now.Sub(c.since) >= idleTimeout {
+		if now.Sub(st.since) >= idleTimeout {
 			c.nc.Close()
 		}
 	case phaseNew, phaseHeader:
-		if now.Sub(c.since) >= headerTimeout {
+		if now.Sub(st.since) >= headerTimeout {
 			c.nc.Close()
 		}
 	case phaseActive:
-		if c.watching == nil && c.bodyRead && !c.hijacked && now.Sub(c.since) >= watchAfter {
-			c.watching = make(chan struct{})
-			go c.watchHangUp(c.watching, c.cancel)
+		if st.watching == nil && st.bodyRead && !st.hijacked && now.Sub(st.since) >= watchAfter {
+			st.watching = make(chan struct{})
+			go c.watchHangUp(st.watching, st.cancel)
 		}
 	}
 }
@@ -401,10 +406,10 @@ func (c *conn) watchHangUp(watching chan struct{}, cancel context.CancelFunc) {
 // drain closes the connection now if it waits for a request, else once
 // its request has been answered.
 func (c *conn) drain() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	st := c.state.Lock()
+	defer c.state.Unlock()
 	c.draining.Store(true)
-	if c.phase == phaseIdle || c.phase == phaseNew {
+	if st.phase == phaseIdle || st.phase == phaseNew {
 		c.nc.Close()
 	}
 }

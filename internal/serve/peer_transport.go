@@ -12,10 +12,10 @@ import (
 	"net/url"
 	"os"
 	"strconv"
-	"sync"
 	"syscall"
 	"time"
 
+	"repro/internal/guard"
 	"repro/internal/obs"
 )
 
@@ -64,9 +64,7 @@ var aLongTimeAgo = time.Unix(1, 0)
 type PeerTransport struct {
 	timeout time.Duration
 	dialer  net.Dialer
-
-	mu   sync.Mutex
-	idle map[string][]*peerClientConn // by host:port, most recently used last
+	idle    guard.Locked[map[string][]*peerClientConn] // by host:port, most recently used last
 }
 
 // NewPeerTransport returns a transport whose dial and response head are
@@ -75,7 +73,7 @@ func NewPeerTransport(timeout time.Duration) *PeerTransport {
 	return &PeerTransport{
 		timeout: timeout,
 		dialer:  net.Dialer{Timeout: timeout},
-		idle:    map[string][]*peerClientConn{},
+		idle:    guard.New(map[string][]*peerClientConn{}),
 	}
 }
 
@@ -162,10 +160,10 @@ func peerAddr(u *url.URL) string {
 
 // dropIdle closes the pooled connections to key.
 func (t *PeerTransport) dropIdle(key string) {
-	t.mu.Lock()
-	idle := t.idle[key]
-	delete(t.idle, key)
-	t.mu.Unlock()
+	pool := *t.idle.Lock()
+	idle := pool[key]
+	delete(pool, key)
+	t.idle.Unlock()
 	for _, c := range idle {
 		c.close()
 	}
@@ -173,21 +171,21 @@ func (t *PeerTransport) dropIdle(key string) {
 
 // get pops the most recently pooled connection to key, if any.
 func (t *PeerTransport) get(key string) *peerClientConn {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	idle := t.idle[key]
+	pool := *t.idle.Lock()
+	defer t.idle.Unlock()
+	idle := pool[key]
 	if len(idle) == 0 {
 		return nil
 	}
 	c := idle[len(idle)-1]
 	idle[len(idle)-1] = nil
-	t.idle[key] = idle[:len(idle)-1]
+	pool[key] = idle[:len(idle)-1]
 	if time.Since(c.idleAt) > peerIdleTimeout {
 		// Everything under it has been idle longer still.
-		for _, old := range t.idle[key] {
+		for _, old := range pool[key] {
 			old.close()
 		}
-		delete(t.idle, key)
+		delete(pool, key)
 		c.close()
 		return nil
 	}
@@ -197,14 +195,14 @@ func (t *PeerTransport) get(key string) *peerClientConn {
 // put pools a connection whose response ended cleanly.
 func (t *PeerTransport) put(c *peerClientConn) {
 	c.idleAt = time.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	idle := t.idle[c.key]
+	pool := *t.idle.Lock()
+	defer t.idle.Unlock()
+	idle := pool[c.key]
 	if len(idle) >= maxIdlePeerConns {
 		c.close()
 		return
 	}
-	t.idle[c.key] = append(idle, c)
+	pool[c.key] = append(idle, c)
 }
 
 // dial opens a connection to the peer.

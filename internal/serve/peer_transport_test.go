@@ -45,9 +45,9 @@ func TestShutdownDrainsPeerConnections(t *testing.T) {
 	// connection.
 	tr, other := NewPeerTransport(5*time.Second), NewPeerTransport(5*time.Second)
 	pooled := func(tr *PeerTransport) []*peerClientConn {
-		tr.mu.Lock()
-		defer tr.mu.Unlock()
-		return append([]*peerClientConn(nil), tr.idle[key]...)
+		pool := *tr.idle.Lock()
+		defer tr.idle.Unlock()
+		return append([]*peerClientConn(nil), pool[key]...)
 	}
 	ctx := context.Background()
 
@@ -123,12 +123,11 @@ func TestShutdownDrainsPeerConnections(t *testing.T) {
 // active reports whether a request is running on one of the loop's
 // connections.
 func (l *Loop) active() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for c := range l.conns {
-		c.mu.Lock()
-		p := c.phase
-		c.mu.Unlock()
+	st := l.state.Lock()
+	defer l.state.Unlock()
+	for c := range st.conns {
+		p := c.state.Lock().phase
+		c.state.Unlock()
 		if p == phaseActive {
 			return true
 		}

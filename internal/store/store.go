@@ -11,7 +11,8 @@ package store
 import (
 	"container/list"
 	"errors"
-	"sync"
+
+	"repro/internal/guard"
 )
 
 // ErrFull is returned by Put when admitting the entry would exceed a
@@ -91,9 +92,12 @@ type Stats struct {
 // together with the version it was stored under, read under the lock,
 // so a caller can never pair a value with another entry's version.
 type Store[V any] struct {
-	cfg Config
+	cfg   Config
+	state guard.Locked[storeState[V]]
+}
 
-	mu      sync.Mutex
+// storeState is what the store's lock guards.
+type storeState[V any] struct {
 	items   map[string]*list.Element
 	lru     *list.List // of *entry[V]; front = most recently used
 	bytes   int64
@@ -113,22 +117,22 @@ type entry[V any] struct {
 
 // New creates an empty store with the budgets of cfg.
 func New[V any](cfg Config) *Store[V] {
-	return &Store[V]{cfg: cfg, items: make(map[string]*list.Element), lru: list.New()}
+	return &Store[V]{cfg: cfg, state: guard.New(storeState[V]{items: make(map[string]*list.Element), lru: list.New()})}
 }
 
 // Get returns the value stored under key and the version it was
 // stored at, refreshing its recency.
 func (s *Store[V]) Get(key string) (V, uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
+	st := s.state.Lock()
+	defer s.state.Unlock()
+	el, ok := st.items[key]
 	if !ok {
-		s.misses++
+		st.misses++
 		var zero V
 		return zero, 0, false
 	}
-	s.hits++
-	s.lru.MoveToFront(el)
+	st.hits++
+	st.lru.MoveToFront(el)
 	e := el.Value.(*entry[V])
 	return e.val, e.ver, true
 }
@@ -154,13 +158,13 @@ func (s *Store[V]) Put(key string, v V, size int64) (uint64, error) {
 // past every mirrored version. A zero ver behaves as Put.
 func (s *Store[V]) PutAt(key string, v V, size int64, ver uint64) (uint64, error) {
 	size = max(size, 0)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lastVer = max(s.lastVer, ver)
+	st := s.state.Lock()
+	defer s.state.Unlock()
+	st.lastVer = max(st.lastVer, ver)
 	if s.cfg.MaxBytes > 0 && size > s.cfg.MaxBytes {
 		return 0, ErrTooLarge
 	}
-	el, replacing := s.items[key]
+	el, replacing := st.items[key]
 	prev := int64(0)
 	if replacing {
 		e := el.Value.(*entry[V])
@@ -168,36 +172,35 @@ func (s *Store[V]) PutAt(key string, v V, size int64, ver uint64) (uint64, error
 			return e.ver, nil // stale mirror write
 		}
 		prev = e.size
-	} else if s.cfg.MaxEntries > 0 && len(s.items) >= s.cfg.MaxEntries {
+	} else if s.cfg.MaxEntries > 0 && len(st.items) >= s.cfg.MaxEntries {
 		return 0, ErrFull
 	}
-	if s.cfg.MaxBytes > 0 && s.bytes-prev+size > s.cfg.MaxBytes && s.cfg.Policy == EvictReject {
+	if s.cfg.MaxBytes > 0 && st.bytes-prev+size > s.cfg.MaxBytes && s.cfg.Policy == EvictReject {
 		return 0, ErrFull
 	}
 	if replacing {
-		s.removeLocked(el)
+		st.remove(el)
 	}
 	// size ≤ MaxBytes, so the loop ends at the latest with the store
 	// empty; while bytes > MaxBytes-size ≥ 0 there is an entry to evict.
-	for s.cfg.MaxBytes > 0 && s.bytes+size > s.cfg.MaxBytes {
-		s.removeLocked(s.lru.Back())
-		s.evictions++
+	for s.cfg.MaxBytes > 0 && st.bytes+size > s.cfg.MaxBytes {
+		st.remove(st.lru.Back())
+		st.evictions++
 	}
 	if ver == 0 {
-		s.lastVer++
-		ver = s.lastVer
+		st.lastVer++
+		ver = st.lastVer
 	}
-	s.items[key] = s.lru.PushFront(&entry[V]{key: key, val: v, size: size, ver: ver})
-	s.bytes += size
+	st.items[key] = st.lru.PushFront(&entry[V]{key: key, val: v, size: size, ver: ver})
+	st.bytes += size
 	return ver, nil
 }
 
-// removeLocked unlinks el from the map, the LRU list and the byte count.
-// The caller holds the lock.
-func (s *Store[V]) removeLocked(el *list.Element) {
-	e := s.lru.Remove(el).(*entry[V])
-	delete(s.items, e.key)
-	s.bytes -= e.size
+// remove unlinks el from the map, the LRU list and the byte count.
+func (st *storeState[V]) remove(el *list.Element) {
+	e := st.lru.Remove(el).(*entry[V])
+	delete(st.items, e.key)
+	st.bytes -= e.size
 }
 
 // Delete removes key, reporting whether it was present.
@@ -211,16 +214,16 @@ func (s *Store[V]) Delete(key string) bool {
 // stored after its snapshot. A nil cond always deletes. It reports
 // whether an entry was removed.
 func (s *Store[V]) DeleteIf(key string, cond func(v V, size int64) bool) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
+	st := s.state.Lock()
+	defer s.state.Unlock()
+	el, ok := st.items[key]
 	if !ok {
 		return false
 	}
 	if e := el.Value.(*entry[V]); cond != nil && !cond(e.val, e.size) {
 		return false
 	}
-	s.removeLocked(el)
+	st.remove(el)
 	return true
 }
 
@@ -230,12 +233,12 @@ func (s *Store[V]) DeleteIf(key string, cond func(v V, size int64) bool) bool {
 // entries added or removed while ranging are not visited, and a removed
 // one may still be.
 func (s *Store[V]) Range(f func(key string, v V, size int64, ver uint64) bool) {
-	s.mu.Lock()
-	snap := make([]*entry[V], 0, len(s.items))
-	for el := s.lru.Front(); el != nil; el = el.Next() {
+	st := s.state.Lock()
+	snap := make([]*entry[V], 0, len(st.items))
+	for el := st.lru.Front(); el != nil; el = el.Next() {
 		snap = append(snap, el.Value.(*entry[V]))
 	}
-	s.mu.Unlock()
+	s.state.Unlock()
 	for _, e := range snap {
 		if !f(e.key, e.val, e.size, e.ver) {
 			return
@@ -247,7 +250,7 @@ func (s *Store[V]) Range(f func(key string, v V, size int64, ver uint64) bool) {
 // the entries, so the serving layer can call it at every /metrics
 // scrape.
 func (s *Store[V]) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Stats{Entries: len(s.items), Bytes: s.bytes, Hits: s.hits, Misses: s.misses, Evictions: s.evictions}
+	st := s.state.Lock()
+	defer s.state.Unlock()
+	return Stats{Entries: len(st.items), Bytes: st.bytes, Hits: st.hits, Misses: st.misses, Evictions: st.evictions}
 }
