@@ -175,7 +175,9 @@ func BenchmarkOptMinContextShapes(b *testing.B) {
 // that auto once sent to TopDown — full XPath with predicates nested at
 // least three deep, over a document of at most 1 024 nodes — followed
 // by two probe queries of the same shape that TopDown won or lost by
-// the widest margins seen on an 841-node auction document.
+// the widest margins seen on an 841-node auction document, and three
+// queries with a bottom-up location path behind a first step that
+// selects nothing on every document here, none of which holds p.
 var autoRowQueries = []struct{ name, query string }{
 	{"exp3-3", workload.Exp3Query(3)},
 	{"exp3-4", workload.Exp3Query(4)},
@@ -186,6 +188,9 @@ var autoRowQueries = []struct{ name, query string }{
 	{"count-abcd", "count(//a[b[c[d]]])"},
 	{"probe/interest-2", "count(//person[profile[interest[2]]])"},
 	{"probe/increase-strlen", "//open_auction[bidder[position() > 1][increase[. > string-length(name(..))]]]"},
+	{"p-i", "//p[@i]"},
+	{"p-not-i", "//p[not(@i)]"},
+	{"p-i-eq", "//p[@i = '2']"},
 }
 
 // BenchmarkAutoRow runs autoRowQueries under TopDown and OptMinContext

@@ -22,8 +22,10 @@
 //     goroutine; what scales across cores is queries (README,
 //     "Intra-query parallelism: measured, removed").
 //   - internal/naive … internal/xpatterns — one package per algorithm
-//     (topdown, mincontext, wadler = optmincontext, xpatterns = the
-//     Section 10 set algebra behind the corexpath and xpatterns
+//     (topdown, mincontext, wadler = optmincontext — a MinContext run
+//     that computes each bottom-up location path of the Wadler fragment
+//     set-at-a-time when it first needs the path's table —, xpatterns =
+//     the Section 10 set algebra behind the corexpath and xpatterns
 //     strategies; naive, whose memo is the data pool of Section 9, and
 //     bottomup are oracles and experiment baselines that no server
 //     links; internal/corexpath is tests only), over one operator core: F[[e]] of every non-path

@@ -214,9 +214,9 @@ var laterDocs = []string{"idpos"}
 
 // FuzzOptimizeAgrees: for any query text that parses, the naive engine
 // on the literal tree, the top-down, MinContext and OptMinContext
-// engines on xpath.Optimize of it, core.Engine at Auto — whichever of
-// the Section 10 algebra, OptMinContext and top-down its table picks —
-// and core.Engine behind each fixed fragment gate that admits the query
+// engines on xpath.Optimize of it, core.Engine at Auto — the Section 10
+// algebra or OptMinContext, as the query's fragment picks — and
+// core.Engine behind each fixed fragment gate that admits the query
 // (XPatterns for every query of that fragment, Core XPath queries
 // included; CoreXPath for those) return the same value from the root of
 // a document of fuzzDocs. The naive engine runs under a step budget;
@@ -251,6 +251,19 @@ func FuzzOptimizeAgrees(f *testing.F) {
 	// Heads that read position() or last(), where they select something.
 	for _, q := range []string{"id(position())/b", `count(/r/a[id(position())/b = "x"])`, "//a[id(position())/b]/@id", "(id(last()))[1]"} {
 		f.Add(q, uint8(slices.Index(fuzzDocs, docs["idpos"])))
+	}
+	// Bottom-up location paths whose table OptMinContext computes when
+	// its run first needs it: an atom behind a step that may select
+	// nothing, one reached only inside a pair loop, atoms compared with
+	// a boolean, a constant side that is a path, and Example 11.2.
+	for i := range fuzzDocs {
+		for _, q := range []string{
+			"//p[@i] | //a", "//b[c > 1 and position() = last()]", "//x[y > 1 and position() = last()]",
+			"//a[b = true()]", "//a[b != false()]", "//b[. = /a/c]",
+			"/child::a/descendant::*[boolean(following::d[(position() != last()) and (preceding-sibling::*/preceding::* = 100)]/following::d)]",
+		} {
+			f.Add(q, uint8(i))
+		}
 	}
 	parsed := make([]*xmltree.Document, len(fuzzDocs))
 	for i, src := range fuzzDocs {

@@ -62,3 +62,13 @@ func (c *Canceller) CheckN(n int) error {
 	c.count = 0
 	return c.ctx.Err()
 }
+
+// Err returns the context's error now, unthrottled: whether the
+// evaluation is cancelled, for a caller that has met an error of its
+// own and must tell the two apart.
+func (c *Canceller) Err() error {
+	if c == nil {
+		return nil
+	}
+	return c.ctx.Err()
+}

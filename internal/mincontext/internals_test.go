@@ -31,7 +31,7 @@ func TestInnerLocpathRelation(t *testing.T) {
 	}
 	for _, q := range paths {
 		p := xpath.MustParse(q).(*xpath.Path)
-		st, err := ev.Begin(nil, nil, p)
+		st, err := ev.Begin(nil, nil, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestCoverageBookkeeping(t *testing.T) {
 	d := xmltree.MustParseString(`<a><b/><b/><b/></a>`)
 	ev := New(d)
 	e := xpath.MustParse("count(child::b)")
-	st, err := ev.Begin(nil, nil, e)
+	st, err := ev.Begin(nil, nil, e, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestCoverageBookkeeping(t *testing.T) {
 	}
 	// Values are correct per node.
 	for n := xmltree.NodeID(0); n < 4; n++ {
-		v, err := st.EvalSingleContext(e, semantics.Context{Node: n, Pos: -1, Size: -1})
+		v, err := st.evalSingleContext(e, semantics.Context{Node: n, Pos: -1, Size: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,13 +97,13 @@ func TestOnDemandSingleContext(t *testing.T) {
 	d := xmltree.MustParseString(`<a><b><c/></b></a>`)
 	ev := New(d)
 	e := xpath.MustParse("count(child::*)")
-	st, err := ev.Begin(nil, nil, e)
+	st, err := ev.Begin(nil, nil, e, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// No prior evalByCnodeOnly for node b.
 	b := d.Children(d.DocumentElement())[0]
-	v, err := st.EvalSingleContext(e, semantics.Context{Node: b, Pos: -1, Size: -1})
+	v, err := st.evalSingleContext(e, semantics.Context{Node: b, Pos: -1, Size: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestTableColumns(t *testing.T) {
 	as := d.Index().Named("a")
 	for _, src := range []string{"count(child::b)", "child::b", "count(child::b) > 1", "string(count(child::b))"} {
 		e := xpath.MustParse(src)
-		st, err := New(d).Begin(nil, nil, e)
+		st, err := New(d).Begin(nil, nil, e, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestTableColumns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, err := st.EvalSingleContext(e, c); err != nil || !got.Equal(want) {
+			if got, err := st.evalSingleContext(e, c); err != nil || !got.Equal(want) {
 				t.Errorf("%s at a[%d]: %+v, %v; naive %+v", src, k+1, got, err, want)
 			}
 		}
@@ -175,7 +175,7 @@ func TestTableColumnsStayFew(t *testing.T) {
 	as := d.Index().Named("a")
 	for _, src := range []string{"count(child::b)", "child::b", "count(child::b) > 3", "string(count(child::b))"} {
 		e := xpath.MustParse(src)
-		st, err := New(d).Begin(nil, nil, e)
+		st, err := New(d).Begin(nil, nil, e, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestTableColumnsStayFew(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, err := st.EvalSingleContext(e, c); err != nil || !got.Equal(want) {
+			if got, err := st.evalSingleContext(e, c); err != nil || !got.Equal(want) {
 				t.Fatalf("%s at a[%d]: %+v, %v; naive %+v", src, k+1, got, err, want)
 			}
 		}

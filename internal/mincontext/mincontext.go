@@ -21,8 +21,9 @@
 // eval_outermost_locpath is S→ of Section 10.1 with a predicate judge of
 // its own, so it is not written here: a Run is the judge (JudgeStep,
 // RankStep, Head) of evalutil.Forward, the forward kernel the Section 10
-// algebra runs too, and of evalutil.Backward when OptMinContext
-// propagates paths backwards.
+// algebra runs too, and of evalutil.Backward when a run OptMinContext
+// began propagates a bottom-up path backwards (eval_bottomup_path,
+// fillBottomUp).
 //
 // # How tables are stored
 //
@@ -46,8 +47,9 @@
 //     they start a further column, merged into its predecessor once that
 //     is no more than twice as long, so there are O(log) columns at worst
 //     and one in the common case (table.add);
-//   - a table another evaluator computed whole (SetTruth) stays the set
-//     of nodes it arrived as.
+//   - the table of a bottom-up location path, which a run OptMinContext
+//     began computes whole the first time it needs it (fillBottomUp),
+//     is the set of nodes where the path holds.
 //
 // An operator whose operands are such arrays over the very nodes being
 // tabulated — count() of a relation, arithmetic and comparison of
@@ -144,7 +146,7 @@ func (ev *Evaluator) Evaluate(e xpath.Expr, c semantics.Context) (semantics.Valu
 // abandon the evaluation with ctx's error once it is done.
 func (ev *Evaluator) EvaluateContext(ctx context.Context, e xpath.Expr, c semantics.Context) (semantics.Value, error) {
 	return evalutil.Evaluate(ctx, ev.doc, func(ar *xmltree.Arena, cancel *evalutil.Canceller) (semantics.Value, error) {
-		st, err := ev.Begin(ar, cancel, e)
+		st, err := ev.Begin(ar, cancel, e, nil)
 		if err != nil {
 			return semantics.Value{}, err
 		}
@@ -153,12 +155,9 @@ func (ev *Evaluator) EvaluateContext(ctx context.Context, e xpath.Expr, c semant
 }
 
 // Run is one evaluation in progress: the context-value table of every
-// parse-tree node, by slot. A fragment optimizer (OptMinContext, Section
-// 11.2) begins a run, installs the tables it computes bottom-up
-// (SetTruth, reading through EvalSingleContext) and leaves the rest to
-// Evaluate. The arena keeps it: the tables of the last run over the
-// document, their columns and the slabs of those, are what the next one
-// fills.
+// parse-tree node, by slot. The arena keeps it: the tables of the last
+// run over the document, their columns and the slabs of those, are what
+// the next one fills.
 type Run struct {
 	expr xpath.Expr
 	doc  *xmltree.Document
@@ -171,45 +170,38 @@ type Run struct {
 	// cancel is the throttled cancellation checkpoint for this query.
 	cancel *evalutil.Canceller
 
-	// single is EvalSingleContext as the evaluator RankStep hands out,
+	// bottomUp names the bottom-up location paths of a run OptMinContext
+	// began (fillBottomUp); nil in a plain MinContext run.
+	bottomUp func(xpath.Expr) (path, c xpath.Expr, op xpath.BinOp)
+
+	// single is evalSingleContext as the evaluator RankStep hands out,
 	// bound once for as long as the arena keeps the run.
 	single evalutil.PredEval
 }
 
 // Begin starts an evaluation of e in the arena ar, with the checkpoint
 // cancel (nil never fires). e must be numbered: a tree put together by
-// hand has no slots to keep tables under.
-func (ev *Evaluator) Begin(ar *xmltree.Arena, cancel *evalutil.Canceller, e xpath.Expr) (*Run, error) {
+// hand has no slots to keep tables under. bottomUp, nil for the §8
+// algorithm, is OptMinContext's test of a node (Section 11.2): for a
+// bottom-up location path, boolean(π) or π RelOp c with c context free,
+// it returns π, c (nil for boolean) and the RelOp with π on its left,
+// and a nil π for any other node. The run puts it to a node once, when
+// it first needs the node's table.
+func (ev *Evaluator) Begin(ar *xmltree.Arena, cancel *evalutil.Canceller, e xpath.Expr, bottomUp func(xpath.Expr) (path, c xpath.Expr, op xpath.BinOp)) (*Run, error) {
 	n := xpath.Slots(e)
 	if n == 0 {
 		return nil, fmt.Errorf("mincontext: %s is not numbered (trees come from xpath.Parse or Optimize)", e)
 	}
 	st := xmltree.Keep[Run](ar)
-	st.expr, st.doc, st.ar, st.cancel = e, ev.doc, ar, cancel
+	st.expr, st.doc, st.ar, st.cancel, st.bottomUp = e, ev.doc, ar, cancel, bottomUp
 	st.tabs = slices.Grow(st.tabs[:0], n)[:n]
 	for i := range st.tabs {
 		st.tabs[i] = table{cols: st.tabs[i].cols[:0]}
 	}
 	if st.single == nil {
-		st.single = st.EvalSingleContext
+		st.single = st.evalSingleContext
 	}
 	return st, nil
-}
-
-// SetTruth installs the complete table of a boolean subexpression that
-// does not depend on cp or cs: true at the context nodes of at, which
-// spans the document, or — at nil, Relev lacking cn as well — all at
-// every context node ("subexpressions that have already been evaluated
-// bottom-up are not evaluated again", Algorithm 11.1).
-func (st *Run) SetTruth(e xpath.Expr, at *xmltree.Bitset, all bool) {
-	st.tabs[xpath.Slot(e)] = table{truth: at, one: semantics.Boolean(all), has: at == nil}
-}
-
-// Known reports whether e's table is complete: installed by SetTruth, or
-// the single row of an expression whose Relev lacks cn.
-func (st *Run) Known(e xpath.Expr) bool {
-	t := &st.tabs[xpath.Slot(e)]
-	return t.has || t.truth != nil
 }
 
 // Evaluate returns the value of the run's expression at context c. A
@@ -227,7 +219,7 @@ func (st *Run) Evaluate(c semantics.Context) (semantics.Value, error) {
 	if err := st.evalByCnodeOnly(e, st.one(c.Node)); err != nil {
 		return semantics.Value{}, err
 	}
-	return st.EvalSingleContext(e, c)
+	return st.evalSingleContext(e, c)
 }
 
 // one returns {n} in the arena.
@@ -337,7 +329,7 @@ func (st *Run) evalHeads(head xpath.Expr, x xmltree.NodeSet, f func(xmltree.Node
 		return err
 	}
 	for _, n := range x {
-		v, err := st.EvalSingleContext(head, semantics.Context{Node: n, Pos: -1, Size: -1})
+		v, err := st.evalSingleContext(head, semantics.Context{Node: n, Pos: -1, Size: -1})
 		if err != nil {
 			return err
 		}
@@ -361,8 +353,8 @@ func (st *Run) RankStep(step *xpath.Step, y xmltree.NodeSet) (evalutil.PredEval,
 // predicates, none of which depends on cp/cs, so each candidate is
 // judged once whatever previous context node reached it: the predicates
 // are tabulated over y, and y is filtered by intersecting with a table
-// that is a set of nodes already (SetTruth) or reading off the bits of a
-// column over y, else row by row. y itself is left alone: the
+// that is a set of nodes already (fillBottomUp) or reading off the bits
+// of a column over y, else row by row. y itself is left alone: the
 // predicates' tables have it as their context nodes.
 func (st *Run) JudgeStep(preds []xpath.Expr, y xmltree.NodeSet) (xmltree.NodeSet, error) {
 	if len(preds) == 0 {
@@ -387,7 +379,7 @@ func (st *Run) JudgeStep(preds []xpath.Expr, y xmltree.NodeSet) (xmltree.NodeSet
 			}
 		} else {
 			for _, n := range src {
-				v, err := st.EvalSingleContext(pred, semantics.Context{Node: n, Pos: -1, Size: -1})
+				v, err := st.evalSingleContext(pred, semantics.Context{Node: n, Pos: -1, Size: -1})
 				if err != nil {
 					return nil, err
 				}
@@ -426,6 +418,9 @@ func (st *Run) evalByCnodeOnly(e xpath.Expr, x xmltree.NodeSet) error {
 		return st.fillPath(n, t, r, todo)
 	case *xpath.FilterExpr:
 		return st.fillFilter(n, t, r, todo)
+	}
+	if whole, err := st.fillBottomUp(e, t); whole || err != nil {
+		return err
 	}
 	// Other compound (or leaf) expression: tabulate children first,
 	// then this node for every context in todo.
@@ -592,7 +587,7 @@ func (st *Run) fillFilter(fe *xpath.FilterExpr, t *table, r xpath.Relev, todo xm
 // predicates rank in document order whatever axis produced the primary;
 // each pass builds a fresh set, the primary's row is shared.
 func (st *Run) filterAt(fe *xpath.FilterExpr, c semantics.Context, seen []evalutil.Verdicts) (semantics.Value, error) {
-	pv, err := st.EvalSingleContext(fe.Primary, c)
+	pv, err := st.evalSingleContext(fe.Primary, c)
 	if err != nil {
 		return semantics.Value{}, err
 	}
@@ -607,7 +602,7 @@ func (st *Run) filterAt(fe *xpath.FilterExpr, c semantics.Context, seen []evalut
 		if err := st.cancel.CheckN(len(s) + 1); err != nil {
 			return semantics.Value{}, err
 		}
-		if s, err = evalutil.FilterPositions(axes.Self, pred, s, st.ar.Nodes(len(s)), st.EvalSingleContext, &seen[i]); err != nil {
+		if s, err = evalutil.FilterPositions(axes.Self, pred, s, st.ar.Nodes(len(s)), st.evalSingleContext, &seen[i]); err != nil {
 			return semantics.Value{}, err
 		}
 		s = st.ar.Trim(s)
@@ -618,7 +613,7 @@ func (st *Run) filterAt(fe *xpath.FilterExpr, c semantics.Context, seen []evalut
 // pathAt is a path whose head reads position() or last() at one whole
 // context ⟨x, k, n⟩: the steps, forwards, from the head's value there.
 func (st *Run) pathAt(p *xpath.Path, c semantics.Context) (semantics.Value, error) {
-	h, err := st.EvalSingleContext(p.Filter, c)
+	h, err := st.evalSingleContext(p.Filter, c)
 	if err != nil {
 		return semantics.Value{}, err
 	}
@@ -650,7 +645,7 @@ func (st *Run) applyOperator(e xpath.Expr, c semantics.Context) (semantics.Value
 	var few [3]semantics.Value // the core library's usual arities, on the stack
 	args := few[:0]
 	for _, o := range xpath.Operands(e, ops[:0]) {
-		v, err := st.EvalSingleContext(o, c)
+		v, err := st.evalSingleContext(o, c)
 		if err != nil {
 			return semantics.Value{}, err
 		}
@@ -663,10 +658,10 @@ func (st *Run) applyOperator(e xpath.Expr, c semantics.Context) (semantics.Value
 // eval_single_context
 // ------------------------------------------------------------------
 
-// EvalSingleContext returns the value of e for one context ⟨x, p, s⟩.
+// evalSingleContext returns the value of e for one context ⟨x, p, s⟩.
 // cp/cs-independent nodes are looked up in their tables (which
 // eval_by_cnode_only has normally filled); dependent nodes recurse.
-func (st *Run) EvalSingleContext(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
+func (st *Run) evalSingleContext(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
 	switch e.(type) {
 	case *xpath.Number, *xpath.Literal: // the table of a literal is written in the query
 		return semantics.Eval(st.doc, st.ar, e, c, nil)
@@ -675,12 +670,17 @@ func (st *Run) EvalSingleContext(e xpath.Expr, c semantics.Context) (semantics.V
 		// position() and last() resolve from the supplied context.
 		return st.apply(e, c)
 	}
-	if v, ok := st.tabs[xpath.Slot(e)].lookup(c.Node); ok {
+	t := &st.tabs[xpath.Slot(e)]
+	if v, ok := t.lookup(c.Node); ok {
 		return v, nil
 	}
 	switch e.(type) {
 	case *xpath.Path, *xpath.FilterExpr:
 		return st.evalOnDemand(e, c)
+	}
+	if whole, err := st.fillBottomUp(e, t); whole || err != nil {
+		v, _ := t.lookup(c.Node)
+		return v, err
 	}
 	// Not tabulated at this context (a caller asks for a fresh one):
 	// computed from the children, whose tables have the parts that are
@@ -704,6 +704,82 @@ func (st *Run) evalOnDemand(e xpath.Expr, c semantics.Context) (semantics.Value,
 		return v, nil
 	}
 	return semantics.Value{}, fmt.Errorf("mincontext: table for %s missing context node %d", e, c.Node)
+}
+
+// ------------------------------------------------------------------
+// eval_bottomup_path (Section 11.2)
+// ------------------------------------------------------------------
+
+// fillBottomUp computes the whole dom → bool table t of e when e is a
+// bottom-up location path of an OptMinContext run, and reports whether
+// it did. It runs where eval_by_cnode_only or eval_single_context first
+// needs the table, so a path no enclosing step reaches is never
+// computed, and it asks the run's test once per node: a constant side
+// that fails to evaluate leaves the node to the tabulation, unless the
+// evaluation is cancelled.
+//
+// The path is propagate_path_backwards (Appendix A) with this run judging
+// its steps' predicates, from the initial node set Y ⊆ T(t) of its last
+// step — the label's posting list for child::name and its like — so a
+// comparison reads the string-values of those nodes alone: Y := {y ∈
+// T(t) | strval(y) RelOp c}. π RelOp bool is boolean(π) RelOp bool: like
+// boolean(π) it propagates all of T(t), and compares afterwards.
+func (st *Run) fillBottomUp(e xpath.Expr, t *table) (bool, error) {
+	if st.bottomUp == nil || t.asked {
+		return false, nil
+	}
+	t.asked = true
+	path, constSide, op := st.bottomUp(e)
+	if path == nil {
+		return false, nil
+	}
+	back := evalutil.Backward(st.forward())
+	var (
+		c          semantics.Value
+		reach      xmltree.NodeSet
+		everywhere bool
+		err        error
+	)
+	if constSide != nil {
+		// Context free: evaluated once, from the root, on this run.
+		if c, err = st.evalSingleContext(constSide, semantics.Context{Node: st.doc.RootID(), Pos: 1, Size: 1}); err != nil {
+			return false, st.cancel.Err()
+		}
+	}
+	boolRelOp := constSide != nil && c.Kind == xpath.TypeBoolean
+	if constSide == nil || boolRelOp {
+		reach, everywhere, err = back.Exists(path)
+	} else {
+		reach, everywhere, err = back.Compared(path, op, c)
+	}
+	if err != nil {
+		return false, err
+	}
+	// An absolute or constant-headed path reaches Y from every context
+	// node or from none: one value. Any other has a dom → bool table.
+	var at *xmltree.Bitset
+	if xpath.RelevantContext(path).Has(xpath.RelevNode) {
+		at = st.ar.Bitset(st.doc.Len())
+		at.AddSet(reach)
+	}
+	if boolRelOp {
+		// boolean(π) RelOp bool: the nodes reaching Y where true RelOp c
+		// holds, the others where false RelOp c does.
+		onTrue := semantics.Compare(st.doc, op, semantics.Boolean(true), c)
+		onFalse := semantics.Compare(st.doc, op, semantics.Boolean(false), c)
+		switch {
+		case at == nil:
+			everywhere = everywhere && onTrue || !everywhere && onFalse
+		case onTrue && onFalse:
+			at.Fill()
+		case onFalse:
+			at.Complement()
+		case !onTrue:
+			at.Clear()
+		}
+	}
+	t.truth, t.one, t.has = at, semantics.Boolean(everywhere), at == nil
+	return true, nil
 }
 
 // ------------------------------------------------------------------

@@ -106,8 +106,9 @@ func TestNonPathQueries(t *testing.T) {
 	}
 }
 
-// TestPrecomputedHook verifies SetTruth short-circuits evaluation
-// (the OptMinContext integration point).
+// TestPrecomputedHook verifies that a table complete on arrival, as
+// fillBottomUp installs it in an OptMinContext run, short-circuits
+// evaluation: the run reads the predicate off it and computes nothing.
 func TestPrecomputedHook(t *testing.T) {
 	d := xmltree.MustParseString(`<a><b/><c/></a>`)
 	ev := New(d)
@@ -117,11 +118,11 @@ func TestPrecomputedHook(t *testing.T) {
 	pred := e.Steps[1].Preds[0] // boolean(child::b)
 	all := xmltree.NewBitset(d.Len())
 	all.Fill()
-	run, err := ev.Begin(nil, nil, e)
+	run, err := ev.Begin(nil, nil, e, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run.SetTruth(pred, all, false)
+	run.tabs[xpath.Slot(pred)].truth = all
 	v, err := run.Evaluate(ctxAt(d.RootID()))
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 // The rank tests of evalutil.PredVerdicts against this package's
 // interpreter: a predicate built of position(), last() and numbers keeps,
 // at every 1 ≤ pos ≤ size ≤ 40 and on forward and reverse axes alike,
-// exactly the candidates at which ToBoolean of EvalSingleContext holds.
+// exactly the candidates at which ToBoolean of evalSingleContext holds.
 
 // rankSeeds are the pool's four positional predicates and the corners of
 // the float domain: NaN, ±Infinity (1 div 0), −0 and mod of negatives.
@@ -54,12 +54,12 @@ func checkRankTest(t *testing.T, src string) (calls int, ok bool) {
 	if xpath.RelevantContext(pred).Has(xpath.RelevNode) {
 		return 0, false
 	}
-	run, err := New(rankDoc).Begin(nil, nil, pred)
+	run, err := New(rankDoc).Begin(nil, nil, pred, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	interp := func(x xpath.Expr, c semantics.Context) (semantics.Value, error) {
-		return run.EvalSingleContext(x, c)
+		return run.evalSingleContext(x, c)
 	}
 	counted := func(x xpath.Expr, c semantics.Context) (semantics.Value, error) {
 		calls++

@@ -15,8 +15,10 @@ import (
 type table struct {
 	one semantics.Value // the only row when Relev(N) lacks cn, once has is set
 	has bool
-	// truth is a table complete on arrival (SetTruth): the context nodes
-	// at which a boolean node is true.
+	// asked is set once the run's bottom-up test has been put to the node.
+	asked bool
+	// truth is the table of a bottom-up location path (fillBottomUp),
+	// complete when it arrives: the context nodes where the node holds.
 	truth *xmltree.Bitset
 	// cols are the rows by context node: one column, and further ones
 	// only while nodes asked for out of document order await merging (add).

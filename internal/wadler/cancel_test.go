@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/evalutil"
+	"repro/internal/mincontext"
 	"repro/internal/semantics"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -95,28 +96,36 @@ func TestEvaluateContextCancelsMidEvaluation(t *testing.T) {
 // the evaluation's own checkpoint: with the context already cancelled, a
 // scan of dom for T(t) and one inverted step — plain or positional —
 // over more candidates than the throttle lets through unconsulted each
-// return the context's error instead of their set.
+// return the context's error instead of their set. A run that computes
+// such a path's table when it tabulates a step's predicates, which bills
+// nothing of its own before it, returns the same error.
 func TestBackwardPassBillsTheEvaluation(t *testing.T) {
 	d := cancelDoc()
 	e := xpath.MustParse("//a[* > 1500][b[position() = 2] > 1500]")
 	ctx, cancel := context.WithCancel(context.Background())
-	st, err := newState(nil, evalutil.NewCanceller(ctx), ctx, d, e)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cancel()
 	steps := e.(*xpath.Path).Steps
-	preds := steps[len(steps)-1].Preds
-	scan := preds[0].(*xpath.Binary).Left.(*xpath.Path)       // child::*
-	positional := preds[1].(*xpath.Binary).Left.(*xpath.Path) // child::b[position() = 2]
+	last := steps[len(steps)-1]
+	scan := last.Preds[0].(*xpath.Binary).Left.(*xpath.Path)       // child::*
+	positional := last.Preds[1].(*xpath.Binary).Left.(*xpath.Path) // child::b[position() = 2]
 	bs := d.Index().Named("b")
-	if _, err := st.back().Targets(scan); !errors.Is(err, context.Canceled) {
+	// Each operation on a checkpoint of its own: nothing billed before it.
+	if _, err := backward(t, d, e, evalutil.NewCanceller(ctx)).Targets(scan); !errors.Is(err, context.Canceled) {
 		t.Errorf("Targets(%s): err = %v, want context.Canceled", scan, err)
 	}
 	for _, p := range []*xpath.Path{scan, positional} {
-		st.cancel = evalutil.NewCanceller(ctx) // each operation on its own: nothing billed before it
-		if _, _, err := st.back().Reach(p, bs); !errors.Is(err, context.Canceled) {
+		if _, _, err := backward(t, d, e, evalutil.NewCanceller(ctx)).Reach(p, bs); !errors.Is(err, context.Canceled) {
 			t.Errorf("Reach(%s): err = %v, want context.Canceled", p, err)
+		}
+	}
+	for _, pred := range last.Preds {
+		run, err := mincontext.New(d).Begin(nil, evalutil.NewCanceller(ctx), e, bottomUp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := &xpath.Step{Axis: last.Axis, Test: last.Test, Preds: []xpath.Expr{pred}}
+		if _, err := run.RankStep(step, d.Index().Named("a")); !errors.Is(err, context.Canceled) {
+			t.Errorf("tabulating %s: err = %v, want context.Canceled", pred, err)
 		}
 	}
 }

@@ -1,27 +1,53 @@
 package wadler
 
 import (
-	"context"
 	"testing"
 
+	"repro/internal/evalutil"
+	"repro/internal/mincontext"
 	"repro/internal/semantics"
 	"repro/internal/topdown"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
-// bottomUpPaths is the number of subexpressions OptMinContext evaluates
-// bottom-up in e (Algorithm 11.1, step 1).
+// bottomUpPaths evaluates e under OptMinContext from d's root and
+// returns the number of bottom-up location paths the run computed: the
+// nodes bottomUp names as such, each of which the run computes when it
+// puts the test to it. The run must put the test to a node at most once.
 func bottomUpPaths(t *testing.T, d *xmltree.Document, e xpath.Expr) int {
 	t.Helper()
-	st, err := newState(nil, nil, context.Background(), d, e)
+	asked, paths := map[int]bool{}, 0
+	count := func(n xpath.Expr) (xpath.Expr, xpath.Expr, xpath.BinOp) {
+		if asked[xpath.Slot(n)] {
+			t.Errorf("%s: the run asked twice whether %s is a bottom-up path", e, n)
+		}
+		asked[xpath.Slot(n)] = true
+		path, c, op := bottomUp(n)
+		if path != nil {
+			paths++
+		}
+		return path, c, op
+	}
+	run, err := mincontext.New(d).Begin(nil, nil, e, count)
 	if err == nil {
-		err = st.collect(e)
+		_, err = run.Evaluate(semantics.Context{Node: d.RootID(), Pos: 1, Size: 1})
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st.paths
+	return paths
+}
+
+// backward is propagate_path_backwards over d, billing cancel, with an
+// OptMinContext run of e judging the steps' predicates.
+func backward(t *testing.T, d *xmltree.Document, e xpath.Expr, cancel *evalutil.Canceller) evalutil.Backward {
+	t.Helper()
+	run, err := mincontext.New(d).Begin(nil, cancel, e, bottomUp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return evalutil.Backward{Doc: d, Cancel: cancel, Judge: run}
 }
 
 // TestPropagateBackwardsDirect exercises propagate_path_backwards in
@@ -49,11 +75,7 @@ func TestPropagateBackwardsDirect(t *testing.T) {
 	}
 	for _, q := range paths {
 		p := xpath.MustParse(q).(*xpath.Path)
-		st, err := newState(nil, nil, context.Background(), d, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, everywhere, err := st.back().Reach(p, y)
+		got, everywhere, err := backward(t, d, p, nil).Reach(p, y)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -88,11 +110,7 @@ func TestHoldsEverywhereIsAFlag(t *testing.T) {
 		"id('x')/preceding-sibling::b/c": true, "id('nobody')/c": false, "id('x')/c": false,
 	} {
 		p := xpath.MustParse(q)
-		st, err := newState(nil, nil, context.Background(), d, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reach, everywhere, err := st.back().Reach(p, cs)
+		reach, everywhere, err := backward(t, d, p, nil).Reach(p, cs)
 		if err != nil || reach != nil || everywhere != want {
 			t.Errorf("%s: reach %v, everywhere %v, err %v; want no set and %v", q, reach, everywhere, err, want)
 		}
@@ -176,7 +194,7 @@ func TestPositionalPredicateInsideBottomUpPath(t *testing.T) {
 }
 
 // TestPredicatesLeftToTheRun: a bottom-up path whose predicate holds a
-// part the bottom-up phase does not take itself — a comparison of two
+// part that is no bottom-up path itself — a comparison of two
 // context-free operands — is still propagated backwards; the predicate
 // is tabulated by the MinContext run over the step's candidates, all of
 // them where the step ranks.

@@ -19,15 +19,30 @@
 //
 // OptMinContext evaluates every "bottom-up location path" of the query
 // — subexpressions boolean(π) and π RelOp c with context-independent c
-// — innermost first, by eval_bottomup_path/propagate_path_backwards
-// (Appendix A; the walk itself is evalutil.Backward, shared with the
-// Section 10 algebra, and the MinContext run judges a step's predicates
-// for it), installs the resulting dom → bool tables into a
-// MinContext evaluator, and runs MinContext for the rest. Subexpressions
+// — by eval_bottomup_path/propagate_path_backwards (Appendix A; the walk
+// itself is evalutil.Backward, shared with the Section 10 algebra) into
+// a dom → bool table, and runs MinContext for the rest. Subexpressions
 // outside the fragment simply fall back to MinContext's own machinery,
 // so OptMinContext supports all of XPath at MinContext's bounds while
 // meeting the better fragment bounds where they apply (Corollaries 11.4
-// and 11.5).
+// and 11.5). This package holds the fragment and the test of which
+// nodes are bottom-up paths (bottomUp); the MinContext run is handed the
+// test when it begins and computes the tables.
+//
+// # The order differs from Algorithm 11.1
+//
+// Algorithm 11.1 evaluates all bottom-up paths, innermost first, before
+// MinContext starts. Here a path's table is computed when
+// eval_by_cnode_only or eval_single_context first needs it, and the
+// predicates of the path's own steps are tabulated as the backward walk
+// judges them, which computes any bottom-up path inside them then. A
+// path behind a step that selects nothing — //p[@i] on a document
+// without p — is never computed. The answers are the same, since a
+// table is the same whole table whenever it is made, and Theorem 11.3's
+// bound still holds: each bottom-up path is computed at most once (the
+// run asks its test once per node), and only where MinContext would
+// otherwise tabulate it, so the work is at most that of step 1 of
+// Algorithm 11.1.
 //
 // # Where the node sets come from
 //
@@ -40,11 +55,9 @@
 // string-values, not those of all |D| nodes with the root's (the whole
 // document's text) among them. A step whose predicates depend on cp/cs
 // loops over the previous context nodes in χ⁻¹(Y) only, the kernel's
-// own pair loop. This package judges nothing: the MinContext run is the
-// kernel's judge (its JudgeStep, RankStep and Head), so a step's
-// predicates are read from the tables this phase has installed, and
-// whatever part of a predicate the phase did not take is tabulated
-// set-at-a-time. Everything the bottom-up phase leaves over runs on
+// own pair loop. The MinContext run is the kernel's judge (its
+// JudgeStep, RankStep and Head), so whatever part of a predicate is not
+// a bottom-up path is tabulated set-at-a-time. Everything else runs on
 // MinContext, whose package comment states which of its paths are node
 // sets and why that is the paper's Relev rule.
 package wadler
@@ -65,56 +78,25 @@ type Evaluator struct{ doc *xmltree.Document }
 // New returns an OptMinContext evaluator for the document.
 func New(d *xmltree.Document) *Evaluator { return &Evaluator{doc: d} }
 
-// Evaluate implements Algorithm 11.1: evaluate all bottom-up location
-// paths inside the query (innermost first), then delegate to MinContext
-// with those results installed.
+// Evaluate implements Algorithm 11.1: a MinContext run in which every
+// bottom-up location path is computed whole, set-at-a-time, when the run
+// first needs its table.
 func (ev *Evaluator) Evaluate(e xpath.Expr, c semantics.Context) (semantics.Value, error) {
 	return ev.EvaluateContext(context.Background(), e, c)
 }
 
-// EvaluateContext is Evaluate with cancellation: both the bottom-up
-// backward-propagation phase and the MinContext phase it delegates to
+// EvaluateContext is Evaluate with cancellation: the backward
+// propagation of the bottom-up paths and the rest of the MinContext run
 // check ctx at throttled checkpoints and abandon the evaluation with
 // ctx's error once it is done.
 func (ev *Evaluator) EvaluateContext(ctx context.Context, e xpath.Expr, c semantics.Context) (semantics.Value, error) {
 	return evalutil.Evaluate(ctx, ev.doc, func(ar *xmltree.Arena, cancel *evalutil.Canceller) (semantics.Value, error) {
-		st, err := newState(ar, cancel, ctx, ev.doc, e)
+		run, err := mincontext.New(ev.doc).Begin(ar, cancel, e, bottomUp)
 		if err != nil {
 			return semantics.Value{}, err
 		}
-		if err := st.collect(e); err != nil {
-			return semantics.Value{}, err
-		}
-		return st.run.Evaluate(c)
+		return run.Evaluate(c)
 	})
-}
-
-// state carries the MinContext run whose tables the bottom-up phase
-// fills — the dom → bool table of each subexpression it evaluates,
-// innermost first — and their number. The arena ar keeps it, and the
-// run.
-type state struct {
-	doc    *xmltree.Document
-	ar     *xmltree.Arena
-	run    *mincontext.Run
-	paths  int
-	ctx    context.Context
-	cancel *evalutil.Canceller
-}
-
-// newState begins the evaluation of e in the arena ar, under ctx and its
-// checkpoint cancel.
-func newState(ar *xmltree.Arena, cancel *evalutil.Canceller, ctx context.Context, d *xmltree.Document, e xpath.Expr) (*state, error) {
-	run, err := mincontext.New(d).Begin(ar, cancel, e)
-	st := xmltree.Keep[state](ar)
-	*st = state{doc: d, ar: ar, run: run, ctx: ctx, cancel: cancel}
-	return st, err
-}
-
-// back is propagate_path_backwards (Appendix A) with the MinContext run
-// judging the steps' predicates.
-func (st *state) back() evalutil.Backward {
-	return evalutil.Backward{Doc: st.doc, Arena: st.ar, Cancel: st.cancel, Judge: st.run}
 }
 
 // ------------------------------------------------------------------
@@ -256,156 +238,36 @@ func bottomUpPathOK(e xpath.Expr) bool {
 }
 
 // ------------------------------------------------------------------
-// Collection of bottom-up location paths (Algorithm 11.1, step 1)
+// Bottom-up location paths (Algorithm 11.1, step 1)
 // ------------------------------------------------------------------
 
-// collect walks the query post-order and evaluates every qualifying
-// bottom-up location path, innermost first.
-func (st *state) collect(e xpath.Expr) error {
+// bottomUp is the test the MinContext run puts to a node of the query,
+// once, when it first needs the node's table: boolean(π) with π a
+// fragment path, and π RelOp c with π context dependent and c context
+// free, are bottom-up location paths. It returns π, c (nil for
+// boolean(π)) and the RelOp with π on its left; π is nil for any other
+// node.
+func bottomUp(e xpath.Expr) (path, c xpath.Expr, op xpath.BinOp) {
 	switch x := e.(type) {
-	case *xpath.Negate:
-		return st.collect(x.X)
-	case *xpath.Binary:
-		if err := st.collect(x.Left); err != nil {
-			return err
-		}
-		if err := st.collect(x.Right); err != nil {
-			return err
-		}
-		if x.Op.IsRelOp() {
-			if err := st.maybeEvalRelOp(x); err != nil {
-				return err
-			}
-		}
-		return nil
 	case *xpath.Call:
-		for _, a := range x.Args {
-			if err := st.collect(a); err != nil {
-				return err
-			}
+		if x.Name == "boolean" && x.Args[0].Type() == xpath.TypeNodeSet {
+			path = x.Args[0]
 		}
-		if x.Name == "boolean" && x.Args[0].Type() == xpath.TypeNodeSet && bottomUpPathOK(x.Args[0]) {
-			return st.evalBottomUpPath(x, x.Args[0], nil, 0)
+	case *xpath.Binary:
+		if !x.Op.IsRelOp() {
+			break
 		}
-		return nil
-	case *xpath.FilterExpr:
-		if err := st.collect(x.Primary); err != nil {
-			return err
-		}
-		for _, p := range x.Preds {
-			if err := st.collect(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *xpath.Path:
-		if x.Filter != nil {
-			if err := st.collect(x.Filter); err != nil {
-				return err
-			}
-		}
-		for _, s := range x.Steps {
-			for _, p := range s.Preds {
-				if err := st.collect(p); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	default:
-		return nil
-	}
-}
-
-// maybeEvalRelOp evaluates a qualifying π RelOp c / c RelOp π node
-// bottom-up.
-func (st *state) maybeEvalRelOp(b *xpath.Binary) error {
-	ln := b.Left.Type() == xpath.TypeNodeSet && xpath.RelevantContext(b.Left) != 0
-	rn := b.Right.Type() == xpath.TypeNodeSet && xpath.RelevantContext(b.Right) != 0
-	var pathSide, constSide xpath.Expr
-	op := b.Op
-	switch {
-	case ln && !rn && xpath.RelevantContext(b.Right) == 0:
-		pathSide, constSide = b.Left, b.Right
-	case rn && !ln && xpath.RelevantContext(b.Left) == 0:
-		pathSide, constSide = b.Right, b.Left
-		op = semantics.Flip(op)
-	default:
-		return nil
-	}
-	if !bottomUpPathOK(pathSide) {
-		return nil
-	}
-	// The constant side must itself be evaluable (any XPath, evaluated
-	// once on the MinContext run, from the root — it is context
-	// independent; whole-document paths in it stay tabulated).
-	cv, err := st.run.EvalSingleContext(constSide, semantics.Context{Node: st.doc.RootID(), Pos: 1, Size: 1})
-	if err != nil {
-		if st.ctx.Err() != nil {
-			return st.ctx.Err() // cancelled, not merely out of fragment
-		}
-		return nil // leave it to MinContext
-	}
-	return st.evalBottomUpPath(b, pathSide, &cv, op)
-}
-
-// ------------------------------------------------------------------
-// eval_bottomup_path (Appendix A)
-// ------------------------------------------------------------------
-
-// evalBottomUpPath computes the dom → bool table of a boolean(π) or
-// π RelOp c node and stores it under the whole expression key.
-//
-// Step 1 determines the initial node set Y; step 2 propagates Y
-// backwards through the inverted location steps.
-func (st *state) evalBottomUpPath(key xpath.Expr, pathSide xpath.Expr, c *semantics.Value, op xpath.BinOp) error {
-	if st.run.Known(key) {
-		return nil
-	}
-	// Step 1. The path can only end in T(t) of its last step, so Y is
-	// seeded from there — the label's posting list for child::name and
-	// its like — and a comparison reads the string-values of those nodes
-	// alone, never the root's or an interior element's: Y := {y ∈ T(t) |
-	// strval(y) RelOp c}. π RelOp bool is boolean(π) RelOp bool: like
-	// boolean(π) it propagates all of T(t), and compares afterwards.
-	var (
-		reach      xmltree.NodeSet
-		everywhere bool
-		err        error
-		boolRelOp  = c != nil && c.Kind == xpath.TypeBoolean
-	)
-	if c == nil || boolRelOp {
-		reach, everywhere, err = st.back().Exists(pathSide)
-	} else {
-		reach, everywhere, err = st.back().Compared(pathSide, op, *c)
-	}
-	if err != nil {
-		return err
-	}
-	// An absolute or constant-headed path reaches Y from every context
-	// node or from none: one value. Any other has a dom → bool table.
-	var at *xmltree.Bitset
-	if xpath.RelevantContext(pathSide).Has(xpath.RelevNode) {
-		at = st.ar.Bitset(st.doc.Len())
-		at.AddSet(reach)
-	}
-	if boolRelOp {
-		// boolean(π) RelOp bool: the nodes reaching Y where true RelOp c
-		// holds, the others where false RelOp c does.
-		onTrue := semantics.Compare(st.doc, op, semantics.Boolean(true), *c)
-		onFalse := semantics.Compare(st.doc, op, semantics.Boolean(false), *c)
+		ln := x.Left.Type() == xpath.TypeNodeSet && xpath.RelevantContext(x.Left) != 0
+		rn := x.Right.Type() == xpath.TypeNodeSet && xpath.RelevantContext(x.Right) != 0
 		switch {
-		case at == nil:
-			everywhere = everywhere && onTrue || !everywhere && onFalse
-		case onTrue && onFalse:
-			at.Fill()
-		case onFalse:
-			at.Complement()
-		case !onTrue:
-			at.Clear()
+		case ln && !rn && xpath.RelevantContext(x.Right) == 0:
+			path, c, op = x.Left, x.Right, x.Op
+		case rn && !ln && xpath.RelevantContext(x.Left) == 0:
+			path, c, op = x.Right, x.Left, semantics.Flip(x.Op)
 		}
 	}
-	st.run.SetTruth(key, at, everywhere)
-	st.paths++
-	return nil
+	if path == nil || !bottomUpPathOK(path) {
+		return nil, nil, 0
+	}
+	return path, c, op
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/naive"
 	"repro/internal/semantics"
+	"repro/internal/workload"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -77,6 +78,46 @@ func TestExample112BottomUp(t *testing.T) {
 	}
 }
 
+// TestBottomUpOnDemand: a bottom-up location path is computed when the
+// MinContext run first needs its table, so behind a step that selects
+// nothing none is. DOC(10) holds neither open_auction nor p, and the
+// answers there cost no backward pass; on a document holding both
+// names the same queries compute theirs. Either way the answer is
+// naive's.
+func TestBottomUpOnDemand(t *testing.T) {
+	queries := []string{
+		"//open_auction[count(bidder[increase[. > 1][position() = last()]]) > 1]/itemref",
+		"//p[@i]",
+		"//p[not(@i)]",
+		"//p[@i = '2']",
+	}
+	holds := xmltree.MustParseString(`<site><open_auction><bidder><increase>2</increase></bidder>` +
+		`<bidder><increase>3</increase></bidder><itemref/></open_auction><p i="1"/><p i="2"/><p/></site>`)
+	for _, tc := range []struct {
+		name  string
+		d     *xmltree.Document
+		empty bool
+	}{{"DOC(10)", workload.Doc(10), true}, {"both names", holds, false}} {
+		for _, q := range queries {
+			e := xpath.MustParse(q)
+			want, err := naive.New(tc.d).Evaluate(e, ctxRoot(tc.d))
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := xpath.Optimize(e)
+			if got, err := New(tc.d).Evaluate(opt, ctxRoot(tc.d)); err != nil || !got.Equal(want) {
+				t.Errorf("%s, %s: optmincontext %+v, %v; naive %+v", tc.name, q, got, err, want)
+			}
+			switch n := bottomUpPaths(t, tc.d, opt); {
+			case tc.empty && n != 0:
+				t.Errorf("%s, %s: %d bottom-up paths computed behind an empty step, want 0", tc.name, q, n)
+			case !tc.empty && n == 0:
+				t.Errorf("%s, %s: no bottom-up path computed", tc.name, q)
+			}
+		}
+	}
+}
+
 func TestBottomUpAgainstNaive(t *testing.T) {
 	d := xmltree.MustParseString(fig8)
 	ref := naive.New(d)
@@ -123,6 +164,7 @@ func TestFallbackOutsideFragment(t *testing.T) {
 		"//b[count(child::*) > 1]",
 		"sum(//d) + 1",
 		"//*[string(child::c) = '21 22']",
+		"//b[count((c)[count(text()) > 0]) > 1]", // a predicate tabulated once per b
 	} {
 		e := xpath.MustParse(q)
 		want, err := ref.Evaluate(e, ctxRoot(d))
@@ -136,6 +178,9 @@ func TestFallbackOutsideFragment(t *testing.T) {
 		}
 		if !got.Equal(want) {
 			t.Errorf("%q: got %+v, want %+v", q, got, want)
+		}
+		if n := bottomUpPaths(t, d, e); n != 0 {
+			t.Errorf("%q: %d bottom-up paths outside the fragment", q, n)
 		}
 	}
 }
