@@ -502,10 +502,16 @@ func EvalNamedInto(d *xmltree.Document, a Axis, s xmltree.NodeSet, name string, 
 			dst, _ = NamedChildren(d, named, 0, s[0], dst)
 			return dst
 		}
+		// Every child of S lies after min(S) and before the last end of a
+		// member's subtree: only that stretch of the list is read.
 		sc := ix.AcquireScratch()
-		sc.Mark.AddSet(s)
-		for _, y := range named {
-			if p := d.Parent(y); p != xmltree.NilNode && sc.Mark.Has(p) {
+		end := xmltree.NodeID(0)
+		for _, x := range s {
+			sc.Mark.Add(x)
+			end = max(end, ix.SubtreeEnd(x))
+		}
+		for _, y := range named.Range(s[0]+1, end) {
+			if sc.Mark.Has(d.Parent(y)) {
 				dst = append(dst, y)
 			}
 		}

@@ -2,7 +2,7 @@ package xmltree
 
 import (
 	"fmt"
-	"sync/atomic"
+	"math"
 )
 
 // Builder assembles a Document node by node in document order. It is used
@@ -13,15 +13,22 @@ import (
 // with StartElement and closed with EndElement; attributes must be added
 // immediately after StartElement, before any content.
 type Builder struct {
-	doc   *Document
-	stack []NodeID // open element chain; stack[0] is the root
-	last  []NodeID // last child emitted under each open node, NilNode if none
+	doc *Document
+	// The open element chain, stack[0] the root, each with the last
+	// child emitted under it (NilNode if none).
+	stack []struct{ id, last NodeID }
 
-	// How many elements carry each name (Index.label numbers them) and
-	// every element's name number: Done lays out the posting lists.
-	count, elemLabel []int32
-	labels           []string  // the names by number, from 1
-	recent           [64]int32 // numbers of names seen lately (StartElement)
+	// Element names are numbered from 1 (Index.label maps them), every
+	// other name from -1 down (others maps them): one label column, with
+	// the posting lists Done lays out covering element labels only.
+	// count[l] is how many elements carry element label l.
+	elems, others nameNumbers
+	count         []int32
+
+	// side is the text the nodes do not find in the source: what a
+	// reference or a carriage return made the scanner decode, and all a
+	// Builder caller passes in.
+	side []byte
 
 	// IDAttributes is the set of attribute names treated as ID-typed
 	// for deref_ids. It defaults to {"id"}; XML without a DTD has no
@@ -31,41 +38,88 @@ type Builder struct {
 	IDAttributes map[string]bool
 }
 
-// NewBuilder returns a Builder with the root node open.
-func NewBuilder() *Builder { return newBuilder(64) }
+// nameNumbers numbers one kind of name from 1 in order of first sight.
+type nameNumbers struct {
+	names  []string // by number; names[0] is unused
+	number map[string]int32
+	recent [64]int32 // numbers of names seen lately
+}
 
-// newBuilder is NewBuilder with room for n nodes in every column.
-func newBuilder(n int) *Builder {
-	links := func() []NodeID { return append(make([]NodeID, 0, n), NilNode) }
-	d := &Document{types: append(make([]NodeType, 0, n), Root), names: make([]string, 1, n), data: make([]string, 1, n),
-		parent: links(), firstChild: links(), nextSibling: links(), prevSibling: links()}
+// of returns name's number, adding it if it is new, and whether it was.
+// Most names were seen lately: a hash of the length and the ends finds
+// their number without probing the map.
+func (ns *nameNumbers) of(name string) (int32, bool) {
+	h := len(name)
+	if h > 0 {
+		h = (h + int(name[0])*7 + int(name[h-1])*31) & (len(ns.recent) - 1)
+	}
+	if l := ns.recent[h]; l != 0 && ns.names[l] == name {
+		return l, false
+	}
+	l, ok := ns.number[name]
+	if !ok {
+		if ns.number == nil {
+			ns.number = map[string]int32{}
+		}
+		l = int32(len(ns.names))
+		ns.number[name] = l
+		ns.names = append(ns.names, name)
+	}
+	ns.recent[h] = l
+	return l, !ok
+}
+
+// NewBuilder returns a Builder with the root node open.
+func NewBuilder() *Builder { return newBuilder(64, "") }
+
+// newBuilder is NewBuilder with room for n nodes in every column, for a
+// document whose nodes alias src.
+func newBuilder(n int, src string) *Builder {
+	d := &Document{types: append(make([]NodeType, 0, n), Root), parent: append(make([]NodeID, 0, n), NilNode),
+		nextSibling: append(make([]NodeID, 0, n), NilNode), label: make([]int32, 1, n),
+		dataOff: make([]uint32, 1, n), dataLen: make([]uint32, 1, n), src: src}
 	// The root's subtree end is set at Done; it counts as content.
 	d.idx = Index{subtreeEnd: make([]NodeID, 1, n), contentBefore: append(make([]int32, 0, n+1), 0, 1), label: map[string]int32{}}
 	// Room for 32 names and 32 levels of nesting, which few documents pass.
-	return &Builder{doc: d, stack: make([]NodeID, 1, 32), last: append(make([]NodeID, 0, 32), NilNode),
-		count: make([]int32, 1, 32), labels: make([]string, 1, 32), elemLabel: make([]int32, 0, n/2),
+	b := &Builder{doc: d, stack: make([]struct{ id, last NodeID }, 1, 32), count: make([]int32, 1, 32),
 		IDAttributes: map[string]bool{"id": true}}
+	b.stack[0].last = NilNode
+	b.elems = nameNumbers{names: make([]string, 1, 32), number: d.idx.label}
+	b.others.names = make([]string, 1, 8)
+	return b
+}
+
+// span is where a node's character data lies in the document's text
+// (Document.Data): off counts into the source and then on into side.
+type span struct{ off, n uint32 }
+
+// source is the span of src[lo:hi].
+func (b *Builder) source(lo, hi int) span { return span{uint32(lo), uint32(hi - lo)} }
+
+// keep copies s into side and returns its span.
+func keep[T string | []byte](b *Builder, s T) span {
+	at := span{uint32(len(b.doc.src) + len(b.side)), uint32(len(s))}
+	b.side = append(b.side, s...)
+	return at
 }
 
 // appendNode adds a node as the last child of the innermost open one.
-func (b *Builder) appendNode(t NodeType, name, data string) NodeID {
+func (b *Builder) appendNode(t NodeType, label int32, data span) NodeID {
 	d := b.doc
-	id, parent, prev := NodeID(d.Len()), b.stack[len(b.stack)-1], b.last[len(b.last)-1]
-	if prev == NilNode {
-		d.firstChild[parent] = id
-	} else {
-		d.nextSibling[prev] = id
+	id, top := NodeID(d.Len()), &b.stack[len(b.stack)-1]
+	if top.last != NilNode {
+		d.nextSibling[top.last] = id
 	}
-	b.last[len(b.last)-1] = id
+	parent := top.id
+	top.last = id
 	// One statement a column: s = append(s, x) stores only the length, a
 	// tuple assignment whole slice headers, with write barriers.
 	d.types = append(d.types, t)
-	d.names = append(d.names, name)
-	d.data = append(d.data, data)
 	d.parent = append(d.parent, parent)
-	d.prevSibling = append(d.prevSibling, prev)
-	d.firstChild = append(d.firstChild, NilNode)
 	d.nextSibling = append(d.nextSibling, NilNode)
+	d.label = append(d.label, label)
+	d.dataOff = append(d.dataOff, data.off)
+	d.dataLen = append(d.dataLen, data.n)
 	// A leaf's subtree is itself; an element's end is set when it closes.
 	ix := &d.idx
 	content := ix.contentBefore[id]
@@ -77,30 +131,32 @@ func (b *Builder) appendNode(t NodeType, name, data string) NodeID {
 	return id
 }
 
+// named adds a node other than an element, numbering its name; a node
+// without a name has label 0.
+func (b *Builder) named(t NodeType, name string, data span) NodeID {
+	var l int32
+	if name != "" {
+		l, _ = b.others.of(name)
+		l = -l
+	}
+	return b.appendNode(t, l, data)
+}
+
 // StartElement opens a new element with the given name.
 func (b *Builder) StartElement(name string) NodeID {
-	id := b.appendNode(Element, name, "")
-	// Most names were seen lately: a hash of the length and the ends
-	// finds their number without probing the label map.
-	h := len(name)
-	if h > 0 {
-		h = (h + int(name[0])*7 + int(name[h-1])*31) & (len(b.recent) - 1)
-	}
-	l := b.recent[h]
-	if l == 0 || b.labels[l] != name {
-		var ok bool
-		if l, ok = b.doc.idx.label[name]; !ok {
-			l = int32(len(b.labels))
-			b.doc.idx.label[name] = l
-			b.labels, b.count = append(b.labels, name), append(b.count, 0)
-		}
-		b.recent[h] = l
+	l, added := b.elems.of(name)
+	if added {
+		b.count = append(b.count, 0)
 	}
 	b.count[l]++
-	b.elemLabel = append(b.elemLabel, l)
-	b.stack = append(b.stack, id)
-	b.last = append(b.last, NilNode)
+	id := b.appendNode(Element, l, span{})
+	b.stack = append(b.stack, struct{ id, last NodeID }{id, NilNode})
 	return id
+}
+
+// openName is the name of the innermost open element.
+func (b *Builder) openName() string {
+	return b.elems.names[b.doc.label[b.stack[len(b.stack)-1].id]]
 }
 
 // EndElement closes the most recently opened element.
@@ -109,70 +165,79 @@ func (b *Builder) EndElement() {
 		panic("xmltree: EndElement with no open element")
 	}
 	// Preorder: the element's subtree is everything added since it opened.
-	b.doc.idx.subtreeEnd[b.stack[len(b.stack)-1]] = NodeID(b.doc.Len())
+	b.doc.idx.subtreeEnd[b.stack[len(b.stack)-1].id] = NodeID(b.doc.Len())
 	b.stack = b.stack[:len(b.stack)-1]
-	b.last = b.last[:len(b.last)-1]
 }
 
 // Attribute adds an attribute node to the currently open element. It must
 // be called before any content is added to the element.
 func (b *Builder) Attribute(name, value string) NodeID {
-	return b.appendNode(Attribute, name, value)
+	return b.named(Attribute, name, keep(b, value))
 }
 
 // NamespaceNode adds a namespace node (prefix → uri) to the currently
 // open element.
 func (b *Builder) NamespaceNode(prefix, uri string) NodeID {
-	return b.appendNode(Namespace, prefix, uri)
+	return b.named(Namespace, prefix, keep(b, uri))
 }
 
 // Text adds a text node.
 func (b *Builder) Text(data string) NodeID {
-	return b.appendNode(Text, "", data)
+	return b.appendNode(Text, 0, keep(b, data))
 }
 
 // Comment adds a comment node.
 func (b *Builder) Comment(data string) NodeID {
-	return b.appendNode(Comment, "", data)
+	return b.appendNode(Comment, 0, keep(b, data))
 }
 
 // ProcInst adds a processing-instruction node with the given target and
 // body.
 func (b *Builder) ProcInst(target, data string) NodeID {
-	return b.appendNode(ProcInst, target, data)
+	return b.named(ProcInst, target, keep(b, data))
 }
 
 // Done finalizes and returns the Document. The Builder must not be used
-// afterwards. It is an error to call Done with unclosed elements.
+// afterwards. It is an error to call Done with unclosed elements, or
+// with more text than data offsets reach (4 GiB).
 func (b *Builder) Done() (*Document, error) {
 	if len(b.stack) != 1 {
 		return nil, fmt.Errorf("xmltree: %d unclosed element(s)", len(b.stack)-1)
 	}
 	d := b.doc
+	if len(d.src)+len(b.side) > math.MaxUint32 {
+		return nil, fmt.Errorf("xmltree: %d bytes of text, more than 4 GiB", len(d.src)+len(b.side))
+	}
 	d.idAttrs = b.IDAttributes
-	d.strval = make([]atomic.Pointer[string], d.Len())
+	if len(b.side) > 0 {
+		d.side = string(b.side)
+	}
+	d.names, d.otherNames = b.elems.names, b.others.names
 	ix := &d.idx
 	ix.subtreeEnd[0] = NodeID(d.Len())
 	// A counting sort puts the posting lists, each capped at its end, in
 	// one array; count[l] becomes list l's fill cursor.
-	all := make(NodeSet, len(b.elemLabel))
+	elements := int32(0)
+	for _, c := range b.count {
+		elements += c
+	}
+	all := make(NodeSet, elements)
 	ix.named = make([]posting, len(b.count))
 	at := int32(0)
 	for l, c := range b.count {
 		ix.named[l].set = all[at : at+c : at+c]
 		b.count[l], at = at, at+c
 	}
-	k := 0
 	for i, t := range d.types {
 		if t == Element {
-			l := b.elemLabel[k]
+			l := d.label[i]
 			all[b.count[l]] = NodeID(i)
 			b.count[l]++
-			k++
 		}
 	}
 	ix.scratch.New = func() any { return &Scratch{} }
 	ix.arenas.New = func() any { return &Arena{} }
+	d.fixed = d.columnBytes()
 	b.doc = nil
 	return d, nil
 }
@@ -215,7 +280,7 @@ func (d *Document) buildRef() {
 	n := d.Len()
 	fwd := csr{off: make([]int32, n+1)}
 	for i := 0; i < d.Len(); i++ {
-		text := d.data[i]
+		text := d.Data(NodeID(i))
 		if t := d.types[i]; t == Element || t == Root {
 			text = d.DirectText(NodeID(i))
 		}
@@ -244,4 +309,5 @@ func (d *Document) buildRef() {
 		}
 	}
 	d.ref, d.refInv = fwd, inv
+	d.lazy.Add(4 * int64(cap(fwd.off)+cap(fwd.to)+cap(inv.off)+cap(inv.to)))
 }

@@ -1,6 +1,9 @@
 package xmltree
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 // The label index's columns. Two values that evaluation reads off a
 // posting list member are fixed for the document: its string-value with
@@ -43,10 +46,12 @@ func (d *Document) NamedValues(name string) (NodeSet, *Values) {
 	}
 	v := &Values{Str: make([]string, len(p.set)), Num: make([]float64, len(p.set))}
 	for i, y := range p.set {
-		s := d.elementValue(y)
+		s := d.StringValue(y)
 		v.Str[i], v.Num[i] = s, ParseNumber(s)
 	}
-	p.vals.CompareAndSwap(nil, v)
+	if p.vals.CompareAndSwap(nil, v) {
+		d.lazy.Add(int64(unsafe.Sizeof(*v)) + int64(unsafe.Sizeof(""))*int64(cap(v.Str)) + 8*int64(cap(v.Num)))
+	}
 	return p.set, p.vals.Load()
 }
 
@@ -85,29 +90,8 @@ func (d *Document) NamedRanks(name string) (NodeSet, []Rank) {
 	for i := range ranks {
 		ranks[i].Size = size[ranks[i].Size]
 	}
-	p.ranks.CompareAndSwap(nil, &ranks)
+	if p.ranks.CompareAndSwap(nil, &ranks) {
+		d.lazy.Add(int64(unsafe.Sizeof(Rank{})) * int64(cap(ranks)))
+	}
 	return p.set, *p.ranks.Load()
-}
-
-// elementValue is StringValue of an element, without the memo for the
-// common leaf holding at most one text node: that node's data, which
-// the document's text already holds. Any other element's value is
-// StringValue's, memoized.
-func (d *Document) elementValue(id NodeID) string {
-	if p := d.strval[id].Load(); p != nil {
-		return *p
-	}
-	text, pieces := "", 0
-	for c := d.firstChild[id]; c != NilNode; c = d.nextSibling[c] {
-		switch d.types[c] {
-		case Text:
-			if pieces++; pieces > 1 {
-				return d.StringValue(id)
-			}
-			text = d.data[c]
-		case Element:
-			return d.StringValue(id)
-		}
-	}
-	return text
 }

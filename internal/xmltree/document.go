@@ -14,11 +14,24 @@ import (
 // placed directly after their element, namespaces first — matching the
 // XPath 1.0 document-order rules).
 type Document struct {
-	// The node arena, one column per field (package comment, "How the
-	// arena is stored"); an absent link is NilNode.
-	types                                        []NodeType
-	parent, firstChild, nextSibling, prevSibling []NodeID
-	names, data                                  []string
+	// The node arena, one column per field and none holding a pointer
+	// (package comment, "How the arena is stored"); an absent link is
+	// NilNode. firstchild and nextsibling⁻¹ are not stored: the preorder
+	// subtree intervals of the Index give them.
+	types               []NodeType
+	parent, nextSibling []NodeID
+	label               []int32  // id's name by its number (Name)
+	dataOff, dataLen    []uint32 // id's character data in text (Data)
+
+	// The name tables: names holds the element names by label from 1,
+	// otherNames those of other nodes by label from -1 down; label 0 is
+	// no name.
+	names, otherNames []string
+
+	// The text the character data lies in: src, the source a parsed
+	// document aliases, then side, what was decoded or handed to a
+	// Builder. A data offset below len(src) is in src, the rest in side.
+	src, side string
 
 	// ids maps an ID value to the element node carrying it, supporting
 	// the deref_ids function of Section 4: the first element in
@@ -37,14 +50,21 @@ type Document struct {
 	refOnce     sync.Once
 	ref, refInv csr
 
-	// strval memoizes strval for element and root nodes, which is the
-	// concatenation of descendant text (Section 4). Every engine and
-	// every rendered node of every concurrent request on the document
-	// reads it, so the lazy fill is lock-free: a slot is published with
-	// one atomic store, and two readers racing on an empty slot both
-	// compute the same string and one store wins. Everything else in a
-	// Document is immutable after construction.
-	strval []atomic.Pointer[string]
+	// strval memoizes strval for element and root nodes whose value is
+	// not that of at most one text child: the concatenation of
+	// descendant text (Section 4). Every engine and every rendered node
+	// of every concurrent request on the document reads it, so the lazy
+	// fill is lock-free: the table is allocated on the first store and
+	// published with one compare-and-swap, a slot with one atomic store,
+	// and two readers racing on an empty slot both compute the same
+	// string and one store wins. Everything else in a Document is
+	// immutable after construction.
+	strval atomic.Pointer[[]atomic.Pointer[string]]
+
+	// fixed is what the Builder left (Bytes), lazy what the columns,
+	// tables and memo built on first use have added since.
+	fixed int64
+	lazy  atomic.Int64
 
 	idx Index // the structural index the Builder laid out; see Index()
 }
@@ -65,19 +85,51 @@ func (d *Document) IsAttrOrNS(id NodeID) bool {
 }
 
 // Name returns the node name of id.
-func (d *Document) Name(id NodeID) string { return d.names[id] }
+func (d *Document) Name(id NodeID) string {
+	l := d.label[id]
+	if l < 0 {
+		return d.otherNames[-l]
+	}
+	return d.names[l]
+}
 
 // Data returns the character data of id, "" for an element or the root.
-func (d *Document) Data(id NodeID) string { return d.data[id] }
+func (d *Document) Data(id NodeID) string {
+	off, end := d.dataOff[id], d.dataOff[id]+d.dataLen[id]
+	if int(off) < len(d.src) {
+		return d.src[off:end]
+	}
+	at := uint32(len(d.src))
+	return d.side[off-at : end-at]
+}
 
 // FirstChild implements the primitive function firstchild: dom → dom.
-func (d *Document) FirstChild(id NodeID) NodeID { return d.firstChild[id] }
+// In preorder a node's first child, if it has one, comes right after it.
+func (d *Document) FirstChild(id NodeID) NodeID {
+	if c := id + 1; c < d.idx.subtreeEnd[id] {
+		return c
+	}
+	return NilNode
+}
 
 // NextSibling implements the primitive function nextsibling: dom → dom.
 func (d *Document) NextSibling(id NodeID) NodeID { return d.nextSibling[id] }
 
-// PrevSibling implements nextsibling⁻¹.
-func (d *Document) PrevSibling(id NodeID) NodeID { return d.prevSibling[id] }
+// PrevSibling implements nextsibling⁻¹. Unless id is its parent's first
+// child, the node before it in preorder lies in its previous sibling's
+// subtree, which holds the node's ancestors up to that sibling: the
+// walk up is as long as the sibling's subtree is deep.
+func (d *Document) PrevSibling(id NodeID) NodeID {
+	p := d.parent[id]
+	if p == NilNode || p == id-1 {
+		return NilNode
+	}
+	y := id - 1
+	for d.parent[y] != p {
+		y = d.parent[y]
+	}
+	return y
+}
 
 // Parent returns the parent node, or NilNode for the root. Note that in
 // the abstract model parent = (nextsibling⁻¹)*.firstchild⁻¹; the arena
@@ -87,8 +139,7 @@ func (d *Document) Parent(id NodeID) NodeID { return d.parent[id] }
 // FirstChildInv implements firstchild⁻¹: it returns the parent of id iff
 // id is its parent's first child, and NilNode otherwise.
 func (d *Document) FirstChildInv(id NodeID) NodeID {
-	p := d.parent[id]
-	if p != NilNode && d.firstChild[p] == id {
+	if p := d.parent[id]; p != NilNode && p == id-1 {
 		return p
 	}
 	return NilNode
@@ -100,17 +151,66 @@ func (d *Document) FirstChildInv(id NodeID) NodeID {
 // attribute and namespace nodes their value.
 func (d *Document) StringValue(id NodeID) string {
 	if t := d.types[id]; t != Element && t != Root {
-		return d.data[id]
+		return d.Data(id)
 	}
-	// Element or root: memoized concatenation of descendant text.
-	if p := d.strval[id].Load(); p != nil {
-		return *p
+	if d.idx.subtreeEnd[id] == id+2 && d.types[id+1] == Text {
+		return d.Data(id + 1) // the commonest element: one text child, nothing else
+	}
+	return d.elementValue(id)
+}
+
+// elementValue is StringValue of an element or the root other than a
+// leaf holding one text node.
+func (d *Document) elementValue(id NodeID) string {
+	if s, ok := d.memoized(id); ok {
+		return s
+	}
+	if s, ok := d.leafValue(id); ok {
+		return s
 	}
 	var b strings.Builder
 	d.yieldText(id, func(piece string) bool { b.WriteString(piece); return true })
 	s := b.String()
-	d.strval[id].Store(&s)
+	memo := d.strval.Load()
+	if memo == nil {
+		table := make([]atomic.Pointer[string], d.Len())
+		if d.strval.CompareAndSwap(nil, &table) {
+			d.lazy.Add(8 * int64(len(table)))
+		}
+		memo = d.strval.Load()
+	}
+	(*memo)[id].Store(&s)
 	return s
+}
+
+// memoized returns the memo's value for id, if it holds one.
+func (d *Document) memoized(id NodeID) (string, bool) {
+	if memo := d.strval.Load(); memo != nil {
+		if p := (*memo)[id].Load(); p != nil {
+			return *p, true
+		}
+	}
+	return "", false
+}
+
+// leafValue returns the string-value of the element or root id when it
+// has no element child and at most one text child — that child's data,
+// which the document's text already holds, so the memo never needs it —
+// and false otherwise.
+func (d *Document) leafValue(id NodeID) (string, bool) {
+	text, pieces := "", 0
+	for c := d.FirstChild(id); c != NilNode; c = d.nextSibling[c] {
+		switch d.types[c] {
+		case Text:
+			if pieces++; pieces > 1 {
+				return "", false
+			}
+			text = d.Data(c)
+		case Element:
+			return "", false
+		}
+	}
+	return text, true
 }
 
 // StringValueChunks is the append form of StringValue: it hands yield
@@ -121,11 +221,11 @@ func (d *Document) StringValue(id NodeID) string {
 // element value some evaluator already memoized arrives as one piece.
 func (d *Document) StringValueChunks(id NodeID, yield func(string) bool) {
 	if t := d.types[id]; t != Element && t != Root {
-		yield(d.data[id])
+		yield(d.Data(id))
 		return
 	}
-	if p := d.strval[id].Load(); p != nil {
-		yield(*p)
+	if s, ok := d.memoized(id); ok {
+		yield(s)
 		return
 	}
 	d.yieldText(id, yield)
@@ -135,10 +235,10 @@ func (d *Document) StringValueChunks(id NodeID, yield func(string) bool) {
 // order — the one walk behind StringValue and StringValueChunks — and
 // reports false once yield has asked to stop.
 func (d *Document) yieldText(id NodeID, yield func(string) bool) bool {
-	for c := d.firstChild[id]; c != NilNode; c = d.nextSibling[c] {
+	for c := d.FirstChild(id); c != NilNode; c = d.nextSibling[c] {
 		switch d.types[c] {
 		case Text:
-			if !yield(d.data[c]) {
+			if !yield(d.Data(c)) {
 				return false
 			}
 		case Element:
@@ -154,9 +254,9 @@ func (d *Document) yieldText(id NodeID, yield func(string) bool) bool {
 // descendants). Used to build the ref relation of Theorem 10.7.
 func (d *Document) DirectText(id NodeID) string {
 	var b strings.Builder
-	for c := d.firstChild[id]; c != NilNode; c = d.nextSibling[c] {
+	for c := d.FirstChild(id); c != NilNode; c = d.nextSibling[c] {
 		if d.types[c] == Text {
-			b.WriteString(d.data[c])
+			b.WriteString(d.Data(c))
 		}
 	}
 	return b.String()
@@ -276,13 +376,16 @@ func (d *Document) idTable() map[string]NodeID {
 	d.idsOnce.Do(func() {
 		d.ids = map[string]NodeID{}
 		for i := 0; i < d.Len(); i++ {
-			if d.types[i] != Attribute || !d.idAttrs[d.names[i]] {
+			id := NodeID(i)
+			if d.types[i] != Attribute || !d.idAttrs[d.Name(id)] {
 				continue
 			}
-			if _, dup := d.ids[d.data[i]]; !dup {
-				d.ids[d.data[i]] = d.parent[i]
+			v := d.Data(id)
+			if _, dup := d.ids[v]; !dup {
+				d.ids[v] = d.parent[i]
 			}
 		}
+		d.lazy.Add(mapBytes * int64(len(d.ids)))
 	})
 	return d.ids
 }
@@ -307,9 +410,9 @@ func (d *Document) RefInv(y NodeID) NodeSet {
 // Attr returns the value of the named attribute of element id and whether
 // it is present.
 func (d *Document) Attr(id NodeID, name string) (string, bool) {
-	for c := d.firstChild[id]; c != NilNode; c = d.nextSibling[c] {
-		if d.types[c] == Attribute && d.names[c] == name {
-			return d.data[c], true
+	for c := d.FirstChild(id); c != NilNode; c = d.nextSibling[c] {
+		if d.types[c] == Attribute && d.Name(c) == name {
+			return d.Data(c), true
 		}
 	}
 	return "", false
@@ -319,7 +422,7 @@ func (d *Document) Attr(id NodeID, name string) (string, bool) {
 // id in document order.
 func (d *Document) Children(id NodeID) []NodeID {
 	var out []NodeID
-	for c := d.firstChild[id]; c != NilNode; c = d.nextSibling[c] {
+	for c := d.FirstChild(id); c != NilNode; c = d.nextSibling[c] {
 		if !d.IsAttrOrNS(c) {
 			out = append(out, c)
 		}
@@ -330,7 +433,7 @@ func (d *Document) Children(id NodeID) []NodeID {
 // DocumentElement returns the document element (the single element child
 // of the root), or NilNode for a pathological empty document.
 func (d *Document) DocumentElement() NodeID {
-	for c := d.firstChild[0]; c != NilNode; c = d.nextSibling[c] {
+	for c := d.FirstChild(0); c != NilNode; c = d.nextSibling[c] {
 		if d.types[c] == Element {
 			return c
 		}

@@ -40,7 +40,7 @@ func referenceIndex(d *Document) (subtreeEnd []NodeID, byName map[string]NodeSet
 	for i := 0; i < n; i++ {
 		subtreeEnd[i] = NodeID(i + 1)
 		if d.types[i] == Element {
-			byName[d.names[i]] = append(byName[d.names[i]], NodeID(i))
+			byName[d.Name(NodeID(i))] = append(byName[d.Name(NodeID(i))], NodeID(i))
 		}
 		contentBefore[i+1] = contentBefore[i]
 		if !d.IsAttrOrNS(NodeID(i)) {

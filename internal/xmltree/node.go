@@ -8,43 +8,62 @@
 //
 //	firstchild, nextsibling : dom → dom
 //
-// and their inverses (firstchild⁻¹ is recovered from parent+prevsibling).
-// Every node is one of seven types: root, element, text, comment, attribute,
-// namespace, and processing instruction. Following Section 4, attribute and
-// namespace nodes are modeled as abstract children of their element: the
-// attribute axis is child₀(S) ∩ T(attribute()), and all ordinary axes filter
-// attribute and namespace nodes out of their results.
+// and their inverses, recovered from the preorder numbering. Every node
+// is one of seven types: root, element, text, comment, attribute,
+// namespace, and processing instruction. Following Section 4, attribute
+// and namespace nodes are modeled as abstract children of their element:
+// the attribute axis is child₀(S) ∩ T(attribute()), and all ordinary axes
+// filter attribute and namespace nodes out of their results.
 //
 // # How the arena is stored
 //
-// The arena is one column per node field, indexed by NodeID: the type,
-// the links parent, firstchild, nextsibling and prevsibling, the name and
-// the character data — 49 bytes a node, each field stored once, so an
-// axis kernel asking parent(y) reads 4 bytes, not a 56-byte struct.
-// Names are not interned; they alias the source (below). The Builder
-// appends to every column once per node, presized by the parser, and
-// lays out the Index in the same pass: a parse is the one pass there is.
+// The arena is one column per node field, indexed by NodeID, and no
+// column holds a pointer, so the garbage collector never scans one:
+//
+//	types            1 B  the node type
+//	parent           4 B
+//	nextSibling      4 B  nextsibling
+//	label            4 B  the name's number in the name tables
+//	dataOff, dataLen 8 B  where the character data lies in the text
+//
+// and the Index (index.go) adds subtreeEnd and contentBefore, 4 B each,
+// and a 4-B posting-list entry per element: 29 B a node, 33 B an
+// element. firstchild is not stored — in preorder a node's first child
+// is the node after it, if that lies inside its subtree interval — nor
+// is nextsibling⁻¹: the node before x in preorder is its parent or lies
+// in its previous sibling's subtree, whose ancestors lead to that
+// sibling. An axis kernel asking parent(y) reads 4 bytes. Element names
+// are numbered from 1 (the label index's numbers) and the names of
+// attributes, namespaces and processing instructions from -1 down;
+// label 0 is no name. The Builder appends to every column once per node,
+// presized by the parser, and lays out the Index in the same pass: a
+// parse is the one pass there is. Document.Bytes says what a document
+// holds, the tables built on first use included.
 //
 // A Document is immutable once built, but for what is filled lazily and
 // safely for concurrent readers: the string-value memo of element and
-// root nodes (lock-free: racing readers compute the same string, one
-// atomic store wins) and, under a sync.Once each (an IDREF may name an
-// element not yet parsed), the ID table and the ref relation of Theorem
-// 10.7 — two CSR arrays with sorted rows (row x is to[off[x]:off[x+1]]),
-// forward and inverse, which id() and its inverse read with no probe or sort.
+// root nodes whose value is not one text node's data (lock-free: its
+// table is allocated on the first store, racing readers compute the same
+// string, one atomic store wins) and, under a sync.Once each (an IDREF
+// may name an element not yet parsed), the ID table and the ref relation
+// of Theorem 10.7 — two CSR arrays with sorted rows (row x is
+// to[off[x]:off[x+1]]), forward and inverse, which id() and its inverse
+// read with no probe or sort.
 //
 // # Strings alias the source
 //
 // Parse reads its input into one string, ParseString is handed one, and
-// every Name and Data the source spells as it is — no entity
-// or character reference, no carriage return — is a substring of that
-// string, not a copy: a parse allocates the arena, not a string per
-// node. The consequence is the retention rule: a Document is kept or
-// dropped whole, never node by node. A Name or Data held on to after its
-// Document is gone (a cache key, a log field kept for long) keeps the
-// entire source text reachable; copy it (strings.Clone) if it must
-// outlive the document. Documents built through a Builder alias
-// whatever strings the caller passed in, as they always have.
+// the document keeps it: every Name and Data the source spells as it is
+// — no entity or character reference, no carriage return — is a
+// substring of that string, not a copy, and what had to be decoded lies
+// in one side buffer of the document's. A parse allocates the arena, not
+// a string per node. The consequence is the retention rule: a Document
+// is kept or dropped whole, never node by node. A Name or Data held on
+// to after its Document is gone (a cache key, a log field kept for long)
+// keeps the entire source text reachable; copy it (strings.Clone) if it
+// must outlive the document. A document built through a Builder copies
+// the character data its caller passes into the side buffer, and its
+// names alias the caller's strings.
 package xmltree
 
 import "fmt"

@@ -106,7 +106,7 @@ func parse(src string, opts ParseOptions) (*Document, error) {
 	// Every node but an attribute or a namespace costs the source a '<'
 	// (an element two, which pays for its text child), so this seldom
 	// falls short and never overshoots by much.
-	b := newBuilder(strings.Count(src, "<") + 1)
+	b := newBuilder(strings.Count(src, "<")+1, src)
 	if opts.IDAttributes != nil {
 		b.IDAttributes = map[string]bool{}
 		for _, a := range opts.IDAttributes {
@@ -378,10 +378,11 @@ func (s *scanner) flushText() error {
 		return s.errorf(at, "text outside document element")
 	case len(s.b.stack) == 1 || empty || white && !s.opts.KeepWhitespaceText:
 		return nil
-	case !aliased:
-		data = string(s.text)
+	case aliased:
+		s.b.appendNode(Text, 0, s.b.source(s.textLo, s.textHi))
+	default:
+		s.b.appendNode(Text, 0, keep(s.b, s.text))
 	}
-	s.b.Text(data)
 	return nil
 }
 
@@ -511,10 +512,10 @@ func (s *scanner) startTag() error {
 		if err != nil {
 			return err
 		}
-		value := src[i+1 : end]
+		value := s.b.source(i+1, end)
 		if decode {
 			s.val = s.appendDecoded(s.val[:0], i+1, end, false)
-			value = string(s.val)
+			value = keep(s.b, s.val)
 		}
 		i = end + 1
 		// Names are opaque strings in the paper's model; the one piece
@@ -522,11 +523,11 @@ func (s *scanner) startTag() error {
 		// node, not an attribute.
 		switch {
 		case name == "xmlns":
-			s.b.NamespaceNode("", value)
+			s.b.named(Namespace, "", value)
 		case strings.HasPrefix(name, "xmlns:"):
-			s.b.NamespaceNode(name[len("xmlns:"):], value)
+			s.b.named(Namespace, name[len("xmlns:"):], value)
 		default:
-			s.b.Attribute(name, value)
+			s.b.named(Attribute, name, value)
 		}
 	}
 }
@@ -542,7 +543,7 @@ func (s *scanner) endTag() error {
 		return s.errorf(s.pos, "unexpected </%s>", src[i:end])
 	}
 	// The tag nearly always names the open element: compare in place.
-	open := s.b.doc.names[s.b.stack[len(s.b.stack)-1]]
+	open := s.b.openName()
 	end := i + len(open)
 	if !strings.HasPrefix(src[i:], open) || end == len(src) || nameBytes[src[end]] || src[end] >= utf8.RuneSelf {
 		var err error
@@ -595,7 +596,7 @@ func (s *scanner) procInst() error {
 		if err := s.flushText(); err != nil {
 			return err
 		}
-		s.b.ProcInst(target, data)
+		s.b.named(ProcInst, target, s.b.source(i, i+n))
 	}
 	s.pos = i + n + 2
 	return nil
@@ -642,7 +643,7 @@ func (s *scanner) declaration() error {
 			if err := s.flushText(); err != nil {
 				return err
 			}
-			s.b.Comment(src[i : i+n])
+			s.b.appendNode(Comment, 0, s.b.source(i, i+n))
 		}
 		s.pos = i + n + 3
 		return nil

@@ -10,7 +10,7 @@ import (
 // for debugging and for materializing synthetic workloads on disk.
 func (d *Document) WriteXML(w io.Writer) error {
 	sw := &stickyWriter{w: w}
-	for c := d.firstChild[0]; c != NilNode; c = d.nextSibling[c] {
+	for c := d.FirstChild(0); c != NilNode; c = d.nextSibling[c] {
 		d.writeNode(sw, c)
 	}
 	return sw.err
@@ -38,24 +38,24 @@ func (d *Document) writeNode(w *stickyWriter, id NodeID) {
 	switch d.types[id] {
 	case Element:
 		w.str("<")
-		w.str(d.names[id])
+		w.str(d.Name(id))
 		hasContent := false
-		for c := d.firstChild[id]; c != NilNode; c = d.nextSibling[c] {
+		for c := d.FirstChild(id); c != NilNode; c = d.nextSibling[c] {
 			switch d.types[c] {
 			case Attribute:
 				w.str(" ")
-				w.str(d.names[c])
+				w.str(d.Name(c))
 				w.str(`="`)
-				w.str(escapeAttr(d.data[c]))
+				w.str(escapeAttr(d.Data(c)))
 				w.str(`"`)
 			case Namespace:
 				w.str(" xmlns")
-				if d.names[c] != "" {
+				if d.Name(c) != "" {
 					w.str(":")
-					w.str(d.names[c])
+					w.str(d.Name(c))
 				}
 				w.str(`="`)
-				w.str(escapeAttr(d.data[c]))
+				w.str(escapeAttr(d.Data(c)))
 				w.str(`"`)
 			default:
 				hasContent = true
@@ -66,26 +66,26 @@ func (d *Document) writeNode(w *stickyWriter, id NodeID) {
 			return
 		}
 		w.str(">")
-		for c := d.firstChild[id]; c != NilNode; c = d.nextSibling[c] {
+		for c := d.FirstChild(id); c != NilNode; c = d.nextSibling[c] {
 			if !d.IsAttrOrNS(c) {
 				d.writeNode(w, c)
 			}
 		}
 		w.str("</")
-		w.str(d.names[id])
+		w.str(d.Name(id))
 		w.str(">")
 	case Text:
-		w.str(escapeText(d.data[id]))
+		w.str(escapeText(d.Data(id)))
 	case Comment:
 		w.str("<!--")
-		w.str(d.data[id])
+		w.str(d.Data(id))
 		w.str("-->")
 	case ProcInst:
 		w.str("<?")
-		w.str(d.names[id])
-		if d.data[id] != "" {
+		w.str(d.Name(id))
+		if d.Data(id) != "" {
 			w.str(" ")
-			w.str(d.data[id])
+			w.str(d.Data(id))
 		}
 		w.str("?>")
 	}
