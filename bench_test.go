@@ -264,6 +264,42 @@ func BenchmarkFragmentAlgebraShapes(b *testing.B) {
 	}
 }
 
+// BenchmarkFragmentEngines times the twelve Core XPath and XPatterns
+// templates of fragmentAlgebraShapes, and the full-XPath pair
+// count(//person[not(address)]) and count(//person[address]), over two
+// auction documents of 20 706 and 82 451 nodes, under auto, under each
+// fragment gate that admits the query, and under optmincontext. All of
+// them run on the one OptMinContext evaluation, so the rows of one query
+// should agree; compared against a build whose gates ran an algebra of
+// their own, it is the record that moving them onto the run made no
+// shape slower.
+func BenchmarkFragmentEngines(b *testing.B) {
+	shapes := append(fragmentAlgebraShapes[:len(fragmentAlgebraShapes):len(fragmentAlgebraShapes)],
+		struct{ name, query string }{"full/count-person-not-address", "count(//person[not(address)])"},
+		struct{ name, query string }{"full/count-person-address", "count(//person[address])"})
+	ctx := context.Background()
+	for _, items := range []int{1000, 4000} {
+		d := workload.Auction(1, items)
+		en := core.NewEngine(d, core.Auto)
+		for _, sh := range shapes {
+			q := core.MustCompile(sh.query)
+			for _, s := range []core.Strategy{core.Auto, core.CoreXPath, core.XPatterns, core.OptMinContext} {
+				if s == core.CoreXPath && q.Fragment() > core.FragmentCoreXPath ||
+					s == core.XPatterns && q.Fragment() > core.FragmentXPatterns {
+					continue
+				}
+				b.Run(fmt.Sprintf("auction%d/%s/%s", items, sh.name, s), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := en.EvaluateStrategy(ctx, q, rootCtx(d), s); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkDescendantFusion measures what xpath.Optimize's step fusion
 // is for: the ten templates of the serving benchmark's pool that the
 // Core XPath and XPatterns algebras answer and that contain a //, plus

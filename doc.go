@@ -23,22 +23,24 @@
 //     "Intra-query parallelism: measured, removed").
 //   - internal/naive … internal/xpatterns — one package per algorithm
 //     (topdown, mincontext, wadler = optmincontext — a MinContext run
-//     that computes each bottom-up location path of the Wadler fragment
-//     set-at-a-time when it first needs the path's table —, xpatterns =
-//     the Section 10 set algebra behind the corexpath and xpatterns
-//     strategies; naive, whose memo is the data pool of Section 9, and
-//     bottomup are oracles and experiment baselines that no server
-//     links; internal/corexpath is tests only), over one operator core: F[[e]] of every non-path
-//     expression in internal/semantics (Eval, called by all five
-//     interpreters), and internal/evalutil's pair loops, step relation,
-//     relation composition and its two walks over a location path,
-//     forward and backward, each written once with one judge of a
-//     step's predicates per language.
+//     that computes each bottom-up location path of the Wadler fragment,
+//     and the Section 10 and/or/not of such paths, set-at-a-time when it
+//     first needs the table —, xpatterns = the Core XPath and XPatterns
+//     languages, admission gates over that run for the corexpath and
+//     xpatterns strategies; naive, whose memo is the data pool of
+//     Section 9, and bottomup are oracles and experiment baselines that
+//     no server links; internal/corexpath is tests only), over one
+//     operator core: F[[e]] of every non-path expression in
+//     internal/semantics (Eval, called by all five interpreters), and
+//     internal/evalutil's pair loops, step relation, relation
+//     composition and its two walks over a location path, forward and
+//     backward, each written once with one judge of a step's
+//     predicates, the MinContext run.
 //   - internal/core — the public engine API: compile a query once,
-//     evaluate it with a selectable strategy; Auto picks the best
-//     algorithm per query from one static table over the fragment
-//     classification alone (core.Explain), and the strategies are
-//     exactly Auto, what its table can pick, TopDown and MinContext.
+//     evaluate it with a selectable strategy; Auto runs OptMinContext
+//     for every query (core.Explain, one row), and the strategies are
+//     exactly Auto, OptMinContext, the CoreXPath and XPatterns gates
+//     over it, TopDown and MinContext.
 //     EvaluateContext carries a uniform cancellation contract: every
 //     engine stops at a throttled checkpoint once the context is done.
 //   - internal/engine — the concurrent serving layer: a thread-safe

@@ -2,18 +2,18 @@
 // query once, evaluate it over documents with a selectable strategy.
 //
 // The Auto strategy implements the combined OptMinContext processor of
-// the paper's introduction: Core XPath (Section 10.1) and its extension
-// XPatterns (Section 10.2) run on the linear-time set algebra — one
-// evaluator, internal/xpatterns, behind two admission gates (strategies
-// CoreXPath and XPatterns, refusing with ErrNotInFragment) — and
-// queries in the Extended Wadler Fragment and full XPath on
-// OptMinContext (Section 11.2), which itself degrades gracefully to
-// MinContext bounds on full XPath. The choice reads the query's
-// fragment alone, never the document. Explain is that table, and the
-// only place that knows it. Strategy names exactly the algorithms the
-// table can pick, plus two that only a fixed strategy runs: TopDown
-// (Section 7) and MinContext, the Section 8 algorithm OptMinContext
-// runs beneath its Wadler-fragment subexpressions. The paper's other
+// the paper's introduction: every query runs on OptMinContext (Section
+// 11.2), whose run computes the Section 10 set algebra — E1 of and, or,
+// not, existential paths, path = constant and the XSLT'98 predicates —
+// a whole table at a time wherever it applies, meets the Core XPath and
+// XPatterns bounds there (Corollaries 11.4 and 11.5) and degrades
+// gracefully to MinContext bounds on full XPath. Explain says so, with
+// the query's fragment, and is the only place that knows it. CoreXPath
+// and XPatterns are admission gates over that same run, refusing a
+// query outside their fragment with ErrNotInFragment. Strategy names
+// those, plus two that only a fixed strategy runs: TopDown (Section 7)
+// and MinContext, the Section 8 algorithm OptMinContext runs beneath
+// its bottom-up subexpressions. The paper's other
 // rungs — the exponential naive engine of Section 2 with its Section 9
 // data pool, and the context-value tables of Section 6 — are dominated
 // on every row; they live on as test oracles and experiment baselines
@@ -228,21 +228,11 @@ func classify(e xpath.Expr) Fragment {
 }
 
 // Explain is the whole of Auto: the algorithm that runs q and the
-// reason, one row per fragment of Figure 1. The paper's ladder of
-// algorithms is a dominance order over the fragments, so the choice is
-// static and reads the query alone — no document size, no statistics,
-// nothing learned.
+// reason. OptMinContext meets each fragment's bound of Figure 1 wherever
+// the fragment applies, so there is one row: no document size, no
+// statistics, nothing learned, and not even the fragment decides.
 func Explain(q *Query) (Strategy, string) {
-	switch q.frag {
-	case FragmentCoreXPath:
-		return CoreXPath, "Core XPath fragment: the linear-time set algebra (Section 10.1) dominates the polynomial engines"
-	case FragmentXPatterns:
-		return XPatterns, "XPatterns fragment: the linear-time XPatterns algebra (Section 10.2) dominates the polynomial engines"
-	case FragmentWadler:
-		return OptMinContext, "Extended Wadler Fragment: OptMinContext evaluates it bottom-up in linear time per step (Section 11.2)"
-	default:
-		return OptMinContext, "full XPath: OptMinContext degrades gracefully to MinContext bounds (Section 11.2)"
-	}
+	return OptMinContext, "every fragment: OptMinContext computes the bottom-up subexpressions and their and/or/not set-at-a-time, within the Core XPath and XPatterns bounds where those fragments apply (Corollaries 11.4 and 11.5) and MinContext's elsewhere (Section 11.2)"
 }
 
 // ExplainText renders how the library sees q under strategy s: both
@@ -306,11 +296,10 @@ func (en *Engine) Evaluate(q *Query, c Context) (Value, error) {
 // EvaluateContext computes the query's value for an explicit context,
 // abandoning the evaluation with ctx's error once ctx is done. The
 // cancellation contract is uniform across every strategy: all engines
-// carry throttled checkpoints inside their evaluation loops — the
-// polynomial engines (TopDown, MinContext, OptMinContext) inside their
-// document-sized table loops, the linear fragment engines (CoreXPath,
-// XPatterns) billed per O(|D|) set operation — so an abandoned request
-// stops burning CPU mid-query no matter which algorithm is running.
+// carry throttled checkpoints inside their evaluation loops — inside
+// the document-sized table loops, and billed per O(|D|) set operation
+// where a table is computed whole — so an abandoned request stops
+// burning CPU mid-query no matter which algorithm is running.
 func (en *Engine) EvaluateContext(ctx context.Context, q *Query, c Context) (Value, error) {
 	return en.EvaluateStrategy(ctx, q, c, en.StrategyFor(q))
 }
@@ -341,10 +330,8 @@ func (en *Engine) EvaluateStrategy(ctx context.Context, q *Query, c Context, s S
 		return topdown.New(en.doc).EvaluateContext(ctx, q.expr, c)
 	case MinContext:
 		return mincontext.New(en.doc).EvaluateContext(ctx, q.expr, c)
-	case OptMinContext:
+	case OptMinContext, CoreXPath, XPatterns: // two gates over one run
 		return wadler.New(en.doc).EvaluateContext(ctx, q.expr, c)
-	case CoreXPath, XPatterns: // two gates, one set algebra
-		return xpatterns.New(en.doc).EvaluateContext(ctx, q.expr, c)
 	default:
 		return Value{}, fmt.Errorf("core: unknown strategy %v", s)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/naive"
+	"repro/internal/wadler"
 	"repro/internal/workload"
 	"repro/internal/xpath"
 )
@@ -49,13 +50,14 @@ func TestFragmentClassification(t *testing.T) {
 	}
 }
 
-// TestAutoStrategySelection: Auto's pick is the query's fragment alone,
-// the same over every document — full XPath with predicates nested three
-// deep runs OptMinContext on a tiny document as on a large one.
+// TestAutoStrategySelection: Auto picks OptMinContext for every
+// fragment, over every document — Core XPath and XPatterns as well as
+// full XPath with predicates nested three deep, on a tiny document as on
+// a large one.
 func TestAutoStrategySelection(t *testing.T) {
 	cases := map[string]Strategy{
-		"//b[child::c]":             CoreXPath,
-		"//b[child::c = 'x']":       XPatterns,
+		"//b[child::c]":             OptMinContext,
+		"//b[child::c = 'x']":       OptMinContext,
 		"//b[position() != last()]": OptMinContext,
 		"count(//b)":                OptMinContext,
 		"//a[b[c[count(d) > 1]]]":   OptMinContext,
@@ -120,17 +122,27 @@ func TestAutoTableMatchesRules(t *testing.T) {
 	})
 }
 
-// TestAutoNeverPicksDominated: the table resolves every query to one of
-// the algorithms of Figure 1's fragments — never to Auto itself, and
-// never to TopDown or MinContext, which OptMinContext dominates (the
-// exponential baselines and Section 6's tables are not strategies at
-// all).
+// TestAutoNeverPicksDominated: the table resolves every query to
+// OptMinContext — never to Auto itself, and never to TopDown or
+// MinContext, which OptMinContext dominates (the exponential baselines
+// and Section 6's tables are not strategies at all), nor to the two
+// fragment gates, which run the same evaluation and only refuse more.
 func TestAutoNeverPicksDominated(t *testing.T) {
 	forEachTableRow(t, func(q *Query, _ string) {
-		switch s, _ := Explain(q); s {
-		case CoreXPath, XPatterns, OptMinContext:
-		default:
+		if s, _ := Explain(q); s != OptMinContext {
 			t.Errorf("Explain(%s) = %v", q, s)
+		}
+	})
+}
+
+// TestCoreXPathInWadler: Figure 1's inclusion on every row of the table.
+// A Core XPath query lies in the Extended Wadler Fragment, so the run
+// computes each of its predicates bottom-up as a whole table; an
+// XPatterns query does too.
+func TestCoreXPathInWadler(t *testing.T) {
+	forEachTableRow(t, func(q *Query, _ string) {
+		if q.Fragment() <= FragmentXPatterns && !wadler.InFragment(q.Expr()) {
+			t.Errorf("%s: %v but not in the Extended Wadler Fragment", q, q.Fragment())
 		}
 	})
 }

@@ -44,5 +44,5 @@ func ExampleEngine_StrategyFor() {
 	en := core.NewEngine(d, core.Auto)
 	q := core.MustCompile("//a[not(b)]")
 	fmt.Println(q.Fragment(), "->", en.StrategyFor(q))
-	// Output: Core XPath -> corexpath
+	// Output: Core XPath -> optmincontext
 }

@@ -48,7 +48,7 @@ func TestPlannerOptionIgnored(t *testing.T) {
 	for _, mode := range []planner.Mode{"", "off", "rules", "adaptive"} {
 		sess := New(Options{Strategy: core.Auto, Planner: mode, Fallback: mode == "adaptive"}).NewSession(doc)
 		for src, want := range map[string]core.Strategy{
-			"//a": core.CoreXPath, "//a[position() = 2]": core.OptMinContext, deepQuery: core.OptMinContext,
+			"//a": core.OptMinContext, "//a[position() = 2]": core.OptMinContext, deepQuery: core.OptMinContext,
 		} {
 			res := sess.Do(src)
 			if res.Err != nil || res.Strategy != want {

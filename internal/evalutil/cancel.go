@@ -32,17 +32,7 @@ func NewCanceller(ctx context.Context) *Canceller {
 // Check returns the context's error once cancelled, consulting the
 // context only every checkEvery-th call. Call it inside every loop
 // whose trip count grows with the document.
-func (c *Canceller) Check() error {
-	if c == nil {
-		return nil
-	}
-	c.count++
-	if c.count < checkEvery {
-		return nil
-	}
-	c.count = 0
-	return c.ctx.Err()
-}
+func (c *Canceller) Check() error { return c.CheckN(1) }
 
 // CheckN bills n units of work against the checkpoint at once,
 // consulting the context when the accumulated work crosses the
@@ -60,15 +50,5 @@ func (c *Canceller) CheckN(n int) error {
 		return nil
 	}
 	c.count = 0
-	return c.ctx.Err()
-}
-
-// Err returns the context's error now, unthrottled: whether the
-// evaluation is cancelled, for a caller that has met an error of its
-// own and must tell the two apart.
-func (c *Canceller) Err() error {
-	if c == nil {
-		return nil
-	}
 	return c.ctx.Err()
 }

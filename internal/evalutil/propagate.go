@@ -26,7 +26,8 @@ import (
 //	Exists(π)           = Reach(π, Targets(π))        — S←[[π]], E1[[π]]
 //	Compared(π, op, c)  = Reach(π, {y ∈ Targets(π) | strval(y) op c})  — E1[[π RelOp c]]
 //
-// Only judge and head differ between the languages (StepJudge); the
+// Only judge and head are the evaluation's own (StepJudge, which the
+// MinContext run implements for every served query); the
 // ⟨previous, current⟩ pair loop of a position() or last() predicate is
 // the kernels' own, and so is the shortcut past it that the label
 // index's columns allow: child::name[p]… whose first predicate alone
@@ -44,7 +45,8 @@ import (
 // is the everywhere flag, returned with a nil set instead of an
 // enumerated dom. Every document-sized operation bills Cancel.
 
-// StepJudge is what a language brings to the two walks.
+// StepJudge is what an evaluation brings to the two walks: the
+// MinContext run (internal/mincontext), and in tests a stand-in.
 type StepJudge interface {
 	// JudgeStep keeps the members of yt ⊆ T(t), which it owns, at which
 	// preds, predicates of a step, hold; none of them reads position()
@@ -74,7 +76,8 @@ type Forward struct {
 }
 
 // Image computes S→[[e]](X) for a location path, a union of them, or a
-// bare id(…) chain.
+// bare head — an id(…) chain, a filter expression — which the judge
+// evaluates.
 func (k Forward) Image(e xpath.Expr, x xmltree.NodeSet) (xmltree.NodeSet, error) {
 	switch p := e.(type) {
 	case *xpath.Binary:
@@ -90,7 +93,7 @@ func (k Forward) Image(e xpath.Expr, x xmltree.NodeSet) (xmltree.NodeSet, error)
 			return nil, err
 		}
 		return k.Arena.Union(l, r), nil
-	case *xpath.Call:
+	case *xpath.Call, *xpath.FilterExpr:
 		return k.Judge.Head(p, x)
 	case *xpath.Path:
 		cur := x

@@ -20,10 +20,10 @@
 // Appendix A; the per-node tables are carried in a Run. But
 // eval_outermost_locpath is S→ of Section 10.1 with a predicate judge of
 // its own, so it is not written here: a Run is the judge (JudgeStep,
-// RankStep, Head) of evalutil.Forward, the forward kernel the Section 10
-// algebra runs too, and of evalutil.Backward when a run OptMinContext
-// began propagates a bottom-up path backwards (eval_bottomup_path,
-// fillBottomUp).
+// RankStep, Head) of evalutil.Forward, and of evalutil.Backward when a
+// run OptMinContext began propagates a bottom-up path backwards
+// (eval_bottomup_path, fillBottomUp): the kernels' only judge, Core
+// XPath and XPatterns queries included.
 //
 // # How tables are stored
 //
@@ -47,9 +47,10 @@
 //     they start a further column, merged into its predecessor once that
 //     is no more than twice as long, so there are O(log) columns at worst
 //     and one in the common case (table.add);
-//   - the table of a bottom-up location path, which a run OptMinContext
-//     began computes whole the first time it needs it (fillBottomUp),
-//     is the set of nodes where the path holds.
+//   - the table of a node the Wadler test names, which a run
+//     OptMinContext began computes whole the first time it needs it
+//     (fillBottomUp), is E1 of the node: a sorted set of the nodes where
+//     it holds, or the complement of one (ext).
 //
 // An operator whose operands are such arrays over the very nodes being
 // tabulated — count() of a relation, arithmetic and comparison of
@@ -120,6 +121,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/axes"
 	"repro/internal/evalutil"
@@ -170,9 +172,9 @@ type Run struct {
 	// cancel is the throttled cancellation checkpoint for this query.
 	cancel *evalutil.Canceller
 
-	// bottomUp names the bottom-up location paths of a run OptMinContext
-	// began (fillBottomUp); nil in a plain MinContext run.
-	bottomUp func(xpath.Expr) (path, c xpath.Expr, op xpath.BinOp)
+	// bottomUp names the nodes whose whole table a run OptMinContext
+	// began computes at once (fillBottomUp); nil in a plain MinContext run.
+	bottomUp func(xpath.Expr) bool
 
 	// single is evalSingleContext as the evaluator RankStep hands out,
 	// bound once for as long as the arena keeps the run.
@@ -182,12 +184,11 @@ type Run struct {
 // Begin starts an evaluation of e in the arena ar, with the checkpoint
 // cancel (nil never fires). e must be numbered: a tree put together by
 // hand has no slots to keep tables under. bottomUp, nil for the §8
-// algorithm, is OptMinContext's test of a node (Section 11.2): for a
-// bottom-up location path, boolean(π) or π RelOp c with c context free,
-// it returns π, c (nil for boolean) and the RelOp with π on its left,
-// and a nil π for any other node. The run puts it to a node once, when
-// it first needs the node's table.
-func (ev *Evaluator) Begin(ar *xmltree.Arena, cancel *evalutil.Canceller, e xpath.Expr, bottomUp func(xpath.Expr) (path, c xpath.Expr, op xpath.BinOp)) (*Run, error) {
+// algorithm, is OptMinContext's test of a node (Section 11.2): true for
+// a node whose whole dom → bool table the run computes at once
+// (fillBottomUp). The run puts it to a node once, when it first needs
+// the node's table.
+func (ev *Evaluator) Begin(ar *xmltree.Arena, cancel *evalutil.Canceller, e xpath.Expr, bottomUp func(xpath.Expr) bool) (*Run, error) {
 	n := xpath.Slots(e)
 	if n == 0 {
 		return nil, fmt.Errorf("mincontext: %s is not numbered (trees come from xpath.Parse or Optimize)", e)
@@ -222,6 +223,11 @@ func (st *Run) Evaluate(c semantics.Context) (semantics.Value, error) {
 	return st.evalSingleContext(e, c)
 }
 
+// Image returns S→[[e]](X) of the run's expression e, a location path.
+func (st *Run) Image(x xmltree.NodeSet) (xmltree.NodeSet, error) {
+	return st.forward().Image(st.expr, x)
+}
+
 // one returns {n} in the arena.
 func (st *Run) one(n xmltree.NodeID) xmltree.NodeSet { return append(st.ar.Nodes(1), n) }
 
@@ -252,7 +258,7 @@ func isLocationPath(e xpath.Expr) bool {
 // cancellation checkpoint.
 func (st *Run) uncovered(t *table, r xpath.Relev, x xmltree.NodeSet) (xmltree.NodeSet, error) {
 	switch {
-	case len(x) == 0 || t.has || t.truth != nil:
+	case len(x) == 0 || t.has || t.whole:
 		return nil, nil
 	case !r.Has(xpath.RelevNode) || len(t.cols) == 0:
 		return x, nil
@@ -307,16 +313,70 @@ func (st *Run) forward() evalutil.Forward {
 	return evalutil.Forward{Doc: st.doc, Arena: st.ar, Cancel: st.cancel, Judge: st}
 }
 
-// Head evaluates a path's head expression (id('c'), (π)[1], …) through
-// the table machinery at every context node of X and returns the union
-// of its values: what the path's first step starts from.
+// Head returns the union of a path's head's values at the context nodes
+// X: what the path's first step starts from. id('c') and id(π) are
+// evaluated a set at a time (Lemma 10.6): id distributes over union, so
+// id(π) is id of π's image from all of X. Any other head goes through
+// the table machinery at every node of X, or at one if context free.
 func (st *Run) Head(head xpath.Expr, x xmltree.NodeSet) (xmltree.NodeSet, error) {
+	if c, ok := head.(*xpath.Call); ok && c.Name == "id" {
+		if lit, ok := c.Args[0].(*xpath.Literal); ok {
+			return st.ar.Trim(st.doc.AppendIDs(st.ar.Nodes(len(lit.Val)/2+1), lit.Val)), nil
+		}
+		if c.Args[0].Type() == xpath.TypeNodeSet {
+			img, err := st.forward().Image(c.Args[0], x)
+			if err != nil {
+				return nil, err
+			}
+			return st.idOf(img)
+		}
+	}
+	if len(x) > 1 && xpath.RelevantContext(head) == 0 {
+		x = x[:1]
+	}
 	sc := st.doc.Index().AcquireScratch()
 	defer st.doc.Index().ReleaseScratch(sc)
 	if err := st.evalHeads(head, x, sc.Acc.Add); err != nil {
 		return nil, err
 	}
 	return sc.Acc.Result(st.ar), nil
+}
+
+// idOf is id() of a node set, the union of deref_ids(strval(n)) over its
+// members: the ref relation's row (Theorem 10.7) where it is exactly
+// that (refExact), the string-value's tokens looked up elsewhere.
+func (st *Run) idOf(s xmltree.NodeSet) (xmltree.NodeSet, error) {
+	if err := st.cancel.CheckN(len(s)); err != nil {
+		return nil, err
+	}
+	d, ix := st.doc, st.doc.Index()
+	sc := ix.AcquireScratch()
+	defer ix.ReleaseScratch(sc)
+	var ids xmltree.NodeSet
+	for _, n := range s {
+		if refExact(d, n) {
+			sc.Acc.Add(d.Ref(n))
+			continue
+		}
+		v := d.StringValue(n)
+		ids = d.AppendIDs(st.ar.Grow(ids[:0], len(v)/2+1), v)
+		sc.Acc.Add(ids)
+	}
+	return sc.Acc.Result(st.ar), nil
+}
+
+// refExact reports whether n's ref row is deref_ids of its string-value:
+// n is no element or root, or an element without element children.
+func refExact(d *xmltree.Document, n xmltree.NodeID) bool {
+	if t := d.Type(n); t != xmltree.Element && t != xmltree.Root {
+		return true
+	}
+	for c := d.FirstChild(n); c != xmltree.NilNode; c = d.NextSibling(c) {
+		if d.Type(c) == xmltree.Element {
+			return false
+		}
+	}
+	return true
 }
 
 // evalHeads hands the value of a path's head expression at every
@@ -352,10 +412,10 @@ func (st *Run) RankStep(step *xpath.Step, y xmltree.NodeSet) (evalutil.PredEval,
 // JudgeStep returns the candidates y of a step that satisfy its
 // predicates, none of which depends on cp/cs, so each candidate is
 // judged once whatever previous context node reached it: the predicates
-// are tabulated over y, and y is filtered by intersecting with a table
-// that is a set of nodes already (fillBottomUp) or reading off the bits
-// of a column over y, else row by row. y itself is left alone: the
-// predicates' tables have it as their context nodes.
+// are tabulated over y, and y is filtered by merging it with a table
+// computed whole (fillBottomUp) or reading off the bits of a column over
+// y, else row by row: in place, unless such a column or table has y as
+// its context nodes.
 func (st *Run) JudgeStep(preds []xpath.Expr, y xmltree.NodeSet) (xmltree.NodeSet, error) {
 	if len(preds) == 0 {
 		return y, nil
@@ -366,27 +426,38 @@ func (st *Run) JudgeStep(preds []xpath.Expr, y xmltree.NodeSet) (xmltree.NodeSet
 	if err := st.cancel.CheckN(len(y)); err != nil {
 		return nil, err
 	}
-	src, keep := y, st.ar.Nodes(len(y))
+	keep := y
 	for _, pred := range preds {
-		keep = keep[:0] // from the second predicate on, src filtered in place
-		if truth := st.tabs[xpath.Slot(pred)].truth; truth != nil {
-			keep = truth.IntersectSet(src, keep)
+		if !st.tabs[xpath.Slot(pred)].whole {
+			keep = st.ar.Clone(y)
+			break
+		}
+	}
+	src := y // what the predicates before kept
+	for _, pred := range preds {
+		n := 0
+		if t := &st.tabs[xpath.Slot(pred)]; t.whole {
+			keep = t.truth.keep(keep)
 		} else if col := st.over(pred, src); col != nil && col.kind == xpath.TypeBoolean {
-			for i, n := range src {
+			for i, x := range src { // src is y, and keep a copy of it
 				if col.bits[i/64]>>(i%64)&1 != 0 {
-					keep = append(keep, n)
+					keep[n] = x
+					n++
 				}
 			}
+			keep = keep[:n]
 		} else {
-			for _, n := range src {
-				v, err := st.evalSingleContext(pred, semantics.Context{Node: n, Pos: -1, Size: -1})
+			for _, x := range keep {
+				v, err := st.evalSingleContext(pred, semantics.Context{Node: x, Pos: -1, Size: -1})
 				if err != nil {
 					return nil, err
 				}
 				if semantics.ToBoolean(v) {
-					keep = append(keep, n)
+					keep[n] = x
+					n++
 				}
 			}
+			keep = keep[:n]
 		}
 		src = keep
 	}
@@ -710,76 +781,182 @@ func (st *Run) evalOnDemand(e xpath.Expr, c semantics.Context) (semantics.Value,
 // eval_bottomup_path (Section 11.2)
 // ------------------------------------------------------------------
 
-// fillBottomUp computes the whole dom → bool table t of e when e is a
-// bottom-up location path of an OptMinContext run, and reports whether
-// it did. It runs where eval_by_cnode_only or eval_single_context first
-// needs the table, so a path no enclosing step reaches is never
-// computed, and it asks the run's test once per node: a constant side
-// that fails to evaluate leaves the node to the tabulation, unless the
-// evaluation is cancelled.
-//
-// The path is propagate_path_backwards (Appendix A) with this run judging
-// its steps' predicates, from the initial node set Y ⊆ T(t) of its last
-// step — the label's posting list for child::name and its like — so a
-// comparison reads the string-values of those nodes alone: Y := {y ∈
-// T(t) | strval(y) RelOp c}. π RelOp bool is boolean(π) RelOp bool: like
-// boolean(π) it propagates all of T(t), and compares afterwards.
+// fillBottomUp computes the whole dom → bool table t of e, E1[[e]], when
+// the run's test names e, and reports whether it did. It runs where the
+// run first needs the table, so a node no enclosing step reaches is
+// never computed.
 func (st *Run) fillBottomUp(e xpath.Expr, t *table) (bool, error) {
 	if st.bottomUp == nil || t.asked {
 		return false, nil
 	}
 	t.asked = true
-	path, constSide, op := st.bottomUp(e)
-	if path == nil {
+	if !st.bottomUp(e) {
 		return false, nil
 	}
-	back := evalutil.Backward(st.forward())
-	var (
-		c          semantics.Value
-		reach      xmltree.NodeSet
-		everywhere bool
-		err        error
-	)
-	if constSide != nil {
-		// Context free: evaluated once, from the root, on this run.
-		if c, err = st.evalSingleContext(constSide, semantics.Context{Node: st.doc.RootID(), Pos: 1, Size: 1}); err != nil {
-			return false, st.cancel.Err()
-		}
-	}
-	boolRelOp := constSide != nil && c.Kind == xpath.TypeBoolean
-	if constSide == nil || boolRelOp {
-		reach, everywhere, err = back.Exists(path)
-	} else {
-		reach, everywhere, err = back.Compared(path, op, c)
-	}
-	if err != nil {
+	if err := st.e1(e, &t.truth); err != nil {
 		return false, err
 	}
-	// An absolute or constant-headed path reaches Y from every context
-	// node or from none: one value. Any other has a dom → bool table.
-	var at *xmltree.Bitset
-	if xpath.RelevantContext(path).Has(xpath.RelevNode) {
-		at = st.ar.Bitset(st.doc.Len())
-		at.AddSet(reach)
-	}
-	if boolRelOp {
-		// boolean(π) RelOp bool: the nodes reaching Y where true RelOp c
-		// holds, the others where false RelOp c does.
-		onTrue := semantics.Compare(st.doc, op, semantics.Boolean(true), c)
-		onFalse := semantics.Compare(st.doc, op, semantics.Boolean(false), c)
-		switch {
-		case at == nil:
-			everywhere = everywhere && onTrue || !everywhere && onFalse
-		case onTrue && onFalse:
-			at.Fill()
-		case onFalse:
-			at.Complement()
-		case !onTrue:
-			at.Clear()
+	t.whole = true
+	return true, nil
+}
+
+// e1 computes E1[[e]] into x for a node the run's test names: Section
+// 10's algebra (internal/xpatterns lists it) over whole tables, its
+// walks propagate_path_backwards (Appendix A) judged by this run.
+func (st *Run) e1(e xpath.Expr, x *ext) error {
+	switch e := e.(type) {
+	case *xpath.Binary:
+		if e.Op != xpath.OpAnd && e.Op != xpath.OpOr {
+			return st.compared(e, x)
+		}
+		l, err := st.operand(e.Left)
+		if err != nil {
+			return err
+		}
+		r, err := st.operand(e.Right)
+		if err != nil {
+			return err
+		}
+		return st.compose(e.Op == xpath.OpAnd, l, r, x)
+	case *xpath.Call:
+		switch e.Name {
+		case "boolean":
+			if e.Args[0].Type() == xpath.TypeNodeSet {
+				return x.reached(evalutil.Backward(st.forward()).Exists(e.Args[0]))
+			}
+			in, err := st.operand(e.Args[0])
+			*x = *in
+			return err
+		case "not":
+			in, err := st.operand(e.Args[0])
+			*x = ext{set: in.set, neg: !in.neg}
+			return err
+		case "true", "false":
+			*x = ext{neg: e.Name == "true"}
+			return nil
+		case "first-of-any", "last-of-any", "first-of-type", "last-of-type":
+			s, err := st.siblingBoundary(strings.HasPrefix(e.Name, "first"), strings.HasSuffix(e.Name, "type"))
+			*x = ext{set: s}
+			return err
 		}
 	}
-	t.truth, t.one, t.has = at, semantics.Boolean(everywhere), at == nil
-	return true, nil
+	return fmt.Errorf("mincontext: %s is no bottom-up node", e)
+}
+
+// operand returns the table of an operand of a bottom-up and, or, not or
+// boolean: a context-free one's value, or else — the test named the
+// operator, so it would name the operand — its E1, without asking.
+func (st *Run) operand(e xpath.Expr) (*ext, error) {
+	t := &st.tabs[xpath.Slot(e)]
+	switch {
+	case t.whole:
+		return &t.truth, nil
+	case xpath.RelevantContext(e) == 0:
+		v, err := st.constant(e)
+		t.truth = ext{neg: semantics.ToBoolean(v)}
+		return &t.truth, err
+	}
+	t.asked = true
+	err := st.e1(e, &t.truth)
+	t.whole = err == nil
+	return &t.truth, err
+}
+
+// constant is the one value of a context-free expression, written in
+// the query or computed on this run from the root.
+func (st *Run) constant(e xpath.Expr) (semantics.Value, error) {
+	switch x := e.(type) {
+	case *xpath.Literal:
+		return semantics.String(x.Val), nil
+	case *xpath.Number:
+		return semantics.Number(x.Val), nil
+	}
+	return st.evalSingleContext(e, semantics.Context{Node: st.doc.RootID(), Pos: 1, Size: 1})
+}
+
+// compared computes E1[[π RelOp c]], π context dependent and c context
+// free: the walk from Y := {y ∈ T(t) | strval(y) RelOp c}, T(t) of π's
+// last step, so only those string-values are read. π RelOp bool is
+// boolean(π) RelOp bool, compared after the walk.
+func (st *Run) compared(b *xpath.Binary, x *ext) error {
+	path, side, op := b.Left, b.Right, b.Op
+	if path.Type() != xpath.TypeNodeSet || xpath.RelevantContext(path) == 0 {
+		path, side, op = b.Right, b.Left, semantics.Flip(b.Op)
+	}
+	c, err := st.constant(side)
+	if err != nil {
+		return err
+	}
+	back := evalutil.Backward(st.forward())
+	if c.Kind != xpath.TypeBoolean {
+		return x.reached(back.Compared(path, op, c))
+	}
+	onTrue := semantics.Compare(st.doc, op, semantics.Boolean(true), c)
+	onFalse := semantics.Compare(st.doc, op, semantics.Boolean(false), c)
+	if onTrue == onFalse {
+		*x = ext{neg: onTrue}
+		return nil
+	}
+	err = x.reached(back.Exists(path))
+	x.neg = x.neg != onFalse
+	return err
+}
+
+// compose writes E1 of and (∩) or or (∪) of two operands' tables to x.
+// By De Morgan, or is the complement of and of the complements; and of
+// a set and a complement is a difference, of two complements the
+// complement of a union.
+func (st *Run) compose(and bool, l, r, x *ext) error {
+	if err := st.cancel.CheckN(len(l.set) + len(r.set)); err != nil {
+		return err
+	}
+	ln, rn := l.neg != !and, r.neg != !and // the operands of the and
+	switch {
+	case ln && rn:
+		*x = ext{set: st.ar.Union(l.set, r.set), neg: true}
+	case ln:
+		*x = ext{set: ext{set: l.set, neg: true}.keep(st.ar.Clone(r.set))}
+	case rn:
+		*x = ext{set: ext{set: r.set, neg: true}.keep(st.ar.Clone(l.set))}
+	default:
+		*x = ext{set: st.ar.Intersect(l.set, r.set)}
+	}
+	x.neg = x.neg != !and
+	return nil
+}
+
+// siblingBoundary is E1 of an XSLT'98 unary predicate of Table VI: one
+// scan of every sibling list from its first (or last) member marks the
+// first element met (elements alone: the '98 patterns address them),
+// per tag name with byType. O(|D|), Theorem 10.8's precomputation.
+func (st *Run) siblingBoundary(first, byType bool) (xmltree.NodeSet, error) {
+	d := st.doc
+	if err := st.cancel.CheckN(d.Len()); err != nil {
+		return nil, err
+	}
+	out := st.ar.Nodes(d.Len())
+	seen := map[string]bool{}
+	for i := 0; i < d.Len(); i++ {
+		k, step := d.FirstChild(xmltree.NodeID(i)), d.NextSibling
+		if !first {
+			for k != xmltree.NilNode && d.NextSibling(k) != xmltree.NilNode {
+				k = d.NextSibling(k)
+			}
+			step = d.PrevSibling
+		}
+		clear(seen)
+		for ; k != xmltree.NilNode; k = step(k) {
+			if d.Type(k) != xmltree.Element || seen[d.Name(k)] {
+				continue
+			}
+			out = append(out, k)
+			if !byType {
+				break
+			}
+			seen[d.Name(k)] = true
+		}
+	}
+	return st.ar.Trim(out.Normalized()), nil
 }
 
 // ------------------------------------------------------------------

@@ -122,7 +122,7 @@ func TestPrecomputedHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run.tabs[xpath.Slot(pred)].truth = all
+	run.tabs[xpath.Slot(pred)].truth, run.tabs[xpath.Slot(pred)].whole = ext{neg: true}, true
 	v, err := run.Evaluate(ctxAt(d.RootID()))
 	if err != nil {
 		t.Fatal(err)

@@ -15,11 +15,10 @@ import (
 type table struct {
 	one semantics.Value // the only row when Relev(N) lacks cn, once has is set
 	has bool
-	// asked is set once the run's bottom-up test has been put to the node.
-	asked bool
-	// truth is the table of a bottom-up location path (fillBottomUp),
-	// complete when it arrives: the context nodes where the node holds.
-	truth *xmltree.Bitset
+	// asked is set once the run's bottom-up test has been put to the node,
+	// whole once truth holds the table, computed at once (fillBottomUp).
+	asked, whole bool
+	truth        ext
 	// cols are the rows by context node: one column, and further ones
 	// only while nodes asked for out of document order await merging (add).
 	cols []column
@@ -194,13 +193,69 @@ func (t *table) lookup(n xmltree.NodeID) (semantics.Value, bool) {
 	if t.has {
 		return t.one, true
 	}
-	if t.truth != nil {
+	if t.whole {
 		// Under the context-free sentinel the node is itself context
 		// independent — the table is uniform, any row serves.
-		return semantics.Boolean(t.truth.Has(max(n, 0))), true
+		return semantics.Boolean(t.truth.holds(max(n, 0))), true
 	}
 	if c, i := t.find(n); c != nil {
 		return c.value(i), true
 	}
 	return semantics.Value{}, false
+}
+
+// ext is a table the run computed whole (fillBottomUp): the nodes where
+// its node holds, a sorted set, or its complement (neg). not() flips
+// neg and and/or merge sets (compose), so a table costs the sets it is
+// made of, never |D|: true() is the complement of the empty set.
+type ext struct {
+	set xmltree.NodeSet
+	neg bool
+}
+
+// reached sets x to what the backward kernel returned: a path that holds
+// everywhere arrives as the flag.
+func (x *ext) reached(reach xmltree.NodeSet, everywhere bool, err error) error {
+	*x = ext{set: reach, neg: everywhere}
+	return err
+}
+
+// holds reports whether the node holds at n.
+func (x ext) holds(n xmltree.NodeID) bool { return x.set.Contains(n) != x.neg }
+
+// keep filters s, a sorted set, in place to s ∩ set, or to s − set; a
+// tail past the set's last member stays where it lies if it can.
+func (x ext) keep(s xmltree.NodeSet) xmltree.NodeSet {
+	set, n, j := x.set, 0, 0
+	if !x.neg {
+		for _, y := range s {
+			for j < len(set) && set[j] < y {
+				j++
+			}
+			if j == len(set) {
+				break
+			}
+			if set[j] == y {
+				s[n] = y
+				n++
+			}
+		}
+		return s[:n]
+	}
+	for i, y := range s {
+		for j < len(set) && set[j] < y {
+			j++
+		}
+		if j == len(set) {
+			if n == i {
+				return s
+			}
+			return s[:n+copy(s[n:], s[i:])]
+		}
+		if set[j] != y {
+			s[n] = y
+			n++
+		}
+	}
+	return s[:n]
 }

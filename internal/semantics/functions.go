@@ -52,12 +52,13 @@ func callFunction(d *xmltree.Document, name string, ctx Context, args []Value) (
 	case "id":
 		// F[[id: nset→nset]](S) = ⋃ deref_ids(strval(n));
 		// F[[id: str→nset]](s) = deref_ids(s).
+		// Every member's referents go into one buffer, sorted once.
 		if args[0].Kind == xpath.TypeNodeSet {
 			var out xmltree.NodeSet
 			for _, n := range args[0].Set {
-				out = out.Union(d.DerefIDs(d.StringValue(n)))
+				out = d.AppendIDs(out, d.StringValue(n))
 			}
-			return NodeSet(out), nil
+			return NodeSet(out.Normalized()), nil
 		}
 		return NodeSet(d.DerefIDs(ToString(d, args[0]))), nil
 	case "local-name", "name", "namespace-uri":

@@ -1,6 +1,7 @@
 package semantics
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -461,5 +462,28 @@ func TestValueEqual(t *testing.T) {
 	}
 	if !NodeSet(setOf("b")).Equal(NodeSet(setOf("b"))) {
 		t.Error("equal node sets")
+	}
+}
+
+// TestIDOfNodeSetAllocations: id() of a node set gathers every member's
+// referents into one buffer and sorts it once, so its allocations grow
+// with the logarithm of the answer, not with the number of members (a
+// merge per member allocated once each).
+func TestIDOfNodeSetAllocations(t *testing.T) {
+	const n = 10000
+	var b strings.Builder
+	b.WriteString("<r>")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, `<e id="i%d">i%d</e>`, n-1-i, i) // each names another's ID
+	}
+	b.WriteString("</r>")
+	d := xmltree.MustParseString(b.String())
+	args := []Value{NodeSet(d.Index().Named("e"))}
+	v, err := callFunction(d, "id", Context{}, args)
+	if err != nil || len(v.Set) != n {
+		t.Fatalf("id(//e) = %d nodes, %v; want %d", len(v.Set), err, n)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { callFunction(d, "id", Context{}, args) }); allocs > 40 {
+		t.Errorf("id() of %d members: %.0f allocations, want at most 40", n, allocs)
 	}
 }

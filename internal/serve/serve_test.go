@@ -92,7 +92,7 @@ func TestQueryEndpoint(t *testing.T) {
 	if val["number"] != 12.0 {
 		t.Fatalf("count(//product) = %v, want 12", val["number"])
 	}
-	if out["strategy"] != "optmincontext" && out["strategy"] != "corexpath" && out["strategy"] != "xpatterns" {
+	if out["strategy"] != "optmincontext" {
 		t.Fatalf("strategy = %v", out["strategy"])
 	}
 

@@ -27,15 +27,16 @@ func catalogServer(t *testing.T, opts engine.Options) *httptest.Server {
 }
 
 // TestAutoResponseOverHTTP: an auto answer names the concrete strategy
-// the table picked and carries no planner marker.
+// the table picked — optmincontext, for a Core XPath query too — and
+// carries no planner marker.
 func TestAutoResponseOverHTTP(t *testing.T) {
 	ts := catalogServer(t, engine.Options{Strategy: core.Auto, Planner: "adaptive"})
 	resp, out := postJSON(t, ts.URL+"/query", QueryRequest{Doc: "catalog", Query: "//product"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %v", resp.StatusCode, out)
 	}
-	if out["strategy"] != "corexpath" {
-		t.Fatalf("strategy = %v, want corexpath", out["strategy"])
+	if out["strategy"] != "optmincontext" || out["fragment"] != "Core XPath" {
+		t.Fatalf("strategy = %v, fragment = %v; want optmincontext, Core XPath", out["strategy"], out["fragment"])
 	}
 	if _, ok := out["planned"]; ok {
 		t.Fatalf("response = %v, want no planned member", out)

@@ -12,22 +12,22 @@ import (
 )
 
 // bottomUpPaths evaluates e under OptMinContext from d's root and
-// returns the number of bottom-up location paths the run computed: the
-// nodes bottomUp names as such, each of which the run computes when it
-// puts the test to it. The run must put the test to a node at most once.
+// returns the number of bottom-up nodes the run computed whole: the
+// nodes bottomUp names, each of which the run computes when it puts the
+// test to it. The run must put the test to a node at most once.
 func bottomUpPaths(t *testing.T, d *xmltree.Document, e xpath.Expr) int {
 	t.Helper()
 	asked, paths := map[int]bool{}, 0
-	count := func(n xpath.Expr) (xpath.Expr, xpath.Expr, xpath.BinOp) {
+	count := func(n xpath.Expr) bool {
 		if asked[xpath.Slot(n)] {
 			t.Errorf("%s: the run asked twice whether %s is a bottom-up path", e, n)
 		}
 		asked[xpath.Slot(n)] = true
-		path, c, op := bottomUp(n)
-		if path != nil {
+		ok := bottomUp(n)
+		if ok {
 			paths++
 		}
-		return path, c, op
+		return ok
 	}
 	run, err := mincontext.New(d).Begin(nil, nil, e, count)
 	if err == nil {

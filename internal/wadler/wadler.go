@@ -20,14 +20,18 @@
 // OptMinContext evaluates every "bottom-up location path" of the query
 // — subexpressions boolean(π) and π RelOp c with context-independent c
 // — by eval_bottomup_path/propagate_path_backwards (Appendix A; the walk
-// itself is evalutil.Backward, shared with the Section 10 algebra) into
-// a dom → bool table, and runs MinContext for the rest. Subexpressions
-// outside the fragment simply fall back to MinContext's own machinery,
-// so OptMinContext supports all of XPath at MinContext's bounds while
-// meeting the better fragment bounds where they apply (Corollaries 11.4
-// and 11.5). This package holds the fragment and the test of which
-// nodes are bottom-up paths (bottomUp); the MinContext run is handed the
-// test when it begins and computes the tables.
+// itself is evalutil.Backward) into a dom → bool table, and runs
+// MinContext for the rest. Section 10's E1 algebra is the same idea:
+// and, or and not of such tables, true(), false() and the XSLT'98 unary
+// predicates are whole tables too, which the test names as well.
+// Subexpressions outside the fragment fall back to MinContext's own
+// machinery, so OptMinContext supports all of XPath at MinContext's
+// bounds while meeting the better fragment bounds where they apply
+// (Corollaries 11.4 and 11.5): every served query runs on it, behind
+// the Core XPath and XPatterns gates too. This package holds the
+// fragment and the test of which nodes are bottom-up (bottomUp); the
+// MinContext run is handed the test when it begins and computes the
+// tables.
 //
 // # The order differs from Algorithm 11.1
 //
@@ -39,10 +43,10 @@
 // path behind a step that selects nothing — //p[@i] on a document
 // without p — is never computed. The answers are the same, since a
 // table is the same whole table whenever it is made, and Theorem 11.3's
-// bound still holds: each bottom-up path is computed at most once (the
-// run asks its test once per node), and only where MinContext would
-// otherwise tabulate it, so the work is at most that of step 1 of
-// Algorithm 11.1.
+// bound still holds: each bottom-up node is computed at most once (the
+// run asks its test once per node, and not again for an operand of a
+// composition it named), and only where MinContext would otherwise
+// tabulate it, so the work is at most that of step 1 of Algorithm 11.1.
 //
 // # Where the node sets come from
 //
@@ -91,12 +95,18 @@ func (ev *Evaluator) Evaluate(e xpath.Expr, c semantics.Context) (semantics.Valu
 // ctx's error once it is done.
 func (ev *Evaluator) EvaluateContext(ctx context.Context, e xpath.Expr, c semantics.Context) (semantics.Value, error) {
 	return evalutil.Evaluate(ctx, ev.doc, func(ar *xmltree.Arena, cancel *evalutil.Canceller) (semantics.Value, error) {
-		run, err := mincontext.New(ev.doc).Begin(ar, cancel, e, bottomUp)
+		run, err := ev.Begin(ar, cancel, e)
 		if err != nil {
 			return semantics.Value{}, err
 		}
 		return run.Evaluate(c)
 	})
+}
+
+// Begin starts an OptMinContext evaluation of e in the arena ar, with the
+// checkpoint cancel: a MinContext run handed the bottom-up test.
+func (ev *Evaluator) Begin(ar *xmltree.Arena, cancel *evalutil.Canceller, e xpath.Expr) (*mincontext.Run, error) {
+	return mincontext.New(ev.doc).Begin(ar, cancel, e, bottomUp)
 }
 
 // ------------------------------------------------------------------
@@ -118,10 +128,18 @@ func InFragment(e xpath.Expr) bool {
 	return pathInFragment(e) || scalarInFragment(e)
 }
 
+// pathInFragment checks a location path of the fragment, which backward
+// propagation evaluates: any axes, any node tests, fragment predicates,
+// and an id-chain head at most; or a bare id chain, or a union of such
+// paths. The context-independent node-set operand of a comparison (an
+// absolute fragment path or an id chain over a constant) is held to the
+// same.
 func pathInFragment(e xpath.Expr) bool {
 	switch x := e.(type) {
 	case *xpath.Binary:
 		return x.Op == xpath.OpUnion && pathInFragment(x.Left) && pathInFragment(x.Right)
+	case *xpath.Call:
+		return idHeadOK(x)
 	case *xpath.Path:
 		if x.Filter != nil && !idHeadOK(x.Filter) {
 			return false
@@ -180,11 +198,11 @@ func scalarInFragment(e xpath.Expr) bool {
 				// (the appendix handles that case; Restriction 2
 				// forbids both sides context dependent).
 				return (xpath.RelevantContext(x.Left) == 0 || xpath.RelevantContext(x.Right) == 0) &&
-					bottomUpPathOK(x.Left) && bottomUpPathOK(x.Right)
+					pathInFragment(x.Left) && pathInFragment(x.Right)
 			case ln:
-				return bottomUpPathOK(x.Left) && xpath.RelevantContext(x.Right) == 0 && scalarInFragment(x.Right)
+				return pathInFragment(x.Left) && xpath.RelevantContext(x.Right) == 0 && scalarInFragment(x.Right)
 			case rn:
-				return bottomUpPathOK(x.Right) && xpath.RelevantContext(x.Left) == 0 && scalarInFragment(x.Left)
+				return pathInFragment(x.Right) && xpath.RelevantContext(x.Left) == 0 && scalarInFragment(x.Left)
 			}
 		}
 		return scalarInFragment(x.Left) && scalarInFragment(x.Right)
@@ -197,7 +215,7 @@ func scalarInFragment(e xpath.Expr) bool {
 			return false // Restriction 2
 		case "boolean":
 			if x.Args[0].Type() == xpath.TypeNodeSet {
-				return bottomUpPathOK(x.Args[0])
+				return pathInFragment(x.Args[0])
 			}
 			return scalarInFragment(x.Args[0])
 		case "id":
@@ -221,53 +239,54 @@ func scalarInFragment(e xpath.Expr) bool {
 	}
 }
 
-// bottomUpPathOK checks that a path can be evaluated by backward
-// propagation: any axes, any node tests, fragment predicates, and an
-// id-chain head at most. The context-independent node-set operand of a
-// comparison (an absolute fragment path or an id chain over a constant)
-// is held to the same.
-func bottomUpPathOK(e xpath.Expr) bool {
-	switch x := e.(type) {
-	case *xpath.Path:
-		return pathInFragment(x)
-	case *xpath.Call:
-		return idHeadOK(x)
-	default:
-		return false
-	}
-}
-
 // ------------------------------------------------------------------
 // Bottom-up location paths (Algorithm 11.1, step 1)
 // ------------------------------------------------------------------
 
 // bottomUp is the test the MinContext run puts to a node of the query,
-// once, when it first needs the node's table: boolean(π) with π a
-// fragment path, and π RelOp c with π context dependent and c context
-// free, are bottom-up location paths. It returns π, c (nil for
-// boolean(π)) and the RelOp with π on its left; π is nil for any other
-// node.
-func bottomUp(e xpath.Expr) (path, c xpath.Expr, op xpath.BinOp) {
+// once, when it first needs the node's table: whether the run computes
+// the node's whole dom → bool table at once (fillBottomUp). Those nodes
+// are the bottom-up location paths — boolean(π) with π a fragment path
+// or a union of them, and π RelOp c with π context dependent and c
+// context free — and Section 10's E1 compositions of them: and, or, not
+// and boolean of operands that are bottom-up themselves or context
+// free, true(), false() and the four XSLT'98 unary predicates.
+func bottomUp(e xpath.Expr) bool {
 	switch x := e.(type) {
 	case *xpath.Call:
-		if x.Name == "boolean" && x.Args[0].Type() == xpath.TypeNodeSet {
-			path = x.Args[0]
+		switch x.Name {
+		case "boolean":
+			if x.Args[0].Type() == xpath.TypeNodeSet {
+				return pathInFragment(x.Args[0])
+			}
+			return composable(x.Args[0])
+		case "not":
+			return composable(x.Args[0])
+		case "true", "false", "first-of-any", "last-of-any", "first-of-type", "last-of-type":
+			return true
 		}
 	case *xpath.Binary:
+		if x.Op == xpath.OpAnd || x.Op == xpath.OpOr {
+			return composable(x.Left) && composable(x.Right)
+		}
 		if !x.Op.IsRelOp() {
-			break
+			return false
 		}
 		ln := x.Left.Type() == xpath.TypeNodeSet && xpath.RelevantContext(x.Left) != 0
 		rn := x.Right.Type() == xpath.TypeNodeSet && xpath.RelevantContext(x.Right) != 0
 		switch {
 		case ln && !rn && xpath.RelevantContext(x.Right) == 0:
-			path, c, op = x.Left, x.Right, x.Op
+			return pathInFragment(x.Left)
 		case rn && !ln && xpath.RelevantContext(x.Left) == 0:
-			path, c, op = x.Right, x.Left, semantics.Flip(x.Op)
+			return pathInFragment(x.Right)
 		}
 	}
-	if path == nil || !bottomUpPathOK(path) {
-		return nil, nil, 0
-	}
-	return path, c, op
+	return false
+}
+
+// composable reports whether e can be an operand of a bottom-up and,
+// or, not or boolean: bottom-up itself, or context free, one value the
+// run computes once.
+func composable(e xpath.Expr) bool {
+	return xpath.RelevantContext(e) == 0 || bottomUp(e)
 }

@@ -194,6 +194,8 @@ func TestFragmentLattice(t *testing.T) {
 		"//b[child::c]",
 		"//*[not(child::*) and following::b]",
 		"/descendant::a/child::b[child::c/child::d or not(following::*)]",
+		"//a[b | c]",
+		"//a[not(b | c)]",
 	}
 	for _, q := range coreQueries {
 		if !InFragment(xpath.MustParse(q)) {

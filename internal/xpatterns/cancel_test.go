@@ -122,7 +122,7 @@ func TestCancelledEvaluationLeavesNoState(t *testing.T) {
 	for name, b := range map[string][2]bool{
 		"first-of-any": {true, false}, "last-of-any": {false, false}, "first-of-type": {true, true}, "last-of-type": {false, true},
 	} {
-		if s, err := ev.boundary(b[0], b[1]); err != nil || len(s) != 2 {
+		if s, err := boundary(ev, b[0], b[1]); err != nil || len(s) != 2 {
 			t.Errorf("%s after a cancelled evaluation: %v, %v; want a and one b", name, s, err)
 		}
 	}

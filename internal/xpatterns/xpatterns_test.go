@@ -113,12 +113,21 @@ func TestIDHeadInPredicate(t *testing.T) {
 	}
 }
 
+// boundary is the set of one XSLT'98 unary predicate over the whole
+// document: the first (or last) element of every sibling list, per tag
+// name with byType.
+func boundary(ev *Evaluator, first, byType bool) (xmltree.NodeSet, error) {
+	name := map[bool]string{true: "first", false: "last"}[first] + map[bool]string{true: "-of-type", false: "-of-any"}[byType]
+	v, err := ev.Evaluate(xpath.MustParse("//*["+name+"()]"), ctxRoot(ev.doc))
+	return v.Set, err
+}
+
 func TestUnaryPredicateSets(t *testing.T) {
 	d := xmltree.MustParseString(`<r><a/><b/><a/><c><a/><a/></c></r>`)
 	ev := New(d)
 	name := func(id xmltree.NodeID) string { return d.Name(id) }
 
-	foa, err := ev.boundary(true, false)
+	foa, err := boundary(ev, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +135,7 @@ func TestUnaryPredicateSets(t *testing.T) {
 	if len(foa) != 3 {
 		t.Errorf("first-of-any = %d nodes, want 3", len(foa))
 	}
-	loa, err := ev.boundary(false, false)
+	loa, err := boundary(ev, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +157,7 @@ func TestUnaryPredicateSets(t *testing.T) {
 		}
 		t.Errorf("FirstOfType = %v (%d), want 5", ns, len(fot))
 	}
-	lot, err := ev.boundary(false, true)
+	lot, err := boundary(ev, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
